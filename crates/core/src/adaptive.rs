@@ -93,11 +93,17 @@ impl ExpertWeights {
         self.pending_updates >= self.batch
     }
 
-    /// Takes the buffered penalties (compressed as per-expert sums, §4.3.2)
-    /// and resets the buffer.
-    pub fn take_pending(&mut self) -> Vec<f64> {
+    /// Moves the buffered penalties (compressed as per-expert sums, §4.3.2)
+    /// into the front of `out`, resets the buffer and returns the expert
+    /// count.  An `out` shorter than that keeps only what fits, so an empty
+    /// slice simply discards the batch.
+    pub fn take_pending(&mut self, out: &mut [f64]) -> usize {
         self.pending_updates = 0;
-        std::mem::replace(&mut self.pending_penalties, vec![0.0; self.weights.len()])
+        for (o, p) in out.iter_mut().zip(&self.pending_penalties) {
+            *o = *p;
+        }
+        self.pending_penalties.fill(0.0);
+        self.weights.len()
     }
 
     /// Number of regrets buffered since the last synchronisation.
@@ -127,34 +133,47 @@ impl ExpertWeights {
     }
 }
 
-/// Wire encoding of the weight-update RPC.
+/// Wire encoding of the weight-update RPC: a `u32` count followed by that
+/// many little-endian `f64`s, in both directions.  Both ends work on caller
+/// buffers, so a weight sync allocates nothing.
 pub mod weight_wire {
     use super::*;
 
-    /// Encodes a penalty batch.
-    pub fn encode_penalties(penalties: &[f64]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(4 + penalties.len() * 8);
-        wire::put_u32(&mut buf, penalties.len() as u32);
-        for p in penalties {
-            wire::put_f64(&mut buf, *p);
-        }
-        buf
+    /// Bytes a vector of `n` values occupies on the wire.
+    pub const fn wire_len(n: usize) -> usize {
+        4 + n * 8
     }
 
-    /// Decodes a weight vector from a controller reply.
-    pub fn decode_weights(resp: &[u8]) -> DmResult<Vec<f64>> {
-        let n = wire::get_u32(resp, 0).ok_or_else(|| DmError::RpcFailed {
-            reason: "short weight reply".to_string(),
-        })? as usize;
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(
-                wire::get_f64(resp, 4 + i * 8).ok_or_else(|| DmError::RpcFailed {
-                    reason: "truncated weight reply".to_string(),
-                })?,
-            );
+    /// Encodes `values` into the front of `buf` and returns the encoded
+    /// length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is shorter than [`wire_len`]`(values.len())`.
+    pub fn encode(values: &[f64], buf: &mut [u8]) -> usize {
+        buf[..4].copy_from_slice(&(values.len() as u32).to_le_bytes());
+        for (chunk, v) in buf[4..].chunks_exact_mut(8).zip(values) {
+            chunk.copy_from_slice(&v.to_le_bytes());
         }
-        Ok(out)
+        wire_len(values.len())
+    }
+
+    /// Decodes a vector into the front of `out` and returns its length.
+    pub fn decode(bytes: &[u8], out: &mut [f64]) -> DmResult<usize> {
+        let n = wire::get_u32(bytes, 0).ok_or_else(|| DmError::RpcFailed {
+            reason: "short weight vector".to_string(),
+        })? as usize;
+        if n > out.len() {
+            return Err(DmError::RpcFailed {
+                reason: format!("{n} weights exceed the {}-expert buffer", out.len()),
+            });
+        }
+        for (i, o) in out[..n].iter_mut().enumerate() {
+            *o = wire::get_f64(bytes, 4 + i * 8).ok_or_else(|| DmError::RpcFailed {
+                reason: "truncated weight vector".to_string(),
+            })?;
+        }
+        Ok(n)
     }
 }
 
@@ -181,7 +200,19 @@ impl WeightService {
 }
 
 impl RpcHandler for WeightService {
-    fn handle(&self, _node: &MemoryNode, request: &[u8]) -> DmResult<RpcOutcome> {
+    fn handle(&self, node: &MemoryNode, request: &[u8]) -> DmResult<RpcOutcome> {
+        let mut resp = vec![0u8; request.len()];
+        let (len, cpu_ns) = self.handle_into(node, request, &mut resp)?;
+        resp.truncate(len);
+        Ok(RpcOutcome::new(resp, cpu_ns))
+    }
+
+    fn handle_into(
+        &self,
+        _node: &MemoryNode,
+        request: &[u8],
+        response: &mut [u8],
+    ) -> DmResult<(usize, u64)> {
         let n = wire::get_u32(request, 0).ok_or_else(|| DmError::RpcFailed {
             reason: "short weight-update request".to_string(),
         })? as usize;
@@ -189,6 +220,11 @@ impl RpcHandler for WeightService {
         if n != weights.len() {
             return Err(DmError::RpcFailed {
                 reason: format!("expected {} penalties, got {n}", weights.len()),
+            });
+        }
+        if response.len() < weight_wire::wire_len(n) {
+            return Err(DmError::RpcFailed {
+                reason: format!("reply buffer too short for {n} weights"),
             });
         }
         for (i, w) in weights.iter_mut().enumerate() {
@@ -204,12 +240,7 @@ impl RpcHandler for WeightService {
         for w in weights.iter_mut() {
             *w /= total;
         }
-        let mut resp = Vec::with_capacity(4 + weights.len() * 8);
-        wire::put_u32(&mut resp, weights.len() as u32);
-        for w in weights.iter() {
-            wire::put_f64(&mut resp, *w);
-        }
-        Ok(RpcOutcome::new(resp, WEIGHT_RPC_CPU_NS))
+        Ok((weight_wire::encode(&weights, response), WEIGHT_RPC_CPU_NS))
     }
 }
 
@@ -252,10 +283,12 @@ mod tests {
         assert!(!w.apply_regret(0b10, 0));
         assert!(!w.apply_regret(0b10, 1));
         assert!(w.apply_regret(0b10, 2));
-        let pending = w.take_pending();
-        assert_eq!(pending.len(), 2);
+        let mut pending = [0.0; 2];
+        assert_eq!(w.take_pending(&mut pending), 2);
         assert!(pending[1] > pending[0]);
         assert_eq!(w.pending_updates(), 0);
+        assert_eq!(w.take_pending(&mut pending), 2);
+        assert_eq!(pending, [0.0; 2], "taking resets the buffer");
     }
 
     #[test]
@@ -282,10 +315,13 @@ mod tests {
 
     #[test]
     fn wire_roundtrip() {
-        let payload = weight_wire::encode_penalties(&[1.5, 0.25]);
-        let decoded = weight_wire::decode_weights(&payload).unwrap();
-        assert_eq!(decoded, vec![1.5, 0.25]);
-        assert!(weight_wire::decode_weights(&payload[..7]).is_err());
+        let mut payload = [0u8; weight_wire::wire_len(2)];
+        assert_eq!(weight_wire::encode(&[1.5, 0.25], &mut payload), 20);
+        let mut decoded = [0.0; 4];
+        assert_eq!(weight_wire::decode(&payload, &mut decoded), Ok(2));
+        assert_eq!(decoded[..2], [1.5, 0.25]);
+        assert!(weight_wire::decode(&payload[..7], &mut decoded).is_err());
+        assert!(weight_wire::decode(&payload, &mut decoded[..1]).is_err());
     }
 
     #[test]
@@ -295,9 +331,14 @@ mod tests {
         let service = std::sync::Arc::new(WeightService::new(2, 0.5));
         pool.register_handler(ditto_dm::rpc::WEIGHT_SERVICE, service.clone());
         let client = pool.connect();
-        let req = weight_wire::encode_penalties(&[5.0, 0.0]);
-        let resp = client.rpc(0, ditto_dm::rpc::WEIGHT_SERVICE, &req).unwrap();
-        let weights = weight_wire::decode_weights(&resp).unwrap();
+        let mut req = [0u8; weight_wire::wire_len(2)];
+        weight_wire::encode(&[5.0, 0.0], &mut req);
+        let mut resp = [0u8; weight_wire::wire_len(2)];
+        let len = client
+            .rpc_into(0, ditto_dm::rpc::WEIGHT_SERVICE, &req, &mut resp)
+            .unwrap();
+        let mut weights = [0.0; 2];
+        assert_eq!(weight_wire::decode(&resp[..len], &mut weights), Ok(2));
         assert!(weights[0] < weights[1]);
         assert!((weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert_eq!(service.weights(), weights);
@@ -313,7 +354,8 @@ mod tests {
         );
         let client = pool.connect();
         assert!(client.rpc(0, ditto_dm::rpc::WEIGHT_SERVICE, &[]).is_err());
-        let wrong_len = weight_wire::encode_penalties(&[1.0, 2.0, 3.0]);
+        let mut wrong_len = [0u8; weight_wire::wire_len(3)];
+        weight_wire::encode(&[1.0, 2.0, 3.0], &mut wrong_len);
         assert!(client
             .rpc(0, ditto_dm::rpc::WEIGHT_SERVICE, &wrong_len)
             .is_err());

@@ -253,6 +253,16 @@ impl DittoCache {
             snap.evictions,
         );
         counter(
+            "ditto_cache_evictions_inline_total",
+            "Sampling evictions whose every round trip sat on the evicting Set's critical path.",
+            self.stats.evictions_inline(),
+        );
+        counter(
+            "ditto_cache_evictions_overlapped_total",
+            "Sampling evictions overlapped with the evicting Set's own lookup and publish.",
+            self.stats.evictions_overlapped(),
+        );
+        counter(
             "ditto_cache_bucket_evictions_total",
             "Evictions forced by a full bucket rather than memory pressure.",
             snap.bucket_evictions,
@@ -428,6 +438,8 @@ mod tests {
         // …and the cache-level series, in the same page.
         assert!(page.contains("ditto_cache_hits_total 1"));
         assert!(page.contains("ditto_cache_sets_total 1"));
+        assert!(page.contains("ditto_cache_evictions_inline_total 0"));
+        assert!(page.contains("ditto_cache_evictions_overlapped_total 0"));
         assert!(page.contains("ditto_cache_expert_victories_total{expert=\"lru\""));
         // Every HELP line has a TYPE line.
         let helps = page.matches("# HELP ").count();

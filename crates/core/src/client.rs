@@ -17,7 +17,8 @@
 //!   scattered-metadata ablation, one doorbell batch of K slot READs), a
 //!   per-expert priority evaluation, a weighted victim choice, an `RDMA_FAA`
 //!   on the global history counter and an `RDMA_CAS` converting the victim
-//!   slot into an embedded history entry.
+//!   slot into an embedded history entry — run *ahead* of the evicting
+//!   `Set`, beside its lookup and publish (see the crate docs).
 //!
 //! With `enable_async_completion` (the default) each step runs on the
 //! **posted-WQE/polled-completion** model instead of a synchronous batch:
@@ -25,8 +26,8 @@
 //! decodes it *while the secondary is still in flight*; `Set` posts its
 //! object WRITE unsignalled (never waited for) next to the bucket READs; a
 //! hit's due frequency-counter FAA rides unsignalled next to the object
-//! READ; and the eviction sampler decodes and scores candidates as
-//! completions drain.  The verb sequence — and therefore cache behaviour
+//! READ; and an eviction's sample READ and history FAA fly while its `Set`
+//! looks up and publishes.  The verb sequence — and therefore cache behaviour
 //! and message counts — is byte-identical to the synchronous batch (see
 //! `tests/async_parity.rs`); only the charged latency shrinks, because the
 //! client CPU work (`cpu_decode_slot_ns` per slot, `cpu_score_candidate_ns`
@@ -73,7 +74,6 @@ use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
 use crate::stats::CacheStats;
 use ditto_algorithms::{AccessContext, AccessKind, CacheAlgorithm, Metadata, EXT_WORDS};
 use ditto_dm::alloc::{AllocService, ClientAllocator};
-use ditto_dm::batch::MAX_BATCH;
 use ditto_dm::migration::WriteDisposition;
 use ditto_dm::rpc::{ALLOC_SERVICE, WEIGHT_SERVICE};
 use ditto_dm::{
@@ -81,8 +81,11 @@ use ditto_dm::{
     RecoveryPhase, RemoteAddr, StripedAllocator, RECONCILE_POISON,
 };
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
+
+mod evict;
+use evict::Eviction;
 
 /// Maximum CAS retries before an operation gives up.
 const MAX_RETRIES: usize = 8;
@@ -970,6 +973,7 @@ impl DittoClient {
         hash: u64,
         fp: u8,
         write: Option<(RemoteAddr, &[u8])>,
+        mut rider: Option<&mut Eviction>,
     ) -> DmResult<(SearchSlots, Option<(RemoteAddr, Slot)>)> {
         let primary = self.table.primary_bucket(hash);
         let secondary = self.table.secondary_bucket(hash);
@@ -1062,6 +1066,11 @@ impl DittoClient {
                     }
                     wr_primary = wq.post_read(primary_addr, primary_buf, true);
                     wr_secondary = wq.post_read(secondary_addr, secondary_buf, true);
+                    // An eviction running ahead of this `Set` has its first
+                    // sample READ share the lookup's doorbell.
+                    if let Some(ev) = rider.as_deref_mut() {
+                        ev.ride(&mut wq, &mut self.sample_buf);
+                    }
                     wq.ring();
                 }
                 // Wait for the *primary* bucket specifically: a slow
@@ -1075,7 +1084,7 @@ impl DittoClient {
                 let mut secondary_done = false;
                 let mut round_err = None;
                 loop {
-                    let completion = self.dm.poll_cq().expect("bucket completion");
+                    let completion = Eviction::poll_lookup(&self.dm, &mut rider);
                     if let Err(e) = completion.status.check() {
                         round_err = Some(e);
                         break;
@@ -1089,7 +1098,7 @@ impl DittoClient {
                 if let Some(e) = round_err {
                     // Consume this round's stragglers so the next round's
                     // polling starts from an empty queue.
-                    let _ = self.dm.try_drain_cq();
+                    let _ = Eviction::drain_lookup(&self.dm, &mut rider);
                     fault_attempts += 1;
                     if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
                         continue;
@@ -1097,7 +1106,7 @@ impl DittoClient {
                     return Err(e);
                 }
                 if SampleFriendlyHashTable::bucket_tainted(&self.bucket_buf[..BUCKET_SIZE]) {
-                    if self.dm.try_drain_cq().is_ok() {
+                    if Eviction::drain_lookup(&self.dm, &mut rider).is_ok() {
                         // The round's verbs all landed (an unsignalled
                         // WRITE that fails leaves an error completion), so
                         // poison retries re-read the buckets alone.
@@ -1116,7 +1125,7 @@ impl DittoClient {
                     // A primary-bucket hit never needs the secondary's
                     // bytes; its completion is drained (by now usually in
                     // the past, hidden behind the primary decode).
-                    match self.dm.try_drain_cq() {
+                    match Eviction::drain_lookup(&self.dm, &mut rider) {
                         Ok(_) => write = None,
                         Err(e) => {
                             fault_attempts += 1;
@@ -1133,9 +1142,9 @@ impl DittoClient {
                     continue;
                 }
                 if !secondary_done {
-                    let completion = self.dm.poll_cq().expect("secondary bucket completion");
+                    let completion = Eviction::poll_lookup(&self.dm, &mut rider);
                     if let Err(e) = completion.status.check() {
-                        let _ = self.dm.try_drain_cq();
+                        let _ = Eviction::drain_lookup(&self.dm, &mut rider);
                         fault_attempts += 1;
                         if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
                             continue;
@@ -1147,7 +1156,7 @@ impl DittoClient {
                     // A rider-WRITE error on a *different* node can land
                     // after both bucket completions; surface it now.
                     // Fault-free the queue is empty and this costs nothing.
-                    match self.dm.try_drain_cq() {
+                    match Eviction::drain_lookup(&self.dm, &mut rider) {
                         Ok(_) => write = None,
                         Err(e) => {
                             fault_attempts += 1;
@@ -1241,7 +1250,7 @@ impl DittoClient {
             // bucket READ and the capture: the stale object READ would then
             // be admitted under an epoch that already includes the bump.)
             let board_epoch = self.board.epoch(hash);
-            let Ok((slots, found)) = self.search(hash, fp, None) else {
+            let Ok((slots, found)) = self.search(hash, fp, None, None) else {
                 // The lookup could not complete within its fault budget
                 // (or its node fail-stopped).  Degrade to a miss: for a
                 // cache a spurious miss is indistinguishable from an
@@ -1644,18 +1653,21 @@ impl DittoClient {
     }
 
     fn sync_weights(&mut self) {
-        let penalties = self.weights.take_pending();
-        let request = weight_wire::encode_penalties(&penalties);
-        match self.dm.rpc(0, WEIGHT_SERVICE, &request) {
-            Ok(response) => {
-                if let Ok(weights) = weight_wire::decode_weights(&response) {
-                    self.weights.set_weights(&weights);
-                }
-                self.stats.record_weight_sync();
+        // Fixed buffers: a weight sync must not allocate either.
+        let mut values = [0.0; MAX_EXPERTS];
+        let n = self.weights.take_pending(&mut values);
+        let mut request = [0u8; weight_wire::wire_len(MAX_EXPERTS)];
+        let len = weight_wire::encode(&values[..n], &mut request);
+        let mut reply = [0u8; weight_wire::wire_len(MAX_EXPERTS)];
+        // The controller being unreachable only delays adaptation.
+        if let Ok(len) = self
+            .dm
+            .rpc_into(0, WEIGHT_SERVICE, &request[..len], &mut reply)
+        {
+            if let Ok(n) = weight_wire::decode(&reply[..len], &mut values) {
+                self.weights.set_weights(&values[..n]);
             }
-            Err(_) => {
-                // The controller being unreachable only delays adaptation.
-            }
+            self.stats.record_weight_sync();
         }
     }
 
@@ -1732,6 +1744,18 @@ impl DittoClient {
             self.encode_buf = encoded;
             return Ok(());
         }
+        // Evict-ahead: under memory pressure the allocation above took the
+        // spare the previous evicting `Set` left on the free list; with none
+        // left, this `Set` replenishes it beside its own lookup and publish.
+        let starved = self.mem_pressure && !self.alloc.can_alloc_local(encoded.len());
+        let mut ahead = starved.then(|| {
+            let (primary, secondary) = (
+                self.table.primary_bucket(hash),
+                self.table.secondary_bucket(hash),
+            );
+            let own = [primary, secondary].map(|b| self.table.bucket_addr(b));
+            self.evict_begin(size_class as u8, Some(own))
+        });
 
         let mut stored = false;
         let mut object_written = false;
@@ -1745,7 +1769,11 @@ impl DittoClient {
                 // The previous attempt's insert was displaced by an evictor
                 // mid-cutover, which freed the object (see
                 // `resolve_stale_cas`): re-allocate and rewrite the bytes
-                // before retrying.
+                // before retrying (the eviction running ahead first: two
+                // evictions must not share the completion queue).
+                if let Some(ev) = ahead.as_mut() {
+                    self.evict_advance(ev, false);
+                }
                 self.alloc_abandoned = false;
                 obj_addr = self.alloc_with_eviction(preferred, encoded.len());
                 new_atomic = match AtomicField::try_for_object(fp, size_class as u8, obj_addr) {
@@ -1779,7 +1807,7 @@ impl DittoClient {
             } else {
                 Some((obj_addr, &encoded[..]))
             };
-            let Ok((slots, existing)) = self.search(hash, fp, write) else {
+            let Ok((slots, existing)) = self.search(hash, fp, write, ahead.as_mut()) else {
                 // This attempt's lookup could not complete; the piggybacked
                 // WRITE (if any) may not have landed, so the next attempt
                 // re-carries it (re-posting the unpublished bytes is
@@ -1794,6 +1822,11 @@ impl DittoClient {
                     self.encode_buf = encoded;
                     return Ok(());
                 }
+            }
+            // The eviction running ahead takes what the lookup overlapped
+            // and issues its next verb, to fly during the publish CAS.
+            if let Some(ev) = ahead.as_mut() {
+                self.evict_advance(ev, true);
             }
             // Each publish attempt — whichever of the three CAS shapes it
             // takes — is one `Publish` span (detail = 1 on the attempt that
@@ -1840,6 +1873,10 @@ impl DittoClient {
             self.encode_buf = encoded;
             return Ok(());
         }
+        // The rest of the eviction (normally just the victim CAS) is serial.
+        if let Some(mut ev) = ahead {
+            self.evict_advance(&mut ev, false);
+        }
         if !stored {
             // Persistent CAS interference: the request is dropped.  For a
             // fresh insert that is a declined admission, but when an older
@@ -1850,7 +1887,7 @@ impl DittoClient {
             // indistinguishable from an eviction.
             for _ in 0..MAX_RETRIES {
                 self.mig_token = self.table.directory().version();
-                let Ok((_, existing)) = self.search(hash, fp, None) else {
+                let Ok((_, existing)) = self.search(hash, fp, None, None) else {
                     // The invalidation sweep cannot see the table; give up
                     // (a reachable stale value then survives only if the
                     // same faults also hide it from every reader).
@@ -2127,321 +2164,6 @@ impl DittoClient {
             })?;
         self.note_object_alloc(addr, size);
         Some(addr)
-    }
-
-    /// Reads one eviction sample into the per-client sample buffer and
-    /// appends the live-object candidates, charging the decode and
-    /// candidate-scoring CPU work as it goes.
-    ///
-    /// The sample-friendly table needs a single `RDMA_READ` of K consecutive
-    /// slots — or, when the sampled span crosses a stripe boundary of the
-    /// striped table, one READ per memory node touched, issued behind a
-    /// single doorbell.  The sampled *global* slot indices are independent
-    /// of the striping, so striped and single-node caches examine identical
-    /// candidates.  The scattered-metadata ablation needs K independent
-    /// slot READs; on the pipelined path they are posted signalled and each
-    /// candidate is decoded and scored **as its completion drains**, so the
-    /// scoring of early slots overlaps the remaining flights.  With
-    /// batching disabled the verbs go out sequentially — exactly the seed's
-    /// behaviour.
-    fn read_eviction_sample(&mut self, candidates: &mut Candidates) {
-        let sample_size = self.config.sample_size;
-        if self.config.enable_sample_friendly_table {
-            let (start, count) = self.table.sample_span(&mut self.rng, sample_size);
-            let mut sample: InlineVec<(RemoteAddr, Slot), { DittoConfig::MAX_SAMPLE_SIZE }> =
-                InlineVec::new();
-            if self.use_async() {
-                self.read_span_pipelined(start, count, &mut sample);
-            } else {
-                // A faulted sample read yields no candidates this round;
-                // the caller's retry loop re-samples a different span.
-                if self
-                    .table
-                    .try_read_span_into(
-                        &self.dm,
-                        start,
-                        count,
-                        &mut self.sample_buf,
-                        self.config.enable_doorbell_batching,
-                        &mut sample,
-                    )
-                    .is_ok()
-                {
-                    self.charge_decode(count);
-                }
-            }
-            let mut gathered = 0;
-            for &(slot_addr, slot) in sample.iter() {
-                if slot.atomic.is_object() && candidates.push_saturating((slot_addr, slot)) {
-                    gathered += 1;
-                }
-            }
-            self.charge_score(gathered);
-        } else {
-            // Ablation: metadata scattered with the objects requires one READ
-            // per sampled candidate — all independent, hence one doorbell.
-            let mut addrs: InlineVec<RemoteAddr, { DittoConfig::MAX_SAMPLE_SIZE }> =
-                InlineVec::new();
-            for _ in 0..sample_size {
-                let idx = self.rng.gen_range(0..self.table.num_slots());
-                addrs.push(self.table.global_slot_addr(idx));
-            }
-            if self.use_async() {
-                {
-                    let mut wq = self.dm.work_queue();
-                    let buf = &mut self.sample_buf[..sample_size * SLOT_SIZE];
-                    for (chunk, &addr) in buf.chunks_mut(SLOT_SIZE).zip(addrs.iter()) {
-                        wq.post_read(addr, chunk, true);
-                    }
-                    wq.ring();
-                }
-                // Equal-size READs complete in posting order (per-node
-                // in-order queue pairs), so completion i is slot i; each
-                // candidate is decoded and scored while later slot READs
-                // are still in flight.
-                for (i, &addr) in addrs.iter().enumerate() {
-                    let completion = self.dm.poll_cq().expect("sample slot completion");
-                    self.charge_decode(1);
-                    // A faulted slot READ drops that one candidate; the
-                    // rest of the sample is still usable.
-                    if completion.status.check().is_err() {
-                        continue;
-                    }
-                    let slot =
-                        Slot::from_bytes(&self.sample_buf[i * SLOT_SIZE..(i + 1) * SLOT_SIZE]);
-                    if slot.atomic.is_object() && candidates.push_saturating((addr, slot)) {
-                        self.charge_score(1);
-                    }
-                }
-            } else {
-                let buf = &mut self.sample_buf[..sample_size * SLOT_SIZE];
-                let mut ok = true;
-                let mut batch = self.dm.batch();
-                for (chunk, &addr) in buf.chunks_mut(SLOT_SIZE).zip(addrs.iter()) {
-                    if batch.len() == MAX_BATCH {
-                        // An oversized sample flushes into an extra doorbell
-                        // instead of aborting the client.
-                        ok &= std::mem::replace(&mut batch, self.dm.batch())
-                            .try_execute_mode(self.config.enable_doorbell_batching)
-                            .is_ok();
-                    }
-                    batch.read_into(addr, chunk).expect("batch has room");
-                }
-                ok &= batch
-                    .try_execute_mode(self.config.enable_doorbell_batching)
-                    .is_ok();
-                self.charge_decode(sample_size);
-                // Without per-READ attribution a faulted batch abandons the
-                // whole sample (the caller re-samples).
-                if !ok {
-                    return;
-                }
-                let mut gathered = 0;
-                for (i, &addr) in addrs.iter().enumerate() {
-                    let slot =
-                        Slot::from_bytes(&self.sample_buf[i * SLOT_SIZE..(i + 1) * SLOT_SIZE]);
-                    if slot.atomic.is_object() && candidates.push_saturating((addr, slot)) {
-                        gathered += 1;
-                    }
-                }
-                self.charge_score(gathered);
-            }
-        }
-    }
-
-    /// Pipelined read of the span of `count` consecutive global slots
-    /// starting at `start`: one posted READ per physical segment, each
-    /// decoded (and charged) as its completion drains, so decoding one
-    /// segment overlaps the remaining segments' flights.  A single-segment
-    /// span — the common case — degenerates to one plain READ, exactly
-    /// like the synchronous path.
-    fn read_span_pipelined(
-        &mut self,
-        start: u64,
-        count: usize,
-        out: &mut impl Extend<(RemoteAddr, Slot)>,
-    ) {
-        let mut segments: InlineVec<(RemoteAddr, usize), MAX_BATCH> = InlineVec::new();
-        self.table
-            .for_span_segments(start, count, |addr, slots| segments.push((addr, slots)));
-        if let [(addr, slots)] = segments[..] {
-            // Faulted sample READ: no candidates, the caller re-samples.
-            if self
-                .dm
-                .try_read_into(addr, &mut self.sample_buf[..slots * SLOT_SIZE])
-                .is_err()
-            {
-                return;
-            }
-            SampleFriendlyHashTable::decode_slots(addr, &self.sample_buf[..slots * SLOT_SIZE], out);
-            self.charge_decode(slots);
-            return;
-        }
-        // Work-request id and buffer offset of each posted segment.
-        let mut posted: InlineVec<(u64, usize), MAX_BATCH> = InlineVec::new();
-        {
-            let mut wq = self.dm.work_queue();
-            let mut rest = &mut self.sample_buf[..count * SLOT_SIZE];
-            let mut offset = 0usize;
-            for &(addr, slots) in segments.iter() {
-                let (chunk, tail) = rest.split_at_mut(slots * SLOT_SIZE);
-                posted.push((wq.post_read(addr, chunk, true), offset));
-                offset += slots * SLOT_SIZE;
-                rest = tail;
-            }
-            wq.ring();
-        }
-        // Decode whichever segment completes next — a small segment on an
-        // idle node may overtake a bigger one elsewhere — charging its
-        // decode cost while the remaining segments are still in flight.
-        let mut span_err = false;
-        for _ in 0..segments.len() {
-            let completion = self.dm.poll_cq().expect("sample segment completion");
-            let seg = posted
-                .iter()
-                .position(|&(wr, _)| wr == completion.wr_id)
-                .expect("completion belongs to this span");
-            self.charge_decode(segments[seg].1);
-            span_err |= completion.status.check().is_err();
-        }
-        // Segment buffers are only chunk-aligned per posting, so one
-        // faulted segment invalidates positional decoding of the span —
-        // abandon the whole sample and let the caller re-sample.
-        if span_err {
-            return;
-        }
-        // The candidate *order* must not depend on completion timing (ties
-        // in eviction priorities break by position), so the decoded slots
-        // are appended in canonical segment order — identical to the
-        // synchronous path.
-        for (&(_, begin), &(addr, slots)) in posted.iter().zip(segments.iter()) {
-            SampleFriendlyHashTable::decode_slots(
-                addr,
-                &self.sample_buf[begin..begin + slots * SLOT_SIZE],
-                out,
-            );
-        }
-    }
-
-    /// Performs one sampling eviction.  Returns `true` when an object was
-    /// evicted and its memory recycled.
-    pub fn evict_once(&mut self) -> bool {
-        self.evict_once_for(0)
-    }
-
-    /// One sampling eviction driven by a pending allocation of `min_blocks`
-    /// blocks: sampled victims big enough to serve the allocation are
-    /// preferred when any exist (recycled ranges only coalesce with free
-    /// neighbours, so evicting small victims for a large request can churn
-    /// indefinitely — the many-clients analogue of slab-class eviction).
-    /// Falls back to the plain priority choice when the sample holds no
-    /// big-enough victim, so memory still gets freed for other clients.
-    fn evict_once_for(&mut self, min_blocks: u8) -> bool {
-        let t0 = self.dm.now_ns();
-        let won = self.evict_once_for_inner(min_blocks);
-        self.dm
-            .record_span(Phase::Evict, t0, self.dm.now_ns(), won as u32);
-        won
-    }
-
-    fn evict_once_for_inner(&mut self, min_blocks: u8) -> bool {
-        let mut candidates = Candidates::new();
-        for attempt in 0..8 {
-            self.read_eviction_sample(&mut candidates);
-            if candidates.len() >= 2 || (attempt >= 3 && !candidates.is_empty()) {
-                break;
-            }
-        }
-        if candidates.is_empty() {
-            return false;
-        }
-        if min_blocks > 1 {
-            let mut fitting = Candidates::new();
-            for &(addr, slot) in candidates.iter() {
-                if slot.atomic.size_class >= min_blocks {
-                    fitting.push((addr, slot));
-                }
-            }
-            if !fitting.is_empty() {
-                candidates = fitting;
-            }
-        }
-        // Pressured clients herd: overlapping samples make many clients
-        // pick the same globally-best victim, and only one slot CAS wins
-        // per round.  Rather than burning the whole sample on one lost
-        // race, fall back to the next-best candidate a bounded number of
-        // times — the sample is already paid for, and a loser retrying a
-        // *different* victim converts contention into progress.
-        for _ in 0..3 {
-            let (victim_idx, bitmap, chosen) = self.select_victim(&candidates);
-            let (victim_addr, victim) = candidates[victim_idx];
-            let expected = victim.atomic.encode();
-
-            let won = if self.config.adaptive && self.config.enable_lightweight_history {
-                // Home the entry on the victim's hash shard: entries spread
-                // over every shard (and every node's counter) uniformly, so
-                // the sharded FIFOs jointly keep the configured history
-                // length.
-                let shard = self.history.shard_for_hash(victim.hash);
-                match self.history.try_acquire_id(&self.dm, shard) {
-                    Ok((hist_id, new_counter)) => {
-                        self.counter_estimates[shard as usize] = new_counter;
-                        self.counters_known[shard as usize] = true;
-                        let hist_atomic = AtomicField::for_history(victim.atomic.fp, hist_id);
-                        if self.slot_cas(victim_addr, expected, hist_atomic.encode()) {
-                            self.write_slot_meta(
-                                SampleFriendlyHashTable::insert_ts_addr(victim_addr),
-                                &bitmap.to_le_bytes(),
-                            );
-                            self.stats.record_history_insert();
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    // Counter FAA faulted: evict without a history entry
-                    // (one lost ghost hit beats a wedged eviction path).
-                    Err(_) => self.slot_cas(victim_addr, expected, 0),
-                }
-            } else if self.config.adaptive {
-                // Ablation: maintain a separate remote FIFO queue and hash
-                // index for the history (FAA on the queue tail, WRITE of the
-                // entry and CAS into the index), then clear the slot.
-                if self.slot_cas(victim_addr, expected, 0) {
-                    // Modelled traffic against scratch space — faults cost
-                    // the messages but nothing depends on the results.
-                    let _ = self.dm.try_faa(self.scratch.add(16), 1);
-                    let _ = self.dm.try_write_async(self.scratch.add(24), &[0u8; 16]);
-                    let _ = self.dm.try_cas(self.scratch.add(40), 0, 0);
-                    self.stats.record_history_insert();
-                    true
-                } else {
-                    false
-                }
-            } else {
-                self.slot_cas(victim_addr, expected, 0)
-            };
-
-            if won {
-                // The victim's slot word changed (history entry or empty):
-                // invalidate local-tier copies of the evicted key.
-                self.board.bump(victim.hash);
-                self.notify_eviction(&candidates, victim_idx, bitmap);
-                self.free_object(
-                    victim.atomic.object_addr(),
-                    victim.atomic.object_bytes() as usize,
-                );
-                self.stats.record_eviction(chosen);
-                return true;
-            }
-            // Lost the race for this victim (another client evicted or
-            // replaced it) — drop it and re-select among the rest.
-            candidates.swap_remove(victim_idx);
-            if candidates.is_empty() {
-                break;
-            }
-        }
-        false
     }
 
     // ------------------------------------------------------------------

@@ -112,22 +112,27 @@ impl EvictionHistory {
     /// returns it along with the shard counter value *after* the increment
     /// (the client's new local estimate of that shard's queue tail).
     pub fn acquire_id(&self, client: &DmClient, shard: u64) -> (u64, u64) {
-        let old = client.faa(self.counter_addr(shard), 1) % HISTORY_COUNTER_PERIOD;
-        (
-            Self::pack_id(shard, old),
-            (old + 1) % HISTORY_COUNTER_PERIOD,
-        )
+        Self::id_from_counter(shard, client.faa(self.counter_addr(shard), 1))
     }
 
     /// Fallible [`EvictionHistory::acquire_id`]: surfaces a faulted FAA so an
     /// eviction can fall back to a plain (history-less) slot CAS instead of
     /// panicking.
     pub fn try_acquire_id(&self, client: &DmClient, shard: u64) -> DmResult<(u64, u64)> {
-        let old = client.try_faa(self.counter_addr(shard), 1)? % HISTORY_COUNTER_PERIOD;
-        Ok((
+        let old = client.try_faa(self.counter_addr(shard), 1)?;
+        Ok(Self::id_from_counter(shard, old))
+    }
+
+    /// The history id — and the shard counter's value after the increment —
+    /// that an `RDMA_FAA(1)` on `shard`'s counter acquired when it fetched
+    /// `old`.  Lets a client that *posted* the FAA (overlapping its round
+    /// trip with other work) finish the acquisition once the value landed.
+    pub fn id_from_counter(shard: u64, old: u64) -> (u64, u64) {
+        let old = old % HISTORY_COUNTER_PERIOD;
+        (
             Self::pack_id(shard, old),
             (old + 1) % HISTORY_COUNTER_PERIOD,
-        ))
+        )
     }
 
     /// Reads the current value of `shard`'s history counter (one

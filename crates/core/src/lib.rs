@@ -19,6 +19,31 @@
 //! and how a survivor reclaims it (see also the *Failure model* section of
 //! the [`ditto_dm`] crate docs for the fault classes and lease protocol).
 //!
+//! # The `Set` path under memory pressure: evict-ahead
+//!
+//! A `Set` allocates its object, writes it next to the two bucket READs of
+//! its lookup (one doorbell) and publishes it with one slot CAS.  Once the
+//! pool is full, memory comes from sampling eviction — sample READ, a
+//! history-id FAA, the victim's slot CAS — and eviction *replenishes*
+//! memory instead of producing it: the `Set` allocates from a one-object
+//! **spare** the previous evicting `Set` left on the client's free list, and
+//! then runs one eviction of its own to leave the next spare.  That
+//! eviction's verbs are independent of the `Set`'s, so on the pipelined
+//! path its sample READ rides the lookup's doorbell, its next verb (the
+//! FAA, or another sample when the first held too few candidates) is posted
+//! before the publish CAS and polled after it, and only the victim CAS runs
+//! serially — two round trips fewer than evicting first.  The order "take
+//! the spare → sample → lookup → next verb → publish → victim CAS" is the
+//! policy in every execution mode (the serial modes just run it without
+//! overlap), so all three agree on every victim; slots of the `Set`'s own
+//! two buckets are never candidates, so the two CASes cannot meet on one
+//! word.  Without a usable spare (first pressure, a larger object, a lost
+//! victim race) the same routine runs inline to completion before the
+//! lookup, as it does for relocation and [`DittoClient::evict_once`];
+//! [`CacheStats::evictions_inline`] against
+//! [`CacheStats::evictions_overlapped`] shows how often.  The spare costs
+//! one object of capacity per client and no message.
+//!
 //! # The compute-side local tier
 //!
 //! [`local_tier`] adds an optional per-client cache of decoded hot objects

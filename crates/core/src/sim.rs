@@ -232,7 +232,7 @@ impl SimCache {
         let bitmap = entry.bitmap;
         self.weights.apply_regret(bitmap, position);
         // Local weights are the global weights in the simulator.
-        let _ = self.weights.take_pending();
+        self.weights.take_pending(&mut []);
     }
 
     fn evict_once(&mut self) {

@@ -26,6 +26,8 @@ pub struct CacheStats {
     local_revalidations: AtomicU64,
     local_invalidations: AtomicU64,
     local_stale_rejects: AtomicU64,
+    evictions_inline: AtomicU64,
+    evictions_overlapped: AtomicU64,
     expert_victories: Vec<AtomicU64>,
 }
 
@@ -61,6 +63,19 @@ impl CacheStats {
         if let Some(e) = self.expert_victories.get(expert) {
             e.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Records how a won sampling eviction ran: `overlapped` when its round
+    /// trips hid behind the evicting `Set`'s own lookup and publish
+    /// (evict-ahead on the pipelined path), inline when every one of them
+    /// sat on the critical path (the cold fallback and the serial modes).
+    pub fn record_eviction_path(&self, overlapped: bool) {
+        let path = if overlapped {
+            &self.evictions_overlapped
+        } else {
+            &self.evictions_inline
+        };
+        path.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records an eviction forced by a full bucket.
@@ -111,6 +126,19 @@ impl CacheStats {
         self.local_stale_rejects.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Sampling evictions that ran inline (see
+    /// [`CacheStats::record_eviction_path`]) — the share of evicting `Set`s
+    /// still paying every eviction round trip.  An accessor, deliberately
+    /// not a [`CacheStatsSnapshot`] field.
+    pub fn evictions_inline(&self) -> u64 {
+        self.evictions_inline.load(Ordering::Relaxed)
+    }
+
+    /// Sampling evictions whose round trips overlapped the evicting `Set`.
+    pub fn evictions_overlapped(&self) -> u64 {
+        self.evictions_overlapped.load(Ordering::Relaxed)
+    }
+
     /// Snapshot of all counters.
     pub fn snapshot(&self) -> CacheStatsSnapshot {
         CacheStatsSnapshot {
@@ -142,6 +170,8 @@ impl CacheStats {
         self.misses.store(0, Ordering::Relaxed);
         self.sets.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
+        self.evictions_inline.store(0, Ordering::Relaxed);
+        self.evictions_overlapped.store(0, Ordering::Relaxed);
         self.bucket_evictions.store(0, Ordering::Relaxed);
         self.history_inserts.store(0, Ordering::Relaxed);
         self.regrets.store(0, Ordering::Relaxed);
@@ -212,6 +242,9 @@ mod tests {
         stats.record_miss();
         stats.record_set();
         stats.record_eviction(1);
+        stats.record_eviction_path(false);
+        stats.record_eviction_path(true);
+        stats.record_eviction_path(true);
         stats.record_bucket_eviction();
         stats.record_history_insert();
         stats.record_regret();
@@ -222,9 +255,14 @@ mod tests {
         assert_eq!(snap.misses, 1);
         assert_eq!(snap.sets, 1);
         assert_eq!(snap.evictions, 1);
+        assert_eq!(
+            (stats.evictions_inline(), stats.evictions_overlapped()),
+            (1, 2)
+        );
         assert_eq!(snap.expert_victories, vec![0, 1]);
         assert!((snap.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
         stats.reset();
+        assert_eq!(stats.evictions_inline() + stats.evictions_overlapped(), 0);
         assert_eq!(
             stats.snapshot(),
             CacheStatsSnapshot {

@@ -3,8 +3,8 @@
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! phase that sizes every per-client scratch buffer (bucket/sample scratch,
 //! object read buffer, encode buffer, FC-cache map, allocator free lists),
-//! replaying further hits, updates and eviction-triggering inserts must not
-//! allocate at all.
+//! replaying further hits, updates and eviction-triggering inserts — and the
+//! expert-weight syncs their regrets trigger — must not allocate at all.
 //!
 //! This file deliberately contains a single test: the allocation counter is
 //! process-global, so concurrently running tests would pollute the count.
@@ -53,7 +53,10 @@ fn count_allocations(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn steady_state_get_and_set_do_not_allocate() {
-    let config = DittoConfig::with_capacity(600);
+    // Tight enough that a good share of each round's Gets miss on evicted
+    // keys still in the history (regrets), syncing weights every tenth one.
+    let mut config = DittoConfig::with_capacity(400);
+    config.weight_sync_batch = 10;
     let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
     let mut client = cache.client();
     let mut value_buf = Vec::with_capacity(512);
@@ -72,7 +75,9 @@ fn steady_state_get_and_set_do_not_allocate() {
         }
     }
 
-    // Measured phase: hits, misses, updates and eviction-triggering inserts.
+    // Measured phase: hits, misses, updates and eviction-triggering inserts,
+    // with enough regrets among the misses to cross a weight sync.
+    let syncs_before = cache.stats().snapshot().weight_syncs;
     let allocations = count_allocations(|| {
         for round in 2..4u64 {
             for i in 0..1_000u64 {
@@ -92,6 +97,10 @@ fn steady_state_get_and_set_do_not_allocate() {
     assert!(
         snap.evictions + snap.bucket_evictions > 0,
         "measured phase should evict: {snap:?}"
+    );
+    assert!(
+        snap.weight_syncs > syncs_before,
+        "measured phase should sync the expert weights: {snap:?}"
     );
     assert_eq!(
         allocations, 0,

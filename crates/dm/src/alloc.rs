@@ -265,6 +265,16 @@ impl ClientAllocator {
         None
     }
 
+    /// Whether [`ClientAllocator::alloc_local`] would serve `size` bytes
+    /// right now (a probe: nothing is handed out).
+    pub fn can_alloc_local(&self, size: usize) -> bool {
+        let blocks = Self::blocks_for(size);
+        let bytes = blocks * BLOCK_SIZE;
+        bytes <= self.segment_size
+            && (self.current_remaining >= bytes
+                || self.free_ranges.values().any(|&len| len >= blocks))
+    }
+
     /// Returns a previously allocated range to the local free ranges,
     /// merging with adjacent free neighbours so recycled fragments grow
     /// back into spans that can serve any size class.
@@ -454,6 +464,18 @@ impl StripedAllocator {
         None
     }
 
+    /// Whether [`StripedAllocator::alloc_local_on`] would serve `size`
+    /// bytes right now — i.e. whether an evicting client still holds a
+    /// spare for its next allocation.
+    pub fn can_alloc_local(&self, size: usize) -> bool {
+        self.active.iter().any(|&mn| {
+            self.per_node
+                .get(mn as usize)
+                .and_then(Option::as_ref)
+                .is_some_and(|alloc| alloc.can_alloc_local(size))
+        })
+    }
+
     /// Pressure-path backstop: asks the active nodes for an exact-size
     /// range (preferred node first, one RPC each).  Succeeds when ranges
     /// released by other clients can serve this request even though no node
@@ -602,6 +624,20 @@ mod tests {
         let b = alloc.alloc(&client, 256).unwrap();
         assert_eq!(a, b);
         assert_eq!(alloc.segments_fetched(), fetched);
+    }
+
+    #[test]
+    fn local_probe_agrees_with_local_allocation() {
+        let (pool, client) = setup();
+        let mut alloc = StripedAllocator::new(pool.topology().active(), 4096);
+        assert!(!alloc.can_alloc_local(256), "nothing fetched yet");
+        let a = alloc.alloc_on(&client, 0, 4096).unwrap();
+        assert!(!alloc.can_alloc_local(64), "the segment is used up");
+        alloc.free(a, 256);
+        assert!(alloc.can_alloc_local(256));
+        assert!(!alloc.can_alloc_local(320), "the parked range is too small");
+        assert!(alloc.alloc_local_on(0, 256).is_some());
+        assert!(!alloc.can_alloc_local(64), "a probe hands nothing out");
     }
 
     #[test]

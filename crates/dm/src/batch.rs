@@ -113,7 +113,8 @@ impl<'client, 'buf> BatchBuilder<'client, 'buf> {
     ///
     /// Returns [`DmError::BatchFull`] when the batch is full.
     pub fn faa(&mut self, addr: RemoteAddr, delta: u64) -> DmResult<&mut Self> {
-        self.push(WqeOp::Faa { addr, delta })?;
+        let out = None;
+        self.push(WqeOp::Faa { addr, delta, out })?;
         Ok(self)
     }
 

@@ -670,18 +670,46 @@ impl DmClient {
     /// The reply is returned on success; the controller CPU time reported by
     /// the handler is charged to the node's CPU budget.
     pub fn rpc(&self, mn_id: u16, service: u8, request: &[u8]) -> DmResult<Vec<u8>> {
+        self.rpc_with(mn_id, request.len(), |node| {
+            let outcome = node.dispatch_rpc(service, request)?;
+            Ok((outcome.response, outcome.cpu_ns))
+        })
+    }
+
+    /// [`DmClient::rpc`] with the reply written into the caller's `response`
+    /// buffer (no reply `Vec`); returns the reply length.
+    pub fn rpc_into(
+        &self,
+        mn_id: u16,
+        service: u8,
+        request: &[u8],
+        response: &mut [u8],
+    ) -> DmResult<usize> {
+        self.rpc_with(mn_id, request.len(), |node| {
+            node.dispatch_rpc_into(service, request, response)
+        })
+    }
+
+    /// Charges one RPC round trip to `mn_id` and the controller CPU time
+    /// `dispatch` reports.
+    fn rpc_with<T>(
+        &self,
+        mn_id: u16,
+        request_len: usize,
+        dispatch: impl FnOnce(&MemoryNode) -> DmResult<(T, u64)>,
+    ) -> DmResult<T> {
         let cfg = self.pool.config();
-        let latency = cfg.transfer_latency_ns(cfg.rpc_latency_ns, request.len());
+        let latency = cfg.transfer_latency_ns(cfg.rpc_latency_ns, request_len);
         self.advance_ns(latency);
         self.pool
             .stats()
-            .record_verb(mn_id, VerbKind::Rpc, request.len());
+            .record_verb(mn_id, VerbKind::Rpc, request_len);
         let node = self.pool.node(mn_id)?;
-        let outcome = node.dispatch_rpc(service, request)?;
+        let (reply, cpu_ns) = dispatch(&node)?;
         self.pool
             .stats()
-            .record_rpc_cpu(mn_id, cfg.rpc_base_cpu_ns + outcome.cpu_ns);
-        Ok(outcome.response)
+            .record_rpc_cpu(mn_id, cfg.rpc_base_cpu_ns + cpu_ns);
+        Ok(reply)
     }
 
     /// Marks the beginning of an application-level operation and advances

@@ -377,15 +377,30 @@ impl MemoryNode {
         self.handlers.write().insert(service, handler);
     }
 
-    /// Dispatches an RPC to the controller service `service`.
-    pub fn dispatch_rpc(&self, service: u8, request: &[u8]) -> DmResult<RpcOutcome> {
-        let handler = self
-            .handlers
+    /// The handler registered for controller service `service`.
+    fn handler(&self, service: u8) -> DmResult<Arc<dyn RpcHandler>> {
+        self.handlers
             .read()
             .get(&service)
             .cloned()
-            .ok_or(DmError::NoSuchService { service })?;
-        handler.handle(self, request)
+            .ok_or(DmError::NoSuchService { service })
+    }
+
+    /// Dispatches an RPC to the controller service `service`.
+    pub fn dispatch_rpc(&self, service: u8, request: &[u8]) -> DmResult<RpcOutcome> {
+        self.handler(service)?.handle(self, request)
+    }
+
+    /// Dispatches an RPC whose reply is written into `response` (see
+    /// [`RpcHandler::handle_into`]); returns the reply length and the
+    /// controller CPU nanoseconds.
+    pub fn dispatch_rpc_into(
+        &self,
+        service: u8,
+        request: &[u8],
+        response: &mut [u8],
+    ) -> DmResult<(usize, u64)> {
+        self.handler(service)?.handle_into(self, request, response)
     }
 }
 

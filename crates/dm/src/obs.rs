@@ -47,7 +47,10 @@ pub enum Phase {
     Publish,
     /// A remote-lock acquisition (first attempt to outcome).
     Lock,
-    /// An eviction pass (sample, score, victim CAS, free).
+    /// An eviction pass, from its first sample READ being issued to the
+    /// victim's memory being freed.  An umbrella span: on the pipelined
+    /// path the eviction rides along an evicting `Set`'s own lookup and
+    /// publish, whose phases are recorded inside it.
     Evict,
     /// Relocating an object's bytes between memory nodes.
     Relocate,
@@ -573,7 +576,7 @@ pub struct PhaseAttribution {
     /// Critical-path (serialized) time: nanoseconds of op timeline
     /// *exclusively* attributed to this phase.  Each instant of an op is
     /// charged to at most one active phase — CPU phases outrank CQ waits,
-    /// which outrank pure wire flight — so summing `critical_ns` over all
+    /// which outrank the eviction umbrella and pure wire flight — so summing `critical_ns` over all
     /// phases never exceeds the ops' elapsed time.
     pub critical_ns: u64,
     /// Median raw span duration of this phase, in nanoseconds.
@@ -588,8 +591,8 @@ pub struct PhaseAttribution {
 /// Built by [`attribution`] from the same `(client, spans)` collections
 /// [`chrome_trace_json`] consumes.  `raw` time counts every span in full;
 /// `critical` time serializes overlap by charging each instant of an op to
-/// the highest-ranked phase active at that instant (`Lock`/`Evict`/CPU
-/// work ≻ `Poll` waits ≻ `Flight` wire time), so the per-phase critical
+/// the highest-ranked phase active at that instant (`Lock`/CPU work ≻
+/// `Poll` waits ≻ the `Evict` umbrella ≻ `Flight` wire time), so the per-phase critical
 /// shares sum to at most 100 % of the elapsed op time and their difference
 /// from raw time is precisely the latency the pipeline hid.
 #[derive(Debug, Clone, Default)]
@@ -660,14 +663,19 @@ impl AttributionTable {
 
 /// Rank deciding which active phase an instant of op time is charged to
 /// (highest wins).  Pure wire flight only collects time no other phase
-/// claims; CQ waits hide behind concurrent CPU work; the remaining (CPU /
-/// lock / maintenance) phases rarely overlap each other and tie-break by
-/// declaration order.
+/// claims; the `Evict` umbrella comes next, so an eviction overlapped with
+/// its `Set` is charged only the time it *adds* — the stretches where
+/// nothing but the eviction (its serial victim CAS, scoring, any
+/// synchronous re-sample) keeps the op waiting — while the lookup and
+/// publish it rides along keep their own time; CQ waits hide behind
+/// concurrent CPU work; the remaining (CPU / lock / maintenance) phases
+/// rarely overlap each other and tie-break by declaration order.
 fn attribution_rank(phase: Phase) -> u8 {
     match phase {
         Phase::Flight => 0,
-        Phase::Poll => 1,
-        _ => 2 + phase.index() as u8,
+        Phase::Evict => 1,
+        Phase::Poll => 2,
+        _ => 3 + phase.index() as u8,
     }
 }
 
@@ -686,7 +694,8 @@ fn percentile_sorted(sorted: &[u64], p: f64) -> u64 {
 /// (recorded outside any [`crate::DmClient::begin_op`] window — setup,
 /// maintenance) are excluded.  Within an op, every elementary time slice is
 /// charged to the highest-ranked phase active during it (see
-/// [`AttributionTable`]: CPU/lock work ≻ CQ waits ≻ wire flight);
+/// [`AttributionTable`]: CPU/lock work ≻ CQ waits ≻ eviction umbrella ≻
+/// wire flight);
 /// slices where no span is active (client-side think time between posts)
 /// are left unattributed, which is why per-phase critical shares sum to
 /// **at most** 100 % of the elapsed op time.
@@ -1333,6 +1342,48 @@ mod tests {
             assert!(rendered.contains(needle), "missing {needle:?}:\n{rendered}");
         }
         assert!(!rendered.contains("translate"), "{rendered}");
+    }
+
+    #[test]
+    fn attribution_charges_an_overlapped_eviction_only_the_time_it_adds() {
+        // An evicting Set on the pipelined path: the Evict umbrella
+        // [0,700) opens with the lookup's doorbell and closes after the
+        // serial victim CAS.  Inside it run the Set's own post, poll,
+        // decode and publish, plus the poll of the eviction's history FAA.
+        let traces = vec![(
+            0u32,
+            vec![
+                pspan(1, Phase::Evict, 0, 700),
+                pspan(1, Phase::Post, 0, 30),
+                pspan(1, Phase::Flight, 30, 230),
+                pspan(1, Phase::Poll, 30, 240),
+                pspan(1, Phase::Decode, 240, 280),
+                pspan(1, Phase::Flight, 300, 500),
+                pspan(1, Phase::Publish, 300, 500),
+                pspan(1, Phase::Poll, 500, 510),
+            ],
+        )];
+        let table = attribution(&traces);
+        let critical = |p: Phase| table.phases[p.index()].critical_ns;
+        // The Set's phases keep their time...
+        assert_eq!(critical(Phase::Post), 30);
+        assert_eq!(critical(Phase::Poll), 210 + 10);
+        assert_eq!(critical(Phase::Decode), 40);
+        assert_eq!(critical(Phase::Publish), 200);
+        // ...wire flight is fully hidden, and the eviction is left with the
+        // scoring gap [280,300) and the serial victim CAS [510,700).
+        assert_eq!(critical(Phase::Flight), 0);
+        assert_eq!(critical(Phase::Evict), 20 + 190);
+        assert_eq!(table.phases[Phase::Evict.index()].raw_ns, 700);
+        assert_eq!(
+            table.critical_ns, table.elapsed_ns,
+            "no instant charged twice"
+        );
+        let shares: f64 = Phase::ALL
+            .iter()
+            .map(|p| 100.0 * critical(*p) as f64 / table.elapsed_ns as f64)
+            .sum();
+        assert!(shares <= 100.0 + 1e-9, "shares sum to {shares}");
     }
 
     #[test]

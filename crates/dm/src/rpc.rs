@@ -11,7 +11,7 @@
 //! consumed, which [`crate::PoolStats`] charges against the node's CPU
 //! budget.
 
-use crate::error::DmResult;
+use crate::error::{DmError, DmResult};
 use crate::memnode::MemoryNode;
 
 /// Well-known service id of the built-in segment allocator.
@@ -49,6 +49,27 @@ impl RpcOutcome {
 pub trait RpcHandler: Send + Sync {
     /// Handles one request against the owning memory node.
     fn handle(&self, node: &MemoryNode, request: &[u8]) -> DmResult<RpcOutcome>;
+
+    /// Handles one request, writing the reply into the caller's `response`
+    /// buffer; returns the reply length and the controller CPU nanoseconds.
+    /// The default goes through [`RpcHandler::handle`]; services on an
+    /// allocation-free client path override it to skip the reply `Vec`.
+    fn handle_into(
+        &self,
+        node: &MemoryNode,
+        request: &[u8],
+        response: &mut [u8],
+    ) -> DmResult<(usize, u64)> {
+        let outcome = self.handle(node, request)?;
+        let len = outcome.response.len();
+        response
+            .get_mut(..len)
+            .ok_or_else(|| DmError::RpcFailed {
+                reason: format!("{len}-byte reply exceeds the caller's buffer"),
+            })?
+            .copy_from_slice(&outcome.response);
+        Ok((len, outcome.cpu_ns))
+    }
 }
 
 impl<F> RpcHandler for F

@@ -60,9 +60,13 @@ pub(crate) enum WqeOp<'buf> {
     },
     /// One-sided `RDMA_WRITE` of borrowed bytes.
     Write { addr: RemoteAddr, data: &'buf [u8] },
-    /// `RDMA_FAA`; the old value is discarded (a fetched result would have
-    /// to be awaited and could not ride a pipeline anyway).
-    Faa { addr: RemoteAddr, delta: u64 },
+    /// `RDMA_FAA`; the old value lands in `out` when one is given, under the
+    /// same contract as a CAS's (read it only after the completion).
+    Faa {
+        addr: RemoteAddr,
+        delta: u64,
+        out: Option<&'buf mut u64>,
+    },
     /// `RDMA_CAS`; the observed old value lands in `out` when the verb
     /// executes at ring time (awaiting the completion before reading `out`
     /// is the caller's contract, as for a READ buffer).
@@ -128,11 +132,14 @@ impl WqeOp<'_> {
                     .write(addr.offset, data)
                     .unwrap_or_else(|e| panic!("posted RDMA_WRITE failed: {e}"));
             }
-            WqeOp::Faa { addr, delta } => {
-                client
+            WqeOp::Faa { addr, delta, out } => {
+                let old = client
                     .node_ref(addr.mn_id)
                     .faa(addr.offset, delta)
                     .unwrap_or_else(|e| panic!("posted RDMA_FAA failed: {e}"));
+                if let Some(out) = out {
+                    *out = old;
+                }
             }
             WqeOp::Cas {
                 addr,
@@ -215,7 +222,29 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
 
     /// Posts an `RDMA_FAA` of `delta` (old value discarded).
     pub fn post_faa(&mut self, addr: RemoteAddr, delta: u64, signalled: bool) -> u64 {
-        self.post(WqeOp::Faa { addr, delta }, signalled)
+        self.post(
+            WqeOp::Faa {
+                addr,
+                delta,
+                out: None,
+            },
+            signalled,
+        )
+    }
+
+    /// Posts an `RDMA_FAA` whose old value lands in `out` — for a fetched
+    /// result the client overlaps with other work instead of waiting for
+    /// right away.  As with [`WorkQueue::post_cas`], `out` must not be
+    /// inspected before the WQE's completion is polled.
+    pub fn post_faa_fetch(
+        &mut self,
+        addr: RemoteAddr,
+        delta: u64,
+        out: &'buf mut u64,
+        signalled: bool,
+    ) -> u64 {
+        let out = Some(out);
+        self.post(WqeOp::Faa { addr, delta, out }, signalled)
     }
 
     /// Posts an `RDMA_CAS`; the observed old value lands in `out`.  As with
@@ -423,6 +452,22 @@ mod tests {
         assert_eq!(snap.messages, 2, "unsignalled WQEs still consume messages");
         assert_eq!(pool.stats().unsignalled_wqes(), 2);
         assert_eq!(pool.stats().signalled_wqes(), 0);
+    }
+
+    #[test]
+    fn fetched_faa_returns_the_old_value_once_its_completion_is_polled() {
+        let pool = pool();
+        let client = pool.connect();
+        let addr = pool.reserve(8).unwrap();
+        client.write_u64(addr, 41);
+        let mut old = 0u64;
+        let mut wq = client.work_queue();
+        let wr = wq.post_faa_fetch(addr, 1, &mut old, true);
+        wq.ring();
+        drop(wq);
+        assert_eq!(client.poll_cq().map(|c| c.wr_id), Some(wr));
+        assert_eq!(old, 41);
+        assert_eq!(client.read_u64(addr), 42);
     }
 
     #[test]

@@ -1,0 +1,127 @@
+//! Evict-ahead on a table so small that the eviction's sample keeps landing
+//! on the evicting `Set`'s own buckets.
+//!
+//! Four buckets, room for a dozen objects, forty keys: every `Set` under
+//! pressure runs its replenishing eviction beside its own lookup and
+//! publish, and with two of the four buckets belonging to the `Set` itself
+//! the sampled span overlaps them most of the time.  Own-bucket slots are
+//! not candidates, so the publish CAS and the victim CAS never meet on one
+//! word — checked here through what that would break: an acknowledged update
+//! lost, object bytes leaked or double-freed, or the three execution modes
+//! (pipelined, synchronous batches, unbatched) disagreeing on a victim.
+
+use ditto::cache::stats::CacheStatsSnapshot;
+use ditto::cache::{DittoCache, DittoConfig};
+use ditto::dm::{DmConfig, MemoryPool};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const KEYS: u64 = 40;
+const RESIDENT_OBJECTS: u64 = 12;
+const OPS: usize = 6_000;
+
+/// What one seeded run observed.
+struct Observed {
+    /// Every Get's outcome, in order.
+    gets: Vec<Option<Vec<u8>>>,
+    /// Which keys ended up resident.
+    resident: Vec<bool>,
+    stats: CacheStatsSnapshot,
+    messages: u64,
+    overlapped: u64,
+}
+
+fn run(seed: u64, batching: bool, async_completion: bool) -> Observed {
+    let mut config = DittoConfig::with_capacity(10)
+        .with_doorbell_batching(batching)
+        .with_async_completion(async_completion);
+    config.alloc_segment_objects = 1;
+    assert_eq!(config.num_buckets(), 4, "the table must stay tiny");
+    // Size the pool for the cache's fixed reservations plus a dozen objects.
+    let fixed = DittoCache::new(MemoryPool::new(DmConfig::default()), config.clone())
+        .unwrap()
+        .pool()
+        .used_bytes();
+    let object_bytes = config.avg_object_blocks() * 64;
+    let dm = DmConfig::default().with_capacity(fixed + RESIDENT_OBJECTS * object_bytes);
+    let cache = DittoCache::new(MemoryPool::new(dm), config).unwrap();
+    let mut client = cache.client();
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut latest = vec![None::<Vec<u8>>; KEYS as usize];
+    let mut gets = Vec::new();
+    let mut value_buf = Vec::new();
+    for op in 0..OPS {
+        let key = rng.gen_range(0..KEYS);
+        if rng.gen_range(0..2u32) == 0 {
+            // Mostly updates of resident keys once the cache is warm.
+            let value = vec![(op % 251) as u8; 200];
+            client.set(&key.to_le_bytes(), &value);
+            latest[key as usize] = Some(value);
+        } else if client.get_into(&key.to_le_bytes(), &mut value_buf) {
+            assert_eq!(
+                Some(&value_buf),
+                latest[key as usize].as_ref(),
+                "op {op}: key {key} lost an acknowledged update"
+            );
+            gets.push(Some(value_buf.clone()));
+        } else {
+            gets.push(None);
+        }
+    }
+    let stats = cache.stats().snapshot();
+    let overlapped = cache.stats().evictions_overlapped();
+    assert_eq!(
+        cache.stats().evictions_inline() + overlapped,
+        stats.evictions,
+        "every sampling eviction ran on exactly one path"
+    );
+    let messages = cache.pool().stats().node_snapshots()[0].messages;
+    // No byte leaked and none freed twice: the gauge equals what the table
+    // still references.
+    assert_eq!(
+        cache.pool().resident_object_bytes(0),
+        client.referenced_object_bytes_on(0),
+        "resident gauge diverged from the forensic scan"
+    );
+    let resident = (0..KEYS)
+        .map(|key| client.get_into(&key.to_le_bytes(), &mut value_buf))
+        .collect();
+    Observed {
+        gets,
+        resident,
+        stats,
+        messages,
+        overlapped,
+    }
+}
+
+#[test]
+fn tiny_table_evict_ahead_agrees_across_modes_and_loses_nothing() {
+    for seed in [3, 17] {
+        let pipelined = run(seed, true, true);
+        let evictions = pipelined.stats.evictions;
+        assert!(evictions > 500, "the run must stay under pressure");
+        assert!(
+            pipelined.overlapped * 10 > evictions * 9,
+            "evictions must run ahead of their Sets: {} of {evictions}",
+            pipelined.overlapped
+        );
+        assert!(
+            pipelined.resident.iter().filter(|r| **r).count() < KEYS as usize,
+            "capacity is below the key count"
+        );
+        for (batching, async_completion) in [(true, false), (false, false)] {
+            let serial = run(seed, batching, async_completion);
+            // Same hits, same misses, same survivors: same victims.
+            assert_eq!(pipelined.gets, serial.gets, "seed {seed}: a Get diverged");
+            assert_eq!(
+                pipelined.resident, serial.resident,
+                "seed {seed}: a victim diverged"
+            );
+            assert_eq!(pipelined.stats, serial.stats, "seed {seed}");
+            assert_eq!(pipelined.messages, serial.messages, "seed {seed}");
+            assert_eq!(serial.overlapped, 0, "only posted WQEs overlap");
+        }
+    }
+}
