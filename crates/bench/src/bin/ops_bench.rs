@@ -5,9 +5,10 @@
 //! `DittoClient` three times — **pipelined** (doorbell batching + async
 //! completion polling), **batched** (synchronous doorbell batches) and
 //! **unbatched** (sequential round trips) — and reports simulated ops/s,
-//! verbs per op, doorbells per op and p50/p99 operation latency as JSON in
-//! `BENCH_ops.json`, so future changes can track the performance
-//! trajectory.  A second section sweeps the pool from 1 to 8 memory nodes
+//! verbs per op, doorbells per op, p50/p99 operation latency and the share
+//! of hits a hinted `Get` served in one round trip (beside the share of
+//! `Get`s that wasted a speculative READ) as JSON in `BENCH_ops.json`, so
+//! future changes can track the performance trajectory.  A second section sweeps the pool from 1 to 8 memory nodes
 //! under a deliberately message-bound RNIC budget, in both completion
 //! modes: with the hash table, history shards and segments striped by the
 //! topology layer, the per-node message load — and therefore the simulated
@@ -18,8 +19,10 @@
 //!
 //! The process exits non-zero if the batched configuration does not deliver
 //! ≥1.3× simulated throughput over unbatched, if the pipelined path does
-//! not reach at least the batched throughput (latency-bound section and
-//! every message-bound sweep point), if any configuration diverges in
+//! not deliver ≥1.3× the batched throughput on the latency-bound section
+//! (hinted one-round-trip `Get`s included) and at least the batched
+//! throughput at every message-bound sweep point, if any configuration
+//! diverges in
 //! hit/miss counts (completion modes must never change cache behaviour),
 //! or if the message-bound sweep is not monotonically increasing from 1 to
 //! 4 nodes.
@@ -47,8 +50,9 @@
 //! tier (`ditto_core::local_tier`) enabled: ops/s, network messages per op
 //! and the local hit rate per point, with an FNV checksum over every
 //! returned value proving the tier is behaviour-transparent.  The θ=0.99
-//! point is gated at ≥1.5× simulated ops/s and ≤0.5× messages per op
-//! versus the remote-only baseline.
+//! point is gated at ≤0.5× messages per op — the tier's claim — and at no
+//! fewer simulated ops/s than the remote-only baseline, whose hits are
+//! one round trip since the hinted `Get`.
 //!
 //! ```text
 //! cargo run --release -p ditto-bench --bin ops_bench
@@ -86,6 +90,11 @@ struct ModeReport {
     hits: u64,
     misses: u64,
     evictions: u64,
+    /// Share of the hits served in one round trip: a hinted `Get`'s
+    /// speculative object READ validated against the freshly read slot word.
+    hinted_hit_share: f64,
+    /// Speculative READs discarded, as a share of all `Get`s.
+    spec_wasted_share: f64,
 }
 
 /// One phase's row in the `phase_attribution` section of `BENCH_ops.json`:
@@ -208,6 +217,12 @@ fn run_mode_recorded(
     let sim_seconds = (client.dm().now_ns() - baseline_ns) as f64 / 1e9;
     let quantiles = stats.latency().quantiles(&[0.5, 0.99]);
     let obs = stats.obs();
+    // Lifetime counters of a cache whose load phase issued no `Get`.
+    let (spec_issued, spec_wasted) = (
+        cache.stats().spec_reads_issued(),
+        cache.stats().spec_reads_wasted(),
+    );
+    let gets = cache_snap.hits + cache_snap.misses;
     let report = ModeReport {
         ops,
         sim_seconds,
@@ -220,6 +235,8 @@ fn run_mode_recorded(
         hits: cache_snap.hits,
         misses: cache_snap.misses,
         evictions: cache_snap.evictions + cache_snap.bucket_evictions,
+        hinted_hit_share: (spec_issued - spec_wasted) as f64 / cache_snap.hits.max(1) as f64,
+        spec_wasted_share: spec_wasted as f64 / gets.max(1) as f64,
     };
     // Armed runs: serialize the retained ring into a critical-path table,
     // then drop the client so its per-phase histograms fold into the pool
@@ -817,7 +834,9 @@ fn mode_json(report: &ModeReport) -> String {
             "      \"p99_latency_us\": {:.3},\n",
             "      \"hits\": {},\n",
             "      \"misses\": {},\n",
-            "      \"evictions\": {}\n",
+            "      \"evictions\": {},\n",
+            "      \"hinted_hit_share\": {:.4},\n",
+            "      \"spec_wasted_share\": {:.4}\n",
             "    }}"
         ),
         report.ops,
@@ -831,6 +850,8 @@ fn mode_json(report: &ModeReport) -> String {
         report.hits,
         report.misses,
         report.evictions,
+        report.hinted_hit_share,
+        report.spec_wasted_share,
     )
 }
 
@@ -1261,15 +1282,19 @@ fn main() {
         .iter()
         .find(|p| (p.theta - 0.99).abs() < 1e-9)
         .expect("θ=0.99 tier point");
-    assert!(
-        tier_hot.speedup >= 1.5,
-        "local tier must deliver >=1.5x simulated ops/s at θ=0.99, measured {:.3}x",
-        tier_hot.speedup
-    );
+    // The tier's claim is messages: a hinted remote hit is one round trip
+    // now, so against the remote-only path the tier saves far less latency
+    // than when that path took two, and its ops/s only has to stay ahead.
     assert!(
         tier_hot.message_ratio <= 0.5,
         "local tier must cost <=0.5x network messages per op at θ=0.99, measured {:.3}x",
         tier_hot.message_ratio
+    );
+    assert!(
+        tier_hot.speedup >= 1.0,
+        "local tier must not fall below the remote-only path's simulated ops/s at θ=0.99 \
+         (one-round-trip remote hits leave it little latency to save), measured {:.3}x",
+        tier_hot.speedup
     );
 
     let describe = git_describe();
@@ -1408,8 +1433,9 @@ fn main() {
         "doorbell batching must deliver >=1.3x simulated ops/s, measured {speedup:.3}x"
     );
     assert!(
-        pipelined_speedup >= 1.0,
-        "async completion must not fall below the synchronous batch: {pipelined_speedup:.4}x"
+        pipelined_speedup >= 1.3,
+        "async completion (hinted one-round-trip Gets included) must deliver >=1.3x the \
+         synchronous batch's simulated ops/s, measured {pipelined_speedup:.4}x"
     );
     // Striping gate: under a message-bound workload, simulated ops/s must
     // increase monotonically from 1 to 4 memory nodes, and the pipelined

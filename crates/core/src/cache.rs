@@ -263,6 +263,21 @@ impl DittoCache {
             self.stats.evictions_overlapped(),
         );
         counter(
+            "ditto_cache_spec_reads_issued_total",
+            "Speculative object READs hinted Gets posted behind their bucket READs (lifetime).",
+            self.stats.spec_reads_issued(),
+        );
+        counter(
+            "ditto_cache_spec_reads_wasted_total",
+            "Speculative object READs discarded because the slot word had changed (lifetime).",
+            self.stats.spec_reads_wasted(),
+        );
+        counter(
+            "ditto_cache_gets_degraded_total",
+            "Gets a verb fault degraded to a miss (lifetime).",
+            self.stats.gets_degraded(),
+        );
+        counter(
             "ditto_cache_bucket_evictions_total",
             "Evictions forced by a full bucket rather than memory pressure.",
             snap.bucket_evictions,
@@ -440,6 +455,10 @@ mod tests {
         assert!(page.contains("ditto_cache_sets_total 1"));
         assert!(page.contains("ditto_cache_evictions_inline_total 0"));
         assert!(page.contains("ditto_cache_evictions_overlapped_total 0"));
+        // The Set left a hint, so the Get speculated — and was right.
+        assert!(page.contains("ditto_cache_spec_reads_issued_total 1"));
+        assert!(page.contains("ditto_cache_spec_reads_wasted_total 0"));
+        assert!(page.contains("ditto_cache_gets_degraded_total 0"));
         assert!(page.contains("ditto_cache_expert_victories_total{expert=\"lru\""));
         // Every HELP line has a TYPE line.
         let helps = page.matches("# HELP ").count();

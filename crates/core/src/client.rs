@@ -7,7 +7,9 @@
 //! doorbell (see `ditto_dm::batch` and `ditto_dm::wqe`):
 //!
 //! * **Get** — one doorbell batch `RDMA_READ`ing the primary *and* secondary
-//!   buckets, one `RDMA_READ` of the object, then an asynchronous
+//!   buckets, one `RDMA_READ` of the object — posted speculatively behind
+//!   the bucket READs, on the same doorbell, when the client holds a hint
+//!   of the key's slot word (see the crate docs) — then an asynchronous
 //!   `RDMA_WRITE` of the stateless access information and a
 //!   (frequency-counter-cached) `RDMA_FAA` of the access count.
 //! * **Set** — one doorbell batch carrying the object `RDMA_WRITE` together
@@ -25,14 +27,17 @@
 //! the lookup posts both bucket READs, polls the primary's completion and
 //! decodes it *while the secondary is still in flight*; `Set` posts its
 //! object WRITE unsignalled (never waited for) next to the bucket READs; a
-//! hit's due frequency-counter FAA rides unsignalled next to the object
+//! hinted `Get`'s object READ flies with the bucket READs that validate it;
+//! a hit's due frequency-counter FAA rides unsignalled next to the object
 //! READ; and an eviction's sample READ and history FAA fly while its `Set`
 //! looks up and publishes.  The verb sequence — and therefore cache behaviour
 //! and message counts — is byte-identical to the synchronous batch (see
-//! `tests/async_parity.rs`); only the charged latency shrinks, because the
-//! client CPU work (`cpu_decode_slot_ns` per slot, `cpu_score_candidate_ns`
-//! per candidate) overlaps the flights, and `end_op` simply drains whatever
-//! is still outstanding.  `enable_async_completion = false` keeps the
+//! `tests/async_parity.rs`; a mispredicted speculation alone adds a READ,
+//! which a single client never pays — `tests/spec_read.rs`); only the
+//! charged latency shrinks, because waits and the client CPU work
+//! (`cpu_decode_slot_ns` per slot, `cpu_score_candidate_ns` per candidate)
+//! overlap the flights, and `end_op` simply drains whatever is still
+//! outstanding.  `enable_async_completion = false` keeps the
 //! synchronous post-all/wait-all doorbell batches — the ablation the
 //! pipelined path is measured against.
 //!
@@ -85,7 +90,8 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 mod evict;
-use evict::Eviction;
+mod lookup;
+use lookup::{HintTable, Lookup};
 
 /// Maximum CAS retries before an operation gives up.
 const MAX_RETRIES: usize = 8;
@@ -167,6 +173,13 @@ pub struct DittoClient {
     stats: Arc<CacheStats>,
     alloc: StripedAllocator,
     fc: FcCache,
+    /// Last slot word seen per key hash: lets a `Get` post its object READ
+    /// speculatively behind the bucket READs (see [`lookup`]).
+    hints: HintTable,
+    /// This client's own bumps of each [`CoherenceBoard`] slot.  Its own slot
+    /// CASes keep its hints exact, so a hint is stamped with — and filtered
+    /// by — the mutations *other* clients made: board epoch minus these.
+    own_bumps: Box<[u64]>,
     /// The compute-side local tier ([`crate::local_tier`]); `None` unless
     /// [`DittoConfig::with_local_tier`] enabled it.
     tier: Option<LocalTier>,
@@ -263,6 +276,7 @@ impl DittoClient {
             },
         );
         let seed = 0x5eed_0000 + dm.client_id() as u64;
+        let board = cache.board_arc();
         let tier = (config.local_tier_capacity > 0).then(|| {
             LocalTier::new(
                 config.local_tier_capacity,
@@ -280,8 +294,10 @@ impl DittoClient {
             stats: cache.stats_arc(),
             alloc,
             fc,
+            hints: HintTable::new(),
+            own_bumps: vec![0; board.slots()].into_boxed_slice(),
             tier,
-            board: cache.board_arc(),
+            board,
             weights,
             rng: StdRng::seed_from_u64(seed),
             counter_estimates: vec![0; num_shards],
@@ -934,302 +950,6 @@ impl DittoClient {
     }
 
     // ------------------------------------------------------------------
-    // Lookup (shared by Get and Set)
-    // ------------------------------------------------------------------
-
-    /// Reads the primary and secondary buckets — plus an optional piggybacked
-    /// object WRITE from the `Set` path — in one doorbell batch, and scans
-    /// the decoded slots (primary bucket first) for a live entry.
-    ///
-    /// Both buckets are always fetched (the RACE-style lookup the paper
-    /// describes): with doorbell batching the second READ rides along almost
-    /// for free, and misses plus secondary hits need it anyway.  This trades
-    /// one extra RNIC message per primary-bucket hit against the round trip
-    /// the seed's short-circuit (primary first, secondary only on miss) paid
-    /// on every other lookup; see the ROADMAP note on a message-bound hybrid.
-    ///
-    /// With `enable_doorbell_batching = false` the *identical* verb sequence
-    /// is issued one round trip at a time — the ablation isolates batching
-    /// itself, with the verb pattern held constant.  With
-    /// `enable_async_completion` (the default) the same verbs are *posted*
-    /// instead: the object WRITE rides unsignalled, the primary bucket is
-    /// decoded the moment its completion arrives — while the secondary READ
-    /// is still in flight — and a primary-bucket hit skips the secondary
-    /// decode entirely (its completion is still drained; the READ already
-    /// consumed its message either way).
-    ///
-    /// When the adaptive hybrid has judged the run *message-bound*
-    /// (`enable_adaptive_lookup`), a `Get` lookup instead short-circuits:
-    /// primary bucket first, secondary only when the key is not there —
-    /// one RNIC message saved per primary-bucket hit, at the cost of a
-    /// second round trip on the other lookups.
-    ///
-    /// Either way the lookup follows the migration redirect rules: bucket
-    /// addresses translate through the live stripe directory, and the
-    /// directory entries are re-checked after the fetch — a stripe cutover
-    /// that raced the read triggers a retry against the new addresses.
-    fn search(
-        &mut self,
-        hash: u64,
-        fp: u8,
-        write: Option<(RemoteAddr, &[u8])>,
-        mut rider: Option<&mut Eviction>,
-    ) -> DmResult<(SearchSlots, Option<(RemoteAddr, Slot)>)> {
-        let primary = self.table.primary_bucket(hash);
-        let secondary = self.table.secondary_bucket(hash);
-        // The piggybacked object WRITE of `Set` rides along until a round's
-        // verbs all complete cleanly; after that, retries (migration
-        // redirects, taints) re-read the buckets alone.  An error anywhere
-        // in a write-carrying round re-arms the WRITE: an unsignalled
-        // rider's error completion carries no usable attribution here, and
-        // re-posting an idempotent, still-unpublished object WRITE is
-        // harmless (fault-free runs clear it on the first round, exactly
-        // like the pre-fault code).
-        let mut write = write;
-        // Token mismatches consume retry budget; reads that saw a stripe
-        // reconcile's poison do not — that window is bounded by the
-        // in-flight commit, and escaping with a poisoned ("all empty")
-        // view would let the caller conclude a key is absent while its
-        // entry is being carried to the stripe's new home.  Verb faults
-        // burn a budget of their own so a fault storm cannot starve the
-        // token-staleness retries (or vice versa).
-        let mut attempt = 0;
-        let mut fault_attempts = 0;
-        loop {
-            let last = attempt + 1 >= MAX_RETRIES;
-            let ptok = self.table.bucket_entry_token(primary);
-            let stok = self.table.bucket_entry_token(secondary);
-            let primary_addr = self.table.bucket_addr(primary);
-            let secondary_addr = self.table.bucket_addr(secondary);
-            // Address translation through the stripe directory is free in
-            // simulated time, so the span is an instant (detail = attempt).
-            let translate_ns = self.dm.now_ns();
-            self.dm
-                .record_span(Phase::Translate, translate_ns, translate_ns, attempt as u32);
-            let short_circuit = self.lookup_short_circuit && write.is_none();
-            let mut slots = SearchSlots::new();
-            if short_circuit {
-                // (Field-disjoint clock charges: `bucket_buf` stays borrowed
-                // across the reads, so `charge_decode` cannot be called.)
-                let decode_ns = SLOTS_PER_BUCKET as u64 * self.config.cpu_decode_slot_ns;
-                let (primary_buf, secondary_buf) = self.bucket_buf.split_at_mut(BUCKET_SIZE);
-                if let Err(e) = self.dm.try_read_into(primary_addr, primary_buf) {
-                    fault_attempts += 1;
-                    if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                        continue;
-                    }
-                    return Err(e);
-                }
-                if SampleFriendlyHashTable::bucket_tainted(primary_buf) {
-                    self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
-                    continue;
-                }
-                SampleFriendlyHashTable::decode_slots(primary_addr, primary_buf, &mut slots);
-                self.dm.advance_ns(decode_ns);
-                let t1 = self.dm.now_ns();
-                self.dm
-                    .record_span(Phase::Decode, t1 - decode_ns, t1, SLOTS_PER_BUCKET as u32);
-                if let Some(found) = Self::find_live(&slots, hash, fp) {
-                    if self.table.bucket_entry_token(primary) == ptok || last {
-                        return Ok((slots, Some(found)));
-                    }
-                    attempt += 1;
-                    continue;
-                }
-                if let Err(e) = self.dm.try_read_into(secondary_addr, secondary_buf) {
-                    fault_attempts += 1;
-                    if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                        continue;
-                    }
-                    return Err(e);
-                }
-                if SampleFriendlyHashTable::bucket_tainted(secondary_buf) {
-                    self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
-                    continue;
-                }
-                SampleFriendlyHashTable::decode_slots(secondary_addr, secondary_buf, &mut slots);
-                self.dm.advance_ns(decode_ns);
-                let t1 = self.dm.now_ns();
-                self.dm
-                    .record_span(Phase::Decode, t1 - decode_ns, t1, SLOTS_PER_BUCKET as u32);
-            } else if self.use_async() {
-                // Pipelined lookup: post the object WRITE (if any)
-                // *unsignalled* — `Set` never waits for it — and both bucket
-                // READs signalled, behind one doorbell per distinct node.
-                let (wr_primary, wr_secondary);
-                let write_rides = write.is_some();
-                {
-                    let (primary_buf, secondary_buf) = self.bucket_buf.split_at_mut(BUCKET_SIZE);
-                    let mut wq = self.dm.work_queue();
-                    if let Some((addr, data)) = write {
-                        wq.post_write(addr, data, false);
-                    }
-                    wr_primary = wq.post_read(primary_addr, primary_buf, true);
-                    wr_secondary = wq.post_read(secondary_addr, secondary_buf, true);
-                    // An eviction running ahead of this `Set` has its first
-                    // sample READ share the lookup's doorbell.
-                    if let Some(ev) = rider.as_deref_mut() {
-                        ev.ride(&mut wq, &mut self.sample_buf);
-                    }
-                    wq.ring();
-                }
-                // Wait for the *primary* bucket specifically: a slow
-                // unsignalled WRITE queued ahead of it can push its
-                // completion past the secondary's on a multi-node pool, so
-                // the wr_id is matched rather than assuming arrival order.
-                // Then decode while the secondary READ is (possibly) still
-                // in flight — the CPU work hides behind the wire.  Error
-                // completions (the rider WRITE's included — unsignalled
-                // WQEs fault loudly) abort the round.
-                let mut secondary_done = false;
-                let mut round_err = None;
-                loop {
-                    let completion = Eviction::poll_lookup(&self.dm, &mut rider);
-                    if let Err(e) = completion.status.check() {
-                        round_err = Some(e);
-                        break;
-                    }
-                    if completion.wr_id == wr_primary {
-                        break;
-                    }
-                    debug_assert_eq!(completion.wr_id, wr_secondary);
-                    secondary_done = true;
-                }
-                if let Some(e) = round_err {
-                    // Consume this round's stragglers so the next round's
-                    // polling starts from an empty queue.
-                    let _ = Eviction::drain_lookup(&self.dm, &mut rider);
-                    fault_attempts += 1;
-                    if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                        continue;
-                    }
-                    return Err(e);
-                }
-                if SampleFriendlyHashTable::bucket_tainted(&self.bucket_buf[..BUCKET_SIZE]) {
-                    if Eviction::drain_lookup(&self.dm, &mut rider).is_ok() {
-                        // The round's verbs all landed (an unsignalled
-                        // WRITE that fails leaves an error completion), so
-                        // poison retries re-read the buckets alone.
-                        write = None;
-                    }
-                    self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
-                    continue;
-                }
-                SampleFriendlyHashTable::decode_slots(
-                    primary_addr,
-                    &self.bucket_buf[..BUCKET_SIZE],
-                    &mut slots,
-                );
-                self.charge_decode(SLOTS_PER_BUCKET);
-                if let Some(found) = Self::find_live(&slots, hash, fp) {
-                    // A primary-bucket hit never needs the secondary's
-                    // bytes; its completion is drained (by now usually in
-                    // the past, hidden behind the primary decode).
-                    match Eviction::drain_lookup(&self.dm, &mut rider) {
-                        Ok(_) => write = None,
-                        Err(e) => {
-                            fault_attempts += 1;
-                            if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                                continue;
-                            }
-                            return Err(e);
-                        }
-                    }
-                    if self.table.bucket_entry_token(primary) == ptok || last {
-                        return Ok((slots, Some(found)));
-                    }
-                    attempt += 1;
-                    continue;
-                }
-                if !secondary_done {
-                    let completion = Eviction::poll_lookup(&self.dm, &mut rider);
-                    if let Err(e) = completion.status.check() {
-                        let _ = Eviction::drain_lookup(&self.dm, &mut rider);
-                        fault_attempts += 1;
-                        if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                            continue;
-                        }
-                        return Err(e);
-                    }
-                }
-                if write_rides {
-                    // A rider-WRITE error on a *different* node can land
-                    // after both bucket completions; surface it now.
-                    // Fault-free the queue is empty and this costs nothing.
-                    match Eviction::drain_lookup(&self.dm, &mut rider) {
-                        Ok(_) => write = None,
-                        Err(e) => {
-                            fault_attempts += 1;
-                            if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                                continue;
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
-                if SampleFriendlyHashTable::bucket_tainted(&self.bucket_buf[BUCKET_SIZE..]) {
-                    self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
-                    continue;
-                }
-                SampleFriendlyHashTable::decode_slots(
-                    secondary_addr,
-                    &self.bucket_buf[BUCKET_SIZE..],
-                    &mut slots,
-                );
-                self.charge_decode(SLOTS_PER_BUCKET);
-            } else {
-                let (primary_buf, secondary_buf) = self.bucket_buf.split_at_mut(BUCKET_SIZE);
-                let mut batch = self.dm.batch();
-                if let Some((addr, data)) = write {
-                    batch
-                        .write(addr, data)
-                        .expect("a lookup batch holds three verbs");
-                }
-                batch
-                    .read_into(primary_addr, primary_buf)
-                    .expect("a lookup batch holds three verbs");
-                batch
-                    .read_into(secondary_addr, secondary_buf)
-                    .expect("a lookup batch holds three verbs");
-                match batch.try_execute_mode(self.config.enable_doorbell_batching) {
-                    Ok(_) => write = None,
-                    Err(e) => {
-                        fault_attempts += 1;
-                        if fault_attempts < MAX_RETRIES && verb_fault_retryable(&self.dm, &e) {
-                            continue;
-                        }
-                        return Err(e);
-                    }
-                }
-                if SampleFriendlyHashTable::bucket_tainted(primary_buf)
-                    || SampleFriendlyHashTable::bucket_tainted(secondary_buf)
-                {
-                    self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
-                    continue;
-                }
-                SampleFriendlyHashTable::decode_slots(primary_addr, primary_buf, &mut slots);
-                SampleFriendlyHashTable::decode_slots(secondary_addr, secondary_buf, &mut slots);
-                self.charge_decode(2 * SLOTS_PER_BUCKET);
-            }
-            if (self.table.bucket_entry_token(primary) == ptok
-                && self.table.bucket_entry_token(secondary) == stok)
-                || last
-            {
-                let found = Self::find_live(&slots, hash, fp);
-                return Ok((slots, found));
-            }
-            attempt += 1;
-        }
-    }
-
-    fn find_live(slots: &[(RemoteAddr, Slot)], hash: u64, fp: u8) -> Option<(RemoteAddr, Slot)> {
-        slots
-            .iter()
-            .find(|(_, s)| s.atomic.is_object() && s.atomic.fp == fp && s.hash == hash)
-            .copied()
-    }
-
-    // ------------------------------------------------------------------
     // Get path
     // ------------------------------------------------------------------
 
@@ -1239,7 +959,7 @@ impl DittoClient {
         if self.tier.is_some() && self.tier_get(hash, key, out) {
             return true;
         }
-        for _ in 0..MAX_RETRIES {
+        for attempt in 0..MAX_RETRIES {
             // Captured *before* the bucket READ: a writer whose publish CAS
             // completed before this capture also bumped before it, so the
             // lookup below observes that writer's slot word — the value
@@ -1250,17 +970,25 @@ impl DittoClient {
             // bucket READ and the capture: the stale object READ would then
             // be admitted under an epoch that already includes the bump.)
             let board_epoch = self.board.epoch(hash);
-            let Ok((slots, found)) = self.search(hash, fp, None, None) else {
+            // The first attempt may speculate on the slot word this client
+            // last saw for the key — unless the board has seen another
+            // client mutate it since.
+            let hint_epoch = self.hint_epoch(hash, board_epoch);
+            let hint = (attempt == 0)
+                .then(|| self.hints.get(hash, hint_epoch))
+                .flatten();
+            let Ok(lookup) = self.search(hash, fp, None, None, hint) else {
                 // The lookup could not complete within its fault budget
                 // (or its node fail-stopped).  Degrade to a miss: for a
                 // cache a spurious miss is indistinguishable from an
                 // eviction and always linearizable — only serving a wrong
                 // *value* would violate the history.
+                self.stats.record_get_degraded();
                 self.stats.record_miss();
                 return false;
             };
-            let Some((slot_addr, slot)) = found else {
-                self.on_miss(&slots, hash);
+            let Some((slot_addr, slot)) = lookup.found else {
+                self.on_miss(&lookup.slots, hash);
                 return false;
             };
             let obj_len = slot.atomic.object_bytes() as usize;
@@ -1286,9 +1014,23 @@ impl DittoClient {
                 if client.config.enable_fc_cache {
                     client.fc.forgive(freq_addr);
                 }
+                client.stats.record_get_degraded();
                 client.stats.record_miss();
             };
-            if flushes.is_empty() {
+            if lookup.object_landed {
+                // The speculative READ behind the bucket READs already
+                // fetched this very object: no second round trip.  Due FAA
+                // flushes go out on a doorbell of their own, unsignalled
+                // and never waited for.
+                if !flushes.is_empty() {
+                    let mut wq = self.dm.work_queue();
+                    for (addr, delta) in flushes {
+                        wq.post_faa(addr, delta, false);
+                        self.stats.record_fc_flush();
+                    }
+                    wq.ring();
+                }
+            } else if flushes.is_empty() {
                 let obj_addr = slot.atomic.object_addr();
                 let buf = &mut self.obj_buf[..obj_len];
                 if with_retry(&self.dm, |dm| dm.try_read_into(obj_addr, buf)).is_err() {
@@ -1369,6 +1111,10 @@ impl DittoClient {
             out.extend_from_slice(view.value);
             self.record_access(slot_addr, &slot, Some(&ext), AccessKind::Hit);
             self.stats.record_hit();
+            if !lookup.object_landed {
+                // (A validated speculation found its hint exactly as is.)
+                self.hint_note(hash, slot_addr, slot.atomic.encode(), hint_epoch);
+            }
             // A due FC flush means the key just crossed the flush threshold
             // on this client — unambiguously hot even though the buffered
             // delta reads as zero again.
@@ -1807,7 +1553,12 @@ impl DittoClient {
             } else {
                 Some((obj_addr, &encoded[..]))
             };
-            let Ok((slots, existing)) = self.search(hash, fp, write, ahead.as_mut()) else {
+            let Ok(Lookup {
+                slots,
+                found: existing,
+                ..
+            }) = self.search(hash, fp, write, ahead.as_mut(), None)
+            else {
                 // This attempt's lookup could not complete; the piggybacked
                 // WRITE (if any) may not have landed, so the next attempt
                 // re-carries it (re-posting the unpublished bytes is
@@ -1869,7 +1620,7 @@ impl DittoClient {
             // before the crash, and a stale tier copy surviving a recovered
             // Set would be exactly the resurrection bug the chaos tests
             // hunt for.
-            self.board.bump(hash);
+            self.bump_board(hash);
             self.encode_buf = encoded;
             return Ok(());
         }
@@ -1887,7 +1638,10 @@ impl DittoClient {
             // indistinguishable from an eviction.
             for _ in 0..MAX_RETRIES {
                 self.mig_token = self.table.directory().version();
-                let Ok((_, existing)) = self.search(hash, fp, None, None) else {
+                let Ok(Lookup {
+                    found: existing, ..
+                }) = self.search(hash, fp, None, None, None)
+                else {
                     // The invalidation sweep cannot see the table; give up
                     // (a reachable stale value then survives only if the
                     // same faults also hide it from every reader).
@@ -1903,6 +1657,7 @@ impl DittoClient {
                     break;
                 }
                 if self.slot_cas(slot_addr, slot.atomic.encode(), 0) {
+                    self.hints.forget(hash);
                     self.free_object(
                         slot.atomic.object_addr(),
                         slot.atomic.object_bytes() as usize,
@@ -1929,7 +1684,7 @@ impl DittoClient {
         // so a reader starting after this Set completes always sees it.  A
         // Set that mutated nothing bumps anyway; the only cost is a
         // spurious refetch by tier holders of this key.
-        self.board.bump(hash);
+        self.bump_board(hash);
         self.journal_clear();
         self.encode_buf = encoded;
         Ok(())
@@ -1958,6 +1713,7 @@ impl DittoClient {
         if !self.slot_cas(slot_addr, expected, new_atomic.encode()) {
             return false;
         }
+        self.hint_cas_won(slot.hash, slot_addr, new_atomic.encode());
         if self.crash_fired(CrashPoint::AfterPublish) {
             // Crash-consistency test hook: die with the new value live and
             // the displaced old allocation never freed.
@@ -1986,6 +1742,7 @@ impl DittoClient {
         if !self.slot_cas(slot_addr, expected, new_atomic.encode()) {
             return false;
         }
+        self.hint_cas_won(hash, slot_addr, new_atomic.encode());
         self.write_fresh_metadata(slot_addr, hash);
         true
     }
@@ -2066,7 +1823,9 @@ impl DittoClient {
         // copies right away — before even the crash hook, since the CAS
         // already landed.  (The inserted key's own bump happens once at the
         // end of `set_inner`.)
-        self.board.bump(victim.hash);
+        self.bump_board(victim.hash);
+        self.hints.forget(victim.hash);
+        self.hint_cas_won(hash, victim_addr, new_atomic.encode());
         if self.crash_fired(CrashPoint::AfterPublish) {
             return true;
         }
@@ -2367,7 +2126,8 @@ impl DittoClient {
         // No coherence-board bump: the key→value mapping is unchanged, so a
         // tier copy stays byte-correct.  The slot *word* did change, which a
         // later lease revalidation conservatively treats as stale — a
-        // refetch, never a wrong value.
+        // refetch, never a wrong value.  The hint follows the word.
+        self.hint_cas_won(slot.hash, slot_addr, new_atomic.encode());
         self.free_object(old_addr, len);
         self.dm
             .pool()
@@ -2665,20 +2425,6 @@ mod tests {
     }
 
     #[test]
-    fn get_reads_both_buckets_plus_object() {
-        let cache = small_cache(1_000);
-        let mut client = cache.client();
-        client.set(b"probe", b"x");
-        cache.pool().reset_stats();
-        let _ = client.get(b"probe");
-        let reads = cache.pool().stats().node_snapshots()[0].reads;
-        assert_eq!(reads, 3, "expected 2 batched bucket READs + 1 object READ");
-        // The two bucket READs were issued behind a single doorbell.
-        assert_eq!(cache.pool().stats().doorbells(), 1);
-        assert_eq!(cache.pool().stats().batched_verbs(), 2);
-    }
-
-    #[test]
     fn batched_get_charges_less_latency_than_unbatched() {
         let run = |batched: bool| {
             let config = DittoConfig::with_capacity(1_000).with_doorbell_batching(batched);
@@ -2729,22 +2475,6 @@ mod tests {
             pipelined < synchronous,
             "posted completions must beat the synchronous batch: {pipelined} vs {synchronous}"
         );
-    }
-
-    #[test]
-    fn pipelined_get_issues_identical_verbs_and_doorbells() {
-        let run = |async_completion: bool| {
-            let config = DittoConfig::with_capacity(1_000).with_async_completion(async_completion);
-            let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
-            let mut client = cache.client();
-            client.set(b"probe", b"x");
-            cache.pool().reset_stats();
-            let _ = client.get(b"probe");
-            let snap = cache.pool().stats().node_snapshots()[0];
-            (snap.reads, snap.messages, cache.pool().stats().doorbells())
-        };
-        // Pipelining changes when latency is charged, never what travels.
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

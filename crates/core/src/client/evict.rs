@@ -9,7 +9,7 @@ use crate::history::EvictionHistory;
 use crate::inline::InlineVec;
 use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOT_SIZE};
 use ditto_dm::batch::MAX_BATCH;
-use ditto_dm::{Completion, DmClient, DmResult, Phase, RemoteAddr, WorkQueue};
+use ditto_dm::{Completion, Phase, RemoteAddr, WorkQueue};
 use rand::Rng;
 use std::ops::Range;
 
@@ -72,32 +72,15 @@ impl Eviction {
         }
     }
 
-    /// Next completion of a lookup round's own verbs; completions of an
-    /// eviction verb sharing the completion queue are booked on `rider`.
-    pub(super) fn poll_lookup(dm: &DmClient, rider: &mut Option<&mut Eviction>) -> Completion {
-        loop {
-            let completion = dm.poll_cq().expect("bucket completion");
-            if !rider
-                .as_deref_mut()
-                .is_some_and(|ev| ev.claims(&completion))
-            {
-                return completion;
-            }
+    /// Called by the lookup once it drained a round's stragglers off the
+    /// shared completion queue: whatever this eviction still had in flight
+    /// has completed, and — the drain cannot tell whose verb an error was —
+    /// `failed` taints it.
+    pub(super) fn settle(&mut self, failed: bool) {
+        if self.in_flight > 0 {
+            self.in_flight = 0;
+            self.failed |= failed;
         }
-    }
-
-    /// Drains a lookup round's stragglers, the riding eviction's included:
-    /// the drain cannot tell whose verb an error was, so it taints both.
-    pub(super) fn drain_lookup(
-        dm: &DmClient,
-        rider: &mut Option<&mut Eviction>,
-    ) -> DmResult<usize> {
-        let drained = dm.try_drain_cq();
-        if let Some(ev) = rider.as_deref_mut().filter(|ev| ev.in_flight > 0) {
-            ev.in_flight = 0;
-            ev.failed |= drained.is_err();
-        }
-        drained
     }
 
     /// Posts the current sample's READs on `wq`, into the front of `buf`.
@@ -116,7 +99,7 @@ impl Eviction {
     }
 
     /// Books `completion` if it belongs to the verb(s) waited for.
-    fn claims(&mut self, completion: &Completion) -> bool {
+    pub(super) fn claims(&mut self, completion: &Completion) -> bool {
         let ours = self.in_flight > 0 && self.wrs.contains(&completion.wr_id);
         if ours {
             self.in_flight -= 1;
@@ -413,7 +396,8 @@ impl DittoClient {
         if won {
             // The victim's slot word changed (history entry or empty):
             // invalidate local-tier copies of the evicted key.
-            self.board.bump(victim.hash);
+            self.bump_board(victim.hash);
+            self.hints.forget(victim.hash);
             self.notify_eviction(&ev.candidates, victim_idx, bitmap);
             self.free_object(
                 victim.atomic.object_addr(),

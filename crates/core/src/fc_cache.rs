@@ -10,8 +10,8 @@
 //! * the cache is full and the entry with the oldest insertion time is
 //!   evicted to make room.
 
+use crate::hash::FxHashMap;
 use ditto_dm::RemoteAddr;
-use std::collections::HashMap;
 
 /// One pending flush: the frequency-field address and the buffered delta.
 pub type FcFlush = (RemoteAddr, u64);
@@ -66,7 +66,7 @@ struct FcEntry {
 /// Client-local write-combining buffer for frequency-counter updates.
 #[derive(Debug)]
 pub struct FcCache {
-    entries: HashMap<u64, FcEntry>,
+    entries: FxHashMap<u64, FcEntry>,
     threshold: u64,
     capacity: usize,
     seq: u64,
@@ -76,10 +76,14 @@ impl FcCache {
     /// Creates an FC cache flushing at `threshold` increments and holding at
     /// most `capacity` distinct entries.
     pub fn new(threshold: u64, capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         FcCache {
-            entries: HashMap::new(),
+            // Sized once (one entry over `capacity` lives briefly, between an
+            // insert and the eviction it forces) so the map never rehashes.
+            // Keys are packed slot addresses, process-local and trusted.
+            entries: FxHashMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             threshold: threshold.max(1),
-            capacity: capacity.max(1),
+            capacity,
             seq: 0,
         }
     }

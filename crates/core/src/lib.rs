@@ -19,6 +19,34 @@
 //! and how a survivor reclaims it (see also the *Failure model* section of
 //! the [`ditto_dm`] crate docs for the fault classes and lease protocol).
 //!
+//! # The one-round-trip `Get`
+//!
+//! A client-centric `Get` is two *dependent* round trips: READ both
+//! buckets, decode the slot's pointer, READ the object.  Every client keeps
+//! a fixed-size, direct-mapped, allocation-free **hint table** `key hash →
+//! last slot word seen` (2 MiB, a constant), and on the pipelined path a
+//! `Get` whose key has a hint posts the object READ *speculatively* behind
+//! the two bucket READs on the same doorbell.  When the freshly read bucket
+//! holds a live slot for the key whose atomic word **equals** the hint, the
+//! object bytes have already landed and the hit took one round trip; any
+//! other outcome (the key was replaced, evicted, relocated; the READ
+//! faulted) discards the bytes, counts one wasted READ
+//! ([`CacheStats::spec_reads_wasted`] of [`CacheStats::spec_reads_issued`]),
+//! drops the hint and continues exactly as an unhinted `Get` does.
+//!
+//! Correctness rests on that word comparison alone, plus one ordering
+//! rule: the speculative READ is posted after the bucket READ that
+//! validates it, and only when the object lives on that bucket's node —
+//! same queue pair, in-order — so a validated speculation is the usual two
+//! READs in the usual order, minus the wait between them.  Hints are kept
+//! truthful for free where the client already knows the answer: every slot
+//! CAS it wins (publish, replace, sampling or bucket eviction, relocation)
+//! updates or drops the entry, a validated remote hit installs it, and the
+//! [`local_tier::CoherenceBoard`] epoch the `Get` already reads — less the
+//! client's own bumps — filters hints another in-process client staled
+//! before any verb is posted.  The serial ablation modes and the
+//! message-bound short-circuit lookup never speculate.
+//!
 //! # The `Set` path under memory pressure: evict-ahead
 //!
 //! A `Set` allocates its object, writes it next to the two bucket READs of

@@ -104,13 +104,19 @@ impl CoherenceBoard {
         }
     }
 
-    fn index(&self, key_hash: u64) -> usize {
+    /// Number of epoch slots.
+    pub fn slots(&self) -> usize {
+        self.epochs.len()
+    }
+
+    /// The epoch slot `key_hash` shares with every key hashing alike.
+    pub fn slot(&self, key_hash: u64) -> usize {
         splitmix(key_hash) as usize & self.mask
     }
 
     /// Current mutation epoch of `key_hash`'s board slot.
     pub fn epoch(&self, key_hash: u64) -> u64 {
-        self.epochs[self.index(key_hash)].load(Ordering::Acquire)
+        self.epochs[self.slot(key_hash)].load(Ordering::Acquire)
     }
 
     /// Bumps `key_hash`'s epoch.  Must be called after a successful
@@ -118,7 +124,7 @@ impl CoherenceBoard {
     /// returns to its caller — that ordering is what makes local hits
     /// linearizable (module docs).
     pub fn bump(&self, key_hash: u64) {
-        self.epochs[self.index(key_hash)].fetch_add(1, Ordering::Release);
+        self.epochs[self.slot(key_hash)].fetch_add(1, Ordering::Release);
     }
 }
 

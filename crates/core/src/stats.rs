@@ -10,7 +10,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// contention counters, they deliberately survive [`CacheStats::reset`] —
 /// coherence events (invalidations, stale rejects) are evidence in
 /// correctness post-mortems and must not vanish when a benchmark clears
-/// its interval counters.
+/// its interval counters.  So do the speculative-READ pair and
+/// `gets_degraded`, which are read through accessors rather than
+/// [`CacheStatsSnapshot`] fields.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     hits: AtomicU64,
@@ -28,6 +30,9 @@ pub struct CacheStats {
     local_stale_rejects: AtomicU64,
     evictions_inline: AtomicU64,
     evictions_overlapped: AtomicU64,
+    spec_reads_issued: AtomicU64,
+    spec_reads_wasted: AtomicU64,
+    gets_degraded: AtomicU64,
     expert_victories: Vec<AtomicU64>,
 }
 
@@ -126,6 +131,39 @@ impl CacheStats {
         self.local_stale_rejects.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records a speculative object READ a hinted `Get` posted behind its
+    /// bucket READs; `wasted` when the freshly read slot word did not match
+    /// the hint (or the READ faulted) and the bytes were discarded.
+    pub fn record_spec_read(&self, wasted: bool) {
+        self.spec_reads_issued.fetch_add(1, Ordering::Relaxed);
+        if wasted {
+            self.spec_reads_wasted.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Records a `Get` that a verb fault (an unreadable bucket or object)
+    /// degraded to a miss — counted as a miss too.
+    pub fn record_get_degraded(&self) {
+        self.gets_degraded.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Speculative object READs posted (lifetime): each validated one is a
+    /// remote hit served in one round trip instead of two.
+    pub fn spec_reads_issued(&self) -> u64 {
+        self.spec_reads_issued.load(Ordering::Relaxed)
+    }
+
+    /// Speculative object READs whose bytes were discarded (lifetime): the
+    /// one extra message a stale hint costs.
+    pub fn spec_reads_wasted(&self) -> u64 {
+        self.spec_reads_wasted.load(Ordering::Relaxed)
+    }
+
+    /// `Get`s degraded to a miss by a verb fault (lifetime).
+    pub fn gets_degraded(&self) -> u64 {
+        self.gets_degraded.load(Ordering::Relaxed)
+    }
+
     /// Sampling evictions that ran inline (see
     /// [`CacheStats::record_eviction_path`]) — the share of evicting `Set`s
     /// still paying every eviction round trip.  An accessor, deliberately
@@ -163,8 +201,9 @@ impl CacheStats {
         }
     }
 
-    /// Resets every interval counter to zero.  The lifetime `local_*`
-    /// coherence counters survive by design (see the struct docs).
+    /// Resets every interval counter to zero.  The lifetime counters — the
+    /// `local_*` group, the speculative-READ pair, `gets_degraded` —
+    /// survive by design (see the struct docs).
     pub fn reset(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -287,6 +326,20 @@ mod tests {
         assert_eq!(snap.local_revalidations, 1);
         assert_eq!(snap.local_invalidations, 1);
         assert_eq!(snap.local_stale_rejects, 1);
+    }
+
+    #[test]
+    fn speculation_and_degrade_counters_survive_reset() {
+        let stats = CacheStats::new(2);
+        stats.record_spec_read(false);
+        stats.record_spec_read(true);
+        stats.record_get_degraded();
+        stats.reset();
+        assert_eq!(
+            (stats.spec_reads_issued(), stats.spec_reads_wasted()),
+            (2, 1)
+        );
+        assert_eq!(stats.gets_degraded(), 1);
     }
 
     #[test]

@@ -54,7 +54,8 @@ fn ditto_serves_ycsb_from_multiple_clients() {
     let total_requests: u64 = results.iter().map(|s| s.requests).sum();
     assert_eq!(total_requests, spec.request_count / 4 * 4);
     assert!(report.throughput_mops > 0.1, "throughput {report:?}");
-    assert!(report.p50_latency_us >= 3.0 && report.p50_latency_us <= 60.0);
+    // No op is faster than one simulated round trip (a hinted remote hit).
+    assert!(report.p50_latency_us >= 2.0 && report.p50_latency_us <= 60.0);
     // Every record fits in the cache, so the Zipfian run phase mostly hits.
     let snap = cache.stats().snapshot();
     assert!(snap.hit_rate() > 0.95, "hit rate {}", snap.hit_rate());
