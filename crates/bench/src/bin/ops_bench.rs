@@ -5,10 +5,11 @@
 //! `DittoClient` three times — **pipelined** (doorbell batching + async
 //! completion polling), **batched** (synchronous doorbell batches) and
 //! **unbatched** (sequential round trips) — and reports simulated ops/s,
-//! verbs per op, doorbells per op, p50/p99 operation latency and the share
-//! of hits a hinted `Get` served in one round trip (beside the share of
-//! `Get`s that wasted a speculative READ) as JSON in `BENCH_ops.json`, so
-//! future changes can track the performance trajectory.  A second section sweeps the pool from 1 to 8 memory nodes
+//! verbs per op, doorbells per op, p50/p99 operation latency, the share of
+//! hits a hinted `Get` served from its one slot READ (beside the share of
+//! `Get`s whose hint mispredicted) and the READs a `Get` issues on average
+//! as JSON in `BENCH_ops.json`, so future changes can track the performance
+//! trajectory.  A second section sweeps the pool from 1 to 8 memory nodes
 //! under a deliberately message-bound RNIC budget, in both completion
 //! modes: with the hash table, history shards and segments striped by the
 //! topology layer, the per-node message load — and therefore the simulated
@@ -18,14 +19,16 @@
 //! messages).
 //!
 //! The process exits non-zero if the batched configuration does not deliver
-//! ≥1.3× simulated throughput over unbatched, if the pipelined path does
-//! not deliver ≥1.3× the batched throughput on the latency-bound section
-//! (hinted one-round-trip `Get`s included) and at least the batched
-//! throughput at every message-bound sweep point, if any configuration
-//! diverges in
-//! hit/miss counts (completion modes must never change cache behaviour),
-//! or if the message-bound sweep is not monotonically increasing from 1 to
-//! 4 nodes.
+//! ≥1.05× simulated throughput over unbatched (a hinted `Get` is a slot READ
+//! then an object READ in both — two dependent round trips with nothing
+//! left to batch — so the win is down to the `Set`s and the unhinted
+//! lookups), if the pipelined path does not deliver ≥1.3× the batched
+//! throughput on the latency-bound section (hinted one-round-trip `Get`s
+//! included) and at least the batched throughput at every message-bound
+//! sweep point, if a pipelined `Get` issues 2.2 READs or more on average,
+//! if any configuration diverges in hit/miss counts (completion modes must
+//! never change cache behaviour), or if the message-bound sweep is not
+//! monotonically increasing from 1 to 4 nodes.
 //!
 //! An observability section prices the flight recorder on the pipelined
 //! path: a fully armed row (within 10% of disarmed, in practice identical)
@@ -90,11 +93,15 @@ struct ModeReport {
     hits: u64,
     misses: u64,
     evictions: u64,
-    /// Share of the hits served in one round trip: a hinted `Get`'s
-    /// speculative object READ validated against the freshly read slot word.
+    /// Share of the hits a hinted `Get` served: its one slot READ found the
+    /// hinted word (pipelined, the object READ rode behind it — one round
+    /// trip).
     hinted_hit_share: f64,
-    /// Speculative READs discarded, as a share of all `Get`s.
+    /// Hints that mispredicted, as a share of all `Get`s.
     spec_wasted_share: f64,
+    /// READs per `Get` (the fills' lookups and evictions not counted): 2
+    /// for a hinted hit and for a miss, 3 for an unhinted hit.
+    reads_per_get: f64,
 }
 
 /// One phase's row in the `phase_attribution` section of `BENCH_ops.json`:
@@ -199,13 +206,18 @@ fn run_mode_recorded(
     client.dm().reset_clock();
     let baseline_ns = client.dm().now_ns();
 
-    // Measured get-heavy phase with cache-aside fills on miss.
+    // Measured get-heavy phase with cache-aside fills on miss.  The fills'
+    // READs are told apart, so that the rest are the `Get`s'.
+    let reads = || cache.pool().stats().node_snapshots()[0].reads;
+    let mut fill_reads = 0;
     let mut value_buf = Vec::with_capacity(spec.value_size as usize);
     for request in spec.run_requests(YcsbWorkload::C) {
         let key = request.key_bytes();
         if !client.get_into(&key, &mut value_buf) {
             value.fill(request.key as u8);
+            let before = reads();
             client.set(&key, &value);
+            fill_reads += reads() - before;
         }
     }
     client.flush();
@@ -237,6 +249,7 @@ fn run_mode_recorded(
         evictions: cache_snap.evictions + cache_snap.bucket_evictions,
         hinted_hit_share: (spec_issued - spec_wasted) as f64 / cache_snap.hits.max(1) as f64,
         spec_wasted_share: spec_wasted as f64 / gets.max(1) as f64,
+        reads_per_get: (snap.reads - fill_reads) as f64 / gets.max(1) as f64,
     };
     // Armed runs: serialize the retained ring into a critical-path table,
     // then drop the client so its per-phase histograms fold into the pool
@@ -836,7 +849,8 @@ fn mode_json(report: &ModeReport) -> String {
             "      \"misses\": {},\n",
             "      \"evictions\": {},\n",
             "      \"hinted_hit_share\": {:.4},\n",
-            "      \"spec_wasted_share\": {:.4}\n",
+            "      \"spec_wasted_share\": {:.4},\n",
+            "      \"reads_per_get\": {:.4}\n",
             "    }}"
         ),
         report.ops,
@@ -852,6 +866,7 @@ fn mode_json(report: &ModeReport) -> String {
         report.evictions,
         report.hinted_hit_share,
         report.spec_wasted_share,
+        report.reads_per_get,
     )
 }
 
@@ -1428,9 +1443,19 @@ fn main() {
         (batched.hits, batched.misses, batched.evictions),
         "hit/miss/eviction parity broken between pipelined and batched modes"
     );
+    // 1.05, not the 1.3 of a Get that read both buckets (measured 1.09x): a
+    // hinted `Get` — 99 % of this trace's hits — is a slot READ then an
+    // object READ in both modes, two dependent round trips with no second
+    // bucket READ left to batch.  What batching still buys is the `Set`s'
+    // and the unhinted lookups'.
     assert!(
-        speedup >= 1.3,
-        "doorbell batching must deliver >=1.3x simulated ops/s, measured {speedup:.3}x"
+        speedup >= 1.05,
+        "doorbell batching must deliver >=1.05x simulated ops/s, measured {speedup:.3}x"
+    );
+    assert!(
+        pipelined.reads_per_get < 2.2,
+        "a Get must issue fewer than 2.2 READs on average, measured {:.4}",
+        pipelined.reads_per_get
     );
     assert!(
         pipelined_speedup >= 1.3,

@@ -264,12 +264,12 @@ impl DittoCache {
         );
         counter(
             "ditto_cache_spec_reads_issued_total",
-            "Speculative object READs hinted Gets posted behind their bucket READs (lifetime).",
+            "Hinted lookups: Gets that read their one hinted slot instead of both buckets (lifetime).",
             self.stats.spec_reads_issued(),
         );
         counter(
             "ditto_cache_spec_reads_wasted_total",
-            "Speculative object READs discarded because the slot word had changed (lifetime).",
+            "Hinted lookups that mispredicted because the slot word had changed (lifetime).",
             self.stats.spec_reads_wasted(),
         );
         counter(
@@ -455,7 +455,7 @@ mod tests {
         assert!(page.contains("ditto_cache_sets_total 1"));
         assert!(page.contains("ditto_cache_evictions_inline_total 0"));
         assert!(page.contains("ditto_cache_evictions_overlapped_total 0"));
-        // The Set left a hint, so the Get speculated — and was right.
+        // The Set left a hint, so the Get read its one slot — and it held.
         assert!(page.contains("ditto_cache_spec_reads_issued_total 1"));
         assert!(page.contains("ditto_cache_spec_reads_wasted_total 0"));
         assert!(page.contains("ditto_cache_gets_degraded_total 0"));

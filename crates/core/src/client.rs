@@ -7,9 +7,10 @@
 //! doorbell (see `ditto_dm::batch` and `ditto_dm::wqe`):
 //!
 //! * **Get** — one doorbell batch `RDMA_READ`ing the primary *and* secondary
-//!   buckets, one `RDMA_READ` of the object — posted speculatively behind
-//!   the bucket READs, on the same doorbell, when the client holds a hint
-//!   of the key's slot word (see the crate docs) — then an asynchronous
+//!   buckets — or, when the client holds a hint of where the key's slot is
+//!   and what word it held, one `RDMA_READ` of that 40-byte slot alone (see
+//!   the crate docs) — and one `RDMA_READ` of the object, posted behind a
+//!   hinted slot READ on the same doorbell; then an asynchronous
 //!   `RDMA_WRITE` of the stateless access information and a
 //!   (frequency-counter-cached) `RDMA_FAA` of the access count.
 //! * **Set** — one doorbell batch carrying the object `RDMA_WRITE` together
@@ -27,13 +28,14 @@
 //! the lookup posts both bucket READs, polls the primary's completion and
 //! decodes it *while the secondary is still in flight*; `Set` posts its
 //! object WRITE unsignalled (never waited for) next to the bucket READs; a
-//! hinted `Get`'s object READ flies with the bucket READs that validate it;
+//! hinted `Get`'s object READ flies with the slot READ that validates it;
 //! a hit's due frequency-counter FAA rides unsignalled next to the object
 //! READ; and an eviction's sample READ and history FAA fly while its `Set`
 //! looks up and publishes.  The verb sequence — and therefore cache behaviour
 //! and message counts — is byte-identical to the synchronous batch (see
-//! `tests/async_parity.rs`; a mispredicted speculation alone adds a READ,
-//! which a single client never pays — `tests/spec_read.rs`); only the
+//! `tests/async_parity.rs`; a mispredicted hint alone differs, wasting the
+//! object READ behind its slot READ too, which a single client never pays —
+//! `tests/spec_read.rs`); only the
 //! charged latency shrinks, because waits and the client CPU work
 //! (`cpu_decode_slot_ns` per slot, `cpu_score_candidate_ns` per candidate)
 //! overlap the flights, and `end_op` simply drains whatever is still
@@ -173,8 +175,9 @@ pub struct DittoClient {
     stats: Arc<CacheStats>,
     alloc: StripedAllocator,
     fc: FcCache,
-    /// Last slot word seen per key hash: lets a `Get` post its object READ
-    /// speculatively behind the bucket READs (see [`lookup`]).
+    /// Last slot word seen per key hash, and where: lets a `Get` READ that
+    /// one slot — and, pipelined, the object right behind it — instead of
+    /// both buckets (see [`lookup`]).
     hints: HintTable,
     /// This client's own bumps of each [`CoherenceBoard`] slot.  Its own slot
     /// CASes keep its hints exact, so a hint is stamped with — and filtered
@@ -970,9 +973,9 @@ impl DittoClient {
             // bucket READ and the capture: the stale object READ would then
             // be admitted under an epoch that already includes the bump.)
             let board_epoch = self.board.epoch(hash);
-            // The first attempt may speculate on the slot word this client
-            // last saw for the key — unless the board has seen another
-            // client mutate it since.
+            // The first attempt may go by the slot this client last saw
+            // the key in, and the word it held — unless the board has seen
+            // another client mutate it since.
             let hint_epoch = self.hint_epoch(hash, board_epoch);
             let hint = (attempt == 0)
                 .then(|| self.hints.get(hash, hint_epoch))
@@ -1018,7 +1021,7 @@ impl DittoClient {
                 client.stats.record_miss();
             };
             if lookup.object_landed {
-                // The speculative READ behind the bucket READs already
+                // The object READ posted behind the hinted slot READ already
                 // fetched this very object: no second round trip.  Due FAA
                 // flushes go out on a doorbell of their own, unsignalled
                 // and never waited for.
@@ -1111,8 +1114,7 @@ impl DittoClient {
             out.extend_from_slice(view.value);
             self.record_access(slot_addr, &slot, Some(&ext), AccessKind::Hit);
             self.stats.record_hit();
-            if !lookup.object_landed {
-                // (A validated speculation found its hint exactly as is.)
+            if !lookup.hint_held {
                 self.hint_note(hash, slot_addr, slot.atomic.encode(), hint_epoch);
             }
             // A due FC flush means the key just crossed the flush threshold
@@ -1202,11 +1204,15 @@ impl DittoClient {
     }
 
     /// Re-arms an expired lease with one 8-byte READ of the slot's atomic
-    /// word.  An exact match proves no publish/eviction CAS touched the
-    /// slot, so the cached value is still current; any other outcome —
-    /// changed word, `RECONCILE_POISON` after a stripe cutover, a faulted
-    /// READ — conservatively drops the entry and falls back to the remote
-    /// path.
+    /// word ([`lookup::read_slot_word_is`], the routine a hinted lookup reads
+    /// its slot with).  An exact match proves no publish/eviction CAS touched
+    /// the slot, so the cached value is still current; any other outcome —
+    /// changed word, a faulted READ — conservatively drops the entry and
+    /// falls back to the remote path.  Unlike a hint, which names a slot by
+    /// its place and re-translates it through the stripe directory, the tier
+    /// keeps the *raw* `slot_addr` of admission (it also feeds the frequency
+    /// counter at it) and deliberately relies on the `RECONCILE_POISON` a
+    /// stripe cutover leaves in the old copy's words to read as changed.
     fn tier_revalidate(
         &mut self,
         hash: u64,
@@ -1218,10 +1224,7 @@ impl DittoClient {
         // Same ordering argument as the admission capture in `get_inner`:
         // any bump included here belongs to a CAS the READ below observes.
         let board_epoch = self.board.epoch(hash);
-        let mut word = [0u8; 8];
-        let matched = with_retry(&self.dm, |dm| dm.try_read_into(slot_addr, &mut word))
-            .is_ok_and(|()| u64::from_le_bytes(word) == slot_word);
-        if !matched {
+        if !lookup::read_slot_word_is(&self.dm, slot_addr, slot_word, &mut [0u8; 8]) {
             if let Some(tier) = self.tier.as_mut() {
                 tier.remove(hash);
             }
@@ -2258,6 +2261,8 @@ impl ditto_workloads::CacheBackend for DittoClient {
 mod tests {
     use crate::cache::DittoCache;
     use crate::config::DittoConfig;
+    use crate::hash::fnv1a64;
+    use crate::slot::SLOTS_PER_BUCKET;
     use ditto_dm::DmConfig;
 
     fn small_cache(capacity: u64) -> DittoCache {
@@ -2981,33 +2986,58 @@ mod tests {
 
     #[test]
     fn adaptive_lookup_short_circuits_only_when_message_bound() {
+        // READs of a hinted Get, of an unhinted primary-bucket hit and of
+        // an unhinted secondary-bucket hit.
         let run = |message_rate: u64| {
             let mut config = DittoConfig::with_capacity(1_000).with_adaptive_lookup(true);
             config.adaptive_lookup_interval = 8;
             let dm = DmConfig::default().with_message_rate(message_rate);
             let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
             let mut client = cache.client();
-            client.set(b"probe", b"x");
+            // Nine keys sharing a primary bucket: eight fill it, the ninth's
+            // slot goes to its secondary bucket.
+            let bucket_of = |key: &String| client.table.primary_bucket(fnv1a64(key.as_bytes()));
+            let target = bucket_of(&"key0".to_string());
+            let keys: Vec<String> = (0..)
+                .map(|i| format!("key{i}"))
+                .filter(|key| bucket_of(key) == target)
+                .take(SLOTS_PER_BUCKET + 1)
+                .collect();
+            for key in &keys {
+                client.set(key.as_bytes(), b"x");
+            }
             // Enough lookups to trip at least one bottleneck re-evaluation.
             for _ in 0..32 {
-                let _ = client.get(b"probe");
+                let _ = client.get(keys[0].as_bytes());
             }
-            cache.pool().reset_stats();
-            let _ = client.get(b"probe");
-            cache.pool().stats().node_snapshots()[0].reads
+            let mut reads = |key: &String, hinted: bool| {
+                if !hinted {
+                    client.hints.forget(fnv1a64(key.as_bytes()));
+                }
+                cache.pool().reset_stats();
+                assert!(client.get(key.as_bytes()).is_some());
+                cache.pool().stats().node_snapshots()[0].reads
+            };
+            [
+                reads(&keys[0], true),
+                reads(&keys[0], false),
+                reads(&keys[SLOTS_PER_BUCKET], false),
+            ]
         };
-        // Pathologically message-bound: the hybrid short-circuits, so a
-        // primary-bucket hit costs 1 bucket READ + 1 object READ.
+        // Pathologically message-bound: the hybrid short-circuits, so an
+        // unhinted primary-bucket hit costs 1 bucket READ + 1 object READ
+        // and only a secondary-bucket hit pays for both buckets.  A hinted
+        // Get reads its one slot, not a bucket, whatever the mode says.
         assert_eq!(
             run(1),
-            2,
+            [2, 2, 3],
             "message-bound lookups must skip the secondary bucket"
         );
         // Latency-bound (default RNIC budget): the batched both-bucket
-        // fetch stays, costing 2 bucket READs + 1 object READ.
+        // fetch stays, costing 2 bucket READs + 1 object READ unhinted.
         assert_eq!(
             run(40_000_000),
-            3,
+            [2, 3, 3],
             "latency-bound lookups keep the batched fetch"
         );
     }

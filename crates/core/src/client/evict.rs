@@ -3,11 +3,12 @@
 //! memory pressure runs *ahead*, beside its own lookup and publish (see the
 //! crate docs, *The `Set` path under memory pressure*).
 
+use super::lookup::bucket_holds;
 use super::{Candidates, DittoClient};
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::history::EvictionHistory;
 use crate::inline::InlineVec;
-use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOT_SIZE};
+use crate::slot::{AtomicField, Slot, SLOT_SIZE};
 use ditto_dm::batch::MAX_BATCH;
 use ditto_dm::{Completion, Phase, RemoteAddr, WorkQueue};
 use rand::Rng;
@@ -109,10 +110,10 @@ impl Eviction {
     }
 
     fn is_own(&self, slot_addr: RemoteAddr) -> bool {
-        self.own_buckets.iter().flatten().any(|b| {
-            b.mn_id == slot_addr.mn_id
-                && (b.offset..b.offset + BUCKET_SIZE as u64).contains(&slot_addr.offset)
-        })
+        self.own_buckets
+            .iter()
+            .flatten()
+            .any(|&bucket| bucket_holds(bucket, slot_addr))
     }
 }
 

@@ -1,46 +1,54 @@
 //! The lookup shared by `Get` and `Set` — both bucket READs behind one
 //! doorbell, scanned for the key's live slot — and the client-side **hint
-//! table** that lets a `Get` post its object READ *speculatively* behind
-//! them, making a remote hit one round trip instead of two (see the crate
-//! docs, *The one-round-trip `Get`*).
+//! table** that lets a `Get` skip them: a hint names the key's *slot*, so a
+//! hinted `Get` READs that one 40-byte slot instead of two 320-byte buckets,
+//! and on the pipelined path posts its object READ right behind it, making a
+//! remote hit two READs and one round trip (see the crate docs, *The
+//! one-round-trip `Get`*).
 
 use super::evict::Eviction;
 use super::{verb_fault_retryable, DittoClient, SearchSlots, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
 use crate::hashtable::SampleFriendlyHashTable;
-use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET};
+use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
 use ditto_dm::{Completion, DmClient, DmError, DmResult, Phase, RemoteAddr};
 
 /// Entries of a client's hint table: a power of two, 16 bytes each — 2 MiB
 /// per client, a fifth of the FC cache's default budget.
 const HINT_ENTRIES: usize = 1 << 17;
 const HINT_INDEX_BITS: u32 = HINT_ENTRIES.trailing_zeros();
+/// Bits of a hint stamp left to the board epoch once the slot's place — one
+/// bit of bucket, three of slot index — is taken out of its 32.
+const HINT_EPOCH_BITS: u32 = 28;
+const _: () = assert!(SLOTS_PER_BUCKET == 1 << (31 - HINT_EPOCH_BITS));
 
 /// What a client last knew of a key's slot: the slot's atomic word (which
-/// names the object's node, address and size) and which of the key's two
-/// buckets holds the slot.
+/// names the object's node, address and size) and where the slot sits —
+/// which of the key's two buckets, and which slot of that bucket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) struct Hint {
     word: u64,
     secondary: bool,
+    slot: u8,
 }
 
 /// One hint-table entry.  `word == 0` (an empty slot's word, never hinted)
 /// marks it vacant.  The low hash bits pick the entry and the next 32 tag
 /// it, so 49 hash bits tell keys apart; a hint is only ever a guess checked
-/// against the freshly read slot word, so an alias costs a wasted READ,
+/// against the freshly read slot, so an alias costs a wasted round trip,
 /// never a wrong value.
 #[derive(Clone, Copy, Default)]
 struct HintEntry {
     word: u64,
     tag: u32,
-    /// Bit 31: the slot sits in the secondary bucket.  Bits 0..31: the low
-    /// bits of the [`crate::local_tier::CoherenceBoard`] epoch of the key's
-    /// hash when the word was known current, less the client's own bumps
+    /// Bit 31: the slot sits in the secondary bucket.  Bits 28..31: its index
+    /// in that bucket.  Bits 0..28: the low bits of the
+    /// [`crate::local_tier::CoherenceBoard`] epoch of the key's hash when the
+    /// word was known current, less the client's own bumps
     /// ([`DittoClient::hint_epoch`]).
     stamp: u32,
 }
 
-/// Direct-mapped `key hash → last slot word seen`, fixed-size and
+/// Direct-mapped `key hash → last slot word seen, and where`, fixed-size and
 /// allocation-free after construction.
 pub(super) struct HintTable {
     entries: Box<[HintEntry]>,
@@ -61,8 +69,10 @@ impl HintTable {
         (hash >> HINT_INDEX_BITS) as u32
     }
 
-    fn stamp(secondary: bool, epoch: u64) -> u32 {
-        (epoch as u32 & !(1 << 31)) | (secondary as u32) << 31
+    fn stamp(secondary: bool, slot: u8, epoch: u64) -> u32 {
+        (epoch as u32 & ((1 << HINT_EPOCH_BITS) - 1))
+            | (slot as u32) << HINT_EPOCH_BITS
+            | (secondary as u32) << 31
     }
 
     /// The hint for `hash`, unless the board has seen another client mutate
@@ -71,12 +81,14 @@ impl HintTable {
     pub(super) fn get(&self, hash: u64, epoch: u64) -> Option<Hint> {
         let entry = self.entries[Self::index(hash)];
         let secondary = entry.stamp >> 31 == 1;
+        let slot = (entry.stamp >> HINT_EPOCH_BITS) as u8 & (SLOTS_PER_BUCKET as u8 - 1);
         (entry.word != 0
             && entry.tag == Self::tag(hash)
-            && entry.stamp == Self::stamp(secondary, epoch))
+            && entry.stamp == Self::stamp(secondary, slot, epoch))
         .then_some(Hint {
             word: entry.word,
             secondary,
+            slot,
         })
     }
 
@@ -86,7 +98,7 @@ impl HintTable {
         self.entries[Self::index(hash)] = HintEntry {
             word: hint.word,
             tag: Self::tag(hash),
-            stamp: Self::stamp(hint.secondary, epoch),
+            stamp: Self::stamp(hint.secondary, hint.slot, epoch),
         };
     }
 
@@ -99,100 +111,77 @@ impl HintTable {
     }
 }
 
-/// The speculative object READ of one lookup.
-struct SpecRead {
-    /// The caller's hint until the first round decides on it.
-    hint: Option<Hint>,
-    issued: bool,
-    /// The READ posted in the *current* round: its work-request id and the
-    /// hinted word.  Bytes fetched by an earlier round are never validated:
-    /// they were read before the bucket READ that would vouch for them.
-    posted: Option<(u64, u64)>,
-    /// Its completion: `None` while outstanding, else whether it succeeded.
-    landed: Option<bool>,
-    validated: bool,
+/// Whether `slot_addr` is one of the slots of the bucket at `bucket`.
+pub(super) fn bucket_holds(bucket: RemoteAddr, slot_addr: RemoteAddr) -> bool {
+    bucket.mn_id == slot_addr.mn_id
+        && (bucket.offset..bucket.offset + BUCKET_SIZE as u64).contains(&slot_addr.offset)
 }
 
-impl SpecRead {
-    fn claims(&mut self, completion: &Completion) -> bool {
-        let ours =
-            self.landed.is_none() && self.posted.is_some_and(|(wr, _)| wr == completion.wr_id);
-        if ours {
-            self.landed = Some(completion.status.is_ok());
-        }
-        ours
-    }
-
-    fn outstanding(&self) -> bool {
-        self.posted.is_some() && self.landed.is_none()
-    }
-
-    /// The whole correctness argument: the object bytes are good iff the
-    /// slot word a bucket READ of this round returned *is* the hinted word,
-    /// that bucket READ ran on the object's own node — so the speculative
-    /// READ queued behind it (see the ordering rule at the posting site) —
-    /// and the READ itself succeeded: a faulted one is a misprediction.
-    fn validate(&mut self, (slot_addr, slot): &(RemoteAddr, Slot)) {
-        self.validated = self.landed == Some(true)
-            && self
-                .posted
-                .is_some_and(|(_, word)| word == slot.atomic.encode())
-            && slot_addr.mn_id == slot.atomic.object_addr().mn_id;
-    }
+/// Whether the slot whose leading bytes are `bytes` carries the atomic word
+/// `word`.  (The raw word is compared, so `RECONCILE_POISON` — which no
+/// remembered word equals — reads as changed without a special case.)
+fn slot_word_is(bytes: &[u8], word: u64) -> bool {
+    bytes[..8] == word.to_le_bytes()
 }
 
-/// The verbs that may share a pipelined lookup round's doorbell and
-/// completion queue with the two bucket READs: an eviction's sample READ
-/// (`Set`) and a speculative object READ (`Get`).
-struct Riders<'e, 's> {
-    evict: Option<&'e mut Eviction>,
-    spec: &'s mut SpecRead,
+/// One completed READ of the head of the slot at `slot_addr` into `buf` —
+/// all 40 bytes for a hinted lookup, the 8-byte atomic word alone for a
+/// local-tier lease revalidation — and whether the slot still carries `word`.
+/// A match proves no publish, eviction or relocation CAS touched the slot
+/// since `word` was seen there.  A faulted READ reads as changed: both
+/// callers fall back to the full lookup, which has a fault budget.
+pub(super) fn read_slot_word_is(
+    dm: &DmClient,
+    slot_addr: RemoteAddr,
+    word: u64,
+    buf: &mut [u8],
+) -> bool {
+    dm.try_read_into(slot_addr, buf).is_ok() && slot_word_is(buf, word)
 }
 
-impl Riders<'_, '_> {
-    /// Next completion of the round's own verbs; the riders' are booked on
-    /// their owners.
+/// The eviction whose sample READ may share a pipelined lookup round's
+/// doorbell and completion queue with the `Set`'s two bucket READs.
+struct Rider<'e>(Option<&'e mut Eviction>);
+
+impl Rider<'_> {
+    /// Next completion of the round's own verbs; the eviction's are booked
+    /// on it.
     fn poll(&mut self, dm: &DmClient) -> Completion {
         loop {
             let completion = dm.poll_cq().expect("bucket completion");
-            let ridden = self.spec.claims(&completion)
-                || self
-                    .evict
-                    .as_deref_mut()
-                    .is_some_and(|ev| ev.claims(&completion));
-            if !ridden {
+            if !self
+                .0
+                .as_deref_mut()
+                .is_some_and(|ev| ev.claims(&completion))
+            {
                 return completion;
             }
         }
     }
 
     /// Drains the round's stragglers and returns the first error among
-    /// them.  The drain cannot tell whose verb an error was, so it taints a
-    /// riding eviction too — except the speculative READ's, which is known
-    /// by its id and only ever costs the speculation.
+    /// them.  The drain cannot tell whose verb an error was, so it taints
+    /// the riding eviction too.
     fn drain(&mut self, dm: &DmClient) -> DmResult<usize> {
-        let (mut drained, mut first_err) = (0, None);
-        while let Some(completion) = dm.poll_cq() {
-            drained += 1;
-            if !self.spec.claims(&completion) && first_err.is_none() {
-                first_err = completion.status.check().err();
-            }
+        let drained = dm.try_drain_cq();
+        if let Some(ev) = self.0.as_deref_mut() {
+            ev.settle(drained.is_err());
         }
-        if let Some(ev) = self.evict.as_deref_mut() {
-            ev.settle(first_err.is_some());
-        }
-        first_err.map_or(Ok(drained), Err)
+        drained
     }
 }
 
 /// What a lookup found.
 pub(super) struct Lookup {
-    /// Every slot decoded, primary bucket first.
+    /// Every slot decoded, primary bucket first — of a hinted lookup that
+    /// held, the hinted slot alone.
     pub(super) slots: SearchSlots,
     /// The key's live slot, if any.
     pub(super) found: Option<(RemoteAddr, Slot)>,
-    /// The speculative object READ validated: the found slot's object is
-    /// already in `obj_buf`.
+    /// The caller's hint held: it names `found` exactly as it is.
+    pub(super) hint_held: bool,
+    /// The object READ rode behind a hinted slot READ that held: the found
+    /// slot's object is already in `obj_buf`.
     pub(super) object_landed: bool,
 }
 
@@ -201,6 +190,7 @@ impl Lookup {
         Lookup {
             slots,
             found,
+            hint_held: false,
             object_landed: false,
         }
     }
@@ -229,14 +219,31 @@ impl DittoClient {
         word: u64,
         hint_epoch: u64,
     ) {
-        let primary = self.table.bucket_addr(self.table.primary_bucket(hash));
-        let in_primary = primary.mn_id == slot_addr.mn_id
-            && (primary.offset..primary.offset + BUCKET_SIZE as u64).contains(&slot_addr.offset);
-        let hint = Hint {
-            word,
-            secondary: !in_primary,
-        };
-        self.hints.put(hash, hint, hint_epoch);
+        // Where the slot sits is read off its address under the live
+        // directory, primary bucket first (the secondary's index costs a
+        // second hash, and most slots are in the primary).
+        let hint = [false, true].into_iter().find_map(|secondary| {
+            let bucket = self.table.bucket_addr(self.hinted_bucket(hash, secondary));
+            bucket_holds(bucket, slot_addr).then(|| Hint {
+                word,
+                secondary,
+                slot: ((slot_addr.offset - bucket.offset) / SLOT_SIZE as u64) as u8,
+            })
+        });
+        match hint {
+            Some(hint) => self.hints.put(hash, hint, hint_epoch),
+            // A stripe cutover moved the bucket since `slot_addr` was
+            // translated: there is no place to name.
+            None => self.hints.forget(hash),
+        }
+    }
+
+    fn hinted_bucket(&self, hash: u64, secondary: bool) -> u64 {
+        if secondary {
+            self.table.secondary_bucket(hash)
+        } else {
+            self.table.primary_bucket(hash)
+        }
     }
 
     /// [`Self::hint_note`] for the `word` this client just CASed into the
@@ -246,16 +253,19 @@ impl DittoClient {
         self.hint_note(hash, slot_addr, word, hint_epoch);
     }
 
-    /// Reads the primary and secondary buckets — plus an optional piggybacked
-    /// object WRITE from the `Set` path — in one doorbell batch, and scans
-    /// the decoded slots (primary bucket first) for a live entry.
+    /// Looks `hash` up: READs the primary and secondary buckets — plus an
+    /// optional piggybacked object WRITE from the `Set` path — in one
+    /// doorbell batch, and scans the decoded slots (primary bucket first) for
+    /// a live entry.  A `Get` holding a `hint` first tries the one slot the
+    /// hint names instead ([`Self::search_hinted`]) and only falls back to
+    /// the buckets when that slot no longer holds the hinted word.
     ///
-    /// Both buckets are always fetched (the RACE-style lookup the paper
-    /// describes): with doorbell batching the second READ rides along almost
-    /// for free, and misses plus secondary hits need it anyway.  This trades
-    /// one extra RNIC message per primary-bucket hit against the round trip
-    /// the seed's short-circuit (primary first, secondary only on miss) paid
-    /// on every other lookup; see the ROADMAP note on a message-bound hybrid.
+    /// Without a hint both buckets are fetched (the RACE-style lookup the
+    /// paper describes): with doorbell batching the second READ rides along
+    /// almost for free, and misses plus secondary hits need it anyway.  This
+    /// trades one extra RNIC message per primary-bucket hit against the
+    /// round trip the seed's short-circuit (primary first, secondary only on
+    /// miss) paid on every other lookup.
     ///
     /// With `enable_doorbell_batching = false` the *identical* verb sequence
     /// is issued one round trip at a time — the ablation isolates batching
@@ -267,20 +277,16 @@ impl DittoClient {
     /// decode entirely (its completion is still drained; the READ already
     /// consumed its message either way).
     ///
-    /// Three optional riders share the pipelined round's doorbell: the
-    /// `Set`'s object `write`, the sample READ of an eviction running ahead
-    /// of it (`evict`), and — for a `Get` holding a `hint` — the object READ
-    /// itself, posted speculatively *behind* the bucket READs.  When the
-    /// found slot's word equals the hinted one the object is already in
-    /// `obj_buf` ([`Lookup::object_landed`]) and the `Get` skips its second
-    /// round trip; any other outcome discards the bytes, counts a wasted
-    /// READ, drops the hint and leaves the lookup exactly as without one.
+    /// Two optional riders share the pipelined round's doorbell: the `Set`'s
+    /// object `write`, and the sample READ of an eviction running ahead of
+    /// it (`evict`).
     ///
     /// When the adaptive hybrid has judged the run *message-bound*
-    /// (`enable_adaptive_lookup`), a `Get` lookup instead short-circuits:
-    /// primary bucket first, secondary only when the key is not there —
-    /// one RNIC message saved per primary-bucket hit, at the cost of a
-    /// second round trip on the other lookups.
+    /// (`enable_adaptive_lookup`), an unhinted `Get` lookup instead
+    /// short-circuits: primary bucket first, secondary only when the key is
+    /// not there — one RNIC message saved per primary-bucket hit, at the
+    /// cost of a second round trip on the other lookups.  (A hinted one is
+    /// already down to a single 40-byte READ.)
     ///
     /// Either way the lookup follows the migration redirect rules: bucket
     /// addresses translate through the live stripe directory, and the
@@ -294,28 +300,103 @@ impl DittoClient {
         evict: Option<&mut Eviction>,
         hint: Option<Hint>,
     ) -> DmResult<Lookup> {
-        let mut spec = SpecRead {
-            hint,
-            issued: false,
-            posted: None,
-            landed: None,
-            validated: false,
-        };
-        let riders = Riders {
-            evict,
-            spec: &mut spec,
-        };
-        let mut result = self.search_rounds(hash, fp, write, riders);
-        if spec.issued {
-            self.stats.record_spec_read(!spec.validated);
-            if !spec.validated {
-                self.hints.forget(hash);
+        if let Some(hint) = hint {
+            let held = self.search_hinted(hash, fp, hint);
+            self.stats.record_spec_read(held.is_none());
+            match held {
+                Some(lookup) => return Ok(lookup),
+                None => self.hints.forget(hash),
             }
         }
-        if let Ok(lookup) = &mut result {
-            lookup.object_landed = spec.validated;
-        }
-        result
+        self.search_rounds(hash, fp, write, Rider(evict))
+    }
+
+    /// The hinted lookup — *which* READs it issues is the same in all three
+    /// execution modes: one READ of the 40-byte slot the hint names, its
+    /// address re-translated through the stripe directory and the entry
+    /// token re-checked exactly like a bucket READ's.  The hint holds iff
+    /// the slot's atomic word still equals the hinted word (and the slot
+    /// passes [`Self::find_live`]'s test): `found` is then that fully
+    /// decoded slot, as if the buckets had been scanned.  Anything else — a
+    /// changed word, `RECONCILE_POISON`, a faulted READ, a moved token — is
+    /// a misprediction (`None`): it cost one round trip, and the caller
+    /// runs the unhinted lookup.  (Like `Set`'s replace, the hint takes the
+    /// key to live in one slot: it names that slot, not the first of
+    /// several a bucket scan would prefer.)
+    ///
+    /// On the pipelined path the object READ is posted behind the slot READ
+    /// on the same doorbell — the ordering rule: only when the object lives
+    /// on the slot's node, so both travel one queue pair, in order, and a
+    /// hint that holds is exactly the two dependent READs in their usual
+    /// order minus the wait between them ([`Lookup::object_landed`]).
+    /// Otherwise — and in the serial modes, which never read an object
+    /// before validating its slot — the slot READ goes alone, as a completed
+    /// round trip, and the `Get` fetches the object afterwards as without a
+    /// hint.
+    fn search_hinted(&mut self, hash: u64, fp: u8, hint: Hint) -> Option<Lookup> {
+        let bucket = self.hinted_bucket(hash, hint.secondary);
+        let token = self.table.bucket_entry_token(bucket);
+        let slot_addr = self.table.slot_addr(bucket, hint.slot as usize);
+        let translate_ns = self.dm.now_ns();
+        self.dm
+            .record_span(Phase::Translate, translate_ns, translate_ns, 0);
+        let object = AtomicField::decode(hint.word);
+        let rides = self.use_async() && object.object_addr().mn_id == slot_addr.mn_id;
+        let found = if rides {
+            let len = object.object_bytes() as usize;
+            if self.obj_buf.len() < len {
+                self.obj_buf.resize(len, 0);
+            }
+            {
+                let mut wq = self.dm.work_queue();
+                wq.post_read(slot_addr, &mut self.bucket_buf[..SLOT_SIZE], true);
+                wq.post_read(object.object_addr(), &mut self.obj_buf[..len], true);
+                wq.ring();
+            }
+            // In order on one queue pair: the slot completes first and is
+            // decoded while the object is still in flight.  Both completions
+            // are consumed whatever they say; a fault on either READ costs
+            // the hint, never the `Get`.
+            let landed = || {
+                let completion = self.dm.poll_cq().expect("hinted READ completion");
+                completion.status.is_ok()
+            };
+            let slot_ok = landed() && slot_word_is(&self.bucket_buf, hint.word);
+            let found = slot_ok.then(|| self.decode_hinted(slot_addr, hash, fp));
+            let object_ok = landed();
+            found.flatten().filter(|_| object_ok)
+        } else {
+            read_slot_word_is(
+                &self.dm,
+                slot_addr,
+                hint.word,
+                &mut self.bucket_buf[..SLOT_SIZE],
+            )
+            .then(|| self.decode_hinted(slot_addr, hash, fp))
+            .flatten()
+        };
+        let found = found.filter(|_| self.table.bucket_entry_token(bucket) == token)?;
+        let mut slots = SearchSlots::new();
+        slots.push(found);
+        Some(Lookup {
+            slots,
+            found: Some(found),
+            hint_held: true,
+            object_landed: rides,
+        })
+    }
+
+    /// Decodes the hinted slot out of the head of `bucket_buf` and puts it
+    /// to the test every scanned slot gets.
+    fn decode_hinted(
+        &self,
+        slot_addr: RemoteAddr,
+        hash: u64,
+        fp: u8,
+    ) -> Option<(RemoteAddr, Slot)> {
+        let slot = Slot::from_bytes(&self.bucket_buf[..SLOT_SIZE]);
+        self.charge_decode(1);
+        Self::find_live(&[(slot_addr, slot)], hash, fp)
     }
 
     fn search_rounds(
@@ -323,7 +404,7 @@ impl DittoClient {
         hash: u64,
         fp: u8,
         write: Option<(RemoteAddr, &[u8])>,
-        mut riders: Riders<'_, '_>,
+        mut rider: Rider<'_>,
     ) -> DmResult<Lookup> {
         let primary = self.table.primary_bucket(hash);
         let secondary = self.table.secondary_bucket(hash);
@@ -362,16 +443,6 @@ impl DittoClient {
             self.dm
                 .record_span(Phase::Translate, translate_ns, translate_ns, attempt as u32);
             let short_circuit = self.lookup_short_circuit && write.is_none();
-            // The one speculation decision: a hinted lookup's first round,
-            // on the pipelined path only.  The serial ablations and the
-            // message-bound short-circuit (which exists to *save* READs)
-            // never speculate.
-            let speculate = riders
-                .spec
-                .hint
-                .take()
-                .filter(|_| self.use_async() && !short_circuit);
-            (riders.spec.posted, riders.spec.landed) = (None, None);
             let mut slots = SearchSlots::new();
             if short_circuit {
                 // (Field-disjoint clock charges: `bucket_buf` stays borrowed
@@ -416,27 +487,6 @@ impl DittoClient {
                 self.dm
                     .record_span(Phase::Decode, t1 - decode_ns, t1, SLOTS_PER_BUCKET as u32);
             } else if self.use_async() {
-                // The ordering rule of the speculation: its READ is posted
-                // after the bucket READ that will vouch for it and only when
-                // the object lives on that bucket's node — same queue pair,
-                // in-order — so a validated speculation is exactly the two
-                // dependent READs in their usual order, minus the wait
-                // between them.
-                let speculate = speculate.and_then(|hint| {
-                    let object = AtomicField::decode(hint.word);
-                    let bucket = if hint.secondary {
-                        secondary_addr
-                    } else {
-                        primary_addr
-                    };
-                    (object.object_addr().mn_id == bucket.mn_id).then_some((hint.word, object))
-                });
-                if let Some((_, object)) = speculate {
-                    let len = object.object_bytes() as usize;
-                    if self.obj_buf.len() < len {
-                        self.obj_buf.resize(len, 0);
-                    }
-                }
                 // Pipelined lookup: post the object WRITE (if any)
                 // *unsignalled* — `Set` never waits for it — and both bucket
                 // READs signalled, behind one doorbell per distinct node.
@@ -452,14 +502,8 @@ impl DittoClient {
                     wr_secondary = wq.post_read(secondary_addr, secondary_buf, true);
                     // An eviction running ahead of this `Set` has its first
                     // sample READ share the lookup's doorbell.
-                    if let Some(ev) = riders.evict.as_deref_mut() {
+                    if let Some(ev) = rider.0.as_deref_mut() {
                         ev.ride(&mut wq, &mut self.sample_buf);
-                    }
-                    if let Some((word, object)) = speculate {
-                        let buf = &mut self.obj_buf[..object.object_bytes() as usize];
-                        let wr = wq.post_read(object.object_addr(), buf, true);
-                        riders.spec.posted = Some((wr, word));
-                        riders.spec.issued = true;
                     }
                     wq.ring();
                 }
@@ -474,7 +518,7 @@ impl DittoClient {
                 let mut secondary_done = false;
                 let mut round_err = None;
                 loop {
-                    let completion = riders.poll(&self.dm);
+                    let completion = rider.poll(&self.dm);
                     if let Err(e) = completion.status.check() {
                         round_err = Some(e);
                         break;
@@ -488,14 +532,14 @@ impl DittoClient {
                 if let Some(e) = round_err {
                     // Consume this round's stragglers so the next round's
                     // polling starts from an empty queue.
-                    let _ = riders.drain(&self.dm);
+                    let _ = rider.drain(&self.dm);
                     if retryable(&self.dm, &e) {
                         continue;
                     }
                     return Err(e);
                 }
                 if SampleFriendlyHashTable::bucket_tainted(&self.bucket_buf[..BUCKET_SIZE]) {
-                    if riders.drain(&self.dm).is_ok() {
+                    if rider.drain(&self.dm).is_ok() {
                         // The round's verbs all landed (an unsignalled
                         // WRITE that fails leaves an error completion), so
                         // poison retries re-read the buckets alone.
@@ -513,9 +557,8 @@ impl DittoClient {
                 if let Some(found) = Self::find_live(&slots, hash, fp) {
                     // A primary-bucket hit never needs the secondary's
                     // bytes; its completion is drained (by now usually in
-                    // the past, hidden behind the primary decode) — and so
-                    // is a speculative object READ's.
-                    match riders.drain(&self.dm) {
+                    // the past, hidden behind the primary decode).
+                    match rider.drain(&self.dm) {
                         Ok(_) => write = None,
                         Err(e) => {
                             if retryable(&self.dm, &e) {
@@ -525,29 +568,26 @@ impl DittoClient {
                         }
                     }
                     if self.table.bucket_entry_token(primary) == ptok || last {
-                        riders.spec.validate(&found);
                         return Ok(Lookup::new(slots, Some(found)));
                     }
                     attempt += 1;
                     continue;
                 }
                 if !secondary_done {
-                    let completion = riders.poll(&self.dm);
+                    let completion = rider.poll(&self.dm);
                     if let Err(e) = completion.status.check() {
-                        let _ = riders.drain(&self.dm);
+                        let _ = rider.drain(&self.dm);
                         if retryable(&self.dm, &e) {
                             continue;
                         }
                         return Err(e);
                     }
                 }
-                if write_rides || riders.spec.outstanding() {
+                if write_rides {
                     // A rider-WRITE error on a *different* node can land
                     // after both bucket completions; surface it now.
                     // Fault-free the queue is empty and this costs nothing.
-                    // A speculative READ (queued behind the secondary's) is
-                    // settled here too: it never outlives its round.
-                    match riders.drain(&self.dm) {
+                    match rider.drain(&self.dm) {
                         Ok(_) => write = None,
                         Err(e) => {
                             if retryable(&self.dm, &e) {
@@ -605,9 +645,6 @@ impl DittoClient {
                 || last
             {
                 let found = Self::find_live(&slots, hash, fp);
-                if let Some(found) = &found {
-                    riders.spec.validate(found);
-                }
                 return Ok(Lookup::new(slots, found));
             }
             attempt += 1;
@@ -624,16 +661,41 @@ impl DittoClient {
 
 #[cfg(test)]
 mod tests {
-    use super::{Hint, HintTable, HINT_ENTRIES};
+    use super::{Hint, HintTable, HINT_ENTRIES, HINT_EPOCH_BITS};
     use crate::cache::DittoCache;
+    use crate::client::DittoClient;
     use crate::config::DittoConfig;
     use crate::hash::fnv1a64;
-    use crate::slot::SLOTS_PER_BUCKET;
+    use crate::slot::{AtomicField, SLOTS_PER_BUCKET, SLOT_SIZE};
     use ditto_dm::DmConfig;
 
+    /// The three execution modes: pipelined, synchronous batches, one verb
+    /// at a time.
+    const MODES: [(bool, bool); 3] = [(true, true), (false, true), (false, false)];
+
+    fn cache_in_mode((async_completion, batching): (bool, bool)) -> DittoCache {
+        let config = DittoConfig::with_capacity(1_000)
+            .with_async_completion(async_completion)
+            .with_doorbell_batching(batching);
+        DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap()
+    }
+
     fn small_cache() -> DittoCache {
-        DittoCache::with_dedicated_pool(DittoConfig::with_capacity(1_000), DmConfig::default())
-            .unwrap()
+        cache_in_mode(MODES[0])
+    }
+
+    /// Times one `Get` of `key`, which must hit.
+    fn timed_get(client: &mut DittoClient, key: &[u8]) -> u64 {
+        let t0 = client.dm().now_ns();
+        assert!(client.get(key).is_some());
+        client.dm().now_ns() - t0
+    }
+
+    /// `key`'s current hint, as the next `Get` would look it up.
+    fn hint_of(client: &DittoClient, key: &[u8]) -> Option<Hint> {
+        let hash = fnv1a64(key);
+        let epoch = client.hint_epoch(hash, client.board.epoch(hash));
+        client.hints.get(hash, epoch)
     }
 
     #[test]
@@ -641,24 +703,45 @@ mod tests {
         let mut hints = HintTable::new();
         let (a, word) = (0xabcd_0000_1234_5678u64, 0x11u64);
         assert_eq!(hints.get(a, 7), None);
+        // The slot's place — bucket and index — comes back as it went in.
         for secondary in [false, true] {
-            let hint = Hint { word, secondary };
-            hints.put(a, hint, 7);
-            assert_eq!(hints.get(a, 7), Some(hint));
+            for slot in 0..SLOTS_PER_BUCKET as u8 {
+                let hint = Hint {
+                    word,
+                    secondary,
+                    slot,
+                };
+                hints.put(a, hint, 7);
+                assert_eq!(hints.get(a, 7), Some(hint));
+                // The board saw the key's slot mutate: the hint is filtered.
+                assert_eq!(hints.get(a, 8), None);
+                // The place took four of the stamp's bits: the epoch is
+                // compared modulo 2^28, and in no fewer bits than that.
+                assert_eq!(hints.get(a, 7 + (1 << HINT_EPOCH_BITS)), Some(hint));
+                assert_eq!(hints.get(a, 7 + (1 << (HINT_EPOCH_BITS - 1))), None);
+            }
         }
-        // The board saw the key's slot mutate: the hint is filtered.
-        assert_eq!(hints.get(a, 8), None);
+        let last = (1 << HINT_EPOCH_BITS) - 1;
+        let hint = Hint {
+            word,
+            secondary: true,
+            slot: 5,
+        };
+        hints.put(a, hint, last);
+        assert_eq!(hints.get(a, last), Some(hint));
+        assert_eq!(hints.get(a, last + 1), None, "the wrap is a change too");
         // Another key in the same entry is told apart by its tag, displaces
         // the resident one, and is not dropped on the other's behalf.
         let b = a ^ (1 << 40);
         assert_eq!(HintTable::index(a), HintTable::index(b));
-        assert_eq!(hints.get(b, 7), None);
+        assert_eq!(hints.get(b, last), None);
         let other = Hint {
             word: 0x22,
             secondary: false,
+            slot: 0,
         };
         hints.put(b, other, 3);
-        assert_eq!(hints.get(a, 7), None);
+        assert_eq!(hints.get(a, last), None);
         hints.forget(a);
         assert_eq!(hints.get(b, 3), Some(other));
         hints.forget(b);
@@ -671,130 +754,149 @@ mod tests {
     }
 
     #[test]
-    fn get_reads_both_buckets_plus_object() {
+    fn hinted_get_reads_its_slot_and_the_object_in_every_mode() {
+        // (READs, WRITEs, messages, bytes) of one Get, hinted and not.
+        let run = |mode| {
+            let cache = cache_in_mode(mode);
+            let mut client = cache.client();
+            client.set(b"probe", b"x"); // the publish CAS leaves the hint
+            let mut get = |hinted: bool| {
+                if !hinted {
+                    client.hints.forget(fnv1a64(b"probe"));
+                }
+                let issued = cache.stats().spec_reads_issued();
+                cache.pool().reset_stats();
+                assert!(client.get(b"probe").is_some());
+                assert_eq!(cache.stats().spec_reads_issued() - issued, hinted as u64);
+                let node = cache.pool().stats().node_snapshots()[0];
+                (node.reads, node.writes, node.messages, node.bytes)
+            };
+            let counts = (get(true), get(false));
+            assert_eq!(cache.stats().spec_reads_wasted(), 0);
+            counts
+        };
+        let pipelined = run(MODES[0]);
+        let (hinted, unhinted) = pipelined;
+        // The slot READ and the object READ, plus the `last_ts` WRITE —
+        // against both buckets, the object and the WRITE without a hint.
+        assert_eq!((hinted.0, hinted.1, hinted.2), (2, 1, 3));
+        assert_eq!((unhinted.0, unhinted.1, unhinted.2), (3, 1, 4));
+        // 40 bytes of slot instead of 640 of buckets.
+        assert_eq!(unhinted.3 - hinted.3, 2 * 320 - SLOT_SIZE as u64);
+        // Which READs a hinted Get issues is no mode's private business.
+        for mode in &MODES[1..] {
+            assert_eq!(run(*mode), pipelined, "{mode:?}");
+        }
+        // Pipelined, the hinted Get's two READs share one doorbell.
         let cache = small_cache();
         let mut client = cache.client();
         client.set(b"probe", b"x");
         cache.pool().reset_stats();
-        let _ = client.get(b"probe");
-        let reads = cache.pool().stats().node_snapshots()[0].reads;
-        assert_eq!(reads, 3, "expected 2 bucket READs + 1 object READ");
-        // The Set left a hint, so all three READs were issued behind a
-        // single doorbell: the object READ rode along speculatively.
-        assert_eq!(cache.pool().stats().doorbells(), 1);
-        assert_eq!(cache.pool().stats().batched_verbs(), 3);
-        assert_eq!(cache.stats().spec_reads_issued(), 1);
-        assert_eq!(cache.stats().spec_reads_wasted(), 0);
-    }
-
-    #[test]
-    fn pipelined_get_issues_identical_verbs_hinted_or_not() {
-        let run = |async_completion: bool| {
-            let config = DittoConfig::with_capacity(1_000).with_async_completion(async_completion);
-            let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
-            let mut client = cache.client();
-            client.set(b"probe", b"x");
-            cache.pool().reset_stats();
-            let _ = client.get(b"probe");
-            let snap = cache.pool().stats().node_snapshots()[0];
-            let stats = cache.pool().stats();
-            (
-                (snap.reads, snap.messages, stats.doorbells()),
-                stats.batched_verbs(),
-                cache.stats().spec_reads_issued(),
-            )
-        };
-        // Pipelining — the hinted Get's speculation included — changes when
-        // latency is charged, never what travels.  The doorbell count is the
-        // same as well: `PoolStats` counts posted rounds only, and the
-        // object READ the speculation folds into the lookup's doorbell was a
-        // synchronous verb (which rings none) before.
-        let (pipelined, behind_doorbell, speculated) = run(true);
-        let (synchronous, sync_behind_doorbell, sync_speculated) = run(false);
-        assert_eq!(pipelined, synchronous);
-        assert_eq!((behind_doorbell, sync_behind_doorbell), (3, 2));
-        assert_eq!((speculated, sync_speculated), (1, 0));
+        assert!(client.get(b"probe").is_some());
+        let stats = cache.pool().stats();
+        assert_eq!((stats.doorbells(), stats.batched_verbs()), (1, 2));
     }
 
     #[test]
     fn hinted_get_is_one_round_trip() {
-        let cache = small_cache();
-        let mut client = cache.client();
-        client.set(b"probe", b"x"); // the publish CAS leaves the hint
-        cache.pool().reset_stats();
-        let t0 = client.dm().now_ns();
-        assert_eq!(client.get(b"probe").as_deref(), Some(&b"x"[..]));
-        let elapsed = client.dm().now_ns() - t0;
         let (dm, decode) = (
             DmConfig::default(),
             DittoConfig::with_capacity(1).cpu_decode_slot_ns,
         );
-        // One doorbell carrying three READs, one flight, at most three polls
-        // and two bucket decodes: strictly less than two round trips.
-        let posting = dm.doorbell_latency_ns + 3 * dm.verb_issue_ns;
-        let flight = dm.transfer_latency_ns(dm.read_latency_ns, 1_024);
-        let cpu = 3 * dm.cq_poll_ns + 2 * SLOTS_PER_BUCKET as u64 * decode;
-        assert!(elapsed <= posting + flight + cpu, "{elapsed}");
-        assert!(elapsed < 2 * dm.read_latency_ns);
-        assert_eq!(cache.pool().stats().node_snapshots()[0].reads, 3);
-        let stats = cache.stats();
-        assert_eq!(
-            (stats.spec_reads_issued(), stats.spec_reads_wasted()),
-            (1, 0)
-        );
-        // The validated hit re-installed the hint: the next Get repeats it.
-        let t1 = client.dm().now_ns();
-        assert!(client.get(b"probe").is_some());
-        assert_eq!(client.dm().now_ns() - t1, elapsed);
-        assert_eq!(
-            (stats.spec_reads_issued(), stats.spec_reads_wasted()),
-            (2, 0)
-        );
+        // A one-block object, whose flight the slot's poll and decode
+        // outlast, and a 1 KiB one, which hides them.
+        for value in [&[1u8; 1][..], &[1u8; 1_024][..]] {
+            let cache = small_cache();
+            let mut client = cache.client();
+            client.set(b"probe", value);
+            let hint = hint_of(&client, b"probe").expect("the publish CAS leaves the hint");
+            let object_bytes = AtomicField::decode(hint.word).object_bytes() as usize;
+            cache.pool().reset_stats();
+            let elapsed = timed_get(&mut client, b"probe");
+            // One doorbell carrying two READs; the slot is polled and
+            // decoded while the object is in flight; one more poll.
+            let posting = dm.doorbell_latency_ns + 2 * dm.verb_issue_ns;
+            let slot = dm.transfer_latency_ns(dm.read_latency_ns, SLOT_SIZE);
+            let object = dm.transfer_latency_ns(dm.read_latency_ns, object_bytes);
+            let flight = object.max(slot + dm.cq_poll_ns + decode);
+            assert_eq!(
+                elapsed,
+                posting + flight + dm.cq_poll_ns,
+                "{object_bytes} B"
+            );
+            assert!(elapsed < 2 * dm.read_latency_ns);
+            assert_eq!(cache.pool().stats().node_snapshots()[0].reads, 2);
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.spec_reads_issued(), stats.spec_reads_wasted()),
+                (1, 0)
+            );
+            // The hint is as it was: the next Get repeats the feat.
+            assert_eq!(timed_get(&mut client, b"probe"), elapsed);
+            assert_eq!(
+                (stats.spec_reads_issued(), stats.spec_reads_wasted()),
+                (2, 0)
+            );
+        }
     }
 
     #[test]
-    fn stale_hint_costs_one_read_and_no_round_trip() {
-        let cache = small_cache();
-        let (mut client, mut writer) = (cache.client(), cache.client());
-        let hash = fnv1a64(b"probe");
-        client.set(b"probe", b"old");
-        let stale = client.hints.get(hash, 0).unwrap();
+    fn stale_hint_costs_the_unhinted_get_plus_one_slot_round_trip() {
+        for mode in MODES {
+            let cache = cache_in_mode(mode);
+            let (mut client, mut writer) = (cache.client(), cache.client());
+            let hash = fnv1a64(b"probe");
+            client.set(b"probe", b"old");
+            let stale = hint_of(&client, b"probe").unwrap();
+            let stale_object = AtomicField::decode(stale.word).object_bytes() as usize;
 
-        // What an unhinted Get costs.
-        client.hints.forget(hash);
-        let t0 = client.dm().now_ns();
-        assert!(client.get(b"probe").is_some());
-        let unhinted = client.dm().now_ns() - t0;
-        assert_eq!(cache.stats().spec_reads_issued(), 0);
+            // Another client replaces the value.  Its board bump filters
+            // the reader's hint…
+            writer.set(b"probe", b"new");
+            assert_eq!(hint_of(&client, b"probe"), None);
+            // …so this is what an unhinted Get costs…
+            cache.pool().reset_stats();
+            let unhinted = timed_get(&mut client, b"probe");
+            let unhinted_reads = cache.pool().stats().node_snapshots()[0].reads;
+            assert_eq!(unhinted_reads, 3);
+            assert_eq!(cache.stats().spec_reads_issued(), 0);
+            // …and this a Get misled by the stale word, re-stamped with the
+            // current epoch as if the writer sat in another process the
+            // board cannot see.
+            let hint_epoch = client.hint_epoch(hash, client.board.epoch(hash));
+            client.hints.put(hash, stale, hint_epoch);
+            cache.pool().reset_stats();
+            let t0 = client.dm().now_ns();
+            assert_eq!(client.get(b"probe").as_deref(), Some(&b"new"[..]));
+            let mispredicted = client.dm().now_ns() - t0;
 
-        // Another client replaces the value.  Its board bump would filter
-        // the reader's hint; re-stamp the stale word with the current epoch,
-        // as if the writer sat in another process the board cannot see.
-        writer.set(b"probe", b"new");
-        let hint_epoch = client.hint_epoch(hash, client.board.epoch(hash));
-        assert_eq!(client.hints.get(hash, hint_epoch), None);
-        client.hints.put(hash, stale, hint_epoch);
-        cache.pool().reset_stats();
-        let t0 = client.dm().now_ns();
-        assert_eq!(client.get(b"probe").as_deref(), Some(&b"new"[..]));
-        let mispredicted = client.dm().now_ns() - t0;
-
-        // The slot word no longer matched: the speculative bytes were
-        // discarded and the Get went on as without a hint — one READ more…
-        assert_eq!(cache.pool().stats().node_snapshots()[0].reads, 4);
-        let stats = cache.stats();
-        assert_eq!(
-            (stats.spec_reads_issued(), stats.spec_reads_wasted()),
-            (1, 1)
-        );
-        // …its posting and its poll, but no round trip.
-        let dm = DmConfig::default();
-        assert_eq!(mispredicted, unhinted + dm.verb_issue_ns + dm.cq_poll_ns);
-        // The hit installed the fresh word: the next Get speculates right.
-        assert!(client.get(b"probe").is_some());
-        assert_eq!(
-            (stats.spec_reads_issued(), stats.spec_reads_wasted()),
-            (2, 1)
-        );
+            // The slot no longer held the hinted word: the Get went on as
+            // without a hint, one completed round trip later.  Pipelined,
+            // the object READ behind the slot READ was wasted with it.
+            let dm = DmConfig::default();
+            let slot = dm.transfer_latency_ns(dm.read_latency_ns, SLOT_SIZE);
+            let (wasted_reads, round_trip) = if mode == MODES[0] {
+                let object = dm.transfer_latency_ns(dm.read_latency_ns, stale_object);
+                let posting = dm.doorbell_latency_ns + 2 * dm.verb_issue_ns;
+                let flight = object.max(slot + dm.cq_poll_ns);
+                (2, posting + flight + dm.cq_poll_ns)
+            } else {
+                (1, slot)
+            };
+            assert_eq!(mispredicted, unhinted + round_trip, "{mode:?}");
+            let reads = cache.pool().stats().node_snapshots()[0].reads;
+            assert_eq!(reads, unhinted_reads + wasted_reads, "{mode:?}");
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.spec_reads_issued(), stats.spec_reads_wasted()),
+                (1, 1)
+            );
+            // The hit installed the fresh word: the next Get is hinted right.
+            assert!(client.get(b"probe").is_some());
+            assert_eq!(
+                (stats.spec_reads_issued(), stats.spec_reads_wasted()),
+                (2, 1)
+            );
+        }
     }
 }

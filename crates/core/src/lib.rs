@@ -21,31 +21,41 @@
 //!
 //! # The one-round-trip `Get`
 //!
-//! A client-centric `Get` is two *dependent* round trips: READ both
-//! buckets, decode the slot's pointer, READ the object.  Every client keeps
-//! a fixed-size, direct-mapped, allocation-free **hint table** `key hash →
-//! last slot word seen` (2 MiB, a constant), and on the pipelined path a
-//! `Get` whose key has a hint posts the object READ *speculatively* behind
-//! the two bucket READs on the same doorbell.  When the freshly read bucket
-//! holds a live slot for the key whose atomic word **equals** the hint, the
-//! object bytes have already landed and the hit took one round trip; any
-//! other outcome (the key was replaced, evicted, relocated; the READ
-//! faulted) discards the bytes, counts one wasted READ
-//! ([`CacheStats::spec_reads_wasted`] of [`CacheStats::spec_reads_issued`]),
-//! drops the hint and continues exactly as an unhinted `Get` does.
+//! A client-centric `Get` is two *dependent* round trips and three READs:
+//! READ both buckets, decode the slot's pointer, READ the object.  Every
+//! client keeps a fixed-size, direct-mapped, allocation-free **hint table**
+//! `key hash → last slot word seen, and where` (2 MiB, a constant; *where*
+//! is one bit of bucket and three of slot index), and a `Get` whose key has
+//! a hint READs **that one 40-byte slot** instead of both 320-byte buckets —
+//! its address re-translated through the stripe directory and the entry
+//! token re-checked exactly like a bucket READ's.  When the slot's atomic
+//! word still **equals** the hint (and its hash and fingerprint are the
+//! key's), the lookup is done with that fully decoded slot; on the
+//! pipelined path the object READ was posted behind the slot READ on the
+//! same doorbell, so its bytes have already landed and the hit took two
+//! READs and one round trip.  Any other outcome (the key was replaced,
+//! evicted, relocated; the stripe moved; a READ faulted) is a misprediction
+//! ([`CacheStats::spec_reads_wasted`] of [`CacheStats::spec_reads_issued`]):
+//! it cost a round trip, the hint is dropped, and the `Get` continues
+//! exactly as an unhinted one does.
 //!
 //! Correctness rests on that word comparison alone, plus one ordering
-//! rule: the speculative READ is posted after the bucket READ that
-//! validates it, and only when the object lives on that bucket's node —
-//! same queue pair, in-order — so a validated speculation is the usual two
-//! READs in the usual order, minus the wait between them.  Hints are kept
+//! rule: the object READ is posted after the slot READ that validates it,
+//! and only when the object lives on the slot's node — same queue pair,
+//! in-order — so a hint that holds is the usual two dependent READs in the
+//! usual order, minus the wait between them.  An object off its slot's
+//! node is read after the slot has vouched for it, as without a hint — one
+//! message saved all the same.  *Which* READs a hinted `Get` issues is the
+//! policy in every execution mode: the serial ablation modes issue the slot
+//! READ and the object READ as completed round trips, and the
+//! message-bound short-circuit lookup steps aside for it (one slot READ is
+//! fewer messages than its primary-first bucket READ).  Hints are kept
 //! truthful for free where the client already knows the answer: every slot
 //! CAS it wins (publish, replace, sampling or bucket eviction, relocation)
-//! updates or drops the entry, a validated remote hit installs it, and the
+//! updates or drops the entry, an unhinted remote hit installs it, and the
 //! [`local_tier::CoherenceBoard`] epoch the `Get` already reads — less the
 //! client's own bumps — filters hints another in-process client staled
-//! before any verb is posted.  The serial ablation modes and the
-//! message-bound short-circuit lookup never speculate.
+//! before any verb is posted.
 //!
 //! # The `Set` path under memory pressure: evict-ahead
 //!
@@ -78,7 +88,10 @@
 //! in front of the remote data path — enabled with
 //! [`DittoConfig::with_local_tier`].  A `Get` that hits a lease-valid,
 //! coherent entry costs **zero network messages**; one whose lease expired
-//! costs a single 8-byte slot-word READ.  Coherence is two-layered: an
+//! costs a single 8-byte slot-word READ (at the raw slot address of
+//! admission: where a hint re-translates its slot's place through the stripe
+//! directory, the tier relies on the poison a stripe cutover leaves in the
+//! old copy's words reading as changed).  Coherence is two-layered: an
 //! in-process [`local_tier::CoherenceBoard`] of per-key-hash mutation
 //! epochs (bumped by every publish/eviction/invalidation CAS before the
 //! mutating op returns, making local hits linearizable against concurrent

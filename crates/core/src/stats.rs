@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// contention counters, they deliberately survive [`CacheStats::reset`] —
 /// coherence events (invalidations, stale rejects) are evidence in
 /// correctness post-mortems and must not vanish when a benchmark clears
-/// its interval counters.  So do the speculative-READ pair and
+/// its interval counters.  So do the hinted-lookup pair (`spec_reads_*`) and
 /// `gets_degraded`, which are read through accessors rather than
 /// [`CacheStatsSnapshot`] fields.
 #[derive(Debug, Default)]
@@ -131,9 +131,10 @@ impl CacheStats {
         self.local_stale_rejects.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a speculative object READ a hinted `Get` posted behind its
-    /// bucket READs; `wasted` when the freshly read slot word did not match
-    /// the hint (or the READ faulted) and the bytes were discarded.
+    /// Records a hinted lookup: a `Get` that read the one slot its hint
+    /// names (and, pipelined, the object behind it) instead of both buckets;
+    /// `wasted` when the slot no longer held the hinted word (or a READ
+    /// faulted, or the stripe moved) and the `Get` fell back to the buckets.
     pub fn record_spec_read(&self, wasted: bool) {
         self.spec_reads_issued.fetch_add(1, Ordering::Relaxed);
         if wasted {
@@ -147,14 +148,14 @@ impl CacheStats {
         self.gets_degraded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Speculative object READs posted (lifetime): each validated one is a
-    /// remote hit served in one round trip instead of two.
+    /// Hinted lookups issued (lifetime): each one that held is a remote hit
+    /// served with two READs instead of three — pipelined, in one round trip.
     pub fn spec_reads_issued(&self) -> u64 {
         self.spec_reads_issued.load(Ordering::Relaxed)
     }
 
-    /// Speculative object READs whose bytes were discarded (lifetime): the
-    /// one extra message a stale hint costs.
+    /// Hinted lookups that mispredicted (lifetime): each cost a round trip
+    /// and the READ(s) it carried before the unhinted lookup ran.
     pub fn spec_reads_wasted(&self) -> u64 {
         self.spec_reads_wasted.load(Ordering::Relaxed)
     }
@@ -202,7 +203,7 @@ impl CacheStats {
     }
 
     /// Resets every interval counter to zero.  The lifetime counters — the
-    /// `local_*` group, the speculative-READ pair, `gets_degraded` —
+    /// `local_*` group, the hinted-lookup pair, `gets_degraded` —
     /// survive by design (see the struct docs).
     pub fn reset(&self) {
         self.hits.store(0, Ordering::Relaxed);
