@@ -53,8 +53,7 @@ fn main() {
     let opts = parse_args();
     let all = [
         "fig1", "fig2", "fig3", "fig4", "fig5", "fig13", "fig14", "fig15", "fig16", "fig17",
-        "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24", "fig25", "corpus33",
-        "pipeline", "tab3",
+        "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24", "fig25", "corpus33", "tab3",
     ];
     let selected: Vec<&str> = if opts.figures.iter().any(|f| f == "all") {
         all.to_vec()
@@ -80,7 +79,6 @@ fn main() {
             "fig17" => fig17(opts.scale),
             "fig18" => fig18(opts.scale),
             "corpus33" => corpus33(opts.scale),
-            "pipeline" => pipeline(opts.scale),
             "fig19" => fig19(opts.scale),
             "fig20" => fig20(opts.scale),
             "fig21" => fig21(opts.scale),
@@ -92,63 +90,6 @@ fn main() {
             other => println!("unknown figure id: {other}"),
         }
     }
-}
-
-/// Data-path drill-down: the same seeded YCSB-C trace through the three
-/// completion modes — pipelined (posted WQEs + polled completions),
-/// synchronous doorbell batches and sequential round trips.  Behaviour
-/// (hits, misses, verbs) is identical across rows; only the charged
-/// latency moves, which is the §4.2 client-centric claim in isolation.
-fn pipeline(scale: f64) {
-    let spec = ycsb_spec(scale);
-    let capacity = spec.record_count * 7 / 10;
-    println!("completion-mode drill-down (YCSB-C, identical verbs per row)");
-    println!(
-        "{:>12} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "mode", "ops/s", "p50(us)", "p99(us)", "hits", "misses"
-    );
-    for (name, batching, async_completion) in [
-        ("pipelined", true, true),
-        ("batched", true, false),
-        ("unbatched", false, false),
-    ] {
-        let config = DittoConfig::with_capacity(capacity)
-            .with_doorbell_batching(batching)
-            .with_async_completion(async_completion);
-        let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
-        let mut client = cache.client();
-        let mut value = vec![0u8; spec.value_size as usize];
-        for key in 0..spec.record_count {
-            value.fill(key as u8);
-            client.set(&key.to_le_bytes(), &value);
-        }
-        client.dm().publish_clock();
-        cache.pool().reset_stats();
-        client.dm().reset_clock();
-        let baseline_ns = client.dm().now_ns();
-        let mut buf = Vec::with_capacity(spec.value_size as usize);
-        for request in spec.run_requests(YcsbWorkload::C) {
-            let key = request.key_bytes();
-            if !client.get_into(&key, &mut buf) {
-                value.fill(request.key as u8);
-                client.set(&key, &value);
-            }
-        }
-        client.flush();
-        let stats = cache.pool().stats();
-        let snap = cache.stats().snapshot();
-        let seconds = (client.dm().now_ns() - baseline_ns) as f64 / 1e9;
-        println!(
-            "{:>12} {:>12.0} {:>10.2} {:>10.2} {:>10} {:>10}",
-            name,
-            stats.ops() as f64 / seconds,
-            stats.latency().median_ns() as f64 / 1_000.0,
-            stats.latency().p99_ns() as f64 / 1_000.0,
-            snap.hits,
-            snap.misses,
-        );
-    }
-    println!("(pipelined = posted WQEs, unsignalled writes/FAAs, CPU work overlapping flights)");
 }
 
 fn ycsb_spec(scale: f64) -> YcsbSpec {

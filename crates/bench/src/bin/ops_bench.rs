@@ -1,44 +1,33 @@
-//! Get-heavy ops microbenchmark of the pipelined (posted-WQE), batched and
-//! sequential data paths, and of multi-memory-node striping.
+//! Get-heavy ops microbenchmark of the data path, and of multi-memory-node
+//! striping.
 //!
 //! Replays a seeded YCSB-C trace (gets with cache-aside fills) against a
-//! `DittoClient` three times — **pipelined** (doorbell batching + async
-//! completion polling), **batched** (synchronous doorbell batches) and
-//! **unbatched** (sequential round trips) — and reports simulated ops/s,
-//! verbs per op, doorbells per op, p50/p99 operation latency, the share of
-//! hits a hinted `Get` served from its one slot READ (beside the share of
-//! `Get`s whose hint mispredicted) and the READs a `Get` issues on average
-//! as JSON in `BENCH_ops.json`, so future changes can track the performance
+//! `DittoClient` and reports simulated ops/s, verbs per op, doorbells per
+//! op, p50/p99 operation latency, the share of hits a hinted `Get` served
+//! from its one slot READ (beside the share of `Get`s whose hint
+//! mispredicted) and the READs a `Get` issues on average as JSON in
+//! `BENCH_ops.json`, so future changes can track the performance
 //! trajectory.  A second section sweeps the pool from 1 to 8 memory nodes
-//! under a deliberately message-bound RNIC budget, in both completion
-//! modes: with the hash table, history shards and segments striped by the
-//! topology layer, the per-node message load — and therefore the simulated
-//! throughput ceiling — must scale with pool size (the fig 17/18
-//! elasticity claim), and the pipelined path must never fall below the
-//! synchronous-batched ceiling (pipelining buys latency and costs no
-//! messages).
+//! under a deliberately message-bound RNIC budget: with the hash table,
+//! history shards and segments striped by the topology layer, the per-node
+//! message load — and therefore the simulated throughput ceiling — must
+//! scale with pool size (the fig 17/18 elasticity claim).
 //!
-//! The process exits non-zero if the batched configuration does not deliver
-//! ≥1.05× simulated throughput over unbatched (a hinted `Get` is a slot READ
-//! then an object READ in both — two dependent round trips with nothing
-//! left to batch — so the win is down to the `Set`s and the unhinted
-//! lookups), if the pipelined path does not deliver ≥1.3× the batched
-//! throughput on the latency-bound section (hinted one-round-trip `Get`s
-//! included) and at least the batched throughput at every message-bound
-//! sweep point, if a pipelined `Get` issues 2.2 READs or more on average,
-//! if any configuration diverges in hit/miss counts (completion modes must
-//! never change cache behaviour), or if the message-bound sweep is not
-//! monotonically increasing from 1 to 4 nodes.
+//! The process exits non-zero if a `Get` issues 2.2 READs or more on
+//! average, or if the message-bound sweep is not monotonically increasing
+//! from 1 to 4 nodes.
 //!
-//! An observability section prices the flight recorder on the pipelined
-//! path: a fully armed row (within 10% of disarmed, in practice identical)
-//! and a 1-in-16 **sampled** row that must show exactly 0% simulated
-//! overhead with identical hit/miss/eviction counts — the deterministic
-//! sampling draw never touches the simulated clock.  The armed run also
-//! yields a `phase_attribution` section in `BENCH_ops.json`: per-phase
-//! p50/p99 from the pool's phase histograms plus critical-path shares from
+//! An observability section prices the flight recorder: a fully armed run
+//! (within 10% of disarmed, in practice identical) and a 1-in-16 **sampled**
+//! run that must show exactly 0% simulated overhead with identical
+//! hit/miss/eviction counts — the deterministic sampling draw never touches
+//! the simulated clock.  The armed run also yields a `phase_attribution`
+//! section in `BENCH_ops.json`: per-phase p50/p99 from the pool's phase
+//! histograms plus critical-path shares from
 //! [`ditto_dm::obs::attribution`], gated to sum to ≤ 100% of elapsed op
-//! time.  With `--trace PATH`, a Chrome-tracing document and a companion
+//! time — and `overlap_saved_us`, the wire time the posted verbs hid behind
+//! client work and each other, gated to be positive: what pipelining buys,
+//! read off the one run.  With `--trace PATH`, a Chrome-tracing document and a companion
 //! `PATH.prom`-style Prometheus exposition page are written for
 //! `obs_report` to analyze.
 //!
@@ -94,8 +83,7 @@ struct ModeReport {
     misses: u64,
     evictions: u64,
     /// Share of the hits a hinted `Get` served: its one slot READ found the
-    /// hinted word (pipelined, the object READ rode behind it — one round
-    /// trip).
+    /// hinted word (the object READ rode behind it — one round trip).
     hinted_hit_share: f64,
     /// Hints that mispredicted, as a share of all `Get`s.
     spec_wasted_share: f64,
@@ -169,25 +157,17 @@ impl PhaseBreakdown {
     }
 }
 
-fn run_mode(batching: bool, async_completion: bool, spec: &YcsbSpec, capacity: u64) -> ModeReport {
-    run_mode_recorded(batching, async_completion, spec, capacity, 0, 1).0
-}
-
-/// `run_mode` with an optional armed flight recorder (`recorder_spans > 0`)
-/// sampling one op in `sample_one_in`; returns the report, the obs
-/// self-accounting snapshot (span tally, sampling split) and — for armed
-/// runs — the per-phase latency/critical-path breakdown.
-fn run_mode_recorded(
-    batching: bool,
-    async_completion: bool,
+/// Replays the trace with an optional armed flight recorder
+/// (`recorder_spans > 0`) sampling one op in `sample_one_in`; returns the
+/// report, the obs self-accounting snapshot (span tally, sampling split) and
+/// — for armed runs — the per-phase latency/critical-path breakdown.
+fn run_recorded(
     spec: &YcsbSpec,
     capacity: u64,
     recorder_spans: usize,
     sample_one_in: u64,
 ) -> (ModeReport, ditto_dm::ObsSnapshot, Option<PhaseBreakdown>) {
-    let config = DittoConfig::with_capacity(capacity)
-        .with_doorbell_batching(batching)
-        .with_async_completion(async_completion);
+    let config = DittoConfig::with_capacity(capacity);
     let dm = DmConfig::default().with_flight_recorder_sampled(recorder_spans, sample_one_in);
     let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
     let mut client = cache.client();
@@ -269,7 +249,6 @@ fn run_mode_recorded(
 struct SweepPoint {
     nodes: u16,
     ops_per_sec: f64,
-    sync_batched_ops_per_sec: f64,
     sim_seconds: f64,
     total_messages: u64,
     max_node_messages: u64,
@@ -280,17 +259,11 @@ struct SweepPoint {
 /// and stretches elapsed time to the most-saturated resource, exactly like
 /// `RunReport` does — the ceiling is `max(client time, per-node messages /
 /// rate)`, so striping the message load over more nodes raises throughput.
-fn run_sweep_point(
-    nodes: u16,
-    async_completion: bool,
-    spec: &YcsbSpec,
-    capacity: u64,
-) -> SweepPoint {
+fn run_sweep_point(nodes: u16, spec: &YcsbSpec, capacity: u64) -> SweepPoint {
     let dm = DmConfig::default()
         .with_memory_nodes(nodes)
         .with_message_rate(SWEEP_MESSAGE_RATE);
-    let config = DittoConfig::with_capacity(capacity).with_async_completion(async_completion);
-    let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
+    let cache = DittoCache::with_dedicated_pool(DittoConfig::with_capacity(capacity), dm).unwrap();
     let mut client = cache.client();
 
     let mut value = vec![0u8; spec.value_size as usize];
@@ -323,21 +296,11 @@ fn run_sweep_point(
     SweepPoint {
         nodes,
         ops_per_sec: ops as f64 / sim_seconds,
-        sync_batched_ops_per_sec: 0.0,
         sim_seconds,
         total_messages: snaps.iter().map(|s| s.messages).sum(),
         max_node_messages,
         nic_bound: nic_seconds > client_seconds,
     }
-}
-
-/// One sweep point in both completion modes: the emitted `ops_per_sec` is
-/// the pipelined path, `sync_batched_ops_per_sec` the synchronous batch.
-fn run_sweep_pair(nodes: u16, spec: &YcsbSpec, capacity: u64) -> SweepPoint {
-    let sync = run_sweep_point(nodes, false, spec, capacity);
-    let mut point = run_sweep_point(nodes, true, spec, capacity);
-    point.sync_batched_ops_per_sec = sync.ops_per_sec;
-    point
 }
 
 /// One point of the concurrency section: `threads` OS threads, each with
@@ -613,8 +576,8 @@ fn tier_point_json(point: &TierPoint) -> String {
     )
 }
 
-/// One batching mode's trip through the online-resize timeline (fig 18 on
-/// the ops-bench workload): steady → add_node (pump interleaved with
+/// One trip through the online-resize timeline (fig 18 on the ops-bench
+/// workload): steady → add_node (pump interleaved with
 /// serving) → migrated → drain (pump interleaved) → drained-to-empty.
 #[derive(Debug, Clone)]
 struct ResizeReport {
@@ -685,12 +648,11 @@ fn resize_window(
     )
 }
 
-fn run_resize_mode(batching: bool, spec: &YcsbSpec, capacity: u64) -> ResizeReport {
+fn run_resize(spec: &YcsbSpec, capacity: u64) -> ResizeReport {
     let dm = DmConfig::default()
         .with_memory_nodes(2)
         .with_message_rate(SWEEP_MESSAGE_RATE);
-    let config = DittoConfig::with_capacity(capacity).with_doorbell_batching(batching);
-    let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
+    let cache = DittoCache::with_dedicated_pool(DittoConfig::with_capacity(capacity), dm).unwrap();
     let mut client = cache.client();
 
     let mut value = vec![0u8; spec.value_size as usize];
@@ -731,19 +693,19 @@ fn resize_json(report: &ResizeReport) -> String {
     format!(
         concat!(
             "{{\n",
-            "      \"steady_ops_per_sec\": {:.1},\n",
-            "      \"migrating_ops_per_sec\": {:.1},\n",
-            "      \"migrated_ops_per_sec\": {:.1},\n",
-            "      \"draining_ops_per_sec\": {:.1},\n",
-            "      \"drained_ops_per_sec\": {:.1},\n",
-            "      \"grow_stripes\": {},\n",
-            "      \"grow_objects\": {},\n",
-            "      \"shrink_stripes\": {},\n",
-            "      \"shrink_objects\": {},\n",
-            "      \"drained_residual_bytes\": {},\n",
-            "      \"drained_node_reads\": {},\n",
-            "      \"total_reads\": {}\n",
-            "    }}"
+            "    \"steady_ops_per_sec\": {:.1},\n",
+            "    \"migrating_ops_per_sec\": {:.1},\n",
+            "    \"migrated_ops_per_sec\": {:.1},\n",
+            "    \"draining_ops_per_sec\": {:.1},\n",
+            "    \"drained_ops_per_sec\": {:.1},\n",
+            "    \"grow_stripes\": {},\n",
+            "    \"grow_objects\": {},\n",
+            "    \"shrink_stripes\": {},\n",
+            "    \"shrink_objects\": {},\n",
+            "    \"drained_residual_bytes\": {},\n",
+            "    \"drained_node_reads\": {},\n",
+            "    \"total_reads\": {}\n",
+            "  }}"
         ),
         report.steady_ops_per_sec,
         report.migrating_ops_per_sec,
@@ -805,13 +767,11 @@ fn degraded_json(point: &DegradedPoint) -> String {
 fn sweep_json(point: &SweepPoint) -> String {
     format!(
         concat!(
-            "{{ \"nodes\": {}, \"ops_per_sec\": {:.1}, ",
-            "\"sync_batched_ops_per_sec\": {:.1}, \"simulated_seconds\": {:.6}, ",
+            "{{ \"nodes\": {}, \"ops_per_sec\": {:.1}, \"simulated_seconds\": {:.6}, ",
             "\"messages_total\": {}, \"max_node_messages\": {}, \"nic_bound\": {} }}"
         ),
         point.nodes,
         point.ops_per_sec,
-        point.sync_batched_ops_per_sec,
         point.sim_seconds,
         point.total_messages,
         point.max_node_messages,
@@ -978,31 +938,16 @@ fn main() {
         "ops_bench: YCSB-C, {requests} requests, {} records",
         spec.record_count
     );
-    let pipelined = run_mode(true, true, &spec, capacity);
+    let pipelined = run_recorded(&spec, capacity, 0, 1).0;
     eprintln!(
         "  pipelined: {:>12.0} ops/s  {:.2} verbs/op  {:.2} µs p50  {:.2} µs p99",
         pipelined.ops_per_sec, pipelined.verbs_per_op, pipelined.p50_us, pipelined.p99_us
     );
-    let batched = run_mode(true, false, &spec, capacity);
-    eprintln!(
-        "  batched:   {:>12.0} ops/s  {:.2} verbs/op  {:.2} µs p50  {:.2} µs p99",
-        batched.ops_per_sec, batched.verbs_per_op, batched.p50_us, batched.p99_us
-    );
-    let unbatched = run_mode(false, false, &spec, capacity);
-    eprintln!(
-        "  unbatched: {:>12.0} ops/s  {:.2} verbs/op  {:.2} µs p50  {:.2} µs p99",
-        unbatched.ops_per_sec, unbatched.verbs_per_op, unbatched.p50_us, unbatched.p99_us
-    );
-    let speedup = batched.ops_per_sec / unbatched.ops_per_sec;
-    let pipelined_speedup = pipelined.ops_per_sec / batched.ops_per_sec;
-    eprintln!("  batched/unbatched speedup:  {speedup:.3}x");
-    eprintln!("  pipelined/batched speedup:  {pipelined_speedup:.3}x");
 
-    // Armed flight recorder on the pipelined path: recording reads the
-    // simulated clock but never advances it, so the armed row must stay
-    // within 10% of the disarmed pipelined ops/s (in practice: identical).
-    let (armed, armed_obs, armed_breakdown) =
-        run_mode_recorded(true, true, &spec, capacity, 1 << 16, 1);
+    // Armed flight recorder: recording reads the simulated clock but never
+    // advances it, so the armed row must stay within 10% of the disarmed
+    // ops/s (in practice: identical).
+    let (armed, armed_obs, armed_breakdown) = run_recorded(&spec, capacity, 1 << 16, 1);
     let armed_spans = armed_obs.spans_recorded;
     let armed_overhead = (pipelined.ops_per_sec - armed.ops_per_sec) / pipelined.ops_per_sec;
     eprintln!(
@@ -1029,7 +974,7 @@ fn main() {
     // sampling draw is a pure hash off the simulated-clock path, so the row
     // must show **zero** simulated overhead — ops/s exactly equal to the
     // disarmed pipelined row — with identical cache behaviour.
-    let (sampled, sampled_obs, _) = run_mode_recorded(true, true, &spec, capacity, 1 << 16, 16);
+    let (sampled, sampled_obs, _) = run_recorded(&spec, capacity, 1 << 16, 16);
     eprintln!(
         "  sampled:   {:>12.0} ops/s  (1-in-16: {} ops sampled, {} skipped, {} spans)",
         sampled.ops_per_sec,
@@ -1056,8 +1001,8 @@ fn main() {
         sampled_obs.spans_recorded
     );
 
-    // Critical-path attribution of the armed pipelined run: where op time
-    // goes once overlap is serialized.  Exclusive charging means the
+    // Critical-path attribution of the armed run: where op time goes once
+    // overlap is serialized.  Exclusive charging means the
     // per-phase shares can never sum past 100% of elapsed op time.
     let attribution_table = armed_breakdown.expect("armed run must produce a phase breakdown");
     eprintln!(
@@ -1085,6 +1030,12 @@ fn main() {
         "critical-path shares must sum to <= 100% of elapsed op time, got {:.4}%",
         attribution_table.critical_share_total_pct
     );
+    // What pipelining buys, read off the one run: wire time that posted
+    // verbs spent hidden behind client work and each other.
+    assert!(
+        attribution_table.overlap_saved_us > 0.0,
+        "posted verbs must overlap something"
+    );
 
     if let Some(path) = &trace_path {
         write_trace(path);
@@ -1103,12 +1054,11 @@ fn main() {
     );
     let mut sweep = Vec::new();
     for nodes in [1u16, 2, 4, 8] {
-        let point = run_sweep_pair(nodes, &sweep_spec, capacity);
+        let point = run_sweep_point(nodes, &sweep_spec, capacity);
         eprintln!(
-            "  {} MN: {:>12.0} ops/s pipelined  {:>12.0} ops/s batched  max-node {:>8} msgs  ({})",
+            "  {} MN: {:>12.0} ops/s  max-node {:>8} msgs  ({})",
             point.nodes,
             point.ops_per_sec,
-            point.sync_batched_ops_per_sec,
             point.max_node_messages,
             if point.nic_bound {
                 "NIC-bound"
@@ -1119,9 +1069,9 @@ fn main() {
         sweep.push(point);
     }
 
-    // Online-resize window (fig 18 smoke): batched vs unbatched across an
-    // add → migrate → drain-to-empty timeline under the message-bound
-    // budget, gating that the drained node really reaches zero bytes.
+    // Online-resize window (fig 18 smoke): an add → migrate →
+    // drain-to-empty timeline under the message-bound budget, gating that
+    // the drained node really reaches zero bytes.
     let resize_spec = YcsbSpec {
         record_count: spec.record_count,
         request_count: (requests / 8).max(10_000),
@@ -1132,22 +1082,16 @@ fn main() {
         "ops_bench: resize window, {} requests/window, {} msg/s per NIC",
         resize_spec.request_count, SWEEP_MESSAGE_RATE
     );
-    let resize_batched = run_resize_mode(true, &resize_spec, capacity);
-    let resize_unbatched = run_resize_mode(false, &resize_spec, capacity);
-    for (name, r) in [
-        ("batched", &resize_batched),
-        ("unbatched", &resize_unbatched),
-    ] {
-        eprintln!(
-            "  {name:<10} steady {:>8.0}  migrating {:>8.0}  migrated {:>8.0}  draining {:>8.0}  drained {:>8.0} ops/s  (residual {} B)",
-            r.steady_ops_per_sec,
-            r.migrating_ops_per_sec,
-            r.migrated_ops_per_sec,
-            r.draining_ops_per_sec,
-            r.drained_ops_per_sec,
-            r.drained_residual_bytes,
-        );
-    }
+    let resize = run_resize(&resize_spec, capacity);
+    eprintln!(
+        "  steady {:>8.0}  migrating {:>8.0}  migrated {:>8.0}  draining {:>8.0}  drained {:>8.0} ops/s  (residual {} B)",
+        resize.steady_ops_per_sec,
+        resize.migrating_ops_per_sec,
+        resize.migrated_ops_per_sec,
+        resize.draining_ops_per_sec,
+        resize.drained_ops_per_sec,
+        resize.drained_residual_bytes,
+    );
 
     // Truly concurrent clients: aggregate throughput and tail latency for
     // 1/2/4/8 OS threads sharing one cache, with the pool's contention
@@ -1325,7 +1269,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"benchmark\": \"ops\",\n",
-            "  \"schema_version\": 3,\n",
+            "  \"schema_version\": 4,\n",
             "  \"git_describe\": \"{}\",\n",
             "  \"config_fingerprint\": \"{:016x}\",\n",
             "  \"workload\": \"ycsb-c\",\n",
@@ -1334,8 +1278,6 @@ fn main() {
             "  \"capacity_objects\": {},\n",
             "  \"modes\": {{\n",
             "    \"pipelined\": {},\n",
-            "    \"batched\": {},\n",
-            "    \"unbatched\": {},\n",
             "    \"armed_recorder\": {},\n",
             "    \"armed_sampled\": {}\n",
             "  }},\n",
@@ -1353,8 +1295,6 @@ fn main() {
             "    \"overlap_saved_us\": {:.3},\n",
             "    \"phases\": [\n      {}\n    ]\n",
             "  }},\n",
-            "  \"speedup\": {:.4},\n",
-            "  \"pipelined_speedup\": {:.4},\n",
             "  \"mn_sweep_message_rate\": {},\n",
             "  \"mn_sweep\": [\n    {}\n  ],\n",
             "  \"concurrency\": [\n    {}\n  ],\n",
@@ -1366,10 +1306,7 @@ fn main() {
             "    \"requests\": {},\n",
             "    \"points\": [\n      {}\n    ]\n",
             "  }},\n",
-            "  \"resize_window\": {{\n",
-            "    \"batched\": {},\n",
-            "    \"unbatched\": {}\n",
-            "  }}\n",
+            "  \"resize_window\": {}\n",
             "}}\n"
         ),
         describe,
@@ -1378,8 +1315,6 @@ fn main() {
         spec.record_count,
         capacity,
         mode_json(&pipelined),
-        mode_json(&batched),
-        mode_json(&unbatched),
         mode_json(&armed),
         mode_json(&sampled),
         armed_spans,
@@ -1398,8 +1333,6 @@ fn main() {
             .map(phase_row_json)
             .collect::<Vec<_>>()
             .join(",\n      "),
-        speedup,
-        pipelined_speedup,
         SWEEP_MESSAGE_RATE,
         sweep
             .iter()
@@ -1425,47 +1358,19 @@ fn main() {
             .map(tier_point_json)
             .collect::<Vec<_>>()
             .join(",\n      "),
-        resize_json(&resize_batched),
-        resize_json(&resize_unbatched),
+        resize_json(&resize),
     );
     std::fs::write("BENCH_ops.json", &json).expect("write BENCH_ops.json");
     println!("{json}");
 
-    // Acceptance gates: behaviour parity, the batching win and the
-    // pipelining win.
-    assert_eq!(
-        (batched.hits, batched.misses),
-        (unbatched.hits, unbatched.misses),
-        "hit/miss parity broken between batched and unbatched modes"
-    );
-    assert_eq!(
-        (pipelined.hits, pipelined.misses, pipelined.evictions),
-        (batched.hits, batched.misses, batched.evictions),
-        "hit/miss/eviction parity broken between pipelined and batched modes"
-    );
-    // 1.05, not the 1.3 of a Get that read both buckets (measured 1.09x): a
-    // hinted `Get` — 99 % of this trace's hits — is a slot READ then an
-    // object READ in both modes, two dependent round trips with no second
-    // bucket READ left to batch.  What batching still buys is the `Set`s'
-    // and the unhinted lookups'.
-    assert!(
-        speedup >= 1.05,
-        "doorbell batching must deliver >=1.05x simulated ops/s, measured {speedup:.3}x"
-    );
+    // Acceptance gates.
     assert!(
         pipelined.reads_per_get < 2.2,
         "a Get must issue fewer than 2.2 READs on average, measured {:.4}",
         pipelined.reads_per_get
     );
-    assert!(
-        pipelined_speedup >= 1.3,
-        "async completion (hinted one-round-trip Gets included) must deliver >=1.3x the \
-         synchronous batch's simulated ops/s, measured {pipelined_speedup:.4}x"
-    );
     // Striping gate: under a message-bound workload, simulated ops/s must
-    // increase monotonically from 1 to 4 memory nodes, and the pipelined
-    // path must reach at least the synchronous-batched ceiling at every
-    // pool size (pipelining costs no messages).
+    // increase monotonically from 1 to 4 memory nodes.
     for pair in sweep[..3].windows(2) {
         assert!(
             pair[1].ops_per_sec > pair[0].ops_per_sec,
@@ -1476,50 +1381,35 @@ fn main() {
             pair[1].ops_per_sec
         );
     }
-    for point in &sweep {
-        assert!(
-            point.ops_per_sec >= point.sync_batched_ops_per_sec * 0.999,
-            "{} MN: pipelined ({:.0} ops/s) must be >= synchronous-batched ({:.0} ops/s)",
-            point.nodes,
-            point.ops_per_sec,
-            point.sync_batched_ops_per_sec
-        );
-    }
-    // Resize-window gates, in both batching modes: (a) the pumped drain
-    // empties the node completely (and lookup READs leave it), and (b) the
-    // migrated pool's message-bound ceiling is higher than the pre-resize
-    // steady state — the bucket ranges really spread onto the joiner.
-    for (name, r) in [
-        ("batched", &resize_batched),
-        ("unbatched", &resize_unbatched),
-    ] {
-        assert_eq!(
-            r.drained_residual_bytes, 0,
-            "{name}: drained node must reach zero resident object bytes"
-        );
-        assert!(
-            r.grow_stripes > 0 && r.shrink_stripes > 0,
-            "{name}: both resize phases must actually move stripes \
-             (grow {}, shrink {})",
-            r.grow_stripes,
-            r.shrink_stripes
-        );
-        // >= 95% of READ messages on active nodes: only the (tiny, fixed)
-        // history-shard counters still answer from the drained node; every
-        // bucket and object READ has left it.
-        assert!(
-            r.drained_node_reads * 20 < r.total_reads,
-            "{name}: drained node still serves {}/{} READs (must be < 5%)",
-            r.drained_node_reads,
-            r.total_reads
-        );
-        assert!(
-            r.migrated_ops_per_sec > r.steady_ops_per_sec * 1.1,
-            "{name}: migration must raise the message-bound ceiling: {:.0} -> {:.0}",
-            r.steady_ops_per_sec,
-            r.migrated_ops_per_sec
-        );
-    }
+    // Resize-window gates: (a) the pumped drain empties the node completely
+    // (and lookup READs leave it), and (b) the migrated pool's message-bound
+    // ceiling is higher than the pre-resize steady state — the bucket ranges
+    // really spread onto the joiner.
+    assert_eq!(
+        resize.drained_residual_bytes, 0,
+        "drained node must reach zero resident object bytes"
+    );
+    assert!(
+        resize.grow_stripes > 0 && resize.shrink_stripes > 0,
+        "both resize phases must actually move stripes (grow {}, shrink {})",
+        resize.grow_stripes,
+        resize.shrink_stripes
+    );
+    // >= 95% of READ messages on active nodes: only the (tiny, fixed)
+    // history-shard counters still answer from the drained node; every
+    // bucket and object READ has left it.
+    assert!(
+        resize.drained_node_reads * 20 < resize.total_reads,
+        "drained node still serves {}/{} READs (must be < 5%)",
+        resize.drained_node_reads,
+        resize.total_reads
+    );
+    assert!(
+        resize.migrated_ops_per_sec > resize.steady_ops_per_sec * 1.1,
+        "migration must raise the message-bound ceiling: {:.0} -> {:.0}",
+        resize.steady_ops_per_sec,
+        resize.migrated_ops_per_sec
+    );
     // Concurrency gates: (a) aggregate simulated ops/s must be monotone
     // non-decreasing from 1 to 4 client threads — more clients on one
     // shared cache must scale until a shared resource saturates; (b) the

@@ -3,53 +3,46 @@
 //!
 //! One `DittoClient` is owned by each application thread.  All data-path
 //! operations use only one-sided verbs against the memory pool, and the
-//! independent verbs of each step are issued together behind one RNIC
-//! doorbell (see `ditto_dm::batch` and `ditto_dm::wqe`):
+//! independent verbs of each step are posted together behind one RNIC
+//! doorbell per node (see `ditto_dm::wqe`):
 //!
-//! * **Get** — one doorbell batch `RDMA_READ`ing the primary *and* secondary
-//!   buckets — or, when the client holds a hint of where the key's slot is
-//!   and what word it held, one `RDMA_READ` of that 40-byte slot alone (see
-//!   the crate docs) — and one `RDMA_READ` of the object, posted behind a
-//!   hinted slot READ on the same doorbell; then an asynchronous
+//! * **Get** — one doorbell carrying `RDMA_READ`s of the primary *and*
+//!   secondary buckets — or, when the client holds a hint of where the key's
+//!   slot is and what word it held, one `RDMA_READ` of that 40-byte slot
+//!   alone (see the crate docs) — and one `RDMA_READ` of the object, posted
+//!   behind a hinted slot READ on the same doorbell; then an asynchronous
 //!   `RDMA_WRITE` of the stateless access information and a
 //!   (frequency-counter-cached) `RDMA_FAA` of the access count.
-//! * **Set** — one doorbell batch carrying the object `RDMA_WRITE` together
-//!   with both bucket `RDMA_READ`s, an `RDMA_CAS` of the slot's atomic
-//!   field, plus the asynchronous metadata write.
+//! * **Set** — one doorbell carrying the object `RDMA_WRITE` together with
+//!   both bucket `RDMA_READ`s, an `RDMA_CAS` of the slot's atomic field,
+//!   plus the asynchronous metadata write.
 //! * **Eviction** — one `RDMA_READ` sampling K consecutive slots (or, in the
-//!   scattered-metadata ablation, one doorbell batch of K slot READs), a
+//!   scattered-metadata ablation, one doorbell carrying K slot READs), a
 //!   per-expert priority evaluation, a weighted victim choice, an `RDMA_FAA`
 //!   on the global history counter and an `RDMA_CAS` converting the victim
 //!   slot into an embedded history entry — run *ahead* of the evicting
 //!   `Set`, beside its lookup and publish (see the crate docs).
 //!
-//! With `enable_async_completion` (the default) each step runs on the
-//! **posted-WQE/polled-completion** model instead of a synchronous batch:
-//! the lookup posts both bucket READs, polls the primary's completion and
+//! This is the **one data path**: posted WQEs, polled completions
+//! (`work_queue()` → `ring()` → `poll_cq()`), with a synchronous single-verb
+//! call where a step has one verb and nothing to overlap it with.  The
+//! lookup posts both bucket READs, polls the primary's completion and
 //! decodes it *while the secondary is still in flight*; `Set` posts its
 //! object WRITE unsignalled (never waited for) next to the bucket READs; a
 //! hinted `Get`'s object READ flies with the slot READ that validates it;
 //! a hit's due frequency-counter FAA rides unsignalled next to the object
 //! READ; and an eviction's sample READ and history FAA fly while its `Set`
-//! looks up and publishes.  The verb sequence — and therefore cache behaviour
-//! and message counts — is byte-identical to the synchronous batch (see
-//! `tests/async_parity.rs`; a mispredicted hint alone differs, wasting the
-//! object READ behind its slot READ too, which a single client never pays —
-//! `tests/spec_read.rs`); only the
-//! charged latency shrinks, because waits and the client CPU work
+//! looks up and publishes.  Waits and the client CPU work
 //! (`cpu_decode_slot_ns` per slot, `cpu_score_candidate_ns` per candidate)
 //! overlap the flights, and `end_op` simply drains whatever is still
-//! outstanding.  `enable_async_completion = false` keeps the
-//! synchronous post-all/wait-all doorbell batches — the ablation the
-//! pipelined path is measured against.
+//! outstanding.  `tests/data_path_golden.rs` pins two seeded replays of it
+//! to the nanosecond.
 //!
 //! The data path is **allocation-free in steady state**: bucket and sample
 //! bytes land in per-client scratch buffers, slots decode from borrowed
 //! bytes into fixed-capacity [`InlineVec`]s, objects decode through
 //! [`object::view`] without copying, and [`DittoClient::get_into`] writes
-//! the value into a caller-provided buffer.  `enable_doorbell_batching =
-//! false` issues the identical verb sequence one round trip at a time — the
-//! ablation quantified by the `ops_bench` microbenchmark.
+//! the value into a caller-provided buffer.
 //!
 //! With the hash table striped over several memory nodes (see
 //! `ditto_dm::topology` and [`crate::hashtable`]), the verbs of one batch
@@ -176,8 +169,8 @@ pub struct DittoClient {
     alloc: StripedAllocator,
     fc: FcCache,
     /// Last slot word seen per key hash, and where: lets a `Get` READ that
-    /// one slot — and, pipelined, the object right behind it — instead of
-    /// both buckets (see [`lookup`]).
+    /// one slot — and the object right behind it — instead of both buckets
+    /// (see [`lookup`]).
     hints: HintTable,
     /// This client's own bumps of each [`CoherenceBoard`] slot.  Its own slot
     /// CASes keep its hints exact, so a hint is stamped with — and filtered
@@ -210,14 +203,6 @@ pub struct DittoClient {
     /// operation; a bump since then means a cutover raced the operation
     /// (client redirect rule 3 of `ditto_dm::migration`).
     mig_token: u64,
-    /// Adaptive message-bound lookup hybrid: whether lookups currently
-    /// short-circuit after a primary-bucket hit (re-judged every
-    /// `adaptive_lookup_interval` operations from the pool's message
-    /// counters).
-    lookup_short_circuit: bool,
-    lookup_ops: u64,
-    last_decision_messages: Vec<u64>,
-    last_decision_clock_ns: u64,
     use_extension: bool,
     /// Set once an allocation has seen the pool full; under pressure the
     /// client evicts and recycles locally instead of paying a doomed
@@ -311,10 +296,6 @@ impl DittoClient {
             topo_epoch,
             engine: cache.migration_arc(),
             mig_token: 0,
-            lookup_short_circuit: false,
-            lookup_ops: 0,
-            last_decision_messages: Vec::new(),
-            last_decision_clock_ns: 0,
             mem_pressure: false,
             pending_alloc_blocks: 0,
             alloc_abandoned: false,
@@ -359,7 +340,6 @@ impl DittoClient {
     /// allocation-free.
     pub fn get_into(&mut self, key: &[u8], out: &mut Vec<u8>) -> bool {
         self.maybe_refresh_topology();
-        self.maybe_update_lookup_mode();
         self.mig_token = self.table.directory().version();
         self.dm.begin_op();
         let hit = self.get_inner(key, out);
@@ -410,42 +390,6 @@ impl DittoClient {
             // failing allocation anyway.
             self.mem_pressure = false;
         }
-    }
-
-    /// Re-judges the adaptive lookup hybrid from the pool's message
-    /// counters: when the most-loaded RNIC would need longer to serve the
-    /// interval's messages than the clients took to issue them, the run is
-    /// message-bound and lookups switch to the short-circuiting mode
-    /// (primary bucket first, secondary only on a primary miss); otherwise
-    /// the batched both-bucket fetch wins on latency.
-    fn maybe_update_lookup_mode(&mut self) {
-        if !self.config.enable_adaptive_lookup {
-            return;
-        }
-        self.lookup_ops += 1;
-        if self.lookup_ops < self.config.adaptive_lookup_interval {
-            return;
-        }
-        self.lookup_ops = 0;
-        let snaps = self.dm.pool().stats().node_snapshots();
-        let now = self.dm.now_ns();
-        let max_delta = snaps
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                s.messages
-                    .saturating_sub(self.last_decision_messages.get(i).copied().unwrap_or(0))
-            })
-            .max()
-            .unwrap_or(0);
-        let elapsed_ns = now.saturating_sub(self.last_decision_clock_ns).max(1);
-        let nic_ns =
-            max_delta.saturating_mul(1_000_000_000) / self.dm.config().mn_message_rate.max(1);
-        self.lookup_short_circuit = nic_ns > elapsed_ns;
-        self.last_decision_messages.clear();
-        self.last_decision_messages
-            .extend(snaps.iter().map(|s| s.messages));
-        self.last_decision_clock_ns = now;
     }
 
     // ------------------------------------------------------------------
@@ -613,19 +557,12 @@ impl DittoClient {
         }
     }
 
-    /// Whether the pipelined posted-WQE completion path is active.  Async
-    /// completion rides on doorbell batching; with batching disabled the
-    /// sequential ablation path runs regardless.
-    fn use_async(&self) -> bool {
-        self.config.enable_async_completion && self.config.enable_doorbell_batching
-    }
-
     /// Charges the client CPU cost of decoding `slots` hash-table slots.
-    /// Charged identically in both completion modes; on the pipelined path
-    /// it overlaps in-flight transfers — which is exactly what the
-    /// critical-path attribution ([`ditto_dm::obs::attribution`]) makes
-    /// visible: decode time outranks the concurrent flight span, so the
-    /// overlapped wire time drops out of the op's serialized total.  The
+    /// Between a doorbell and the poll of its completions it overlaps the
+    /// in-flight transfers — which is exactly what the critical-path
+    /// attribution ([`ditto_dm::obs::attribution`]) makes visible: decode
+    /// time outranks the concurrent flight span, so the overlapped wire
+    /// time drops out of the op's serialized total.  The
     /// span also feeds the `phase="decode"` latency histogram when the op
     /// survived the recorder's sampling draw.
     fn charge_decode(&self, slots: usize) {
@@ -1040,7 +977,7 @@ impl DittoClient {
                     degrade_to_miss(self);
                     return false;
                 }
-            } else if self.use_async() {
+            } else {
                 // The due FAA flushes ride the posting round *unsignalled*:
                 // the client waits for the object bytes only, never for the
                 // (slower) atomics.
@@ -1072,24 +1009,6 @@ impl DittoClient {
                 }
                 if let Some(_e) = read_err {
                     let _ = self.dm.try_drain_cq();
-                    degrade_to_miss(self);
-                    return false;
-                }
-            } else {
-                let mut batch = self.dm.batch();
-                batch
-                    .read_into(slot.atomic.object_addr(), &mut self.obj_buf[..obj_len])
-                    .expect("an object batch holds few verbs");
-                for (addr, delta) in flushes {
-                    batch
-                        .faa(addr, delta)
-                        .expect("an object batch holds few verbs");
-                }
-                let batch_result = batch.try_execute_mode(self.config.enable_doorbell_batching);
-                for _ in 0..flushes.len() {
-                    self.stats.record_fc_flush();
-                }
-                if batch_result.is_err() {
                     degrade_to_miss(self);
                     return false;
                 }
@@ -2261,8 +2180,6 @@ impl ditto_workloads::CacheBackend for DittoClient {
 mod tests {
     use crate::cache::DittoCache;
     use crate::config::DittoConfig;
-    use crate::hash::fnv1a64;
-    use crate::slot::SLOTS_PER_BUCKET;
     use ditto_dm::DmConfig;
 
     fn small_cache(capacity: u64) -> DittoCache {
@@ -2430,59 +2347,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_get_charges_less_latency_than_unbatched() {
-        let run = |batched: bool| {
-            let config = DittoConfig::with_capacity(1_000).with_doorbell_batching(batched);
-            let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
-            let mut client = cache.client();
-            client.set(b"probe", b"x");
-            let before = client.dm().now_ns();
-            let mut buf = Vec::new();
-            for _ in 0..100 {
-                assert!(client.get_into(b"probe", &mut buf));
-            }
-            client.dm().now_ns() - before
-        };
-        let batched = run(true);
-        let unbatched = run(false);
-        assert!(
-            batched * 10 < unbatched * 8,
-            "batching should cut hit latency by >20%: {batched} vs {unbatched}"
-        );
-    }
-
-    #[test]
-    fn pipelined_get_charges_strictly_less_than_the_synchronous_batch() {
-        // With non-zero post-to-poll CPU work (the default decode cost), a
-        // pipelined Get must charge strictly less simulated latency than the
-        // synchronous doorbell batch: the primary-bucket decode hides behind
-        // the secondary READ's flight, and a hit never pays the secondary
-        // decode at all.
-        let run = |async_completion: bool| {
-            let config = DittoConfig::with_capacity(1_000).with_async_completion(async_completion);
-            assert!(
-                config.cpu_decode_slot_ns > 0,
-                "the default models decode CPU work"
-            );
-            let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
-            let mut client = cache.client();
-            client.set(b"probe", b"x");
-            let before = client.dm().now_ns();
-            let mut buf = Vec::new();
-            for _ in 0..100 {
-                assert!(client.get_into(b"probe", &mut buf));
-            }
-            client.dm().now_ns() - before
-        };
-        let pipelined = run(true);
-        let synchronous = run(false);
-        assert!(
-            pipelined < synchronous,
-            "posted completions must beat the synchronous batch: {pipelined} vs {synchronous}"
-        );
-    }
-
-    #[test]
     fn pipelined_hit_with_due_flush_rides_the_faa_unsignalled() {
         let mut config = DittoConfig::with_capacity(1_000);
         config.fc_threshold = 1; // every hit flushes its counter increment
@@ -2508,37 +2372,25 @@ mod tests {
         // the READ's completion lands *after* the secondary's (per-node
         // in-order queue pairs), so the lookup must match wr_ids instead of
         // assuming arrival order.  Exercised on a striped pool with large
-        // values; behaviour must stay identical to the synchronous batch.
-        let run = |async_completion: bool| {
-            let config = DittoConfig::with_capacity(500)
-                .with_object_size(1_024)
-                .with_async_completion(async_completion);
-            let cache =
-                DittoCache::with_dedicated_pool(config, DmConfig::default().with_memory_nodes(4))
-                    .unwrap();
-            let mut client = cache.client();
-            let value = vec![7u8; 1_024];
-            for i in 0..200u64 {
-                client.set(format!("big{i}").as_bytes(), &value);
-            }
-            for i in 0..200u64 {
-                assert_eq!(
-                    client.get(format!("big{i}").as_bytes()).as_deref(),
-                    Some(&value[..]),
-                    "big{i}"
-                );
-            }
-            let messages: u64 = cache
-                .pool()
-                .stats()
-                .node_snapshots()
-                .iter()
-                .map(|s| s.messages)
-                .sum();
-            let snap = cache.stats().snapshot();
-            (messages, snap.hits, snap.misses)
-        };
-        assert_eq!(run(true), run(false));
+        // values: every one of them must read back.
+        let config = DittoConfig::with_capacity(500).with_object_size(1_024);
+        let cache =
+            DittoCache::with_dedicated_pool(config, DmConfig::default().with_memory_nodes(4))
+                .unwrap();
+        let mut client = cache.client();
+        let value = vec![7u8; 1_024];
+        for i in 0..200u64 {
+            client.set(format!("big{i}").as_bytes(), &value);
+        }
+        for i in 0..200u64 {
+            assert_eq!(
+                client.get(format!("big{i}").as_bytes()).as_deref(),
+                Some(&value[..]),
+                "big{i}"
+            );
+        }
+        let snap = cache.stats().snapshot();
+        assert_eq!((snap.hits, snap.misses), (200, 0));
     }
 
     #[test]
@@ -2982,64 +2834,6 @@ mod tests {
         // Finish the drain cleanly for good measure.
         cache.pump_migration();
         assert_eq!(cache.pool().resident_object_bytes(1), 0);
-    }
-
-    #[test]
-    fn adaptive_lookup_short_circuits_only_when_message_bound() {
-        // READs of a hinted Get, of an unhinted primary-bucket hit and of
-        // an unhinted secondary-bucket hit.
-        let run = |message_rate: u64| {
-            let mut config = DittoConfig::with_capacity(1_000).with_adaptive_lookup(true);
-            config.adaptive_lookup_interval = 8;
-            let dm = DmConfig::default().with_message_rate(message_rate);
-            let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
-            let mut client = cache.client();
-            // Nine keys sharing a primary bucket: eight fill it, the ninth's
-            // slot goes to its secondary bucket.
-            let bucket_of = |key: &String| client.table.primary_bucket(fnv1a64(key.as_bytes()));
-            let target = bucket_of(&"key0".to_string());
-            let keys: Vec<String> = (0..)
-                .map(|i| format!("key{i}"))
-                .filter(|key| bucket_of(key) == target)
-                .take(SLOTS_PER_BUCKET + 1)
-                .collect();
-            for key in &keys {
-                client.set(key.as_bytes(), b"x");
-            }
-            // Enough lookups to trip at least one bottleneck re-evaluation.
-            for _ in 0..32 {
-                let _ = client.get(keys[0].as_bytes());
-            }
-            let mut reads = |key: &String, hinted: bool| {
-                if !hinted {
-                    client.hints.forget(fnv1a64(key.as_bytes()));
-                }
-                cache.pool().reset_stats();
-                assert!(client.get(key.as_bytes()).is_some());
-                cache.pool().stats().node_snapshots()[0].reads
-            };
-            [
-                reads(&keys[0], true),
-                reads(&keys[0], false),
-                reads(&keys[SLOTS_PER_BUCKET], false),
-            ]
-        };
-        // Pathologically message-bound: the hybrid short-circuits, so an
-        // unhinted primary-bucket hit costs 1 bucket READ + 1 object READ
-        // and only a secondary-bucket hit pays for both buckets.  A hinted
-        // Get reads its one slot, not a bucket, whatever the mode says.
-        assert_eq!(
-            run(1),
-            [2, 2, 3],
-            "message-bound lookups must skip the secondary bucket"
-        );
-        // Latency-bound (default RNIC budget): the batched both-bucket
-        // fetch stays, costing 2 bucket READs + 1 object READ unhinted.
-        assert_eq!(
-            run(40_000_000),
-            [2, 3, 3],
-            "latency-bound lookups keep the batched fetch"
-        );
     }
 
     #[test]

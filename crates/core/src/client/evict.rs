@@ -9,7 +9,7 @@ use crate::hashtable::SampleFriendlyHashTable;
 use crate::history::EvictionHistory;
 use crate::inline::InlineVec;
 use crate::slot::{AtomicField, Slot, SLOT_SIZE};
-use ditto_dm::batch::MAX_BATCH;
+use ditto_dm::wqe::MAX_WQES;
 use ditto_dm::{Completion, Phase, RemoteAddr, WorkQueue};
 use rand::Rng;
 use std::ops::Range;
@@ -30,10 +30,9 @@ enum EvictWait {
 /// [`DittoClient::evict_advance`] — the one eviction routine — works on.
 /// Run without pausing it is the inline eviction, every verb waited for in
 /// turn.  An eviction running *ahead* of a `Set` (see the crate docs) is
-/// paused after each verb it issues, so the sample READ shares the lookup's
-/// doorbell and the next verb flies during the publish CAS; on the
-/// pipelined path (`overlap`) those verbs are posted WQEs, in the serial
-/// modes completed round trips issued in the very same order.
+/// paused after each verb it issues — a posted WQE — so the sample READ
+/// shares the lookup's doorbell and the next verb flies during the publish
+/// CAS.
 #[derive(Default)]
 pub(super) struct Eviction {
     /// Start of the `Evict` span: when the first sample was issued.
@@ -41,16 +40,16 @@ pub(super) struct Eviction {
     /// Directory version the sampled slot addresses translate under.
     token: u64,
     min_blocks: u8,
-    overlap: bool,
-    /// The evicting `Set`'s own buckets.  Their slots are never candidates,
-    /// so the publish CAS and the victim CAS cannot target the same word.
+    /// The evicting `Set`'s own buckets, of an eviction running ahead of
+    /// one.  Their slots are never candidates, so the publish CAS and the
+    /// victim CAS cannot target the same word.
     own_buckets: Option<[RemoteAddr; 2]>,
     candidates: Candidates,
     samples: usize,
     retries: usize,
     wait: EvictWait,
     /// Physical READ segments of the current sample, in canonical order.
-    segments: InlineVec<(RemoteAddr, usize), MAX_BATCH>,
+    segments: InlineVec<(RemoteAddr, usize), MAX_WQES>,
     /// Whether the current sample's READs were issued yet.
     issued: bool,
     /// Work-request ids of the posted verb(s) waited for, how many of their
@@ -139,35 +138,31 @@ impl DittoClient {
 
     /// Starts a sampling eviction by issuing its first sample.  With
     /// `own_buckets` it runs *ahead* of the `Set` on those buckets (see
-    /// [`Eviction`]), and this is where the one decision between overlapping
-    /// its waits and running each to completion is made.
+    /// [`Eviction`]): the sample waits to ride the `Set`'s lookup doorbell.
     pub(super) fn evict_begin(
         &mut self,
         min_blocks: u8,
         own_buckets: Option<[RemoteAddr; 2]>,
     ) -> Eviction {
-        let overlap = own_buckets.is_some() && self.use_async();
         let mut ev = Eviction {
             t0: self.dm.now_ns(),
             token: self.mig_token,
             min_blocks,
-            overlap,
             own_buckets,
             retries: 3,
             ..Eviction::default()
         };
-        self.issue_sample(&mut ev, false, overlap);
+        self.issue_sample(&mut ev, false, own_buckets.is_some());
         ev
     }
 
     /// Advances `ev`: collect the sample, re-sample while it holds too few
     /// candidates, pick a victim and acquire its history id, CAS it out,
     /// fall back to the next-best candidate on a lost race.  With `pause`
-    /// it returns `None` right after issuing a verb — posted, on the
-    /// pipelined path — for the caller to overlap with foreground work and
-    /// resume later; without, it waits in place and runs to `Some(won)`.
+    /// it returns `None` right after posting a verb, for the caller to
+    /// overlap with foreground work and resume later; without, it waits in
+    /// place and runs to `Some(won)`.
     pub(super) fn evict_advance(&mut self, ev: &mut Eviction, pause: bool) -> Option<bool> {
-        let post = ev.overlap && pause;
         loop {
             let done = match ev.wait {
                 EvictWait::Done(won) => return Some(won),
@@ -175,7 +170,7 @@ impl DittoClient {
                     self.collect_sample(ev);
                     let found = ev.candidates.len();
                     if found < 2 && (found == 0 || ev.samples < 4) && ev.samples < 8 {
-                        self.issue_sample(ev, post, false);
+                        self.issue_sample(ev, pause, false);
                         None
                     } else if found == 0 {
                         Some(false)
@@ -187,7 +182,7 @@ impl DittoClient {
                             let all = std::mem::take(&mut ev.candidates);
                             ev.candidates.extend(all.iter().copied().filter(fits));
                         }
-                        self.issue_victim(ev, post);
+                        self.issue_victim(ev, pause);
                         None
                     }
                 }
@@ -204,7 +199,7 @@ impl DittoClient {
                         if ev.retries == 0 || ev.candidates.is_empty() {
                             Some(false)
                         } else {
-                            self.issue_victim(ev, post);
+                            self.issue_victim(ev, pause);
                             None
                         }
                     }
@@ -229,9 +224,9 @@ impl DittoClient {
     ///
     /// `ride` leaves the READs to the `Set`'s lookup, which posts them behind
     /// its own doorbell; `post` rings one for them and returns with the
-    /// READs in flight.  Otherwise the sample is read in place: one plain
-    /// READ, or several behind a single doorbell (sequentially with batching
-    /// disabled — exactly the seed's behaviour).
+    /// READs in flight, as do several segments whatever `post` says — they
+    /// share a doorbell and [`Self::collect_sample`] polls them.  Otherwise
+    /// the one segment is read in place, a completed round trip.
     fn issue_sample(&mut self, ev: &mut Eviction, post: bool, ride: bool) {
         ev.segments.clear();
         if self.config.enable_sample_friendly_table {
@@ -252,30 +247,19 @@ impl DittoClient {
         if ride {
             return;
         }
-        let post = post || (ev.segments.len() > 1 && self.use_async());
         let buf = &mut self.sample_buf[..];
-        if post {
-            let mut wq = self.dm.work_queue();
-            ev.post_sample(&mut wq, buf);
-            wq.ring();
-        } else if let [(addr, slots)] = ev.segments[..] {
-            ev.failed = self
-                .dm
-                .try_read_into(addr, &mut buf[..slots * SLOT_SIZE])
-                .is_err();
-        } else {
-            let mut batch = self.dm.batch();
-            let mut rest = buf;
-            for &(addr, slots) in ev.segments.iter() {
-                let (chunk, tail) = rest.split_at_mut(slots * SLOT_SIZE);
-                batch
-                    .read_into(addr, chunk)
-                    .expect("a sample splits into at most MAX_BATCH segments");
-                rest = tail;
+        match ev.segments[..] {
+            [(addr, slots)] if !post => {
+                ev.failed = self
+                    .dm
+                    .try_read_into(addr, &mut buf[..slots * SLOT_SIZE])
+                    .is_err();
             }
-            ev.failed = batch
-                .try_execute_mode(self.config.enable_doorbell_batching)
-                .is_err();
+            _ => {
+                let mut wq = self.dm.work_queue();
+                ev.post_sample(&mut wq, buf);
+                wq.ring();
+            }
         }
     }
 
@@ -296,7 +280,7 @@ impl DittoClient {
     /// work.  A faulted sample yields no candidates (the routine
     /// re-samples).  Slots decode in canonical segment order whatever order
     /// the READs completed in — ties in eviction priorities break by
-    /// position — so every execution mode sees identical candidates.
+    /// position — so a striped pool sees the candidates a single node does.
     fn collect_sample(&mut self, ev: &mut Eviction) {
         debug_assert!(ev.issued, "the first lookup round posts a riding sample");
         self.await_posted(ev);
@@ -405,7 +389,7 @@ impl DittoClient {
                 victim.atomic.object_bytes() as usize,
             );
             self.stats.record_eviction(chosen);
-            self.stats.record_eviction_path(ev.overlap);
+            self.stats.record_eviction_path(ev.own_buckets.is_some());
         }
         won
     }
@@ -424,9 +408,8 @@ mod tests {
     }
 
     /// A cache and its client, deep in steady memory pressure.
-    fn pressured(async_completion: bool) -> (DittoCache, DittoClient) {
-        let config = DittoConfig::with_capacity(300).with_async_completion(async_completion);
-        let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
+    fn pressured() -> (DittoCache, DittoClient) {
+        let cache = small_cache(300);
         let mut client = cache.client();
         for i in 0..2_000u64 {
             client.set(&i.to_le_bytes(), &[1u8; 200]);
@@ -449,42 +432,23 @@ mod tests {
 
     #[test]
     fn pipelined_evicting_set_overlaps_the_eviction_with_its_own_verbs() {
-        let run = |async_completion: bool| {
-            let (cache, mut client) = pressured(async_completion);
-            cache.pool().reset_stats();
-            cache.stats().reset();
-            let latencies: Vec<u64> = (2_000..2_100).map(|i| timed_set(&mut client, i)).collect();
-            let node = cache.pool().stats().node_snapshots()[0];
-            let verbs = (node.reads, node.writes, node.cas, node.faa);
-            let (stats, paths) = (cache.pool().stats(), cache.stats());
-            assert_eq!(paths.evictions_inline() + paths.evictions_overlapped(), 100);
-            (
-                verbs,
-                stats.doorbells(),
-                paths.evictions_overlapped(),
-                latencies,
-            )
-        };
-        let (verbs, doorbells, overlapped, pipelined) = run(true);
-        let (sync_verbs, sync_doorbells, sync_overlapped, batched) = run(false);
-        assert_eq!(verbs, sync_verbs, "the overlap buys latency, not messages");
-        assert_eq!((overlapped, sync_overlapped), (100, 0));
-        // `PoolStats` counts doorbells of posted rounds only, so the one verb
-        // an eviction posts behind the publish CAS (synchronous in the batched
-        // mode, hence uncounted there) shows as one more, not one fewer.
-        assert_eq!(doorbells, sync_doorbells + overlapped);
+        let (cache, mut client) = pressured();
+        cache.stats().reset();
+        let latencies: Vec<u64> = (2_000..2_100).map(|i| timed_set(&mut client, i)).collect();
+        let paths = cache.stats();
+        assert_eq!(
+            (paths.evictions_inline(), paths.evictions_overlapped()),
+            (0, 100)
+        );
         // Two round trips hidden per Set; one whose first sample sufficed pays
         // a plain Set plus the serial victim CAS plus CPU and posting charges.
-        for (p, b) in pipelined.iter().zip(&batched) {
-            assert!(p + 3_500 < *b, "{p} vs {b}");
-        }
         let cas = DmConfig::default().cas_latency_ns;
-        assert!(*pipelined.iter().min().unwrap() <= plain_set_ns() + cas + 800);
+        assert!(*latencies.iter().min().unwrap() <= plain_set_ns() + cas + 800);
     }
 
     #[test]
     fn set_without_a_spare_falls_back_to_the_inline_eviction() {
-        let (cache, mut client) = pressured(true);
+        let (cache, mut client) = pressured();
         let (cfg, paths) = (DmConfig::default(), cache.stats());
         client.release_parked_memory(); // the spare goes back to the node
         let inline = paths.evictions_inline();

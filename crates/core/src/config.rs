@@ -51,38 +51,13 @@ pub struct DittoConfig {
     pub enable_lazy_weight_update: bool,
     /// Ablation toggle: client-side frequency-counter cache (§4.2.2).
     pub enable_fc_cache: bool,
-    /// Issue independent data-path verbs (the two bucket READs of a lookup,
-    /// the object WRITE + bucket READs of a `Set`, the scattered slot READs
-    /// of an eviction sample) as RNIC doorbell batches, charging one
-    /// doorbell plus the slowest round trip instead of the sum (§4.2).
-    /// Disabling it issues the identical verbs sequentially — the ablation
-    /// measured by the ops microbenchmark.
-    pub enable_doorbell_batching: bool,
-    /// Pipeline the hot paths over the posted-WQE/polled-completion model
-    /// (`ditto_dm::wqe`/`ditto_dm::cq`): a lookup posts both bucket READs
-    /// and decodes the primary bucket while the secondary is still in
-    /// flight, `Set` posts its object WRITE *unsignalled* (never waited
-    /// for), a hit's frequency-counter FAA rides unsignalled next to the
-    /// object READ, and the eviction sampler decodes and scores candidates
-    /// as completions drain.  The verb sequence — and therefore the cache
-    /// behaviour and message counts — is identical to the synchronous
-    /// doorbell batch; only the charged latency changes, because CPU work
-    /// ([`DittoConfig::cpu_decode_slot_ns`],
-    /// [`DittoConfig::cpu_score_candidate_ns`]) overlaps the in-flight
-    /// transfers instead of serialising behind them.  Disabling it keeps
-    /// the synchronous post-all/wait-all batches — the ablation the
-    /// pipelined path is measured against.  Requires
-    /// `enable_doorbell_batching` (without doorbell batching there is
-    /// nothing to pipeline and the sequential ablation path runs).
-    pub enable_async_completion: bool,
     /// Client CPU nanoseconds charged per hash-table slot decoded on the
-    /// data path (bucket and eviction-sample decoding).  Charged in both
-    /// completion modes; with `enable_async_completion` the work overlaps
-    /// in-flight transfers instead of adding to the critical path.
+    /// data path (bucket and eviction-sample decoding).  Work done between
+    /// a doorbell and the poll of its completions overlaps the in-flight
+    /// transfers instead of adding to the critical path.
     pub cpu_decode_slot_ns: u64,
     /// Client CPU nanoseconds charged per eviction candidate gathered and
-    /// scored.  Charged in both completion modes, like
-    /// [`DittoConfig::cpu_decode_slot_ns`].
+    /// scored (see [`DittoConfig::cpu_decode_slot_ns`]).
     pub cpu_score_candidate_ns: u64,
     /// Token-bucket rate limit on migration copy traffic, in bytes per
     /// simulated second (0 = unlimited).  One bucket meters **all** resize
@@ -93,18 +68,6 @@ pub struct DittoConfig {
     /// is shared by every pumping client (see
     /// `ditto_dm::MigrationEngine::set_copy_rate`).
     pub migration_copy_bytes_per_sec: u64,
-    /// Adaptive message-bound lookup hybrid: when enabled, each client
-    /// periodically judges the pool's bottleneck from the `PoolStats`
-    /// message counters.  While the observed bottleneck is the RNIC
-    /// *message rate* (not latency), `Get` lookups short-circuit — they
-    /// fetch the primary bucket first and pay the secondary READ only when
-    /// the key is not there — saving one message per primary-bucket hit.
-    /// While the run is latency-bound, lookups keep the batched
-    /// both-bucket fetch (one doorbell, lower latency).
-    pub enable_adaptive_lookup: bool,
-    /// Operations between bottleneck re-evaluations of the adaptive
-    /// lookup hybrid.
-    pub adaptive_lookup_interval: u64,
     /// Cooperative migration on the data path: a `Get` that hits an object
     /// resident on a *drained* (inactive) memory node re-places the object
     /// onto an active node instead of waiting for an update or the
@@ -159,13 +122,9 @@ impl Default for DittoConfig {
             enable_lightweight_history: true,
             enable_lazy_weight_update: true,
             enable_fc_cache: true,
-            enable_doorbell_batching: true,
-            enable_async_completion: true,
             cpu_decode_slot_ns: 20,
             cpu_score_candidate_ns: 30,
             migration_copy_bytes_per_sec: 0,
-            enable_adaptive_lookup: false,
-            adaptive_lookup_interval: 1024,
             enable_cooperative_migration: true,
             history_counter_refresh: 256,
             alloc_segment_objects: 16,
@@ -216,32 +175,10 @@ impl DittoConfig {
         self
     }
 
-    /// Enables or disables doorbell batching on the data path (builder
-    /// style).
-    pub fn with_doorbell_batching(mut self, enabled: bool) -> Self {
-        self.enable_doorbell_batching = enabled;
-        self
-    }
-
-    /// Enables or disables the pipelined posted-WQE completion path
-    /// (builder style); see
-    /// [`DittoConfig::enable_async_completion`].
-    pub fn with_async_completion(mut self, enabled: bool) -> Self {
-        self.enable_async_completion = enabled;
-        self
-    }
-
     /// Sets the migration copy rate limit in bytes per simulated second
     /// (builder style; 0 = unlimited).
     pub fn with_migration_copy_rate(mut self, bytes_per_sec: u64) -> Self {
         self.migration_copy_bytes_per_sec = bytes_per_sec;
-        self
-    }
-
-    /// Enables or disables the adaptive message-bound lookup hybrid
-    /// (builder style).
-    pub fn with_adaptive_lookup(mut self, enabled: bool) -> Self {
-        self.enable_adaptive_lookup = enabled;
         self
     }
 
@@ -322,9 +259,6 @@ impl DittoConfig {
         }
         if !(0.0..=10.0).contains(&self.learning_rate) {
             return Err("learning_rate out of range".to_string());
-        }
-        if self.enable_adaptive_lookup && self.adaptive_lookup_interval == 0 {
-            return Err("adaptive_lookup_interval must be at least 1".to_string());
         }
         if self.local_tier_capacity > 0 && self.local_tier_lease_ns == 0 {
             return Err("local_tier_lease_ns must be at least 1 when the tier is on".to_string());

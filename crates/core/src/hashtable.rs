@@ -37,9 +37,7 @@
 //! load, not just future placements.
 
 use crate::hash::{fnv1a64, secondary_hash};
-use crate::inline::InlineVec;
 use crate::slot::{Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
-use ditto_dm::batch::MAX_BATCH;
 use ditto_dm::migration::StripeDirectory;
 use ditto_dm::{DmClient, DmResult, MemoryPool, RemoteAddr};
 use rand::Rng;
@@ -339,85 +337,6 @@ impl SampleFriendlyHashTable {
         (start, count)
     }
 
-    /// Reads the span of `count` consecutive global slots starting at
-    /// `start` into `buf` (which must hold at least `count * SLOT_SIZE`
-    /// bytes) and decodes `(slot address, slot)` pairs into `out`, without
-    /// allocating.  A span inside one physical segment issues the seed's
-    /// single plain `RDMA_READ`; a span straddling memory nodes issues one
-    /// READ per segment — behind a single doorbell when `batched`, or one
-    /// round trip at a time otherwise (the ablation path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is too small or the span splits into more than
-    /// [`MAX_BATCH`] segments (impossible for eviction-sample-sized spans).
-    pub fn read_span_into(
-        &self,
-        client: &DmClient,
-        start: u64,
-        count: usize,
-        buf: &mut [u8],
-        batched: bool,
-        out: &mut impl Extend<(RemoteAddr, Slot)>,
-    ) {
-        self.try_read_span_into(client, start, count, buf, batched, out)
-            .unwrap_or_else(|e| panic!("span read failed: {e}"));
-    }
-
-    /// Fallible [`SampleFriendlyHashTable::read_span_into`]: a faulted
-    /// segment read surfaces as an error with nothing decoded into `out`,
-    /// so a sampler can skip the round instead of panicking.
-    pub fn try_read_span_into(
-        &self,
-        client: &DmClient,
-        start: u64,
-        count: usize,
-        buf: &mut [u8],
-        batched: bool,
-        out: &mut impl Extend<(RemoteAddr, Slot)>,
-    ) -> DmResult<()> {
-        let buf = &mut buf[..count * SLOT_SIZE];
-        let mut segments: InlineVec<(RemoteAddr, usize), MAX_BATCH> = InlineVec::new();
-        self.for_span_segments(start, count, |addr, slots| segments.push((addr, slots)));
-        if let [(addr, _)] = segments[..] {
-            client.try_read_into(addr, buf)?;
-        } else {
-            let mut batch = client.batch();
-            let mut rest = &mut buf[..];
-            for &(addr, slots) in segments.iter() {
-                let (chunk, tail) = rest.split_at_mut(slots * SLOT_SIZE);
-                batch
-                    .read_into(addr, chunk)
-                    .expect("a span splits into at most MAX_BATCH segments");
-                rest = tail;
-            }
-            batch.try_execute_mode(batched)?;
-        }
-        let mut offset = 0usize;
-        for &(addr, slots) in segments.iter() {
-            Self::decode_slots(addr, &buf[offset..offset + slots * SLOT_SIZE], out);
-            offset += slots * SLOT_SIZE;
-        }
-        Ok(())
-    }
-
-    /// Reads `count` consecutive slots starting at a random position
-    /// (allocating convenience wrapper over
-    /// [`SampleFriendlyHashTable::sample_span`] and
-    /// [`SampleFriendlyHashTable::read_span_into`]).
-    pub fn read_sample<R: Rng + ?Sized>(
-        &self,
-        client: &DmClient,
-        rng: &mut R,
-        count: usize,
-    ) -> Vec<(RemoteAddr, Slot)> {
-        let (start, count) = self.sample_span(rng, count);
-        let mut bytes = vec![0u8; count * SLOT_SIZE];
-        let mut out = Vec::with_capacity(count);
-        self.read_span_into(client, start, count, &mut bytes, true, &mut out);
-        out
-    }
-
     /// Address of the atomic field of the slot at `slot_addr`.
     pub fn atomic_addr(slot_addr: RemoteAddr) -> RemoteAddr {
         slot_addr
@@ -614,40 +533,50 @@ mod tests {
         assert!(bucket[0].1.atomic.is_empty());
     }
 
+    /// The READ segments of one `count`-slot sample drawn with `rng`.
+    fn sample_segments(
+        table: &SampleFriendlyHashTable,
+        rng: &mut StdRng,
+        count: usize,
+    ) -> (u64, Vec<(RemoteAddr, usize)>) {
+        let (start, count) = table.sample_span(rng, count);
+        let mut segments = Vec::new();
+        table.for_span_segments(start, count, |addr, slots| segments.push((addr, slots)));
+        (start, segments)
+    }
+
     #[test]
     fn sampling_uses_one_read_and_returns_count_slots() {
-        let (pool, table) = setup();
-        let client = pool.connect();
-        let mut rng = StdRng::seed_from_u64(1);
-        pool.reset_stats();
-        let sample = table.read_sample(&client, &mut rng, 5);
-        assert_eq!(sample.len(), 5);
-        assert_eq!(pool.stats().node_snapshots()[0].reads, 1);
-        // Sampled addresses are consecutive slots inside the table.
-        for pair in sample.windows(2) {
-            assert_eq!(pair[1].0.offset - pair[0].0.offset, SLOT_SIZE as u64);
+        let (_pool, table) = setup();
+        for seed in 0..20u64 {
+            let (start, segments) = sample_segments(&table, &mut StdRng::seed_from_u64(seed), 5);
+            // One READ of five consecutive slots inside the table.
+            assert_eq!(segments, [(table.global_slot_addr(start), 5)]);
+            let end = segments[0].0.offset + 5 * SLOT_SIZE as u64;
+            assert!(end <= table.base().offset + table.size_bytes());
         }
-        let last = sample.last().unwrap().0.offset + SLOT_SIZE as u64;
-        assert!(last <= table.base().offset + table.size_bytes());
     }
 
     #[test]
     fn striped_sampling_matches_single_node_candidates() {
         // Same seed, same geometry: the striped table must sample the same
         // global slot indices as a single-node table, differing only in the
-        // physical addresses.
-        let (pool1, single) = setup();
-        let (pool4, striped) = striped_setup(4);
-        let (c1, c4) = (pool1.connect(), pool4.connect());
+        // physical addresses its READ segments name.
+        let (_pool1, single) = setup();
+        let (_pool4, striped) = striped_setup(4);
         for seed in 0..20u64 {
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r4 = StdRng::seed_from_u64(seed);
-            let s1 = single.read_sample(&c1, &mut r1, 7);
-            let s4 = striped.read_sample(&c4, &mut r4, 7);
-            assert_eq!(s1.len(), s4.len());
-            for ((_, a), (_, b)) in s1.iter().zip(s4.iter()) {
-                assert_eq!(a, b, "decoded slots must match (both empty here)");
+            let (s1, one) = sample_segments(&single, &mut StdRng::seed_from_u64(seed), 7);
+            let (s4, four) = sample_segments(&striped, &mut StdRng::seed_from_u64(seed), 7);
+            assert_eq!(s1, s4, "seed {seed}: the sampled span diverged");
+            assert_eq!(one.len(), 1);
+            // Segment by segment, in order, the striped READs cover the
+            // span's global slots exactly once.
+            let mut idx = s4;
+            for &(addr, slots) in &four {
+                assert_eq!(addr, striped.global_slot_addr(idx), "seed {seed}");
+                idx += slots as u64;
             }
+            assert_eq!(idx, s4 + 7, "seed {seed}");
         }
     }
 

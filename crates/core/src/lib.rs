@@ -30,10 +30,10 @@
 //! its address re-translated through the stripe directory and the entry
 //! token re-checked exactly like a bucket READ's.  When the slot's atomic
 //! word still **equals** the hint (and its hash and fingerprint are the
-//! key's), the lookup is done with that fully decoded slot; on the
-//! pipelined path the object READ was posted behind the slot READ on the
-//! same doorbell, so its bytes have already landed and the hit took two
-//! READs and one round trip.  Any other outcome (the key was replaced,
+//! key's), the lookup is done with that fully decoded slot; the object READ
+//! was posted behind the slot READ on the same doorbell, so its bytes have
+//! already landed and the hit took two READs and one round trip.  Any other
+//! outcome (the key was replaced,
 //! evicted, relocated; the stripe moved; a READ faulted) is a misprediction
 //! ([`CacheStats::spec_reads_wasted`] of [`CacheStats::spec_reads_issued`]):
 //! it cost a round trip, the hint is dropped, and the `Get` continues
@@ -45,12 +45,7 @@
 //! in-order — so a hint that holds is the usual two dependent READs in the
 //! usual order, minus the wait between them.  An object off its slot's
 //! node is read after the slot has vouched for it, as without a hint — one
-//! message saved all the same.  *Which* READs a hinted `Get` issues is the
-//! policy in every execution mode: the serial ablation modes issue the slot
-//! READ and the object READ as completed round trips, and the
-//! message-bound short-circuit lookup steps aside for it (one slot READ is
-//! fewer messages than its primary-first bucket READ).  Hints are kept
-//! truthful for free where the client already knows the answer: every slot
+//! message saved all the same.  Hints are kept truthful for free where the client already knows the answer: every slot
 //! CAS it wins (publish, replace, sampling or bucket eviction, relocation)
 //! updates or drops the entry, an unhinted remote hit installs it, and the
 //! [`local_tier::CoherenceBoard`] epoch the `Get` already reads — less the
@@ -66,16 +61,14 @@
 //! memory instead of producing it: the `Set` allocates from a one-object
 //! **spare** the previous evicting `Set` left on the client's free list, and
 //! then runs one eviction of its own to leave the next spare.  That
-//! eviction's verbs are independent of the `Set`'s, so on the pipelined
-//! path its sample READ rides the lookup's doorbell, its next verb (the
-//! FAA, or another sample when the first held too few candidates) is posted
-//! before the publish CAS and polled after it, and only the victim CAS runs
-//! serially — two round trips fewer than evicting first.  The order "take
-//! the spare → sample → lookup → next verb → publish → victim CAS" is the
-//! policy in every execution mode (the serial modes just run it without
-//! overlap), so all three agree on every victim; slots of the `Set`'s own
-//! two buckets are never candidates, so the two CASes cannot meet on one
-//! word.  Without a usable spare (first pressure, a larger object, a lost
+//! eviction's verbs are independent of the `Set`'s, so its sample READ
+//! rides the lookup's doorbell, its next verb (the FAA, or another sample
+//! when the first held too few candidates) is posted before the publish CAS
+//! and polled after it, and only the victim CAS runs serially — two round
+//! trips fewer than evicting first.  The order is "take the spare → sample →
+//! lookup → next verb → publish → victim CAS"; slots of the `Set`'s own two
+//! buckets are never candidates, so the two CASes cannot meet on one word.
+//! Without a usable spare (first pressure, a larger object, a lost
 //! victim race) the same routine runs inline to completion before the
 //! lookup, as it does for relocation and [`DittoClient::evict_once`];
 //! [`CacheStats::evictions_inline`] against

@@ -72,8 +72,8 @@ impl CacheStats {
 
     /// Records how a won sampling eviction ran: `overlapped` when its round
     /// trips hid behind the evicting `Set`'s own lookup and publish
-    /// (evict-ahead on the pipelined path), inline when every one of them
-    /// sat on the critical path (the cold fallback and the serial modes).
+    /// (evict-ahead), inline when every one of them sat on the critical path
+    /// (the cold fallback without a spare).
     pub fn record_eviction_path(&self, overlapped: bool) {
         let path = if overlapped {
             &self.evictions_overlapped
@@ -132,7 +132,7 @@ impl CacheStats {
     }
 
     /// Records a hinted lookup: a `Get` that read the one slot its hint
-    /// names (and, pipelined, the object behind it) instead of both buckets;
+    /// names (and the object behind it) instead of both buckets;
     /// `wasted` when the slot no longer held the hinted word (or a READ
     /// faulted, or the stripe moved) and the `Get` fell back to the buckets.
     pub fn record_spec_read(&self, wasted: bool) {
@@ -149,7 +149,7 @@ impl CacheStats {
     }
 
     /// Hinted lookups issued (lifetime): each one that held is a remote hit
-    /// served with two READs instead of three — pipelined, in one round trip.
+    /// served with two READs instead of three, in one round trip.
     pub fn spec_reads_issued(&self) -> u64 {
         self.spec_reads_issued.load(Ordering::Relaxed)
     }

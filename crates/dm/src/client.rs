@@ -1,7 +1,6 @@
 //! Client-side connection handle exposing the one-sided verb API.
 
 use crate::addr::RemoteAddr;
-use crate::batch::BatchBuilder;
 use crate::config::DmConfig;
 use crate::cq::{Completion, CompletionQueue};
 use crate::error::{DmError, DmResult};
@@ -368,17 +367,6 @@ impl DmClient {
         self.pool.resize_epoch()
     }
 
-    /// Starts a doorbell batch of independent verbs (see [`BatchBuilder`]).
-    ///
-    /// The batch completes in `doorbell_latency_ns + n × verb_issue_ns +
-    /// max(per-verb transfer latency)` instead of the sum of the individual
-    /// round trips; every verb still consumes one RNIC message.  This is the
-    /// *synchronous* convenience over the posted-work model below: post all,
-    /// ring once, wait for everything.
-    pub fn batch<'buf>(&self) -> BatchBuilder<'_, 'buf> {
-        BatchBuilder::new(self)
-    }
-
     /// Starts a posted work queue (see [`WorkQueue`]): WQEs are posted
     /// signalled or unsignalled, one doorbell ring per distinct node starts
     /// them, and signalled completions are later consumed with
@@ -452,31 +440,6 @@ impl DmClient {
             Some(e) => Err(e),
             None => Ok(drained),
         }
-    }
-
-    /// Issues several independent `RDMA_READ`s as one doorbell batch, each
-    /// into its own caller-provided buffer.
-    ///
-    /// Returns the latency charged.  More reads than
-    /// [`crate::batch::MAX_BATCH`] are flushed as additional doorbell
-    /// batches rather than failing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an address range is invalid.
-    pub fn read_batch<'buf, I>(&self, reads: I) -> u64
-    where
-        I: IntoIterator<Item = (RemoteAddr, &'buf mut [u8])>,
-    {
-        let mut charged = 0;
-        let mut batch = self.batch();
-        for (addr, buf) in reads {
-            if batch.len() == crate::batch::MAX_BATCH {
-                charged += std::mem::replace(&mut batch, self.batch()).execute();
-            }
-            batch.read_into(addr, buf).expect("batch has room");
-        }
-        charged + batch.execute()
     }
 
     /// Fallible one-sided `RDMA_READ` of `len` bytes at `addr`.

@@ -218,14 +218,6 @@ impl DmConfig {
         base_ns + (len as u64 * self.per_kib_latency_ns) / 1024
     }
 
-    /// Round-trip latency charged to a doorbell batch whose slowest member
-    /// has transfer latency `max_transfer_ns` and which posts `verbs` WQEs
-    /// to a single memory node: one doorbell, the per-verb issue costs, and
-    /// the slowest round trip.
-    pub fn batch_latency_ns(&self, verbs: usize, max_transfer_ns: u64) -> u64 {
-        self.fanout_batch_latency_ns(verbs, 1, max_transfer_ns)
-    }
-
     /// Round-trip latency of a doorbell batch that fans out to `fanout`
     /// distinct memory nodes: one doorbell charge **per distinct node**
     /// (each node has its own queue pair), the per-verb issue costs, and the

@@ -46,16 +46,6 @@ pub enum DmError {
         /// Human-readable reason propagated from the handler.
         reason: String,
     },
-    /// A doorbell batch was asked to hold more verbs than it can carry.
-    ///
-    /// Returned by the [`crate::BatchBuilder`] queueing methods instead of
-    /// aborting, so an oversized burst (e.g. a large eviction sample) can be
-    /// flushed and continued rather than panicking the client.  The posted
-    /// [`crate::WorkQueue`] never reports this: it auto-rings instead.
-    BatchFull {
-        /// Maximum verbs a batch can carry.
-        max: usize,
-    },
     /// An allocation request exceeded the configured segment size.
     AllocationTooLarge {
         /// Requested size in bytes.
@@ -134,9 +124,6 @@ impl fmt::Display for DmError {
                 write!(f, "no RPC handler registered for service {service}")
             }
             DmError::RpcFailed { reason } => write!(f, "rpc failed: {reason}"),
-            DmError::BatchFull { max } => {
-                write!(f, "doorbell batch full ({max} verbs)")
-            }
             DmError::AllocationTooLarge { requested, max } => {
                 write!(f, "allocation of {requested} bytes exceeds maximum {max}")
             }

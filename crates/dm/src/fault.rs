@@ -4,8 +4,8 @@
 //! completions, per-verb timeouts, node fail-stop after a simulated time,
 //! and transient slow-NIC windows — and a seed that makes every decision
 //! reproducible.  The [`FaultInjector`] built from the plan is consulted by
-//! the verb layer ([`crate::DmClient`]'s `try_*` verbs, [`crate::WorkQueue`]
-//! rings and [`crate::BatchBuilder`] executions) once per verb.
+//! the verb layer ([`crate::DmClient`]'s `try_*` verbs and
+//! [`crate::WorkQueue`] rings) once per verb.
 //!
 //! Decisions are a pure function of `(plan seed, client id, the client's
 //! verb sequence number)`: no shared mutable state, so a single-threaded

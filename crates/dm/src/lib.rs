@@ -39,9 +39,6 @@
 //!   distinct memory node, overlap CPU work with the in-flight transfers
 //!   and then [`DmClient::poll_cq`] the completions — latency is charged as
 //!   *time since post* (see the latency model below).
-//! * [`batch::BatchBuilder`] is the synchronous post-all/wait-all wrapper
-//!   over the same model: one doorbell batch, charged in a single step —
-//!   the ablation baseline the pipelined hot paths are measured against.
 //! * [`alloc::ClientAllocator`] implements the two-level memory management
 //!   scheme (segment `ALLOC`/`FREE` RPCs plus client-local block recycling)
 //!   used by FUSEE and adopted by Ditto; [`alloc::StripedAllocator`] runs
@@ -67,32 +64,25 @@
 //! usual `base + payload × per_kib_latency_ns`, and WQEs on one node
 //! complete in posting order — one queue pair per node.)  Unsignalled WQEs
 //! produce no completion and are never waited for.  Draining every
-//! completion immediately reproduces the synchronous doorbell-batch charge
-//! `fanout × doorbell + n × issue + max(transfer)`, which is exactly what
-//! [`BatchBuilder::execute`] does in one step; CPU work done between ring
-//! and poll is subtracted from the wait, which is what the pipelined cache
-//! hot paths exploit.  Either way every verb still consumes one message of
-//! the target node's RNIC budget — posting and batching buy *latency*, not
-//! message rate, which is why the NIC-bound throughput ceiling of §5.3 is
-//! unaffected.
+//! completion right after the ring charges `fanout × doorbell + n × issue +
+//! max(transfer)` ([`DmConfig::fanout_batch_latency_ns`]) plus the polls;
+//! CPU work done between ring and poll is subtracted from the wait, which
+//! is what the cache hot paths exploit.  Either way every verb still
+//! consumes one message of the target node's RNIC budget — posting buys
+//! *latency*, not message rate, which is why the NIC-bound throughput
+//! ceiling of §5.3 is unaffected.
+//!
+//! A single-verb call ([`DmClient::try_read_into`], [`DmClient::try_cas`],
+//! [`DmClient::try_faa`], …) is one completed round trip, charged in full
+//! where it is issued; it rings no doorbell in the accounting
+//! ([`PoolStats::doorbells`] counts posted rounds only).
 //!
 //! Measured on the get-heavy YCSB-C ops microbenchmark (200 k requests,
 //! 10 k records, capacity 7 k objects, one client; see
-//! `crates/bench/src/bin/ops_bench.rs` and `BENCH_ops.json`): batching the
-//! two bucket READs of every lookup, the frequency-counter FAA flush with
-//! the object READ of every hit, and the object WRITE + bucket READs of
-//! every `Set` takes the simulated hit path from sequential ~2 µs round
-//! trips to one doorbell batch per step — **195 k ops/s vs 140 k ops/s
-//! (1.39×)** and **p50 4.61 µs vs 6.14 µs**, at identical hit/miss counts
-//! and identical verbs per op (4.34).  Pipelining the same verbs through
-//! posted WQEs + polled completions (decode the primary bucket while the
-//! secondary is in flight, unsignalled object WRITEs and FAAs) buys a
-//! further **1.02×** (199 k ops/s, p50 4.35 µs) at — again — identical
-//! verbs and doorbells, because only the CPU work's position changes.  The
-//! "unbatched" side of the comparison issues the *same* verb sequence
-//! sequentially (both buckets fetched per lookup), so the ratio isolates
-//! doorbell batching itself; it is not a comparison against a
-//! short-circuiting lookup that stops after a primary-bucket hit.
+//! `crates/bench/src/bin/ops_bench.rs` and `BENCH_ops.json`): **349 k
+//! simulated ops/s at 3.45 verbs per op, op p50 2.3 µs / p99 11.8 µs**.
+//! What the overlap hides is reported from that same run by
+//! [`AttributionTable::overlap_saved_ns`].
 //!
 //! The same benchmark's multi-memory-node sweep (60 k msg/s per NIC,
 //! message-bound) shows the striped topology lifting the throughput
@@ -140,8 +130,8 @@
 //!   identically for a given client set) fail a verb with
 //!   [`DmError::VerbFailed`] or charge a timeout and fail it with
 //!   [`DmError::VerbTimeout`].  Completions carry a [`CompletionStatus`];
-//!   `poll_cq`/`drain_cq`/[`BatchBuilder`] surface errors instead of
-//!   assuming success.
+//!   `poll_cq` and `try_drain_cq` surface errors instead of assuming
+//!   success.
 //! * **Node fail-stop** — after a configured simulated instant every verb
 //!   to that node errors with [`DmError::VerbFailed`] (the
 //!   [`DmClient::node_failed`] oracle tells a dead node from a transient
@@ -253,7 +243,6 @@
 
 pub mod addr;
 pub mod alloc;
-pub mod batch;
 pub mod client;
 pub mod config;
 pub mod cq;
@@ -273,7 +262,6 @@ pub mod wqe;
 
 pub use addr::RemoteAddr;
 pub use alloc::{ClientAllocator, StripedAllocator};
-pub use batch::BatchBuilder;
 pub use client::DmClient;
 pub use config::DmConfig;
 pub use cq::{Completion, CompletionQueue, CompletionStatus};

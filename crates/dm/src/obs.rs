@@ -48,9 +48,9 @@ pub enum Phase {
     /// A remote-lock acquisition (first attempt to outcome).
     Lock,
     /// An eviction pass, from its first sample READ being issued to the
-    /// victim's memory being freed.  An umbrella span: on the pipelined
-    /// path the eviction rides along an evicting `Set`'s own lookup and
-    /// publish, whose phases are recorded inside it.
+    /// victim's memory being freed.  An umbrella span: an eviction running
+    /// ahead rides along an evicting `Set`'s own lookup and publish, whose
+    /// phases are recorded inside it.
     Evict,
     /// Relocating an object's bytes between memory nodes.
     Relocate,
@@ -856,14 +856,14 @@ pub fn text_exposition(stats: &PoolStats) -> String {
     metric(
         &mut out,
         "ditto_doorbells_total",
-        "Doorbell rings across all RNICs.",
+        "Doorbells rung by posted rounds, one per node a round posts to (a synchronous single-verb call is not included).",
         "counter",
         stats.doorbells(),
     );
     metric(
         &mut out,
         "ditto_batched_verbs_total",
-        "Verbs issued through doorbell batches.",
+        "WQEs handed to the NIC by posted rounds (synchronous single-verb calls are not included).",
         "counter",
         stats.batched_verbs(),
     );

@@ -49,8 +49,9 @@ pub struct NodeStats {
     pub rpc_cpu_ns: AtomicU64,
     /// Bytes moved to/from this node.
     pub bytes: AtomicU64,
-    /// Doorbells rung at this node's RNIC (one per batch that includes at
-    /// least one verb for this node).
+    /// Doorbells rung at this node's RNIC: one per posted round
+    /// ([`crate::WorkQueue::ring`]) that includes at least one WQE for this
+    /// node.  A synchronous single-verb call is not included.
     pub doorbells: AtomicU64,
 }
 
@@ -448,8 +449,9 @@ impl PoolStats {
         self.active_nodes.load(Ordering::Relaxed)
     }
 
-    /// Records a doorbell batch of `verbs` work-queue entries spanning
-    /// `fanout` distinct memory nodes (one doorbell rung per node).
+    /// Records a posted round ([`crate::WorkQueue::ring`], the only caller)
+    /// of `verbs` work-queue entries spanning `fanout` distinct memory nodes
+    /// (one doorbell rung per node).
     pub fn record_batch(&self, verbs: usize, fanout: usize) {
         self.doorbells.fetch_add(fanout as u64, Ordering::Relaxed);
         self.batched_verbs
@@ -467,17 +469,23 @@ impl PoolStats {
         }
     }
 
-    /// Number of doorbell batches rung so far.
+    /// Doorbells rung by *posted rounds* so far: each
+    /// [`crate::WorkQueue::ring`] adds one per distinct node it posts to.  A
+    /// synchronous single-verb call (`try_read_into`, `try_cas`, `try_faa`,
+    /// …) is one completed round trip and is **not** included — which is why
+    /// moving a verb from such a call onto the ring raises this counter
+    /// while it removes a round trip.
     pub fn doorbells(&self) -> u64 {
         self.doorbells.load(Ordering::Relaxed)
     }
 
-    /// Number of verbs issued through doorbell batches.
+    /// WQEs handed to the NIC by posted rounds (see [`Self::doorbells`]);
+    /// verbs issued through synchronous single-verb calls are not included.
     pub fn batched_verbs(&self) -> u64 {
         self.batched_verbs.load(Ordering::Relaxed)
     }
 
-    /// Largest doorbell batch observed.
+    /// Most WQEs one posted round carried (see [`Self::doorbells`]).
     pub fn largest_batch(&self) -> u64 {
         self.largest_batch.load(Ordering::Relaxed)
     }
@@ -516,7 +524,9 @@ impl PoolStats {
         self.cq_polls.load(Ordering::Relaxed)
     }
 
-    /// Mean verbs per doorbell batch (0 when no batch was rung).
+    /// Mean WQEs per doorbell of the posted rounds — [`Self::batched_verbs`]
+    /// over [`Self::doorbells`], so a round fanning out to `k` nodes counts
+    /// as `k` batches (0 when nothing was posted).
     pub fn mean_batch_size(&self) -> f64 {
         let doorbells = self.doorbells();
         if doorbells == 0 {

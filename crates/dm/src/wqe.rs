@@ -52,7 +52,7 @@ use crate::stats::VerbKind;
 pub const MAX_WQES: usize = 40;
 
 /// The one-sided operation a WQE carries.
-pub(crate) enum WqeOp<'buf> {
+enum WqeOp<'buf> {
     /// One-sided `RDMA_READ` into a caller-provided buffer.
     Read {
         addr: RemoteAddr,
@@ -79,7 +79,7 @@ pub(crate) enum WqeOp<'buf> {
 }
 
 impl WqeOp<'_> {
-    pub(crate) fn kind(&self) -> VerbKind {
+    fn kind(&self) -> VerbKind {
         match self {
             WqeOp::Read { .. } => VerbKind::Read,
             WqeOp::Write { .. } => VerbKind::Write,
@@ -88,7 +88,7 @@ impl WqeOp<'_> {
         }
     }
 
-    pub(crate) fn payload_len(&self) -> usize {
+    fn payload_len(&self) -> usize {
         match self {
             WqeOp::Read { buf, .. } => buf.len(),
             WqeOp::Write { data, .. } => data.len(),
@@ -96,7 +96,7 @@ impl WqeOp<'_> {
         }
     }
 
-    pub(crate) fn mn_id(&self) -> u16 {
+    fn mn_id(&self) -> u16 {
         match self {
             WqeOp::Read { addr, .. }
             | WqeOp::Write { addr, .. }
@@ -106,7 +106,7 @@ impl WqeOp<'_> {
     }
 
     /// Round-trip transfer latency of this verb under `cfg`.
-    pub(crate) fn transfer_ns(&self, cfg: &DmConfig) -> u64 {
+    fn transfer_ns(&self, cfg: &DmConfig) -> u64 {
         let base = match self.kind() {
             VerbKind::Read => cfg.read_latency_ns,
             VerbKind::Write => cfg.write_latency_ns,
@@ -118,7 +118,7 @@ impl WqeOp<'_> {
     }
 
     /// Executes the operation against the target node's arena.
-    pub(crate) fn perform(self, client: &DmClient) {
+    fn perform(self, client: &DmClient) {
         match self {
             WqeOp::Read { addr, buf } => {
                 client
@@ -519,6 +519,40 @@ mod tests {
         let second = client.poll_cq().unwrap();
         assert_eq!(second.wr_id, wr_large);
         assert_eq!(pool.stats().doorbells(), 2, "one doorbell per node");
+    }
+
+    #[test]
+    fn doorbells_count_posted_rounds_and_nothing_else() {
+        let pool = MemoryPool::new(DmConfig::small().with_memory_nodes(2));
+        let client = pool.connect();
+        let cfg = client.config().clone();
+        let a = pool.reserve_on(0, 64).unwrap();
+        let b = pool.reserve_on(1, 64).unwrap();
+        let stats = pool.stats();
+        // A synchronous single-verb call is one completed round trip: it
+        // rings no doorbell in the accounting.  Nor does an empty queue.
+        client.read_u64(a);
+        assert_eq!(client.work_queue().ring(), 0);
+        assert_eq!((stats.doorbells(), stats.batched_verbs()), (0, 0));
+        // A round of n = 3 WQEs over k = 2 nodes adds k doorbells and n
+        // verbs, and costs k doorbells plus n issues to post.
+        let (mut x, mut y) = ([0u8; 64], [0u8; 64]);
+        let mut wq = client.work_queue();
+        wq.post_read(a, &mut x, true);
+        wq.post_read(b, &mut y, true);
+        wq.post_faa(a, 1, false);
+        let post_cost = wq.ring();
+        drop(wq);
+        assert_eq!(
+            post_cost,
+            2 * cfg.doorbell_latency_ns + 3 * cfg.verb_issue_ns
+        );
+        assert_eq!((stats.doorbells(), stats.batched_verbs()), (2, 3));
+        assert_eq!((stats.largest_batch(), stats.largest_fanout()), (3, 2));
+        assert_eq!(stats.mean_batch_size(), 1.5);
+        let nodes = stats.node_snapshots();
+        assert_eq!((nodes[0].doorbells, nodes[1].doorbells), (1, 1));
+        assert_eq!((nodes[0].messages, nodes[1].messages), (3, 1));
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! * with free polls, a fully drained posting round charges exactly
 //!   `post_cost + max(c, max transfer)` — i.e. the CPU work overlaps the
 //!   flight instead of serialising behind it;
-//! * the pipelined charge is therefore **≤ the synchronous doorbell batch
-//!   latency plus the CPU work**, and **≥ the slowest member's transfer
+//! * the pipelined charge is therefore **≤ the post-all/wait-all charge
+//!   ([`DmConfig::fanout_batch_latency_ns`]: doorbell + issues + slowest
+//!   transfer) plus the CPU work**, and **≥ the slowest member's transfer
 //!   time**;
-//! * with zero CPU work the drained round equals the synchronous
-//!   [`ditto_dm::BatchBuilder::execute`] charge exactly.
+//! * with zero CPU work the drained round equals that closed form exactly,
+//!   plus — once polls cost something — at most one poll per WQE.
 
 use ditto_dm::{DmConfig, MemoryPool};
 use rand::rngs::StdRng;
@@ -41,6 +42,21 @@ fn random_case(rng: &mut StdRng) -> Case {
         sizes.push(rng.gen_range(1usize..4_096));
     }
     Case { kinds, sizes }
+}
+
+/// The slowest member's transfer latency under `cfg`.
+fn max_transfer(cfg: &DmConfig, case: &Case) -> u64 {
+    let transfer = |(&kind, &len): (&Kind, &usize)| match kind {
+        Kind::Read => cfg.transfer_latency_ns(cfg.read_latency_ns, len),
+        Kind::Write => cfg.transfer_latency_ns(cfg.write_latency_ns, len),
+        Kind::Faa => cfg.transfer_latency_ns(cfg.faa_latency_ns, 8),
+    };
+    case.kinds
+        .iter()
+        .zip(&case.sizes)
+        .map(transfer)
+        .max()
+        .unwrap()
 }
 
 /// Posts the case's WQEs (all signalled), rings, does `cpu_ns` of local
@@ -88,19 +104,7 @@ fn drained_pipeline_charges_post_cost_plus_max_of_cpu_and_flight() {
         let n = case.kinds.len() as u64;
         let cpu = rng.gen_range(0u64..8_000);
 
-        let cfg = pool.config().clone();
-        let transfer = |kind: Kind, len: usize| match kind {
-            Kind::Read => cfg.transfer_latency_ns(cfg.read_latency_ns, len),
-            Kind::Write => cfg.transfer_latency_ns(cfg.write_latency_ns, len),
-            Kind::Faa => cfg.transfer_latency_ns(cfg.faa_latency_ns, 8),
-        };
-        let max: u64 = case
-            .kinds
-            .iter()
-            .zip(&case.sizes)
-            .map(|(&k, &s)| transfer(k, s))
-            .max()
-            .unwrap();
+        let max = max_transfer(pool.config(), &case);
         let post_cost = doorbell + n * issue;
         let batch_latency = post_cost + max;
 
@@ -132,32 +136,16 @@ fn drained_pipeline_charges_post_cost_plus_max_of_cpu_and_flight() {
 #[test]
 fn pipelined_round_matches_synchronous_batch_without_cpu_work() {
     // With default (non-zero) poll costs and zero CPU work, the drained
-    // pipeline can never beat the synchronous batch charge, and exceeds it
-    // by at most one poll cost per WQE (polls whose completion is still in
-    // flight are absorbed by the wait).
+    // pipeline can never beat the post-all/wait-all closed form, and exceeds
+    // it by at most one poll cost per WQE (polls whose completion is still
+    // in flight are absorbed by the wait).
     let mut rng = StdRng::seed_from_u64(0xabcde);
     for _ in 0..50 {
         let pool = MemoryPool::new(DmConfig::small());
         let case = random_case(&mut rng);
-        let n = case.kinds.len() as u64;
+        let n = case.kinds.len();
         let cfg = pool.config().clone();
-
-        // Synchronous reference charge via the compatibility wrapper.
-        let client = pool.connect();
-        let region = pool.reserve(64 * 1024).unwrap();
-        let mut bufs: Vec<Vec<u8>> = case.sizes.iter().map(|&s| vec![0u8; s]).collect();
-        let write_buf = vec![7u8; 4_096];
-        let mut batch = client.batch();
-        for (i, (&kind, buf)) in case.kinds.iter().zip(bufs.iter_mut()).enumerate() {
-            let addr = region.add((i * 4_096) as u64);
-            match kind {
-                Kind::Read => batch.read_into(addr, &mut buf[..]).unwrap(),
-                Kind::Write => batch.write(addr, &write_buf[..case.sizes[i]]).unwrap(),
-                Kind::Faa => batch.faa(addr, 1).unwrap(),
-            };
-        }
-        let batch_latency = batch.batched_latency_ns();
-        let _ = batch;
+        let batch_latency = cfg.fanout_batch_latency_ns(n, 1, max_transfer(&cfg, &case));
 
         let elapsed = run_pipelined(&pool, &case, 0);
         assert!(
@@ -165,7 +153,7 @@ fn pipelined_round_matches_synchronous_batch_without_cpu_work() {
             "draining without CPU work cannot beat the batch: {elapsed} < {batch_latency}"
         );
         assert!(
-            elapsed <= batch_latency + n * cfg.cq_poll_ns,
+            elapsed <= batch_latency + n as u64 * cfg.cq_poll_ns,
             "poll overhead is bounded: {elapsed} > {batch_latency} + {n}×{}",
             cfg.cq_poll_ns
         );

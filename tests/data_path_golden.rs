@@ -1,0 +1,136 @@
+//! The data path, pinned to the nanosecond.
+//!
+//! `ditto-core` has one data path: posted WQEs, one doorbell per node, polled
+//! completions.  It used to be one of three selectable execution modes, and
+//! the constants below were captured by replaying these two seeded scenarios
+//! on the last commit that had the modes, in its default (pipelined)
+//! configuration — so an edit that moves the final simulated clock, the
+//! message count or any cache counter changed *which verbs run or when*, and
+//! must say so by re-deriving them.  The run is a single client on a simulated
+//! clock: the numbers are the same under `cargo test` and
+//! `cargo test --release`, on any host.
+
+use ditto::cache::stats::CacheStatsSnapshot;
+use ditto::cache::{DittoCache, DittoConfig};
+use ditto::dm::DmConfig;
+use ditto::workloads::{YcsbSpec, YcsbWorkload};
+
+/// What one replay must come out as.
+#[derive(Debug, PartialEq)]
+struct Golden {
+    /// The client's simulated clock after the final flush.
+    clock_ns: u64,
+    /// RNIC messages served, summed over the memory nodes.
+    messages: u64,
+    stats: CacheStatsSnapshot,
+}
+
+/// Replays YCSB-C (seed 11, 2 000 records, 12 000 requests, cache-aside
+/// fills on a miss) on a default-configured cache of `capacity` objects
+/// over `memory_nodes` nodes.  Capacity is well below the touched key count,
+/// so the trace exercises eviction and the history machinery beside hits.
+fn replay(memory_nodes: u16, capacity: u64) -> Golden {
+    let spec = YcsbSpec {
+        record_count: 2_000,
+        request_count: 12_000,
+        ..YcsbSpec::default()
+    }
+    .with_seed(11);
+    let cache = DittoCache::with_dedicated_pool(
+        DittoConfig::with_capacity(capacity),
+        DmConfig::default().with_memory_nodes(memory_nodes),
+    )
+    .unwrap();
+    let mut client = cache.client();
+    let mut value_buf = Vec::new();
+    for (i, request) in spec.run_requests(YcsbWorkload::C).into_iter().enumerate() {
+        let key = request.key_bytes();
+        let value = vec![request.key as u8; request.value_size as usize];
+        if client.get_into(&key, &mut value_buf) {
+            assert_eq!(value_buf, value, "request {i} hit a wrong value");
+        } else {
+            client.set(&key, &value);
+        }
+    }
+    client.flush();
+    let nodes = cache.pool().stats().node_snapshots();
+    Golden {
+        clock_ns: client.dm().now_ns(),
+        messages: nodes.iter().map(|node| node.messages).sum(),
+        stats: cache.stats().snapshot(),
+    }
+}
+
+#[test]
+fn single_node_replay_matches_the_pipelined_path_to_the_nanosecond() {
+    let golden = Golden {
+        clock_ns: 42_919_214,
+        messages: 48_157,
+        stats: CacheStatsSnapshot {
+            hits: 10_380,
+            misses: 1_620,
+            sets: 1_620,
+            evictions: 725,
+            bucket_evictions: 0,
+            history_inserts: 725,
+            regrets: 372,
+            weight_syncs: 4,
+            fc_flushes: 1_720,
+            local_hits: 0,
+            local_revalidations: 0,
+            local_invalidations: 0,
+            local_stale_rejects: 0,
+            expert_victories: vec![377, 348],
+        },
+    };
+    assert_eq!(replay(1, 700), golden);
+}
+
+#[test]
+fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
+    // On a 4-node pool an eviction sample splits into per-node segments whose
+    // completions drain out of order, and a `Set`'s unsignalled object WRITE
+    // can push its primary bucket's completion past the secondary's.
+    let golden = Golden {
+        clock_ns: 37_949_019,
+        messages: 43_226,
+        stats: CacheStatsSnapshot {
+            hits: 10_739,
+            misses: 1_261,
+            sets: 1_261,
+            evictions: 62,
+            bucket_evictions: 4,
+            history_inserts: 58,
+            regrets: 11,
+            weight_syncs: 1,
+            fc_flushes: 1_679,
+            local_hits: 0,
+            local_revalidations: 0,
+            local_invalidations: 0,
+            local_stale_rejects: 0,
+            expert_victories: vec![31, 31],
+        },
+    };
+    assert_eq!(replay(4, 350), golden);
+}
+
+#[test]
+fn a_default_client_posts_signalled_and_unsignalled_wqes_and_polls_them() {
+    let cache =
+        DittoCache::with_dedicated_pool(DittoConfig::with_capacity(500), DmConfig::default())
+            .unwrap();
+    let mut client = cache.client();
+    for i in 0..200u64 {
+        let key = i.to_le_bytes();
+        if client.get(&key).is_none() {
+            client.set(&key, b"fill");
+        }
+    }
+    let stats = cache.pool().stats();
+    // Lookups post signalled bucket READs behind a doorbell and poll them…
+    assert!(stats.doorbells() > 0);
+    assert!(stats.signalled_wqes() > 0);
+    assert!(stats.cq_polls() > 0);
+    // …while a Set's piggybacked object WRITE rides unsignalled.
+    assert!(stats.unsignalled_wqes() > 0);
+}

@@ -1,10 +1,9 @@
 //! The two-READ `Get`: a hinted lookup reads the one 40-byte slot its hint
-//! names instead of both buckets, and on the pipelined path posts the object
-//! READ right behind it.  The hint may only ever save messages and latency —
-//! same values, same cache evolution in every execution mode — and a hint
-//! that went stale, whose stripe moved, whose object sits off its slot's node
-//! or whose READ faults must cost at most one round trip, never a wrong
-//! value or a lost hit.
+//! names instead of both buckets, and posts the object READ right behind it.
+//! The hint may only ever save messages and latency, and a hint that went
+//! stale, whose stripe moved, whose object sits off its slot's node or whose
+//! READ faults must cost at most one round trip, never a wrong value or a
+//! lost hit.
 
 use ditto::algorithms::EXT_WORDS;
 use ditto::cache::hash::fnv1a64;
@@ -13,58 +12,52 @@ use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{object, DittoCache, DittoClient, DittoConfig};
 use ditto::dm::{DmConfig, FaultPlan, MemoryPool};
 use ditto::workloads::{Op, YcsbSpec, YcsbWorkload};
+use std::collections::HashMap;
 
 /// What one seeded single-client run observed.
-#[derive(Debug, PartialEq)]
 struct Observed {
-    gets: Vec<Option<Vec<u8>>>,
     stats: CacheStatsSnapshot,
-    /// READs, WRITEs, CASes and FAAs the memory node served.
-    verbs: (u64, u64, u64, u64),
     /// READs the memory node served on behalf of `Get`s that hit.
     hit_reads: u64,
     /// Hinted lookups issued, and how many of them mispredicted.
     hinted: (u64, u64),
 }
 
-/// Replays a seeded YCSB trace cache-aside and returns what it observed.
-fn replay(mix: YcsbWorkload, capacity: u64, async_completion: bool) -> Observed {
+/// Replays a seeded YCSB trace cache-aside — every hit must return the
+/// key's latest value — and returns what it observed.
+fn replay(mix: YcsbWorkload, capacity: u64) -> Observed {
     let spec = YcsbSpec {
         record_count: 2_000,
         request_count: 12_000,
         ..YcsbSpec::default()
     }
     .with_seed(23);
-    let config = DittoConfig::with_capacity(capacity).with_async_completion(async_completion);
-    let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
+    let cache =
+        DittoCache::with_dedicated_pool(DittoConfig::with_capacity(capacity), DmConfig::default())
+            .unwrap();
     let mut client = cache.client();
     let reads = || cache.pool().stats().node_snapshots()[0].reads;
-    let (mut gets, mut hit_reads) = (Vec::new(), 0);
+    let mut hit_reads = 0;
+    let mut latest = HashMap::new();
     let mut value_buf = Vec::new();
     for (i, request) in spec.run_requests(mix).into_iter().enumerate() {
         let key = request.key_bytes();
         let value = vec![(request.key as u8) ^ (i as u8); request.value_size as usize];
-        match request.op {
-            Op::Get => {
-                let before = reads();
-                if client.get_into(&key, &mut value_buf) {
-                    hit_reads += reads() - before;
-                    gets.push(Some(value_buf.clone()));
-                } else {
-                    gets.push(None);
-                    client.set(&key, &value);
-                }
+        if request.op == Op::Get {
+            let before = reads();
+            if client.get_into(&key, &mut value_buf) {
+                hit_reads += reads() - before;
+                assert_eq!(Some(&value_buf), latest.get(&request.key), "request {i}");
+                continue;
             }
-            Op::Update | Op::Insert => client.set(&key, &value),
         }
+        client.set(&key, &value);
+        latest.insert(request.key, value);
     }
     client.flush();
-    let node = cache.pool().stats().node_snapshots()[0];
     let stats = cache.stats();
     Observed {
-        gets,
         stats: stats.snapshot(),
-        verbs: (node.reads, node.writes, node.cas, node.faa),
         hit_reads,
         hinted: (stats.spec_reads_issued(), stats.spec_reads_wasted()),
     }
@@ -75,16 +68,15 @@ fn single_client_hints_never_mispredict_and_every_mode_sends_the_same_messages()
     // YCSB-C under eviction pressure (capacity a third of the records), then
     // YCSB-A with room for every record.
     for (mix, capacity) in [(YcsbWorkload::C, 700), (YcsbWorkload::A, 3_000)] {
-        let pipelined = replay(mix, capacity, true);
-        let batched = replay(mix, capacity, false);
-        let hits = pipelined.stats.hits;
+        let observed = replay(mix, capacity);
+        let hits = observed.stats.hits;
         assert!(hits > 1_000, "{mix:?}: the trace must hit");
         if capacity < 2_000 {
-            assert!(pipelined.stats.evictions > 500, "{mix:?}: and evict");
+            assert!(observed.stats.evictions > 500, "{mix:?}: and evict");
         }
         // A single client learns of every slot-word change at the CAS that
         // makes it, so its hints are never stale…
-        let (issued, wasted) = pipelined.hinted;
+        let (issued, wasted) = observed.hinted;
         assert_eq!(wasted, 0, "{mix:?}");
         // …and nearly every hit is a slot READ plus an object READ.
         assert!(
@@ -92,13 +84,10 @@ fn single_client_hints_never_mispredict_and_every_mode_sends_the_same_messages()
             "{mix:?}: only {issued} of {hits} hits hinted"
         );
         assert!(
-            (pipelined.hit_reads as f64) < 2.2 * hits as f64,
+            (observed.hit_reads as f64) < 2.2 * hits as f64,
             "{mix:?}: {} READs for {hits} hits",
-            pipelined.hit_reads
+            observed.hit_reads
         );
-        // Values, cache evolution, per-verb counts and the hints taken: the
-        // pipelined mode differs from the synchronous batches in latency only.
-        assert_eq!(pipelined, batched, "{mix:?}");
     }
 }
 
