@@ -4,8 +4,9 @@
 //! Replays a seeded YCSB-C trace (gets with cache-aside fills) against a
 //! `DittoClient` and reports simulated ops/s, verbs per op, doorbells per
 //! op, p50/p99 operation latency, the share of hits a hinted `Get` served
-//! from its one slot READ (beside the share of `Get`s whose hint
-//! mispredicted) and the READs a `Get` issues on average as JSON in
+//! from its one slot READ (beside the share of `Set`s a hint published
+//! without a lookup and the share of `Get`s whose hint mispredicted) and the
+//! READs a `Get` issues on average as JSON in
 //! `BENCH_ops.json`, so future changes can track the performance
 //! trajectory.  A second section sweeps the pool from 1 to 8 memory nodes
 //! under a deliberately message-bound RNIC budget: with the hash table,
@@ -85,6 +86,10 @@ struct ModeReport {
     /// Share of the hits a hinted `Get` served: its one slot READ found the
     /// hinted word (the object READ rode behind it — one round trip).
     hinted_hit_share: f64,
+    /// Share of the measured `Set`s a hint published in one round trip, the
+    /// CAS posted behind the object WRITE with no lookup (nil on this trace,
+    /// whose `Set`s are all fills after a miss and hold no hint).
+    hinted_set_share: f64,
     /// Hints that mispredicted, as a share of all `Get`s.
     spec_wasted_share: f64,
     /// READs per `Get` (the fills' lookups and evictions not counted): 2
@@ -214,7 +219,9 @@ fn run_recorded(
         cache.stats().spec_reads_issued(),
         cache.stats().spec_reads_wasted(),
     );
+    let published = cache.stats().spec_publishes_issued() - cache.stats().spec_publishes_wasted();
     let gets = cache_snap.hits + cache_snap.misses;
+    let measured_sets = cache_snap.sets - spec.record_count;
     let report = ModeReport {
         ops,
         sim_seconds,
@@ -228,6 +235,7 @@ fn run_recorded(
         misses: cache_snap.misses,
         evictions: cache_snap.evictions + cache_snap.bucket_evictions,
         hinted_hit_share: (spec_issued - spec_wasted) as f64 / cache_snap.hits.max(1) as f64,
+        hinted_set_share: published as f64 / measured_sets.max(1) as f64,
         spec_wasted_share: spec_wasted as f64 / gets.max(1) as f64,
         reads_per_get: (snap.reads - fill_reads) as f64 / gets.max(1) as f64,
     };
@@ -809,6 +817,7 @@ fn mode_json(report: &ModeReport) -> String {
             "      \"misses\": {},\n",
             "      \"evictions\": {},\n",
             "      \"hinted_hit_share\": {:.4},\n",
+            "      \"hinted_set_share\": {:.4},\n",
             "      \"spec_wasted_share\": {:.4},\n",
             "      \"reads_per_get\": {:.4}\n",
             "    }}"
@@ -825,6 +834,7 @@ fn mode_json(report: &ModeReport) -> String {
         report.misses,
         report.evictions,
         report.hinted_hit_share,
+        report.hinted_set_share,
         report.spec_wasted_share,
         report.reads_per_get,
     )

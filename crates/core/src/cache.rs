@@ -273,6 +273,16 @@ impl DittoCache {
             self.stats.spec_reads_wasted(),
         );
         counter(
+            "ditto_cache_spec_publishes_issued_total",
+            "Hinted publishes: replacing Sets that CASed their hinted slot behind the object WRITE, with no lookup (lifetime).",
+            self.stats.spec_publishes_issued(),
+        );
+        counter(
+            "ditto_cache_spec_publishes_wasted_total",
+            "Hinted publishes that mispredicted because the slot word had changed (lifetime).",
+            self.stats.spec_publishes_wasted(),
+        );
+        counter(
             "ditto_cache_gets_degraded_total",
             "Gets a verb fault degraded to a miss (lifetime).",
             self.stats.gets_degraded(),
@@ -446,18 +456,22 @@ mod tests {
         let mut client = cache.client();
         client.set(b"k", b"v");
         assert!(client.get(b"k").is_some());
+        client.set(b"k", b"v2");
         let page = cache.text_exposition();
         // Pool-level groups from the dm crate…
         assert!(page.contains("ditto_ops_total"));
         assert!(page.contains("ditto_node_messages_total"));
         // …and the cache-level series, in the same page.
         assert!(page.contains("ditto_cache_hits_total 1"));
-        assert!(page.contains("ditto_cache_sets_total 1"));
+        assert!(page.contains("ditto_cache_sets_total 2"));
         assert!(page.contains("ditto_cache_evictions_inline_total 0"));
         assert!(page.contains("ditto_cache_evictions_overlapped_total 0"));
         // The Set left a hint, so the Get read its one slot — and it held.
         assert!(page.contains("ditto_cache_spec_reads_issued_total 1"));
         assert!(page.contains("ditto_cache_spec_reads_wasted_total 0"));
+        // The second Set replaced the value through the same hint.
+        assert!(page.contains("ditto_cache_spec_publishes_issued_total 1"));
+        assert!(page.contains("ditto_cache_spec_publishes_wasted_total 0"));
         assert!(page.contains("ditto_cache_gets_degraded_total 0"));
         assert!(page.contains("ditto_cache_expert_victories_total{expert=\"lru\""));
         // Every HELP line has a TYPE line.

@@ -15,7 +15,10 @@
 //!   (frequency-counter-cached) `RDMA_FAA` of the access count.
 //! * **Set** — one doorbell carrying the object `RDMA_WRITE` together with
 //!   both bucket `RDMA_READ`s, an `RDMA_CAS` of the slot's atomic field,
-//!   plus the asynchronous metadata write.
+//!   plus the asynchronous metadata write — or, when the client holds a hint
+//!   for the key, one doorbell carrying the `RDMA_WRITE` and, behind it, the
+//!   `RDMA_CAS` of the hinted slot from the hinted word: no lookup, one
+//!   round trip (see the crate docs).
 //! * **Eviction** — one `RDMA_READ` sampling K consecutive slots (or, in the
 //!   scattered-metadata ablation, one doorbell carrying K slot READs), a
 //!   per-expert priority evaluation, a weighted victim choice, an `RDMA_FAA`
@@ -30,9 +33,11 @@
 //! decodes it *while the secondary is still in flight*; `Set` posts its
 //! object WRITE unsignalled (never waited for) next to the bucket READs; a
 //! hinted `Get`'s object READ flies with the slot READ that validates it;
-//! a hit's due frequency-counter FAA rides unsignalled next to the object
-//! READ; and an eviction's sample READ and history FAA fly while its `Set`
-//! looks up and publishes.  Waits and the client CPU work
+//! a hinted `Set`'s publish CAS is posted behind the object WRITE it
+//! publishes; a due frequency-counter FAA rides unsignalled — next to a hit's
+//! object READ, or on a doorbell of its own — and is never waited for; and
+//! an eviction's sample READ and history FAA fly while its `Set` looks up
+//! and publishes.  Waits and the client CPU work
 //! (`cpu_decode_slot_ns` per slot, `cpu_score_candidate_ns` per candidate)
 //! overlap the flights, and `end_op` simply drains whatever is still
 //! outstanding.  `tests/data_path_golden.rs` pins two seeded replays of it
@@ -87,6 +92,7 @@ mod evict;
 mod lookup;
 mod publish;
 use lookup::{HintTable, Lookup};
+use publish::HintedPublish;
 
 /// Maximum CAS retries before an operation gives up.
 const MAX_RETRIES: usize = 8;
@@ -169,8 +175,9 @@ pub struct DittoClient {
     alloc: StripedAllocator,
     fc: FcCache,
     /// Last slot word seen per key hash, and where: lets a `Get` READ that
-    /// one slot — and the object right behind it — instead of both buckets
-    /// (see [`lookup`]).
+    /// one slot — and the object right behind it — instead of both buckets,
+    /// and a replacing `Set` CAS it without reading anything (see
+    /// [`lookup`]).
     hints: HintTable,
     /// This client's own bumps of each [`CoherenceBoard`] slot.  Its own slot
     /// CASes keep its hints exact, so a hint is stamped with — and filtered
@@ -811,17 +818,8 @@ impl DittoClient {
             };
             if lookup.object_landed {
                 // The object READ posted behind the hinted slot READ already
-                // fetched this very object: no second round trip.  Due FAA
-                // flushes go out on a doorbell of their own, unsignalled
-                // and never waited for.
-                if !flushes.is_empty() {
-                    let mut wq = self.dm.work_queue();
-                    for (addr, delta) in flushes {
-                        wq.post_faa(addr, delta, false);
-                        self.stats.record_fc_flush();
-                    }
-                    wq.ring();
-                }
+                // fetched this very object: no second round trip.
+                self.post_fc_flushes(flushes);
             } else if flushes.is_empty() {
                 let obj_addr = slot.atomic.object_addr();
                 let buf = &mut self.obj_buf[..obj_len];
@@ -883,7 +881,13 @@ impl DittoClient {
             let ext = view.ext;
             out.clear();
             out.extend_from_slice(view.value);
-            self.record_access(slot_addr, &slot, Some(&ext), AccessKind::Hit);
+            self.record_access(slot_addr, AccessKind::Hit);
+            self.record_extension(
+                &slot,
+                slot.atomic.object_addr(),
+                Some(&ext),
+                AccessKind::Hit,
+            );
             self.stats.record_hit();
             if !lookup.hint_held {
                 self.hint_note(hash, slot_addr, slot.atomic.encode(), hint_epoch);
@@ -1068,13 +1072,25 @@ impl DittoClient {
         );
     }
 
-    fn record_access(
-        &mut self,
-        slot_addr: RemoteAddr,
-        slot: &Slot,
-        ext: Option<&[u64; EXT_WORDS]>,
-        kind: AccessKind,
-    ) {
+    /// Posts due frequency-counter flushes unsignalled on a doorbell of
+    /// their own: the counters are advisory, so no operation waits a round
+    /// trip for them (a faulted one loses an increment; `end_op` drains its
+    /// error completion).
+    fn post_fc_flushes(&mut self, flushes: FcFlushes) {
+        if flushes.is_empty() {
+            return;
+        }
+        let mut wq = self.dm.work_queue();
+        for (addr, delta) in flushes {
+            wq.post_faa(addr, delta, false);
+            self.stats.record_fc_flush();
+        }
+        wq.ring();
+    }
+
+    /// Records an access in the slot's metadata: the stateless last-access
+    /// timestamp and the (client-side combined) frequency counter.
+    fn record_access(&mut self, slot_addr: RemoteAddr, kind: AccessKind) {
         let now = self.dm.now_ns();
         // Stateless information: a single asynchronous WRITE (mirrored into
         // the destination copy while the slot's stripe is mid-migration).
@@ -1097,33 +1113,47 @@ impl DittoClient {
         if kind != AccessKind::Hit || !self.config.enable_fc_cache {
             let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
             if self.config.enable_fc_cache {
-                for (addr, delta) in self.fc.record(freq_addr) {
-                    let _ = with_retry(&self.dm, |dm| dm.try_faa(addr, delta));
-                    self.stats.record_fc_flush();
-                }
+                let flushes = self.fc.record(freq_addr);
+                self.post_fc_flushes(flushes);
             } else {
                 let _ = with_retry(&self.dm, |dm| dm.try_faa(freq_addr, 1));
                 self.stats.record_fc_flush();
             }
         }
-        // Extension metadata for advanced algorithms (§4.4).
-        if self.use_extension {
-            let mut metadata = slot.metadata();
-            metadata.record_access(&AccessContext::at(now));
-            if let Some(ext) = ext {
-                metadata.ext = *ext;
-            }
-            let ctx = AccessContext::at(now).with_kind(kind);
-            for expert in self.experts.iter() {
-                expert.update(&mut metadata, &ctx);
-            }
-            let mut buf = [0u8; EXT_WORDS * 8];
-            for (i, w) in metadata.ext.iter().enumerate() {
-                buf[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
-            }
-            let ext_addr = slot.atomic.object_addr().add(object::ext_offset());
-            let _ = self.dm.try_write_async(ext_addr, &buf);
+    }
+
+    /// Runs the experts' update rules over the extension metadata of the
+    /// accessed key (§4.4) — `slot` as the lookup decoded it, `ext` the
+    /// words read with the object on a hit — and writes the result into the
+    /// object at `object`: the one read on a hit, the *new* one on an
+    /// update.  A no-op unless some expert keeps extension words.
+    fn record_extension(
+        &mut self,
+        slot: &Slot,
+        object: RemoteAddr,
+        ext: Option<&[u64; EXT_WORDS]>,
+        kind: AccessKind,
+    ) {
+        if !self.use_extension {
+            return;
         }
+        let now = self.dm.now_ns();
+        let mut metadata = slot.metadata();
+        metadata.record_access(&AccessContext::at(now));
+        if let Some(ext) = ext {
+            metadata.ext = *ext;
+        }
+        let ctx = AccessContext::at(now).with_kind(kind);
+        for expert in self.experts.iter() {
+            expert.update(&mut metadata, &ctx);
+        }
+        let mut buf = [0u8; EXT_WORDS * 8];
+        for (i, w) in metadata.ext.iter().enumerate() {
+            buf[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
+        }
+        let _ = self
+            .dm
+            .try_write_async(object.add(object::ext_offset()), &buf);
     }
 
     // ------------------------------------------------------------------
@@ -1279,7 +1309,28 @@ impl DittoClient {
 
         let mut stored = false;
         let mut object_written = false;
-        for _ in 0..MAX_RETRIES {
+        // The front door: a key this client holds a hint for is replaced in
+        // one round trip, WRITE and CAS behind one doorbell, no lookup —
+        // unless an eviction rides this `Set` (its sample READ shares the
+        // lookup's doorbell).  A misprediction falls into the lookup loop
+        // with the object already written.
+        if ahead.is_none() {
+            match self.publish_hinted(hash, obj_addr, new_atomic, &encoded) {
+                HintedPublish::Declined => {}
+                HintedPublish::Won => stored = true,
+                HintedPublish::Mispredicted {
+                    object_written: landed,
+                } => {
+                    object_written = landed;
+                    if landed && self.crash_fired(CrashPoint::AfterObjectWrite) {
+                        self.encode_buf = encoded;
+                        return Ok(());
+                    }
+                }
+            }
+        }
+        let attempts = if stored { 0 } else { MAX_RETRIES };
+        for _ in 0..attempts {
             // Each attempt recomputes its addresses through the directory,
             // so the staleness token must move with it — keeping the
             // op-start token would judge every CAS after a mid-op cutover
@@ -1431,7 +1482,10 @@ impl DittoClient {
                     break;
                 }
                 if self.slot_cas(slot_addr, slot.atomic.encode(), 0) {
+                    // Bump before free (see `lookup`'s module docs): nobody's
+                    // hint may outlive the blocks it names.
                     self.hints.forget(hash);
+                    self.bump_board(hash);
                     self.free_object(
                         slot.atomic.object_addr(),
                         slot.atomic.object_bytes() as usize,

@@ -3,10 +3,40 @@
 //! table** that lets a `Get` skip them: a hint names the key's *slot*, so a
 //! hinted `Get` READs that one 40-byte slot instead of two 320-byte buckets,
 //! and posts its object READ right behind it, making a remote hit two READs
-//! and one round trip (see the crate docs, *The one-round-trip `Get`*).
+//! and one round trip (see the crate docs, *The one-round-trip `Get`*).  A
+//! replacing `Set` goes further and skips the READ altogether: it CASes the
+//! hinted slot from the hinted word, blind ([`super::publish`]).
+//!
+//! # What a blind CAS leans on
+//!
+//! A `Get` checks its hint against the slot it reads, then the object's key.
+//! A CAS that *returns the hinted word* proves only that the slot holds that
+//! word now — so the word must still mean the hinted key, which rests on one
+//! invariant and one argument:
+//!
+//! * **Bump before free.**  A CAS that takes a key's word out of its slot —
+//!   a sampling or bucket eviction, the failed-update invalidation sweep —
+//!   bumps that key's [`crate::local_tier::CoherenceBoard`] epoch *before*
+//!   the displaced object's blocks can be recycled (or, when the CAS is the
+//!   client's own, drops or rewrites its own hint there and then).  A hint
+//!   whose epoch still holds therefore names an object nobody has been free
+//!   to reuse for another key.
+//! * **ABA.**  An object address is named by one slot at a time.  While the
+//!   hint's epoch holds, the hinted word can thus only *reappear* in the
+//!   slot — after a replace or a relocation took it out, neither of which
+//!   moves the key — as a live value of the same key, which is exactly what
+//!   a replace may displace and free.
+//!
+//! What remains is the instant between reading the epoch and the CAS — and
+//! another client's between its winning CAS and its bump — in which the key
+//! can be evicted and the slot refilled: the exposure the unhinted replace
+//! already has between its bucket READ and its CAS.  The board lives in one
+//! process, like the local tier's coherence: hints must not be trusted
+//! across processes until epochs live in pool memory (ROADMAP item 5(a)).
 
 use super::evict::Eviction;
 use super::{verb_fault_retryable, DittoClient, SearchSlots, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
+use crate::hash::fingerprint;
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
 use ditto_dm::{Completion, DmClient, DmError, DmResult, Phase, RemoteAddr};
@@ -15,35 +45,48 @@ use ditto_dm::{Completion, DmClient, DmError, DmResult, Phase, RemoteAddr};
 /// per client, a fifth of the FC cache's default budget.
 const HINT_ENTRIES: usize = 1 << 17;
 const HINT_INDEX_BITS: u32 = HINT_ENTRIES.trailing_zeros();
+/// Hash bits an entry's index and tag tell keys apart by: enough for a `Get`,
+/// which re-checks the slot's hash and the object's key.
+const HINT_TAG_END: u32 = HINT_INDEX_BITS + u32::BITS;
+/// The hash bits between the tag and the fingerprint byte, kept in the stamp
+/// so that — with the fingerprint in the hinted word itself — a hint can be
+/// matched on all 64 hash bits ([`HintTable::get_exact`]).
+const HINT_HIGH_BITS: u32 = 7;
+const _: () = assert!(HINT_TAG_END + HINT_HIGH_BITS + u8::BITS == u64::BITS);
+/// Where a stamp holds them: right above the epoch.
+const HINT_HIGH_MASK: u32 = ((1 << HINT_HIGH_BITS) - 1) << HINT_EPOCH_BITS;
 /// Bits of a hint stamp left to the board epoch once the slot's place — one
-/// bit of bucket, three of slot index — is taken out of its 32.
-const HINT_EPOCH_BITS: u32 = 28;
-const _: () = assert!(SLOTS_PER_BUCKET == 1 << (31 - HINT_EPOCH_BITS));
+/// bit of bucket, three of slot index — and the high hash bits are taken out
+/// of its 32.
+const HINT_EPOCH_BITS: u32 = 21;
+const _: () = assert!(SLOTS_PER_BUCKET == 1 << (31 - HINT_HIGH_BITS - HINT_EPOCH_BITS));
 
 /// What a client last knew of a key's slot: the slot's atomic word (which
 /// names the object's node, address and size) and where the slot sits —
 /// which of the key's two buckets, and which slot of that bucket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) struct Hint {
-    word: u64,
-    secondary: bool,
-    slot: u8,
+    pub(super) word: u64,
+    pub(super) secondary: bool,
+    pub(super) slot: u8,
 }
 
 /// One hint-table entry.  `word == 0` (an empty slot's word, never hinted)
 /// marks it vacant.  The low hash bits pick the entry and the next 32 tag
-/// it, so 49 hash bits tell keys apart; a hint is only ever a guess checked
-/// against the freshly read slot, so an alias costs a wasted round trip,
-/// never a wrong value.
+/// it, so 49 hash bits tell keys apart for a `Get`: its hint is only ever a
+/// guess checked against the freshly read slot, so an alias costs a wasted
+/// round trip, never a wrong value.  A `Set` that CASes on the hinted word
+/// without reading the slot has no such check and takes only a hint that is
+/// its key's in all 64 bits.
 #[derive(Clone, Copy, Default)]
 struct HintEntry {
     word: u64,
     tag: u32,
     /// Bit 31: the slot sits in the secondary bucket.  Bits 28..31: its index
-    /// in that bucket.  Bits 0..28: the low bits of the
-    /// [`crate::local_tier::CoherenceBoard`] epoch of the key's hash when the
-    /// word was known current, less the client's own bumps
-    /// ([`DittoClient::hint_epoch`]).
+    /// in that bucket.  Bits 21..28: the key's hash bits 49..56.  Bits 0..21:
+    /// the low bits of the [`crate::local_tier::CoherenceBoard`] epoch of the
+    /// key's hash when the word was known current, less the client's own
+    /// bumps ([`DittoClient::hint_epoch`]).
     stamp: u32,
 }
 
@@ -68,9 +111,16 @@ impl HintTable {
         (hash >> HINT_INDEX_BITS) as u32
     }
 
+    /// `hash`'s bits above the tag and below the fingerprint, placed as the
+    /// stamp holds them.
+    fn high(hash: u64) -> u32 {
+        (((hash >> HINT_TAG_END) as u32) << HINT_EPOCH_BITS) & HINT_HIGH_MASK
+    }
+
+    /// The stamp of a slot's place at `epoch`, high hash bits left zero.
     fn stamp(secondary: bool, slot: u8, epoch: u64) -> u32 {
         (epoch as u32 & ((1 << HINT_EPOCH_BITS) - 1))
-            | (slot as u32) << HINT_EPOCH_BITS
+            | (slot as u32) << (HINT_EPOCH_BITS + HINT_HIGH_BITS)
             | (secondary as u32) << 31
     }
 
@@ -80,14 +130,25 @@ impl HintTable {
     pub(super) fn get(&self, hash: u64, epoch: u64) -> Option<Hint> {
         let entry = self.entries[Self::index(hash)];
         let secondary = entry.stamp >> 31 == 1;
-        let slot = (entry.stamp >> HINT_EPOCH_BITS) as u8 & (SLOTS_PER_BUCKET as u8 - 1);
+        let slot = (entry.stamp >> (HINT_EPOCH_BITS + HINT_HIGH_BITS)) as u8
+            & (SLOTS_PER_BUCKET as u8 - 1);
         (entry.word != 0
             && entry.tag == Self::tag(hash)
-            && entry.stamp == Self::stamp(secondary, slot, epoch))
+            && entry.stamp & !HINT_HIGH_MASK == Self::stamp(secondary, slot, epoch))
         .then_some(Hint {
             word: entry.word,
             secondary,
             slot,
+        })
+    }
+
+    /// [`Self::get`], narrowed to a hint taken for a key whose hash equals
+    /// `hash` in all 64 bits: the stamp holds the seven the tag leaves out,
+    /// the hinted word's fingerprint byte the top eight.
+    pub(super) fn get_exact(&self, hash: u64, epoch: u64) -> Option<Hint> {
+        let high = self.entries[Self::index(hash)].stamp & HINT_HIGH_MASK;
+        self.get(hash, epoch).filter(|hint| {
+            high == Self::high(hash) && AtomicField::decode(hint.word).fp == fingerprint(hash)
         })
     }
 
@@ -97,7 +158,7 @@ impl HintTable {
         self.entries[Self::index(hash)] = HintEntry {
             word: hint.word,
             tag: Self::tag(hash),
-            stamp: Self::stamp(hint.secondary, hint.slot, epoch),
+            stamp: Self::stamp(hint.secondary, hint.slot, epoch) | Self::high(hash),
         };
     }
 
@@ -235,6 +296,20 @@ impl DittoClient {
             // translated: there is no place to name.
             None => self.hints.forget(hash),
         }
+    }
+
+    /// The hint a `Set` of `hash` may CAS on without reading the slot: the
+    /// key's in all 64 hash bits, current as of the board epoch read here.
+    pub(super) fn set_hint(&self, hash: u64) -> Option<Hint> {
+        let hint_epoch = self.hint_epoch(hash, self.board.epoch(hash));
+        self.hints.get_exact(hash, hint_epoch)
+    }
+
+    /// Where the slot `hint` names lives now: its place re-translated
+    /// through the live stripe directory.
+    pub(super) fn hinted_slot_addr(&self, hash: u64, hint: Hint) -> RemoteAddr {
+        let bucket = self.hinted_bucket(hash, hint.secondary);
+        self.table.slot_addr(bucket, hint.slot as usize)
     }
 
     fn hinted_bucket(&self, hash: u64, secondary: bool) -> u64 {
@@ -570,9 +645,9 @@ mod tests {
     use crate::cache::DittoCache;
     use crate::client::DittoClient;
     use crate::config::DittoConfig;
-    use crate::hash::fnv1a64;
+    use crate::hash::{fingerprint, fnv1a64};
     use crate::slot::{AtomicField, SLOTS_PER_BUCKET, SLOT_SIZE};
-    use ditto_dm::DmConfig;
+    use ditto_dm::{DmConfig, RemoteAddr};
 
     fn small_cache() -> DittoCache {
         DittoCache::with_dedicated_pool(DittoConfig::with_capacity(1_000), DmConfig::default())
@@ -583,6 +658,13 @@ mod tests {
     fn timed_get(client: &mut DittoClient, key: &[u8]) -> u64 {
         let t0 = client.dm().now_ns();
         assert!(client.get(key).is_some());
+        client.dm().now_ns() - t0
+    }
+
+    /// Times one `Set` of `key`.
+    fn timed_set(client: &mut DittoClient, key: &[u8], value: &[u8]) -> u64 {
+        let t0 = client.dm().now_ns();
+        client.set(key, value);
         client.dm().now_ns() - t0
     }
 
@@ -645,6 +727,37 @@ mod tests {
             std::mem::size_of_val(&*hints.entries),
             HINT_ENTRIES * 16,
             "16 bytes per entry"
+        );
+    }
+
+    #[test]
+    fn hashes_equal_in_their_low_49_bits_never_share_a_set_hint() {
+        let mut hints = HintTable::new();
+        let a = 0xabcd_0000_1234_5678u64;
+        // A hint as the client leaves it: the word carries the key's
+        // fingerprint, the hash's top byte.
+        let hint = Hint {
+            word: AtomicField::for_object(fingerprint(a), 1, RemoteAddr::new(0, 4096)).encode(),
+            secondary: false,
+            slot: 3,
+        };
+        hints.put(a, hint, 7);
+        assert_eq!(hints.get_exact(a, 7), Some(hint));
+        assert_eq!(hints.get_exact(a, 8), None, "epoch-filtered like any hint");
+        // Every hash that differs from `a` in one bit above the 49 the index
+        // and tag cover: a `Get`, which checks what it reads, takes the hint
+        // as before; a `Set`, which would CAS on it blind, never does.
+        for bit in 49..64 {
+            let alias = a ^ (1 << bit);
+            assert_eq!(hints.get(alias, 7), Some(hint), "bit {bit}");
+            assert_eq!(hints.get_exact(alias, 7), None, "bit {bit}");
+        }
+        // Below that the `Get` filter tells them apart already.
+        assert_eq!(hints.get(a ^ (1 << 48), 7), None);
+        assert_eq!(
+            std::mem::size_of_val(&*hints.entries),
+            HINT_ENTRIES * 16,
+            "the seven bits came out of the stamp's epoch, not out of new space"
         );
     }
 
@@ -775,5 +888,106 @@ mod tests {
             (stats.spec_reads_issued(), stats.spec_reads_wasted()),
             (2, 1)
         );
+    }
+
+    #[test]
+    fn hinted_replace_is_one_round_trip() {
+        let dm = DmConfig::default();
+        // A one-block object, whose WRITE the CAS outlasts, and a 1 KiB one.
+        for size in [1, 1_024] {
+            let cache = small_cache();
+            let mut client = cache.client();
+            // The insert's publish CAS leaves the hint.
+            client.set(b"probe", &vec![1u8; size]);
+            let hint = hint_of(&client, b"probe").expect("the publish CAS leaves the hint");
+            assert_eq!(client.set_hint(fnv1a64(b"probe")), Some(hint));
+            let object_bytes = AtomicField::decode(hint.word).object_bytes() as usize;
+            // (elapsed, doorbells, WQEs, messages) of one replace.
+            let replace = |client: &mut DittoClient, fill: u8| {
+                cache.pool().reset_stats();
+                let elapsed = timed_set(client, b"probe", &vec![fill; size]);
+                assert_eq!(client.get(b"probe"), Some(vec![fill; size]));
+                let stats = cache.pool().stats();
+                let sets = stats.node_snapshots()[0].messages - 3; // the hinted Get's
+                (
+                    elapsed,
+                    stats.doorbells() - 1,
+                    stats.batched_verbs() - 2,
+                    sets,
+                )
+            };
+            // One doorbell carrying the WRITE and the CAS, one poll — and the
+            // `last_ts` WRITE of the update, which nobody waits for.
+            let hinted = replace(&mut client, 2);
+            let posting = dm.doorbell_latency_ns + 2 * dm.verb_issue_ns;
+            let write = dm.transfer_latency_ns(dm.write_latency_ns, object_bytes);
+            let round_trip = posting + write.max(dm.cas_latency_ns) + dm.cq_poll_ns;
+            assert_eq!(hinted, (round_trip, 1, 2, 3), "{object_bytes} B");
+            // The hint follows the word: the next replace repeats the feat.
+            assert_eq!(replace(&mut client, 3), hinted);
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.spec_publishes_issued(), stats.spec_publishes_wasted()),
+                (2, 0)
+            );
+            // Without the hint: the WRITE beside both bucket READs, then the
+            // CAS — two round trips, five messages.
+            client.hints.forget(fnv1a64(b"probe"));
+            let unhinted = replace(&mut client, 4);
+            assert_eq!((unhinted.1, unhinted.2, unhinted.3), (1, 3, 5));
+            assert!(unhinted.0 > round_trip + dm.cas_latency_ns);
+            assert_eq!(stats.spec_publishes_issued(), 2);
+        }
+    }
+
+    #[test]
+    fn stale_set_hint_costs_the_unhinted_set_plus_one_round_trip() {
+        let cache = small_cache();
+        let (mut client, mut writer) = (cache.client(), cache.client());
+        let hash = fnv1a64(b"probe");
+        client.set(b"probe", b"v1");
+        // Another client replaces the value.  Its board bump filters the
+        // hint, so this is what an unhinted replace costs…
+        writer.set(b"probe", b"v2");
+        assert_eq!(client.set_hint(hash), None);
+        let unhinted = timed_set(&mut client, b"probe", b"v3");
+        let stats = cache.stats();
+        assert_eq!(stats.spec_publishes_issued(), 0);
+        // …and this a replace misled by the word it left then, stale since
+        // the writer's next replace but re-stamped with the current epoch as
+        // if the writer sat in another process the board cannot see.
+        let stale = hint_of(&client, b"probe").unwrap();
+        writer.set(b"probe", b"v4");
+        let hint_epoch = client.hint_epoch(hash, client.board.epoch(hash));
+        client.hints.put(hash, stale, hint_epoch);
+        cache.pool().reset_stats();
+        let mispredicted = timed_set(&mut client, b"probe", b"v5");
+        assert_eq!(
+            (stats.spec_publishes_issued(), stats.spec_publishes_wasted()),
+            (1, 1)
+        );
+        // The CAS did not return the hinted word: the Set went on as
+        // without a hint, one round trip later — a doorbell, the CAS's
+        // issue, flight and poll; the WRITE merely moved off the lookup's
+        // doorbell onto that one — and published the right value over the
+        // writer's, whose object it freed.
+        let dm = DmConfig::default();
+        let round_trip =
+            dm.doorbell_latency_ns + dm.verb_issue_ns + dm.cas_latency_ns + dm.cq_poll_ns;
+        assert_eq!(mispredicted, unhinted + round_trip);
+        let node = cache.pool().stats().node_snapshots()[0];
+        assert_eq!((node.writes, node.reads, node.cas), (2, 2, 2));
+        assert_eq!(writer.get(b"probe").as_deref(), Some(&b"v5"[..]));
+        assert_eq!(
+            cache.pool().resident_object_bytes(0),
+            client.referenced_object_bytes_on(0)
+        );
+        // The publish left the fresh word: the next replace is hinted right.
+        client.set(b"probe", b"v6");
+        assert_eq!(
+            (stats.spec_publishes_issued(), stats.spec_publishes_wasted()),
+            (2, 1)
+        );
+        assert_eq!(writer.get(b"probe").as_deref(), Some(&b"v6"[..]));
     }
 }

@@ -1,6 +1,7 @@
 //! The publish half of `Set`: the migration-aware slot CAS and the three
 //! shapes a publish takes — replacing the key's live slot, installing into an
-//! empty or history slot, evicting a victim of a full bucket.
+//! empty or history slot, evicting a victim of a full bucket — plus the front
+//! door a hinted replace takes past the lookup ([`DittoClient::publish_hinted`]).
 
 use super::{with_retry, Candidates, DittoClient, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
 use crate::hashtable::SampleFriendlyHashTable;
@@ -8,8 +9,20 @@ use crate::recovery::CrashPoint;
 use crate::slot::{AtomicField, Slot};
 use ditto_algorithms::AccessKind;
 use ditto_dm::migration::WriteDisposition;
-use ditto_dm::{RemoteAddr, RECONCILE_POISON};
+use ditto_dm::{Phase, RemoteAddr, RECONCILE_POISON};
 use std::sync::Arc;
+
+/// How [`DittoClient::publish_hinted`] went.
+pub(super) enum HintedPublish {
+    /// Its conditions do not hold: no verb was posted.
+    Declined,
+    /// The CAS returned the hinted word: the new object is published and
+    /// the displaced one freed.
+    Won,
+    /// Anything else — a changed word, a faulted verb.  It cost one round
+    /// trip; the object's bytes landed unless the WRITE itself faulted.
+    Mispredicted { object_written: bool },
+}
 
 impl DittoClient {
     /// CASes a slot's atomic field and confirms the write against the
@@ -32,6 +45,13 @@ impl DittoClient {
             self.record_failed_slot_cas();
             return false;
         }
+        self.confirm_slot_cas(slot_addr, expected, new)
+    }
+
+    /// Judges a slot CAS that took effect — `slot_addr` held `expected` and
+    /// now holds `new` — against the stripe directory: the second half of
+    /// [`Self::slot_cas`], and all of it a CAS posted on the WQE ring needs.
+    fn confirm_slot_cas(&mut self, slot_addr: RemoteAddr, expected: u64, new: u64) -> bool {
         match self
             .table
             .directory()
@@ -183,18 +203,111 @@ impl DittoClient {
         if !self.slot_cas(slot_addr, expected, new_atomic.encode()) {
             return false;
         }
-        self.hint_cas_won(slot.hash, slot_addr, new_atomic.encode());
+        self.finish_replace(slot_addr, slot.hash, slot.atomic, new_atomic, Some(slot));
+        true
+    }
+
+    /// What follows a publish CAS that replaced `hash`'s word `old` with
+    /// `new` in the slot at `slot_addr`, whichever door the CAS came
+    /// through; `decoded` is the slot as the lookup read it, which the
+    /// hinted publish never does.
+    fn finish_replace(
+        &mut self,
+        slot_addr: RemoteAddr,
+        hash: u64,
+        old: AtomicField,
+        new: AtomicField,
+        decoded: Option<&Slot>,
+    ) {
+        self.hint_cas_won(hash, slot_addr, new.encode());
         if self.crash_fired(CrashPoint::AfterPublish) {
             // Crash-consistency test hook: die with the new value live and
             // the displaced old allocation never freed.
-            return true;
+            return;
         }
-        self.record_access(slot_addr, slot, None, AccessKind::Update);
-        self.free_object(
-            slot.atomic.object_addr(),
-            slot.atomic.object_bytes() as usize,
-        );
-        true
+        self.record_access(slot_addr, AccessKind::Update);
+        if let Some(slot) = decoded {
+            // The extension words live with the object: the update's go to
+            // the new one, not the one freed below.
+            self.record_extension(slot, new.object_addr(), None, AccessKind::Update);
+        }
+        self.free_object(old.object_addr(), old.object_bytes() as usize);
+    }
+
+    /// The one-round-trip publish (see the crate docs, *The one-round-trip
+    /// `Set`*): when `hash` holds a hint a `Set` may act on, posts the WRITE
+    /// of the `encoded` object at `obj_addr` unsignalled and, behind it on
+    /// the same doorbell, the CAS of the hinted slot from the hinted word to
+    /// `new` — no lookup — and polls the CAS's completion.  The CAS
+    /// returning the hinted word *is* the publish, judged and finished like
+    /// any replace ([`Self::confirm_slot_cas`], [`Self::finish_replace`]).
+    ///
+    /// Declined, before any verb, unless the new object lives on the slot's
+    /// node — one queue pair, in order, and an errored WRITE flushes the CAS
+    /// behind it, so the word can never name bytes that did not land — and
+    /// no expert keeps extension words (their Update rule needs the decoded
+    /// slot).  The caller declines for a third reason: an eviction riding
+    /// this `Set`, whose sample shares the lookup's doorbell.
+    pub(super) fn publish_hinted(
+        &mut self,
+        hash: u64,
+        obj_addr: RemoteAddr,
+        new: AtomicField,
+        encoded: &[u8],
+    ) -> HintedPublish {
+        if self.use_extension {
+            return HintedPublish::Declined;
+        }
+        let Some(hint) = self.set_hint(hash) else {
+            return HintedPublish::Declined;
+        };
+        self.mig_token = self.table.directory().version();
+        let slot_addr = self.hinted_slot_addr(hash, hint);
+        if obj_addr.mn_id != slot_addr.mn_id {
+            return HintedPublish::Declined;
+        }
+        let translate_ns = self.dm.now_ns();
+        self.dm
+            .record_span(Phase::Translate, translate_ns, translate_ns, 0);
+        // The hinted word names the allocation the CAS displaces; as in
+        // `replace_existing` it is journalled before the CAS can land.
+        let old = AtomicField::decode(hint.word);
+        self.journal_set_old(Some((old.object_addr(), old.object_bytes() as usize)));
+        let publish_start = self.dm.now_ns();
+        let mut observed = 0;
+        let (wr_write, wr_cas) = {
+            let mut wq = self.dm.work_queue();
+            let wr_write = wq.post_write(obj_addr, encoded, false);
+            let wr_cas = wq.post_cas(slot_addr, hint.word, new.encode(), &mut observed, true);
+            wq.ring();
+            (wr_write, wr_cas)
+        };
+        // Fault-free the CAS's completion is the only one.  An errored WRITE
+        // surfaces ahead of it although unsignalled, and has flushed it.
+        let mut object_written = true;
+        let cas_landed = loop {
+            let completion = self.dm.poll_cq().expect("publish CAS completion");
+            if completion.wr_id == wr_cas {
+                break completion.status.is_ok();
+            }
+            if completion.wr_id == wr_write {
+                object_written = false;
+            }
+        };
+        let won = cas_landed
+            && observed == hint.word
+            && self.confirm_slot_cas(slot_addr, hint.word, new.encode());
+        self.dm
+            .record_span(Phase::Publish, publish_start, self.dm.now_ns(), won as u32);
+        self.stats.record_spec_publish(!won);
+        if !won {
+            // The slot moved on (or a verb faulted): one round trip spent,
+            // and the `Set` goes on through the lookup it tried to skip.
+            self.hints.forget(hash);
+            return HintedPublish::Mispredicted { object_written };
+        }
+        self.finish_replace(slot_addr, hash, old, new, None);
+        HintedPublish::Won
     }
 
     pub(super) fn install_new(

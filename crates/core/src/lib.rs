@@ -52,6 +52,52 @@
 //! client's own bumps — filters hints another in-process client staled
 //! before any verb is posted.
 //!
+//! # The one-round-trip `Set`
+//!
+//! A client-centric `Set` is search → `RDMA_WRITE` → `RDMA_CAS`: even with
+//! the WRITE on the lookup's doorbell, two *dependent* round trips — READ the
+//! buckets to learn the key's slot and its word, then CAS that word.  A hint
+//! holds exactly what the CAS needs, so a `Set` whose key has one posts
+//! **`WRITE(new object, unsignalled)` + `CAS(hinted slot, hinted word → new
+//! word, signalled)` behind one doorbell** and polls one completion: the CAS
+//! returning the hinted word *is* the publish — doorbell + 2 × issue +
+//! max(WRITE, CAS) + poll, three messages instead of five.  Anything else
+//! (the word changed, a verb faulted) is a misprediction
+//! ([`CacheStats::spec_publishes_wasted`] of
+//! [`CacheStats::spec_publishes_issued`]): it cost that one round trip, the
+//! hint is dropped, and the `Set` goes on through the lookup it tried to
+//! skip, its object already written.
+//!
+//! It is a front door to the same path, not a second protocol
+//! (`client/publish.rs`): the slot's place is re-translated through the
+//! stripe directory, a CAS that took effect is judged against the directory
+//! like any slot CAS (clean, mirrored into a moving stripe's destination,
+//! carried by a cutover), the journal's old half is written from the hinted
+//! word before the doorbell, and the won CAS is followed by the same hint
+//! update, metadata WRITE, free of the displaced object and end-of-`Set`
+//! board bump.  Three conditions, all things the client observes, no knob:
+//!
+//! * the new object lives **on the slot's node** — the ordering rule of the
+//!   hinted `Get`: one queue pair, in order, and an errored WQE flushes the
+//!   WQEs behind it ([`ditto_dm::wqe`]), so the CAS cannot run unless the
+//!   bytes it publishes landed;
+//! * **no eviction rides** this `Set` (its sample READ shares the lookup's
+//!   doorbell);
+//! * **no expert keeps extension words** (their Update rule needs the
+//!   decoded slot, which a blind CAS never reads).
+//!
+//! A `Get` checks its hint against the slot it reads; a CAS that returns the
+//! hinted word proves only that the slot holds it *now*.  So a `Set` takes
+//! only a hint that matches its key in all 64 hash bits, and leans on one
+//! invariant: a CAS that takes a key's word out of its slot bumps the key's
+//! [`local_tier::CoherenceBoard`] epoch **before** the displaced object's
+//! blocks can be recycled — while a hint's epoch holds, its word can only
+//! reappear in the slot as a live value of the same key.  Both, with the
+//! ABA argument and what remains (a single process, like the tier), are
+//! stated once in `client/lookup.rs`.  Nor does an update wait for its
+//! frequency counter any more: a due FC flush is posted unsignalled on a
+//! doorbell of its own, as after a hinted hit.
+//!
 //! # The `Set` path under memory pressure: evict-ahead
 //!
 //! A `Set` allocates its object, writes it next to the two bucket READs of

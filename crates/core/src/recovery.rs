@@ -35,7 +35,11 @@ pub enum CrashPoint {
     AfterAlloc,
     /// Right after the object bytes were written (lookup round carrying
     /// the piggybacked WRITE completed), before the publish CAS: the
-    /// allocation holds a complete object no table slot points at.
+    /// allocation holds a complete object no table slot points at.  A
+    /// hinted `Set` (see the crate docs, *The one-round-trip `Set`*) has no
+    /// such instant — its WRITE and its CAS leave behind one doorbell — so
+    /// there the point fires only after a misprediction whose WRITE landed,
+    /// which leaves exactly this state behind.
     AfterObjectWrite,
     /// Right after the publish CAS succeeded, before the displaced old
     /// allocation was freed (and before any eviction notify / metadata

@@ -10,9 +10,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// contention counters, they deliberately survive [`CacheStats::reset`] —
 /// coherence events (invalidations, stale rejects) are evidence in
 /// correctness post-mortems and must not vanish when a benchmark clears
-/// its interval counters.  So do the hinted-lookup pair (`spec_reads_*`) and
-/// `gets_degraded`, which are read through accessors rather than
-/// [`CacheStatsSnapshot`] fields.
+/// its interval counters.  So do the hinted-lookup pair (`spec_reads_*`), the
+/// hinted-publish pair (`spec_publishes_*`) and `gets_degraded`, which are
+/// read through accessors rather than [`CacheStatsSnapshot`] fields.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     hits: AtomicU64,
@@ -32,6 +32,8 @@ pub struct CacheStats {
     evictions_overlapped: AtomicU64,
     spec_reads_issued: AtomicU64,
     spec_reads_wasted: AtomicU64,
+    spec_publishes_issued: AtomicU64,
+    spec_publishes_wasted: AtomicU64,
     gets_degraded: AtomicU64,
     expert_victories: Vec<AtomicU64>,
 }
@@ -142,6 +144,17 @@ impl CacheStats {
         }
     }
 
+    /// Records a hinted publish: a `Set` that posted its object WRITE and
+    /// the CAS of the slot its hint names behind one doorbell, without a
+    /// lookup; `wasted` when the CAS did not return the hinted word (or a
+    /// verb faulted) and the `Set` fell back to the lookup.
+    pub fn record_spec_publish(&self, wasted: bool) {
+        self.spec_publishes_issued.fetch_add(1, Ordering::Relaxed);
+        if wasted {
+            self.spec_publishes_wasted.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Records a `Get` that a verb fault (an unreadable bucket or object)
     /// degraded to a miss — counted as a miss too.
     pub fn record_get_degraded(&self) {
@@ -158,6 +171,18 @@ impl CacheStats {
     /// and the READ(s) it carried before the unhinted lookup ran.
     pub fn spec_reads_wasted(&self) -> u64 {
         self.spec_reads_wasted.load(Ordering::Relaxed)
+    }
+
+    /// Hinted publishes issued (lifetime): each one that won is a replacing
+    /// `Set` done in one round trip, with no bucket READ.
+    pub fn spec_publishes_issued(&self) -> u64 {
+        self.spec_publishes_issued.load(Ordering::Relaxed)
+    }
+
+    /// Hinted publishes that mispredicted (lifetime): each cost a round
+    /// trip before the `Set`'s lookup ran after all.
+    pub fn spec_publishes_wasted(&self) -> u64 {
+        self.spec_publishes_wasted.load(Ordering::Relaxed)
     }
 
     /// `Get`s degraded to a miss by a verb fault (lifetime).
@@ -203,8 +228,8 @@ impl CacheStats {
     }
 
     /// Resets every interval counter to zero.  The lifetime counters — the
-    /// `local_*` group, the hinted-lookup pair, `gets_degraded` —
-    /// survive by design (see the struct docs).
+    /// `local_*` group, the hinted-lookup and hinted-publish pairs,
+    /// `gets_degraded` — survive by design (see the struct docs).
     pub fn reset(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -334,11 +359,18 @@ mod tests {
         let stats = CacheStats::new(2);
         stats.record_spec_read(false);
         stats.record_spec_read(true);
+        stats.record_spec_publish(true);
+        stats.record_spec_publish(false);
+        stats.record_spec_publish(false);
         stats.record_get_degraded();
         stats.reset();
         assert_eq!(
             (stats.spec_reads_issued(), stats.spec_reads_wasted()),
             (2, 1)
+        );
+        assert_eq!(
+            (stats.spec_publishes_issued(), stats.spec_publishes_wasted()),
+            (3, 1)
         );
         assert_eq!(stats.gets_degraded(), 1);
     }

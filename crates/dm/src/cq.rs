@@ -42,6 +42,15 @@ pub enum CompletionStatus {
         /// Memory node the verb targeted.
         mn_id: u16,
     },
+    /// The verb never ran: a WQE ahead of it on the same queue pair, in the
+    /// same ring, completed in error, and a reliable connection flushes
+    /// every WQE queued behind an errored one (see [`crate::wqe`]).  Not an
+    /// injected fault of its own; surfaces as [`DmError::VerbFailed`], which
+    /// callers already retry.
+    Flushed {
+        /// Memory node the verb targeted.
+        mn_id: u16,
+    },
 }
 
 impl CompletionStatus {
@@ -54,7 +63,9 @@ impl CompletionStatus {
     pub fn check(&self) -> DmResult<()> {
         match *self {
             CompletionStatus::Success => Ok(()),
-            CompletionStatus::Failed { mn_id } => Err(DmError::VerbFailed { mn_id }),
+            CompletionStatus::Failed { mn_id } | CompletionStatus::Flushed { mn_id } => {
+                Err(DmError::VerbFailed { mn_id })
+            }
             CompletionStatus::TimedOut { mn_id } => Err(DmError::VerbTimeout { mn_id }),
         }
     }
@@ -158,6 +169,10 @@ mod tests {
         assert_eq!(
             CompletionStatus::TimedOut { mn_id: 5 }.check(),
             Err(DmError::VerbTimeout { mn_id: 5 })
+        );
+        assert_eq!(
+            CompletionStatus::Flushed { mn_id: 2 }.check(),
+            Err(DmError::VerbFailed { mn_id: 2 })
         );
         assert!(!CompletionStatus::Failed { mn_id: 0 }.is_ok());
     }

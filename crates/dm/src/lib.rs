@@ -131,7 +131,10 @@
 //!   [`DmError::VerbFailed`] or charge a timeout and fail it with
 //!   [`DmError::VerbTimeout`].  Completions carry a [`CompletionStatus`];
 //!   `poll_cq` and `try_drain_cq` surface errors instead of assuming
-//!   success.
+//!   success.  On the posted path an errored WQE *flushes* the WQEs queued
+//!   behind it on its node's queue pair in the same ring
+//!   ([`CompletionStatus::Flushed`], see [`wqe`]): they never execute and
+//!   are not faults of their own.
 //! * **Node fail-stop** — after a configured simulated instant every verb
 //!   to that node errors with [`DmError::VerbFailed`] (the
 //!   [`DmClient::node_failed`] oracle tells a dead node from a transient

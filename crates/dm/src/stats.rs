@@ -283,7 +283,8 @@ impl ContentionSnapshot {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultSnapshot {
     /// Verbs that completed in error (injected faults and typed
-    /// node-removed rejections).
+    /// node-removed rejections).  WQEs flushed behind an errored one (see
+    /// [`crate::wqe`]) are not faults and are not counted.
     pub verb_failures: u64,
     /// Verbs that timed out.
     pub verb_timeouts: u64,
@@ -481,6 +482,11 @@ impl PoolStats {
 
     /// WQEs handed to the NIC by posted rounds (see [`Self::doorbells`]);
     /// verbs issued through synchronous single-verb calls are not included.
+    /// A WQE *flushed* behind an errored one (the flush rule of
+    /// [`crate::wqe`]) was posted, so it counts here and in
+    /// [`Self::signalled_wqes`]/[`Self::unsignalled_wqes`] — but it never
+    /// left the NIC: no node counts a message for it, and it is no fault in
+    /// [`FaultSnapshot`].
     pub fn batched_verbs(&self) -> u64 {
         self.batched_verbs.load(Ordering::Relaxed)
     }

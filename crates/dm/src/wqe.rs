@@ -28,6 +28,18 @@
 //!   CPU work done between `ring` and `poll_cq` genuinely overlaps the
 //!   in-flight transfers.
 //!
+//! **The flush rule.**  A WQE that completes in error (an injected
+//! [`crate::FaultPlan`] failure or timeout) puts its reliable connection in
+//! the error state, and the NIC *flushes* every WQE queued behind it on that
+//! queue pair: within one ring, the WQEs posted after an errored one **to
+//! the same node** never execute, consume no message and no fault draw, and
+//! complete — signalled or not — as [`CompletionStatus::Flushed`] at the
+//! errored WQE's completion time or later.  Other nodes' queue pairs in the
+//! same ring are unaffected, and the next ring starts clean (the simulator
+//! reconnects for free).  This is what makes it sound to post a verb
+//! *behind* the verb it depends on: a CAS posted behind the WRITE whose bytes
+//! it publishes cannot run unless the WRITE landed.
+//!
 //! Posting to a full queue automatically rings the doorbell for the queued
 //! prefix and keeps going, so an oversized posting burst degrades to an
 //! extra doorbell instead of failing (a real send queue blocks the poster
@@ -319,12 +331,27 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
         // node), but its operation never executes, and its error completion
         // is pushed even when the WQE was posted *unsignalled* — real NICs
         // always surface error CQEs.
+        //
+        // An errored WQE also *flushes* every WQE queued behind it on its
+        // node's queue pair in this ring (the RC rule, see the module docs):
+        // those never reach the wire — no message, no fault draw, nothing
+        // executed — and complete in error behind it.
         let injector = client.pool().fault_injector();
         let mut node_floor = [0u64; MAX_WQES];
+        let mut node_errored = [false; MAX_WQES];
         for wqe in self.wqes[..self.len].iter_mut().map(Option::take) {
             let Some(wqe) = wqe else { continue };
             let mn = wqe.op.mn_id();
             let slot = nodes[..fanout].iter().position(|&n| n == mn).unwrap_or(0);
+            if node_errored[slot] {
+                stats.record_wqe(wqe.signalled);
+                client.push_completion(Completion {
+                    wr_id: wqe.wr_id,
+                    completed_at_ns: ring_end + node_floor[slot],
+                    status: CompletionStatus::Flushed { mn_id: mn },
+                });
+                continue;
+            }
             let (factor_pct, err) = client.inject(mn);
             let mut transfer = wqe.op.transfer_ns(cfg) * factor_pct / 100;
             let status = match &err {
@@ -360,6 +387,8 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
             }
             if status.is_ok() {
                 wqe.op.perform(client);
+            } else {
+                node_errored[slot] = true;
             }
         }
         self.len = 0;
@@ -623,11 +652,82 @@ mod tests {
         let t_first = cfg.transfer_latency_ns(cfg.write_latency_ns, 1) + 50_000;
         assert_eq!(first.completed_at_ns, ring_end + t_first);
         // The second WQE shares the queue pair: it completes no earlier
-        // than the timed-out verb ahead of it.
+        // than the timed-out verb ahead of it — flushed, so the injector
+        // (which would have timed it out too) never saw it.
         let second = client.poll_cq().unwrap();
         assert_eq!(second.wr_id, wr_b);
         assert!(second.completed_at_ns >= first.completed_at_ns);
-        assert_eq!(pool.stats().faults().verb_timeouts, 2);
+        assert_eq!(second.status, CompletionStatus::Flushed { mn_id: 0 });
+        assert_eq!(pool.stats().faults().verb_timeouts, 1);
+    }
+
+    #[test]
+    fn an_errored_wqe_flushes_the_wqes_behind_it_on_its_node_only() {
+        use crate::fault::{FaultInjector, FaultPlan, VerbFate};
+        // Half of all verbs fail.  Pick a seed whose first draw for client 0
+        // fails and whose second succeeds: the ring below draws once for the
+        // WRITE and — the CAS behind it being flushed, not injected — once
+        // for the other node's CAS.
+        let plan = |seed| FaultPlan::seeded(seed).with_verb_fail_ppm(500_000);
+        let seed = (0..)
+            .find(|&seed| {
+                let injector = FaultInjector::new(Some(plan(seed)));
+                injector.fate(0, 0, 0, 0) == VerbFate::Fail
+                    && injector.fate(0, 1, 1, 0) == VerbFate::Ok
+            })
+            .unwrap();
+        let config = DmConfig::small()
+            .with_memory_nodes(2)
+            .with_fault_plan(plan(seed));
+        let pool = MemoryPool::new(config);
+        let client = pool.connect();
+        assert_eq!(client.client_id(), 0);
+        let cfg = client.config().clone();
+        let a = pool.reserve_on(0, 64).unwrap();
+        let b = pool.reserve_on(1, 64).unwrap();
+        for word in [a.add(8), b] {
+            let node = pool.node(word.mn_id).unwrap();
+            node.store_u64(word.offset, 7).unwrap();
+        }
+
+        // Node 0: a WRITE and, behind it, the CAS that would publish it.
+        // Node 1: an independent CAS in the same ring.
+        let (mut seen_a, mut seen_b) = (u64::MAX, u64::MAX);
+        let mut wq = client.work_queue();
+        let wr_write = wq.post_write(a, b"object", false);
+        let wr_cas_a = wq.post_cas(a.add(8), 7, 9, &mut seen_a, true);
+        let wr_cas_b = wq.post_cas(b, 7, 9, &mut seen_b, true);
+        wq.ring();
+        drop(wq);
+        let ring_end = client.now_ns();
+
+        // Node 1's CAS ran; neither of node 0's verbs did, and the flushed
+        // CAS left its `out` alone.
+        let word = |addr: RemoteAddr| pool.node(addr.mn_id).unwrap().load_u64(addr.offset);
+        assert_eq!((word(b), seen_b), (Ok(9), 7));
+        assert_eq!((word(a.add(8)), seen_a), (Ok(7), u64::MAX));
+        assert_eq!(pool.node(0).unwrap().read(a.offset, 6).unwrap(), [0u8; 6]);
+
+        // The WRITE's error surfaces although unsignalled, the CAS behind
+        // it completes flushed no earlier, node 1's CAS succeeds.
+        let failed_at = ring_end + cfg.transfer_latency_ns(cfg.write_latency_ns, 6);
+        let completions: Vec<_> = std::iter::from_fn(|| client.poll_cq()).collect();
+        let of = |wr| *completions.iter().find(|c| c.wr_id == wr).unwrap();
+        assert_eq!(completions.len(), 3);
+        assert_eq!(of(wr_write).status, CompletionStatus::Failed { mn_id: 0 });
+        assert_eq!(of(wr_write).completed_at_ns, failed_at);
+        assert_eq!(of(wr_cas_a).status, CompletionStatus::Flushed { mn_id: 0 });
+        assert_eq!(of(wr_cas_a).completed_at_ns, failed_at);
+        assert!(of(wr_cas_a).status.check().is_err());
+        assert_eq!(of(wr_cas_b).status, CompletionStatus::Success);
+
+        // One injected fault, and no message for the WQE that never left.
+        let stats = pool.stats();
+        assert_eq!(stats.faults().verb_failures, 1);
+        assert_eq!((stats.verb_faults_on(0), stats.verb_faults_on(1)), (1, 0));
+        let nodes = stats.node_snapshots();
+        assert_eq!((nodes[0].writes, nodes[0].cas, nodes[1].cas), (1, 0, 1));
+        assert_eq!((stats.signalled_wqes(), stats.unsignalled_wqes()), (2, 1));
     }
 
     #[test]

@@ -460,6 +460,85 @@ fn chaos_crash_points_recover_cleanly() {
     }
 }
 
+/// The same anatomy on the one-round-trip `Set`: the victim dies replacing a
+/// key *it wrote itself*, so the Set goes in through its hint — no lookup, the
+/// journal's old half taken from the hinted word.  There is no
+/// `AfterObjectWrite` instant on that path (the WRITE and the CAS share a
+/// doorbell); the other two points must recover exactly as above.
+#[test]
+fn chaos_crash_points_recover_cleanly_on_a_hinted_set() {
+    let keys = make_keys();
+    for point in [CrashPoint::AfterAlloc, CrashPoint::AfterPublish] {
+        let cache = DittoCache::with_dedicated_pool(
+            DittoConfig::with_capacity(KEYS as u64 * 4).with_crash_recovery_journal(true),
+            DmConfig::default(),
+        )
+        .unwrap();
+        let states = make_states();
+        preload(&cache, &keys, &states);
+
+        // The victim replaces the key once — leaving itself the hint — and
+        // dies in the next replace.
+        let mut victim = cache.client();
+        let victim_id = victim.dm().client_id();
+        let crash_key = 13usize;
+        let next = || states[crash_key].issued.fetch_add(1, Ordering::SeqCst) + 1;
+        victim.set(&keys[crash_key], &encode_value(crash_key as u64, next()));
+        let stats = cache.stats();
+        assert_eq!(
+            stats.spec_publishes_issued(),
+            0,
+            "{point:?}: preloaded by another"
+        );
+        victim.arm_set_crash(point);
+        let v = next();
+        victim.set(&keys[crash_key], &encode_value(crash_key as u64, v));
+        assert!(victim.crashed(), "{point:?}: armed crash did not fire");
+        let hinted = (point == CrashPoint::AfterPublish) as u64;
+        assert_eq!(
+            (stats.spec_publishes_issued(), stats.spec_publishes_wasted()),
+            (hinted, 0),
+            "{point:?}: the crashed Set went in through its hint"
+        );
+        drop(victim);
+
+        let mut rescuer = cache.client();
+        let report = rescuer.recover_crashed_client(victim_id);
+        assert_eq!(report.journal_entries_replayed, 1, "{point:?}");
+        // Died before the ring: the new allocation is the orphan.  Died
+        // after the CAS: the displaced one, which only the hinted word ever
+        // told the journal about.
+        assert!(report.recovered_bytes > 0, "{point:?}: {report:?}");
+        assert!(
+            report.swept_bytes >= report.recovered_bytes,
+            "{point:?}: {report:?}"
+        );
+        assert_no_orphans(&cache, &format!("hinted {point:?}"));
+
+        let mut client = cache.client();
+        let bytes = client.get(&keys[crash_key]).expect("the key stays cached");
+        let expected = if point == CrashPoint::AfterPublish {
+            v
+        } else {
+            v - 1
+        };
+        assert_eq!(
+            decode_version(crash_key as u64, &bytes),
+            expected,
+            "{point:?}"
+        );
+
+        let _ = client.release_parked_memory();
+        let again = rescuer.recover_crashed_client(victim_id);
+        assert_eq!(
+            again,
+            Default::default(),
+            "{point:?}: recovery must be idempotent"
+        );
+        assert_no_orphans(&cache, &format!("hinted {point:?} (second pass)"));
+    }
+}
+
 /// Tentpole: a client that dies holding a stripe-lock lease wedges the
 /// migration pump only until recovery steals the lease back (bumping the
 /// fencing epoch); a resurrected owner's release is then fenced off.

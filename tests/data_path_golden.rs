@@ -2,18 +2,19 @@
 //!
 //! `ditto-core` has one data path: posted WQEs, one doorbell per node, polled
 //! completions.  It used to be one of three selectable execution modes, and
-//! the constants below were captured by replaying these two seeded scenarios
-//! on the last commit that had the modes, in its default (pipelined)
+//! the constants of the two YCSB-C replays below were captured by replaying
+//! them on the last commit that had the modes, in its default (pipelined)
 //! configuration — so an edit that moves the final simulated clock, the
 //! message count or any cache counter changed *which verbs run or when*, and
-//! must say so by re-deriving them.  The run is a single client on a simulated
-//! clock: the numbers are the same under `cargo test` and
-//! `cargo test --release`, on any host.
+//! must say so by re-deriving them.  The YCSB-A replay was captured when the
+//! hinted replace went in, and pins it the same way.  The run is a single
+//! client on a simulated clock: the numbers are the same under `cargo test`
+//! and `cargo test --release`, on any host.
 
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{DittoCache, DittoConfig};
 use ditto::dm::DmConfig;
-use ditto::workloads::{YcsbSpec, YcsbWorkload};
+use ditto::workloads::{Op, YcsbSpec, YcsbWorkload};
 
 /// What one replay must come out as.
 #[derive(Debug, PartialEq)]
@@ -22,14 +23,19 @@ struct Golden {
     clock_ns: u64,
     /// RNIC messages served, summed over the memory nodes.
     messages: u64,
+    /// Hinted publishes issued, and how many of them mispredicted.
+    published: (u64, u64),
     stats: CacheStatsSnapshot,
 }
 
-/// Replays YCSB-C (seed 11, 2 000 records, 12 000 requests, cache-aside
+/// Replays a YCSB mix (seed 11, 2 000 records, 12 000 requests, cache-aside
 /// fills on a miss) on a default-configured cache of `capacity` objects
-/// over `memory_nodes` nodes.  Capacity is well below the touched key count,
-/// so the trace exercises eviction and the history machinery beside hits.
-fn replay(memory_nodes: u16, capacity: u64) -> Golden {
+/// over `memory_nodes` nodes.  The YCSB-C replays' capacity is well below
+/// the touched key count, so they exercise eviction and the history
+/// machinery beside hits, and every `Set` of theirs is a fill that holds no
+/// hint; the YCSB-A replay has room for every record, so half its requests
+/// are replaces, nearly all of them through the client's own hint.
+fn replay(mix: YcsbWorkload, memory_nodes: u16, capacity: u64) -> Golden {
     let spec = YcsbSpec {
         record_count: 2_000,
         request_count: 12_000,
@@ -43,10 +49,10 @@ fn replay(memory_nodes: u16, capacity: u64) -> Golden {
     .unwrap();
     let mut client = cache.client();
     let mut value_buf = Vec::new();
-    for (i, request) in spec.run_requests(YcsbWorkload::C).into_iter().enumerate() {
+    for (i, request) in spec.run_requests(mix).into_iter().enumerate() {
         let key = request.key_bytes();
         let value = vec![request.key as u8; request.value_size as usize];
-        if client.get_into(&key, &mut value_buf) {
+        if request.op == Op::Get && client.get_into(&key, &mut value_buf) {
             assert_eq!(value_buf, value, "request {i} hit a wrong value");
         } else {
             client.set(&key, &value);
@@ -57,6 +63,10 @@ fn replay(memory_nodes: u16, capacity: u64) -> Golden {
     Golden {
         clock_ns: client.dm().now_ns(),
         messages: nodes.iter().map(|node| node.messages).sum(),
+        published: (
+            cache.stats().spec_publishes_issued(),
+            cache.stats().spec_publishes_wasted(),
+        ),
         stats: cache.stats().snapshot(),
     }
 }
@@ -66,6 +76,7 @@ fn single_node_replay_matches_the_pipelined_path_to_the_nanosecond() {
     let golden = Golden {
         clock_ns: 42_919_214,
         messages: 48_157,
+        published: (0, 0),
         stats: CacheStatsSnapshot {
             hits: 10_380,
             misses: 1_620,
@@ -83,7 +94,7 @@ fn single_node_replay_matches_the_pipelined_path_to_the_nanosecond() {
             expert_victories: vec![377, 348],
         },
     };
-    assert_eq!(replay(1, 700), golden);
+    assert_eq!(replay(YcsbWorkload::C, 1, 700), golden);
 }
 
 #[test]
@@ -94,6 +105,7 @@ fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
     let golden = Golden {
         clock_ns: 37_949_019,
         messages: 43_226,
+        published: (0, 0),
         stats: CacheStatsSnapshot {
             hits: 10_739,
             misses: 1_261,
@@ -111,7 +123,37 @@ fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
             expert_victories: vec![31, 31],
         },
     };
-    assert_eq!(replay(4, 350), golden);
+    assert_eq!(replay(YcsbWorkload::C, 4, 350), golden);
+}
+
+#[test]
+fn update_heavy_replay_pins_the_replace_path_to_the_nanosecond() {
+    // YCSB-A with room for every record: nothing is evicted, and of its
+    // 6 697 `Set`s (626 of them fills after a miss) the 5 394 that replace a
+    // value this client still holds a hint for take one round trip — the
+    // WRITE and the CAS behind one doorbell — none of them mispredicted.
+    let golden = Golden {
+        clock_ns: 36_215_958,
+        messages: 41_669,
+        published: (5_394, 0),
+        stats: CacheStatsSnapshot {
+            hits: 5_303,
+            misses: 626,
+            sets: 6_697,
+            evictions: 0,
+            bucket_evictions: 0,
+            history_inserts: 0,
+            regrets: 0,
+            weight_syncs: 0,
+            fc_flushes: 1_680,
+            local_hits: 0,
+            local_revalidations: 0,
+            local_invalidations: 0,
+            local_stale_rejects: 0,
+            expert_victories: vec![0, 0],
+        },
+    };
+    assert_eq!(replay(YcsbWorkload::A, 1, 3_000), golden);
 }
 
 #[test]

@@ -4,6 +4,11 @@
 //! stale, whose stripe moved, whose object sits off its slot's node or whose
 //! READ faults must cost at most one round trip, never a wrong value or a
 //! lost hit.
+//!
+//! And the one-round-trip `Set`: a hinted replace posts its object WRITE and,
+//! behind it, the CAS of the hinted slot from the hinted word — no lookup.
+//! The same holds of it: at most one round trip lost, never a wrong or lost
+//! value, never a leaked or doubly freed object.
 
 use ditto::algorithms::EXT_WORDS;
 use ditto::cache::hash::fnv1a64;
@@ -14,6 +19,18 @@ use ditto::dm::{DmConfig, FaultPlan, MemoryPool};
 use ditto::workloads::{Op, YcsbSpec, YcsbWorkload};
 use std::collections::HashMap;
 
+/// Nothing leaked, nothing doubly freed: every node's resident gauge equals
+/// the forensic sum of the object bytes its slots reference.
+fn assert_no_orphans(cache: &DittoCache, client: &mut DittoClient, context: &str) {
+    for mn in 0..cache.pool().num_nodes() {
+        assert_eq!(
+            cache.pool().resident_object_bytes(mn),
+            client.referenced_object_bytes_on(mn),
+            "{context}: node {mn}"
+        );
+    }
+}
+
 /// What one seeded single-client run observed.
 struct Observed {
     stats: CacheStatsSnapshot,
@@ -21,6 +38,10 @@ struct Observed {
     hit_reads: u64,
     /// Hinted lookups issued, and how many of them mispredicted.
     hinted: (u64, u64),
+    /// `Set`s of a key the trace had set before.
+    replaces: u64,
+    /// Hinted publishes issued, and how many of them mispredicted.
+    published: (u64, u64),
 }
 
 /// Replays a seeded YCSB trace cache-aside — every hit must return the
@@ -37,7 +58,7 @@ fn replay(mix: YcsbWorkload, capacity: u64) -> Observed {
             .unwrap();
     let mut client = cache.client();
     let reads = || cache.pool().stats().node_snapshots()[0].reads;
-    let mut hit_reads = 0;
+    let (mut hit_reads, mut replaces) = (0, 0);
     let mut latest = HashMap::new();
     let mut value_buf = Vec::new();
     for (i, request) in spec.run_requests(mix).into_iter().enumerate() {
@@ -52,7 +73,7 @@ fn replay(mix: YcsbWorkload, capacity: u64) -> Observed {
             }
         }
         client.set(&key, &value);
-        latest.insert(request.key, value);
+        replaces += latest.insert(request.key, value).is_some() as u64;
     }
     client.flush();
     let stats = cache.stats();
@@ -60,6 +81,8 @@ fn replay(mix: YcsbWorkload, capacity: u64) -> Observed {
         stats: stats.snapshot(),
         hit_reads,
         hinted: (stats.spec_reads_issued(), stats.spec_reads_wasted()),
+        replaces,
+        published: (stats.spec_publishes_issued(), stats.spec_publishes_wasted()),
     }
 }
 
@@ -88,6 +111,24 @@ fn single_client_hints_never_mispredict_and_every_mode_sends_the_same_messages()
             "{mix:?}: {} READs for {hits} hits",
             observed.hit_reads
         );
+        // The same goes for its Sets.  With room for every record a key set
+        // before is still there — and nearly always still hinted, so the
+        // replace skips the lookup; a fill after an eviction never is.
+        let (published, wasted) = observed.published;
+        assert_eq!(wasted, 0, "{mix:?}");
+        if capacity < 2_000 {
+            assert_eq!(
+                published, 0,
+                "{mix:?}: an evicting client forgets the victim's hint"
+            );
+        } else {
+            let replaces = observed.replaces;
+            assert!(replaces > 4_000, "{mix:?}: the trace must update");
+            assert!(
+                published * 10 > replaces * 9 && published <= replaces,
+                "{mix:?}: only {published} of {replaces} replaces hinted"
+            );
+        }
     }
 }
 
@@ -117,6 +158,39 @@ fn a_hint_staled_by_another_client_yields_the_new_value_then_a_miss() {
     // posted: nothing was wasted on it.
     assert_eq!(stats.spec_reads_issued(), 1);
     assert_eq!(stats.spec_reads_wasted(), 0);
+}
+
+#[test]
+fn a_set_hint_staled_by_another_client_is_filtered_before_any_verb() {
+    let cache =
+        DittoCache::with_dedicated_pool(DittoConfig::with_capacity(100), DmConfig::default())
+            .unwrap();
+    let (mut a, mut b) = (cache.client(), cache.client());
+    let stats = cache.stats();
+    a.set(b"shared", b"v1");
+    a.set(b"shared", b"v2");
+    assert_eq!(stats.spec_publishes_issued(), 1, "A's own word, A's hint");
+
+    // B replaces the value: A's next replace must displace B's object, not
+    // CAS on the word A last wrote.
+    b.set(b"shared", b"v3-longer");
+    a.set(b"shared", b"v4");
+    assert_eq!(b.get(b"shared").as_deref(), Some(&b"v4"[..]));
+
+    // B evicts the key (churning far past capacity): A's next Set is a
+    // fresh insert.
+    for i in 0..2_000u64 {
+        b.set(&i.to_le_bytes(), &[7u8; 200]);
+    }
+    assert_eq!(b.get(b"shared"), None, "the churn must evict the key");
+    a.set(b"shared", b"v5");
+    assert_eq!(b.get(b"shared").as_deref(), Some(&b"v5"[..]));
+    // Both times the shared board filtered A's hint: no blind CAS went out.
+    assert_eq!(
+        (stats.spec_publishes_issued(), stats.spec_publishes_wasted()),
+        (1, 0)
+    );
+    assert_no_orphans(&cache, &mut a, "after the fresh insert");
 }
 
 /// A two-node pool with room to grow, and 400 keys set through `client`.
@@ -192,6 +266,105 @@ fn a_hint_follows_its_slot_through_a_stripe_cutover_and_off_a_drained_node() {
         (800, 0)
     );
     cache.pool().remove_node(1).unwrap();
+}
+
+/// Replaces every key of [`two_node_cache`] with a value derived from
+/// `round`, reads each back, and returns the CASes each node served.
+fn set_all(cache: &DittoCache, client: &mut DittoClient, round: u64) -> Vec<u64> {
+    cache.pool().reset_stats();
+    for i in 0..400u64 {
+        client.set(&i.to_le_bytes(), &(i ^ round).to_be_bytes());
+    }
+    let nodes = cache.pool().stats().node_snapshots();
+    for i in 0..400u64 {
+        assert_eq!(
+            client.get(&i.to_le_bytes()).as_deref(),
+            Some(&(i ^ round).to_be_bytes()[..]),
+            "key {i}"
+        );
+    }
+    nodes.iter().map(|node| node.cas).collect()
+}
+
+#[test]
+fn a_hinted_set_follows_its_slot_through_a_stripe_cutover_and_off_a_drained_node() {
+    let (cache, mut client) = two_node_cache();
+    let stats = cache.stats();
+    let published = || (stats.spec_publishes_issued(), stats.spec_publishes_wasted());
+
+    // Grow: the slots of hinted keys are cut over to the joiner between the
+    // Sets that left the hints and the replaces below.  The CAS goes to
+    // wherever the directory says the hinted place lives now — whenever the
+    // new object is placed on that node too, which after a rebalance is
+    // where the topology puts it.
+    let joiner = cache.pool().add_node().unwrap();
+    assert!(pump(&mut client) > 0, "add_node must move stripes");
+    let cas = set_all(&cache, &mut client, 1 << 32);
+    assert!(cas[joiner as usize] > 100, "{cas:?}");
+    assert_eq!(cas.iter().sum::<u64>(), 400, "{cas:?}");
+    let (issued, wasted) = published();
+    assert!(issued > 300 && wasted == 0, "{issued} / {wasted}");
+    assert_no_orphans(&cache, &mut client, "grown");
+
+    // Shrink: node 1 drains to empty, and no blind CAS — nor the WRITE
+    // ahead of it — still finds its way there.
+    cache.pool().drain_node(1).unwrap();
+    assert!(pump(&mut client) > 0, "drain_node must move stripes");
+    let cas = set_all(&cache, &mut client, 2 << 32);
+    assert_eq!(cas[1], 0, "{cas:?}");
+    assert_eq!(cas.iter().sum::<u64>(), 400, "{cas:?}");
+    let (again, wasted) = published();
+    assert!(again > issued + 300 && wasted == 0, "{again} / {wasted}");
+    assert_eq!(cache.pool().resident_object_bytes(1), 0);
+    assert_no_orphans(&cache, &mut client, "drained");
+    cache.pool().remove_node(1).unwrap();
+}
+
+#[test]
+fn an_object_allocated_off_its_slots_node_is_never_cased_behind_its_write() {
+    let cache = DittoCache::with_dedicated_pool(
+        DittoConfig::with_capacity(2_000),
+        DmConfig::default().with_memory_nodes(2),
+    )
+    .unwrap();
+    let mut client = cache.client();
+    // Node 1 drains but nothing migrates: its buckets stay, while every new
+    // object — those of its stripes included — is placed on node 0.
+    cache.pool().drain_node(1).unwrap();
+    for i in 0..400u64 {
+        client.set(&i.to_le_bytes(), &i.to_be_bytes());
+    }
+    let stats = cache.stats();
+    let (mut off_node, mut on_node) = (0, 0);
+    for i in 0..400u64 {
+        let issued = stats.spec_publishes_issued();
+        cache.pool().reset_stats();
+        client.set(&i.to_le_bytes(), &(!i).to_be_bytes());
+        let pool = cache.pool().stats();
+        let nodes = pool.node_snapshots();
+        assert_eq!(nodes[0].cas + nodes[1].cas, 1, "key {i}");
+        // Only slot verbs reach node 1, so its CAS tells where the slot is.
+        if nodes[1].cas == 1 {
+            // A CAS on node 1's queue pair is not ordered behind the WRITE
+            // on node 0's: hinted or not, it waits for the lookup round —
+            // which carried the WRITE — to complete.
+            off_node += 1;
+            assert_eq!(stats.spec_publishes_issued(), issued, "key {i}");
+            assert_eq!(nodes[0].reads + nodes[1].reads, 2, "key {i}");
+        } else {
+            on_node += 1;
+            assert_eq!(stats.spec_publishes_issued(), issued + 1, "key {i}");
+            assert_eq!((pool.doorbells(), pool.batched_verbs()), (1, 2), "key {i}");
+        }
+        assert_eq!(
+            client.get(&i.to_le_bytes()).as_deref(),
+            Some(&(!i).to_be_bytes()[..])
+        );
+    }
+    assert!(off_node > 50 && on_node > 50, "{off_node} / {on_node}");
+    assert_eq!(stats.spec_publishes_wasted(), 0);
+    assert_eq!(cache.pool().resident_object_bytes(1), 0);
+    assert_no_orphans(&cache, &mut client, "objects off their slots' node");
 }
 
 #[test]
@@ -282,6 +455,57 @@ fn a_faulted_hinted_read_still_yields_the_hit() {
     );
 }
 
+#[test]
+fn faulted_hinted_sets_leave_every_value_current_and_nothing_leaked() {
+    // One verb in five fails.  A failed WRITE flushes the CAS queued behind
+    // it, a failed CAS was never applied: either way the hinted publish is
+    // merely a misprediction and the Set goes the long way round, through
+    // retried lookups, CASes and object WRITEs.
+    let seeds = std::env::var("DITTO_CHAOS_SEEDS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(2u64);
+    for seed in 0..seeds {
+        let plan = FaultPlan::seeded(0x5e7 + seed).with_verb_fail_ppm(200_000);
+        let cache = DittoCache::with_dedicated_pool(
+            DittoConfig::with_capacity(1_000),
+            DmConfig::default().with_fault_plan(plan),
+        )
+        .unwrap();
+        let injector = cache.pool().fault_injector();
+        injector.set_armed(false);
+        let mut client = cache.client();
+        for i in 0..300u64 {
+            client.set(&i.to_le_bytes(), &i.to_be_bytes());
+        }
+        let stats = cache.stats();
+        for round in 1..=3u64 {
+            injector.set_armed(true);
+            for i in 0..300u64 {
+                client.set(&i.to_le_bytes(), &(i + round * 1_000).to_be_bytes());
+            }
+            injector.set_armed(false);
+            for i in 0..300u64 {
+                assert_eq!(
+                    client.get(&i.to_le_bytes()).as_deref(),
+                    Some(&(i + round * 1_000).to_be_bytes()[..]),
+                    "seed {seed}, round {round}, key {i}"
+                );
+            }
+            assert_no_orphans(&cache, &mut client, &format!("seed {seed}, round {round}"));
+        }
+        let (issued, wasted) = (stats.spec_publishes_issued(), stats.spec_publishes_wasted());
+        // A mispredicted Set republishes through the lookup and leaves a
+        // fresh hint, so every one of the 900 went in hinted; either of the
+        // round's two verbs fails one time in five: ≈ 36 %.
+        assert_eq!(issued, 900, "seed {seed}");
+        assert!(
+            wasted > issued / 4 && wasted < issued / 2,
+            "seed {seed}: {wasted} of {issued}"
+        );
+    }
+}
+
 /// The extension words of `key`'s object, dug out of node 0's memory: the
 /// slot is the one whose hash field — right behind its atomic word — holds
 /// the key's hash and whose word points at an object carrying the key.
@@ -322,4 +546,21 @@ fn a_hinted_hit_feeds_the_extension_algorithms_what_an_unhinted_hit_does() {
         ext
     };
     assert_eq!(run(true), run(false));
+}
+
+#[test]
+fn an_update_leaves_its_extension_words_in_the_live_object() {
+    let config = DittoConfig::with_capacity(1_000).with_experts(vec!["lru", "lfuda"]);
+    let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
+    let mut client = cache.client();
+    client.set(b"probe", b"value");
+    assert_eq!(ext_words_of(&cache, b"probe"), [0; EXT_WORDS]);
+    // The update's rule runs over the displaced slot's metadata, but what it
+    // computes belongs to the object the slot names from now on — not to
+    // the one about to be freed.
+    client.set(b"probe", b"newer");
+    assert_eq!(client.get(b"probe").as_deref(), Some(&b"newer"[..]));
+    assert_ne!(ext_words_of(&cache, b"probe"), [0; EXT_WORDS]);
+    // Extension experts need the decoded slot: such a Set is never blind.
+    assert_eq!(cache.stats().spec_publishes_issued(), 0);
 }
