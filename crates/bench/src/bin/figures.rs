@@ -10,7 +10,7 @@
 //!
 //! The `--scale` flag multiplies workload sizes (default 0.03); absolute
 //! numbers are not expected to match the paper's testbed, but the relative
-//! ordering and crossover points are (see EXPERIMENTS.md).
+//! ordering and crossover points are (see *Running it* in the README).
 
 use ditto_algorithms::registry;
 use ditto_baselines::{MonolithicConfig, RedisLikeCluster, ScaleEvent};

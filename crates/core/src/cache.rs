@@ -283,6 +283,16 @@ impl DittoCache {
             self.stats.spec_publishes_wasted(),
         );
         counter(
+            "ditto_cache_ts_writes_sent_total",
+            "last_ts WRITEs issued: replacing Sets, and hits whose stored timestamp had gone stale (lifetime).",
+            self.stats.ts_writes_sent(),
+        );
+        counter(
+            "ditto_cache_ts_writes_skipped_total",
+            "last_ts WRITEs hits left out because the stored timestamp was fresh (lifetime).",
+            self.stats.ts_writes_skipped(),
+        );
+        counter(
             "ditto_cache_gets_degraded_total",
             "Gets a verb fault degraded to a miss (lifetime).",
             self.stats.gets_degraded(),
@@ -472,6 +482,10 @@ mod tests {
         // The second Set replaced the value through the same hint.
         assert!(page.contains("ditto_cache_spec_publishes_issued_total 1"));
         assert!(page.contains("ditto_cache_spec_publishes_wasted_total 0"));
+        // The hit found the insert's timestamp stale, the replace always
+        // writes its own.
+        assert!(page.contains("ditto_cache_ts_writes_sent_total 2"));
+        assert!(page.contains("ditto_cache_ts_writes_skipped_total 0"));
         assert!(page.contains("ditto_cache_gets_degraded_total 0"));
         assert!(page.contains("ditto_cache_expert_victories_total{expert=\"lru\""));
         // Every HELP line has a TYPE line.

@@ -10,7 +10,8 @@
 //!   secondary buckets — or, when the client holds a hint of where the key's
 //!   slot is and what word it held, one `RDMA_READ` of that 40-byte slot
 //!   alone (see the crate docs) — and one `RDMA_READ` of the object, posted
-//!   behind a hinted slot READ on the same doorbell; then an asynchronous
+//!   behind a hinted slot READ on the same doorbell; then — unless the
+//!   stored timestamp is still fresh, see the crate docs — an asynchronous
 //!   `RDMA_WRITE` of the stateless access information and a
 //!   (frequency-counter-cached) `RDMA_FAA` of the access count.
 //! * **Set** — one doorbell carrying the object `RDMA_WRITE` together with
@@ -74,6 +75,7 @@ use crate::history::{expert_bitmap, EvictionHistory};
 use crate::inline::InlineVec;
 use crate::local_tier::{CoherenceBoard, LocalTier, TierProbe, FREQ_ADMIT_THRESHOLD, POLICY_FREQ};
 use crate::object;
+use crate::recency::{self, EvictionAge, LAST_TS_DIVISOR};
 use crate::recovery::{CrashPoint, RecoveryReport};
 use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
 use crate::stats::CacheStats;
@@ -190,6 +192,9 @@ pub struct DittoClient {
     /// mutation this client performs, checked on every tier probe.
     board: Arc<CoherenceBoard>,
     weights: ExpertWeights,
+    /// The eviction age this client observes: what decides whether a hit
+    /// rewrites the slot's `last_ts` ([`crate::recency`]).
+    eviction_age: EvictionAge,
     rng: StdRng,
     /// Per-shard estimates of the sharded global history counters.
     counter_estimates: Vec<u64>,
@@ -294,6 +299,7 @@ impl DittoClient {
             tier,
             board,
             weights,
+            eviction_age: EvictionAge::default(),
             rng: StdRng::seed_from_u64(seed),
             counter_estimates: vec![0; num_shards],
             counters_known: vec![false; num_shards],
@@ -349,6 +355,7 @@ impl DittoClient {
         self.maybe_refresh_topology();
         self.mig_token = self.table.directory().version();
         self.dm.begin_op();
+        self.eviction_age.begin_op(self.dm.now_ns());
         let hit = self.get_inner(key, out);
         self.dm.end_op();
         hit
@@ -377,6 +384,7 @@ impl DittoClient {
         self.maybe_refresh_topology();
         self.mig_token = self.table.directory().version();
         self.dm.begin_op();
+        self.eviction_age.begin_op(self.dm.now_ns());
         let result = self.set_inner(key, value);
         self.dm.end_op();
         result
@@ -881,7 +889,7 @@ impl DittoClient {
             let ext = view.ext;
             out.clear();
             out.extend_from_slice(view.value);
-            self.record_access(slot_addr, AccessKind::Hit);
+            self.record_access(slot_addr, AccessKind::Hit, Some(slot.last_ts));
             self.record_extension(
                 &slot,
                 slot.atomic.object_addr(),
@@ -927,6 +935,7 @@ impl DittoClient {
     }
 
     fn on_miss(&mut self, slots: &[(RemoteAddr, Slot)], hash: u64) {
+        self.eviction_age.observe_miss();
         if self.config.adaptive {
             if self.config.enable_lightweight_history {
                 self.check_regret(slots, hash);
@@ -1023,18 +1032,17 @@ impl DittoClient {
     /// Keeps the *remote* frequency counter of a locally-served key fed, so
     /// remote eviction keeps seeing this client's interest and does not
     /// evict its hottest keys.  Buffered by the FC cache, a local hit costs
-    /// an `RDMA_FAA` only every `fc_threshold` accesses (the stateless
-    /// last-access timestamp is deliberately *not* refreshed from local
-    /// hits — a documented staleness the lease bounds).
+    /// an `RDMA_FAA` only every `fc_threshold` accesses, posted unsignalled
+    /// and never waited for (the stateless last-access timestamp is
+    /// deliberately *not* refreshed from local hits — a documented
+    /// staleness the lease bounds).
     fn tier_feed_frequency(&mut self, slot_addr: RemoteAddr) {
         if !self.config.enable_fc_cache {
             return;
         }
         let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
-        for (addr, delta) in self.fc.record(freq_addr) {
-            let _ = with_retry(&self.dm, |dm| dm.try_faa(addr, delta));
-            self.stats.record_fc_flush();
-        }
+        let flushes = self.fc.record(freq_addr);
+        self.post_fc_flushes(flushes);
     }
 
     /// Offers a validated remote hit to the tier.  `board_epoch` must have
@@ -1090,20 +1098,33 @@ impl DittoClient {
 
     /// Records an access in the slot's metadata: the stateless last-access
     /// timestamp and the (client-side combined) frequency counter.
-    fn record_access(&mut self, slot_addr: RemoteAddr, kind: AccessKind) {
+    /// `stored_ts` is the slot's `last_ts` when the caller has just read it
+    /// — both `Get` paths have; a hinted replace never reads the slot.
+    fn record_access(&mut self, slot_addr: RemoteAddr, kind: AccessKind, stored_ts: Option<u64>) {
         let now = self.dm.now_ns();
         // Stateless information: a single asynchronous WRITE (mirrored into
-        // the destination copy while the slot's stripe is mid-migration).
-        self.write_slot_meta(
-            SampleFriendlyHashTable::last_ts_addr(slot_addr),
-            &now.to_le_bytes(),
-        );
-        if !self.config.enable_sample_friendly_table {
-            // Ablation: without the co-designed table the stateless fields are
-            // scattered and need an additional write on the data path.
-            let _ = self
-                .dm
-                .try_write_async(self.scratch.add(8), &now.to_le_bytes());
+        // the destination copy while the slot's stripe is mid-migration) —
+        // unsignalled, but a message on the node's NIC all the same, so it
+        // is left out while the stored timestamp is fresh enough for sampled
+        // LRU not to tell the difference ([`crate::recency`]).
+        let fresh = stored_ts.is_some_and(|ts| {
+            let age = self.eviction_age.estimate(now);
+            recency::last_ts_is_fresh(now, ts, age, LAST_TS_DIVISOR)
+        });
+        self.stats.record_ts_write(!fresh);
+        if !fresh {
+            self.write_slot_meta(
+                SampleFriendlyHashTable::last_ts_addr(slot_addr),
+                &now.to_le_bytes(),
+            );
+            if !self.config.enable_sample_friendly_table {
+                // Ablation: without the co-designed table the stateless
+                // fields are scattered and need an additional write on the
+                // data path.
+                let _ = self
+                    .dm
+                    .try_write_async(self.scratch.add(8), &now.to_le_bytes());
+            }
         }
         // Stateful information: the frequency counter, combined client-side.
         // On the Get path with the FC cache enabled the flush decision is
@@ -1853,6 +1874,11 @@ impl DittoClient {
         for (_, slot) in candidates {
             metadata.push(self.candidate_metadata(slot));
         }
+        // What the LRU expert would evict here, whichever expert wins: the
+        // age the timestamp-refresh threshold is a fraction of.
+        if let Some(oldest_idle) = metadata.iter().map(|m| m.idle(now)).max() {
+            self.eviction_age.observe_eviction(oldest_idle);
+        }
         let mut picks: InlineVec<usize, MAX_EXPERTS> = InlineVec::new();
         for expert in self.experts.iter() {
             let mut best = 0usize;
@@ -2100,6 +2126,43 @@ mod tests {
             let _ = client.get(format!("key{i}").as_bytes());
         }
         assert!(cache.stats().snapshot().hits > 0);
+    }
+
+    #[test]
+    fn a_hit_rewrites_last_ts_only_once_it_is_stale() {
+        let cache = small_cache(1_000);
+        let mut client = cache.client();
+        // The first operation: with no miss and no eviction seen, the
+        // eviction-age estimate is the time since here.
+        client.set(b"hot", b"x");
+        client.dm().advance_ns(1_000_000);
+        // WRITEs one hit sends.
+        let hit = |client: &mut super::DittoClient| {
+            let before = cache.pool().stats().node_snapshots()[0].writes;
+            assert!(client.get(b"hot").is_some());
+            cache.pool().stats().node_snapshots()[0].writes - before
+        };
+        // The insert's timestamp is a millisecond old, far past τ = 1/16 of
+        // that: the hit refreshes it.
+        assert_eq!(hit(&mut client), 1);
+        // Hits within τ ≈ 63 µs of the refresh leave it alone…
+        for _ in 0..5 {
+            assert_eq!(hit(&mut client), 0);
+        }
+        // …and the first hit past τ sends exactly one WRITE, the next none.
+        client.dm().advance_ns(70_000);
+        assert_eq!(hit(&mut client), 1);
+        assert_eq!(hit(&mut client), 0);
+        let stats = cache.stats();
+        assert_eq!((stats.ts_writes_sent(), stats.ts_writes_skipped()), (2, 6));
+        // A `Set` never reads the slot and always writes.
+        client.set(b"hot", b"y");
+        assert_eq!(stats.ts_writes_sent(), 3);
+        // A miss is evidence of evictions at an age this client has not
+        // seen: until it sees one, every hit writes.
+        assert!(client.get(b"absent").is_none());
+        assert_eq!(hit(&mut client), 1);
+        assert_eq!(hit(&mut client), 1);
     }
 
     #[test]

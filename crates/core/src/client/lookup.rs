@@ -762,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn hinted_get_reads_its_slot_and_the_object_in_every_mode() {
+    fn hinted_get_reads_its_slot_and_the_object() {
         let cache = small_cache();
         let mut client = cache.client();
         // The publish CAS leaves the hint.

@@ -98,6 +98,46 @@
 //! frequency counter any more: a due FC flush is posted unsignalled on a
 //! doorbell of its own, as after a hinted hit.
 //!
+//! # Which messages a hit and a cutover send
+//!
+//! The memory pool has no CPU; its RNICs' message rate is the scarce
+//! resource (it is why the FC cache combines `FAA`s client-side), and an
+//! unsignalled verb nobody waits for is a message all the same.  Two rules
+//! keep messages nobody needs off the wire — both observed, neither a
+//! setting.
+//!
+//! **A hit rewrites `last_ts` only when it is stale enough to matter**
+//! ([`recency`]).  Both `Get` paths have just read the slot's stored
+//! timestamp, so the client knows how stale it is and skips the 8-byte WRITE
+//! while `now − last_ts < τ`, τ being 1/16 of the *eviction age* it observes:
+//! a running average, fed at every victim selection, of the oldest sampled
+//! candidate's idle time — what the LRU expert would evict, whichever expert
+//! wins.  A stored timestamp is then never more than τ behind the truth, so
+//! sampled LRU misorders two objects only if their last accesses lie within
+//! a sixteenth of the age at which anything is evicted at all.  Before a
+//! client has evicted anything the estimate is the time since its own first
+//! operation (nothing it reads has been evicted for that long) — and zero,
+//! every hit writes, from its first miss until it does see an eviction:
+//! that is the rule's hazard, a reader that never evicts beside a client
+//! that does, whose uptime says nothing about the age its hot keys are
+//! being evicted at (`tests/lazy_last_ts.rs` drives it).  `Set`s always
+//! write: the hinted replace never reads the slot.  The local tier's hits
+//! never refreshed the timestamp and still do not.
+//! [`CacheStats::ts_writes_sent`] / [`CacheStats::ts_writes_skipped`] count
+//! both outcomes; [`SimCache`] runs the same function on its logical clock,
+//! and the sweep that picked 16 ([`recency::LAST_TS_DIVISOR`]) lives in its
+//! tests.
+//!
+//! **A stripe cutover poisons only the words clients CAS.**  The table hands
+//! the stripe directory its record layout — of each 40-byte slot, the atomic
+//! word — and the commit pass swaps [`ditto_dm::RECONCILE_POISON`] into those
+//! words alone, a fifth of the CASes it used to send; hash, timestamps and
+//! frequency ride the chunk's READ → WRITE.  Everything that looks for the
+//! poison (the slot codec, the tainted-bucket check, hints, tier
+//! revalidation, a slot CAS observing it) looks at the atomic word already.
+//! The argument, and the one best-effort loss it accepts, are stated beside
+//! the constant.
+//!
 //! # The `Set` path under memory pressure: evict-ahead
 //!
 //! A `Set` allocates its object, writes it next to the two bucket READs of
@@ -193,6 +233,7 @@ pub mod history;
 pub mod inline;
 pub mod local_tier;
 pub mod object;
+pub mod recency;
 pub mod recovery;
 pub mod sim;
 pub mod slot;

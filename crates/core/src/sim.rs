@@ -6,12 +6,15 @@
 //! eviction, priority functions, the FIFO eviction history and the
 //! regret-minimisation weights — on plain process memory, so those sweeps run
 //! orders of magnitude faster than the full DM data path while exercising the
-//! exact same `ditto-algorithms` rules and `ExpertWeights` logic.
+//! exact same `ditto-algorithms` rules and `ExpertWeights` logic — and the
+//! same rule for when a hit leaves `last_ts` alone ([`crate::recency`]), on
+//! its logical clock of one tick per request.
 
 use crate::adaptive::ExpertWeights;
 use crate::error::{CacheError, CacheResult};
 use crate::hash::FxHashMap;
 use crate::history::expert_bitmap;
+use crate::recency::{self, EvictionAge, LAST_TS_DIVISOR};
 use ditto_algorithms::{registry, AccessContext, AccessKind, CacheAlgorithm, Metadata};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,6 +90,9 @@ pub struct SimStats {
     pub evictions: u64,
     /// Regrets collected from the eviction history.
     pub regrets: u64,
+    /// Hits that left `last_ts` alone because it was still fresh
+    /// ([`crate::recency`]): the timestamp WRITEs a client would not send.
+    pub ts_writes_skipped: u64,
 }
 
 impl SimStats {
@@ -128,6 +134,10 @@ pub struct SimCache {
     history_fifo: VecDeque<Vec<u8>>,
     history_counter: u64,
     clock: u64,
+    eviction_age: EvictionAge,
+    /// [`LAST_TS_DIVISOR`]; a field only so that the sweep justifying the
+    /// constant can vary it.
+    last_ts_divisor: u64,
     rng: StdRng,
     stats: SimStats,
     /// Reusable scratch for the indices sampled by one eviction.
@@ -176,6 +186,8 @@ impl SimCache {
             history_fifo: VecDeque::new(),
             history_counter: 0,
             clock: 0,
+            eviction_age: EvictionAge::default(),
+            last_ts_divisor: LAST_TS_DIVISOR,
             rng,
             stats: SimStats::default(),
             config,
@@ -206,14 +218,24 @@ impl SimCache {
 
     fn tick(&mut self) -> u64 {
         self.clock += 1;
+        self.eviction_age.begin_op(self.clock);
         self.clock
     }
 
     fn touch(&mut self, key: &[u8], kind: AccessKind) {
         let now = self.clock;
+        let age = self.eviction_age.estimate(now);
         if let Some(entry) = self.entries.get_mut(key) {
             let ctx = AccessContext::at(now).with_kind(kind);
+            let stored_ts = entry.metadata.last_ts;
             entry.metadata.record_access(&ctx);
+            if kind == AccessKind::Hit
+                && recency::last_ts_is_fresh(now, stored_ts, age, self.last_ts_divisor)
+            {
+                // The client would not have sent the timestamp WRITE.
+                entry.metadata.last_ts = stored_ts;
+                self.stats.ts_writes_skipped += 1;
+            }
             for expert in &self.experts {
                 expert.update(&mut entry.metadata, &ctx);
             }
@@ -250,6 +272,10 @@ impl SimCache {
             }
         }
         let now = self.clock;
+        let idle = |idx: &usize| self.entries[&self.keys[*idx]].metadata.idle(now);
+        if let Some(oldest_idle) = self.candidate_idx.iter().map(idle).max() {
+            self.eviction_age.observe_eviction(oldest_idle);
+        }
         self.picks.clear();
         for expert in &self.experts {
             let mut best = self.candidate_idx[0];
@@ -347,6 +373,7 @@ impl ditto_workloads::CacheBackend for SimCache {
             self.entries.get(key).map(|e| e.value.clone())
         } else {
             self.stats.misses += 1;
+            self.eviction_age.observe_miss();
             if self.config.adaptive {
                 self.check_regret(key);
             }
@@ -466,6 +493,58 @@ mod tests {
         replay(&mut cache, requests, ReplayOptions::default());
         assert!(cache.stats().regrets > 0);
         assert!((cache.weights().iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    /// The sweep behind [`LAST_TS_DIVISOR`]: hit rate, and the share of hits
+    /// that still send their timestamp WRITE, per divisor — on a YCSB-C
+    /// trace at capacity 20 % of the records and on the changing trace
+    /// (LRU-/LFU-friendly phases alternating) at 30 %.  `cargo test -p
+    /// ditto-core last_ts_divisor -- --nocapture` prints the table.
+    #[test]
+    fn last_ts_divisor_sweep_keeps_the_hit_rate_at_sixteen() {
+        use ditto_workloads::traces::TraceSpec;
+        use ditto_workloads::{changing_workload, YcsbSpec, YcsbWorkload};
+        const EAGER: u64 = u64::MAX;
+        const DIVISORS: [u64; 5] = [4, 8, 16, 32, EAGER];
+        const RECORDS: u64 = 2_000;
+        const REQUESTS: u64 = 100_000;
+        for seed in [42, 7] {
+            let ycsb = YcsbSpec {
+                record_count: RECORDS,
+                request_count: REQUESTS,
+                ..YcsbSpec::default()
+            }
+            .with_seed(seed)
+            .run_requests(YcsbWorkload::C);
+            let changing = changing_workload(&TraceSpec::new(RECORDS, REQUESTS).with_seed(seed), 4);
+            for (name, trace, capacity) in [("ycsb-c", ycsb, 400), ("changing", changing, 600)] {
+                let runs = DIVISORS.map(|divisor| {
+                    let mut cache = SimCache::new(SimConfig::adaptive(capacity)).unwrap();
+                    cache.last_ts_divisor = divisor;
+                    replay(&mut cache, trace.iter().copied(), ReplayOptions::default());
+                    cache.stats()
+                });
+                let eager = runs[DIVISORS.len() - 1].hit_rate();
+                for (divisor, stats) in DIVISORS.iter().zip(runs) {
+                    let label = match *divisor {
+                        EAGER => "eager".to_string(),
+                        d => format!("1/{d}"),
+                    };
+                    let delta = (stats.hit_rate() - eager) / eager;
+                    let written = 1.0 - stats.ts_writes_skipped as f64 / stats.hits as f64;
+                    println!(
+                        "{name:8} seed {seed:2} tau {label:5}: hit rate {:.4} ({:+.2} %), {:5.1} % of hits write",
+                        stats.hit_rate(),
+                        delta * 100.0,
+                        written * 100.0
+                    );
+                    if *divisor == LAST_TS_DIVISOR {
+                        assert!(delta.abs() <= 0.005, "{name} seed {seed}: {delta}");
+                        assert!(written < 0.6, "{name} seed {seed}: the rule must skip");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// coherence events (invalidations, stale rejects) are evidence in
 /// correctness post-mortems and must not vanish when a benchmark clears
 /// its interval counters.  So do the hinted-lookup pair (`spec_reads_*`), the
-/// hinted-publish pair (`spec_publishes_*`) and `gets_degraded`, which are
-/// read through accessors rather than [`CacheStatsSnapshot`] fields.
+/// hinted-publish pair (`spec_publishes_*`), the timestamp-write pair
+/// (`ts_writes_*`) and `gets_degraded`, which are read through accessors
+/// rather than [`CacheStatsSnapshot`] fields.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     hits: AtomicU64,
@@ -34,6 +35,8 @@ pub struct CacheStats {
     spec_reads_wasted: AtomicU64,
     spec_publishes_issued: AtomicU64,
     spec_publishes_wasted: AtomicU64,
+    ts_writes_sent: AtomicU64,
+    ts_writes_skipped: AtomicU64,
     gets_degraded: AtomicU64,
     expert_victories: Vec<AtomicU64>,
 }
@@ -155,6 +158,20 @@ impl CacheStats {
         }
     }
 
+    /// Records an access's `last_ts` update: `sent` as the 8-byte WRITE a
+    /// replacing `Set` and a hit on a stale-enough timestamp issue, otherwise
+    /// skipped because the hit found the stored timestamp fresh
+    /// ([`crate::recency`]).  (An insert writes all four metadata words at
+    /// once and is not counted.)
+    pub fn record_ts_write(&self, sent: bool) {
+        let counter = if sent {
+            &self.ts_writes_sent
+        } else {
+            &self.ts_writes_skipped
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records a `Get` that a verb fault (an unreadable bucket or object)
     /// degraded to a miss — counted as a miss too.
     pub fn record_get_degraded(&self) {
@@ -183,6 +200,18 @@ impl CacheStats {
     /// trip before the `Set`'s lookup ran after all.
     pub fn spec_publishes_wasted(&self) -> u64 {
         self.spec_publishes_wasted.load(Ordering::Relaxed)
+    }
+
+    /// `last_ts` WRITEs issued (lifetime): one per replacing `Set` and per
+    /// hit whose stored timestamp had gone stale.
+    pub fn ts_writes_sent(&self) -> u64 {
+        self.ts_writes_sent.load(Ordering::Relaxed)
+    }
+
+    /// `last_ts` WRITEs hits left out because the stored timestamp was
+    /// still fresh (lifetime): each one RNIC message saved.
+    pub fn ts_writes_skipped(&self) -> u64 {
+        self.ts_writes_skipped.load(Ordering::Relaxed)
     }
 
     /// `Get`s degraded to a miss by a verb fault (lifetime).
@@ -228,8 +257,9 @@ impl CacheStats {
     }
 
     /// Resets every interval counter to zero.  The lifetime counters — the
-    /// `local_*` group, the hinted-lookup and hinted-publish pairs,
-    /// `gets_degraded` — survive by design (see the struct docs).
+    /// `local_*` group, the hinted-lookup, hinted-publish and
+    /// timestamp-write pairs, `gets_degraded` — survive by design (see the
+    /// struct docs).
     pub fn reset(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -363,11 +393,15 @@ mod tests {
         stats.record_spec_publish(false);
         stats.record_spec_publish(false);
         stats.record_get_degraded();
+        stats.record_ts_write(true);
+        stats.record_ts_write(false);
+        stats.record_ts_write(false);
         stats.reset();
         assert_eq!(
             (stats.spec_reads_issued(), stats.spec_reads_wasted()),
             (2, 1)
         );
+        assert_eq!((stats.ts_writes_sent(), stats.ts_writes_skipped()), (1, 2));
         assert_eq!(
             (stats.spec_publishes_issued(), stats.spec_publishes_wasted()),
             (3, 1)

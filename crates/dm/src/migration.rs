@@ -29,9 +29,11 @@
 //!   the new slot value to the destination under the stripe lock.  The
 //!   cache layer relocates the stripe's resident objects in this window.
 //! * **commit** — under the stripe lock the engine *reconciles* the
-//!   stripe: every source word is CAS-swapped to [`RECONCILE_POISON`] as
-//!   its value is carried to the destination (see the constant's docs for
-//!   why a plain re-copy is not enough), then the directory entry flips to
+//!   stripe: every source word a client may CAS is CAS-swapped to
+//!   [`RECONCILE_POISON`] as its value is carried to the destination, the
+//!   words in between ride the same chunk READ → WRITE (see the constant's
+//!   docs for why a plain re-copy is not enough for the former and is for
+//!   the latter), then the directory entry flips to
 //!   the destination and the pool's resize epoch bumps (the *migration
 //!   epoch* piggybacks on it), so every client revalidates its placement
 //!   snapshot and follows the redirect.
@@ -77,12 +79,13 @@ use std::sync::Arc;
 /// Bytes copied per READ/WRITE pair while migrating a stripe.
 const COPY_CHUNK: usize = 4096;
 
-/// Marker the commit's reconcile pass swaps into every word of the vacated
-/// source copy as it carries the word's value to the destination.
+/// Marker the commit's reconcile pass swaps into the words of the vacated
+/// source copy that clients CAS, as it carries each word's value to the
+/// destination.
 ///
 /// This is what makes a slot CAS racing a cutover *deterministic* instead
-/// of ambiguous: the reconcile swaps each source word to this marker (one
-/// word CAS at a time) before writing the taken value to the destination,
+/// of ambiguous: the reconcile swaps each such source word to this marker
+/// (one word CAS at a time) before writing the taken value to the destination,
 /// so a concurrent word CAS either lands **before** the swap — in which
 /// case the swap itself carries the CASed value to the live home — or
 /// observes the marker and fails.  A CAS that *succeeded* but was judged
@@ -90,6 +93,24 @@ const COPY_CHUNK: usize = 4096;
 /// destination copy; without the marker the writer cannot tell a carried
 /// write from a swallowed one, and cleaning up on the wrong guess either
 /// loses the write or leaks the object it displaced.
+///
+/// **Which words.**  Only a word some client CASes needs the marker: every
+/// reader of it — a bucket or slot decode, a hinted or lease-revalidating
+/// READ of the slot word, a CAS observing it — looks at a CAS-able word
+/// already.  The structure striped over the directory therefore declares its
+/// record layout ([`StripeDirectory::with_cas_words`]; the hash table's is
+/// `(40, 0)`: the first word of each 40-byte slot) and the sweep swaps those
+/// words alone — a fifth of the CASes, all of them messages on the source
+/// node's NIC in the middle of a resize.  The words in between are plain
+/// data, written and `FAA`ed but never CASed; they travel with the chunk's
+/// READ → WRITE, and writers mirror them into the destination while the
+/// stripe is moving.  The one behavioural difference from sweeping every
+/// word: an update of such a word that lands on the source *between the
+/// chunk's READ and the cutover* — a frequency-counter `FAA`, an unmirrored
+/// timestamp — is no longer chased to the destination.  That is the
+/// best-effort loss these advisory fields already have when the verb itself
+/// faults; nothing a client CASes can be lost this way.  With the default
+/// layout `(8, 0)` every word is swapped, as before.
 ///
 /// Upper layers must (a) never store this value in a word a CAS can
 /// target — the slot layer treats it as an impossible encoding and decodes
@@ -228,11 +249,17 @@ pub struct StripeDirectory {
     /// carried its write ([`StripeDirectory::resolve_vacated`]).
     previous: Vec<AtomicU64>,
     stripe_bytes: u64,
+    /// Record layout of the striped structure, as far as the cutover needs
+    /// it: the words clients CAS sit at `cas_offset` in every `cas_stride`
+    /// bytes of a stripe ([`StripeDirectory::with_cas_words`]).
+    cas_stride: u64,
+    cas_offset: u64,
 }
 
 impl StripeDirectory {
     /// Creates a directory over the given per-stripe base addresses, each
-    /// `stripe_bytes` long.
+    /// `stripe_bytes` long, whose every 8-byte word may be the target of a
+    /// client CAS (narrowed by [`StripeDirectory::with_cas_words`]).
     pub fn new(bases: &[RemoteAddr], stripe_bytes: u64) -> Self {
         StripeDirectory {
             entries: bases.iter().map(|a| AtomicU64::new(a.pack())).collect(),
@@ -243,7 +270,38 @@ impl StripeDirectory {
             committed_at: (0..bases.len()).map(|_| AtomicU64::new(0)).collect(),
             previous: (0..bases.len()).map(|_| AtomicU64::new(0)).collect(),
             stripe_bytes,
+            cas_stride: 8,
+            cas_offset: 0,
         }
+    }
+
+    /// Declares the record layout of the striped structure: clients CAS
+    /// only the 8-byte word at byte `offset` of every `stride`-byte record
+    /// (records start at the stripe's base), so a cutover's reconcile pass
+    /// swaps [`RECONCILE_POISON`] into those words alone and carries the
+    /// rest by plain copy.  The default, `(8, 0)`, is every word.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `stride` is a whole number of words, `offset` names a
+    /// word inside it and stripes hold whole records.
+    pub fn with_cas_words(mut self, stride: u64, offset: u64) -> Self {
+        assert!(
+            stride > 0
+                && stride.is_multiple_of(8)
+                && offset.is_multiple_of(8)
+                && offset < stride
+                && self.stripe_bytes.is_multiple_of(stride),
+            "CAS-word layout ({stride}, {offset}) does not tile {}-byte stripes",
+            self.stripe_bytes
+        );
+        (self.cas_stride, self.cas_offset) = (stride, offset);
+        self
+    }
+
+    /// Whether clients may CAS the word `stripe_offset` bytes into a stripe.
+    fn is_cas_word(&self, stripe_offset: u64) -> bool {
+        stripe_offset % self.cas_stride == self.cas_offset
     }
 
     /// Number of stripes tracked.
@@ -703,8 +761,8 @@ impl MigrationEngine {
     }
 
     /// Commits `job`: under the stripe lock, reconciles the stripe — every
-    /// source word is swapped to [`RECONCILE_POISON`] as its value is
-    /// carried to the destination, so a slot CAS racing this pass either
+    /// source word clients CAS is swapped to [`RECONCILE_POISON`] as its
+    /// value is carried to the destination, so a slot CAS racing this pass either
     /// gets carried or observes the poison and fails (never silently
     /// swallowed) — then flips the directory entry, remembers the vacated
     /// source range for reuse and piggybacks the cutover on the pool's
@@ -800,10 +858,12 @@ impl MigrationEngine {
     }
 
     /// The commit-time variant of [`MigrationEngine::copy_stripe`]: carries
-    /// each source word to the destination *through a CAS swap to
-    /// [`RECONCILE_POISON`]*, so racing word CASes are linearised against
-    /// the carry — see the constant's docs for why a plain re-copy is not
-    /// enough.  Holds no extra state: the caller already holds the stripe
+    /// each chunk to the destination with its READ → WRITE, the words
+    /// clients CAS ([`StripeDirectory::with_cas_words`]) *through a CAS swap
+    /// to [`RECONCILE_POISON`]* in between, so racing word CASes are
+    /// linearised against the carry — see the constant's docs for why a
+    /// plain re-copy is not enough for those words and is enough for the
+    /// rest.  Holds no extra state: the caller already holds the stripe
     /// lock, which keeps other reconcile/copy passes off the range (racing
     /// *clients* are exactly who the poison protocol is for).
     fn reconcile_stripe(
@@ -814,74 +874,81 @@ impl MigrationEngine {
     ) -> DmResult<()> {
         let total = self.dir.stripe_bytes();
         let mut buf = vec![0u8; COPY_CHUNK.min(total as usize)];
-        let mut observed = vec![0u64; buf.len() / 8];
+        // The chunk's words to swap (indices into `buf`), and what each
+        // posted swap observed.
+        let mut targets = Vec::with_capacity(buf.len() / 8);
+        let mut observed = vec![0u64; crate::wqe::MAX_WQES];
         let mut copied = 0u64;
         while copied < total {
             let take = ((total - copied) as usize).min(COPY_CHUNK);
-            // One READ to seed the expected values, one word CAS per 8
-            // bytes for the poison swaps, one WRITE to land the chunk:
-            // budget all three passes against the copy token bucket.
-            self.throttle_copy(client, 3 * take as u64);
+            // Picked by offset into the *stripe*: a chunk need not start on
+            // a record boundary.
+            targets.clear();
+            targets.extend((0..take / 8).filter(|w| self.dir.is_cas_word(copied + (w * 8) as u64)));
+            // One READ to seed the expected values, one word CAS per
+            // swapped word, one WRITE to land the chunk: budget all three
+            // passes against the copy token bucket.
+            self.throttle_copy(client, 2 * take as u64 + 8 * targets.len() as u64);
             retry_verb(client, RECONCILE_VERB_RETRIES, |c| {
                 c.try_read_into(src.add(copied), &mut buf[..take])
             })?;
-            let words = take / 8;
-            // The poison sweep rides the posted-WQE path: a doorbell
-            // batch's worth of CASes goes out at once and is drained
-            // together, so the sweep costs one max-latency round per batch,
-            // not `words` sequential round trips (each CAS still consumes
-            // one RNIC message — the sweep buys latency, not message rate).
-            let mut base = 0;
-            while base < words {
-                let group = (words - base).min(crate::wqe::MAX_WQES);
-                let mut wq = client.work_queue();
-                for (i, out) in observed[base..base + group].iter_mut().enumerate() {
-                    let w = base + i;
-                    let expected = u64::from_le_bytes(buf[w * 8..w * 8 + 8].try_into().unwrap());
-                    wq.post_cas(
-                        src.add(copied + (w * 8) as u64),
-                        expected,
-                        RECONCILE_POISON,
-                        out,
-                        true,
-                    );
-                }
-                wq.ring();
-                drop(wq);
-                if client.try_drain_cq().is_err() {
-                    // Some CASes in the batch faulted (NAK'd, not applied),
-                    // and which ones cannot be trusted from `observed`:
-                    // redo the whole group with synchronous retried swaps.
-                    // A posted swap that *did* land shows up as the poison
-                    // marker and resolves to the value it carried.
-                    for w in base..base + group {
-                        let addr = src.add(copied + (w * 8) as u64);
-                        let seed = u64::from_le_bytes(buf[w * 8..w * 8 + 8].try_into().unwrap());
-                        let carried = Self::poison_word(client, addr, seed)?;
-                        buf[w * 8..w * 8 + 8].copy_from_slice(&carried.to_le_bytes());
-                        observed[w] = carried;
-                    }
-                }
-                base += group;
-            }
-            for w in 0..words {
-                let expected = u64::from_le_bytes(buf[w * 8..w * 8 + 8].try_into().unwrap());
-                let got = observed[w];
-                if got != expected {
-                    // A client CASed the word between the read and the
-                    // swap: carry the newer value instead.  Races are rare
-                    // (one contended word per incident), so the retries use
-                    // plain synchronous CASes.
-                    let carried = Self::poison_word(client, src.add(copied + (w * 8) as u64), got)?;
-                    buf[w * 8..w * 8 + 8].copy_from_slice(&carried.to_le_bytes());
-                }
-            }
+            Self::poison_sweep(client, src.add(copied), &mut buf, &targets, &mut observed)?;
             retry_verb(client, RECONCILE_VERB_RETRIES, |c| {
                 c.try_write(dst.add(copied), &buf[..take])
             })?;
             copied += take as u64;
         }
         self.pool.stats().record_migrated_bytes(total);
+        Ok(())
+    }
+
+    /// Swaps [`RECONCILE_POISON`] into the words `targets` (indices into
+    /// `buf`) of the source chunk at `chunk`, which `buf` holds as last
+    /// read, and leaves in `buf` the value each swap carried.
+    ///
+    /// The sweep rides the posted-WQE path: a doorbell batch's worth of
+    /// CASes goes out at once and is drained together, so it costs one
+    /// max-latency round per batch, not one round trip per word (each CAS
+    /// still consumes one RNIC message — batching buys latency, not message
+    /// rate; only sweeping fewer words buys that).
+    fn poison_sweep(
+        client: &DmClient,
+        chunk: RemoteAddr,
+        buf: &mut [u8],
+        targets: &[usize],
+        observed: &mut [u64],
+    ) -> DmResult<()> {
+        let word = |buf: &[u8], w: usize| {
+            u64::from_le_bytes(buf[w * 8..w * 8 + 8].try_into().expect("8-byte word"))
+        };
+        for group in targets.chunks(observed.len()) {
+            let mut wq = client.work_queue();
+            for (&w, out) in group.iter().zip(observed.iter_mut()) {
+                let addr = chunk.add((w * 8) as u64);
+                wq.post_cas(addr, word(buf, w), RECONCILE_POISON, out, true);
+            }
+            wq.ring();
+            drop(wq);
+            let faulted = client.try_drain_cq().is_err();
+            for (&w, &got) in group.iter().zip(observed.iter()) {
+                let expected = word(buf, w);
+                // A word is redone, with synchronous retried swaps, in two
+                // cases.  Some CAS of its batch faulted (NAK'd, not
+                // applied), and which ones cannot be trusted from
+                // `observed`: a posted swap that *did* land shows up as the
+                // poison marker and resolves to the value it carried.  Or a
+                // client CASed the word between the READ and the swap: the
+                // newer value is carried instead (rare — one contended word
+                // per incident).
+                let seed = match (faulted, got == expected) {
+                    (true, _) => expected,
+                    (false, false) => got,
+                    (false, true) => continue,
+                };
+                let carried = Self::poison_word(client, chunk.add((w * 8) as u64), seed)?;
+                buf[w * 8..w * 8 + 8].copy_from_slice(&carried.to_le_bytes());
+            }
+        }
         Ok(())
     }
 
@@ -1088,6 +1155,114 @@ mod tests {
         assert_eq!(pool.stats().stripe_cutovers(), 2);
         // Each stripe was copied twice (bulk + reconcile pass).
         assert_eq!(pool.stats().migrated_bytes(), 2 * 2 * 512);
+    }
+
+    /// A stripe of `bytes` on node 1 (stripe 0 sits on node 0) filled with a
+    /// distinct value per word, under the given CAS-word layout.
+    fn patterned_stripe(
+        layout: Option<(u64, u64)>,
+        bytes: u64,
+    ) -> (MemoryPool, Arc<StripeDirectory>, Vec<u8>) {
+        let pool = striped_pool(2);
+        let bases = [0, 1].map(|mn| pool.reserve_on(mn, bytes).unwrap());
+        let dir = StripeDirectory::new(&bases, bytes);
+        let dir = match layout {
+            Some((stride, offset)) => dir.with_cas_words(stride, offset),
+            None => dir,
+        };
+        let pattern: Vec<u8> = (1..=bytes / 8)
+            .flat_map(|w| (w << 20).to_le_bytes())
+            .collect();
+        pool.connect().write(bases[1], &pattern);
+        (pool, Arc::new(dir), pattern)
+    }
+
+    fn word_at(bytes: &[u8], w: usize) -> u64 {
+        u64::from_le_bytes(bytes[w * 8..w * 8 + 8].try_into().unwrap())
+    }
+
+    #[test]
+    fn commit_poisons_exactly_the_words_clients_cas() {
+        // 200 records of 40 bytes: the second 4 KiB chunk starts 16 bytes
+        // into a record, so the mask must go by stripe offset.
+        const BYTES: u64 = 8_000;
+        for (layout, stride) in [(Some((40, 0)), 40), (Some((40, 16)), 40), (None, 8)] {
+            let offset = layout.map_or(0, |(_, offset)| offset);
+            let (pool, dir, pattern) = patterned_stripe(layout, BYTES);
+            let engine = MigrationEngine::new(&pool, Arc::clone(&dir)).unwrap();
+            let client = pool.connect();
+            let job = MoveJob {
+                stripe: 1,
+                src: 1,
+                dst: 0,
+            };
+            let src = dir.current(1);
+            assert!(engine.begin(&client, &job).unwrap());
+            // The stripe locks live on node 0: every CAS node 1 serves
+            // during the commit is one of the sweep's.
+            let before = pool.stats().node_snapshots()[1].cas;
+            engine.commit(&client, &job).unwrap();
+            assert_eq!(
+                pool.stats().node_snapshots()[1].cas - before,
+                BYTES / stride,
+                "layout {layout:?}"
+            );
+            // Every word arrived, the swapped ones by the value they held…
+            assert_eq!(client.read(dir.current(1), BYTES as usize), pattern);
+            // …and the vacated copy reads as the marker exactly there.
+            let vacated = client.read(src, BYTES as usize);
+            for w in 0..(BYTES / 8) as usize {
+                let expected = if (w as u64 * 8) % stride == offset {
+                    RECONCILE_POISON
+                } else {
+                    word_at(&pattern, w)
+                };
+                assert_eq!(
+                    word_at(&vacated, w),
+                    expected,
+                    "word {w}, layout {layout:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_cas_racing_the_sweep_is_carried_or_refused_never_swallowed() {
+        const BYTES: u64 = 800;
+        let (pool, dir, pattern) = patterned_stripe(Some((40, 0)), BYTES);
+        let client = pool.connect();
+        let src = dir.current(1);
+        let targets: Vec<usize> = (0..(BYTES / 8) as usize)
+            .filter(|w| dir.is_cas_word(*w as u64 * 8))
+            .collect();
+        assert_eq!(targets.len(), 20);
+        // The pass has READ the chunk; before its swaps go out, a client's
+        // CAS lands on the CAS word of record 3 — and a plain write on the
+        // data word behind it, which nothing chases.
+        let mut buf = pattern.clone();
+        let raced = targets[3];
+        let old = word_at(&pattern, raced);
+        assert_eq!(client.cas(src.add(raced as u64 * 8), old, 0xabcd), old);
+        client.write(src.add(raced as u64 * 8 + 8), &7u64.to_le_bytes());
+        let mut observed = vec![0u64; 8];
+        MigrationEngine::poison_sweep(&client, src, &mut buf, &targets, &mut observed).unwrap();
+        // Carried: the chunk about to be written to the destination holds
+        // the racing CAS's value; every other word is as it was read.
+        for w in 0..(BYTES / 8) as usize {
+            let expected = if w == raced {
+                0xabcd
+            } else {
+                word_at(&pattern, w)
+            };
+            assert_eq!(word_at(&buf, w), expected, "word {w}");
+        }
+        // Refused: a CAS arriving after the swap — even one expecting the
+        // right value — observes the marker and changes nothing.
+        for &w in &targets {
+            let addr = src.add(w as u64 * 8);
+            assert_eq!(client.cas(addr, word_at(&buf, w), 0x1234), RECONCILE_POISON);
+            assert_eq!(client.read_u64(addr), RECONCILE_POISON);
+        }
     }
 
     #[test]

@@ -10,6 +10,21 @@
 //! hinted replace went in, and pins it the same way.  The run is a single
 //! client on a simulated clock: the numbers are the same under `cargo test`
 //! and `cargo test --release`, on any host.
+//!
+//! Re-derived once since, when a hit stopped rewriting a `last_ts` that is
+//! still fresh (`ditto_core::recency`) — a change to *which* verbs run, not
+//! to when: the skipped WRITE was unsignalled and cost the clock nothing.
+//! Each replay starts cold, so its first request is a miss and every hit
+//! writes until the client has seen an eviction of its own.  The striped
+//! replay therefore lost 3 283 messages (43 226 → 39 943) — one per skipped
+//! timestamp — and nothing else, its clock identical to the nanosecond; the
+//! YCSB-A replay never evicts, so it kept every WRITE and every number.
+//! Only the single-node replay, with an eviction for every second miss,
+//! shows the rule touching a decision: timestamps up to τ stale reorder a
+//! handful of LRU picks (the experts' victories move 377/348 → 370/355, one
+//! regret goes), and with different victims the later fills take 10 µs more
+//! of its 43 ms (42 919 214 → 42 929 734 ns, 48 157 → 44 634 messages);
+//! hits, misses and evictions are unchanged.
 
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{DittoCache, DittoConfig};
@@ -25,6 +40,8 @@ struct Golden {
     messages: u64,
     /// Hinted publishes issued, and how many of them mispredicted.
     published: (u64, u64),
+    /// `last_ts` WRITEs sent (stale hits and replaces), and skipped by hits.
+    timestamps: (u64, u64),
     stats: CacheStatsSnapshot,
 }
 
@@ -67,6 +84,10 @@ fn replay(mix: YcsbWorkload, memory_nodes: u16, capacity: u64) -> Golden {
             cache.stats().spec_publishes_issued(),
             cache.stats().spec_publishes_wasted(),
         ),
+        timestamps: (
+            cache.stats().ts_writes_sent(),
+            cache.stats().ts_writes_skipped(),
+        ),
         stats: cache.stats().snapshot(),
     }
 }
@@ -74,9 +95,10 @@ fn replay(mix: YcsbWorkload, memory_nodes: u16, capacity: u64) -> Golden {
 #[test]
 fn single_node_replay_matches_the_pipelined_path_to_the_nanosecond() {
     let golden = Golden {
-        clock_ns: 42_919_214,
-        messages: 48_157,
+        clock_ns: 42_929_734,
+        messages: 44_634,
         published: (0, 0),
+        timestamps: (6_853, 3_527),
         stats: CacheStatsSnapshot {
             hits: 10_380,
             misses: 1_620,
@@ -84,14 +106,14 @@ fn single_node_replay_matches_the_pipelined_path_to_the_nanosecond() {
             evictions: 725,
             bucket_evictions: 0,
             history_inserts: 725,
-            regrets: 372,
+            regrets: 371,
             weight_syncs: 4,
             fc_flushes: 1_720,
             local_hits: 0,
             local_revalidations: 0,
             local_invalidations: 0,
             local_stale_rejects: 0,
-            expert_victories: vec![377, 348],
+            expert_victories: vec![370, 355],
         },
     };
     assert_eq!(replay(YcsbWorkload::C, 1, 700), golden);
@@ -104,8 +126,9 @@ fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
     // can push its primary bucket's completion past the secondary's.
     let golden = Golden {
         clock_ns: 37_949_019,
-        messages: 43_226,
+        messages: 39_943,
         published: (0, 0),
+        timestamps: (7_456, 3_283),
         stats: CacheStatsSnapshot {
             hits: 10_739,
             misses: 1_261,
@@ -136,6 +159,7 @@ fn update_heavy_replay_pins_the_replace_path_to_the_nanosecond() {
         clock_ns: 36_215_958,
         messages: 41_669,
         published: (5_394, 0),
+        timestamps: (10_752, 0),
         stats: CacheStatsSnapshot {
             hits: 5_303,
             misses: 626,

@@ -77,7 +77,7 @@ fn run(seed: u64) {
 }
 
 #[test]
-fn tiny_table_evict_ahead_agrees_across_modes_and_loses_nothing() {
+fn tiny_table_evict_ahead_overlaps_and_loses_nothing() {
     for seed in [3, 17] {
         run(seed);
     }

@@ -87,7 +87,7 @@ fn replay(mix: YcsbWorkload, capacity: u64) -> Observed {
 }
 
 #[test]
-fn single_client_hints_never_mispredict_and_every_mode_sends_the_same_messages() {
+fn single_client_hints_never_mispredict_on_gets_or_sets() {
     // YCSB-C under eviction pressure (capacity a third of the records), then
     // YCSB-A with room for every record.
     for (mix, capacity) in [(YcsbWorkload::C, 700), (YcsbWorkload::A, 3_000)] {
