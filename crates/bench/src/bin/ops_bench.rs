@@ -496,6 +496,8 @@ struct TierPoint {
     message_ratio: f64,
 }
 
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         hash ^= u64::from(byte);
@@ -534,7 +536,7 @@ fn run_tier_trace(spec: &YcsbSpec, tier: Option<(usize, u64)>) -> TierRun {
     let local_before = cache.stats().snapshot();
 
     let mut value_buf = Vec::with_capacity(spec.value_size as usize);
-    let mut checksum: u64 = 0xcbf29ce484222325;
+    let mut checksum: u64 = FNV_OFFSET;
     for request in spec.run_requests(YcsbWorkload::C) {
         let hit = client.get_into(&request.key_bytes(), &mut value_buf);
         checksum = fnv1a(checksum, &[u8::from(hit)]);
@@ -843,31 +845,50 @@ fn mode_json(report: &ModeReport) -> String {
     )
 }
 
-/// `git describe --always --dirty` of the working tree, or `"unknown"`
-/// when git (or the repository) is unavailable — stamps `BENCH_ops.json`
-/// so archived results are attributable to a commit.
-fn git_describe() -> String {
+/// Output of `git <args>`, or `None` when git (or the repository) is
+/// unavailable or the command fails.
+fn git(args: &[&str]) -> Option<Vec<u8>> {
     std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
+        .args(args)
         .output()
         .ok()
         .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|out| out.stdout)
+}
+
+/// What stamps `BENCH_ops.json`, so archived results are attributable to the
+/// tree that produced them: the commit (`git describe --always`), and for an
+/// uncommitted tree `+` the low 32 bits of an FNV-1a hash of `git diff HEAD`
+/// — two runs of one uncommitted tree agree, a clean tree carries the bare
+/// commit.  The result file itself is left out of the diff (every run
+/// rewrites it).  `"unknown"` without git.
+fn git_describe() -> String {
+    let commit = git(&["describe", "--always"])
+        .and_then(|out| String::from_utf8(out).ok())
         .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+        .filter(|s| !s.is_empty());
+    let Some(commit) = commit else {
+        return "unknown".to_string();
+    };
+    match git(&[
+        "diff",
+        "HEAD",
+        "--",
+        ":(top)",
+        ":(top,exclude)BENCH_ops.json",
+    ]) {
+        Some(diff) if !diff.is_empty() => {
+            format!("{commit}+{:08x}", fnv1a(FNV_OFFSET, &diff) as u32)
+        }
+        _ => commit,
+    }
 }
 
 /// FNV-1a over the benchmark-relevant configuration, so two result files
 /// are comparable exactly when their fingerprints match.
 fn config_fingerprint(spec: &YcsbSpec, capacity: u64) -> u64 {
     let text = format!("{spec:?}|capacity={capacity}|sweep_rate={SWEEP_MESSAGE_RATE}");
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
+    fnv1a(FNV_OFFSET, text.as_bytes())
 }
 
 /// Runs a short seeded pipelined window with the flight recorder armed and
@@ -1276,12 +1297,11 @@ fn main() {
     );
 
     let describe = git_describe();
-    if describe.ends_with("-dirty") {
-        eprintln!("ops_bench: ================================================================");
-        eprintln!("ops_bench: WARNING: working tree is DIRTY — BENCH_ops.json will be stamped");
-        eprintln!("ops_bench: \"{describe}\" and is NOT attributable to a commit.  Commit (or");
-        eprintln!("ops_bench: stash) first before checking the result file in.");
-        eprintln!("ops_bench: ================================================================");
+    if describe.contains('+') {
+        eprintln!(
+            "ops_bench: uncommitted tree — BENCH_ops.json is stamped \"{describe}\" \
+             (commit + hash of `git diff HEAD`)"
+        );
     }
 
     let json = format!(

@@ -298,6 +298,16 @@ impl DittoCache {
             self.stats.gets_degraded(),
         );
         counter(
+            "ditto_cache_sets_dropped_total",
+            "Sets given up: they returned Ok without publishing their value (lifetime).",
+            self.stats.sets_dropped(),
+        );
+        counter(
+            "ditto_cache_history_ids_burnt_total",
+            "History ids acquired by an eviction and embedded in no slot (lifetime).",
+            self.stats.history_ids_burnt(),
+        );
+        counter(
             "ditto_cache_bucket_evictions_total",
             "Evictions forced by a full bucket rather than memory pressure.",
             snap.bucket_evictions,
@@ -487,6 +497,8 @@ mod tests {
         assert!(page.contains("ditto_cache_ts_writes_sent_total 2"));
         assert!(page.contains("ditto_cache_ts_writes_skipped_total 0"));
         assert!(page.contains("ditto_cache_gets_degraded_total 0"));
+        assert!(page.contains("ditto_cache_sets_dropped_total 0"));
+        assert!(page.contains("ditto_cache_history_ids_burnt_total 0"));
         assert!(page.contains("ditto_cache_expert_victories_total{expert=\"lru\""));
         // Every HELP line has a TYPE line.
         let helps = page.matches("# HELP ").count();

@@ -20,12 +20,12 @@
 //!   for the key, one doorbell carrying the `RDMA_WRITE` and, behind it, the
 //!   `RDMA_CAS` of the hinted slot from the hinted word: no lookup, one
 //!   round trip (see the crate docs).
-//! * **Eviction** — one `RDMA_READ` sampling K consecutive slots (or, in the
-//!   scattered-metadata ablation, one doorbell carrying K slot READs), a
-//!   per-expert priority evaluation, a weighted victim choice, an `RDMA_FAA`
-//!   on the global history counter and an `RDMA_CAS` converting the victim
-//!   slot into an embedded history entry — run *ahead* of the evicting
-//!   `Set`, beside its lookup and publish (see the crate docs).
+//! * **Eviction** — one doorbell carrying an `RDMA_READ` sampling K
+//!   consecutive slots (or, in the scattered-metadata ablation, K slot
+//!   READs) and the `RDMA_FAA` on a history counter, a per-expert priority
+//!   evaluation, a weighted victim choice and an `RDMA_CAS` converting the
+//!   victim slot into an embedded history entry — run *ahead* of the
+//!   evicting `Set`, beside its lookup and publish (see the crate docs).
 //!
 //! This is the **one data path**: posted WQEs, polled completions
 //! (`work_queue()` → `ring()` → `poll_cq()`), with a synchronous single-verb
@@ -37,8 +37,8 @@
 //! a hinted `Set`'s publish CAS is posted behind the object WRITE it
 //! publishes; a due frequency-counter FAA rides unsignalled — next to a hit's
 //! object READ, or on a doorbell of its own — and is never waited for; and
-//! an eviction's sample READ and history FAA fly while its `Set` looks up
-//! and publishes.  Waits and the client CPU work
+//! an eviction's sample READ and history FAA fly while its `Set` looks up,
+//! its victim CAS while it publishes.  Waits and the client CPU work
 //! (`cpu_decode_slot_ns` per slot, `cpu_score_candidate_ns` per candidate)
 //! overlap the flights, and `end_op` simply drains whatever is still
 //! outstanding.  `tests/data_path_golden.rs` pins two seeded replays of it
@@ -1361,11 +1361,9 @@ impl DittoClient {
                 // The previous attempt's insert was displaced by an evictor
                 // mid-cutover, which freed the object (see
                 // `resolve_stale_cas`): re-allocate and rewrite the bytes
-                // before retrying (the eviction running ahead first: two
-                // evictions must not share the completion queue).
-                if let Some(ev) = ahead.as_mut() {
-                    self.evict_advance(ev, false);
-                }
+                // before retrying.  (The eviction running ahead finished
+                // when that insert lost, below: two evictions must not
+                // share the completion queue.)
                 self.alloc_abandoned = false;
                 obj_addr = self.alloc_with_eviction(preferred, encoded.len());
                 new_atomic = match AtomicField::try_for_object(fp, size_class as u8, obj_addr) {
@@ -1387,6 +1385,7 @@ impl DittoClient {
                     self.free_object(obj_addr, encoded.len());
                     self.journal_clear();
                     self.encode_buf = encoded;
+                    self.stats.record_set_dropped();
                     return Ok(());
                 }
                 object_written = true;
@@ -1420,9 +1419,18 @@ impl DittoClient {
                     return Ok(());
                 }
             }
+            let insert_slot = match existing {
+                Some(_) => None,
+                None => self.choose_insert_slot(&slots),
+            };
             // The eviction running ahead takes what the lookup overlapped
-            // and issues its next verb, to fly during the publish CAS.
-            if let Some(ev) = ahead.as_mut() {
+            // and issues its next verb — normally the victim CAS — to fly
+            // during the publish CAS.  Only beside an insert, though: the two
+            // publishes that displace an allocation hold a crash point
+            // ([`CrashPoint::AfterPublish`]), which must not find a victim
+            // taken out of the table and not yet freed; their eviction
+            // resumes once the `Set` is through (see the crate docs).
+            if let Some(ev) = ahead.as_mut().filter(|_| insert_slot.is_some()) {
                 self.evict_advance(ev, true);
             }
             // Each publish attempt — whichever of the three CAS shapes it
@@ -1439,13 +1447,18 @@ impl DittoClient {
                 }
                 continue;
             }
-            if let Some((slot_addr, observed)) = self.choose_insert_slot(&slots) {
+            if let Some((slot_addr, observed)) = insert_slot {
                 let won = self.install_new(slot_addr, &observed, new_atomic, hash);
                 self.dm
                     .record_span(Phase::Publish, publish_start, self.dm.now_ns(), won as u32);
                 if won {
                     stored = true;
                     break;
+                }
+                // The victim CAS that flew beside the lost insert is settled
+                // before the next attempt, which may displace.
+                if let Some(ev) = ahead.as_mut() {
+                    self.evict_advance(ev, false);
                 }
                 continue;
             }
@@ -1470,7 +1483,8 @@ impl DittoClient {
             self.encode_buf = encoded;
             return Ok(());
         }
-        // The rest of the eviction (normally just the victim CAS) is serial.
+        // The rest of the eviction is serial: normally just the poll of its
+        // victim CAS — all of it after a displacing publish.
         if let Some(mut ev) = ahead {
             self.evict_advance(&mut ev, false);
         }
@@ -1516,6 +1530,7 @@ impl DittoClient {
             }
         }
         if !stored {
+            self.stats.record_set_dropped();
             if self.alloc_abandoned {
                 // The final attempt's insert was displaced by an evictor,
                 // which already freed the object — freeing here would
@@ -2671,6 +2686,37 @@ mod tests {
         client.set(b"ok", b"fine");
         assert_eq!(client.get(b"ok").as_deref(), Some(&b"fine"[..]));
         assert_eq!(cache.stats().snapshot().sets, 1);
+    }
+
+    #[test]
+    fn a_set_given_up_is_counted() {
+        use ditto_dm::FaultPlan;
+        let plan = FaultPlan::seeded(1).with_verb_fail_ppm(1_000_000);
+        let cache = DittoCache::with_dedicated_pool(
+            DittoConfig::with_capacity(1_000),
+            DmConfig::default().with_fault_plan(plan),
+        )
+        .unwrap();
+        let injector = cache.pool().fault_injector();
+        injector.set_armed(false);
+        let mut client = cache.client();
+        client.set(b"key", b"old");
+        assert_eq!(cache.stats().sets_dropped(), 0);
+        // Every verb fails: no lookup of the Set's completes, and none of the
+        // invalidation sweep that follows.  It returns `Ok(())` all the same
+        // (ROADMAP item 1) — but not uncounted.
+        injector.set_armed(true);
+        assert_eq!(client.try_set(b"key", b"new"), Ok(()));
+        injector.set_armed(false);
+        assert_eq!(cache.stats().sets_dropped(), 1);
+        assert_eq!(client.get(b"key").as_deref(), Some(&b"old"[..]));
+        // Its object went back to the allocator.
+        assert_eq!(
+            cache.pool().resident_object_bytes(0),
+            client.referenced_object_bytes_on(0)
+        );
+        cache.stats().reset();
+        assert_eq!(cache.stats().sets_dropped(), 1, "a lifetime counter");
     }
 
     #[test]

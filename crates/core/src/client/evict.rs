@@ -4,7 +4,7 @@
 //! crate docs, *The `Set` path under memory pressure*).
 
 use super::lookup::bucket_holds;
-use super::{Candidates, DittoClient};
+use super::{with_retry, Candidates, DittoClient};
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::history::EvictionHistory;
 use crate::inline::InlineVec;
@@ -14,13 +14,19 @@ use ditto_dm::{Completion, Phase, RemoteAddr, WorkQueue};
 use rand::Rng;
 use std::ops::Range;
 
+/// What [`Eviction::fetched`] holds until the history-id FAA lands — and
+/// for good when it faulted, since an errored verb leaves its result buffer
+/// alone.  No counter reaches it: they count up from zero by ones.
+const NO_ID: u64 = u64::MAX;
+
 /// Where an [`Eviction`] stands between its round trips.
 #[derive(Clone, Copy, Default)]
 enum EvictWait {
-    /// A sample READ is out (or waits to ride the `Set`'s lookup doorbell).
+    /// A sample READ is out (or waits to ride the `Set`'s lookup doorbell),
+    /// beside the first one the history-id FAA.
     #[default]
     Sample,
-    /// The victim is picked and its history-id FAA is out; its CAS is next.
+    /// The victim is picked and its slot CAS is out.
     Victim,
     /// Finished: whether an object was evicted and its memory recycled.
     Done(bool),
@@ -28,11 +34,11 @@ enum EvictWait {
 
 /// One sampling eviction, resumable at its round trips: the state
 /// [`DittoClient::evict_advance`] — the one eviction routine — works on.
-/// Run without pausing it is the inline eviction, every verb waited for in
-/// turn.  An eviction running *ahead* of a `Set` (see the crate docs) is
-/// paused after each verb it issues — a posted WQE — so the sample READ
-/// shares the lookup's doorbell and the next verb flies during the publish
-/// CAS.
+/// Run without pausing it is the inline eviction, every round trip waited
+/// for in turn.  An eviction running *ahead* of a `Set` (see the crate docs)
+/// is paused after each verb it issues — a posted WQE — so the sample READ
+/// and the history-id FAA share the lookup's doorbell and the victim CAS
+/// flies during the publish CAS.
 #[derive(Default)]
 pub(super) struct Eviction {
     /// Start of the `Evict` span: when the first sample was issued.
@@ -53,20 +59,33 @@ pub(super) struct Eviction {
     /// Whether the current sample's READs were issued yet.
     issued: bool,
     /// Work-request ids of the posted verb(s) waited for, how many of their
-    /// completions are still out, and whether the awaited verb faulted.
+    /// completions are still out, and whether an awaited sample READ faulted.
     wrs: Range<u64>,
     in_flight: usize,
     failed: bool,
+    /// The history counter whose FAA the first sample's doorbell still has
+    /// to carry, and the shard it counts for: with the lightweight history,
+    /// every eviction acquires its id before it knows its victim.
+    id_counter: Option<RemoteAddr>,
+    id_shard: u64,
+    /// Work-request id of that FAA once posted: its fault is not the
+    /// sample's.
+    id_wr: Option<u64>,
+    /// Old counter value the FAA fetched, [`NO_ID`] until (unless) it lands.
+    fetched: u64,
     /// The picked victim: candidate index, expert bitmap, chosen expert.
     pick: (usize, u64, usize),
-    /// Old counter value fetched by the history-id FAA.
-    fetched: u64,
+    /// The word the victim CAS swaps in — a history entry, or 0 — and the
+    /// old value it returned: anything but the victim's word until (unless)
+    /// the CAS executed and found it.
+    word: u64,
+    observed: u64,
 }
 
 impl Eviction {
     /// Called by the `Set`'s lookup while it fills its doorbell: a sample
     /// still waiting to ride along is posted behind the bucket READs.
-    pub(super) fn ride<'buf>(&mut self, wq: &mut WorkQueue<'_, 'buf>, buf: &'buf mut [u8]) {
+    pub(super) fn ride<'buf>(&'buf mut self, wq: &mut WorkQueue<'_, 'buf>, buf: &'buf mut [u8]) {
         if !self.issued {
             self.post_sample(wq, buf);
         }
@@ -75,7 +94,8 @@ impl Eviction {
     /// Called by the lookup once it drained a round's stragglers off the
     /// shared completion queue: whatever this eviction still had in flight
     /// has completed, and — the drain cannot tell whose verb an error was —
-    /// `failed` taints it.
+    /// `failed` taints its sample.  (The FAA and the victim CAS are judged
+    /// by what they fetched, which an errored verb never writes.)
     pub(super) fn settle(&mut self, failed: bool) {
         if self.in_flight > 0 {
             self.in_flight = 0;
@@ -83,8 +103,10 @@ impl Eviction {
         }
     }
 
-    /// Posts the current sample's READs on `wq`, into the front of `buf`.
-    fn post_sample<'buf>(&mut self, wq: &mut WorkQueue<'_, 'buf>, buf: &'buf mut [u8]) {
+    /// Posts the current sample's READs on `wq`, into the front of `buf` —
+    /// and behind the eviction's first sample the FAA that acquires its
+    /// history id.
+    fn post_sample<'buf>(&'buf mut self, wq: &mut WorkQueue<'_, 'buf>, buf: &'buf mut [u8]) {
         let mut rest = buf;
         let mut first = None;
         for &(addr, slots) in self.segments.iter() {
@@ -92,9 +114,15 @@ impl Eviction {
             first.get_or_insert(wq.post_read(addr, chunk, true));
             rest = tail;
         }
-        let first = first.unwrap_or(0);
-        self.wrs = first..first + self.segments.len() as u64;
         self.in_flight = self.segments.len();
+        if let Some(counter) = self.id_counter.take() {
+            let wr = wq.post_faa_fetch(counter, 1, &mut self.fetched, true);
+            first.get_or_insert(wr);
+            self.id_wr = Some(wr);
+            self.in_flight += 1;
+        }
+        let first = first.unwrap_or(0);
+        self.wrs = first..first + self.in_flight as u64;
         self.issued = true;
     }
 
@@ -103,7 +131,7 @@ impl Eviction {
         let ours = self.in_flight > 0 && self.wrs.contains(&completion.wr_id);
         if ours {
             self.in_flight -= 1;
-            self.failed |= !completion.status.is_ok();
+            self.failed |= !completion.status.is_ok() && self.id_wr != Some(completion.wr_id);
         }
         ours
     }
@@ -136,9 +164,10 @@ impl DittoClient {
             .expect("an eviction that never pauses runs to completion")
     }
 
-    /// Starts a sampling eviction by issuing its first sample.  With
-    /// `own_buckets` it runs *ahead* of the `Set` on those buckets (see
-    /// [`Eviction`]): the sample waits to ride the `Set`'s lookup doorbell.
+    /// Starts a sampling eviction by issuing its first sample and, beside
+    /// it, the FAA for its history id.  With `own_buckets` it runs *ahead*
+    /// of the `Set` on those buckets (see [`Eviction`]): both wait to ride
+    /// the `Set`'s lookup doorbell.
     pub(super) fn evict_begin(
         &mut self,
         min_blocks: u8,
@@ -150,14 +179,21 @@ impl DittoClient {
             min_blocks,
             own_buckets,
             retries: 3,
+            fetched: NO_ID,
             ..Eviction::default()
         };
         self.issue_sample(&mut ev, false, own_buckets.is_some());
         ev
     }
 
-    /// Advances `ev`: collect the sample, re-sample while it holds too few
-    /// candidates, pick a victim and acquire its history id, CAS it out,
+    /// Whether evictions leave an embedded history entry behind, and so
+    /// acquire a history id.
+    fn embeds_history(&self) -> bool {
+        self.config.adaptive && self.config.enable_lightweight_history
+    }
+
+    /// Advances `ev`: collect the sample (and the history id), re-sample
+    /// while it holds too few candidates, pick a victim and CAS it out,
     /// fall back to the next-best candidate on a lost race.  With `pause`
     /// it returns `None` right after posting a verb, for the caller to
     /// overlap with foreground work and resume later; without, it waits in
@@ -191,9 +227,10 @@ impl DittoClient {
                         Some(true)
                     } else {
                         // Pressured clients herd onto the same globally-best
-                        // victim and only one CAS wins.  The sample is paid
-                        // for, so a loser re-selects among the rest (bounded):
-                        // a retry on a *different* victim is progress.
+                        // victim and only one CAS wins.  The sample and the
+                        // history id are paid for, so a loser re-selects
+                        // among the rest (bounded): a retry on a *different*
+                        // victim is progress.
                         ev.candidates.swap_remove(ev.pick.0);
                         ev.retries -= 1;
                         if ev.retries == 0 || ev.candidates.is_empty() {
@@ -207,6 +244,11 @@ impl DittoClient {
             };
             if let Some(won) = done {
                 ev.wait = EvictWait::Done(won);
+                if self.embeds_history() && !(won && ev.fetched != NO_ID) {
+                    // The id went into no slot (or never arrived): one
+                    // position of its shard's FIFO aged with no entry.
+                    self.stats.record_history_id_burnt();
+                }
                 self.dm
                     .record_span(Phase::Evict, ev.t0, self.dm.now_ns(), won as u32);
             } else if pause {
@@ -222,24 +264,40 @@ impl DittoClient {
     /// sampled *global* slot indices are independent of the striping, so
     /// striped and single-node caches examine identical candidates.
     ///
-    /// `ride` leaves the READs to the `Set`'s lookup, which posts them behind
-    /// its own doorbell; `post` rings one for them and returns with the
-    /// READs in flight, as do several segments whatever `post` says — they
-    /// share a doorbell and [`Self::collect_sample`] polls them.  Otherwise
-    /// the one segment is read in place, a completed round trip.
+    /// The eviction's first sample also settles which history shard its id
+    /// comes from.  An id carries its shard, and whoever meets the entry
+    /// reads the shard off the id, so any shard will do — as long as entries
+    /// spread over all of them, for the sharded FIFOs to jointly keep the
+    /// configured history length and the counter FAAs to spread over the
+    /// nodes.  The first sampled slot index is uniform and already drawn.
+    ///
+    /// `ride` leaves the verbs to the `Set`'s lookup, which posts them behind
+    /// its own doorbell; `post` rings one for them and returns with them in
+    /// flight, as do several segments, or a sample with the FAA beside it,
+    /// whatever `post` says — they share a doorbell and
+    /// [`Self::collect_sample`] polls them.  Otherwise the one segment is
+    /// read in place, a completed round trip.
     fn issue_sample(&mut self, ev: &mut Eviction, post: bool, ride: bool) {
         ev.segments.clear();
-        if self.config.enable_sample_friendly_table {
+        let first_idx = if self.config.enable_sample_friendly_table {
             let (start, count) = self
                 .table
                 .sample_span(&mut self.rng, self.config.sample_size);
             self.table
                 .for_span_segments(start, count, |addr, slots| ev.segments.push((addr, slots)));
+            start
         } else {
+            let mut first_idx = None;
             for _ in 0..self.config.sample_size {
                 let idx = self.rng.gen_range(0..self.table.num_slots());
                 ev.segments.push((self.table.global_slot_addr(idx), 1));
+                first_idx.get_or_insert(idx);
             }
+            first_idx.unwrap_or(0)
+        };
+        if ev.samples == 0 && self.embeds_history() {
+            ev.id_shard = first_idx % self.history.num_shards();
+            ev.id_counter = Some(self.history.counter_addr(ev.id_shard));
         }
         ev.samples += 1;
         ev.wait = EvictWait::Sample;
@@ -249,7 +307,7 @@ impl DittoClient {
         }
         let buf = &mut self.sample_buf[..];
         match ev.segments[..] {
-            [(addr, slots)] if !post => {
+            [(addr, slots)] if !post && ev.id_counter.is_none() => {
                 ev.failed = self
                     .dm
                     .try_read_into(addr, &mut buf[..slots * SLOT_SIZE])
@@ -268,19 +326,20 @@ impl DittoClient {
         while ev.in_flight > 0 {
             let Some(completion) = self.dm.poll_cq() else {
                 // Somebody else drained the queue: outcome unknown.
-                (ev.in_flight, ev.failed) = (0, true);
+                ev.settle(true);
                 break;
             };
             ev.claims(&completion);
         }
     }
 
-    /// Waits for the eviction's current sample and appends its live objects
-    /// to the candidates, charging the decode and candidate-scoring CPU
-    /// work.  A faulted sample yields no candidates (the routine
-    /// re-samples).  Slots decode in canonical segment order whatever order
-    /// the READs completed in — ties in eviction priorities break by
-    /// position — so a striped pool sees the candidates a single node does.
+    /// Waits for the eviction's current sample — and with the first one for
+    /// the history id — and appends its live objects to the candidates,
+    /// charging the decode and candidate-scoring CPU work.  A faulted sample
+    /// yields no candidates (the routine re-samples).  Slots decode in
+    /// canonical segment order whatever order the READs completed in — ties
+    /// in eviction priorities break by position — so a striped pool sees the
+    /// candidates a single node does.
     fn collect_sample(&mut self, ev: &mut Eviction) {
         debug_assert!(ev.issued, "the first lookup round posts a riding sample");
         self.await_posted(ev);
@@ -306,40 +365,52 @@ impl DittoClient {
         self.charge_score(gathered);
     }
 
-    /// Picks the victim among `ev`'s candidates and — with the lightweight
-    /// history — issues the `RDMA_FAA` that acquires its history id,
-    /// returning with it in flight when `post`.
+    /// Picks the victim among `ev`'s candidates and issues the CAS that
+    /// takes it out of the table — into an embedded history entry built
+    /// from the id the eviction already holds — returning with the CAS in
+    /// flight when `post`.  A posted CAS goes out once: faulted, it reads as
+    /// a lost race ([`Self::commit_victim`]), where the one waited for in
+    /// place is retried like any slot CAS.
     fn issue_victim(&mut self, ev: &mut Eviction, post: bool) {
         ev.pick = self.select_victim(&ev.candidates);
         ev.wait = EvictWait::Victim;
-        ev.failed = false;
-        if !(self.config.adaptive && self.config.enable_lightweight_history) {
-            return;
-        }
-        // Home the entry on the victim's hash shard: entries spread over
-        // every shard (and every node's counter) uniformly, so the sharded
-        // FIFOs jointly keep the configured history length.
-        let shard = self.history.shard_for_hash(ev.candidates[ev.pick.0].1.hash);
-        let counter = self.history.counter_addr(shard);
+        let (victim_addr, victim) = ev.candidates[ev.pick.0];
+        let expected = victim.atomic.encode();
+        // A faulted counter FAA evicts without a history entry (one lost
+        // ghost hit beats a wedged eviction path), like the non-adaptive
+        // cache and the separate-history ablation: the slot is just cleared.
+        ev.word = if self.embeds_history() && ev.fetched != NO_ID {
+            let shard = ev.id_shard;
+            let (hist_id, new_counter) = EvictionHistory::id_from_counter(shard, ev.fetched);
+            self.counter_estimates[shard as usize] = new_counter;
+            self.counters_known[shard as usize] = true;
+            AtomicField::for_history(victim.atomic.fp, hist_id).encode()
+        } else {
+            0
+        };
+        ev.observed = !expected;
         if post {
             let wr = {
                 let mut wq = self.dm.work_queue();
-                let wr = wq.post_faa_fetch(counter, 1, &mut ev.fetched, true);
+                let wr = wq.post_cas(victim_addr, expected, ev.word, &mut ev.observed, true);
                 wq.ring();
                 wr
             };
             (ev.wrs, ev.in_flight) = (wr..wr + 1, 1);
         } else {
-            match self.dm.try_faa(counter, 1) {
-                Ok(old) => ev.fetched = old,
-                Err(_) => ev.failed = true,
+            let word = ev.word;
+            if let Ok(observed) = with_retry(&self.dm, |dm| dm.try_cas(victim_addr, expected, word))
+            {
+                ev.observed = observed;
             }
         }
     }
 
-    /// CASes the picked victim out of the table — into an embedded history
-    /// entry once its id arrived — and recycles its memory.  Returns
-    /// `false` when the CAS lost a race.
+    /// Waits for the victim CAS and, if it took the victim's word out of
+    /// its slot, finishes the eviction: judges the CAS against the stripe
+    /// directory like any slot CAS, writes the history entry's bitmap and
+    /// recycles the victim's memory.  Returns `false` when the CAS lost a
+    /// race — or faulted, which a CAS that went out posted cannot tell apart.
     fn commit_victim(&mut self, ev: &mut Eviction) -> bool {
         self.await_posted(ev);
         let (victim_idx, bitmap, chosen) = ev.pick;
@@ -348,20 +419,13 @@ impl DittoClient {
         // The victim's address was translated when the eviction began, not
         // under the token of whatever `Set` attempt is current by now.
         let set_token = std::mem::replace(&mut self.mig_token, ev.token);
-        // A faulted counter FAA evicts without a history entry (one lost
-        // ghost hit beats a wedged eviction path), like the non-adaptive
-        // cache and the separate-history ablation: the slot is just cleared.
-        let embed = self.config.adaptive && self.config.enable_lightweight_history && !ev.failed;
-        let new_word = if embed {
-            let shard = self.history.shard_for_hash(victim.hash);
-            let (hist_id, new_counter) = EvictionHistory::id_from_counter(shard, ev.fetched);
-            self.counter_estimates[shard as usize] = new_counter;
-            self.counters_known[shard as usize] = true;
-            AtomicField::for_history(victim.atomic.fp, hist_id).encode()
+        let won = if ev.observed == expected {
+            self.confirm_slot_cas(victim_addr, expected, ev.word)
         } else {
-            0
+            self.record_failed_slot_cas();
+            false
         };
-        let won = self.slot_cas(victim_addr, expected, new_word);
+        let embed = ev.word != 0;
         if won && embed {
             self.write_slot_meta(
                 SampleFriendlyHashTable::insert_ts_addr(victim_addr),
@@ -397,10 +461,12 @@ impl DittoClient {
 
 #[cfg(test)]
 mod tests {
-    use super::DittoClient;
+    use super::{DittoClient, Eviction};
     use crate::cache::DittoCache;
     use crate::config::DittoConfig;
+    use ditto_dm::stats::NodeSnapshot;
     use ditto_dm::DmConfig;
+    use std::collections::BTreeMap;
 
     fn small_cache(capacity: u64) -> DittoCache {
         DittoCache::with_dedicated_pool(DittoConfig::with_capacity(capacity), DmConfig::default())
@@ -417,17 +483,26 @@ mod tests {
         (cache, client)
     }
 
-    fn timed_set(client: &mut DittoClient, key: u64) -> u64 {
+    fn timed_set_of(client: &mut DittoClient, key: u64, len: usize) -> u64 {
         let t0 = client.dm().now_ns();
-        client.set(&key.to_le_bytes(), &[1u8; 200]);
+        client.set(&key.to_le_bytes(), &vec![1u8; len]);
         client.dm().now_ns() - t0
     }
 
-    /// Latency of a Set that neither evicts nor fetches a segment.
-    fn plain_set_ns() -> u64 {
+    fn timed_set(client: &mut DittoClient, key: u64) -> u64 {
+        timed_set_of(client, key, 200)
+    }
+
+    /// Latency of a Set of a `len`-byte value that neither evicts nor
+    /// fetches a segment.
+    fn plain_set_ns(len: usize) -> u64 {
         let mut client = small_cache(1_000).client();
-        timed_set(&mut client, 0);
-        timed_set(&mut client, 1)
+        timed_set_of(&mut client, 0, len);
+        timed_set_of(&mut client, 1, len)
+    }
+
+    fn node(cache: &DittoCache) -> NodeSnapshot {
+        cache.pool().stats().node_snapshots()[0]
     }
 
     #[test]
@@ -440,10 +515,58 @@ mod tests {
             (paths.evictions_inline(), paths.evictions_overlapped()),
             (0, 100)
         );
-        // Two round trips hidden per Set; one whose first sample sufficed pays
-        // a plain Set plus the serial victim CAS plus CPU and posting charges.
-        let cas = DmConfig::default().cas_latency_ns;
-        assert!(*latencies.iter().min().unwrap() <= plain_set_ns() + cas + 800);
+        // Every eviction round trip hidden: a fill whose first sample sufficed
+        // costs a plain Set plus what the FAA outlasts the bucket READs by,
+        // plus posting charges (the sample READ and the FAA on the lookup's
+        // doorbell, the victim CAS on its own), three more polls and the CPU
+        // work on one sample — no serial CAS.
+        let (dm, cfg) = (DmConfig::default(), DittoConfig::with_capacity(300));
+        let posting = dm.doorbell_latency_ns + 3 * dm.verb_issue_ns + 3 * dm.cq_poll_ns;
+        let cpu = cfg.sample_size as u64 * (cfg.cpu_decode_slot_ns + cfg.cpu_score_candidate_ns);
+        let overhead = (dm.faa_latency_ns - dm.read_latency_ns) + posting + cpu;
+        assert!(overhead < dm.cas_latency_ns / 2, "{overhead}");
+        assert!(*latencies.iter().min().unwrap() <= plain_set_ns(200) + overhead);
+    }
+
+    #[test]
+    fn fills_cost_one_round_trip_per_sample_past_the_first() {
+        let (cache, mut client) = pressured();
+        let (plain, read) = (plain_set_ns(200), DmConfig::default().read_latency_ns);
+        // Sample READs of an insert's eviction → how many such fills.
+        let mut classes = BTreeMap::new();
+        for key in 2_000..4_000 {
+            let (reads, stats) = (node(&cache).reads, cache.stats().snapshot());
+            let elapsed = timed_set(&mut client, key);
+            let samples = node(&cache).reads - reads - 2;
+            let now = cache.stats().snapshot();
+            if now.evictions == stats.evictions {
+                // A victim larger than the fill left room for two.
+                assert_eq!(elapsed, plain, "key {key}");
+                continue;
+            }
+            // The serial round trips a fill pays beyond a plain Set's.
+            let serial = (elapsed - plain) / read;
+            if now.bucket_evictions > stats.bucket_evictions {
+                // A displacing publish: its eviction resumes after it, so the
+                // victim CAS is a round trip of its own.
+                assert_eq!(serial, samples, "key {key}: {elapsed} ns");
+                continue;
+            }
+            // The first sample and the history id ride the lookup, the victim
+            // CAS flies beside the publish: only re-samples are serial.  (With
+            // the CAS waited for after the publish this was `samples`.)
+            assert_eq!(serial, samples - 1, "key {key}: {elapsed} ns");
+            *classes.entry(samples).or_insert(0u32) += 1;
+        }
+        assert_eq!(classes.keys().copied().collect::<Vec<_>>(), [1, 2, 3, 4]);
+        assert!(classes[&1] > 1_000, "{classes:?}");
+        assert_eq!(cache.stats().history_ids_burnt(), 0);
+        let paths = cache.stats();
+        assert_eq!(
+            paths.evictions_inline(),
+            1,
+            "the first eviction under pressure"
+        );
     }
 
     #[test]
@@ -451,16 +574,84 @@ mod tests {
         let (cache, mut client) = pressured();
         let (cfg, paths) = (DmConfig::default(), cache.stats());
         client.release_parked_memory(); // the spare goes back to the node
-        let inline = paths.evictions_inline();
-        let cold = timed_set(&mut client, 5_000);
-        assert_eq!(paths.evictions_inline(), inline + 1);
-        // Sample READ, history FAA and victim CAS precede the lookup again.
-        let serial = cfg.read_latency_ns + cfg.faa_latency_ns + cfg.cas_latency_ns;
-        assert!(cold >= plain_set_ns() + serial, "{cold}");
-        // The cold Set left a spare behind: the next one overlaps again.
-        let overlapped = paths.evictions_overlapped();
+        let (inline, overlapped) = (paths.evictions_inline(), paths.evictions_overlapped());
+        // A one-block object: the victim leaves room to spare, so this Set
+        // runs the inline eviction and no other.
+        let reads = node(&cache).reads;
+        let cold = timed_set_of(&mut client, 5_000, 1);
+        let samples = node(&cache).reads - reads - 2;
+        assert_eq!(
+            (paths.evictions_inline(), paths.evictions_overlapped()),
+            (inline + 1, overlapped)
+        );
+        // It precedes the lookup: the first sample READ and the history FAA
+        // behind one doorbell, further samples one READ each, the victim CAS
+        // — a round trip fewer than READ, then FAA, then CAS.
+        let resamples = (samples - 1) * cfg.read_latency_ns;
+        let before_lookup = cold - plain_set_ns(1);
+        let chain = cfg.read_latency_ns.max(cfg.faa_latency_ns) + cfg.cas_latency_ns;
+        assert!(before_lookup >= chain + resamples, "{cold}");
+        assert!(
+            before_lookup < chain + cfg.read_latency_ns.min(cfg.faa_latency_ns) + resamples,
+            "{cold}"
+        );
+        // What is left of the victim does not hold a full-size object: the
+        // next Set evicts inline once more and leaves a spare behind, the one
+        // after it only overlaps.
         timed_set(&mut client, 5_001);
-        assert_eq!(paths.evictions_inline(), inline + 1);
-        assert_eq!(paths.evictions_overlapped(), overlapped + 1);
+        timed_set(&mut client, 5_002);
+        assert_eq!(
+            (paths.evictions_inline(), paths.evictions_overlapped()),
+            (inline + 2, overlapped + 2)
+        );
+    }
+
+    /// Starts an inline eviction on a pressured cache — its first sample and
+    /// its history FAA are out — for the caller to interfere with.
+    fn begun() -> (DittoCache, DittoClient, Eviction) {
+        let (cache, mut client) = pressured();
+        let faa = node(&cache).faa;
+        let ev = client.evict_begin(0, None);
+        assert_eq!(node(&cache).faa - faa, 1, "the id rides the first sample");
+        (cache, client, ev)
+    }
+
+    #[test]
+    fn a_lost_victim_race_re_picks_with_the_id_it_holds() {
+        // A dry run tells which slot the eviction picks first, and among
+        // which candidates: the simulation repeats exactly.
+        let (_cache, mut client, mut ev) = begun();
+        assert_eq!(client.evict_advance(&mut ev, false), Some(true));
+        let (first_pick, candidates) = (ev.candidates[ev.pick.0], ev.candidates);
+        assert!(candidates.len() >= 2);
+        let steal = |cache: &DittoCache, victims: &[(_, crate::slot::Slot)]| {
+            let thief = cache.pool().connect();
+            for &(slot_addr, slot) in victims {
+                let word = slot.atomic.encode();
+                assert_eq!(thief.cas(slot_addr, word, 0), word);
+            }
+        };
+
+        // Another client takes that slot between the sample and the CAS: the
+        // loser re-picks among the rest under the id it already holds.
+        let (cache, mut client, mut ev) = begun();
+        steal(&cache, &[first_pick]);
+        let (before, inserts) = (node(&cache), cache.stats().snapshot().history_inserts);
+        assert_eq!(client.evict_advance(&mut ev, false), Some(true));
+        let after = node(&cache);
+        assert_eq!((after.faa - before.faa, after.cas - before.cas), (0, 2));
+        assert_eq!(cache.stats().snapshot().history_inserts, inserts + 1);
+        assert_eq!(cache.stats().history_ids_burnt(), 0);
+
+        // Every candidate taken: the eviction gives up after its bounded
+        // re-picks, and the id it acquired went into no slot.
+        let (cache, mut client, mut ev) = begun();
+        steal(&cache, &candidates);
+        let before = node(&cache);
+        assert_eq!(client.evict_advance(&mut ev, false), Some(false));
+        let after = node(&cache);
+        let tried = candidates.len().min(3) as u64;
+        assert_eq!((after.faa - before.faa, after.cas - before.cas), (0, tried));
+        assert_eq!(cache.stats().history_ids_burnt(), 1);
     }
 }

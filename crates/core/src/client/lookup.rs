@@ -199,8 +199,8 @@ pub(super) fn read_slot_word_is(
     dm.try_read_into(slot_addr, buf).is_ok() && slot_word_is(buf, word)
 }
 
-/// The eviction whose sample READ may share a lookup round's doorbell and
-/// completion queue with the `Set`'s two bucket READs.
+/// The eviction whose sample READ and history-id FAA may share a lookup
+/// round's doorbell and completion queue with the `Set`'s two bucket READs.
 struct Rider<'e>(Option<&'e mut Eviction>);
 
 impl Rider<'_> {
@@ -346,7 +346,7 @@ impl DittoClient {
     ///
     /// Two optional riders share the round's doorbell: the `Set`'s object
     /// `write`, posted unsignalled and never waited for, and the sample READ
-    /// of an eviction running ahead of it (`evict`).
+    /// and history-id FAA of an eviction running ahead of it (`evict`).
     ///
     /// The lookup follows the migration redirect rules: bucket
     /// addresses translate through the live stripe directory, and the
@@ -514,7 +514,8 @@ impl DittoClient {
                 wr_primary = wq.post_read(primary_addr, primary_buf, true);
                 wr_secondary = wq.post_read(secondary_addr, secondary_buf, true);
                 // An eviction running ahead of this `Set` has its first
-                // sample READ share the lookup's doorbell.
+                // sample READ and its history-id FAA share the lookup's
+                // doorbell.
                 if let Some(ev) = rider.0.as_deref_mut() {
                     ev.ride(&mut wq, &mut self.sample_buf);
                 }

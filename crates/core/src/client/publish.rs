@@ -51,7 +51,12 @@ impl DittoClient {
     /// Judges a slot CAS that took effect — `slot_addr` held `expected` and
     /// now holds `new` — against the stripe directory: the second half of
     /// [`Self::slot_cas`], and all of it a CAS posted on the WQE ring needs.
-    fn confirm_slot_cas(&mut self, slot_addr: RemoteAddr, expected: u64, new: u64) -> bool {
+    pub(super) fn confirm_slot_cas(
+        &mut self,
+        slot_addr: RemoteAddr,
+        expected: u64,
+        new: u64,
+    ) -> bool {
         match self
             .table
             .directory()
@@ -172,7 +177,7 @@ impl DittoClient {
 
     /// Books a failed slot CAS in the pool's contention accounting and
     /// backs off before the caller retries.
-    fn record_failed_slot_cas(&self) {
+    pub(super) fn record_failed_slot_cas(&self) {
         self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
         self.dm
             .pool()

@@ -142,24 +142,65 @@
 //!
 //! A `Set` allocates its object, writes it next to the two bucket READs of
 //! its lookup (one doorbell) and publishes it with one slot CAS.  Once the
-//! pool is full, memory comes from sampling eviction — sample READ, a
-//! history-id FAA, the victim's slot CAS — and eviction *replenishes*
-//! memory instead of producing it: the `Set` allocates from a one-object
-//! **spare** the previous evicting `Set` left on the client's free list, and
-//! then runs one eviction of its own to leave the next spare.  That
-//! eviction's verbs are independent of the `Set`'s, so its sample READ
-//! rides the lookup's doorbell, its next verb (the FAA, or another sample
-//! when the first held too few candidates) is posted before the publish CAS
-//! and polled after it, and only the victim CAS runs serially — two round
-//! trips fewer than evicting first.  The order is "take the spare → sample →
-//! lookup → next verb → publish → victim CAS"; slots of the `Set`'s own two
-//! buckets are never candidates, so the two CASes cannot meet on one word.
-//! Without a usable spare (first pressure, a larger object, a lost
+//! pool is full, memory comes from sampling eviction — the paper's three
+//! verbs: a sample READ, an FAA for a history id, the CAS that turns the
+//! victim's slot into a history entry — and eviction *replenishes* memory
+//! instead of producing it: the `Set` allocates from a one-object **spare**
+//! the previous evicting `Set` left on the client's free list, and then runs
+//! one eviction of its own to leave the next spare.  None of that eviction's
+//! round trips is the `Set`'s own.  The order is **take the spare → sample +
+//! id → lookup → victim CAS ‖ publish**:
+//!
+//! * The **history id is acquired before the victim is known**: the FAA goes
+//!   out behind the first sample READ, and both ride the lookup's doorbell.
+//!   That is sound because an id carries its shard
+//!   ([`EvictionHistory::pack_id`]) and whoever meets the entry later — a
+//!   regret check, an insert choosing among history slots — reads the shard
+//!   off the id: *which* shard an eviction counts on is arbitrary, as long as
+//!   entries spread over all of them (the sharded FIFOs jointly keep the
+//!   configured length, the FAAs spread over the nodes).  It used to be the
+//!   victim's hash; it is the first sampled slot index, uniform and already
+//!   drawn.  A lost victim race re-picks under the same id.  What it costs:
+//!   an eviction that ends with nothing evicted has **burnt** its id — one
+//!   position of that shard's FIFO aged with no entry
+//!   ([`CacheStats::history_ids_burnt`]; never, on a single client).  A
+//!   faulted FAA still evicts, leaving the slot cleared instead of a history
+//!   entry, as it always has.
+//! * The **victim CAS is posted, not waited for**: it flies during the
+//!   publish CAS and is polled after it, then judged against the stripe
+//!   directory exactly like a hinted publish's CAS (clean, mirrored into a
+//!   moving stripe, carried by a cutover).  A posted CAS has **no retry**: one
+//!   that lost its race and one that faulted both leave the CAS's result
+//!   buffer without the victim's word, both count as a lost race, and the
+//!   eviction re-picks among its remaining candidates (bounded), waiting for
+//!   that CAS in place — where a fault is retried like any slot CAS's.
+//!
+//! So a fill whose first sample held two candidates takes the round trips of
+//! a plain `Set`, and each further sample adds one; slots of the `Set`'s own
+//! two buckets are never candidates, so the two CASes cannot meet on one
+//! word.  Without a usable spare (first pressure, a larger object, a lost
 //! victim race) the same routine runs inline to completion before the
-//! lookup, as it does for relocation and [`DittoClient::evict_once`];
+//! lookup — sample and id behind one doorbell there too — as it does for
+//! relocation and [`DittoClient::evict_once`];
 //! [`CacheStats::evictions_inline`] against
 //! [`CacheStats::evictions_overlapped`] shows how often.  The spare costs
 //! one object of capacity per client and no message.
+//!
+//! **Crashes.**  The sampling eviction has never been journalled: a client
+//! that dies between its victim CAS landing and the `free_object` after it
+//! leaks the victim's blocks — for good if they lie in a live client's
+//! segment, until [`DittoClient::recover_crashed_client`] sweeps its segments
+//! otherwise — and leaves the resident gauge that much too high.  That was so
+//! when the CAS was waited for, and is so now; the window is the publish CAS
+//! wider.  What must not change is what the *modelled* crash points find.
+//! [`CrashPoint::AfterPublish`] sits in the two publishes that displace an
+//! allocation (a replace, a bucket eviction); an insert — every fill — holds
+//! none.  So the eviction posts its victim CAS before the publish only beside
+//! an insert — and is run to its end before the `Set` tries again, should
+//! that insert lose; riding a displacing publish it stays where it was,
+//! sample and id in hand, until the `Set` is through, and no crash point sees
+//! a victim taken out of the table and not yet freed (`tests/chaos.rs` drives
+//! all three points on a starved client).
 //!
 //! # The compute-side local tier
 //!

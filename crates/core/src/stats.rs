@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// correctness post-mortems and must not vanish when a benchmark clears
 /// its interval counters.  So do the hinted-lookup pair (`spec_reads_*`), the
 /// hinted-publish pair (`spec_publishes_*`), the timestamp-write pair
-/// (`ts_writes_*`) and `gets_degraded`, which are read through accessors
-/// rather than [`CacheStatsSnapshot`] fields.
+/// (`ts_writes_*`), `gets_degraded`, `sets_dropped` and `history_ids_burnt`,
+/// which are read through accessors rather than [`CacheStatsSnapshot`] fields.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     hits: AtomicU64,
@@ -38,6 +38,8 @@ pub struct CacheStats {
     ts_writes_sent: AtomicU64,
     ts_writes_skipped: AtomicU64,
     gets_degraded: AtomicU64,
+    sets_dropped: AtomicU64,
+    history_ids_burnt: AtomicU64,
     expert_victories: Vec<AtomicU64>,
 }
 
@@ -178,6 +180,20 @@ impl CacheStats {
         self.gets_degraded.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records a `Set` given up: it returned `Ok(())` without publishing its
+    /// value, because the re-allocated object's bytes could not be written
+    /// or because every publish attempt lost — whatever the invalidation
+    /// sweep that follows made of the key's older value, if it had one.
+    pub fn record_set_dropped(&self) {
+        self.sets_dropped.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a history id that went into no slot: the eviction that
+    /// acquired it evicted nothing, or the FAA for it faulted.
+    pub fn record_history_id_burnt(&self) {
+        self.history_ids_burnt.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Hinted lookups issued (lifetime): each one that held is a remote hit
     /// served with two READs instead of three, in one round trip.
     pub fn spec_reads_issued(&self) -> u64 {
@@ -219,6 +235,19 @@ impl CacheStats {
         self.gets_degraded.load(Ordering::Relaxed)
     }
 
+    /// `Set`s given up silently (lifetime; see
+    /// [`CacheStats::record_set_dropped`]): each an acknowledged write no
+    /// reader will see.
+    pub fn sets_dropped(&self) -> u64 {
+        self.sets_dropped.load(Ordering::Relaxed)
+    }
+
+    /// History ids acquired and embedded nowhere (lifetime): each aged its
+    /// shard's logical FIFO by one position with no entry.
+    pub fn history_ids_burnt(&self) -> u64 {
+        self.history_ids_burnt.load(Ordering::Relaxed)
+    }
+
     /// Sampling evictions that ran inline (see
     /// [`CacheStats::record_eviction_path`]) — the share of evicting `Set`s
     /// still paying every eviction round trip.  An accessor, deliberately
@@ -258,8 +287,8 @@ impl CacheStats {
 
     /// Resets every interval counter to zero.  The lifetime counters — the
     /// `local_*` group, the hinted-lookup, hinted-publish and
-    /// timestamp-write pairs, `gets_degraded` — survive by design (see the
-    /// struct docs).
+    /// timestamp-write pairs, `gets_degraded`, `sets_dropped`,
+    /// `history_ids_burnt` — survive by design (see the struct docs).
     pub fn reset(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -393,6 +422,9 @@ mod tests {
         stats.record_spec_publish(false);
         stats.record_spec_publish(false);
         stats.record_get_degraded();
+        stats.record_set_dropped();
+        stats.record_history_id_burnt();
+        stats.record_history_id_burnt();
         stats.record_ts_write(true);
         stats.record_ts_write(false);
         stats.record_ts_write(false);
@@ -407,6 +439,7 @@ mod tests {
             (3, 1)
         );
         assert_eq!(stats.gets_degraded(), 1);
+        assert_eq!((stats.sets_dropped(), stats.history_ids_burnt()), (1, 2));
     }
 
     #[test]

@@ -362,7 +362,8 @@ fn chaos_crash_points_recover_cleanly() {
         for point in points {
             let seed = 0xDEAD_0000 + round;
             // Generous capacity: the crash anatomy is the subject here, not
-            // eviction pressure.
+            // eviction pressure (that is
+            // `chaos_crash_points_recover_cleanly_under_memory_pressure`).
             let cache = DittoCache::with_dedicated_pool(
                 DittoConfig::with_capacity(KEYS as u64 * 4).with_crash_recovery_journal(true),
                 DmConfig::default().with_fault_plan(chaos_plan(seed)),
@@ -536,6 +537,90 @@ fn chaos_crash_points_recover_cleanly_on_a_hinted_set() {
             "{point:?}: recovery must be idempotent"
         );
         assert_no_orphans(&cache, &format!("hinted {point:?} (second pass)"));
+    }
+}
+
+/// The anatomy under memory pressure, where an evicting `Set` runs a
+/// sampling eviction beside its own lookup and publish: a starved client
+/// dies replacing an *existing* key, next to a second client whose segments
+/// interleave with its own — so the objects it evicts are as often the
+/// neighbour's, in segments the dead-owned sweep never visits.  The sampling
+/// eviction is not journalled; what keeps a crash point from finding a victim
+/// taken out of the table and never freed is the order alone — the eviction
+/// riding a displacing publish takes its victim only once the `Set` is
+/// through (`ditto_core` crate docs, *The `Set` path under memory pressure*).
+#[test]
+fn chaos_crash_points_recover_cleanly_under_memory_pressure() {
+    let points = [
+        CrashPoint::AfterAlloc,
+        CrashPoint::AfterObjectWrite,
+        CrashPoint::AfterPublish,
+    ];
+    for point in points {
+        let mut config = DittoConfig::with_capacity(200).with_crash_recovery_journal(true);
+        config.alloc_segment_objects = 2;
+        let cache =
+            DittoCache::with_dedicated_pool(config, DmConfig::default().with_memory_nodes(2))
+                .unwrap();
+        let (mut victim, mut neighbour) = (cache.client(), cache.client());
+        let victim_id = victim.dm().client_id();
+        // Turn about, far past capacity: two-object segments granted
+        // alternately, and each client evicting whatever its samples hold.
+        for key in 0..3_000u64 {
+            let client = if key % 2 == 0 {
+                &mut victim
+            } else {
+                &mut neighbour
+            };
+            client.set(&key.to_le_bytes(), &[key as u8; 200]);
+        }
+        let stats = cache.stats();
+        assert!(
+            stats.evictions_overlapped() > 2_000,
+            "{point:?}: no pressure"
+        );
+        let resident = (0..3_000u64)
+            .rev()
+            .find(|key| neighbour.get(&key.to_le_bytes()).is_some())
+            .expect("something is resident");
+
+        let nodes = || cache.pool().stats().node_snapshots();
+        let (faa, evictions) = (
+            nodes().iter().map(|n| n.faa).sum::<u64>(),
+            stats.snapshot().evictions,
+        );
+        victim.arm_set_crash(point);
+        victim.set(&resident.to_le_bytes(), &[0xEE; 200]);
+        assert!(victim.crashed(), "{point:?}: armed crash did not fire");
+        // From the lookup on, an eviction rode the Set — its history id went
+        // out with the bucket READs — and it had taken no victim yet.
+        let riding = (point != CrashPoint::AfterAlloc) as u64;
+        assert_eq!(
+            nodes().iter().map(|n| n.faa).sum::<u64>() - faa,
+            riding,
+            "{point:?}: the dying Set must be a starved one"
+        );
+        assert_eq!(stats.snapshot().evictions, evictions, "{point:?}");
+        drop(victim);
+
+        let _ = neighbour.release_parked_memory();
+        let report = neighbour.recover_crashed_client(victim_id);
+        assert_eq!(report.journal_entries_replayed, 1, "{point:?}");
+        assert!(report.recovered_bytes > 0, "{point:?}: {report:?}");
+        assert_no_orphans(&cache, &format!("pressured {point:?}"));
+
+        let published = point == CrashPoint::AfterPublish;
+        let expected = if published { 0xEE } else { resident as u8 };
+        assert_eq!(
+            neighbour.get(&resident.to_le_bytes()),
+            Some(vec![expected; 200]),
+            "{point:?}"
+        );
+        // The survivor goes on evicting and filling, and nothing drifts.
+        for key in 3_000..3_200u64 {
+            neighbour.set(&key.to_le_bytes(), &[key as u8; 200]);
+        }
+        assert_no_orphans(&cache, &format!("pressured {point:?}, after more fills"));
     }
 }
 

@@ -25,6 +25,27 @@
 //! regret goes), and with different victims the later fills take 10 µs more
 //! of its 43 ms (42 919 214 → 42 929 734 ns, 48 157 → 44 634 messages);
 //! hits, misses and evictions are unchanged.
+//!
+//! Re-derived a second time when the evicting fill lost a round trip: the
+//! history-id FAA now rides the first sample's doorbell — the lookup's, for an
+//! eviction running ahead — and the victim CAS is posted to fly beside the
+//! publish CAS instead of being waited for after it (the crate docs, *The
+//! `Set` path under memory pressure*).  That moves *when* verbs run and, but
+//! for one shard choice, not *which*: the sampling sequence, the victims and
+//! with them **every** `CacheStatsSnapshot` field of both YCSB-C replays are
+//! what they were — a changed hit, miss, eviction, regret or victory count
+//! here means the victim sequence changed, and is a bug.  The single-node
+//! replay's clock drops 42 929 734 → 41 385 869 ns, ≈ 2 129 ns for each of its
+//! 725 evictions (the CAS's 2 200 ns less one more WQE issue and one more
+//! poll); its messages 44 634 → 44 619, fifteen `last_ts` WRITEs the τ rule
+//! skips now that the clock — which the eviction age is measured on — runs
+//! faster.  The striped replay, with 58 sampling evictions, drops
+//! 37 949 019 → 37 827 464 ns and 39 943 → 39 939 messages (three of them
+//! skipped timestamps).
+//! Its history ids now come from the shard the first sampled slot index
+//! picks instead of the victim's hash, so its FAAs land on other nodes than
+//! before: same counts, same regrets.  The YCSB-A replay never evicts and did
+//! not move by a nanosecond.
 
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{DittoCache, DittoConfig};
@@ -95,10 +116,10 @@ fn replay(mix: YcsbWorkload, memory_nodes: u16, capacity: u64) -> Golden {
 #[test]
 fn single_node_replay_matches_the_pipelined_path_to_the_nanosecond() {
     let golden = Golden {
-        clock_ns: 42_929_734,
-        messages: 44_634,
+        clock_ns: 41_385_869,
+        messages: 44_619,
         published: (0, 0),
-        timestamps: (6_853, 3_527),
+        timestamps: (6_838, 3_542),
         stats: CacheStatsSnapshot {
             hits: 10_380,
             misses: 1_620,
@@ -125,10 +146,10 @@ fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
     // completions drain out of order, and a `Set`'s unsignalled object WRITE
     // can push its primary bucket's completion past the secondary's.
     let golden = Golden {
-        clock_ns: 37_949_019,
-        messages: 39_943,
+        clock_ns: 37_827_464,
+        messages: 39_939,
         published: (0, 0),
-        timestamps: (7_456, 3_283),
+        timestamps: (7_453, 3_286),
         stats: CacheStatsSnapshot {
             hits: 10_739,
             misses: 1_261,
