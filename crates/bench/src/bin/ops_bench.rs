@@ -43,9 +43,9 @@
 //! tier (`ditto_core::local_tier`) enabled: ops/s, network messages per op
 //! and the local hit rate per point, with an FNV checksum over every
 //! returned value proving the tier is behaviour-transparent.  The θ=0.99
-//! point is gated on what the tier owes: at most 1.45 messages per op, fewer
-//! than the remote-only baseline, at no fewer simulated ops/s (why not a
-//! ratio of the baseline's messages is said at the assertion).
+//! and θ=0.9 points are gated on the tier's claim — at most 0.5× (0.52× at
+//! θ=0.9) the remote-only baseline's messages per op — and θ=0.99 on no
+//! fewer simulated ops/s.
 //!
 //! ```text
 //! cargo run --release -p ditto-bench --bin ops_bench
@@ -62,16 +62,18 @@ use ditto_workloads::{YcsbSpec, YcsbWorkload};
 /// ceiling until client compute takes over.
 const SWEEP_MESSAGE_RATE: u64 = 60_000;
 
-/// Local-tier section: per-client tier capacity (objects) and lease length
+/// Local-tier section: per-client tier capacity (objects) and lease floor
 /// (simulated ns).  2048 entries cover most of the Zipf hot set at the
-/// swept skews without holding the whole key space, and the 50 µs lease is
-/// long enough that a hot key amortizes its revalidation READs over many
-/// zero-message hits.
+/// swept skews without holding the whole key space; 50 µs is what an entry
+/// is admitted with, and a read-only trace grows it to milliseconds.
 const TIER_CAPACITY: usize = 2_048;
 const TIER_LEASE_NS: u64 = 50_000;
-/// Network messages per op the tier-enabled θ=0.99 run may cost at most
-/// (1.41 measured; ci.yml's local-tier gate repeats the number).
-const TIER_MAX_MESSAGES_PER_OP: f64 = 1.45;
+/// The most the tier-enabled run's messages per op may be of the
+/// remote-only run's, per gated θ (0.409 and 0.500 measured; ci.yml's
+/// local-tier gate repeats the numbers).  θ=0.9 sits on ROADMAP item 9(b)'s
+/// 0.5 since tier hits write `last_ts` like remote ones (0.095 msg/op of its
+/// 1.309 in this short window, 0.464 without), hence the margin.
+const TIER_MAX_MESSAGE_RATIO: [(f64, f64); 2] = [(0.99, 0.5), (0.9, 0.52)];
 
 #[derive(Debug, Clone)]
 struct ModeReport {
@@ -482,6 +484,8 @@ struct TierRun {
     checksum: u64,
     local_hits: u64,
     local_revalidations: u64,
+    /// Mean lease a revalidation granted (the floor is [`TIER_LEASE_NS`]).
+    mean_lease_ns: u64,
     local_hit_rate: f64,
 }
 
@@ -534,6 +538,7 @@ fn run_tier_trace(spec: &YcsbSpec, tier: Option<(usize, u64)>) -> TierRun {
     client.dm().reset_clock();
     let baseline_ns = client.dm().now_ns();
     let local_before = cache.stats().snapshot();
+    let lease_ns_before = cache.stats().local_lease_ns_granted();
 
     let mut value_buf = Vec::with_capacity(spec.value_size as usize);
     let mut checksum: u64 = FNV_OFFSET;
@@ -556,12 +561,15 @@ fn run_tier_trace(spec: &YcsbSpec, tier: Option<(usize, u64)>) -> TierRun {
         .sum();
     let local_after = cache.stats().snapshot();
     let local_hits = local_after.local_hits - local_before.local_hits;
+    let local_revalidations = local_after.local_revalidations - local_before.local_revalidations;
+    let lease_ns = cache.stats().local_lease_ns_granted() - lease_ns_before;
     TierRun {
         ops_per_sec: spec.request_count as f64 / sim_seconds,
         messages_per_op: messages as f64 / spec.request_count as f64,
         checksum,
         local_hits,
-        local_revalidations: local_after.local_revalidations - local_before.local_revalidations,
+        local_revalidations,
+        mean_lease_ns: lease_ns / local_revalidations.max(1),
         local_hit_rate: local_hits as f64 / spec.request_count as f64,
     }
 }
@@ -573,7 +581,8 @@ fn tier_point_json(point: &TierPoint) -> String {
             "\"tiered_ops_per_sec\": {:.1}, \"speedup\": {:.4}, ",
             "\"remote_messages_per_op\": {:.4}, \"tiered_messages_per_op\": {:.4}, ",
             "\"message_ratio\": {:.4}, \"local_hit_rate\": {:.4}, ",
-            "\"local_hits\": {}, \"local_revalidations\": {}, \"values_match\": {} }}"
+            "\"local_hits\": {}, \"local_revalidations\": {}, \"mean_lease_ns\": {}, ",
+            "\"values_match\": {} }}"
         ),
         point.theta,
         point.remote.ops_per_sec,
@@ -585,6 +594,7 @@ fn tier_point_json(point: &TierPoint) -> String {
         point.tiered.local_hit_rate,
         point.tiered.local_hits,
         point.tiered.local_revalidations,
+        point.tiered.mean_lease_ns,
         point.remote.checksum == point.tiered.checksum,
     )
 }
@@ -1213,8 +1223,8 @@ fn main() {
 
     // Compute-side local tier: the same seeded read-only trace replayed
     // remote-only vs tier-enabled across three Zipf skews.  Gated at
-    // θ=0.99: at most 1.45 network messages per op and fewer than
-    // remote-only, no fewer simulated ops/s, byte-identical values
+    // θ=0.99 and θ=0.9 on the ratio of network messages per op, at θ=0.99
+    // on no fewer simulated ops/s, everywhere on byte-identical values
     // (checked via the per-run FNV checksum).
     let tier_spec_for = |theta: f64| {
         YcsbSpec {
@@ -1226,7 +1236,7 @@ fn main() {
         .with_seed(42)
     };
     eprintln!(
-        "ops_bench: local tier, {} requests per point, {} entries, {} ns lease",
+        "ops_bench: local tier, {} requests per point, {} entries, {} ns lease floor",
         tier_spec_for(0.99).request_count,
         TIER_CAPACITY,
         TIER_LEASE_NS
@@ -1244,7 +1254,7 @@ fn main() {
             tiered,
         };
         eprintln!(
-            "  θ={:<5} {:>11.0} -> {:>11.0} ops/s ({:.2}x)  {:.3} -> {:.3} msgs/op ({:.2}x)  {:.1}% local",
+            "  θ={:<5} {:>11.0} -> {:>11.0} ops/s ({:.2}x)  {:.3} -> {:.3} msgs/op ({:.2}x)  {:.1}% local, {} revalidations, mean lease {} ns",
             point.theta,
             point.remote.ops_per_sec,
             point.tiered.ops_per_sec,
@@ -1253,6 +1263,8 @@ fn main() {
             point.tiered.messages_per_op,
             point.message_ratio,
             point.tiered.local_hit_rate * 100.0,
+            point.tiered.local_revalidations,
+            point.tiered.mean_lease_ns,
         );
         assert_eq!(
             point.remote.checksum, point.tiered.checksum,
@@ -1271,24 +1283,31 @@ fn main() {
         );
         tier_points.push(point);
     }
-    let tier_hot = tier_points
-        .iter()
-        .find(|p| (p.theta - 0.99).abs() < 1e-9)
-        .expect("θ=0.99 tier point");
+    let tier_point_at = |theta: f64| {
+        tier_points
+            .iter()
+            .find(|p| (p.theta - theta).abs() < 1e-9)
+            .expect("gated tier point")
+    };
+    let tier_hot = tier_point_at(0.99);
     // The tier's claim is messages: a hinted remote hit is one round trip
     // now, so against the remote-only path the tier saves far less latency
     // than when that path took two, and its ops/s only has to stay ahead.
-    // The message gate is absolute — what the tier still owes — and no
-    // longer a ratio: ≤0.5× failed once the remote path stopped sending a
-    // `last_ts` WRITE the tier never sent (3.19 → 2.54 msgs/op remote-only
-    // against 1.43 → 1.41 tiered, ratio 0.45 → 0.55).
-    assert!(
-        tier_hot.tiered.messages_per_op <= TIER_MAX_MESSAGES_PER_OP && tier_hot.message_ratio < 1.0,
-        "local tier must cost <={TIER_MAX_MESSAGES_PER_OP} network messages per op at θ=0.99, \
-         and fewer than remote-only: measured {:.3} ({:.3}x)",
-        tier_hot.tiered.messages_per_op,
-        tier_hot.message_ratio
-    );
+    // The message gate is the ratio again: leases that grow with observed
+    // stability brought it back under 0.5 (0.55 → 0.41 at θ=0.99, 0.63 →
+    // 0.50 at θ=0.9) after the remote path's dropped `last_ts` WRITEs had
+    // pushed the fixed-lease tier past it.
+    for (theta, max_ratio) in TIER_MAX_MESSAGE_RATIO {
+        let point = tier_point_at(theta);
+        assert!(
+            point.message_ratio <= max_ratio,
+            "local tier must cost <={max_ratio}x the remote-only messages per op at θ={theta}: \
+             measured {:.3} against {:.3} ({:.3}x)",
+            point.tiered.messages_per_op,
+            point.remote.messages_per_op,
+            point.message_ratio
+        );
+    }
     assert!(
         tier_hot.speedup >= 1.0,
         "local tier must not fall below the remote-only path's simulated ops/s at θ=0.99 \

@@ -343,6 +343,16 @@ impl DittoCache {
             snap.local_revalidations,
         );
         counter(
+            "ditto_cache_local_leases_above_floor_total",
+            "Local-tier revalidations that renewed a lease for more than the floor (lifetime).",
+            self.stats.local_leases_above_floor(),
+        );
+        counter(
+            "ditto_cache_local_lease_ns_granted_total",
+            "Sum of the leases local-tier revalidations granted, in simulated ns (lifetime).",
+            self.stats.local_lease_ns_granted(),
+        );
+        counter(
             "ditto_cache_local_invalidations_total",
             "Local-tier entries dropped by a coherence-board check (lifetime).",
             snap.local_invalidations,

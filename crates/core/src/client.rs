@@ -184,7 +184,7 @@ pub struct DittoClient {
     /// This client's own bumps of each [`CoherenceBoard`] slot.  Its own slot
     /// CASes keep its hints exact, so a hint is stamped with — and filtered
     /// by — the mutations *other* clients made: board epoch minus these.
-    own_bumps: Box<[u64]>,
+    own_bumps: Box<[u32]>,
     /// The compute-side local tier ([`crate::local_tier`]); `None` unless
     /// [`DittoConfig::with_local_tier`] enabled it.
     tier: Option<LocalTier>,
@@ -889,7 +889,7 @@ impl DittoClient {
             let ext = view.ext;
             out.clear();
             out.extend_from_slice(view.value);
-            self.record_access(slot_addr, AccessKind::Hit, Some(slot.last_ts));
+            let last_ts = self.record_access(slot_addr, AccessKind::Hit, Some(slot.last_ts));
             self.record_extension(
                 &slot,
                 slot.atomic.object_addr(),
@@ -910,6 +910,7 @@ impl DittoClient {
                 key,
                 slot_addr,
                 slot.atomic.encode(),
+                last_ts,
                 board_epoch,
                 hot,
                 out,
@@ -971,13 +972,13 @@ impl DittoClient {
                 self.stats.record_local_invalidation();
                 false
             }
-            TierProbe::Served { slot_addr } => {
+            TierProbe::Served { slot_addr, last_ts } => {
                 self.dm.advance_ns(self.config.cpu_local_hit_ns);
                 self.dm
                     .record_span(Phase::LocalHit, now, self.dm.now_ns(), 1);
                 self.stats.record_local_hit();
                 self.stats.record_hit();
-                self.tier_feed_frequency(slot_addr);
+                self.tier_feed_frequency(hash, slot_addr, last_ts);
                 true
             }
             TierProbe::LeaseExpired {
@@ -1019,24 +1020,43 @@ impl DittoClient {
         let Some(tier) = self.tier.as_mut() else {
             return false;
         };
-        let slot_addr = tier.renew_and_serve(hash, now, board_epoch, out);
+        let renewal = tier.renew_and_serve(hash, now, board_epoch, out);
         self.dm.advance_ns(self.config.cpu_local_hit_ns);
         self.dm
             .record_span(Phase::Revalidate, t0, self.dm.now_ns(), 1);
-        self.stats.record_local_revalidation();
+        self.stats
+            .record_local_revalidation(renewal.lease_ns, self.config.local_tier_lease_ns);
         self.stats.record_hit();
-        self.tier_feed_frequency(slot_addr);
+        self.tier_feed_frequency(hash, renewal.slot_addr, renewal.last_ts);
         true
     }
 
-    /// Keeps the *remote* frequency counter of a locally-served key fed, so
+    /// Keeps the *remote* eviction metadata of a locally-served key fed, so
     /// remote eviction keeps seeing this client's interest and does not
-    /// evict its hottest keys.  Buffered by the FC cache, a local hit costs
-    /// an `RDMA_FAA` only every `fc_threshold` accesses, posted unsignalled
-    /// and never waited for (the stateless last-access timestamp is
-    /// deliberately *not* refreshed from local hits — a documented
-    /// staleness the lease bounds).
-    fn tier_feed_frequency(&mut self, slot_addr: RemoteAddr) {
+    /// evict its hottest keys — neither by frequency nor by recency.
+    /// Buffered by the FC cache, a local hit costs an `RDMA_FAA` only every
+    /// `fc_threshold` accesses, posted unsignalled and never waited for.
+    /// The slot's `last_ts` follows the rule of a remote hit
+    /// ([`crate::recency`]), judged against `last_ts`, the timestamp the
+    /// tier entry last saw or wrote instead of one just read: one
+    /// unsignalled 8-byte WRITE once that is older than τ, none otherwise —
+    /// so a key served locally for several eviction ages no longer looks
+    /// idle to every LRU sample.  (After a stripe cutover the entry's raw
+    /// `slot_addr` names the retired copy until its lease runs out; what is
+    /// written there meanwhile is lost, like the counter increments.)
+    fn tier_feed_frequency(&mut self, hash: u64, slot_addr: RemoteAddr, last_ts: u64) {
+        let now = self.dm.now_ns();
+        let age = self.eviction_age.estimate(now);
+        if !recency::last_ts_is_fresh(now, last_ts, age, LAST_TS_DIVISOR) {
+            self.stats.record_ts_write(true);
+            self.write_slot_meta(
+                SampleFriendlyHashTable::last_ts_addr(slot_addr),
+                &now.to_le_bytes(),
+            );
+            if let Some(tier) = self.tier.as_mut() {
+                tier.note_last_ts(hash, now);
+            }
+        }
         if !self.config.enable_fc_cache {
             return;
         }
@@ -1047,8 +1067,9 @@ impl DittoClient {
 
     /// Offers a validated remote hit to the tier.  `board_epoch` must have
     /// been captured before the lookup's bucket READ and `slot_word` is the
-    /// atomic word the lookup observed; `hot` is the FC-cache hotness
-    /// verdict consumed by the frequency-threshold admission policy.
+    /// atomic word the lookup observed, `last_ts` the slot's timestamp as
+    /// the hit left it; `hot` is the FC-cache hotness verdict consumed by
+    /// the frequency-threshold admission policy.
     #[allow(clippy::too_many_arguments)]
     fn tier_admit(
         &mut self,
@@ -1056,6 +1077,7 @@ impl DittoClient {
         key: &[u8],
         slot_addr: RemoteAddr,
         slot_word: u64,
+        last_ts: u64,
         board_epoch: u64,
         hot: bool,
         value: &[u8],
@@ -1074,6 +1096,7 @@ impl DittoClient {
             value,
             slot_addr,
             slot_word,
+            last_ts,
             now,
             board_epoch,
             policy,
@@ -1100,19 +1123,26 @@ impl DittoClient {
     /// timestamp and the (client-side combined) frequency counter.
     /// `stored_ts` is the slot's `last_ts` when the caller has just read it
     /// — both `Get` paths have; a hinted replace never reads the slot.
-    fn record_access(&mut self, slot_addr: RemoteAddr, kind: AccessKind, stored_ts: Option<u64>) {
+    /// Returns the timestamp the slot is left with.
+    fn record_access(
+        &mut self,
+        slot_addr: RemoteAddr,
+        kind: AccessKind,
+        stored_ts: Option<u64>,
+    ) -> u64 {
         let now = self.dm.now_ns();
         // Stateless information: a single asynchronous WRITE (mirrored into
         // the destination copy while the slot's stripe is mid-migration) —
         // unsignalled, but a message on the node's NIC all the same, so it
         // is left out while the stored timestamp is fresh enough for sampled
-        // LRU not to tell the difference ([`crate::recency`]).
-        let fresh = stored_ts.is_some_and(|ts| {
+        // LRU not to tell the difference ([`crate::recency`]); `fresh` is
+        // then that timestamp.
+        let fresh = stored_ts.filter(|&ts| {
             let age = self.eviction_age.estimate(now);
             recency::last_ts_is_fresh(now, ts, age, LAST_TS_DIVISOR)
         });
-        self.stats.record_ts_write(!fresh);
-        if !fresh {
+        self.stats.record_ts_write(fresh.is_none());
+        if fresh.is_none() {
             self.write_slot_meta(
                 SampleFriendlyHashTable::last_ts_addr(slot_addr),
                 &now.to_le_bytes(),
@@ -1141,6 +1171,7 @@ impl DittoClient {
                 self.stats.record_fc_flush();
             }
         }
+        fresh.unwrap_or(now)
     }
 
     /// Runs the experts' update rules over the extension metadata of the

@@ -32,18 +32,38 @@
 //! can be evicted and the slot refilled: the exposure the unhinted replace
 //! already has between its bucket READ and its CAS.  The board lives in one
 //! process, like the local tier's coherence: hints must not be trusted
-//! across processes until epochs live in pool memory (ROADMAP item 5(a)).
+//! across processes until epochs live in pool memory (ROADMAP item 9(a)).
+//!
+//! # What the epoch filter costs
+//!
+//! The filter is one relaxed load and a compare, and it saves a hint staled
+//! in-process its wasted round trip.  What it costs is the hints it drops
+//! that were *not* stale: board slots are hashed, so every key sharing the
+//! written key's epoch loses its hint — and its local-tier entry — to the
+//! same bump, and its next `Get` reads both buckets (three READs, 960 B)
+//! where the hint would have read one slot (two READs, 360 B).  The board
+//! therefore has one epoch per hint entry
+//! ([`CoherenceBoard::DEFAULT_SLOTS`], asserted below): with 4 096 epochs
+//! under this 131 072-entry table, 28 % of the `Get`-path hint probes of the
+//! repo benchmark's two-client `tiered_skew` were filtered, two in three of
+//! them for another key's write; with one epoch each, the 9 % whose key the
+//! other client did update.  A client's own bumps never cost it a hint
+//! ([`DittoClient::hint_epoch`]).
 
 use super::evict::Eviction;
 use super::{verb_fault_retryable, DittoClient, SearchSlots, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
 use crate::hash::fingerprint;
 use crate::hashtable::SampleFriendlyHashTable;
+use crate::local_tier::CoherenceBoard;
 use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
 use ditto_dm::{Completion, DmClient, DmError, DmResult, Phase, RemoteAddr};
 
 /// Entries of a client's hint table: a power of two, 16 bytes each — 2 MiB
 /// per client, a fifth of the FC cache's default budget.
 const HINT_ENTRIES: usize = 1 << 17;
+// One board epoch per hint entry (see the module docs, *What the epoch filter
+// costs*): growing one without the other brings the shared epochs back.
+const _: () = assert!(CoherenceBoard::DEFAULT_SLOTS == HINT_ENTRIES);
 const HINT_INDEX_BITS: u32 = HINT_ENTRIES.trailing_zeros();
 /// Hash bits an entry's index and tag tell keys apart by: enough for a `Get`,
 /// which re-checks the slot's hash and the object's key.
@@ -261,13 +281,16 @@ impl DittoClient {
     /// CAS on the key — keeping its own-bump ledger in step.
     pub(super) fn bump_board(&mut self, hash: u64) {
         self.board.bump(hash);
-        self.own_bumps[self.board.slot(hash)] += 1;
+        let own = &mut self.own_bumps[self.board.slot(hash)];
+        *own = own.wrapping_add(1);
     }
 
     /// The epoch hints of `hash` are stamped with and filtered by: of the
     /// `board_epoch` read off the board, the bumps *other* clients made.
+    /// (The ledger wraps at 32 bits and a stamp keeps [`HINT_EPOCH_BITS`] of
+    /// the difference, so the wrap cannot be seen.)
     pub(super) fn hint_epoch(&self, hash: u64, board_epoch: u64) -> u64 {
-        board_epoch.wrapping_sub(self.own_bumps[self.board.slot(hash)])
+        board_epoch.wrapping_sub(u64::from(self.own_bumps[self.board.slot(hash)]))
     }
 
     /// Remembers `word`, read from the slot at `slot_addr`, as `hash`'s
@@ -759,6 +782,41 @@ mod tests {
             std::mem::size_of_val(&*hints.entries),
             HINT_ENTRIES * 16,
             "the seven bits came out of the stamp's epoch, not out of new space"
+        );
+    }
+
+    #[test]
+    fn own_bump_ledger_wraps_at_32_bits_and_still_matches_its_hint() {
+        let cache = small_cache();
+        let mut client = cache.client();
+        let hash = fnv1a64(b"probe");
+        let slot = client.board.slot(hash);
+        assert_eq!(client.own_bumps.len(), client.board.slots());
+        assert_eq!(std::mem::size_of_val(&client.own_bumps[slot]), 4);
+        // As after 2^32 - 1 bumps of this slot by this client and five by
+        // others: the board counts them in 64 bits, the ledger in 32.
+        client.own_bumps[slot] = u32::MAX;
+        let board_epoch = u64::from(u32::MAX) + 5;
+        let before = client.hint_epoch(hash, board_epoch);
+        let hint = Hint {
+            word: 0x11,
+            secondary: false,
+            slot: 2,
+        };
+        client.hints.put(hash, hint, before);
+        // The next own bump wraps the ledger to zero while the board moves
+        // on.  The difference a stamp keeps does not move.
+        client.bump_board(hash);
+        assert_eq!(client.own_bumps[slot], 0);
+        let after = client.hint_epoch(hash, board_epoch + 1);
+        assert_ne!(before, after, "only a stamp's low bits agree");
+        assert_eq!(client.hints.get(hash, after), Some(hint));
+        // Another client's bump is seen through the wrapped ledger as before.
+        assert_eq!(
+            client
+                .hints
+                .get(hash, client.hint_epoch(hash, board_epoch + 2)),
+            None
         );
     }
 

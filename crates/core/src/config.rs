@@ -93,10 +93,13 @@ pub struct DittoConfig {
     /// own fixed-capacity, allocation-free store of decoded hot objects; a
     /// hit on a lease-valid entry costs **zero** network messages.
     pub local_tier_capacity: usize,
-    /// Lease duration (simulated nanoseconds) of a local-tier entry.  A
-    /// local hit past its lease revalidates with one 8-byte slot-word READ
-    /// before serving; within the lease the entry's coherence rests on the
-    /// in-process coherence board (see the `local_tier` module docs).
+    /// Lease *floor* (simulated nanoseconds) of a local-tier entry: what an
+    /// admission is leased for, and the least a renewal grants — an entry
+    /// whose slot word has been seen unchanged for longer earns more
+    /// ([`crate::local_tier::lease_for`]).  A local hit past its lease
+    /// revalidates with one 8-byte slot-word READ before serving; within
+    /// the lease the entry's coherence rests on the in-process coherence
+    /// board (see the `local_tier` module docs).
     pub local_tier_lease_ns: u64,
     /// Client CPU nanoseconds charged per local-tier hit (index probe,
     /// board check and value copy) — the whole cost of a lease-valid hit.
@@ -191,8 +194,10 @@ impl DittoConfig {
 
     /// Enables the compute-side local cache tier (builder style):
     /// `capacity` decoded hot objects per client, each covered by a
-    /// `lease_ns` coherence lease in simulated time.  Pass `capacity = 0`
-    /// to disable; see [`crate::local_tier`].
+    /// coherence lease in simulated time of which `lease_ns` is the floor —
+    /// a fresh admission's lease, grown at each revalidation by how long
+    /// the entry has been seen unchanged.  Pass `capacity = 0` to disable;
+    /// see [`crate::local_tier`].
     pub fn with_local_tier(mut self, capacity: usize, lease_ns: u64) -> Self {
         self.local_tier_capacity = capacity;
         self.local_tier_lease_ns = lease_ns;

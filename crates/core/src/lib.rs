@@ -216,7 +216,11 @@
 //! epochs (bumped by every publish/eviction/invalidation CAS before the
 //! mutating op returns, making local hits linearizable against concurrent
 //! writers) plus leases with slot-word revalidation, which model the
-//! message cost a real multi-process deployment pays.  Admission is
+//! message cost a real multi-process deployment pays — leases that start
+//! at the configured floor and grow with the time the entry's slot word
+//! has been seen unchanged ([`local_tier::lease_for`]).  Tier hits keep the
+//! slot's frequency counter and, by the rule of a remote hit, its
+//! `last_ts` fed.  Admission is
 //! arbitrated by the same expert framework as victim selection, fed by the
 //! FC cache's per-client frequency estimates.  The tier is allocation-free
 //! in steady state and every coherence event is counted in the lifetime

@@ -14,8 +14,8 @@
 //!
 //! Two mechanisms compose, one per failure domain:
 //!
-//! * **The [`CoherenceBoard`]** — a small shared array of per-key-hash
-//!   epoch counters living in compute-side memory (one per
+//! * **The [`CoherenceBoard`]** — a shared array of per-key-hash epoch
+//!   counters living in compute-side memory (one per
 //!   [`crate::DittoCache`], shared by every client of the process).  Every
 //!   successful slot-word mutation — a `Set`'s publish CAS, a sampling or
 //!   bucket eviction, a failed-update invalidation sweep — bumps the
@@ -27,17 +27,37 @@
 //!   completes, a reader that begins after a completed `Set` always
 //!   observes the bump — local hits linearize against concurrent writers
 //!   (enforced by the checker in `tests/local_tier_parity.rs`).  Board
-//!   slots are hashed, so a collision only costs a spurious refetch.
+//!   slots are hashed, so a collision only costs a spurious refetch — of
+//!   the tier entry *and* of the client's hint for the key
+//!   (`client/lookup.rs`, *What the epoch filter costs*), which is why the
+//!   board is sized to the hint table, one epoch per hint entry, and not
+//!   to the tier: a foreign write then stales the written key and, in a
+//!   100 k-key working set, 0.76 others, not 24.
 //! * **Leases + slot-word revalidation** — the protocol a real
 //!   multi-process deployment needs, where no shared board exists.  Each
 //!   entry carries the slot's 8-byte atomic word and a lease in simulated
-//!   time ([`crate::DittoConfig::local_tier_lease_ns`]).  Within the
-//!   lease an entry serves locally; past it, the client re-READs the slot
-//!   word and serves only on an exact match.  Any mutation of the slot —
-//!   a publish CAS, an eviction CAS, a migration relocation, a stripe
-//!   cutover's `RECONCILE_POISON` — changes the word, so the single
-//!   8-byte READ detects staleness (conservatively: a relocation keeps
-//!   the value intact but still forces a refetch).
+//!   time.  Within the lease an entry serves locally; past it, the client
+//!   re-READs the slot word and serves only on an exact match.  Any
+//!   mutation of the slot — a publish CAS, an eviction CAS, a migration
+//!   relocation, a stripe cutover's `RECONCILE_POISON` — changes the
+//!   word, so the single 8-byte READ detects staleness (conservatively: a
+//!   relocation keeps the value intact but still forces a refetch).
+//!
+//!   A lease is granted on evidence ([`lease_for`]).  An admission is
+//!   leased for [`crate::DittoConfig::local_tier_lease_ns`], the *floor*;
+//!   each revalidation that finds the word unchanged renews for the floor
+//!   or for 1 / [`LEASE_AGE_DIVISOR`] of the time this client has by then
+//!   seen that word in that slot, whichever is longer — the adaptive TTL
+//!   of web caches.  A key rewritten a moment ago is re-checked after the
+//!   floor; one watched sitting still for 10 ms is trusted for 5 ms more,
+//!   so a steady key revalidates O(log t) times instead of t / floor.  Any
+//!   dropped entry — board mismatch, changed word, CLOCK eviction, the
+//!   owner's own `Set` — starts over at the floor.  The board is tested
+//!   before the lease, so nothing above changes in-process.  What changes
+//!   is the cross-process bound: without a shared board an entry can be
+//!   stale for at most `max(lease_ns, observed stable age /
+//!   LEASE_AGE_DIVISOR)` — no longer a constant, but never more than half
+//!   as long as the value had already gone unwritten.
 //!
 //! # Admission
 //!
@@ -88,9 +108,14 @@ pub struct CoherenceBoard {
 }
 
 impl CoherenceBoard {
-    /// Default number of epoch slots; collisions only cost spurious
-    /// refetches, so the board stays small and cache-resident.
-    pub const DEFAULT_SLOTS: usize = 4096;
+    /// Default number of epoch slots: one per entry of a client's hint
+    /// table (`client/lookup.rs` asserts the two equal), 1 MiB shared by
+    /// the process.  A collision only costs a spurious refetch, but the
+    /// board filters every hint as well as every tier entry, so how many
+    /// keys share an epoch is how many hints a foreign write kills: at
+    /// 4 096 slots a write staled the hints of ~24 keys of a 100 k-key
+    /// working set, at this size the written key's and 0.76 others'.
+    pub const DEFAULT_SLOTS: usize = 1 << 17;
 
     /// Creates a board with `slots` epoch counters (rounded up to a power
     /// of two).
@@ -142,6 +167,9 @@ pub enum TierProbe {
     Served {
         /// Remote slot the entry mirrors.
         slot_addr: RemoteAddr,
+        /// The slot's `last_ts` as this client last read or wrote it (for
+        /// recency accounting; [`LocalTier::note_last_ts`]).
+        last_ts: u64,
     },
     /// The entry is board-coherent but its lease expired: revalidate by
     /// READing 8 bytes at `slot_addr` and comparing against `slot_word`
@@ -163,8 +191,13 @@ struct TierEntry {
     value: Vec<u8>,
     slot_addr: RemoteAddr,
     slot_word: u64,
+    /// When this client first saw `slot_word` at `slot_addr` — what a
+    /// renewed lease is measured against ([`lease_for`]).
+    stable_since_ns: u64,
     lease_expiry_ns: u64,
     board_epoch: u64,
+    /// The remote slot's `last_ts` as this client last read or wrote it.
+    last_ts: u64,
     /// CLOCK reference bit.
     referenced: bool,
     /// Local hits served by this entry since admission (the regret signal:
@@ -183,13 +216,49 @@ impl TierEntry {
             value: Vec::new(),
             slot_addr: RemoteAddr::new(0, 0),
             slot_word: 0,
+            stable_since_ns: 0,
             lease_expiry_ns: 0,
             board_epoch: 0,
+            last_ts: 0,
             referenced: false,
             hits: 0,
             policy: POLICY_ALWAYS,
         }
     }
+}
+
+/// What the time an entry's slot word has been seen unchanged is divided by
+/// to give its renewed lease.  A constant, not a setting, picked from a sweep
+/// of the repo benchmark's `tiered_skew` workload (two clients, YCSB-B,
+/// seed 42, 50 µs floor; simulated req/s with the lease rule alone, the
+/// fixed 50 µs lease giving 755.3k): 812.6k at 8, 842.2k at 4, 873.6k at 2,
+/// 902.0k at 1.  Two is the adaptive-TTL rule of web caches halved — trust
+/// for half again as long as the word has already sat still — and keeps the
+/// cross-process staleness bound at half the observed age; 1 buys 3 % more
+/// by doubling it.  Capping the grown lease at ×4 / ×16 / ×64 / ×256 of the
+/// floor on top of 2 gave 858.7k / 905.6k / 944.1k / 954.6k with the larger
+/// board, i.e. a cap only gives the gain back: there is none, and none
+/// should be added without a sweep of its own.
+pub const LEASE_AGE_DIVISOR: u64 = 2;
+
+/// The lease a revalidation grants: never less than the configured floor,
+/// and otherwise `1 / divisor` of the time the entry's slot word has been
+/// observed unchanged (callers pass [`LEASE_AGE_DIVISOR`]).  A word that
+/// changed a moment ago is re-checked after `floor_ns`; one this client has
+/// watched sit still for 10 ms is trusted for 5 ms more.
+pub fn lease_for(floor_ns: u64, stable_age_ns: u64, divisor: u64) -> u64 {
+    floor_ns.max(stable_age_ns / divisor)
+}
+
+/// What [`LocalTier::renew_and_serve`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TierRenewal {
+    /// Remote slot the entry mirrors.
+    pub slot_addr: RemoteAddr,
+    /// The slot's `last_ts` as this client last read or wrote it.
+    pub last_ts: u64,
+    /// The lease granted, in simulated ns.
+    pub lease_ns: u64,
 }
 
 /// Lifetime counters of one client's tier (folded into the shared
@@ -204,6 +273,12 @@ pub struct TierCounters {
     /// CLOCK evictions of entries that never served a hit (each one costs
     /// its admitting policy a regret).
     pub zero_hit_evictions: u64,
+    /// Revalidations that renewed a lease for more than the floor: the
+    /// entry's observed stable age earned it ([`lease_for`]).
+    pub renewals_above_floor: u64,
+    /// Sum of the leases every revalidation granted, in simulated ns (mean
+    /// lease = this / revalidations).
+    pub lease_ns_granted: u64,
 }
 
 /// A per-client, fixed-capacity store of decoded hot objects (module
@@ -222,9 +297,10 @@ pub struct LocalTier {
 }
 
 impl LocalTier {
-    /// Creates a tier holding up to `capacity` objects, each leased for
-    /// `lease_ns` simulated nanoseconds.  `learning_rate`/`discount`
-    /// parameterise the admission experts like the eviction experts.
+    /// Creates a tier holding up to `capacity` objects, each leased for at
+    /// least `lease_ns` simulated nanoseconds ([`lease_for`]).
+    /// `learning_rate`/`discount` parameterise the admission experts like
+    /// the eviction experts.
     pub fn new(capacity: usize, lease_ns: u64, learning_rate: f64, discount: f64) -> Self {
         let capacity = capacity.max(1);
         let mut entries = Vec::with_capacity(capacity);
@@ -300,6 +376,7 @@ impl LocalTier {
             out.extend_from_slice(&entry.value);
             return TierProbe::Served {
                 slot_addr: entry.slot_addr,
+                last_ts: entry.last_ts,
             };
         }
         TierProbe::LeaseExpired {
@@ -309,26 +386,43 @@ impl LocalTier {
     }
 
     /// Completes a successful revalidation (the re-read slot word matched):
-    /// renews the lease, re-anchors the board epoch — the value is known
-    /// current as of the revalidation READ — and serves the value into
-    /// `out`.  Must follow a [`TierProbe::LeaseExpired`] probe for `hash`
-    /// with no intervening tier mutation.
+    /// renews the lease — for longer the longer the word has been seen
+    /// unchanged ([`lease_for`]) — re-anchors the board epoch — the value
+    /// is known current as of the revalidation READ — and serves the value
+    /// into `out`.  Must follow a [`TierProbe::LeaseExpired`] probe for
+    /// `hash` with no intervening tier mutation.
     pub fn renew_and_serve(
         &mut self,
         hash: u64,
         now_ns: u64,
         board_epoch: u64,
         out: &mut Vec<u8>,
-    ) -> RemoteAddr {
+    ) -> TierRenewal {
         let idx = self.index[&hash];
         let entry = &mut self.entries[idx];
-        entry.lease_expiry_ns = now_ns + self.lease_ns;
+        let stable_age_ns = now_ns.saturating_sub(entry.stable_since_ns);
+        let lease_ns = lease_for(self.lease_ns, stable_age_ns, LEASE_AGE_DIVISOR);
+        self.counters.renewals_above_floor += u64::from(lease_ns > self.lease_ns);
+        self.counters.lease_ns_granted += lease_ns;
+        entry.lease_expiry_ns = now_ns + lease_ns;
         entry.board_epoch = board_epoch;
         entry.referenced = true;
         entry.hits += 1;
         out.clear();
         out.extend_from_slice(&entry.value);
-        entry.slot_addr
+        TierRenewal {
+            slot_addr: entry.slot_addr,
+            last_ts: entry.last_ts,
+            lease_ns,
+        }
+    }
+
+    /// Records that the client just wrote `last_ts` into the remote slot
+    /// `hash`'s entry mirrors.
+    pub fn note_last_ts(&mut self, hash: u64, last_ts: u64) {
+        if let Some(&idx) = self.index.get(&hash) {
+            self.entries[idx].last_ts = last_ts;
+        }
     }
 
     /// Drops the entry for `hash`, if present (failed revalidation, or a
@@ -346,11 +440,15 @@ impl LocalTier {
         self.index.remove(&entry.hash);
     }
 
-    /// Admits (or refreshes) an entry for `key`.  `board_epoch` must have
-    /// been captured **before** the object bytes were read — admission
-    /// anchors coherence to a point where the value was provably current.
-    /// `policy` is the admission expert that accepted the key (for the
-    /// eviction-regret feedback loop).
+    /// Admits (or refreshes) an entry for `key`, leased for exactly the
+    /// floor.  `board_epoch` must have been captured **before** the object
+    /// bytes were read — admission anchors coherence to a point where the
+    /// value was provably current.  `last_ts` is the slot's last-access
+    /// timestamp as the admitting `Get` read or rewrote it; `policy` is the
+    /// admission expert that accepted the key (for the eviction-regret
+    /// feedback loop).  The entry's stable age starts at `now_ns` — a
+    /// dropped entry's successor starts over — unless a resident entry is
+    /// re-admitted under the same slot address and word.
     #[allow(clippy::too_many_arguments)]
     pub fn admit(
         &mut self,
@@ -359,6 +457,7 @@ impl LocalTier {
         value: &[u8],
         slot_addr: RemoteAddr,
         slot_word: u64,
+        last_ts: u64,
         now_ns: u64,
         board_epoch: u64,
         policy: usize,
@@ -384,6 +483,9 @@ impl LocalTier {
             }
         };
         let entry = &mut self.entries[idx];
+        if !(entry.occupied && entry.slot_addr == slot_addr && entry.slot_word == slot_word) {
+            entry.stable_since_ns = now_ns;
+        }
         entry.occupied = true;
         entry.hash = hash;
         entry.key.clear();
@@ -394,6 +496,7 @@ impl LocalTier {
         entry.slot_word = slot_word;
         entry.lease_expiry_ns = now_ns + self.lease_ns;
         entry.board_epoch = board_epoch;
+        entry.last_ts = last_ts;
         entry.referenced = true;
         entry.hits = 0;
         entry.policy = policy;
@@ -442,6 +545,13 @@ mod tests {
         RemoteAddr::new(0, 64 * i)
     }
 
+    fn served(i: u64) -> TierProbe {
+        TierProbe::Served {
+            slot_addr: addr(i),
+            last_ts: 0,
+        }
+    }
+
     fn tier(capacity: usize, lease_ns: u64) -> LocalTier {
         LocalTier::new(capacity, lease_ns, 0.1, 0.99)
     }
@@ -462,11 +572,12 @@ mod tests {
             addr(1),
             42,
             0,
+            0,
             board.epoch(7),
             POLICY_ALWAYS,
         );
         let probe = t.probe(7, b"k", 500, board.epoch(7), &mut out);
-        assert_eq!(probe, TierProbe::Served { slot_addr: addr(1) });
+        assert_eq!(probe, served(1));
         assert_eq!(out, b"value");
         assert_eq!(t.len(), 1);
     }
@@ -482,6 +593,7 @@ mod tests {
             b"v1",
             addr(1),
             42,
+            0,
             0,
             board.epoch(7),
             POLICY_ALWAYS,
@@ -511,6 +623,7 @@ mod tests {
             addr(1),
             42,
             0,
+            0,
             board.epoch(7),
             POLICY_ALWAYS,
         );
@@ -523,14 +636,179 @@ mod tests {
             }
         );
         // Word matched remotely: renew and serve.
-        let served = t.renew_and_serve(7, 2_000, board.epoch(7), &mut out);
-        assert_eq!(served, addr(1));
+        let renewal = t.renew_and_serve(7, 2_000, board.epoch(7), &mut out);
+        assert_eq!(
+            renewal,
+            TierRenewal {
+                slot_addr: addr(1),
+                last_ts: 0,
+                lease_ns: 1_000
+            }
+        );
         assert_eq!(out, b"v1");
         // Lease runs from the renewal.
-        assert_eq!(
-            t.probe(7, b"k", 2_500, board.epoch(7), &mut out),
-            TierProbe::Served { slot_addr: addr(1) }
+        assert_eq!(t.probe(7, b"k", 2_500, board.epoch(7), &mut out), served(1));
+    }
+
+    /// Admits key 7 (`b"k"`) at slot 1 under `word`, at `now`.
+    fn admit_at(t: &mut LocalTier, board: &CoherenceBoard, word: u64, now: u64) {
+        t.admit(
+            7,
+            b"k",
+            b"v",
+            addr(1),
+            word,
+            0,
+            now,
+            board.epoch(7),
+            POLICY_ALWAYS,
         );
+    }
+
+    /// Probes key 7 at `now`; on an expired lease, revalidates as the client
+    /// does when the remote word still matches and returns the lease granted.
+    fn probe_renewing(t: &mut LocalTier, board: &CoherenceBoard, now: u64) -> Option<u64> {
+        let mut out = Vec::new();
+        match t.probe(7, b"k", now, board.epoch(7), &mut out) {
+            TierProbe::Served { .. } => None,
+            TierProbe::LeaseExpired { .. } => {
+                Some(t.renew_and_serve(7, now, board.epoch(7), &mut out).lease_ns)
+            }
+            other => panic!("entry lost: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lease_is_the_floor_at_age_zero_monotone_in_age_and_never_below_the_floor() {
+        for divisor in [1, 2, 4, 8] {
+            assert_eq!(lease_for(50_000, 0, divisor), 50_000);
+            let mut last = 0;
+            for age in (0..40).map(|shift| 1u64 << shift).chain([u64::MAX]) {
+                let lease = lease_for(50_000, age, divisor);
+                assert!(lease >= 50_000 && lease >= last, "age {age} / {divisor}");
+                assert!(lease == 50_000 || lease == age / divisor);
+                last = lease;
+            }
+        }
+        // 10 ms of observed stability buys 5 ms more; a moment's buys the floor.
+        assert_eq!(lease_for(50_000, 10_000_000, LEASE_AGE_DIVISOR), 5_000_000);
+        assert_eq!(lease_for(50_000, 60_000, LEASE_AGE_DIVISOR), 50_000);
+    }
+
+    /// The sweep behind [`LEASE_AGE_DIVISOR`], in miniature: how many of a
+    /// steady key's reads — one every 60 µs for 100 ms, each past the 50 µs
+    /// floor — have to revalidate.  (The constant's docs carry the repo
+    /// benchmark's numbers: 812.6k / 842.2k / 873.6k / 902.0k simulated
+    /// req/s on `tiered_skew` at 8 / 4 / 2 / 1, against 755.3k for the fixed
+    /// lease — every step here buys less there, since what a grown lease
+    /// cannot outlast is the other client's next write.)
+    #[test]
+    fn lease_divisor_sweep_cuts_a_steady_keys_revalidations_to_a_logarithm() {
+        let (floor, gap, reads) = (50_000u64, 60_000u64, 1_667u64);
+        let revalidations = |divisor: u64| {
+            let (mut expiry, mut count) = (floor, 0);
+            for now in (1..=reads).map(|i| i * gap) {
+                if now > expiry {
+                    count += 1;
+                    expiry = now + lease_for(floor, now, divisor);
+                }
+            }
+            count
+        };
+        assert_eq!(
+            revalidations(u64::MAX),
+            reads,
+            "the fixed lease: every read"
+        );
+        let swept: Vec<u64> = [8, 4, 2, 1].into_iter().map(revalidations).collect();
+        assert_eq!(swept, [49, 28, 17, 10]);
+    }
+
+    #[test]
+    fn a_steady_entry_is_asked_to_revalidate_logarithmically_often() {
+        let board = CoherenceBoard::new(64);
+        let (floor, gap, probes) = (1_000u64, 1_500u64, 10_000u64);
+        let mut t = tier(4, floor);
+        admit_at(&mut t, &board, 42, 0);
+        // Every probe comes later than the floor after the one before: a
+        // fixed lease would revalidate all 10 000 times.
+        let granted: Vec<u64> = (1..=probes)
+            .filter_map(|i| probe_renewing(&mut t, &board, i * gap))
+            .collect();
+        assert!(
+            (10..40).contains(&granted.len()),
+            "{} revalidations",
+            granted.len()
+        );
+        assert_eq!(granted[0], floor, "age 1.5 floors: still the floor");
+        assert!(granted.windows(2).all(|w| w[0] <= w[1]));
+        assert!(*granted.last().unwrap() > 1_000 * floor);
+        let c = t.counters();
+        assert_eq!(c.lease_ns_granted, granted.iter().sum::<u64>());
+        assert_eq!(
+            c.renewals_above_floor,
+            granted.iter().filter(|&&lease| lease > floor).count() as u64
+        );
+    }
+
+    #[test]
+    fn a_dropped_entrys_successor_starts_at_the_floor() {
+        let board = CoherenceBoard::new(64);
+        let floor = 1_000;
+        let mut out = Vec::new();
+        let mut t = tier(4, floor);
+        admit_at(&mut t, &board, 42, 0);
+        assert_eq!(probe_renewing(&mut t, &board, 1_000_000), Some(500_000));
+
+        // A board bump drops the entry however long its lease…
+        board.bump(7);
+        assert_eq!(
+            t.probe(7, b"k", 1_000_001, board.epoch(7), &mut out),
+            TierProbe::Invalidated
+        );
+        // …and the entry admitted in its place has earned nothing yet.
+        admit_at(&mut t, &board, 43, 1_000_100);
+        assert_eq!(probe_renewing(&mut t, &board, 1_001_100), None);
+        assert_eq!(probe_renewing(&mut t, &board, 1_001_101), Some(floor));
+        assert_eq!(probe_renewing(&mut t, &board, 3_000_100), Some(1_000_000));
+
+        // So does a failed revalidation (the client removes the entry when
+        // the re-read word differs).
+        assert!(matches!(
+            t.probe(7, b"k", 5_000_000, board.epoch(7), &mut out),
+            TierProbe::LeaseExpired { slot_word: 43, .. }
+        ));
+        t.remove(7);
+        admit_at(&mut t, &board, 44, 5_000_000);
+        assert_eq!(probe_renewing(&mut t, &board, 5_001_001), Some(floor));
+    }
+
+    #[test]
+    fn readmission_under_the_same_address_and_word_keeps_the_stable_age() {
+        let board = CoherenceBoard::new(64);
+        let floor = 1_000;
+        let mut t = tier(4, floor);
+        admit_at(&mut t, &board, 42, 0);
+        // The same word at the same slot: what was observed still stands,
+        // though the admission itself is leased for exactly the floor.
+        admit_at(&mut t, &board, 42, 10_000);
+        assert_eq!(probe_renewing(&mut t, &board, 11_000), None);
+        assert_eq!(probe_renewing(&mut t, &board, 11_001), Some(5_500));
+        // A different word — or the same word at another slot — starts over.
+        admit_at(&mut t, &board, 43, 20_000);
+        assert_eq!(probe_renewing(&mut t, &board, 21_001), Some(floor));
+        t.admit(
+            7,
+            b"k",
+            b"v",
+            addr(2),
+            43,
+            0,
+            30_000,
+            board.epoch(7),
+            POLICY_ALWAYS,
+        );
+        assert_eq!(probe_renewing(&mut t, &board, 31_001), Some(floor));
     }
 
     #[test]
@@ -544,6 +822,7 @@ mod tests {
             b"v1",
             addr(1),
             42,
+            0,
             0,
             board.epoch(7),
             POLICY_ALWAYS,
@@ -567,6 +846,7 @@ mod tests {
                 b"v",
                 addr(i),
                 i,
+                0,
                 0,
                 board.epoch(i),
                 POLICY_ALWAYS,
@@ -595,6 +875,7 @@ mod tests {
             addr(1),
             1,
             0,
+            0,
             board.epoch(7),
             POLICY_ALWAYS,
         );
@@ -607,6 +888,7 @@ mod tests {
             addr(2),
             2,
             0,
+            0,
             board.epoch(7),
             POLICY_ALWAYS,
         );
@@ -614,10 +896,7 @@ mod tests {
             t.probe(7, b"beta", 0, board.epoch(7), &mut out),
             TierProbe::Absent
         );
-        assert_eq!(
-            t.probe(7, b"alpha", 0, board.epoch(7), &mut out),
-            TierProbe::Served { slot_addr: addr(1) }
-        );
+        assert_eq!(t.probe(7, b"alpha", 0, board.epoch(7), &mut out), served(1));
         assert_eq!(out, b"v-alpha");
     }
 
@@ -626,22 +905,30 @@ mod tests {
         let board = CoherenceBoard::new(64);
         let mut t = tier(4, 1_000);
         let mut out = Vec::new();
-        t.admit(7, b"k", b"v1", addr(1), 1, 0, board.epoch(7), POLICY_ALWAYS);
+        t.admit(
+            7,
+            b"k",
+            b"v1",
+            addr(1),
+            1,
+            0,
+            0,
+            board.epoch(7),
+            POLICY_ALWAYS,
+        );
         t.admit(
             7,
             b"k",
             b"v2-longer",
             addr(1),
             2,
+            0,
             10,
             board.epoch(7),
             POLICY_FREQ,
         );
         assert_eq!(t.len(), 1);
-        assert_eq!(
-            t.probe(7, b"k", 20, board.epoch(7), &mut out),
-            TierProbe::Served { slot_addr: addr(1) }
-        );
+        assert_eq!(t.probe(7, b"k", 20, board.epoch(7), &mut out), served(1));
         assert_eq!(out, b"v2-longer");
     }
 

@@ -29,6 +29,8 @@ pub struct CacheStats {
     local_revalidations: AtomicU64,
     local_invalidations: AtomicU64,
     local_stale_rejects: AtomicU64,
+    local_leases_above_floor: AtomicU64,
+    local_lease_ns_granted: AtomicU64,
     evictions_inline: AtomicU64,
     evictions_overlapped: AtomicU64,
     spec_reads_issued: AtomicU64,
@@ -121,9 +123,16 @@ impl CacheStats {
     }
 
     /// Records a local-tier hit that renewed its lease with a slot-word
-    /// READ (1 small message) before serving.
-    pub fn record_local_revalidation(&self) {
+    /// READ (1 small message) before serving: `lease_ns` is the lease the
+    /// renewal granted, `floor_ns` the configured one it cannot go below.
+    pub fn record_local_revalidation(&self, lease_ns: u64, floor_ns: u64) {
         self.local_revalidations.fetch_add(1, Ordering::Relaxed);
+        self.local_lease_ns_granted
+            .fetch_add(lease_ns, Ordering::Relaxed);
+        if lease_ns > floor_ns {
+            self.local_leases_above_floor
+                .fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Records a local-tier entry dropped because the coherence board saw
@@ -228,6 +237,18 @@ impl CacheStats {
     /// still fresh (lifetime): each one RNIC message saved.
     pub fn ts_writes_skipped(&self) -> u64 {
         self.ts_writes_skipped.load(Ordering::Relaxed)
+    }
+
+    /// Local-tier revalidations that renewed a lease for more than the
+    /// configured floor (lifetime; [`crate::local_tier::lease_for`]).
+    pub fn local_leases_above_floor(&self) -> u64 {
+        self.local_leases_above_floor.load(Ordering::Relaxed)
+    }
+
+    /// Sum of the leases local-tier revalidations granted, in simulated ns
+    /// (lifetime): over `local_revalidations`, the mean lease.
+    pub fn local_lease_ns_granted(&self) -> u64 {
+        self.local_lease_ns_granted.load(Ordering::Relaxed)
     }
 
     /// `Get`s degraded to a miss by a verb fault (lifetime).
@@ -401,7 +422,7 @@ mod tests {
         let stats = CacheStats::new(2);
         stats.record_hit();
         stats.record_local_hit();
-        stats.record_local_revalidation();
+        stats.record_local_revalidation(150, 50);
         stats.record_local_invalidation();
         stats.record_local_stale_reject();
         stats.reset();
@@ -411,6 +432,13 @@ mod tests {
         assert_eq!(snap.local_revalidations, 1);
         assert_eq!(snap.local_invalidations, 1);
         assert_eq!(snap.local_stale_rejects, 1);
+        assert_eq!(
+            (
+                stats.local_leases_above_floor(),
+                stats.local_lease_ns_granted()
+            ),
+            (1, 150)
+        );
     }
 
     #[test]

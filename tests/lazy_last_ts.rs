@@ -9,17 +9,24 @@
 //! keeps the reader's hot keys alive is the rule's second half: its first
 //! miss drops the threshold to zero.
 //!
-//! The two numbers below are measurements of this schedule, and move when
+//! The same holds of a reader whose hits never leave its local tier — the
+//! second test — which has no stored timestamp to read and goes by the one
+//! its tier entry last saw or wrote.
+//!
+//! The numbers below are measurements of these schedules, and move when
 //! fill timing does (the filler's evictions pick victims by priorities that
 //! depend on its clock).  To re-derive them: set
 //! `ditto_core::recency::LAST_TS_DIVISOR` to `u64::MAX` in a scratch edit —
-//! τ = 0, every hit writes; never commit it, there is no knob — run this test
-//! with `-- --nocapture` and read `EAGER_HIT_RATE` off the line it prints;
+//! τ = 0, every hit writes; never commit it, there is no knob — run the tests
+//! with `-- --nocapture` and read `EAGER_HIT_RATE` (and `TIER_EAGER_HIT_RATE`
+//! of the second) off the line each prints;
 //! restore 16, run it again and read the lazy rate and the skipped count.  Last done when the evicting fill
 //! lost a round trip: eager 141 396 of 160 000 as on the commit before (the
 //! reader's four `Get`s outlast the filler's `Set` either way, so with every
 //! hit writing the shared clock did not move), lazy 142 422 of 160 000 with
-//! 26 657 timestamps skipped (141 396 with 37 008 skipped before).
+//! 26 657 timestamps skipped (141 396 with 37 008 skipped before); 26 662
+//! since the coherence board has an epoch per hint and the filler's bumps
+//! cost the reader five hints fewer.
 
 use ditto::cache::{DittoCache, DittoConfig};
 use ditto::dm::DmConfig;
@@ -36,11 +43,10 @@ const GETS_PER_SET: u64 = 4;
 /// sample's only two candidates are both hot — lazy timestamps or not.
 const EAGER_HIT_RATE: f64 = 0.883_72;
 
-#[test]
-fn a_read_only_client_keeps_its_hot_set_beside_an_evicting_one() {
-    let cache =
-        DittoCache::with_dedicated_pool(DittoConfig::with_capacity(CAPACITY), DmConfig::default())
-            .unwrap();
+/// One client reads the hot keys round-robin, [`GETS_PER_SET`] `Get`s a
+/// round, while another sets a new key each round, for `rounds` rounds on
+/// one wall clock.  Returns the reader's (hits, `Get`s).
+fn read_beside_a_filler(cache: &DittoCache, rounds: u64) -> (u64, u64) {
     let (mut reader, mut filler) = (cache.client(), cache.client());
     for key in 0..HOT_KEYS {
         filler.set(&key.to_le_bytes(), &[key as u8; 200]);
@@ -50,7 +56,7 @@ fn a_read_only_client_keeps_its_hot_set_beside_an_evicting_one() {
     // one-shot ones.
     let (mut hits, mut gets) = (0u64, 0u64);
     let mut value = Vec::new();
-    for round in 0..ROUNDS {
+    for round in 0..rounds {
         for i in 0..GETS_PER_SET {
             let key = (round * GETS_PER_SET + i) % HOT_KEYS;
             gets += 1;
@@ -65,10 +71,19 @@ fn a_read_only_client_keeps_its_hot_set_beside_an_evicting_one() {
         reader.dm().advance_ns(f.saturating_sub(r));
         filler.dm().advance_ns(r.saturating_sub(f));
     }
+    (hits, gets)
+}
+
+#[test]
+fn a_read_only_client_keeps_its_hot_set_beside_an_evicting_one() {
+    let cache =
+        DittoCache::with_dedicated_pool(DittoConfig::with_capacity(CAPACITY), DmConfig::default())
+            .unwrap();
+    let (hits, gets) = read_beside_a_filler(&cache, ROUNDS);
     let stats = cache.stats();
     assert!(stats.snapshot().evictions > ROUNDS / 2, "the filler evicts");
     // The reader did go by its uptime for as long as it had not missed
-    // (26 657 hits' worth)…
+    // (26 662 hits' worth)…
     let skipped = stats.ts_writes_skipped();
     println!("reader: {hits} of {gets} hit, {skipped} timestamps skipped");
     assert!(skipped > gets / 8, "{skipped} timestamps skipped");
@@ -78,5 +93,49 @@ fn a_read_only_client_keeps_its_hot_set_beside_an_evicting_one() {
     assert!(
         hit_rate >= EAGER_HIT_RATE - 0.005,
         "reader hit rate {hit_rate:.5} ({hits} of {gets}) against {EAGER_HIT_RATE} with eager timestamps"
+    );
+}
+
+/// The reader's hit rate below when every hit — a tier hit too — writes its
+/// timestamp (the header's procedure): 22 913 of 24 000, four of the forty
+/// keys lost to samples with nothing colder in them.
+const TIER_EAGER_HIT_RATE: f64 = 0.954_71;
+
+/// A key served from the local tier is touched remotely by nobody: a local
+/// hit sends nothing and a revalidation READs the slot's atomic word alone.
+/// The tier therefore keeps the timestamp it last saw or wrote and applies
+/// the rule to that, or a key one client reads for longer than the eviction
+/// age — the longer its lease grows, the likelier — looks idle to every LRU
+/// sample of another's.  (While tier hits never wrote it, this reader lost
+/// its first key 50 rounds after the filler's first eviction, in round
+/// 1 541, and its fortieth in round 4 470: 9 786 hits of 24 000, and a
+/// read-only client never gets a key back.)
+#[test]
+fn a_key_read_only_through_the_tier_survives_another_clients_churn() {
+    const TIER_ROUNDS: u64 = 6_000;
+    // LRU alone: recency is all that can keep a key (the frequency counter
+    // has been fed from the tier all along).
+    let cache = DittoCache::with_dedicated_pool(
+        DittoConfig::single_algorithm(1_000, "lru").with_local_tier(64, 50_000),
+        DmConfig::default(),
+    )
+    .unwrap();
+    let (hits, gets) = read_beside_a_filler(&cache, TIER_ROUNDS);
+    let stats = cache.stats();
+    let snap = stats.snapshot();
+    // The filler starts evicting a quarter of the way in and turns the cache
+    // over three times…
+    assert!(snap.evictions > TIER_ROUNDS * 3 / 4, "the filler evicts");
+    // …while the reader's keys are read through its tier and nowhere else.
+    let tier_served = snap.local_hits + snap.local_revalidations;
+    println!(
+        "reader: {hits} of {gets} hit, {tier_served} from its tier, {} timestamps sent",
+        stats.ts_writes_sent()
+    );
+    assert!(tier_served > hits * 99 / 100, "{tier_served} of {hits}");
+    let hit_rate = hits as f64 / gets as f64;
+    assert!(
+        hit_rate >= TIER_EAGER_HIT_RATE - 0.005,
+        "reader hit rate {hit_rate:.5} ({hits} of {gets}) against {TIER_EAGER_HIT_RATE} with eager timestamps"
     );
 }

@@ -144,6 +144,44 @@ fn tier_matches_remote_only_on_ycsb_c() {
     assert_eq!(tiered.stats().snapshot().local_hits, tiered_snap.local_hits);
 }
 
+/// However long a lease has grown, another client's `Set` ends it: the
+/// board is tested before the lease, and the writer bumps it before its
+/// `Set` returns.
+#[test]
+fn a_replace_by_another_client_ends_a_lease_grown_a_hundredfold() {
+    let floor_ns = 1_000;
+    let cache = DittoCache::with_dedicated_pool(
+        DittoConfig::with_capacity(1_000).with_local_tier(64, floor_ns),
+        DmConfig::default(),
+    )
+    .unwrap();
+    let (mut a, mut b) = (cache.client(), cache.client());
+    let stats = cache.stats();
+    b.set(b"shared", b"v1");
+    // A reads the key into its tier (the frequency policy wants it read more
+    // than once), then watches it sit still for a millisecond.
+    while stats.snapshot().local_hits == 0 {
+        assert_eq!(a.get(b"shared").as_deref(), Some(&b"v1"[..]));
+    }
+    a.dm().sleep_us(1_000);
+    assert_eq!(a.get(b"shared").as_deref(), Some(&b"v1"[..]));
+    let before = stats.snapshot();
+    assert_eq!(before.local_revalidations, 1);
+    assert!(stats.local_lease_ns_granted() >= 100 * floor_ns);
+    // Twenty floors later the lease still holds: zero messages.
+    a.dm().advance_ns(20 * floor_ns);
+    let messages = total_messages(&cache);
+    assert_eq!(a.get(b"shared").as_deref(), Some(&b"v1"[..]));
+    assert_eq!(total_messages(&cache), messages);
+
+    b.set(b"shared", b"v2");
+    assert_eq!(a.get(b"shared").as_deref(), Some(&b"v2"[..]));
+    let after = stats.snapshot();
+    assert_eq!(after.local_invalidations, before.local_invalidations + 1);
+    assert_eq!(after.local_stale_rejects, 0);
+    assert_eq!(after.local_revalidations, 1);
+}
+
 const KEYS: usize = 64;
 
 struct KeyState {
@@ -206,6 +244,35 @@ fn decode_version(key_idx: u64, bytes: &[u8]) -> u64 {
 /// would report.
 #[test]
 fn writers_race_readers_through_the_tier() {
+    race_writers_and_readers(20_000);
+}
+
+/// The same race with a lease floor of 200 ns, a tenth of what one remote
+/// `Get` takes: an entry that goes unwritten for a few dozen of its client's
+/// operations earns leases hundreds of times the floor, so a checker that
+/// passes here is passing on grown leases — on the board, which is tested
+/// before any lease is.
+#[test]
+fn writers_race_readers_through_leases_grown_far_past_the_floor() {
+    let floor_ns = 200;
+    let cache = race_writers_and_readers(floor_ns);
+    let stats = cache.stats();
+    let revalidations = stats.snapshot().local_revalidations;
+    let mean_lease_ns = stats.local_lease_ns_granted() / revalidations.max(1);
+    println!(
+        "{revalidations} revalidations, {} above the floor, mean lease {mean_lease_ns} ns",
+        stats.local_leases_above_floor()
+    );
+    assert!(
+        stats.local_leases_above_floor() > revalidations / 2 && mean_lease_ns > 100 * floor_ns,
+        "leases must have grown: {} of {revalidations} above the floor, mean {mean_lease_ns} ns",
+        stats.local_leases_above_floor()
+    );
+}
+
+/// The writers-race-readers checker at a lease floor of `lease_ns`; returns
+/// the cache it ran on.
+fn race_writers_and_readers(lease_ns: u64) -> DittoCache {
     let keys: Vec<Vec<u8>> = (0..KEYS)
         .map(|i| format!("ck{i:04}").into_bytes())
         .collect();
@@ -219,7 +286,7 @@ fn writers_race_readers_through_the_tier() {
     // Capacity below the working set so evictions (and their board bumps)
     // race the tier as well; a short lease forces frequent revalidations.
     let cache = DittoCache::with_dedicated_pool(
-        DittoConfig::with_capacity(KEYS as u64 * 3 / 4).with_local_tier(KEYS, 20_000),
+        DittoConfig::with_capacity(KEYS as u64 * 3 / 4).with_local_tier(KEYS, lease_ns),
         DmConfig::default(),
     )
     .unwrap();
@@ -279,4 +346,5 @@ fn writers_race_readers_through_the_tier() {
         snap.local_invalidations,
         snap.local_stale_rejects,
     );
+    cache
 }

@@ -12,6 +12,7 @@
 
 use ditto::algorithms::EXT_WORDS;
 use ditto::cache::hash::fnv1a64;
+use ditto::cache::local_tier::CoherenceBoard;
 use ditto::cache::slot::AtomicField;
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{object, DittoCache, DittoClient, DittoConfig};
@@ -204,6 +205,54 @@ fn a_set_hint_staled_by_another_client_is_filtered_before_any_verb() {
         (1, 0)
     );
     assert_no_orphans(&cache, &mut a, "after the fresh insert");
+}
+
+/// The board has one epoch per hint entry: another client's update of key X
+/// must not cost key Y its hint merely because the two would have shared one
+/// of the 4 096 epochs the board had while the hint table already held
+/// 131 072 entries.
+#[test]
+fn an_update_of_a_key_sharing_only_a_4096_slot_epoch_leaves_the_hint_alone() {
+    let cache =
+        DittoCache::with_dedicated_pool(DittoConfig::with_capacity(1_000), DmConfig::default())
+            .unwrap();
+    // X and Y: the first two keys that collide on the old board and not on
+    // one the size of the cache's.
+    let key = |i: u64| format!("key{i}").into_bytes();
+    let old = CoherenceBoard::new(4_096);
+    let new = CoherenceBoard::new(CoherenceBoard::DEFAULT_SLOTS);
+    let slot = |board: &CoherenceBoard, i: u64| board.slot(fnv1a64(&key(i)));
+    let x = key(0);
+    let y = (1..)
+        .find(|&i| slot(&old, i) == slot(&old, 0))
+        .expect("a collision in 4 096 slots");
+    assert_ne!(slot(&new, y), slot(&new, 0));
+    let y = key(y);
+
+    let (mut a, mut b) = (cache.client(), cache.client());
+    let stats = cache.stats();
+    b.set(&x, b"x1");
+    b.set(&y, b"y1");
+    for k in [&x, &y] {
+        assert!(a.get(k).is_some(), "an unhinted hit leaves the hint");
+    }
+    assert_eq!(stats.spec_reads_issued(), 0);
+
+    b.set(&x, b"x2");
+    // Y's hint stands: two READs behind one doorbell, one round trip.
+    cache.pool().reset_stats();
+    assert_eq!(a.get(&y).as_deref(), Some(&b"y1"[..]));
+    assert_eq!(
+        (stats.spec_reads_issued(), stats.spec_reads_wasted()),
+        (1, 0)
+    );
+    let pool = cache.pool().stats();
+    assert_eq!(pool.node_snapshots()[0].reads, 2);
+    assert_eq!((pool.doorbells(), pool.batched_verbs()), (1, 2));
+    // X's was filtered before any verb, as
+    // `a_hint_staled_by_another_client_yields_the_new_value_then_a_miss` pins.
+    assert_eq!(a.get(&x).as_deref(), Some(&b"x2"[..]));
+    assert_eq!(stats.spec_reads_issued(), 1);
 }
 
 /// A two-node pool with room to grow, and 400 keys set through `client`.
