@@ -1,0 +1,72 @@
+//! The whole `DittoCache::text_exposition()` page of one fixed run, pinned
+//! as a sorted set of lines.
+//!
+//! The run is small and seeded — two memory nodes, a cache an eighth the
+//! size of its key set so `Set`s evict, one `add_node` pumped to completion
+//! two thirds in, a small local tier, the flight recorder armed on every op —
+//! and everything on the page is simulated or counted, so it repeats to the
+//! byte.  A counter wired to the wrong field, a renamed series, a changed
+//! help text or a dropped `# TYPE` line shows up as a line missing from one
+//! side.
+//!
+//! The golden lives in `exposition_golden.txt`; the failure message prints
+//! the lines that differ, and the whole new page, to regenerate it from.
+
+use ditto_core::{DittoCache, DittoConfig};
+use ditto_dm::DmConfig;
+use std::collections::BTreeSet;
+
+const KEYS: u64 = 2_000;
+const REQUESTS: u64 = 2_400;
+
+fn run() -> String {
+    let config = DittoConfig::with_capacity(KEYS / 8).with_local_tier(32, 20_000);
+    let dm = DmConfig::default()
+        .with_memory_nodes(2)
+        .with_flight_recorder(1 << 16);
+    let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
+    let mut client = cache.client();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for i in 0..REQUESTS {
+        if i == REQUESTS * 2 / 3 {
+            cache.pool().add_node().unwrap();
+            let grown = cache.pump_migration();
+            assert!(grown.stripes_moved > 0, "add_node moved nothing");
+        }
+        // xorshift64; squaring the draw skews the keys towards 0.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+        let key = format!("key-{:04}", (u * u * KEYS as f64) as u64);
+        if state & 7 == 0 {
+            client.set(key.as_bytes(), &[i as u8; 320]);
+        } else if client.get(key.as_bytes()).is_none() {
+            client.set(key.as_bytes(), &[i as u8; 280]);
+        }
+    }
+    // A client folds its phase histograms into the pool's when it drops.
+    drop(client);
+    cache.text_exposition()
+}
+
+#[test]
+fn exposition_page_matches_the_golden() {
+    let page = run();
+    let actual: BTreeSet<&str> = page.lines().collect();
+    let golden: BTreeSet<&str> = include_str!("exposition_golden.txt").lines().collect();
+    let missing: Vec<_> = golden.difference(&actual).collect();
+    let unexpected: Vec<_> = actual.difference(&golden).collect();
+    assert!(
+        missing.is_empty() && unexpected.is_empty(),
+        "golden lines the page lacks: {missing:#?}\npage lines the golden lacks: {unexpected:#?}\n\
+         whole page, sorted:\n{}",
+        actual.iter().copied().collect::<Vec<_>>().join("\n")
+    );
+    assert!(
+        page.contains("ditto_cache_evictions_total")
+            && !page.contains("ditto_cache_evictions_total 0\n"),
+        "the run must evict"
+    );
+    assert!(!page.contains("ditto_stripe_cutovers_total 0\n"));
+}
