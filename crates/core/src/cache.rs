@@ -10,7 +10,7 @@ use crate::slot::BUCKET_SIZE;
 use crate::stats::CacheStats;
 use ditto_algorithms::{registry, CacheAlgorithm};
 use ditto_dm::rpc::WEIGHT_SERVICE;
-use ditto_dm::{DmConfig, MemoryPool, MigrationEngine, RemoteAddr};
+use ditto_dm::{obs, DmConfig, MemoryPool, MigrationEngine, RemoteAddr};
 use std::sync::Arc;
 
 /// A Ditto cache deployed on a disaggregated memory pool.
@@ -213,10 +213,11 @@ impl DittoCache {
     }
 
     /// Renders the whole deployment's counters as one Prometheus-style
-    /// text page: the pool's metric groups
+    /// text page: the pool's latency summaries and counter groups
     /// ([`ditto_dm::obs::text_exposition`]) followed by the cache-level
-    /// `ditto_cache_*` series (hits, misses, sets, evictions, expert
-    /// victories).  One scrape endpoint for the whole stack.
+    /// `ditto_cache_*` series — one per row of the [`CacheStats`] table, the
+    /// hit rate and the per-expert victories.  One scrape endpoint for the
+    /// whole stack.
     ///
     /// With the flight recorder armed (see
     /// [`ditto_dm::DmConfig::with_flight_recorder_sampled`]) the page also
@@ -225,152 +226,22 @@ impl DittoCache {
     /// span — and the `ditto_obs_ops_sampled_total` /
     /// `ditto_obs_ops_skipped_total` split of the sampling draw.
     pub fn text_exposition(&self) -> String {
-        let mut out = ditto_dm::obs::text_exposition(self.pool.stats());
+        let mut out = obs::text_exposition(self.pool.stats());
+        self.stats.write_exposition(&mut out);
         let snap = self.stats.snapshot();
-        let mut counter = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        };
-        counter(
-            "ditto_cache_hits_total",
-            "Get operations served from the cache.",
-            snap.hits,
+        obs::write_metric(
+            &mut out,
+            "ditto_cache_hit_rate",
+            "Hit fraction over the snapshot interval.",
+            "gauge",
+            snap.hit_rate(),
         );
-        counter(
-            "ditto_cache_misses_total",
-            "Get operations that missed.",
-            snap.misses,
+        obs::write_metric_header(
+            &mut out,
+            "ditto_cache_expert_victories_total",
+            "Per-expert wins of the regret vote.",
+            "counter",
         );
-        counter(
-            "ditto_cache_sets_total",
-            "Set operations accepted.",
-            snap.sets,
-        );
-        counter(
-            "ditto_cache_evictions_total",
-            "Objects evicted by the sampling eviction path.",
-            snap.evictions,
-        );
-        counter(
-            "ditto_cache_evictions_inline_total",
-            "Sampling evictions whose every round trip sat on the evicting Set's critical path.",
-            self.stats.evictions_inline(),
-        );
-        counter(
-            "ditto_cache_evictions_overlapped_total",
-            "Sampling evictions overlapped with the evicting Set's own lookup and publish.",
-            self.stats.evictions_overlapped(),
-        );
-        counter(
-            "ditto_cache_spec_reads_issued_total",
-            "Hinted lookups: Gets that read their one hinted slot instead of both buckets (lifetime).",
-            self.stats.spec_reads_issued(),
-        );
-        counter(
-            "ditto_cache_spec_reads_wasted_total",
-            "Hinted lookups that mispredicted because the slot word had changed (lifetime).",
-            self.stats.spec_reads_wasted(),
-        );
-        counter(
-            "ditto_cache_spec_publishes_issued_total",
-            "Hinted publishes: replacing Sets that CASed their hinted slot behind the object WRITE, with no lookup (lifetime).",
-            self.stats.spec_publishes_issued(),
-        );
-        counter(
-            "ditto_cache_spec_publishes_wasted_total",
-            "Hinted publishes that mispredicted because the slot word had changed (lifetime).",
-            self.stats.spec_publishes_wasted(),
-        );
-        counter(
-            "ditto_cache_ts_writes_sent_total",
-            "last_ts WRITEs issued: replacing Sets, and hits whose stored timestamp had gone stale (lifetime).",
-            self.stats.ts_writes_sent(),
-        );
-        counter(
-            "ditto_cache_ts_writes_skipped_total",
-            "last_ts WRITEs hits left out because the stored timestamp was fresh (lifetime).",
-            self.stats.ts_writes_skipped(),
-        );
-        counter(
-            "ditto_cache_gets_degraded_total",
-            "Gets a verb fault degraded to a miss (lifetime).",
-            self.stats.gets_degraded(),
-        );
-        counter(
-            "ditto_cache_sets_dropped_total",
-            "Sets given up: they returned Ok without publishing their value (lifetime).",
-            self.stats.sets_dropped(),
-        );
-        counter(
-            "ditto_cache_history_ids_burnt_total",
-            "History ids acquired by an eviction and embedded in no slot (lifetime).",
-            self.stats.history_ids_burnt(),
-        );
-        counter(
-            "ditto_cache_bucket_evictions_total",
-            "Evictions forced by a full bucket rather than memory pressure.",
-            snap.bucket_evictions,
-        );
-        counter(
-            "ditto_cache_history_inserts_total",
-            "Evicted entries remembered in the lightweight history.",
-            snap.history_inserts,
-        );
-        counter(
-            "ditto_cache_regrets_total",
-            "Ghost hits on evicted entries (the adaptive regret signal).",
-            snap.regrets,
-        );
-        counter(
-            "ditto_cache_weight_syncs_total",
-            "Client-to-controller expert-weight synchronisations.",
-            snap.weight_syncs,
-        );
-        counter(
-            "ditto_cache_fc_flushes_total",
-            "Frequency-counter cache flushes.",
-            snap.fc_flushes,
-        );
-        counter(
-            "ditto_cache_local_hits_total",
-            "Gets served entirely from a compute-side local tier (lifetime).",
-            snap.local_hits,
-        );
-        counter(
-            "ditto_cache_local_revalidations_total",
-            "Local-tier hits that renewed their lease with a slot-word READ (lifetime).",
-            snap.local_revalidations,
-        );
-        counter(
-            "ditto_cache_local_leases_above_floor_total",
-            "Local-tier revalidations that renewed a lease for more than the floor (lifetime).",
-            self.stats.local_leases_above_floor(),
-        );
-        counter(
-            "ditto_cache_local_lease_ns_granted_total",
-            "Sum of the leases local-tier revalidations granted, in simulated ns (lifetime).",
-            self.stats.local_lease_ns_granted(),
-        );
-        counter(
-            "ditto_cache_local_invalidations_total",
-            "Local-tier entries dropped by a coherence-board check (lifetime).",
-            snap.local_invalidations,
-        );
-        counter(
-            "ditto_cache_local_stale_rejects_total",
-            "Local-tier entries dropped by a failed lease revalidation (lifetime).",
-            snap.local_stale_rejects,
-        );
-        out.push_str(concat!(
-            "# HELP ditto_cache_hit_rate Hit fraction over the snapshot interval.\n",
-            "# TYPE ditto_cache_hit_rate gauge\n",
-        ));
-        out.push_str(&format!("ditto_cache_hit_rate {}\n", snap.hit_rate()));
-        out.push_str(concat!(
-            "# HELP ditto_cache_expert_victories_total Per-expert wins of the regret vote.\n",
-            "# TYPE ditto_cache_expert_victories_total counter\n",
-        ));
         for (idx, (name, wins)) in self
             .config
             .experts

@@ -1,74 +1,113 @@
 //! Cache-level statistics shared by all Ditto clients of a process.
+//!
+//! Every counter is one row of the [`counter_table!`] below — what a row
+//! carries, and what `lifetime`, `interval` and `accessor` mean, is said once
+//! in [`ditto_dm::stats`].  Here the `lifetime` rows are the ones that are
+//! evidence in a correctness post-mortem (local-tier coherence events, hinted
+//! operations that mispredicted, `Get`s degraded and `Set`s dropped): they
+//! must not vanish when a benchmark clears its interval counters.  Rows
+//! marked `accessor` are read through their accessor and are no field of
+//! [`CacheStatsSnapshot`], which its users build field by field.
 
+use ditto_dm::counter_table;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Concurrent counters describing cache behaviour.
-///
-/// The `local_*` group tracks the compute-side local tier
-/// ([`crate::local_tier`]) over the cache's *lifetime*: like the pool's
-/// contention counters, they deliberately survive [`CacheStats::reset`] —
-/// coherence events (invalidations, stale rejects) are evidence in
-/// correctness post-mortems and must not vanish when a benchmark clears
-/// its interval counters.  So do the hinted-lookup pair (`spec_reads_*`), the
-/// hinted-publish pair (`spec_publishes_*`), the timestamp-write pair
-/// (`ts_writes_*`), `gets_degraded`, `sets_dropped` and `history_ids_burnt`,
-/// which are read through accessors rather than [`CacheStatsSnapshot`] fields.
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    sets: AtomicU64,
-    evictions: AtomicU64,
-    bucket_evictions: AtomicU64,
-    history_inserts: AtomicU64,
-    regrets: AtomicU64,
-    weight_syncs: AtomicU64,
-    fc_flushes: AtomicU64,
-    local_hits: AtomicU64,
-    local_revalidations: AtomicU64,
-    local_invalidations: AtomicU64,
-    local_stale_rejects: AtomicU64,
-    local_leases_above_floor: AtomicU64,
-    local_lease_ns_granted: AtomicU64,
-    evictions_inline: AtomicU64,
-    evictions_overlapped: AtomicU64,
-    spec_reads_issued: AtomicU64,
-    spec_reads_wasted: AtomicU64,
-    spec_publishes_issued: AtomicU64,
-    spec_publishes_wasted: AtomicU64,
-    ts_writes_sent: AtomicU64,
-    ts_writes_skipped: AtomicU64,
-    gets_degraded: AtomicU64,
-    sets_dropped: AtomicU64,
-    history_ids_burnt: AtomicU64,
-    expert_victories: Vec<AtomicU64>,
+counter_table! {
+    /// Concurrent counters describing cache behaviour.
+    pub struct CacheStats;
+    /// A point-in-time copy of [`CacheStats`].
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct CacheStatsSnapshot;
+    read through CacheStats [];
+
+    /// `Get` hits.
+    hits: interval, counter "ditto_cache_hits_total" "Get operations served from the cache.", bump record_hit;
+    /// `Get` misses.
+    misses: interval, counter "ditto_cache_misses_total" "Get operations that missed.", bump record_miss;
+    /// `Set` operations.
+    sets: interval, counter "ditto_cache_sets_total" "Set operations accepted.", bump record_set;
+    /// Sampling (memory-pressure) evictions.
+    evictions: interval, counter "ditto_cache_evictions_total" "Objects evicted by the sampling eviction path.";
+    /// Sampling evictions that ran inline: every round trip sat on the
+    /// evicting `Set`'s critical path (the cold fallback without a spare).
+    evictions_inline: interval accessor, counter "ditto_cache_evictions_inline_total" "Sampling evictions whose every round trip sat on the evicting Set's critical path.";
+    /// Sampling evictions whose round trips hid behind the evicting `Set`'s
+    /// own lookup and publish (evict-ahead).
+    evictions_overlapped: interval accessor, counter "ditto_cache_evictions_overlapped_total" "Sampling evictions overlapped with the evicting Set's own lookup and publish.";
+    /// Evictions forced by a full bucket.
+    bucket_evictions: interval, counter "ditto_cache_bucket_evictions_total" "Evictions forced by a full bucket rather than memory pressure.", bump record_bucket_eviction;
+    /// History entries inserted.
+    history_inserts: interval, counter "ditto_cache_history_inserts_total" "Evicted entries remembered in the lightweight history.", bump record_history_insert;
+    /// Regrets collected (misses found in the eviction history).
+    regrets: interval, counter "ditto_cache_regrets_total" "Ghost hits on evicted entries (the adaptive regret signal).", bump record_regret;
+    /// Weight synchronisations with the controller.
+    weight_syncs: interval, counter "ditto_cache_weight_syncs_total" "Client-to-controller expert-weight synchronisations.", bump record_weight_sync;
+    /// Frequency-counter cache flushes (`RDMA_FAA`s actually issued).
+    fc_flushes: interval, counter "ditto_cache_fc_flushes_total" "Frequency-counter cache flushes.", bump record_fc_flush;
+    /// `Get`s served entirely from the local tier (0 messages).
+    local_hits: lifetime, counter "ditto_cache_local_hits_total" "Gets served entirely from a compute-side local tier (lifetime).", bump record_local_hit;
+    /// Local-tier hits that renewed their lease with a slot-word READ (1
+    /// small message) before serving.
+    local_revalidations: lifetime, counter "ditto_cache_local_revalidations_total" "Local-tier hits that renewed their lease with a slot-word READ (lifetime).";
+    /// Local-tier revalidations that renewed a lease for more than the
+    /// configured floor ([`crate::local_tier::lease_for`]).
+    local_leases_above_floor: lifetime accessor, counter "ditto_cache_local_leases_above_floor_total" "Local-tier revalidations that renewed a lease for more than the floor (lifetime).";
+    /// Sum of the leases local-tier revalidations granted, in simulated ns:
+    /// over `local_revalidations`, the mean lease.
+    local_lease_ns_granted: lifetime accessor, counter "ditto_cache_local_lease_ns_granted_total" "Sum of the leases local-tier revalidations granted, in simulated ns (lifetime).";
+    /// Local-tier entries dropped because the coherence board saw a
+    /// concurrent slot mutation.
+    local_invalidations: lifetime, counter "ditto_cache_local_invalidations_total" "Local-tier entries dropped by a coherence-board check (lifetime).", bump record_local_invalidation;
+    /// Local-tier entries dropped because their revalidation READ observed a
+    /// changed slot word.
+    local_stale_rejects: lifetime, counter "ditto_cache_local_stale_rejects_total" "Local-tier entries dropped by a failed lease revalidation (lifetime).", bump record_local_stale_reject;
+    /// Hinted lookups issued: each one that held is a remote hit served with
+    /// two READs instead of three, in one round trip.
+    spec_reads_issued: lifetime accessor, counter "ditto_cache_spec_reads_issued_total" "Hinted lookups: Gets that read their one hinted slot instead of both buckets (lifetime).";
+    /// Hinted lookups that mispredicted: each cost a round trip and the
+    /// READ(s) it carried before the unhinted lookup ran.
+    spec_reads_wasted: lifetime accessor, counter "ditto_cache_spec_reads_wasted_total" "Hinted lookups that mispredicted because the slot word had changed (lifetime).";
+    /// Hinted publishes issued: each one that won is a replacing `Set` done
+    /// in one round trip, with no bucket READ.
+    spec_publishes_issued: lifetime accessor, counter "ditto_cache_spec_publishes_issued_total" "Hinted publishes: replacing Sets that CASed their hinted slot behind the object WRITE, with no lookup (lifetime).";
+    /// Hinted publishes that mispredicted: each cost a round trip before the
+    /// `Set`'s lookup ran after all.
+    spec_publishes_wasted: lifetime accessor, counter "ditto_cache_spec_publishes_wasted_total" "Hinted publishes that mispredicted because the slot word had changed (lifetime).";
+    /// `last_ts` WRITEs issued: one per replacing `Set` and per hit whose
+    /// stored timestamp had gone stale.
+    ts_writes_sent: lifetime accessor, counter "ditto_cache_ts_writes_sent_total" "last_ts WRITEs issued: replacing Sets, and hits whose stored timestamp had gone stale (lifetime).";
+    /// `last_ts` WRITEs hits left out because the stored timestamp was still
+    /// fresh: each one RNIC message saved.
+    ts_writes_skipped: lifetime accessor, counter "ditto_cache_ts_writes_skipped_total" "last_ts WRITEs hits left out because the stored timestamp was fresh (lifetime).";
+    /// `Get`s that a verb fault (an unreadable bucket or object) degraded to
+    /// a miss — counted as a miss too.
+    gets_degraded: lifetime accessor, counter "ditto_cache_gets_degraded_total" "Gets a verb fault degraded to a miss (lifetime).", bump record_get_degraded;
+    /// `Set`s given up: each returned `Ok(())` without publishing its value,
+    /// because the re-allocated object's bytes could not be written or
+    /// because every publish attempt lost — whatever the invalidation sweep
+    /// that follows made of the key's older value, if it had one.  Each is an
+    /// acknowledged write no reader will see.
+    sets_dropped: lifetime accessor, counter "ditto_cache_sets_dropped_total" "Sets given up: they returned Ok without publishing their value (lifetime).", bump record_set_dropped;
+    /// History ids that went into no slot: the eviction that acquired one
+    /// evicted nothing, or the FAA for it faulted.  Each aged its shard's
+    /// logical FIFO by one position with no entry.
+    history_ids_burnt: lifetime accessor, counter "ditto_cache_history_ids_burnt_total" "History ids acquired by an eviction and embedded in no slot (lifetime).", bump record_history_id_burnt;
+
+    + per index {
+        /// Evictions attributed to each expert.
+        expert_victories: interval;
+    }
 }
 
 impl CacheStats {
     /// Creates statistics for a cache with `num_experts` experts.
     pub fn new(num_experts: usize) -> Self {
-        let mut expert_victories = Vec::with_capacity(num_experts);
-        expert_victories.resize_with(num_experts, AtomicU64::default);
-        CacheStats {
-            expert_victories,
-            ..CacheStats::default()
-        }
-    }
-
-    /// Records a `Get` hit.
-    pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a `Get` miss.
-    pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a `Set`.
-    pub fn record_set(&self) {
-        self.sets.fetch_add(1, Ordering::Relaxed);
+        let mut stats = CacheStats::default();
+        stats
+            .expert_victories
+            .resize_with(num_experts, AtomicU64::default);
+        stats
     }
 
     /// Records a sampling (memory-pressure) eviction decided by `expert`.
@@ -92,36 +131,6 @@ impl CacheStats {
         path.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records an eviction forced by a full bucket.
-    pub fn record_bucket_eviction(&self) {
-        self.bucket_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the insertion of a history entry.
-    pub fn record_history_insert(&self) {
-        self.history_inserts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a regret (a miss found in the eviction history).
-    pub fn record_regret(&self) {
-        self.regrets.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one weight synchronisation with the controller.
-    pub fn record_weight_sync(&self) {
-        self.weight_syncs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one frequency-counter cache flush (an actual `RDMA_FAA`).
-    pub fn record_fc_flush(&self) {
-        self.fc_flushes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a `Get` served entirely from the local tier (0 messages).
-    pub fn record_local_hit(&self) {
-        self.local_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a local-tier hit that renewed its lease with a slot-word
     /// READ (1 small message) before serving: `lease_ns` is the lease the
     /// renewal granted, `floor_ns` the configured one it cannot go below.
@@ -133,18 +142,6 @@ impl CacheStats {
             self.local_leases_above_floor
                 .fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Records a local-tier entry dropped because the coherence board saw
-    /// a concurrent slot mutation.
-    pub fn record_local_invalidation(&self) {
-        self.local_invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a local-tier entry dropped because its revalidation READ
-    /// observed a changed slot word.
-    pub fn record_local_stale_reject(&self) {
-        self.local_stale_rejects.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a hinted lookup: a `Get` that read the one slot its hint
@@ -182,185 +179,6 @@ impl CacheStats {
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Records a `Get` that a verb fault (an unreadable bucket or object)
-    /// degraded to a miss — counted as a miss too.
-    pub fn record_get_degraded(&self) {
-        self.gets_degraded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a `Set` given up: it returned `Ok(())` without publishing its
-    /// value, because the re-allocated object's bytes could not be written
-    /// or because every publish attempt lost — whatever the invalidation
-    /// sweep that follows made of the key's older value, if it had one.
-    pub fn record_set_dropped(&self) {
-        self.sets_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a history id that went into no slot: the eviction that
-    /// acquired it evicted nothing, or the FAA for it faulted.
-    pub fn record_history_id_burnt(&self) {
-        self.history_ids_burnt.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Hinted lookups issued (lifetime): each one that held is a remote hit
-    /// served with two READs instead of three, in one round trip.
-    pub fn spec_reads_issued(&self) -> u64 {
-        self.spec_reads_issued.load(Ordering::Relaxed)
-    }
-
-    /// Hinted lookups that mispredicted (lifetime): each cost a round trip
-    /// and the READ(s) it carried before the unhinted lookup ran.
-    pub fn spec_reads_wasted(&self) -> u64 {
-        self.spec_reads_wasted.load(Ordering::Relaxed)
-    }
-
-    /// Hinted publishes issued (lifetime): each one that won is a replacing
-    /// `Set` done in one round trip, with no bucket READ.
-    pub fn spec_publishes_issued(&self) -> u64 {
-        self.spec_publishes_issued.load(Ordering::Relaxed)
-    }
-
-    /// Hinted publishes that mispredicted (lifetime): each cost a round
-    /// trip before the `Set`'s lookup ran after all.
-    pub fn spec_publishes_wasted(&self) -> u64 {
-        self.spec_publishes_wasted.load(Ordering::Relaxed)
-    }
-
-    /// `last_ts` WRITEs issued (lifetime): one per replacing `Set` and per
-    /// hit whose stored timestamp had gone stale.
-    pub fn ts_writes_sent(&self) -> u64 {
-        self.ts_writes_sent.load(Ordering::Relaxed)
-    }
-
-    /// `last_ts` WRITEs hits left out because the stored timestamp was
-    /// still fresh (lifetime): each one RNIC message saved.
-    pub fn ts_writes_skipped(&self) -> u64 {
-        self.ts_writes_skipped.load(Ordering::Relaxed)
-    }
-
-    /// Local-tier revalidations that renewed a lease for more than the
-    /// configured floor (lifetime; [`crate::local_tier::lease_for`]).
-    pub fn local_leases_above_floor(&self) -> u64 {
-        self.local_leases_above_floor.load(Ordering::Relaxed)
-    }
-
-    /// Sum of the leases local-tier revalidations granted, in simulated ns
-    /// (lifetime): over `local_revalidations`, the mean lease.
-    pub fn local_lease_ns_granted(&self) -> u64 {
-        self.local_lease_ns_granted.load(Ordering::Relaxed)
-    }
-
-    /// `Get`s degraded to a miss by a verb fault (lifetime).
-    pub fn gets_degraded(&self) -> u64 {
-        self.gets_degraded.load(Ordering::Relaxed)
-    }
-
-    /// `Set`s given up silently (lifetime; see
-    /// [`CacheStats::record_set_dropped`]): each an acknowledged write no
-    /// reader will see.
-    pub fn sets_dropped(&self) -> u64 {
-        self.sets_dropped.load(Ordering::Relaxed)
-    }
-
-    /// History ids acquired and embedded nowhere (lifetime): each aged its
-    /// shard's logical FIFO by one position with no entry.
-    pub fn history_ids_burnt(&self) -> u64 {
-        self.history_ids_burnt.load(Ordering::Relaxed)
-    }
-
-    /// Sampling evictions that ran inline (see
-    /// [`CacheStats::record_eviction_path`]) — the share of evicting `Set`s
-    /// still paying every eviction round trip.  An accessor, deliberately
-    /// not a [`CacheStatsSnapshot`] field.
-    pub fn evictions_inline(&self) -> u64 {
-        self.evictions_inline.load(Ordering::Relaxed)
-    }
-
-    /// Sampling evictions whose round trips overlapped the evicting `Set`.
-    pub fn evictions_overlapped(&self) -> u64 {
-        self.evictions_overlapped.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of all counters.
-    pub fn snapshot(&self) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            sets: self.sets.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bucket_evictions: self.bucket_evictions.load(Ordering::Relaxed),
-            history_inserts: self.history_inserts.load(Ordering::Relaxed),
-            regrets: self.regrets.load(Ordering::Relaxed),
-            weight_syncs: self.weight_syncs.load(Ordering::Relaxed),
-            fc_flushes: self.fc_flushes.load(Ordering::Relaxed),
-            local_hits: self.local_hits.load(Ordering::Relaxed),
-            local_revalidations: self.local_revalidations.load(Ordering::Relaxed),
-            local_invalidations: self.local_invalidations.load(Ordering::Relaxed),
-            local_stale_rejects: self.local_stale_rejects.load(Ordering::Relaxed),
-            expert_victories: self
-                .expert_victories
-                .iter()
-                .map(|e| e.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-
-    /// Resets every interval counter to zero.  The lifetime counters — the
-    /// `local_*` group, the hinted-lookup, hinted-publish and
-    /// timestamp-write pairs, `gets_degraded`, `sets_dropped`,
-    /// `history_ids_burnt` — survive by design (see the struct docs).
-    pub fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.sets.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.evictions_inline.store(0, Ordering::Relaxed);
-        self.evictions_overlapped.store(0, Ordering::Relaxed);
-        self.bucket_evictions.store(0, Ordering::Relaxed);
-        self.history_inserts.store(0, Ordering::Relaxed);
-        self.regrets.store(0, Ordering::Relaxed);
-        self.weight_syncs.store(0, Ordering::Relaxed);
-        self.fc_flushes.store(0, Ordering::Relaxed);
-        for e in &self.expert_victories {
-            e.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A point-in-time copy of [`CacheStats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStatsSnapshot {
-    /// `Get` hits.
-    pub hits: u64,
-    /// `Get` misses.
-    pub misses: u64,
-    /// `Set` operations.
-    pub sets: u64,
-    /// Sampling evictions.
-    pub evictions: u64,
-    /// Bucket-overflow evictions.
-    pub bucket_evictions: u64,
-    /// History entries inserted.
-    pub history_inserts: u64,
-    /// Regrets collected.
-    pub regrets: u64,
-    /// Weight synchronisations with the controller.
-    pub weight_syncs: u64,
-    /// Frequency-counter flushes (`RDMA_FAA`s actually issued).
-    pub fc_flushes: u64,
-    /// `Get`s served entirely from the local tier (lifetime; survives
-    /// [`CacheStats::reset`]).
-    pub local_hits: u64,
-    /// Local-tier hits that renewed their lease with a slot-word READ
-    /// (lifetime).
-    pub local_revalidations: u64,
-    /// Local-tier entries dropped by a coherence-board check (lifetime).
-    pub local_invalidations: u64,
-    /// Local-tier entries dropped by a failed revalidation (lifetime).
-    pub local_stale_rejects: u64,
-    /// Evictions attributed to each expert.
-    pub expert_victories: Vec<u64>,
 }
 
 impl CacheStatsSnapshot {
@@ -381,6 +199,8 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_reset() {
+        // Walks the table, so a new row cannot be added without a recorder
+        // call here: an unbumped row fails the audit below.
         let stats = CacheStats::new(2);
         stats.record_hit();
         stats.record_hit();
@@ -395,79 +215,86 @@ mod tests {
         stats.record_regret();
         stats.record_weight_sync();
         stats.record_fc_flush();
-        let snap = stats.snapshot();
-        assert_eq!(snap.hits, 2);
-        assert_eq!(snap.misses, 1);
-        assert_eq!(snap.sets, 1);
-        assert_eq!(snap.evictions, 1);
-        assert_eq!(
-            (stats.evictions_inline(), stats.evictions_overlapped()),
-            (1, 2)
-        );
-        assert_eq!(snap.expert_victories, vec![0, 1]);
-        assert!((snap.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-        stats.reset();
-        assert_eq!(stats.evictions_inline() + stats.evictions_overlapped(), 0);
-        assert_eq!(
-            stats.snapshot(),
-            CacheStatsSnapshot {
-                expert_victories: vec![0, 0],
-                ..CacheStatsSnapshot::default()
-            }
-        );
-    }
-
-    #[test]
-    fn local_tier_counters_survive_reset() {
-        let stats = CacheStats::new(2);
-        stats.record_hit();
         stats.record_local_hit();
         stats.record_local_revalidation(150, 50);
+        stats.record_local_revalidation(50, 50);
         stats.record_local_invalidation();
         stats.record_local_stale_reject();
-        stats.reset();
-        let snap = stats.snapshot();
-        assert_eq!(snap.hits, 0, "interval counters reset");
-        assert_eq!(snap.local_hits, 1);
-        assert_eq!(snap.local_revalidations, 1);
-        assert_eq!(snap.local_invalidations, 1);
-        assert_eq!(snap.local_stale_rejects, 1);
-        assert_eq!(
-            (
-                stats.local_leases_above_floor(),
-                stats.local_lease_ns_granted()
-            ),
-            (1, 150)
-        );
-    }
-
-    #[test]
-    fn speculation_and_degrade_counters_survive_reset() {
-        let stats = CacheStats::new(2);
         stats.record_spec_read(false);
         stats.record_spec_read(true);
         stats.record_spec_publish(true);
         stats.record_spec_publish(false);
         stats.record_spec_publish(false);
+        stats.record_ts_write(true);
+        stats.record_ts_write(false);
+        stats.record_ts_write(false);
         stats.record_get_degraded();
         stats.record_set_dropped();
         stats.record_history_id_burnt();
         stats.record_history_id_burnt();
-        stats.record_ts_write(true);
-        stats.record_ts_write(false);
-        stats.record_ts_write(false);
-        stats.reset();
+
+        // What the recorders made of it, snapshot fields and accessors.
+        let snap = stats.snapshot();
+        let expected = CacheStatsSnapshot {
+            hits: 2,
+            misses: 1,
+            sets: 1,
+            evictions: 1,
+            bucket_evictions: 1,
+            history_inserts: 1,
+            regrets: 1,
+            weight_syncs: 1,
+            fc_flushes: 1,
+            local_hits: 1,
+            local_revalidations: 2,
+            local_invalidations: 1,
+            local_stale_rejects: 1,
+            expert_victories: vec![0, 1],
+        };
+        assert_eq!(snap, expected);
+        assert!((snap.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
+        assert_eq!(
+            (stats.evictions_inline(), stats.evictions_overlapped()),
+            (1, 2)
+        );
+        assert_eq!(
+            (
+                stats.local_leases_above_floor(),
+                stats.local_lease_ns_granted()
+            ),
+            (1, 200)
+        );
         assert_eq!(
             (stats.spec_reads_issued(), stats.spec_reads_wasted()),
             (2, 1)
         );
-        assert_eq!((stats.ts_writes_sent(), stats.ts_writes_skipped()), (1, 2));
         assert_eq!(
             (stats.spec_publishes_issued(), stats.spec_publishes_wasted()),
             (3, 1)
         );
+        assert_eq!((stats.ts_writes_sent(), stats.ts_writes_skipped()), (1, 2));
         assert_eq!(stats.gets_degraded(), 1);
         assert_eq!((stats.sets_dropped(), stats.history_ids_burnt()), (1, 2));
+
+        // `reset` zeroes the `interval` rows (and the per-expert votes) and
+        // no `lifetime` row.
+        let before = stats.values();
+        stats.reset();
+        let after = stats.values();
+        assert_eq!(CacheStats::ROWS.len(), before.len());
+        for ((row, &was), &is) in CacheStats::ROWS.iter().zip(&before).zip(&after) {
+            assert_ne!(was, 0, "`{}` was never bumped", row.field);
+            let expected = if row.interval { 0 } else { was };
+            assert_eq!(is, expected, "`{}` after reset", row.field);
+        }
+        assert_eq!(stats.snapshot().expert_victories, vec![0, 0]);
+        assert_eq!(
+            snap.delta(&snap),
+            CacheStatsSnapshot {
+                expert_victories: vec![0, 0],
+                ..CacheStatsSnapshot::default()
+            }
+        );
     }
 
     #[test]

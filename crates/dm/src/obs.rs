@@ -27,7 +27,7 @@
 
 use crate::addr::RemoteAddr;
 use crate::pool::MemoryPool;
-use crate::stats::PoolStats;
+use crate::stats::{CounterRow, PoolStats};
 use std::fmt;
 
 /// The phase of an operation a [`Span`] covers.
@@ -784,33 +784,64 @@ pub fn attribution(traces: &[(u32, Vec<Span>)]) -> AttributionTable {
     table
 }
 
-fn metric(out: &mut String, name: &str, help: &str, kind: &str, value: impl fmt::Display) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
-    ));
-}
-
-fn metric_header(out: &mut String, name: &str, help: &str, kind: &str) {
+/// Appends one series' `# HELP` and `# TYPE` lines to an exposition page.
+pub fn write_metric_header(out: &mut String, name: &str, help: &str, kind: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
 
-/// Renders the pool's whole accounting state — traffic, latency quantiles
-/// (via [`crate::LatencyHistogram::quantiles`], one pass), contention,
-/// faults, migration and the obs counters themselves — as a Prometheus-style
-/// text exposition.
+/// Appends one unlabelled series — header and value — to an exposition page.
+pub fn write_metric(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    kind: &str,
+    value: impl fmt::Display,
+) {
+    write_metric_header(out, name, help, kind);
+    out.push_str(&format!("{name} {value}\n"));
+}
+
+/// Appends one series per row of a [`counter_table!`](crate::counter_table);
+/// `values` holds the rows' values in table order.
+pub fn write_rows(out: &mut String, rows: &[CounterRow], values: &[u64]) {
+    for (row, value) in rows.iter().zip(values) {
+        if row.name.is_empty() {
+            continue;
+        }
+        write_metric(out, row.name, row.help, row.kind, value);
+    }
+}
+
+/// Appends one series with a line per instance, `name{label="i"} value` for
+/// the `i`th of `values`.
+pub fn write_labelled_series(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    kind: &str,
+    label: &str,
+    values: impl Iterator<Item = u64>,
+) {
+    if name.is_empty() {
+        return;
+    }
+    write_metric_header(out, name, help, kind);
+    for (i, value) in values.enumerate() {
+        out.push_str(&format!("{name}{{{label}=\"{i}\"}} {value}\n"));
+    }
+}
+
+/// Renders the pool's whole accounting state as a Prometheus-style text
+/// exposition: the operation- and per-phase latency summaries (via
+/// [`crate::LatencyHistogram::quantiles`], one pass each), then every
+/// counter group of [`PoolStats`] — one series per table row
+/// ([`PoolStats::write_exposition`]).
 pub fn text_exposition(stats: &PoolStats) -> String {
     let mut out = String::new();
-    metric(
-        &mut out,
-        "ditto_ops_total",
-        "Application-level operations completed.",
-        "counter",
-        stats.ops(),
-    );
     let latency = stats.latency();
     let qs = [0.5, 0.9, 0.99, 0.999];
     let values = latency.quantiles(&qs);
-    metric_header(
+    write_metric_header(
         &mut out,
         "ditto_op_latency_seconds",
         "Operation latency in simulated seconds.",
@@ -827,7 +858,7 @@ pub fn text_exposition(stats: &PoolStats) -> String {
         latency.sum_ns() as f64 / 1e9,
         latency.count(),
     ));
-    metric_header(
+    write_metric_header(
         &mut out,
         "ditto_phase_latency_seconds",
         "Span latency per operation phase, from (sampled) flight-recorder \
@@ -853,277 +884,7 @@ pub fn text_exposition(stats: &PoolStats) -> String {
             hist.count(),
         ));
     }
-    metric(
-        &mut out,
-        "ditto_doorbells_total",
-        "Doorbells rung by posted rounds, one per node a round posts to (a synchronous single-verb call is not included).",
-        "counter",
-        stats.doorbells(),
-    );
-    metric(
-        &mut out,
-        "ditto_batched_verbs_total",
-        "WQEs handed to the NIC by posted rounds (synchronous single-verb calls are not included).",
-        "counter",
-        stats.batched_verbs(),
-    );
-    metric(
-        &mut out,
-        "ditto_signalled_wqes_total",
-        "WQEs posted signalled.",
-        "counter",
-        stats.signalled_wqes(),
-    );
-    metric(
-        &mut out,
-        "ditto_unsignalled_wqes_total",
-        "WQEs posted unsignalled.",
-        "counter",
-        stats.unsignalled_wqes(),
-    );
-    metric(
-        &mut out,
-        "ditto_cq_polls_total",
-        "Successful completion-queue polls.",
-        "counter",
-        stats.cq_polls(),
-    );
-
-    let snaps = stats.node_snapshots();
-    metric_header(
-        &mut out,
-        "ditto_node_messages_total",
-        "RNIC messages per memory node.",
-        "counter",
-    );
-    for (mn, s) in snaps.iter().enumerate() {
-        out.push_str(&format!(
-            "ditto_node_messages_total{{node=\"{mn}\"}} {}\n",
-            s.messages
-        ));
-    }
-    metric_header(
-        &mut out,
-        "ditto_node_reads_total",
-        "READ verbs per memory node.",
-        "counter",
-    );
-    for (mn, s) in snaps.iter().enumerate() {
-        out.push_str(&format!(
-            "ditto_node_reads_total{{node=\"{mn}\"}} {}\n",
-            s.reads
-        ));
-    }
-    metric_header(
-        &mut out,
-        "ditto_node_writes_total",
-        "WRITE verbs per memory node.",
-        "counter",
-    );
-    for (mn, s) in snaps.iter().enumerate() {
-        out.push_str(&format!(
-            "ditto_node_writes_total{{node=\"{mn}\"}} {}\n",
-            s.writes
-        ));
-    }
-    metric_header(
-        &mut out,
-        "ditto_node_resident_bytes",
-        "Resident object bytes per memory node (gauge; survives resets).",
-        "gauge",
-    );
-    for (mn, bytes) in stats.resident_bytes().iter().enumerate() {
-        out.push_str(&format!(
-            "ditto_node_resident_bytes{{node=\"{mn}\"}} {bytes}\n"
-        ));
-    }
-    metric_header(
-        &mut out,
-        "ditto_node_verb_faults_total",
-        "Faulted verbs attributed per memory node (lifetime).",
-        "counter",
-    );
-    for mn in 0..snaps.len() {
-        out.push_str(&format!(
-            "ditto_node_verb_faults_total{{node=\"{mn}\"}} {}\n",
-            stats.verb_faults_on(mn as u16)
-        ));
-    }
-
-    let contention = stats.contention();
-    metric(
-        &mut out,
-        "ditto_cas_retries_total",
-        "Failed slot-CAS attempts that forced a retry (lifetime).",
-        "counter",
-        contention.cas_retries,
-    );
-    metric(
-        &mut out,
-        "ditto_lock_acquire_attempts_total",
-        "Remote-lock acquisition attempts (lifetime).",
-        "counter",
-        contention.lock_acquire_attempts,
-    );
-    metric(
-        &mut out,
-        "ditto_lock_acquisitions_total",
-        "Remote-lock acquisitions that succeeded (lifetime).",
-        "counter",
-        contention.lock_acquisitions,
-    );
-    metric(
-        &mut out,
-        "ditto_lock_wait_retries_total",
-        "Failed lock attempts that backed off and retried (lifetime).",
-        "counter",
-        contention.lock_wait_retries,
-    );
-    metric(
-        &mut out,
-        "ditto_backoff_simulated_nanoseconds_total",
-        "Simulated nanoseconds spent in CAS/lock back-off (lifetime).",
-        "counter",
-        contention.backoff_ns,
-    );
-
-    let faults = stats.faults();
-    metric(
-        &mut out,
-        "ditto_verb_failures_total",
-        "Verbs that completed in error (lifetime).",
-        "counter",
-        faults.verb_failures,
-    );
-    metric(
-        &mut out,
-        "ditto_verb_timeouts_total",
-        "Verbs that timed out (lifetime).",
-        "counter",
-        faults.verb_timeouts,
-    );
-    metric(
-        &mut out,
-        "ditto_verb_retries_total",
-        "Higher-layer retries of faulted verbs (lifetime).",
-        "counter",
-        faults.verb_retries,
-    );
-    metric(
-        &mut out,
-        "ditto_lock_steals_total",
-        "Expired lock leases taken over via CAS steal (lifetime).",
-        "counter",
-        faults.lock_steals,
-    );
-    metric(
-        &mut out,
-        "ditto_fenced_releases_total",
-        "Lock releases fenced off by a newer lease epoch (lifetime).",
-        "counter",
-        faults.fenced_releases,
-    );
-    metric(
-        &mut out,
-        "ditto_lock_exhaustions_total",
-        "Lock acquisitions that exhausted their retry budget (lifetime).",
-        "counter",
-        faults.lock_exhaustions,
-    );
-    metric(
-        &mut out,
-        "ditto_locks_reclaimed_total",
-        "Locks reclaimed from crashed clients (lifetime).",
-        "counter",
-        faults.locks_reclaimed,
-    );
-    metric(
-        &mut out,
-        "ditto_recovered_objects_total",
-        "Orphaned objects swept by crash recovery (lifetime).",
-        "counter",
-        faults.recovered_objects,
-    );
-    metric(
-        &mut out,
-        "ditto_recovered_bytes_total",
-        "Orphaned object bytes swept by crash recovery (lifetime).",
-        "counter",
-        faults.recovered_bytes,
-    );
-
-    metric(
-        &mut out,
-        "ditto_migrated_bytes_total",
-        "Bucket-array bytes copied by stripe migrations.",
-        "counter",
-        stats.migrated_bytes(),
-    );
-    metric(
-        &mut out,
-        "ditto_migrated_objects_total",
-        "Objects relocated between memory nodes.",
-        "counter",
-        stats.migrated_objects(),
-    );
-    metric(
-        &mut out,
-        "ditto_stripe_cutovers_total",
-        "Stripe cutovers committed.",
-        "counter",
-        stats.stripe_cutovers(),
-    );
-
-    let obs = stats.obs();
-    metric(
-        &mut out,
-        "ditto_obs_spans_recorded_total",
-        "Flight-recorder spans recorded (lifetime).",
-        "counter",
-        obs.spans_recorded,
-    );
-    metric(
-        &mut out,
-        "ditto_obs_spans_dropped_total",
-        "Flight-recorder spans lost to ring overwrites (lifetime).",
-        "counter",
-        obs.spans_dropped,
-    );
-    metric(
-        &mut out,
-        "ditto_obs_recorder_wraps_total",
-        "Flight-recorder ring wrap-arounds (lifetime).",
-        "counter",
-        obs.recorder_wraps,
-    );
-    metric(
-        &mut out,
-        "ditto_obs_events_recorded_total",
-        "Structured events recorded (lifetime).",
-        "counter",
-        obs.events_recorded,
-    );
-    metric(
-        &mut out,
-        "ditto_obs_events_dropped_total",
-        "Structured events lost to ring overwrites (lifetime).",
-        "counter",
-        obs.events_dropped,
-    );
-    metric(
-        &mut out,
-        "ditto_obs_ops_sampled_total",
-        "Ops whose span sets the armed flight recorder kept (lifetime).",
-        "counter",
-        obs.ops_sampled,
-    );
-    metric(
-        &mut out,
-        "ditto_obs_ops_skipped_total",
-        "Ops the armed flight recorder's sampling draw skipped (lifetime).",
-        "counter",
-        obs.ops_skipped,
-    );
+    stats.write_exposition(&mut out);
     out
 }
 

@@ -7,13 +7,218 @@
 //! into throughput / latency numbers by stretching the elapsed time to the
 //! most-saturated resource, which is the mechanism behind every throughput
 //! figure in the paper's evaluation.
+//!
+//! # Counters
+//!
+//! Every counter is **one row** of a [`counter_table!`](crate::counter_table)
+//! — doc comment, field, `lifetime | interval`, `counter | gauge`, series
+//! name and help — and the row is all there is to write: the table expands to
+//! the atomic struct, a plain accessor per row, the snapshot struct with its
+//! saturating `delta`, `reset` and the row's lines on the text exposition
+//! page ([`crate::obs::text_exposition`], rendered by
+//! [`crate::obs::write_rows`]).
+//!
+//! * An **`interval`** row is zeroed by [`PoolStats::reset`]: traffic of the
+//!   measurement interval (per-node verbs, posted rounds, migration copies).
+//! * A **`lifetime`** row is not: contention, faults and the observability
+//!   layer's own accounting are evidence — a lock stolen, a recorder that
+//!   wrapped during warm-up — and must stay visible to the measured phase.
+//!   Per-interval figures of a lifetime group come from diffing two
+//!   snapshots with the snapshot's `delta`.
+//! * A row marked **`accessor`** is read through its accessor only and is
+//!   not a field of the snapshot struct (`ditto-core`'s `CacheStatsSnapshot`
+//!   is built field by field by its users, so it cannot grow).
+//! * `bump record_x` / `add record_x` after the help text also generates the
+//!   recorder: `record_x()` adds one, `record_x(n)` adds `n`.  A recorder
+//!   that touches more than one row is written by hand over the generated
+//!   fields.
+//!
+//! Which rows survive a reset is therefore read off the tables below, not
+//! off prose.
 
 use crate::config::DmConfig;
 use crate::histogram::LatencyHistogram;
-use crate::obs::Phase;
+use crate::obs::{self, Phase};
 use crate::topology::MAX_POOL_NODES;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// One row of a [`counter_table!`](crate::counter_table), as the exposition
+/// writer and the reset-policy tests see it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterRow {
+    /// The field (and accessor) name.
+    pub field: &'static str,
+    /// Whether `reset` zeroes the row (`interval`) or leaves it (`lifetime`).
+    pub interval: bool,
+    /// Series name on the exposition page.
+    pub name: &'static str,
+    /// The series' `# HELP` text.
+    pub help: &'static str,
+    /// The series' `# TYPE`: `counter` or `gauge`.
+    pub kind: &'static str,
+}
+
+/// Declares one group of counters; see the [module docs](crate::stats).
+///
+/// ```text
+/// counter_table! {
+///     /// Docs of the atomic struct.
+///     pub struct Stats;
+///     /// Docs (and derives) of the snapshot struct.
+///     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+///     pub struct Snapshot;
+///     read through Owner [field];   // or `Stats []`: accessors on the struct itself
+///
+///     /// Docs of the row.
+///     row: interval, counter "series_total" "Help.", bump record_row;
+///     /// A row that is no snapshot field.
+///     other: lifetime accessor, gauge "series" "Help.";
+///
+///     + per index {                 // optional: `Vec` rows, snapshot and reset only
+///         /// Docs.
+///         votes: interval;
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! counter_table {
+    (
+        $(#[$smeta:meta])* $svis:vis struct $Stats:ident;
+        $(#[$nmeta:meta])* $nvis:vis struct $Snapshot:ident;
+        read through $Owner:ident $path:tt;
+        $(
+            $(#[$doc:meta])*
+            $field:ident: $life:ident $($only:ident)?, $kind:ident $name:literal $help:literal
+                $(, $how:ident $rec:ident)?;
+        )*
+        $(+ per index { $( $(#[$idoc:meta])* $ifield:ident: $ilife:ident; )* })?
+    ) => {
+        $(#[$smeta])*
+        #[derive(Debug, Default)]
+        $svis struct $Stats {
+            $( $(#[$doc])* $field: ::std::sync::atomic::AtomicU64, )*
+            $($( $(#[$idoc])* $ifield: Vec<::std::sync::atomic::AtomicU64>, )*)?
+        }
+
+        impl $Stats {
+            /// The table: one entry per row, in declaration order.
+            pub const ROWS: &'static [$crate::stats::CounterRow] = &[$(
+                $crate::stats::CounterRow {
+                    field: stringify!($field),
+                    interval: $crate::counter_table!(@interval $life),
+                    name: $name,
+                    help: $help,
+                    kind: stringify!($kind),
+                },
+            )*];
+
+            /// Every row's current value, in [`Self::ROWS`] order.
+            pub fn values(&self) -> Vec<u64> {
+                vec![$( self.$field.load(::std::sync::atomic::Ordering::Relaxed), )*]
+            }
+
+            /// Zeroes the `interval` rows; `lifetime` rows keep counting.
+            pub fn reset(&self) {
+                $( if $crate::counter_table!(@interval $life) {
+                    self.$field.store(0, ::std::sync::atomic::Ordering::Relaxed);
+                } )*
+                $($( if $crate::counter_table!(@interval $ilife) {
+                    for cell in &self.$ifield {
+                        cell.store(0, ::std::sync::atomic::Ordering::Relaxed);
+                    }
+                } )*)?
+            }
+
+            /// Appends every row's series to a text exposition page.
+            pub fn write_exposition(&self, out: &mut String) {
+                $crate::obs::write_rows(out, Self::ROWS, &self.values());
+            }
+        }
+
+        impl $Owner {
+            $(
+                $(#[$doc])*
+                pub fn $field(&self) -> u64 {
+                    $crate::counter_table!(@cell self $path $field)
+                        .load(::std::sync::atomic::Ordering::Relaxed)
+                }
+                $( $crate::counter_table!(@recorder $how $rec self $path $field); )?
+            )*
+        }
+
+        $crate::counter_table!(@snapshot
+            [$(#[$nmeta])* $nvis struct $Snapshot of $Stats; $($( $(#[$idoc])* $ifield )*)?]
+            []
+            $( { $(#[$doc])* $field $($only)? } )*
+        );
+    };
+
+    (@interval interval) => { true };
+    (@interval lifetime) => { false };
+
+    (@cell $s:ident [] $field:ident) => { $s.$field };
+    (@cell $s:ident [$via:ident] $field:ident) => { $s.$via.$field };
+
+    (@recorder bump $rec:ident $s:ident $path:tt $field:ident) => {
+        #[doc = concat!("Adds one to [`Self::", stringify!($field), "`].")]
+        pub fn $rec(&$s) {
+            $crate::counter_table!(@cell $s $path $field)
+                .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
+        }
+    };
+    (@recorder add $rec:ident $s:ident $path:tt $field:ident) => {
+        #[doc = concat!("Adds `n` to [`Self::", stringify!($field), "`].")]
+        pub fn $rec(&$s, n: u64) {
+            $crate::counter_table!(@cell $s $path $field)
+                .fetch_add(n, ::std::sync::atomic::Ordering::Relaxed);
+        }
+    };
+
+    // The snapshot struct holds the rows not marked `accessor`: walk the
+    // rows, keep those, then emit.
+    (@snapshot $hdr:tt [$($kept:tt)*] { $(#[$doc:meta])* $field:ident accessor } $($rest:tt)*) => {
+        $crate::counter_table!(@snapshot $hdr [$($kept)*] $($rest)*);
+    };
+    (@snapshot $hdr:tt [$($kept:tt)*] { $(#[$doc:meta])* $field:ident } $($rest:tt)*) => {
+        $crate::counter_table!(@snapshot $hdr [$($kept)* { $(#[$doc])* $field }] $($rest)*);
+    };
+    (@snapshot
+        [$(#[$nmeta:meta])* $nvis:vis struct $Snapshot:ident of $Stats:ident;
+            $( $(#[$idoc:meta])* $ifield:ident )*]
+        [$( { $(#[$doc:meta])* $field:ident } )*]
+    ) => {
+        $(#[$nmeta])*
+        $nvis struct $Snapshot {
+            $( $(#[$doc])* pub $field: u64, )*
+            $( $(#[$idoc])* pub $ifield: Vec<u64>, )*
+        }
+
+        impl $Snapshot {
+            /// Element-wise difference (`self - earlier`), saturating at zero.
+            pub fn delta(&self, earlier: &$Snapshot) -> $Snapshot {
+                $Snapshot {
+                    $( $field: self.$field.saturating_sub(earlier.$field), )*
+                    $( $ifield: self.$ifield.iter().zip(&earlier.$ifield)
+                        .map(|(now, then)| now.saturating_sub(*then))
+                        .collect(), )*
+                }
+            }
+        }
+
+        impl $Stats {
+            /// Point-in-time copy of the rows the snapshot struct holds.
+            pub fn snapshot(&self) -> $Snapshot {
+                $Snapshot {
+                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )*
+                    $( $ifield: self.$ifield.iter()
+                        .map(|cell| cell.load(::std::sync::atomic::Ordering::Relaxed))
+                        .collect(), )*
+                }
+            }
+        }
+    };
+}
 
 /// Kinds of one-sided verbs tracked by the accounting layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,29 +235,34 @@ pub enum VerbKind {
     Rpc,
 }
 
-/// Per-memory-node counters.
-#[derive(Debug, Default)]
-pub struct NodeStats {
+counter_table! {
+    /// Per-memory-node counters; every series carries a `node` label.
+    pub struct NodeStats;
+    /// Point-in-time copy of one node's counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct NodeSnapshot;
+    read through NodeStats [];
+
     /// Total RNIC messages (all verbs, including RPC requests).
-    pub messages: AtomicU64,
+    messages: interval, counter "ditto_node_messages_total" "RNIC messages per memory node.";
     /// READ verbs.
-    pub reads: AtomicU64,
+    reads: interval, counter "ditto_node_reads_total" "READ verbs per memory node.";
     /// WRITE verbs.
-    pub writes: AtomicU64,
+    writes: interval, counter "ditto_node_writes_total" "WRITE verbs per memory node.";
     /// CAS verbs.
-    pub cas: AtomicU64,
+    cas: interval, counter "" "";
     /// FAA verbs.
-    pub faa: AtomicU64,
+    faa: interval, counter "" "";
     /// RPC requests.
-    pub rpcs: AtomicU64,
+    rpcs: interval, counter "" "";
     /// Controller CPU time consumed by RPC handlers, in nanoseconds.
-    pub rpc_cpu_ns: AtomicU64,
+    rpc_cpu_ns: interval, counter "" "";
     /// Bytes moved to/from this node.
-    pub bytes: AtomicU64,
+    bytes: interval, counter "" "";
     /// Doorbells rung at this node's RNIC: one per posted round
     /// ([`crate::WorkQueue::ring`]) that includes at least one WQE for this
     /// node.  A synchronous single-verb call is not included.
-    pub doorbells: AtomicU64,
+    doorbells: interval, counter "" "";
 }
 
 impl NodeStats {
@@ -68,60 +278,152 @@ impl NodeStats {
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
+}
 
-    fn snapshot(&self) -> NodeSnapshot {
-        NodeSnapshot {
-            messages: self.messages.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            cas: self.cas.load(Ordering::Relaxed),
-            faa: self.faa.load(Ordering::Relaxed),
-            rpcs: self.rpcs.load(Ordering::Relaxed),
-            rpc_cpu_ns: self.rpc_cpu_ns.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            doorbells: self.doorbells.load(Ordering::Relaxed),
-        }
+counter_table! {
+    /// Operations completed and the posted rounds ([`crate::WorkQueue::ring`])
+    /// that carried them.
+    pub struct TrafficStats;
+    /// Point-in-time copy of the operation and posted-round counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct TrafficSnapshot;
+    read through PoolStats [traffic];
+
+    /// Application-level operations recorded so far.
+    ops: interval, counter "ditto_ops_total" "Application-level operations completed.";
+    /// Doorbells rung by *posted rounds* so far: each
+    /// [`crate::WorkQueue::ring`] adds one per distinct node it posts to.  A
+    /// synchronous single-verb call (`try_read_into`, `try_cas`, `try_faa`,
+    /// …) is one completed round trip and is **not** included — which is why
+    /// moving a verb from such a call onto the ring raises this counter
+    /// while it removes a round trip.
+    doorbells: interval, counter "ditto_doorbells_total" "Doorbells rung by posted rounds, one per node a round posts to (a synchronous single-verb call is not included).";
+    /// WQEs handed to the NIC by posted rounds (see [`PoolStats::doorbells`]);
+    /// verbs issued through synchronous single-verb calls are not included.
+    /// A WQE *flushed* behind an errored one (the flush rule of
+    /// [`crate::wqe`]) was posted, so it counts here and in
+    /// [`PoolStats::signalled_wqes`]/[`PoolStats::unsignalled_wqes`] — but it never
+    /// left the NIC: no node counts a message for it, and it is no fault in
+    /// [`FaultSnapshot`].
+    batched_verbs: interval, counter "ditto_batched_verbs_total" "WQEs handed to the NIC by posted rounds (synchronous single-verb calls are not included).";
+    /// Most WQEs one posted round carried (see [`PoolStats::doorbells`]).
+    largest_batch: interval, gauge "" "";
+    /// Largest per-round memory-node fan-out observed.
+    largest_fanout: interval, gauge "" "";
+    /// WQEs posted *signalled* (their completion is polled from the CQ).
+    signalled_wqes: interval, counter "ditto_signalled_wqes_total" "WQEs posted signalled.";
+    /// WQEs posted *unsignalled* (fire-and-forget; never waited for).
+    unsignalled_wqes: interval, counter "ditto_unsignalled_wqes_total" "WQEs posted unsignalled.";
+    /// Successful completion-queue polls.
+    cq_polls: interval, counter "ditto_cq_polls_total" "Successful completion-queue polls.", bump record_cq_poll;
+}
+
+counter_table! {
+    /// Live-resize copy traffic.  (The per-node resident-byte gauges are pool
+    /// *state* and live outside the table: no reset touches them.)
+    pub struct MigrationStats;
+    /// Point-in-time copy of the live-resize traffic counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct MigrationSnapshot;
+    read through PoolStats [migration];
+
+    /// Bucket-array bytes copied between nodes by stripe migrations.
+    migrated_bytes: interval, counter "ditto_migrated_bytes_total" "Bucket-array bytes copied by stripe migrations.", add record_migrated_bytes;
+    /// Objects relocated between nodes (migration pump + cooperative Get).
+    migrated_objects: interval, counter "ditto_migrated_objects_total" "Objects relocated between memory nodes.";
+    /// Object bytes relocated between nodes.
+    migrated_object_bytes: interval, counter "" "";
+    /// Stripe cutovers committed (source → destination switches).
+    stripe_cutovers: interval, counter "ditto_stripe_cutovers_total" "Stripe cutovers committed.", bump record_stripe_cutover;
+}
+
+counter_table! {
+    /// How often concurrent clients got in each other's way.
+    pub struct ContentionStats;
+    /// Point-in-time copy of the pool's contention counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ContentionSnapshot;
+    read through PoolStats [contention];
+
+    /// Slot-CAS attempts that observed an unexpected value and forced the
+    /// issuing operation to retry.
+    cas_retries: lifetime, counter "ditto_cas_retries_total" "Failed slot-CAS attempts that forced a retry (lifetime).";
+    /// [`crate::RemoteLock`] acquisition attempts (CAS issues against a lock
+    /// word, successful or not).
+    lock_acquire_attempts: lifetime, counter "ditto_lock_acquire_attempts_total" "Remote-lock acquisition attempts (lifetime).";
+    /// [`crate::RemoteLock`] acquisitions that eventually succeeded.
+    lock_acquisitions: lifetime, counter "ditto_lock_acquisitions_total" "Remote-lock acquisitions that succeeded (lifetime).";
+    /// Failed lock-acquisition attempts that waited and retried
+    /// (`lock_acquire_attempts - lock_acquisitions`).
+    lock_wait_retries: lifetime, counter "ditto_lock_wait_retries_total" "Failed lock attempts that backed off and retried (lifetime).";
+    /// Simulated nanoseconds clients spent backing off after failed CAS /
+    /// lock attempts.
+    backoff_ns: lifetime, counter "ditto_backoff_simulated_nanoseconds_total" "Simulated nanoseconds spent in CAS/lock back-off (lifetime).";
+}
+
+counter_table! {
+    /// Faults weathered, retries paid and what crash recovery swept up.
+    pub struct FaultStats;
+    /// Point-in-time copy of the pool's fault / retry / recovery counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct FaultSnapshot;
+    read through PoolStats [faults];
+
+    /// Verbs that completed in error (injected faults and typed
+    /// node-removed rejections).  WQEs flushed behind an errored one (see
+    /// [`crate::wqe`]) are not faults and are not counted.
+    verb_failures: lifetime, counter "ditto_verb_failures_total" "Verbs that completed in error (lifetime).";
+    /// Verbs that timed out.
+    verb_timeouts: lifetime, counter "ditto_verb_timeouts_total" "Verbs that timed out (lifetime).";
+    /// Higher-layer retries of faulted verbs.
+    verb_retries: lifetime, counter "ditto_verb_retries_total" "Higher-layer retries of faulted verbs (lifetime).";
+    /// Simulated nanoseconds spent backing off between verb retries.
+    retry_backoff_ns: lifetime, counter "" "";
+    /// Expired lock leases taken over via CAS steal.
+    lock_steals: lifetime, counter "ditto_lock_steals_total" "Expired lock leases taken over via CAS steal (lifetime).", bump record_lock_steal;
+    /// Lock releases fenced off because the lease had been stolen.
+    fenced_releases: lifetime, counter "ditto_fenced_releases_total" "Lock releases fenced off by a newer lease epoch (lifetime).", bump record_fenced_release;
+    /// Lock acquisitions that gave up after burning their whole retry
+    /// budget against a live holder.
+    lock_exhaustions: lifetime, counter "ditto_lock_exhaustions_total" "Lock acquisitions that exhausted their retry budget (lifetime).";
+    /// Locks reclaimed from crashed clients by a recovery pass.
+    locks_reclaimed: lifetime, counter "ditto_locks_reclaimed_total" "Locks reclaimed from crashed clients (lifetime).", add record_locks_reclaimed;
+    /// Orphaned objects swept by a crash-recovery pass.
+    recovered_objects: lifetime, counter "ditto_recovered_objects_total" "Orphaned objects swept by crash recovery (lifetime).";
+    /// Orphaned object bytes swept by a crash-recovery pass.
+    recovered_bytes: lifetime, counter "ditto_recovered_bytes_total" "Orphaned object bytes swept by crash recovery (lifetime).";
+}
+
+impl FaultSnapshot {
+    /// Total faulted verbs (failures plus timeouts).
+    pub fn faulted_verbs(&self) -> u64 {
+        self.verb_failures + self.verb_timeouts
     }
 }
 
-/// Point-in-time copy of one node's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NodeSnapshot {
-    /// Total RNIC messages.
-    pub messages: u64,
-    /// READ verbs.
-    pub reads: u64,
-    /// WRITE verbs.
-    pub writes: u64,
-    /// CAS verbs.
-    pub cas: u64,
-    /// FAA verbs.
-    pub faa: u64,
-    /// RPC requests.
-    pub rpcs: u64,
-    /// Controller CPU nanoseconds.
-    pub rpc_cpu_ns: u64,
-    /// Bytes transferred.
-    pub bytes: u64,
-    /// Doorbells rung at this node's RNIC.
-    pub doorbells: u64,
-}
+counter_table! {
+    /// The observability layer's own accounting.
+    pub struct ObsStats;
+    /// Point-in-time copy of the observability self-accounting counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ObsSnapshot;
+    read through PoolStats [obs];
 
-impl NodeSnapshot {
-    /// Element-wise difference (`self - earlier`), saturating at zero.
-    pub fn delta(&self, earlier: &NodeSnapshot) -> NodeSnapshot {
-        NodeSnapshot {
-            messages: self.messages.saturating_sub(earlier.messages),
-            reads: self.reads.saturating_sub(earlier.reads),
-            writes: self.writes.saturating_sub(earlier.writes),
-            cas: self.cas.saturating_sub(earlier.cas),
-            faa: self.faa.saturating_sub(earlier.faa),
-            rpcs: self.rpcs.saturating_sub(earlier.rpcs),
-            rpc_cpu_ns: self.rpc_cpu_ns.saturating_sub(earlier.rpc_cpu_ns),
-            bytes: self.bytes.saturating_sub(earlier.bytes),
-            doorbells: self.doorbells.saturating_sub(earlier.doorbells),
-        }
-    }
+    /// Flight-recorder spans recorded pool-wide.
+    spans_recorded: lifetime, counter "ditto_obs_spans_recorded_total" "Flight-recorder spans recorded (lifetime).";
+    /// Flight-recorder spans lost to ring overwrites.
+    spans_dropped: lifetime, counter "ditto_obs_spans_dropped_total" "Flight-recorder spans lost to ring overwrites (lifetime).";
+    /// Flight-recorder ring wrap-arounds (a drop landing on slot 0).
+    recorder_wraps: lifetime, counter "ditto_obs_recorder_wraps_total" "Flight-recorder ring wrap-arounds (lifetime).";
+    /// Structured events recorded into the pool event log.
+    events_recorded: lifetime, counter "ditto_obs_events_recorded_total" "Structured events recorded (lifetime).";
+    /// Structured events lost to ring overwrites.
+    events_dropped: lifetime, counter "ditto_obs_events_dropped_total" "Structured events lost to ring overwrites (lifetime).";
+    /// Ops whose span sets the armed flight recorder kept (sampling draw
+    /// hit; see [`DmConfig::flight_recorder_sample_one_in`]).
+    ops_sampled: lifetime, counter "ditto_obs_ops_sampled_total" "Ops whose span sets the armed flight recorder kept (lifetime).";
+    /// Ops the armed flight recorder's sampling draw skipped.
+    ops_skipped: lifetime, counter "ditto_obs_ops_skipped_total" "Ops the armed flight recorder's sampling draw skipped (lifetime).";
 }
 
 /// Shared accounting for a [`crate::MemoryPool`].
@@ -133,306 +435,54 @@ impl NodeSnapshot {
 pub struct PoolStats {
     nodes: Vec<NodeStats>,
     active_nodes: AtomicUsize,
-    ops: AtomicU64,
     op_latency: LatencyHistogram,
     max_client_clock_ns: AtomicU64,
     clock_baseline_ns: AtomicU64,
     clients_spawned: AtomicU64,
-    doorbells: AtomicU64,
-    batched_verbs: AtomicU64,
-    largest_batch: AtomicU64,
-    largest_fanout: AtomicU64,
-    /// WQEs posted *signalled* (their completion is polled from the CQ).
-    signalled_wqes: AtomicU64,
-    /// WQEs posted *unsignalled* (fire-and-forget; never waited for).
-    unsignalled_wqes: AtomicU64,
-    /// Successful completion-queue polls.
-    cq_polls: AtomicU64,
+    traffic: TrafficStats,
+    migration: MigrationStats,
+    contention: ContentionStats,
+    faults: FaultStats,
+    obs: ObsStats,
     /// Resident *object* bytes per node: allocations minus frees as reported
     /// by the cache layer.  This is pool **state**, not interval traffic, so
     /// [`PoolStats::reset`] leaves it alone; a drained node's entry reaching
     /// zero is the signal that it can be decommissioned.
     resident_bytes: Vec<AtomicU64>,
-    /// Bucket-array bytes copied between nodes by stripe migrations.
-    migrated_bytes: AtomicU64,
-    /// Objects relocated between nodes (migration pump + cooperative Get).
-    migrated_objects: AtomicU64,
-    /// Object bytes relocated between nodes.
-    migrated_object_bytes: AtomicU64,
-    /// Stripe cutovers committed (source → destination switches).
-    stripe_cutovers: AtomicU64,
-    /// Slot-CAS attempts that observed an unexpected value and forced the
-    /// issuing operation to retry.  Lifetime counter: survives
-    /// [`PoolStats::reset`] (see [`PoolStats::contention`]).
-    cas_retries: AtomicU64,
-    /// [`crate::RemoteLock`] acquisition attempts (CAS issues against a lock
-    /// word, successful or not).  Survives [`PoolStats::reset`].
-    lock_acquire_attempts: AtomicU64,
-    /// [`crate::RemoteLock`] acquisitions that eventually succeeded.
-    /// Survives [`PoolStats::reset`].
-    lock_acquisitions: AtomicU64,
-    /// Failed lock-acquisition attempts that waited and retried
-    /// (`lock_acquire_attempts - lock_acquisitions`).  Survives
-    /// [`PoolStats::reset`].
-    lock_wait_retries: AtomicU64,
-    /// Simulated nanoseconds clients spent backing off after failed CAS /
-    /// lock attempts.  Survives [`PoolStats::reset`].
-    backoff_ns: AtomicU64,
-    /// Verbs that completed in error (injected faults plus typed
-    /// node-removed rejections), per node.  Lifetime: survives
-    /// [`PoolStats::reset`] (see [`PoolStats::faults`]).
+    /// Faulted verbs (failures plus timeouts) per node.  Lifetime, like the
+    /// fault group it attributes.
     verb_faults_per_node: Vec<AtomicU64>,
-    /// Verbs that completed in error pool-wide.  Survives reset.
-    verb_failures: AtomicU64,
-    /// Verbs that timed out pool-wide.  Survives reset.
-    verb_timeouts: AtomicU64,
-    /// Higher-layer retries of faulted verbs.  Survives reset.
-    verb_retries: AtomicU64,
-    /// Simulated nanoseconds spent backing off between verb retries.
-    /// Survives reset.
-    retry_backoff_ns: AtomicU64,
-    /// Expired lock leases taken over via CAS steal.  Survives reset.
-    lock_steals: AtomicU64,
-    /// Lock releases fenced off because the lease had been stolen.
-    /// Survives reset.
-    fenced_releases: AtomicU64,
-    /// Lock acquisitions that gave up after burning their whole retry
-    /// budget against a live holder.  Survives reset.
-    lock_exhaustions: AtomicU64,
-    /// Locks reclaimed from crashed clients by a recovery pass.
-    /// Survives reset.
-    locks_reclaimed: AtomicU64,
-    /// Orphaned objects swept by a crash-recovery pass.  Survives reset.
-    recovered_objects: AtomicU64,
-    /// Orphaned object bytes swept by a crash-recovery pass.  Survives
-    /// reset.
-    recovered_bytes: AtomicU64,
-    /// Flight-recorder spans recorded pool-wide.  Lifetime: survives
-    /// [`PoolStats::reset`] (see [`PoolStats::obs`]).
-    spans_recorded: AtomicU64,
-    /// Flight-recorder spans lost to ring overwrites.  Survives reset.
-    spans_dropped: AtomicU64,
-    /// Flight-recorder ring wrap-arounds (a drop landing on slot 0).
-    /// Survives reset.
-    recorder_wraps: AtomicU64,
-    /// Structured events recorded into the pool event log.  Survives reset.
-    events_recorded: AtomicU64,
-    /// Structured events lost to ring overwrites.  Survives reset.
-    events_dropped: AtomicU64,
-    /// Ops whose span sets the armed flight recorder kept (sampling draw
-    /// hit; see [`DmConfig::flight_recorder_sample_one_in`]).  Survives
-    /// reset.
-    ops_sampled: AtomicU64,
-    /// Ops the armed flight recorder's sampling draw skipped.  Survives
-    /// reset.
-    ops_skipped: AtomicU64,
     /// Per-phase span-latency histograms (indexed by
     /// [`Phase::index`]), merged in from each client's local set when the
-    /// client drops.  Like the obs counters this is lifetime state: it
-    /// survives [`PoolStats::reset`], so the exposition's phase summaries
+    /// client drops.  Lifetime state: the exposition's phase summaries
     /// describe the whole run.
     phase_latency: Vec<LatencyHistogram>,
 }
 
-/// Point-in-time copy of the pool's contention counters.
-///
-/// These are *lifetime* counters — [`PoolStats::reset`] deliberately leaves
-/// them alone so contention surviving across measurement phases stays
-/// visible.  Per-interval figures therefore come from snapshot deltas:
-/// capture one snapshot before the interval, one after, and
-/// [`ContentionSnapshot::delta`] the two.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ContentionSnapshot {
-    /// Failed slot-CAS attempts that forced a retry.
-    pub cas_retries: u64,
-    /// Lock-acquisition attempts (successful or not).
-    pub lock_acquire_attempts: u64,
-    /// Lock acquisitions that succeeded.
-    pub lock_acquisitions: u64,
-    /// Failed lock attempts that backed off and retried.
-    pub lock_wait_retries: u64,
-    /// Simulated nanoseconds spent in CAS/lock back-off.
-    pub backoff_ns: u64,
-}
-
-impl ContentionSnapshot {
-    /// Element-wise difference (`self - earlier`), saturating at zero.
-    pub fn delta(&self, earlier: &ContentionSnapshot) -> ContentionSnapshot {
-        ContentionSnapshot {
-            cas_retries: self.cas_retries.saturating_sub(earlier.cas_retries),
-            lock_acquire_attempts: self
-                .lock_acquire_attempts
-                .saturating_sub(earlier.lock_acquire_attempts),
-            lock_acquisitions: self
-                .lock_acquisitions
-                .saturating_sub(earlier.lock_acquisitions),
-            lock_wait_retries: self
-                .lock_wait_retries
-                .saturating_sub(earlier.lock_wait_retries),
-            backoff_ns: self.backoff_ns.saturating_sub(earlier.backoff_ns),
-        }
-    }
-}
-
-/// Point-in-time copy of the pool's fault / retry / recovery counters.
-///
-/// Like [`ContentionSnapshot`] these are *lifetime* counters —
-/// [`PoolStats::reset`] leaves them alone, so faults weathered during a
-/// warm-up phase stay visible.  Per-interval figures come from diffing two
-/// snapshots with [`FaultSnapshot::delta`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultSnapshot {
-    /// Verbs that completed in error (injected faults and typed
-    /// node-removed rejections).  WQEs flushed behind an errored one (see
-    /// [`crate::wqe`]) are not faults and are not counted.
-    pub verb_failures: u64,
-    /// Verbs that timed out.
-    pub verb_timeouts: u64,
-    /// Higher-layer retries of faulted verbs.
-    pub verb_retries: u64,
-    /// Simulated nanoseconds spent backing off between verb retries.
-    pub retry_backoff_ns: u64,
-    /// Expired lock leases taken over via CAS steal.
-    pub lock_steals: u64,
-    /// Lock releases fenced off because the lease had been stolen.
-    pub fenced_releases: u64,
-    /// Lock acquisitions that exhausted their retry budget.
-    pub lock_exhaustions: u64,
-    /// Locks reclaimed from crashed clients by recovery passes.
-    pub locks_reclaimed: u64,
-    /// Orphaned objects swept by crash-recovery passes.
-    pub recovered_objects: u64,
-    /// Orphaned object bytes swept by crash-recovery passes.
-    pub recovered_bytes: u64,
-}
-
-impl FaultSnapshot {
-    /// Element-wise difference (`self - earlier`), saturating at zero.
-    pub fn delta(&self, earlier: &FaultSnapshot) -> FaultSnapshot {
-        FaultSnapshot {
-            verb_failures: self.verb_failures.saturating_sub(earlier.verb_failures),
-            verb_timeouts: self.verb_timeouts.saturating_sub(earlier.verb_timeouts),
-            verb_retries: self.verb_retries.saturating_sub(earlier.verb_retries),
-            retry_backoff_ns: self
-                .retry_backoff_ns
-                .saturating_sub(earlier.retry_backoff_ns),
-            lock_steals: self.lock_steals.saturating_sub(earlier.lock_steals),
-            fenced_releases: self.fenced_releases.saturating_sub(earlier.fenced_releases),
-            lock_exhaustions: self
-                .lock_exhaustions
-                .saturating_sub(earlier.lock_exhaustions),
-            locks_reclaimed: self.locks_reclaimed.saturating_sub(earlier.locks_reclaimed),
-            recovered_objects: self
-                .recovered_objects
-                .saturating_sub(earlier.recovered_objects),
-            recovered_bytes: self.recovered_bytes.saturating_sub(earlier.recovered_bytes),
-        }
-    }
-
-    /// Total faulted verbs (failures plus timeouts).
-    pub fn faulted_verbs(&self) -> u64 {
-        self.verb_failures + self.verb_timeouts
-    }
-}
-
-/// Point-in-time copy of the observability self-accounting counters.
-///
-/// Like [`ContentionSnapshot`] and [`FaultSnapshot`] these are *lifetime*
-/// counters — [`PoolStats::reset`] leaves them alone (a recorder that
-/// wrapped during warm-up stays visible).  Per-interval figures come from
-/// diffing two snapshots with [`ObsSnapshot::delta`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ObsSnapshot {
-    /// Flight-recorder spans recorded.
-    pub spans_recorded: u64,
-    /// Flight-recorder spans lost to ring overwrites.
-    pub spans_dropped: u64,
-    /// Flight-recorder ring wrap-arounds.
-    pub recorder_wraps: u64,
-    /// Structured events recorded into the pool event log.
-    pub events_recorded: u64,
-    /// Structured events lost to ring overwrites.
-    pub events_dropped: u64,
-    /// Ops whose span sets the armed recorder's sampling draw kept.
-    pub ops_sampled: u64,
-    /// Ops the armed recorder's sampling draw skipped.
-    pub ops_skipped: u64,
-}
-
-impl ObsSnapshot {
-    /// Element-wise difference (`self - earlier`), saturating at zero.
-    pub fn delta(&self, earlier: &ObsSnapshot) -> ObsSnapshot {
-        ObsSnapshot {
-            spans_recorded: self.spans_recorded.saturating_sub(earlier.spans_recorded),
-            spans_dropped: self.spans_dropped.saturating_sub(earlier.spans_dropped),
-            recorder_wraps: self.recorder_wraps.saturating_sub(earlier.recorder_wraps),
-            events_recorded: self.events_recorded.saturating_sub(earlier.events_recorded),
-            events_dropped: self.events_dropped.saturating_sub(earlier.events_dropped),
-            ops_sampled: self.ops_sampled.saturating_sub(earlier.ops_sampled),
-            ops_skipped: self.ops_skipped.saturating_sub(earlier.ops_skipped),
-        }
-    }
+fn per_node<T>(make: impl FnMut() -> T) -> Vec<T> {
+    let mut v = Vec::with_capacity(MAX_POOL_NODES);
+    v.resize_with(MAX_POOL_NODES, make);
+    v
 }
 
 impl PoolStats {
     /// Creates accounting for `num_nodes` memory nodes.
     pub fn new(num_nodes: u16) -> Self {
-        let mut nodes = Vec::with_capacity(MAX_POOL_NODES);
-        nodes.resize_with(MAX_POOL_NODES, NodeStats::default);
-        let mut resident_bytes = Vec::with_capacity(MAX_POOL_NODES);
-        resident_bytes.resize_with(MAX_POOL_NODES, || AtomicU64::new(0));
         PoolStats {
-            nodes,
+            nodes: per_node(NodeStats::default),
             active_nodes: AtomicUsize::new((num_nodes as usize).clamp(1, MAX_POOL_NODES)),
-            ops: AtomicU64::new(0),
             op_latency: LatencyHistogram::new(),
             max_client_clock_ns: AtomicU64::new(0),
             clock_baseline_ns: AtomicU64::new(0),
             clients_spawned: AtomicU64::new(0),
-            doorbells: AtomicU64::new(0),
-            batched_verbs: AtomicU64::new(0),
-            largest_batch: AtomicU64::new(0),
-            largest_fanout: AtomicU64::new(0),
-            signalled_wqes: AtomicU64::new(0),
-            unsignalled_wqes: AtomicU64::new(0),
-            cq_polls: AtomicU64::new(0),
-            resident_bytes,
-            migrated_bytes: AtomicU64::new(0),
-            migrated_objects: AtomicU64::new(0),
-            migrated_object_bytes: AtomicU64::new(0),
-            stripe_cutovers: AtomicU64::new(0),
-            cas_retries: AtomicU64::new(0),
-            lock_acquire_attempts: AtomicU64::new(0),
-            lock_acquisitions: AtomicU64::new(0),
-            lock_wait_retries: AtomicU64::new(0),
-            backoff_ns: AtomicU64::new(0),
-            verb_faults_per_node: {
-                let mut v = Vec::with_capacity(MAX_POOL_NODES);
-                v.resize_with(MAX_POOL_NODES, || AtomicU64::new(0));
-                v
-            },
-            verb_failures: AtomicU64::new(0),
-            verb_timeouts: AtomicU64::new(0),
-            verb_retries: AtomicU64::new(0),
-            retry_backoff_ns: AtomicU64::new(0),
-            lock_steals: AtomicU64::new(0),
-            fenced_releases: AtomicU64::new(0),
-            lock_exhaustions: AtomicU64::new(0),
-            locks_reclaimed: AtomicU64::new(0),
-            recovered_objects: AtomicU64::new(0),
-            recovered_bytes: AtomicU64::new(0),
-            spans_recorded: AtomicU64::new(0),
-            spans_dropped: AtomicU64::new(0),
-            recorder_wraps: AtomicU64::new(0),
-            events_recorded: AtomicU64::new(0),
-            events_dropped: AtomicU64::new(0),
-            ops_sampled: AtomicU64::new(0),
-            ops_skipped: AtomicU64::new(0),
-            phase_latency: {
-                let mut v = Vec::with_capacity(Phase::COUNT);
-                v.resize_with(Phase::COUNT, LatencyHistogram::new);
-                v
-            },
+            traffic: TrafficStats::default(),
+            migration: MigrationStats::default(),
+            contention: ContentionStats::default(),
+            faults: FaultStats::default(),
+            obs: ObsStats::default(),
+            resident_bytes: per_node(AtomicU64::default),
+            verb_faults_per_node: per_node(AtomicU64::default),
+            phase_latency: (0..Phase::COUNT).map(|_| LatencyHistogram::new()).collect(),
         }
     }
 
@@ -454,13 +504,11 @@ impl PoolStats {
     /// of `verbs` work-queue entries spanning `fanout` distinct memory nodes
     /// (one doorbell rung per node).
     pub fn record_batch(&self, verbs: usize, fanout: usize) {
-        self.doorbells.fetch_add(fanout as u64, Ordering::Relaxed);
-        self.batched_verbs
-            .fetch_add(verbs as u64, Ordering::Relaxed);
-        self.largest_batch
-            .fetch_max(verbs as u64, Ordering::Relaxed);
-        self.largest_fanout
-            .fetch_max(fanout as u64, Ordering::Relaxed);
+        let t = &self.traffic;
+        t.doorbells.fetch_add(fanout as u64, Ordering::Relaxed);
+        t.batched_verbs.fetch_add(verbs as u64, Ordering::Relaxed);
+        t.largest_batch.fetch_max(verbs as u64, Ordering::Relaxed);
+        t.largest_fanout.fetch_max(fanout as u64, Ordering::Relaxed);
     }
 
     /// Records one doorbell ring at node `mn_id`'s RNIC.
@@ -470,64 +518,14 @@ impl PoolStats {
         }
     }
 
-    /// Doorbells rung by *posted rounds* so far: each
-    /// [`crate::WorkQueue::ring`] adds one per distinct node it posts to.  A
-    /// synchronous single-verb call (`try_read_into`, `try_cas`, `try_faa`,
-    /// …) is one completed round trip and is **not** included — which is why
-    /// moving a verb from such a call onto the ring raises this counter
-    /// while it removes a round trip.
-    pub fn doorbells(&self) -> u64 {
-        self.doorbells.load(Ordering::Relaxed)
-    }
-
-    /// WQEs handed to the NIC by posted rounds (see [`Self::doorbells`]);
-    /// verbs issued through synchronous single-verb calls are not included.
-    /// A WQE *flushed* behind an errored one (the flush rule of
-    /// [`crate::wqe`]) was posted, so it counts here and in
-    /// [`Self::signalled_wqes`]/[`Self::unsignalled_wqes`] — but it never
-    /// left the NIC: no node counts a message for it, and it is no fault in
-    /// [`FaultSnapshot`].
-    pub fn batched_verbs(&self) -> u64 {
-        self.batched_verbs.load(Ordering::Relaxed)
-    }
-
-    /// Most WQEs one posted round carried (see [`Self::doorbells`]).
-    pub fn largest_batch(&self) -> u64 {
-        self.largest_batch.load(Ordering::Relaxed)
-    }
-
-    /// Largest per-batch memory-node fan-out observed.
-    pub fn largest_fanout(&self) -> u64 {
-        self.largest_fanout.load(Ordering::Relaxed)
-    }
-
     /// Records one WQE handed to the NIC, signalled or unsignalled.
     pub fn record_wqe(&self, signalled: bool) {
-        if signalled {
-            self.signalled_wqes.fetch_add(1, Ordering::Relaxed);
+        let wqes = if signalled {
+            &self.traffic.signalled_wqes
         } else {
-            self.unsignalled_wqes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one successful completion-queue poll.
-    pub fn record_cq_poll(&self) {
-        self.cq_polls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// WQEs posted signalled so far.
-    pub fn signalled_wqes(&self) -> u64 {
-        self.signalled_wqes.load(Ordering::Relaxed)
-    }
-
-    /// WQEs posted unsignalled so far.
-    pub fn unsignalled_wqes(&self) -> u64 {
-        self.unsignalled_wqes.load(Ordering::Relaxed)
-    }
-
-    /// Successful completion-queue polls so far.
-    pub fn cq_polls(&self) -> u64 {
-        self.cq_polls.load(Ordering::Relaxed)
+            &self.traffic.unsignalled_wqes
+        };
+        wqes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Mean WQEs per doorbell of the posted rounds — [`Self::batched_verbs`]
@@ -540,6 +538,11 @@ impl PoolStats {
         } else {
             self.batched_verbs() as f64 / doorbells as f64
         }
+    }
+
+    /// Snapshot of the operation and posted-round counters.
+    pub fn traffic(&self) -> TrafficSnapshot {
+        self.traffic.snapshot()
     }
 
     /// Records `bytes` of object data becoming resident on node `mn_id`.
@@ -575,132 +578,37 @@ impl PoolStats {
             .collect()
     }
 
-    /// Records `bytes` of bucket-array data copied by a stripe migration.
-    pub fn record_migrated_bytes(&self, bytes: u64) {
-        self.migrated_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Records one object of `bytes` bytes relocated between nodes.
     pub fn record_migrated_object(&self, bytes: u64) {
-        self.migrated_objects.fetch_add(1, Ordering::Relaxed);
-        self.migrated_object_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
+        let m = &self.migration;
+        m.migrated_objects.fetch_add(1, Ordering::Relaxed);
+        m.migrated_object_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Records one committed stripe cutover.
-    pub fn record_stripe_cutover(&self) {
-        self.stripe_cutovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Bucket-array bytes copied by stripe migrations so far.
-    pub fn migrated_bytes(&self) -> u64 {
-        self.migrated_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Objects relocated between nodes so far.
-    pub fn migrated_objects(&self) -> u64 {
-        self.migrated_objects.load(Ordering::Relaxed)
-    }
-
-    /// Object bytes relocated between nodes so far.
-    pub fn migrated_object_bytes(&self) -> u64 {
-        self.migrated_object_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Stripe cutovers committed so far.
-    pub fn stripe_cutovers(&self) -> u64 {
-        self.stripe_cutovers.load(Ordering::Relaxed)
+    /// Snapshot of the live-resize traffic counters.
+    pub fn migration_traffic(&self) -> MigrationSnapshot {
+        self.migration.snapshot()
     }
 
     /// Records one failed slot-CAS attempt that forces the issuing
     /// operation to retry, together with the simulated back-off it paid.
     pub fn record_cas_retry(&self, backoff_ns: u64) {
-        self.cas_retries.fetch_add(1, Ordering::Relaxed);
-        self.backoff_ns.fetch_add(backoff_ns, Ordering::Relaxed);
+        let c = &self.contention;
+        c.cas_retries.fetch_add(1, Ordering::Relaxed);
+        c.backoff_ns.fetch_add(backoff_ns, Ordering::Relaxed);
     }
 
     /// Records one completed [`crate::RemoteLock`] acquisition that needed
     /// `wait_retries` failed attempts and `backoff_ns` of simulated back-off
     /// before succeeding.
     pub fn record_lock_acquisition(&self, wait_retries: u64, backoff_ns: u64) {
-        self.lock_acquire_attempts
+        let c = &self.contention;
+        c.lock_acquire_attempts
             .fetch_add(wait_retries + 1, Ordering::Relaxed);
-        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        self.lock_wait_retries
+        c.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+        c.lock_wait_retries
             .fetch_add(wait_retries, Ordering::Relaxed);
-        self.backoff_ns.fetch_add(backoff_ns, Ordering::Relaxed);
-    }
-
-    /// Failed slot-CAS attempts recorded so far (lifetime).
-    pub fn cas_retries(&self) -> u64 {
-        self.cas_retries.load(Ordering::Relaxed)
-    }
-
-    /// Lock-acquisition attempts recorded so far (lifetime).
-    pub fn lock_acquire_attempts(&self) -> u64 {
-        self.lock_acquire_attempts.load(Ordering::Relaxed)
-    }
-
-    /// Successful lock acquisitions recorded so far (lifetime).
-    pub fn lock_acquisitions(&self) -> u64 {
-        self.lock_acquisitions.load(Ordering::Relaxed)
-    }
-
-    /// Failed, backed-off lock attempts recorded so far (lifetime).
-    pub fn lock_wait_retries(&self) -> u64 {
-        self.lock_wait_retries.load(Ordering::Relaxed)
-    }
-
-    /// Simulated back-off nanoseconds recorded so far (lifetime).
-    pub fn backoff_ns(&self) -> u64 {
-        self.backoff_ns.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the lifetime contention counters.  Diff two snapshots
-    /// ([`ContentionSnapshot::delta`]) for per-interval figures — these
-    /// counters survive [`PoolStats::reset`].
-    pub fn contention(&self) -> ContentionSnapshot {
-        ContentionSnapshot {
-            cas_retries: self.cas_retries(),
-            lock_acquire_attempts: self.lock_acquire_attempts(),
-            lock_acquisitions: self.lock_acquisitions(),
-            lock_wait_retries: self.lock_wait_retries(),
-            backoff_ns: self.backoff_ns(),
-        }
-    }
-
-    /// Records one verb to `mn_id` completing in error.
-    pub fn record_verb_failure(&self, mn_id: u16) {
-        if let Some(node) = self.verb_faults_per_node.get(mn_id as usize) {
-            node.fetch_add(1, Ordering::Relaxed);
-        }
-        self.verb_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one verb to `mn_id` timing out.
-    pub fn record_verb_timeout(&self, mn_id: u16) {
-        if let Some(node) = self.verb_faults_per_node.get(mn_id as usize) {
-            node.fetch_add(1, Ordering::Relaxed);
-        }
-        self.verb_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one higher-layer retry of a faulted verb and the simulated
-    /// back-off paid before it.
-    pub fn record_verb_retry(&self, backoff_ns: u64) {
-        self.verb_retries.fetch_add(1, Ordering::Relaxed);
-        self.retry_backoff_ns
-            .fetch_add(backoff_ns, Ordering::Relaxed);
-    }
-
-    /// Records one expired lock lease taken over via CAS steal.
-    pub fn record_lock_steal(&self) {
-        self.lock_steals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one lock release fenced off by a newer lease epoch.
-    pub fn record_fenced_release(&self) {
-        self.fenced_releases.fetch_add(1, Ordering::Relaxed);
+        c.backoff_ns.fetch_add(backoff_ns, Ordering::Relaxed);
     }
 
     /// Records one lock acquisition giving up with its retry budget spent:
@@ -709,23 +617,51 @@ impl PoolStats {
     /// `attempts == acquisitions + wait_retries` identity without an
     /// acquisition.
     pub fn record_lock_exhaustion(&self, wait_retries: u64, backoff_ns: u64) {
-        self.lock_exhaustions.fetch_add(1, Ordering::Relaxed);
-        self.lock_acquire_attempts
+        let c = &self.contention;
+        self.faults.lock_exhaustions.fetch_add(1, Ordering::Relaxed);
+        c.lock_acquire_attempts
             .fetch_add(wait_retries, Ordering::Relaxed);
-        self.lock_wait_retries
+        c.lock_wait_retries
             .fetch_add(wait_retries, Ordering::Relaxed);
-        self.backoff_ns.fetch_add(backoff_ns, Ordering::Relaxed);
+        c.backoff_ns.fetch_add(backoff_ns, Ordering::Relaxed);
     }
 
-    /// Records `locks` locks reclaimed from a crashed client.
-    pub fn record_locks_reclaimed(&self, locks: u64) {
-        self.locks_reclaimed.fetch_add(locks, Ordering::Relaxed);
+    /// Snapshot of the contention counters.
+    pub fn contention(&self) -> ContentionSnapshot {
+        self.contention.snapshot()
+    }
+
+    fn record_node_fault(&self, mn_id: u16) {
+        if let Some(node) = self.verb_faults_per_node.get(mn_id as usize) {
+            node.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Records one verb to `mn_id` completing in error.
+    pub fn record_verb_failure(&self, mn_id: u16) {
+        self.record_node_fault(mn_id);
+        self.faults.verb_failures.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one verb to `mn_id` timing out.
+    pub fn record_verb_timeout(&self, mn_id: u16) {
+        self.record_node_fault(mn_id);
+        self.faults.verb_timeouts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one higher-layer retry of a faulted verb and the simulated
+    /// back-off paid before it.
+    pub fn record_verb_retry(&self, backoff_ns: u64) {
+        let f = &self.faults;
+        f.verb_retries.fetch_add(1, Ordering::Relaxed);
+        f.retry_backoff_ns.fetch_add(backoff_ns, Ordering::Relaxed);
     }
 
     /// Records one orphaned object of `bytes` bytes swept by recovery.
     pub fn record_recovered_object(&self, bytes: u64) {
-        self.recovered_objects.fetch_add(1, Ordering::Relaxed);
-        self.recovered_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let f = &self.faults;
+        f.recovered_objects.fetch_add(1, Ordering::Relaxed);
+        f.recovered_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Faulted verbs attributed to node `mn_id` so far (lifetime).
@@ -736,69 +672,48 @@ impl PoolStats {
             .unwrap_or(0)
     }
 
-    /// Snapshot of the lifetime fault / retry / recovery counters.  Diff
-    /// two snapshots ([`FaultSnapshot::delta`]) for per-interval figures —
-    /// these counters survive [`PoolStats::reset`].
+    /// Snapshot of the fault / retry / recovery counters.
     pub fn faults(&self) -> FaultSnapshot {
-        FaultSnapshot {
-            verb_failures: self.verb_failures.load(Ordering::Relaxed),
-            verb_timeouts: self.verb_timeouts.load(Ordering::Relaxed),
-            verb_retries: self.verb_retries.load(Ordering::Relaxed),
-            retry_backoff_ns: self.retry_backoff_ns.load(Ordering::Relaxed),
-            lock_steals: self.lock_steals.load(Ordering::Relaxed),
-            fenced_releases: self.fenced_releases.load(Ordering::Relaxed),
-            lock_exhaustions: self.lock_exhaustions.load(Ordering::Relaxed),
-            locks_reclaimed: self.locks_reclaimed.load(Ordering::Relaxed),
-            recovered_objects: self.recovered_objects.load(Ordering::Relaxed),
-            recovered_bytes: self.recovered_bytes.load(Ordering::Relaxed),
-        }
+        self.faults.snapshot()
     }
 
     /// Records one flight-recorder span; `dropped` when it overwrote an
     /// older span, `wrapped` when the overwrite started a new lap of the
     /// ring (see [`crate::obs::FlightRecorder::push`]).
     pub fn record_span(&self, dropped: bool, wrapped: bool) {
-        self.spans_recorded.fetch_add(1, Ordering::Relaxed);
+        let o = &self.obs;
+        o.spans_recorded.fetch_add(1, Ordering::Relaxed);
         if dropped {
-            self.spans_dropped.fetch_add(1, Ordering::Relaxed);
+            o.spans_dropped.fetch_add(1, Ordering::Relaxed);
         }
         if wrapped {
-            self.recorder_wraps.fetch_add(1, Ordering::Relaxed);
+            o.recorder_wraps.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Records one structured event landing in the pool event log;
     /// `dropped` when it overwrote an older event.
     pub fn record_event_logged(&self, dropped: bool) {
-        self.events_recorded.fetch_add(1, Ordering::Relaxed);
+        self.obs.events_recorded.fetch_add(1, Ordering::Relaxed);
         if dropped {
-            self.events_dropped.fetch_add(1, Ordering::Relaxed);
+            self.obs.events_dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Records the sampling decision the armed flight recorder made for
     /// one op (see [`DmConfig::flight_recorder_sample_one_in`]).
     pub fn record_op_sampled(&self, sampled: bool) {
-        if sampled {
-            self.ops_sampled.fetch_add(1, Ordering::Relaxed);
+        let ops = if sampled {
+            &self.obs.ops_sampled
         } else {
-            self.ops_skipped.fetch_add(1, Ordering::Relaxed);
-        }
+            &self.obs.ops_skipped
+        };
+        ops.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshot of the lifetime observability self-accounting counters.
-    /// Diff two snapshots ([`ObsSnapshot::delta`]) for per-interval figures
-    /// — these counters survive [`PoolStats::reset`].
+    /// Snapshot of the observability self-accounting counters.
     pub fn obs(&self) -> ObsSnapshot {
-        ObsSnapshot {
-            spans_recorded: self.spans_recorded.load(Ordering::Relaxed),
-            spans_dropped: self.spans_dropped.load(Ordering::Relaxed),
-            recorder_wraps: self.recorder_wraps.load(Ordering::Relaxed),
-            events_recorded: self.events_recorded.load(Ordering::Relaxed),
-            events_dropped: self.events_dropped.load(Ordering::Relaxed),
-            ops_sampled: self.ops_sampled.load(Ordering::Relaxed),
-            ops_skipped: self.ops_skipped.load(Ordering::Relaxed),
-        }
+        self.obs.snapshot()
     }
 
     /// The pool-wide span-latency histogram for `phase`, merged in from
@@ -833,7 +748,7 @@ impl PoolStats {
 
     /// Records a completed application-level operation with its latency.
     pub fn record_op(&self, latency_ns: u64) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
+        self.traffic.ops.fetch_add(1, Ordering::Relaxed);
         self.op_latency.record(latency_ns);
     }
 
@@ -852,11 +767,6 @@ impl PoolStats {
     /// Registers that a new client connected (used for ids and reporting).
     pub fn next_client_id(&self) -> u64 {
         self.clients_spawned.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Number of application-level operations recorded so far.
-    pub fn ops(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
     }
 
     /// The shared operation-latency histogram.
@@ -898,7 +808,10 @@ impl PoolStats {
             .saturating_sub(self.clock_baseline_ns())
     }
 
-    /// Resets the per-interval counters and the latency histogram.
+    /// Starts a new measurement interval: zeroes every `interval` row (see
+    /// the [module docs](crate::stats)) and the operation-latency histogram.
+    /// `lifetime` rows, the per-node resident-byte gauges and fault
+    /// attribution, and the per-phase span histograms are left alone.
     ///
     /// The clock baseline advances to the largest clock published so far, so
     /// clients connected after the reset continue from that point in
@@ -907,63 +820,61 @@ impl PoolStats {
     /// # Concurrency
     ///
     /// Safe (but racy) under live clients: the clock high-water mark
-    /// (`max_client_clock_ns`) is monotone and never zeroed, and the
-    /// baseline only ever advances *to* it with a `fetch_max` — so a
+    /// (`max_client_clock_ns`) is monotone and never zeroed — a concurrent
+    /// publish racing a store could be lost, leaving the baseline ahead of
+    /// every later publish and elapsed time stuck at zero — and the
+    /// baseline only ever advances *to* it with a `fetch_max`, so a
     /// [`PoolStats::publish_client_clock`] racing the reset lands either
     /// before the baseline capture (attributed to the old interval) or
     /// after it (attributed to the new one).  Either way the baseline can
     /// never exceed the high-water mark and `elapsed_client_ns` never
-    /// underflows or goes negative-forever.  The traffic counters are
-    /// plain relaxed stores; verbs racing the reset may land in either
-    /// interval, which only blurs the boundary, not the totals.
-    ///
-    /// The per-node `resident_bytes` gauges (pool state), the contention
-    /// counters (see [`PoolStats::contention`]), the fault / retry /
-    /// recovery counters (see [`PoolStats::faults`]) and the observability
-    /// self-accounting counters (see [`PoolStats::obs`]: spans recorded /
-    /// dropped, recorder wraps, events recorded / dropped, ops sampled /
-    /// skipped) deliberately survive — a recorder that wrapped or an event
-    /// log that overflowed during warm-up must stay visible to the
-    /// measured phase.  The per-phase span-latency histograms (see
-    /// [`PoolStats::phase_latency`]) survive too: they are fed from
-    /// (sampled) flight-recorder spans and describe the whole run, not a
-    /// measurement interval.
+    /// underflows.  The traffic counters are plain relaxed stores; verbs
+    /// racing the reset may land in either interval, which only blurs the
+    /// boundary, not the totals.
     pub fn reset(&self) {
         self.clock_baseline_ns.fetch_max(
             self.max_client_clock_ns.load(Ordering::Relaxed),
             Ordering::Relaxed,
         );
-        for n in &self.nodes {
-            n.messages.store(0, Ordering::Relaxed);
-            n.reads.store(0, Ordering::Relaxed);
-            n.writes.store(0, Ordering::Relaxed);
-            n.cas.store(0, Ordering::Relaxed);
-            n.faa.store(0, Ordering::Relaxed);
-            n.rpcs.store(0, Ordering::Relaxed);
-            n.rpc_cpu_ns.store(0, Ordering::Relaxed);
-            n.bytes.store(0, Ordering::Relaxed);
-            n.doorbells.store(0, Ordering::Relaxed);
-        }
-        self.ops.store(0, Ordering::Relaxed);
+        self.nodes.iter().for_each(NodeStats::reset);
         self.op_latency.reset();
-        // `max_client_clock_ns` is deliberately NOT zeroed: a concurrent
-        // publish racing the store could be lost, leaving the baseline
-        // (captured above) ahead of every later publish and elapsed time
-        // permanently stuck at zero.  The mark stays monotone; elapsed time
-        // is always measured against the baseline.
-        self.doorbells.store(0, Ordering::Relaxed);
-        self.batched_verbs.store(0, Ordering::Relaxed);
-        self.largest_batch.store(0, Ordering::Relaxed);
-        self.largest_fanout.store(0, Ordering::Relaxed);
-        self.signalled_wqes.store(0, Ordering::Relaxed);
-        self.unsignalled_wqes.store(0, Ordering::Relaxed);
-        self.cq_polls.store(0, Ordering::Relaxed);
-        // Migration *traffic* counters reset with the interval; the per-node
-        // resident byte gauges are pool state and deliberately survive.
-        self.migrated_bytes.store(0, Ordering::Relaxed);
-        self.migrated_objects.store(0, Ordering::Relaxed);
-        self.migrated_object_bytes.store(0, Ordering::Relaxed);
-        self.stripe_cutovers.store(0, Ordering::Relaxed);
+        self.traffic.reset();
+        self.migration.reset();
+        self.contention.reset();
+        self.faults.reset();
+        self.obs.reset();
+    }
+
+    /// Appends every counter group's series to a text exposition page (the
+    /// counter half of [`crate::obs::text_exposition`]).
+    pub fn write_exposition(&self, out: &mut String) {
+        self.traffic.write_exposition(out);
+        let nodes = &self.nodes[..self.num_nodes()];
+        let values: Vec<Vec<u64>> = nodes.iter().map(NodeStats::values).collect();
+        for (i, row) in NodeStats::ROWS.iter().enumerate() {
+            let series = values.iter().map(|node| node[i]);
+            obs::write_labelled_series(out, row.name, row.help, row.kind, "node", series);
+        }
+        obs::write_labelled_series(
+            out,
+            "ditto_node_resident_bytes",
+            "Resident object bytes per memory node (gauge; survives resets).",
+            "gauge",
+            "node",
+            self.resident_bytes().into_iter(),
+        );
+        obs::write_labelled_series(
+            out,
+            "ditto_node_verb_faults_total",
+            "Faulted verbs attributed per memory node (lifetime).",
+            "counter",
+            "node",
+            (0..nodes.len()).map(|mn| self.verb_faults_on(mn as u16)),
+        );
+        self.contention.write_exposition(out);
+        self.faults.write_exposition(out);
+        self.migration.write_exposition(out);
+        self.obs.write_exposition(out);
     }
 }
 
@@ -1191,14 +1102,52 @@ mod tests {
         assert_eq!(delta.verb_failures, 0);
     }
 
+    /// Every row was bumped, and `reset` zeroed the `interval` rows only.
+    fn assert_reset_policy(rows: &[CounterRow], before: &[u64], after: &[u64]) {
+        assert_eq!(rows.len(), before.len());
+        for ((row, &was), &is) in rows.iter().zip(before).zip(after) {
+            assert_ne!(was, 0, "`{}` was never bumped", row.field);
+            let expected = if row.interval { 0 } else { was };
+            assert_eq!(is, expected, "`{}` after reset", row.field);
+        }
+    }
+
     #[test]
-    fn obs_counters_document_and_honor_reset_survival() {
-        // Audit: every observability self-accounting counter is lifetime —
-        // it must survive reset() exactly like the contention and fault
-        // groups.  Exercised field by field so a new ObsSnapshot member
-        // cannot be added without extending this test (struct update syntax
-        // is deliberately avoided below).
-        let stats = PoolStats::new(1);
+    fn every_row_follows_its_reset_policy() {
+        // Walks the tables, so a new row cannot be added without a recorder
+        // call here: an unbumped row fails the audit.
+        let stats = PoolStats::new(2);
+        for kind in [
+            VerbKind::Read,
+            VerbKind::Write,
+            VerbKind::Cas,
+            VerbKind::Faa,
+            VerbKind::Rpc,
+        ] {
+            stats.record_verb(1, kind, 8);
+        }
+        stats.record_rpc_cpu(1, 700);
+        stats.record_node_doorbell(1);
+        stats.record_op(1_000);
+        stats.record_batch(3, 2);
+        stats.record_batch(1, 1);
+        stats.record_wqe(true);
+        stats.record_wqe(false);
+        stats.record_wqe(false);
+        stats.record_cq_poll();
+        stats.record_migrated_bytes(4_096);
+        stats.record_migrated_object(128);
+        stats.record_stripe_cutover();
+        stats.record_cas_retry(200);
+        stats.record_lock_acquisition(3, 5_000);
+        stats.record_verb_failure(0);
+        stats.record_verb_timeout(1);
+        stats.record_verb_retry(400);
+        stats.record_lock_steal();
+        stats.record_fenced_release();
+        stats.record_lock_exhaustion(4, 900);
+        stats.record_locks_reclaimed(3);
+        stats.record_recovered_object(128);
         stats.record_span(false, false);
         stats.record_span(true, false);
         stats.record_span(true, true);
@@ -1207,8 +1156,27 @@ mod tests {
         stats.record_op_sampled(true);
         stats.record_op_sampled(false);
         stats.record_op_sampled(false);
-        let before = stats.obs();
-        let expected = ObsSnapshot {
+
+        // What the hand-written recorders made of it.
+        let traffic = TrafficSnapshot {
+            ops: 1,
+            doorbells: 3,
+            batched_verbs: 4,
+            largest_batch: 3,
+            largest_fanout: 2,
+            signalled_wqes: 1,
+            unsignalled_wqes: 2,
+            cq_polls: 1,
+        };
+        assert_eq!(stats.traffic(), traffic);
+        let migration = MigrationSnapshot {
+            migrated_bytes: 4_096,
+            migrated_objects: 1,
+            migrated_object_bytes: 128,
+            stripe_cutovers: 1,
+        };
+        assert_eq!(stats.migration_traffic(), migration);
+        let obs = ObsSnapshot {
             spans_recorded: 3,
             spans_dropped: 2,
             recorder_wraps: 1,
@@ -1217,23 +1185,42 @@ mod tests {
             ops_sampled: 1,
             ops_skipped: 2,
         };
-        assert_eq!(before, expected);
+        assert_eq!(stats.obs(), obs);
+        let node = stats.node_snapshots()[1];
+        assert_eq!((node.messages, node.bytes, node.rpc_cpu_ns), (5, 40, 700));
+
+        let groups = |s: &PoolStats| {
+            [
+                (NodeStats::ROWS, s.nodes[1].values()),
+                (TrafficStats::ROWS, s.traffic.values()),
+                (MigrationStats::ROWS, s.migration.values()),
+                (ContentionStats::ROWS, s.contention.values()),
+                (FaultStats::ROWS, s.faults.values()),
+                (ObsStats::ROWS, s.obs.values()),
+            ]
+        };
+        let before = groups(&stats);
         stats.reset();
-        assert_eq!(stats.obs(), before, "obs counters are lifetime");
+        for ((rows, was), (_, is)) in before.iter().zip(groups(&stats)) {
+            assert_reset_policy(rows, was, &is);
+        }
+
+        // A snapshot's delta against itself is all zeros; against an earlier
+        // one it is what was recorded in between.
+        assert_eq!(node.delta(&node), NodeSnapshot::default());
+        assert_eq!(traffic.delta(&traffic), TrafficSnapshot::default());
+        assert_eq!(migration.delta(&migration), MigrationSnapshot::default());
+        assert_eq!(obs.delta(&obs), ObsSnapshot::default());
         stats.record_span(false, false);
         stats.record_event_logged(false);
         stats.record_op_sampled(true);
-        let delta = stats.obs().delta(&before);
         assert_eq!(
-            delta,
+            stats.obs().delta(&obs),
             ObsSnapshot {
                 spans_recorded: 1,
-                spans_dropped: 0,
-                recorder_wraps: 0,
                 events_recorded: 1,
-                events_dropped: 0,
                 ops_sampled: 1,
-                ops_skipped: 0,
+                ..ObsSnapshot::default()
             }
         );
     }
