@@ -250,19 +250,19 @@ counter_table! {
     /// WRITE verbs.
     writes: interval, counter "ditto_node_writes_total" "WRITE verbs per memory node.";
     /// CAS verbs.
-    cas: interval, counter "" "";
+    cas: interval, counter "ditto_node_cas_total" "CAS verbs per memory node.";
     /// FAA verbs.
-    faa: interval, counter "" "";
+    faa: interval, counter "ditto_node_faa_total" "FAA verbs per memory node.";
     /// RPC requests.
-    rpcs: interval, counter "" "";
+    rpcs: interval, counter "ditto_node_rpcs_total" "RPC requests per memory node.";
     /// Controller CPU time consumed by RPC handlers, in nanoseconds.
-    rpc_cpu_ns: interval, counter "" "";
+    rpc_cpu_ns: interval, counter "ditto_node_rpc_cpu_simulated_nanoseconds_total" "Controller CPU spent in RPC handlers per memory node, in simulated nanoseconds.";
     /// Bytes moved to/from this node.
-    bytes: interval, counter "" "";
+    bytes: interval, counter "ditto_node_bytes_total" "Payload bytes moved to or from each memory node.";
     /// Doorbells rung at this node's RNIC: one per posted round
     /// ([`crate::WorkQueue::ring`]) that includes at least one WQE for this
     /// node.  A synchronous single-verb call is not included.
-    doorbells: interval, counter "" "";
+    doorbells: interval, counter "ditto_node_doorbells_total" "Doorbells rung at each memory node's RNIC by posted rounds.";
 }
 
 impl NodeStats {
@@ -307,9 +307,9 @@ counter_table! {
     /// [`FaultSnapshot`].
     batched_verbs: interval, counter "ditto_batched_verbs_total" "WQEs handed to the NIC by posted rounds (synchronous single-verb calls are not included).";
     /// Most WQEs one posted round carried (see [`PoolStats::doorbells`]).
-    largest_batch: interval, gauge "" "";
+    largest_batch: interval, gauge "ditto_largest_batch" "Most WQEs one posted round carried.";
     /// Largest per-round memory-node fan-out observed.
-    largest_fanout: interval, gauge "" "";
+    largest_fanout: interval, gauge "ditto_largest_fanout" "Most memory nodes one posted round fanned out to.";
     /// WQEs posted *signalled* (their completion is polled from the CQ).
     signalled_wqes: interval, counter "ditto_signalled_wqes_total" "WQEs posted signalled.";
     /// WQEs posted *unsignalled* (fire-and-forget; never waited for).
@@ -332,7 +332,7 @@ counter_table! {
     /// Objects relocated between nodes (migration pump + cooperative Get).
     migrated_objects: interval, counter "ditto_migrated_objects_total" "Objects relocated between memory nodes.";
     /// Object bytes relocated between nodes.
-    migrated_object_bytes: interval, counter "" "";
+    migrated_object_bytes: interval, counter "ditto_migrated_object_bytes_total" "Object bytes relocated between memory nodes.";
     /// Stripe cutovers committed (source → destination switches).
     stripe_cutovers: interval, counter "ditto_stripe_cutovers_total" "Stripe cutovers committed.", bump record_stripe_cutover;
 }
@@ -378,7 +378,7 @@ counter_table! {
     /// Higher-layer retries of faulted verbs.
     verb_retries: lifetime, counter "ditto_verb_retries_total" "Higher-layer retries of faulted verbs (lifetime).";
     /// Simulated nanoseconds spent backing off between verb retries.
-    retry_backoff_ns: lifetime, counter "" "";
+    retry_backoff_ns: lifetime, counter "ditto_retry_backoff_simulated_nanoseconds_total" "Simulated nanoseconds spent backing off between verb retries (lifetime).";
     /// Expired lock leases taken over via CAS steal.
     lock_steals: lifetime, counter "ditto_lock_steals_total" "Expired lock leases taken over via CAS steal (lifetime).", bump record_lock_steal;
     /// Lock releases fenced off because the lease had been stolen.
