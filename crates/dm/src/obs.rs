@@ -805,9 +805,6 @@ pub fn write_metric(
 /// `values` holds the rows' values in table order.
 pub fn write_rows(out: &mut String, rows: &[CounterRow], values: &[u64]) {
     for (row, value) in rows.iter().zip(values) {
-        if row.name.is_empty() {
-            continue;
-        }
         write_metric(out, row.name, row.help, row.kind, value);
     }
 }
@@ -822,9 +819,6 @@ pub fn write_labelled_series(
     label: &str,
     values: impl Iterator<Item = u64>,
 ) {
-    if name.is_empty() {
-        return;
-    }
     write_metric_header(out, name, help, kind);
     for (i, value) in values.enumerate() {
         out.push_str(&format!("{name}{{{label}=\"{i}\"}} {value}\n"));
