@@ -8,10 +8,13 @@
 //! Local and global weights therefore drift slightly between syncs, which the
 //! paper shows does not hurt adaptivity.
 
+use crate::history::expert_bitmap;
+use ditto_algorithms::{CacheAlgorithm, Metadata};
 use ditto_dm::rpc::{wire, RpcHandler, RpcOutcome};
 use ditto_dm::{DmError, DmResult, MemoryNode};
 use parking_lot::Mutex;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Lowest weight an expert can decay to; keeps a losing expert exploratory
 /// rather than permanently silenced (as in LeCaR).
@@ -19,6 +22,46 @@ pub const MIN_WEIGHT: f64 = 0.01;
 
 /// Controller CPU cost of one weight-update RPC, in nanoseconds.
 const WEIGHT_RPC_CPU_NS: u64 = 1_500;
+
+/// Upper bound on configured experts (the expert bitmap is 64 bits wide).
+pub(crate) const MAX_EXPERTS: usize = u64::BITS as usize;
+
+/// The expert vote of one eviction.  Every expert names the candidate with
+/// its lowest `priority(metadata, now)` (the first, among equals); the victim
+/// is the pick of expert `chosen`; the bitmap marks every expert whose own
+/// pick is that victim — the experts a later regret on it penalises.
+///
+/// Returns `(index of the victim in candidates, expert bitmap)`.  Pure and
+/// allocation-free: the one policy core behind [`crate::DittoClient`]'s
+/// eviction and [`crate::SimCache`]'s.  `chosen` is passed in so that each
+/// caller draws it ([`ExpertWeights::choose_expert`]) where its RNG sequence
+/// always has.
+pub fn expert_vote(
+    experts: &[Arc<dyn CacheAlgorithm>],
+    candidates: &[Metadata],
+    now: u64,
+    chosen: usize,
+) -> (usize, u64) {
+    let mut picks = [0usize; MAX_EXPERTS];
+    let picks = &mut picks[..experts.len()];
+    for (pick, expert) in picks.iter_mut().zip(experts) {
+        let mut best_priority = f64::INFINITY;
+        for (i, metadata) in candidates.iter().enumerate() {
+            let priority = expert.priority(metadata, now);
+            if priority < best_priority {
+                best_priority = priority;
+                *pick = i;
+            }
+        }
+    }
+    let victim = picks[chosen.min(picks.len() - 1)];
+    let agreeing = picks
+        .iter()
+        .enumerate()
+        .filter(|(_, pick)| **pick == victim);
+    let bitmap = agreeing.fold(0, |bitmap, (i, _)| expert_bitmap::with_expert(bitmap, i));
+    (victim, bitmap)
+}
 
 /// Per-client expert weights plus the lazy-update penalty buffer.
 #[derive(Debug, Clone)]
@@ -83,7 +126,7 @@ impl ExpertWeights {
     pub fn apply_regret(&mut self, expert_bitmap: u64, position: u64) -> bool {
         let penalty = self.discount.powf(position as f64);
         for i in 0..self.weights.len() {
-            if crate::history::expert_bitmap::contains(expert_bitmap, i) {
+            if expert_bitmap::contains(expert_bitmap, i) {
                 self.weights[i] *= (-self.learning_rate * penalty).exp();
                 self.pending_penalties[i] += penalty;
             }
@@ -249,6 +292,107 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The client's former loop: candidates held as decoded slots, picks
+    /// compared by position.
+    fn vote_over_slots(
+        experts: &[Arc<dyn CacheAlgorithm>],
+        slots: &[crate::slot::Slot],
+        now: u64,
+        chosen: usize,
+    ) -> (usize, u64) {
+        let mut picks = Vec::new();
+        for expert in experts {
+            let (mut best, mut best_priority) = (0, f64::INFINITY);
+            for (i, slot) in slots.iter().enumerate() {
+                let p = expert.priority(&slot.metadata(), now);
+                if p < best_priority {
+                    (best, best_priority) = (i, p);
+                }
+            }
+            picks.push(best);
+        }
+        let victim = picks[chosen.min(picks.len() - 1)];
+        let bitmap = (0..picks.len())
+            .filter(|i| picks[*i] == victim)
+            .fold(0, expert_bitmap::with_expert);
+        (victim, bitmap)
+    }
+
+    /// The simulator's former loop: candidates held as sampled indices into
+    /// its entry table, picks compared by table index.
+    fn vote_over_sampled(
+        experts: &[Arc<dyn CacheAlgorithm>],
+        table: &[Metadata],
+        sampled: &[usize],
+        now: u64,
+        chosen: usize,
+    ) -> (usize, u64) {
+        let mut picks = Vec::new();
+        for expert in experts {
+            let (mut best, mut best_priority) = (sampled[0], f64::INFINITY);
+            for &idx in sampled {
+                let p = expert.priority(&table[idx], now);
+                if p < best_priority {
+                    (best, best_priority) = (idx, p);
+                }
+            }
+            picks.push(best);
+        }
+        let victim = picks[chosen.min(picks.len() - 1)];
+        let bitmap = (0..picks.len())
+            .filter(|i| picks[*i] == victim)
+            .fold(0, expert_bitmap::with_expert);
+        (victim, bitmap)
+    }
+
+    #[test]
+    fn expert_vote_is_what_both_callers_wrote_out() {
+        use crate::slot::{AtomicField, Slot};
+        let experts: Vec<Arc<dyn CacheAlgorithm>> = ["lru", "lfu", "fifo"]
+            .iter()
+            .map(|name| ditto_algorithms::registry::by_name(name).unwrap())
+            .collect();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut agreed_by_all = 0;
+        for round in 0..500u64 {
+            let now = 1_000_000 + round;
+            // Few distinct values, so priorities tie and the first must win.
+            let table: Vec<Slot> = (0..12)
+                .map(|_| Slot {
+                    atomic: AtomicField::EMPTY,
+                    hash: 0,
+                    insert_ts: rng.gen_range(0..4u64) * 1_000,
+                    last_ts: 4_000 + rng.gen_range(0..4u64) * 1_000,
+                    freq: rng.gen_range(1..4u64),
+                })
+                .collect();
+            let mut sampled: Vec<usize> = Vec::new();
+            while sampled.len() < 5 {
+                let idx = rng.gen_range(0..table.len());
+                if !sampled.contains(&idx) {
+                    sampled.push(idx);
+                }
+            }
+            let slots: Vec<Slot> = sampled.iter().map(|idx| table[*idx]).collect();
+            let metadata: Vec<Metadata> = slots.iter().map(Slot::metadata).collect();
+            let entries: Vec<Metadata> = table.iter().map(Slot::metadata).collect();
+            for chosen in 0..experts.len() {
+                let (victim, bitmap) = expert_vote(&experts, &metadata, now, chosen);
+                assert_eq!(
+                    (victim, bitmap),
+                    vote_over_slots(&experts, &slots, now, chosen)
+                );
+                assert_eq!(
+                    (sampled[victim], bitmap),
+                    vote_over_sampled(&experts, &entries, &sampled, now, chosen)
+                );
+                assert!(expert_bitmap::contains(bitmap, chosen));
+                agreed_by_all += u64::from(bitmap == 0b111);
+            }
+        }
+        assert!(agreed_by_all > 0 && agreed_by_all < 1_500);
+    }
 
     #[test]
     fn weights_start_uniform_and_sum_to_one() {

@@ -63,7 +63,7 @@
 //! Every operation revalidates the client's placement snapshot against the
 //! pool's resize epoch, picking up online `add_node`/`drain_node` calls.
 
-use crate::adaptive::{weight_wire, ExpertWeights};
+use crate::adaptive::{expert_vote, weight_wire, ExpertWeights, MAX_EXPERTS};
 use crate::cache::MigrationProgress;
 use crate::cache::{DittoCache, JOURNAL_SLOTS, JOURNAL_SLOT_BYTES};
 use crate::config::DittoConfig;
@@ -159,8 +159,10 @@ const SEARCH_SLOTS: usize = 2 * SLOTS_PER_BUCKET;
 /// soon as it holds ≥2 candidates, so it can reach at most
 /// `1 + MAX_SAMPLE_SIZE` entries (plus headroom).
 const CANDIDATES_CAP: usize = 2 * DittoConfig::MAX_SAMPLE_SIZE;
-/// Upper bound on configured experts (the expert bitmap is 64 bits wide).
-const MAX_EXPERTS: usize = 64;
+
+/// How many misses may elapse before a client refreshes its cached copy of a
+/// history shard's global counter.
+const HISTORY_COUNTER_REFRESH: u64 = 256;
 
 type SearchSlots = InlineVec<(RemoteAddr, Slot), SEARCH_SLOTS>;
 type Candidates = InlineVec<(RemoteAddr, Slot), CANDIDATES_CAP>;
@@ -915,9 +917,7 @@ impl DittoClient {
                 hot,
                 out,
             );
-            if self.config.enable_cooperative_migration
-                && !self.topology.is_active(slot.atomic.object_addr().mn_id)
-            {
+            if !self.topology.is_active(slot.atomic.object_addr().mn_id) {
                 // Cooperative migration: this hit's object lives on a
                 // drained node — re-place it onto an active one right now
                 // (the bytes are already in hand) instead of waiting for an
@@ -1217,8 +1217,7 @@ impl DittoClient {
     fn refresh_counter_estimate(&mut self, shard: u64) -> u64 {
         let idx = shard as usize;
         if !self.counters_known[idx]
-            || self.miss_count - self.last_refresh_miss_count[idx]
-                >= self.config.history_counter_refresh
+            || self.miss_count - self.last_refresh_miss_count[idx] >= HISTORY_COUNTER_REFRESH
         {
             // A faulted refresh keeps the stale estimate: adaptation lags a
             // little, nothing breaks (the next refresh interval retries).
@@ -1925,31 +1924,12 @@ impl DittoClient {
         if let Some(oldest_idle) = metadata.iter().map(|m| m.idle(now)).max() {
             self.eviction_age.observe_eviction(oldest_idle);
         }
-        let mut picks: InlineVec<usize, MAX_EXPERTS> = InlineVec::new();
-        for expert in self.experts.iter() {
-            let mut best = 0usize;
-            let mut best_priority = f64::INFINITY;
-            for (i, m) in metadata.iter().enumerate() {
-                let p = expert.priority(m, now);
-                if p < best_priority {
-                    best_priority = p;
-                    best = i;
-                }
-            }
-            picks.push(best);
-        }
         let chosen = if self.config.adaptive {
             self.weights.choose_expert(&mut self.rng)
         } else {
             0
         };
-        let victim_idx = picks[chosen.min(picks.len() - 1)];
-        let mut bitmap = 0u64;
-        for (i, pick) in picks.iter().enumerate() {
-            if *pick == victim_idx {
-                bitmap = expert_bitmap::with_expert(bitmap, i);
-            }
-        }
+        let (victim_idx, bitmap) = expert_vote(&self.experts, &metadata, now, chosen);
         (victim_idx, bitmap, chosen)
     }
 

@@ -17,8 +17,6 @@ pub struct DittoConfig {
     pub avg_object_size: u32,
     /// Extra bytes per object (key + object header), used to size the pool.
     pub object_overhead_bytes: u32,
-    /// Hash-table slots allocated per cached object (live + history slots).
-    pub slots_per_object: f64,
     /// Number of objects sampled per eviction (K).
     pub sample_size: usize,
     /// Length of the logical FIFO eviction history; 0 means "equal to
@@ -68,15 +66,6 @@ pub struct DittoConfig {
     /// is shared by every pumping client (see
     /// `ditto_dm::MigrationEngine::set_copy_rate`).
     pub migration_copy_bytes_per_sec: u64,
-    /// Cooperative migration on the data path: a `Get` that hits an object
-    /// resident on a *drained* (inactive) memory node re-places the object
-    /// onto an active node instead of waiting for an update or the
-    /// background migration pump — hot objects leave a draining node after
-    /// their first access.
-    pub enable_cooperative_migration: bool,
-    /// How many misses may elapse before a client refreshes its cached copy
-    /// of the global history counter.
-    pub history_counter_refresh: u64,
     /// Segment size (in objects) requested from the memory node at a time by
     /// each client's allocator.
     pub alloc_segment_objects: u64,
@@ -106,13 +95,17 @@ pub struct DittoConfig {
     pub cpu_local_hit_ns: u64,
 }
 
+/// Hash-table slots allocated per cached object (live + history slots): the
+/// density at which an eviction sample of consecutive slots holds enough
+/// live candidates.
+const SLOTS_PER_OBJECT: u64 = 3;
+
 impl Default for DittoConfig {
     fn default() -> Self {
         DittoConfig {
             capacity_objects: 100_000,
             avg_object_size: 256,
             object_overhead_bytes: 32,
-            slots_per_object: 3.0,
             sample_size: 5,
             history_size: 0,
             fc_threshold: 10,
@@ -128,8 +121,6 @@ impl Default for DittoConfig {
             cpu_decode_slot_ns: 20,
             cpu_score_candidate_ns: 30,
             migration_copy_bytes_per_sec: 0,
-            enable_cooperative_migration: true,
-            history_counter_refresh: 256,
             alloc_segment_objects: 16,
             enable_crash_recovery_journal: false,
             local_tier_capacity: 0,
@@ -231,7 +222,7 @@ impl DittoConfig {
 
     /// Number of hash-table buckets, rounded up to a power of two.
     pub fn num_buckets(&self) -> u64 {
-        let slots = (self.capacity_objects as f64 * self.slots_per_object).ceil() as u64;
+        let slots = self.capacity_objects * SLOTS_PER_OBJECT;
         let buckets = slots.div_ceil(crate::slot::SLOTS_PER_BUCKET as u64);
         buckets.next_power_of_two().max(4)
     }

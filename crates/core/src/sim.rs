@@ -10,7 +10,7 @@
 //! same rule for when a hit leaves `last_ts` alone ([`crate::recency`]), on
 //! its logical clock of one tick per request.
 
-use crate::adaptive::ExpertWeights;
+use crate::adaptive::{expert_vote, ExpertWeights};
 use crate::error::{CacheError, CacheResult};
 use crate::hash::FxHashMap;
 use crate::history::expert_bitmap;
@@ -142,8 +142,9 @@ pub struct SimCache {
     stats: SimStats,
     /// Reusable scratch for the indices sampled by one eviction.
     candidate_idx: Vec<usize>,
-    /// Reusable scratch for the per-expert victim picks.
-    picks: Vec<usize>,
+    /// Reusable scratch for the sampled entries' metadata, in
+    /// `candidate_idx` order.
+    candidates: Vec<Metadata>,
 }
 
 impl SimCache {
@@ -176,7 +177,6 @@ impl SimCache {
         let weights = ExpertWeights::new(experts.len(), config.learning_rate, discount, 1);
         let rng = StdRng::seed_from_u64(config.seed);
         let sample_size = config.sample_size.max(1);
-        let num_experts = experts.len();
         Ok(SimCache {
             experts,
             weights,
@@ -192,7 +192,7 @@ impl SimCache {
             stats: SimStats::default(),
             config,
             candidate_idx: Vec::with_capacity(sample_size),
-            picks: Vec::with_capacity(num_experts),
+            candidates: Vec::with_capacity(sample_size),
         })
     }
 
@@ -272,36 +272,21 @@ impl SimCache {
             }
         }
         let now = self.clock;
-        let idle = |idx: &usize| self.entries[&self.keys[*idx]].metadata.idle(now);
-        if let Some(oldest_idle) = self.candidate_idx.iter().map(idle).max() {
-            self.eviction_age.observe_eviction(oldest_idle);
+        self.candidates.clear();
+        for idx in &self.candidate_idx {
+            self.candidates
+                .push(self.entries[&self.keys[*idx]].metadata);
         }
-        self.picks.clear();
-        for expert in &self.experts {
-            let mut best = self.candidate_idx[0];
-            let mut best_priority = f64::INFINITY;
-            for &idx in &self.candidate_idx {
-                let m = &self.entries[&self.keys[idx]].metadata;
-                let p = expert.priority(m, now);
-                if p < best_priority {
-                    best_priority = p;
-                    best = idx;
-                }
-            }
-            self.picks.push(best);
+        if let Some(oldest_idle) = self.candidates.iter().map(|m| m.idle(now)).max() {
+            self.eviction_age.observe_eviction(oldest_idle);
         }
         let chosen = if self.config.adaptive {
             self.weights.choose_expert(&mut self.rng)
         } else {
             0
         };
-        let victim_idx = self.picks[chosen.min(self.picks.len() - 1)];
-        let mut bitmap = 0u64;
-        for (i, pick) in self.picks.iter().enumerate() {
-            if *pick == victim_idx {
-                bitmap = expert_bitmap::with_expert(bitmap, i);
-            }
-        }
+        let (pick, bitmap) = expert_vote(&self.experts, &self.candidates, now, chosen);
+        let victim_idx = self.candidate_idx[pick];
         // Swap-remove the victim key, taking ownership so nothing is cloned;
         // the entry moved into the vacated index is patched in place.
         let victim_key = self.keys.swap_remove(victim_idx);

@@ -480,13 +480,10 @@ impl DmClient {
     /// WQE — but is surfaced so callers *can* care (most ignore it: the
     /// write is best-effort metadata).
     pub fn try_write_async(&self, addr: RemoteAddr, data: &[u8]) -> DmResult<()> {
-        let cfg = self.pool.config();
         let node = self.node_checked(addr.mn_id)?;
-        if cfg.async_writes_consume_messages {
-            self.pool
-                .stats()
-                .record_verb(addr.mn_id, VerbKind::Write, data.len());
-        }
+        self.pool
+            .stats()
+            .record_verb(addr.mn_id, VerbKind::Write, data.len());
         let (_, err) = self.inject(addr.mn_id);
         if let Some(e) = err {
             let stats = self.pool.stats();

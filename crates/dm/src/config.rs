@@ -57,12 +57,6 @@ pub struct DmConfig {
     pub mn_message_rate: u64,
     /// CPU nanoseconds charged on the controller for a minimal RPC.
     pub rpc_base_cpu_ns: u64,
-    /// Whether asynchronous (unsignalled) WRITEs still consume a message slot.
-    ///
-    /// The paper posts metadata updates asynchronously; they leave the
-    /// critical path but still consume RNIC message rate, so this is `true`
-    /// by default.
-    pub async_writes_consume_messages: bool,
     /// How the pool topology maps stripes (bucket ranges, history shards,
     /// allocation homes) onto active memory nodes: static striping or
     /// rendezvous hashing (see [`crate::topology::PoolTopology`]).
@@ -110,7 +104,6 @@ impl Default for DmConfig {
             cq_poll_ns: 20,
             mn_message_rate: 40_000_000,
             rpc_base_cpu_ns: 700,
-            async_writes_consume_messages: true,
             placement: PlacementMode::Striped,
             fault: None,
             flight_recorder_spans: 0,
