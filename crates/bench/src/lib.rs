@@ -16,7 +16,6 @@ use ditto_workloads::{replay, CacheBackend, ReplayOptions, ReplayStats, Request}
 use serde::{Deserialize, Serialize};
 
 pub mod jsonv;
-pub mod timing;
 
 /// The systems compared across the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
