@@ -293,6 +293,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The chosen expert's pick and the experts that agree with it.
+    fn tally(picks: &[usize], chosen: usize) -> (usize, u64) {
+        let victim = picks[chosen.min(picks.len() - 1)];
+        let bitmap = (0..picks.len())
+            .filter(|i| picks[*i] == victim)
+            .fold(0, expert_bitmap::with_expert);
+        (victim, bitmap)
+    }
+
     /// The client's former loop: candidates held as decoded slots, picks
     /// compared by position.
     fn vote_over_slots(
@@ -312,11 +321,7 @@ mod tests {
             }
             picks.push(best);
         }
-        let victim = picks[chosen.min(picks.len() - 1)];
-        let bitmap = (0..picks.len())
-            .filter(|i| picks[*i] == victim)
-            .fold(0, expert_bitmap::with_expert);
-        (victim, bitmap)
+        tally(&picks, chosen)
     }
 
     /// The simulator's former loop: candidates held as sampled indices into
@@ -339,11 +344,7 @@ mod tests {
             }
             picks.push(best);
         }
-        let victim = picks[chosen.min(picks.len() - 1)];
-        let bitmap = (0..picks.len())
-            .filter(|i| picks[*i] == victim)
-            .fold(0, expert_bitmap::with_expert);
-        (victim, bitmap)
+        tally(&picks, chosen)
     }
 
     #[test]

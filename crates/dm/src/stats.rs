@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// One row of a [`counter_table!`](crate::counter_table), as the exposition
 /// writer and the reset-policy tests see it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct CounterRow {
     /// The field (and accessor) name.
     pub field: &'static str,
