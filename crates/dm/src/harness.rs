@@ -128,6 +128,31 @@ mod tests {
     }
 
     #[test]
+    fn throughput_does_not_drop_as_clients_join_an_unthrottled_pool() {
+        // A fixed budget per client: each added client adds its ops but
+        // none of the elapsed time, which is the slowest client's clock.
+        let pool = MemoryPool::new(DmConfig::small());
+        let addr = pool.reserve(64).unwrap();
+        let mut last = 0.0;
+        for clients in [1, 2, 4] {
+            let (report, _) = run_clients(&pool, clients, |ctx| {
+                for _ in 0..200 {
+                    ctx.client.begin_op();
+                    ctx.client.read(addr, 64);
+                    ctx.client.end_op();
+                }
+            });
+            assert_eq!(report.total_ops, 200 * clients as u64);
+            assert!(
+                report.throughput_mops >= last,
+                "{clients} clients: {} Mops after {last}",
+                report.throughput_mops
+            );
+            last = report.throughput_mops;
+        }
+    }
+
+    #[test]
     fn stats_are_reset_between_runs() {
         let pool = MemoryPool::new(DmConfig::small());
         let addr = pool.reserve(64).unwrap();

@@ -49,7 +49,7 @@
 
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{DittoCache, DittoConfig};
-use ditto::dm::DmConfig;
+use ditto::dm::{DmConfig, FaultPlan};
 use ditto::workloads::{Op, YcsbSpec, YcsbWorkload};
 
 /// What one replay must come out as.
@@ -68,23 +68,19 @@ struct Golden {
 
 /// Replays a YCSB mix (seed 11, 2 000 records, 12 000 requests, cache-aside
 /// fills on a miss) on a default-configured cache of `capacity` objects
-/// over `memory_nodes` nodes.  The YCSB-C replays' capacity is well below
+/// over the pool `dm` describes.  The YCSB-C replays' capacity is well below
 /// the touched key count, so they exercise eviction and the history
 /// machinery beside hits, and every `Set` of theirs is a fill that holds no
 /// hint; the YCSB-A replay has room for every record, so half its requests
 /// are replaces, nearly all of them through the client's own hint.
-fn replay(mix: YcsbWorkload, memory_nodes: u16, capacity: u64) -> Golden {
+fn replay(mix: YcsbWorkload, dm: DmConfig, capacity: u64) -> Golden {
     let spec = YcsbSpec {
         record_count: 2_000,
         request_count: 12_000,
         ..YcsbSpec::default()
     }
     .with_seed(11);
-    let cache = DittoCache::with_dedicated_pool(
-        DittoConfig::with_capacity(capacity),
-        DmConfig::default().with_memory_nodes(memory_nodes),
-    )
-    .unwrap();
+    let cache = DittoCache::with_dedicated_pool(DittoConfig::with_capacity(capacity), dm).unwrap();
     let mut client = cache.client();
     let mut value_buf = Vec::new();
     for (i, request) in spec.run_requests(mix).into_iter().enumerate() {
@@ -113,9 +109,8 @@ fn replay(mix: YcsbWorkload, memory_nodes: u16, capacity: u64) -> Golden {
     }
 }
 
-#[test]
-fn single_node_replay_matches_the_pipelined_path_to_the_nanosecond() {
-    let golden = Golden {
+fn single_node_golden() -> Golden {
+    Golden {
         clock_ns: 41_385_869,
         messages: 44_619,
         published: (0, 0),
@@ -136,8 +131,44 @@ fn single_node_replay_matches_the_pipelined_path_to_the_nanosecond() {
             local_stale_rejects: 0,
             expert_victories: vec![370, 355],
         },
-    };
-    assert_eq!(replay(YcsbWorkload::C, 1, 700), golden);
+    }
+}
+
+/// YCSB-A with room for every record: nothing is evicted, and of its 6 697
+/// `Set`s (626 of them fills after a miss) the 5 394 that replace a value
+/// this client still holds a hint for take one round trip — the WRITE and
+/// the CAS behind one doorbell — none of them mispredicted.
+fn update_heavy_golden() -> Golden {
+    Golden {
+        clock_ns: 36_215_958,
+        messages: 41_669,
+        published: (5_394, 0),
+        timestamps: (10_752, 0),
+        stats: CacheStatsSnapshot {
+            hits: 5_303,
+            misses: 626,
+            sets: 6_697,
+            evictions: 0,
+            bucket_evictions: 0,
+            history_inserts: 0,
+            regrets: 0,
+            weight_syncs: 0,
+            fc_flushes: 1_680,
+            local_hits: 0,
+            local_revalidations: 0,
+            local_invalidations: 0,
+            local_stale_rejects: 0,
+            expert_victories: vec![0, 0],
+        },
+    }
+}
+
+#[test]
+fn single_node_replay_matches_the_pipelined_path_to_the_nanosecond() {
+    assert_eq!(
+        replay(YcsbWorkload::C, DmConfig::default(), 700),
+        single_node_golden()
+    );
 }
 
 #[test]
@@ -167,38 +198,44 @@ fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
             expert_victories: vec![31, 31],
         },
     };
-    assert_eq!(replay(YcsbWorkload::C, 4, 350), golden);
+    assert_eq!(
+        replay(
+            YcsbWorkload::C,
+            DmConfig::default().with_memory_nodes(4),
+            350
+        ),
+        golden
+    );
 }
 
 #[test]
 fn update_heavy_replay_pins_the_replace_path_to_the_nanosecond() {
-    // YCSB-A with room for every record: nothing is evicted, and of its
-    // 6 697 `Set`s (626 of them fills after a miss) the 5 394 that replace a
-    // value this client still holds a hint for take one round trip — the
-    // WRITE and the CAS behind one doorbell — none of them mispredicted.
-    let golden = Golden {
-        clock_ns: 36_215_958,
-        messages: 41_669,
-        published: (5_394, 0),
-        timestamps: (10_752, 0),
-        stats: CacheStatsSnapshot {
-            hits: 5_303,
-            misses: 626,
-            sets: 6_697,
-            evictions: 0,
-            bucket_evictions: 0,
-            history_inserts: 0,
-            regrets: 0,
-            weight_syncs: 0,
-            fc_flushes: 1_680,
-            local_hits: 0,
-            local_revalidations: 0,
-            local_invalidations: 0,
-            local_stale_rejects: 0,
-            expert_victories: vec![0, 0],
-        },
+    assert_eq!(
+        replay(YcsbWorkload::A, DmConfig::default(), 3_000),
+        update_heavy_golden()
+    );
+}
+
+/// An *active* fault plan that cannot fire in the run — a slow-NIC window at
+/// the end of simulated time — puts every verb through the injector's
+/// per-verb path (`FaultInjector::is_active` is true) and must move nothing:
+/// injection is free when no fault fires, to the nanosecond.
+#[test]
+fn an_active_fault_plan_that_never_fires_moves_nothing() {
+    let idle = || {
+        DmConfig::default().with_fault_plan(FaultPlan::seeded(7).with_slow_nic(
+            0,
+            u64::MAX - 1,
+            u64::MAX,
+            300,
+        ))
     };
-    assert_eq!(replay(YcsbWorkload::A, 1, 3_000), golden);
+    assert!(idle().fault.as_ref().is_some_and(FaultPlan::is_active));
+    assert_eq!(replay(YcsbWorkload::C, idle(), 700), single_node_golden());
+    assert_eq!(
+        replay(YcsbWorkload::A, idle(), 3_000),
+        update_heavy_golden()
+    );
 }
 
 #[test]
