@@ -79,7 +79,6 @@ impl DittoCache {
         }
         let table = SampleFriendlyHashTable::create(&pool, config.num_buckets())?;
         let migration = Arc::new(MigrationEngine::new(&pool, Arc::clone(table.directory()))?);
-        migration.set_copy_rate(config.migration_copy_bytes_per_sec);
         let history = EvictionHistory::create(&pool, config.history_len())?;
         let scratch = pool.reserve(4096)?;
         let journal_base = if config.enable_crash_recovery_journal {

@@ -83,8 +83,8 @@ use ditto_algorithms::{AccessContext, AccessKind, CacheAlgorithm, Metadata, EXT_
 use ditto_dm::alloc::{AllocService, ClientAllocator};
 use ditto_dm::rpc::{ALLOC_SERVICE, WEIGHT_SERVICE};
 use ditto_dm::{
-    DmClient, DmError, DmResult, EventKind, MigrationEngine, MigrationState, Phase, PoolTopology,
-    RecoveryPhase, RemoteAddr, StripedAllocator,
+    DmClient, DmError, DmResult, EventKind, MigrationEngine, Phase, PoolTopology, RecoveryPhase,
+    RemoteAddr, StripedAllocator,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -209,13 +209,13 @@ pub struct DittoClient {
     /// the pool's resize epoch at every operation.
     topology: PoolTopology,
     topo_epoch: u64,
-    /// The bucket-range migration engine (shared with the cache); provides
-    /// the per-stripe locks of the dual-write protocol and the job queue
-    /// drained by [`DittoClient::pump_migration`].
+    /// The bucket-range migration engine (shared with the cache): the job
+    /// queue [`DittoClient::pump_migration`] drains and the stripe locks
+    /// recovery reclaims.
     engine: Arc<MigrationEngine>,
-    /// Stripe-directory version captured at the start of the current
-    /// operation; a bump since then means a cutover raced the operation
-    /// (client redirect rule 3 of `ditto_dm::migration`).
+    /// Stripe-directory version captured at the start of the current `Set`
+    /// attempt; a bump since then means a cutover raced the attempt (client
+    /// redirect rule 3 of `ditto_dm::migration`).
     mig_token: u64,
     use_extension: bool,
     /// Set once an allocation has seen the pool full; under pressure the
@@ -226,10 +226,11 @@ pub struct DittoClient {
     /// cap keeps at least this much parked per node so an evicting client
     /// does not hand the blocks it just freed straight back to the node.
     pending_alloc_blocks: u64,
-    /// Set by [`Self::resolve_stale_cas`] when a cutover-racing insert could
-    /// not be rolled back: another client displaced the slot word and freed
-    /// the object behind it, so the in-flight `Set` must re-allocate before
-    /// retrying and must not free the original allocation on exit.
+    /// Set by [`Self::take_back`] when a cutover-racing publish could not be
+    /// taken back: another client displaced the slot word and freed the
+    /// object behind it, or the slot still names it.  The in-flight `Set`
+    /// must re-allocate before retrying and must not free the original
+    /// allocation on exit.
     alloc_abandoned: bool,
     /// This client's crash-recovery journal slot
     /// ([`DittoConfig::enable_crash_recovery_journal`]); `None` when the
@@ -355,7 +356,6 @@ impl DittoClient {
     /// allocation-free.
     pub fn get_into(&mut self, key: &[u8], out: &mut Vec<u8>) -> bool {
         self.maybe_refresh_topology();
-        self.mig_token = self.table.directory().version();
         self.dm.begin_op();
         self.eviction_age.begin_op(self.dm.now_ns());
         let hit = self.get_inner(key, out);
@@ -384,7 +384,6 @@ impl DittoClient {
     /// Still panics on pool-sizing bugs (see [`DittoClient::set`]).
     pub fn try_set(&mut self, key: &[u8], value: &[u8]) -> CacheResult<()> {
         self.maybe_refresh_topology();
-        self.mig_token = self.table.directory().version();
         self.dm.begin_op();
         self.eviction_age.begin_op(self.dm.now_ns());
         let result = self.set_inner(key, value);
@@ -413,17 +412,12 @@ impl DittoClient {
     // Migration protocol (see `ditto_dm::migration`, client redirect rules)
     // ------------------------------------------------------------------
 
-    /// Asynchronous write of slot metadata, mirrored (best-effort, without
-    /// the lock) into the destination copy while the stripe is mid-move;
-    /// the commit's reconcile pass squares away any stragglers.
+    /// Asynchronous write of advisory slot metadata.  Best-effort by design
+    /// (the paper's "stateless information"): a faulted async WRITE — or
+    /// one a stripe reconcile READ before it landed — only loses one recency
+    /// update, so errors are ignored rather than retried.
     fn write_slot_meta(&self, addr: RemoteAddr, bytes: &[u8]) {
-        // Stateless metadata is best-effort by design (the paper's
-        // "stateless information"): a faulted async WRITE only loses one
-        // recency update, so errors are ignored rather than retried.
         let _ = self.dm.try_write_async(addr, bytes);
-        if let Some(mirror) = self.table.directory().mirror_of(addr) {
-            let _ = self.dm.try_write_async(mirror, bytes);
-        }
     }
 
     /// Charges the client CPU cost of decoding `slots` hash-table slots.
@@ -1131,12 +1125,11 @@ impl DittoClient {
         stored_ts: Option<u64>,
     ) -> u64 {
         let now = self.dm.now_ns();
-        // Stateless information: a single asynchronous WRITE (mirrored into
-        // the destination copy while the slot's stripe is mid-migration) —
-        // unsignalled, but a message on the node's NIC all the same, so it
-        // is left out while the stored timestamp is fresh enough for sampled
-        // LRU not to tell the difference ([`crate::recency`]); `fresh` is
-        // then that timestamp.
+        // Stateless information: a single asynchronous WRITE — unsignalled,
+        // but a message on the node's NIC all the same, so it is left out
+        // while the stored timestamp is fresh enough for sampled LRU not to
+        // tell the difference ([`crate::recency`]); `fresh` is then that
+        // timestamp.
         let fresh = stored_ts.filter(|&ts| {
             let age = self.eviction_age.estimate(now);
             recency::last_ts_is_fresh(now, ts, age, LAST_TS_DIVISOR)
@@ -1388,12 +1381,12 @@ impl DittoClient {
             // stale even against the stripe's fresh live home.
             self.mig_token = self.table.directory().version();
             if self.alloc_abandoned {
-                // The previous attempt's insert was displaced by an evictor
-                // mid-cutover, which freed the object (see
-                // `resolve_stale_cas`): re-allocate and rewrite the bytes
-                // before retrying.  (The eviction running ahead finished
-                // when that insert lost, below: two evictions must not
-                // share the completion queue.)
+                // The previous attempt's publish could not be taken back
+                // mid-cutover (see `take_back`): re-allocate and rewrite the
+                // bytes before retrying.  (The eviction running ahead has
+                // nothing in flight: an insert that lost settled its victim
+                // CAS below, and a bucket eviction never posts one.  Two
+                // evictions must not share the completion queue.)
                 self.alloc_abandoned = false;
                 obj_addr = self.alloc_with_eviction(preferred, encoded.len());
                 new_atomic = match AtomicField::try_for_object(fp, size_class as u8, obj_addr) {
@@ -1527,7 +1520,6 @@ impl DittoClient {
             // Invalidate the entry instead: the key misses until re-filled,
             // indistinguishable from an eviction.
             for _ in 0..MAX_RETRIES {
-                self.mig_token = self.table.directory().version();
                 let Ok(Lookup {
                     found: existing, ..
                 }) = self.search(hash, fp, None, None, None)
@@ -1674,9 +1666,9 @@ impl DittoClient {
     // ------------------------------------------------------------------
 
     /// Drives the bucket-range migration: takes up to `max_stripes` planned
-    /// stripe moves through `Copying → DualRead → Committed`, relocating
-    /// each stripe's resident objects to the destination node in the
-    /// `DualRead` window, then — once the plan is drained — sweeps objects
+    /// stripe moves, relocating each stripe's resident objects to the
+    /// destination node before its commit carries the bucket range over in
+    /// one reconcile pass, then — once the plan is drained — sweeps objects
     /// that allocator fallback left on inactive nodes.  Safe to call from
     /// any client at any time; `DittoCache::pump_migration` is the
     /// run-to-completion wrapper.
@@ -1689,31 +1681,18 @@ impl DittoClient {
         while budget > 0 {
             let Some(job) = engine.next_job() else { break };
             budget -= 1;
-            self.mig_token = self.table.directory().version();
-            match engine.begin(&self.dm, &job) {
-                Ok(true) => {}
-                // A requeued job whose stripe is already in DualRead (a
-                // previous pump's commit exhausted the stripe lock) looks
-                // "stale" to begin; resume it at the commit below instead
-                // of dropping it wedged.
-                Ok(false) if engine.directory().state(job.stripe) == MigrationState::DualRead => {}
-                Ok(false) => continue, // stale job (superseded plan)
-                Err(_) => {
-                    // The destination cannot host the stripe yet (or its
-                    // lock lease is wedged): put the job back so the plan
-                    // stays visibly incomplete, and stop this pump rather
-                    // than spinning on it.
-                    engine.requeue_job(job);
-                    break;
-                }
+            if !engine.begin(&job) {
+                continue; // stale job (superseded plan)
             }
             self.relocate_stripe_objects(job.stripe, Some(job.src), job.dst, &mut progress);
             match engine.commit(&self.dm, &job) {
-                Ok(()) => progress.stripes_moved += 1,
+                Ok(moved) => progress.stripes_moved += u64::from(moved),
                 Err(_) => {
-                    // Lock lease wedged mid-move: requeue so a later pump
-                    // (after recovery reclaims the lease) finishes the
-                    // stripe instead of leaving it in DualRead forever.
+                    // The destination cannot host the stripe yet, or the
+                    // stripe lock's lease is wedged: put the job back so the
+                    // plan stays visibly incomplete (a later pump — after
+                    // recovery reclaims the lease — finishes the stripe),
+                    // and stop this pump rather than spin on it.
                     engine.requeue_job(job);
                     break;
                 }
@@ -1724,7 +1703,6 @@ impl DittoClient {
             // Allocator fallback may have placed objects on nodes that are
             // now inactive even though their buckets never moved; sweep the
             // whole table so a drained node really reaches zero bytes.
-            self.mig_token = self.table.directory().version();
             for stripe in 0..self.table.num_stripes() as u64 {
                 let preferred = self.topology.alloc_node_for(stripe);
                 self.relocate_stripe_objects(stripe, None, preferred, &mut progress);
@@ -1790,10 +1768,6 @@ impl DittoClient {
                 if bytes.len() < len {
                     bytes.resize(len, 0);
                 }
-                // Relocation READs are migration traffic: they take budget
-                // from the same token bucket as the stripe bulk copies, so
-                // `migration_copy_bytes_per_sec` caps the combined rate.
-                self.engine.throttle_copy(&self.dm, len as u64);
                 // A faulted relocation READ skips this object for now; it
                 // stays where it is and a later pump retries it.
                 if self
@@ -1853,9 +1827,6 @@ impl DittoClient {
                     return false;
                 }
             };
-        // The relocation WRITE shares the migration copy token bucket with
-        // the engine's stripe copies (the READ was charged by the caller).
-        self.engine.throttle_copy(&self.dm, bytes.len() as u64);
         if with_retry(&self.dm, |dm| dm.try_write(new_addr, bytes)).is_err() {
             // Could not land the object copy; back out and leave the
             // original in place for a later pump.
@@ -2239,80 +2210,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_copy_rate_is_plumbed_from_the_config() {
-        let config = DittoConfig::with_capacity(500).with_migration_copy_rate(123_456);
-        let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
-        assert_eq!(cache.migration().copy_rate(), 123_456);
-        // Default: unlimited.
-        let cache = DittoCache::with_capacity(500).unwrap();
-        assert_eq!(cache.migration().copy_rate(), 0);
-    }
-
-    #[test]
-    fn throttled_migration_pump_stalls_against_foreground_ops() {
-        let run = |rate: u64| {
-            let config = DittoConfig::with_capacity(2_000).with_migration_copy_rate(rate);
-            let cache =
-                DittoCache::with_dedicated_pool(config, DmConfig::default().with_memory_nodes(2))
-                    .unwrap();
-            let mut client = cache.client();
-            for i in 0..200u64 {
-                client.set(format!("key{i}").as_bytes(), b"resident");
-            }
-            cache.pool().drain_node(1).unwrap();
-            let before = client.dm().now_ns();
-            let progress = client.pump_migration(usize::MAX);
-            assert!(progress.stripes_moved > 0);
-            client.dm().now_ns() - before
-        };
-        let unthrottled = run(0);
-        let throttled = run(2_000_000); // 2 MB/s of copy budget
-        assert!(
-            throttled > unthrottled * 3,
-            "the token bucket must pace the pump: {throttled} vs {unthrottled}"
-        );
-    }
-
-    #[test]
-    fn object_relocation_traffic_shares_the_copy_token_bucket() {
-        // Make relocated *objects* the dominant migration traffic (large
-        // values), and check the pump stalled for the combined budget: the
-        // stripe copies (READ + WRITE per byte, two passes) plus the object
-        // relocation READ/WRITEs — not the bucket arrays alone.
-        let rate = 2_000_000u64; // 2 MB/s of copy budget
-        let config = DittoConfig::with_capacity(2_000).with_migration_copy_rate(rate);
-        let cache =
-            DittoCache::with_dedicated_pool(config, DmConfig::default().with_memory_nodes(2))
-                .unwrap();
-        let mut client = cache.client();
-        let value = vec![7u8; 1024];
-        for i in 0..400u64 {
-            client.set(format!("key{i}").as_bytes(), &value);
-        }
-        cache.pool().drain_node(1).unwrap();
-        let before = client.dm().now_ns();
-        let progress = client.pump_migration(usize::MAX);
-        let elapsed = client.dm().now_ns() - before;
-        assert!(progress.stripes_moved > 0);
-        assert!(progress.objects_relocated > 50, "{progress:?}");
-
-        let stats = cache.pool().stats();
-        let stripe_budget = 2 * stats.migrated_bytes(); // READ + WRITE per byte
-        let object_budget = stats.migrated_object_bytes(); // ≤ READ + WRITE charged
-        assert!(
-            object_budget > stripe_budget / 4,
-            "objects must matter here"
-        );
-        let required_ns =
-            (stripe_budget + object_budget).saturating_mul(1_000_000_000) / rate * 9 / 10;
-        assert!(
-            elapsed >= required_ns,
-            "pump stalled {elapsed} ns < {required_ns} ns: relocation \
-             READ/WRITEs are not metered through the copy token bucket"
-        );
-    }
-
-    #[test]
     fn set_batches_object_write_with_bucket_reads() {
         let cache = small_cache(1_000);
         let mut client = cache.client();
@@ -2637,22 +2534,40 @@ mod tests {
         );
     }
 
+    /// A drain's first job, begun, with the forwarding marker set the way a
+    /// commit sets it immediately before its first chunk READ.
+    fn moving_stripe(cache: &DittoCache) -> ditto_dm::MoveJob {
+        cache.pool().drain_node(1).unwrap();
+        let engine = cache.migration();
+        engine.maybe_replan();
+        let job = engine.next_job().expect("drain must plan moves");
+        assert!(engine.begin(&job));
+        let dir = engine.directory();
+        let dst = cache
+            .pool()
+            .reserve_on(job.dst, dir.stripe_bytes())
+            .unwrap();
+        dir.begin_move(job.stripe, dst);
+        job
+    }
+
     #[test]
-    fn sets_during_the_dual_read_window_survive_the_cutover() {
+    fn sets_during_the_moving_window_survive_the_cutover() {
         let config = DittoConfig::with_capacity(2_000);
         let cache =
             DittoCache::with_dedicated_pool(config, DmConfig::default().with_memory_nodes(2))
                 .unwrap();
         let mut client = cache.client();
-        cache.pool().drain_node(1).unwrap();
-        let engine = std::sync::Arc::clone(cache.migration());
-        engine.maybe_replan();
-        let job = engine.next_job().expect("drain must plan moves");
-        assert!(engine.begin(client.dm(), &job).unwrap());
+        for i in 0..300u64 {
+            let key = format!("window{i}");
+            client.set(key.as_bytes(), b"old");
+        }
+        let job = moving_stripe(&cache);
 
-        // Write keys while the stripe sits in DualRead: CASes hit the
-        // source and mirror into the destination under the stripe lock.
+        // Update the keys while the stripe is moving: plain CASes on the
+        // source, which the commit's reconcile carries — no stripe lock.
         let table = cache.table();
+        let locks = cache.pool().stats().contention().lock_acquisitions;
         let mut in_window = Vec::new();
         for i in 0..300u64 {
             let key = format!("window{i}");
@@ -2666,19 +2581,75 @@ mod tests {
             !in_window.is_empty(),
             "some key must map to the moving stripe"
         );
-        engine.commit(client.dm(), &job).unwrap();
+        assert_eq!(
+            cache.pool().stats().contention().lock_acquisitions,
+            locks,
+            "a Set took a stripe lock"
+        );
+        assert!(cache.migration().commit(client.dm(), &job).unwrap());
 
         // After the cutover the writes are visible at the new home.
         for key in &in_window {
             assert_eq!(
                 client.get(key.as_bytes()),
                 Some(key.clone().into_bytes()),
-                "{key} lost across the DualRead window"
+                "{key} lost across the moving window"
             );
         }
         // Finish the drain cleanly for good measure.
         cache.pump_migration();
         assert_eq!(cache.pool().resident_object_bytes(1), 0);
+    }
+
+    #[test]
+    fn a_fill_a_reconcile_may_have_read_never_reads_as_another_key() {
+        let config = DittoConfig::with_capacity(2_000);
+        let cache =
+            DittoCache::with_dedicated_pool(config, DmConfig::default().with_memory_nodes(2))
+                .unwrap();
+        let mut client = cache.client();
+        for i in 0..300u64 {
+            client.set(format!("resident{i}").as_bytes(), b"resident");
+        }
+        let job = moving_stripe(&cache);
+        let table = cache.table();
+        let key = (0..)
+            .map(|i| format!("fill{i}"))
+            .find(|k| {
+                let hash = crate::hash::fnv1a64(k.as_bytes());
+                table.stripe_of_bucket(table.primary_bucket(hash)) == job.stripe
+            })
+            .unwrap();
+        let dropped = cache.stats().sets_dropped();
+        client.set(key.as_bytes(), b"fill");
+        assert!(cache.migration().commit(client.dm(), &job).unwrap());
+
+        match client.get(key.as_bytes()) {
+            Some(value) => assert_eq!(value, b"fill"),
+            None => assert!(cache.stats().sets_dropped() > dropped),
+        }
+        // Every record of the moved stripe carries its own key's hash.
+        let first = table.first_bucket_of_stripe(job.stripe);
+        for bucket in first..first + table.buckets_per_stripe() {
+            for (_, slot) in table.read_bucket(&client.dm, bucket) {
+                if !slot.atomic.is_object() {
+                    continue;
+                }
+                let bytes = client.dm.read(
+                    slot.atomic.object_addr(),
+                    slot.atomic.object_bytes() as usize,
+                );
+                let object = crate::object::view(&bytes).expect("a live object decodes");
+                assert_eq!(crate::hash::fnv1a64(object.key), slot.hash);
+            }
+        }
+        for mn in 0..cache.pool().num_nodes() {
+            assert_eq!(
+                cache.pool().resident_object_bytes(mn),
+                client.referenced_object_bytes_on(mn),
+                "node {mn}"
+            );
+        }
     }
 
     #[test]

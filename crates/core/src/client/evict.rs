@@ -43,8 +43,6 @@ enum EvictWait {
 pub(super) struct Eviction {
     /// Start of the `Evict` span: when the first sample was issued.
     t0: u64,
-    /// Directory version the sampled slot addresses translate under.
-    token: u64,
     min_blocks: u8,
     /// The evicting `Set`'s own buckets, of an eviction running ahead of
     /// one.  Their slots are never candidates, so the publish CAS and the
@@ -175,7 +173,6 @@ impl DittoClient {
     ) -> Eviction {
         let mut ev = Eviction {
             t0: self.dm.now_ns(),
-            token: self.mig_token,
             min_blocks,
             own_buckets,
             retries: 3,
@@ -407,24 +404,19 @@ impl DittoClient {
     }
 
     /// Waits for the victim CAS and, if it took the victim's word out of
-    /// its slot, finishes the eviction: judges the CAS against the stripe
-    /// directory like any slot CAS, writes the history entry's bitmap and
-    /// recycles the victim's memory.  Returns `false` when the CAS lost a
+    /// its slot, finishes the eviction: writes the history entry's bitmap
+    /// and recycles the victim's memory.  Returns `false` when the CAS lost a
     /// race — or faulted, which a CAS that went out posted cannot tell apart.
     fn commit_victim(&mut self, ev: &mut Eviction) -> bool {
         self.await_posted(ev);
         let (victim_idx, bitmap, chosen) = ev.pick;
         let (victim_addr, victim) = ev.candidates[victim_idx];
-        let expected = victim.atomic.encode();
-        // The victim's address was translated when the eviction began, not
-        // under the token of whatever `Set` attempt is current by now.
-        let set_token = std::mem::replace(&mut self.mig_token, ev.token);
-        let won = if ev.observed == expected {
-            self.confirm_slot_cas(victim_addr, expected, ev.word)
-        } else {
+        // Like any CAS from a word read off the live copy, one that took
+        // effect needs no judgement (see `DittoClient::slot_cas`).
+        let won = ev.observed == victim.atomic.encode();
+        if !won {
             self.record_failed_slot_cas();
-            false
-        };
+        }
         let embed = ev.word != 0;
         if won && embed {
             self.write_slot_meta(
@@ -441,7 +433,6 @@ impl DittoClient {
             let _ = self.dm.try_cas(self.scratch.add(40), 0, 0);
             self.stats.record_history_insert();
         }
-        self.mig_token = set_token;
         if won {
             // The victim's slot word changed (history entry or empty):
             // invalidate local-tier copies of the evicted key.

@@ -1,4 +1,5 @@
-//! The publish half of `Set`: the migration-aware slot CAS and the three
+//! The publish half of `Set`: the slot CAS — judged against the stripe
+//! directory only when it changes which key the slot holds — and the three
 //! shapes a publish takes — replacing the key's live slot, installing into an
 //! empty or history slot, evicting a victim of a full bucket — plus the front
 //! door a hinted replace takes past the lookup ([`DittoClient::publish_hinted`]).
@@ -8,8 +9,7 @@ use crate::hashtable::SampleFriendlyHashTable;
 use crate::recovery::CrashPoint;
 use crate::slot::{AtomicField, Slot};
 use ditto_algorithms::AccessKind;
-use ditto_dm::migration::WriteDisposition;
-use ditto_dm::{Phase, RemoteAddr, RECONCILE_POISON};
+use ditto_dm::{Phase, RemoteAddr, WriteDisposition, RECONCILE_POISON};
 use std::sync::Arc;
 
 /// How [`DittoClient::publish_hinted`] went.
@@ -25,154 +25,84 @@ pub(super) enum HintedPublish {
 }
 
 impl DittoClient {
-    /// CASes a slot's atomic field and confirms the write against the
-    /// stripe directory.  While the slot's stripe is mid-move the new value
-    /// is mirrored into the destination copy under the stripe lock; a CAS
-    /// that hit a copy which had already been cut over reports failure so
-    /// the caller redoes the operation against the stripe's live home.
+    /// CASes a slot's atomic word from `expected` to `new` and returns
+    /// whether it took effect.  Against a non-empty word read off the live
+    /// copy — every caller's but [`Self::rekey_cas`]'s — that needs no
+    /// judgement afterwards (redirect rule 3 of `ditto_dm::migration`): the
+    /// CAS landed on the live copy, or before the poison swap of a reconcile,
+    /// which carried it.
     pub(super) fn slot_cas(&mut self, slot_addr: RemoteAddr, expected: u64, new: u64) -> bool {
-        let Ok(observed) = with_retry(&self.dm, |dm| dm.try_cas(slot_addr, expected, new)) else {
-            // The CAS kept faulting (NAK'd, never applied) or its node
-            // fail-stopped: report a plain failure so the caller re-reads
-            // and retries — or gives up — through its usual bounded loop.
-            self.record_failed_slot_cas();
-            return false;
-        };
-        if observed != expected {
-            // Lost a race with another client's CAS on the same slot: back
-            // off briefly before the caller re-reads and retries, and count
-            // the failure in the pool's contention accounting.
-            self.record_failed_slot_cas();
-            return false;
-        }
-        self.confirm_slot_cas(slot_addr, expected, new)
-    }
-
-    /// Judges a slot CAS that took effect — `slot_addr` held `expected` and
-    /// now holds `new` — against the stripe directory: the second half of
-    /// [`Self::slot_cas`], and all of it a CAS posted on the WQE ring needs.
-    pub(super) fn confirm_slot_cas(
-        &mut self,
-        slot_addr: RemoteAddr,
-        expected: u64,
-        new: u64,
-    ) -> bool {
-        match self
-            .table
-            .directory()
-            .confirm_write(slot_addr, self.mig_token)
-        {
-            WriteDisposition::Clean => true,
-            WriteDisposition::Stale => self.resolve_stale_cas(slot_addr, expected, new),
-            WriteDisposition::Mirror { stripe, .. } => {
-                // Serialise against the engine's copy passes, then re-judge:
-                // the stripe may have committed while we waited for the lock.
-                let lock = self.engine.stripe_lock(stripe);
-                let acq = lock.acquire(&self.dm);
-                if !acq.is_acquired() {
-                    // A wedged holder outlasted the whole retry budget
-                    // (crashed client; recovery will reclaim the lease).
-                    // Mirror best-effort without the lock — the commit's
-                    // reconcile pass squares away any straggler, exactly as
-                    // for async metadata mirrors.
-                    if let WriteDisposition::Mirror { addr, .. } = self
-                        .table
-                        .directory()
-                        .confirm_write(slot_addr, self.mig_token)
-                    {
-                        let _ = self.dm.try_write(addr, &new.to_le_bytes());
-                    }
-                    return true;
-                }
-                let verdict = match self
-                    .table
-                    .directory()
-                    .confirm_write(slot_addr, self.mig_token)
-                {
-                    WriteDisposition::Mirror { addr, .. } => {
-                        // Best-effort under faults: the commit's
-                        // reconcile squares away a lost mirror write.
-                        let _ = self.dm.try_write(addr, &new.to_le_bytes());
-                        Some(true)
-                    }
-                    WriteDisposition::Clean => Some(true),
-                    // The stripe committed while we waited: the holder
-                    // was the commit's reconcile pass, which either
-                    // carried the CAS to the new home or swallowed it.
-                    // Resolve below (the resolution re-takes the lock).
-                    WriteDisposition::Stale => None,
-                };
-                let _ = lock.release(&self.dm, &acq);
-                verdict.unwrap_or_else(|| self.resolve_stale_cas(slot_addr, expected, new))
+        match with_retry(&self.dm, |dm| dm.try_cas(slot_addr, expected, new)) {
+            Ok(observed) if observed == expected => true,
+            // Lost a race with another client's CAS on the same slot, or
+            // the CAS kept faulting (NAK'd, never applied) or its node
+            // fail-stopped: the caller re-reads and retries — or gives up —
+            // through its usual bounded loop.
+            _ => {
+                self.record_failed_slot_cas();
+                false
             }
         }
     }
 
-    /// Resolves a slot CAS whose word CAS *succeeded* but whose address the
-    /// directory judged stale — a cutover raced the operation between the
-    /// verb and the judgement.  The commit's reconcile pass makes the
-    /// outcome deterministic: it swaps every source word to
-    /// [`RECONCILE_POISON`] *as* it carries the word's value to the
-    /// destination, so a CAS that succeeded can only have landed before the
-    /// swap — and was therefore carried.  (A CAS racing the swap from the
-    /// other side observes the poison and fails at the verb layer, never
-    /// reaching this resolution.)
-    fn resolve_stale_cas(&mut self, slot_addr: RemoteAddr, expected: u64, new: u64) -> bool {
-        if expected != 0 {
-            // Deterministically carried.  `expected` was read off the live
-            // copy of the stripe, so the CAS hit the live copy before its
-            // reconcile; the reconcile then carried `new` to the stripe's
-            // new home.  The write is live and the displaced value is the
-            // caller's to clean up, exactly as on the Clean path.
+    /// The publish CAS of a `Set` that changes which key the slot holds —
+    /// an insert into an empty or history slot, a bucket eviction.  Such a
+    /// publish also writes the slot's `hash` word, which lookups and regret
+    /// checks match on and a stripe reconcile carries only by its chunk
+    /// READ.  So the fresh metadata lands first and the CAS is judged after
+    /// it ([`StripeDirectory::confirm_rekey`]).  A CAS judged stale — the
+    /// stripe is moving or has cut over since `mig_token` — or whose
+    /// metadata could not be written is taken back ([`Self::take_back`]),
+    /// and the `Set` retries.
+    ///
+    /// [`StripeDirectory::confirm_rekey`]: ditto_dm::StripeDirectory::confirm_rekey
+    fn rekey_cas(&mut self, slot_addr: RemoteAddr, expected: u64, new: u64, hash: u64) -> bool {
+        if !self.slot_cas(slot_addr, expected, new) {
+            return false;
+        }
+        if self.write_fresh_metadata(slot_addr, hash)
+            && self
+                .table
+                .directory()
+                .confirm_rekey(slot_addr, self.mig_token)
+                == WriteDisposition::Clean
+        {
             return true;
         }
-        // expected == 0 — an insert into a word read as empty.  Two cases:
-        // either the word belonged to the live copy (the insert was carried,
-        // and the caller's retry will find the object already installed), or
-        // the "empty" read predates a cutover and the raw CAS scribbled on a
-        // *recycled* range another stripe now owns (parking reuse).  The
-        // cases are indistinguishable from here, but one cleanup covers
-        // both: CAS the scribble back out, chasing the word across any
-        // later reconciles of the range's owner (the offset within a
-        // stripe is invariant across moves).
+        self.take_back(slot_addr, expected, new);
+        self.record_failed_slot_cas();
+        false
+    }
+
+    /// CASes the word this client just changed from `expected` to `new`
+    /// back to `expected` at the word's live home: at `slot_addr` until a
+    /// reconcile's swap carried it, then — once that stripe has flipped —
+    /// at the same offset of its new home, chased across any further
+    /// reconciles.  When the word cannot be taken back (another client
+    /// displaced `new`, and owns and frees the object it names; or the
+    /// chase or the verbs give out), sets `alloc_abandoned`: the caller must
+    /// not free or reuse the allocation `new` names, and `expected` is out
+    /// of the slot for good.
+    fn take_back(&mut self, slot_addr: RemoteAddr, expected: u64, new: u64) {
         let dir = Arc::clone(self.table.directory());
         let mut addr = slot_addr;
-        let mut rolled_back = false;
         for _ in 0..MAX_RETRIES {
-            let Ok(observed) = with_retry(&self.dm, |dm| dm.try_cas(addr, new, 0)) else {
-                // The rollback CAS cannot get through (faults or a dead
-                // node): treat the allocation as lost, like the displaced
-                // case below — over-abandoning only costs a re-allocation.
+            let Ok(observed) = with_retry(&self.dm, |dm| dm.try_cas(addr, new, expected)) else {
                 break;
             };
             if observed == new {
-                // Undid the insert: whether it was a scribble or a carried
-                // install, the object is back in the caller's hands (a
-                // carried install just gets re-inserted by the retry).
-                rolled_back = true;
+                return;
+            }
+            if observed != RECONCILE_POISON {
                 break;
             }
-            if observed == RECONCILE_POISON {
-                // The owning stripe reconciled again mid-chase; follow the
-                // word to the stripe's new home.
-                match dir.resolve_vacated(addr) {
-                    Some((_, next)) if next != addr => {
-                        addr = next;
-                        continue;
-                    }
-                    _ => break,
-                }
+            match dir.resolve_vacated(addr) {
+                Some(next) => addr = next,
+                // The flip is still pending: wait for it.
+                None => self.record_failed_slot_cas(),
             }
-            // A third value: an evictor or a later insert already displaced
-            // the word — and freed the object it pointed at.  The caller
-            // must not free (or reuse) its allocation.
-            break;
         }
-        if !rolled_back {
-            self.alloc_abandoned = true;
-        }
-        self.record_failed_slot_cas();
-        false
+        self.alloc_abandoned = true;
     }
 
     /// Books a failed slot CAS in the pool's contention accounting and
@@ -244,8 +174,9 @@ impl DittoClient {
     /// of the `encoded` object at `obj_addr` unsignalled and, behind it on
     /// the same doorbell, the CAS of the hinted slot from the hinted word to
     /// `new` — no lookup — and polls the CAS's completion.  The CAS
-    /// returning the hinted word *is* the publish, judged and finished like
-    /// any replace ([`Self::confirm_slot_cas`], [`Self::finish_replace`]).
+    /// returning the hinted word *is* the publish, finished like any
+    /// replace ([`Self::slot_cas`] says why it needs no judgement,
+    /// [`Self::finish_replace`]).
     ///
     /// Declined, before any verb, unless the new object lives on the slot's
     /// node — one queue pair, in order, and an errored WRITE flushes the CAS
@@ -266,7 +197,6 @@ impl DittoClient {
         let Some(hint) = self.set_hint(hash) else {
             return HintedPublish::Declined;
         };
-        self.mig_token = self.table.directory().version();
         let slot_addr = self.hinted_slot_addr(hash, hint);
         if obj_addr.mn_id != slot_addr.mn_id {
             return HintedPublish::Declined;
@@ -299,9 +229,7 @@ impl DittoClient {
                 object_written = false;
             }
         };
-        let won = cas_landed
-            && observed == hint.word
-            && self.confirm_slot_cas(slot_addr, hint.word, new.encode());
+        let won = cas_landed && observed == hint.word;
         self.dm
             .record_span(Phase::Publish, publish_start, self.dm.now_ns(), won as u32);
         self.stats.record_spec_publish(!won);
@@ -327,22 +255,25 @@ impl DittoClient {
         // history) slot; zero the journal's old half so a stale triple
         // from an earlier failed replace attempt cannot be replayed.
         self.journal_set_old(None);
-        if !self.slot_cas(slot_addr, expected, new_atomic.encode()) {
+        if !self.rekey_cas(slot_addr, expected, new_atomic.encode(), hash) {
             return false;
         }
         self.hint_cas_won(hash, slot_addr, new_atomic.encode());
-        self.write_fresh_metadata(slot_addr, hash);
         true
     }
 
-    fn write_fresh_metadata(&mut self, slot_addr: RemoteAddr, hash: u64) {
+    /// Writes the metadata of the slot `hash`'s key was just CASed into —
+    /// key hash, insert and access timestamps, a frequency of one — and
+    /// returns whether it landed.
+    fn write_fresh_metadata(&mut self, slot_addr: RemoteAddr, hash: u64) -> bool {
         let now = self.dm.now_ns();
         let mut buf = [0u8; 32];
         buf[0..8].copy_from_slice(&hash.to_le_bytes());
         buf[8..16].copy_from_slice(&now.to_le_bytes());
         buf[16..24].copy_from_slice(&now.to_le_bytes());
         buf[24..32].copy_from_slice(&1u64.to_le_bytes());
-        self.write_slot_meta(SampleFriendlyHashTable::hash_addr(slot_addr), &buf);
+        let addr = SampleFriendlyHashTable::hash_addr(slot_addr);
+        with_retry(&self.dm, |dm| dm.try_write_async(addr, &buf)).is_ok()
     }
 
     /// Picks the slot an insert should claim, preferring empty slots, then
@@ -407,7 +338,8 @@ impl DittoClient {
             victim.atomic.object_addr(),
             victim.atomic.object_bytes() as usize,
         )));
-        if !self.slot_cas(victim_addr, expected, new_atomic.encode()) {
+        let won = self.rekey_cas(victim_addr, expected, new_atomic.encode(), hash);
+        if !won && !self.alloc_abandoned {
             return false;
         }
         // The *victim key*'s slot word is gone: invalidate its local-tier
@@ -416,6 +348,15 @@ impl DittoClient {
         // end of `set_inner`.)
         self.bump_board(victim.hash);
         self.hints.forget(victim.hash);
+        if !won {
+            // The publish could not be taken back, so the victim is out of
+            // its slot for good: its object is still this client's to free.
+            self.free_object(
+                victim.atomic.object_addr(),
+                victim.atomic.object_bytes() as usize,
+            );
+            return false;
+        }
         self.hint_cas_won(hash, victim_addr, new_atomic.encode());
         if self.crash_fired(CrashPoint::AfterPublish) {
             return true;
@@ -425,7 +366,6 @@ impl DittoClient {
             victim.atomic.object_addr(),
             victim.atomic.object_bytes() as usize,
         );
-        self.write_fresh_metadata(victim_addr, hash);
         self.stats.record_bucket_eviction();
         self.stats.record_eviction(chosen);
         true

@@ -57,15 +57,6 @@ pub struct DittoConfig {
     /// Client CPU nanoseconds charged per eviction candidate gathered and
     /// scored (see [`DittoConfig::cpu_decode_slot_ns`]).
     pub cpu_score_candidate_ns: u64,
-    /// Token-bucket rate limit on migration copy traffic, in bytes per
-    /// simulated second (0 = unlimited).  One bucket meters **all** resize
-    /// traffic: the engine's stripe bulk copies *and* the object-relocation
-    /// READ/WRITEs the cache issues while draining a stripe's residents.
-    /// A throttled `pump_migration` stalls its own simulated clock instead
-    /// of bursting whole stripes against foreground operations; the bucket
-    /// is shared by every pumping client (see
-    /// `ditto_dm::MigrationEngine::set_copy_rate`).
-    pub migration_copy_bytes_per_sec: u64,
     /// Segment size (in objects) requested from the memory node at a time by
     /// each client's allocator.
     pub alloc_segment_objects: u64,
@@ -120,7 +111,6 @@ impl Default for DittoConfig {
             enable_fc_cache: true,
             cpu_decode_slot_ns: 20,
             cpu_score_candidate_ns: 30,
-            migration_copy_bytes_per_sec: 0,
             alloc_segment_objects: 16,
             enable_crash_recovery_journal: false,
             local_tier_capacity: 0,
@@ -166,13 +156,6 @@ impl DittoConfig {
     /// Sets the sample size K (builder style).
     pub fn with_sample_size(mut self, k: usize) -> Self {
         self.sample_size = k.max(1);
-        self
-    }
-
-    /// Sets the migration copy rate limit in bytes per simulated second
-    /// (builder style; 0 = unlimited).
-    pub fn with_migration_copy_rate(mut self, bytes_per_sec: u64) -> Self {
-        self.migration_copy_bytes_per_sec = bytes_per_sec;
         self
     }
 

@@ -31,8 +31,9 @@
 //! `ditto_dm::migration`) can move a stripe to another memory node while
 //! clients keep serving.  Address translation loads the directory entry
 //! (one relaxed atomic in steady state); lookups re-check the entry after
-//! each bucket fetch and retry when a cutover raced them, and slot writes
-//! mirror into the destination copy while a stripe is mid-move.  Adding or
+//! each bucket fetch and retry when a cutover raced them, and a slot CAS
+//! racing a cutover is carried by the stripe's reconcile pass (a key change
+//! is taken back and retried instead).  Adding or
 //! draining a node therefore rebalances the *existing* lookup message
 //! load, not just future placements.
 

@@ -70,9 +70,9 @@
 //!
 //! It is a front door to the same path, not a second protocol
 //! (`client/publish.rs`): the slot's place is re-translated through the
-//! stripe directory, a CAS that took effect is judged against the directory
-//! like any slot CAS (clean, mirrored into a moving stripe's destination,
-//! carried by a cutover), the journal's old half is written from the hinted
+//! stripe directory, a CAS that took effect needs no judgement, like any
+//! slot CAS that keeps the slot's key (it landed on the live copy, or a
+//! stripe reconcile carried it), the journal's old half is written from the hinted
 //! word before the doorbell, and the won CAS is followed by the same hint
 //! update, metadata WRITE, free of the displaced object and end-of-`Set`
 //! board bump.  Three conditions, all things the client observes, no knob:
@@ -167,9 +167,9 @@
 //!   faulted FAA still evicts, leaving the slot cleared instead of a history
 //!   entry, as it always has.
 //! * The **victim CAS is posted, not waited for**: it flies during the
-//!   publish CAS and is polled after it, then judged against the stripe
-//!   directory exactly like a hinted publish's CAS (clean, mirrored into a
-//!   moving stripe, carried by a cutover).  A posted CAS has **no retry**: one
+//!   publish CAS and is polled after it and, like a hinted publish's CAS,
+//!   needs no judgement once it took effect (it landed on the live copy, or
+//!   a stripe reconcile carried it).  A posted CAS has **no retry**: one
 //!   that lost its race and one that faulted both leave the CAS's result
 //!   buffer without the victim's word, both count as a lost race, and the
 //!   eviction re-picks among its remaining candidates (bounded), waiting for

@@ -1,10 +1,10 @@
 //! Crash-consistent client failover: crash points and recovery reports.
 //!
-//! A [`crate::DittoClient`] that dies mid-`set` can leave three kinds of
-//! debris behind on the (crash-oblivious) memory nodes:
+//! A [`crate::DittoClient`] that dies mid-`set` or mid-migration-pump can
+//! leave three kinds of debris behind on the (crash-oblivious) memory nodes:
 //!
-//! 1. **Held stripe locks** — the migration engine's per-stripe leases.
-//!    Reclaimed by lease-expiry CAS steals
+//! 1. **Held stripe locks** — the migration engine's per-stripe leases,
+//!    which only pumps take.  Reclaimed by lease-expiry CAS steals
 //!    ([`ditto_dm::RemoteLock::reclaim`]), bumping the fencing epoch so a
 //!    resurrected owner cannot release a lock it no longer holds.
 //! 2. **An in-flight allocation** — object bytes written (or half-written)

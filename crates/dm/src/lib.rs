@@ -27,9 +27,10 @@
 //!   [`MemoryPool::drain_node`] resize the pool online; every change bumps
 //!   a resize epoch that clients validate their cached placement against.
 //! * [`migration`] carries a resize out on the *existing* data: a
-//!   per-stripe state machine (`Idle → Copying → DualRead → Committed`)
-//!   moves bucket ranges onto the nodes the new topology assigns while
-//!   clients keep serving, cutovers piggyback on the resize epoch, and a
+//!   per-stripe state machine (`Idle → Moving → Committed`, one
+//!   reconcile pass per stripe) moves bucket ranges onto the nodes the new
+//!   topology assigns while clients keep serving, cutovers piggyback on the
+//!   resize epoch, and a
 //!   drained node empties until [`MemoryPool::remove_node`] can
 //!   decommission it.
 //! * [`DmClient`] is a per-thread connection handle exposing the verb API,
@@ -280,7 +281,7 @@ pub use migration::{
 };
 pub use obs::{
     attribution, AttributionTable, Event, EventKind, EventLog, FlightRecorder, Phase,
-    PhaseAttribution, RecoveryPhase, Span, StripeState, POOL_EVENT_CLIENT,
+    PhaseAttribution, RecoveryPhase, Span, POOL_EVENT_CLIENT,
 };
 pub use pool::MemoryPool;
 pub use rpc::{RpcHandler, RpcOutcome};

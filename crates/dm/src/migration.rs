@@ -11,32 +11,34 @@
 //! # The per-stripe state machine
 //!
 //! ```text
-//!   Idle ──begin──▶ Copying ──copy done──▶ DualRead ──commit──▶ Committed
+//!   Idle ──commit: marker set──▶ Moving ──reconciled, flipped──▶ Committed
 //!    ▲                                                              │
-//!    └────────────────────── next migration of the stripe ──────────┘
+//!    └────────────────── next migration of the stripe ──────────────┘
 //! ```
 //!
 //! * **Idle / Committed** — the stripe is fully live at the address in the
-//!   [`StripeDirectory`]; no forwarding marker is set.
-//! * **Copying** — the [`MigrationEngine`] holds the stripe's
-//!   [`RemoteLock`] and copies the bucket array source → destination.  The
-//!   directory already carries the *forwarding marker* (the destination
-//!   base), so writers that observe this state mirror their slot updates.
-//! * **DualRead** — the bulk copy is done and the lock released.  Readers
-//!   still read the **source** (it stays the single source of truth), but
-//!   re-check the stripe's directory entry after every bucket fetch and
-//!   retry when a cutover raced them.  Writers CAS the source and mirror
-//!   the new slot value to the destination under the stripe lock.  The
-//!   cache layer relocates the stripe's resident objects in this window.
-//! * **commit** — under the stripe lock the engine *reconciles* the
-//!   stripe: every source word a client may CAS is CAS-swapped to
-//!   [`RECONCILE_POISON`] as its value is carried to the destination, the
-//!   words in between ride the same chunk READ → WRITE (see the constant's
-//!   docs for why a plain re-copy is not enough for the former and is for
-//!   the latter), then the directory entry flips to
-//!   the destination and the pool's resize epoch bumps (the *migration
-//!   epoch* piggybacks on it), so every client revalidates its placement
-//!   snapshot and follows the redirect.
+//!   [`StripeDirectory`]; no forwarding marker is set.  [`MigrationEngine::begin`]
+//!   only checks that a job is still wanted: nothing is copied, readers and
+//!   writers keep using the source, and the cache layer relocates the
+//!   stripe's resident objects.
+//! * **Moving** — under the stripe's [`RemoteLock`], which serialises
+//!   pumpers and nothing else, [`MigrationEngine::commit`] sets the
+//!   *forwarding marker* (the destination base) immediately before its first
+//!   chunk READ: from then on a reconcile may have read the stripe.  Readers
+//!   and writers still use the **source**, the single source of truth.  The
+//!   reconcile moves the stripe in one pass: every source word a client may
+//!   CAS is CAS-swapped to [`RECONCILE_POISON`] as its value is carried to
+//!   the destination, and the words in between ride the same chunk READ →
+//!   WRITE (see the constant's docs for why a plain copy is not enough for
+//!   the former and is for the latter).
+//! * **commit** — the directory entry flips to the destination and the
+//!   pool's resize epoch bumps (the *migration epoch* piggybacks on it), so
+//!   every client revalidates its placement snapshot and follows the
+//!   redirect.
+//!
+//! Nothing is copied ahead of the commit: no reader looks at the
+//! destination before the flip, so an earlier copy would only write bytes
+//! the reconcile overwrites.
 //!
 //! # Client redirect rules
 //!
@@ -45,13 +47,18 @@
 //! 2. After reading buckets, re-check their stripes' directory entries;
 //!    if an entry changed (a cutover committed mid-lookup), retry the
 //!    lookup against the new addresses.
-//! 3. After a successful slot CAS, ask the directory where the write
-//!    belongs ([`StripeDirectory::confirm_write`]): `Clean` means done;
-//!    `Mirror` means replay the value at the forwarding address under the
-//!    stripe lock; `Stale` means a cutover raced the CAS — the poison
-//!    protocol makes the outcome deterministic (a succeeded CAS against a
-//!    non-zero expected value was provably carried; an insert against an
-//!    empty word is rolled back and retried).
+//! 3. A slot CAS that took effect against a non-empty word read off the
+//!    live copy needs no judgement: it landed either on the live copy or
+//!    before the reconcile's swap, which carried it.  A CAS that changes
+//!    which *record* a word belongs to also writes the record's other words
+//!    (the hash table's key hash), which a reconcile carries only by its
+//!    chunk READ.  Such a write lands those words first, then asks
+//!    [`StripeDirectory::confirm_rekey`]: `Clean` means done; `Stale` — the
+//!    marker is set, or the stripe committed since the operation's token —
+//!    means a reconcile may have carried the new word beside the old record.
+//!    The writer CASes the word back to its prior value at the word's live
+//!    home ([`StripeDirectory::resolve_vacated`] follows it across a flip)
+//!    and retries.
 //! 4. A read that observes [`RECONCILE_POISON`] is mid-cutover: do not
 //!    act on the view (a poisoned bucket decodes as all-empty) —
 //!    re-translate through the directory and re-read until the commit
@@ -68,12 +75,12 @@ use crate::addr::RemoteAddr;
 use crate::client::DmClient;
 use crate::error::{DmError, DmResult};
 use crate::lock::RemoteLock;
-use crate::obs::{EventKind, StripeState};
+use crate::obs::EventKind;
 use crate::pool::MemoryPool;
 use crate::topology::PoolTopology;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Bytes copied per READ/WRITE pair while migrating a stripe.
@@ -88,11 +95,11 @@ const COPY_CHUNK: usize = 4096;
 /// (one word CAS at a time) before writing the taken value to the destination,
 /// so a concurrent word CAS either lands **before** the swap — in which
 /// case the swap itself carries the CASed value to the live home — or
-/// observes the marker and fails.  A CAS that *succeeded* but was judged
-/// [`WriteDisposition::Stale`] therefore provably made it into the
-/// destination copy; without the marker the writer cannot tell a carried
-/// write from a swallowed one, and cleaning up on the wrong guess either
-/// loses the write or leaks the object it displaced.
+/// observes the marker and fails.  A CAS that *succeeded* against a word
+/// read off the live copy therefore provably landed on the live copy or
+/// made it into the destination; without the marker the writer cannot tell
+/// a carried write from a swallowed one, and cleaning up on the wrong guess
+/// either loses the write or leaks the object it displaced.
 ///
 /// **Which words.**  Only a word some client CASes needs the marker: every
 /// reader of it — a bucket or slot decode, a hinted or lease-revalidating
@@ -103,14 +110,15 @@ const COPY_CHUNK: usize = 4096;
 /// words alone — a fifth of the CASes, all of them messages on the source
 /// node's NIC in the middle of a resize.  The words in between are plain
 /// data, written and `FAA`ed but never CASed; they travel with the chunk's
-/// READ → WRITE, and writers mirror them into the destination while the
-/// stripe is moving.  The one behavioural difference from sweeping every
-/// word: an update of such a word that lands on the source *between the
-/// chunk's READ and the cutover* — a frequency-counter `FAA`, an unmirrored
-/// timestamp — is no longer chased to the destination.  That is the
+/// READ → WRITE alone.  An update of such a word that lands on the source
+/// *between the chunk's READ and the cutover* — a frequency-counter `FAA`,
+/// a timestamp — is therefore not chased to the destination.  That is the
 /// best-effort loss these advisory fields already have when the verb itself
-/// faults; nothing a client CASes can be lost this way.  With the default
-/// layout `(8, 0)` every word is swapped, as before.
+/// faults; nothing a client CASes can be lost this way.  The one such word
+/// that is not advisory names the record its CAS word belongs to (the hash
+/// table's key hash); a write that changes it follows redirect rule 3 (see
+/// the module docs).  With the default layout `(8, 0)` every word is
+/// swapped.
 ///
 /// Upper layers must (a) never store this value in a word a CAS can
 /// target — the slot layer treats it as an impossible encoding and decodes
@@ -124,11 +132,6 @@ const LOCK_BACKOFF_NS: u64 = 1_000;
 
 /// Simulated back-off between retries of a faulted migration verb.
 const VERB_RETRY_BACKOFF_NS: u64 = 500;
-
-/// Per-verb retry bound during the bulk copy.  A copy that still fails is
-/// aborted cleanly ([`StripeDirectory::abort_move`]) — the stripe stays
-/// fully served from the source — so a modest bound suffices.
-const COPY_VERB_RETRIES: u32 = 16;
 
 /// Per-verb retry bound during the commit's reconcile pass.  Deliberately
 /// deep: aborting mid-reconcile strands already-poisoned source words
@@ -170,50 +173,35 @@ fn retry_verb<T>(
 
 /// Migration state of one stripe (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum MigrationState {
-    /// No migration in progress; the directory entry is authoritative.
-    Idle = 0,
-    /// The engine is bulk-copying the stripe under its lock.
-    Copying = 1,
-    /// Bulk copy done; readers use the source, writers dual-write.
-    DualRead = 2,
+    /// Never moved; the directory entry is authoritative.
+    Idle,
+    /// A commit has set the forwarding marker: its reconcile may have read
+    /// the stripe.  Readers and writers still use the source.
+    Moving,
     /// The last migration of this stripe committed; entry is authoritative.
-    Committed = 3,
+    Committed,
 }
 
 impl MigrationState {
-    fn from_u8(raw: u8) -> Self {
-        match raw {
-            1 => MigrationState::Copying,
-            2 => MigrationState::DualRead,
-            3 => MigrationState::Committed,
-            _ => MigrationState::Idle,
+    /// Stable lowercase name used by the exporters.
+    pub fn name(self) -> &'static str {
+        match self {
+            MigrationState::Idle => "idle",
+            MigrationState::Moving => "moving",
+            MigrationState::Committed => "committed",
         }
-    }
-
-    /// Whether a move of the stripe is in flight (forwarding marker set).
-    pub fn is_moving(self) -> bool {
-        matches!(self, MigrationState::Copying | MigrationState::DualRead)
     }
 }
 
-/// Where a just-performed slot write belongs, as judged by the directory
-/// (rule 3 of the client redirect rules).
+/// Whether a just-performed slot write landed on a live copy, as judged by
+/// the directory (rule 3 of the client redirect rules).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteDisposition {
-    /// The address is current and its stripe is not moving: nothing to do.
+    /// The write is live, or will be carried by the stripe's reconcile.
     Clean,
-    /// The stripe is moving: replay the write at the forwarding address
-    /// (under the stripe's lock, re-checking for a cutover).
-    Mirror {
-        /// The stripe being moved.
-        stripe: u64,
-        /// The same slot inside the destination copy.
-        addr: RemoteAddr,
-    },
-    /// The address belongs to no current stripe — the write landed on a
-    /// copy that was already cut over.  Redo the operation.
+    /// A cutover raced the write: it may have landed on a copy that was
+    /// already (or is being) cut over.  Take it back and redo the operation.
     Stale,
 }
 
@@ -229,10 +217,8 @@ pub struct StripeDirectory {
     /// Packed destination base while a move is in flight (0 = none) — the
     /// per-stripe forwarding marker.
     forwards: Vec<AtomicU64>,
-    /// Per-stripe [`MigrationState`].
-    states: Vec<AtomicU8>,
-    /// Number of stripes currently in `Copying`/`DualRead` (fast-path
-    /// short-circuit for the mirror checks).
+    /// Number of stripes currently `Moving` (fast-path short-circuit of
+    /// the write judgements).
     active_moves: AtomicUsize,
     /// Bumped on every committed cutover; clients capture it per operation
     /// to detect redirects that raced them.
@@ -244,9 +230,9 @@ pub struct StripeDirectory {
     /// be a recycled parking slot that belonged to a different stripe.
     committed_at: Vec<AtomicU64>,
     /// Packed base each stripe vacated at its most recent cutover (0 =
-    /// never moved).  A writer whose CAS raced a commit uses this to find
-    /// the stripe's new home and resolve whether the reconcile copy
-    /// carried its write ([`StripeDirectory::resolve_vacated`]).
+    /// never moved).  A writer taking back a CAS that raced a commit follows
+    /// its word to the stripe's new home through it
+    /// ([`StripeDirectory::resolve_vacated`]).
     previous: Vec<AtomicU64>,
     stripe_bytes: u64,
     /// Record layout of the striped structure, as far as the cutover needs
@@ -264,7 +250,6 @@ impl StripeDirectory {
         StripeDirectory {
             entries: bases.iter().map(|a| AtomicU64::new(a.pack())).collect(),
             forwards: (0..bases.len()).map(|_| AtomicU64::new(0)).collect(),
-            states: (0..bases.len()).map(|_| AtomicU8::new(0)).collect(),
             active_moves: AtomicUsize::new(0),
             version: AtomicU64::new(0),
             committed_at: (0..bases.len()).map(|_| AtomicU64::new(0)).collect(),
@@ -332,7 +317,14 @@ impl StripeDirectory {
 
     /// The migration state of stripe `stripe`.
     pub fn state(&self, stripe: u64) -> MigrationState {
-        MigrationState::from_u8(self.states[stripe as usize].load(Ordering::Acquire))
+        let idx = stripe as usize;
+        if self.forwards[idx].load(Ordering::Acquire) != 0 {
+            MigrationState::Moving
+        } else if self.committed_at[idx].load(Ordering::Acquire) != 0 {
+            MigrationState::Committed
+        } else {
+            MigrationState::Idle
+        }
     }
 
     /// The forwarding marker of stripe `stripe`, if a move is in flight.
@@ -351,146 +343,108 @@ impl StripeDirectory {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Starts a move of `stripe` to `dst_base` (state → `Copying`).
+    /// Sets the forwarding marker of `stripe` to `dst_base` (state →
+    /// `Moving`).  A reconcile calls this immediately before its first READ
+    /// of the stripe.
     pub fn begin_move(&self, stripe: u64, dst_base: RemoteAddr) {
         self.forwards[stripe as usize].store(dst_base.pack(), Ordering::Release);
-        self.states[stripe as usize].store(MigrationState::Copying as u8, Ordering::Release);
         self.active_moves.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Unwinds a move begun with [`StripeDirectory::begin_move`] whose bulk
-    /// copy could not complete (state → `Idle`, marker cleared).  Only
-    /// valid from `Copying`, while the engine still holds the stripe lock:
-    /// once the stripe is dual-read, writers may have mirrored slot
-    /// updates into the destination and the move must roll forward.
-    pub fn abort_move(&self, stripe: u64) {
-        let idx = stripe as usize;
-        debug_assert_eq!(
-            self.state(stripe),
-            MigrationState::Copying,
-            "abort_move is only valid before dual-read"
-        );
-        self.forwards[idx].store(0, Ordering::Release);
-        self.states[idx].store(MigrationState::Idle as u8, Ordering::Release);
-        self.active_moves.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Transitions `stripe` from `Copying` to `DualRead`.
-    pub fn enter_dual_read(&self, stripe: u64) {
-        self.states[stripe as usize].store(MigrationState::DualRead as u8, Ordering::Release);
+        // Pairs with the fence in `confirm_rekey`: either that judge sees
+        // the marker, or the READs that follow see the words its writer
+        // landed.
+        fence(Ordering::SeqCst);
     }
 
     /// Commits the move of `stripe`: the forwarding address becomes the
-    /// entry, the marker clears, state → `Committed`, version bumps.
+    /// entry, the version bumps, then the marker clears (state →
+    /// `Committed`).  In that order, a judge that finds the marker clear or
+    /// no move active also finds the cutover.
     pub fn commit(&self, stripe: u64) {
         let idx = stripe as usize;
-        let dst = self.forwards[idx].swap(0, Ordering::AcqRel);
+        let dst = self.forwards[idx].load(Ordering::Acquire);
         debug_assert_ne!(dst, 0, "commit without begin_move");
         let vacated = self.entries[idx].swap(dst, Ordering::AcqRel);
         self.previous[idx].store(vacated, Ordering::Release);
-        self.states[idx].store(MigrationState::Committed as u8, Ordering::Release);
-        self.active_moves.fetch_sub(1, Ordering::AcqRel);
         let version = self.version.fetch_add(1, Ordering::AcqRel) + 1;
         self.committed_at[idx].store(version, Ordering::Release);
+        self.forwards[idx].store(0, Ordering::Release);
+        self.active_moves.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Whether the stripe-sized range at `base` holds `addr`.
+    fn covers(&self, base: RemoteAddr, addr: RemoteAddr) -> bool {
+        base.mn_id == addr.mn_id
+            && addr.offset >= base.offset
+            && addr.offset < base.offset + self.stripe_bytes
     }
 
     /// The stripe whose *current* range contains `addr`, if any.
-    fn locate(&self, addr: RemoteAddr) -> Option<u64> {
+    fn locate(&self, addr: RemoteAddr) -> Option<usize> {
         self.entries
             .iter()
-            .position(|e| {
-                let base = RemoteAddr::unpack(e.load(Ordering::Acquire));
-                base.mn_id == addr.mn_id
-                    && addr.offset >= base.offset
-                    && addr.offset < base.offset + self.stripe_bytes
-            })
-            .map(|i| i as u64)
+            .position(|e| self.covers(RemoteAddr::unpack(e.load(Ordering::Acquire)), addr))
     }
 
-    /// The stripe whose *current* range contains `addr`, if any.  Lets a
-    /// client tell whether a judged-stale address has been recycled into
-    /// another stripe's live range (parking reuse).
-    pub fn locate_current(&self, addr: RemoteAddr) -> Option<u64> {
-        self.locate(addr)
-    }
-
-    /// Translates an address inside a range some stripe vacated at its
-    /// most recent cutover to the same offset inside that stripe's current
-    /// home.  Returns `None` when no vacated range covers `addr` (e.g. the
-    /// stripe has moved *again* since, recycling its `previous` entry).
+    /// Translates an address inside a range some stripe vacated to the same
+    /// offset inside that stripe's current home (the offset within a stripe
+    /// is invariant across moves).  Returns `None` while a stripe still
+    /// owns the range — its flip is pending, or the range was recycled — and
+    /// when no vacated range covers `addr`.  Of two stripes that vacated the
+    /// same (parked, then reused) range, the later cutover wins.
     ///
-    /// Used by the stale-CAS cleanup to chase a scribbled insert that a
-    /// later reconcile pass carried along with the range it sat in: the
-    /// offset within the stripe is invariant across moves, so the chase
-    /// re-tries its rollback at the same offset in the stripe's new home.
-    pub fn resolve_vacated(&self, addr: RemoteAddr) -> Option<(u64, RemoteAddr)> {
-        self.previous.iter().enumerate().find_map(|(i, p)| {
-            let raw = p.load(Ordering::Acquire);
-            if raw == 0 {
-                return None;
-            }
-            let base = RemoteAddr::unpack(raw);
-            (base.mn_id == addr.mn_id
-                && addr.offset >= base.offset
-                && addr.offset < base.offset + self.stripe_bytes)
-                .then(|| {
-                    (
-                        i as u64,
-                        self.current(i as u64).add(addr.offset - base.offset),
-                    )
-                })
-        })
-    }
-
-    /// Best-effort mirror address for a metadata write to `addr`: the same
-    /// offset inside the destination copy when the containing stripe is
-    /// moving, `None` otherwise.  One atomic load in steady state.
-    pub fn mirror_of(&self, addr: RemoteAddr) -> Option<RemoteAddr> {
-        if self.active_moves.load(Ordering::Acquire) == 0 {
+    /// Used to chase a word a writer must take back across the reconcile
+    /// that carried it (redirect rule 3).
+    pub fn resolve_vacated(&self, addr: RemoteAddr) -> Option<RemoteAddr> {
+        if self.locate(addr).is_some() {
             return None;
         }
-        let stripe = self.locate(addr)?;
-        if !self.state(stripe).is_moving() {
-            return None;
-        }
-        let forward = self.forward(stripe)?;
-        let base = self.current(stripe);
-        Some(forward.add(addr.offset - base.offset))
+        let (stripe, base) = (0..self.previous.len())
+            .filter_map(|i| {
+                let raw = self.previous[i].load(Ordering::Acquire);
+                let base = RemoteAddr::unpack(raw);
+                (raw != 0 && self.covers(base, addr)).then_some((i, base))
+            })
+            .max_by_key(|&(i, _)| self.committed_at[i].load(Ordering::Acquire))?;
+        Some(self.current(stripe as u64).add(addr.offset - base.offset))
     }
 
-    /// Judges a just-performed slot write at `addr` (redirect rule 3).
-    /// `token` is the directory version captured when the operation
-    /// computed its addresses; a version bump since then means a cutover
-    /// raced the operation and the address must be re-validated.
+    /// Judges a write to `addr` that took effect (redirect rule 3).  `token`
+    /// is the directory version captured when the operation computed its
+    /// addresses.  `Stale` when no current stripe holds `addr`, or the one
+    /// holding it cut over since `token` — `addr` may then be a recycled
+    /// parking range that belonged to a *different* stripe when the
+    /// operation started (ABA).  A moving stripe is `Clean`: its reconcile
+    /// carries every CAS word it has not swapped yet.
     pub fn confirm_write(&self, addr: RemoteAddr, token: u64) -> WriteDisposition {
-        let moves = self.active_moves.load(Ordering::Acquire);
-        if moves == 0 && self.version() == token {
+        self.judge(addr, token, false)
+    }
+
+    /// [`Self::confirm_write`] for a CAS that changed which record its word
+    /// belongs to, asked once the record's other words have landed: also
+    /// `Stale` while the stripe is moving, because its reconcile may have
+    /// READ those words before they landed.
+    pub fn confirm_rekey(&self, addr: RemoteAddr, token: u64) -> WriteDisposition {
+        // Pairs with the fence in `begin_move`: either the marker is seen
+        // here, or the reconcile's READs see the words the writer landed.
+        fence(Ordering::SeqCst);
+        self.judge(addr, token, true)
+    }
+
+    fn judge(&self, addr: RemoteAddr, token: u64, rekey: bool) -> WriteDisposition {
+        // `commit` bumps the version before it drops `active_moves`.
+        if self.active_moves.load(Ordering::Acquire) == 0 && self.version() == token {
             return WriteDisposition::Clean;
         }
-        let Some(stripe) = self.locate(addr) else {
-            // No current stripe contains the address: the write hit a copy
-            // that has already been cut over.
+        let Some(idx) = self.locate(addr) else {
             return WriteDisposition::Stale;
         };
-        if self.committed_at[stripe as usize].load(Ordering::Acquire) > token {
-            // The containing stripe cut over after the writer captured its
-            // token: `addr` may be a recycled parking range that belonged
-            // to a *different* stripe when the operation started (ABA), so
-            // the write cannot be trusted — redo the operation.
-            return WriteDisposition::Stale;
-        }
-        if !self.state(stripe).is_moving() {
-            return WriteDisposition::Clean;
-        }
-        match self.forward(stripe) {
-            Some(forward) => {
-                let base = self.current(stripe);
-                WriteDisposition::Mirror {
-                    stripe,
-                    addr: forward.add(addr.offset - base.offset),
-                }
-            }
-            None => WriteDisposition::Clean,
+        // The marker before the commit stamp: `commit` clears the marker
+        // only after it flipped the entry and stamped `committed_at`.
+        let moving = rekey && self.forwards[idx].load(Ordering::Acquire) != 0;
+        if moving || self.committed_at[idx].load(Ordering::Acquire) > token {
+            WriteDisposition::Stale
+        } else {
+            WriteDisposition::Clean
         }
     }
 }
@@ -529,9 +483,11 @@ impl MigrationPlanner {
 ///
 /// The engine owns one [`RemoteLock`] word per stripe (reserved on node 0)
 /// and a job queue refreshed from the [`MigrationPlanner`] whenever the
-/// pool's resize epoch moves.  [`MigrationEngine::begin`] bulk-copies a
-/// stripe into `DualRead`; the cache layer then relocates the stripe's
-/// resident objects; [`MigrationEngine::commit`] reconciles and cuts over.
+/// pool's resize epoch moves.  [`MigrationEngine::begin`] checks a job is
+/// still wanted; the cache layer then relocates the stripe's resident
+/// objects; [`MigrationEngine::commit`] moves the stripe in one pass and
+/// cuts over.  The stripe locks serialise pumpers against each other; no
+/// client data-path operation takes one.
 /// Destination ranges come from per-node **stripe parking**: pre-reserved
 /// at engine creation (before object segments run the arena to capacity)
 /// and refilled with every vacated source range, so repeated resizes —
@@ -550,16 +506,6 @@ pub struct MigrationEngine {
     /// with every vacated source range, so incoming stripes always have a
     /// home even on a node that has long since run its arena to capacity.
     parking: Mutex<HashMap<u16, Vec<RemoteAddr>>>,
-    /// Token-bucket rate limit on migration copy verbs, in bytes of copied
-    /// stripe data per simulated second (0 = unlimited).  Keeps a pump's
-    /// bulk-copy traffic from monopolising the RNICs against foreground
-    /// operations: a throttled pump *waits* (advances its own simulated
-    /// clock) instead of bursting the whole stripe at once.
-    copy_rate: AtomicU64,
-    /// Leaky-bucket pacing state: the simulated time at which the copy
-    /// budget is next available.  Shared by every pumping client, so
-    /// concurrent pumps jointly respect the rate.
-    copy_next_free_ns: Mutex<u64>,
 }
 
 impl MigrationEngine {
@@ -592,45 +538,7 @@ impl MigrationEngine {
             jobs: Mutex::new(VecDeque::new()),
             planned_epoch: AtomicU64::new(u64::MAX),
             parking: Mutex::new(parking),
-            copy_rate: AtomicU64::new(0),
-            copy_next_free_ns: Mutex::new(0),
         })
-    }
-
-    /// Sets the token-bucket rate limit on migration copy verbs, in bytes
-    /// of copied stripe data per simulated second (0 = unlimited).  Exposed
-    /// through `DittoConfig::migration_copy_bytes_per_sec` at the cache
-    /// layer.
-    pub fn set_copy_rate(&self, bytes_per_sec: u64) {
-        self.copy_rate.store(bytes_per_sec, Ordering::Relaxed);
-    }
-
-    /// The configured copy rate limit in bytes per simulated second
-    /// (0 = unlimited).
-    pub fn copy_rate(&self) -> u64 {
-        self.copy_rate.load(Ordering::Relaxed)
-    }
-
-    /// Takes `bytes` of copy budget from the token bucket, stalling the
-    /// pumping client (advancing its simulated clock) when the bucket is
-    /// dry.  No-op when no rate limit is configured.
-    ///
-    /// Public because *all* migration traffic shares this one bucket: the
-    /// engine charges its stripe bulk copies here, and the cache layer
-    /// charges the object-relocation READ/WRITEs it issues while draining a
-    /// stripe's residents — so `migration_copy_bytes_per_sec` caps the
-    /// combined resize traffic, not just the bucket arrays.
-    pub fn throttle_copy(&self, client: &DmClient, bytes: u64) {
-        let rate = self.copy_rate();
-        if rate == 0 {
-            return;
-        }
-        let cost_ns = bytes.saturating_mul(1_000_000_000) / rate.max(1);
-        let now = client.now_ns();
-        let mut next_free = self.copy_next_free_ns.lock();
-        let start = (*next_free).max(now);
-        *next_free = start + cost_ns;
-        client.advance_ns(start - now);
     }
 
     /// The stripe directory the engine migrates.
@@ -705,69 +613,28 @@ impl MigrationEngine {
         self.pending_jobs() == 0 && self.dir.active_moves() == 0
     }
 
-    /// Runs `job` up to `DualRead`: reserves (or reuses) the destination
-    /// range, bulk-copies the bucket array under the stripe lock and sets
-    /// the forwarding marker.  Returns `false` without side effects when
-    /// the job is stale (the stripe moved or is already moving — e.g. a
-    /// plan superseded by a newer resize).
-    pub fn begin(&self, client: &DmClient, job: &MoveJob) -> DmResult<bool> {
-        let src_base = self.dir.current(job.stripe);
-        if src_base.mn_id != job.src || job.src == job.dst || self.dir.state(job.stripe).is_moving()
-        {
-            return Ok(false);
-        }
-        let dst_base = self.home_on(job.dst)?;
-        let lock = self.stripe_lock(job.stripe);
-        let acq = lock.acquire(client);
-        if !acq.is_acquired() {
-            return Err(DmError::LockExhausted {
-                retries: acq.retries.min(u32::MAX as u64) as u32,
-            });
-        }
-        self.dir.begin_move(job.stripe, dst_base);
-        self.pool.record_event(
-            client.now_ns(),
-            client.client_id(),
-            EventKind::Migration {
-                stripe: job.stripe,
-                state: StripeState::Copying,
-            },
-        );
-        if let Err(e) = self.copy_stripe(client, src_base, dst_base) {
-            // The copy could not complete (e.g. the destination node
-            // fail-stopped): unwind — marker cleared, destination range
-            // parked for reuse — so the stripe stays fully served from the
-            // source and the caller can requeue the job.
-            self.dir.abort_move(job.stripe);
-            self.parking
-                .lock()
-                .entry(dst_base.mn_id)
-                .or_default()
-                .push(dst_base);
-            let _ = lock.release(client, &acq);
-            return Err(e);
-        }
-        self.dir.enter_dual_read(job.stripe);
-        self.pool.record_event(
-            client.now_ns(),
-            client.client_id(),
-            EventKind::Migration {
-                stripe: job.stripe,
-                state: StripeState::DualRead,
-            },
-        );
-        let _ = lock.release(client, &acq);
-        Ok(true)
+    /// Whether `job` still wants running: its stripe still lives on
+    /// `job.src`, which it is meant to leave (a plan superseded by a newer
+    /// resize yields stale jobs).  Sends no verb and changes nothing — the
+    /// stripe's bytes move in [`Self::commit`], and in between the cache
+    /// layer relocates the stripe's resident objects.  A stripe that a
+    /// failed commit left `Moving` passes, so its job resumes at the commit.
+    pub fn begin(&self, job: &MoveJob) -> bool {
+        self.dir.current_node(job.stripe) == job.src && job.src != job.dst
     }
 
-    /// Commits `job`: under the stripe lock, reconciles the stripe — every
-    /// source word clients CAS is swapped to [`RECONCILE_POISON`] as its
-    /// value is carried to the destination, so a slot CAS racing this pass either
-    /// gets carried or observes the poison and fails (never silently
-    /// swallowed) — then flips the directory entry, remembers the vacated
-    /// source range for reuse and piggybacks the cutover on the pool's
-    /// resize epoch.
-    pub fn commit(&self, client: &DmClient, job: &MoveJob) -> DmResult<()> {
+    /// Commits `job` under the stripe lock: sets the forwarding marker
+    /// (state → `Moving`) immediately before the reconcile's first chunk
+    /// READ — or resumes under the marker a failed commit left — moves the
+    /// stripe in one reconcile pass, in which every source word clients CAS
+    /// is swapped to [`RECONCILE_POISON`] as its value is carried to the
+    /// destination (a slot CAS racing the pass is carried, or observes the
+    /// poison and fails; it is never silently swallowed), flips the
+    /// directory entry, parks the vacated source range for reuse and
+    /// piggybacks the cutover on the pool's resize epoch.  Returns `false`,
+    /// moving nothing, when the job went stale before the lock was taken
+    /// (another pump committed it).
+    pub fn commit(&self, client: &DmClient, job: &MoveJob) -> DmResult<bool> {
         let lock = self.stripe_lock(job.stripe);
         let acq = lock.acquire(client);
         if !acq.is_acquired() {
@@ -775,35 +642,11 @@ impl MigrationEngine {
                 retries: acq.retries.min(u32::MAX as u64) as u32,
             });
         }
-        let src_base = self.dir.current(job.stripe);
-        let Some(dst_base) = self.dir.forward(job.stripe) else {
-            // Do not leak the stripe lock on the error path.
-            let _ = lock.release(client, &acq);
-            return Err(DmError::Topology {
-                reason: format!("commit of stripe {} without begin", job.stripe),
-            });
-        };
-        if let Err(e) = self.reconcile_stripe(client, src_base, dst_base) {
-            // Reconcile only fails after burning RECONCILE_VERB_RETRIES per
-            // verb — in practice a fail-stopped node.  Leave the stripe in
-            // DualRead (readers still resolve every word via source +
-            // forward) and release the lock; the pump requeues the job and
-            // a later commit retries.  Source words this pass had already
-            // poisoned are lost with the dead node — the DM copy is
-            // unreplicated, exactly as in the paper's system.
-            let _ = lock.release(client, &acq);
-            return Err(e);
-        }
-        self.dir.commit(job.stripe);
-        self.pool.record_event(
-            client.now_ns(),
-            client.client_id(),
-            EventKind::Migration {
-                stripe: job.stripe,
-                state: StripeState::Committed,
-            },
-        );
+        let moved = self.move_stripe(client, job);
         let _ = lock.release(client, &acq);
+        let Some(src_base) = moved? else {
+            return Ok(false);
+        };
         self.parking
             .lock()
             .entry(src_base.mn_id)
@@ -811,17 +654,52 @@ impl MigrationEngine {
             .push(src_base);
         self.pool.stats().record_stripe_cutover();
         self.pool.bump_resize_epoch();
-        Ok(())
+        Ok(true)
+    }
+
+    /// The part of [`Self::commit`] that runs under the stripe lock.
+    /// Returns the vacated source range, or `None` for a stale job.
+    fn move_stripe(&self, client: &DmClient, job: &MoveJob) -> DmResult<Option<RemoteAddr>> {
+        if !self.begin(job) {
+            return Ok(None);
+        }
+        let src_base = self.dir.current(job.stripe);
+        let dst_base = match self.dir.forward(job.stripe) {
+            Some(dst_base) => dst_base,
+            None => {
+                let dst_base = self.home_on(job.dst)?;
+                self.dir.begin_move(job.stripe, dst_base);
+                self.record_state(client, job.stripe, MigrationState::Moving);
+                dst_base
+            }
+        };
+        // Reconcile only fails after burning RECONCILE_VERB_RETRIES per
+        // verb — in practice a fail-stopped node.  The stripe stays Moving
+        // (readers keep using the source) and a later commit resumes under
+        // the same marker.  Source words this pass had already poisoned are
+        // lost with the dead node — the DM copy is unreplicated, exactly as
+        // in the paper's system.
+        self.reconcile_stripe(client, src_base, dst_base)?;
+        self.dir.commit(job.stripe);
+        self.record_state(client, job.stripe, MigrationState::Committed);
+        Ok(Some(src_base))
+    }
+
+    fn record_state(&self, client: &DmClient, stripe: u64, state: MigrationState) {
+        self.pool.record_event(
+            client.now_ns(),
+            client.client_id(),
+            EventKind::Migration { stripe, state },
+        );
     }
 
     /// Convenience: begin + commit with no object relocation in between
     /// (bucket arrays only).  Returns `false` for stale jobs.
     pub fn run_job(&self, client: &DmClient, job: &MoveJob) -> DmResult<bool> {
-        if !self.begin(client, job)? {
+        if !self.begin(job) {
             return Ok(false);
         }
-        self.commit(client, job)?;
-        Ok(true)
+        self.commit(client, job)
     }
 
     /// A destination range for a stripe on `node`: a parked range (the
@@ -835,36 +713,13 @@ impl MigrationEngine {
         self.pool.reserve_on(node, self.dir.stripe_bytes())
     }
 
-    /// Chunked copy of one stripe's bucket array `src` → `dst`, paced by
-    /// the copy token bucket (each chunk consumes budget for its READ and
-    /// its WRITE before the verbs are issued).
-    fn copy_stripe(&self, client: &DmClient, src: RemoteAddr, dst: RemoteAddr) -> DmResult<()> {
-        let total = self.dir.stripe_bytes();
-        let mut buf = vec![0u8; COPY_CHUNK.min(total as usize)];
-        let mut copied = 0u64;
-        while copied < total {
-            let take = ((total - copied) as usize).min(COPY_CHUNK);
-            self.throttle_copy(client, 2 * take as u64);
-            retry_verb(client, COPY_VERB_RETRIES, |c| {
-                c.try_read_into(src.add(copied), &mut buf[..take])
-            })?;
-            retry_verb(client, COPY_VERB_RETRIES, |c| {
-                c.try_write(dst.add(copied), &buf[..take])
-            })?;
-            copied += take as u64;
-        }
-        self.pool.stats().record_migrated_bytes(total);
-        Ok(())
-    }
-
-    /// The commit-time variant of [`MigrationEngine::copy_stripe`]: carries
-    /// each chunk to the destination with its READ → WRITE, the words
-    /// clients CAS ([`StripeDirectory::with_cas_words`]) *through a CAS swap
-    /// to [`RECONCILE_POISON`]* in between, so racing word CASes are
-    /// linearised against the carry — see the constant's docs for why a
-    /// plain re-copy is not enough for those words and is enough for the
-    /// rest.  Holds no extra state: the caller already holds the stripe
-    /// lock, which keeps other reconcile/copy passes off the range (racing
+    /// Carries the stripe at `src` to `dst` chunk by chunk, each with its
+    /// READ → WRITE, the words clients CAS ([`StripeDirectory::with_cas_words`])
+    /// *through a CAS swap to [`RECONCILE_POISON`]* in between, so racing
+    /// word CASes are linearised against the carry — see the constant's
+    /// docs for why a plain copy is not enough for those words and is
+    /// enough for the rest.  Holds no extra state: the caller holds the
+    /// stripe lock, which keeps other reconcile passes off the range (racing
     /// *clients* are exactly who the poison protocol is for).
     fn reconcile_stripe(
         &self,
@@ -885,10 +740,6 @@ impl MigrationEngine {
             // a record boundary.
             targets.clear();
             targets.extend((0..take / 8).filter(|w| self.dir.is_cas_word(copied + (w * 8) as u64)));
-            // One READ to seed the expected values, one word CAS per
-            // swapped word, one WRITE to land the chunk: budget all three
-            // passes against the copy token bucket.
-            self.throttle_copy(client, 2 * take as u64 + 8 * targets.len() as u64);
             retry_verb(client, RECONCILE_VERB_RETRIES, |c| {
                 c.try_read_into(src.add(copied), &mut buf[..take])
             })?;
@@ -1002,13 +853,11 @@ mod tests {
 
         let dst = pool.reserve_on(0, 256).unwrap();
         dir.begin_move(1, dst);
-        assert_eq!(dir.state(1), MigrationState::Copying);
+        assert_eq!(dir.state(1), MigrationState::Moving);
         assert_eq!(dir.forward(1), Some(dst));
         assert_eq!(dir.active_moves(), 1);
         // The entry still names the source until commit.
         assert_eq!(dir.current_node(1), 1);
-        dir.enter_dual_read(1);
-        assert_eq!(dir.state(1), MigrationState::DualRead);
         let v = dir.version();
         dir.commit(1);
         assert_eq!(dir.state(1), MigrationState::Committed);
@@ -1019,27 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn mirror_of_maps_only_moving_stripes() {
-        let pool = striped_pool(2);
-        let dir = make_directory(&pool, 2, 256);
-        let in_stripe0 = dir.current(0).add(40);
-        assert_eq!(
-            dir.mirror_of(in_stripe0),
-            None,
-            "steady state mirrors nothing"
-        );
-
-        let dst = pool.reserve_on(0, 256).unwrap();
-        dir.begin_move(1, dst);
-        let in_stripe1 = dir.current(1).add(72);
-        assert_eq!(dir.mirror_of(in_stripe1), Some(dst.add(72)));
-        // The non-moving stripe still mirrors nothing.
-        assert_eq!(dir.mirror_of(in_stripe0), None);
-        dir.commit(1);
-        assert_eq!(dir.mirror_of(dir.current(1).add(72)), None);
-    }
-
-    #[test]
     fn confirm_write_detects_mirrors_and_stale_copies() {
         let pool = striped_pool(2);
         let dir = make_directory(&pool, 2, 256);
@@ -1047,19 +875,22 @@ mod tests {
         let addr = dir.current(1).add(8);
         assert_eq!(dir.confirm_write(addr, token), WriteDisposition::Clean);
 
+        assert_eq!(dir.confirm_rekey(addr, token), WriteDisposition::Clean);
+
         let dst = pool.reserve_on(0, 256).unwrap();
         dir.begin_move(1, dst);
-        dir.enter_dual_read(1);
-        assert_eq!(
-            dir.confirm_write(addr, token),
-            WriteDisposition::Mirror {
-                stripe: 1,
-                addr: dst.add(8)
-            }
-        );
+        // Moving: a CAS word is carried by the reconcile, so the write is
+        // clean — but a key change's other words may already have been
+        // READ, so it is stale.  The source is still live, not vacated.
+        assert_eq!(dir.confirm_write(addr, token), WriteDisposition::Clean);
+        assert_eq!(dir.confirm_rekey(addr, token), WriteDisposition::Stale);
+        assert_eq!(dir.resolve_vacated(addr), None);
         dir.commit(1);
-        // The old source address belongs to no current stripe any more.
+        // The old source address belongs to no current stripe any more;
+        // the word it held lives on at the same offset of the new home.
         assert_eq!(dir.confirm_write(addr, token), WriteDisposition::Stale);
+        assert_eq!(dir.confirm_rekey(addr, token), WriteDisposition::Stale);
+        assert_eq!(dir.resolve_vacated(addr), Some(dst.add(8)));
         // The new home is clean once the token catches up.
         assert_eq!(
             dir.confirm_write(dst.add(8), dir.version()),
@@ -1153,8 +984,8 @@ mod tests {
         // Cutovers piggybacked on the resize epoch and were counted.
         assert!(pool.resize_epoch() > epoch_before);
         assert_eq!(pool.stats().stripe_cutovers(), 2);
-        // Each stripe was copied twice (bulk + reconcile pass).
-        assert_eq!(pool.stats().migrated_bytes(), 2 * 2 * 512);
+        // Each stripe was copied once, by its reconcile pass.
+        assert_eq!(pool.stats().migrated_bytes(), 2 * 512);
     }
 
     /// A stripe of `bytes` on node 1 (stripe 0 sits on node 0) filled with a
@@ -1197,11 +1028,11 @@ mod tests {
                 dst: 0,
             };
             let src = dir.current(1);
-            assert!(engine.begin(&client, &job).unwrap());
+            assert!(engine.begin(&job));
             // The stripe locks live on node 0: every CAS node 1 serves
             // during the commit is one of the sweep's.
             let before = pool.stats().node_snapshots()[1].cas;
-            engine.commit(&client, &job).unwrap();
+            assert!(engine.commit(&client, &job).unwrap());
             assert_eq!(
                 pool.stats().node_snapshots()[1].cas - before,
                 BYTES / stride,
@@ -1336,81 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_token_bucket_paces_the_pump_clock() {
-        // Move one 4 KiB stripe twice through the engine (bulk + reconcile
-        // copies), once unthrottled and once at a tight byte rate: the
-        // throttled pump must stall for at least the copied bytes' worth of
-        // simulated time, while the unthrottled run is far quicker.
-        let run = |rate: u64| {
-            let pool = striped_pool(2);
-            let dir = make_directory(&pool, 2, 4096);
-            let engine = MigrationEngine::new(&pool, Arc::clone(&dir)).unwrap();
-            engine.set_copy_rate(rate);
-            assert_eq!(engine.copy_rate(), rate);
-            let client = pool.connect();
-            let t0 = client.now_ns();
-            assert!(engine
-                .run_job(
-                    &client,
-                    &MoveJob {
-                        stripe: 1,
-                        src: 1,
-                        dst: 0
-                    }
-                )
-                .unwrap());
-            client.now_ns() - t0
-        };
-        let unthrottled = run(0);
-        // 1 MB/s: the 2 copy passes × 4096 B × 2 (READ + WRITE) of budget
-        // take ≥ 16 ms of simulated time minus the final chunk's grace.
-        let throttled = run(1_000_000);
-        let copied_bytes = 2 * 2 * 4096u64;
-        let floor_ns = (copied_bytes - 2 * 4096) * 1_000; // all but the last chunks wait
-        assert!(
-            throttled >= floor_ns,
-            "throttled pump must stall: {throttled} < {floor_ns}"
-        );
-        assert!(
-            unthrottled * 10 < throttled,
-            "rate limit must dominate the pump time: {unthrottled} vs {throttled}"
-        );
-    }
-
-    #[test]
-    fn copy_throttle_paces_successive_pumps_jointly() {
-        let pool = striped_pool(2);
-        let dir = make_directory(&pool, 4, 4096);
-        let engine = MigrationEngine::new(&pool, Arc::clone(&dir)).unwrap();
-        engine.set_copy_rate(1_000_000);
-        let client = pool.connect();
-        assert!(engine
-            .run_job(
-                &client,
-                &MoveJob {
-                    stripe: 1,
-                    src: 1,
-                    dst: 0
-                }
-            )
-            .unwrap());
-        let after_first = client.now_ns();
-        // The bucket is shared state: a second job immediately after starts
-        // against the budget the first one consumed.
-        assert!(engine
-            .run_job(
-                &client,
-                &MoveJob {
-                    stripe: 3,
-                    src: 1,
-                    dst: 0
-                }
-            )
-            .unwrap());
-        assert!(client.now_ns() - after_first >= after_first / 2);
-    }
-
-    #[test]
     fn maybe_replan_is_idempotent_per_epoch() {
         let pool = striped_pool(2);
         let dir = make_directory(&pool, 8, 256);
@@ -1422,8 +1178,10 @@ mod tests {
         // Same epoch: the queue is not rebuilt (jobs keep draining).
         let client = pool.connect();
         let job = engine.next_job().unwrap();
-        assert!(engine.begin(&client, &job).unwrap());
+        assert!(engine.begin(&job));
         assert_eq!(engine.maybe_replan(), planned - 1);
-        engine.commit(&client, &job).unwrap();
+        assert!(engine.commit(&client, &job).unwrap());
+        // Committed by now, the job is stale: a second commit moves nothing.
+        assert!(!engine.commit(&client, &job).unwrap());
     }
 }

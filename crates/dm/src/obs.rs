@@ -26,6 +26,7 @@
 //!   comes with its last-N-events post-mortem.
 
 use crate::addr::RemoteAddr;
+use crate::migration::MigrationState;
 use crate::pool::MemoryPool;
 use crate::stats::{CounterRow, PoolStats};
 use std::fmt;
@@ -226,29 +227,6 @@ impl FlightRecorder {
     }
 }
 
-/// Stripe-migration state as seen by the event log (mirrors
-/// [`crate::MigrationState`] without the `Idle` resting state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StripeState {
-    /// Bucket array copying to the destination under the stripe lock.
-    Copying,
-    /// Both copies live; reads resolve via source + forwarding marker.
-    DualRead,
-    /// Directory flipped; the stripe serves from the destination.
-    Committed,
-}
-
-impl StripeState {
-    /// Stable lowercase name used by the exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            StripeState::Copying => "copying",
-            StripeState::DualRead => "dual-read",
-            StripeState::Committed => "committed",
-        }
-    }
-}
-
 /// Phase of a crash-recovery pass (see `ditto_core`'s
 /// `recover_crashed_client`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,7 +272,7 @@ pub enum EventKind {
     /// A recovery pass reclaimed the lock at `addr` from `dead_owner`.
     LockReclaimed { addr: RemoteAddr, dead_owner: u32 },
     /// Stripe `stripe` entered migration state `state`.
-    Migration { stripe: u64, state: StripeState },
+    Migration { stripe: u64, state: MigrationState },
     /// The pool's resize epoch advanced to `epoch`.
     EpochBump { epoch: u64 },
     /// A crash-recovery pass for `dead_client` entered `phase`.
