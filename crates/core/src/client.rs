@@ -226,12 +226,6 @@ pub struct DittoClient {
     /// cap keeps at least this much parked per node so an evicting client
     /// does not hand the blocks it just freed straight back to the node.
     pending_alloc_blocks: u64,
-    /// Set by [`Self::take_back`] when a cutover-racing publish could not be
-    /// taken back: another client displaced the slot word and freed the
-    /// object behind it, or the slot still names it.  The in-flight `Set`
-    /// must re-allocate before retrying and must not free the original
-    /// allocation on exit.
-    alloc_abandoned: bool,
     /// This client's crash-recovery journal slot
     /// ([`DittoConfig::enable_crash_recovery_journal`]); `None` when the
     /// journal is disabled or the client id falls outside the region.
@@ -314,7 +308,6 @@ impl DittoClient {
             mig_token: 0,
             mem_pressure: false,
             pending_alloc_blocks: 0,
-            alloc_abandoned: false,
             journal: cache.journal_slot(dm.client_id()),
             journal_base: cache.journal_base(),
             crash_armed: None,
@@ -1318,9 +1311,8 @@ impl DittoClient {
                 .find(|&n| !self.dm.node_failed(n))
                 .unwrap_or(preferred);
         }
-        self.alloc_abandoned = false;
-        let mut obj_addr = self.alloc_with_eviction(preferred, encoded.len());
-        let mut new_atomic = match AtomicField::try_for_object(fp, size_class as u8, obj_addr) {
+        let obj_addr = self.alloc_with_eviction(preferred, encoded.len());
+        let new_atomic = match AtomicField::try_for_object(fp, size_class as u8, obj_addr) {
             Ok(atomic) => atomic,
             Err(e) => {
                 // The 48-bit slot pointer cannot name this address; release
@@ -1380,39 +1372,6 @@ impl DittoClient {
             // op-start token would judge every CAS after a mid-op cutover
             // stale even against the stripe's fresh live home.
             self.mig_token = self.table.directory().version();
-            if self.alloc_abandoned {
-                // The previous attempt's publish could not be taken back
-                // mid-cutover (see `take_back`): re-allocate and rewrite the
-                // bytes before retrying.  (The eviction running ahead has
-                // nothing in flight: an insert that lost settled its victim
-                // CAS below, and a bucket eviction never posts one.  Two
-                // evictions must not share the completion queue.)
-                self.alloc_abandoned = false;
-                obj_addr = self.alloc_with_eviction(preferred, encoded.len());
-                new_atomic = match AtomicField::try_for_object(fp, size_class as u8, obj_addr) {
-                    Ok(atomic) => atomic,
-                    Err(e) => {
-                        self.free_object(obj_addr, encoded.len());
-                        self.journal_clear();
-                        self.encode_buf = encoded;
-                        return Err(e);
-                    }
-                };
-                self.journal_arm(obj_addr, encoded.len());
-                if with_retry(&self.dm, |dm| dm.try_write(obj_addr, &encoded)).is_err() {
-                    // The replacement bytes cannot be written (persistent
-                    // faults or a dead node): drop the update rather than
-                    // publish a pointer to garbage.  The failed search
-                    // below already invalidated any older value's slot or
-                    // will keep failing consistently.
-                    self.free_object(obj_addr, encoded.len());
-                    self.journal_clear();
-                    self.encode_buf = encoded;
-                    self.stats.record_set_dropped();
-                    return Ok(());
-                }
-                object_written = true;
-            }
             // The object WRITE is independent of the bucket READs, so the
             // first successful lookup round carries it in the same doorbell
             // batch; once it has landed, retries only re-read the buckets.
@@ -1553,15 +1512,8 @@ impl DittoClient {
         }
         if !stored {
             self.stats.record_set_dropped();
-            if self.alloc_abandoned {
-                // The final attempt's insert was displaced by an evictor,
-                // which already freed the object — freeing here would
-                // double-free a block another Set may have recycled.
-                self.alloc_abandoned = false;
-            } else {
-                // Release the dropped request's object so nothing leaks.
-                self.free_object(obj_addr, encoded.len());
-            }
+            // Release the dropped request's object so nothing leaks.
+            self.free_object(obj_addr, encoded.len());
         }
         // One bump covers every mutation shape this Set may have performed
         // on its own key's slot — replace, fresh install, bucket
@@ -1957,8 +1909,10 @@ impl ditto_workloads::CacheBackend for DittoClient {
 
 #[cfg(test)]
 mod tests {
+    use super::DittoClient;
     use crate::cache::DittoCache;
     use crate::config::DittoConfig;
+    use crate::hashtable::SampleFriendlyHashTable;
     use ditto_dm::DmConfig;
 
     fn small_cache(capacity: u64) -> DittoCache {
@@ -2534,21 +2488,74 @@ mod tests {
         );
     }
 
-    /// A drain's first job, begun, with the forwarding marker set the way a
-    /// commit sets it immediately before its first chunk READ.
-    fn moving_stripe(cache: &DittoCache) -> ditto_dm::MoveJob {
+    /// A drain of node 1, and its first job, begun.
+    fn drain_job(cache: &DittoCache) -> ditto_dm::MoveJob {
         cache.pool().drain_node(1).unwrap();
         let engine = cache.migration();
         engine.maybe_replan();
         let job = engine.next_job().expect("drain must plan moves");
         assert!(engine.begin(&job));
-        let dir = engine.directory();
+        job
+    }
+
+    /// Sets `job`'s forwarding marker the way its commit sets it immediately
+    /// before the first chunk READ.
+    fn mark_moving(cache: &DittoCache, job: &ditto_dm::MoveJob) {
+        let dir = cache.migration().directory();
         let dst = cache
             .pool()
             .reserve_on(job.dst, dir.stripe_bytes())
             .unwrap();
         dir.begin_move(job.stripe, dst);
-        job
+    }
+
+    /// Runs the commit of a `job` [`mark_moving`] marked: it sets its own
+    /// marker before it READs anything.
+    fn commit_marked(cache: &DittoCache, client: &DittoClient, job: &ditto_dm::MoveJob) {
+        cache.migration().directory().reopen(job.stripe);
+        assert!(cache.migration().commit(client.dm(), job).unwrap());
+    }
+
+    /// The first key `prefix{i}` whose primary and secondary buckets both
+    /// satisfy `wanted`.
+    fn key_with_buckets(
+        table: &SampleFriendlyHashTable,
+        prefix: &str,
+        wanted: impl Fn(u64) -> bool,
+    ) -> String {
+        (0..)
+            .map(|i| format!("{prefix}{i}"))
+            .find(|k| {
+                let hash = crate::hash::fnv1a64(k.as_bytes());
+                wanted(table.primary_bucket(hash)) && wanted(table.secondary_bucket(hash))
+            })
+            .unwrap()
+    }
+
+    /// Every object slot of `stripe` carries its own key's hash.
+    fn assert_records_match_their_keys(
+        table: &SampleFriendlyHashTable,
+        client: &DittoClient,
+        stripe: u64,
+    ) {
+        let first = table.first_bucket_of_stripe(stripe);
+        for bucket in first..first + table.buckets_per_stripe() {
+            for (_, slot) in table.read_bucket(&client.dm, bucket) {
+                if !slot.atomic.is_object() {
+                    continue;
+                }
+                let bytes = client.dm.read(
+                    slot.atomic.object_addr(),
+                    slot.atomic.object_bytes() as usize,
+                );
+                let object = crate::object::view(&bytes).expect("a live object decodes");
+                assert_eq!(
+                    crate::hash::fnv1a64(object.key),
+                    slot.hash,
+                    "bucket {bucket}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2562,7 +2569,8 @@ mod tests {
             let key = format!("window{i}");
             client.set(key.as_bytes(), b"old");
         }
-        let job = moving_stripe(&cache);
+        let job = drain_job(&cache);
+        mark_moving(&cache, &job);
 
         // Update the keys while the stripe is moving: plain CASes on the
         // source, which the commit's reconcile carries — no stripe lock.
@@ -2586,7 +2594,7 @@ mod tests {
             locks,
             "a Set took a stripe lock"
         );
-        assert!(cache.migration().commit(client.dm(), &job).unwrap());
+        commit_marked(&cache, &client, &job);
 
         // After the cutover the writes are visible at the new home.
         for key in &in_window {
@@ -2603,6 +2611,8 @@ mod tests {
 
     #[test]
     fn a_fill_a_reconcile_may_have_read_never_reads_as_another_key() {
+        use crate::history::EvictionHistory;
+        use crate::slot::AtomicField;
         let config = DittoConfig::with_capacity(2_000);
         let cache =
             DittoCache::with_dedicated_pool(config, DmConfig::default().with_memory_nodes(2))
@@ -2611,38 +2621,90 @@ mod tests {
         for i in 0..300u64 {
             client.set(format!("resident{i}").as_bytes(), b"resident");
         }
-        let job = moving_stripe(&cache);
-        let table = cache.table();
-        let key = (0..)
-            .map(|i| format!("fill{i}"))
-            .find(|k| {
-                let hash = crate::hash::fnv1a64(k.as_bytes());
-                table.stripe_of_bucket(table.primary_bucket(hash)) == job.stripe
-            })
-            .unwrap();
-        let dropped = cache.stats().sets_dropped();
-        client.set(key.as_bytes(), b"fill");
-        assert!(cache.migration().commit(client.dm(), &job).unwrap());
+        let job = drain_job(&cache);
+        let table = &cache.table();
+        let in_stripe = |b: u64| table.stripe_of_bucket(b) == job.stripe;
+        // Three fills whose every candidate slot is in the moving stripe, on
+        // disjoint bucket pairs: one finds an empty slot, one only history
+        // slots, one a full bucket pair it must evict from.
+        let buckets = |k: &str| {
+            let hash = crate::hash::fnv1a64(k.as_bytes());
+            [table.primary_bucket(hash), table.secondary_bucket(hash)]
+        };
+        let evicting = key_with_buckets(table, "evicting", in_stripe);
+        let taken = buckets(&evicting);
+        let into_history =
+            key_with_buckets(table, "history", |b| in_stripe(b) && !taken.contains(&b));
+        let taken = [taken, buckets(&into_history)].concat();
+        let into_empty = key_with_buckets(table, "empty", |b| in_stripe(b) && !taken.contains(&b));
 
-        match client.get(key.as_bytes()) {
-            Some(value) => assert_eq!(value, b"fill"),
-            None => assert!(cache.stats().sets_dropped() > dropped),
-        }
-        // Every record of the moved stripe carries its own key's hash.
-        let first = table.first_bucket_of_stripe(job.stripe);
-        for bucket in first..first + table.buckets_per_stripe() {
-            for (_, slot) in table.read_bucket(&client.dm, bucket) {
-                if !slot.atomic.is_object() {
-                    continue;
-                }
-                let bytes = client.dm.read(
-                    slot.atomic.object_addr(),
-                    slot.atomic.object_bytes() as usize,
-                );
-                let object = crate::object::view(&bytes).expect("a live object decodes");
-                assert_eq!(crate::hash::fnv1a64(object.key), slot.hash);
+        // Objects fill the evicting key's buckets…
+        for bucket in buckets(&evicting) {
+            let mut packers = (0..)
+                .map(|i| format!("pack{i}"))
+                .filter(|k| table.primary_bucket(crate::hash::fnv1a64(k.as_bytes())) == bucket);
+            while table
+                .read_bucket(&client.dm, bucket)
+                .iter()
+                .any(|(_, s)| !s.atomic.is_object())
+            {
+                let packer = packers.next().unwrap();
+                client.set(packer.as_bytes(), b"packed");
             }
         }
+        // …and history entries of other keys every empty slot of the
+        // history key's.
+        let mut ghosts = Vec::new();
+        for bucket in buckets(&into_history) {
+            for (slot_addr, slot) in table.read_bucket(&client.dm, bucket) {
+                if slot.atomic.is_empty() {
+                    let ghost = crate::hash::fnv1a64(format!("ghost{}", ghosts.len()).as_bytes());
+                    let id = EvictionHistory::pack_id(0, ghosts.len() as u64 + 1);
+                    let word = AtomicField::for_history(crate::hash::fingerprint(ghost), id);
+                    client.dm.write(
+                        SampleFriendlyHashTable::hash_addr(slot_addr),
+                        &ghost.to_le_bytes(),
+                    );
+                    client.dm.write(slot_addr, &word.encode().to_le_bytes());
+                    ghosts.push(ghost);
+                }
+            }
+        }
+        assert!(!ghosts.is_empty());
+
+        mark_moving(&cache, &job);
+        let (dropped, evictions) = (
+            cache.stats().sets_dropped(),
+            cache.stats().snapshot().bucket_evictions,
+        );
+        for key in [&into_empty, &into_history, &evicting] {
+            client.set(key.as_bytes(), key.as_bytes());
+        }
+        assert_eq!(cache.stats().snapshot().bucket_evictions, evictions + 1);
+        commit_marked(&cache, &client, &job);
+
+        for key in [&into_empty, &into_history, &evicting] {
+            assert_eq!(client.get(key.as_bytes()), Some(key.clone().into_bytes()));
+        }
+        assert_eq!(cache.stats().sets_dropped(), dropped);
+        // Every record of the moved stripe carries its own key's hash, and
+        // every history entry left its evicted key's.
+        assert_records_match_their_keys(table, &client, job.stripe);
+        let first = table.first_bucket_of_stripe(job.stripe);
+        let mut history_left = 0;
+        for bucket in first..first + table.buckets_per_stripe() {
+            for (_, slot) in table.read_bucket(&client.dm, bucket) {
+                if slot.atomic.is_history() {
+                    assert!(ghosts.contains(&slot.hash), "bucket {bucket}");
+                    history_left += 1;
+                }
+            }
+        }
+        assert_eq!(
+            history_left,
+            ghosts.len() - 1,
+            "the fill took one history slot"
+        );
         for mn in 0..cache.pool().num_nodes() {
             assert_eq!(
                 cache.pool().resident_object_bytes(mn),
@@ -2650,6 +2712,95 @@ mod tests {
                 "node {mn}"
             );
         }
+    }
+
+    #[test]
+    fn a_fill_carried_without_its_metadata_rolls_forward_to_the_new_home() {
+        let config = DittoConfig::with_capacity(2_000);
+        let cache =
+            DittoCache::with_dedicated_pool(config, DmConfig::default().with_memory_nodes(2))
+                .unwrap();
+        let mut client = cache.client();
+        let job = drain_job(&cache);
+        let table = &cache.table();
+        let key = key_with_buckets(table, "carried", |b| {
+            table.stripe_of_bucket(b) == job.stripe
+        });
+        let hash = crate::hash::fnv1a64(key.as_bytes());
+        let token = table.directory().version();
+        client.set(key.as_bytes(), b"carried");
+        let (slot_addr, slot) = table
+            .read_bucket(&client.dm, table.primary_bucket(hash))
+            .into_iter()
+            .find(|(_, s)| s.hash == hash)
+            .expect("an empty primary bucket takes the fill");
+        // The reconcile READ the record between the publish CAS and its
+        // metadata write: it carries the word beside the empty slot's hash.
+        client.dm.write(
+            SampleFriendlyHashTable::hash_addr(slot_addr),
+            &0u64.to_le_bytes(),
+        );
+        assert!(cache.migration().commit(client.dm(), &job).unwrap());
+        assert_eq!(client.get(key.as_bytes()), None);
+
+        // The publish, settling after the flip, lands its metadata again
+        // where the word went.
+        client.mig_token = token;
+        client.settle_rekey(slot_addr, slot.atomic.encode(), hash);
+        assert_eq!(client.get(key.as_bytes()).as_deref(), Some(&b"carried"[..]));
+        assert_records_match_their_keys(table, &client, job.stripe);
+    }
+
+    #[test]
+    fn a_commit_whose_destination_died_leaves_the_stripe_writable() {
+        use ditto_dm::{FaultPlan, MigrationState};
+        let plan = FaultPlan::seeded(1).with_node_fail_stop(1, 0);
+        let cache = DittoCache::with_dedicated_pool(
+            DittoConfig::with_capacity(2_000),
+            DmConfig::default()
+                .with_memory_nodes(3)
+                .with_fault_plan(plan),
+        )
+        .unwrap();
+        let mut client = cache.client();
+        let engine = cache.migration();
+        cache.pool().drain_node(2).unwrap();
+        engine.maybe_replan();
+        let job = std::iter::from_fn(|| engine.next_job())
+            .find(|job| job.dst == 1)
+            .expect("some stripe must be bound for node 1");
+        let table = &cache.table();
+        let keys: Vec<String> = (0..4)
+            .map(|i| {
+                key_with_buckets(table, &format!("stranded{i}-"), |b| {
+                    table.stripe_of_bucket(b) == job.stripe
+                })
+            })
+            .collect();
+        let (before, after) = keys.split_at(2);
+        for key in before {
+            client.set(key.as_bytes(), key.as_bytes());
+        }
+        let dropped = cache.stats().sets_dropped();
+
+        // The reconcile's first WRITE to the dead node fails after its sweep
+        // poisoned the source: the commit puts the words back and re-opens
+        // the stripe at its source.
+        assert!(engine.commit(client.dm(), &job).is_err());
+        assert_eq!(engine.directory().state(job.stripe), MigrationState::Idle);
+        // Fills into it publish as before the commit, and nothing was lost.
+        for key in after {
+            client.set(key.as_bytes(), key.as_bytes());
+        }
+        for key in &keys {
+            assert_eq!(
+                client.get(key.as_bytes()),
+                Some(key.clone().into_bytes()),
+                "{key}"
+            );
+        }
+        assert_eq!(cache.stats().sets_dropped(), dropped);
+        assert_records_match_their_keys(table, &client, job.stripe);
     }
 
     #[test]

@@ -1,16 +1,22 @@
-//! The publish half of `Set`: the slot CAS — judged against the stripe
-//! directory only when it changes which key the slot holds — and the three
+//! The publish half of `Set`: the slot CAS — rolled forward across a stripe
+//! move only when it changes which key the slot holds — and the three
 //! shapes a publish takes — replacing the key's live slot, installing into an
 //! empty or history slot, evicting a victim of a full bucket — plus the front
 //! door a hinted replace takes past the lookup ([`DittoClient::publish_hinted`]).
 
-use super::{with_retry, Candidates, DittoClient, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
+use super::{with_retry, Candidates, DittoClient, CAS_RETRY_BACKOFF_NS};
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::recovery::CrashPoint;
 use crate::slot::{AtomicField, Slot};
 use ditto_algorithms::AccessKind;
-use ditto_dm::{Phase, RemoteAddr, WriteDisposition, RECONCILE_POISON};
+use ditto_dm::{Phase, RemoteAddr};
 use std::sync::Arc;
+
+/// Rounds a key-changing publish waits for the flip of a stripe whose
+/// reconcile may have carried its word without its metadata
+/// ([`DittoClient::settle_rekey`]), each a CAS back-off plus a yield to the
+/// reconcile's thread.
+const FLIP_WAIT_ROUNDS: usize = 256;
 
 /// How [`DittoClient::publish_hinted`] went.
 pub(super) enum HintedPublish {
@@ -46,63 +52,55 @@ impl DittoClient {
     }
 
     /// The publish CAS of a `Set` that changes which key the slot holds —
-    /// an insert into an empty or history slot, a bucket eviction.  Such a
-    /// publish also writes the slot's `hash` word, which lookups and regret
-    /// checks match on and a stripe reconcile carries only by its chunk
-    /// READ.  So the fresh metadata lands first and the CAS is judged after
-    /// it ([`StripeDirectory::confirm_rekey`]).  A CAS judged stale — the
-    /// stripe is moving or has cut over since `mig_token` — or whose
-    /// metadata could not be written is taken back ([`Self::take_back`]),
-    /// and the `Set` retries.
-    ///
-    /// [`StripeDirectory::confirm_rekey`]: ditto_dm::StripeDirectory::confirm_rekey
+    /// an insert into an empty or history slot, a bucket eviction — and
+    /// whether it landed.  Such a publish also writes the slot's metadata,
+    /// above all the key `hash` that lookups and regret checks match on,
+    /// and a stripe reconcile carries that only by its chunk READ, which may
+    /// fall between the CAS and the write.  So a landed CAS is rolled
+    /// forward until its metadata is where no reconcile can have missed it
+    /// ([`Self::settle_rekey`]).
     fn rekey_cas(&mut self, slot_addr: RemoteAddr, expected: u64, new: u64, hash: u64) -> bool {
         if !self.slot_cas(slot_addr, expected, new) {
             return false;
         }
-        if self.write_fresh_metadata(slot_addr, hash)
-            && self
-                .table
-                .directory()
-                .confirm_rekey(slot_addr, self.mig_token)
-                == WriteDisposition::Clean
-        {
-            return true;
-        }
-        self.take_back(slot_addr, expected, new);
-        self.record_failed_slot_cas();
-        false
+        self.write_fresh_metadata(slot_addr, hash);
+        self.settle_rekey(slot_addr, new, hash);
+        true
     }
 
-    /// CASes the word this client just changed from `expected` to `new`
-    /// back to `expected` at the word's live home: at `slot_addr` until a
-    /// reconcile's swap carried it, then — once that stripe has flipped —
-    /// at the same offset of its new home, chased across any further
-    /// reconciles.  When the word cannot be taken back (another client
-    /// displaced `new`, and owns and frees the object it names; or the
-    /// chase or the verbs give out), sets `alloc_abandoned`: the caller must
-    /// not free or reuse the allocation `new` names, and `expected` is out
-    /// of the slot for good.
-    fn take_back(&mut self, slot_addr: RemoteAddr, expected: u64, new: u64) {
+    /// Rolls forward a key-changing publish of the word `new` whose
+    /// metadata just landed at `slot_addr` (redirect rule 3 of
+    /// `ditto_dm::migration`): while [`StripeDirectory::rekey_stale`] says a
+    /// reconcile may have carried the word without it, waits for the
+    /// stripe's flip, then lands the metadata again at the word's live home
+    /// ([`StripeDirectory::home_of`]) — unless the word there is no longer
+    /// `new`, whose displacer wrote its own.  After [`FLIP_WAIT_ROUNDS`]
+    /// without a flip the metadata stays where it landed, which the
+    /// reconcile still carries unless its READ came first.
+    ///
+    /// [`StripeDirectory::rekey_stale`]: ditto_dm::StripeDirectory::rekey_stale
+    /// [`StripeDirectory::home_of`]: ditto_dm::StripeDirectory::home_of
+    pub(super) fn settle_rekey(&mut self, slot_addr: RemoteAddr, new: u64, hash: u64) {
         let dir = Arc::clone(self.table.directory());
-        let mut addr = slot_addr;
-        for _ in 0..MAX_RETRIES {
-            let Ok(observed) = with_retry(&self.dm, |dm| dm.try_cas(addr, new, expected)) else {
-                break;
-            };
-            if observed == new {
+        let (mut addr, mut token) = (slot_addr, self.mig_token);
+        for _ in 0..FLIP_WAIT_ROUNDS {
+            if !dir.rekey_stale(addr, token) {
                 return;
             }
-            if observed != RECONCILE_POISON {
-                break;
+            let version = dir.version();
+            let Some(home) = dir.home_of(addr) else {
+                // The flip is pending: give the reconcile time to finish.
+                self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
+                std::thread::yield_now();
+                continue;
+            };
+            if with_retry(&self.dm, |dm| dm.try_read_u64(home)).ok() != Some(new) {
+                // Displaced since: the new owner wrote its own metadata.
+                return;
             }
-            match dir.resolve_vacated(addr) {
-                Some(next) => addr = next,
-                // The flip is still pending: wait for it.
-                None => self.record_failed_slot_cas(),
-            }
+            self.write_fresh_metadata(home, hash);
+            (addr, token) = (home, version);
         }
-        self.alloc_abandoned = true;
     }
 
     /// Books a failed slot CAS in the pool's contention accounting and
@@ -263,9 +261,9 @@ impl DittoClient {
     }
 
     /// Writes the metadata of the slot `hash`'s key was just CASed into —
-    /// key hash, insert and access timestamps, a frequency of one — and
-    /// returns whether it landed.
-    fn write_fresh_metadata(&mut self, slot_addr: RemoteAddr, hash: u64) -> bool {
+    /// key hash, insert and access timestamps, a frequency of one.  Best
+    /// effort, like every metadata write.
+    fn write_fresh_metadata(&mut self, slot_addr: RemoteAddr, hash: u64) {
         let now = self.dm.now_ns();
         let mut buf = [0u8; 32];
         buf[0..8].copy_from_slice(&hash.to_le_bytes());
@@ -273,7 +271,7 @@ impl DittoClient {
         buf[16..24].copy_from_slice(&now.to_le_bytes());
         buf[24..32].copy_from_slice(&1u64.to_le_bytes());
         let addr = SampleFriendlyHashTable::hash_addr(slot_addr);
-        with_retry(&self.dm, |dm| dm.try_write_async(addr, &buf)).is_ok()
+        let _ = with_retry(&self.dm, |dm| dm.try_write_async(addr, &buf));
     }
 
     /// Picks the slot an insert should claim, preferring empty slots, then
@@ -338,8 +336,7 @@ impl DittoClient {
             victim.atomic.object_addr(),
             victim.atomic.object_bytes() as usize,
         )));
-        let won = self.rekey_cas(victim_addr, expected, new_atomic.encode(), hash);
-        if !won && !self.alloc_abandoned {
+        if !self.rekey_cas(victim_addr, expected, new_atomic.encode(), hash) {
             return false;
         }
         // The *victim key*'s slot word is gone: invalidate its local-tier
@@ -348,15 +345,6 @@ impl DittoClient {
         // end of `set_inner`.)
         self.bump_board(victim.hash);
         self.hints.forget(victim.hash);
-        if !won {
-            // The publish could not be taken back, so the victim is out of
-            // its slot for good: its object is still this client's to free.
-            self.free_object(
-                victim.atomic.object_addr(),
-                victim.atomic.object_bytes() as usize,
-            );
-            return false;
-        }
         self.hint_cas_won(hash, victim_addr, new_atomic.encode());
         if self.crash_fired(CrashPoint::AfterPublish) {
             return true;

@@ -33,7 +33,7 @@
 //! (one relaxed atomic in steady state); lookups re-check the entry after
 //! each bucket fetch and retry when a cutover raced them, and a slot CAS
 //! racing a cutover is carried by the stripe's reconcile pass (a key change
-//! is taken back and retried instead).  Adding or
+//! then lands its hash again at the stripe's new home).  Adding or
 //! draining a node therefore rebalances the *existing* lookup message
 //! load, not just future placements.
 

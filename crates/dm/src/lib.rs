@@ -276,8 +276,7 @@ pub use histogram::LatencyHistogram;
 pub use lock::{AcquireOutcome, LockAcquisition, ReleaseOutcome, RemoteLock, DEFAULT_LEASE_NS};
 pub use memnode::MemoryNode;
 pub use migration::{
-    MigrationEngine, MigrationPlanner, MigrationState, MoveJob, StripeDirectory, WriteDisposition,
-    RECONCILE_POISON,
+    MigrationEngine, MigrationPlanner, MigrationState, MoveJob, StripeDirectory, RECONCILE_POISON,
 };
 pub use obs::{
     attribution, AttributionTable, Event, EventKind, EventLog, FlightRecorder, Phase,

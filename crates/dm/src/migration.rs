@@ -34,7 +34,10 @@
 //! * **commit** — the directory entry flips to the destination and the
 //!   pool's resize epoch bumps (the *migration epoch* piggybacks on it), so
 //!   every client revalidates its placement snapshot and follows the
-//!   redirect.
+//!   redirect.  A reconcile that fails instead — a verb out of retries, in
+//!   practice a fail-stopped node — puts back every source word it poisoned
+//!   and clears the marker: the stripe is as the commit found it, and a
+//!   later commit starts over.
 //!
 //! Nothing is copied ahead of the commit: no reader looks at the
 //! destination before the flip, so an earlier copy would only write bytes
@@ -52,13 +55,14 @@
 //!    before the reconcile's swap, which carried it.  A CAS that changes
 //!    which *record* a word belongs to also writes the record's other words
 //!    (the hash table's key hash), which a reconcile carries only by its
-//!    chunk READ.  Such a write lands those words first, then asks
-//!    [`StripeDirectory::confirm_rekey`]: `Clean` means done; `Stale` — the
-//!    marker is set, or the stripe committed since the operation's token —
-//!    means a reconcile may have carried the new word beside the old record.
-//!    The writer CASes the word back to its prior value at the word's live
-//!    home ([`StripeDirectory::resolve_vacated`] follows it across a flip)
-//!    and retries.
+//!    chunk READ — possibly taken between the CAS and those writes.  Such a
+//!    writer lands the words after its CAS, then asks
+//!    [`StripeDirectory::rekey_stale`]: while the marker is set, or the
+//!    stripe committed since the operation's token, a reconcile may have
+//!    carried the new word beside the old record.  The writer rolls
+//!    forward: once the stripe has flipped it lands the words again at the
+//!    word's live home ([`StripeDirectory::home_of`]), if the word there is
+//!    still its own, and asks again.
 //! 4. A read that observes [`RECONCILE_POISON`] is mid-cutover: do not
 //!    act on the view (a poisoned bucket decodes as all-empty) —
 //!    re-translate through the directory and re-read until the commit
@@ -134,11 +138,9 @@ const LOCK_BACKOFF_NS: u64 = 1_000;
 const VERB_RETRY_BACKOFF_NS: u64 = 500;
 
 /// Per-verb retry bound during the commit's reconcile pass.  Deliberately
-/// deep: aborting mid-reconcile strands already-poisoned source words
-/// (their carried values live only in the pass's buffer), so transient
-/// faults must be retried essentially forever; only a fail-stopped node —
-/// where the stripe's words are gone regardless, the DM copy being
-/// unreplicated — gives up.
+/// deep: a pass that gives up puts back the words it poisoned and the
+/// stripe must be moved again from scratch, so transient faults are retried
+/// essentially forever; only a fail-stopped node gives up.
 const RECONCILE_VERB_RETRIES: u32 = 64;
 
 /// Retries `f` through transient verb faults ([`DmError::VerbFailed`] /
@@ -194,17 +196,6 @@ impl MigrationState {
     }
 }
 
-/// Whether a just-performed slot write landed on a live copy, as judged by
-/// the directory (rule 3 of the client redirect rules).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteDisposition {
-    /// The write is live, or will be carried by the stripe's reconcile.
-    Clean,
-    /// A cutover raced the write: it may have landed on a copy that was
-    /// already (or is being) cut over.  Take it back and redo the operation.
-    Stale,
-}
-
 /// The shared, epoch-versioned placement of every hash-table stripe.
 ///
 /// Structures striped over the pool register their per-stripe base
@@ -218,7 +209,7 @@ pub struct StripeDirectory {
     /// per-stripe forwarding marker.
     forwards: Vec<AtomicU64>,
     /// Number of stripes currently `Moving` (fast-path short-circuit of
-    /// the write judgements).
+    /// [`StripeDirectory::rekey_stale`]).
     active_moves: AtomicUsize,
     /// Bumped on every committed cutover; clients capture it per operation
     /// to detect redirects that raced them.
@@ -230,9 +221,9 @@ pub struct StripeDirectory {
     /// be a recycled parking slot that belonged to a different stripe.
     committed_at: Vec<AtomicU64>,
     /// Packed base each stripe vacated at its most recent cutover (0 =
-    /// never moved).  A writer taking back a CAS that raced a commit follows
-    /// its word to the stripe's new home through it
-    /// ([`StripeDirectory::resolve_vacated`]).
+    /// never moved).  A writer whose publish raced a commit follows its
+    /// word to the stripe's new home through it
+    /// ([`StripeDirectory::home_of`]).
     previous: Vec<AtomicU64>,
     stripe_bytes: u64,
     /// Record layout of the striped structure, as far as the cutover needs
@@ -327,12 +318,6 @@ impl StripeDirectory {
         }
     }
 
-    /// The forwarding marker of stripe `stripe`, if a move is in flight.
-    pub fn forward(&self, stripe: u64) -> Option<RemoteAddr> {
-        let raw = self.forwards[stripe as usize].load(Ordering::Acquire);
-        (raw != 0).then(|| RemoteAddr::unpack(raw))
-    }
-
     /// Number of stripes currently moving.
     pub fn active_moves(&self) -> usize {
         self.active_moves.load(Ordering::Acquire)
@@ -349,10 +334,17 @@ impl StripeDirectory {
     pub fn begin_move(&self, stripe: u64, dst_base: RemoteAddr) {
         self.forwards[stripe as usize].store(dst_base.pack(), Ordering::Release);
         self.active_moves.fetch_add(1, Ordering::AcqRel);
-        // Pairs with the fence in `confirm_rekey`: either that judge sees
-        // the marker, or the READs that follow see the words its writer
-        // landed.
+        // Pairs with the fence in `rekey_stale`: either that judge sees the
+        // marker, or the READs that follow see the words its writer landed.
         fence(Ordering::SeqCst);
+    }
+
+    /// Clears the forwarding marker of `stripe` without a cutover (state →
+    /// back to `Idle` or `Committed`): its reconcile failed and put back
+    /// what it poisoned, so the source is still the live copy.
+    pub fn reopen(&self, stripe: u64) {
+        self.forwards[stripe as usize].store(0, Ordering::Release);
+        self.active_moves.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Commits the move of `stripe`: the forwarding address becomes the
@@ -385,67 +377,56 @@ impl StripeDirectory {
             .position(|e| self.covers(RemoteAddr::unpack(e.load(Ordering::Acquire)), addr))
     }
 
-    /// Translates an address inside a range some stripe vacated to the same
-    /// offset inside that stripe's current home (the offset within a stripe
-    /// is invariant across moves).  Returns `None` while a stripe still
-    /// owns the range — its flip is pending, or the range was recycled — and
-    /// when no vacated range covers `addr`.  Of two stripes that vacated the
-    /// same (parked, then reused) range, the later cutover wins.
+    /// Where the record word at `addr` lives now: at `addr` while a stripe
+    /// holds that range, else at the same offset inside the current home of
+    /// the stripe that vacated it last (the offset within a stripe is
+    /// invariant across moves; of two stripes that vacated the same parked,
+    /// then reused range, the later cutover wins).  `None` while that stripe
+    /// is moving — its flip is pending — or when no stripe ever held `addr`.
     ///
-    /// Used to chase a word a writer must take back across the reconcile
-    /// that carried it (redirect rule 3).
-    pub fn resolve_vacated(&self, addr: RemoteAddr) -> Option<RemoteAddr> {
-        if self.locate(addr).is_some() {
-            return None;
-        }
-        let (stripe, base) = (0..self.previous.len())
-            .filter_map(|i| {
-                let raw = self.previous[i].load(Ordering::Acquire);
-                let base = RemoteAddr::unpack(raw);
-                (raw != 0 && self.covers(base, addr)).then_some((i, base))
-            })
-            .max_by_key(|&(i, _)| self.committed_at[i].load(Ordering::Acquire))?;
-        Some(self.current(stripe as u64).add(addr.offset - base.offset))
+    /// Used to follow a word across the reconcile that carried it (redirect
+    /// rule 3).
+    pub fn home_of(&self, addr: RemoteAddr) -> Option<RemoteAddr> {
+        let (stripe, home) = match self.locate(addr) {
+            Some(idx) => (idx, addr),
+            None => {
+                let (idx, base) = (0..self.previous.len())
+                    .filter_map(|i| {
+                        let raw = self.previous[i].load(Ordering::Acquire);
+                        let base = RemoteAddr::unpack(raw);
+                        (raw != 0 && self.covers(base, addr)).then_some((i, base))
+                    })
+                    .max_by_key(|&(i, _)| self.committed_at[i].load(Ordering::Acquire))?;
+                (idx, self.current(idx as u64).add(addr.offset - base.offset))
+            }
+        };
+        (self.forwards[stripe].load(Ordering::Acquire) == 0).then_some(home)
     }
 
-    /// Judges a write to `addr` that took effect (redirect rule 3).  `token`
-    /// is the directory version captured when the operation computed its
-    /// addresses.  `Stale` when no current stripe holds `addr`, or the one
-    /// holding it cut over since `token` — `addr` may then be a recycled
-    /// parking range that belonged to a *different* stripe when the
-    /// operation started (ABA).  A moving stripe is `Clean`: its reconcile
-    /// carries every CAS word it has not swapped yet.
-    pub fn confirm_write(&self, addr: RemoteAddr, token: u64) -> WriteDisposition {
-        self.judge(addr, token, false)
-    }
-
-    /// [`Self::confirm_write`] for a CAS that changed which record its word
-    /// belongs to, asked once the record's other words have landed: also
-    /// `Stale` while the stripe is moving, because its reconcile may have
-    /// READ those words before they landed.
-    pub fn confirm_rekey(&self, addr: RemoteAddr, token: u64) -> WriteDisposition {
+    /// Whether a reconcile may have missed the words a writer landed beside
+    /// `addr` after a CAS there changed which record the word belongs to
+    /// (redirect rule 3) — asked once those words have landed.  `token` is
+    /// the directory version captured when the operation computed `addr`.
+    /// Stale while the stripe holding `addr` is moving (its reconcile may
+    /// have READ the record first), once it cut over since `token` (the
+    /// word was carried — or `addr` is a recycled parking range that
+    /// belonged to a *different* stripe when the operation started, ABA),
+    /// and when no stripe holds `addr`.
+    pub fn rekey_stale(&self, addr: RemoteAddr, token: u64) -> bool {
         // Pairs with the fence in `begin_move`: either the marker is seen
         // here, or the reconcile's READs see the words the writer landed.
         fence(Ordering::SeqCst);
-        self.judge(addr, token, true)
-    }
-
-    fn judge(&self, addr: RemoteAddr, token: u64, rekey: bool) -> WriteDisposition {
         // `commit` bumps the version before it drops `active_moves`.
         if self.active_moves.load(Ordering::Acquire) == 0 && self.version() == token {
-            return WriteDisposition::Clean;
+            return false;
         }
         let Some(idx) = self.locate(addr) else {
-            return WriteDisposition::Stale;
+            return true;
         };
         // The marker before the commit stamp: `commit` clears the marker
         // only after it flipped the entry and stamped `committed_at`.
-        let moving = rekey && self.forwards[idx].load(Ordering::Acquire) != 0;
-        if moving || self.committed_at[idx].load(Ordering::Acquire) > token {
-            WriteDisposition::Stale
-        } else {
-            WriteDisposition::Clean
-        }
+        self.forwards[idx].load(Ordering::Acquire) != 0
+            || self.committed_at[idx].load(Ordering::Acquire) > token
     }
 }
 
@@ -617,23 +598,22 @@ impl MigrationEngine {
     /// `job.src`, which it is meant to leave (a plan superseded by a newer
     /// resize yields stale jobs).  Sends no verb and changes nothing — the
     /// stripe's bytes move in [`Self::commit`], and in between the cache
-    /// layer relocates the stripe's resident objects.  A stripe that a
-    /// failed commit left `Moving` passes, so its job resumes at the commit.
+    /// layer relocates the stripe's resident objects.
     pub fn begin(&self, job: &MoveJob) -> bool {
         self.dir.current_node(job.stripe) == job.src && job.src != job.dst
     }
 
     /// Commits `job` under the stripe lock: sets the forwarding marker
     /// (state → `Moving`) immediately before the reconcile's first chunk
-    /// READ — or resumes under the marker a failed commit left — moves the
-    /// stripe in one reconcile pass, in which every source word clients CAS
-    /// is swapped to [`RECONCILE_POISON`] as its value is carried to the
-    /// destination (a slot CAS racing the pass is carried, or observes the
-    /// poison and fails; it is never silently swallowed), flips the
-    /// directory entry, parks the vacated source range for reuse and
+    /// READ, moves the stripe in one reconcile pass, in which every source
+    /// word clients CAS is swapped to [`RECONCILE_POISON`] as its value is
+    /// carried to the destination (a slot CAS racing the pass is carried, or
+    /// observes the poison and fails; it is never silently swallowed), flips
+    /// the directory entry, parks the vacated source range for reuse and
     /// piggybacks the cutover on the pool's resize epoch.  Returns `false`,
     /// moving nothing, when the job went stale before the lock was taken
-    /// (another pump committed it).
+    /// (another pump committed it).  A pass that fails re-opens the stripe
+    /// at its source, as it found it, and returns the error.
     pub fn commit(&self, client: &DmClient, job: &MoveJob) -> DmResult<bool> {
         let lock = self.stripe_lock(job.stripe);
         let acq = lock.acquire(client);
@@ -647,11 +627,7 @@ impl MigrationEngine {
         let Some(src_base) = moved? else {
             return Ok(false);
         };
-        self.parking
-            .lock()
-            .entry(src_base.mn_id)
-            .or_default()
-            .push(src_base);
+        self.park(src_base);
         self.pool.stats().record_stripe_cutover();
         self.pool.bump_resize_epoch();
         Ok(true)
@@ -664,25 +640,30 @@ impl MigrationEngine {
             return Ok(None);
         }
         let src_base = self.dir.current(job.stripe);
-        let dst_base = match self.dir.forward(job.stripe) {
-            Some(dst_base) => dst_base,
-            None => {
-                let dst_base = self.home_on(job.dst)?;
-                self.dir.begin_move(job.stripe, dst_base);
-                self.record_state(client, job.stripe, MigrationState::Moving);
-                dst_base
-            }
-        };
-        // Reconcile only fails after burning RECONCILE_VERB_RETRIES per
-        // verb — in practice a fail-stopped node.  The stripe stays Moving
-        // (readers keep using the source) and a later commit resumes under
-        // the same marker.  Source words this pass had already poisoned are
-        // lost with the dead node — the DM copy is unreplicated, exactly as
-        // in the paper's system.
-        self.reconcile_stripe(client, src_base, dst_base)?;
+        let dst_base = self.home_on(job.dst)?;
+        self.dir.begin_move(job.stripe, dst_base);
+        self.record_state(client, job.stripe, MigrationState::Moving);
+        // Reconcile only fails after burning RECONCILE_VERB_RETRIES on one
+        // verb — in practice a fail-stopped node.  It has put back what it
+        // poisoned, so the source stays live and a later commit starts over.
+        if let Err(e) = self.reconcile_stripe(client, src_base, dst_base) {
+            self.dir.reopen(job.stripe);
+            self.park(dst_base);
+            self.record_state(client, job.stripe, self.dir.state(job.stripe));
+            return Err(e);
+        }
         self.dir.commit(job.stripe);
         self.record_state(client, job.stripe, MigrationState::Committed);
         Ok(Some(src_base))
+    }
+
+    /// Parks a stripe-sized range for the next stripe bound for its node.
+    fn park(&self, range: RemoteAddr) {
+        self.parking
+            .lock()
+            .entry(range.mn_id)
+            .or_default()
+            .push(range);
     }
 
     fn record_state(&self, client: &DmClient, stripe: u64, state: MigrationState) {
@@ -721,6 +702,9 @@ impl MigrationEngine {
     /// enough for the rest.  Holds no extra state: the caller holds the
     /// stripe lock, which keeps other reconcile passes off the range (racing
     /// *clients* are exactly who the poison protocol is for).
+    ///
+    /// The pass keeps the whole stripe as carried, so when a verb gives up
+    /// it can put back every word it poisoned ([`Self::unpoison`]).
     fn reconcile_stripe(
         &self,
         client: &DmClient,
@@ -728,29 +712,55 @@ impl MigrationEngine {
         dst: RemoteAddr,
     ) -> DmResult<()> {
         let total = self.dir.stripe_bytes();
-        let mut buf = vec![0u8; COPY_CHUNK.min(total as usize)];
-        // The chunk's words to swap (indices into `buf`), and what each
+        let mut carried = vec![0u8; total as usize];
+        // The chunk's words to swap (indices into the chunk), and what each
         // posted swap observed.
-        let mut targets = Vec::with_capacity(buf.len() / 8);
+        let mut targets = Vec::with_capacity(COPY_CHUNK / 8);
         let mut observed = vec![0u64; crate::wqe::MAX_WQES];
-        let mut copied = 0u64;
-        while copied < total {
-            let take = ((total - copied) as usize).min(COPY_CHUNK);
+        let mut copied = 0usize;
+        while copied < total as usize {
+            let take = (total as usize - copied).min(COPY_CHUNK);
+            let chunk = &mut carried[copied..copied + take];
             // Picked by offset into the *stripe*: a chunk need not start on
             // a record boundary.
             targets.clear();
-            targets.extend((0..take / 8).filter(|w| self.dir.is_cas_word(copied + (w * 8) as u64)));
-            retry_verb(client, RECONCILE_VERB_RETRIES, |c| {
-                c.try_read_into(src.add(copied), &mut buf[..take])
-            })?;
-            Self::poison_sweep(client, src.add(copied), &mut buf, &targets, &mut observed)?;
-            retry_verb(client, RECONCILE_VERB_RETRIES, |c| {
-                c.try_write(dst.add(copied), &buf[..take])
-            })?;
-            copied += take as u64;
+            targets.extend((0..take / 8).filter(|w| self.dir.is_cas_word((copied + w * 8) as u64)));
+            let at = copied as u64;
+            let pass = retry_verb(client, RECONCILE_VERB_RETRIES, |c| {
+                c.try_read_into(src.add(at), chunk)
+            })
+            .and_then(|()| Self::poison_sweep(client, src.add(at), chunk, &targets, &mut observed))
+            .and_then(|()| {
+                retry_verb(client, RECONCILE_VERB_RETRIES, |c| {
+                    c.try_write(dst.add(at), chunk)
+                })
+            });
+            if let Err(e) = pass {
+                self.unpoison(client, src, &carried[..copied + take]);
+                return Err(e);
+            }
+            copied += take;
         }
         self.pool.stats().record_migrated_bytes(total);
         Ok(())
+    }
+
+    /// Puts back, into every word clients CAS in the first `carried.len()`
+    /// bytes of the source stripe at `src`, the value a failed pass carried
+    /// out of it.  Only words still holding [`RECONCILE_POISON`] change —
+    /// one the pass never swapped fails the CAS and keeps its value — and no
+    /// client CAS can have touched a poisoned word.  Best effort: a word
+    /// these CASes cannot reach sits on a node that has lost it anyway.
+    fn unpoison(&self, client: &DmClient, src: RemoteAddr, carried: &[u8]) {
+        for (w, word) in carried.chunks_exact(8).enumerate() {
+            let offset = (w * 8) as u64;
+            if self.dir.is_cas_word(offset) {
+                let value = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+                let _ = retry_verb(client, RECONCILE_VERB_RETRIES, |c| {
+                    c.try_cas(src.add(offset), RECONCILE_POISON, value)
+                });
+            }
+        }
     }
 
     /// Swaps [`RECONCILE_POISON`] into the words `targets` (indices into
@@ -848,21 +858,24 @@ mod tests {
         assert_eq!(dir.current_node(0), 0);
         assert_eq!(dir.current_node(1), 1);
         assert_eq!(dir.state(2), MigrationState::Idle);
-        assert_eq!(dir.forward(2), None);
         assert_eq!(dir.active_moves(), 0);
 
         let dst = pool.reserve_on(0, 256).unwrap();
+        // A failed reconcile re-opens the stripe as it was.
         dir.begin_move(1, dst);
         assert_eq!(dir.state(1), MigrationState::Moving);
-        assert_eq!(dir.forward(1), Some(dst));
         assert_eq!(dir.active_moves(), 1);
+        dir.reopen(1);
+        assert_eq!(dir.state(1), MigrationState::Idle);
+        assert_eq!(dir.active_moves(), 0);
+
+        dir.begin_move(1, dst);
         // The entry still names the source until commit.
         assert_eq!(dir.current_node(1), 1);
         let v = dir.version();
         dir.commit(1);
         assert_eq!(dir.state(1), MigrationState::Committed);
         assert_eq!(dir.current(1), dst);
-        assert_eq!(dir.forward(1), None);
         assert_eq!(dir.active_moves(), 0);
         assert_eq!(dir.version(), v + 1);
     }
@@ -872,30 +885,27 @@ mod tests {
         let pool = striped_pool(2);
         let dir = make_directory(&pool, 2, 256);
         let token = dir.version();
-        let addr = dir.current(1).add(8);
-        assert_eq!(dir.confirm_write(addr, token), WriteDisposition::Clean);
-
-        assert_eq!(dir.confirm_rekey(addr, token), WriteDisposition::Clean);
+        let src = dir.current(1);
+        let addr = src.add(8);
+        assert!(!dir.rekey_stale(addr, token));
+        assert_eq!(dir.home_of(addr), Some(addr));
 
         let dst = pool.reserve_on(0, 256).unwrap();
         dir.begin_move(1, dst);
-        // Moving: a CAS word is carried by the reconcile, so the write is
-        // clean — but a key change's other words may already have been
-        // READ, so it is stale.  The source is still live, not vacated.
-        assert_eq!(dir.confirm_write(addr, token), WriteDisposition::Clean);
-        assert_eq!(dir.confirm_rekey(addr, token), WriteDisposition::Stale);
-        assert_eq!(dir.resolve_vacated(addr), None);
+        // Moving: a key change's other words may already have been READ,
+        // so it is stale; its word lives on the source until the flip.
+        assert!(dir.rekey_stale(addr, token));
+        assert_eq!(dir.home_of(addr), None);
         dir.commit(1);
         // The old source address belongs to no current stripe any more;
         // the word it held lives on at the same offset of the new home.
-        assert_eq!(dir.confirm_write(addr, token), WriteDisposition::Stale);
-        assert_eq!(dir.confirm_rekey(addr, token), WriteDisposition::Stale);
-        assert_eq!(dir.resolve_vacated(addr), Some(dst.add(8)));
+        assert!(dir.rekey_stale(addr, token));
+        assert_eq!(dir.home_of(addr), Some(dst.add(8)));
         // The new home is clean once the token catches up.
-        assert_eq!(
-            dir.confirm_write(dst.add(8), dir.version()),
-            WriteDisposition::Clean
-        );
+        assert!(!dir.rekey_stale(dst.add(8), dir.version()));
+        // Moving back, the word waits for that flip too.
+        dir.begin_move(1, src);
+        assert_eq!(dir.home_of(addr), None);
     }
 
     #[test]
@@ -918,16 +928,11 @@ mod tests {
 
         // The stalled writer's address now falls inside stripe 0's live
         // range, but ownership changed after the token was captured: the
-        // write must be judged Stale, not Clean.
-        assert_eq!(
-            dir.confirm_write(stalled_addr, token),
-            WriteDisposition::Stale
-        );
-        // A fresh operation against the same range is Clean.
-        assert_eq!(
-            dir.confirm_write(stalled_addr, dir.version()),
-            WriteDisposition::Clean
-        );
+        // write must be judged stale, and its word lives where it landed.
+        assert!(dir.rekey_stale(stalled_addr, token));
+        assert_eq!(dir.home_of(stalled_addr), Some(stalled_addr));
+        // A fresh operation against the same range is clean.
+        assert!(!dir.rekey_stale(stalled_addr, dir.version()));
     }
 
     #[test]
@@ -1094,6 +1099,45 @@ mod tests {
             assert_eq!(client.cas(addr, word_at(&buf, w), 0x1234), RECONCILE_POISON);
             assert_eq!(client.read_u64(addr), RECONCILE_POISON);
         }
+    }
+
+    #[test]
+    fn a_failed_commit_puts_back_what_it_poisoned_and_reopens_the_stripe() {
+        // Two chunks; the destination is dead, so the first chunk's WRITE
+        // fails after its sweep poisoned the source.
+        const BYTES: u64 = 8_000;
+        let pool = MemoryPool::new(
+            DmConfig::small()
+                .with_memory_nodes(3)
+                .with_fault_plan(crate::FaultPlan::seeded(1).with_node_fail_stop(2, 0)),
+        );
+        let bases = [0, 1].map(|mn| pool.reserve_on(mn, BYTES).unwrap());
+        let dir = Arc::new(StripeDirectory::new(&bases, BYTES).with_cas_words(40, 0));
+        let pattern: Vec<u8> = (1..=BYTES / 8)
+            .flat_map(|w| (w << 20).to_le_bytes())
+            .collect();
+        let client = pool.connect();
+        client.write(bases[1], &pattern);
+        let engine = MigrationEngine::new(&pool, Arc::clone(&dir)).unwrap();
+        let epoch = pool.resize_epoch();
+        let to_dead = MoveJob {
+            stripe: 1,
+            src: 1,
+            dst: 2,
+        };
+        assert!(engine.commit(&client, &to_dead).is_err());
+        // The stripe is as the commit found it: live at its source with
+        // every word back, and no move in flight.
+        assert_eq!(dir.state(1), MigrationState::Idle);
+        assert_eq!(dir.active_moves(), 0);
+        assert_eq!(dir.current(1), bases[1]);
+        assert_eq!(client.read(bases[1], BYTES as usize), pattern);
+        assert_eq!(pool.resize_epoch(), epoch);
+        assert_eq!(pool.stats().stripe_cutovers(), 0);
+        // A later commit starts over, here to a live node.
+        let to_live = MoveJob { dst: 0, ..to_dead };
+        assert!(engine.commit(&client, &to_live).unwrap());
+        assert_eq!(client.read(dir.current(1), BYTES as usize), pattern);
     }
 
     #[test]
