@@ -39,7 +39,7 @@
 //! object READ, or on a doorbell of its own — and is never waited for; and
 //! an eviction's sample READ and history FAA fly while its `Set` looks up,
 //! its victim CAS while it publishes.  Waits and the client CPU work
-//! (`cpu_decode_slot_ns` per slot, `cpu_score_candidate_ns` per candidate)
+//! (`CPU_DECODE_SLOT_NS` per slot, `CPU_SCORE_CANDIDATE_NS` per candidate)
 //! overlap the flights, and `end_op` simply drains whatever is still
 //! outstanding.  `tests/data_path_golden.rs` pins two seeded replays of it
 //! to the nanosecond.
@@ -67,13 +67,13 @@ use crate::adaptive::{expert_vote, weight_wire, ExpertWeights, MAX_EXPERTS};
 use crate::cache::MigrationProgress;
 use crate::cache::{DittoCache, JOURNAL_SLOTS, JOURNAL_SLOT_BYTES};
 use crate::config::DittoConfig;
-use crate::error::CacheResult;
+use crate::error::{CacheError, CacheResult};
 use crate::fc_cache::{FcCache, FcFlushes};
 use crate::hash::{fingerprint, fnv1a64};
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::history::{expert_bitmap, EvictionHistory};
 use crate::inline::InlineVec;
-use crate::local_tier::{CoherenceBoard, LocalTier, TierProbe, FREQ_ADMIT_THRESHOLD, POLICY_FREQ};
+use crate::local_tier::{CoherenceBoard, LocalTier, TierProbe, FREQ_ADMIT_THRESHOLD};
 use crate::object;
 use crate::recency::{self, EvictionAge, LAST_TS_DIVISOR};
 use crate::recovery::{CrashPoint, RecoveryReport};
@@ -83,8 +83,8 @@ use ditto_algorithms::{AccessContext, AccessKind, CacheAlgorithm, Metadata, EXT_
 use ditto_dm::alloc::{AllocService, ClientAllocator};
 use ditto_dm::rpc::{ALLOC_SERVICE, WEIGHT_SERVICE};
 use ditto_dm::{
-    DmClient, DmError, DmResult, EventKind, MigrationEngine, Phase, PoolTopology, RecoveryPhase,
-    RemoteAddr, StripedAllocator,
+    DmClient, DmError, EventKind, MigrationEngine, Phase, PoolTopology, RecoveryPhase, RemoteAddr,
+    StripedAllocator,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,69 +96,21 @@ mod publish;
 use lookup::{HintTable, Lookup};
 use publish::HintedPublish;
 
-/// Maximum CAS retries before an operation gives up.
+/// Maximum CAS retries before an operation gives up, and the attempt bound of
+/// every data-path verb through transient faults ([`DmClient::with_retry`]).
 const MAX_RETRIES: usize = 8;
 /// Simulated back-off charged to a client whose slot CAS lost a race before
 /// it retries (bounded retry/back-off instead of an immediate hot respin).
 const CAS_RETRY_BACKOFF_NS: u64 = 200;
 /// Maximum eviction attempts while trying to free memory for one allocation.
 const MAX_EVICTION_ATTEMPTS: usize = 256;
-/// Simulated back-off charged between retries of a transiently faulted verb.
-const VERB_RETRY_BACKOFF_NS: u64 = 500;
-
-/// Retries transiently faulted verbs ([`DmError::VerbFailed`] /
-/// [`DmError::VerbTimeout`]) up to [`MAX_RETRIES`] tries with a short
-/// charged back-off.  Errors against a fail-stopped node — and every
-/// non-transient error — propagate immediately: retrying a dead node's
-/// verbs only burns simulated time.
-fn with_retry<T>(dm: &DmClient, mut f: impl FnMut(&DmClient) -> DmResult<T>) -> DmResult<T> {
-    let mut attempt = 0;
-    loop {
-        match f(dm) {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                attempt += 1;
-                let retryable = match e {
-                    DmError::VerbFailed { mn_id } | DmError::VerbTimeout { mn_id } => {
-                        !dm.node_failed(mn_id)
-                    }
-                    _ => false,
-                };
-                if !retryable || attempt >= MAX_RETRIES {
-                    return Err(e);
-                }
-                dm.pool().stats().record_verb_retry(VERB_RETRY_BACKOFF_NS);
-                dm.advance_ns(VERB_RETRY_BACKOFF_NS);
-            }
-        }
-    }
-}
-
-/// Books a faulted verb round for a retry.  When `e` is transient and its
-/// node is still alive, the retry back-off is recorded and charged and the
-/// caller should redo the round; fail-stopped nodes and non-transient
-/// errors return `false` so the caller degrades instead of spinning.
-///
-/// A free function over the client's `DmClient` field (not a method) so it
-/// can run while `bucket_buf` is split-borrowed inside the lookup.
-fn verb_fault_retryable(dm: &DmClient, e: &DmError) -> bool {
-    let retryable = match *e {
-        DmError::VerbFailed { mn_id } | DmError::VerbTimeout { mn_id } => !dm.node_failed(mn_id),
-        _ => false,
-    };
-    if retryable {
-        dm.pool().stats().record_verb_retry(VERB_RETRY_BACKOFF_NS);
-        dm.advance_ns(VERB_RETRY_BACKOFF_NS);
-    }
-    retryable
-}
 
 /// Slots surfaced by one lookup: the primary and secondary buckets.
 const SEARCH_SLOTS: usize = 2 * SLOTS_PER_BUCKET;
-/// Capacity of the eviction-candidate buffer: the accumulation loop stops as
-/// soon as it holds ≥2 candidates, so it can reach at most
-/// `1 + MAX_SAMPLE_SIZE` entries (plus headroom).
-const CANDIDATES_CAP: usize = 2 * DittoConfig::MAX_SAMPLE_SIZE;
+/// Capacity of the eviction-candidate buffer: a bucket eviction scores both
+/// buckets' slots, and a sampling eviction stops as soon as it holds ≥2
+/// candidates, so it reaches at most `1 + SAMPLE_SIZE`.
+const CANDIDATES_CAP: usize = SEARCH_SLOTS;
 
 /// How many misses may elapse before a client refreshes its cached copy of a
 /// history shard's global counter.
@@ -274,14 +226,8 @@ impl DittoClient {
         );
         let seed = 0x5eed_0000 + dm.client_id() as u64;
         let board = cache.board_arc();
-        let tier = (config.local_tier_capacity > 0).then(|| {
-            LocalTier::new(
-                config.local_tier_capacity,
-                config.local_tier_lease_ns,
-                config.learning_rate,
-                config.discount_rate(),
-            )
-        });
+        let tier = (config.local_tier_capacity > 0)
+            .then(|| LocalTier::new(config.local_tier_capacity, config.local_tier_lease_ns));
         DittoClient {
             use_extension: cache.uses_extension(),
             table: cache.table(),
@@ -313,7 +259,7 @@ impl DittoClient {
             crash_armed: None,
             crashed: false,
             bucket_buf: vec![0u8; 2 * BUCKET_SIZE].into_boxed_slice(),
-            sample_buf: vec![0u8; DittoConfig::MAX_SAMPLE_SIZE * SLOT_SIZE].into_boxed_slice(),
+            sample_buf: vec![0u8; DittoConfig::SAMPLE_SIZE * SLOT_SIZE].into_boxed_slice(),
             obj_buf: Vec::new(),
             encode_buf: Vec::new(),
             config,
@@ -361,16 +307,20 @@ impl DittoClient {
     /// # Panics
     ///
     /// Panics if the object does not fit the 254-block (≈16 KiB) size-class
-    /// limit or the 48-bit slot pointer, or if the memory pool cannot be
-    /// made to fit the object even after repeated evictions (a sizing bug
-    /// rather than a run-time condition).  The variant with typed errors is
-    /// [`DittoClient::try_set`].
+    /// limit or the 48-bit slot pointer, if the `Set` is dropped under
+    /// faults, or if the memory pool cannot be made to fit the object even
+    /// after repeated evictions (a sizing bug rather than a run-time
+    /// condition).  The variant with typed errors is [`DittoClient::try_set`].
     pub fn set(&mut self, key: &[u8], value: &[u8]) {
         self.try_set(key, value).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Inserts or updates `key` with `value`, reporting pointer-encoding
-    /// overflows as typed [`crate::CacheError`]s instead of panicking.
+    /// Inserts or updates `key` with `value`, reporting oversized objects,
+    /// pointer-encoding overflows and dropped `Set`s as typed
+    /// [`crate::CacheError`]s instead of panicking.  `Ok` means the value was
+    /// published, or the key invalidated in its place (a miss until
+    /// re-filled, like an eviction).  [`CacheError::SetDropped`] means
+    /// neither could be vouched for: the write may or may not have landed.
     ///
     /// # Panics
     ///
@@ -424,7 +374,7 @@ impl DittoClient {
     fn charge_decode(&self, slots: usize) {
         let t0 = self.dm.now_ns();
         self.dm
-            .advance_ns(slots as u64 * self.config.cpu_decode_slot_ns);
+            .advance_ns(slots as u64 * DittoConfig::CPU_DECODE_SLOT_NS);
         self.dm
             .record_span(Phase::Decode, t0, self.dm.now_ns(), slots as u32);
     }
@@ -433,7 +383,7 @@ impl DittoClient {
     /// eviction candidates (see [`DittoClient::charge_decode`]).
     fn charge_score(&self, candidates: usize) {
         self.dm
-            .advance_ns(candidates as u64 * self.config.cpu_score_candidate_ns);
+            .advance_ns(candidates as u64 * DittoConfig::CPU_SCORE_CANDIDATE_NS);
     }
 
     /// Canonical resident size of an object allocation (whole 64-byte
@@ -474,7 +424,9 @@ impl DittoClient {
         for (addr, delta) in flushes {
             // A persistently faulted flush drops buffered increments (the
             // counters are advisory); the message charge already happened.
-            let _ = with_retry(&self.dm, |dm| dm.try_faa(addr, delta));
+            let _ = self
+                .dm
+                .with_retry(MAX_RETRIES, |dm| dm.try_faa(addr, delta));
             self.stats.record_fc_flush();
         }
         if self.weights.pending_updates() > 0 {
@@ -501,7 +453,9 @@ impl DittoClient {
         buf[0..8].copy_from_slice(&u64::from(new_addr.mn_id).to_le_bytes());
         buf[8..16].copy_from_slice(&new_addr.offset.to_le_bytes());
         buf[16..24].copy_from_slice(&(new_len as u64).to_le_bytes());
-        let _ = with_retry(&self.dm, |dm| dm.try_write(slot, &buf));
+        let _ = self
+            .dm
+            .with_retry(MAX_RETRIES, |dm| dm.try_write(slot, &buf));
     }
 
     /// Records (or zeroes, for `None`) the allocation a publish CAS is
@@ -517,14 +471,18 @@ impl DittoClient {
             buf[8..16].copy_from_slice(&addr.offset.to_le_bytes());
             buf[16..24].copy_from_slice(&(len as u64).to_le_bytes());
         }
-        let _ = with_retry(&self.dm, |dm| dm.try_write(slot.add(24), &buf));
+        let _ = self
+            .dm
+            .with_retry(MAX_RETRIES, |dm| dm.try_write(slot.add(24), &buf));
     }
 
     /// Disarms the journal slot (zeroes the `new_len` validity word) once
     /// the `Set` protocol reaches a self-consistent state.
     fn journal_clear(&self) {
         let Some(slot) = self.journal else { return };
-        let _ = with_retry(&self.dm, |dm| dm.try_write(slot.add(16), &[0u8; 8]));
+        let _ = self
+            .dm
+            .with_retry(MAX_RETRIES, |dm| dm.try_write(slot.add(16), &[0u8; 8]));
     }
 
     /// Whether the armed test crash point matches `point`; fires at most
@@ -625,7 +583,11 @@ impl DittoClient {
         recovery_event(RecoveryPhase::JournalReplay, &self.dm);
         if let Some(slot_addr) = self.journal_addr_of(dead_id) {
             let mut buf = [0u8; 48];
-            if with_retry(&self.dm, |dm| dm.try_read_into(slot_addr, &mut buf)).is_ok() {
+            if self
+                .dm
+                .with_retry(MAX_RETRIES, |dm| dm.try_read_into(slot_addr, &mut buf))
+                .is_ok()
+            {
                 let word = |i: usize| {
                     u64::from_le_bytes(buf[i * 8..(i + 1) * 8].try_into().expect("8-byte word"))
                 };
@@ -684,7 +646,9 @@ impl DittoClient {
                     // Disarm the entry so a second recovery pass (two
                     // survivors racing, or a retried harness) is a no-op
                     // instead of a double gauge debit.
-                    let _ = with_retry(&self.dm, |dm| dm.try_write(slot_addr.add(16), &[0u8; 8]));
+                    let _ = self
+                        .dm
+                        .with_retry(MAX_RETRIES, |dm| dm.try_write(slot_addr.add(16), &[0u8; 8]));
                 }
             }
         }
@@ -820,7 +784,11 @@ impl DittoClient {
             } else if flushes.is_empty() {
                 let obj_addr = slot.atomic.object_addr();
                 let buf = &mut self.obj_buf[..obj_len];
-                if with_retry(&self.dm, |dm| dm.try_read_into(obj_addr, buf)).is_err() {
+                if self
+                    .dm
+                    .with_retry(MAX_RETRIES, |dm| dm.try_read_into(obj_addr, buf))
+                    .is_err()
+                {
                     degrade_to_miss(self);
                     return false;
                 }
@@ -889,32 +857,15 @@ impl DittoClient {
             if !lookup.hint_held {
                 self.hint_note(hash, slot_addr, slot.atomic.encode(), hint_epoch);
             }
-            // A due FC flush means the key just crossed the flush threshold
-            // on this client — unambiguously hot even though the buffered
-            // delta reads as zero again.
+            // The tier admits hot keys only (`crate::local_tier`,
+            // *Admission*).  A due FC flush means the key just crossed the
+            // flush threshold on this client — unambiguously hot even though
+            // the buffered delta reads as zero again.
             let hot =
                 !flushes.is_empty() || self.fc.pending_delta(freq_addr) >= FREQ_ADMIT_THRESHOLD;
-            self.tier_admit(
-                hash,
-                key,
-                slot_addr,
-                slot.atomic.encode(),
-                last_ts,
-                board_epoch,
-                hot,
-                out,
-            );
-            if !self.topology.is_active(slot.atomic.object_addr().mn_id) {
-                // Cooperative migration: this hit's object lives on a
-                // drained node — re-place it onto an active one right now
-                // (the bytes are already in hand) instead of waiting for an
-                // update or the background pump.
-                let bytes = std::mem::take(&mut self.obj_buf);
-                let preferred = self
-                    .topology
-                    .alloc_node_for(self.table.stripe_of_bucket(self.table.primary_bucket(hash)));
-                self.relocate_object_bytes(slot_addr, &slot, &bytes[..obj_len], preferred);
-                self.obj_buf = bytes;
+            if let Some(tier) = self.tier.as_mut().filter(|_| hot) {
+                let (word, now) = (slot.atomic.encode(), self.dm.now_ns());
+                tier.admit(hash, key, out, slot_addr, word, last_ts, now, board_epoch);
             }
             return true;
         }
@@ -960,7 +911,7 @@ impl DittoClient {
                 false
             }
             TierProbe::Served { slot_addr, last_ts } => {
-                self.dm.advance_ns(self.config.cpu_local_hit_ns);
+                self.dm.advance_ns(DittoConfig::CPU_LOCAL_HIT_NS);
                 self.dm
                     .record_span(Phase::LocalHit, now, self.dm.now_ns(), 1);
                 self.stats.record_local_hit();
@@ -1008,7 +959,7 @@ impl DittoClient {
             return false;
         };
         let renewal = tier.renew_and_serve(hash, now, board_epoch, out);
-        self.dm.advance_ns(self.config.cpu_local_hit_ns);
+        self.dm.advance_ns(DittoConfig::CPU_LOCAL_HIT_NS);
         self.dm
             .record_span(Phase::Revalidate, t0, self.dm.now_ns(), 1);
         self.stats
@@ -1050,44 +1001,6 @@ impl DittoClient {
         let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
         let flushes = self.fc.record(freq_addr);
         self.post_fc_flushes(flushes);
-    }
-
-    /// Offers a validated remote hit to the tier.  `board_epoch` must have
-    /// been captured before the lookup's bucket READ and `slot_word` is the
-    /// atomic word the lookup observed, `last_ts` the slot's timestamp as
-    /// the hit left it; `hot` is the FC-cache hotness verdict consumed by
-    /// the frequency-threshold admission policy.
-    #[allow(clippy::too_many_arguments)]
-    fn tier_admit(
-        &mut self,
-        hash: u64,
-        key: &[u8],
-        slot_addr: RemoteAddr,
-        slot_word: u64,
-        last_ts: u64,
-        board_epoch: u64,
-        hot: bool,
-        value: &[u8],
-    ) {
-        let now = self.dm.now_ns();
-        let Some(tier) = self.tier.as_mut() else {
-            return;
-        };
-        let policy = tier.choose_policy(&mut self.rng);
-        if policy == POLICY_FREQ && !hot {
-            return;
-        }
-        tier.admit(
-            hash,
-            key,
-            value,
-            slot_addr,
-            slot_word,
-            last_ts,
-            now,
-            board_epoch,
-            policy,
-        );
     }
 
     /// Posts due frequency-counter flushes unsignalled on a doorbell of
@@ -1153,7 +1066,9 @@ impl DittoClient {
                 let flushes = self.fc.record(freq_addr);
                 self.post_fc_flushes(flushes);
             } else {
-                let _ = with_retry(&self.dm, |dm| dm.try_faa(freq_addr, 1));
+                let _ = self
+                    .dm
+                    .with_retry(MAX_RETRIES, |dm| dm.try_faa(freq_addr, 1));
                 self.stats.record_fc_flush();
             }
         }
@@ -1284,7 +1199,7 @@ impl DittoClient {
         let size_class = encoded.len() / 64;
         if size_class > 254 {
             self.encode_buf = encoded;
-            return Err(crate::error::CacheError::ObjectTooLarge {
+            return Err(CacheError::ObjectTooLarge {
                 bytes: object::encoded_len(key.len(), value.len(), self.use_extension),
                 max: 254 * 64,
             });
@@ -1470,31 +1385,34 @@ impl DittoClient {
         if let Some(mut ev) = ahead {
             self.evict_advance(&mut ev, false);
         }
+        // What a Set that could not publish did instead: invalidated the
+        // key (`Ok`), or nothing it can vouch for (`Err`).
+        let mut outcome = Ok(());
         if !stored {
-            // Persistent CAS interference: the request is dropped.  For a
-            // fresh insert that is a declined admission, but when an older
-            // value of the key is still installed, dropping the update
-            // silently would leave a *completed-then-unobservable* write —
-            // readers would keep hitting the stale version forever.
-            // Invalidate the entry instead: the key misses until re-filled,
-            // indistinguishable from an eviction.
+            // Persistent CAS interference: the request is dropped.  An older
+            // value of the key left installed would make the write
+            // *completed-then-unobservable* — readers would keep hitting the
+            // stale version — so the entry is invalidated instead: the key
+            // misses until re-filled, indistinguishable from an eviction.
+            // A sweep that cannot do that reports the Set dropped.
+            outcome = Err(CacheError::SetDropped { key_absent: false });
             for _ in 0..MAX_RETRIES {
                 let Ok(Lookup {
                     found: existing, ..
                 }) = self.search(hash, fp, None, None, None)
                 else {
-                    // The invalidation sweep cannot see the table; give up
-                    // (a reachable stale value then survives only if the
-                    // same faults also hide it from every reader).
+                    // The invalidation sweep cannot see the table.
                     break;
                 };
                 let Some((slot_addr, slot)) = existing else {
+                    outcome = Err(CacheError::SetDropped { key_absent: true });
                     break;
                 };
                 if slot.atomic.encode() == new_atomic.encode() {
                     // A judged-failed CAS actually carried our value after
                     // all: the set is installed, nothing to invalidate.
                     stored = true;
+                    outcome = Ok(());
                     break;
                 }
                 if self.slot_cas(slot_addr, slot.atomic.encode(), 0) {
@@ -1506,6 +1424,7 @@ impl DittoClient {
                         slot.atomic.object_addr(),
                         slot.atomic.object_bytes() as usize,
                     );
+                    outcome = Ok(());
                     break;
                 }
             }
@@ -1525,7 +1444,7 @@ impl DittoClient {
         self.bump_board(hash);
         self.journal_clear();
         self.encode_buf = encoded;
-        Ok(())
+        outcome
     }
 
     // ------------------------------------------------------------------
@@ -1779,7 +1698,11 @@ impl DittoClient {
                     return false;
                 }
             };
-        if with_retry(&self.dm, |dm| dm.try_write(new_addr, bytes)).is_err() {
+        if self
+            .dm
+            .with_retry(MAX_RETRIES, |dm| dm.try_write(new_addr, bytes))
+            .is_err()
+        {
             // Could not land the object copy; back out and leave the
             // original in place for a later pump.
             self.free_object(new_addr, len);
@@ -1955,6 +1878,34 @@ mod tests {
         assert_eq!(buf.capacity(), cap, "smaller value must reuse the buffer");
         assert_eq!(buf.as_ptr(), ptr);
         assert!(!client.get_into(b"missing", &mut buf));
+    }
+
+    #[test]
+    fn the_tier_admits_a_key_once_this_client_has_read_it_repeatedly() {
+        use crate::local_tier::FREQ_ADMIT_THRESHOLD;
+        let cache = DittoCache::with_dedicated_pool(
+            DittoConfig::with_capacity(1_000).with_local_tier(64, 1_000_000),
+            DmConfig::default(),
+        )
+        .unwrap();
+        let mut writer = cache.client();
+        writer.set(b"once", b"cold");
+        writer.set(b"hot", b"warm");
+        let mut reader = cache.client();
+        // Returns whether one Get of `key` was served from the tier.
+        let mut local_get = |key: &[u8], value: &[u8]| {
+            let before = cache.stats().snapshot().local_hits;
+            assert_eq!(reader.get(key).as_deref(), Some(value));
+            cache.stats().snapshot().local_hits > before
+        };
+        // A key read once stays remote: its next read still goes out.
+        assert!(!local_get(b"once", b"cold"));
+        assert!(!local_get(b"once", b"cold"));
+        // A key read the threshold's number of times is served locally.
+        for _ in 0..FREQ_ADMIT_THRESHOLD {
+            assert!(!local_get(b"hot", b"warm"));
+        }
+        assert!(local_get(b"hot", b"warm"));
     }
 
     #[test]
@@ -2435,53 +2386,44 @@ mod tests {
     }
 
     #[test]
-    fn cooperative_get_replaces_objects_off_drained_nodes() {
+    fn a_get_on_a_drained_node_serves_in_place_and_the_pump_moves_it() {
         let config = DittoConfig::with_capacity(2_000);
         let cache =
             DittoCache::with_dedicated_pool(config, DmConfig::default().with_memory_nodes(2))
                 .unwrap();
         let mut client = cache.client();
         let table = cache.table();
-        // Find a key whose object lands on node 1.
+        // The node `key`'s object lives on.
+        let home = |client: &DittoClient, key: &str| {
+            let hash = crate::hash::fnv1a64(key.as_bytes());
+            [table.primary_bucket(hash), table.secondary_bucket(hash)]
+                .into_iter()
+                .flat_map(|b| table.read_bucket(&client.dm, b))
+                .find(|(_, s)| s.atomic.is_object() && s.hash == hash)
+                .map(|(_, s)| s.atomic.object_addr().mn_id)
+                .expect("the key is resident")
+        };
         let key = (0..500u64)
             .map(|i| format!("key{i}"))
             .find(|k| {
                 client.set(k.as_bytes(), b"hot-value");
-                let hash = crate::hash::fnv1a64(k.as_bytes());
-                let fp = crate::hash::fingerprint(hash);
-                [table.primary_bucket(hash), table.secondary_bucket(hash)]
-                    .iter()
-                    .any(|&b| {
-                        table.read_bucket(&client.dm, b).iter().any(|(_, s)| {
-                            s.atomic.is_object()
-                                && s.atomic.fp == fp
-                                && s.hash == hash
-                                && s.atomic.object_addr().mn_id == 1
-                        })
-                    })
+                home(&client, k) == 1
             })
             .expect("some key must land on node 1");
         cache.pool().drain_node(1).unwrap();
-        // One Get relocates the hot object off the drained node (no pump).
-        assert_eq!(
-            client.get(key.as_bytes()).as_deref(),
-            Some(&b"hot-value"[..])
-        );
-        let hash = crate::hash::fnv1a64(key.as_bytes());
-        let fp = crate::hash::fingerprint(hash);
-        let moved = [table.primary_bucket(hash), table.secondary_bucket(hash)]
-            .iter()
-            .any(|&b| {
-                table.read_bucket(&client.dm, b).iter().any(|(_, s)| {
-                    s.atomic.is_object()
-                        && s.atomic.fp == fp
-                        && s.hash == hash
-                        && s.atomic.object_addr().mn_id != 1
-                })
-            });
-        assert!(moved, "hot object should have been re-placed cooperatively");
-        assert!(cache.pool().stats().migrated_objects() > 0);
-        // The value still reads back afterwards.
+        // Gets serve the object where it is and move nothing.
+        for _ in 0..3 {
+            assert_eq!(
+                client.get(key.as_bytes()).as_deref(),
+                Some(&b"hot-value"[..])
+            );
+        }
+        assert_eq!(home(&client, &key), 1);
+        assert_eq!(cache.pool().stats().migrated_objects(), 0);
+        // Objects leave a drained node through the pump alone.
+        cache.pump_migration();
+        assert_eq!(cache.pool().resident_object_bytes(1), 0);
+        assert_ne!(home(&client, &key), 1);
         assert_eq!(
             client.get(key.as_bytes()).as_deref(),
             Some(&b"hot-value"[..])
@@ -2823,6 +2765,7 @@ mod tests {
 
     #[test]
     fn a_set_given_up_is_counted() {
+        use crate::error::CacheError;
         use ditto_dm::FaultPlan;
         let plan = FaultPlan::seeded(1).with_verb_fail_ppm(1_000_000);
         let cache = DittoCache::with_dedicated_pool(
@@ -2836,10 +2779,12 @@ mod tests {
         client.set(b"key", b"old");
         assert_eq!(cache.stats().sets_dropped(), 0);
         // Every verb fails: no lookup of the Set's completes, and none of the
-        // invalidation sweep that follows.  It returns `Ok(())` all the same
-        // (ROADMAP item 1) — but not uncounted.
+        // invalidation sweep that follows.  It says so, and is counted.
         injector.set_armed(true);
-        assert_eq!(client.try_set(b"key", b"new"), Ok(()));
+        assert_eq!(
+            client.try_set(b"key", b"new"),
+            Err(CacheError::SetDropped { key_absent: false })
+        );
         injector.set_armed(false);
         assert_eq!(cache.stats().sets_dropped(), 1);
         assert_eq!(client.get(b"key").as_deref(), Some(&b"old"[..]));

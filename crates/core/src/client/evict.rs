@@ -4,7 +4,8 @@
 //! crate docs, *The `Set` path under memory pressure*).
 
 use super::lookup::bucket_holds;
-use super::{with_retry, Candidates, DittoClient};
+use super::{Candidates, DittoClient, MAX_RETRIES};
+use crate::config::DittoConfig;
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::history::EvictionHistory;
 use crate::inline::InlineVec;
@@ -279,13 +280,13 @@ impl DittoClient {
         let first_idx = if self.config.enable_sample_friendly_table {
             let (start, count) = self
                 .table
-                .sample_span(&mut self.rng, self.config.sample_size);
+                .sample_span(&mut self.rng, DittoConfig::SAMPLE_SIZE);
             self.table
                 .for_span_segments(start, count, |addr, slots| ev.segments.push((addr, slots)));
             start
         } else {
             let mut first_idx = None;
-            for _ in 0..self.config.sample_size {
+            for _ in 0..DittoConfig::SAMPLE_SIZE {
                 let idx = self.rng.gen_range(0..self.table.num_slots());
                 ev.segments.push((self.table.global_slot_addr(idx), 1));
                 first_idx.get_or_insert(idx);
@@ -396,7 +397,9 @@ impl DittoClient {
             (ev.wrs, ev.in_flight) = (wr..wr + 1, 1);
         } else {
             let word = ev.word;
-            if let Ok(observed) = with_retry(&self.dm, |dm| dm.try_cas(victim_addr, expected, word))
+            if let Ok(observed) = self
+                .dm
+                .with_retry(MAX_RETRIES, |dm| dm.try_cas(victim_addr, expected, word))
             {
                 ev.observed = observed;
             }
@@ -511,9 +514,10 @@ mod tests {
         // plus posting charges (the sample READ and the FAA on the lookup's
         // doorbell, the victim CAS on its own), three more polls and the CPU
         // work on one sample — no serial CAS.
-        let (dm, cfg) = (DmConfig::default(), DittoConfig::with_capacity(300));
+        let dm = DmConfig::default();
         let posting = dm.doorbell_latency_ns + 3 * dm.verb_issue_ns + 3 * dm.cq_poll_ns;
-        let cpu = cfg.sample_size as u64 * (cfg.cpu_decode_slot_ns + cfg.cpu_score_candidate_ns);
+        let cpu = DittoConfig::SAMPLE_SIZE as u64
+            * (DittoConfig::CPU_DECODE_SLOT_NS + DittoConfig::CPU_SCORE_CANDIDATE_NS);
         let overhead = (dm.faa_latency_ns - dm.read_latency_ns) + posting + cpu;
         assert!(overhead < dm.cas_latency_ns / 2, "{overhead}");
         assert!(*latencies.iter().min().unwrap() <= plain_set_ns(200) + overhead);

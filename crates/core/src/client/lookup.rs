@@ -51,7 +51,7 @@
 //! ([`DittoClient::hint_epoch`]).
 
 use super::evict::Eviction;
-use super::{verb_fault_retryable, DittoClient, SearchSlots, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
+use super::{DittoClient, SearchSlots, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
 use crate::hash::fingerprint;
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::local_tier::CoherenceBoard;
@@ -509,7 +509,7 @@ impl DittoClient {
         // Whether the faulted round may be redone (books the back-off).
         let mut retryable = |dm: &DmClient, e: &DmError| {
             fault_attempts += 1;
-            fault_attempts < MAX_RETRIES && verb_fault_retryable(dm, e)
+            fault_attempts < MAX_RETRIES && dm.back_off_transient(e)
         };
         loop {
             let last = attempt + 1 >= MAX_RETRIES;
@@ -854,10 +854,7 @@ mod tests {
 
     #[test]
     fn hinted_get_is_one_round_trip() {
-        let (dm, decode) = (
-            DmConfig::default(),
-            DittoConfig::with_capacity(1).cpu_decode_slot_ns,
-        );
+        let (dm, decode) = (DmConfig::default(), DittoConfig::CPU_DECODE_SLOT_NS);
         // A one-block object, whose flight the slot's poll and decode
         // outlast, and a 1 KiB one, which hides them.
         for value in [&[1u8; 1][..], &[1u8; 1_024][..]] {

@@ -4,7 +4,7 @@
 //! empty or history slot, evicting a victim of a full bucket — plus the front
 //! door a hinted replace takes past the lookup ([`DittoClient::publish_hinted`]).
 
-use super::{with_retry, Candidates, DittoClient, CAS_RETRY_BACKOFF_NS};
+use super::{Candidates, DittoClient, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::recovery::CrashPoint;
 use crate::slot::{AtomicField, Slot};
@@ -38,7 +38,10 @@ impl DittoClient {
     /// CAS landed on the live copy, or before the poison swap of a reconcile,
     /// which carried it.
     pub(super) fn slot_cas(&mut self, slot_addr: RemoteAddr, expected: u64, new: u64) -> bool {
-        match with_retry(&self.dm, |dm| dm.try_cas(slot_addr, expected, new)) {
+        match self
+            .dm
+            .with_retry(MAX_RETRIES, |dm| dm.try_cas(slot_addr, expected, new))
+        {
             Ok(observed) if observed == expected => true,
             // Lost a race with another client's CAS on the same slot, or
             // the CAS kept faulting (NAK'd, never applied) or its node
@@ -94,7 +97,12 @@ impl DittoClient {
                 std::thread::yield_now();
                 continue;
             };
-            if with_retry(&self.dm, |dm| dm.try_read_u64(home)).ok() != Some(new) {
+            if self
+                .dm
+                .with_retry(MAX_RETRIES, |dm| dm.try_read_u64(home))
+                .ok()
+                != Some(new)
+            {
                 // Displaced since: the new owner wrote its own metadata.
                 return;
             }
@@ -271,7 +279,9 @@ impl DittoClient {
         buf[16..24].copy_from_slice(&now.to_le_bytes());
         buf[24..32].copy_from_slice(&1u64.to_le_bytes());
         let addr = SampleFriendlyHashTable::hash_addr(slot_addr);
-        let _ = with_retry(&self.dm, |dm| dm.try_write_async(addr, &buf));
+        let _ = self
+            .dm
+            .with_retry(MAX_RETRIES, |dm| dm.try_write_async(addr, &buf));
     }
 
     /// Picks the slot an insert should claim, preferring empty slots, then

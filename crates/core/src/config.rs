@@ -4,10 +4,11 @@ use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`crate::DittoCache`].
 ///
-/// The defaults follow §5.1 of the paper: 5-object eviction samples, a
-/// frequency-counter threshold of 10 with a 10 MB client-side cache, a
-/// learning rate of 0.1, weight synchronisation every 100 local updates, and
-/// an eviction history as long as the cache (in objects).
+/// The defaults follow §5.1 of the paper: 5-object eviction samples
+/// ([`DittoConfig::SAMPLE_SIZE`]), a frequency-counter threshold of 10 with
+/// a 10 MB client-side cache, a learning rate of 0.1, weight synchronisation
+/// every 100 local updates, and an eviction history as long as the cache (in
+/// objects).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DittoConfig {
     /// Cache capacity in objects; the memory pool is sized so that roughly
@@ -17,11 +18,6 @@ pub struct DittoConfig {
     pub avg_object_size: u32,
     /// Extra bytes per object (key + object header), used to size the pool.
     pub object_overhead_bytes: u32,
-    /// Number of objects sampled per eviction (K).
-    pub sample_size: usize,
-    /// Length of the logical FIFO eviction history; 0 means "equal to
-    /// `capacity_objects`" (the paper's setting).
-    pub history_size: u64,
     /// Frequency-counter cache flush threshold *t*.
     pub fc_threshold: u64,
     /// Frequency-counter cache size in megabytes.
@@ -49,14 +45,6 @@ pub struct DittoConfig {
     pub enable_lazy_weight_update: bool,
     /// Ablation toggle: client-side frequency-counter cache (§4.2.2).
     pub enable_fc_cache: bool,
-    /// Client CPU nanoseconds charged per hash-table slot decoded on the
-    /// data path (bucket and eviction-sample decoding).  Work done between
-    /// a doorbell and the poll of its completions overlaps the in-flight
-    /// transfers instead of adding to the critical path.
-    pub cpu_decode_slot_ns: u64,
-    /// Client CPU nanoseconds charged per eviction candidate gathered and
-    /// scored (see [`DittoConfig::cpu_decode_slot_ns`]).
-    pub cpu_score_candidate_ns: u64,
     /// Segment size (in objects) requested from the memory node at a time by
     /// each client's allocator.
     pub alloc_segment_objects: u64,
@@ -81,9 +69,6 @@ pub struct DittoConfig {
     /// the lease the entry's coherence rests on the in-process coherence
     /// board (see the `local_tier` module docs).
     pub local_tier_lease_ns: u64,
-    /// Client CPU nanoseconds charged per local-tier hit (index probe,
-    /// board check and value copy) — the whole cost of a lease-valid hit.
-    pub cpu_local_hit_ns: u64,
 }
 
 /// Hash-table slots allocated per cached object (live + history slots): the
@@ -97,8 +82,6 @@ impl Default for DittoConfig {
             capacity_objects: 100_000,
             avg_object_size: 256,
             object_overhead_bytes: 32,
-            sample_size: 5,
-            history_size: 0,
             fc_threshold: 10,
             fc_cache_mb: 10.0,
             learning_rate: 0.1,
@@ -109,13 +92,10 @@ impl Default for DittoConfig {
             enable_lightweight_history: true,
             enable_lazy_weight_update: true,
             enable_fc_cache: true,
-            cpu_decode_slot_ns: 20,
-            cpu_score_candidate_ns: 30,
             alloc_segment_objects: 16,
             enable_crash_recovery_journal: false,
             local_tier_capacity: 0,
             local_tier_lease_ns: 50_000,
-            cpu_local_hit_ns: 50,
         }
     }
 }
@@ -153,12 +133,6 @@ impl DittoConfig {
         self
     }
 
-    /// Sets the sample size K (builder style).
-    pub fn with_sample_size(mut self, k: usize) -> Self {
-        self.sample_size = k.max(1);
-        self
-    }
-
     /// Enables or disables the crash-recovery redo journal (builder
     /// style); see [`DittoConfig::enable_crash_recovery_journal`].
     pub fn with_crash_recovery_journal(mut self, enabled: bool) -> Self {
@@ -178,18 +152,27 @@ impl DittoConfig {
         self
     }
 
-    /// Largest supported eviction sample size; bounds the fixed-capacity
-    /// candidate buffers of the allocation-free data path (the paper uses
-    /// K = 5).
-    pub const MAX_SAMPLE_SIZE: usize = 32;
+    /// Objects sampled per eviction (K).
+    pub const SAMPLE_SIZE: usize = 5;
 
-    /// Effective history length (resolves the "0 = capacity" default).
+    /// Client CPU nanoseconds charged per hash-table slot decoded on the
+    /// data path (bucket and eviction-sample decoding).  Work done between
+    /// a doorbell and the poll of its completions overlaps the in-flight
+    /// transfers instead of adding to the critical path.
+    pub const CPU_DECODE_SLOT_NS: u64 = 20;
+
+    /// Client CPU nanoseconds charged per eviction candidate gathered and
+    /// scored (see [`DittoConfig::CPU_DECODE_SLOT_NS`]).
+    pub const CPU_SCORE_CANDIDATE_NS: u64 = 30;
+
+    /// Client CPU nanoseconds charged per local-tier hit (index probe, board
+    /// check and value copy) — the whole cost of a lease-valid hit.
+    pub const CPU_LOCAL_HIT_NS: u64 = 50;
+
+    /// Length of the logical FIFO eviction history: as long as the cache, in
+    /// objects (the paper's setting).
     pub fn history_len(&self) -> u64 {
-        if self.history_size == 0 {
-            self.capacity_objects
-        } else {
-            self.history_size
-        }
+        self.capacity_objects
     }
 
     /// Number of 64-byte blocks an average object occupies.
@@ -227,15 +210,6 @@ impl DittoConfig {
         if self.experts.len() > 64 {
             return Err("the expert bitmap supports at most 64 experts".to_string());
         }
-        if self.sample_size == 0 {
-            return Err("sample_size must be at least 1".to_string());
-        }
-        if self.sample_size > Self::MAX_SAMPLE_SIZE {
-            return Err(format!(
-                "sample_size must be at most {} (fixed-capacity candidate buffers)",
-                Self::MAX_SAMPLE_SIZE
-            ));
-        }
         if !(0.0..=10.0).contains(&self.learning_rate) {
             return Err("learning_rate out of range".to_string());
         }
@@ -253,7 +227,7 @@ mod tests {
     #[test]
     fn defaults_match_paper_parameters() {
         let c = DittoConfig::default();
-        assert_eq!(c.sample_size, 5);
+        assert_eq!(DittoConfig::SAMPLE_SIZE, 5);
         assert_eq!(c.fc_threshold, 10);
         assert_eq!(c.fc_cache_mb, 10.0);
         assert_eq!(c.learning_rate, 0.1);
@@ -267,11 +241,6 @@ mod tests {
     fn history_defaults_to_capacity() {
         let c = DittoConfig::with_capacity(5_000);
         assert_eq!(c.history_len(), 5_000);
-        let c = DittoConfig {
-            history_size: 123,
-            ..c
-        };
-        assert_eq!(c.history_len(), 123);
     }
 
     #[test]
@@ -306,12 +275,6 @@ mod tests {
         let c = DittoConfig {
             adaptive: true,
             experts: vec!["lru".to_string()],
-            ..DittoConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = DittoConfig {
-            sample_size: 0,
             ..DittoConfig::default()
         };
         assert!(c.validate().is_err());

@@ -30,6 +30,15 @@ pub enum CacheError {
         /// Offending byte offset.
         offset: u64,
     },
+    /// A `Set` gave up after its retries: it neither published its value
+    /// nor invalidated the key.  A publish CAS judged lost may still have
+    /// landed, so the write counts as issued but not completed.
+    SetDropped {
+        /// Whether the give-up found the key absent from the table; `false`
+        /// means an older value may still be installed (or the table could
+        /// not be read).
+        key_absent: bool,
+    },
 }
 
 impl fmt::Display for CacheError {
@@ -47,6 +56,15 @@ impl fmt::Display for CacheError {
             CacheError::PointerOverflow { mn_id, offset } => write!(
                 f,
                 "address mn{mn_id}+0x{offset:x} does not fit the 48-bit slot pointer"
+            ),
+            CacheError::SetDropped { key_absent } => write!(
+                f,
+                "set dropped: neither published nor invalidated ({})",
+                if *key_absent {
+                    "key absent"
+                } else {
+                    "an older value may remain"
+                }
             ),
         }
     }
@@ -75,6 +93,9 @@ mod tests {
         assert!(CacheError::ObjectTooLarge { bytes: 10, max: 5 }
             .to_string()
             .contains("10"));
+        assert!(CacheError::SetDropped { key_absent: true }
+            .to_string()
+            .contains("key absent"));
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl FcCache {
     }
 
     /// The increments currently buffered for `freq_addr` (0 when the entry
-    /// flushed or was never recorded).  The local tier's admission policy
+    /// flushed or was never recorded).  The local tier's admission rule
     /// reads this as its client-local hotness signal: a key whose counter
     /// has accumulated un-flushed increments is being re-read *by this
     /// client*, which is exactly the population worth caching locally.

@@ -115,14 +115,6 @@ impl EvictionHistory {
         Self::id_from_counter(shard, client.faa(self.counter_addr(shard), 1))
     }
 
-    /// Fallible [`EvictionHistory::acquire_id`]: surfaces a faulted FAA so an
-    /// eviction can fall back to a plain (history-less) slot CAS instead of
-    /// panicking.
-    pub fn try_acquire_id(&self, client: &DmClient, shard: u64) -> DmResult<(u64, u64)> {
-        let old = client.try_faa(self.counter_addr(shard), 1)?;
-        Ok(Self::id_from_counter(shard, old))
-    }
-
     /// The history id — and the shard counter's value after the increment —
     /// that an `RDMA_FAA(1)` on `shard`'s counter acquired when it fetched
     /// `old`.  Lets a client that *posted* the FAA (overlapping its round

@@ -77,11 +77,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         self.len -= 1;
         value
     }
-
-    /// Number of free slots remaining.
-    pub fn remaining_capacity(&self) -> usize {
-        N - self.len
-    }
 }
 
 impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {

@@ -220,9 +220,9 @@
 //! at the configured floor and grow with the time the entry's slot word
 //! has been seen unchanged ([`local_tier::lease_for`]).  Tier hits keep the
 //! slot's frequency counter and, by the rule of a remote hit, its
-//! `last_ts` fed.  Admission is
-//! arbitrated by the same expert framework as victim selection, fed by the
-//! FC cache's per-client frequency estimates.  The tier is allocation-free
+//! `last_ts` fed.  A remote hit is admitted once this client has read the
+//! key repeatedly, by the FC cache's per-client frequency estimate
+//! ([`local_tier::FREQ_ADMIT_THRESHOLD`]).  The tier is allocation-free
 //! in steady state and every coherence event is counted in the lifetime
 //! `local_*` counters of [`CacheStats`] (they survive
 //! [`CacheStats::reset`]).

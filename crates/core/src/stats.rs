@@ -83,12 +83,10 @@ counter_table! {
     /// `Get`s that a verb fault (an unreadable bucket or object) degraded to
     /// a miss — counted as a miss too.
     gets_degraded: lifetime accessor, counter "ditto_cache_gets_degraded_total" "Gets a verb fault degraded to a miss (lifetime).", bump record_get_degraded;
-    /// `Set`s given up: each returned `Ok(())` without publishing its value,
-    /// because the re-allocated object's bytes could not be written or
-    /// because every publish attempt lost — whatever the invalidation sweep
-    /// that follows made of the key's older value, if it had one.  Each is an
-    /// acknowledged write no reader will see.
-    sets_dropped: lifetime accessor, counter "ditto_cache_sets_dropped_total" "Sets given up: they returned Ok without publishing their value (lifetime).", bump record_set_dropped;
+    /// `Set`s whose every publish attempt lost.  Each either invalidated the
+    /// key's older value in its place and returned `Ok`, or could not and
+    /// returned [`crate::CacheError::SetDropped`].
+    sets_dropped: lifetime accessor, counter "ditto_cache_sets_dropped_total" "Sets that published nothing: each invalidated the key instead (Ok) or returned SetDropped (lifetime).", bump record_set_dropped;
     /// History ids that went into no slot: the eviction that acquired one
     /// evicted nothing, or the FAA for it faulted.  Each aged its shard's
     /// logical FIFO by one position with no entry.

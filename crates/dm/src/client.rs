@@ -14,6 +14,10 @@ use crate::wqe::WorkQueue;
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
+/// Simulated back-off charged between retries of a transiently faulted verb
+/// ([`DmClient::back_off_transient`]).
+const VERB_RETRY_BACKOFF_NS: u64 = 500;
+
 /// A per-thread connection to the memory pool.
 ///
 /// Every verb executes a real operation against the shared arena and advances
@@ -291,6 +295,43 @@ impl DmClient {
         self.pool
             .fault_injector()
             .node_failed(mn_id, self.clock_ns.get())
+    }
+
+    /// The one transient-verb retry rule: whether a verb that failed with
+    /// `e` is worth redoing — a [`DmError::VerbFailed`] /
+    /// [`DmError::VerbTimeout`] whose node has not fail-stopped.  If so, a
+    /// 500 ns simulated back-off is charged and counted before returning
+    /// `true`.  Every other error, and any error from a dead node,
+    /// is final: retrying a dead node's verbs only burns simulated time.
+    pub fn back_off_transient(&self, e: &DmError) -> bool {
+        let transient = match *e {
+            DmError::VerbFailed { mn_id } | DmError::VerbTimeout { mn_id } => {
+                !self.node_failed(mn_id)
+            }
+            _ => false,
+        };
+        if transient {
+            self.pool.stats().record_verb_retry(VERB_RETRY_BACKOFF_NS);
+            self.advance_ns(VERB_RETRY_BACKOFF_NS);
+        }
+        transient
+    }
+
+    /// Runs `f` — typically one verb — up to `attempts` times, redoing it
+    /// while it fails by [`DmClient::back_off_transient`]'s rule; the last
+    /// error propagates.
+    pub fn with_retry<T>(
+        &self,
+        attempts: usize,
+        mut f: impl FnMut(&DmClient) -> DmResult<T>,
+    ) -> DmResult<T> {
+        let mut tries = 1;
+        loop {
+            match f(self) {
+                Err(e) if tries < attempts && self.back_off_transient(&e) => tries += 1,
+                result => return result,
+            }
+        }
     }
 
     /// Consults the fault injector for the next verb to `mn_id`: returns

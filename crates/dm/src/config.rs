@@ -1,6 +1,5 @@
 //! Configuration of the simulated disaggregated-memory fabric.
 
-use crate::topology::PlacementMode;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the DM substrate.
@@ -57,10 +56,6 @@ pub struct DmConfig {
     pub mn_message_rate: u64,
     /// CPU nanoseconds charged on the controller for a minimal RPC.
     pub rpc_base_cpu_ns: u64,
-    /// How the pool topology maps stripes (bucket ranges, history shards,
-    /// allocation homes) onto active memory nodes: static striping or
-    /// rendezvous hashing (see [`crate::topology::PoolTopology`]).
-    pub placement: PlacementMode,
     /// Optional seeded failure model injected at the verb/WQE layer (see
     /// [`crate::FaultPlan`]).  `None` — the default — injects nothing and
     /// keeps every verb path byte-identical to a fault-free build.
@@ -81,10 +76,6 @@ pub struct DmConfig {
     /// [`crate::PoolStats::obs`].  Irrelevant while the recorder is
     /// disarmed (`flight_recorder_spans == 0`).
     pub flight_recorder_sample_one_in: u64,
-    /// Capacity of the pool-wide structured event log (see
-    /// [`crate::obs::EventLog`]).  Always on — rare events are cheap —
-    /// overflow overwrites the oldest entry and counts a drop.
-    pub event_log_capacity: usize,
 }
 
 impl Default for DmConfig {
@@ -104,11 +95,9 @@ impl Default for DmConfig {
             cq_poll_ns: 20,
             mn_message_rate: 40_000_000,
             rpc_base_cpu_ns: 700,
-            placement: PlacementMode::Striped,
             fault: None,
             flight_recorder_spans: 0,
             flight_recorder_sample_one_in: 1,
-            event_log_capacity: 1024,
         }
     }
 }
@@ -121,12 +110,6 @@ impl DmConfig {
             memory_node_capacity: 16 * 1024 * 1024,
             ..DmConfig::default()
         }
-    }
-
-    /// Configuration mirroring the paper's testbed: one memory node with a
-    /// single controller core and a 100 Gbps-class RNIC.
-    pub fn paper_testbed() -> Self {
-        DmConfig::default()
     }
 
     /// Sets the per-node memory capacity (builder style).
@@ -166,12 +149,6 @@ impl DmConfig {
         self
     }
 
-    /// Sets the topology placement mode (builder style).
-    pub fn with_placement(mut self, placement: PlacementMode) -> Self {
-        self.placement = placement;
-        self
-    }
-
     /// Installs a seeded failure model (builder style).
     pub fn with_fault_plan(mut self, plan: crate::fault::FaultPlan) -> Self {
         self.fault = Some(plan);
@@ -196,12 +173,6 @@ impl DmConfig {
     pub fn with_flight_recorder_sampled(mut self, spans: usize, one_in_n: u64) -> Self {
         self.flight_recorder_spans = spans;
         self.flight_recorder_sample_one_in = one_in_n.max(1);
-        self
-    }
-
-    /// Sets the pool-wide event-log capacity (builder style).
-    pub fn with_event_log_capacity(mut self, events: usize) -> Self {
-        self.event_log_capacity = events;
         self
     }
 

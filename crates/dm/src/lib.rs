@@ -139,7 +139,9 @@
 //! * **Node fail-stop** — after a configured simulated instant every verb
 //!   to that node errors with [`DmError::VerbFailed`] (the
 //!   [`DmClient::node_failed`] oracle tells a dead node from a transient
-//!   fault, so higher layers skip the retry loop and re-translate).
+//!   fault).  One rule retries transient faults for every layer:
+//!   [`DmClient::with_retry`] redoes a verb up to its caller's attempt
+//!   bound, backing off between tries, and gives up at once on a dead node.
 //!   Disarming the injector suspends the probabilistic classes, but a
 //!   fail-stop persists: a crash is *state*, not noise.
 //! * **Slow NIC** — a per-node latency multiplier over a simulated time
@@ -285,7 +287,7 @@ pub use obs::{
 pub use pool::MemoryPool;
 pub use rpc::{RpcHandler, RpcOutcome};
 pub use stats::{ContentionSnapshot, FaultSnapshot, ObsSnapshot, PoolStats, RunReport};
-pub use topology::{PlacementMode, PoolTopology};
+pub use topology::PoolTopology;
 pub use wqe::WorkQueue;
 
 // Compile-time pins of the threading contract documented above: the shared

@@ -134,44 +134,12 @@ pub const RECONCILE_POISON: u64 = u64::MAX;
 /// Simulated back-off of the per-stripe migration locks, in nanoseconds.
 const LOCK_BACKOFF_NS: u64 = 1_000;
 
-/// Simulated back-off between retries of a faulted migration verb.
-const VERB_RETRY_BACKOFF_NS: u64 = 500;
-
-/// Per-verb retry bound during the commit's reconcile pass.  Deliberately
-/// deep: a pass that gives up puts back the words it poisoned and the
-/// stripe must be moved again from scratch, so transient faults are retried
-/// essentially forever; only a fail-stopped node gives up.
-const RECONCILE_VERB_RETRIES: u32 = 64;
-
-/// Retries `f` through transient verb faults ([`DmError::VerbFailed`] /
-/// [`DmError::VerbTimeout`]) up to `attempts` total tries, charging
-/// [`VERB_RETRY_BACKOFF_NS`] between tries.  Non-transient errors (and the
-/// last transient one) propagate.
-fn retry_verb<T>(
-    client: &DmClient,
-    attempts: u32,
-    mut f: impl FnMut(&DmClient) -> DmResult<T>,
-) -> DmResult<T> {
-    let mut attempt = 0;
-    loop {
-        match f(client) {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                attempt += 1;
-                let transient =
-                    matches!(e, DmError::VerbFailed { .. } | DmError::VerbTimeout { .. });
-                if !transient || attempt >= attempts {
-                    return Err(e);
-                }
-                client
-                    .pool()
-                    .stats()
-                    .record_verb_retry(VERB_RETRY_BACKOFF_NS);
-                client.advance_ns(VERB_RETRY_BACKOFF_NS);
-            }
-        }
-    }
-}
+/// Per-verb retry bound ([`DmClient::with_retry`]) during the commit's
+/// reconcile pass.  Deliberately deep: a pass that gives up puts back the
+/// words it poisoned and the stripe must be moved again from scratch, so
+/// transient faults are retried essentially forever; only a fail-stopped
+/// node gives up, at once.
+const RECONCILE_VERB_RETRIES: usize = 64;
 
 /// Migration state of one stripe (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -726,15 +694,16 @@ impl MigrationEngine {
             targets.clear();
             targets.extend((0..take / 8).filter(|w| self.dir.is_cas_word((copied + w * 8) as u64)));
             let at = copied as u64;
-            let pass = retry_verb(client, RECONCILE_VERB_RETRIES, |c| {
-                c.try_read_into(src.add(at), chunk)
-            })
-            .and_then(|()| Self::poison_sweep(client, src.add(at), chunk, &targets, &mut observed))
-            .and_then(|()| {
-                retry_verb(client, RECONCILE_VERB_RETRIES, |c| {
-                    c.try_write(dst.add(at), chunk)
+            let pass = client
+                .with_retry(RECONCILE_VERB_RETRIES, |c| {
+                    c.try_read_into(src.add(at), chunk)
                 })
-            });
+                .and_then(|()| {
+                    Self::poison_sweep(client, src.add(at), chunk, &targets, &mut observed)
+                })
+                .and_then(|()| {
+                    client.with_retry(RECONCILE_VERB_RETRIES, |c| c.try_write(dst.add(at), chunk))
+                });
             if let Err(e) = pass {
                 self.unpoison(client, src, &carried[..copied + take]);
                 return Err(e);
@@ -756,7 +725,7 @@ impl MigrationEngine {
             let offset = (w * 8) as u64;
             if self.dir.is_cas_word(offset) {
                 let value = u64::from_le_bytes(word.try_into().expect("8-byte word"));
-                let _ = retry_verb(client, RECONCILE_VERB_RETRIES, |c| {
+                let _ = client.with_retry(RECONCILE_VERB_RETRIES, |c| {
                     c.try_cas(src.add(offset), RECONCILE_POISON, value)
                 });
             }
@@ -821,7 +790,7 @@ impl MigrationEngine {
     /// under the stripe lock — so the carried value is `expected`.
     fn poison_word(client: &DmClient, addr: RemoteAddr, mut expected: u64) -> DmResult<u64> {
         loop {
-            let got = retry_verb(client, RECONCILE_VERB_RETRIES, |c| {
+            let got = client.with_retry(RECONCILE_VERB_RETRIES, |c| {
                 c.try_cas(addr, expected, RECONCILE_POISON)
             })?;
             if got == expected || got == RECONCILE_POISON {

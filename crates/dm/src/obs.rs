@@ -346,9 +346,9 @@ impl fmt::Display for Event {
 /// A bounded ring of [`Event`]s shared pool-wide (behind a mutex in the
 /// pool; see [`crate::MemoryPool::record_event`]).
 ///
-/// Always on — rare events are cheap — with capacity set by
-/// [`crate::DmConfig::event_log_capacity`]; the backing `Vec` is allocated
-/// once and overflow overwrites the oldest entry, counted as a drop.
+/// Always on — rare events are cheap — holding the last
+/// [`EventLog::POOL_CAPACITY`] events; the backing `Vec` is allocated once
+/// and overflow overwrites the oldest entry, counted as a drop.
 pub struct EventLog {
     events: Vec<Event>,
     cap: usize,
@@ -356,6 +356,9 @@ pub struct EventLog {
 }
 
 impl EventLog {
+    /// Capacity of the pool's log.
+    pub const POOL_CAPACITY: usize = 1024;
+
     /// Creates a log holding at most `capacity` events (minimum 1).
     pub fn new(capacity: usize) -> Self {
         let cap = capacity.max(1);

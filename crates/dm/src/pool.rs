@@ -83,9 +83,9 @@ impl MemoryPool {
             .collect();
         let num_nodes = nodes.len() as u16;
         let stats = PoolStats::new(num_nodes);
-        let topology = PoolTopology::new(num_nodes, config.placement);
+        let topology = PoolTopology::new(num_nodes);
         let fault = FaultInjector::new(config.fault.clone());
-        let events = Mutex::new(EventLog::new(config.event_log_capacity));
+        let events = Mutex::new(EventLog::new(EventLog::POOL_CAPACITY));
         let pool = MemoryPool {
             inner: Arc::new(PoolInner {
                 config,
@@ -324,17 +324,6 @@ impl MemoryPool {
         for node in self.inner.nodes.read().iter() {
             node.register_handler(service, handler.clone());
         }
-    }
-
-    /// Registers an RPC service on a single memory node.
-    pub fn register_handler_on(
-        &self,
-        mn_id: u16,
-        service: u8,
-        handler: Arc<dyn RpcHandler>,
-    ) -> DmResult<()> {
-        self.node(mn_id)?.register_handler(service, handler);
-        Ok(())
     }
 
     /// Total bytes used (high-water mark) across all nodes.

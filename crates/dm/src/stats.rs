@@ -329,7 +329,7 @@ counter_table! {
 
     /// Bucket-array bytes copied between nodes by stripe migrations.
     migrated_bytes: interval, counter "ditto_migrated_bytes_total" "Bucket-array bytes copied by stripe migrations.", add record_migrated_bytes;
-    /// Objects relocated between nodes (migration pump + cooperative Get).
+    /// Objects relocated between nodes by the migration pump.
     migrated_objects: interval, counter "ditto_migrated_objects_total" "Objects relocated between memory nodes.";
     /// Object bytes relocated between nodes.
     migrated_object_bytes: interval, counter "ditto_migrated_object_bytes_total" "Object bytes relocated between memory nodes.";

@@ -9,13 +9,9 @@
 //! [`PoolTopology`] is the placement layer that fixes this.  It maps
 //! abstract **stripes** — contiguous bucket ranges of the hash table,
 //! history-counter shards, segment-allocation homes — onto the pool's
-//! *active* memory nodes:
-//!
-//! * [`PlacementMode::Striped`] assigns stripe `s` to `active[s mod n]`,
-//!   the static round-robin layout used for fixed structures;
-//! * [`PlacementMode::Rendezvous`] uses highest-random-weight (rendezvous)
-//!   hashing, so when a node joins or leaves only `~1/n` of the stripes
-//!   move — the consistent-hashing mode for churn-heavy pools.
+//! *active* memory nodes by static striping: stripe `s` lives on
+//! `active[s mod n]`.  A resize changes that assignment, and the online
+//! migration (`crate::migration`) moves the stripes whose home changed.
 //!
 //! The topology also carries the **resize epoch**: every successful
 //! [`PoolTopology::add_node`] / [`PoolTopology::drain_node`] bumps it, and
@@ -27,7 +23,6 @@
 //! graceful instead of a cliff.
 
 use crate::error::{DmError, DmResult};
-use serde::{Deserialize, Serialize};
 
 /// Maximum number of memory nodes a pool may grow to.
 ///
@@ -35,25 +30,12 @@ use serde::{Deserialize, Serialize};
 /// reserves 8 bits for the memory-node id.
 pub const MAX_POOL_NODES: usize = 256;
 
-/// How stripes are mapped onto active memory nodes.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlacementMode {
-    /// Static striping: stripe `s` lives on `active[s mod n]`.
-    #[default]
-    Striped,
-    /// Rendezvous (highest-random-weight) hashing: each stripe picks the
-    /// active node with the highest `hash(node, stripe)` weight, so node
-    /// churn only relocates `~1/n` of the stripes.
-    Rendezvous,
-}
-
 /// The placement map of a memory pool (see the module docs).
 ///
 /// Cheap to clone: clients snapshot it and revalidate the snapshot against
 /// the pool's resize epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolTopology {
-    mode: PlacementMode,
     /// Active node ids, ascending.  Draining removes a node from this set
     /// without forgetting the node itself.
     active: Vec<u16>,
@@ -73,29 +55,13 @@ pub struct StripeReassignment {
     pub to: u16,
 }
 
-/// SplitMix64 finaliser; mixes `(node, stripe)` into a rendezvous weight.
-fn rendezvous_weight(node: u16, stripe: u64) -> u64 {
-    let mut z = stripe
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(0x6a09_e667_f3bc_c909 ^ ((node as u64) << 32 | node as u64));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl PoolTopology {
     /// Creates a topology over nodes `0..num_nodes`, all active.
-    pub fn new(num_nodes: u16, mode: PlacementMode) -> Self {
+    pub fn new(num_nodes: u16) -> Self {
         PoolTopology {
-            mode,
             active: (0..num_nodes.max(1)).collect(),
             epoch: 0,
         }
-    }
-
-    /// The placement mode.
-    pub fn mode(&self) -> PlacementMode {
-        self.mode
     }
 
     /// The active node ids, ascending.
@@ -121,15 +87,7 @@ impl PoolTopology {
 
     /// The active node that owns stripe `stripe`.
     pub fn node_for_stripe(&self, stripe: u64) -> u16 {
-        match self.mode {
-            PlacementMode::Striped => self.active[(stripe % self.active.len() as u64) as usize],
-            PlacementMode::Rendezvous => self
-                .active
-                .iter()
-                .copied()
-                .max_by_key(|&n| (rendezvous_weight(n, stripe), n))
-                .expect("topology always has at least one active node"),
-        }
+        self.active[(stripe % self.active.len() as u64) as usize]
     }
 
     /// The active node where an allocation with placement hint `hint`
@@ -216,11 +174,10 @@ impl PoolTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
     fn striped_mode_round_robins_over_active_nodes() {
-        let topo = PoolTopology::new(4, PlacementMode::Striped);
+        let topo = PoolTopology::new(4);
         assert_eq!(topo.active(), &[0, 1, 2, 3]);
         for s in 0..32u64 {
             assert_eq!(topo.node_for_stripe(s), (s % 4) as u16);
@@ -228,40 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn rendezvous_mode_spreads_stripes_roughly_evenly() {
-        let topo = PoolTopology::new(4, PlacementMode::Rendezvous);
-        let mut counts: HashMap<u16, u64> = HashMap::new();
-        for s in 0..4_000u64 {
-            *counts.entry(topo.node_for_stripe(s)).or_default() += 1;
-        }
-        assert_eq!(counts.len(), 4, "every node should own stripes");
-        for (&node, &count) in &counts {
-            assert!(
-                (600..=1_400).contains(&count),
-                "node {node} owns {count}/4000 stripes — badly skewed"
-            );
-        }
-    }
-
-    #[test]
-    fn rendezvous_add_moves_only_a_fraction_of_stripes() {
-        let mut topo = PoolTopology::new(4, PlacementMode::Rendezvous);
-        let before = topo.assignments(4_000);
-        topo.add_node(4).unwrap();
-        let after = topo.assignments(4_000);
-        let moved = before.iter().zip(&after).filter(|(a, b)| a != b).count();
-        // HRW should move ~1/5 of stripes, and only onto the new node.
-        assert!(moved > 400 && moved < 1_400, "moved {moved}/4000");
-        for (b, a) in before.iter().zip(&after) {
-            if a != b {
-                assert_eq!(*a, 4, "stripes may only move to the joining node");
-            }
-        }
-    }
-
-    #[test]
     fn add_and_drain_bump_the_epoch() {
-        let mut topo = PoolTopology::new(2, PlacementMode::Striped);
+        let mut topo = PoolTopology::new(2);
         assert_eq!(topo.epoch(), 0);
         topo.add_node(2).unwrap();
         assert_eq!(topo.epoch(), 1);
@@ -274,7 +199,7 @@ mod tests {
 
     #[test]
     fn drained_nodes_receive_no_new_stripes() {
-        let mut topo = PoolTopology::new(4, PlacementMode::Striped);
+        let mut topo = PoolTopology::new(4);
         topo.drain_node(1).unwrap();
         for s in 0..64u64 {
             assert_ne!(topo.node_for_stripe(s), 1);
@@ -283,7 +208,7 @@ mod tests {
 
     #[test]
     fn invalid_membership_changes_are_rejected() {
-        let mut topo = PoolTopology::new(2, PlacementMode::Striped);
+        let mut topo = PoolTopology::new(2);
         assert!(matches!(topo.add_node(0), Err(DmError::Topology { .. })));
         assert!(matches!(topo.drain_node(7), Err(DmError::Topology { .. })));
         topo.drain_node(1).unwrap();
@@ -292,10 +217,7 @@ mod tests {
 
     #[test]
     fn node_limit_is_enforced() {
-        let mut topo = PoolTopology::new(
-            u16::try_from(MAX_POOL_NODES).unwrap(),
-            PlacementMode::Striped,
-        );
+        let mut topo = PoolTopology::new(u16::try_from(MAX_POOL_NODES).unwrap());
         assert!(matches!(
             topo.add_node(MAX_POOL_NODES as u16),
             Err(DmError::Topology { .. })
@@ -304,12 +226,10 @@ mod tests {
 
     #[test]
     fn assignments_match_pointwise_mapping() {
-        for mode in [PlacementMode::Striped, PlacementMode::Rendezvous] {
-            let topo = PoolTopology::new(3, mode);
-            let assigned = topo.assignments(100);
-            for (s, &node) in assigned.iter().enumerate() {
-                assert_eq!(node, topo.node_for_stripe(s as u64));
-            }
+        let topo = PoolTopology::new(3);
+        let assigned = topo.assignments(100);
+        for (s, &node) in assigned.iter().enumerate() {
+            assert_eq!(node, topo.node_for_stripe(s as u64));
         }
     }
 }

@@ -99,12 +99,6 @@ impl YcsbSpec {
         self
     }
 
-    /// Sets the request count (builder style).
-    pub fn with_requests(mut self, n: u64) -> Self {
-        self.request_count = n;
-        self
-    }
-
     /// Sets the RNG seed (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

@@ -7,8 +7,9 @@
 //! * **No lost acknowledged write.**  Every `Get` that hits must decode to
 //!   a version at least the completed floor, exactly as in
 //!   `tests/concurrent.rs` — injected verb faults may degrade operations
-//!   (a Get to a miss, a Set to an invalidation) but never roll a key
-//!   back.
+//!   (a Get to a miss, a Set to an invalidation or a `SetDropped` error)
+//!   but never roll a key back.  A Set that returned `Err` counts as issued
+//!   but not completed: its value may or may not have landed.
 //! * **No permanently wedged bucket.**  After the faulted window is
 //!   disarmed, every key can be re-set and re-read cleanly, migration
 //!   plans drain to completion, and a dead client's stripe-lock leases are
@@ -31,7 +32,7 @@
 //! [`FaultPlan::seeded`]: ditto::dm::FaultPlan::seeded
 
 use ditto::cache::recovery::CrashPoint;
-use ditto::cache::{DittoCache, DittoConfig};
+use ditto::cache::{DittoCache, DittoClient, DittoConfig};
 use ditto::dm::obs::with_event_postmortem;
 use ditto::dm::{DmConfig, FaultPlan, ReleaseOutcome};
 use rand::rngs::StdRng;
@@ -119,13 +120,22 @@ fn decode_version(key_idx: u64, bytes: &[u8]) -> u64 {
     version
 }
 
-/// Preloads every key once from a fresh client (run disarmed).
+/// Issues the next version of key `k` through `try_set` and returns it if
+/// the Set completed.  An `Err` leaves the version issued but not completed:
+/// the value may still have been installed, so it neither raises the floor
+/// nor has to be seen.
+fn set_next(client: &mut DittoClient, key: &[u8], k: usize, st: &KeyState) -> Option<u64> {
+    let v = st.issued.fetch_add(1, Ordering::SeqCst) + 1;
+    client.try_set(key, &encode_value(k as u64, v)).ok()?;
+    st.completed.fetch_max(v, Ordering::SeqCst);
+    Some(v)
+}
+
+/// Preloads every key once from a fresh client.
 fn preload(cache: &DittoCache, keys: &[Vec<u8>], states: &[KeyState]) {
     let mut client = cache.client();
     for (k, key) in keys.iter().enumerate() {
-        let v = states[k].issued.fetch_add(1, Ordering::SeqCst) + 1;
-        client.set(key, &encode_value(k as u64, v));
-        states[k].completed.fetch_max(v, Ordering::SeqCst);
+        set_next(&mut client, key, k, &states[k]);
     }
 }
 
@@ -152,11 +162,11 @@ fn checker_pass(
                     let st = &states[k];
                     if rng.gen_range(0..10u32) < 4 {
                         let gate = st.write_gate.lock().unwrap();
-                        let v = st.issued.fetch_add(1, Ordering::SeqCst) + 1;
-                        client.set(&keys[k], &encode_value(k as u64, v));
-                        st.completed.fetch_max(v, Ordering::SeqCst);
+                        let completed = set_next(&mut client, &keys[k], k, st);
                         drop(gate);
-                        last_seen[k] = last_seen[k].max(v);
+                        if let Some(v) = completed {
+                            last_seen[k] = last_seen[k].max(v);
+                        }
                     } else {
                         let floor = st.completed.load(Ordering::SeqCst).max(last_seen[k]);
                         if let Some(bytes) = client.get(&keys[k]) {
@@ -382,9 +392,7 @@ fn chaos_crash_points_recover_cleanly() {
             let victim_id = victim.dm().client_id();
             injector.set_armed(true);
             for (k, key) in keys.iter().enumerate().take(8) {
-                let v = states[k].issued.fetch_add(1, Ordering::SeqCst) + 1;
-                victim.set(key, &encode_value(k as u64, v));
-                states[k].completed.fetch_max(v, Ordering::SeqCst);
+                set_next(&mut victim, key, k, &states[k]);
             }
             victim.arm_set_crash(point);
             let crash_key = 13usize;
@@ -712,10 +720,11 @@ fn chaos_node_fail_stop_degrades_to_survivors() {
     );
 
     // Every key gets a Set and a Get.  Keys with a bucket on the dead node
-    // degrade (dropped Set, missing Get) — but never panic, never wedge.
-    let mut served = 0usize;
+    // degrade (a Set that says it was dropped, a missing Get) — but never
+    // panic, never wedge.
+    let (mut served, mut dropped) = (0usize, 0usize);
     for (k, key) in keys.iter().enumerate() {
-        client.set(key, &encode_value(k as u64, 1));
+        dropped += client.try_set(key, &encode_value(k as u64, 1)).is_err() as usize;
         if let Some(bytes) = client.get(key) {
             assert_eq!(decode_version(k as u64, &bytes), 1);
             served += 1;
@@ -726,7 +735,7 @@ fn chaos_node_fail_stop_degrades_to_survivors() {
         "keys with both buckets on the surviving node must keep full service"
     );
     assert!(
-        served < KEYS,
+        served < KEYS && dropped > 0,
         "some keys must have degraded (dead-node buckets)"
     );
 

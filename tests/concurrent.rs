@@ -17,8 +17,9 @@
 //!   (the deterministic payload pins every byte — torn or recycled reads
 //!   cannot pass);
 //! * the version is at least the *completed floor* — the highest version
-//!   whose Set had returned before the Get began (a completed write can
-//!   never be un-observed);
+//!   whose Set had returned `Ok` before the Get began (a completed write can
+//!   never be un-observed; a Set that returned `SetDropped` counts as issued
+//!   but not completed, since its value may or may not have landed);
 //! * per observer, versions never go backwards;
 //! * a miss is always allowed (any key may be evicted at any time).
 //!
@@ -55,7 +56,7 @@ fn make_keys() -> Vec<Vec<u8>> {
 struct KeyState {
     /// Next version to hand to a writer (versions start at 1).
     issued: AtomicU64,
-    /// Highest version whose `set` has returned.
+    /// Highest version whose `try_set` has returned `Ok`.
     completed: AtomicU64,
     /// Serializes same-key Sets (see the module docs).
     write_gate: Mutex<()>,
@@ -152,10 +153,14 @@ fn checker_pass(
                     if rng.gen_range(0..10u32) < 4 {
                         let gate = st.write_gate.lock().unwrap();
                         let v = st.issued.fetch_add(1, Ordering::SeqCst) + 1;
-                        client.set(&keys[k], &encode_value(k as u64, v));
-                        st.completed.fetch_max(v, Ordering::SeqCst);
+                        let completed = client.try_set(&keys[k], &encode_value(k as u64, v));
+                        if completed.is_ok() {
+                            st.completed.fetch_max(v, Ordering::SeqCst);
+                        }
                         drop(gate);
-                        last_seen[k] = last_seen[k].max(v);
+                        if completed.is_ok() {
+                            last_seen[k] = last_seen[k].max(v);
+                        }
                     } else {
                         // The floor is captured *before* the Get begins: a
                         // Set completed by then can never be un-observed,

@@ -309,10 +309,16 @@ fn race_writers_and_readers(lease_ns: u64) -> DittoCache {
                         if rng.gen_range(0..10u32) < 4 {
                             let gate = st.write_gate.lock().unwrap();
                             let v = st.issued.fetch_add(1, Ordering::SeqCst) + 1;
-                            client.set(&keys[k], &encode_value(k as u64, v));
-                            st.completed.fetch_max(v, Ordering::SeqCst);
+                            // A dropped Set (`Err`) is issued, not completed.
+                            let completed =
+                                client.try_set(&keys[k], &encode_value(k as u64, v)).is_ok();
+                            if completed {
+                                st.completed.fetch_max(v, Ordering::SeqCst);
+                            }
                             drop(gate);
-                            last_seen[k] = last_seen[k].max(v);
+                            if completed {
+                                last_seen[k] = last_seen[k].max(v);
+                            }
                         } else {
                             let floor = st.completed.load(Ordering::SeqCst).max(last_seen[k]);
                             if let Some(bytes) = client.get(&keys[k]) {
