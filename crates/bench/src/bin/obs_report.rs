@@ -34,8 +34,9 @@ use std::collections::BTreeMap;
 
 /// Phases every armed get/set trace must exercise: the one-sided data path
 /// itself.  All other phases are configuration-dependent — publish needs
-/// Sets in the window, lock/evict need pressure, relocate needs a
-/// migration, local_hit/revalidate need the compute-side local tier — and
+/// Sets in the window, lock needs a lock-based baseline, evict needs
+/// pressure, relocate needs a migration, local_hit/revalidate need the
+/// compute-side local tier — and
 /// are gated only when the exposition page actually names them.
 const REQUIRED_PHASES: [Phase; 5] = [
     Phase::Translate,

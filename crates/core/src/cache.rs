@@ -49,7 +49,7 @@ pub struct DittoCache {
 
 /// Number of per-client slots in the crash-recovery redo journal region;
 /// clients with ids at or above this write no journal (and are recovered
-/// by the lock-reclaim and segment sweeps alone).
+/// by the segment sweep alone).
 pub(crate) const JOURNAL_SLOTS: u64 = 512;
 
 /// Stride of one client's journal slot: 48 bytes of payload (six little-

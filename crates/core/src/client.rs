@@ -523,10 +523,9 @@ impl DittoClient {
     }
 
     /// Recovers the debris of a crashed client (see the [`crate::recovery`]
-    /// module docs for the failure model): steals back its stripe-lock
-    /// leases, replays its redo-journal entry against the table to fix the
-    /// resident gauge, and sweeps its unreferenced segment space back to
-    /// the memory nodes.
+    /// module docs for the failure model): replays its redo-journal entry
+    /// against the table to fix the resident gauge, and sweeps its
+    /// unreferenced segment space back to the memory nodes.
     ///
     /// Run from any *live* client once `dead_id` is known dead.  Other
     /// surviving clients must have released their parked free ranges
@@ -545,16 +544,9 @@ impl DittoClient {
                 },
             );
         };
-        // 1. Lock leases: fencing CAS steals, no waiting out the lease.
-        // (Each successful steal is recorded in the pool's fault counters
-        // by `RemoteLock::reclaim` itself.)
-        recovery_event(RecoveryPhase::LockReclaim, &self.dm);
-        let mut report = RecoveryReport {
-            locks_reclaimed: self.engine.reclaim_stripe_locks(&self.dm, dead_id),
-            ..RecoveryReport::default()
-        };
+        let mut report = RecoveryReport::default();
 
-        // 2. One forensic scan of the whole table: per-node sorted
+        // 1. One forensic scan of the whole table: per-node sorted
         //    (offset, resident bytes) of every referenced allocation.
         //    Both the journal replay and the gap sweep reconcile against
         //    this single snapshot.
@@ -576,7 +568,7 @@ impl DittoClient {
             node_refs.sort_unstable();
         }
 
-        // 3. Journal replay — fixes the *resident gauge* only; the memory
+        // 2. Journal replay — fixes the *resident gauge* only; the memory
         //    itself is returned by the segment sweep below.  Whichever of
         //    the entry's two allocations the table does not reference is
         //    the orphan still counted as resident.
@@ -653,7 +645,7 @@ impl DittoClient {
             }
         }
 
-        // 4. Segment gap sweep: return every dead-owned byte no table slot
+        // 3. Segment gap sweep: return every dead-owned byte no table slot
         //    references.  Our own parked ranges could alias dead-owned
         //    space (we may have evicted the dead client's objects), so the
         //    local hoard goes back first.
@@ -1559,11 +1551,10 @@ impl DittoClient {
             match engine.commit(&self.dm, &job) {
                 Ok(moved) => progress.stripes_moved += u64::from(moved),
                 Err(_) => {
-                    // The destination cannot host the stripe yet, or the
-                    // stripe lock's lease is wedged: put the job back so the
-                    // plan stays visibly incomplete (a later pump — after
-                    // recovery reclaims the lease — finishes the stripe),
-                    // and stop this pump rather than spin on it.
+                    // The destination cannot host the stripe yet, or its
+                    // reconcile gave up (a dead node): put the job back so
+                    // the plan stays visibly incomplete, and stop this pump
+                    // rather than spin on it.
                     engine.requeue_job(job);
                     break;
                 }

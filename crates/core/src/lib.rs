@@ -122,7 +122,8 @@
 //! that does, whose uptime says nothing about the age its hot keys are
 //! being evicted at (`tests/lazy_last_ts.rs` drives it).  `Set`s always
 //! write: the hinted replace never reads the slot.  The local tier's hits
-//! never refreshed the timestamp and still do not.
+//! follow the same rule, judged against the timestamp the tier entry last
+//! saw or wrote (`tier_feed_frequency`).
 //! [`CacheStats::ts_writes_sent`] / [`CacheStats::ts_writes_skipped`] count
 //! both outcomes; [`SimCache`] runs the same function on its logical clock,
 //! and the sweep that picked 16 ([`recency::LAST_TS_DIVISOR`]) lives in its

@@ -1,26 +1,28 @@
 //! Crash-consistent client failover: crash points and recovery reports.
 //!
-//! A [`crate::DittoClient`] that dies mid-`set` or mid-migration-pump can
-//! leave three kinds of debris behind on the (crash-oblivious) memory nodes:
+//! A [`crate::DittoClient`] that dies mid-`set` can leave two kinds of
+//! debris behind on the (crash-oblivious) memory nodes:
 //!
-//! 1. **Held stripe locks** — the migration engine's per-stripe leases,
-//!    which only pumps take.  Reclaimed by lease-expiry CAS steals
-//!    ([`ditto_dm::RemoteLock::reclaim`]), bumping the fencing epoch so a
-//!    resurrected owner cannot release a lock it no longer holds.
-//! 2. **An in-flight allocation** — object bytes written (or half-written)
+//! 1. **An in-flight allocation** — object bytes written (or half-written)
 //!    but never published into the hash table, or published with the loser
 //!    (old) allocation never freed.  Found through the per-client redo
 //!    journal ([`crate::DittoConfig::enable_crash_recovery_journal`]) and
 //!    reconciled against the table: whichever allocation the table does
 //!    *not* reference is garbage.
-//! 3. **Orphaned segment space** — allocator segments owned by the dead
+//! 2. **Orphaned segment space** — allocator segments owned by the dead
 //!    client with sub-ranges no table slot points at.  Swept by walking the
 //!    node-side owner registry ([`ditto_dm::MemoryNode::owned_segments`])
 //!    and returning every unreferenced gap.
 //!
-//! [`crate::DittoClient::recover_crashed_client`] performs all three steps
-//! and returns a [`RecoveryReport`].  Crash *injection* for tests goes
-//! through [`crate::DittoClient::arm_set_crash`] with a [`CrashPoint`].
+//! [`crate::DittoClient::recover_crashed_client`] performs both steps and
+//! returns a [`RecoveryReport`].  Crash *injection* for tests goes through
+//! [`crate::DittoClient::arm_set_crash`] with a [`CrashPoint`].
+//!
+//! **Not recovered: a client that dies mid-migration-pump.**  No crash
+//! point sits inside a stripe commit.  Were one to fire there, the stripe's
+//! claim (its forwarding marker) would stay set, and nothing here could put
+//! back the source words its reconcile had poisoned: their values lived
+//! only in the dead pass (see `ditto_dm::migration`).
 
 /// Where inside the `set` protocol an armed test crash fires.
 ///
@@ -55,8 +57,6 @@ pub enum CrashPoint {
 #[must_use = "recovery results indicate what debris the dead client left; assert on or log them"]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Stripe locks whose lease was stolen back from the dead owner.
-    pub locks_reclaimed: u64,
     /// Journal entries found valid (armed, non-zero new-allocation length)
     /// and replayed against the table.
     pub journal_entries_replayed: u64,

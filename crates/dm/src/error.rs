@@ -89,12 +89,6 @@ pub enum DmError {
         /// Memory node the verb targeted.
         mn_id: u16,
     },
-    /// A [`crate::RemoteLock`] acquisition burned its whole retry budget
-    /// while the lock stayed held by a live owner.
-    LockExhausted {
-        /// Retries attempted before giving up.
-        retries: u32,
-    },
 }
 
 impl fmt::Display for DmError {
@@ -139,9 +133,6 @@ impl fmt::Display for DmError {
             }
             DmError::VerbTimeout { mn_id } => {
                 write!(f, "verb to memory node {mn_id} timed out")
-            }
-            DmError::LockExhausted { retries } => {
-                write!(f, "remote lock not acquired after {retries} retries")
             }
         }
     }

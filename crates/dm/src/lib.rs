@@ -80,16 +80,16 @@
 //!
 //! Measured on the get-heavy YCSB-C ops microbenchmark (200 k requests,
 //! 10 k records, capacity 7 k objects, one client; see
-//! `crates/bench/src/bin/ops_bench.rs` and `BENCH_ops.json`): **349 k
-//! simulated ops/s at 3.45 verbs per op, op p50 2.3 µs / p99 11.8 µs**.
+//! `crates/bench/src/bin/ops_bench.rs` and `BENCH_ops.json`): **363.0 k
+//! simulated ops/s at 2.81 verbs per op, op p50 2.30 µs / p99 9.73 µs**.
 //! What the overlap hides is reported from that same run by
 //! [`AttributionTable::overlap_saved_ns`].
 //!
 //! The same benchmark's multi-memory-node sweep (60 k msg/s per NIC,
 //! message-bound) shows the striped topology lifting the throughput
-//! ceiling near-linearly: **13 k → 26 k → 48 k → 85 k simulated ops/s at
-//! 1 → 2 → 4 → 8 memory nodes**, because the hottest NIC's message count
-//! drops to roughly `1/n`-th of the total.
+//! ceiling near-linearly: **18.2 k → 35.6 k → 61.6 k → 115.8 k simulated
+//! ops/s at 1 → 2 → 4 → 8 memory nodes**, because the hottest NIC's
+//! message count drops to roughly `1/n`-th of the total.
 //!
 //! # Threading model
 //!
@@ -152,27 +152,24 @@
 //! rides a reliable transport), which is what lets crash recovery sweep a
 //! fail-stopped client's segments.
 //!
-//! **Leases and fencing.**  [`RemoteLock`] packs `(locked, owner, fencing
-//! epoch, grant time)` into one CAS word.  A holder that stops renewing is
-//! taken over two ways: any contender may CAS-steal after the lease
-//! expires, and a recovery pass that *knows* an owner is dead reclaims its
-//! locks immediately ([`RemoteLock::reclaim`], driven by
-//! [`MigrationEngine::reclaim_stripe_locks`]) without waiting the lease
-//! out.  Both paths bump the fencing epoch, so a revived owner's release
-//! observes [`ReleaseOutcome::Fenced`] and cannot clobber the new holder.
-//! Acquisition that burns its whole retry budget returns the typed
+//! **No remote lock on the cache's paths.**  Clients coordinate through
+//! CASes on slot words alone, and stripe migration keeps its pumpers apart
+//! by claiming a stripe's forwarding marker in the in-process
+//! [`migration::StripeDirectory`].  [`RemoteLock`] — one `(locked, time)`
+//! word, no lease, no owner — serves the lock-based baselines; an
+//! acquisition that burns its whole retry budget returns the typed
 //! [`AcquireOutcome::Exhausted`] — never an unbounded spin.
 //!
 //! **Recovery invariants.**  Given a dead client's id, a surviving
 //! client's recovery pass (see `ditto_core`'s `recover_crashed_client`)
-//! restores three invariants: every lock the dead client held is stolen
-//! back with a fencing-epoch bump; the resident-byte gauge again equals a
+//! restores two invariants: the resident-byte gauge again equals a
 //! forensic scan of what the table actually references; and every granted
 //! byte of the dead client's segments that no slot references is returned
 //! to its node ([`MemoryNode::owned_segments`] /
 //! [`MemoryNode::range_granted`] expose the node-side registry recovery
-//! reconciles against).  All fault, retry, lock-steal and recovery
-//! counters live in [`PoolStats::faults`] and survive
+//! reconciles against).  A client that dies inside a stripe commit is not
+//! recovered (see [`migration`]).  All fault, retry, lock-exhaustion and
+//! recovery counters live in [`PoolStats::faults`] and survive
 //! [`PoolStats::reset`] — like the contention group, they describe the
 //! deployment's whole life, not a measurement interval.
 //!
@@ -218,11 +215,11 @@
 //!   `obs_report` bin (in `ditto-bench`) runs it offline over an exported
 //!   Chrome trace.
 //! * **Structured event log** — rare, high-signal transitions (verb
-//!   faults, lock steals and fenced releases, retry-budget exhaustions,
-//!   lease reclaims, migration stripe states, resize-epoch bumps,
-//!   crash-recovery phases) land in one bounded pool-wide [`EventLog`]
-//!   as typed [`EventKind`]s.  Always on; overflow overwrites the oldest
-//!   event and counts a drop in [`PoolStats`].  Test harnesses wrap
+//!   faults, lock retry-budget exhaustions, migration stripe states,
+//!   resize-epoch bumps, crash-recovery phases) land in one bounded
+//!   pool-wide [`EventLog`] as typed [`EventKind`]s.  Always on; overflow
+//!   overwrites the oldest event and counts a drop in [`PoolStats`].  Test
+//!   harnesses wrap
 //!   assertions in [`obs::with_event_postmortem`] so a failure dumps the
 //!   event tail into the panic message.
 //! * **Exporters** — [`obs::chrome_trace_json`] renders spans + events as
@@ -275,7 +272,7 @@ pub use error::{DmError, DmResult};
 pub use fault::{FaultInjector, FaultPlan, NodeFailStop, SlowNic, VerbFate};
 pub use harness::{run_clients, ClientCtx};
 pub use histogram::LatencyHistogram;
-pub use lock::{AcquireOutcome, LockAcquisition, ReleaseOutcome, RemoteLock, DEFAULT_LEASE_NS};
+pub use lock::{AcquireOutcome, LockAcquisition, RemoteLock};
 pub use memnode::MemoryNode;
 pub use migration::{
     MigrationEngine, MigrationPlanner, MigrationState, MoveJob, StripeDirectory, RECONCILE_POISON,

@@ -1,33 +1,27 @@
-//! Remote spin locks with lease-based crash recovery, the primitive that
-//! makes lock-based caching data structures expensive on DM (§3.1 of the
-//! paper) — and the primitive a crashed client's peers must be able to
-//! take back without it.
+//! Remote spin locks, the primitive that makes lock-based caching data
+//! structures expensive on DM (§3.1 of the paper).  Ditto's own data path
+//! and its stripe migration take none; the Shard-LRU and KVC baselines
+//! (`ditto_baselines::shardlru`) serialise every list update behind one.
 //!
 //! A [`RemoteLock`] occupies one 8-byte word in the memory pool:
 //!
 //! ```text
-//! [ locked:1 | spare:1 | owner:9 | epoch:9 | ts:44 ]
+//! [ locked:1 | ts:63 ]
 //! ```
 //!
 //! * **locked** — the lock bit.
-//! * **owner** — the holder's client id (mod 512), so recovery can tell
-//!   *whose* lease it is reclaiming.
-//! * **epoch** — a fencing counter bumped by every steal.  A revived owner
-//!   releasing after its lease was stolen CASes against the exact word it
-//!   wrote; the new epoch makes that CAS fail, so a stale release can never
-//!   clobber the new holder ([`ReleaseOutcome::Fenced`]).
-//! * **ts** — while **held**: the *lease expiry* (acquire time +
-//!   [`RemoteLock::lease_ns`], simulated).  While **free**: the release
-//!   time of the last critical section.
+//! * **ts** — while **held**: the acquisition time (simulated).  While
+//!   **free**: the release time of the last critical section.
 //!
 //! An acquisition attempt fails — and must retry after a back-off,
 //! consuming more RNIC messages — when either
 //!
-//! * another client really holds the lock with an unexpired lease (genuine
-//!   CAS failure), or
+//! * another client holds the lock (genuine CAS failure): the waiter backs
+//!   off `8 × backoff_ns`, or
 //! * the lock is free but its last release time lies in the acquirer's
 //!   simulated future, meaning that in DM time the lock was still held when
-//!   this client tried.
+//!   this client tried: the waiter backs off that gap, clamped to between
+//!   one and eight back-offs.
 //!
 //! The second condition is what lets contention appear at simulated scale:
 //! client clocks advance by microseconds per verb while the real critical
@@ -35,105 +29,43 @@
 //! succeed on the first try and the lock-contention collapse of KVC and
 //! Shard-LRU (Figure 2, Figure 14) could not be reproduced.
 //!
-//! # Leases and recovery
-//!
-//! A holder that crashes mid-critical-section never writes the release
-//! word.  Two paths take the lock back:
-//!
-//! * **Lease expiry** — once an acquirer's simulated clock passes the
-//!   stored lease expiry it *steals* the lock: one CAS installs the new
-//!   owner with `epoch + 1` ([`AcquireOutcome::Stolen`]).  The default
-//!   lease (1 simulated millisecond, [`DEFAULT_LEASE_NS`]) is orders of
-//!   magnitude longer than any critical section in this crate, so live
-//!   holders are never stolen from.
-//! * **Forensic reclaim** — when the crashed client's identity is *known*
-//!   (the crash-recovery pass), [`RemoteLock::reclaim`] frees any lock
-//!   whose owner field matches immediately, without waiting out the lease,
-//!   again bumping the epoch.
-//!
-//! A live acquirer that burns its whole retry budget against a held,
-//! unexpired lease gives up with a typed [`AcquireOutcome::Exhausted`]
-//! instead of spinning forever — callers requeue or fail the operation.
+//! The retry budget is bounded: an acquirer that burns it against a held
+//! lock (or a word whose CAS keeps faulting) gives up with a typed
+//! [`AcquireOutcome::Exhausted`] instead of spinning forever.  There is no
+//! lease and no takeover: a holder that never releases keeps the lock, and
+//! the baselines that take these locks model no client crash.
 
 use crate::addr::RemoteAddr;
 use crate::client::DmClient;
+use crate::error::DmResult;
 use crate::obs::{EventKind, Phase};
 
 /// Lock bit stored in the most significant bit of the lock word.
 const LOCKED_BIT: u64 = 1 << 63;
-/// Owner field: 9 bits at 53 (client id mod 512).
-const OWNER_SHIFT: u32 = 53;
-const OWNER_MASK: u64 = 0x1FF;
-/// Fencing epoch: 9 bits at 44, bumped by every steal/reclaim (wraps).
-const EPOCH_SHIFT: u32 = 44;
-const EPOCH_MASK: u64 = 0x1FF;
-/// Timestamp field: low 44 bits (~4.8 simulated hours before wrap).
-const TS_MASK: u64 = (1 << 44) - 1;
+/// Timestamp field: the low 63 bits.
+const TS_MASK: u64 = LOCKED_BIT - 1;
 
-/// Default lease: 1 simulated second.  Client clocks are *not*
-/// synchronized — they drift apart by whatever their op mixes cost — so
-/// the default lease is chosen orders of magnitude above both every
-/// critical section in this crate (microseconds) and the clock skew a
-/// stress run accumulates (milliseconds); a live holder is never stolen
-/// from by a merely fast-clocked waiter.  Crash tests that want prompt
-/// lease expiry shorten it explicitly with [`RemoteLock::with_lease_ns`];
-/// the recovery pass does not wait for expiry at all
-/// ([`RemoteLock::reclaim`]).
-pub const DEFAULT_LEASE_NS: u64 = 1_000_000_000;
-
-fn pack(locked: bool, owner: u64, epoch: u64, ts: u64) -> u64 {
-    (if locked { LOCKED_BIT } else { 0 })
-        | ((owner & OWNER_MASK) << OWNER_SHIFT)
-        | ((epoch & EPOCH_MASK) << EPOCH_SHIFT)
-        | (ts & TS_MASK)
-}
-
-fn owner_of(word: u64) -> u16 {
-    ((word >> OWNER_SHIFT) & OWNER_MASK) as u16
-}
-
-fn epoch_of(word: u64) -> u64 {
-    (word >> EPOCH_SHIFT) & EPOCH_MASK
-}
-
-fn ts_of(word: u64) -> u64 {
-    word & TS_MASK
-}
+/// Attempts a release CAS gets over transient faults
+/// ([`DmClient::with_retry`]).
+const RELEASE_ATTEMPTS: usize = 8;
 
 /// How a [`RemoteLock::acquire`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AcquireOutcome {
-    /// The free lock was taken; `epoch` is the fencing epoch written.
-    Acquired {
-        /// Fencing epoch of this hold (unchanged from the previous hold).
-        epoch: u16,
-    },
-    /// A held lock's lease had expired and was stolen with a bumped epoch.
-    Stolen {
-        /// Fencing epoch of this hold (`previous + 1`).
-        epoch: u16,
-        /// Owner field of the expired lease that was stolen.
-        previous_owner: u16,
-    },
-    /// The retry budget was spent against a live holder's unexpired lease.
+    /// The free lock was taken.
+    Acquired,
+    /// The retry budget was spent against a held lock (or faulting verbs).
     /// The lock was **not** acquired; the caller must not enter the
     /// critical section.
-    Exhausted {
-        /// Owner field of the lease that outlasted the budget.
-        holder: u16,
-        /// When that lease expires (simulated ns) — the earliest a steal
-        /// could succeed.
-        lease_expires_ns: u64,
-    },
+    Exhausted,
 }
 
 /// Outcome of a lock acquisition attempt — statistics plus the typed
 /// [`AcquireOutcome`] and the release token.
 ///
 /// Must be used: on [`AcquireOutcome::Exhausted`] the lock is *not* held,
-/// and a held lock must be released through
-/// [`RemoteLock::release`] with this value (the fenced-CAS token lives
-/// here).
+/// and a held lock must be released through [`RemoteLock::release`] with
+/// this value (the release CAS expects the word it carries).
 #[must_use = "check the outcome: an Exhausted acquisition did not take the lock, and a held lock must be released with this token"]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockAcquisition {
@@ -152,48 +84,18 @@ pub struct LockAcquisition {
 }
 
 impl LockAcquisition {
-    /// Whether the lock is actually held ([`AcquireOutcome::Acquired`] or
-    /// [`AcquireOutcome::Stolen`]).
+    /// Whether the lock is actually held.
     pub fn is_acquired(&self) -> bool {
-        !matches!(self.outcome, AcquireOutcome::Exhausted { .. })
-    }
-
-    /// Fencing epoch of this hold, if the lock was taken.
-    pub fn epoch(&self) -> Option<u16> {
-        match self.outcome {
-            AcquireOutcome::Acquired { epoch } | AcquireOutcome::Stolen { epoch, .. } => {
-                Some(epoch)
-            }
-            AcquireOutcome::Exhausted { .. } => None,
-        }
+        self.outcome == AcquireOutcome::Acquired
     }
 }
 
-/// Outcome of a [`RemoteLock::release`].
-#[must_use = "a Fenced release means the lease was stolen while held — the protected update may have raced the new holder"]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReleaseOutcome {
-    /// The lock word still carried this holder's epoch and was freed.
-    Released,
-    /// The lease was stolen (epoch moved on) while this holder thought it
-    /// held the lock; nothing was written.
-    Fenced,
-}
-
-impl ReleaseOutcome {
-    /// Whether the release landed.
-    pub fn is_released(&self) -> bool {
-        matches!(self, ReleaseOutcome::Released)
-    }
-}
-
-/// A lease-based spin lock stored in disaggregated memory.
+/// A spin lock stored in disaggregated memory.
 #[derive(Debug, Clone, Copy)]
 pub struct RemoteLock {
     addr: RemoteAddr,
     backoff_ns: u64,
     max_retries: u64,
-    lease_ns: u64,
 }
 
 impl RemoteLock {
@@ -206,7 +108,6 @@ impl RemoteLock {
             addr,
             backoff_ns: backoff_ns.max(1),
             max_retries: 10_000,
-            lease_ns: DEFAULT_LEASE_NS,
         }
     }
 
@@ -228,17 +129,6 @@ impl RemoteLock {
         self
     }
 
-    /// Lease duration written into the lock word on acquisition.
-    pub fn lease_ns(&self) -> u64 {
-        self.lease_ns
-    }
-
-    /// Returns a handle with a different lease duration.
-    pub fn with_lease_ns(mut self, lease_ns: u64) -> Self {
-        self.lease_ns = lease_ns.max(1);
-        self
-    }
-
     /// Acquires the lock with a bounded retry/back-off loop.
     ///
     /// * A free lock whose release time has passed is taken by CAS
@@ -247,276 +137,123 @@ impl RemoteLock {
     ///   acquirer off (simulated contention); past
     ///   [`RemoteLock::max_retries`] failures the clock jumps to the
     ///   release time so a pathologically lagging acquirer converges.
-    /// * A held lock whose lease expired is stolen with a bumped fencing
-    ///   epoch ([`AcquireOutcome::Stolen`]) — the crashed-holder path.
-    /// * A held lock with a live lease that outlasts the whole retry
-    ///   budget yields [`AcquireOutcome::Exhausted`]; the lock is **not**
-    ///   held and the caller must not enter the critical section.
+    /// * A held lock that outlasts the whole retry budget yields
+    ///   [`AcquireOutcome::Exhausted`]; the lock is **not** held and the
+    ///   caller must not enter the critical section.
     ///
     /// Every outcome is recorded in the pool's contention counters
-    /// ([`crate::PoolStats::contention`]; steals and exhaustions
-    /// additionally in [`crate::PoolStats::faults`]), and the same
-    /// statistics are returned so callers can account for wasted RNIC
-    /// messages.
+    /// ([`crate::PoolStats::contention`]; exhaustions additionally in
+    /// [`crate::PoolStats::faults`]), and the same statistics are returned
+    /// so callers can account for wasted RNIC messages.
     pub fn acquire(&self, client: &DmClient) -> LockAcquisition {
-        let me = client.client_id() as u64 & OWNER_MASK;
         let mut retries = 0u64;
         let mut backoff_total = 0u64;
         let start = client.now_ns();
         loop {
-            let observed = match client.try_read_u64(self.addr) {
-                Ok(word) => word,
-                Err(_) => {
-                    // A faulted probe burns a retry like any lost attempt;
-                    // the bounded budget below turns a dead lock word (e.g.
-                    // a fail-stopped node) into a typed exhaustion instead
-                    // of an unbounded spin.
-                    retries += 1;
-                    if retries >= self.max_retries {
-                        let acq = LockAcquisition {
-                            retries,
-                            wait_ns: client.now_ns() - start,
-                            backoff_ns: backoff_total,
-                            outcome: AcquireOutcome::Exhausted {
-                                holder: 0,
-                                lease_expires_ns: 0,
-                            },
-                            token: 0,
-                        };
-                        client
-                            .pool()
-                            .stats()
-                            .record_lock_exhaustion(acq.retries, acq.backoff_ns);
-                        self.finish_acquire(client, start, &acq);
-                        return acq;
-                    }
-                    backoff_total += self.backoff_ns;
-                    client.advance_ns(self.backoff_ns);
-                    continue;
-                }
-            };
-            let locked = observed & LOCKED_BIT != 0;
-            let ts = ts_of(observed);
+            // A faulted probe or CAS burns a retry like any lost attempt;
+            // the bounded budget below turns a dead lock word (e.g. a
+            // fail-stopped node) into a typed exhaustion instead of an
+            // unbounded spin.
+            let observed = client.try_read_u64(self.addr).ok();
             let now = client.now_ns();
-            if !locked && ts <= now {
-                // Free and released in our past: take it, keep the epoch.
-                let epoch = epoch_of(observed);
-                let desired = pack(true, me, epoch, now.wrapping_add(self.lease_ns));
-                // A faulted CAS was not applied (NAK'd atomic): fall through
-                // to the retry accounting exactly like a lost race.
-                let old = client
-                    .try_cas(self.addr, observed, desired)
-                    .unwrap_or(!observed);
-                if old == observed {
-                    let acq = LockAcquisition {
-                        retries,
-                        wait_ns: client.now_ns() - start,
-                        backoff_ns: backoff_total,
-                        outcome: AcquireOutcome::Acquired {
-                            epoch: epoch as u16,
-                        },
-                        token: desired,
-                    };
-                    client
-                        .pool()
-                        .stats()
-                        .record_lock_acquisition(acq.retries, acq.backoff_ns);
-                    self.finish_acquire(client, start, &acq);
-                    return acq;
-                }
-            } else if locked && ts <= now {
-                // Held, but the lease expired in our past: the holder is
-                // presumed dead.  Steal with a bumped fencing epoch so the
-                // old holder's release can never land.
-                let epoch = epoch_of(observed).wrapping_add(1) & EPOCH_MASK;
-                let desired = pack(true, me, epoch, now.wrapping_add(self.lease_ns));
-                let old = client
-                    .try_cas(self.addr, observed, desired)
-                    .unwrap_or(!observed);
-                if old == observed {
-                    let acq = LockAcquisition {
-                        retries,
-                        wait_ns: client.now_ns() - start,
-                        backoff_ns: backoff_total,
-                        outcome: AcquireOutcome::Stolen {
-                            epoch: epoch as u16,
-                            previous_owner: owner_of(observed),
-                        },
-                        token: desired,
-                    };
-                    client
-                        .pool()
-                        .stats()
-                        .record_lock_acquisition(acq.retries, acq.backoff_ns);
-                    client.pool().stats().record_lock_steal();
-                    self.finish_acquire(client, start, &acq);
-                    return acq;
+            if let Some(free) = observed.filter(|&w| w & LOCKED_BIT == 0 && w <= now) {
+                // Free and released in our past: take it.
+                let desired = LOCKED_BIT | (now & TS_MASK);
+                if client.try_cas(self.addr, free, desired) == Ok(free) {
+                    return self.finish(client, start, retries, backoff_total, desired);
                 }
             }
             retries += 1;
+            // A free word's release time; unknown for a held word or a
+            // faulted probe.
+            let released = observed.filter(|&w| w & LOCKED_BIT == 0);
             if retries >= self.max_retries {
-                if !locked && ts > client.now_ns() {
+                match released.filter(|&ts| ts > client.now_ns()) {
                     // Pathological lag against a *free* lock: jump the clock
                     // forward to the release time instead of spinning; the
-                    // next failed attempt lands in the arm below.
-                    let jump = ts - client.now_ns();
-                    backoff_total += jump;
-                    client.advance_ns(jump);
-                } else {
-                    // Budget burned — a live holder outlasted us, or a free
-                    // word kept losing (or faulting) its CAS.  Typed
-                    // give-up, never an unbounded spin.
-                    let acq = LockAcquisition {
-                        retries,
-                        wait_ns: client.now_ns() - start,
-                        backoff_ns: backoff_total,
-                        outcome: AcquireOutcome::Exhausted {
-                            holder: owner_of(observed),
-                            lease_expires_ns: ts,
-                        },
-                        token: 0,
-                    };
-                    client
-                        .pool()
-                        .stats()
-                        .record_lock_exhaustion(acq.retries, acq.backoff_ns);
-                    self.finish_acquire(client, start, &acq);
-                    return acq;
+                    // next failed attempt gives up.
+                    Some(ts) => {
+                        let jump = ts - client.now_ns();
+                        backoff_total += jump;
+                        client.advance_ns(jump);
+                    }
+                    // Budget burned — a holder outlasted us, or a free word
+                    // kept losing (or faulting) its CAS.  Typed give-up,
+                    // never an unbounded spin.
+                    None => return self.finish(client, start, retries, backoff_total, 0),
                 }
             }
-            // Wait at least one back-off; when the release time is known to
-            // be further in the simulated future, wait (a bounded chunk of)
-            // that gap so a lagging client converges in a handful of
-            // retries.
+            // A held lock: eight back-offs.  A free one released in our
+            // future: that gap, clamped to one to eight back-offs, so a
+            // lagging client converges in a handful of retries.  Otherwise
+            // one back-off.
             let now = client.now_ns();
-            let wait = if ts > now {
-                (ts - now).clamp(self.backoff_ns, self.backoff_ns * 8)
-            } else {
-                self.backoff_ns
+            let wait = match (observed, released) {
+                (Some(_), None) => self.backoff_ns * 8,
+                (_, Some(ts)) if ts > now => (ts - now).clamp(self.backoff_ns, self.backoff_ns * 8),
+                _ => self.backoff_ns,
             };
             backoff_total += wait;
             client.advance_ns(wait);
         }
     }
 
-    /// Records the observability footprint of a finished acquisition: one
-    /// [`Phase::Lock`] span covering the whole retry loop (detail = the
-    /// retry count) and a structured event for the rare outcomes (steal,
-    /// exhaustion).  Free when the recorder is disarmed — or when the
-    /// current op lost the sampling draw (see
-    /// [`DmClient::span_recording`]) — and the outcome is a plain
-    /// `Acquired`; the steal / exhaustion events always log.
-    fn finish_acquire(&self, client: &DmClient, start: u64, acq: &LockAcquisition) {
-        client.record_span(Phase::Lock, start, client.now_ns(), acq.retries as u32);
-        match acq.outcome {
-            AcquireOutcome::Acquired { .. } => {}
-            AcquireOutcome::Stolen { previous_owner, .. } => {
-                client.pool().record_event(
-                    client.now_ns(),
-                    client.client_id(),
-                    EventKind::LockSteal {
-                        addr: self.addr,
-                        previous_owner,
-                    },
-                );
-            }
-            AcquireOutcome::Exhausted { holder, .. } => {
-                client.pool().record_event(
-                    client.now_ns(),
-                    client.client_id(),
-                    EventKind::LockExhausted {
-                        addr: self.addr,
-                        holder,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Releases the lock via a fenced CAS against the exact word `acq`
-    /// wrote, stamping the word with the caller's current simulated time so
-    /// later acquirers observe how long the critical section lasted.
-    ///
-    /// Returns [`ReleaseOutcome::Fenced`] — writing nothing — when the
-    /// lease was stolen while held (the epoch moved on), or when `acq` was
-    /// [`AcquireOutcome::Exhausted`] and never held the lock.
-    pub fn release(&self, client: &DmClient, acq: &LockAcquisition) -> ReleaseOutcome {
-        if !acq.is_acquired() {
-            return ReleaseOutcome::Fenced;
-        }
-        let freed = pack(
-            false,
-            owner_of(acq.token) as u64,
-            epoch_of(acq.token),
-            client.now_ns(),
-        );
-        // Retry transiently faulted release CASes a few times: giving up
-        // leaves the word to lease expiry (a later acquirer steals it), which
-        // is safe but slow, so it is worth a short bounded burn first.
-        for attempt in 0..8u32 {
-            match client.try_cas(self.addr, acq.token, freed) {
-                Ok(old) if old == acq.token => return ReleaseOutcome::Released,
-                Ok(_) => {
-                    // The epoch moved on (stolen while held): fenced.
-                    client.pool().stats().record_fenced_release();
-                    client.pool().record_event(
-                        client.now_ns(),
-                        client.client_id(),
-                        EventKind::FencedRelease { addr: self.addr },
-                    );
-                    return ReleaseOutcome::Fenced;
-                }
-                Err(_) if attempt + 1 < 8 => {
-                    client.advance_ns(self.backoff_ns);
-                }
-                Err(_) => break,
-            }
-        }
-        client.pool().stats().record_fenced_release();
-        client.pool().record_event(
-            client.now_ns(),
-            client.client_id(),
-            EventKind::FencedRelease { addr: self.addr },
-        );
-        ReleaseOutcome::Fenced
-    }
-
-    /// Frees a lock held by a client *known* to be dead, without waiting
-    /// out the lease: one READ plus (when the owner matches) one CAS that
-    /// bumps the fencing epoch and stamps the release time, so the dead
-    /// holder's own release is fenced off if it ever revives.
-    ///
-    /// Returns `true` when a lease owned by `dead_owner` (client id mod
-    /// 512) was reclaimed, recording it in
-    /// [`crate::PoolStats::faults`].
-    pub fn reclaim(&self, client: &DmClient, dead_owner: u32) -> bool {
-        let Ok(observed) = client.try_read_u64(self.addr) else {
-            return false;
+    /// Builds the outcome of a finished acquisition — `token` is the word
+    /// written, zero when exhausted — and records its footprint: the
+    /// contention counters, one [`Phase::Lock`] span covering the whole
+    /// retry loop (detail = the retry count) and, for an exhaustion, a
+    /// structured event.  The span is free when the recorder is disarmed —
+    /// or when the current op lost the sampling draw (see
+    /// [`DmClient::span_recording`]); the event always logs.
+    fn finish(
+        &self,
+        client: &DmClient,
+        start: u64,
+        retries: u64,
+        backoff_ns: u64,
+        token: u64,
+    ) -> LockAcquisition {
+        let acq = LockAcquisition {
+            retries,
+            wait_ns: client.now_ns() - start,
+            backoff_ns,
+            outcome: if token == 0 {
+                AcquireOutcome::Exhausted
+            } else {
+                AcquireOutcome::Acquired
+            },
+            token,
         };
-        if observed & LOCKED_BIT == 0
-            || owner_of(observed) != (dead_owner as u64 & OWNER_MASK) as u16
-        {
-            return false;
-        }
-        let epoch = epoch_of(observed).wrapping_add(1) & EPOCH_MASK;
-        let freed = pack(false, owner_of(observed) as u64, epoch, client.now_ns());
-        let Ok(old) = client.try_cas(self.addr, observed, freed) else {
-            return false;
-        };
-        if old == observed {
-            client.pool().stats().record_locks_reclaimed(1);
+        let stats = client.pool().stats();
+        client.record_span(Phase::Lock, start, client.now_ns(), retries as u32);
+        if acq.is_acquired() {
+            stats.record_lock_acquisition(retries, backoff_ns);
+        } else {
+            stats.record_lock_exhaustion(retries, backoff_ns);
             client.pool().record_event(
                 client.now_ns(),
                 client.client_id(),
-                EventKind::LockReclaimed {
-                    addr: self.addr,
-                    dead_owner,
-                },
+                EventKind::LockExhausted { addr: self.addr },
             );
-            true
-        } else {
-            false
         }
+        acq
+    }
+
+    /// Releases the lock `acq` holds: one CAS from the word `acq` wrote to
+    /// a free word stamped with the caller's current simulated time, so
+    /// later acquirers observe how long the critical section lasted.  An
+    /// exhausted `acq` holds nothing and releases nothing.  The CAS is
+    /// retried over transient faults; one that still fails leaves the lock
+    /// held — no lease takes it back — and returns the error.
+    pub fn release(&self, client: &DmClient, acq: &LockAcquisition) -> DmResult<()> {
+        if !acq.is_acquired() {
+            return Ok(());
+        }
+        let freed = client.now_ns() & TS_MASK;
+        let old =
+            client.with_retry(RELEASE_ATTEMPTS, |c| c.try_cas(self.addr, acq.token, freed))?;
+        debug_assert_eq!(old, acq.token, "only the holder changes a held lock word");
+        Ok(())
     }
 
     /// Runs `f` under the lock and returns its result together with the
@@ -525,14 +262,14 @@ impl RemoteLock {
     /// # Panics
     ///
     /// Panics if the acquisition exhausts its retry budget — callers that
-    /// must handle a live contender holding the lease that long use
+    /// must handle a holder keeping the lock that long use
     /// [`RemoteLock::acquire`] directly.
     pub fn with<R>(&self, client: &DmClient, f: impl FnOnce() -> R) -> (R, LockAcquisition) {
         let acq = self.acquire(client);
         assert!(
             acq.is_acquired(),
-            "remote lock exhausted its retry budget: {:?}",
-            acq.outcome
+            "remote lock exhausted its retry budget after {} retries",
+            acq.retries
         );
         let result = f();
         let _ = self.release(client, &acq);
@@ -559,8 +296,8 @@ mod tests {
         let lock = RemoteLock::new(addr, 5_000);
         let acq = lock.acquire(&client);
         assert_eq!(acq.retries, 0);
-        assert_eq!(acq.outcome, AcquireOutcome::Acquired { epoch: 0 });
-        assert!(lock.release(&client, &acq).is_released());
+        assert_eq!(acq.outcome, AcquireOutcome::Acquired);
+        lock.release(&client, &acq).unwrap();
     }
 
     #[test]
@@ -570,10 +307,10 @@ mod tests {
         let lock = RemoteLock::new(addr, 5_000);
         let acq = lock.acquire(&client);
         client.sleep_us(3);
-        assert!(lock.release(&client, &acq).is_released());
+        lock.release(&client, &acq).unwrap();
         let acq = lock.acquire(&client);
         assert_eq!(acq.retries, 0, "own release time is never in the future");
-        assert!(lock.release(&client, &acq).is_released());
+        lock.release(&client, &acq).unwrap();
     }
 
     #[test]
@@ -585,7 +322,7 @@ mod tests {
         // timestamp far into simulated time.
         let acq = lock.acquire(&holder);
         holder.sleep_us(100);
-        assert!(lock.release(&holder, &acq).is_released());
+        lock.release(&holder, &acq).unwrap();
 
         // A fresh client starts at simulated time 0, so the release lies in
         // its future and it must back off at least once.
@@ -593,7 +330,7 @@ mod tests {
         let acq = lock.acquire(&late);
         assert!(acq.retries > 0, "expected simulated contention");
         assert!(acq.wait_ns >= 5_000);
-        assert!(lock.release(&late, &acq).is_released());
+        lock.release(&late, &acq).unwrap();
     }
 
     #[test]
@@ -616,14 +353,14 @@ mod tests {
         let lock = RemoteLock::new(addr, 5_000);
         let hold = lock.acquire(&holder);
         holder.sleep_us(100);
-        assert!(lock.release(&holder, &hold).is_released());
+        lock.release(&holder, &hold).unwrap();
 
         let late = pool.connect();
         let acq = lock.acquire(&late);
         assert!(acq.retries > 0);
         assert!(acq.backoff_ns > 0);
         assert!(acq.wait_ns >= acq.backoff_ns);
-        assert!(lock.release(&late, &acq).is_released());
+        lock.release(&late, &acq).unwrap();
 
         let c = pool.stats().contention();
         assert_eq!(c.lock_acquisitions, 2);
@@ -649,8 +386,8 @@ mod tests {
                 s.spawn(move || {
                     let client = pool.connect();
                     // A generous retry budget: under real-thread contention a
-                    // descheduled client's simulated clock can lag far behind
-                    // the holder's lease, and the default budget occasionally
+                    // descheduled holder can keep the lock for many of a
+                    // waiter's back-offs, and the default budget occasionally
                     // exhausts (a typed give-up, not a bug) — this test is
                     // about mutual exclusion, not about bounded retries.
                     let lock = RemoteLock::new(lock_addr, 100).with_max_retries(1 << 20);
@@ -662,7 +399,7 @@ mod tests {
                         let v = client.read_u64(counter_addr);
                         client.write_u64(counter_addr, v + 1);
                         in_section.fetch_sub(1, Ordering::SeqCst);
-                        assert!(lock.release(&client, &acq).is_released());
+                        lock.release(&client, &acq).unwrap();
                     }
                 });
             }
@@ -675,29 +412,25 @@ mod tests {
     fn starved_acquire_returns_typed_exhaustion() {
         let (pool, addr) = setup();
         let holder = pool.connect();
-        // A lease so long it cannot expire within the starved acquirer's
-        // bounded spin.
-        let lock = RemoteLock::new(addr, 1_000)
-            .with_lease_ns(1 << 40)
-            .with_max_retries(16);
+        let lock = RemoteLock::new(addr, 1_000).with_max_retries(16);
         let hold = lock.acquire(&holder);
         assert!(hold.is_acquired());
 
         let starved = pool.connect();
         let acq = lock.acquire(&starved);
         assert!(!acq.is_acquired());
+        assert_eq!(acq.outcome, AcquireOutcome::Exhausted);
         assert_eq!(acq.retries, 16);
-        let AcquireOutcome::Exhausted {
-            holder: owner,
-            lease_expires_ns,
-        } = acq.outcome
-        else {
-            panic!("expected exhaustion, got {:?}", acq.outcome);
-        };
-        assert_eq!(owner, (holder.client_id() % 512) as u16);
-        assert!(lease_expires_ns > starved.now_ns());
-        // An exhausted acquisition never releases anything.
-        assert_eq!(lock.release(&starved, &acq), ReleaseOutcome::Fenced);
+        // A held lock costs eight back-offs per failed attempt; the last
+        // one gives up without waiting.
+        assert_eq!(acq.backoff_ns, 15 * 8 * 1_000);
+        // An exhausted acquisition releases nothing.
+        lock.release(&starved, &acq).unwrap();
+        assert_ne!(
+            starved.read_u64(addr) & LOCKED_BIT,
+            0,
+            "holder keeps the lock"
+        );
 
         let f = pool.stats().faults();
         assert_eq!(f.lock_exhaustions, 1);
@@ -708,67 +441,8 @@ mod tests {
             c.lock_acquisitions + c.lock_wait_retries
         );
 
-        // The real holder's release still lands: its epoch never moved.
-        assert!(lock.release(&holder, &hold).is_released());
-    }
-
-    #[test]
-    fn expired_lease_is_stolen_with_a_bumped_epoch_and_fences_the_old_holder() {
-        let (pool, addr) = setup();
-        let dead = pool.connect();
-        let lock = RemoteLock::new(addr, 1_000).with_lease_ns(50_000);
-        let dead_hold = lock.acquire(&dead);
-        assert_eq!(dead_hold.epoch(), Some(0));
-        // The "dead" client never releases.  A second client's clock walks
-        // past the lease expiry and steals the lock.
-        let thief = pool.connect();
-        thief.sleep_us(200);
-        let steal = lock.acquire(&thief);
-        let AcquireOutcome::Stolen {
-            epoch,
-            previous_owner,
-        } = steal.outcome
-        else {
-            panic!("expected steal, got {:?}", steal.outcome);
-        };
-        assert_eq!(epoch, 1, "steal bumps the fencing epoch");
-        assert_eq!(previous_owner, (dead.client_id() % 512) as u16);
-        assert_eq!(pool.stats().faults().lock_steals, 1);
-
-        // The revived dead holder's release is fenced off — the thief's
-        // hold is untouched.
-        assert_eq!(lock.release(&dead, &dead_hold), ReleaseOutcome::Fenced);
-        assert_eq!(pool.stats().faults().fenced_releases, 1);
-        let raw = thief.read_u64(addr);
-        assert_ne!(raw & LOCKED_BIT, 0, "thief still holds the lock");
-
-        // The thief's own release (carrying the new epoch) lands fine.
-        assert!(lock.release(&thief, &steal).is_released());
-    }
-
-    #[test]
-    fn reclaim_frees_a_dead_owners_lease_immediately() {
-        let (pool, addr) = setup();
-        let dead = pool.connect();
-        let lock = RemoteLock::new(addr, 1_000); // default (long) lease
-        let dead_hold = lock.acquire(&dead);
-        assert!(dead_hold.is_acquired());
-
-        let recoverer = pool.connect();
-        // Wrong owner: nothing reclaimed.
-        assert!(!lock.reclaim(&recoverer, dead.client_id() + 1));
-        // Right owner: freed without waiting out the lease.
-        assert!(lock.reclaim(&recoverer, dead.client_id()));
-        assert_eq!(pool.stats().faults().locks_reclaimed, 1);
-
-        // The next acquire succeeds immediately and the dead holder's
-        // release is fenced.
-        let acq = lock.acquire(&recoverer);
-        assert_eq!(acq.retries, 0);
-        assert!(acq.is_acquired());
-        assert_eq!(lock.release(&dead, &dead_hold), ReleaseOutcome::Fenced);
-        assert!(lock.release(&recoverer, &acq).is_released());
-        // Already free: reclaim is a no-op.
-        assert!(!lock.reclaim(&recoverer, dead.client_id()));
+        // The real holder's release still lands.
+        lock.release(&holder, &hold).unwrap();
+        assert_eq!(holder.read_u64(addr) & LOCKED_BIT, 0);
     }
 }

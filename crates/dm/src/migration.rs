@@ -21,16 +21,18 @@
 //!   only checks that a job is still wanted: nothing is copied, readers and
 //!   writers keep using the source, and the cache layer relocates the
 //!   stripe's resident objects.
-//! * **Moving** — under the stripe's [`RemoteLock`], which serialises
-//!   pumpers and nothing else, [`MigrationEngine::commit`] sets the
-//!   *forwarding marker* (the destination base) immediately before its first
-//!   chunk READ: from then on a reconcile may have read the stripe.  Readers
-//!   and writers still use the **source**, the single source of truth.  The
-//!   reconcile moves the stripe in one pass: every source word a client may
-//!   CAS is CAS-swapped to [`RECONCILE_POISON`] as its value is carried to
-//!   the destination, and the words in between ride the same chunk READ →
-//!   WRITE (see the constant's docs for why a plain copy is not enough for
-//!   the former and is for the latter).
+//! * **Moving** — [`MigrationEngine::commit`] claims the stripe by setting
+//!   its *forwarding marker* (the destination base) with a compare-exchange
+//!   from "none", immediately before its first chunk READ: from then on a
+//!   reconcile may have read the stripe.  The marker is also what keeps
+//!   pumpers apart — a second commit of the stripe loses the exchange and
+//!   moves nothing — so no lock is taken.  Readers and writers still use the
+//!   **source**, the single source of truth.  The reconcile moves the stripe
+//!   in one pass: every source word a client may CAS is CAS-swapped to
+//!   [`RECONCILE_POISON`] as its value is carried to the destination, and
+//!   the words in between ride the same chunk READ → WRITE (see the
+//!   constant's docs for why a plain copy is not enough for the former and
+//!   is for the latter).
 //! * **commit** — the directory entry flips to the destination and the
 //!   pool's resize epoch bumps (the *migration epoch* piggybacks on it), so
 //!   every client revalidates its placement snapshot and follows the
@@ -42,6 +44,13 @@
 //! Nothing is copied ahead of the commit: no reader looks at the
 //! destination before the flip, so an earlier copy would only write bytes
 //! the reconcile overwrites.
+//!
+//! **Known gap: a pumper that dies mid-commit is not recovered.**  Nothing
+//! takes its claim back, so the stripe stays `Moving` and no later commit
+//! can move it.  Nothing could repair its source either: the values of the
+//! words it had poisoned lived only in the dead pass (a second pass would
+//! read the poison and carry it as a value).  No crash point sits inside a
+//! commit, and `ditto_core`'s crash recovery does not cover this case.
 //!
 //! # Client redirect rules
 //!
@@ -77,8 +86,7 @@
 
 use crate::addr::RemoteAddr;
 use crate::client::DmClient;
-use crate::error::{DmError, DmResult};
-use crate::lock::RemoteLock;
+use crate::error::DmResult;
 use crate::obs::EventKind;
 use crate::pool::MemoryPool;
 use crate::topology::PoolTopology;
@@ -130,9 +138,6 @@ const COPY_CHUNK: usize = 4096;
 /// stripe is mid-cutover": back off and re-translate through the
 /// directory.
 pub const RECONCILE_POISON: u64 = u64::MAX;
-
-/// Simulated back-off of the per-stripe migration locks, in nanoseconds.
-const LOCK_BACKOFF_NS: u64 = 1_000;
 
 /// Per-verb retry bound ([`DmClient::with_retry`]) during the commit's
 /// reconcile pass.  Deliberately deep: a pass that gives up puts back the
@@ -296,15 +301,23 @@ impl StripeDirectory {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Sets the forwarding marker of `stripe` to `dst_base` (state →
-    /// `Moving`).  A reconcile calls this immediately before its first READ
-    /// of the stripe.
-    pub fn begin_move(&self, stripe: u64, dst_base: RemoteAddr) {
-        self.forwards[stripe as usize].store(dst_base.pack(), Ordering::Release);
+    /// Claims `stripe` for a move to `dst_base`: sets its forwarding marker
+    /// (state → `Moving`) if no move holds it, and returns whether this call
+    /// won.  A reconcile claims immediately before its first READ of the
+    /// stripe; the winner ends the move with [`Self::commit`] or
+    /// [`Self::reopen`].
+    pub fn begin_move(&self, stripe: u64, dst_base: RemoteAddr) -> bool {
+        if self.forwards[stripe as usize]
+            .compare_exchange(0, dst_base.pack(), Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            return false;
+        }
         self.active_moves.fetch_add(1, Ordering::AcqRel);
         // Pairs with the fence in `rekey_stale`: either that judge sees the
         // marker, or the READs that follow see the words its writer landed.
         fence(Ordering::SeqCst);
+        true
     }
 
     /// Clears the forwarding marker of `stripe` without a cutover (state →
@@ -430,13 +443,12 @@ impl MigrationPlanner {
 
 /// Drives planned [`MoveJob`]s through the per-stripe state machine.
 ///
-/// The engine owns one [`RemoteLock`] word per stripe (reserved on node 0)
-/// and a job queue refreshed from the [`MigrationPlanner`] whenever the
-/// pool's resize epoch moves.  [`MigrationEngine::begin`] checks a job is
-/// still wanted; the cache layer then relocates the stripe's resident
-/// objects; [`MigrationEngine::commit`] moves the stripe in one pass and
-/// cuts over.  The stripe locks serialise pumpers against each other; no
-/// client data-path operation takes one.
+/// The engine owns a job queue refreshed from the [`MigrationPlanner`]
+/// whenever the pool's resize epoch moves.  [`MigrationEngine::begin`]
+/// checks a job is still wanted; the cache layer then relocates the
+/// stripe's resident objects; [`MigrationEngine::commit`] claims the stripe
+/// ([`StripeDirectory::begin_move`]), moves it in one pass and cuts over.
+/// The claim keeps pumpers apart; nothing takes a lock.
 /// Destination ranges come from per-node **stripe parking**: pre-reserved
 /// at engine creation (before object segments run the arena to capacity)
 /// and refilled with every vacated source range, so repeated resizes —
@@ -444,8 +456,6 @@ impl MigrationPlanner {
 pub struct MigrationEngine {
     pool: MemoryPool,
     dir: Arc<StripeDirectory>,
-    /// Base of the per-stripe lock words.
-    lock_base: RemoteAddr,
     /// Pending stripe moves (drained by pumps, possibly concurrently).
     jobs: Mutex<VecDeque<MoveJob>>,
     /// Resize epoch the current plan was computed against.
@@ -458,14 +468,13 @@ pub struct MigrationEngine {
 }
 
 impl MigrationEngine {
-    /// Creates an engine for the stripes in `dir`: reserves the per-stripe
-    /// lock words plus, on every initially-active node, enough stripe
-    /// parking to absorb one drained peer's share of the bucket ranges.
+    /// Creates an engine for the stripes in `dir`: reserves, on every
+    /// initially-active node, enough stripe parking to absorb one drained
+    /// peer's share of the bucket ranges.
     /// Reserving the parking *up front* matters — once the cache warms up,
     /// object segments run the bump arena to capacity and a drain would
     /// find no room for the incoming stripes.
     pub fn new(pool: &MemoryPool, dir: Arc<StripeDirectory>) -> DmResult<Self> {
-        let lock_base = pool.reserve(dir.num_stripes() as u64 * 8)?;
         let mut parking: HashMap<u16, Vec<RemoteAddr>> = HashMap::new();
         let topology = pool.topology();
         let nodes = topology.num_active() as u64;
@@ -483,7 +492,6 @@ impl MigrationEngine {
         Ok(MigrationEngine {
             pool: pool.clone(),
             dir,
-            lock_base,
             jobs: Mutex::new(VecDeque::new()),
             planned_epoch: AtomicU64::new(u64::MAX),
             parking: Mutex::new(parking),
@@ -493,27 +501,6 @@ impl MigrationEngine {
     /// The stripe directory the engine migrates.
     pub fn directory(&self) -> &Arc<StripeDirectory> {
         &self.dir
-    }
-
-    /// The [`RemoteLock`] guarding stripe `stripe`.
-    pub fn stripe_lock(&self, stripe: u64) -> RemoteLock {
-        RemoteLock::new(self.lock_base.add(stripe * 8), LOCK_BACKOFF_NS)
-    }
-
-    /// Crash recovery: frees every stripe lock still leased to a client
-    /// *known* to be dead, without waiting out the leases — one READ per
-    /// stripe plus a fencing CAS per lock actually held by `dead_owner`
-    /// (client id; the lock word stores it mod 512).  Returns the number of
-    /// locks reclaimed; each is also recorded in
-    /// [`crate::PoolStats::faults`].
-    pub fn reclaim_stripe_locks(&self, client: &DmClient, dead_owner: u32) -> u64 {
-        let mut reclaimed = 0;
-        for stripe in 0..self.dir.num_stripes() as u64 {
-            if self.stripe_lock(stripe).reclaim(client, dead_owner) {
-                reclaimed += 1;
-            }
-        }
-        reclaimed
     }
 
     /// Re-plans against the pool's current topology if the resize epoch
@@ -571,28 +558,20 @@ impl MigrationEngine {
         self.dir.current_node(job.stripe) == job.src && job.src != job.dst
     }
 
-    /// Commits `job` under the stripe lock: sets the forwarding marker
-    /// (state → `Moving`) immediately before the reconcile's first chunk
-    /// READ, moves the stripe in one reconcile pass, in which every source
-    /// word clients CAS is swapped to [`RECONCILE_POISON`] as its value is
-    /// carried to the destination (a slot CAS racing the pass is carried, or
-    /// observes the poison and fails; it is never silently swallowed), flips
-    /// the directory entry, parks the vacated source range for reuse and
-    /// piggybacks the cutover on the pool's resize epoch.  Returns `false`,
-    /// moving nothing, when the job went stale before the lock was taken
-    /// (another pump committed it).  A pass that fails re-opens the stripe
-    /// at its source, as it found it, and returns the error.
+    /// Commits `job`: claims the stripe by setting its forwarding marker
+    /// (state → `Moving`, [`StripeDirectory::begin_move`]) immediately
+    /// before the reconcile's first chunk READ, moves the stripe in one
+    /// reconcile pass, in which every source word clients CAS is swapped to
+    /// [`RECONCILE_POISON`] as its value is carried to the destination (a
+    /// slot CAS racing the pass is carried, or observes the poison and
+    /// fails; it is never silently swallowed), flips the directory entry,
+    /// parks the vacated source range for reuse and piggybacks the cutover
+    /// on the pool's resize epoch.  Returns `false`, sending no verb, when
+    /// the job is stale or another commit holds the stripe's claim.  A pass
+    /// that fails re-opens the stripe at its source, as it found it, and
+    /// returns the error.
     pub fn commit(&self, client: &DmClient, job: &MoveJob) -> DmResult<bool> {
-        let lock = self.stripe_lock(job.stripe);
-        let acq = lock.acquire(client);
-        if !acq.is_acquired() {
-            return Err(DmError::LockExhausted {
-                retries: acq.retries.min(u32::MAX as u64) as u32,
-            });
-        }
-        let moved = self.move_stripe(client, job);
-        let _ = lock.release(client, &acq);
-        let Some(src_base) = moved? else {
+        let Some(src_base) = self.move_stripe(client, job)? else {
             return Ok(false);
         };
         self.park(src_base);
@@ -601,15 +580,27 @@ impl MigrationEngine {
         Ok(true)
     }
 
-    /// The part of [`Self::commit`] that runs under the stripe lock.
-    /// Returns the vacated source range, or `None` for a stale job.
+    /// The claim, reconcile and flip of [`Self::commit`].  Returns the
+    /// vacated source range, or `None` for a stale job or a lost claim.
     fn move_stripe(&self, client: &DmClient, job: &MoveJob) -> DmResult<Option<RemoteAddr>> {
         if !self.begin(job) {
             return Ok(None);
         }
-        let src_base = self.dir.current(job.stripe);
         let dst_base = self.home_on(job.dst)?;
-        self.dir.begin_move(job.stripe, dst_base);
+        if !self.dir.begin_move(job.stripe, dst_base) {
+            self.park(dst_base);
+            return Ok(None);
+        }
+        // Re-checked under the claim: a commit that flipped the stripe
+        // between the check above and the claim made the job stale.  The
+        // exchange acquires the `Release` clear of that commit's marker,
+        // which follows its flip, so the re-check sees the flip.
+        if !self.begin(job) {
+            self.dir.reopen(job.stripe);
+            self.park(dst_base);
+            return Ok(None);
+        }
+        let src_base = self.dir.current(job.stripe);
         self.record_state(client, job.stripe, MigrationState::Moving);
         // Reconcile only fails after burning RECONCILE_VERB_RETRIES on one
         // verb — in practice a fail-stopped node.  It has put back what it
@@ -642,15 +633,6 @@ impl MigrationEngine {
         );
     }
 
-    /// Convenience: begin + commit with no object relocation in between
-    /// (bucket arrays only).  Returns `false` for stale jobs.
-    pub fn run_job(&self, client: &DmClient, job: &MoveJob) -> DmResult<bool> {
-        if !self.begin(job) {
-            return Ok(false);
-        }
-        self.commit(client, job)
-    }
-
     /// A destination range for a stripe on `node`: a parked range (the
     /// pre-reserved lot or a previously vacated home) when one exists,
     /// otherwise a fresh reservation (e.g. on a just-added, still-empty
@@ -668,8 +650,8 @@ impl MigrationEngine {
     /// word CASes are linearised against the carry — see the constant's
     /// docs for why a plain copy is not enough for those words and is
     /// enough for the rest.  Holds no extra state: the caller holds the
-    /// stripe lock, which keeps other reconcile passes off the range (racing
-    /// *clients* are exactly who the poison protocol is for).
+    /// stripe's claim, which keeps other reconcile passes off the range
+    /// (racing *clients* are exactly who the poison protocol is for).
     ///
     /// The pass keeps the whole stripe as carried, so when a verb gives up
     /// it can put back every word it poisoned ([`Self::unpoison`]).
@@ -787,7 +769,7 @@ impl MigrationEngine {
     /// carried.  `expected` seeds the chase (the last value this pass saw
     /// at the word).  Observing the poison itself means an earlier posted
     /// swap by *this* pass already landed — only the reconcile poisons,
-    /// under the stripe lock — so the carried value is `expected`.
+    /// under the stripe's claim — so the carried value is `expected`.
     fn poison_word(client: &DmClient, addr: RemoteAddr, mut expected: u64) -> DmResult<u64> {
         loop {
             let got = client.with_retry(RECONCILE_VERB_RETRIES, |c| {
@@ -831,14 +813,17 @@ mod tests {
 
         let dst = pool.reserve_on(0, 256).unwrap();
         // A failed reconcile re-opens the stripe as it was.
-        dir.begin_move(1, dst);
+        assert!(dir.begin_move(1, dst));
         assert_eq!(dir.state(1), MigrationState::Moving);
+        assert_eq!(dir.active_moves(), 1);
+        // The marker is the claim: a second move of the stripe loses it.
+        assert!(!dir.begin_move(1, dst));
         assert_eq!(dir.active_moves(), 1);
         dir.reopen(1);
         assert_eq!(dir.state(1), MigrationState::Idle);
         assert_eq!(dir.active_moves(), 0);
 
-        dir.begin_move(1, dst);
+        assert!(dir.begin_move(1, dst));
         // The entry still names the source until commit.
         assert_eq!(dir.current_node(1), 1);
         let v = dir.version();
@@ -850,7 +835,7 @@ mod tests {
     }
 
     #[test]
-    fn confirm_write_detects_mirrors_and_stale_copies() {
+    fn rekey_stale_and_home_of_follow_a_word_across_a_move() {
         let pool = striped_pool(2);
         let dir = make_directory(&pool, 2, 256);
         let token = dir.version();
@@ -860,7 +845,7 @@ mod tests {
         assert_eq!(dir.home_of(addr), Some(addr));
 
         let dst = pool.reserve_on(0, 256).unwrap();
-        dir.begin_move(1, dst);
+        assert!(dir.begin_move(1, dst));
         // Moving: a key change's other words may already have been READ,
         // so it is stale; its word lives on the source until the flip.
         assert!(dir.rekey_stale(addr, token));
@@ -873,12 +858,12 @@ mod tests {
         // The new home is clean once the token catches up.
         assert!(!dir.rekey_stale(dst.add(8), dir.version()));
         // Moving back, the word waits for that flip too.
-        dir.begin_move(1, src);
+        assert!(dir.begin_move(1, src));
         assert_eq!(dir.home_of(addr), None);
     }
 
     #[test]
-    fn confirm_write_rejects_recycled_ranges_aba() {
+    fn rekey_stale_rejects_recycled_ranges_aba() {
         let pool = striped_pool(2);
         let dir = make_directory(&pool, 2, 256);
         // A writer captures its token and a slot address inside stripe 1,
@@ -890,9 +875,9 @@ mod tests {
         // Stripe 1 moves away; its vacated range is recycled as stripe 0's
         // new home (exactly what the parking pool does).
         let dst = pool.reserve_on(0, 256).unwrap();
-        dir.begin_move(1, dst);
+        assert!(dir.begin_move(1, dst));
         dir.commit(1);
-        dir.begin_move(0, old_range_of_1);
+        assert!(dir.begin_move(0, old_range_of_1));
         dir.commit(0);
 
         // The stalled writer's address now falls inside stripe 0's live
@@ -945,7 +930,7 @@ mod tests {
         assert_eq!(engine.maybe_replan(), 2);
         let mut moved = 0;
         while let Some(job) = engine.next_job() {
-            assert!(engine.run_job(&client, &job).unwrap());
+            assert!(engine.commit(&client, &job).unwrap());
             moved += 1;
         }
         assert_eq!(moved, 2);
@@ -1003,8 +988,8 @@ mod tests {
             };
             let src = dir.current(1);
             assert!(engine.begin(&job));
-            // The stripe locks live on node 0: every CAS node 1 serves
-            // during the commit is one of the sweep's.
+            // Every CAS node 1 serves during the commit is one of the
+            // sweep's.
             let before = pool.stats().node_snapshots()[1].cas;
             assert!(engine.commit(&client, &job).unwrap());
             assert_eq!(
@@ -1103,10 +1088,42 @@ mod tests {
         assert_eq!(client.read(bases[1], BYTES as usize), pattern);
         assert_eq!(pool.resize_epoch(), epoch);
         assert_eq!(pool.stats().stripe_cutovers(), 0);
-        // A later commit starts over, here to a live node.
+        // The failed pass released its claim: a later commit wins it and
+        // starts over, here to a live node.
         let to_live = MoveJob { dst: 0, ..to_dead };
         assert!(engine.commit(&client, &to_live).unwrap());
         assert_eq!(client.read(dir.current(1), BYTES as usize), pattern);
+    }
+
+    #[test]
+    fn a_commit_that_loses_the_claim_moves_nothing_and_its_job_goes_stale() {
+        const BYTES: u64 = 800;
+        let (pool, dir, pattern) = patterned_stripe(Some((40, 0)), BYTES);
+        let engine = MigrationEngine::new(&pool, Arc::clone(&dir)).unwrap();
+        let client = pool.connect();
+        let job = MoveJob {
+            stripe: 1,
+            src: 1,
+            dst: 0,
+        };
+        // Another pumper's commit of the stripe holds the claim.
+        let winner_dst = pool.reserve_on(0, BYTES).unwrap();
+        assert!(dir.begin_move(1, winner_dst));
+        let verbs = pool.stats().node_snapshots();
+        assert!(!engine.commit(&client, &job).unwrap());
+        // The loser sent no verb, left the stripe's bytes where they were
+        // and counted no second move.
+        assert_eq!(pool.stats().node_snapshots(), verbs);
+        assert_eq!(client.read(dir.current(1), BYTES as usize), pattern);
+        assert_eq!(dir.state(1), MigrationState::Moving);
+        assert_eq!(dir.active_moves(), 1);
+        assert_eq!(pool.stats().stripe_cutovers(), 0);
+        // Once the winner commits, the loser's job is stale.
+        dir.commit(1);
+        assert!(!engine.begin(&job));
+        assert!(!engine.commit(&client, &job).unwrap());
+        assert_eq!(dir.current(1), winner_dst);
+        assert_eq!(dir.active_moves(), 0);
     }
 
     #[test]
@@ -1121,14 +1138,14 @@ mod tests {
             src: 0,
             dst: 1,
         };
-        assert!(!engine.run_job(&client, &stale).unwrap());
+        assert!(!engine.commit(&client, &stale).unwrap());
         // A no-op job (src == dst) is refused too.
         let noop = MoveJob {
             stripe: 1,
             src: 1,
             dst: 1,
         };
-        assert!(!engine.run_job(&client, &noop).unwrap());
+        assert!(!engine.commit(&client, &noop).unwrap());
         assert_eq!(pool.stats().stripe_cutovers(), 0);
     }
 
@@ -1140,42 +1157,24 @@ mod tests {
         let client = pool.connect();
         let original = dir.current(1);
 
+        let hop = |src, dst| {
+            let job = MoveJob {
+                stripe: 1,
+                src,
+                dst,
+            };
+            engine.commit(&client, &job).unwrap()
+        };
+
         // Move stripe 1 off node 1, then back.
-        assert!(engine
-            .run_job(
-                &client,
-                &MoveJob {
-                    stripe: 1,
-                    src: 1,
-                    dst: 0
-                }
-            )
-            .unwrap());
+        assert!(hop(1, 0));
         let parked = dir.current(1);
         assert_eq!(parked.mn_id, 0);
-        assert!(engine
-            .run_job(
-                &client,
-                &MoveJob {
-                    stripe: 1,
-                    src: 0,
-                    dst: 1
-                }
-            )
-            .unwrap());
+        assert!(hop(0, 1));
         // Returning to node 1 reuses the vacated range instead of leaking.
         assert_eq!(dir.current(1), original);
         // And a second round trip reuses the node-0 range as well.
-        assert!(engine
-            .run_job(
-                &client,
-                &MoveJob {
-                    stripe: 1,
-                    src: 1,
-                    dst: 0
-                }
-            )
-            .unwrap());
+        assert!(hop(1, 0));
         assert_eq!(dir.current(1), parked);
     }
 

@@ -2,7 +2,7 @@
 //! the exporters that make a run inspectable.
 //!
 //! The counters in [`crate::PoolStats`] answer *how much* — ops, messages,
-//! steals, faults.  This module answers *when*:
+//! retries, faults.  This module answers *when*:
 //!
 //! * [`FlightRecorder`] — an allocation-free, fixed-capacity per-client ring
 //!   of phase-stamped [`Span`]s in **simulated** time (translate / post /
@@ -13,9 +13,9 @@
 //!   disarmed one; disarmed, the hot-path cost is a single `Option`
 //!   discriminant check in [`crate::DmClient::record_span`].
 //! * [`EventLog`] — a bounded ring of rare [`Event`]s (fault injections,
-//!   lock steals / fences / exhaustions, migration state transitions, epoch
-//!   bumps, crash-recovery phases) shared pool-wide, always on, with drop
-//!   counters when the ring overflows.
+//!   lock exhaustions, migration state transitions, epoch bumps,
+//!   crash-recovery phases) shared pool-wide, always on, with drop counters
+//!   when the ring overflows.
 //! * [`chrome_trace_json`] — a Chrome-tracing / Perfetto JSON writer, so WQE
 //!   overlap and the fig18 migration timeline are visually inspectable.
 //! * [`text_exposition`] — a Prometheus-style text dump unifying
@@ -231,13 +231,11 @@ impl FlightRecorder {
 /// `recover_crashed_client`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPhase {
-    /// Stealing back every lock the dead client held (fencing-epoch bump).
-    LockReclaim,
     /// Replaying the dead client's redo journal against a forensic scan.
     JournalReplay,
     /// Sweeping granted-but-unreferenced segment bytes back to their nodes.
     GapSweep,
-    /// All three invariants restored.
+    /// Both invariants restored.
     Done,
 }
 
@@ -245,7 +243,6 @@ impl RecoveryPhase {
     /// Stable lowercase name used by the exporters.
     pub fn name(self) -> &'static str {
         match self {
-            RecoveryPhase::LockReclaim => "lock-reclaim",
             RecoveryPhase::JournalReplay => "journal-replay",
             RecoveryPhase::GapSweep => "gap-sweep",
             RecoveryPhase::Done => "done",
@@ -259,18 +256,9 @@ pub enum EventKind {
     /// The fault injector faulted a verb to `mn_id` (`timeout` distinguishes
     /// a retransmission timeout from an error completion).
     VerbFault { mn_id: u16, timeout: bool },
-    /// An expired lease at `addr` was taken over via CAS steal.
-    LockSteal {
-        addr: RemoteAddr,
-        previous_owner: u16,
-    },
-    /// An acquisition at `addr` burned its whole retry budget against
-    /// `holder` and gave up ([`crate::AcquireOutcome::Exhausted`]).
-    LockExhausted { addr: RemoteAddr, holder: u16 },
-    /// A release at `addr` was fenced off by a newer lease epoch.
-    FencedRelease { addr: RemoteAddr },
-    /// A recovery pass reclaimed the lock at `addr` from `dead_owner`.
-    LockReclaimed { addr: RemoteAddr, dead_owner: u32 },
+    /// An acquisition at `addr` burned its whole retry budget and gave up
+    /// ([`crate::AcquireOutcome::Exhausted`]).
+    LockExhausted { addr: RemoteAddr },
     /// Stripe `stripe` entered migration state `state`.
     Migration { stripe: u64, state: MigrationState },
     /// The pool's resize epoch advanced to `epoch`.
@@ -311,27 +299,9 @@ impl fmt::Display for Event {
                 let what = if timeout { "timeout" } else { "failure" };
                 write!(f, "verb {what} on mn{mn_id}")
             }
-            EventKind::LockSteal {
-                addr,
-                previous_owner,
-            } => write!(
-                f,
-                "lock steal at mn{}+{:#x} from owner {previous_owner}",
-                addr.mn_id, addr.offset
-            ),
-            EventKind::LockExhausted { addr, holder } => write!(
-                f,
-                "lock exhausted at mn{}+{:#x} (holder {holder})",
-                addr.mn_id, addr.offset
-            ),
-            EventKind::FencedRelease { addr } => {
-                write!(f, "fenced release at mn{}+{:#x}", addr.mn_id, addr.offset)
+            EventKind::LockExhausted { addr } => {
+                write!(f, "lock exhausted at mn{}+{:#x}", addr.mn_id, addr.offset)
             }
-            EventKind::LockReclaimed { addr, dead_owner } => write!(
-                f,
-                "lock reclaimed at mn{}+{:#x} from dead client {dead_owner}",
-                addr.mn_id, addr.offset
-            ),
             EventKind::Migration { stripe, state } => {
                 write!(f, "stripe {stripe} -> {}", state.name())
             }
@@ -948,15 +918,13 @@ mod tests {
         let e = Event {
             at_ns: 1_234,
             client_id: 7,
-            kind: EventKind::LockSteal {
+            kind: EventKind::LockExhausted {
                 addr: RemoteAddr::new(2, 0x40),
-                previous_owner: 3,
             },
         };
         let line = e.to_string();
         assert!(line.contains("client 7"), "{line}");
-        assert!(line.contains("lock steal at mn2+0x40"), "{line}");
-        assert!(line.contains("owner 3"), "{line}");
+        assert!(line.contains("lock exhausted at mn2+0x40"), "{line}");
         let pool_event = Event {
             at_ns: 5,
             client_id: POOL_EVENT_CLIENT,
@@ -1184,7 +1152,7 @@ mod tests {
         stats.record_op(5_000);
         stats.record_verb(0, crate::stats::VerbKind::Read, 64);
         stats.record_cas_retry(100);
-        stats.record_lock_steal();
+        stats.record_lock_exhaustion(2, 300);
         stats.record_span(false, false);
         let text = text_exposition(&stats);
         for needle in [
@@ -1197,7 +1165,7 @@ mod tests {
             "ditto_node_messages_total{node=\"0\"} 1",
             "ditto_node_messages_total{node=\"1\"} 0",
             "ditto_cas_retries_total 1",
-            "ditto_lock_steals_total 1",
+            "ditto_lock_exhaustions_total 1",
             "ditto_obs_spans_recorded_total 1",
             "ditto_obs_events_dropped_total 0",
         ] {

@@ -32,7 +32,7 @@ struct PoolInner {
     /// Runtime face of `config.fault`; inert when no plan is configured.
     fault: FaultInjector,
     /// Pool-wide structured log of rare events (fault injections, lock
-    /// steals, migration transitions, recovery phases); bounded ring, see
+    /// exhaustions, migration transitions, recovery phases); bounded ring, see
     /// [`crate::obs::EventLog`].
     events: Mutex<EventLog>,
 }

@@ -379,15 +379,9 @@ counter_table! {
     verb_retries: lifetime, counter "ditto_verb_retries_total" "Higher-layer retries of faulted verbs (lifetime).";
     /// Simulated nanoseconds spent backing off between verb retries.
     retry_backoff_ns: lifetime, counter "ditto_retry_backoff_simulated_nanoseconds_total" "Simulated nanoseconds spent backing off between verb retries (lifetime).";
-    /// Expired lock leases taken over via CAS steal.
-    lock_steals: lifetime, counter "ditto_lock_steals_total" "Expired lock leases taken over via CAS steal (lifetime).", bump record_lock_steal;
-    /// Lock releases fenced off because the lease had been stolen.
-    fenced_releases: lifetime, counter "ditto_fenced_releases_total" "Lock releases fenced off by a newer lease epoch (lifetime).", bump record_fenced_release;
     /// Lock acquisitions that gave up after burning their whole retry
-    /// budget against a live holder.
+    /// budget against a holder.
     lock_exhaustions: lifetime, counter "ditto_lock_exhaustions_total" "Lock acquisitions that exhausted their retry budget (lifetime).";
-    /// Locks reclaimed from crashed clients by a recovery pass.
-    locks_reclaimed: lifetime, counter "ditto_locks_reclaimed_total" "Locks reclaimed from crashed clients (lifetime).", add record_locks_reclaimed;
     /// Orphaned objects swept by a crash-recovery pass.
     recovered_objects: lifetime, counter "ditto_recovered_objects_total" "Orphaned objects swept by crash recovery (lifetime).";
     /// Orphaned object bytes swept by a crash-recovery pass.
@@ -1069,10 +1063,7 @@ mod tests {
         stats.record_verb_failure(1);
         stats.record_verb_timeout(1);
         stats.record_verb_retry(400);
-        stats.record_lock_steal();
-        stats.record_fenced_release();
         stats.record_lock_exhaustion(4, 900);
-        stats.record_locks_reclaimed(3);
         stats.record_recovered_object(128);
         let before = stats.faults();
         assert_eq!(before.verb_failures, 2);
@@ -1080,10 +1071,7 @@ mod tests {
         assert_eq!(before.faulted_verbs(), 3);
         assert_eq!(before.verb_retries, 1);
         assert_eq!(before.retry_backoff_ns, 400);
-        assert_eq!(before.lock_steals, 1);
-        assert_eq!(before.fenced_releases, 1);
         assert_eq!(before.lock_exhaustions, 1);
-        assert_eq!(before.locks_reclaimed, 3);
         assert_eq!(before.recovered_objects, 1);
         assert_eq!(before.recovered_bytes, 128);
         assert_eq!(stats.verb_faults_on(0), 1);
@@ -1143,10 +1131,7 @@ mod tests {
         stats.record_verb_failure(0);
         stats.record_verb_timeout(1);
         stats.record_verb_retry(400);
-        stats.record_lock_steal();
-        stats.record_fenced_release();
         stats.record_lock_exhaustion(4, 900);
-        stats.record_locks_reclaimed(3);
         stats.record_recovered_object(128);
         stats.record_span(false, false);
         stats.record_span(true, false);

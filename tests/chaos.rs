@@ -11,9 +11,8 @@
 //!   but never roll a key back.  A Set that returned `Err` counts as issued
 //!   but not completed: its value may or may not have landed.
 //! * **No permanently wedged bucket.**  After the faulted window is
-//!   disarmed, every key can be re-set and re-read cleanly, migration
-//!   plans drain to completion, and a dead client's stripe-lock leases are
-//!   stolen back by recovery instead of blocking the pump forever.
+//!   disarmed, every key can be re-set and re-read cleanly and migration
+//!   plans drain to completion.
 //! * **Zero orphaned bytes after recovery.**  Each memory node's resident
 //!   gauge equals a forensic scan of slot-referenced bytes once crashed
 //!   clients are recovered ([`DittoClient::recover_crashed_client`]).
@@ -34,7 +33,7 @@
 use ditto::cache::recovery::CrashPoint;
 use ditto::cache::{DittoCache, DittoClient, DittoConfig};
 use ditto::dm::obs::with_event_postmortem;
-use ditto::dm::{DmConfig, FaultPlan, ReleaseOutcome};
+use ditto::dm::{DmConfig, FaultPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -630,72 +629,6 @@ fn chaos_crash_points_recover_cleanly_under_memory_pressure() {
         }
         assert_no_orphans(&cache, &format!("pressured {point:?}, after more fills"));
     }
-}
-
-/// Tentpole: a client that dies holding a stripe-lock lease wedges the
-/// migration pump only until recovery steals the lease back (bumping the
-/// fencing epoch); a resurrected owner's release is then fenced off.
-#[test]
-fn chaos_dead_lock_holder_is_reclaimed_and_fenced() {
-    let keys = make_keys();
-    let cache = DittoCache::with_dedicated_pool(
-        DittoConfig::with_capacity(2_000).with_crash_recovery_journal(true),
-        DmConfig::default().with_memory_nodes(2),
-    )
-    .unwrap();
-    let states = make_states();
-    preload(&cache, &keys, &states);
-
-    // The victim takes the migration lock of a stripe that lives on the
-    // to-be-drained node, then "dies".
-    let victim = cache.client();
-    let victim_id = victim.dm().client_id();
-    let dir = cache.migration().directory().clone();
-    let wedged_stripe = (0..dir.num_stripes() as u64)
-        .find(|&s| dir.current_node(s) == 1)
-        .expect("some stripe must live on node 1");
-    let lock = cache.migration().stripe_lock(wedged_stripe);
-    let acq = lock.acquire(victim.dm());
-    assert!(acq.is_acquired(), "victim must hold the stripe lock");
-
-    // A drain now wedges on that stripe: the pump cannot take the lock.
-    cache.pool().drain_node(1).unwrap();
-    let progress = cache.pump_migration();
-    assert!(
-        progress.jobs_remaining > 0,
-        "stripe {wedged_stripe} should be wedged behind the dead client's lease"
-    );
-
-    // Recovery steals the lease without waiting it out...
-    let mut rescuer = cache.client();
-    let report = rescuer.recover_crashed_client(victim_id);
-    assert_eq!(
-        report.locks_reclaimed, 1,
-        "exactly stripe 0's lock is reclaimed"
-    );
-    assert_eq!(cache.pool().stats().faults().locks_reclaimed, 1);
-
-    // ...unwedging the drain to completion.
-    for _ in 0..100 {
-        if cache.pool().resident_object_bytes(1) == 0 {
-            break;
-        }
-        cache.pump_migration();
-    }
-    assert_eq!(
-        cache.pool().resident_object_bytes(1),
-        0,
-        "drain still wedged"
-    );
-    assert!(cache.migration().is_idle());
-
-    // The resurrected owner's release must bounce off the bumped epoch.
-    assert_eq!(
-        lock.release(victim.dm(), &acq),
-        ReleaseOutcome::Fenced,
-        "a reclaimed lease must fence the old owner"
-    );
-    assert_no_orphans(&cache, "lock reclaim");
 }
 
 /// Tentpole: node fail-stop degrades a striped pool instead of killing it —

@@ -240,9 +240,10 @@ fn concurrent_sets_and_gets_linearize() {
     }
 }
 
-/// Satellite: the same checker holds *across a resize epoch* — a background
-/// thread pumps an online drain while foreground threads keep hammering the
-/// cache — and the drained node ends with zero resident object bytes.
+/// Satellite: the same checker holds *across a resize epoch* — two
+/// background threads race to pump an online drain while foreground threads
+/// keep hammering the cache — and the drained node ends with zero resident
+/// object bytes.
 #[test]
 fn migration_under_live_traffic_drains_and_linearizes() {
     let seeds = env_u64("DITTO_STRESS_SEEDS", 1);
@@ -276,14 +277,18 @@ fn migration_under_live_traffic_drains_and_linearizes() {
         cache.pool().drain_node(1).unwrap();
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
-            let pump = s.spawn(|| {
-                while !stop.load(Ordering::SeqCst) {
-                    cache.pump_migration();
-                    std::thread::yield_now();
-                }
+            // Two pumpers: a stripe both take is claimed by one commit, and
+            // the other's moves nothing.
+            let pumps = [0, 1].map(|_| {
+                s.spawn(|| {
+                    while !stop.load(Ordering::SeqCst) {
+                        cache.pump_migration();
+                        std::thread::yield_now();
+                    }
+                })
             });
             // The stop flag must be set even when a checker thread panics —
-            // otherwise the scope waits on the pump thread forever and the
+            // otherwise the scope waits on the pump threads forever and the
             // panic is masked as a hang.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 with_event_postmortem(cache.pool(), 32, || {
@@ -291,7 +296,9 @@ fn migration_under_live_traffic_drains_and_linearizes() {
                 });
             }));
             stop.store(true, Ordering::SeqCst);
-            pump.join().unwrap();
+            for pump in pumps {
+                pump.join().unwrap();
+            }
             if let Err(panic) = result {
                 std::panic::resume_unwind(panic);
             }
@@ -322,17 +329,15 @@ fn migration_under_live_traffic_drains_and_linearizes() {
             "seed {round}: migration plan incomplete"
         );
 
-        // The resize epoch held the stripe locks; contention accounting saw
-        // them, and the counters survive a stats reset by design.
-        let stats = cache.pool().stats();
+        // The pumpers cut stripes over, and every claim was released.
         assert!(
-            stats.contention().lock_acquisitions > 0,
-            "seed {round}: pump took no locks"
+            cache.pool().stats().stripe_cutovers() > 0,
+            "seed {round}: no stripe cut over"
         );
-        stats.reset();
-        assert!(
-            stats.contention().lock_acquisitions > 0,
-            "seed {round}: counters reset"
+        assert_eq!(
+            cache.migration().directory().active_moves(),
+            0,
+            "seed {round}: a stripe claim was never released"
         );
 
         // Post-epoch sweep: every key still linearizes (observed version is
