@@ -32,7 +32,7 @@
 //! can be evicted and the slot refilled: the exposure the unhinted replace
 //! already has between its bucket READ and its CAS.  The board lives in one
 //! process, like the local tier's coherence: hints must not be trusted
-//! across processes until epochs live in pool memory (ROADMAP item 9(a)).
+//! across processes until epochs live in pool memory (ROADMAP item 10(a)).
 //!
 //! # What the epoch filter costs
 //!
@@ -48,7 +48,9 @@
 //! repo benchmark's two-client `tiered_skew` were filtered, two in three of
 //! them for another key's write; with one epoch each, the 9 % whose key the
 //! other client did update.  A client's own bumps never cost it a hint
-//! ([`DittoClient::hint_epoch`]).
+//! ([`DittoClient::hint_epoch`]).  A stamp keeps the epoch modulo 2^19
+//! ([`HINT_EPOCH_BITS`]): a hint is taken for current again only after
+//! exactly a multiple of 524 288 bumps by other clients.
 
 use super::evict::Eviction;
 use super::{DittoClient, SearchSlots, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
@@ -64,21 +66,27 @@ const HINT_ENTRIES: usize = 1 << 17;
 // One board epoch per hint entry (see the module docs, *What the epoch filter
 // costs*): growing one without the other brings the shared epochs back.
 const _: () = assert!(CoherenceBoard::DEFAULT_SLOTS == HINT_ENTRIES);
-const HINT_INDEX_BITS: u32 = HINT_ENTRIES.trailing_zeros();
-/// Hash bits an entry's index and tag tell keys apart by: enough for a `Get`,
-/// which re-checks the slot's hash and the object's key.
+/// Ways of a hint-table set.  Keys whose hashes share the index bits share a
+/// set; four ways keep the hints of up to four of them, where one entry kept
+/// the last one's alone (ROADMAP item 10(b)).
+const HINT_WAYS: usize = 4;
+const HINT_SETS: usize = HINT_ENTRIES / HINT_WAYS;
+const HINT_INDEX_BITS: u32 = HINT_SETS.trailing_zeros();
+/// Hash bits a set's index and a way's tag tell keys apart by: enough for a
+/// `Get`, which re-checks the slot's hash and the object's key.
 const HINT_TAG_END: u32 = HINT_INDEX_BITS + u32::BITS;
 /// The hash bits between the tag and the fingerprint byte, kept in the stamp
 /// so that — with the fingerprint in the hinted word itself — a hint can be
 /// matched on all 64 hash bits ([`HintTable::get_exact`]).
-const HINT_HIGH_BITS: u32 = 7;
+const HINT_HIGH_BITS: u32 = 9;
 const _: () = assert!(HINT_TAG_END + HINT_HIGH_BITS + u8::BITS == u64::BITS);
 /// Where a stamp holds them: right above the epoch.
 const HINT_HIGH_MASK: u32 = ((1 << HINT_HIGH_BITS) - 1) << HINT_EPOCH_BITS;
 /// Bits of a hint stamp left to the board epoch once the slot's place — one
 /// bit of bucket, three of slot index — and the high hash bits are taken out
-/// of its 32.
-const HINT_EPOCH_BITS: u32 = 21;
+/// of its 32.  The two index bits the ways took came out of the epoch, which
+/// is compared modulo 2^19 (it was 2^21 with one entry per set).
+const HINT_EPOCH_BITS: u32 = 19;
 const _: () = assert!(SLOTS_PER_BUCKET == 1 << (31 - HINT_HIGH_BITS - HINT_EPOCH_BITS));
 
 /// What a client last knew of a key's slot: the slot's atomic word (which
@@ -91,40 +99,41 @@ pub(super) struct Hint {
     pub(super) slot: u8,
 }
 
-/// One hint-table entry.  `word == 0` (an empty slot's word, never hinted)
-/// marks it vacant.  The low hash bits pick the entry and the next 32 tag
-/// it, so 49 hash bits tell keys apart for a `Get`: its hint is only ever a
-/// guess checked against the freshly read slot, so an alias costs a wasted
-/// round trip, never a wrong value.  A `Set` that CASes on the hinted word
-/// without reading the slot has no such check and takes only a hint that is
-/// its key's in all 64 bits.
+/// One way of a hint-table set.  `word == 0` (an empty slot's word, never
+/// hinted) marks it vacant.  The low hash bits pick the set and the next 32
+/// tag the way, so 47 hash bits tell keys apart for a `Get`: its hint is only
+/// ever a guess checked against the freshly read slot, so an alias costs a
+/// wasted round trip, never a wrong value.  A `Set` that CASes on the hinted
+/// word without reading the slot has no such check and takes only a hint
+/// that is its key's in all 64 bits.
 #[derive(Clone, Copy, Default)]
 struct HintEntry {
     word: u64,
     tag: u32,
     /// Bit 31: the slot sits in the secondary bucket.  Bits 28..31: its index
-    /// in that bucket.  Bits 21..28: the key's hash bits 49..56.  Bits 0..21:
+    /// in that bucket.  Bits 19..28: the key's hash bits 47..56.  Bits 0..19:
     /// the low bits of the [`crate::local_tier::CoherenceBoard`] epoch of the
     /// key's hash when the word was known current, less the client's own
     /// bumps ([`DittoClient::hint_epoch`]).
     stamp: u32,
 }
 
-/// Direct-mapped `key hash → last slot word seen, and where`, fixed-size and
-/// allocation-free after construction.
+/// 4-way set-associative `key hash → last slot word seen, and where`,
+/// fixed-size and allocation-free after construction.  Each set is kept in
+/// LRU order, most recently hit or noted first.
 pub(super) struct HintTable {
-    entries: Box<[HintEntry]>,
+    sets: Box<[[HintEntry; HINT_WAYS]]>,
 }
 
 impl HintTable {
     pub(super) fn new() -> Self {
         HintTable {
-            entries: vec![HintEntry::default(); HINT_ENTRIES].into_boxed_slice(),
+            sets: vec![[HintEntry::default(); HINT_WAYS]; HINT_SETS].into_boxed_slice(),
         }
     }
 
     fn index(hash: u64) -> usize {
-        hash as usize & (HINT_ENTRIES - 1)
+        hash as usize & (HINT_SETS - 1)
     }
 
     fn tag(hash: u64) -> u32 {
@@ -144,49 +153,79 @@ impl HintTable {
             | (secondary as u32) << 31
     }
 
-    /// The hint for `hash`, unless the board has seen another client mutate
-    /// the key's slot (`epoch` moved) since the hint was taken — which
-    /// filters hints staled in-process before any verb is posted.
-    pub(super) fn get(&self, hash: u64, epoch: u64) -> Option<Hint> {
-        let entry = self.entries[Self::index(hash)];
+    /// The way of `hash`'s set that holds a hint tagged as `hash`'s.
+    fn way(set: &[HintEntry; HINT_WAYS], hash: u64) -> Option<usize> {
+        set.iter()
+            .position(|entry| entry.word != 0 && entry.tag == Self::tag(hash))
+    }
+
+    /// The way holding `hash`'s hint, and the hint, unless the board has
+    /// seen another client mutate the key's slot (`epoch` moved) since the
+    /// hint was taken — which filters hints staled in-process before any
+    /// verb is posted.
+    fn find(&self, hash: u64, epoch: u64) -> Option<(usize, Hint)> {
+        let set = &self.sets[Self::index(hash)];
+        let way = Self::way(set, hash)?;
+        let entry = set[way];
         let secondary = entry.stamp >> 31 == 1;
         let slot = (entry.stamp >> (HINT_EPOCH_BITS + HINT_HIGH_BITS)) as u8
             & (SLOTS_PER_BUCKET as u8 - 1);
-        (entry.word != 0
-            && entry.tag == Self::tag(hash)
-            && entry.stamp & !HINT_HIGH_MASK == Self::stamp(secondary, slot, epoch))
-        .then_some(Hint {
-            word: entry.word,
-            secondary,
-            slot,
-        })
+        (entry.stamp & !HINT_HIGH_MASK == Self::stamp(secondary, slot, epoch)).then_some((
+            way,
+            Hint {
+                word: entry.word,
+                secondary,
+                slot,
+            },
+        ))
+    }
+
+    /// The hint for `hash` at `epoch` ([`Self::find`]), moved to the front
+    /// of its set: a hint that keeps paying is the last its set evicts.
+    pub(super) fn get(&mut self, hash: u64, epoch: u64) -> Option<Hint> {
+        let (way, hint) = self.find(hash, epoch)?;
+        self.sets[Self::index(hash)][..=way].rotate_right(1);
+        Some(hint)
     }
 
     /// [`Self::get`], narrowed to a hint taken for a key whose hash equals
-    /// `hash` in all 64 bits: the stamp holds the seven the tag leaves out,
-    /// the hinted word's fingerprint byte the top eight.
+    /// `hash` in all 64 bits: the stamp holds the nine the index and tag
+    /// leave out, the hinted word's fingerprint byte the top eight.  It
+    /// leaves the set's order alone, so that a `Set` may ask through `&self`.
     pub(super) fn get_exact(&self, hash: u64, epoch: u64) -> Option<Hint> {
-        let high = self.entries[Self::index(hash)].stamp & HINT_HIGH_MASK;
-        self.get(hash, epoch).filter(|hint| {
-            high == Self::high(hash) && AtomicField::decode(hint.word).fp == fingerprint(hash)
-        })
+        let (way, hint) = self.find(hash, epoch)?;
+        let high = self.sets[Self::index(hash)][way].stamp & HINT_HIGH_MASK;
+        (high == Self::high(hash) && AtomicField::decode(hint.word).fp == fingerprint(hash))
+            .then_some(hint)
     }
 
-    /// Records `hint` as current at `epoch`, displacing whichever key held
-    /// the entry.
-    pub(super) fn put(&mut self, hash: u64, hint: Hint, epoch: u64) {
-        self.entries[Self::index(hash)] = HintEntry {
+    /// Records `hint` as current at `epoch`, at the front of `hash`'s set:
+    /// in the way that held the key's hint, else a vacant one, else the
+    /// least recently used.  Returns whether that displaced another key's
+    /// hint.
+    pub(super) fn put(&mut self, hash: u64, hint: Hint, epoch: u64) -> bool {
+        let set = &mut self.sets[Self::index(hash)];
+        let (way, displaced) = match Self::way(set, hash) {
+            Some(way) => (way, false),
+            None => match set.iter().position(|entry| entry.word == 0) {
+                Some(vacant) => (vacant, false),
+                None => (HINT_WAYS - 1, true),
+            },
+        };
+        set[..=way].rotate_right(1);
+        set[0] = HintEntry {
             word: hint.word,
             tag: Self::tag(hash),
             stamp: Self::stamp(hint.secondary, hint.slot, epoch) | Self::high(hash),
         };
+        displaced
     }
 
-    /// Drops `hash`'s hint (another key's entry in the same place stays).
+    /// Drops `hash`'s hint; the other ways of its set stay as they are.
     pub(super) fn forget(&mut self, hash: u64) {
-        let entry = &mut self.entries[Self::index(hash)];
-        if entry.tag == Self::tag(hash) {
-            entry.word = 0;
+        let set = &mut self.sets[Self::index(hash)];
+        if let Some(way) = Self::way(set, hash) {
+            set[way].word = 0;
         }
     }
 }
@@ -314,7 +353,11 @@ impl DittoClient {
             })
         });
         match hint {
-            Some(hint) => self.hints.put(hash, hint, hint_epoch),
+            Some(hint) => {
+                if self.hints.put(hash, hint, hint_epoch) {
+                    self.stats.record_hint_displaced();
+                }
+            }
             // A stripe cutover moved the bucket since `slot_addr` was
             // translated: there is no place to name.
             None => self.hints.forget(hash),
@@ -665,7 +708,10 @@ impl DittoClient {
 
 #[cfg(test)]
 mod tests {
-    use super::{Hint, HintTable, HINT_ENTRIES, HINT_EPOCH_BITS};
+    use super::{
+        Hint, HintTable, HINT_ENTRIES, HINT_EPOCH_BITS, HINT_HIGH_BITS, HINT_INDEX_BITS,
+        HINT_TAG_END, HINT_WAYS,
+    };
     use crate::cache::DittoCache;
     use crate::client::DittoClient;
     use crate::config::DittoConfig;
@@ -696,11 +742,11 @@ mod tests {
     fn hint_of(client: &DittoClient, key: &[u8]) -> Option<Hint> {
         let hash = fnv1a64(key);
         let epoch = client.hint_epoch(hash, client.board.epoch(hash));
-        client.hints.get(hash, epoch)
+        client.hints.find(hash, epoch).map(|(_, hint)| hint)
     }
 
     #[test]
-    fn hint_table_is_direct_mapped_and_epoch_filtered() {
+    fn hint_table_is_epoch_filtered_modulo_2_pow_19() {
         let mut hints = HintTable::new();
         let (a, word) = (0xabcd_0000_1234_5678u64, 0x11u64);
         assert_eq!(hints.get(a, 7), None);
@@ -712,14 +758,15 @@ mod tests {
                     secondary,
                     slot,
                 };
-                hints.put(a, hint, 7);
+                assert!(!hints.put(a, hint, 7), "a key's own way is no displacement");
                 assert_eq!(hints.get(a, 7), Some(hint));
                 // The board saw the key's slot mutate: the hint is filtered.
                 assert_eq!(hints.get(a, 8), None);
-                // The place took four of the stamp's bits: the epoch is
-                // compared modulo 2^28, and in no fewer bits than that.
-                assert_eq!(hints.get(a, 7 + (1 << HINT_EPOCH_BITS)), Some(hint));
-                assert_eq!(hints.get(a, 7 + (1 << (HINT_EPOCH_BITS - 1))), None);
+                // The place and the high hash bits took thirteen of the
+                // stamp's bits: the epoch is compared modulo 2^19, and in no
+                // fewer bits than that.
+                assert_eq!(hints.get(a, 7 + (1 << 19)), Some(hint));
+                assert_eq!(hints.get(a, 7 + (1 << 18)), None);
             }
         }
         let last = (1 << HINT_EPOCH_BITS) - 1;
@@ -731,31 +778,75 @@ mod tests {
         hints.put(a, hint, last);
         assert_eq!(hints.get(a, last), Some(hint));
         assert_eq!(hints.get(a, last + 1), None, "the wrap is a change too");
-        // Another key in the same entry is told apart by its tag, displaces
-        // the resident one, and is not dropped on the other's behalf.
-        let b = a ^ (1 << 40);
-        assert_eq!(HintTable::index(a), HintTable::index(b));
-        assert_eq!(hints.get(b, last), None);
-        let other = Hint {
-            word: 0x22,
-            secondary: false,
-            slot: 0,
-        };
-        hints.put(b, other, 3);
-        assert_eq!(hints.get(a, last), None);
-        hints.forget(a);
-        assert_eq!(hints.get(b, 3), Some(other));
-        hints.forget(b);
-        assert_eq!(hints.get(b, 3), None);
         assert_eq!(
-            std::mem::size_of_val(&*hints.entries),
+            std::mem::size_of_val(&*hints.sets),
             HINT_ENTRIES * 16,
             "16 bytes per entry"
         );
     }
 
     #[test]
-    fn hashes_equal_in_their_low_49_bits_never_share_a_set_hint() {
+    fn hint_table_sets_keep_four_hints_in_lru_order() {
+        let mut hints = HintTable::new();
+        // Five keys of one set, told apart by their tags.
+        let keys: Vec<u64> = (0..5u64)
+            .map(|i| 0xabcd_0000_1234_5678 ^ (i << 40))
+            .collect();
+        assert!(keys
+            .iter()
+            .all(|&k| HintTable::index(k) == HintTable::index(keys[0])));
+        let hint = |i: usize| Hint {
+            word: 0x100 + i as u64,
+            secondary: i % 2 == 1,
+            slot: i as u8,
+        };
+        // Four keys of one set all keep their hints, the way a direct-mapped
+        // table kept only the last one's.
+        for (i, &k) in keys[..HINT_WAYS].iter().enumerate() {
+            assert!(!hints.put(k, hint(i), 3), "key {i} took a vacant way");
+        }
+        for (i, &k) in keys[..HINT_WAYS].iter().enumerate() {
+            assert_eq!(hints.get(k, 3), Some(hint(i)), "key {i}");
+        }
+        // Those Gets left key 3 the most recently hit and key 0 the least;
+        // a hit on key 0 promotes it, leaving key 1 the least.
+        assert_eq!(hints.get(keys[0], 3), Some(hint(0)));
+        // A fifth key displaces the least recently hit hint, and says so.
+        assert!(hints.put(keys[4], hint(4), 3));
+        assert_eq!(hints.get(keys[1], 3), None);
+        for i in [0, 2, 3, 4] {
+            assert_eq!(hints.get(keys[i], 3), Some(hint(i)), "key {i}");
+        }
+        // The order is now 4 3 2 0 (the loop's hits), so a `get_exact`,
+        // which must not promote, leaves key 0 the next to go.
+        let _ = hints.get_exact(keys[0], 3);
+        assert!(hints.put(keys[1], hint(1), 3));
+        assert_eq!(hints.get(keys[0], 3), None);
+        // Forgetting a key clears its way alone; the next note takes that
+        // vacant way instead of displacing anyone.
+        hints.forget(keys[3]);
+        assert_eq!(hints.get(keys[3], 3), None);
+        for i in [1, 2, 4] {
+            assert_eq!(hints.get(keys[i], 3), Some(hint(i)), "key {i}");
+        }
+        assert!(!hints.put(keys[0], hint(0), 3));
+        for i in [0, 1, 2, 4] {
+            assert_eq!(hints.get(keys[i], 3), Some(hint(i)), "key {i}");
+        }
+        // A key's own note refreshes its way in place.
+        assert!(!hints.put(keys[2], hint(3), 4));
+        assert_eq!(hints.get(keys[2], 4), Some(hint(3)));
+        // A key of another set touches none of this one's ways.
+        let other = keys[0] ^ 1;
+        assert_ne!(HintTable::index(other), HintTable::index(keys[0]));
+        assert!(!hints.put(other, hint(0), 3));
+        for i in [0, 1, 4] {
+            assert_eq!(hints.get(keys[i], 3), Some(hint(i)), "key {i}");
+        }
+    }
+
+    #[test]
+    fn hashes_equal_in_their_low_47_bits_never_share_a_set_hint() {
         let mut hints = HintTable::new();
         let a = 0xabcd_0000_1234_5678u64;
         // A hint as the client leaves it: the word carries the key's
@@ -768,20 +859,31 @@ mod tests {
         hints.put(a, hint, 7);
         assert_eq!(hints.get_exact(a, 7), Some(hint));
         assert_eq!(hints.get_exact(a, 8), None, "epoch-filtered like any hint");
-        // Every hash that differs from `a` in one bit above the 49 the index
+        // 15 bits of set index, 32 of tag, 9 in the stamp, 8 of fingerprint.
+        assert_eq!(
+            (
+                HINT_INDEX_BITS,
+                HINT_TAG_END - HINT_INDEX_BITS,
+                HINT_HIGH_BITS
+            ),
+            (15, 32, 9)
+        );
+        // Every hash that differs from `a` in one bit above the 47 the index
         // and tag cover: a `Get`, which checks what it reads, takes the hint
         // as before; a `Set`, which would CAS on it blind, never does.
-        for bit in 49..64 {
+        for bit in 47..64 {
             let alias = a ^ (1 << bit);
             assert_eq!(hints.get(alias, 7), Some(hint), "bit {bit}");
             assert_eq!(hints.get_exact(alias, 7), None, "bit {bit}");
         }
         // Below that the `Get` filter tells them apart already.
-        assert_eq!(hints.get(a ^ (1 << 48), 7), None);
+        for bit in 0..47 {
+            assert_eq!(hints.get(a ^ (1 << bit), 7), None, "bit {bit}");
+        }
         assert_eq!(
-            std::mem::size_of_val(&*hints.entries),
+            std::mem::size_of_val(&*hints.sets),
             HINT_ENTRIES * 16,
-            "the seven bits came out of the stamp's epoch, not out of new space"
+            "the nine bits came out of the stamp's epoch, not out of new space"
         );
     }
 

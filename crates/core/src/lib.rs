@@ -23,12 +23,12 @@
 //!
 //! A client-centric `Get` is two *dependent* round trips and three READs:
 //! READ both buckets, decode the slot's pointer, READ the object.  Every
-//! client keeps a fixed-size, direct-mapped, allocation-free **hint table**
-//! `key hash → last slot word seen, and where` (2 MiB, a constant; *where*
-//! is one bit of bucket and three of slot index), and a `Get` whose key has
-//! a hint READs **that one 40-byte slot** instead of both 320-byte buckets —
-//! its address re-translated through the stripe directory and the entry
-//! token re-checked exactly like a bucket READ's.  When the slot's atomic
+//! client keeps a fixed-size, 4-way set-associative, allocation-free
+//! **hint table** `key hash → last slot word seen, and where` (2 MiB, a
+//! constant; *where* is one bit of bucket and three of slot index), and a
+//! `Get` whose key has a hint READs **that one 40-byte slot** instead of
+//! both 320-byte buckets — its address re-translated through the stripe
+//! directory and the entry token re-checked exactly like a bucket READ's.  When the slot's atomic
 //! word still **equals** the hint (and its hash and fingerprint are the
 //! key's), the lookup is done with that fully decoded slot; the object READ
 //! was posted behind the slot READ on the same doorbell, so its bytes have

@@ -68,6 +68,9 @@ counter_table! {
     /// Hinted lookups that mispredicted: each cost a round trip and the
     /// READ(s) it carried before the unhinted lookup ran.
     spec_reads_wasted: lifetime accessor, counter "ditto_cache_spec_reads_wasted_total" "Hinted lookups that mispredicted because the slot word had changed (lifetime).";
+    /// Hint-table notes that took the way of another key's live hint: the
+    /// key's set was full, and its least recently used hint went.
+    hints_displaced: lifetime accessor, counter "ditto_cache_hints_displaced_total" "Hint-table notes that evicted another key's live hint from a full set (lifetime).", bump record_hint_displaced;
     /// Hinted publishes issued: each one that won is a replacing `Set` done
     /// in one round trip, with no bucket READ.
     spec_publishes_issued: lifetime accessor, counter "ditto_cache_spec_publishes_issued_total" "Hinted publishes: replacing Sets that CASed their hinted slot behind the object WRITE, with no lookup (lifetime).";
@@ -220,6 +223,7 @@ mod tests {
         stats.record_local_stale_reject();
         stats.record_spec_read(false);
         stats.record_spec_read(true);
+        stats.record_hint_displaced();
         stats.record_spec_publish(true);
         stats.record_spec_publish(false);
         stats.record_spec_publish(false);
@@ -266,6 +270,7 @@ mod tests {
             (stats.spec_reads_issued(), stats.spec_reads_wasted()),
             (2, 1)
         );
+        assert_eq!(stats.hints_displaced(), 1);
         assert_eq!(
             (stats.spec_publishes_issued(), stats.spec_publishes_wasted()),
             (3, 1)

@@ -730,3 +730,89 @@ fn chaos_failure_reports_carry_the_event_log_tail() {
         "no verb-fault event line in the tail: {msg}"
     );
 }
+
+/// ROADMAP item 1(c): `try_set`'s give-ups — every publish attempt lost, then
+/// the invalidation sweep — driven on purpose instead of by thread luck.  One
+/// client on one thread drains node 1 of a two-node pool, one stripe every
+/// 50 Sets; each Set runs with three verbs in four failing — enough for some
+/// 20 % of them to exhaust their retries — and the fault plan is disarmed
+/// again before anything else runs.  After every Set a
+/// fault-free Get, from the writer and from a second client, must see the
+/// latest `Ok`-acknowledged value or the value of a Set that returned `Err`
+/// after it: never an older one.  Nothing but the seed decides the run, so a
+/// failure replays from the seed it names.
+#[test]
+fn chaos_set_give_ups_under_a_drain_are_never_stale() {
+    let seeds = env_u64("DITTO_CHAOS_SEEDS", 2);
+    let keys = make_keys();
+    for round in 0..seeds {
+        let seed = 0x61BE_0000 + round;
+        let cache = DittoCache::with_dedicated_pool(
+            DittoConfig::with_capacity(2_000),
+            DmConfig::default()
+                .with_memory_nodes(2)
+                .with_fault_plan(FaultPlan::seeded(seed).with_verb_fail_ppm(750_000)),
+        )
+        .unwrap();
+        let injector = cache.pool().fault_injector();
+        injector.set_armed(false);
+        let (mut writer, mut reader) = (cache.client(), cache.client());
+        // Per key: the versions a Get may return — the latest acknowledged
+        // one and those of the `Err` Sets since — and the last one issued.
+        let mut allowed: Vec<Vec<u64>> = vec![vec![1]; KEYS];
+        let mut issued = vec![1u64; KEYS];
+        for (k, key) in keys.iter().enumerate() {
+            writer.set(key, &encode_value(k as u64, 1));
+        }
+        assert!(cache.pool().resident_object_bytes(1) > 0);
+        cache.pool().drain_node(1).unwrap();
+
+        let mut rng = StdRng::seed_from_u64(splitmix(seed));
+        let (mut stripes, mut errs, mut hits) = (0, 0, 0);
+        for op in 0..1_600 {
+            if op % 50 == 0 {
+                stripes += writer.pump_migration(1).stripes_moved;
+            }
+            let k = rng.gen_range(0..KEYS);
+            issued[k] += 1;
+            let v = issued[k];
+            injector.set_armed(true);
+            let acknowledged = writer.try_set(&keys[k], &encode_value(k as u64, v)).is_ok();
+            injector.set_armed(false);
+            if acknowledged {
+                allowed[k].clear();
+            } else {
+                errs += 1;
+            }
+            allowed[k].push(v);
+            for client in [&mut writer, &mut reader] {
+                let Some(bytes) = client.get(&keys[k]) else {
+                    continue;
+                };
+                hits += 1;
+                let got = decode_version(k as u64, &bytes);
+                assert!(
+                    allowed[k].contains(&got),
+                    "seed {seed}, op {op}: key {k} read version {got}, \
+                     allowed {:?}",
+                    allowed[k]
+                );
+                allowed[k].retain(|&a| a >= got);
+            }
+        }
+        // Both give-up exits ran — the key invalidated instead (`Ok`) and
+        // `SetDropped` — while the drain moved stripes, and most Gets hit.
+        let gave_up = cache.stats().sets_dropped();
+        assert!(
+            errs > 0 && gave_up > errs,
+            "seed {seed}: {errs} of {gave_up}"
+        );
+        assert!(
+            stripes > 10 && hits > 2_000,
+            "seed {seed}: {stripes} / {hits}"
+        );
+        while writer.pump_migration(usize::MAX).stripes_moved > 0 {}
+        assert_eq!(cache.pool().resident_object_bytes(1), 0, "seed {seed}");
+        assert_no_orphans(&cache, &format!("seed {seed}"));
+    }
+}

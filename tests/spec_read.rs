@@ -255,6 +255,45 @@ fn an_update_of_a_key_sharing_only_a_4096_slot_epoch_leaves_the_hint_alone() {
     assert_eq!(stats.spec_reads_issued(), 1);
 }
 
+/// Two keys whose hashes agree in their low 17 bits shared the one entry of
+/// a direct-mapped 131 072-entry hint table, so each one's note displaced
+/// the other's hint and every other `Get` read both buckets.  They share a
+/// set of the 4-way table, where both hints stay.
+#[test]
+fn two_keys_of_one_direct_mapped_entry_both_get_in_one_round_trip() {
+    let cache =
+        DittoCache::with_dedicated_pool(DittoConfig::with_capacity(1_000), DmConfig::default())
+            .unwrap();
+    let key = |i: u64| format!("key{i}").into_bytes();
+    let mut low_bits = HashMap::new();
+    let (x, y) = (0..)
+        .find_map(|i| {
+            let other = low_bits.insert(fnv1a64(&key(i)) & ((1 << 17) - 1), i)?;
+            Some((key(other), key(i)))
+        })
+        .unwrap();
+    let mut client = cache.client();
+    client.set(&x, b"x");
+    client.set(&y, b"y");
+    let stats = cache.stats();
+    for (round, (k, value)) in [(&x, b"x"), (&y, b"y")].repeat(2).into_iter().enumerate() {
+        cache.pool().reset_stats();
+        assert_eq!(client.get(k).as_deref(), Some(&value[..]), "Get {round}");
+        let pool = cache.pool().stats();
+        assert_eq!(pool.node_snapshots()[0].reads, 2, "Get {round}");
+        assert_eq!(
+            (pool.doorbells(), pool.batched_verbs()),
+            (1, 2),
+            "Get {round}"
+        );
+    }
+    assert_eq!(
+        (stats.spec_reads_issued(), stats.spec_reads_wasted()),
+        (4, 0)
+    );
+    assert_eq!(stats.hints_displaced(), 0);
+}
+
 /// A two-node pool with room to grow, and 400 keys set through `client`.
 fn two_node_cache() -> (DittoCache, DittoClient) {
     let dm = DmConfig::default().with_memory_nodes(2);
