@@ -1,0 +1,138 @@
+//! The adaptive policy, pinned bit for bit.
+//!
+//! Ditto's adaptive caching (§4.3) runs in two places: in the simulator
+//! ([`SimCache`]), which the hit-rate figures read, and in the client, whose
+//! regrets travel to the memory node's weight service.  Both must make the
+//! same draws in the same order.  The constants below were recorded by
+//! replaying each run as written; an edit that moves any of them changed
+//! which expert was drawn, which victim was evicted or which regret was
+//! paid, and must say so by re-deriving them.
+//!
+//! Weights are compared as `f64::to_bits`: a policy that is merely close is
+//! a different policy.  Every run is seeded and single-threaded, so the
+//! numbers are the same under `cargo test` and `cargo test --release`.
+
+use ditto::cache::sim::{SimCache, SimConfig, SimStats};
+use ditto::cache::{DittoCache, DittoConfig};
+use ditto::dm::DmConfig;
+use ditto::workloads::traces::{lfu_friendly, TraceSpec};
+use ditto::workloads::{changing_workload, replay, ReplayOptions, Request};
+
+/// LRU- and LFU-friendly phases alternating (seed 42).
+fn changing() -> Vec<Request> {
+    changing_workload(&TraceSpec::new(2_000, 40_000).with_seed(42), 4)
+}
+
+/// An LFU-friendly trace (seed 3).
+fn lfu_heavy() -> Vec<Request> {
+    lfu_friendly(&TraceSpec::new(4_000, 60_000).with_seed(3))
+}
+
+/// Replays `trace` on a simulator built from `config`; returns its
+/// statistics and its weights' bits.
+fn simulate(trace: &[Request], config: SimConfig) -> (SimStats, Vec<u64>) {
+    let mut cache = SimCache::new(config).unwrap();
+    replay(&mut cache, trace.iter().copied(), ReplayOptions::default());
+    let bits = cache.weights().iter().map(|w| w.to_bits()).collect();
+    (cache.stats(), bits)
+}
+
+/// `[hits, misses, evictions, regrets, ts_writes_skipped]` as a `SimStats`.
+fn stats([hits, misses, evictions, regrets, ts_writes_skipped]: [u64; 5]) -> SimStats {
+    SimStats {
+        hits,
+        misses,
+        evictions,
+        regrets,
+        ts_writes_skipped,
+    }
+}
+
+/// A single expert's weight: it has no one to lose to.
+const ONE: u64 = 0x3ff0_0000_0000_0000;
+
+#[test]
+fn the_simulator_on_the_changing_workload() {
+    let trace = changing();
+    let capacity = 600; // 30 % of the footprint
+    let runs = [
+        (
+            SimConfig::adaptive(capacity),
+            [14_854, 25_146, 24_546, 6_104, 7_098],
+            vec![0x3fbc_21b6_a08b_4b45, 0x3fec_7bc9_2bee_9698],
+        ),
+        (
+            SimConfig::single(capacity, "lru"),
+            [13_680, 26_320, 25_720, 0, 6_181],
+            vec![ONE],
+        ),
+        (
+            SimConfig::single(capacity, "lfu"),
+            [16_440, 23_560, 22_960, 0, 9_175],
+            vec![ONE],
+        ),
+    ];
+    for (config, expected, weights) in runs {
+        let label = format!("{:?}", config.experts);
+        assert_eq!(
+            simulate(&trace, config),
+            (stats(expected), weights),
+            "{label}"
+        );
+    }
+}
+
+#[test]
+fn the_simulator_on_an_lfu_friendly_trace() {
+    let trace = lfu_heavy();
+    let capacity = 400;
+    let runs = [
+        (
+            SimConfig::adaptive(capacity),
+            [30_143, 29_857, 29_457, 4_567, 12_366],
+            vec![0x3fde_8ffe_d704_8eec, 0x3fe0_b800_947d_b88a],
+        ),
+        (
+            SimConfig::single(capacity, "lru"),
+            [28_577, 31_423, 31_023, 0, 10_374],
+            vec![ONE],
+        ),
+        (
+            SimConfig::single(capacity, "lfu"),
+            [33_125, 26_875, 26_475, 0, 16_257],
+            vec![ONE],
+        ),
+    ];
+    for (config, expected, weights) in runs {
+        let label = format!("{:?}", config.experts);
+        assert_eq!(
+            simulate(&trace, config),
+            (stats(expected), weights),
+            "{label}"
+        );
+    }
+}
+
+/// One client replays the changing workload at 30 % of its footprint: its
+/// regrets reach the memory node's weight service in batches, and the
+/// global weights it leaves behind are pinned.
+#[test]
+fn a_client_replay_of_the_changing_workload() {
+    let cache =
+        DittoCache::with_dedicated_pool(DittoConfig::with_capacity(600), DmConfig::default())
+            .unwrap();
+    let mut client = cache.client();
+    replay(&mut client, changing(), ReplayOptions::default());
+    client.flush();
+    let snap = cache.stats().snapshot();
+    let weights: Vec<u64> = cache.global_weights().iter().map(|w| w.to_bits()).collect();
+    assert_eq!(
+        (snap.hits, snap.regrets, snap.weight_syncs, weights),
+        (
+            17_613,
+            7_223,
+            73,
+            vec![0x3fca_3b26_8ea9_6438, 0x3fe9_7136_5c55_a6f1]
+        )
+    );
+}
