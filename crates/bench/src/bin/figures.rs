@@ -801,7 +801,7 @@ fn fig24(scale: f64) {
             Box::new(|c: &mut DittoConfig| {
                 c.enable_sample_friendly_table = false;
                 c.enable_lightweight_history = false;
-                c.enable_lazy_weight_update = false;
+                c.weight_sync_batch = 1;
             }),
         ),
         (
@@ -809,7 +809,7 @@ fn fig24(scale: f64) {
             Box::new(|c: &mut DittoConfig| {
                 c.enable_sample_friendly_table = false;
                 c.enable_lightweight_history = false;
-                c.enable_lazy_weight_update = false;
+                c.weight_sync_batch = 1;
                 c.enable_fc_cache = false;
             }),
         ),

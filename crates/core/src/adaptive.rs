@@ -7,9 +7,15 @@
 //! which applies them to the *global* weights and returns the merged values.
 //! Local and global weights therefore drift slightly between syncs, which the
 //! paper shows does not hurt adaptivity.
+//!
+//! [`AdaptivePolicy`] is the one policy core: [`crate::DittoClient`] and
+//! [`crate::SimCache`] both run it, so what the simulator shows is what the
+//! client's policy does.
 
+use crate::error::{CacheError, CacheResult};
 use crate::history::expert_bitmap;
-use ditto_algorithms::{CacheAlgorithm, Metadata};
+use crate::recency::EvictionAge;
+use ditto_algorithms::{registry, AccessContext, CacheAlgorithm, Metadata};
 use ditto_dm::rpc::{wire, RpcHandler, RpcOutcome};
 use ditto_dm::{DmError, DmResult, MemoryNode};
 use parking_lot::Mutex;
@@ -20,11 +26,19 @@ use std::sync::Arc;
 /// rather than permanently silenced (as in LeCaR).
 pub const MIN_WEIGHT: f64 = 0.01;
 
+/// Regret-minimisation learning rate λ (§5.1).
+pub const LEARNING_RATE: f64 = 0.1;
+
 /// Controller CPU cost of one weight-update RPC, in nanoseconds.
 const WEIGHT_RPC_CPU_NS: u64 = 1_500;
 
 /// Upper bound on configured experts (the expert bitmap is 64 bits wide).
 pub(crate) const MAX_EXPERTS: usize = u64::BITS as usize;
+
+/// The LeCaR discount rate `d = 0.005^(1/N)` for a history of `N` entries.
+pub fn discount(history_len: u64) -> f64 {
+    0.005_f64.powf(1.0 / history_len.max(1) as f64)
+}
 
 /// The expert vote of one eviction.  Every expert names the candidate with
 /// its lowest `priority(metadata, now)` (the first, among equals); the victim
@@ -32,10 +46,8 @@ pub(crate) const MAX_EXPERTS: usize = u64::BITS as usize;
 /// pick is that victim — the experts a later regret on it penalises.
 ///
 /// Returns `(index of the victim in candidates, expert bitmap)`.  Pure and
-/// allocation-free: the one policy core behind [`crate::DittoClient`]'s
-/// eviction and [`crate::SimCache`]'s.  `chosen` is passed in so that each
-/// caller draws it ([`ExpertWeights::choose_expert`]) where its RNG sequence
-/// always has.
+/// allocation-free; [`AdaptivePolicy::pick_victim`] draws `chosen` and calls
+/// it.
 pub fn expert_vote(
     experts: &[Arc<dyn CacheAlgorithm>],
     candidates: &[Metadata],
@@ -63,11 +75,108 @@ pub fn expert_vote(
     (victim, bitmap)
 }
 
+/// The adaptive policy of one client (or one simulator): the shared experts
+/// and this holder's weights.  With a single expert it is that expert alone
+/// — no draw, no history, no regret — which is how the paper's Ditto-LRU and
+/// Ditto-LFU configurations run.
+#[derive(Clone)]
+pub struct AdaptivePolicy {
+    experts: Arc<[Arc<dyn CacheAlgorithm>]>,
+    /// This holder's weights; a regret is paid with
+    /// [`ExpertWeights::apply_regret`].
+    pub(crate) weights: ExpertWeights,
+}
+
+impl AdaptivePolicy {
+    /// Builds the policy over the registry's algorithms `names`, for a history
+    /// of `history_len` entries and a weight sync every `sync_batch` regrets.
+    pub fn from_names(names: &[String], history_len: u64, sync_batch: usize) -> CacheResult<Self> {
+        let experts = names
+            .iter()
+            .map(|name| {
+                registry::by_name(name).ok_or_else(|| CacheError::UnknownAlgorithm(name.clone()))
+            })
+            .collect::<CacheResult<Vec<_>>>()?;
+        Self::new(experts, history_len, sync_batch)
+    }
+
+    /// Builds the policy over explicitly provided experts — the entry point
+    /// for user-defined caching algorithms outside the registry.
+    pub fn new(
+        experts: Vec<Arc<dyn CacheAlgorithm>>,
+        history_len: u64,
+        sync_batch: usize,
+    ) -> CacheResult<Self> {
+        if !(1..=MAX_EXPERTS).contains(&experts.len()) {
+            return Err(CacheError::InvalidConfig(format!(
+                "{} experts; 1 to {MAX_EXPERTS} fit the expert bitmap",
+                experts.len()
+            )));
+        }
+        let weights = ExpertWeights::new(experts.len(), discount(history_len), sync_batch);
+        Ok(AdaptivePolicy {
+            experts: experts.into(),
+            weights,
+        })
+    }
+
+    /// The experts, in configuration order.
+    pub fn experts(&self) -> &[Arc<dyn CacheAlgorithm>] {
+        &self.experts
+    }
+
+    /// Whether the policy adapts (two experts or more): draws an expert per
+    /// eviction, keeps a history and pays regrets.
+    pub fn is_adaptive(&self) -> bool {
+        self.experts.len() > 1
+    }
+
+    /// Picks the victim among `candidates` at `now`: reports the oldest
+    /// candidate's idle time to `age` (what LRU would evict, whichever
+    /// expert wins), draws an expert by weight from `rng` when there are
+    /// two or more, and runs [`expert_vote`].
+    ///
+    /// Returns `(victim index, expert bitmap, chosen expert)`.
+    pub fn pick_victim<R: Rng + ?Sized>(
+        &self,
+        candidates: &[Metadata],
+        now: u64,
+        age: &mut EvictionAge,
+        rng: &mut R,
+    ) -> (usize, u64, usize) {
+        if let Some(oldest_idle) = candidates.iter().map(|m| m.idle(now)).max() {
+            age.observe_eviction(oldest_idle);
+        }
+        let chosen = if self.is_adaptive() {
+            self.weights.choose_expert(rng)
+        } else {
+            0
+        };
+        let (victim, bitmap) = expert_vote(&self.experts, candidates, now, chosen);
+        (victim, bitmap, chosen)
+    }
+
+    /// Tells every expert in `bitmap` that `victim` was evicted at `now`.
+    pub fn notify_evict(&self, victim: &Metadata, bitmap: u64, now: u64) {
+        for (i, expert) in self.experts.iter().enumerate() {
+            if expert_bitmap::contains(bitmap, i) {
+                expert.on_evict(expert.priority(victim, now));
+            }
+        }
+    }
+
+    /// Runs every expert's update rule over `metadata` for the access `ctx`.
+    pub fn update(&self, metadata: &mut Metadata, ctx: &AccessContext) {
+        for expert in self.experts.iter() {
+            expert.update(metadata, ctx);
+        }
+    }
+}
+
 /// Per-client expert weights plus the lazy-update penalty buffer.
 #[derive(Debug, Clone)]
 pub struct ExpertWeights {
     weights: Vec<f64>,
-    learning_rate: f64,
     discount: f64,
     pending_penalties: Vec<f64>,
     pending_updates: usize,
@@ -78,23 +187,18 @@ impl ExpertWeights {
     /// Creates uniform weights for `num_experts` experts.
     ///
     /// `discount` is the per-position decay `d` applied to older history
-    /// entries (`d = 0.005^(1/N)` in the paper); `batch` is the number of
-    /// local updates buffered before a global synchronisation.
-    pub fn new(num_experts: usize, learning_rate: f64, discount: f64, batch: usize) -> Self {
+    /// entries ([`discount`] in the paper); `batch` is the number of local
+    /// updates buffered before a global synchronisation.  Penalties decay
+    /// weights at [`LEARNING_RATE`].
+    pub fn new(num_experts: usize, discount: f64, batch: usize) -> Self {
         let num_experts = num_experts.max(1);
         ExpertWeights {
             weights: vec![1.0 / num_experts as f64; num_experts],
-            learning_rate,
             discount: discount.clamp(0.0, 1.0),
             pending_penalties: vec![0.0; num_experts],
             pending_updates: 0,
             batch: batch.max(1),
         }
-    }
-
-    /// Number of experts.
-    pub fn num_experts(&self) -> usize {
-        self.weights.len()
     }
 
     /// Current (local) weights.
@@ -127,11 +231,11 @@ impl ExpertWeights {
         let penalty = self.discount.powf(position as f64);
         for i in 0..self.weights.len() {
             if expert_bitmap::contains(expert_bitmap, i) {
-                self.weights[i] *= (-self.learning_rate * penalty).exp();
+                self.weights[i] *= (-LEARNING_RATE * penalty).exp();
                 self.pending_penalties[i] += penalty;
             }
         }
-        self.normalize();
+        normalize(&mut self.weights);
         self.pending_updates += 1;
         self.pending_updates >= self.batch
     }
@@ -159,20 +263,22 @@ impl ExpertWeights {
     pub fn set_weights(&mut self, weights: &[f64]) {
         if weights.len() == self.weights.len() {
             self.weights.copy_from_slice(weights);
-            self.normalize();
+            normalize(&mut self.weights);
         }
     }
+}
 
-    fn normalize(&mut self) {
-        for w in &mut self.weights {
-            if !w.is_finite() || *w < MIN_WEIGHT {
-                *w = MIN_WEIGHT;
-            }
+/// Clamps every weight to at least [`MIN_WEIGHT`] (a non-finite one to
+/// exactly that) and rescales them to sum to one.
+fn normalize(weights: &mut [f64]) {
+    for w in weights.iter_mut() {
+        if !w.is_finite() || *w < MIN_WEIGHT {
+            *w = MIN_WEIGHT;
         }
-        let total: f64 = self.weights.iter().sum();
-        for w in &mut self.weights {
-            *w /= total;
-        }
+    }
+    let total: f64 = weights.iter().sum();
+    for w in weights.iter_mut() {
+        *w /= total;
     }
 }
 
@@ -223,16 +329,14 @@ pub mod weight_wire {
 /// The controller-side service holding the global expert weights.
 pub struct WeightService {
     weights: Mutex<Vec<f64>>,
-    learning_rate: f64,
 }
 
 impl WeightService {
     /// Creates the service with uniform global weights.
-    pub fn new(num_experts: usize, learning_rate: f64) -> Self {
+    pub fn new(num_experts: usize) -> Self {
         let num_experts = num_experts.max(1);
         WeightService {
             weights: Mutex::new(vec![1.0 / num_experts as f64; num_experts]),
-            learning_rate,
         }
     }
 
@@ -256,9 +360,8 @@ impl RpcHandler for WeightService {
         request: &[u8],
         response: &mut [u8],
     ) -> DmResult<(usize, u64)> {
-        let n = wire::get_u32(request, 0).ok_or_else(|| DmError::RpcFailed {
-            reason: "short weight-update request".to_string(),
-        })? as usize;
+        let mut penalties = [0.0; MAX_EXPERTS];
+        let n = weight_wire::decode(request, &mut penalties)?;
         let mut weights = self.weights.lock();
         if n != weights.len() {
             return Err(DmError::RpcFailed {
@@ -270,19 +373,10 @@ impl RpcHandler for WeightService {
                 reason: format!("reply buffer too short for {n} weights"),
             });
         }
-        for (i, w) in weights.iter_mut().enumerate() {
-            let penalty = wire::get_f64(request, 4 + i * 8).ok_or_else(|| DmError::RpcFailed {
-                reason: "truncated weight-update request".to_string(),
-            })?;
-            *w *= (-self.learning_rate * penalty).exp();
-            if !w.is_finite() || *w < MIN_WEIGHT {
-                *w = MIN_WEIGHT;
-            }
+        for (w, penalty) in weights.iter_mut().zip(penalties) {
+            *w *= (-LEARNING_RATE * penalty).exp();
         }
-        let total: f64 = weights.iter().sum();
-        for w in weights.iter_mut() {
-            *w /= total;
-        }
+        normalize(&mut weights);
         Ok((weight_wire::encode(&weights, response), WEIGHT_RPC_CPU_NS))
     }
 }
@@ -397,14 +491,13 @@ mod tests {
 
     #[test]
     fn weights_start_uniform_and_sum_to_one() {
-        let w = ExpertWeights::new(2, 0.1, 0.99, 100);
+        let w = ExpertWeights::new(2, 0.99, 100);
         assert_eq!(w.weights(), &[0.5, 0.5]);
-        assert_eq!(w.num_experts(), 2);
     }
 
     #[test]
     fn regret_decreases_the_guilty_expert() {
-        let mut w = ExpertWeights::new(2, 0.5, 0.999, 100);
+        let mut w = ExpertWeights::new(2, 0.999, 100);
         for _ in 0..20 {
             w.apply_regret(0b01, 0);
         }
@@ -415,8 +508,8 @@ mod tests {
 
     #[test]
     fn older_regrets_are_penalised_less() {
-        let mut fresh = ExpertWeights::new(2, 0.5, 0.9, 100);
-        let mut stale = ExpertWeights::new(2, 0.5, 0.9, 100);
+        let mut fresh = ExpertWeights::new(2, 0.9, 100);
+        let mut stale = ExpertWeights::new(2, 0.9, 100);
         fresh.apply_regret(0b01, 0);
         stale.apply_regret(0b01, 50);
         assert!(fresh.weights()[0] < stale.weights()[0]);
@@ -424,7 +517,7 @@ mod tests {
 
     #[test]
     fn batch_threshold_triggers_sync() {
-        let mut w = ExpertWeights::new(2, 0.1, 0.99, 3);
+        let mut w = ExpertWeights::new(2, 0.99, 3);
         assert!(!w.apply_regret(0b10, 0));
         assert!(!w.apply_regret(0b10, 1));
         assert!(w.apply_regret(0b10, 2));
@@ -438,7 +531,7 @@ mod tests {
 
     #[test]
     fn choose_expert_follows_weights() {
-        let mut w = ExpertWeights::new(2, 1.0, 0.99, 100);
+        let mut w = ExpertWeights::new(2, 0.99, 100);
         for _ in 0..200 {
             w.apply_regret(0b01, 0);
         }
@@ -451,7 +544,7 @@ mod tests {
 
     #[test]
     fn set_weights_ignores_mismatched_lengths() {
-        let mut w = ExpertWeights::new(2, 0.1, 0.99, 10);
+        let mut w = ExpertWeights::new(2, 0.99, 10);
         w.set_weights(&[0.9, 0.1, 0.0]);
         assert_eq!(w.weights(), &[0.5, 0.5]);
         w.set_weights(&[0.8, 0.2]);
@@ -473,7 +566,7 @@ mod tests {
     fn weight_service_applies_penalties() {
         use ditto_dm::{DmConfig, MemoryPool};
         let pool = MemoryPool::new(DmConfig::small());
-        let service = std::sync::Arc::new(WeightService::new(2, 0.5));
+        let service = std::sync::Arc::new(WeightService::new(2));
         pool.register_handler(ditto_dm::rpc::WEIGHT_SERVICE, service.clone());
         let client = pool.connect();
         let mut req = [0u8; weight_wire::wire_len(2)];
@@ -495,7 +588,7 @@ mod tests {
         let pool = MemoryPool::new(DmConfig::small());
         pool.register_handler(
             ditto_dm::rpc::WEIGHT_SERVICE,
-            std::sync::Arc::new(WeightService::new(2, 0.5)),
+            std::sync::Arc::new(WeightService::new(2)),
         );
         let client = pool.connect();
         assert!(client.rpc(0, ditto_dm::rpc::WEIGHT_SERVICE, &[]).is_err());

@@ -1,6 +1,6 @@
 //! The shared cache instance: remote structures, experts and statistics.
 
-use crate::adaptive::WeightService;
+use crate::adaptive::{AdaptivePolicy, WeightService};
 use crate::config::DittoConfig;
 use crate::error::{CacheError, CacheResult};
 use crate::hashtable::SampleFriendlyHashTable;
@@ -8,7 +8,7 @@ use crate::history::EvictionHistory;
 use crate::local_tier::CoherenceBoard;
 use crate::slot::BUCKET_SIZE;
 use crate::stats::CacheStats;
-use ditto_algorithms::{registry, CacheAlgorithm};
+use ditto_algorithms::CacheAlgorithm;
 use ditto_dm::rpc::WEIGHT_SERVICE;
 use ditto_dm::{obs, DmConfig, MemoryPool, MigrationEngine, RemoteAddr};
 use std::sync::Arc;
@@ -32,7 +32,8 @@ pub struct DittoCache {
     table: SampleFriendlyHashTable,
     history: EvictionHistory,
     scratch: RemoteAddr,
-    experts: Arc<Vec<Arc<dyn CacheAlgorithm>>>,
+    /// The experts, and the uniform weights every new client starts from.
+    policy: AdaptivePolicy,
     stats: Arc<CacheStats>,
     weight_service: Arc<WeightService>,
     migration: Arc<MigrationEngine>,
@@ -71,12 +72,11 @@ impl DittoCache {
     /// Deploys a cache on an existing memory pool.
     pub fn new(pool: MemoryPool, config: DittoConfig) -> CacheResult<Self> {
         config.validate().map_err(CacheError::InvalidConfig)?;
-        let mut experts = Vec::with_capacity(config.experts.len());
-        for name in &config.experts {
-            let alg = registry::by_name(name)
-                .ok_or_else(|| CacheError::UnknownAlgorithm(name.clone()))?;
-            experts.push(alg);
-        }
+        let policy = AdaptivePolicy::from_names(
+            &config.experts,
+            config.history_len(),
+            config.weight_sync_batch,
+        )?;
         let table = SampleFriendlyHashTable::create(&pool, config.num_buckets())?;
         let migration = Arc::new(MigrationEngine::new(&pool, Arc::clone(table.directory()))?);
         let history = EvictionHistory::create(&pool, config.history_len())?;
@@ -86,16 +86,16 @@ impl DittoCache {
         } else {
             None
         };
-        let weight_service = Arc::new(WeightService::new(experts.len(), config.learning_rate));
+        let weight_service = Arc::new(WeightService::new(policy.experts().len()));
         pool.register_handler(WEIGHT_SERVICE, weight_service.clone());
-        let stats = Arc::new(CacheStats::new(experts.len()));
+        let stats = Arc::new(CacheStats::new(policy.experts().len()));
         Ok(DittoCache {
             pool,
             config: Arc::new(config),
             table,
             history,
             scratch,
-            experts: Arc::new(experts),
+            policy,
             stats,
             weight_service,
             migration,
@@ -162,7 +162,7 @@ impl DittoCache {
 
     /// The expert caching algorithms, in configuration order.
     pub fn experts(&self) -> &[Arc<dyn CacheAlgorithm>] {
-        &self.experts
+        self.policy.experts()
     }
 
     /// The current *global* expert weights held by the controller.
@@ -173,7 +173,7 @@ impl DittoCache {
     /// Whether any configured expert requires extension metadata stored with
     /// the objects.
     pub fn uses_extension(&self) -> bool {
-        self.experts.iter().any(|e| e.uses_extension())
+        self.experts().iter().any(|e| e.uses_extension())
     }
 
     /// The bucket-range migration engine (see `ditto_dm::migration`).
@@ -289,8 +289,9 @@ impl DittoCache {
         Arc::clone(&self.config)
     }
 
-    pub(crate) fn experts_arc(&self) -> Arc<Vec<Arc<dyn CacheAlgorithm>>> {
-        Arc::clone(&self.experts)
+    /// The policy a new client starts from.
+    pub(crate) fn policy(&self) -> &AdaptivePolicy {
+        &self.policy
     }
 
     pub(crate) fn stats_arc(&self) -> Arc<CacheStats> {
@@ -312,7 +313,7 @@ mod tests {
         assert_eq!(cache.experts().len(), 2);
         assert_eq!(cache.global_weights().len(), 2);
         assert!(!cache.uses_extension());
-        assert!(cache.config().adaptive);
+        assert!(cache.policy().is_adaptive());
     }
 
     #[test]

@@ -63,7 +63,7 @@
 //! Every operation revalidates the client's placement snapshot against the
 //! pool's resize epoch, picking up online `add_node`/`drain_node` calls.
 
-use crate::adaptive::{expert_vote, weight_wire, ExpertWeights, MAX_EXPERTS};
+use crate::adaptive::{weight_wire, AdaptivePolicy, MAX_EXPERTS};
 use crate::cache::MigrationProgress;
 use crate::cache::{DittoCache, JOURNAL_SLOTS, JOURNAL_SLOT_BYTES};
 use crate::config::DittoConfig;
@@ -71,7 +71,7 @@ use crate::error::{CacheError, CacheResult};
 use crate::fc_cache::{FcCache, FcFlushes};
 use crate::hash::{fingerprint, fnv1a64};
 use crate::hashtable::SampleFriendlyHashTable;
-use crate::history::{expert_bitmap, EvictionHistory};
+use crate::history::EvictionHistory;
 use crate::inline::InlineVec;
 use crate::local_tier::{CoherenceBoard, LocalTier, TierProbe, FREQ_ADMIT_THRESHOLD};
 use crate::object;
@@ -79,7 +79,7 @@ use crate::recency::{self, EvictionAge, LAST_TS_DIVISOR};
 use crate::recovery::{CrashPoint, RecoveryReport};
 use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
 use crate::stats::CacheStats;
-use ditto_algorithms::{AccessContext, AccessKind, CacheAlgorithm, Metadata, EXT_WORDS};
+use ditto_algorithms::{AccessContext, AccessKind, Metadata, EXT_WORDS};
 use ditto_dm::alloc::{AllocService, ClientAllocator};
 use ditto_dm::rpc::{ALLOC_SERVICE, WEIGHT_SERVICE};
 use ditto_dm::{
@@ -126,7 +126,8 @@ pub struct DittoClient {
     table: SampleFriendlyHashTable,
     history: EvictionHistory,
     scratch: RemoteAddr,
-    experts: Arc<Vec<Arc<dyn CacheAlgorithm>>>,
+    /// The experts and this client's local weights.
+    policy: AdaptivePolicy,
     stats: Arc<CacheStats>,
     alloc: StripedAllocator,
     fc: FcCache,
@@ -145,7 +146,6 @@ pub struct DittoClient {
     /// Shared per-key-hash mutation epochs: bumped by every slot-word
     /// mutation this client performs, checked on every tier probe.
     board: Arc<CoherenceBoard>,
-    weights: ExpertWeights,
     /// The eviction age this client observes: what decides whether a hit
     /// rewrites the slot's `last_ts` ([`crate::recency`]).
     eviction_age: EvictionAge,
@@ -214,16 +214,6 @@ impl DittoClient {
         let alloc = StripedAllocator::new(topology.active(), segment);
         let num_shards = cache.history().num_shards() as usize;
         let fc = FcCache::new(config.fc_threshold, config.fc_capacity_entries());
-        let weights = ExpertWeights::new(
-            cache.experts().len(),
-            config.learning_rate,
-            config.discount_rate(),
-            if config.enable_lazy_weight_update {
-                config.weight_sync_batch
-            } else {
-                1
-            },
-        );
         let seed = 0x5eed_0000 + dm.client_id() as u64;
         let board = cache.board_arc();
         let tier = (config.local_tier_capacity > 0)
@@ -233,7 +223,7 @@ impl DittoClient {
             table: cache.table(),
             history: cache.history(),
             scratch: cache.scratch(),
-            experts: cache.experts_arc(),
+            policy: cache.policy().clone(),
             stats: cache.stats_arc(),
             alloc,
             fc,
@@ -241,7 +231,6 @@ impl DittoClient {
             own_bumps: vec![0; board.slots()].into_boxed_slice(),
             tier,
             board,
-            weights,
             eviction_age: EvictionAge::default(),
             rng: StdRng::seed_from_u64(seed),
             counter_estimates: vec![0; num_shards],
@@ -270,11 +259,6 @@ impl DittoClient {
     /// The underlying DM client (simulated clock, verb statistics).
     pub fn dm(&self) -> &DmClient {
         &self.dm
-    }
-
-    /// The client's current local expert weights.
-    pub fn local_weights(&self) -> &[f64] {
-        self.weights.weights()
     }
 
     /// Looks up `key`, returning the value on a hit.
@@ -429,7 +413,7 @@ impl DittoClient {
                 .with_retry(MAX_RETRIES, |dm| dm.try_faa(addr, delta));
             self.stats.record_fc_flush();
         }
-        if self.weights.pending_updates() > 0 {
+        if self.policy.weights.pending_updates() > 0 {
             self.sync_weights();
         }
     }
@@ -867,7 +851,7 @@ impl DittoClient {
 
     fn on_miss(&mut self, slots: &[(RemoteAddr, Slot)], hash: u64) {
         self.eviction_age.observe_miss();
-        if self.config.adaptive {
+        if self.policy.is_adaptive() {
             if self.config.enable_lightweight_history {
                 self.check_regret(slots, hash);
             } else {
@@ -1088,10 +1072,8 @@ impl DittoClient {
         if let Some(ext) = ext {
             metadata.ext = *ext;
         }
-        let ctx = AccessContext::at(now).with_kind(kind);
-        for expert in self.experts.iter() {
-            expert.update(&mut metadata, &ctx);
-        }
+        self.policy
+            .update(&mut metadata, &AccessContext::at(now).with_kind(kind));
         let mut buf = [0u8; EXT_WORDS * 8];
         for (i, w) in metadata.ext.iter().enumerate() {
             buf[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
@@ -1140,8 +1122,11 @@ impl DittoClient {
         // the full history length, not a shard's slice of it.
         let position = self.history.global_position(estimate, id);
         self.stats.record_regret();
-        let sync_needed = self.weights.apply_regret(entry.expert_bitmap(), position);
-        if sync_needed || !self.config.enable_lazy_weight_update {
+        if self
+            .policy
+            .weights
+            .apply_regret(entry.expert_bitmap(), position)
+        {
             self.sync_weights();
         }
     }
@@ -1149,7 +1134,7 @@ impl DittoClient {
     fn sync_weights(&mut self) {
         // Fixed buffers: a weight sync must not allocate either.
         let mut values = [0.0; MAX_EXPERTS];
-        let n = self.weights.take_pending(&mut values);
+        let n = self.policy.weights.take_pending(&mut values);
         let mut request = [0u8; weight_wire::wire_len(MAX_EXPERTS)];
         let len = weight_wire::encode(&values[..n], &mut request);
         let mut reply = [0u8; weight_wire::wire_len(MAX_EXPERTS)];
@@ -1159,7 +1144,7 @@ impl DittoClient {
             .rpc_into(0, WEIGHT_SERVICE, &request[..len], &mut reply)
         {
             if let Ok(n) = weight_wire::decode(&reply[..len], &mut values) {
-                self.weights.set_weights(&values[..n]);
+                self.policy.weights.set_weights(&values[..n]);
             }
             self.stats.record_weight_sync();
         }
@@ -1745,29 +1730,21 @@ impl DittoClient {
         None
     }
 
-    /// Evaluates every expert over the candidates and picks the victim of the
-    /// expert chosen by the (weighted) adaptive policy.
-    ///
-    /// Returns `(victim index, expert bitmap, chosen expert)`, where the
-    /// bitmap marks every expert whose own choice coincides with the victim.
+    /// Gathers the candidates' metadata for [`AdaptivePolicy::pick_victim`].
     fn select_victim(&mut self, candidates: &[(RemoteAddr, Slot)]) -> (usize, u64, usize) {
         let now = self.dm.now_ns();
         let mut metadata: InlineVec<Metadata, CANDIDATES_CAP> = InlineVec::new();
         for (_, slot) in candidates {
             metadata.push(self.candidate_metadata(slot));
         }
-        // What the LRU expert would evict here, whichever expert wins: the
-        // age the timestamp-refresh threshold is a fraction of.
-        if let Some(oldest_idle) = metadata.iter().map(|m| m.idle(now)).max() {
-            self.eviction_age.observe_eviction(oldest_idle);
-        }
-        let chosen = if self.config.adaptive {
-            self.weights.choose_expert(&mut self.rng)
-        } else {
-            0
-        };
-        let (victim_idx, bitmap) = expert_vote(&self.experts, &metadata, now, chosen);
-        (victim_idx, bitmap, chosen)
+        self.policy
+            .pick_victim(&metadata, now, &mut self.eviction_age, &mut self.rng)
+    }
+
+    fn notify_eviction(&self, victim: &Slot, bitmap: u64) {
+        let now = self.dm.now_ns();
+        let metadata = self.candidate_metadata(victim);
+        self.policy.notify_evict(&metadata, bitmap, now);
     }
 
     fn candidate_metadata(&self, slot: &Slot) -> Metadata {
@@ -1787,16 +1764,6 @@ impl DittoClient {
         }
         metadata
     }
-
-    fn notify_eviction(&self, candidates: &[(RemoteAddr, Slot)], victim_idx: usize, bitmap: u64) {
-        let now = self.dm.now_ns();
-        let metadata = self.candidate_metadata(&candidates[victim_idx].1);
-        for (i, expert) in self.experts.iter().enumerate() {
-            if expert_bitmap::contains(bitmap, i) {
-                expert.on_evict(expert.priority(&metadata, now));
-            }
-        }
-    }
 }
 
 impl ditto_workloads::CacheBackend for DittoClient {
@@ -1813,7 +1780,7 @@ impl ditto_workloads::CacheBackend for DittoClient {
     }
 
     fn backend_name(&self) -> &str {
-        if self.config.adaptive {
+        if self.policy.is_adaptive() {
             "ditto"
         } else {
             "ditto-single"
@@ -1992,6 +1959,24 @@ mod tests {
         assert_eq!(weights.len(), 2);
         assert!((weights.iter().sum::<f64>() - 1.0).abs() < 1e-6);
         assert!(cache.stats().snapshot().weight_syncs > 0);
+    }
+
+    #[test]
+    fn a_sync_batch_of_one_syncs_on_every_regret() {
+        // The paper's ablation without lazy weight updates (fig24).
+        let mut config = DittoConfig::with_capacity(200);
+        config.weight_sync_batch = 1;
+        let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
+        let mut client = cache.client();
+        for i in 0..1_500u64 {
+            client.set(format!("key{i}").as_bytes(), &[0u8; 200]);
+        }
+        for i in 0..400u64 {
+            let _ = client.get(format!("key{i}").as_bytes());
+        }
+        let snap = cache.stats().snapshot();
+        assert!(snap.regrets > 0, "{snap:?}");
+        assert_eq!(snap.weight_syncs, snap.regrets);
     }
 
     #[test]

@@ -187,7 +187,7 @@ impl DittoClient {
     /// Whether evictions leave an embedded history entry behind, and so
     /// acquire a history id.
     fn embeds_history(&self) -> bool {
-        self.config.adaptive && self.config.enable_lightweight_history
+        self.policy.is_adaptive() && self.config.enable_lightweight_history
     }
 
     /// Advances `ev`: collect the sample (and the history id), re-sample
@@ -427,7 +427,7 @@ impl DittoClient {
                 &bitmap.to_le_bytes(),
             );
             self.stats.record_history_insert();
-        } else if won && self.config.adaptive && !self.config.enable_lightweight_history {
+        } else if won && self.policy.is_adaptive() && !self.config.enable_lightweight_history {
             // Ablation: a separate remote history FIFO and index (FAA on the
             // tail, WRITE of the entry, CAS into the index), modelled as
             // traffic against scratch space: faults cost only the messages.
@@ -441,7 +441,7 @@ impl DittoClient {
             // invalidate local-tier copies of the evicted key.
             self.bump_board(victim.hash);
             self.hints.forget(victim.hash);
-            self.notify_eviction(&ev.candidates, victim_idx, bitmap);
+            self.notify_eviction(&victim, bitmap);
             self.free_object(
                 victim.atomic.object_addr(),
                 victim.atomic.object_bytes() as usize,

@@ -359,7 +359,7 @@ impl DittoClient {
         if self.crash_fired(CrashPoint::AfterPublish) {
             return true;
         }
-        self.notify_eviction(&candidates, victim_idx, bitmap);
+        self.notify_eviction(&victim, bitmap);
         self.free_object(
             victim.atomic.object_addr(),
             victim.atomic.object_bytes() as usize,

@@ -6,9 +6,11 @@ use serde::{Deserialize, Serialize};
 ///
 /// The defaults follow §5.1 of the paper: 5-object eviction samples
 /// ([`DittoConfig::SAMPLE_SIZE`]), a frequency-counter threshold of 10 with
-/// a 10 MB client-side cache, a learning rate of 0.1, weight synchronisation
-/// every 100 local updates, and an eviction history as long as the cache (in
-/// objects).
+/// a 10 MB client-side cache, a learning rate of 0.1
+/// ([`crate::adaptive::LEARNING_RATE`]), weight synchronisation every 100
+/// local updates, and an eviction history as long as the cache, in objects
+/// ([`DittoConfig::history_len`]).  The policy adapts whenever it has two
+/// experts or more ([`crate::adaptive::AdaptivePolicy::is_adaptive`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DittoConfig {
     /// Cache capacity in objects; the memory pool is sized so that roughly
@@ -22,17 +24,15 @@ pub struct DittoConfig {
     pub fc_threshold: u64,
     /// Frequency-counter cache size in megabytes.
     pub fc_cache_mb: f64,
-    /// Regret-minimisation learning rate λ.
-    pub learning_rate: f64,
     /// Number of locally buffered weight updates before syncing with the
-    /// memory-node controller.
+    /// memory-node controller (§4.3.2).  1 synchronises on every regret —
+    /// the paper's ablation without lazy weight updates.
     pub weight_sync_batch: usize,
     /// Names of the expert caching algorithms (see `ditto_algorithms::registry`).
+    /// Two or more run the distributed adaptive caching scheme; one runs
+    /// that expert alone and skips the history/weight machinery (the
+    /// paper's Ditto-LRU / Ditto-LFU configurations).
     pub experts: Vec<String>,
-    /// Run the distributed adaptive caching scheme.  When `false` the cache
-    /// uses only `experts[0]` and skips the history/weight machinery
-    /// (the paper's Ditto-LRU / Ditto-LFU configurations).
-    pub adaptive: bool,
     /// Ablation toggle: store default metadata inside the hash-table slot
     /// (the sample-friendly hash table, §4.2.1).  Disabling it models
     /// metadata scattered with the objects.
@@ -40,9 +40,6 @@ pub struct DittoConfig {
     /// Ablation toggle: embed history entries in the hash table (§4.3.1).
     /// Disabling it models a separate remote FIFO queue plus index.
     pub enable_lightweight_history: bool,
-    /// Ablation toggle: batch expert-weight updates (§4.3.2).  Disabling it
-    /// synchronises with the controller on every regret.
-    pub enable_lazy_weight_update: bool,
     /// Ablation toggle: client-side frequency-counter cache (§4.2.2).
     pub enable_fc_cache: bool,
     /// Segment size (in objects) requested from the memory node at a time by
@@ -84,13 +81,10 @@ impl Default for DittoConfig {
             object_overhead_bytes: 32,
             fc_threshold: 10,
             fc_cache_mb: 10.0,
-            learning_rate: 0.1,
             weight_sync_batch: 100,
             experts: vec!["lru".to_string(), "lfu".to_string()],
-            adaptive: true,
             enable_sample_friendly_table: true,
             enable_lightweight_history: true,
-            enable_lazy_weight_update: true,
             enable_fc_cache: true,
             alloc_segment_objects: 16,
             enable_crash_recovery_journal: false,
@@ -115,15 +109,13 @@ impl DittoConfig {
         DittoConfig {
             capacity_objects: capacity_objects.max(1),
             experts: vec![algorithm.to_string()],
-            adaptive: false,
             ..DittoConfig::default()
         }
     }
 
-    /// Sets the expert list (builder style) and enables adaptive caching.
+    /// Sets the expert list (builder style); two experts or more adapt.
     pub fn with_experts<S: Into<String>>(mut self, experts: Vec<S>) -> Self {
         self.experts = experts.into_iter().map(Into::into).collect();
-        self.adaptive = self.experts.len() > 1;
         self
     }
 
@@ -193,26 +185,9 @@ impl DittoConfig {
         buckets.next_power_of_two().max(4)
     }
 
-    /// The LeCaR discount rate `d = 0.005^(1/N)` where `N` is the history
-    /// length.
-    pub fn discount_rate(&self) -> f64 {
-        0.005_f64.powf(1.0 / self.history_len().max(1) as f64)
-    }
-
-    /// Validates internal consistency.
+    /// Validates internal consistency.  The expert list is checked where the
+    /// experts are built ([`crate::adaptive::AdaptivePolicy::from_names`]).
     pub fn validate(&self) -> Result<(), String> {
-        if self.experts.is_empty() {
-            return Err("at least one expert algorithm is required".to_string());
-        }
-        if self.adaptive && self.experts.len() < 2 {
-            return Err("adaptive caching needs at least two experts".to_string());
-        }
-        if self.experts.len() > 64 {
-            return Err("the expert bitmap supports at most 64 experts".to_string());
-        }
-        if !(0.0..=10.0).contains(&self.learning_rate) {
-            return Err("learning_rate out of range".to_string());
-        }
         if self.local_tier_capacity > 0 && self.local_tier_lease_ns == 0 {
             return Err("local_tier_lease_ns must be at least 1 when the tier is on".to_string());
         }
@@ -223,6 +198,11 @@ impl DittoConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::{discount, AdaptivePolicy, LEARNING_RATE};
+
+    fn policy(c: &DittoConfig) -> AdaptivePolicy {
+        AdaptivePolicy::from_names(&c.experts, c.history_len(), c.weight_sync_batch).unwrap()
+    }
 
     #[test]
     fn defaults_match_paper_parameters() {
@@ -230,10 +210,10 @@ mod tests {
         assert_eq!(DittoConfig::SAMPLE_SIZE, 5);
         assert_eq!(c.fc_threshold, 10);
         assert_eq!(c.fc_cache_mb, 10.0);
-        assert_eq!(c.learning_rate, 0.1);
+        assert_eq!(LEARNING_RATE, 0.1);
         assert_eq!(c.weight_sync_batch, 100);
         assert_eq!(c.experts, vec!["lru", "lfu"]);
-        assert!(c.adaptive);
+        assert!(policy(&c).is_adaptive());
         assert!(c.validate().is_ok());
     }
 
@@ -246,7 +226,7 @@ mod tests {
     #[test]
     fn single_algorithm_disables_adaptivity() {
         let c = DittoConfig::single_algorithm(1_000, "lfu");
-        assert!(!c.adaptive);
+        assert!(!policy(&c).is_adaptive());
         assert_eq!(c.experts, vec!["lfu"]);
         assert!(c.validate().is_ok());
     }
@@ -262,22 +242,21 @@ mod tests {
     #[test]
     fn discount_rate_is_below_one() {
         let c = DittoConfig::with_capacity(1_000);
-        let d = c.discount_rate();
+        let d = discount(c.history_len());
         assert!(d > 0.9 && d < 1.0);
     }
 
     #[test]
     fn validation_catches_bad_configs() {
+        let c = DittoConfig::default().with_local_tier(64, 0);
+        assert!(c.validate().is_err());
+        assert!(c.with_local_tier(0, 0).validate().is_ok());
+
         let mut c = DittoConfig::default();
         c.experts.clear();
-        assert!(c.validate().is_err());
-
-        let c = DittoConfig {
-            adaptive: true,
-            experts: vec!["lru".to_string()],
-            ..DittoConfig::default()
-        };
-        assert!(c.validate().is_err());
+        assert!(AdaptivePolicy::from_names(&c.experts, c.history_len(), 1).is_err());
+        c.experts = vec!["lru".to_string(); 65];
+        assert!(AdaptivePolicy::from_names(&c.experts, c.history_len(), 1).is_err());
     }
 
     #[test]
@@ -290,9 +269,9 @@ mod tests {
     #[test]
     fn with_experts_enables_adaptivity_for_multiple() {
         let c = DittoConfig::with_capacity(10).with_experts(vec!["lru", "lfu", "fifo"]);
-        assert!(c.adaptive);
+        assert!(policy(&c).is_adaptive());
         assert_eq!(c.experts.len(), 3);
         let c = DittoConfig::with_capacity(10).with_experts(vec!["gdsf"]);
-        assert!(!c.adaptive);
+        assert!(!policy(&c).is_adaptive());
     }
 }

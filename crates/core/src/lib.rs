@@ -12,9 +12,9 @@
 //!    eviction history ([`history`]), regret-minimisation expert weights and
 //!    the lazy weight-update scheme ([`adaptive`]).
 //!
-//! [`sim`] additionally provides a process-local simulator that reuses the
-//! same algorithm rules and adaptive machinery for fast hit-rate sweeps,
-//! and [`recovery`] documents the crash-consistency model behind
+//! [`sim`] additionally provides a process-local simulator for fast
+//! hit-rate sweeps that runs the client's own adaptive policy
+//! ([`adaptive::AdaptivePolicy`]) with the same parameters, and [`recovery`] documents the crash-consistency model behind
 //! [`DittoClient::recover_crashed_client`] — what a client death can leak
 //! and how a survivor reclaims it (see also the *Failure model* section of
 //! the [`ditto_dm`] crate docs for the fault classes and lease protocol).

@@ -3,19 +3,23 @@
 //! The motivation and adaptivity figures (3, 4, 5, 18, 20–22) sweep dozens of
 //! workloads × cache sizes × client counts and only need *hit rates*, not DM
 //! message counts.  [`SimCache`] reproduces Ditto's behaviour — sample-based
-//! eviction, priority functions, the FIFO eviction history and the
-//! regret-minimisation weights — on plain process memory, so those sweeps run
-//! orders of magnitude faster than the full DM data path while exercising the
-//! exact same `ditto-algorithms` rules and `ExpertWeights` logic — and the
-//! same rule for when a hit leaves `last_ts` alone ([`crate::recency`]), on
-//! its logical clock of one tick per request.
+//! eviction of [`DittoConfig::SAMPLE_SIZE`] candidates, priority functions,
+//! a FIFO eviction history as long as the cache and the regret-minimisation
+//! weights — on plain process memory, so those sweeps run orders of
+//! magnitude faster than the full DM data path.  Every policy step goes
+//! through the client's own [`AdaptivePolicy`]: the same expert draw, vote,
+//! eviction notice, update rules and regret, with the same learning rate
+//! and discount — and the same rule for when a hit leaves `last_ts` alone
+//! ([`crate::recency`]), on its logical clock of one tick per request.  What
+//! differs is only where the weights live: the simulator's local weights
+//! are its global weights.
 
-use crate::adaptive::{expert_vote, ExpertWeights};
-use crate::error::{CacheError, CacheResult};
+use crate::adaptive::AdaptivePolicy;
+use crate::config::DittoConfig;
+use crate::error::CacheResult;
 use crate::hash::FxHashMap;
-use crate::history::expert_bitmap;
 use crate::recency::{self, EvictionAge, LAST_TS_DIVISOR};
-use ditto_algorithms::{registry, AccessContext, AccessKind, CacheAlgorithm, Metadata};
+use ditto_algorithms::{AccessContext, AccessKind, CacheAlgorithm, Metadata};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -25,18 +29,11 @@ use std::sync::Arc;
 /// Configuration of a [`SimCache`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimConfig {
-    /// Capacity in objects.
+    /// Capacity in objects, and the length of the eviction history.
     pub capacity_objects: usize,
-    /// Eviction sample size K.
-    pub sample_size: usize,
-    /// Expert algorithm names.
+    /// Expert algorithm names; two or more run the adaptive scheme, one
+    /// runs that expert alone.
     pub experts: Vec<String>,
-    /// Whether to run the adaptive scheme (otherwise `experts[0]` only).
-    pub adaptive: bool,
-    /// Regret-minimisation learning rate.
-    pub learning_rate: f64,
-    /// History length in entries (0 = same as capacity).
-    pub history_size: usize,
     /// RNG seed for sampling and expert choice.
     pub seed: u64,
 }
@@ -46,11 +43,7 @@ impl SimConfig {
     pub fn adaptive(capacity_objects: usize) -> Self {
         SimConfig {
             capacity_objects: capacity_objects.max(1),
-            sample_size: 5,
             experts: vec!["lru".to_string(), "lfu".to_string()],
-            adaptive: true,
-            learning_rate: 0.1,
-            history_size: 0,
             seed: 7,
         }
     }
@@ -59,7 +52,6 @@ impl SimConfig {
     pub fn single(capacity_objects: usize, algorithm: &str) -> Self {
         SimConfig {
             experts: vec![algorithm.to_string()],
-            adaptive: false,
             ..SimConfig::adaptive(capacity_objects)
         }
     }
@@ -68,14 +60,6 @@ impl SimConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    fn history_len(&self) -> usize {
-        if self.history_size == 0 {
-            self.capacity_objects
-        } else {
-            self.history_size
-        }
     }
 }
 
@@ -126,8 +110,7 @@ struct HistoryEntry {
 /// keys move by ownership instead of being cloned.
 pub struct SimCache {
     config: SimConfig,
-    experts: Vec<Arc<dyn CacheAlgorithm>>,
-    weights: ExpertWeights,
+    policy: AdaptivePolicy,
     entries: FxHashMap<Vec<u8>, Entry>,
     keys: Vec<Vec<u8>>,
     history: FxHashMap<Vec<u8>, HistoryEntry>,
@@ -150,17 +133,9 @@ pub struct SimCache {
 impl SimCache {
     /// Builds a simulator from its configuration.
     pub fn new(config: SimConfig) -> CacheResult<Self> {
-        if config.experts.is_empty() {
-            return Err(CacheError::InvalidConfig("no experts configured".into()));
-        }
-        let mut experts = Vec::with_capacity(config.experts.len());
-        for name in &config.experts {
-            experts.push(
-                registry::by_name(name)
-                    .ok_or_else(|| CacheError::UnknownAlgorithm(name.clone()))?,
-            );
-        }
-        Self::with_experts(config, experts)
+        let policy =
+            AdaptivePolicy::from_names(&config.experts, config.capacity_objects as u64, 1)?;
+        Ok(Self::with_policy(config, policy))
     }
 
     /// Builds a simulator with explicitly provided expert instances — the
@@ -170,16 +145,13 @@ impl SimCache {
         config: SimConfig,
         experts: Vec<Arc<dyn CacheAlgorithm>>,
     ) -> CacheResult<Self> {
-        if experts.is_empty() {
-            return Err(CacheError::InvalidConfig("no experts configured".into()));
-        }
-        let discount = 0.005_f64.powf(1.0 / config.history_len().max(1) as f64);
-        let weights = ExpertWeights::new(experts.len(), config.learning_rate, discount, 1);
-        let rng = StdRng::seed_from_u64(config.seed);
-        let sample_size = config.sample_size.max(1);
-        Ok(SimCache {
-            experts,
-            weights,
+        let policy = AdaptivePolicy::new(experts, config.capacity_objects as u64, 1)?;
+        Ok(Self::with_policy(config, policy))
+    }
+
+    fn with_policy(config: SimConfig, policy: AdaptivePolicy) -> Self {
+        SimCache {
+            policy,
             entries: FxHashMap::default(),
             keys: Vec::new(),
             history: FxHashMap::default(),
@@ -188,12 +160,12 @@ impl SimCache {
             clock: 0,
             eviction_age: EvictionAge::default(),
             last_ts_divisor: LAST_TS_DIVISOR,
-            rng,
+            rng: StdRng::seed_from_u64(config.seed),
             stats: SimStats::default(),
             config,
-            candidate_idx: Vec::with_capacity(sample_size),
-            candidates: Vec::with_capacity(sample_size),
-        })
+            candidate_idx: Vec::with_capacity(DittoConfig::SAMPLE_SIZE),
+            candidates: Vec::with_capacity(DittoConfig::SAMPLE_SIZE),
+        }
     }
 
     /// Current statistics.
@@ -203,7 +175,7 @@ impl SimCache {
 
     /// Current expert weights.
     pub fn weights(&self) -> &[f64] {
-        self.weights.weights()
+        self.policy.weights.weights()
     }
 
     /// Number of cached objects.
@@ -236,9 +208,7 @@ impl SimCache {
                 entry.metadata.last_ts = stored_ts;
                 self.stats.ts_writes_skipped += 1;
             }
-            for expert in &self.experts {
-                expert.update(&mut entry.metadata, &ctx);
-            }
+            self.policy.update(&mut entry.metadata, &ctx);
         }
     }
 
@@ -247,21 +217,22 @@ impl SimCache {
             return;
         };
         let position = self.history_counter.saturating_sub(entry.id);
-        if position as usize > self.config.history_len() {
+        // The history is as long as the cache.
+        if position as usize > self.config.capacity_objects {
             return;
         }
         self.stats.regrets += 1;
         let bitmap = entry.bitmap;
-        self.weights.apply_regret(bitmap, position);
+        self.policy.weights.apply_regret(bitmap, position);
         // Local weights are the global weights in the simulator.
-        self.weights.take_pending(&mut []);
+        self.policy.weights.take_pending(&mut []);
     }
 
     fn evict_once(&mut self) {
         if self.keys.is_empty() {
             return;
         }
-        let k = self.config.sample_size.max(1).min(self.keys.len());
+        let k = DittoConfig::SAMPLE_SIZE.min(self.keys.len());
         // The sampling loop reuses the per-cache scratch buffers: no heap
         // allocation per eviction.
         self.candidate_idx.clear();
@@ -277,25 +248,15 @@ impl SimCache {
             self.candidates
                 .push(self.entries[&self.keys[*idx]].metadata);
         }
-        if let Some(oldest_idle) = self.candidates.iter().map(|m| m.idle(now)).max() {
-            self.eviction_age.observe_eviction(oldest_idle);
-        }
-        let chosen = if self.config.adaptive {
-            self.weights.choose_expert(&mut self.rng)
-        } else {
-            0
-        };
-        let (pick, bitmap) = expert_vote(&self.experts, &self.candidates, now, chosen);
+        let (pick, bitmap, _) =
+            self.policy
+                .pick_victim(&self.candidates, now, &mut self.eviction_age, &mut self.rng);
         let victim_idx = self.candidate_idx[pick];
         // Swap-remove the victim key, taking ownership so nothing is cloned;
         // the entry moved into the vacated index is patched in place.
         let victim_key = self.keys.swap_remove(victim_idx);
         let victim = self.entries.remove(&victim_key).expect("victim exists");
-        for (i, expert) in self.experts.iter().enumerate() {
-            if expert_bitmap::contains(bitmap, i) {
-                expert.on_evict(expert.priority(&victim.metadata, now));
-            }
-        }
+        self.policy.notify_evict(&victim.metadata, bitmap, now);
         if victim_idx < self.keys.len() {
             let moved_key = &self.keys[victim_idx];
             if let Some(moved) = self.entries.get_mut(moved_key) {
@@ -304,7 +265,7 @@ impl SimCache {
         }
         self.stats.evictions += 1;
 
-        if self.config.adaptive {
+        if self.policy.is_adaptive() {
             self.history_counter += 1;
             // The owned victim key moves into the FIFO; the history map keys
             // alias it logically but maps need owned keys, so reuse the
@@ -318,7 +279,7 @@ impl SimCache {
                 },
             );
             self.history_fifo.push_back(victim_key);
-            while self.history_fifo.len() > self.config.history_len() {
+            while self.history_fifo.len() > self.config.capacity_objects {
                 if let Some(expired) = self.history_fifo.pop_front() {
                     self.history.remove(&expired);
                 }
@@ -333,9 +294,7 @@ impl SimCache {
         let now = self.clock;
         let ctx = AccessContext::at(now).with_kind(AccessKind::Insert);
         let mut metadata = Metadata::on_insert(now, value.len() as u32, &ctx);
-        for expert in &self.experts {
-            expert.update(&mut metadata, &ctx);
-        }
+        self.policy.update(&mut metadata, &ctx);
         self.keys.push(key.to_vec());
         self.entries.insert(
             key.to_vec(),
@@ -359,7 +318,7 @@ impl ditto_workloads::CacheBackend for SimCache {
         } else {
             self.stats.misses += 1;
             self.eviction_age.observe_miss();
-            if self.config.adaptive {
+            if self.policy.is_adaptive() {
                 self.check_regret(key);
             }
             None
@@ -377,7 +336,7 @@ impl ditto_workloads::CacheBackend for SimCache {
     }
 
     fn backend_name(&self) -> &str {
-        if self.config.adaptive {
+        if self.policy.is_adaptive() {
             "sim-adaptive"
         } else {
             "sim-single"
@@ -403,6 +362,7 @@ pub fn simulate_hit_rate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CacheError;
     use ditto_workloads::{replay, CacheBackend, ReplayOptions, Request};
 
     #[test]
@@ -467,14 +427,11 @@ mod tests {
 
     #[test]
     fn regrets_are_collected_in_adaptive_mode() {
-        // The history must be long enough for a cyclically re-accessed key to
-        // still be present when it comes around again.
-        let config = SimConfig {
-            history_size: 400,
-            ..SimConfig::adaptive(50)
-        };
-        let mut cache = SimCache::new(config).unwrap();
-        let requests: Vec<Request> = (0..5_000u64).map(|i| Request::get(i % 300)).collect();
+        // A cyclically re-accessed key must come around again while its
+        // history entry is still there: within 50 evictions, the history
+        // being as long as the cache.
+        let mut cache = SimCache::new(SimConfig::adaptive(50)).unwrap();
+        let requests: Vec<Request> = (0..5_000u64).map(|i| Request::get(i % 75)).collect();
         replay(&mut cache, requests, ReplayOptions::default());
         assert!(cache.stats().regrets > 0);
         assert!((cache.weights().iter().sum::<f64>() - 1.0).abs() < 1e-9);

@@ -45,13 +45,9 @@ impl CacheAlgorithm for CostAwareLru {
     }
 }
 
-fn hit_rate(
-    experts: Vec<Arc<dyn CacheAlgorithm>>,
-    adaptive: bool,
-    trace: &[ditto::workloads::Request],
-) -> f64 {
+fn hit_rate(experts: Vec<Arc<dyn CacheAlgorithm>>, trace: &[ditto::workloads::Request]) -> f64 {
+    // Two experts or more adapt; one runs alone.
     let config = SimConfig {
-        adaptive,
         experts: experts.iter().map(|e| e.name().to_string()).collect(),
         ..SimConfig::adaptive(2_000)
     };
@@ -64,9 +60,9 @@ fn main() {
     let spec = TraceSpec::new(20_000, 200_000).with_seed(5);
     let trace = lfu_friendly(&spec);
 
-    let lru_only = hit_rate(vec![Arc::new(Lru)], false, &trace);
-    let custom_only = hit_rate(vec![Arc::new(CostAwareLru)], false, &trace);
-    let adaptive = hit_rate(vec![Arc::new(Lru), Arc::new(CostAwareLru)], true, &trace);
+    let lru_only = hit_rate(vec![Arc::new(Lru)], &trace);
+    let custom_only = hit_rate(vec![Arc::new(CostAwareLru)], &trace);
+    let adaptive = hit_rate(vec![Arc::new(Lru), Arc::new(CostAwareLru)], &trace);
 
     println!("== custom caching algorithm via the priority/update interface ==");
     println!("LRU only            : {:.1} % hit rate", lru_only * 100.0);

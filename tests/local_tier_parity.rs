@@ -8,22 +8,14 @@
 //! coherence (board epochs + lease revalidation) is exactly what makes a
 //! zero-message hit safe.
 
+mod support;
+
 use ditto::cache::{DittoCache, DittoConfig};
 use ditto::dm::obs::with_event_postmortem;
 use ditto::dm::DmConfig;
 use ditto::workloads::request::{Op, Request};
 use ditto::workloads::ycsb::{YcsbSpec, YcsbWorkload};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use support::{checker_pass, make_keys, make_states, splitmix, KEYS};
 
 /// Deterministic per-key value so parity can check every byte.
 fn value_for(key: u64) -> Vec<u8> {
@@ -182,56 +174,6 @@ fn a_replace_by_another_client_ends_a_lease_grown_a_hundredfold() {
     assert_eq!(after.local_revalidations, 1);
 }
 
-const KEYS: usize = 64;
-
-struct KeyState {
-    issued: AtomicU64,
-    completed: AtomicU64,
-    write_gate: Mutex<()>,
-}
-
-fn payload_len(key_idx: u64, version: u64) -> usize {
-    16 + ((key_idx
-        .wrapping_mul(131)
-        .wrapping_add(version.wrapping_mul(17)))
-        % 180) as usize
-}
-
-fn encode_value(key_idx: u64, version: u64) -> Vec<u8> {
-    let n = payload_len(key_idx, version);
-    let mut out = Vec::with_capacity(16 + n);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&key_idx.to_le_bytes());
-    let mut state = splitmix(key_idx ^ version.rotate_left(32));
-    for i in 0..n {
-        if i % 8 == 0 {
-            state = splitmix(state);
-        }
-        out.push((state >> (8 * (i % 8))) as u8);
-    }
-    out
-}
-
-fn decode_version(key_idx: u64, bytes: &[u8]) -> u64 {
-    assert!(
-        bytes.len() >= 16,
-        "key {key_idx}: value truncated to {} bytes",
-        bytes.len()
-    );
-    let version = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-    let stamped_key = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    assert_eq!(
-        stamped_key, key_idx,
-        "key {key_idx}: value stamped for key {stamped_key}"
-    );
-    assert_eq!(
-        bytes,
-        &encode_value(key_idx, version)[..],
-        "key {key_idx}: corrupt bytes for version {version}"
-    );
-    version
-}
-
 /// Writers race readers on a small shared cache with every client's tier
 /// enabled and a short lease, so all four coherence outcomes — zero-message
 /// hits, revalidations, board invalidations, stale rejects — actually occur
@@ -240,8 +182,8 @@ fn decode_version(key_idx: u64, bytes: &[u8]) -> u64 {
 ///
 /// This is the failure mode the coherence board exists for: without it, a
 /// lease-valid tier entry would keep serving the old value after a racing
-/// writer's publish CAS completed — exactly the stale read the panic below
-/// would report.
+/// writer's publish CAS completed — exactly the stale read the checker
+/// reports.
 #[test]
 fn writers_race_readers_through_the_tier() {
     race_writers_and_readers(20_000);
@@ -273,16 +215,8 @@ fn writers_race_readers_through_leases_grown_far_past_the_floor() {
 /// The writers-race-readers checker at a lease floor of `lease_ns`; returns
 /// the cache it ran on.
 fn race_writers_and_readers(lease_ns: u64) -> DittoCache {
-    let keys: Vec<Vec<u8>> = (0..KEYS)
-        .map(|i| format!("ck{i:04}").into_bytes())
-        .collect();
-    let states: Vec<KeyState> = (0..KEYS)
-        .map(|_| KeyState {
-            issued: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            write_gate: Mutex::new(()),
-        })
-        .collect();
+    let keys = make_keys("ck");
+    let states = make_states();
     // Capacity below the working set so evictions (and their board bumps)
     // race the tier as well; a short lease forces frequent revalidations.
     let cache = DittoCache::with_dedicated_pool(
@@ -290,55 +224,8 @@ fn race_writers_and_readers(lease_ns: u64) -> DittoCache {
         DmConfig::default(),
     )
     .unwrap();
-
-    let threads = 8;
-    let ops_per_thread = 3_000;
     with_event_postmortem(cache.pool(), 32, || {
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let cache = cache.clone();
-                let keys = &keys;
-                let states = &states;
-                s.spawn(move || {
-                    let mut client = cache.client();
-                    let mut rng = StdRng::seed_from_u64(splitmix(0x71E4 ^ t as u64));
-                    let mut last_seen = vec![0u64; KEYS];
-                    for _ in 0..ops_per_thread {
-                        let k = rng.gen_range(0..KEYS);
-                        let st = &states[k];
-                        if rng.gen_range(0..10u32) < 4 {
-                            let gate = st.write_gate.lock().unwrap();
-                            let v = st.issued.fetch_add(1, Ordering::SeqCst) + 1;
-                            // A dropped Set (`Err`) is issued, not completed.
-                            let completed =
-                                client.try_set(&keys[k], &encode_value(k as u64, v)).is_ok();
-                            if completed {
-                                st.completed.fetch_max(v, Ordering::SeqCst);
-                            }
-                            drop(gate);
-                            if completed {
-                                last_seen[k] = last_seen[k].max(v);
-                            }
-                        } else {
-                            let floor = st.completed.load(Ordering::SeqCst).max(last_seen[k]);
-                            if let Some(bytes) = client.get(&keys[k]) {
-                                let v = decode_version(k as u64, &bytes);
-                                assert!(
-                                    v <= st.issued.load(Ordering::SeqCst),
-                                    "key {k}: version {v} was never issued"
-                                );
-                                assert!(
-                                    v >= floor,
-                                    "key {k}: tier served stale version {v}, completed floor \
-                                     {floor} — a coherence (board/lease) hole"
-                                );
-                                last_seen[k] = v;
-                            }
-                        }
-                    }
-                });
-            }
-        });
+        checker_pass(&cache, &keys, &states, 0x71E4, 8, 3_000);
     });
 
     let snap = cache.stats().snapshot();

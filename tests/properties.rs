@@ -173,7 +173,7 @@ fn expert_weights_stay_normalised() {
     let mut rng = rng(6);
     for _ in 0..64 {
         let num_experts = rng.gen_range(2usize..6);
-        let mut weights = ExpertWeights::new(num_experts, 0.3, 0.999, 10);
+        let mut weights = ExpertWeights::new(num_experts, 0.999, 10);
         for _ in 0..rng.gen_range(0usize..300) {
             let bitmap: u64 = rng.gen();
             let position = rng.gen_range(0u64..10_000);

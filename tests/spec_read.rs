@@ -10,6 +10,8 @@
 //! The same holds of it: at most one round trip lost, never a wrong or lost
 //! value, never a leaked or doubly freed object.
 
+mod support;
+
 use ditto::algorithms::EXT_WORDS;
 use ditto::cache::hash::fnv1a64;
 use ditto::cache::local_tier::CoherenceBoard;
@@ -19,18 +21,7 @@ use ditto::cache::{object, DittoCache, DittoClient, DittoConfig};
 use ditto::dm::{DmConfig, FaultPlan, MemoryPool};
 use ditto::workloads::{Op, YcsbSpec, YcsbWorkload};
 use std::collections::HashMap;
-
-/// Nothing leaked, nothing doubly freed: every node's resident gauge equals
-/// the forensic sum of the object bytes its slots reference.
-fn assert_no_orphans(cache: &DittoCache, client: &mut DittoClient, context: &str) {
-    for mn in 0..cache.pool().num_nodes() {
-        assert_eq!(
-            cache.pool().resident_object_bytes(mn),
-            client.referenced_object_bytes_on(mn),
-            "{context}: node {mn}"
-        );
-    }
-}
+use support::{assert_no_orphans, env_u64};
 
 /// What one seeded single-client run observed.
 struct Observed {
@@ -562,10 +553,7 @@ fn faulted_hinted_sets_leave_every_value_current_and_nothing_leaked() {
     // it, a failed CAS was never applied: either way the hinted publish is
     // merely a misprediction and the Set goes the long way round, through
     // retried lookups, CASes and object WRITEs.
-    let seeds = std::env::var("DITTO_CHAOS_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2u64);
+    let seeds = env_u64("DITTO_CHAOS_SEEDS", 2);
     for seed in 0..seeds {
         let plan = FaultPlan::seeded(0x5e7 + seed).with_verb_fail_ppm(200_000);
         let cache = DittoCache::with_dedicated_pool(
