@@ -10,7 +10,9 @@
 //!
 //! [`AdaptivePolicy`] is the one policy core: [`crate::DittoClient`] and
 //! [`crate::SimCache`] both run it, so what the simulator shows is what the
-//! client's policy does.
+//! client's policy does.  It owns the weights and pays regrets; the holder
+//! only ships the buffered penalties to the controller (the simulator,
+//! whose local weights are global, discards them).
 
 use crate::error::{CacheError, CacheResult};
 use crate::history::expert_bitmap;
@@ -75,16 +77,21 @@ pub fn expert_vote(
     (victim, bitmap)
 }
 
-/// The adaptive policy of one client (or one simulator): the shared experts
-/// and this holder's weights.  With a single expert it is that expert alone
-/// — no draw, no history, no regret — which is how the paper's Ditto-LRU and
-/// Ditto-LFU configurations run.
+/// The adaptive policy of one client (or one simulator): the shared experts,
+/// this holder's local expert weights and its lazy-update penalty buffer.
+/// With a single expert it is that expert alone — no draw, no history, no
+/// regret — which is how the paper's Ditto-LRU and Ditto-LFU configurations
+/// run.
 #[derive(Clone)]
 pub struct AdaptivePolicy {
     experts: Arc<[Arc<dyn CacheAlgorithm>]>,
-    /// This holder's weights; a regret is paid with
-    /// [`ExpertWeights::apply_regret`].
-    pub(crate) weights: ExpertWeights,
+    weights: Vec<f64>,
+    /// Per-position decay `d` of a regret ([`discount`]).
+    discount: f64,
+    /// Penalties buffered since the last sync, as per-expert sums (§4.3.2).
+    pending_penalties: Vec<f64>,
+    pending_updates: usize,
+    sync_batch: usize,
 }
 
 impl AdaptivePolicy {
@@ -113,10 +120,14 @@ impl AdaptivePolicy {
                 experts.len()
             )));
         }
-        let weights = ExpertWeights::new(experts.len(), discount(history_len), sync_batch);
+        let n = experts.len();
         Ok(AdaptivePolicy {
             experts: experts.into(),
-            weights,
+            weights: vec![1.0 / n as f64; n],
+            discount: discount(history_len),
+            pending_penalties: vec![0.0; n],
+            pending_updates: 0,
+            sync_batch: sync_batch.max(1),
         })
     }
 
@@ -148,7 +159,7 @@ impl AdaptivePolicy {
             age.observe_eviction(oldest_idle);
         }
         let chosen = if self.is_adaptive() {
-            self.weights.choose_expert(rng)
+            self.choose_expert(rng)
         } else {
             0
         };
@@ -171,48 +182,15 @@ impl AdaptivePolicy {
             expert.update(metadata, ctx);
         }
     }
-}
 
-/// Per-client expert weights plus the lazy-update penalty buffer.
-#[derive(Debug, Clone)]
-pub struct ExpertWeights {
-    weights: Vec<f64>,
-    discount: f64,
-    pending_penalties: Vec<f64>,
-    pending_updates: usize,
-    batch: usize,
-}
-
-impl ExpertWeights {
-    /// Creates uniform weights for `num_experts` experts.
-    ///
-    /// `discount` is the per-position decay `d` applied to older history
-    /// entries ([`discount`] in the paper); `batch` is the number of local
-    /// updates buffered before a global synchronisation.  Penalties decay
-    /// weights at [`LEARNING_RATE`].
-    pub fn new(num_experts: usize, discount: f64, batch: usize) -> Self {
-        let num_experts = num_experts.max(1);
-        ExpertWeights {
-            weights: vec![1.0 / num_experts as f64; num_experts],
-            discount: discount.clamp(0.0, 1.0),
-            pending_penalties: vec![0.0; num_experts],
-            pending_updates: 0,
-            batch: batch.max(1),
-        }
-    }
-
-    /// Current (local) weights.
+    /// This holder's current (local) weights.
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
 
-    /// Chooses an expert index with probability proportional to its weight.
-    pub fn choose_expert<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let total: f64 = self.weights.iter().sum();
-        if total <= 0.0 {
-            return 0;
-        }
-        let mut draw = rng.gen::<f64>() * total;
+    /// Draws an expert index with probability proportional to its weight.
+    fn choose_expert<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        let mut draw = rng.gen::<f64>() * self.weights.iter().sum::<f64>();
         for (i, w) in self.weights.iter().enumerate() {
             draw -= w;
             if draw <= 0.0 {
@@ -222,45 +200,43 @@ impl ExpertWeights {
         self.weights.len() - 1
     }
 
-    /// Applies a regret for the experts in `expert_bitmap`, where the bad
-    /// eviction sits `position` entries back in the history.
-    ///
-    /// Returns `true` when enough penalties have accumulated to warrant a
-    /// global synchronisation.
-    pub fn apply_regret(&mut self, expert_bitmap: u64, position: u64) -> bool {
+    /// Pays a regret for the experts in `bitmap`, the bad eviction sitting
+    /// `position` entries back in the history: their weights decay at
+    /// [`LEARNING_RATE`], discounted by the position.  Returns `true` once
+    /// `sync_batch` regrets are buffered and a global sync is due.
+    pub fn regret(&mut self, bitmap: u64, position: u64) -> bool {
         let penalty = self.discount.powf(position as f64);
         for i in 0..self.weights.len() {
-            if expert_bitmap::contains(expert_bitmap, i) {
+            if expert_bitmap::contains(bitmap, i) {
                 self.weights[i] *= (-LEARNING_RATE * penalty).exp();
                 self.pending_penalties[i] += penalty;
             }
         }
         normalize(&mut self.weights);
         self.pending_updates += 1;
-        self.pending_updates >= self.batch
+        self.pending_updates >= self.sync_batch
     }
 
-    /// Moves the buffered penalties (compressed as per-expert sums, §4.3.2)
-    /// into the front of `out`, resets the buffer and returns the expert
-    /// count.  An `out` shorter than that keeps only what fits, so an empty
-    /// slice simply discards the batch.
-    pub fn take_pending(&mut self, out: &mut [f64]) -> usize {
+    /// Moves the buffered penalties into the front of `out`, resets the
+    /// buffer and returns the expert count, or `None` when no regret is
+    /// buffered.  An `out` shorter than that keeps only what fits, so an
+    /// empty slice discards the batch.  The holder ships it to the
+    /// [`WeightService`].
+    pub(crate) fn take_pending(&mut self, out: &mut [f64]) -> Option<usize> {
+        if self.pending_updates == 0 {
+            return None;
+        }
         self.pending_updates = 0;
         for (o, p) in out.iter_mut().zip(&self.pending_penalties) {
             *o = *p;
         }
         self.pending_penalties.fill(0.0);
-        self.weights.len()
+        Some(self.weights.len())
     }
 
-    /// Number of regrets buffered since the last synchronisation.
-    pub fn pending_updates(&self) -> usize {
-        self.pending_updates
-    }
-
-    /// Replaces the local weights with the global values returned by the
-    /// controller.
-    pub fn set_weights(&mut self, weights: &[f64]) {
+    /// Adopts the global weights the [`WeightService`] returned; a vector of
+    /// another length is ignored.
+    pub(crate) fn set_weights(&mut self, weights: &[f64]) {
         if weights.len() == self.weights.len() {
             self.weights.copy_from_slice(weights);
             normalize(&mut self.weights);
@@ -489,51 +465,68 @@ mod tests {
         assert!(agreed_by_all > 0 && agreed_by_all < 1_500);
     }
 
+    /// A policy over `n` LRU experts, for a history of `history_len`.
+    fn policy(n: usize, history_len: u64, sync_batch: usize) -> AdaptivePolicy {
+        AdaptivePolicy::from_names(&vec!["lru".to_string(); n], history_len, sync_batch).unwrap()
+    }
+
     #[test]
     fn weights_start_uniform_and_sum_to_one() {
-        let w = ExpertWeights::new(2, 0.99, 100);
+        let w = policy(2, 500, 100);
         assert_eq!(w.weights(), &[0.5, 0.5]);
     }
 
     #[test]
     fn regret_decreases_the_guilty_expert() {
-        let mut w = ExpertWeights::new(2, 0.999, 100);
+        let mut w = policy(2, 5_000, 100);
         for _ in 0..20 {
-            w.apply_regret(0b01, 0);
+            w.regret(0b01, 0);
         }
         assert!(w.weights()[0] < w.weights()[1]);
         assert!((w.weights().iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(w.weights()[0] >= MIN_WEIGHT / 2.0);
+        // 150 regrets would decay the guilty weight to about e^-15; the
+        // clamp holds it at the fixed point a = MIN_WEIGHT / (1 + MIN_WEIGHT
+        // - a), which is MIN_WEIGHT itself.
+        for _ in 20..150 {
+            w.regret(0b01, 0);
+        }
+        assert!(w.weights()[0] > 0.0);
+        assert!(
+            (w.weights()[0] - MIN_WEIGHT).abs() < 1e-12,
+            "w0 = {}",
+            w.weights()[0]
+        );
     }
 
     #[test]
     fn older_regrets_are_penalised_less() {
-        let mut fresh = ExpertWeights::new(2, 0.9, 100);
-        let mut stale = ExpertWeights::new(2, 0.9, 100);
-        fresh.apply_regret(0b01, 0);
-        stale.apply_regret(0b01, 50);
+        let mut fresh = policy(2, 50, 100);
+        let mut stale = policy(2, 50, 100);
+        fresh.regret(0b01, 0);
+        stale.regret(0b01, 50);
         assert!(fresh.weights()[0] < stale.weights()[0]);
     }
 
     #[test]
     fn batch_threshold_triggers_sync() {
-        let mut w = ExpertWeights::new(2, 0.99, 3);
-        assert!(!w.apply_regret(0b10, 0));
-        assert!(!w.apply_regret(0b10, 1));
-        assert!(w.apply_regret(0b10, 2));
+        let mut w = policy(2, 500, 3);
+        assert!(!w.regret(0b10, 0));
+        assert!(!w.regret(0b10, 1));
+        assert!(w.regret(0b10, 2));
         let mut pending = [0.0; 2];
-        assert_eq!(w.take_pending(&mut pending), 2);
+        assert_eq!(w.take_pending(&mut pending), Some(2));
         assert!(pending[1] > pending[0]);
-        assert_eq!(w.pending_updates(), 0);
-        assert_eq!(w.take_pending(&mut pending), 2);
-        assert_eq!(pending, [0.0; 2], "taking resets the buffer");
+        assert_eq!(w.take_pending(&mut pending), None, "nothing is buffered");
+        w.regret(0b01, 0);
+        assert_eq!(w.take_pending(&mut pending), Some(2));
+        assert_eq!(pending, [1.0, 0.0], "taking resets the buffer");
     }
 
     #[test]
     fn choose_expert_follows_weights() {
-        let mut w = ExpertWeights::new(2, 0.99, 100);
+        let mut w = policy(2, 500, 100);
         for _ in 0..200 {
-            w.apply_regret(0b01, 0);
+            w.regret(0b01, 0);
         }
         let mut rng = StdRng::seed_from_u64(5);
         let picks_of_1 = (0..1_000)
@@ -544,7 +537,7 @@ mod tests {
 
     #[test]
     fn set_weights_ignores_mismatched_lengths() {
-        let mut w = ExpertWeights::new(2, 0.99, 10);
+        let mut w = policy(2, 500, 10);
         w.set_weights(&[0.9, 0.1, 0.0]);
         assert_eq!(w.weights(), &[0.5, 0.5]);
         w.set_weights(&[0.8, 0.2]);

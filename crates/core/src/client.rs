@@ -413,9 +413,7 @@ impl DittoClient {
                 .with_retry(MAX_RETRIES, |dm| dm.try_faa(addr, delta));
             self.stats.record_fc_flush();
         }
-        if self.policy.weights.pending_updates() > 0 {
-            self.sync_weights();
-        }
+        self.sync_weights();
     }
 
     // ------------------------------------------------------------------
@@ -1122,19 +1120,19 @@ impl DittoClient {
         // the full history length, not a shard's slice of it.
         let position = self.history.global_position(estimate, id);
         self.stats.record_regret();
-        if self
-            .policy
-            .weights
-            .apply_regret(entry.expert_bitmap(), position)
-        {
+        if self.policy.regret(entry.expert_bitmap(), position) {
             self.sync_weights();
         }
     }
 
+    /// Ships the buffered regret penalties, if any, to the controller and
+    /// adopts the global weights it returns.
     fn sync_weights(&mut self) {
         // Fixed buffers: a weight sync must not allocate either.
         let mut values = [0.0; MAX_EXPERTS];
-        let n = self.policy.weights.take_pending(&mut values);
+        let Some(n) = self.policy.take_pending(&mut values) else {
+            return;
+        };
         let mut request = [0u8; weight_wire::wire_len(MAX_EXPERTS)];
         let len = weight_wire::encode(&values[..n], &mut request);
         let mut reply = [0u8; weight_wire::wire_len(MAX_EXPERTS)];
@@ -1144,7 +1142,7 @@ impl DittoClient {
             .rpc_into(0, WEIGHT_SERVICE, &request[..len], &mut reply)
         {
             if let Ok(n) = weight_wire::decode(&reply[..len], &mut values) {
-                self.policy.weights.set_weights(&values[..n]);
+                self.policy.set_weights(&values[..n]);
             }
             self.stats.record_weight_sync();
         }

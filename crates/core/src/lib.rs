@@ -14,7 +14,8 @@
 //!
 //! [`sim`] additionally provides a process-local simulator for fast
 //! hit-rate sweeps that runs the client's own adaptive policy
-//! ([`adaptive::AdaptivePolicy`]) with the same parameters, and [`recovery`] documents the crash-consistency model behind
+//! ([`adaptive::AdaptivePolicy`]) with the same parameters, and
+//! [`recovery`] documents the crash-consistency model behind
 //! [`DittoClient::recover_crashed_client`] — what a client death can leak
 //! and how a survivor reclaims it (see also the *Failure model* section of
 //! the [`ditto_dm`] crate docs for the fault classes and lease protocol).
@@ -285,7 +286,7 @@ pub mod sim;
 pub mod slot;
 pub mod stats;
 
-pub use adaptive::{ExpertWeights, WeightService};
+pub use adaptive::{AdaptivePolicy, WeightService};
 pub use cache::DittoCache;
 pub use client::DittoClient;
 pub use config::DittoConfig;

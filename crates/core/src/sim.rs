@@ -175,7 +175,7 @@ impl SimCache {
 
     /// Current expert weights.
     pub fn weights(&self) -> &[f64] {
-        self.policy.weights.weights()
+        self.policy.weights()
     }
 
     /// Number of cached objects.
@@ -223,9 +223,10 @@ impl SimCache {
         }
         self.stats.regrets += 1;
         let bitmap = entry.bitmap;
-        self.policy.weights.apply_regret(bitmap, position);
-        // Local weights are the global weights in the simulator.
-        self.policy.weights.take_pending(&mut []);
+        self.policy.regret(bitmap, position);
+        // Local weights are the global weights in the simulator: the
+        // buffered penalties have no controller to go to.
+        self.policy.take_pending(&mut []);
     }
 
     fn evict_once(&mut self) {

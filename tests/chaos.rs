@@ -6,10 +6,11 @@
 //!
 //! * **No lost acknowledged write.**  Every `Get` that hits must decode to
 //!   a version at least the completed floor, checked by the checker
-//!   `tests/concurrent.rs` runs (`tests/support`) — injected verb faults may degrade operations
-//!   (a Get to a miss, a Set to an invalidation or a `SetDropped` error)
-//!   but never roll a key back.  A Set that returned `Err` counts as issued
-//!   but not completed: its value may or may not have landed.
+//!   `tests/concurrent.rs` runs (`tests/support`) — injected verb faults
+//!   may degrade operations (a Get to a miss, a Set to an invalidation or
+//!   a `SetDropped` error) but never roll a key back.  A Set that returned
+//!   `Err` counts as issued but not completed: its value may or may not
+//!   have landed.
 //! * **No permanently wedged bucket.**  After the faulted window is
 //!   disarmed, every key can be re-set and re-read cleanly and migration
 //!   plans drain to completion.

@@ -8,7 +8,7 @@
 use ditto::algorithms::{registry, AccessContext, Metadata};
 use ditto::cache::fc_cache::FcCache;
 use ditto::cache::slot::{AtomicField, Slot, SLOT_SIZE};
-use ditto::cache::ExpertWeights;
+use ditto::cache::AdaptivePolicy;
 use ditto::dm::{DmConfig, MemoryNode, MemoryPool, RemoteAddr};
 use ditto::workloads::Zipfian;
 use rand::rngs::StdRng;
@@ -173,14 +173,15 @@ fn expert_weights_stay_normalised() {
     let mut rng = rng(6);
     for _ in 0..64 {
         let num_experts = rng.gen_range(2usize..6);
-        let mut weights = ExpertWeights::new(num_experts, 0.999, 10);
-        for _ in 0..rng.gen_range(0usize..300) {
+        let names = vec!["lru".to_string(); num_experts];
+        let mut policy = AdaptivePolicy::from_names(&names, 5_000, 10).unwrap();
+        for _ in 0..rng.gen_range(0usize..900) {
             let bitmap: u64 = rng.gen();
             let position = rng.gen_range(0u64..10_000);
-            weights.apply_regret(bitmap, position);
-            let sum: f64 = weights.weights().iter().sum();
+            policy.regret(bitmap, position);
+            let sum: f64 = policy.weights().iter().sum();
             assert!((sum - 1.0).abs() < 1e-6, "weights sum to {sum}");
-            assert!(weights.weights().iter().all(|w| *w > 0.0 && w.is_finite()));
+            assert!(policy.weights().iter().all(|w| *w > 0.0 && w.is_finite()));
         }
     }
 }
