@@ -80,9 +80,8 @@ const TIER_CAPACITY: usize = 2_048;
 const TIER_LEASE_NS: u64 = 50_000;
 /// The most the tier-enabled run's messages per op may be of the
 /// remote-only run's, per gated θ (0.409 and 0.500 measured).  θ=0.9 sits
-/// on ROADMAP item 9(b)'s 0.5 since tier hits write `last_ts` like remote
-/// ones (0.095 msg/op of its 1.309 in this short window, 0.464 without),
-/// hence the margin.
+/// on 0.5 since tier hits write `last_ts` like remote ones (0.095 msg/op of
+/// its 1.309 in this short window, 0.464 without), hence the margin.
 const TIER_MAX_MESSAGE_RATIO: [(f64, f64); 2] = [(0.99, 0.5), (0.9, 0.52)];
 
 /// Load phase (not measured): a `Set` of every record `0..record_count`,

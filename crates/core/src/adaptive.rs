@@ -206,13 +206,14 @@ impl AdaptivePolicy {
     /// `sync_batch` regrets are buffered and a global sync is due.
     pub fn regret(&mut self, bitmap: u64, position: u64) -> bool {
         let penalty = self.discount.powf(position as f64);
-        for i in 0..self.weights.len() {
+        let mut penalties = [0.0; MAX_EXPERTS];
+        for (i, pending) in self.pending_penalties.iter_mut().enumerate() {
             if expert_bitmap::contains(bitmap, i) {
-                self.weights[i] *= (-LEARNING_RATE * penalty).exp();
-                self.pending_penalties[i] += penalty;
+                penalties[i] = penalty;
+                *pending += penalty;
             }
         }
-        normalize(&mut self.weights);
+        decay(&mut self.weights, &penalties);
         self.pending_updates += 1;
         self.pending_updates >= self.sync_batch
     }
@@ -242,6 +243,17 @@ impl AdaptivePolicy {
             normalize(&mut self.weights);
         }
     }
+}
+
+/// Decays each weight by `exp(−λ·penalty)` at [`LEARNING_RATE`] and
+/// renormalises: the one update rule of a client's local regret and the
+/// controller's global sync.  A zero penalty multiplies its weight by
+/// exactly 1 (`exp(-0.0)`), so experts a regret spares decay not at all.
+fn decay(weights: &mut [f64], penalties: &[f64]) {
+    for (w, penalty) in weights.iter_mut().zip(penalties) {
+        *w *= (-LEARNING_RATE * penalty).exp();
+    }
+    normalize(weights);
 }
 
 /// Clamps every weight to at least [`MIN_WEIGHT`] (a non-finite one to
@@ -349,10 +361,7 @@ impl RpcHandler for WeightService {
                 reason: format!("reply buffer too short for {n} weights"),
             });
         }
-        for (w, penalty) in weights.iter_mut().zip(penalties) {
-            *w *= (-LEARNING_RATE * penalty).exp();
-        }
-        normalize(&mut weights);
+        decay(&mut weights, &penalties);
         Ok((weight_wire::encode(&weights, response), WEIGHT_RPC_CPU_NS))
     }
 }

@@ -514,19 +514,19 @@ mod tests {
         // plus posting charges (the sample READ and the FAA on the lookup's
         // doorbell, the victim CAS on its own), three more polls and the CPU
         // work on one sample — no serial CAS.
-        let dm = DmConfig::default();
-        let posting = dm.doorbell_latency_ns + 3 * dm.verb_issue_ns + 3 * dm.cq_poll_ns;
+        let posting =
+            DmConfig::DOORBELL_LATENCY_NS + 3 * DmConfig::VERB_ISSUE_NS + 3 * DmConfig::CQ_POLL_NS;
         let cpu = DittoConfig::SAMPLE_SIZE as u64
             * (DittoConfig::CPU_DECODE_SLOT_NS + DittoConfig::CPU_SCORE_CANDIDATE_NS);
-        let overhead = (dm.faa_latency_ns - dm.read_latency_ns) + posting + cpu;
-        assert!(overhead < dm.cas_latency_ns / 2, "{overhead}");
+        let overhead = (DmConfig::FAA_LATENCY_NS - DmConfig::READ_LATENCY_NS) + posting + cpu;
+        assert!(overhead < DmConfig::CAS_LATENCY_NS / 2, "{overhead}");
         assert!(*latencies.iter().min().unwrap() <= plain_set_ns(200) + overhead);
     }
 
     #[test]
     fn fills_cost_one_round_trip_per_sample_past_the_first() {
         let (cache, mut client) = pressured();
-        let (plain, read) = (plain_set_ns(200), DmConfig::default().read_latency_ns);
+        let (plain, read) = (plain_set_ns(200), DmConfig::READ_LATENCY_NS);
         // Sample READs of an insert's eviction → how many such fills.
         let mut classes = BTreeMap::new();
         for key in 2_000..4_000 {
@@ -567,7 +567,7 @@ mod tests {
     #[test]
     fn set_without_a_spare_falls_back_to_the_inline_eviction() {
         let (cache, mut client) = pressured();
-        let (cfg, paths) = (DmConfig::default(), cache.stats());
+        let paths = cache.stats();
         client.release_parked_memory(); // the spare goes back to the node
         let (inline, overlapped) = (paths.evictions_inline(), paths.evictions_overlapped());
         // A one-block object: the victim leaves room to spare, so this Set
@@ -582,14 +582,12 @@ mod tests {
         // It precedes the lookup: the first sample READ and the history FAA
         // behind one doorbell, further samples one READ each, the victim CAS
         // — a round trip fewer than READ, then FAA, then CAS.
-        let resamples = (samples - 1) * cfg.read_latency_ns;
+        let (read, faa) = (DmConfig::READ_LATENCY_NS, DmConfig::FAA_LATENCY_NS);
+        let resamples = (samples - 1) * read;
         let before_lookup = cold - plain_set_ns(1);
-        let chain = cfg.read_latency_ns.max(cfg.faa_latency_ns) + cfg.cas_latency_ns;
+        let chain = read.max(faa) + DmConfig::CAS_LATENCY_NS;
         assert!(before_lookup >= chain + resamples, "{cold}");
-        assert!(
-            before_lookup < chain + cfg.read_latency_ns.min(cfg.faa_latency_ns) + resamples,
-            "{cold}"
-        );
+        assert!(before_lookup < chain + read.min(faa) + resamples, "{cold}");
         // What is left of the victim does not hold a full-size object: the
         // next Set evicts inline once more and leaves a spare behind, the one
         // after it only overlaps.

@@ -717,6 +717,7 @@ mod tests {
     use crate::config::DittoConfig;
     use crate::hash::{fingerprint, fnv1a64};
     use crate::slot::{AtomicField, SLOTS_PER_BUCKET, SLOT_SIZE};
+    use ditto_dm::stats::VerbKind;
     use ditto_dm::{DmConfig, RemoteAddr};
 
     fn small_cache() -> DittoCache {
@@ -956,7 +957,7 @@ mod tests {
 
     #[test]
     fn hinted_get_is_one_round_trip() {
-        let (dm, decode) = (DmConfig::default(), DittoConfig::CPU_DECODE_SLOT_NS);
+        let decode = DittoConfig::CPU_DECODE_SLOT_NS;
         // A one-block object, whose flight the slot's poll and decode
         // outlast, and a 1 KiB one, which hides them.
         for value in [&[1u8; 1][..], &[1u8; 1_024][..]] {
@@ -969,16 +970,16 @@ mod tests {
             let elapsed = timed_get(&mut client, b"probe");
             // One doorbell carrying two READs; the slot is polled and
             // decoded while the object is in flight; one more poll.
-            let posting = dm.doorbell_latency_ns + 2 * dm.verb_issue_ns;
-            let slot = dm.transfer_latency_ns(dm.read_latency_ns, SLOT_SIZE);
-            let object = dm.transfer_latency_ns(dm.read_latency_ns, object_bytes);
-            let flight = object.max(slot + dm.cq_poll_ns + decode);
+            let posting = DmConfig::DOORBELL_LATENCY_NS + 2 * DmConfig::VERB_ISSUE_NS;
+            let slot = DmConfig::verb_latency_ns(VerbKind::Read, SLOT_SIZE);
+            let object = DmConfig::verb_latency_ns(VerbKind::Read, object_bytes);
+            let flight = object.max(slot + DmConfig::CQ_POLL_NS + decode);
             assert_eq!(
                 elapsed,
-                posting + flight + dm.cq_poll_ns,
+                posting + flight + DmConfig::CQ_POLL_NS,
                 "{object_bytes} B"
             );
-            assert!(elapsed < 2 * dm.read_latency_ns);
+            assert!(elapsed < 2 * DmConfig::READ_LATENCY_NS);
             assert_eq!(cache.pool().stats().node_snapshots()[0].reads, 2);
             let stats = cache.stats();
             assert_eq!(
@@ -1026,12 +1027,11 @@ mod tests {
         // The slot no longer held the hinted word: the Get went on as
         // without a hint, one completed round trip later, and the
         // object READ behind the slot READ was wasted with it.
-        let dm = DmConfig::default();
-        let slot = dm.transfer_latency_ns(dm.read_latency_ns, SLOT_SIZE);
-        let object = dm.transfer_latency_ns(dm.read_latency_ns, stale_object);
-        let posting = dm.doorbell_latency_ns + 2 * dm.verb_issue_ns;
-        let flight = object.max(slot + dm.cq_poll_ns);
-        let round_trip = posting + flight + dm.cq_poll_ns;
+        let slot = DmConfig::verb_latency_ns(VerbKind::Read, SLOT_SIZE);
+        let object = DmConfig::verb_latency_ns(VerbKind::Read, stale_object);
+        let posting = DmConfig::DOORBELL_LATENCY_NS + 2 * DmConfig::VERB_ISSUE_NS;
+        let flight = object.max(slot + DmConfig::CQ_POLL_NS);
+        let round_trip = posting + flight + DmConfig::CQ_POLL_NS;
         assert_eq!(mispredicted, unhinted + round_trip);
         let reads = cache.pool().stats().node_snapshots()[0].reads;
         assert_eq!(reads, unhinted_reads + 2);
@@ -1050,7 +1050,6 @@ mod tests {
 
     #[test]
     fn hinted_replace_is_one_round_trip() {
-        let dm = DmConfig::default();
         // A one-block object, whose WRITE the CAS outlasts, and a 1 KiB one.
         for size in [1, 1_024] {
             let cache = small_cache();
@@ -1077,9 +1076,9 @@ mod tests {
             // One doorbell carrying the WRITE and the CAS, one poll — and the
             // `last_ts` WRITE of the update, which nobody waits for.
             let hinted = replace(&mut client, 2);
-            let posting = dm.doorbell_latency_ns + 2 * dm.verb_issue_ns;
-            let write = dm.transfer_latency_ns(dm.write_latency_ns, object_bytes);
-            let round_trip = posting + write.max(dm.cas_latency_ns) + dm.cq_poll_ns;
+            let posting = DmConfig::DOORBELL_LATENCY_NS + 2 * DmConfig::VERB_ISSUE_NS;
+            let write = DmConfig::verb_latency_ns(VerbKind::Write, object_bytes);
+            let round_trip = posting + write.max(DmConfig::CAS_LATENCY_NS) + DmConfig::CQ_POLL_NS;
             assert_eq!(hinted, (round_trip, 1, 2, 3), "{object_bytes} B");
             // The hint follows the word: the next replace repeats the feat.
             assert_eq!(replace(&mut client, 3), hinted);
@@ -1093,7 +1092,7 @@ mod tests {
             client.hints.forget(fnv1a64(b"probe"));
             let unhinted = replace(&mut client, 4);
             assert_eq!((unhinted.1, unhinted.2, unhinted.3), (1, 3, 5));
-            assert!(unhinted.0 > round_trip + dm.cas_latency_ns);
+            assert!(unhinted.0 > round_trip + DmConfig::CAS_LATENCY_NS);
             assert_eq!(stats.spec_publishes_issued(), 2);
         }
     }
@@ -1129,9 +1128,10 @@ mod tests {
         // issue, flight and poll; the WRITE merely moved off the lookup's
         // doorbell onto that one — and published the right value over the
         // writer's, whose object it freed.
-        let dm = DmConfig::default();
-        let round_trip =
-            dm.doorbell_latency_ns + dm.verb_issue_ns + dm.cas_latency_ns + dm.cq_poll_ns;
+        let round_trip = DmConfig::DOORBELL_LATENCY_NS
+            + DmConfig::VERB_ISSUE_NS
+            + DmConfig::CAS_LATENCY_NS
+            + DmConfig::CQ_POLL_NS;
         assert_eq!(mispredicted, unhinted + round_trip);
         let node = cache.pool().stats().node_snapshots()[0];
         assert_eq!((node.writes, node.reads, node.cas), (2, 2, 2));

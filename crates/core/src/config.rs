@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`crate::DittoCache`].
 ///
-/// The defaults follow §5.1 of the paper: 5-object eviction samples
+/// The defaults follow §5.1 of the paper: 5-slot eviction samples
 /// ([`DittoConfig::SAMPLE_SIZE`]), a frequency-counter threshold of 10 with
 /// a 10 MB client-side cache, a learning rate of 0.1
 /// ([`crate::adaptive::LEARNING_RATE`]), weight synchronisation every 100
@@ -18,8 +18,6 @@ pub struct DittoConfig {
     pub capacity_objects: u64,
     /// Expected object size in bytes (value only), used to size the pool.
     pub avg_object_size: u32,
-    /// Extra bytes per object (key + object header), used to size the pool.
-    pub object_overhead_bytes: u32,
     /// Frequency-counter cache flush threshold *t*.
     pub fc_threshold: u64,
     /// Frequency-counter cache size in megabytes.
@@ -78,7 +76,6 @@ impl Default for DittoConfig {
         DittoConfig {
             capacity_objects: 100_000,
             avg_object_size: 256,
-            object_overhead_bytes: 32,
             fc_threshold: 10,
             fc_cache_mb: 10.0,
             weight_sync_batch: 100,
@@ -144,8 +141,13 @@ impl DittoConfig {
         self
     }
 
-    /// Objects sampled per eviction (K).
+    /// Hash-table slots sampled per eviction (K), not objects: a span of `K`
+    /// consecutive slots, of which only those holding a live object are
+    /// scored as candidates.
     pub const SAMPLE_SIZE: usize = 5;
+
+    /// Extra bytes per object (key + object header), used to size the pool.
+    pub const OBJECT_OVERHEAD_BYTES: u32 = 32;
 
     /// Client CPU nanoseconds charged per hash-table slot decoded on the
     /// data path (bucket and eviction-sample decoding).  Work done between
@@ -169,7 +171,7 @@ impl DittoConfig {
 
     /// Number of 64-byte blocks an average object occupies.
     pub fn avg_object_blocks(&self) -> u64 {
-        ((self.avg_object_size + self.object_overhead_bytes) as u64).div_ceil(64)
+        ((self.avg_object_size + Self::OBJECT_OVERHEAD_BYTES) as u64).div_ceil(64)
     }
 
     /// Maximum number of entries the frequency-counter cache may hold

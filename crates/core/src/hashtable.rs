@@ -80,31 +80,18 @@ impl SampleFriendlyHashTable {
             let mn = topology.node_for_stripe(s);
             bases.push(pool.reserve_on(mn, stripe_bytes)?);
         }
+        // The stripe directory is told the table's record layout: of each
+        // 40-byte slot clients CAS the atomic word alone — its first
+        // ([`Self::atomic_addr`]) — so that is the only word a stripe cutover
+        // has to poison (see [`ditto_dm::RECONCILE_POISON`]); hash,
+        // timestamps and frequency are plain data the cutover copies.
+        let directory =
+            StripeDirectory::new(&bases, stripe_bytes).with_cas_words(SLOT_SIZE as u64, 0);
         Ok(SampleFriendlyHashTable {
-            stripes: Arc::new(Self::directory_over(&bases, stripe_bytes)),
+            stripes: Arc::new(directory),
             num_buckets,
             buckets_per_stripe,
         })
-    }
-
-    /// Re-creates a single-stripe descriptor from its parts (e.g. when
-    /// sharing the table address across processes).
-    pub fn from_parts(base: RemoteAddr, num_buckets: u64) -> Self {
-        let stripe_bytes = num_buckets * BUCKET_SIZE as u64;
-        SampleFriendlyHashTable {
-            stripes: Arc::new(Self::directory_over(&[base], stripe_bytes)),
-            num_buckets,
-            buckets_per_stripe: num_buckets,
-        }
-    }
-
-    /// A stripe directory told the table's record layout: of each 40-byte
-    /// slot clients CAS the atomic word alone — its first
-    /// ([`Self::atomic_addr`]) — so that is the only word a stripe cutover
-    /// has to poison (see [`ditto_dm::RECONCILE_POISON`]); hash, timestamps
-    /// and frequency are plain data the cutover copies.
-    fn directory_over(bases: &[RemoteAddr], stripe_bytes: u64) -> StripeDirectory {
-        StripeDirectory::new(bases, stripe_bytes).with_cas_words(SLOT_SIZE as u64, 0)
     }
 
     /// Base address of the first stripe.

@@ -59,14 +59,6 @@ impl EvictionHistory {
         })
     }
 
-    /// Builds a single-shard descriptor from its parts.
-    pub fn from_parts(counter_addr: RemoteAddr, capacity: u64) -> Self {
-        EvictionHistory {
-            shards: vec![counter_addr].into(),
-            capacity: capacity.max(1),
-        }
-    }
-
     /// Address of shard `shard`'s history counter.
     pub fn counter_addr(&self, shard: u64) -> RemoteAddr {
         self.shards[(shard % self.num_shards()) as usize]
@@ -87,17 +79,6 @@ impl EvictionHistory {
         (self.capacity / self.num_shards()).max(1)
     }
 
-    /// The shard an eviction's history entry is homed on, derived from the
-    /// victim's key hash: entries spread uniformly over every shard
-    /// regardless of how many clients are running, so the per-shard FIFO
-    /// windows of `capacity / num_shards` jointly approximate the global
-    /// FIFO of the paper's single-counter design (and the counter FAAs
-    /// spread across the pool's memory nodes).
-    pub fn shard_for_hash(&self, hash: u64) -> u64 {
-        // High bits: the low bits already select the bucket/stripe.
-        (hash >> 32) % self.num_shards()
-    }
-
     /// The shard an embedded history id belongs to.
     pub fn shard_of_id(&self, id: u64) -> u64 {
         (id >> HISTORY_COUNT_BITS) % self.num_shards()
@@ -108,17 +89,11 @@ impl EvictionHistory {
         (shard << HISTORY_COUNT_BITS) | (count % HISTORY_COUNTER_PERIOD)
     }
 
-    /// Acquires a fresh history id on `shard` with one `RDMA_FAA` and
-    /// returns it along with the shard counter value *after* the increment
-    /// (the client's new local estimate of that shard's queue tail).
-    pub fn acquire_id(&self, client: &DmClient, shard: u64) -> (u64, u64) {
-        Self::id_from_counter(shard, client.faa(self.counter_addr(shard), 1))
-    }
-
-    /// The history id — and the shard counter's value after the increment —
-    /// that an `RDMA_FAA(1)` on `shard`'s counter acquired when it fetched
-    /// `old`.  Lets a client that *posted* the FAA (overlapping its round
-    /// trip with other work) finish the acquisition once the value landed.
+    /// The history id — and the shard counter's value after the increment,
+    /// the client's new estimate of that shard's queue tail — that an
+    /// `RDMA_FAA(1)` on `shard`'s counter acquired when it fetched `old`.
+    /// The client posts the FAA, overlapping its round trip with other
+    /// work, and finishes the acquisition here once the value landed.
     pub fn id_from_counter(shard: u64, old: u64) -> (u64, u64) {
         let old = old % HISTORY_COUNTER_PERIOD;
         (
@@ -128,13 +103,8 @@ impl EvictionHistory {
     }
 
     /// Reads the current value of `shard`'s history counter (one
-    /// `RDMA_READ`); used to refresh a client's local estimate.
-    pub fn read_counter(&self, client: &DmClient, shard: u64) -> u64 {
-        client.read_u64(self.counter_addr(shard)) % HISTORY_COUNTER_PERIOD
-    }
-
-    /// Fallible [`EvictionHistory::read_counter`]: a faulted refresh keeps the
-    /// caller's stale estimate instead of panicking.
+    /// `RDMA_READ`) to refresh a client's local estimate; a faulted refresh
+    /// keeps the caller's stale estimate instead of panicking.
     pub fn try_read_counter(&self, client: &DmClient, shard: u64) -> DmResult<u64> {
         Ok(client.try_read_u64(self.counter_addr(shard))? % HISTORY_COUNTER_PERIOD)
     }
@@ -198,17 +168,27 @@ mod tests {
         (pool, history)
     }
 
+    /// Acquires an id on `shard` as the client does: one FAA on the shard's
+    /// counter, decoded by [`EvictionHistory::id_from_counter`].
+    fn acquire(history: &EvictionHistory, client: &DmClient, shard: u64) -> (u64, u64) {
+        EvictionHistory::id_from_counter(shard, client.faa(history.counter_addr(shard), 1))
+    }
+
+    fn counter(history: &EvictionHistory, client: &DmClient, shard: u64) -> u64 {
+        history.try_read_counter(client, shard).unwrap()
+    }
+
     #[test]
     fn ids_are_sequential_within_a_shard() {
         let (pool, history) = setup(10);
         let client = pool.connect();
         assert_eq!(history.num_shards(), 1);
-        let (a, next_a) = history.acquire_id(&client, 0);
-        let (b, _) = history.acquire_id(&client, 0);
+        let (a, next_a) = acquire(&history, &client, 0);
+        let (b, _) = acquire(&history, &client, 0);
         assert_eq!(a, 0);
         assert_eq!(next_a, 1);
         assert_eq!(b, 1);
-        assert_eq!(history.read_counter(&client, 0), 2);
+        assert_eq!(counter(&history, &client, 0), 2);
     }
 
     #[test]
@@ -241,33 +221,16 @@ mod tests {
         }
         let client = pool.connect();
         for shard in 0..4u64 {
-            let (id, tail) = history.acquire_id(&client, shard);
+            let (id, tail) = acquire(&history, &client, shard);
             assert_eq!(history.shard_of_id(id), shard);
             assert_eq!(id, EvictionHistory::pack_id(shard, 0));
             assert_eq!(tail, 1);
         }
         // Counters advance independently per shard.
-        let (id2, _) = history.acquire_id(&client, 2);
+        let (id2, _) = acquire(&history, &client, 2);
         assert_eq!(id2, EvictionHistory::pack_id(2, 1));
-        assert_eq!(history.read_counter(&client, 0), 1);
-        assert_eq!(history.read_counter(&client, 2), 2);
-    }
-
-    #[test]
-    fn hash_homing_spreads_entries_over_every_shard() {
-        let pool = MemoryPool::new(DmConfig::small().with_memory_nodes(4));
-        let history = EvictionHistory::create(&pool, 100).unwrap();
-        let mut counts = [0u64; 4];
-        for key in 0..4_000u64 {
-            let hash = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            counts[history.shard_for_hash(hash) as usize] += 1;
-        }
-        for (shard, &count) in counts.iter().enumerate() {
-            assert!(
-                (600..=1_400).contains(&count),
-                "shard {shard} received {count}/4000 entries — badly skewed"
-            );
-        }
+        assert_eq!(counter(&history, &client, 0), 1);
+        assert_eq!(counter(&history, &client, 2), 2);
     }
 
     #[test]
@@ -292,7 +255,7 @@ mod tests {
                     s.spawn(move || {
                         let client = pool.connect();
                         (0..250)
-                            .map(|_| history.acquire_id(&client, 0).0)
+                            .map(|_| acquire(&history, &client, 0).0)
                             .collect::<Vec<_>>()
                     })
                 })

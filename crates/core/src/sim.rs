@@ -3,16 +3,18 @@
 //! The motivation and adaptivity figures (3, 4, 5, 18, 20–22) sweep dozens of
 //! workloads × cache sizes × client counts and only need *hit rates*, not DM
 //! message counts.  [`SimCache`] reproduces Ditto's behaviour — sample-based
-//! eviction of [`DittoConfig::SAMPLE_SIZE`] candidates, priority functions,
-//! a FIFO eviction history as long as the cache and the regret-minimisation
-//! weights — on plain process memory, so those sweeps run orders of
-//! magnitude faster than the full DM data path.  Every policy step goes
-//! through the client's own [`AdaptivePolicy`]: the same expert draw, vote,
-//! eviction notice, update rules and regret, with the same learning rate
-//! and discount — and the same rule for when a hit leaves `last_ts` alone
-//! ([`crate::recency`]), on its logical clock of one tick per request.  What
-//! differs is only where the weights live: the simulator's local weights
-//! are its global weights.
+//! eviction, priority functions, an eviction history as long as the cache
+//! and the regret-minimisation weights — on plain process memory, so those
+//! sweeps run orders of magnitude faster than the full DM data path.  Every
+//! policy step goes through the client's own [`AdaptivePolicy`]: the same
+//! expert draw, vote, eviction notice, update rules and regret, with the
+//! same learning rate and discount — and the same rule for when a hit
+//! leaves `last_ts` alone ([`crate::recency`]), on its logical clock of one
+//! tick per request.  Two things differ.  The simulator's local weights are
+//! its global weights.  And it scores [`DittoConfig::SAMPLE_SIZE`] resident
+//! objects per eviction, where the client reads that many *slots* of a table
+//! at most a third full and so scores fewer candidates: the simulator's hit
+//! rates are not the client's.
 
 use crate::adaptive::AdaptivePolicy;
 use crate::config::DittoConfig;
@@ -23,7 +25,6 @@ use ditto_algorithms::{AccessContext, AccessKind, CacheAlgorithm, Metadata};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Configuration of a [`SimCache`].
@@ -34,17 +35,17 @@ pub struct SimConfig {
     /// Expert algorithm names; two or more run the adaptive scheme, one
     /// runs that expert alone.
     pub experts: Vec<String>,
-    /// RNG seed for sampling and expert choice.
-    pub seed: u64,
 }
 
 impl SimConfig {
+    /// RNG seed for sampling and expert choice.
+    pub const SEED: u64 = 7;
+
     /// Adaptive LRU+LFU configuration (Ditto's default experts).
     pub fn adaptive(capacity_objects: usize) -> Self {
         SimConfig {
             capacity_objects: capacity_objects.max(1),
             experts: vec!["lru".to_string(), "lfu".to_string()],
-            seed: 7,
         }
     }
 
@@ -54,12 +55,6 @@ impl SimConfig {
             experts: vec![algorithm.to_string()],
             ..SimConfig::adaptive(capacity_objects)
         }
-    }
-
-    /// Sets the RNG seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }
 
@@ -113,8 +108,9 @@ pub struct SimCache {
     policy: AdaptivePolicy,
     entries: FxHashMap<Vec<u8>, Entry>,
     keys: Vec<Vec<u8>>,
+    /// Evicted keys by their newest eviction; an entry expires once
+    /// `capacity` evictions followed it (see [`SimCache::check_regret`]).
     history: FxHashMap<Vec<u8>, HistoryEntry>,
-    history_fifo: VecDeque<Vec<u8>>,
     history_counter: u64,
     clock: u64,
     eviction_age: EvictionAge,
@@ -155,12 +151,11 @@ impl SimCache {
             entries: FxHashMap::default(),
             keys: Vec::new(),
             history: FxHashMap::default(),
-            history_fifo: VecDeque::new(),
             history_counter: 0,
             clock: 0,
             eviction_age: EvictionAge::default(),
             last_ts_divisor: LAST_TS_DIVISOR,
-            rng: StdRng::seed_from_u64(config.seed),
+            rng: StdRng::seed_from_u64(SimConfig::SEED),
             stats: SimStats::default(),
             config,
             candidate_idx: Vec::with_capacity(DittoConfig::SAMPLE_SIZE),
@@ -212,13 +207,17 @@ impl SimCache {
         }
     }
 
+    /// Pays the regret a miss on `key` owes when the key was evicted within
+    /// the last `capacity` evictions — the history is as long as the cache,
+    /// the window [`crate::EvictionHistory::is_valid`] applies in the
+    /// client.  An entry found past the window is dropped.
     fn check_regret(&mut self, key: &[u8]) {
         let Some(entry) = self.history.get(key) else {
             return;
         };
         let position = self.history_counter.saturating_sub(entry.id);
-        // The history is as long as the cache.
         if position as usize > self.config.capacity_objects {
+            self.history.remove(key);
             return;
         }
         self.stats.regrets += 1;
@@ -268,23 +267,8 @@ impl SimCache {
 
         if self.policy.is_adaptive() {
             self.history_counter += 1;
-            // The owned victim key moves into the FIFO; the history map keys
-            // alias it logically but maps need owned keys, so reuse the
-            // victim's allocation for the map and hand the FIFO a copy only
-            // when the history is enabled at all.
-            self.history.insert(
-                victim_key.clone(),
-                HistoryEntry {
-                    id: self.history_counter,
-                    bitmap,
-                },
-            );
-            self.history_fifo.push_back(victim_key);
-            while self.history_fifo.len() > self.config.capacity_objects {
-                if let Some(expired) = self.history_fifo.pop_front() {
-                    self.history.remove(&expired);
-                }
-            }
+            let id = self.history_counter;
+            self.history.insert(victim_key, HistoryEntry { id, bitmap });
         }
     }
 
@@ -436,6 +420,28 @@ mod tests {
         replay(&mut cache, requests, ReplayOptions::default());
         assert!(cache.stats().regrets > 0);
         assert!((cache.weights().iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_key_evicted_twice_pays_a_regret_on_its_next_miss() {
+        // Capacity 2, so every eviction scores both residents, and each
+        // victim below is both the older and the less frequent one: LRU and
+        // LFU agree whichever expert is drawn.  Sets stamp `last_ts`.
+        let mut cache = SimCache::new(SimConfig::adaptive(2)).unwrap();
+        for key in [b"x", b"a", b"a", b"a", b"b"] {
+            cache.set(key, b"v"); // evicts x: history id 1
+        }
+        cache.set(b"a", b"v");
+        assert_eq!(cache.get(b"x"), None);
+        assert_eq!(cache.stats().regrets, 1);
+        cache.set(b"x", b"v"); // evicts b: id 2
+        cache.set(b"a", b"v");
+        cache.set(b"c", b"v"); // evicts x again: id 3
+        assert!(!cache.entries.contains_key(&b"x"[..]));
+        assert_eq!(cache.stats().evictions, 3);
+        // x's newest eviction is the last one, well inside the window.
+        assert_eq!(cache.get(b"x"), None);
+        assert_eq!(cache.stats().regrets, 2);
     }
 
     /// The sweep behind [`LAST_TS_DIVISOR`]: hit rate, and the share of hits

@@ -432,13 +432,13 @@ impl DmClient {
     /// Polls the completion queue: pops the earliest outstanding completion,
     /// advances the clock to its completion time (no charge when the
     /// completion is already in the past — the flight time was hidden behind
-    /// CPU work) plus the configured [`DmConfig::cq_poll_ns`], and returns
+    /// CPU work) plus [`DmConfig::CQ_POLL_NS`], and returns
     /// it.  Returns `None` — for free — when nothing is outstanding.
     pub fn poll_cq(&self) -> Option<Completion> {
         let completion = self.cq.borrow_mut().pop_earliest()?;
         let now = self.clock_ns.get();
         let wait = completion.completed_at_ns.saturating_sub(now);
-        self.advance_ns(wait + self.pool.config().cq_poll_ns);
+        self.advance_ns(wait + DmConfig::CQ_POLL_NS);
         self.pool.stats().record_cq_poll();
         self.record_span(
             Phase::Poll,
@@ -489,8 +489,7 @@ impl DmClient {
     /// [`DmError::VerbTimeout`]) and [`DmError::NodeRemoved`] for nodes this
     /// client never had a live queue pair to, instead of panicking.
     pub fn try_read(&self, addr: RemoteAddr, len: usize) -> DmResult<Vec<u8>> {
-        let cfg = self.pool.config();
-        let latency = cfg.transfer_latency_ns(cfg.read_latency_ns, len);
+        let latency = DmConfig::verb_latency_ns(VerbKind::Read, len);
         let node = self.node_checked(addr.mn_id)?;
         self.try_charge(addr.mn_id, VerbKind::Read, len, latency)?;
         node.read(addr.offset, len)
@@ -499,8 +498,7 @@ impl DmClient {
     /// Fallible one-sided `RDMA_READ` into a caller-provided buffer (see
     /// [`DmClient::try_read`]).
     pub fn try_read_into(&self, addr: RemoteAddr, buf: &mut [u8]) -> DmResult<()> {
-        let cfg = self.pool.config();
-        let latency = cfg.transfer_latency_ns(cfg.read_latency_ns, buf.len());
+        let latency = DmConfig::verb_latency_ns(VerbKind::Read, buf.len());
         let node = self.node_checked(addr.mn_id)?;
         self.try_charge(addr.mn_id, VerbKind::Read, buf.len(), latency)?;
         node.read_into(addr.offset, buf)
@@ -508,8 +506,7 @@ impl DmClient {
 
     /// Fallible one-sided `RDMA_WRITE` (see [`DmClient::try_read`]).
     pub fn try_write(&self, addr: RemoteAddr, data: &[u8]) -> DmResult<()> {
-        let cfg = self.pool.config();
-        let latency = cfg.transfer_latency_ns(cfg.write_latency_ns, data.len());
+        let latency = DmConfig::verb_latency_ns(VerbKind::Write, data.len());
         let node = self.node_checked(addr.mn_id)?;
         self.try_charge(addr.mn_id, VerbKind::Write, data.len(), latency)?;
         node.write(addr.offset, data)
@@ -540,8 +537,7 @@ impl DmClient {
 
     /// Fallible 8-byte little-endian READ (see [`DmClient::try_read`]).
     pub fn try_read_u64(&self, addr: RemoteAddr) -> DmResult<u64> {
-        let cfg = self.pool.config();
-        let latency = cfg.transfer_latency_ns(cfg.read_latency_ns, 8);
+        let latency = DmConfig::verb_latency_ns(VerbKind::Read, 8);
         let node = self.node_checked(addr.mn_id)?;
         self.try_charge(addr.mn_id, VerbKind::Read, 8, latency)?;
         node.load_u64(addr.offset)
@@ -549,8 +545,7 @@ impl DmClient {
 
     /// Fallible 8-byte little-endian WRITE (see [`DmClient::try_read`]).
     pub fn try_write_u64(&self, addr: RemoteAddr, value: u64) -> DmResult<()> {
-        let cfg = self.pool.config();
-        let latency = cfg.transfer_latency_ns(cfg.write_latency_ns, 8);
+        let latency = DmConfig::verb_latency_ns(VerbKind::Write, 8);
         let node = self.node_checked(addr.mn_id)?;
         self.try_charge(addr.mn_id, VerbKind::Write, 8, latency)?;
         node.store_u64(addr.offset, value)
@@ -562,18 +557,16 @@ impl DmClient {
     /// the word is untouched and the caller cannot tell whether it would
     /// have won — retry and re-read.
     pub fn try_cas(&self, addr: RemoteAddr, expected: u64, new: u64) -> DmResult<u64> {
-        let cfg = self.pool.config();
         let node = self.node_checked(addr.mn_id)?;
-        self.try_charge(addr.mn_id, VerbKind::Cas, 8, cfg.cas_latency_ns)?;
+        self.try_charge(addr.mn_id, VerbKind::Cas, 8, DmConfig::CAS_LATENCY_NS)?;
         node.cas(addr.offset, expected, new)
     }
 
     /// Fallible `RDMA_FAA` (see [`DmClient::try_cas`] for atomic-fault
     /// semantics); returns the old value.
     pub fn try_faa(&self, addr: RemoteAddr, delta: u64) -> DmResult<u64> {
-        let cfg = self.pool.config();
         let node = self.node_checked(addr.mn_id)?;
-        self.try_charge(addr.mn_id, VerbKind::Faa, 8, cfg.faa_latency_ns)?;
+        self.try_charge(addr.mn_id, VerbKind::Faa, 8, DmConfig::FAA_LATENCY_NS)?;
         node.faa(addr.offset, delta)
     }
 
@@ -699,9 +692,7 @@ impl DmClient {
         request_len: usize,
         dispatch: impl FnOnce(&MemoryNode) -> DmResult<(T, u64)>,
     ) -> DmResult<T> {
-        let cfg = self.pool.config();
-        let latency = cfg.transfer_latency_ns(cfg.rpc_latency_ns, request_len);
-        self.advance_ns(latency);
+        self.advance_ns(DmConfig::verb_latency_ns(VerbKind::Rpc, request_len));
         self.pool
             .stats()
             .record_verb(mn_id, VerbKind::Rpc, request_len);
@@ -709,7 +700,7 @@ impl DmClient {
         let (reply, cpu_ns) = dispatch(&node)?;
         self.pool
             .stats()
-            .record_rpc_cpu(mn_id, cfg.rpc_base_cpu_ns + cpu_ns);
+            .record_rpc_cpu(mn_id, DmConfig::RPC_BASE_CPU_NS + cpu_ns);
         Ok(reply)
     }
 
@@ -822,7 +813,7 @@ mod tests {
         assert_eq!(client.now_ns(), 0);
         client.write(addr, &[7u8; 16]);
         let after_write = client.now_ns();
-        assert!(after_write >= pool.config().write_latency_ns);
+        assert!(after_write >= DmConfig::WRITE_LATENCY_NS);
         let data = client.read(addr, 16);
         assert_eq!(data, vec![7u8; 16]);
         assert!(client.now_ns() > after_write);
@@ -865,7 +856,7 @@ mod tests {
         client.read(addr, 64);
         client.read(addr, 64);
         let latency = client.end_op();
-        assert!(latency >= 2 * pool.config().read_latency_ns);
+        assert!(latency >= 2 * DmConfig::READ_LATENCY_NS);
         assert_eq!(pool.stats().ops(), 1);
         assert!(pool.stats().latency().max_ns() >= latency);
     }
@@ -884,8 +875,8 @@ mod tests {
         assert_eq!(resp, vec![3]);
         let snap = &pool.stats().node_snapshots()[0];
         assert_eq!(snap.rpcs, 1);
-        assert_eq!(snap.rpc_cpu_ns, 1_500 + pool.config().rpc_base_cpu_ns);
-        assert!(client.now_ns() >= pool.config().rpc_latency_ns);
+        assert_eq!(snap.rpc_cpu_ns, 1_500 + DmConfig::RPC_BASE_CPU_NS);
+        assert!(client.now_ns() >= DmConfig::RPC_LATENCY_NS);
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Configuration of the simulated disaggregated-memory fabric.
 
+use crate::stats::VerbKind;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the DM substrate.
+/// Configuration of the DM substrate: the pool's shape, each memory node's
+/// message rate and controller cores, faults and tracing.
 ///
-/// Latencies are expressed in nanoseconds of *simulated* time and model the
-/// round-trip cost of a verb as observed by the issuing client.  Defaults are
-/// chosen to match the ballpark of a 100 Gbps RoCE fabric with ConnectX-6
-/// RNICs as used in the paper (≈2 µs per one-sided verb RTT, a few µs for an
-/// RPC round trip, tens of millions of verbs per second per RNIC).
+/// The fabric's verb costs are not configuration but associated constants
+/// ([`DmConfig::READ_LATENCY_NS`] and its siblings), so every run, figure
+/// and test prices a verb alike.  They are nanoseconds of *simulated* time
+/// and model the round-trip cost of a verb as observed by the issuing
+/// client, in the ballpark of the paper's 100 Gbps RoCE fabric with
+/// ConnectX-6 RNICs (≈2 µs per one-sided verb RTT, a few µs for an RPC
+/// round trip); the default message rate is tens of millions of verbs per
+/// second per RNIC.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DmConfig {
     /// Number of memory nodes in the pool.
@@ -17,45 +22,9 @@ pub struct DmConfig {
     pub memory_node_capacity: u64,
     /// Number of controller CPU cores per memory node (weak compute).
     pub mn_cpu_cores: u32,
-    /// Round-trip latency of an `RDMA_READ`, in nanoseconds.
-    pub read_latency_ns: u64,
-    /// Round-trip latency of an `RDMA_WRITE`, in nanoseconds.
-    pub write_latency_ns: u64,
-    /// Round-trip latency of an `RDMA_CAS`, in nanoseconds.
-    pub cas_latency_ns: u64,
-    /// Round-trip latency of an `RDMA_FAA`, in nanoseconds.
-    pub faa_latency_ns: u64,
-    /// Round-trip latency of an RPC to the memory-node controller, in ns.
-    pub rpc_latency_ns: u64,
-    /// Extra per-verb latency added per 1 KiB of payload, in nanoseconds.
-    ///
-    /// Models serialisation delay of larger transfers on the link.
-    pub per_kib_latency_ns: u64,
-    /// One-off cost of ringing the RNIC doorbell for a batch of work-queue
-    /// entries, in nanoseconds (the MMIO write plus the first WQE DMA fetch).
-    ///
-    /// A doorbell batch of `n` independent verbs completes in
-    /// `doorbell_latency_ns + n × verb_issue_ns + max(per-verb transfer
-    /// latency)` instead of the sum of the individual round trips: the verbs
-    /// travel and execute concurrently, so the batch costs one round trip of
-    /// the slowest member plus the issue overheads.
-    pub doorbell_latency_ns: u64,
-    /// Per-verb issue cost inside a doorbell batch, in nanoseconds (WQE
-    /// posting and RNIC processing; each additional WQE delays the batch a
-    /// little even though the round trips overlap).
-    pub verb_issue_ns: u64,
-    /// Cost of one successful completion-queue poll, in nanoseconds (reading
-    /// and consuming a CQE; an empty poll is free).
-    ///
-    /// Charged by [`crate::DmClient::poll_cq`] on top of any remaining
-    /// flight time of the completion it returns.  Small compared with the
-    /// doorbell MMIO — polling is a cached memory read.
-    pub cq_poll_ns: u64,
     /// Maximum verbs (messages) per second the RNIC of one memory node can
     /// serve.  This is the bottleneck that caps Ditto in §5.3.
     pub mn_message_rate: u64,
-    /// CPU nanoseconds charged on the controller for a minimal RPC.
-    pub rpc_base_cpu_ns: u64,
     /// Optional seeded failure model injected at the verb/WQE layer (see
     /// [`crate::FaultPlan`]).  `None` — the default — injects nothing and
     /// keeps every verb path byte-identical to a fault-free build.
@@ -84,17 +53,7 @@ impl Default for DmConfig {
             num_memory_nodes: 1,
             memory_node_capacity: 256 * 1024 * 1024,
             mn_cpu_cores: 1,
-            read_latency_ns: 2_000,
-            write_latency_ns: 2_000,
-            cas_latency_ns: 2_200,
-            faa_latency_ns: 2_200,
-            rpc_latency_ns: 5_000,
-            per_kib_latency_ns: 80,
-            doorbell_latency_ns: 150,
-            verb_issue_ns: 50,
-            cq_poll_ns: 20,
             mn_message_rate: 40_000_000,
-            rpc_base_cpu_ns: 700,
             fault: None,
             flight_recorder_spans: 0,
             flight_recorder_sample_one_in: 1,
@@ -103,8 +62,44 @@ impl Default for DmConfig {
 }
 
 impl DmConfig {
+    /// Round-trip latency of an `RDMA_READ`, in nanoseconds.
+    pub const READ_LATENCY_NS: u64 = 2_000;
+    /// Round-trip latency of an `RDMA_WRITE`, in nanoseconds.
+    pub const WRITE_LATENCY_NS: u64 = 2_000;
+    /// Round-trip latency of an `RDMA_CAS`, in nanoseconds.
+    pub const CAS_LATENCY_NS: u64 = 2_200;
+    /// Round-trip latency of an `RDMA_FAA`, in nanoseconds.
+    pub const FAA_LATENCY_NS: u64 = 2_200;
+    /// Round-trip latency of an RPC to the memory-node controller, in ns.
+    pub const RPC_LATENCY_NS: u64 = 5_000;
+    /// Extra per-verb latency added per 1 KiB of payload, in nanoseconds:
+    /// the serialisation delay of larger transfers on the link.
+    pub const PER_KIB_LATENCY_NS: u64 = 80;
+    /// One-off cost of ringing the RNIC doorbell for a batch of work-queue
+    /// entries, in nanoseconds (the MMIO write plus the first WQE DMA fetch).
+    ///
+    /// A doorbell batch of `n` independent verbs completes in
+    /// `DOORBELL_LATENCY_NS + n × VERB_ISSUE_NS + max(per-verb transfer
+    /// latency)` instead of the sum of the individual round trips: the verbs
+    /// travel and execute concurrently, so the batch costs one round trip of
+    /// the slowest member plus the issue overheads.
+    pub const DOORBELL_LATENCY_NS: u64 = 150;
+    /// Per-verb issue cost inside a doorbell batch, in nanoseconds (WQE
+    /// posting and RNIC processing; each additional WQE delays the batch a
+    /// little even though the round trips overlap).
+    pub const VERB_ISSUE_NS: u64 = 50;
+    /// Cost of one successful completion-queue poll, in nanoseconds (reading
+    /// and consuming a CQE; an empty poll is free).
+    ///
+    /// Charged by [`crate::DmClient::poll_cq`] on top of any remaining
+    /// flight time of the completion it returns.  Small compared with the
+    /// doorbell MMIO — polling is a cached memory read.
+    pub const CQ_POLL_NS: u64 = 20;
+    /// CPU nanoseconds charged on the controller for a minimal RPC.
+    pub const RPC_BASE_CPU_NS: u64 = 700;
+
     /// A small configuration suitable for unit tests and doc examples
-    /// (16 MiB of pool memory, otherwise default timings).
+    /// (16 MiB per memory node, otherwise the defaults).
     pub fn small() -> Self {
         DmConfig {
             memory_node_capacity: 16 * 1024 * 1024,
@@ -136,19 +131,6 @@ impl DmConfig {
         self
     }
 
-    /// Sets the doorbell overhead and per-verb issue cost (builder style).
-    pub fn with_doorbell_costs(mut self, doorbell_ns: u64, issue_ns: u64) -> Self {
-        self.doorbell_latency_ns = doorbell_ns;
-        self.verb_issue_ns = issue_ns;
-        self
-    }
-
-    /// Sets the completion-queue poll cost (builder style).
-    pub fn with_cq_poll_cost(mut self, poll_ns: u64) -> Self {
-        self.cq_poll_ns = poll_ns;
-        self
-    }
-
     /// Installs a seeded failure model (builder style).
     pub fn with_fault_plan(mut self, plan: crate::fault::FaultPlan) -> Self {
         self.fault = Some(plan);
@@ -176,27 +158,30 @@ impl DmConfig {
         self
     }
 
-    /// Returns the latency in nanoseconds for a transfer of `len` payload
-    /// bytes on top of the base verb latency `base_ns`.
-    pub fn transfer_latency_ns(&self, base_ns: u64, len: usize) -> u64 {
-        base_ns + (len as u64 * self.per_kib_latency_ns) / 1024
+    /// Round-trip latency in nanoseconds of one `kind` verb carrying `len`
+    /// payload bytes: the kind's base latency plus
+    /// [`DmConfig::PER_KIB_LATENCY_NS`] per KiB.
+    pub fn verb_latency_ns(kind: VerbKind, len: usize) -> u64 {
+        let base = match kind {
+            VerbKind::Read => Self::READ_LATENCY_NS,
+            VerbKind::Write => Self::WRITE_LATENCY_NS,
+            VerbKind::Cas => Self::CAS_LATENCY_NS,
+            VerbKind::Faa => Self::FAA_LATENCY_NS,
+            VerbKind::Rpc => Self::RPC_LATENCY_NS,
+        };
+        base + (len as u64 * Self::PER_KIB_LATENCY_NS) / 1024
     }
 
     /// Round-trip latency of a doorbell batch that fans out to `fanout`
     /// distinct memory nodes: one doorbell charge **per distinct node**
     /// (each node has its own queue pair), the per-verb issue costs, and the
     /// slowest round trip — the transfers overlap across the NICs.
-    pub fn fanout_batch_latency_ns(
-        &self,
-        verbs: usize,
-        fanout: usize,
-        max_transfer_ns: u64,
-    ) -> u64 {
+    pub fn fanout_batch_latency_ns(verbs: usize, fanout: usize, max_transfer_ns: u64) -> u64 {
         if verbs == 0 {
             return 0;
         }
-        fanout.max(1) as u64 * self.doorbell_latency_ns
-            + verbs as u64 * self.verb_issue_ns
+        fanout.max(1) as u64 * Self::DOORBELL_LATENCY_NS
+            + verbs as u64 * Self::VERB_ISSUE_NS
             + max_transfer_ns
     }
 
@@ -234,11 +219,12 @@ mod tests {
 
     #[test]
     fn transfer_latency_scales_with_payload() {
-        let c = DmConfig::default();
-        let small = c.transfer_latency_ns(2_000, 64);
-        let large = c.transfer_latency_ns(2_000, 64 * 1024);
+        let small = DmConfig::verb_latency_ns(VerbKind::Read, 64);
+        let large = DmConfig::verb_latency_ns(VerbKind::Read, 64 * 1024);
         assert!(large > small);
-        assert_eq!(c.transfer_latency_ns(2_000, 0), 2_000);
+        assert_eq!(DmConfig::verb_latency_ns(VerbKind::Read, 0), 2_000);
+        // Atomics carry 8 bytes: no serialisation delay.
+        assert_eq!(DmConfig::verb_latency_ns(VerbKind::Cas, 8), 2_200);
     }
 
     #[test]

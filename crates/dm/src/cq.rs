@@ -3,8 +3,8 @@
 //! Every *signalled* WQE a [`crate::wqe::WorkQueue`] rings out is assigned a
 //! completion time and queued here.  [`crate::DmClient::poll_cq`] pops the
 //! earliest completion and charges the client clock **time since post**:
-//! `max(now, completed_at)` plus the configured
-//! [`poll cost`](crate::DmConfig::cq_poll_ns).  A client that did useful CPU
+//! `max(now, completed_at)` plus the
+//! [`poll cost`](crate::DmConfig::CQ_POLL_NS).  A client that did useful CPU
 //! work between ringing the doorbell and polling therefore pays only the
 //! *remaining* flight time — the mechanism that lets the cache decode the
 //! primary bucket while the secondary READ is still on the wire.

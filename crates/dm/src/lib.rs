@@ -9,7 +9,7 @@
 //!   executes a real operation against a shared memory arena, so concurrent
 //!   clients observe genuine races, CAS failures and lock contention;
 //! * every verb advances the issuing client's *simulated clock* by a
-//!   configurable round-trip latency and charges the target memory node's
+//!   fixed round-trip latency and charges the target memory node's
 //!   RNIC message budget;
 //! * RPCs to the memory-node controller additionally charge the controller's
 //!   (deliberately weak) CPU budget;
@@ -56,13 +56,14 @@
 //! simulator splits the cost of a posting round of `n` verbs accordingly:
 //!
 //! ```text
-//! ring:     fanout × doorbell_latency_ns + n × verb_issue_ns   (charged now)
+//! ring:     fanout × DOORBELL_LATENCY_NS + n × VERB_ISSUE_NS   (charged now)
 //! WQE i:    completes at ring-end + per-node prefix-max(transfer latency)
-//! poll_cq:  max(0, completion − now) + cq_poll_ns              (charged then)
+//! poll_cq:  max(0, completion − now) + CQ_POLL_NS              (charged then)
 //! ```
 //!
-//! ([`DmConfig`] holds the three knobs; the per-verb transfer latency is the
-//! usual `base + payload × per_kib_latency_ns`, and WQEs on one node
+//! (The three costs are [`DmConfig`] constants; the per-verb transfer
+//! latency is [`DmConfig::verb_latency_ns`], the usual `base + payload ×
+//! PER_KIB_LATENCY_NS`, and WQEs on one node
 //! complete in posting order — one queue pair per node.)  Unsignalled WQEs
 //! produce no completion and are never waited for.  Draining every
 //! completion right after the ring charges `fanout × doorbell + n × issue +

@@ -15,7 +15,7 @@
 //! inline array); [`WorkQueue::ring`] rings one doorbell per distinct target
 //! memory node and hands the WQEs to the simulated NIC:
 //!
-//! * the **posting cost** `fanout × doorbell_latency_ns + n × verb_issue_ns`
+//! * the **posting cost** `fanout × DOORBELL_LATENCY_NS + n × VERB_ISSUE_NS`
 //!   is charged to the client clock immediately (it is synchronous CPU/MMIO
 //!   work);
 //! * every WQE is assigned a **completion time**: the ring-end clock plus
@@ -115,18 +115,6 @@ impl WqeOp<'_> {
             | WqeOp::Faa { addr, .. }
             | WqeOp::Cas { addr, .. } => addr.mn_id,
         }
-    }
-
-    /// Round-trip transfer latency of this verb under `cfg`.
-    fn transfer_ns(&self, cfg: &DmConfig) -> u64 {
-        let base = match self.kind() {
-            VerbKind::Read => cfg.read_latency_ns,
-            VerbKind::Write => cfg.write_latency_ns,
-            VerbKind::Faa => cfg.faa_latency_ns,
-            VerbKind::Cas => cfg.cas_latency_ns,
-            VerbKind::Rpc => cfg.rpc_latency_ns,
-        };
-        cfg.transfer_latency_ns(base, self.payload_len())
     }
 
     /// Executes the operation against the target node's arena.
@@ -283,7 +271,7 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
     }
 
     /// Rings the doorbell: charges the posting cost `fanout ×
-    /// doorbell_latency_ns + n × verb_issue_ns` to the client clock, assigns
+    /// DOORBELL_LATENCY_NS + n × VERB_ISSUE_NS` to the client clock, assigns
     /// every WQE its completion time (per-node in-order; see the module
     /// docs), executes the verbs, pushes a completion for each *signalled*
     /// WQE onto the client's completion queue and clears the send queue.
@@ -296,7 +284,6 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
             return 0;
         }
         let client = self.client;
-        let cfg = client.config();
         // Distinct target nodes, in first-appearance order (allocation-free).
         let mut nodes = [0u16; MAX_WQES];
         let mut fanout = 0;
@@ -308,8 +295,8 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
             }
         }
         let ring_start = client.now_ns();
-        let post_cost =
-            fanout as u64 * cfg.doorbell_latency_ns + self.len as u64 * cfg.verb_issue_ns;
+        let post_cost = fanout as u64 * DmConfig::DOORBELL_LATENCY_NS
+            + self.len as u64 * DmConfig::VERB_ISSUE_NS;
         client.advance_ns(post_cost);
         let ring_end = client.now_ns();
         client.record_span(
@@ -353,7 +340,8 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
                 continue;
             }
             let (factor_pct, err) = client.inject(mn);
-            let mut transfer = wqe.op.transfer_ns(cfg) * factor_pct / 100;
+            let (kind, len) = (wqe.op.kind(), wqe.op.payload_len());
+            let mut transfer = DmConfig::verb_latency_ns(kind, len) * factor_pct / 100;
             let status = match &err {
                 None => CompletionStatus::Success,
                 Some(DmError::VerbTimeout { .. }) => {
@@ -367,7 +355,7 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
                 }
             };
             node_floor[slot] = node_floor[slot].max(transfer);
-            stats.record_verb(mn, wqe.op.kind(), wqe.op.payload_len());
+            stats.record_verb(mn, kind, len);
             stats.record_wqe(wqe.signalled);
             // Every WQE in one ring leaves at ring-end, so a multi-WQE ring
             // shows its flight spans overlapping — the pipelining the trace
@@ -417,7 +405,6 @@ mod tests {
     fn ring_charges_posting_cost_and_poll_charges_time_since_post() {
         let pool = pool();
         let client = pool.connect();
-        let cfg = client.config().clone();
         let addr = pool.reserve(4096).unwrap();
         client.write(addr, &[9u8; 4096]);
         let t0 = client.now_ns();
@@ -426,7 +413,10 @@ mod tests {
         let mut wq = client.work_queue();
         let wr = wq.post_read(addr, &mut buf, true);
         let post_cost = wq.ring();
-        assert_eq!(post_cost, cfg.doorbell_latency_ns + cfg.verb_issue_ns);
+        assert_eq!(
+            post_cost,
+            DmConfig::DOORBELL_LATENCY_NS + DmConfig::VERB_ISSUE_NS
+        );
         assert_eq!(
             client.now_ns() - t0,
             post_cost,
@@ -437,10 +427,10 @@ mod tests {
 
         let completion = client.poll_cq().expect("signalled WQE must complete");
         assert_eq!(completion.wr_id, wr);
-        let transfer = cfg.transfer_latency_ns(cfg.read_latency_ns, 64);
+        let transfer = DmConfig::verb_latency_ns(VerbKind::Read, 64);
         assert_eq!(
             client.now_ns() - t0,
-            post_cost + transfer + cfg.cq_poll_ns,
+            post_cost + transfer + DmConfig::CQ_POLL_NS,
             "poll charges the remaining flight time plus the poll cost"
         );
     }
@@ -449,9 +439,8 @@ mod tests {
     fn cpu_work_between_ring_and_poll_overlaps_the_flight() {
         let pool = pool();
         let client = pool.connect();
-        let cfg = client.config().clone();
         let addr = pool.reserve(64).unwrap();
-        let transfer = cfg.transfer_latency_ns(cfg.read_latency_ns, 64);
+        let transfer = DmConfig::verb_latency_ns(VerbKind::Read, 64);
 
         let mut buf = [0u8; 64];
         let mut wq = client.work_queue();
@@ -463,7 +452,10 @@ mod tests {
         // already in the past and charges only the poll cost.
         client.advance_ns(transfer + 500);
         client.poll_cq().unwrap();
-        assert_eq!(client.now_ns(), ring_end + transfer + 500 + cfg.cq_poll_ns);
+        assert_eq!(
+            client.now_ns(),
+            ring_end + transfer + 500 + DmConfig::CQ_POLL_NS
+        );
     }
 
     #[test]
@@ -503,7 +495,6 @@ mod tests {
     fn same_node_wqes_complete_in_posting_order() {
         let pool = pool();
         let client = pool.connect();
-        let cfg = client.config().clone();
         let addr = pool.reserve(8192).unwrap();
         let (mut large, mut small) = ([0u8; 8192], [0u8; 8]);
         let mut wq = client.work_queue();
@@ -512,7 +503,7 @@ mod tests {
         wq.ring();
         drop(wq);
         let ring_end = client.now_ns();
-        let t_large = cfg.transfer_latency_ns(cfg.read_latency_ns, 8192);
+        let t_large = DmConfig::verb_latency_ns(VerbKind::Read, 8192);
         // The small READ is queued behind the large one on the same queue
         // pair, so both complete at the large READ's time.
         let first = client.poll_cq().unwrap();
@@ -527,7 +518,6 @@ mod tests {
     fn cross_node_wqes_overlap_and_complete_independently() {
         let pool = MemoryPool::new(DmConfig::small().with_memory_nodes(2));
         let client = pool.connect();
-        let cfg = client.config().clone();
         let a = pool.reserve_on(0, 8192).unwrap();
         let b = pool.reserve_on(1, 64).unwrap();
         let (mut large, mut small) = ([0u8; 8192], [0u8; 64]);
@@ -543,7 +533,7 @@ mod tests {
         assert_eq!(first.wr_id, wr_small);
         assert_eq!(
             first.completed_at_ns,
-            ring_end + cfg.transfer_latency_ns(cfg.read_latency_ns, 64)
+            ring_end + DmConfig::verb_latency_ns(VerbKind::Read, 64)
         );
         let second = client.poll_cq().unwrap();
         assert_eq!(second.wr_id, wr_large);
@@ -554,7 +544,6 @@ mod tests {
     fn doorbells_count_posted_rounds_and_nothing_else() {
         let pool = MemoryPool::new(DmConfig::small().with_memory_nodes(2));
         let client = pool.connect();
-        let cfg = client.config().clone();
         let a = pool.reserve_on(0, 64).unwrap();
         let b = pool.reserve_on(1, 64).unwrap();
         let stats = pool.stats();
@@ -574,7 +563,7 @@ mod tests {
         drop(wq);
         assert_eq!(
             post_cost,
-            2 * cfg.doorbell_latency_ns + 3 * cfg.verb_issue_ns
+            2 * DmConfig::DOORBELL_LATENCY_NS + 3 * DmConfig::VERB_ISSUE_NS
         );
         assert_eq!((stats.doorbells(), stats.batched_verbs()), (2, 3));
         assert_eq!((stats.largest_batch(), stats.largest_fanout()), (3, 2));
@@ -637,7 +626,6 @@ mod tests {
         let plan = FaultPlan::seeded(3).with_verb_timeouts(1_000_000, 50_000);
         let pool = MemoryPool::new(DmConfig::small().with_fault_plan(plan));
         let client = pool.connect();
-        let cfg = client.config().clone();
         let addr = pool.reserve(64).unwrap();
         let mut buf = [0u8; 8];
         let mut wq = client.work_queue();
@@ -649,7 +637,7 @@ mod tests {
         let first = client.poll_cq().unwrap();
         assert_eq!(first.wr_id, wr_a);
         assert_eq!(first.status, CompletionStatus::TimedOut { mn_id: 0 });
-        let t_first = cfg.transfer_latency_ns(cfg.write_latency_ns, 1) + 50_000;
+        let t_first = DmConfig::verb_latency_ns(VerbKind::Write, 1) + 50_000;
         assert_eq!(first.completed_at_ns, ring_end + t_first);
         // The second WQE shares the queue pair: it completes no earlier
         // than the timed-out verb ahead of it — flushed, so the injector
@@ -682,7 +670,6 @@ mod tests {
         let pool = MemoryPool::new(config);
         let client = pool.connect();
         assert_eq!(client.client_id(), 0);
-        let cfg = client.config().clone();
         let a = pool.reserve_on(0, 64).unwrap();
         let b = pool.reserve_on(1, 64).unwrap();
         for word in [a.add(8), b] {
@@ -710,7 +697,7 @@ mod tests {
 
         // The WRITE's error surfaces although unsignalled, the CAS behind
         // it completes flushed no earlier, node 1's CAS succeeds.
-        let failed_at = ring_end + cfg.transfer_latency_ns(cfg.write_latency_ns, 6);
+        let failed_at = ring_end + DmConfig::verb_latency_ns(VerbKind::Write, 6);
         let completions: Vec<_> = std::iter::from_fn(|| client.poll_cq()).collect();
         let of = |wr| *completions.iter().find(|c| c.wr_id == wr).unwrap();
         assert_eq!(completions.len(), 3);

@@ -1,83 +1,137 @@
 //! Randomized properties of the posted-WQE/polled-completion data path.
 //!
-//! For arbitrary mixes of READ/WRITE/FAA WQEs, payload sizes, doorbell/issue
-//! cost knobs and post-to-poll CPU work `c`:
+//! For arbitrary mixes of READ/WRITE/FAA WQEs, payload sizes, target memory
+//! nodes (fan-out 1 to 4) and post-to-poll CPU work `c`, at the fabric's
+//! constant verb costs:
 //!
-//! * with free polls, a fully drained posting round charges exactly
-//!   `post_cost + max(c, max transfer)` — i.e. the CPU work overlaps the
-//!   flight instead of serialising behind it;
-//! * the pipelined charge is therefore **≤ the post-all/wait-all charge
-//!   ([`DmConfig::fanout_batch_latency_ns`]: doorbell + issues + slowest
-//!   transfer) plus the CPU work**, and **≥ the slowest member's transfer
-//!   time**;
-//! * with zero CPU work the drained round equals that closed form exactly,
-//!   plus — once polls cost something — at most one poll per WQE.
+//! * a fully drained posting round charges exactly the posting cost plus
+//!   what the polls wait: each poll takes the earliest outstanding
+//!   completion (WQEs on one node complete in posting order), waits for it
+//!   if it is still in flight and costs [`DmConfig::CQ_POLL_NS`];
+//! * so the CPU work overlaps the flight instead of serialising behind it:
+//!   the round costs `post_cost + max(c, max transfer)` plus one to `n`
+//!   polls;
+//! * with zero CPU work the drained round is never cheaper than the
+//!   post-all/wait-all closed form ([`DmConfig::fanout_batch_latency_ns`]:
+//!   doorbells + issues + slowest transfer), and exceeds it by at most one
+//!   poll per WQE.
 
+use ditto_dm::stats::VerbKind;
 use ditto_dm::{DmConfig, MemoryPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-#[derive(Clone, Copy)]
-enum Kind {
-    Read,
-    Write,
-    Faa,
-}
+const MAX_NODES: u16 = 4;
+const POLL: u64 = DmConfig::CQ_POLL_NS;
 
 struct Case {
-    kinds: Vec<Kind>,
+    kinds: Vec<VerbKind>,
     sizes: Vec<usize>,
+    nodes: Vec<u16>,
+    num_nodes: u16,
 }
 
 fn random_case(rng: &mut StdRng) -> Case {
     let n = rng.gen_range(1usize..12);
-    let mut kinds = Vec::new();
-    let mut sizes = Vec::new();
-    for _ in 0..n {
-        kinds.push(match rng.gen_range(0u32..3) {
-            0 => Kind::Read,
-            1 => Kind::Write,
-            _ => Kind::Faa,
-        });
-        sizes.push(rng.gen_range(1usize..4_096));
+    let num_nodes = rng.gen_range(1..=MAX_NODES);
+    let kinds = (0..n)
+        .map(|_| match rng.gen_range(0u32..3) {
+            0 => VerbKind::Read,
+            1 => VerbKind::Write,
+            _ => VerbKind::Faa,
+        })
+        .collect();
+    let sizes = (0..n).map(|_| rng.gen_range(1usize..4_096)).collect();
+    let nodes = (0..n).map(|_| rng.gen_range(0..num_nodes)).collect();
+    Case {
+        kinds,
+        sizes,
+        nodes,
+        num_nodes,
     }
-    Case { kinds, sizes }
 }
 
-/// The slowest member's transfer latency under `cfg`.
-fn max_transfer(cfg: &DmConfig, case: &Case) -> u64 {
-    let transfer = |(&kind, &len): (&Kind, &usize)| match kind {
-        Kind::Read => cfg.transfer_latency_ns(cfg.read_latency_ns, len),
-        Kind::Write => cfg.transfer_latency_ns(cfg.write_latency_ns, len),
-        Kind::Faa => cfg.transfer_latency_ns(cfg.faa_latency_ns, 8),
-    };
-    case.kinds
-        .iter()
-        .zip(&case.sizes)
-        .map(transfer)
-        .max()
-        .unwrap()
+impl Case {
+    fn len(&self) -> usize {
+        self.kinds.len()
+    }
+
+    /// Distinct memory nodes the round targets: one doorbell each.
+    fn fanout(&self) -> usize {
+        (0..self.num_nodes)
+            .filter(|mn| self.nodes.contains(mn))
+            .count()
+    }
+
+    fn post_cost(&self) -> u64 {
+        self.fanout() as u64 * DmConfig::DOORBELL_LATENCY_NS
+            + self.len() as u64 * DmConfig::VERB_ISSUE_NS
+    }
+
+    /// Each WQE's own transfer latency (an FAA carries 8 bytes).
+    fn transfers(&self) -> Vec<u64> {
+        self.kinds
+            .iter()
+            .zip(&self.sizes)
+            .map(|(&kind, &len)| match kind {
+                VerbKind::Faa => DmConfig::verb_latency_ns(kind, 8),
+                _ => DmConfig::verb_latency_ns(kind, len),
+            })
+            .collect()
+    }
+
+    /// The slowest member's transfer latency.
+    fn max_transfer(&self) -> u64 {
+        self.transfers().into_iter().max().unwrap()
+    }
+
+    /// Simulated time from the ring's end until the last completion is
+    /// polled, with `cpu_ns` of work before the first poll: completions are
+    /// the per-node prefix maxima of the transfers, polled earliest first.
+    fn drained_after(&self, cpu_ns: u64) -> u64 {
+        let mut floor = [0u64; MAX_NODES as usize];
+        let mut completions: Vec<u64> = self
+            .transfers()
+            .into_iter()
+            .zip(&self.nodes)
+            .map(|(transfer, &mn)| {
+                floor[mn as usize] = floor[mn as usize].max(transfer);
+                floor[mn as usize]
+            })
+            .collect();
+        completions.sort_unstable();
+        completions
+            .into_iter()
+            .fold(cpu_ns, |now, done| now.max(done) + POLL)
+    }
 }
 
-/// Posts the case's WQEs (all signalled), rings, does `cpu_ns` of local
-/// work, drains the CQ; returns the elapsed simulated time.
-fn run_pipelined(pool: &MemoryPool, case: &Case, cpu_ns: u64) -> u64 {
+/// Posts the case's WQEs (all signalled) on a fresh pool, rings, does
+/// `cpu_ns` of local work, drains the CQ; returns the elapsed simulated
+/// time.
+fn run_pipelined(case: &Case, cpu_ns: u64) -> u64 {
+    let config = DmConfig::small()
+        .with_capacity(1 << 20)
+        .with_memory_nodes(case.num_nodes);
+    let pool = MemoryPool::new(config);
     let client = pool.connect();
-    let region = pool.reserve(64 * 1024).unwrap();
+    let regions: Vec<_> = (0..case.num_nodes)
+        .map(|mn| pool.reserve_on(mn, 64 * 1024).unwrap())
+        .collect();
     let mut read_bufs: Vec<Vec<u8>> = case.sizes.iter().map(|&s| vec![0u8; s]).collect();
     let write_buf = vec![7u8; 4_096];
     let t0 = client.now_ns();
     let mut wq = client.work_queue();
-    for (i, (&kind, buf)) in case.kinds.iter().zip(read_bufs.iter_mut()).enumerate() {
-        let addr = region.add((i * 4_096) as u64);
-        match kind {
-            Kind::Read => {
+    for (i, buf) in read_bufs.iter_mut().enumerate() {
+        let addr = regions[case.nodes[i] as usize].add((i * 4_096) as u64);
+        match case.kinds[i] {
+            VerbKind::Read => {
                 wq.post_read(addr, &mut buf[..], true);
             }
-            Kind::Write => {
+            VerbKind::Write => {
                 wq.post_write(addr, &write_buf[..case.sizes[i]], true);
             }
-            Kind::Faa => {
+            _ => {
                 wq.post_faa(addr, 1, true);
             }
         }
@@ -93,69 +147,51 @@ fn run_pipelined(pool: &MemoryPool, case: &Case, cpu_ns: u64) -> u64 {
 fn drained_pipeline_charges_post_cost_plus_max_of_cpu_and_flight() {
     let mut rng = StdRng::seed_from_u64(0x90571);
     for case_idx in 0..200 {
-        // Random cost knobs; polls kept free so the property is exact.
-        let config = DmConfig::small()
-            .with_doorbell_costs(rng.gen_range(0u64..1_000), rng.gen_range(0u64..200))
-            .with_cq_poll_cost(0);
-        let doorbell = config.doorbell_latency_ns;
-        let issue = config.verb_issue_ns;
-        let pool = MemoryPool::new(config);
         let case = random_case(&mut rng);
-        let n = case.kinds.len() as u64;
+        let n = case.len() as u64;
         let cpu = rng.gen_range(0u64..8_000);
+        let (post_cost, max) = (case.post_cost(), case.max_transfer());
 
-        let max = max_transfer(pool.config(), &case);
-        let post_cost = doorbell + n * issue;
-        let batch_latency = post_cost + max;
-
-        let elapsed = run_pipelined(&pool, &case, cpu);
+        let elapsed = run_pipelined(&case, cpu);
         assert_eq!(
             elapsed,
-            post_cost + cpu.max(max),
-            "case {case_idx}: a drained round must charge post + max(cpu, flight) \
-             (n={n}, cpu={cpu}, max={max})"
+            post_cost + case.drained_after(cpu),
+            "case {case_idx}: a drained round must charge post + the polls' waits \
+             (n={n}, fanout={}, cpu={cpu}, max={max})",
+            case.fanout()
         );
-        // The two bounding properties the refactor promises.
+        // The CPU work overlaps the flight: the round costs the longer of
+        // the two, plus at least the last poll and at most one per WQE.
+        let overlapped = post_cost + cpu.max(max);
         assert!(
-            elapsed <= batch_latency + cpu,
-            "case {case_idx}: pipelined {elapsed} must not exceed batch {batch_latency} + cpu {cpu}"
+            (overlapped + POLL..=overlapped + n * POLL).contains(&elapsed),
+            "case {case_idx}: pipelined {elapsed} must be post + max(cpu, flight) \
+             {overlapped} plus 1 to {n} polls"
         );
-        assert!(
-            elapsed >= max,
-            "case {case_idx}: pipelined {elapsed} cannot beat the slowest transfer {max}"
-        );
-        if cpu == 0 {
-            assert_eq!(
-                elapsed, batch_latency,
-                "case {case_idx}: no CPU work → batch charge"
-            );
-        }
     }
 }
 
 #[test]
 fn pipelined_round_matches_synchronous_batch_without_cpu_work() {
-    // With default (non-zero) poll costs and zero CPU work, the drained
-    // pipeline can never beat the post-all/wait-all closed form, and exceeds
-    // it by at most one poll cost per WQE (polls whose completion is still
-    // in flight are absorbed by the wait).
+    // With zero CPU work, the drained pipeline can never beat the
+    // post-all/wait-all closed form, and exceeds it by at most one poll cost
+    // per WQE (polls whose completion is still in flight are absorbed by
+    // the wait).
     let mut rng = StdRng::seed_from_u64(0xabcde);
     for _ in 0..50 {
-        let pool = MemoryPool::new(DmConfig::small());
         let case = random_case(&mut rng);
-        let n = case.kinds.len();
-        let cfg = pool.config().clone();
-        let batch_latency = cfg.fanout_batch_latency_ns(n, 1, max_transfer(&cfg, &case));
+        let n = case.len();
+        let batch_latency =
+            DmConfig::fanout_batch_latency_ns(n, case.fanout(), case.max_transfer());
 
-        let elapsed = run_pipelined(&pool, &case, 0);
+        let elapsed = run_pipelined(&case, 0);
         assert!(
-            elapsed >= batch_latency,
-            "draining without CPU work cannot beat the batch: {elapsed} < {batch_latency}"
+            elapsed >= batch_latency + POLL,
+            "draining without CPU work cannot beat the batch: {elapsed} < {batch_latency} + {POLL}"
         );
         assert!(
-            elapsed <= batch_latency + n as u64 * cfg.cq_poll_ns,
-            "poll overhead is bounded: {elapsed} > {batch_latency} + {n}×{}",
-            cfg.cq_poll_ns
+            elapsed <= batch_latency + n as u64 * POLL,
+            "poll overhead is bounded: {elapsed} > {batch_latency} + {n}×{POLL}"
         );
     }
 }
@@ -164,9 +200,8 @@ fn pipelined_round_matches_synchronous_batch_without_cpu_work() {
 fn unsignalled_wqes_are_never_waited_for() {
     // A signalled small READ next to an unsignalled huge WRITE on another
     // node: draining the CQ waits for the READ only.
-    let pool = MemoryPool::new(DmConfig::small().with_memory_nodes(2).with_cq_poll_cost(0));
+    let pool = MemoryPool::new(DmConfig::small().with_memory_nodes(2));
     let client = pool.connect();
-    let cfg = pool.config().clone();
     let a = pool.reserve_on(0, 64).unwrap();
     let b = pool.reserve_on(1, 32 * 1024).unwrap();
     let huge = vec![3u8; 32 * 1024];
@@ -179,12 +214,12 @@ fn unsignalled_wqes_are_never_waited_for() {
     drop(wq);
     client.drain_cq();
     let elapsed = client.now_ns() - t0;
-    let post = 2 * cfg.doorbell_latency_ns + 2 * cfg.verb_issue_ns;
-    let t_read = cfg.transfer_latency_ns(cfg.read_latency_ns, 64);
-    let t_write = cfg.transfer_latency_ns(cfg.write_latency_ns, 32 * 1024);
+    let post = 2 * DmConfig::DOORBELL_LATENCY_NS + 2 * DmConfig::VERB_ISSUE_NS;
+    let t_read = DmConfig::verb_latency_ns(VerbKind::Read, 64);
+    let t_write = DmConfig::verb_latency_ns(VerbKind::Write, 32 * 1024);
     assert_eq!(
         elapsed,
-        post + t_read,
+        post + t_read + POLL,
         "the huge unsignalled WRITE left the critical path"
     );
     assert!(t_write > t_read * 2, "sanity: the WRITE really is slower");

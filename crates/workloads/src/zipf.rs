@@ -14,7 +14,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl Zipfian {
@@ -46,7 +45,6 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
-            zeta2theta,
         }
     }
 
@@ -94,11 +92,6 @@ impl Zipfian {
     /// The skew parameter θ.
     pub fn theta(&self) -> f64 {
         self.theta
-    }
-
-    /// ζ(2, θ), exposed for tests.
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 

@@ -58,8 +58,8 @@ fn the_simulator_on_the_changing_workload() {
     let runs = [
         (
             SimConfig::adaptive(capacity),
-            [14_854, 25_146, 24_546, 6_104, 7_098],
-            vec![0x3fbc_21b6_a08b_4b45, 0x3fec_7bc9_2bee_9698],
+            [14_750, 25_250, 24_650, 6_317, 7_032],
+            vec![0x3fbf_1f7e_a53a_eb27, 0x3fec_1c10_2b58_a29b],
         ),
         (
             SimConfig::single(capacity, "lru"),
@@ -89,8 +89,8 @@ fn the_simulator_on_an_lfu_friendly_trace() {
     let runs = [
         (
             SimConfig::adaptive(capacity),
-            [30_143, 29_857, 29_457, 4_567, 12_366],
-            vec![0x3fde_8ffe_d704_8eec, 0x3fe0_b800_947d_b88a],
+            [30_176, 29_824, 29_424, 4_896, 12_406],
+            vec![0x3fd1_5ecc_d399_7514, 0x3fe7_5099_9633_4576],
         ),
         (
             SimConfig::single(capacity, "lru"),

@@ -475,7 +475,7 @@ fn an_object_off_its_slots_node_saves_the_bucket_read_but_is_never_read_early() 
     }
     assert_eq!(cache.pool().resident_object_bytes(1), 0);
 
-    let round_trip = DmConfig::default().read_latency_ns;
+    let round_trip = DmConfig::READ_LATENCY_NS;
     let (mut off_node, mut on_node) = (0, 0);
     for i in 0..400u64 {
         cache.pool().reset_stats();

@@ -39,7 +39,6 @@ fn parity_config(spec: &YcsbSpec) -> DittoConfig {
     // object capacity of a pool is precisely (free bytes) / (object bytes)
     // regardless of how the bytes are spread over nodes.
     config.avg_object_size = spec.value_size;
-    config.object_overhead_bytes = 16;
     config.alloc_segment_objects = 1;
     config
 }
