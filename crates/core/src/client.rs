@@ -19,10 +19,14 @@
 //!   plus the asynchronous metadata write — or, when the client holds a hint
 //!   for the key, one doorbell carrying the `RDMA_WRITE` and, behind it, the
 //!   `RDMA_CAS` of the hinted slot from the hinted word: no lookup, one
-//!   round trip (see the crate docs).
-//! * **Eviction** — one doorbell carrying an `RDMA_READ` sampling K
-//!   consecutive slots (or, in the scattered-metadata ablation, K slot
-//!   READs) and the `RDMA_FAA` on a history counter, a per-expert priority
+//!   round trip (see the crate docs).  A `Set` right after its key's `Get`
+//!   missed reuses the buckets that miss decoded, while the key's board epoch
+//!   and the stripe directory say they still hold: its doorbell carries the
+//!   object `RDMA_WRITE` (and a riding eviction's verbs) but no bucket READ.
+//! * **Eviction** — one doorbell carrying an `RDMA_READ` of
+//!   [`DittoConfig::SAMPLE_SPAN_SLOTS`] consecutive slots, about K live
+//!   candidates (or, in the scattered-metadata ablation, K slot READs), and
+//!   the `RDMA_FAA` on a history counter, a per-expert priority
 //!   evaluation, a weighted victim choice and an `RDMA_CAS` converting the
 //!   victim slot into an embedded history entry — run *ahead* of the
 //!   evicting `Set`, beside its lookup and publish (see the crate docs).
@@ -93,7 +97,7 @@ use std::sync::Arc;
 mod evict;
 mod lookup;
 mod publish;
-use lookup::{HintTable, Lookup};
+use lookup::{HintTable, Lookup, MissMemo};
 use publish::HintedPublish;
 
 /// Maximum CAS retries before an operation gives up, and the attempt bound of
@@ -108,9 +112,11 @@ const MAX_EVICTION_ATTEMPTS: usize = 256;
 /// Slots surfaced by one lookup: the primary and secondary buckets.
 const SEARCH_SLOTS: usize = 2 * SLOTS_PER_BUCKET;
 /// Capacity of the eviction-candidate buffer: a bucket eviction scores both
-/// buckets' slots, and a sampling eviction stops as soon as it holds ≥2
-/// candidates, so it reaches at most `1 + SAMPLE_SIZE`.
+/// buckets' slots, and a sampling eviction re-samples only while it holds
+/// fewer than two candidates, so it reaches at most one plus a whole span's
+/// worth ([`DittoConfig::SAMPLE_SPAN_SLOTS`]).
 const CANDIDATES_CAP: usize = SEARCH_SLOTS;
+const _: () = assert!(CANDIDATES_CAP > DittoConfig::SAMPLE_SPAN_SLOTS);
 
 /// How many misses may elapse before a client refreshes its cached copy of a
 /// history shard's global counter.
@@ -136,6 +142,10 @@ pub struct DittoClient {
     /// and a replacing `Set` CAS it without reading anything (see
     /// [`lookup`]).
     hints: HintTable,
+    /// What this client's last operation, a `Get` that missed, saw of the
+    /// key's buckets: the `Set` that fills the key next publishes from it
+    /// without reading them again (see [`lookup::MissMemo`]).
+    miss_memo: Option<MissMemo>,
     /// This client's own bumps of each [`CoherenceBoard`] slot.  Its own slot
     /// CASes keep its hints exact, so a hint is stamped with — and filtered
     /// by — the mutations *other* clients made: board epoch minus these.
@@ -228,6 +238,7 @@ impl DittoClient {
             alloc,
             fc,
             hints: HintTable::new(),
+            miss_memo: None,
             own_bumps: vec![0; board.slots()].into_boxed_slice(),
             tier,
             board,
@@ -248,7 +259,7 @@ impl DittoClient {
             crash_armed: None,
             crashed: false,
             bucket_buf: vec![0u8; 2 * BUCKET_SIZE].into_boxed_slice(),
-            sample_buf: vec![0u8; DittoConfig::SAMPLE_SIZE * SLOT_SIZE].into_boxed_slice(),
+            sample_buf: vec![0u8; DittoConfig::SAMPLE_SPAN_SLOTS * SLOT_SIZE].into_boxed_slice(),
             obj_buf: Vec::new(),
             encode_buf: Vec::new(),
             config,
@@ -281,6 +292,7 @@ impl DittoClient {
         self.maybe_refresh_topology();
         self.dm.begin_op();
         self.eviction_age.begin_op(self.dm.now_ns());
+        self.miss_memo = None;
         let hit = self.get_inner(key, out);
         self.dm.end_op();
         hit
@@ -313,7 +325,8 @@ impl DittoClient {
         self.maybe_refresh_topology();
         self.dm.begin_op();
         self.eviction_age.begin_op(self.dm.now_ns());
-        let result = self.set_inner(key, value);
+        let memo = self.miss_memo.take();
+        let result = self.set_inner(key, value, memo);
         self.dm.end_op();
         result
     }
@@ -516,6 +529,7 @@ impl DittoClient {
     /// and would otherwise be double-freed by the sweep.  The recovering
     /// client releases its own hoard automatically.
     pub fn recover_crashed_client(&mut self, dead_id: u32) -> RecoveryReport {
+        self.miss_memo = None;
         let recovery_event = |phase: RecoveryPhase, dm: &DmClient| {
             dm.pool().record_event(
                 dm.now_ns(),
@@ -704,6 +718,8 @@ impl DittoClient {
             // bucket READ and the capture: the stale object READ would then
             // be admitted under an epoch that already includes the bump.)
             let board_epoch = self.board.epoch(hash);
+            // A miss memo is trusted on the same two readings.
+            let dir_version = self.table.directory().version();
             // The first attempt may go by the slot this client last saw
             // the key in, and the word it held — unless the board has seen
             // another client mutate it since.
@@ -723,6 +739,12 @@ impl DittoClient {
             };
             let Some((slot_addr, slot)) = lookup.found else {
                 self.on_miss(&lookup.slots, hash);
+                self.miss_memo = Some(MissMemo {
+                    hash,
+                    slots: lookup.slots,
+                    board_epoch,
+                    dir_version,
+                });
                 return false;
             };
             let obj_len = slot.atomic.object_bytes() as usize;
@@ -1152,7 +1174,12 @@ impl DittoClient {
     // Set path
     // ------------------------------------------------------------------
 
-    fn set_inner(&mut self, key: &[u8], value: &[u8]) -> CacheResult<()> {
+    fn set_inner(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        mut memo: Option<MissMemo>,
+    ) -> CacheResult<()> {
         let hash = fnv1a64(key);
         let fp = fingerprint(hash);
         // The writer's own tier copy is stale the moment the Set is issued;
@@ -1270,11 +1297,18 @@ impl DittoClient {
             } else {
                 Some((obj_addr, &encoded[..]))
             };
+            // The first attempt of a fill right after its key's miss goes by
+            // the buckets that miss decoded, while they are still trusted;
+            // any other — after a lost insert CAS, say — reads them.
+            let looked_up = match memo.take().and_then(|memo| self.memo_slots(memo, hash)) {
+                Some(slots) => self.search_memo(slots, write, ahead.as_mut()),
+                None => self.search(hash, fp, write, ahead.as_mut(), None),
+            };
             let Ok(Lookup {
                 slots,
                 found: existing,
                 ..
-            }) = self.search(hash, fp, write, ahead.as_mut(), None)
+            }) = looked_up
             else {
                 // This attempt's lookup could not complete; the piggybacked
                 // WRITE (if any) may not have landed, so the next attempt
@@ -1519,6 +1553,7 @@ impl DittoClient {
     /// any client at any time; `DittoCache::pump_migration` is the
     /// run-to-completion wrapper.
     pub fn pump_migration(&mut self, max_stripes: usize) -> MigrationProgress {
+        self.miss_memo = None;
         self.maybe_refresh_topology();
         let engine = Arc::clone(&self.engine);
         engine.maybe_replan();

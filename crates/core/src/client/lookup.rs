@@ -34,6 +34,26 @@
 //! process, like the local tier's coherence: hints must not be trusted
 //! across processes until epochs live in pool memory (ROADMAP item 10(a)).
 //!
+//! The **miss memo** leans on the same epoch.  A `Get` that misses keeps
+//! what its two-bucket scan decoded ([`MissMemo`]), and a `Set` of the key
+//! as the client's next operation publishes from it instead of reading the
+//! buckets again — while the key's board epoch and the stripe directory's
+//! version are what they were before the miss's READs.  Its CASes are not
+//! blind: each expects a word the memo read (an empty or history slot for
+//! an insert, the victim's word for a bucket eviction), so a slot that
+//! changed fails it, and the next attempt reads the buckets.  The directory
+//! version guards the memo's addresses, which after a stripe cutover name
+//! the retired copy.  The epoch guards what no CAS can see: that the key is
+//! still absent.  Every publish of the key bumps it, so a key another client
+//! filled since the miss refuses the memo — unless that client's CAS has
+//! landed and its bump has not.  Then the insert lands in a second slot and
+//! the key lives twice.  A lookup serves the first copy it finds and a
+//! replace updates that one alone, so the other can be served again, stale,
+//! once the first is gone.  The unhinted insert has the same exposure
+//! between its bucket READ and its CAS; the memo widens it to the span from
+//! the miss's READ to the fill's epoch check, for publishes whose bump is
+//! still to come.
+//!
 //! # What the epoch filter costs
 //!
 //! The filter is one relaxed load and a compare, and it saves a hint staled
@@ -293,7 +313,8 @@ impl Rider<'_> {
 /// What a lookup found.
 pub(super) struct Lookup {
     /// Every slot decoded, primary bucket first — of a hinted lookup that
-    /// held, the hinted slot alone.
+    /// held, the hinted slot alone; of a fill from its miss memo, the slots
+    /// the miss decoded.
     pub(super) slots: SearchSlots,
     /// The key's live slot, if any.
     pub(super) found: Option<(RemoteAddr, Slot)>,
@@ -313,6 +334,20 @@ impl Lookup {
             object_landed: false,
         }
     }
+}
+
+/// What a `Get` that missed on a full two-bucket scan saw, kept for the
+/// client's next operation: a `Set` of the same key may publish from it
+/// instead of reading the buckets again ([`DittoClient::memo_slots`]); any
+/// other operation drops it.
+pub(super) struct MissMemo {
+    pub(super) hash: u64,
+    /// Both buckets' slots, primary first, as the scan decoded them.
+    pub(super) slots: SearchSlots,
+    /// The key's board epoch and the stripe directory's version, both read
+    /// before the bucket READs.
+    pub(super) board_epoch: u64,
+    pub(super) dir_version: u64,
 }
 
 impl DittoClient {
@@ -522,6 +557,45 @@ impl DittoClient {
         Self::find_live(&[(slot_addr, slot)], hash, fp)
     }
 
+    /// The slots `memo` holds, if it is `hash`'s and still trusted under the
+    /// rule a hint is (see the module docs, *What a blind CAS leans on*):
+    /// the key's board epoch and the directory version are what they were
+    /// before the miss's bucket READs.
+    pub(super) fn memo_slots(&self, memo: MissMemo, hash: u64) -> Option<SearchSlots> {
+        (memo.hash == hash
+            && self.board.epoch(hash) == memo.board_epoch
+            && self.table.directory().version() == memo.dir_version)
+            .then_some(memo.slots)
+    }
+
+    /// The lookup of a `Set` that publishes from its miss's memo: `slots`
+    /// stand in for both bucket READs, and the round carries the riders
+    /// alone — the object `write`, signalled since no bucket READ waits for
+    /// it, and the riding eviction's sample READ and history-id FAA — behind
+    /// one doorbell, and waits for all of them.  A faulted round fails the
+    /// lookup like a faulted bucket READ: the caller's next attempt re-carries
+    /// the WRITE and reads the buckets.
+    pub(super) fn search_memo(
+        &mut self,
+        slots: SearchSlots,
+        write: Option<(RemoteAddr, &[u8])>,
+        evict: Option<&mut Eviction>,
+    ) -> DmResult<Lookup> {
+        let mut rider = Rider(evict);
+        {
+            let mut wq = self.dm.work_queue();
+            if let Some((addr, data)) = write {
+                wq.post_write(addr, data, true);
+            }
+            if let Some(ev) = rider.0.as_deref_mut() {
+                ev.ride(&mut wq, &mut self.sample_buf);
+            }
+            wq.ring();
+        }
+        rider.drain(&self.dm)?;
+        Ok(Lookup::new(slots, None))
+    }
+
     fn search_rounds(
         &mut self,
         hash: u64,
@@ -716,6 +790,7 @@ mod tests {
     use crate::client::DittoClient;
     use crate::config::DittoConfig;
     use crate::hash::{fingerprint, fnv1a64};
+    use crate::history::EvictionHistory;
     use crate::slot::{AtomicField, SLOTS_PER_BUCKET, SLOT_SIZE};
     use ditto_dm::stats::VerbKind;
     use ditto_dm::{DmConfig, RemoteAddr};
@@ -1095,6 +1170,100 @@ mod tests {
             assert!(unhinted.0 > round_trip + DmConfig::CAS_LATENCY_NS);
             assert_eq!(stats.spec_publishes_issued(), 2);
         }
+    }
+
+    /// Every slot of `key`'s two buckets that holds a live object of `key`,
+    /// read forensically.
+    fn live_slots_of(cache: &DittoCache, client: &DittoClient, key: &[u8]) -> Vec<RemoteAddr> {
+        let (table, hash) = (cache.table(), fnv1a64(key));
+        [table.primary_bucket(hash), table.secondary_bucket(hash)]
+            .into_iter()
+            .flat_map(|bucket| table.read_bucket(&client.dm, bucket))
+            .filter(|(_, slot)| slot.atomic.is_object() && slot.hash == hash)
+            .map(|(slot_addr, _)| slot_addr)
+            .collect()
+    }
+
+    /// READs served over all memory nodes, and failed slot CASes.
+    fn reads_and_lost_cases(cache: &DittoCache) -> (u64, u64) {
+        let stats = cache.pool().stats();
+        let reads = stats.node_snapshots().iter().map(|node| node.reads).sum();
+        (reads, stats.contention().cas_retries)
+    }
+
+    #[test]
+    fn a_miss_memo_another_clients_fill_staled_is_refused() {
+        let cache = small_cache();
+        let (mut a, mut b) = (cache.client(), cache.client());
+        let (table, key) = (cache.table(), b"probe");
+        let primary = table.primary_bucket(fnv1a64(key));
+        let [first, second] = [0, 1].map(|slot| table.slot_addr(primary, slot));
+        // A misses: its memo has the key's first slot empty, the slot an
+        // insert takes.
+        assert!(a.get(key).is_none());
+        // B misses and fills while something else holds that slot, so B's
+        // value goes into the next one…
+        let thief = cache.pool().connect();
+        let ghost = AtomicField::for_history(0x11, EvictionHistory::pack_id(0, 1)).encode();
+        assert_eq!(thief.cas(first, 0, ghost), 0);
+        assert!(b.get(key).is_none());
+        b.set(key, b"b");
+        assert_eq!(live_slots_of(&cache, &b, key), [second]);
+        // …and the first is empty again when A fills.  A's memo still says
+        // the key is absent and that slot free: trusted, it would install
+        // the key a second time.  B's publish moved the key's board epoch,
+        // so A reads the buckets, finds B's value and replaces it.
+        assert_eq!(thief.cas(first, ghost, 0), ghost);
+        let (reads, lost) = reads_and_lost_cases(&cache);
+        a.set(key, b"a");
+        let after = reads_and_lost_cases(&cache);
+        assert_eq!(live_slots_of(&cache, &a, key), [second]);
+        assert_eq!(after, (reads + 2, lost));
+        assert_eq!(b.get(key).as_deref(), Some(&b"a"[..]));
+        assert_eq!(
+            cache.pool().resident_object_bytes(0),
+            a.referenced_object_bytes_on(0)
+        );
+    }
+
+    #[test]
+    fn a_stripe_cutover_between_a_miss_and_its_fill_forces_the_lookup() {
+        let cache = || {
+            let dm = DmConfig::default().with_memory_nodes(2);
+            DittoCache::with_dedicated_pool(DittoConfig::with_capacity(2_000), dm).unwrap()
+        };
+        // Whether an add_node moves a key's primary bucket: a dry run on a
+        // twin cache.
+        let moved = {
+            let twin = cache();
+            let table = twin.table();
+            let before: Vec<u16> = (0..table.num_buckets())
+                .map(|bucket| table.node_of_bucket(bucket))
+                .collect();
+            twin.pool().add_node().unwrap();
+            twin.pump_migration();
+            move |key: &[u8]| {
+                let bucket = table.primary_bucket(fnv1a64(key));
+                table.node_of_bucket(bucket) != before[bucket as usize]
+            }
+        };
+        let key = (0..)
+            .map(|i| format!("key{i}").into_bytes())
+            .find(|key| moved(key))
+            .unwrap();
+        let cache = cache();
+        let mut client = cache.client();
+        assert!(client.get(&key).is_none());
+        cache.pool().add_node().unwrap();
+        assert!(cache.pump_migration().stripes_moved > 0);
+        // The memo's slots name the key's buckets where they were: trusted,
+        // the insert CAS would go to the retired copy and lose to its
+        // poison.  The directory moved on, so the fill reads the buckets.
+        let (reads, lost) = reads_and_lost_cases(&cache);
+        client.set(&key, b"moved");
+        assert_eq!(reads_and_lost_cases(&cache), (reads + 2, lost));
+        assert_eq!(live_slots_of(&cache, &client, &key).len(), 1);
+        assert_eq!(client.get(&key).as_deref(), Some(&b"moved"[..]));
     }
 
     #[test]

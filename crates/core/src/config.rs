@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`crate::DittoCache`].
 ///
-/// The defaults follow §5.1 of the paper: 5-slot eviction samples
+/// The defaults follow §5.1 of the paper: eviction samples of 5 candidates
 /// ([`DittoConfig::SAMPLE_SIZE`]), a frequency-counter threshold of 10 with
 /// a 10 MB client-side cache, a learning rate of 0.1
 /// ([`crate::adaptive::LEARNING_RATE`]), weight synchronisation every 100
@@ -66,9 +66,11 @@ pub struct DittoConfig {
     pub local_tier_lease_ns: u64,
 }
 
-/// Hash-table slots allocated per cached object (live + history slots): the
-/// density at which an eviction sample of consecutive slots holds enough
-/// live candidates.
+/// Hash-table slots allocated per cached object: room for the live object
+/// and its history entries, and the slack that keeps a key's two buckets from
+/// filling (a full pair forces a bucket eviction).  A full cache therefore
+/// holds one live object per three slots, which is why an eviction sample
+/// spans [`DittoConfig::SAMPLE_SPAN_SLOTS`] of them.
 const SLOTS_PER_OBJECT: u64 = 3;
 
 impl Default for DittoConfig {
@@ -141,10 +143,16 @@ impl DittoConfig {
         self
     }
 
-    /// Hash-table slots sampled per eviction (K), not objects: a span of `K`
-    /// consecutive slots, of which only those holding a live object are
-    /// scored as candidates.
+    /// Eviction candidates expected per sample (K, the paper's 5): a sample
+    /// reads [`DittoConfig::SAMPLE_SPAN_SLOTS`] consecutive slots, which at
+    /// the table's density of one live object per three slots hold about K
+    /// objects.  The simulator scores exactly K.
     pub const SAMPLE_SIZE: usize = 5;
+
+    /// Consecutive hash-table slots one eviction sample READs: K times the
+    /// slots the table allocates per object.  Derived, not a knob.  (The
+    /// scattered-metadata ablation READs K single slots instead.)
+    pub const SAMPLE_SPAN_SLOTS: usize = Self::SAMPLE_SIZE * SLOTS_PER_OBJECT as usize;
 
     /// Extra bytes per object (key + object header), used to size the pool.
     pub const OBJECT_OVERHEAD_BYTES: u32 = 32;
@@ -210,6 +218,7 @@ mod tests {
     fn defaults_match_paper_parameters() {
         let c = DittoConfig::default();
         assert_eq!(DittoConfig::SAMPLE_SIZE, 5);
+        assert_eq!(DittoConfig::SAMPLE_SPAN_SLOTS, 15);
         assert_eq!(c.fc_threshold, 10);
         assert_eq!(c.fc_cache_mb, 10.0);
         assert_eq!(LEARNING_RATE, 0.1);

@@ -544,13 +544,23 @@ mod tests {
 
     #[test]
     fn sampling_uses_one_read_and_returns_count_slots() {
-        let (_pool, table) = setup();
-        for seed in 0..20u64 {
-            let (start, segments) = sample_segments(&table, &mut StdRng::seed_from_u64(seed), 5);
-            // One READ of five consecutive slots inside the table.
-            assert_eq!(segments, [(table.global_slot_addr(start), 5)]);
-            let end = segments[0].0.offset + 5 * SLOT_SIZE as u64;
-            assert!(end <= table.base().offset + table.size_bytes());
+        let span = crate::config::DittoConfig::SAMPLE_SPAN_SLOTS;
+        let pool = MemoryPool::new(DmConfig::small());
+        // The smallest table there is (four buckets, 32 slots) and a larger one.
+        for buckets in [4, 64] {
+            let table = SampleFriendlyHashTable::create(&pool, buckets).unwrap();
+            for seed in 0..20u64 {
+                let (start, segments) =
+                    sample_segments(&table, &mut StdRng::seed_from_u64(seed), span);
+                // One READ of the whole span, inside the table.
+                assert_eq!(segments, [(table.global_slot_addr(start), span)]);
+                let end = segments[0].0.offset + (span * SLOT_SIZE) as u64;
+                assert!(end <= table.base().offset + table.size_bytes());
+            }
+            // A span longer than the table is clamped to all of it.
+            let slots = table.num_slots() as usize;
+            let mut rng = StdRng::seed_from_u64(1);
+            assert_eq!(table.sample_span(&mut rng, slots + span), (0, slots));
         }
     }
 

@@ -180,13 +180,36 @@
 //! So a fill whose first sample held two candidates takes the round trips of
 //! a plain `Set`, and each further sample adds one; slots of the `Set`'s own
 //! two buckets are never candidates, so the two CASes cannot meet on one
-//! word.  Without a usable spare (first pressure, a larger object, a lost
+//! word.  A sample is one READ of [`DittoConfig::SAMPLE_SPAN_SLOTS`]
+//! consecutive slots — three per candidate, the table's density when full —
+//! so it holds about K = 5 candidates and rarely fewer than the two a pick
+//! needs.  Without a usable spare (first pressure, a larger object, a lost
 //! victim race) the same routine runs inline to completion before the
 //! lookup — sample and id behind one doorbell there too — as it does for
 //! relocation and [`DittoClient::evict_once`];
 //! [`CacheStats::evictions_inline`] against
 //! [`CacheStats::evictions_overlapped`] shows how often.  The spare costs
 //! one object of capacity per client and no message.
+//!
+//! **The miss memo.**  A fill nearly always follows its key's miss, whose
+//! lookup has just read and decoded both buckets.  The client keeps that view
+//! for one operation, and a `Set` of the same key next publishes from it: its
+//! doorbell carries the object WRITE and the eviction's sample READ and FAA
+//! but no bucket READ, and it waits for all three.  An evicting fill is then
+//! two round trips — that doorbell, then publish CAS ‖ victim CAS — and two
+//! READs and 640 bytes lighter.  The memo is trusted on the rule a hint is
+//! (`client/lookup.rs`, *What a blind CAS leans on*): the key's
+//! [`local_tier::CoherenceBoard`] epoch and the stripe directory's version
+//! must not have moved since before the miss's READs.  The publish itself is
+//! unchanged: the insert CAS expects the word the memo read, and one that
+//! lost falls back to the full lookup.  What the memo widens is the
+//! **duplicate-insert** window.  Another client's fill of the same key whose
+//! CAS lands after the miss's READ, but whose end-of-`Set` board bump comes
+//! after this fill's epoch check, goes unseen, and the key is installed in
+//! two slots.  Lookups serve the first they find and a replace updates that
+//! one alone, so the other can later be served stale.  The unhinted insert
+//! has the same window between its bucket READ and its CAS; the memo
+//! stretches it back to the miss's READ.
 //!
 //! **Crashes.**  The sampling eviction has never been journalled: a client
 //! that dies between its victim CAS landing and the `free_object` after it

@@ -11,9 +11,10 @@
 //! same learning rate and discount — and the same rule for when a hit
 //! leaves `last_ts` alone ([`crate::recency`]), on its logical clock of one
 //! tick per request.  Two things differ.  The simulator's local weights are
-//! its global weights.  And it scores [`DittoConfig::SAMPLE_SIZE`] resident
-//! objects per eviction, where the client reads that many *slots* of a table
-//! at most a third full and so scores fewer candidates: the simulator's hit
+//! its global weights.  And it scores exactly [`DittoConfig::SAMPLE_SIZE`]
+//! resident objects per eviction, where the client reads
+//! [`DittoConfig::SAMPLE_SPAN_SLOTS`] consecutive slots, which hold about
+//! that many live objects but rarely exactly that many: the simulator's hit
 //! rates are not the client's.
 
 use crate::adaptive::AdaptivePolicy;

@@ -9,6 +9,10 @@
 //! behind it, the CAS of the hinted slot from the hinted word — no lookup.
 //! The same holds of it: at most one round trip lost, never a wrong or lost
 //! value, never a leaked or doubly freed object.
+//!
+//! And the fill after a miss, which publishes from what the miss read of the
+//! buckets instead of reading them again: under faults as well, never a
+//! wrong value, never a leaked object.
 
 mod support;
 
@@ -21,7 +25,7 @@ use ditto::cache::{object, DittoCache, DittoClient, DittoConfig};
 use ditto::dm::{DmConfig, FaultPlan, MemoryPool};
 use ditto::workloads::{Op, YcsbSpec, YcsbWorkload};
 use std::collections::HashMap;
-use support::{assert_no_orphans, env_u64};
+use support::{assert_no_orphans, env_u64, splitmix};
 
 /// What one seeded single-client run observed.
 struct Observed {
@@ -597,6 +601,80 @@ fn faulted_hinted_sets_leave_every_value_current_and_nothing_leaked() {
         assert!(
             wasted > issued / 4 && wasted < issued / 2,
             "seed {seed}: {wasted} of {issued}"
+        );
+    }
+}
+
+/// A fill under memory pressure right after its key's miss: the `Set`
+/// publishes from what the miss read of the buckets, its doorbell carrying
+/// the object WRITE beside its eviction's sample READ and history-id FAA.
+/// Any of them may fail here — one verb in five — and the fill then reads
+/// the buckets like any other `Set`.  Skewed cache-aside over two thousand
+/// keys at capacity 300, on one node and on two: every hit and every re-read
+/// returns the last completed value, and no byte leaks.
+#[test]
+fn faulted_fills_after_misses_leave_every_value_current_and_nothing_leaked() {
+    const KEYS: u64 = 2_000;
+    let value = |key: u64, round: u64| {
+        let mut value = format!("key {key} round {round}").into_bytes();
+        value.resize(200, b'.');
+        value
+    };
+    let seeds = env_u64("DITTO_CHAOS_SEEDS", 2);
+    for seed in 0..seeds {
+        let nodes = 1 + (seed % 2) as u16;
+        let plan = FaultPlan::seeded(0xf111 + seed).with_verb_fail_ppm(200_000);
+        let cache = DittoCache::with_dedicated_pool(
+            DittoConfig::with_capacity(300),
+            DmConfig::default()
+                .with_memory_nodes(nodes)
+                .with_fault_plan(plan),
+        )
+        .unwrap();
+        let injector = cache.pool().fault_injector();
+        injector.set_armed(false);
+        let mut client = cache.client();
+        // The last completed value of each key; `None` once a `Set` of it
+        // returned `Err`, which may or may not have landed.
+        let mut latest: Vec<Option<Vec<u8>>> = (0..KEYS)
+            .map(|key| {
+                client.set(&key.to_le_bytes(), &value(key, 0));
+                Some(value(key, 0))
+            })
+            .collect();
+        let stats = cache.stats();
+        let (misses, overlapped) = (stats.snapshot().misses, stats.evictions_overlapped());
+        for round in 1..=3u64 {
+            let context = format!("seed {seed}, {nodes} node(s), round {round}");
+            injector.set_armed(true);
+            for i in 0..KEYS {
+                // Skewed towards low keys, so some of them hit.
+                let u = splitmix(seed << 32 | round << 16 | i) as f64 / u64::MAX as f64;
+                let key = (u * u * KEYS as f64) as u64;
+                if let Some(hit) = client.get(&key.to_le_bytes()) {
+                    if let Some(expected) = &latest[key as usize] {
+                        assert_eq!(&hit, expected, "{context}, key {key}");
+                    }
+                    continue;
+                }
+                let filled = client.try_set(&key.to_le_bytes(), &value(key, round));
+                latest[key as usize] = filled.is_ok().then(|| value(key, round));
+            }
+            injector.set_armed(false);
+            for key in 0..KEYS {
+                if let (Some(read), Some(expected)) =
+                    (client.get(&key.to_le_bytes()), &latest[key as usize])
+                {
+                    assert_eq!(&read, expected, "{context}, key {key}");
+                }
+            }
+            assert_no_orphans(&cache, &mut client, &context);
+        }
+        // The rounds filled under pressure, their evictions running ahead.
+        assert!(stats.snapshot().misses - misses > 4_000, "seed {seed}");
+        assert!(
+            stats.evictions_overlapped() - overlapped > 1_500,
+            "seed {seed}"
         );
     }
 }

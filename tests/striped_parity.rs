@@ -10,6 +10,13 @@
 //! the stripe map.  The test pins the total object capacity exactly by
 //! sizing each node as `reserved bytes + N × object size` (with one-object
 //! segments, so no partial-segment waste differs between layouts).
+//!
+//! The expert is LFU, whose priorities are counts.  LRU's read `last_ts`,
+//! which a hit rewrites only once it is τ stale on the simulated clock
+//! (`ditto_core::recency`) — and the clock is the one thing striping does
+//! change, a doorbell per node.  On this trace the two layouts' timestamp
+//! decisions part at request 3 056, and once a sample holds five candidates
+//! an LRU pick among near-equal timestamps follows them.
 
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{object, DittoCache, DittoConfig};
@@ -28,13 +35,13 @@ fn spec() -> YcsbSpec {
 }
 
 /// Encoded size (whole 64-byte blocks) of one trace object: 8-byte header,
-/// 8-byte key, fixed-size value, no extension metadata (single-expert LRU).
+/// 8-byte key, fixed-size value, no extension metadata (single-expert LFU).
 fn object_bytes(spec: &YcsbSpec) -> u64 {
     object::size_class(8, spec.value_size as usize, false) as u64 * 64
 }
 
 fn parity_config(spec: &YcsbSpec) -> DittoConfig {
-    let mut config = DittoConfig::single_algorithm(CAPACITY_OBJECTS, "lru");
+    let mut config = DittoConfig::single_algorithm(CAPACITY_OBJECTS, "lfu");
     // One object per allocator segment and an exact per-object size, so the
     // object capacity of a pool is precisely (free bytes) / (object bytes)
     // regardless of how the bytes are spread over nodes.
