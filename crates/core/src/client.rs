@@ -142,9 +142,9 @@ pub struct DittoClient {
     /// and a replacing `Set` CAS it without reading anything (see
     /// [`lookup`]).
     hints: HintTable,
-    /// What this client's last operation, a `Get` that missed, saw of the
-    /// key's buckets: the `Set` that fills the key next publishes from it
-    /// without reading them again (see [`lookup::MissMemo`]).
+    /// What this client's last `Get`, if it missed and no `Set` came since,
+    /// saw of the key's buckets: the `Set` that fills the key next publishes
+    /// from it without reading them again (see [`lookup::MissMemo`]).
     miss_memo: Option<MissMemo>,
     /// This client's own bumps of each [`CoherenceBoard`] slot.  Its own slot
     /// CASes keep its hints exact, so a hint is stamped with — and filtered
@@ -529,7 +529,6 @@ impl DittoClient {
     /// and would otherwise be double-freed by the sweep.  The recovering
     /// client releases its own hoard automatically.
     pub fn recover_crashed_client(&mut self, dead_id: u32) -> RecoveryReport {
-        self.miss_memo = None;
         let recovery_event = |phase: RecoveryPhase, dm: &DmClient| {
             dm.pool().record_event(
                 dm.now_ns(),
@@ -1447,9 +1446,10 @@ impl DittoClient {
         // on its own key's slot — replace, fresh install, bucket
         // evict-and-insert, or the failed-update invalidation sweep — and
         // is sequenced after the last CAS but before the operation returns,
-        // so a reader starting after this Set completes always sees it.  A
-        // Set that mutated nothing bumps anyway; the only cost is a
-        // spurious refetch by tier holders of this key.
+        // so a reader starting after this Set completes always sees it.  (An
+        // insert bumped once already, the moment its CAS landed, for the
+        // miss memos it stales.)  A Set that mutated nothing bumps anyway;
+        // the only cost is a spurious refetch by tier holders of this key.
         self.bump_board(hash);
         self.journal_clear();
         self.encode_buf = encoded;
@@ -1553,7 +1553,6 @@ impl DittoClient {
     /// any client at any time; `DittoCache::pump_migration` is the
     /// run-to-completion wrapper.
     pub fn pump_migration(&mut self, max_stripes: usize) -> MigrationProgress {
-        self.miss_memo = None;
         self.maybe_refresh_topology();
         let engine = Arc::clone(&self.engine);
         engine.maybe_replan();

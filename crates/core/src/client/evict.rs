@@ -147,7 +147,6 @@ impl DittoClient {
     /// Performs one sampling eviction.  Returns `true` when an object was
     /// evicted and its memory recycled.
     pub fn evict_once(&mut self) -> bool {
-        self.miss_memo = None;
         self.evict_once_for(0)
     }
 

@@ -44,15 +44,15 @@
 //! changed fails it, and the next attempt reads the buckets.  The directory
 //! version guards the memo's addresses, which after a stripe cutover name
 //! the retired copy.  The epoch guards what no CAS can see: that the key is
-//! still absent.  Every publish of the key bumps it, so a key another client
-//! filled since the miss refuses the memo — unless that client's CAS has
-//! landed and its bump has not.  Then the insert lands in a second slot and
-//! the key lives twice.  A lookup serves the first copy it finds and a
-//! replace updates that one alone, so the other can be served again, stale,
-//! once the first is gone.  The unhinted insert has the same exposure
-//! between its bucket READ and its CAS; the memo widens it to the span from
-//! the miss's READ to the fill's epoch check, for publishes whose bump is
-//! still to come.
+//! still absent.  Every publish of the key bumps it — an insert as soon as
+//! its CAS completes, ahead of the bump that ends its `Set` — so a key
+//! another client filled since the miss refuses the memo, unless that
+//! client's CAS has landed and its completion is still in flight.  Then the
+//! insert lands in a second slot and the key lives twice.  A lookup serves
+//! the first copy it finds and a replace updates that one alone, so the
+//! other can be served again, stale, once the first is gone.  The unhinted
+//! insert has the same exposure between its bucket READ and its CAS; the
+//! memo adds to it only that return flight of the other client's CAS.
 //!
 //! # What the epoch filter costs
 //!
@@ -336,10 +336,12 @@ impl Lookup {
     }
 }
 
-/// What a `Get` that missed on a full two-bucket scan saw, kept for the
-/// client's next operation: a `Set` of the same key may publish from it
+/// What a `Get` that missed on a full two-bucket scan saw, kept until the
+/// client's next `Get` or `Set`: a `Set` of the same key may publish from it
 /// instead of reading the buckets again ([`DittoClient::memo_slots`]); any
-/// other operation drops it.
+/// other `Get` or `Set` drops it.  Whatever runs in between — an eviction,
+/// a migration pump — is left to the guards: a cutover moves the directory
+/// version, and a slot it changed fails the CAS that expects the memo's word.
 pub(super) struct MissMemo {
     pub(super) hash: u64,
     /// Both buckets' slots, primary first, as the scan decoded them.
@@ -791,7 +793,9 @@ mod tests {
     use crate::config::DittoConfig;
     use crate::hash::{fingerprint, fnv1a64};
     use crate::history::EvictionHistory;
+    use crate::object;
     use crate::slot::{AtomicField, SLOTS_PER_BUCKET, SLOT_SIZE};
+    use ditto_algorithms::EXT_WORDS;
     use ditto_dm::stats::VerbKind;
     use ditto_dm::{DmConfig, RemoteAddr};
 
@@ -1191,28 +1195,39 @@ mod tests {
         (reads, stats.contention().cas_retries)
     }
 
-    #[test]
-    fn a_miss_memo_another_clients_fill_staled_is_refused() {
+    /// B's fill of `key` up to its winning insert CAS and not a step further:
+    /// a `Set` that has published but not reached the bump that ends it.
+    fn insert_up_to_its_cas(client: &mut DittoClient, key: &[u8], value: &[u8]) {
+        let hash = fnv1a64(key);
+        let encoded = object::encode(key, value, client.use_extension, &[0; EXT_WORDS]);
+        let obj_addr = client.alloc_with_eviction(0, encoded.len());
+        client.dm.write(obj_addr, &encoded);
+        let size_class = (encoded.len() / 64) as u8;
+        let word = AtomicField::try_for_object(fingerprint(hash), size_class, obj_addr).unwrap();
+        let lookup = client.search(hash, fingerprint(hash), None, None, None);
+        let slots = lookup.unwrap().slots;
+        let (slot_addr, observed) = client.choose_insert_slot(&slots).unwrap();
+        assert!(client.install_new(slot_addr, &observed, word, hash));
+    }
+
+    /// A misses `probe`; then B, by `fill`, installs it with value `b"b"`
+    /// while a stranger holds the key's first slot, so B's value goes into
+    /// the second; then the first is empty again and A fills.  A's memo
+    /// still says the key is absent and that slot free: trusted, it would
+    /// install the key a second time.  B's insert CAS moved the key's board
+    /// epoch, so A reads the buckets, finds B's value and replaces it.
+    fn fill_after_another_clients_fill(fill: impl FnOnce(&mut DittoClient, &[u8])) {
         let cache = small_cache();
         let (mut a, mut b) = (cache.client(), cache.client());
         let (table, key) = (cache.table(), b"probe");
         let primary = table.primary_bucket(fnv1a64(key));
         let [first, second] = [0, 1].map(|slot| table.slot_addr(primary, slot));
-        // A misses: its memo has the key's first slot empty, the slot an
-        // insert takes.
         assert!(a.get(key).is_none());
-        // B misses and fills while something else holds that slot, so B's
-        // value goes into the next one…
         let thief = cache.pool().connect();
         let ghost = AtomicField::for_history(0x11, EvictionHistory::pack_id(0, 1)).encode();
         assert_eq!(thief.cas(first, 0, ghost), 0);
-        assert!(b.get(key).is_none());
-        b.set(key, b"b");
+        fill(&mut b, key);
         assert_eq!(live_slots_of(&cache, &b, key), [second]);
-        // …and the first is empty again when A fills.  A's memo still says
-        // the key is absent and that slot free: trusted, it would install
-        // the key a second time.  B's publish moved the key's board epoch,
-        // so A reads the buckets, finds B's value and replaces it.
         assert_eq!(thief.cas(first, ghost, 0), ghost);
         let (reads, lost) = reads_and_lost_cases(&cache);
         a.set(key, b"a");
@@ -1224,6 +1239,19 @@ mod tests {
             cache.pool().resident_object_bytes(0),
             a.referenced_object_bytes_on(0)
         );
+    }
+
+    #[test]
+    fn a_miss_memo_another_clients_fill_staled_is_refused() {
+        fill_after_another_clients_fill(|b, key| {
+            assert!(b.get(key).is_none());
+            b.set(key, b"b");
+        });
+    }
+
+    #[test]
+    fn a_miss_memo_is_refused_between_another_clients_insert_cas_and_its_sets_end() {
+        fill_after_another_clients_fill(|b, key| insert_up_to_its_cas(b, key, b"b"));
     }
 
     #[test]

@@ -62,10 +62,16 @@ impl DittoClient {
     /// fall between the CAS and the write.  So a landed CAS is rolled
     /// forward until its metadata is where no reconcile can have missed it
     /// ([`Self::settle_rekey`]).
+    ///
+    /// A landed CAS bumps `hash`'s board epoch at once, ahead of the bump
+    /// that ends the `Set`: another client's miss memo of the key, taken
+    /// before this CAS, must be refused from here on, or its fill would
+    /// install the key a second time (see [`super::lookup`]).
     fn rekey_cas(&mut self, slot_addr: RemoteAddr, expected: u64, new: u64, hash: u64) -> bool {
         if !self.slot_cas(slot_addr, expected, new) {
             return false;
         }
+        self.bump_board(hash);
         self.write_fresh_metadata(slot_addr, hash);
         self.settle_rekey(slot_addr, new, hash);
         true
@@ -351,8 +357,8 @@ impl DittoClient {
         }
         // The *victim key*'s slot word is gone: invalidate its local-tier
         // copies right away — before even the crash hook, since the CAS
-        // already landed.  (The inserted key's own bump happens once at the
-        // end of `set_inner`.)
+        // already landed.  (The inserted key's own bumps came with the CAS
+        // and come again at the end of `set_inner`.)
         self.bump_board(victim.hash);
         self.hints.forget(victim.hash);
         self.hint_cas_won(hash, victim_addr, new_atomic.encode());

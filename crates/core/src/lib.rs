@@ -193,23 +193,25 @@
 //!
 //! **The miss memo.**  A fill nearly always follows its key's miss, whose
 //! lookup has just read and decoded both buckets.  The client keeps that view
-//! for one operation, and a `Set` of the same key next publishes from it: its
-//! doorbell carries the object WRITE and the eviction's sample READ and FAA
-//! but no bucket READ, and it waits for all three.  An evicting fill is then
+//! until its next `Get` or `Set`, and a `Set` of the same key publishes from
+//! it: its doorbell carries the object WRITE and the eviction's sample READ
+//! and FAA but no bucket READ, and it waits for all three.  An evicting fill is then
 //! two round trips — that doorbell, then publish CAS ‖ victim CAS — and two
 //! READs and 640 bytes lighter.  The memo is trusted on the rule a hint is
 //! (`client/lookup.rs`, *What a blind CAS leans on*): the key's
 //! [`local_tier::CoherenceBoard`] epoch and the stripe directory's version
 //! must not have moved since before the miss's READs.  The publish itself is
 //! unchanged: the insert CAS expects the word the memo read, and one that
-//! lost falls back to the full lookup.  What the memo widens is the
+//! lost falls back to the full lookup.  What the memo touches is the
 //! **duplicate-insert** window.  Another client's fill of the same key whose
-//! CAS lands after the miss's READ, but whose end-of-`Set` board bump comes
-//! after this fill's epoch check, goes unseen, and the key is installed in
-//! two slots.  Lookups serve the first they find and a replace updates that
-//! one alone, so the other can later be served stale.  The unhinted insert
-//! has the same window between its bucket READ and its CAS; the memo
-//! stretches it back to the miss's READ.
+//! CAS lands after the miss's READ is seen through the key's epoch, which
+//! that client bumps as soon as its CAS completes — not only at the end of
+//! its `Set`.  A fill whose epoch check falls between that CAS landing and
+//! its completion arriving goes on, and the key is installed in two slots.
+//! Lookups serve the first they find and a replace updates that one alone,
+//! so the other can later be served stale.  The unhinted insert has the same
+//! exposure from its bucket READ to its CAS; the memo's check-to-CAS span is
+//! no longer than that, and adds only the other CAS's return flight.
 //!
 //! **Crashes.**  The sampling eviction has never been journalled: a client
 //! that dies between its victim CAS landing and the `free_object` after it

@@ -11,12 +11,13 @@
 //! sizing each node as `reserved bytes + N × object size` (with one-object
 //! segments, so no partial-segment waste differs between layouts).
 //!
-//! The expert is LFU, whose priorities are counts.  LRU's read `last_ts`,
-//! which a hit rewrites only once it is τ stale on the simulated clock
-//! (`ditto_core::recency`) — and the clock is the one thing striping does
-//! change, a doorbell per node.  On this trace the two layouts' timestamp
-//! decisions part at request 3 056, and once a sample holds five candidates
-//! an LRU pick among near-equal timestamps follows them.
+//! One decision is not placement-independent: whether a hit rewrites LRU's
+//! `last_ts`, which it does only once the stored timestamp is τ stale on the
+//! simulated clock (`ditto_core::recency`) — and the clock is the one thing
+//! striping does change, a doorbell per node.  So the whole trace is held
+//! to parity under LFU, whose priorities are counts, and LRU up to the
+//! request at which the two layouts' timestamp decisions first part.  Past
+//! it an LRU pick among near-equal timestamps may follow them.
 
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{object, DittoCache, DittoConfig};
@@ -24,6 +25,11 @@ use ditto::dm::{DmConfig, MemoryPool};
 use ditto::workloads::{YcsbSpec, YcsbWorkload};
 
 const CAPACITY_OBJECTS: u64 = 700;
+
+/// The request at which, under LRU, one layout's hit rewrites `last_ts` and
+/// the other's leaves it.  It moves when the trace, the clock model or the
+/// τ rule does.
+const LRU_TS_DECISIONS_PART_AT: usize = 3_056;
 
 fn spec() -> YcsbSpec {
     YcsbSpec {
@@ -35,13 +41,13 @@ fn spec() -> YcsbSpec {
 }
 
 /// Encoded size (whole 64-byte blocks) of one trace object: 8-byte header,
-/// 8-byte key, fixed-size value, no extension metadata (single-expert LFU).
+/// 8-byte key, fixed-size value, no extension metadata (a single expert).
 fn object_bytes(spec: &YcsbSpec) -> u64 {
     object::size_class(8, spec.value_size as usize, false) as u64 * 64
 }
 
-fn parity_config(spec: &YcsbSpec) -> DittoConfig {
-    let mut config = DittoConfig::single_algorithm(CAPACITY_OBJECTS, "lfu");
+fn parity_config(spec: &YcsbSpec, algorithm: &str) -> DittoConfig {
+    let mut config = DittoConfig::single_algorithm(CAPACITY_OBJECTS, algorithm);
     // One object per allocator segment and an exact per-object size, so the
     // object capacity of a pool is precisely (free bytes) / (object bytes)
     // regardless of how the bytes are spread over nodes.
@@ -53,12 +59,12 @@ fn parity_config(spec: &YcsbSpec) -> DittoConfig {
 /// Builds a cache over `nodes` memory nodes whose pool fits *exactly*
 /// `CAPACITY_OBJECTS` objects beyond the reserved structures, measured by a
 /// dry-run deployment (reservations are deterministic per configuration).
-fn build(nodes: u16, spec: &YcsbSpec) -> DittoCache {
+fn build(nodes: u16, spec: &YcsbSpec, algorithm: &str) -> DittoCache {
     let dm = DmConfig::default().with_memory_nodes(nodes);
     let generous = vec![64u64 << 20; nodes as usize];
     let dry = DittoCache::new(
         MemoryPool::with_capacities(dm.clone(), &generous),
-        parity_config(spec),
+        parity_config(spec, algorithm),
     )
     .unwrap();
     let per_node = CAPACITY_OBJECTS / nodes as u64;
@@ -68,65 +74,90 @@ fn build(nodes: u16, spec: &YcsbSpec) -> DittoCache {
             reserved + per_node * object_bytes(spec)
         })
         .collect();
-    DittoCache::new(MemoryPool::with_capacities(dm, &caps), parity_config(spec)).unwrap()
+    DittoCache::new(
+        MemoryPool::with_capacities(dm, &caps),
+        parity_config(spec, algorithm),
+    )
+    .unwrap()
 }
 
-/// Replays a get-heavy YCSB-C trace (with cache-aside fills on miss) and
-/// returns every observed value plus the cache statistics.
-fn run(nodes: u16) -> (Vec<Option<Vec<u8>>>, CacheStatsSnapshot, DittoCache) {
+/// What a replay observed, request by request, and the cache it left.
+struct Replay {
+    values: Vec<Option<Vec<u8>>>,
+    /// After each request: the hits' `last_ts` WRITEs sent and left out.
+    ts_decisions: Vec<(u64, u64)>,
+    /// After each request: hits, misses, sets, evictions, bucket evictions.
+    evolution: Vec<[u64; 5]>,
+    cache: DittoCache,
+}
+
+fn evolution(stats: &CacheStatsSnapshot) -> [u64; 5] {
+    [
+        stats.hits,
+        stats.misses,
+        stats.sets,
+        stats.evictions,
+        stats.bucket_evictions,
+    ]
+}
+
+/// Replays a get-heavy YCSB-C trace (with cache-aside fills on miss) on a
+/// cache over `nodes` memory nodes.
+fn run(nodes: u16, algorithm: &str) -> Replay {
     let spec = spec();
-    let cache = build(nodes, &spec);
+    let cache = build(nodes, &spec, algorithm);
     let mut client = cache.client();
-    let mut observed = Vec::new();
+    let (mut values, mut ts_decisions, mut evolved) = (Vec::new(), Vec::new(), Vec::new());
     let mut value_buf = Vec::new();
     for request in spec.run_requests(YcsbWorkload::C) {
         let key = request.key_bytes();
         if client.get_into(&key, &mut value_buf) {
-            observed.push(Some(value_buf.clone()));
+            values.push(Some(value_buf.clone()));
         } else {
-            observed.push(None);
+            values.push(None);
             client.set(&key, &vec![request.key as u8; request.value_size as usize]);
         }
+        let stats = cache.stats();
+        ts_decisions.push((stats.ts_writes_sent(), stats.ts_writes_skipped()));
+        evolved.push(evolution(&stats.snapshot()));
     }
     client.flush();
-    let stats = cache.stats().snapshot();
-    (observed, stats, cache)
+    Replay {
+        values,
+        ts_decisions,
+        evolution: evolved,
+        cache,
+    }
+}
+
+/// Asserts the two replays identical through request `last` — values, and
+/// the cache's evolution — and that the prefix exercised what parity is
+/// about.
+fn assert_identical_through(single: &Replay, striped: &Replay, last: usize) {
+    for i in 0..=last {
+        assert_eq!(
+            single.values[i], striped.values[i],
+            "request {i} diverged between single-node and striped"
+        );
+        assert_eq!(
+            single.evolution[i], striped.evolution[i],
+            "[hits, misses, sets, evictions, bucket evictions] diverged at request {i}"
+        );
+    }
+    let [hits, _, _, evictions, _] = single.evolution[last];
+    assert!(hits > 0, "trace should produce hits");
+    assert!(evictions > 0, "trace should exercise sampling eviction");
 }
 
 #[test]
 fn striped_and_single_node_caches_are_behaviourally_identical() {
-    let (single_values, single_stats, _single) = run(1);
-    let (striped_values, striped_stats, striped) = run(4);
-
-    // Byte-identical results, request by request.
-    assert_eq!(single_values.len(), striped_values.len());
-    for (i, (a, b)) in single_values.iter().zip(&striped_values).enumerate() {
-        assert_eq!(a, b, "request {i} diverged between single-node and striped");
-    }
-
-    // Identical cache evolution.
-    assert_eq!(single_stats.hits, striped_stats.hits, "hit counts diverged");
-    assert_eq!(
-        single_stats.misses, striped_stats.misses,
-        "miss counts diverged"
-    );
-    assert_eq!(single_stats.sets, striped_stats.sets);
-    assert_eq!(
-        single_stats.evictions, striped_stats.evictions,
-        "eviction counts diverged"
-    );
-    assert_eq!(
-        single_stats.bucket_evictions,
-        striped_stats.bucket_evictions
-    );
-    assert!(single_stats.hits > 0, "trace should produce hits");
-    assert!(
-        single_stats.evictions > 0,
-        "trace should exercise sampling eviction, got {single_stats:?}"
-    );
+    let single = run(1, "lfu");
+    let striped = run(4, "lfu");
+    assert_eq!(single.values.len(), striped.values.len());
+    assert_identical_through(&single, &striped, single.values.len() - 1);
 
     // The striped run genuinely used all four nodes.
-    let snaps = striped.pool().stats().node_snapshots();
+    let snaps = striped.cache.pool().stats().node_snapshots();
     assert_eq!(snaps.len(), 4);
     for (mn, snap) in snaps.iter().enumerate() {
         assert!(
@@ -138,9 +169,22 @@ fn striped_and_single_node_caches_are_behaviourally_identical() {
 }
 
 #[test]
+fn striped_and_single_node_lru_caches_agree_until_their_last_ts_decisions_part() {
+    let single = run(1, "lru");
+    let striped = run(4, "lru");
+    let parted = single
+        .ts_decisions
+        .iter()
+        .zip(&striped.ts_decisions)
+        .position(|(a, b)| a != b);
+    assert_eq!(parted, Some(LRU_TS_DECISIONS_PART_AT));
+    assert_identical_through(&single, &striped, LRU_TS_DECISIONS_PART_AT);
+}
+
+#[test]
 fn striping_spreads_the_message_load() {
-    let (_, _, striped) = run(4);
-    let snaps = striped.pool().stats().node_snapshots();
+    let striped = run(4, "lfu");
+    let snaps = striped.cache.pool().stats().node_snapshots();
     let total: u64 = snaps.iter().map(|s| s.messages).sum();
     let max = snaps.iter().map(|s| s.messages).max().unwrap();
     // The hottest node carries well under half of a 4-node pool's load
