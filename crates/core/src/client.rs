@@ -21,15 +21,20 @@
 //!   `RDMA_CAS` of the hinted slot from the hinted word: no lookup, one
 //!   round trip (see the crate docs).  A `Set` right after its key's `Get`
 //!   missed reuses the buckets that miss decoded, while the key's board epoch
-//!   and the stripe directory say they still hold: its doorbell carries the
-//!   object `RDMA_WRITE` (and a riding eviction's verbs) but no bucket READ.
+//!   and the stripe directory say they still hold, and reads none: when the
+//!   insert slot they offer is on the object's node, one doorbell carries
+//!   the `RDMA_WRITE` and, behind it, the `RDMA_CAS` of that slot — one
+//!   round trip again — beside the verbs of the evictions it carries and
+//!   runs.
 //! * **Eviction** — one doorbell carrying an `RDMA_READ` of
 //!   [`DittoConfig::SAMPLE_SPAN_SLOTS`] consecutive slots, about K live
 //!   candidates (or, in the scattered-metadata ablation, K slot READs), and
 //!   the `RDMA_FAA` on a history counter, a per-expert priority
 //!   evaluation, a weighted victim choice and an `RDMA_CAS` converting the
 //!   victim slot into an embedded history entry — run *ahead* of the
-//!   evicting `Set`, beside its lookup and publish (see the crate docs).
+//!   evicting `Set`, beside its lookup and publish; a fill after a miss
+//!   *parks* the picked victim, and the next starved `Set` carries its
+//!   `RDMA_CAS` on its own first doorbell (see the crate docs).
 //!
 //! This is the **one data path**: posted WQEs, polled completions
 //! (`work_queue()` → `ring()` → `poll_cq()`), with a synchronous single-verb
@@ -38,11 +43,12 @@
 //! decodes it *while the secondary is still in flight*; `Set` posts its
 //! object WRITE unsignalled (never waited for) next to the bucket READs; a
 //! hinted `Get`'s object READ flies with the slot READ that validates it;
-//! a hinted `Set`'s publish CAS is posted behind the object WRITE it
-//! publishes; a due frequency-counter FAA rides unsignalled — next to a hit's
-//! object READ, or on a doorbell of its own — and is never waited for; and
-//! an eviction's sample READ and history FAA fly while its `Set` looks up,
-//! its victim CAS while it publishes.  Waits and the client CPU work
+//! a hinted `Set`'s publish CAS, and a fill's insert CAS, is posted behind
+//! the object WRITE it publishes; a due frequency-counter FAA rides
+//! unsignalled — next to a hit's object READ, or on a doorbell of its own —
+//! and is never waited for; and an eviction's sample READ and history FAA
+//! fly while its `Set` looks up, its victim CAS while it publishes — or
+//! while the next fill does.  Waits and the client CPU work
 //! (`CPU_DECODE_SLOT_NS` per slot, `CPU_SCORE_CANDIDATE_NS` per candidate)
 //! overlap the flights, and `end_op` simply drains whatever is still
 //! outstanding.  `tests/data_path_golden.rs` pins two seeded replays of it
@@ -97,8 +103,9 @@ use std::sync::Arc;
 mod evict;
 mod lookup;
 mod publish;
+use evict::Eviction;
 use lookup::{HintTable, Lookup, MissMemo};
-use publish::HintedPublish;
+use publish::FrontDoor;
 
 /// Maximum CAS retries before an operation gives up, and the attempt bound of
 /// every data-path verb through transient faults ([`DmClient::with_retry`]).
@@ -146,6 +153,11 @@ pub struct DittoClient {
     /// saw of the key's buckets: the `Set` that fills the key next publishes
     /// from it without reading them again (see [`lookup::MissMemo`]).
     miss_memo: Option<MissMemo>,
+    /// The eviction the last fill under memory pressure sampled and picked a
+    /// victim for without taking it: the next starved `Set` carries its
+    /// victim CAS (see the crate docs, *The `Set` path under memory
+    /// pressure*).
+    parked_eviction: Option<Eviction>,
     /// This client's own bumps of each [`CoherenceBoard`] slot.  Its own slot
     /// CASes keep its hints exact, so a hint is stamped with — and filtered
     /// by — the mutations *other* clients made: board epoch minus these.
@@ -239,6 +251,7 @@ impl DittoClient {
             fc,
             hints: HintTable::new(),
             miss_memo: None,
+            parked_eviction: None,
             own_bumps: vec![0; board.slots()].into_boxed_slice(),
             tier,
             board,
@@ -1173,12 +1186,7 @@ impl DittoClient {
     // Set path
     // ------------------------------------------------------------------
 
-    fn set_inner(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-        mut memo: Option<MissMemo>,
-    ) -> CacheResult<()> {
+    fn set_inner(&mut self, key: &[u8], value: &[u8], memo: Option<MissMemo>) -> CacheResult<()> {
         let hash = fnv1a64(key);
         let fp = fingerprint(hash);
         // The writer's own tier copy is stale the moment the Set is issued;
@@ -1248,36 +1256,61 @@ impl DittoClient {
         }
         // Evict-ahead: under memory pressure the allocation above took the
         // spare the previous evicting `Set` left on the free list; with none
-        // left, this `Set` replenishes it beside its own lookup and publish.
+        // left, this `Set` replenishes it — by the victim CAS of the eviction
+        // a previous fill parked, if any, and else by an eviction of its own
+        // beside its lookup and publish.  A fill right after its key's miss,
+        // and a `Set` that carries, park their own eviction instead, so each
+        // frees exactly one victim.
         let starved = self.mem_pressure && !self.alloc.can_alloc_local(encoded.len());
-        let mut ahead = starved.then(|| {
-            let (primary, secondary) = (
-                self.table.primary_bucket(hash),
-                self.table.secondary_bucket(hash),
-            );
-            let own = [primary, secondary].map(|b| self.table.bucket_addr(b));
-            self.evict_begin(size_class as u8, Some(own))
-        });
+        let memo = memo.filter(|memo| memo.hash == hash);
+        let mut carried = self.take_parked(starved);
+        let parks = memo.is_some() || carried.is_some();
+        let mut ahead =
+            starved.then(|| self.evict_ahead(size_class as u8, hash, carried.as_ref(), parks));
+        // A fill right after its key's miss goes by the buckets that miss
+        // decoded, while they are still trusted.  Trusted, they were
+        // translated under the version read here, which a one-round insert's
+        // roll-forward judges staleness against.
+        self.mig_token = self.table.directory().version();
+        let mut memo_view = memo.and_then(|memo| self.memo_slots(memo, hash));
+        let fill_slot = memo_view
+            .as_ref()
+            .and_then(|slots| self.choose_insert_slot(slots));
 
         let mut stored = false;
         let mut object_written = false;
-        // The front door: a key this client holds a hint for is replaced in
-        // one round trip, WRITE and CAS behind one doorbell, no lookup —
-        // unless an eviction rides this `Set` (its sample READ shares the
-        // lookup's doorbell).  A misprediction falls into the lookup loop
-        // with the object already written.
-        if ahead.is_none() {
-            match self.publish_hinted(hash, obj_addr, new_atomic, &encoded) {
-                HintedPublish::Declined => {}
-                HintedPublish::Won => stored = true,
-                HintedPublish::Mispredicted {
-                    object_written: landed,
-                } => {
-                    object_written = landed;
-                    if landed && self.crash_fired(CrashPoint::AfterObjectWrite) {
-                        self.encode_buf = encoded;
-                        return Ok(());
-                    }
+        // The front doors, one round trip each, no lookup: a fill whose memo
+        // names an insert slot on its object's node posts its WRITE and CAS
+        // behind one doorbell, with the evictions' verbs; a key this client
+        // holds a hint for is replaced the same way — unless an eviction
+        // rides this `Set` (its sample READ shares the lookup's doorbell).  A
+        // lost CAS falls into the lookup loop with the object already written.
+        let front = match fill_slot {
+            Some(insert) if insert.0.mn_id == obj_addr.mn_id => {
+                memo_view = None;
+                let write = (obj_addr, &encoded[..]);
+                self.publish_fill(
+                    hash,
+                    insert,
+                    write,
+                    new_atomic,
+                    carried.as_mut(),
+                    ahead.as_mut(),
+                )
+            }
+            _ if ahead.is_none() => self.publish_hinted(hash, obj_addr, new_atomic, &encoded),
+            _ => FrontDoor::Declined,
+        };
+        match front {
+            FrontDoor::Declined => {}
+            FrontDoor::Won => stored = true,
+            FrontDoor::Lost {
+                object_written: landed,
+            } => {
+                object_written = landed;
+                if landed && self.crash_fired(CrashPoint::AfterObjectWrite) {
+                    self.encode_buf = encoded;
+                    return Ok(());
                 }
             }
         }
@@ -1296,10 +1329,10 @@ impl DittoClient {
             } else {
                 Some((obj_addr, &encoded[..]))
             };
-            // The first attempt of a fill right after its key's miss goes by
-            // the buckets that miss decoded, while they are still trusted;
-            // any other — after a lost insert CAS, say — reads them.
-            let looked_up = match memo.take().and_then(|memo| self.memo_slots(memo, hash)) {
+            // The first attempt of a fill the one-round door declined goes by
+            // its memo; any other — after a lost insert CAS, say — reads the
+            // buckets.
+            let looked_up = match memo_view.take() {
                 Some(slots) => self.search_memo(slots, write, ahead.as_mut()),
                 None => self.search(hash, fp, write, ahead.as_mut(), None),
             };
@@ -1329,14 +1362,20 @@ impl DittoClient {
                 None => self.choose_insert_slot(&slots),
             };
             // The eviction running ahead takes what the lookup overlapped
-            // and issues its next verb — normally the victim CAS — to fly
-            // during the publish CAS.  Only beside an insert, though: the two
-            // publishes that displace an allocation hold a crash point
+            // and issues its next verb — normally the victim CAS, unless it
+            // parks — and a carried one its victim CAS, to fly during the
+            // publish CAS.  Only beside an insert, though: the two publishes
+            // that displace an allocation hold a crash point
             // ([`CrashPoint::AfterPublish`]), which must not find a victim
-            // taken out of the table and not yet freed; their eviction
-            // resumes once the `Set` is through (see the crate docs).
-            if let Some(ev) = ahead.as_mut().filter(|_| insert_slot.is_some()) {
-                self.evict_advance(ev, true);
+            // taken out of the table and not yet freed; their evictions
+            // resume once the `Set` is through (see the crate docs).
+            if insert_slot.is_some() {
+                if let Some(ev) = ahead.as_mut() {
+                    self.evict_advance(ev, true);
+                }
+                if let Some(ev) = carried.as_mut() {
+                    self.evict_carried(ev, true);
+                }
             }
             // Each publish attempt — whichever of the three CAS shapes it
             // takes — is one `Publish` span (detail = 1 on the attempt that
@@ -1365,6 +1404,9 @@ impl DittoClient {
                 if let Some(ev) = ahead.as_mut() {
                     self.evict_advance(ev, false);
                 }
+                if let Some(ev) = carried.as_mut() {
+                    self.evict_carried(ev, false);
+                }
                 continue;
             }
             let won = self.bucket_evict_and_insert(&slots, new_atomic, hash);
@@ -1388,10 +1430,17 @@ impl DittoClient {
             self.encode_buf = encoded;
             return Ok(());
         }
-        // The rest of the eviction is serial: normally just the poll of its
-        // victim CAS — all of it after a displacing publish.
+        // The rest of the evictions is serial: normally just the poll of a
+        // victim CAS — all of it after a displacing publish.  The own
+        // eviction picks before a carried CAS goes out, as beside an insert,
+        // and one that parks stays with the client for the next starved `Set`.
         if let Some(mut ev) = ahead {
-            self.evict_advance(&mut ev, false);
+            if self.evict_advance(&mut ev, false).is_none() {
+                self.parked_eviction = Some(ev);
+            }
+        }
+        if let Some(mut ev) = carried {
+            self.evict_carried(&mut ev, false);
         }
         // What a Set that could not publish did instead: invalidated the
         // key (`Ok`), or nothing it can vouch for (`Err`).

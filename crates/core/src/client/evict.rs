@@ -1,7 +1,8 @@
 //! Sampling eviction: the one routine behind [`DittoClient::evict_once`], the
-//! inline evictions of a starved allocation, and the eviction a `Set` under
-//! memory pressure runs *ahead*, beside its own lookup and publish (see the
-//! crate docs, *The `Set` path under memory pressure*).
+//! inline evictions of a starved allocation, the eviction a `Set` under
+//! memory pressure runs *ahead*, beside its own lookup and publish, and the
+//! one a fill *parks* for the next starved `Set` to carry (see the crate
+//! docs, *The `Set` path under memory pressure*).
 
 use super::lookup::bucket_holds;
 use super::{Candidates, DittoClient, MAX_RETRIES};
@@ -23,11 +24,14 @@ const NO_ID: u64 = u64::MAX;
 /// Where an [`Eviction`] stands between its round trips.
 #[derive(Clone, Copy, Default)]
 enum EvictWait {
-    /// A sample READ is out (or waits to ride the `Set`'s lookup doorbell),
+    /// A sample READ is out (or waits to ride the `Set`'s first doorbell),
     /// beside the first one the history-id FAA.
     #[default]
     Sample,
-    /// The victim is picked and its slot CAS is out.
+    /// The victim is picked and its slot CAS not posted: it goes out at
+    /// once, unless the eviction is parked for the next starved `Set`.
+    Picked,
+    /// The victim's slot CAS is out.
     Victim,
     /// Finished: whether an object was evicted and its memory recycled.
     Done(bool),
@@ -38,17 +42,28 @@ enum EvictWait {
 /// Run without pausing it is the inline eviction, every round trip waited
 /// for in turn.  An eviction running *ahead* of a `Set` (see the crate docs)
 /// is paused after each verb it issues — a posted WQE — so the sample READ
-/// and the history-id FAA share the lookup's doorbell and the victim CAS
-/// flies during the publish CAS.
+/// and the history-id FAA share the `Set`'s first doorbell and the victim CAS
+/// flies during the publish CAS.  A *parked* one stops once its victim is
+/// picked, and the next starved `Set` carries its victim CAS
+/// ([`Eviction::carry`], [`DittoClient::evict_carried`]).
 #[derive(Default)]
 pub(super) struct Eviction {
-    /// Start of the `Evict` span: when the first sample was issued.
+    /// Start of the `Evict` span: when the first sample was issued — or, of a
+    /// parked eviction, when the `Set` that carries it posted its victim CAS.
     t0: u64,
     min_blocks: u8,
+    /// The stripe directory's version when the eviction began: a parked
+    /// eviction is dropped once it moved ([`DittoClient::take_parked`]).
+    version: u64,
     /// The evicting `Set`'s own buckets, of an eviction running ahead of
     /// one.  Their slots are never candidates, so the publish CAS and the
     /// victim CAS cannot target the same word.
     own_buckets: Option<[RemoteAddr; 2]>,
+    /// The victim slot of the parked eviction the same `Set` carries: never
+    /// a candidate either, for that `Set` takes it out.
+    carried_victim: Option<RemoteAddr>,
+    /// Whether, once picked, the victim waits for the next starved `Set`.
+    park: bool,
     candidates: Candidates,
     samples: usize,
     retries: usize,
@@ -82,8 +97,8 @@ pub(super) struct Eviction {
 }
 
 impl Eviction {
-    /// Called by the `Set`'s lookup while it fills its doorbell: a sample
-    /// still waiting to ride along is posted behind the bucket READs.
+    /// Called by the `Set` while it fills its first doorbell: a sample still
+    /// waiting to ride along is posted behind the `Set`'s own verbs.
     pub(super) fn ride<'buf>(&'buf mut self, wq: &mut WorkQueue<'_, 'buf>, buf: &'buf mut [u8]) {
         if !self.issued {
             self.post_sample(wq, buf);
@@ -135,11 +150,44 @@ impl Eviction {
         ours
     }
 
-    fn is_own(&self, slot_addr: RemoteAddr) -> bool {
-        self.own_buckets
-            .iter()
-            .flatten()
-            .any(|&bucket| bucket_holds(bucket, slot_addr))
+    /// Whether `slot_addr` may not be a candidate: a slot of the `Set`'s own
+    /// buckets, or the victim slot of the eviction it carries.
+    fn excludes(&self, slot_addr: RemoteAddr) -> bool {
+        self.carried_victim == Some(slot_addr)
+            || self
+                .own_buckets
+                .iter()
+                .flatten()
+                .any(|&bucket| bucket_holds(bucket, slot_addr))
+    }
+
+    /// The slot of the picked victim.
+    fn victim_addr(&self) -> RemoteAddr {
+        self.candidates[self.pick.0].0
+    }
+
+    /// Posts the CAS of the picked victim's slot on `wq`.
+    fn post_victim<'buf>(&'buf mut self, wq: &mut WorkQueue<'_, 'buf>) {
+        let (victim_addr, victim) = self.candidates[self.pick.0];
+        let expected = victim.atomic.encode();
+        self.observed = !expected;
+        let wr = wq.post_cas(victim_addr, expected, self.word, &mut self.observed, true);
+        (self.wrs, self.in_flight, self.wait) = (wr..wr + 1, 1, EvictWait::Victim);
+    }
+
+    /// Carries this parked eviction in the `Set` whose first doorbell is
+    /// `wq`: its victim CAS goes out there, and its victim half — the
+    /// `Evict` span the carrying `Set` records — starts at `now`.
+    pub(super) fn carry<'buf>(&'buf mut self, wq: &mut WorkQueue<'_, 'buf>, now: u64) {
+        debug_assert!(self.park && matches!(self.wait, EvictWait::Picked));
+        self.unpark(now);
+        self.post_victim(wq);
+    }
+
+    /// Takes a parked eviction up again in the `Set` that carries it: from
+    /// `now` on it runs like any other, its `Evict` span the victim half.
+    fn unpark(&mut self, now: u64) {
+        (self.park, self.t0) = (false, now);
     }
 }
 
@@ -158,30 +206,85 @@ impl DittoClient {
     /// Falls back to the plain priority choice when the sample holds no
     /// big-enough victim, so memory still gets freed for other clients.
     pub(super) fn evict_once_for(&mut self, min_blocks: u8) -> bool {
-        let mut ev = self.evict_begin(min_blocks, None);
+        let mut ev = self.evict_begin(min_blocks);
         self.evict_advance(&mut ev, false)
             .expect("an eviction that never pauses runs to completion")
     }
 
-    /// Starts a sampling eviction by issuing its first sample and, beside
-    /// it, the FAA for its history id.  With `own_buckets` it runs *ahead*
-    /// of the `Set` on those buckets (see [`Eviction`]): both wait to ride
-    /// the `Set`'s lookup doorbell.
-    pub(super) fn evict_begin(
-        &mut self,
-        min_blocks: u8,
-        own_buckets: Option<[RemoteAddr; 2]>,
-    ) -> Eviction {
-        let mut ev = Eviction {
+    fn new_eviction(&self, min_blocks: u8) -> Eviction {
+        Eviction {
             t0: self.dm.now_ns(),
             min_blocks,
-            own_buckets,
+            version: self.table.directory().version(),
             retries: 3,
             fetched: NO_ID,
             ..Eviction::default()
-        };
-        self.issue_sample(&mut ev, false, own_buckets.is_some());
+        }
+    }
+
+    /// Starts a sampling eviction by issuing its first sample and, beside
+    /// it, the FAA for its history id.
+    pub(super) fn evict_begin(&mut self, min_blocks: u8) -> Eviction {
+        let mut ev = self.new_eviction(min_blocks);
+        self.issue_sample(&mut ev, false, false);
         ev
+    }
+
+    /// Starts the eviction a starved `Set` of `hash` runs *ahead* (see
+    /// [`Eviction`]): its first sample and the history-id FAA wait to ride
+    /// the `Set`'s first doorbell, and no slot of the key's two buckets — nor
+    /// the victim slot of the eviction `carried`, which this `Set` takes out
+    /// — is a candidate.  With `park` its victim, once picked, waits for the
+    /// next starved `Set`.
+    pub(super) fn evict_ahead(
+        &mut self,
+        min_blocks: u8,
+        hash: u64,
+        carried: Option<&Eviction>,
+        park: bool,
+    ) -> Eviction {
+        let own = [
+            self.table.primary_bucket(hash),
+            self.table.secondary_bucket(hash),
+        ]
+        .map(|bucket| self.table.bucket_addr(bucket));
+        let mut ev = Eviction {
+            own_buckets: Some(own),
+            carried_victim: carried.map(Eviction::victim_addr),
+            park,
+            ..self.new_eviction(min_blocks)
+        };
+        self.issue_sample(&mut ev, false, true);
+        ev
+    }
+
+    /// The eviction a previous fill parked, if this `Set` is `starved` and
+    /// so carries it.  Any `Set` drops it instead once a stripe cutover has
+    /// moved the directory since it began — its candidates' addresses may
+    /// name retired copies — and its history id is burnt.
+    pub(super) fn take_parked(&mut self, starved: bool) -> Option<Eviction> {
+        let ev = self.parked_eviction.take()?;
+        if ev.version != self.table.directory().version() {
+            if self.embeds_history() {
+                self.stats.record_history_id_burnt();
+            }
+            return None;
+        }
+        if !starved {
+            self.parked_eviction = Some(ev);
+            return None;
+        }
+        Some(ev)
+    }
+
+    /// Runs the victim CAS of `ev`, the eviction a previous fill parked, in
+    /// the `Set` that carries it: posted (`pause`), or to its end.  Its
+    /// victim half's `Evict` span starts here.
+    pub(super) fn evict_carried(&mut self, ev: &mut Eviction, pause: bool) {
+        if ev.park {
+            ev.unpark(self.dm.now_ns());
+        }
+        self.evict_advance(ev, pause);
     }
 
     /// Whether evictions leave an embedded history entry behind, and so
@@ -195,19 +298,22 @@ impl DittoClient {
     /// fall back to the next-best candidate on a lost race.  With `pause`
     /// it returns `None` right after posting a verb, for the caller to
     /// overlap with foreground work and resume later; without, it waits in
-    /// place and runs to `Some(won)`.
+    /// place and runs to `Some(won)`.  A parked eviction returns `None` once
+    /// its victim is picked, pause or not.
     pub(super) fn evict_advance(&mut self, ev: &mut Eviction, pause: bool) -> Option<bool> {
         loop {
-            let done = match ev.wait {
+            match ev.wait {
                 EvictWait::Done(won) => return Some(won),
                 EvictWait::Sample => {
                     self.collect_sample(ev);
                     let found = ev.candidates.len();
                     if found < 2 && (found == 0 || ev.samples < 4) && ev.samples < 8 {
                         self.issue_sample(ev, pause, false);
-                        None
+                        if pause {
+                            return None;
+                        }
                     } else if found == 0 {
-                        Some(false)
+                        self.evict_finish(ev, false);
                     } else {
                         let min_blocks = ev.min_blocks;
                         let fits = |c: &(_, Slot)| c.1.atomic.size_class >= min_blocks;
@@ -216,13 +322,19 @@ impl DittoClient {
                             let all = std::mem::take(&mut ev.candidates);
                             ev.candidates.extend(all.iter().copied().filter(fits));
                         }
-                        self.issue_victim(ev, pause);
-                        None
+                        self.pick_victim(ev);
+                    }
+                }
+                EvictWait::Picked if ev.park => return None,
+                EvictWait::Picked => {
+                    self.send_victim(ev, pause);
+                    if pause {
+                        return None;
                     }
                 }
                 EvictWait::Victim => {
                     if self.commit_victim(ev) {
-                        Some(true)
+                        self.evict_finish(ev, true);
                     } else {
                         // Pressured clients herd onto the same globally-best
                         // victim and only one CAS wins.  The sample and the
@@ -232,27 +344,26 @@ impl DittoClient {
                         ev.candidates.swap_remove(ev.pick.0);
                         ev.retries -= 1;
                         if ev.retries == 0 || ev.candidates.is_empty() {
-                            Some(false)
+                            self.evict_finish(ev, false);
                         } else {
-                            self.issue_victim(ev, pause);
-                            None
+                            self.pick_victim(ev);
                         }
                     }
                 }
-            };
-            if let Some(won) = done {
-                ev.wait = EvictWait::Done(won);
-                if self.embeds_history() && !(won && ev.fetched != NO_ID) {
-                    // The id went into no slot (or never arrived): one
-                    // position of its shard's FIFO aged with no entry.
-                    self.stats.record_history_id_burnt();
-                }
-                self.dm
-                    .record_span(Phase::Evict, ev.t0, self.dm.now_ns(), won as u32);
-            } else if pause {
-                return None;
             }
         }
+    }
+
+    /// Ends `ev`: whether it evicted, its span, and an id it could not use.
+    fn evict_finish(&mut self, ev: &mut Eviction, won: bool) {
+        ev.wait = EvictWait::Done(won);
+        if self.embeds_history() && !(won && ev.fetched != NO_ID) {
+            // The id went into no slot (or never arrived): one position of
+            // its shard's FIFO aged with no entry.
+            self.stats.record_history_id_burnt();
+        }
+        self.dm
+            .record_span(Phase::Evict, ev.t0, self.dm.now_ns(), won as u32);
     }
 
     /// Draws the eviction's next sample and issues its READ(s): a single
@@ -270,8 +381,8 @@ impl DittoClient {
     /// configured history length and the counter FAAs to spread over the
     /// nodes.  The first sampled slot index is uniform and already drawn.
     ///
-    /// `ride` leaves the verbs to the `Set`'s lookup, which posts them behind
-    /// its own doorbell; `post` rings one for them and returns with them in
+    /// `ride` leaves the verbs to the `Set`, which posts them behind its first
+    /// doorbell; `post` rings one for them and returns with them in
     /// flight, as do several segments, or a sample with the FAA beside it,
     /// whatever `post` says — they share a doorbell and
     /// [`Self::collect_sample`] polls them.  Otherwise the one segment is
@@ -353,7 +464,7 @@ impl DittoClient {
                 let slot_addr = addr.add((i * SLOT_SIZE) as u64);
                 let slot = Slot::from_bytes(chunk);
                 if slot.atomic.is_object()
-                    && !ev.is_own(slot_addr)
+                    && !ev.excludes(slot_addr)
                     && ev.candidates.push_saturating((slot_addr, slot))
                 {
                     gathered += 1;
@@ -364,17 +475,15 @@ impl DittoClient {
         self.charge_score(gathered);
     }
 
-    /// Picks the victim among `ev`'s candidates and issues the CAS that
-    /// takes it out of the table — into an embedded history entry built
-    /// from the id the eviction already holds — returning with the CAS in
-    /// flight when `post`.  A posted CAS goes out once: faulted, it reads as
-    /// a lost race ([`Self::commit_victim`]), where the one waited for in
-    /// place is retried like any slot CAS.
-    fn issue_victim(&mut self, ev: &mut Eviction, post: bool) {
+    /// Picks the victim among `ev`'s candidates and the word the CAS that
+    /// takes it out of the table swaps in: an embedded history entry built
+    /// from the id the eviction already holds.  The pick of a parked
+    /// eviction closes its sample half — the `Evict` span of the `Set` that
+    /// sampled — for the `Set` that carries it records the victim half.
+    fn pick_victim(&mut self, ev: &mut Eviction) {
         ev.pick = self.select_victim(&ev.candidates);
-        ev.wait = EvictWait::Victim;
-        let (victim_addr, victim) = ev.candidates[ev.pick.0];
-        let expected = victim.atomic.encode();
+        ev.wait = EvictWait::Picked;
+        let victim = ev.candidates[ev.pick.0].1;
         // A faulted counter FAA evicts without a history entry (one lost
         // ghost hit beats a wedged eviction path), like the non-adaptive
         // cache and the separate-history ablation: the slot is just cleared.
@@ -387,24 +496,30 @@ impl DittoClient {
         } else {
             0
         };
-        ev.observed = !expected;
-        if post {
-            let wr = {
-                let mut wq = self.dm.work_queue();
-                let wr = wq.post_cas(victim_addr, expected, ev.word, &mut ev.observed, true);
-                wq.ring();
-                wr
-            };
-            (ev.wrs, ev.in_flight) = (wr..wr + 1, 1);
-        } else {
-            let word = ev.word;
-            if let Ok(observed) = self
-                .dm
-                .with_retry(MAX_RETRIES, |dm| dm.try_cas(victim_addr, expected, word))
-            {
-                ev.observed = observed;
-            }
+        if ev.park {
+            self.dm
+                .record_span(Phase::Evict, ev.t0, self.dm.now_ns(), 0);
         }
+    }
+
+    /// Issues the picked victim's slot CAS, returning with it in flight when
+    /// `post`.  A posted CAS goes out once: faulted, it reads as a lost race
+    /// ([`Self::commit_victim`]), where the one waited for in place is
+    /// retried like any slot CAS.
+    fn send_victim(&mut self, ev: &mut Eviction, post: bool) {
+        if post {
+            let mut wq = self.dm.work_queue();
+            ev.post_victim(&mut wq);
+            wq.ring();
+            return;
+        }
+        let (victim_addr, victim) = ev.candidates[ev.pick.0];
+        let (expected, word) = (victim.atomic.encode(), ev.word);
+        ev.wait = EvictWait::Victim;
+        ev.observed = self
+            .dm
+            .with_retry(MAX_RETRIES, |dm| dm.try_cas(victim_addr, expected, word))
+            .unwrap_or(!expected);
     }
 
     /// Waits for the victim CAS and, if it took the victim's word out of
@@ -459,9 +574,10 @@ mod tests {
     use super::{DittoClient, Eviction};
     use crate::cache::DittoCache;
     use crate::config::DittoConfig;
-    use crate::slot::BUCKET_SIZE;
+    use crate::hash::fnv1a64;
+    use crate::slot::{AtomicField, Slot, BUCKET_SIZE};
     use ditto_dm::stats::NodeSnapshot;
-    use ditto_dm::DmConfig;
+    use ditto_dm::{DmConfig, Phase, RemoteAddr};
     use std::collections::BTreeMap;
 
     fn small_cache(capacity: u64) -> DittoCache {
@@ -469,14 +585,45 @@ mod tests {
             .unwrap()
     }
 
-    /// A cache and its client, deep in steady memory pressure.
-    fn pressured() -> (DittoCache, DittoClient) {
-        let cache = small_cache(300);
+    /// A cache over the pool `dm` describes and its client, deep in steady
+    /// memory pressure after `Set`s alone: none of them followed a miss, so
+    /// none parked an eviction.
+    fn pressured_on(dm: DmConfig) -> (DittoCache, DittoClient) {
+        let cache = DittoCache::with_dedicated_pool(DittoConfig::with_capacity(300), dm).unwrap();
         let mut client = cache.client();
         for i in 0..2_000u64 {
             client.set(&i.to_le_bytes(), &[1u8; 200]);
         }
         (cache, client)
+    }
+
+    fn pressured() -> (DittoCache, DittoClient) {
+        pressured_on(DmConfig::default())
+    }
+
+    /// `key`'s cache-aside fill: a `Get` that misses, then the `Set`.
+    fn fill_after_miss(client: &mut DittoClient, key: u64) {
+        assert!(client.get(&key.to_le_bytes()).is_none(), "key {key}");
+        client.set(&key.to_le_bytes(), &[1u8; 200]);
+    }
+
+    /// [`pressured_on`], then two fills after misses: the first parks its
+    /// eviction and frees nothing, so the second evicts inline for its
+    /// object, carries that victim and parks its own.  From here on every
+    /// starved fill carries one victim, takes the spare and parks one.
+    fn parking_on(dm: DmConfig) -> (DittoCache, DittoClient) {
+        let (cache, mut client) = pressured_on(dm);
+        for key in 4_000..4_002 {
+            fill_after_miss(&mut client, key);
+        }
+        assert!(client.parked_eviction.is_some());
+        (cache, client)
+    }
+
+    /// The parked eviction's victim: its slot and its slot as sampled.
+    fn parked_victim(client: &DittoClient) -> (RemoteAddr, Slot) {
+        let parked = client.parked_eviction.as_ref().expect("a parked eviction");
+        parked.candidates[parked.pick.0]
     }
 
     fn timed_set_of(client: &mut DittoClient, key: u64, len: usize) -> u64 {
@@ -572,11 +719,11 @@ mod tests {
 
     #[test]
     fn a_fill_after_its_miss_reads_no_bucket() {
-        // Two identical pressured clients fill a key right after it missed;
-        // one of them has forgotten what the miss saw.  (The runs repeat
-        // exactly, up to the memo.)
+        // Two identical pressured clients, each carrying a parked victim,
+        // fill a key right after it missed; one of them has forgotten what
+        // the miss saw.  (The runs repeat exactly, up to the memo.)
         let fill = |memo: bool| {
-            let (cache, mut client) = pressured();
+            let (cache, mut client) = parking_on(DmConfig::default());
             let key = 5_000u64.to_le_bytes();
             assert!(client.get(&key).is_none());
             if !memo {
@@ -595,13 +742,170 @@ mod tests {
             )
         };
         let (memo, looked_up) = (fill(true), fill(false));
-        // The memo'd fill READs its one sample and no bucket; everything else
-        // — the WRITE, the FAA, both CASes, the doorbells — is the same.
+        // The memo'd fill READs its one sample and no bucket, and rings one
+        // doorbell where the looked-up fill rings two — its lookup's, then
+        // the carried victim CAS's beside its insert CAS.  Everything else —
+        // the WRITE, the FAA, both CASes — is the same.
         assert_eq!(memo.0, 1);
         assert_eq!(looked_up.0, memo.0 + 2);
         assert_eq!(looked_up.1, memo.1 + 2);
         assert_eq!(looked_up.2, memo.2 + 2 * BUCKET_SIZE as u64);
-        assert_eq!(looked_up.3, memo.3);
+        assert_eq!((memo.3, looked_up.3), (1, 2));
+    }
+
+    #[test]
+    fn a_fill_after_its_miss_is_one_round_trip_that_frees_the_victim_it_carries() {
+        let (cache, mut client) = parking_on(DmConfig::default());
+        let inline = cache.stats().evictions_inline();
+        // One doorbell carrying five verbs — the WRITE, the insert CAS, the
+        // carried victim CAS, the sample READ, the history FAA — all landing
+        // by the slower atomic's flight; four completions polled (the WRITE
+        // is unsignalled); then the CPU work on the one sample.
+        let posting = DmConfig::DOORBELL_LATENCY_NS + 5 * DmConfig::VERB_ISSUE_NS;
+        let round = posting
+            + DmConfig::CAS_LATENCY_NS.max(DmConfig::FAA_LATENCY_NS)
+            + 4 * DmConfig::CQ_POLL_NS;
+        let decode = DittoConfig::SAMPLE_SPAN_SLOTS as u64 * DittoConfig::CPU_DECODE_SLOT_NS;
+        let mut exact = 0;
+        for key in 5_000..5_100u64 {
+            assert!(client.get(&key.to_le_bytes()).is_none());
+            let (victim_addr, victim) = parked_victim(&client);
+            let (before, evictions) = (node(&cache), cache.stats().snapshot().evictions);
+            let resident = cache.pool().resident_object_bytes(0);
+            let t0 = client.dm().now_ns();
+            client.set(&key.to_le_bytes(), &[1u8; 200]);
+            let elapsed = client.dm().now_ns() - t0;
+            let after = node(&cache);
+            assert_eq!(
+                (after.cas - before.cas, after.faa - before.faa),
+                (2, 1),
+                "key {key}"
+            );
+            // The carried victim is out of the table and its memory back on
+            // the free list in this very Set: one object in, one out.
+            assert_eq!(cache.stats().snapshot().evictions, evictions + 1);
+            let word = AtomicField::decode(client.dm().read_u64(victim_addr));
+            assert!(
+                word.is_history() && word.fp == victim.atomic.fp,
+                "key {key}"
+            );
+            assert_eq!(cache.pool().resident_object_bytes(0), resident);
+            // The sample was the one READ (no counter refresh, no re-sample):
+            // the fill rang one doorbell and took exactly one round trip and
+            // one span's CPU work.
+            if after.reads - before.reads == 1 {
+                assert_eq!(after.doorbells - before.doorbells, 1, "key {key}");
+                let scored = client.parked_eviction.as_ref().unwrap().candidates.len() as u64;
+                let cpu = decode + scored * DittoConfig::CPU_SCORE_CANDIDATE_NS;
+                assert_eq!(elapsed, round + cpu, "key {key}");
+                exact += 1;
+            }
+        }
+        assert!(exact >= 90, "{exact} of 100 fills read only their sample");
+        // Each fill freed exactly the one victim it carried: none evicted
+        // inline to make room.
+        assert_eq!(cache.stats().evictions_inline(), inline);
+        assert_eq!(cache.stats().history_ids_burnt(), 0);
+    }
+
+    #[test]
+    fn a_parked_victim_another_client_took_is_re_picked_by_the_carrying_set() {
+        let (cache, mut client) = parking_on(DmConfig::default());
+        let (victim_addr, victim) = parked_victim(&client);
+        let others: Vec<_> = {
+            let parked = client.parked_eviction.as_ref().unwrap();
+            let mut others = parked.candidates;
+            others.swap_remove(parked.pick.0);
+            others.iter().copied().collect()
+        };
+        assert!(!others.is_empty());
+        // Another client replaces the victim's key between the two fills:
+        // the word the parked CAS expects is gone, and that client freed the
+        // object it named.
+        let victim_key = (0..2_000u64)
+            .map(u64::to_le_bytes)
+            .find(|key| fnv1a64(key) == victim.hash)
+            .expect("the victim is one of the pressured keys");
+        cache.client().set(&victim_key, &[2u8; 200]);
+        assert_ne!(client.dm().read_u64(victim_addr), victim.atomic.encode());
+        let (evictions, lost) = (
+            cache.stats().snapshot().evictions,
+            cache.pool().stats().contention().cas_retries,
+        );
+        fill_after_miss(&mut client, 5_000);
+        // The carried CAS lost, and the Set re-picked among the parked
+        // candidates — one of them, no other, is gone from the table.
+        assert_eq!(cache.pool().stats().contention().cas_retries, lost + 1);
+        assert_eq!(cache.stats().snapshot().evictions, evictions + 1);
+        let taken = others
+            .iter()
+            .filter(|(slot_addr, slot)| client.dm().read_u64(*slot_addr) != slot.atomic.encode())
+            .count();
+        assert_eq!(taken, 1);
+        assert_eq!(cache.stats().history_ids_burnt(), 0);
+        // Nothing leaked, nothing was freed twice, and the replaced value
+        // stayed.
+        assert_eq!(
+            cache.pool().resident_object_bytes(0),
+            client.referenced_object_bytes_on(0)
+        );
+        assert_eq!(client.get(&victim_key), Some(vec![2u8; 200]));
+    }
+
+    #[test]
+    fn a_stripe_cutover_between_two_fills_drops_the_parked_eviction() {
+        let (cache, mut client) = parking_on(DmConfig::default().with_memory_nodes(2));
+        let burnt = cache.stats().history_ids_burnt();
+        cache.pool().add_node().unwrap();
+        assert!(cache.pump_migration().stripes_moved > 0);
+        // The parked candidates' addresses name where their stripes were:
+        // the next Set drops the eviction, and its history id is burnt.
+        fill_after_miss(&mut client, 5_000);
+        assert_eq!(cache.stats().history_ids_burnt(), burnt + 1);
+        assert!(client
+            .parked_eviction
+            .as_ref()
+            .is_none_or(|ev| ev.version == client.table.directory().version()));
+        for mn in 0..3 {
+            assert_eq!(
+                cache.pool().resident_object_bytes(mn),
+                client.referenced_object_bytes_on(mn),
+                "node {mn}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_evictions_spans_stay_inside_the_ops_that_record_them() {
+        let (cache, mut client) = parking_on(DmConfig::default().with_flight_recorder(1 << 16));
+        client.dm().clear_flight_recorder();
+        let (evictions, mut windows) = (cache.stats().snapshot().evictions, BTreeMap::new());
+        for key in 5_000..5_200u64 {
+            let key = key.to_le_bytes();
+            let t0 = client.dm().now_ns();
+            assert!(client.get(&key).is_none());
+            windows.insert(client.dm().op_id(), (t0, client.dm().now_ns()));
+            let t0 = client.dm().now_ns();
+            client.set(&key, &[1u8; 200]);
+            windows.insert(client.dm().op_id(), (t0, client.dm().now_ns()));
+        }
+        let spans = client.dm().flight_spans();
+        let mut halves = [0u64; 2];
+        for span in spans.iter() {
+            let (t0, t1) = windows[&span.op_id];
+            assert!(
+                span.end_ns - span.start_ns <= t1 - t0,
+                "{span:?} outlasts its op"
+            );
+            if span.phase == Phase::Evict {
+                assert!(t0 <= span.start_ns && span.end_ns <= t1, "{span:?}");
+                halves[span.detail as usize] += 1;
+            }
+        }
+        // Each fill closed the sample half of the eviction it parked and
+        // recorded the victim half of the one it carried.
+        assert_eq!(halves, [200, 200]);
+        assert_eq!(cache.stats().snapshot().evictions, evictions + 200);
     }
 
     #[test]
@@ -644,7 +948,7 @@ mod tests {
     fn begun() -> (DittoCache, DittoClient, Eviction) {
         let (cache, mut client) = pressured();
         let faa = node(&cache).faa;
-        let ev = client.evict_begin(0, None);
+        let ev = client.evict_begin(0);
         assert_eq!(node(&cache).faa - faa, 1, "the id rides the first sample");
         (cache, client, ev)
     }

@@ -38,10 +38,13 @@
 //! what its two-bucket scan decoded ([`MissMemo`]), and a `Set` of the key
 //! as the client's next operation publishes from it instead of reading the
 //! buckets again — while the key's board epoch and the stripe directory's
-//! version are what they were before the miss's READs.  Its CASes are not
-//! blind: each expects a word the memo read (an empty or history slot for
-//! an insert, the victim's word for a bucket eviction), so a slot that
-//! changed fails it, and the next attempt reads the buckets.  The directory
+//! version are what they were before the miss's READs.  It chooses its slot
+//! from the memo before posting anything, and an insert slot on the new
+//! object's node takes the one-round fill: the insert CAS rides behind the
+//! object WRITE on one doorbell ([`DittoClient::publish_fill`]).  Its CASes
+//! are not blind: each expects a word the memo read (an empty or history
+//! slot for an insert, the victim's word for a bucket eviction), so a slot
+//! that changed fails it, and the next attempt reads the buckets.  The directory
 //! version guards the memo's addresses, which after a stripe cutover name
 //! the retired copy.  The epoch guards what no CAS can see: that the key is
 //! still absent.  Every publish of the key bumps it — an insert as soon as
@@ -52,7 +55,9 @@
 //! the first copy it finds and a replace updates that one alone, so the
 //! other can be served again, stale, once the first is gone.  The unhinted
 //! insert has the same exposure between its bucket READ and its CAS; the
-//! memo adds to it only that return flight of the other client's CAS.
+//! memo adds to it only that return flight of the other client's CAS.  The
+//! one-round fill adds nothing: its CAS leaves on the doorbell that follows
+//! the epoch check, sooner than a looked-up one would.
 //!
 //! # What the epoch filter costs
 //!
@@ -570,8 +575,10 @@ impl DittoClient {
             .then_some(memo.slots)
     }
 
-    /// The lookup of a `Set` that publishes from its miss's memo: `slots`
-    /// stand in for both bucket READs, and the round carries the riders
+    /// The lookup of a fill that publishes from its miss's memo but not in
+    /// one round — its insert slot is off its object's node, or there is
+    /// none and it evicts from the bucket: `slots` stand in for both bucket
+    /// READs, and the round carries the riders
     /// alone — the object `write`, signalled since no bucket READ waits for
     /// it, and the riding eviction's sample READ and history-id FAA — behind
     /// one doorbell, and waits for all of them.  A faulted round fails the
@@ -794,6 +801,7 @@ mod tests {
     use crate::hash::{fingerprint, fnv1a64};
     use crate::history::EvictionHistory;
     use crate::object;
+    use crate::recovery::CrashPoint;
     use crate::slot::{AtomicField, SLOTS_PER_BUCKET, SLOT_SIZE};
     use ditto_algorithms::EXT_WORDS;
     use ditto_dm::stats::VerbKind;
@@ -1252,6 +1260,57 @@ mod tests {
     #[test]
     fn a_miss_memo_is_refused_between_another_clients_insert_cas_and_its_sets_end() {
         fill_after_another_clients_fill(|b, key| insert_up_to_its_cas(b, key, b"b"));
+    }
+
+    /// A misses `probe`; then a stranger, whom the board does not see, takes
+    /// the empty slot A's memo will choose.  The memo is trusted, so A's
+    /// fill posts its one round; its insert CAS loses with the object
+    /// written, and A goes on through the lookup into the next slot — or,
+    /// armed, dies right there at `AfterObjectWrite`, the first crash point
+    /// past the round.
+    #[test]
+    fn a_one_round_fill_that_loses_its_insert_cas_goes_on_through_the_lookup() {
+        for crash in [false, true] {
+            let config = DittoConfig::with_capacity(1_000).with_crash_recovery_journal(true);
+            let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
+            let mut a = cache.client();
+            let (table, key) = (cache.table(), b"probe");
+            let primary = table.primary_bucket(fnv1a64(key));
+            let [first, second] = [0, 1].map(|slot| table.slot_addr(primary, slot));
+            assert!(a.get(key).is_none());
+            let ghost = AtomicField::for_history(0x11, EvictionHistory::pack_id(0, 1)).encode();
+            assert_eq!(cache.pool().connect().cas(first, 0, ghost), 0);
+            if crash {
+                a.arm_set_crash(CrashPoint::AfterObjectWrite);
+            }
+            let (reads, lost) = reads_and_lost_cases(&cache);
+            let pool = cache.pool().stats();
+            let (doorbells, unsignalled) = (pool.doorbells(), pool.unsignalled_wqes());
+            a.set(key, b"a");
+            assert_eq!(a.crashed(), crash);
+            // The round's WRITE went out unsignalled, and never again.
+            assert_eq!(pool.unsignalled_wqes(), unsignalled + 1);
+            if crash {
+                // Nothing references the written object: recovery frees it.
+                let id = a.dm().client_id();
+                drop(a);
+                let mut b = cache.client();
+                assert!(b.recover_crashed_client(id).recovered_bytes > 0);
+                assert!(b.get(key).is_none());
+                assert_eq!(cache.pool().resident_object_bytes(0), 0);
+                continue;
+            }
+            // One lost CAS, then both bucket READs behind a doorbell of their
+            // own.
+            assert_eq!(reads_and_lost_cases(&cache), (reads + 2, lost + 1));
+            assert_eq!(pool.doorbells(), doorbells + 2);
+            assert_eq!(live_slots_of(&cache, &a, key), [second]);
+            assert_eq!(a.get(key).as_deref(), Some(&b"a"[..]));
+            assert_eq!(
+                cache.pool().resident_object_bytes(0),
+                a.referenced_object_bytes_on(0)
+            );
+        }
     }
 
     #[test]

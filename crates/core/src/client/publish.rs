@@ -1,9 +1,12 @@
 //! The publish half of `Set`: the slot CAS — rolled forward across a stripe
 //! move only when it changes which key the slot holds — and the three
 //! shapes a publish takes — replacing the key's live slot, installing into an
-//! empty or history slot, evicting a victim of a full bucket — plus the front
-//! door a hinted replace takes past the lookup ([`DittoClient::publish_hinted`]).
+//! empty or history slot, evicting a victim of a full bucket — plus the two
+//! front doors past the lookup, one round trip each: a hinted replace
+//! ([`DittoClient::publish_hinted`]) and a fill right after its key's miss
+//! ([`DittoClient::publish_fill`]).
 
+use super::evict::Eviction;
 use super::{Candidates, DittoClient, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::recovery::CrashPoint;
@@ -18,16 +21,17 @@ use std::sync::Arc;
 /// reconcile's thread.
 const FLIP_WAIT_ROUNDS: usize = 256;
 
-/// How [`DittoClient::publish_hinted`] went.
-pub(super) enum HintedPublish {
+/// How a front door — [`DittoClient::publish_hinted`] or
+/// [`DittoClient::publish_fill`] — went.
+pub(super) enum FrontDoor {
     /// Its conditions do not hold: no verb was posted.
     Declined,
-    /// The CAS returned the hinted word: the new object is published and
-    /// the displaced one freed.
+    /// The CAS returned the word it expected: the new object is published
+    /// (and a displaced one freed).
     Won,
     /// Anything else — a changed word, a faulted verb.  It cost one round
     /// trip; the object's bytes landed unless the WRITE itself faulted.
-    Mispredicted { object_written: bool },
+    Lost { object_written: bool },
 }
 
 impl DittoClient {
@@ -71,10 +75,16 @@ impl DittoClient {
         if !self.slot_cas(slot_addr, expected, new) {
             return false;
         }
+        self.rekey_landed(slot_addr, new, hash);
+        true
+    }
+
+    /// What follows a key-changing publish CAS of `hash`'s word `new` that
+    /// landed at `slot_addr` ([`Self::rekey_cas`]).
+    fn rekey_landed(&mut self, slot_addr: RemoteAddr, new: u64, hash: u64) {
         self.bump_board(hash);
         self.write_fresh_metadata(slot_addr, hash);
         self.settle_rekey(slot_addr, new, hash);
-        true
     }
 
     /// Rolls forward a key-changing publish of the word `new` whose
@@ -202,16 +212,16 @@ impl DittoClient {
         obj_addr: RemoteAddr,
         new: AtomicField,
         encoded: &[u8],
-    ) -> HintedPublish {
+    ) -> FrontDoor {
         if self.use_extension {
-            return HintedPublish::Declined;
+            return FrontDoor::Declined;
         }
         let Some(hint) = self.set_hint(hash) else {
-            return HintedPublish::Declined;
+            return FrontDoor::Declined;
         };
         let slot_addr = self.hinted_slot_addr(hash, hint);
         if obj_addr.mn_id != slot_addr.mn_id {
-            return HintedPublish::Declined;
+            return FrontDoor::Declined;
         }
         let translate_ns = self.dm.now_ns();
         self.dm
@@ -249,10 +259,93 @@ impl DittoClient {
             // The slot moved on (or a verb faulted): one round trip spent,
             // and the `Set` goes on through the lookup it tried to skip.
             self.hints.forget(hash);
-            return HintedPublish::Mispredicted { object_written };
+            return FrontDoor::Lost { object_written };
         }
         self.finish_replace(slot_addr, hash, old, new, None);
-        HintedPublish::Won
+        FrontDoor::Won
+    }
+
+    /// The one-round fill (see the crate docs, *The `Set` path under memory
+    /// pressure*): a `Set` right after its key's miss, whose memo names the
+    /// `insert` slot on the new object's node, posts behind one doorbell the
+    /// WRITE of the `write`'s object, unsignalled, and the CAS of that slot
+    /// from the word the memo read to `new` — sound by the flush rule, as for
+    /// the hinted replace — then the victim CAS of the eviction a previous
+    /// fill parked (`carried`) and the first sample READ and history-id FAA
+    /// of this `Set`'s own eviction (`own`), and waits for them all.  A CAS
+    /// that returned the memo's word is an insert like any other
+    /// ([`Self::install_new`]); anything else cost this round trip, and the
+    /// `Set` goes on through the lookup.
+    ///
+    /// Either way, what else the round carried has landed by then: the own
+    /// eviction picks its victim (and parks it), and the carried one is
+    /// finished — its victim freed before any crash point of this `Set` can
+    /// find it taken out of the table.  The own eviction picks first, as it
+    /// does beside a looked-up insert.
+    pub(super) fn publish_fill(
+        &mut self,
+        hash: u64,
+        insert: (RemoteAddr, Slot),
+        write: (RemoteAddr, &[u8]),
+        new: AtomicField,
+        mut carried: Option<&mut Eviction>,
+        mut own: Option<&mut Eviction>,
+    ) -> FrontDoor {
+        let (slot_addr, expected) = (insert.0, insert.1.atomic.encode());
+        // An insert displaces no allocation (see `install_new`).
+        self.journal_set_old(None);
+        let publish_start = self.dm.now_ns();
+        let mut observed = !expected;
+        let (wr_write, wr_cas) = {
+            let mut wq = self.dm.work_queue();
+            let wr_write = wq.post_write(write.0, write.1, false);
+            let wr_cas = wq.post_cas(slot_addr, expected, new.encode(), &mut observed, true);
+            if let Some(ev) = carried.as_deref_mut() {
+                ev.carry(&mut wq, publish_start);
+            }
+            if let Some(ev) = own.as_deref_mut() {
+                ev.ride(&mut wq, &mut self.sample_buf);
+            }
+            wq.ring();
+            (wr_write, wr_cas)
+        };
+        // Every verb of the round completes, signalled or — an errored WRITE,
+        // and whatever it flushed — in error.
+        let (mut cas_landed, mut object_written) = (false, true);
+        while let Some(completion) = self.dm.poll_cq() {
+            if completion.wr_id == wr_cas {
+                cas_landed = completion.status.is_ok();
+            } else if completion.wr_id == wr_write {
+                object_written = false;
+            } else if !carried
+                .as_deref_mut()
+                .is_some_and(|ev| ev.claims(&completion))
+            {
+                if let Some(ev) = own.as_deref_mut() {
+                    ev.claims(&completion);
+                }
+            }
+        }
+        let won = cas_landed && observed == expected;
+        self.dm
+            .record_span(Phase::Publish, publish_start, self.dm.now_ns(), won as u32);
+        if won {
+            self.rekey_landed(slot_addr, new.encode(), hash);
+            self.hint_cas_won(hash, slot_addr, new.encode());
+        } else if cas_landed {
+            self.record_failed_slot_cas();
+        }
+        if let Some(ev) = own {
+            self.evict_advance(ev, true);
+        }
+        if let Some(ev) = carried {
+            self.evict_advance(ev, false);
+        }
+        if won {
+            FrontDoor::Won
+        } else {
+            FrontDoor::Lost { object_written }
+        }
     }
 
     pub(super) fn install_new(

@@ -140,7 +140,7 @@
 //! The argument, and the one best-effort loss it accepts, are stated beside
 //! the constant.
 //!
-//! # The `Set` path under memory pressure: evict-ahead
+//! # The `Set` path under memory pressure: evict-ahead, and the one-round fill
 //!
 //! A `Set` allocates its object, writes it next to the two bucket READs of
 //! its lookup (one doorbell) and publishes it with one slot CAS.  Once the
@@ -148,10 +148,10 @@
 //! verbs: a sample READ, an FAA for a history id, the CAS that turns the
 //! victim's slot into a history entry — and eviction *replenishes* memory
 //! instead of producing it: the `Set` allocates from a one-object **spare**
-//! the previous evicting `Set` left on the client's free list, and then runs
-//! one eviction of its own to leave the next spare.  None of that eviction's
-//! round trips is the `Set`'s own.  The order is **take the spare → sample +
-//! id → lookup → victim CAS ‖ publish**:
+//! the previous evicting `Set` left on the client's free list, and then
+//! frees one victim to leave the next spare.  None of that eviction's round
+//! trips is the `Set`'s own.  The order is **take the spare → sample + id →
+//! lookup → victim CAS ‖ publish**:
 //!
 //! * The **history id is acquired before the victim is known**: the FAA goes
 //!   out behind the first sample READ, and both ride the lookup's doorbell.
@@ -177,9 +177,9 @@
 //!   eviction re-picks among its remaining candidates (bounded), waiting for
 //!   that CAS in place — where a fault is retried like any slot CAS's.
 //!
-//! So a fill whose first sample held two candidates takes the round trips of
-//! a plain `Set`, and each further sample adds one; slots of the `Set`'s own
-//! two buckets are never candidates, so the two CASes cannot meet on one
+//! So a `Set` whose first sample held two candidates takes the round trips
+//! of a plain `Set`, and each further sample adds one; slots of the `Set`'s
+//! own two buckets are never candidates, so the two CASes cannot meet on one
 //! word.  A sample is one READ of [`DittoConfig::SAMPLE_SPAN_SLOTS`]
 //! consecutive slots — three per candidate, the table's density when full —
 //! so it holds about K = 5 candidates and rarely fewer than the two a pick
@@ -194,15 +194,12 @@
 //! **The miss memo.**  A fill nearly always follows its key's miss, whose
 //! lookup has just read and decoded both buckets.  The client keeps that view
 //! until its next `Get` or `Set`, and a `Set` of the same key publishes from
-//! it: its doorbell carries the object WRITE and the eviction's sample READ
-//! and FAA but no bucket READ, and it waits for all three.  An evicting fill is then
-//! two round trips — that doorbell, then publish CAS ‖ victim CAS — and two
-//! READs and 640 bytes lighter.  The memo is trusted on the rule a hint is
-//! (`client/lookup.rs`, *What a blind CAS leans on*): the key's
-//! [`local_tier::CoherenceBoard`] epoch and the stripe directory's version
-//! must not have moved since before the miss's READs.  The publish itself is
-//! unchanged: the insert CAS expects the word the memo read, and one that
-//! lost falls back to the full lookup.  What the memo touches is the
+//! it, choosing its insert slot from it before any verb, and reads no
+//! bucket.  The memo is trusted on the rule a hint is (`client/lookup.rs`,
+//! *What a blind CAS leans on*): the key's [`local_tier::CoherenceBoard`]
+//! epoch and the stripe directory's version must not have moved since before
+//! the miss's READs.  The insert CAS expects the word the memo read, and one
+//! that lost falls back to the full lookup.  What the memo touches is the
 //! **duplicate-insert** window.  Another client's fill of the same key whose
 //! CAS lands after the miss's READ is seen through the key's epoch, which
 //! that client bumps as soon as its CAS completes — not only at the end of
@@ -213,21 +210,64 @@
 //! exposure from its bucket READ to its CAS; the memo's check-to-CAS span is
 //! no longer than that, and adds only the other CAS's return flight.
 //!
+//! **The one-round fill.**  When the memo names an insert slot on the new
+//! object's node, the fill rings **one doorbell**: the object WRITE,
+//! unsignalled, and the insert CAS behind it — sound by the flush rule of
+//! [`ditto_dm::wqe`], as for the hinted replace — and, under memory
+//! pressure, the victim CAS of the eviction the previous fill *parked* and
+//! the sample READ and history FAA of its own.  Once that round has landed
+//! the fill picks its own victim and **parks** it on the client instead of
+//! taking it out: the next starved `Set` carries that CAS.  An evicting fill
+//! is then one round trip — a doorbell, five issues, the slower atomic's
+//! flight, four polls and one sample's decode and scoring — where it was
+//! two, with the same verbs; so is a fill that evicts nothing.  (With its
+//! insert slot off the object's node a fill takes two: the WRITE, signalled,
+//! beside the sample READ and the FAA, then the CASes.)  Three rules keep the
+//! rest as it was:
+//!
+//! * **Only a fill parks** — a `Set` right after its key's miss.  A `Set`
+//!   with no miss before it, such as a load phase, evicts within itself as
+//!   above: parking there too would change what the cache holds after the
+//!   load.
+//! * **A `Set` that carries parks its own sample**, so each starved `Set`
+//!   frees exactly one victim.  Only a fill with nothing to carry frees
+//!   none — the first after `Set`s that evicted within themselves — and the
+//!   one after it evicts inline once for its object.
+//! * **The new sample never takes the carried victim's slot**, as it never
+//!   takes one of the `Set`'s own buckets.  A looked-up `Set` posts the
+//!   carried CAS after its sample READ, beside its insert CAS, where the
+//!   one-round fill posts it before; this rule makes both samples see the
+//!   same candidates, and keeps a striped cache, whose fills take either
+//!   shape, identical to a single-node one.
+//!
+//! A parked victim stays in the table, resident and evictable by anyone; a
+//! carried CAS that finds its word gone re-picks among the parked
+//! candidates.  A parked eviction is dropped, its id burnt, once the stripe
+//! directory's version has moved: its candidates' addresses may name retired
+//! copies.  Its `Evict` span is split where the ops split: the parking `Set`
+//! records the sample half up to the pick, the carrying `Set` the victim
+//! half.
+//!
 //! **Crashes.**  The sampling eviction has never been journalled: a client
 //! that dies between its victim CAS landing and the `free_object` after it
 //! leaks the victim's blocks — for good if they lie in a live client's
 //! segment, until [`DittoClient::recover_crashed_client`] sweeps its segments
-//! otherwise — and leaves the resident gauge that much too high.  That was so
-//! when the CAS was waited for, and is so now; the window is the publish CAS
-//! wider.  What must not change is what the *modelled* crash points find.
+//! otherwise — and leaves the resident gauge that much too high.  What must
+//! not change is what the *modelled* crash points find.
 //! [`CrashPoint::AfterPublish`] sits in the two publishes that displace an
 //! allocation (a replace, a bucket eviction); an insert — every fill — holds
-//! none.  So the eviction posts its victim CAS before the publish only beside
+//! none.  So an eviction posts its victim CAS before the publish only beside
 //! an insert — and is run to its end before the `Set` tries again, should
-//! that insert lose; riding a displacing publish it stays where it was,
-//! sample and id in hand, until the `Set` is through, and no crash point sees
-//! a victim taken out of the table and not yet freed (`tests/chaos.rs` drives
-//! all three points on a starved client).
+//! that insert lose; riding a displacing publish, its own sample and id in
+//! hand or a parked victim to carry, it stays where it was until the `Set` is
+//! through.  On the one-round path only [`CrashPoint::AfterAlloc`] can fire,
+//! before the doorbell.  A fill whose insert CAS lost goes on through the
+//! lookup with its object written: [`CrashPoint::AfterObjectWrite`] fires
+//! there first, and [`CrashPoint::AfterPublish`] only if that lookup's
+//! publish displaces.  The victim the round carried is freed before either.
+//! So no crash point sees a victim taken out of the table and not yet freed
+//! (`tests/chaos.rs` drives all three points on a starved client that
+//! replaces a key, and on fills that park and carry).
 //!
 //! # The compute-side local tier
 //!

@@ -407,15 +407,33 @@ fn chaos_crash_points_recover_cleanly_on_a_hinted_set() {
     }
 }
 
+/// How the starved client of
+/// `chaos_crash_points_recover_cleanly_under_memory_pressure` dies.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Dying {
+    /// Replacing a key its neighbour holds.
+    Replace,
+    /// Filling a key right after it missed: the first such fill, which parks
+    /// its eviction, or a later one, which carries the victim the fill
+    /// before it parked.
+    Fill { carrying: bool },
+}
+
 /// The anatomy under memory pressure, where an evicting `Set` runs a
 /// sampling eviction beside its own lookup and publish: a starved client
-/// dies replacing an *existing* key, next to a second client whose segments
-/// interleave with its own — so the objects it evicts are as often the
-/// neighbour's, in segments the dead-owned sweep never visits.  The sampling
-/// eviction is not journalled; what keeps a crash point from finding a victim
-/// taken out of the table and never freed is the order alone — the eviction
-/// riding a displacing publish takes its victim only once the `Set` is
-/// through (`ditto_core` crate docs, *The `Set` path under memory pressure*).
+/// dies next to a second client whose segments interleave with its own — so
+/// the objects it evicts are as often the neighbour's, in segments the
+/// dead-owned sweep never visits.  It dies replacing an existing key, or
+/// filling one right after its miss.  The sampling eviction is not
+/// journalled; what keeps a crash point from finding a victim taken out of
+/// the table and never freed is the order alone: the eviction riding a
+/// displacing publish takes its victim only once the `Set` is through, and
+/// the one-round fill frees the victim it carries before any later point
+/// (`ditto_core` crate docs, *The `Set` path under memory pressure*).  Of a
+/// fill's three points only `AfterAlloc` lies on the one-round path, so for
+/// the other two the neighbour fills the key between the miss and the dying
+/// `Set`: the memo is refused, and the `Set` replaces the neighbour's value
+/// through the lookup, a parked victim in hand.
 #[test]
 fn chaos_crash_points_recover_cleanly_under_memory_pressure() {
     let points = [
@@ -423,76 +441,115 @@ fn chaos_crash_points_recover_cleanly_under_memory_pressure() {
         CrashPoint::AfterObjectWrite,
         CrashPoint::AfterPublish,
     ];
+    let dyings = [
+        Dying::Replace,
+        Dying::Fill { carrying: false },
+        Dying::Fill { carrying: true },
+    ];
     for point in points {
-        let mut config = DittoConfig::with_capacity(200).with_crash_recovery_journal(true);
-        config.alloc_segment_objects = 2;
-        let cache =
-            DittoCache::with_dedicated_pool(config, DmConfig::default().with_memory_nodes(2))
-                .unwrap();
-        let (mut victim, mut neighbour) = (cache.client(), cache.client());
-        let victim_id = victim.dm().client_id();
-        // Turn about, far past capacity: two-object segments granted
-        // alternately, and each client evicting whatever its samples hold.
-        for key in 0..3_000u64 {
-            let client = if key % 2 == 0 {
-                &mut victim
-            } else {
-                &mut neighbour
-            };
-            client.set(&key.to_le_bytes(), &[key as u8; 200]);
+        for dying in dyings {
+            crash_under_memory_pressure(point, dying);
         }
-        let stats = cache.stats();
-        assert!(
-            stats.evictions_overlapped() > 2_000,
-            "{point:?}: no pressure"
-        );
-        let resident = (0..3_000u64)
-            .rev()
-            .find(|key| neighbour.get(&key.to_le_bytes()).is_some())
-            .expect("something is resident");
-
-        let nodes = || cache.pool().stats().node_snapshots();
-        let (faa, evictions) = (
-            nodes().iter().map(|n| n.faa).sum::<u64>(),
-            stats.snapshot().evictions,
-        );
-        victim.arm_set_crash(point);
-        victim.set(&resident.to_le_bytes(), &[0xEE; 200]);
-        assert!(victim.crashed(), "{point:?}: armed crash did not fire");
-        // From the lookup on, an eviction rode the Set — its history id went
-        // out with the bucket READs — and it had taken no victim yet.
-        let riding = (point != CrashPoint::AfterAlloc) as u64;
-        assert_eq!(
-            nodes().iter().map(|n| n.faa).sum::<u64>() - faa,
-            riding,
-            "{point:?}: the dying Set must be a starved one"
-        );
-        assert_eq!(stats.snapshot().evictions, evictions, "{point:?}");
-        drop(victim);
-
-        let _ = neighbour.release_parked_memory();
-        let report = neighbour.recover_crashed_client(victim_id);
-        assert_eq!(report.journal_entries_replayed, 1, "{point:?}");
-        assert!(report.recovered_bytes > 0, "{point:?}: {report:?}");
-        assert_no_orphans(&cache, &mut cache.client(), &format!("pressured {point:?}"));
-
-        let published = point == CrashPoint::AfterPublish;
-        let expected = if published { 0xEE } else { resident as u8 };
-        assert_eq!(
-            neighbour.get(&resident.to_le_bytes()),
-            Some(vec![expected; 200]),
-            "{point:?}"
-        );
-        // The survivor goes on evicting and filling, and nothing drifts.
-        for key in 3_000..3_200u64 {
-            neighbour.set(&key.to_le_bytes(), &[key as u8; 200]);
-        }
-        assert_no_orphans(
-            &cache,
-            &mut cache.client(),
-            &format!("pressured {point:?}, after more fills"),
-        );
     }
+}
+
+fn crash_under_memory_pressure(point: CrashPoint, dying: Dying) {
+    let context = format!("{point:?}, {dying:?}");
+    let mut config = DittoConfig::with_capacity(200).with_crash_recovery_journal(true);
+    config.alloc_segment_objects = 2;
+    let cache =
+        DittoCache::with_dedicated_pool(config, DmConfig::default().with_memory_nodes(2)).unwrap();
+    let (mut victim, mut neighbour) = (cache.client(), cache.client());
+    let victim_id = victim.dm().client_id();
+    // Turn about, far past capacity: two-object segments granted
+    // alternately, and each client evicting whatever its samples hold.
+    for key in 0..3_000u64 {
+        let client = if key % 2 == 0 {
+            &mut victim
+        } else {
+            &mut neighbour
+        };
+        client.set(&key.to_le_bytes(), &[key as u8; 200]);
+    }
+    let stats = cache.stats();
+    assert!(
+        stats.evictions_overlapped() > 2_000,
+        "{context}: no pressure"
+    );
+
+    // The key the victim dies on, and the value a Set that did not publish
+    // leaves readable.
+    let (key, untouched) = match dying {
+        Dying::Replace => {
+            let resident = (0..3_000u64)
+                .rev()
+                .find(|key| neighbour.get(&key.to_le_bytes()).is_some())
+                .expect("something is resident");
+            (resident.to_le_bytes(), Some(vec![resident as u8; 200]))
+        }
+        Dying::Fill { carrying } => {
+            // The first fill after a miss parks its eviction; the second
+            // evicts inline for its object, carries that victim and parks
+            // its own.
+            for warm in 5_000..5_000 + 2 * carrying as u64 {
+                assert!(victim.get(&warm.to_le_bytes()).is_none());
+                victim.set(&warm.to_le_bytes(), &[warm as u8; 200]);
+            }
+            let key = 6_000u64.to_le_bytes();
+            assert!(victim.get(&key).is_none());
+            if point == CrashPoint::AfterAlloc {
+                (key, None)
+            } else {
+                neighbour.set(&key, &[0x11; 200]);
+                (key, Some(vec![0x11; 200]))
+            }
+        }
+    };
+
+    let nodes = || cache.pool().stats().node_snapshots();
+    let (faa, evictions) = (
+        nodes().iter().map(|n| n.faa).sum::<u64>(),
+        stats.snapshot().evictions,
+    );
+    victim.arm_set_crash(point);
+    victim.set(&key, &[0xEE; 200]);
+    assert!(victim.crashed(), "{context}: armed crash did not fire");
+    // From its first doorbell on, an eviction rode the Set — its history id
+    // went out beside the bucket READs — and no victim was taken: neither
+    // its own nor a carried one.
+    let riding = (point != CrashPoint::AfterAlloc) as u64;
+    assert_eq!(
+        nodes().iter().map(|n| n.faa).sum::<u64>() - faa,
+        riding,
+        "{context}: the dying Set must be a starved one"
+    );
+    assert_eq!(stats.snapshot().evictions, evictions, "{context}");
+    drop(victim);
+
+    let _ = neighbour.release_parked_memory();
+    let report = neighbour.recover_crashed_client(victim_id);
+    assert_eq!(report.journal_entries_replayed, 1, "{context}");
+    assert!(report.recovered_bytes > 0, "{context}: {report:?}");
+    assert_no_orphans(&cache, &mut cache.client(), &context);
+
+    let published = point == CrashPoint::AfterPublish;
+    let expected = if published {
+        Some(vec![0xEE; 200])
+    } else {
+        untouched
+    };
+    assert_eq!(neighbour.get(&key), expected, "{context}");
+    // The survivor goes on filling after misses — parking and carrying
+    // evictions of its own — and nothing drifts.
+    for key in 3_000..3_200u64 {
+        assert!(neighbour.get(&key.to_le_bytes()).is_none(), "{context}");
+        neighbour.set(&key.to_le_bytes(), &[key as u8; 200]);
+    }
+    assert_no_orphans(
+        &cache,
+        &mut cache.client(),
+        &format!("{context}, after more fills"),
+    );
 }
 
 /// Tentpole: node fail-stop degrades a striped pool instead of killing it —

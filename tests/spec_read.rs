@@ -606,10 +606,14 @@ fn faulted_hinted_sets_leave_every_value_current_and_nothing_leaked() {
 }
 
 /// A fill under memory pressure right after its key's miss: the `Set`
-/// publishes from what the miss read of the buckets, its doorbell carrying
-/// the object WRITE beside its eviction's sample READ and history-id FAA.
-/// Any of them may fail here — one verb in five — and the fill then reads
-/// the buckets like any other `Set`.  Skewed cache-aside over two thousand
+/// publishes from what the miss read of the buckets in one round of five
+/// verbs — the object WRITE, the insert CAS behind it, the victim CAS of
+/// the eviction the previous fill parked, its own eviction's sample READ and
+/// history-id FAA — or, its insert slot off its object's node, by the WRITE
+/// beside the READ and the FAA, then the CASes.  Any of them may fail here —
+/// one verb in five, and an errored WRITE flushes what its node has queued
+/// behind it — and the fill then reads the buckets like any other `Set`,
+/// its carried victim settled first.  Skewed cache-aside over two thousand
 /// keys at capacity 300, on one node and on two: every hit and every re-read
 /// returns the last completed value, and no byte leaks.
 #[test]
