@@ -1,6 +1,6 @@
 //! Offline phase-level latency-attribution analyzer.
 //!
-//! Ingests the artifacts an armed `ops_bench --trace` run writes — the
+//! Ingests the artifacts `trace_smoke` writes from its armed run — the
 //! Chrome-tracing JSON document and the companion Prometheus exposition
 //! page — re-parses them with the hand-rolled reader in
 //! [`ditto_bench::jsonv`] (no third-party parser in the tree), and prints:
@@ -24,7 +24,7 @@
 //! feeds them never ran.
 //!
 //! ```text
-//! cargo run --release -p ditto-bench --bin ops_bench -- --trace ditto_trace.json
+//! cargo run --release -p ditto-bench --bin trace_smoke
 //! cargo run --release -p ditto-bench --bin obs_report -- ditto_trace.json ditto_trace.prom
 //! ```
 

@@ -1,7 +1,8 @@
-//! Trace-smoke validator for the flight-recorder pipeline.
+//! Trace smoke: the flight-recorder pipeline, validated end to end, and the
+//! trace artifacts `obs_report` reads.
 //!
-//! Runs a short, seeded, pipelined window with the flight recorder armed,
-//! then gates the whole observability path end to end:
+//! Runs a short, seeded, pipelined YCSB-C window with the flight recorder
+//! armed, then gates the whole observability path:
 //!
 //! 1. **In-memory invariants** — zero span drops at this ring size, every
 //!    pool op left at least one span (distinct op ids == the pool's op
@@ -17,14 +18,15 @@
 //!    and leads with the Perfetto row-label metadata (`"ph":"M"`
 //!    process/thread names) so trace viewers label rows `client-<id>`.
 //!
+//! It then writes the document to `ditto_trace.json` (open it in Perfetto)
+//! and, once the client has dropped and folded its per-phase histograms into
+//! the pool, the Prometheus exposition page to `ditto_trace.prom` — both in
+//! the working directory, for `obs_report`.  Exits non-zero on any violation.
+//!
 //! ```text
 //! cargo run --release -p ditto-bench --bin trace_smoke
-//! cargo run --release -p ditto-bench --bin trace_smoke -- TRACE.json …
+//! cargo run --release -p ditto-bench --bin obs_report -- ditto_trace.json ditto_trace.prom
 //! ```
-//!
-//! With file arguments, each named trace (e.g. the artifact `ops_bench
-//! --trace` wrote) is additionally parsed and gated on the same
-//! document-level invariants.  Exits non-zero on any violation.
 
 use ditto_bench::jsonv::{self, Json};
 use ditto_core::{DittoCache, DittoConfig};
@@ -33,21 +35,18 @@ use ditto_dm::DmConfig;
 use ditto_workloads::{YcsbSpec, YcsbWorkload};
 use std::collections::BTreeMap;
 
-// ---------------------------------------------------------------------
-// Document-level gates (shared by the self-run and file arguments)
-// ---------------------------------------------------------------------
+/// Where the Chrome-tracing document and the exposition page are written.
+const TRACE_PATH: &str = "ditto_trace.json";
+const PROM_PATH: &str = "ditto_trace.prom";
 
 /// Parses `text` as a Chrome trace and gates the document invariants.
 /// Returns (complete events, instant events, overlapping-flight-pair
 /// count, metadata records) for the caller's own assertions.
-fn validate_trace_document(label: &str, text: &str) -> (usize, usize, usize, usize) {
-    let doc = jsonv::parse(text)
-        .unwrap_or_else(|e| panic!("{label}: emitted trace is not valid JSON: {e}"));
-    let events = doc
-        .get("traceEvents")
-        .unwrap_or_else(|| panic!("{label}: missing traceEvents"));
+fn validate_trace_document(text: &str) -> (usize, usize, usize, usize) {
+    let doc = jsonv::parse(text).unwrap_or_else(|e| panic!("emitted trace is not valid JSON: {e}"));
+    let events = doc.get("traceEvents").expect("missing traceEvents");
     let Json::Arr(entries) = events else {
-        panic!("{label}: traceEvents is not an array");
+        panic!("traceEvents is not an array");
     };
     let mut complete = 0usize;
     let mut instants = 0usize;
@@ -55,18 +54,20 @@ fn validate_trace_document(label: &str, text: &str) -> (usize, usize, usize, usi
     // Per-tid flight spans as (ts, ts+dur), in document order.
     let mut flights: BTreeMap<i64, Vec<(f64, f64)>> = BTreeMap::new();
     for entry in entries {
-        let ph = entry.get("ph").and_then(Json::as_str).unwrap_or_else(|| {
-            panic!("{label}: trace entry without ph: {entry:?}");
-        });
-        let tid = entry.get("tid").and_then(Json::as_f64).unwrap_or_else(|| {
-            panic!("{label}: trace entry without tid");
-        }) as i64;
+        let ph = entry
+            .get("ph")
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("trace entry without ph: {entry:?}"));
+        let tid = entry
+            .get("tid")
+            .and_then(Json::as_f64)
+            .expect("trace entry without tid") as i64;
         match ph {
             "X" => {
                 complete += 1;
                 let ts = entry.get("ts").and_then(Json::as_f64).expect("ts");
                 let dur = entry.get("dur").and_then(Json::as_f64).expect("dur");
-                assert!(dur >= 0.0, "{label}: negative span duration");
+                assert!(dur >= 0.0, "negative span duration");
                 let name = entry.get("name").and_then(Json::as_str).expect("name");
                 if name == "flight" {
                     flights.entry(tid).or_default().push((ts, ts + dur));
@@ -81,16 +82,16 @@ fn validate_trace_document(label: &str, text: &str) -> (usize, usize, usize, usi
                 let kind = entry.get("name").and_then(Json::as_str).expect("name");
                 assert!(
                     kind == "process_name" || kind == "thread_name",
-                    "{label}: unknown metadata record {kind:?}"
+                    "unknown metadata record {kind:?}"
                 );
                 let named = entry
                     .get("args")
                     .and_then(|a| a.get("name"))
                     .and_then(Json::as_str)
-                    .unwrap_or_else(|| panic!("{label}: metadata record without args.name"));
-                assert!(!named.is_empty(), "{label}: empty metadata name");
+                    .expect("metadata record without args.name");
+                assert!(!named.is_empty(), "empty metadata name");
             }
-            other => panic!("{label}: unexpected phase {other:?}"),
+            other => panic!("unexpected phase {other:?}"),
         }
     }
     let mut overlapping_pairs = 0usize;
@@ -100,7 +101,7 @@ fn validate_trace_document(label: &str, text: &str) -> (usize, usize, usize, usi
             // their start timestamps must never regress…
             assert!(
                 pair[1].0 >= pair[0].0,
-                "{label}: client {tid} flight spans out of order: {pair:?}"
+                "client {tid} flight spans out of order: {pair:?}"
             );
             // …and two spans posted behind one doorbell share their start,
             // making them overlap (strictly, when both have width).
@@ -111,10 +112,6 @@ fn validate_trace_document(label: &str, text: &str) -> (usize, usize, usize, usi
     }
     (complete, instants, overlapping_pairs, metadata)
 }
-
-// ---------------------------------------------------------------------
-// Seeded pipelined run
-// ---------------------------------------------------------------------
 
 fn main() {
     let spec = YcsbSpec {
@@ -212,7 +209,7 @@ fn main() {
     // including the Perfetto row-label metadata (one process_name plus one
     // thread_name per client).
     let json = chrome_trace_json(&[(client.dm().client_id(), spans.clone())], &events);
-    let (complete, instants, file_overlaps, metadata) = validate_trace_document("self-run", &json);
+    let (complete, instants, file_overlaps, metadata) = validate_trace_document(&json);
     assert_eq!(complete, spans.len(), "one complete event per span");
     assert_eq!(instants, events.len(), "one instant per log event");
     assert_eq!(
@@ -223,31 +220,15 @@ fn main() {
         file_overlaps >= 1,
         "the emitted document must preserve the overlapping flight spans"
     );
-    let out = std::env::temp_dir().join("ditto_trace_smoke.json");
-    std::fs::write(&out, &json).expect("write smoke trace");
+    std::fs::write(TRACE_PATH, &json).expect("write trace file");
     eprintln!(
         "trace_smoke: OK — {complete} spans, {instants} events, {file_overlaps} overlapping \
-         flight pairs ({})",
-        out.display()
+         flight pairs ({TRACE_PATH})"
     );
 
-    // File arguments: validate existing trace artifacts the same way.
-    for path in std::env::args().skip(1) {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let (complete, instants, overlaps, metadata) = validate_trace_document(&path, &text);
-        assert!(complete > 0, "{path}: trace holds no spans");
-        assert!(
-            metadata >= 2,
-            "{path}: expected process_name + thread_name metadata records"
-        );
-        assert!(
-            overlaps >= 1,
-            "{path}: expected >=2 overlapping flight spans on one client"
-        );
-        eprintln!(
-            "trace_smoke: {path} OK — {complete} spans, {instants} events, {overlaps} \
-             overlapping flight pairs, {metadata} metadata records"
-        );
-    }
+    // The companion exposition page: dropping the client folds its
+    // per-phase histograms into the pool.
+    drop(client);
+    std::fs::write(PROM_PATH, cache.text_exposition()).expect("write exposition page");
+    eprintln!("trace_smoke: wrote the exposition page to {PROM_PATH}");
 }

@@ -1,22 +1,14 @@
-//! Minimal JSON reader and writer shared by the bench tooling.
+//! Minimal JSON reader shared by the bench tooling.
 //!
 //! The repo deliberately vendors no third-party JSON crate; this is the
 //! hand-rolled reader `trace_smoke` uses to re-parse the Chrome-tracing
-//! documents [`ditto_dm::obs::chrome_trace_json`] emits, extracted here so
-//! `obs_report` can ingest the same artifacts.  Validation-grade only: it
+//! document [`ditto_dm::obs::chrome_trace_json`] emits, and `obs_report` to
+//! ingest the trace `trace_smoke` writes.  Validation-grade only: it
 //! accepts exactly the JSON the exporters write (plus whitespace), keeps
 //! object fields in document order, and reports errors as strings with a
 //! byte offset.
-//!
-//! The writer is [`Json`]'s `Display`, indenting by two spaces, which
-//! `ops_bench` builds `BENCH_ops.json` with: numbers in Rust's shortest
-//! round-trip form — never an exponent, so an integer prints as one — and a
-//! non-finite number is a bug that panics rather than an invalid document.
 
-use std::fmt::{self, Write as _};
-
-/// A JSON value, just rich enough to validate a trace document and to write
-/// a bench report.
+/// A JSON value, just rich enough to validate a trace document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
@@ -27,92 +19,7 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-macro_rules! from_number {
-    ($($t:ty),*) => {$(
-        impl From<$t> for Json {
-            fn from(n: $t) -> Self {
-                Json::Num(n as f64)
-            }
-        }
-    )*};
-}
-from_number!(f64, u64, u16, usize);
-
-impl From<bool> for Json {
-    fn from(b: bool) -> Self {
-        Json::Bool(b)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(s: &str) -> Self {
-        Json::Str(s.to_string())
-    }
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write(f, 0)
-    }
-}
-
-fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' | '\\' => write!(f, "\\{c}")?,
-            c if c < ' ' => write!(f, "\\u{:04x}", u32::from(c))?,
-            c => f.write_char(c)?,
-        }
-    }
-    f.write_char('"')
-}
-
 impl Json {
-    /// An object from `(key, value)` pairs, in order.
-    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    /// Writes `self` as the `depth`-th level of an indented document.
-    fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-        let (brackets, items): ([char; 2], Vec<(Option<&str>, &Json)>) = match self {
-            Json::Null => return f.write_str("null"),
-            Json::Bool(b) => return write!(f, "{b}"),
-            Json::Num(n) => {
-                assert!(n.is_finite(), "JSON has no {n}");
-                return write!(f, "{n}");
-            }
-            Json::Str(s) => return write_str(f, s),
-            Json::Arr(items) => (['[', ']'], items.iter().map(|v| (None, v)).collect()),
-            Json::Obj(fields) => (
-                ['{', '}'],
-                fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
-            ),
-        };
-        f.write_char(brackets[0])?;
-        for (i, (key, value)) in items.iter().enumerate() {
-            if i > 0 {
-                f.write_char(',')?;
-            }
-            write!(f, "\n{:1$}", "", 2 * (depth + 1))?;
-            if let Some(key) = key {
-                write_str(f, key)?;
-                f.write_str(": ")?;
-            }
-            value.write(f, depth + 1)?;
-        }
-        if !items.is_empty() {
-            write!(f, "\n{:1$}", "", 2 * depth)?;
-        }
-        f.write_char(brackets[1])
-    }
-
     /// Field lookup on an object (first match; `None` on other variants).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -363,42 +270,5 @@ mod tests {
     fn round_trips_unicode_escapes() {
         let doc = parse(r#""café ✓""#).unwrap();
         assert_eq!(doc.as_str(), Some("café ✓"));
-    }
-
-    #[test]
-    fn written_documents_parse_back_to_themselves() {
-        let big = 2f64.powi(60);
-        let doc = Json::obj([
-            (
-                "escaped",
-                "quote \" slash \\ newline \n nul \u{0} café ✓".into(),
-            ),
-            ("big", big.into()),
-            (
-                "ints",
-                Json::Arr(vec![0u64.into(), 7u16.into(), usize::MAX.into()]),
-            ),
-            (
-                "floats",
-                Json::Arr(vec![0.1.into(), (-2.5e-9).into(), 1e300.into()]),
-            ),
-            ("empty", Json::Arr(Vec::new())),
-            ("nested", Json::obj([("t", true.into()), ("n", Json::Null)])),
-            ("none", Json::obj([])),
-        ]);
-        assert_eq!(parse(&doc.to_string()), Ok(doc));
-        // 2^60: the shortest digits that round-trip, as an integer literal.
-        assert_eq!(Json::from(big).to_string(), "1152921504606847000");
-        assert_eq!(Json::from(362_988.2).to_string(), "362988.2");
-        assert_eq!(
-            Json::obj([("a", Json::Arr(vec![1u64.into()]))]).to_string(),
-            "{\n  \"a\": [\n    1\n  ]\n}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "JSON has no NaN")]
-    fn writing_a_nan_panics() {
-        let _ = Json::from(f64::NAN).to_string();
     }
 }

@@ -51,7 +51,7 @@
 //! while the next fill does.  Waits and the client CPU work
 //! (`CPU_DECODE_SLOT_NS` per slot, `CPU_SCORE_CANDIDATE_NS` per candidate)
 //! overlap the flights, and `end_op` simply drains whatever is still
-//! outstanding.  `tests/data_path_golden.rs` pins two seeded replays of it
+//! outstanding.  `tests/data_path_golden.rs` pins three seeded replays of it
 //! to the nanosecond.
 //!
 //! The data path is **allocation-free in steady state**: bucket and sample
@@ -184,8 +184,7 @@ pub struct DittoClient {
     topology: PoolTopology,
     topo_epoch: u64,
     /// The bucket-range migration engine (shared with the cache): the job
-    /// queue [`DittoClient::pump_migration`] drains and the stripe locks
-    /// recovery reclaims.
+    /// queue [`DittoClient::pump_migration`] drains.
     engine: Arc<MigrationEngine>,
     /// Stripe-directory version captured at the start of the current `Set`
     /// attempt; a bump since then means a cutover raced the attempt (client

@@ -48,8 +48,8 @@ pub struct DittoConfig {
     /// entry it is about to replace) before publishing, so
     /// `DittoClient::recover_crashed_client` can settle ownership of a dead
     /// client's in-flight object and reclaim its memory.  Off by default:
-    /// the journal writes add messages to the `Set` path, and the
-    /// parity/ops baselines are recorded without them.
+    /// the journal writes add messages to the `Set` path, and the golden
+    /// replays and the benchmark are recorded without them.
     pub enable_crash_recovery_journal: bool,
     /// Capacity (in objects) of the compute-side local cache tier
     /// ([`crate::local_tier`]); 0 disables the tier.  Each client holds its

@@ -79,18 +79,17 @@
 //! where it is issued; it rings no doorbell in the accounting
 //! ([`PoolStats::doorbells`] counts posted rounds only).
 //!
-//! Measured on the get-heavy YCSB-C ops microbenchmark (200 k requests,
-//! 10 k records, capacity 7 k objects, one client; see
-//! `crates/bench/src/bin/ops_bench.rs` and `BENCH_ops.json`): **363.0 k
-//! simulated ops/s at 2.81 verbs per op, op p50 2.30 µs / p99 9.73 µs**.
-//! What the overlap hides is reported from that same run by
-//! [`AttributionTable::overlap_saved_ns`].
+//! What the overlap hides is reported by
+//! [`AttributionTable::overlap_saved_ns`] over an armed run's spans;
+//! `tests/data_path_golden.rs` checks it is positive on a YCSB-C replay.
 //!
-//! The same benchmark's multi-memory-node sweep (60 k msg/s per NIC,
-//! message-bound) shows the striped topology lifting the throughput
-//! ceiling near-linearly: **18.2 k → 35.6 k → 61.6 k → 115.8 k simulated
-//! ops/s at 1 → 2 → 4 → 8 memory nodes**, because the hottest NIC's
-//! message count drops to roughly `1/n`-th of the total.
+//! Posting does not lift the NIC-bound ceiling, striping does: the hottest
+//! NIC's message count drops to roughly `1/n`-th of the total on `n` memory
+//! nodes.  At 60 k msg/s per NIC, a 10 k-request YCSB-C window (2 k
+//! records, capacity 1.4 k objects, one client) serves
+//! **19.8 k → 39.1 k → 70.3 k → 97.1 k requests per simulated second on
+//! 1 → 2 → 4 → 8 memory nodes**, a rise `tests/elasticity.rs` asserts;
+//! `figures fig17` sweeps the same axis at figure scale.
 //!
 //! # Threading model
 //!

@@ -101,7 +101,8 @@
 //! (7 423, 3 318) → (7 465, 3 273).
 
 use ditto::cache::stats::CacheStatsSnapshot;
-use ditto::cache::{DittoCache, DittoConfig};
+use ditto::cache::{DittoCache, DittoClient, DittoConfig};
+use ditto::dm::obs::attribution;
 use ditto::dm::{DmConfig, FaultPlan};
 use ditto::workloads::{Op, YcsbSpec, YcsbWorkload};
 
@@ -119,6 +120,25 @@ struct Golden {
     stats: CacheStatsSnapshot,
 }
 
+/// A replay's golden, with what a test reads off it besides: the cache, its
+/// client and the READs its `Set`s issued.
+struct Replayed {
+    golden: Golden,
+    cache: DittoCache,
+    client: DittoClient,
+    set_reads: u64,
+}
+
+fn replay(mix: YcsbWorkload, dm: DmConfig, capacity: u64) -> Golden {
+    replay_keeping(mix, dm, capacity).golden
+}
+
+/// READs served, summed over the memory nodes.
+fn reads(cache: &DittoCache) -> u64 {
+    let nodes = cache.pool().stats().node_snapshots();
+    nodes.iter().map(|node| node.reads).sum()
+}
+
 /// Replays a YCSB mix (seed 11, 2 000 records, 12 000 requests, cache-aside
 /// fills on a miss) on a default-configured cache of `capacity` objects
 /// over the pool `dm` describes.  The YCSB-C replays' capacity is well below
@@ -126,7 +146,7 @@ struct Golden {
 /// machinery beside hits, and every `Set` of theirs is a fill that holds no
 /// hint; the YCSB-A replay has room for every record, so half its requests
 /// are replaces, nearly all of them through the client's own hint.
-fn replay(mix: YcsbWorkload, dm: DmConfig, capacity: u64) -> Golden {
+fn replay_keeping(mix: YcsbWorkload, dm: DmConfig, capacity: u64) -> Replayed {
     let spec = YcsbSpec {
         record_count: 2_000,
         request_count: 12_000,
@@ -135,6 +155,7 @@ fn replay(mix: YcsbWorkload, dm: DmConfig, capacity: u64) -> Golden {
     .with_seed(11);
     let cache = DittoCache::with_dedicated_pool(DittoConfig::with_capacity(capacity), dm).unwrap();
     let mut client = cache.client();
+    let mut set_reads = 0;
     let mut value_buf = Vec::new();
     for (i, request) in spec.run_requests(mix).into_iter().enumerate() {
         let key = request.key_bytes();
@@ -142,12 +163,14 @@ fn replay(mix: YcsbWorkload, dm: DmConfig, capacity: u64) -> Golden {
         if request.op == Op::Get && client.get_into(&key, &mut value_buf) {
             assert_eq!(value_buf, value, "request {i} hit a wrong value");
         } else {
+            let before = reads(&cache);
             client.set(&key, &value);
+            set_reads += reads(&cache) - before;
         }
     }
     client.flush();
     let nodes = cache.pool().stats().node_snapshots();
-    Golden {
+    let golden = Golden {
         clock_ns: client.dm().now_ns(),
         messages: nodes.iter().map(|node| node.messages).sum(),
         published: (
@@ -159,6 +182,12 @@ fn replay(mix: YcsbWorkload, dm: DmConfig, capacity: u64) -> Golden {
             cache.stats().ts_writes_skipped(),
         ),
         stats: cache.stats().snapshot(),
+    };
+    Replayed {
+        golden,
+        cache,
+        client,
+        set_reads,
     }
 }
 
@@ -289,6 +318,66 @@ fn an_active_fault_plan_that_never_fires_moves_nothing() {
     assert_eq!(
         replay(YcsbWorkload::A, idle(), 3_000),
         update_heavy_golden()
+    );
+}
+
+/// The flight recorder reads the simulated clock but never advances it, and
+/// its one-in-N sampling draw is a hash off the clock's path: armed in full
+/// or sampled, the single-node replay is its golden to the nanosecond — the
+/// same ops/s, hits, misses and evictions.  The armed run's critical path
+/// attributes no more than the elapsed op time and shows what the posted
+/// verbs hid, and a `Get` averages fewer than 2.2 READs (a hinted hit and a
+/// miss take 2, an unhinted hit 3; the fills' READs are not counted).
+#[test]
+fn an_armed_or_sampled_flight_recorder_moves_nothing() {
+    let spans = 1 << 17;
+    let armed = replay_keeping(
+        YcsbWorkload::C,
+        DmConfig::default().with_flight_recorder(spans),
+        700,
+    );
+    let sampled = replay_keeping(
+        YcsbWorkload::C,
+        DmConfig::default().with_flight_recorder_sampled(spans, 16),
+        700,
+    );
+    assert_eq!(armed.golden, single_node_golden());
+    assert_eq!(sampled.golden, single_node_golden());
+
+    let armed_obs = armed.cache.pool().stats().obs();
+    let sampled_obs = sampled.cache.pool().stats().obs();
+    assert!(
+        armed_obs.spans_recorded > 0,
+        "the armed run recorded nothing"
+    );
+    assert!(
+        sampled_obs.ops_sampled > 0 && sampled_obs.ops_skipped > 0,
+        "one-in-16 sampling must both keep and skip ops: {sampled_obs:?}"
+    );
+    assert!(
+        sampled_obs.spans_recorded < armed_obs.spans_recorded,
+        "sampling must record fewer spans than full arming: {} vs {}",
+        sampled_obs.spans_recorded,
+        armed_obs.spans_recorded
+    );
+
+    let dm = armed.client.dm();
+    let table = attribution(&[(dm.client_id(), dm.flight_spans())]);
+    assert!(table.ops > 0, "attribution must cover the replay");
+    assert!(
+        table.critical_ns <= table.elapsed_ns,
+        "critical-path shares sum past the elapsed op time: {} of {} ns",
+        table.critical_ns,
+        table.elapsed_ns
+    );
+    assert!(table.overlap_saved_ns() > 0, "posted verbs must overlap");
+
+    let stats = &armed.golden.stats;
+    let get_reads = reads(&armed.cache) - armed.set_reads;
+    let reads_per_get = get_reads as f64 / (stats.hits + stats.misses) as f64;
+    assert!(
+        reads_per_get < 2.2,
+        "a Get must issue fewer than 2.2 READs on average, measured {reads_per_get:.4}"
     );
 }
 

@@ -9,10 +9,13 @@
 //! word — checked here through what that would break: an acknowledged update
 //! lost, or object bytes leaked or double-freed.
 
+mod support;
+
 use ditto::cache::{DittoCache, DittoConfig};
 use ditto::dm::{DmConfig, MemoryPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use support::assert_no_orphans;
 
 const KEYS: u64 = 40;
 const RESIDENT_OBJECTS: u64 = 12;
@@ -58,13 +61,7 @@ fn run(seed: u64) {
         evictions,
         "every sampling eviction ran on exactly one path"
     );
-    // No byte leaked and none freed twice: the gauge equals what the table
-    // still references.
-    assert_eq!(
-        cache.pool().resident_object_bytes(0),
-        client.referenced_object_bytes_on(0),
-        "resident gauge diverged from the forensic scan"
-    );
+    assert_no_orphans(&cache, &mut client, &format!("seed {seed}"));
     assert!(evictions > 500, "the run must stay under pressure");
     assert!(
         overlapped * 10 > evictions * 9,

@@ -1,7 +1,7 @@
 //! Checkers shared by the integration tests: the version-stamped
 //! linearizability checker (`concurrent.rs`, `chaos.rs`,
 //! `local_tier_parity.rs`) and the zero-orphan invariant (`chaos.rs`,
-//! `spec_read.rs`).  Each test file includes it with `mod support;` and keeps
+//! `spec_read.rs`, `evict_ahead.rs`).  Each test file includes it with `mod support;` and keeps
 //! its own key prefix and seeds.
 //!
 //! # The linearizability checker
