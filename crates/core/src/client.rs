@@ -14,27 +14,22 @@
 //!   stored timestamp is still fresh, see the crate docs — an asynchronous
 //!   `RDMA_WRITE` of the stateless access information and a
 //!   (frequency-counter-cached) `RDMA_FAA` of the access count.
-//! * **Set** — one doorbell carrying the object `RDMA_WRITE` together with
-//!   both bucket `RDMA_READ`s, an `RDMA_CAS` of the slot's atomic field,
-//!   plus the asynchronous metadata write — or, when the client holds a hint
-//!   for the key, one doorbell carrying the `RDMA_WRITE` and, behind it, the
-//!   `RDMA_CAS` of the hinted slot from the hinted word: no lookup, one
-//!   round trip (see the crate docs).  A `Set` right after its key's `Get`
-//!   missed reuses the buckets that miss decoded, while the key's board epoch
-//!   and the stripe directory say they still hold, and reads none: when the
-//!   insert slot they offer is on the object's node, one doorbell carries
-//!   the `RDMA_WRITE` and, behind it, the `RDMA_CAS` of that slot — one
-//!   round trip again — beside the verbs of the evictions it carries and
-//!   runs.
-//! * **Eviction** — one doorbell carrying an `RDMA_READ` of
-//!   [`DittoConfig::SAMPLE_SPAN_SLOTS`] consecutive slots, about K live
-//!   candidates (or, in the scattered-metadata ablation, K slot READs), and
-//!   the `RDMA_FAA` on a history counter, a per-expert priority
-//!   evaluation, a weighted victim choice and an `RDMA_CAS` converting the
-//!   victim slot into an embedded history entry — run *ahead* of the
-//!   evicting `Set`, beside its lookup and publish; a fill after a miss
-//!   *parks* the picked victim, and the next starved `Set` carries its
-//!   `RDMA_CAS` on its own first doorbell (see the crate docs).
+//! * **Set** — one round the `Set` planner picks (`client/round.rs`): the
+//!   object `RDMA_WRITE` beside both bucket `RDMA_READ`s, then an `RDMA_CAS`
+//!   of the slot's atomic field and the asynchronous metadata write; or, with
+//!   a hint for the key, the `RDMA_WRITE` and, behind it, the `RDMA_CAS` of
+//!   the hinted slot — no lookup; or, right after the key's `Get` missed, no
+//!   bucket READ at all: the buckets that miss decoded give the insert slot,
+//!   and when it is on the object's node one doorbell carries the
+//!   `RDMA_WRITE` and that slot's `RDMA_CAS` behind it, beside the verbs of
+//!   the evictions the `Set` carries and runs (see the crate docs).
+//! * **Eviction** — an `RDMA_READ` of [`DittoConfig::SAMPLE_SPAN_SLOTS`]
+//!   consecutive slots, about K live candidates (or, in the scattered-metadata
+//!   ablation, K slot READs), and the `RDMA_FAA` on a history counter, a
+//!   per-expert priority evaluation, a weighted victim choice and an
+//!   `RDMA_CAS` converting the victim slot into an embedded history entry —
+//!   riding the evicting `Set`'s rounds, or parked for the next starved `Set`
+//!   to carry (see the crate docs).
 //!
 //! This is the **one data path**: posted WQEs, polled completions
 //! (`work_queue()` → `ring()` → `poll_cq()`), with a synchronous single-verb
@@ -103,9 +98,10 @@ use std::sync::Arc;
 mod evict;
 mod lookup;
 mod publish;
+mod round;
 use evict::Eviction;
 use lookup::{HintTable, Lookup, MissMemo};
-use publish::FrontDoor;
+use round::{plan_round, Plan, Shape};
 
 /// Maximum CAS retries before an operation gives up, and the attempt bound of
 /// every data-path verb through transient faults ([`DmClient::with_retry`]).
@@ -158,6 +154,8 @@ pub struct DittoClient {
     /// victim CAS (see the crate docs, *The `Set` path under memory
     /// pressure*).
     parked_eviction: Option<Eviction>,
+    /// Rounds this client posted on the `Set` path, by `round::Shape`.
+    rounds_posted: [u64; 6],
     /// This client's own bumps of each [`CoherenceBoard`] slot.  Its own slot
     /// CASes keep its hints exact, so a hint is stamped with — and filtered
     /// by — the mutations *other* clients made: board epoch minus these.
@@ -251,6 +249,7 @@ impl DittoClient {
             hints: HintTable::new(),
             miss_memo: None,
             parked_eviction: None,
+            rounds_posted: [0; 6],
             own_bumps: vec![0; board.slots()].into_boxed_slice(),
             tier,
             board,
@@ -317,28 +316,29 @@ impl DittoClient {
     /// Panics if the object does not fit the 254-block (≈16 KiB) size-class
     /// limit or the 48-bit slot pointer, if the `Set` is dropped under
     /// faults, or if the memory pool cannot be made to fit the object even
-    /// after repeated evictions (a sizing bug rather than a run-time
-    /// condition).  The variant with typed errors is [`DittoClient::try_set`].
+    /// after repeated evictions ([`CacheError::OutOfMemory`]).  The variant
+    /// with typed errors is [`DittoClient::try_set`].
     pub fn set(&mut self, key: &[u8], value: &[u8]) {
         self.try_set(key, value).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Inserts or updates `key` with `value`, reporting oversized objects,
-    /// pointer-encoding overflows and dropped `Set`s as typed
-    /// [`crate::CacheError`]s instead of panicking.  `Ok` means the value was
-    /// published, or the key invalidated in its place (a miss until
-    /// re-filled, like an eviction).  [`CacheError::SetDropped`] means
-    /// neither could be vouched for: the write may or may not have landed.
-    ///
-    /// # Panics
-    ///
-    /// Still panics on pool-sizing bugs (see [`DittoClient::set`]).
+    /// pointer-encoding overflows, allocations that found no memory and
+    /// dropped `Set`s as typed [`crate::CacheError`]s instead of panicking.
+    /// `Ok` means the value was published, or the key invalidated in its
+    /// place (a miss until re-filled, like an eviction).
+    /// [`CacheError::SetDropped`] means neither could be vouched for: the
+    /// write may or may not have landed.
     pub fn try_set(&mut self, key: &[u8], value: &[u8]) -> CacheResult<()> {
         self.maybe_refresh_topology();
         self.dm.begin_op();
         self.eviction_age.begin_op(self.dm.now_ns());
         let memo = self.miss_memo.take();
-        let result = self.set_inner(key, value, memo);
+        // The reusable per-client encode buffer, moved out meanwhile so the
+        // borrow checker can see it is disjoint from `self`.
+        let mut encoded = std::mem::take(&mut self.encode_buf);
+        let result = self.set_inner(key, value, memo, &mut encoded);
+        self.encode_buf = encoded;
         self.dm.end_op();
         result
     }
@@ -738,7 +738,8 @@ impl DittoClient {
             let hint = (attempt == 0)
                 .then(|| self.hints.get(hash, hint_epoch))
                 .flatten();
-            let Ok(lookup) = self.search(hash, fp, None, None, hint) else {
+            let Ok(lookup) = self.search(hash, fp, Plan::default(), &[], &mut [None, None], hint)
+            else {
                 // The lookup could not complete within its fault budget
                 // (or its node fail-stopped).  Degrade to a miss: for a
                 // cache a spurious miss is indistinguishable from an
@@ -1185,7 +1186,13 @@ impl DittoClient {
     // Set path
     // ------------------------------------------------------------------
 
-    fn set_inner(&mut self, key: &[u8], value: &[u8], memo: Option<MissMemo>) -> CacheResult<()> {
+    fn set_inner(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        memo: Option<MissMemo>,
+        encoded: &mut Vec<u8>,
+    ) -> CacheResult<()> {
         let hash = fnv1a64(key);
         let fp = fingerprint(hash);
         // The writer's own tier copy is stale the moment the Set is issued;
@@ -1194,19 +1201,9 @@ impl DittoClient {
         if let Some(tier) = self.tier.as_mut() {
             tier.remove(hash);
         }
-        // Encode into the reusable per-client buffer, temporarily moved out
-        // so the borrow checker can see it is disjoint from `self`.
-        let mut encoded = std::mem::take(&mut self.encode_buf);
-        object::encode_into(
-            key,
-            value,
-            self.use_extension,
-            &[0; EXT_WORDS],
-            &mut encoded,
-        );
+        object::encode_into(key, value, self.use_extension, &[0; EXT_WORDS], encoded);
         let size_class = encoded.len() / 64;
         if size_class > 254 {
-            self.encode_buf = encoded;
             return Err(CacheError::ObjectTooLarge {
                 bytes: object::encoded_len(key.len(), value.len(), self.use_extension),
                 max: 254 * 64,
@@ -1234,14 +1231,13 @@ impl DittoClient {
                 .find(|&n| !self.dm.node_failed(n))
                 .unwrap_or(preferred);
         }
-        let obj_addr = self.alloc_with_eviction(preferred, encoded.len());
+        let obj_addr = self.alloc_with_eviction(preferred, encoded.len())?;
         let new_atomic = match AtomicField::try_for_object(fp, size_class as u8, obj_addr) {
             Ok(atomic) => atomic,
             Err(e) => {
                 // The 48-bit slot pointer cannot name this address; release
                 // the memory and surface the typed error.
                 self.free_object(obj_addr, encoded.len());
-                self.encode_buf = encoded;
                 return Err(e);
             }
         };
@@ -1250,7 +1246,6 @@ impl DittoClient {
         if self.crash_fired(CrashPoint::AfterAlloc) {
             // Crash-consistency test hook: die with the allocation made and
             // the journal armed, before any object byte is written.
-            self.encode_buf = encoded;
             return Ok(());
         }
         // Evict-ahead: under memory pressure the allocation above took the
@@ -1261,9 +1256,9 @@ impl DittoClient {
         // and a `Set` that carries, park their own eviction instead, so each
         // frees exactly one victim.
         let starved = self.mem_pressure && !self.alloc.can_alloc_local(encoded.len());
-        let memo = memo.filter(|memo| memo.hash == hash);
+        let fill = memo.as_ref().is_some_and(|memo| memo.hash == hash);
         let mut carried = self.take_parked(starved);
-        let parks = memo.is_some() || carried.is_some();
+        let parks = fill || carried.is_some();
         let mut ahead =
             starved.then(|| self.evict_ahead(size_class as u8, hash, carried.as_ref(), parks));
         // A fill right after its key's miss goes by the buckets that miss
@@ -1271,48 +1266,51 @@ impl DittoClient {
         // translated under the version read here, which a one-round insert's
         // roll-forward judges staleness against.
         self.mig_token = self.table.directory().version();
-        let mut memo_view = memo.and_then(|memo| self.memo_slots(memo, hash));
-        let fill_slot = memo_view
-            .as_ref()
-            .and_then(|slots| self.choose_insert_slot(slots));
-
-        let mut stored = false;
-        let mut object_written = false;
-        // The front doors, one round trip each, no lookup: a fill whose memo
-        // names an insert slot on its object's node posts its WRITE and CAS
-        // behind one doorbell, with the evictions' verbs; a key this client
-        // holds a hint for is replaced the same way — unless an eviction
-        // rides this `Set` (its sample READ shares the lookup's doorbell).  A
-        // lost CAS falls into the lookup loop with the object already written.
-        let front = match fill_slot {
-            Some(insert) if insert.0.mn_id == obj_addr.mn_id => {
-                memo_view = None;
-                let write = (obj_addr, &encoded[..]);
-                self.publish_fill(
-                    hash,
-                    insert,
-                    write,
-                    new_atomic,
-                    carried.as_mut(),
-                    ahead.as_mut(),
-                )
-            }
-            _ if ahead.is_none() => self.publish_hinted(hash, obj_addr, new_atomic, &encoded),
-            _ => FrontDoor::Declined,
+        let mut memo_view = memo
+            .filter(|_| fill)
+            .and_then(|memo| self.memo_slots(memo, hash));
+        let memo_slot = memo_view.as_ref().map(|slots| {
+            let insert = self.choose_insert_slot(slots);
+            insert.map(|(slot_addr, slot)| (slot_addr, slot.atomic.encode()))
+        });
+        // A hint is looked up only where the planner can take it: with no
+        // eviction to ride and no extension words to update.
+        let hint = (ahead.is_none() && !self.use_extension)
+            .then(|| self.set_hint(hash))
+            .flatten();
+        let mut plan = Plan {
+            object: Some((obj_addr, new_atomic.encode())),
+            memo: memo_slot,
+            hint: hint.map(|hint| (self.hinted_slot_addr(hash, hint), hint.word)),
+            carried: carried.as_ref().map(Eviction::victim_cas),
+            fill,
+            use_extension: self.use_extension,
+            key: Some(hash),
+            ..Plan::default()
         };
-        match front {
-            FrontDoor::Declined => {}
-            FrontDoor::Won => stored = true,
-            FrontDoor::Lost {
-                object_written: landed,
-            } => {
-                object_written = landed;
-                if landed && self.crash_fired(CrashPoint::AfterObjectWrite) {
-                    self.encode_buf = encoded;
-                    return Ok(());
-                }
+        // The front doors, one round trip each, no lookup, need the memo's
+        // insert slot or a hint; without either the first round is the
+        // lookup's.  A lost CAS falls into the lookup loop with the object
+        // already written.
+        let front = (plan.memo.is_some() || plan.hint.is_some()).then(|| {
+            plan_round(&Plan {
+                own: ahead.as_ref().and_then(Eviction::riding),
+                ..plan
+            })
+        });
+        let mut stored = false;
+        if let Some(front) = front.filter(|f| matches!(f.shape, Shape::Hinted | Shape::Fill)) {
+            if front.shape == Shape::Fill {
+                memo_view = None;
+            }
+            let mut evs = [ahead.as_mut(), carried.as_mut()];
+            let (won, written) = self.publish_front(hash, &front, encoded, new_atomic, &mut evs);
+            (stored, plan.written) = (won, written && !won);
+            if plan.written && self.crash_fired(CrashPoint::AfterObjectWrite) {
+                return Ok(());
             }
         }
+        plan.hint = None;
         let attempts = if stored { 0 } else { MAX_RETRIES };
         for _ in 0..attempts {
             // Each attempt recomputes its addresses through the directory,
@@ -1323,17 +1321,22 @@ impl DittoClient {
             // The object WRITE is independent of the bucket READs, so the
             // first successful lookup round carries it in the same doorbell
             // batch; once it has landed, retries only re-read the buckets.
-            let write = if object_written {
-                None
-            } else {
-                Some((obj_addr, &encoded[..]))
-            };
             // The first attempt of a fill the one-round door declined goes by
-            // its memo; any other — after a lost insert CAS, say — reads the
-            // buckets.
+            // its memo — the WRITE, signalled, with the riding sample — and
+            // any other, after a lost insert CAS say, reads the buckets.
+            let was_written = plan.written;
+            let mut evs = [ahead.as_mut(), carried.as_mut()];
             let looked_up = match memo_view.take() {
-                Some(slots) => self.search_memo(slots, write, ahead.as_mut()),
-                None => self.search(hash, fp, write, ahead.as_mut(), None),
+                Some(slots) => {
+                    let round = plan_round(&Plan {
+                        own: evs[0].as_deref().and_then(Eviction::riding),
+                        ..plan
+                    });
+                    self.post_round(&round, encoded, &mut evs);
+                    self.drain_round(&mut evs)
+                        .map(|()| Lookup::new(slots, None))
+                }
+                None => self.search(hash, fp, plan, encoded, &mut evs, None),
             };
             let Ok(Lookup {
                 slots,
@@ -1347,12 +1350,11 @@ impl DittoClient {
                 // idempotent).
                 continue;
             };
-            if write.is_some() {
-                object_written = true;
+            if !was_written {
+                plan.written = true;
                 if self.crash_fired(CrashPoint::AfterObjectWrite) {
                     // Crash-consistency test hook: die with the object bytes
                     // fully written but nothing referencing them yet.
-                    self.encode_buf = encoded;
                     return Ok(());
                 }
             }
@@ -1363,57 +1365,39 @@ impl DittoClient {
             // The eviction running ahead takes what the lookup overlapped
             // and issues its next verb — normally the victim CAS, unless it
             // parks — and a carried one its victim CAS, to fly during the
-            // publish CAS.  Only beside an insert, though: the two publishes
-            // that displace an allocation hold a crash point
-            // ([`CrashPoint::AfterPublish`]), which must not find a victim
-            // taken out of the table and not yet freed; their evictions
-            // resume once the `Set` is through (see the crate docs).
-            if insert_slot.is_some() {
-                if let Some(ev) = ahead.as_mut() {
+            // publish CAS.  Only beside an insert, though
+            // (`round::Rule::AfterPublish`): the evictions of the two
+            // publishes that displace an allocation resume once the `Set` is
+            // through (see the crate docs).
+            let beside_insert = insert_slot.is_some();
+            if beside_insert {
+                for ev in [ahead.as_mut(), carried.as_mut()].into_iter().flatten() {
                     self.evict_advance(ev, true);
-                }
-                if let Some(ev) = carried.as_mut() {
-                    self.evict_carried(ev, true);
                 }
             }
             // Each publish attempt — whichever of the three CAS shapes it
             // takes — is one `Publish` span (detail = 1 on the attempt that
             // installed the pointer).
             let publish_start = self.dm.now_ns();
-            if let Some((slot_addr, slot)) = existing {
-                let won = self.replace_existing(slot_addr, &slot, new_atomic);
-                self.dm
-                    .record_span(Phase::Publish, publish_start, self.dm.now_ns(), won as u32);
-                if won {
-                    stored = true;
-                    break;
+            let won = match (existing, insert_slot) {
+                (Some((slot_addr, slot)), _) => self.replace_existing(slot_addr, &slot, new_atomic),
+                (None, Some((slot_addr, observed))) => {
+                    self.install_new(slot_addr, &observed, new_atomic, hash)
                 }
-                continue;
-            }
-            if let Some((slot_addr, observed)) = insert_slot {
-                let won = self.install_new(slot_addr, &observed, new_atomic, hash);
-                self.dm
-                    .record_span(Phase::Publish, publish_start, self.dm.now_ns(), won as u32);
-                if won {
-                    stored = true;
-                    break;
-                }
-                // The victim CAS that flew beside the lost insert is settled
-                // before the next attempt, which may displace.
-                if let Some(ev) = ahead.as_mut() {
-                    self.evict_advance(ev, false);
-                }
-                if let Some(ev) = carried.as_mut() {
-                    self.evict_carried(ev, false);
-                }
-                continue;
-            }
-            let won = self.bucket_evict_and_insert(&slots, new_atomic, hash);
+                (None, None) => self.bucket_evict_and_insert(&slots, new_atomic, hash),
+            };
             self.dm
                 .record_span(Phase::Publish, publish_start, self.dm.now_ns(), won as u32);
             if won {
                 stored = true;
                 break;
+            }
+            if beside_insert {
+                // The victim CAS that flew beside the lost insert is settled
+                // before the next attempt, which may displace.
+                for ev in [ahead.as_mut(), carried.as_mut()].into_iter().flatten() {
+                    self.evict_advance(ev, false);
+                }
             }
         }
         if self.crashed {
@@ -1426,7 +1410,6 @@ impl DittoClient {
             // Set would be exactly the resurrection bug the chaos tests
             // hunt for.
             self.bump_board(hash);
-            self.encode_buf = encoded;
             return Ok(());
         }
         // The rest of the evictions is serial: normally just the poll of a
@@ -1439,7 +1422,7 @@ impl DittoClient {
             }
         }
         if let Some(mut ev) = carried {
-            self.evict_carried(&mut ev, false);
+            self.evict_advance(&mut ev, false);
         }
         // What a Set that could not publish did instead: invalidated the
         // key (`Ok`), or nothing it can vouch for (`Err`).
@@ -1455,7 +1438,7 @@ impl DittoClient {
             for _ in 0..MAX_RETRIES {
                 let Ok(Lookup {
                     found: existing, ..
-                }) = self.search(hash, fp, None, None, None)
+                }) = self.search(hash, fp, Plan::default(), &[], &mut [None, None], None)
                 else {
                     // The invalidation sweep cannot see the table.
                     break;
@@ -1500,7 +1483,6 @@ impl DittoClient {
         // the only cost is a spurious refetch by tier holders of this key.
         self.bump_board(hash);
         self.journal_clear();
-        self.encode_buf = encoded;
         outcome
     }
 
@@ -1508,7 +1490,10 @@ impl DittoClient {
     // Eviction
     // ------------------------------------------------------------------
 
-    fn alloc_with_eviction(&mut self, preferred: u16, size: usize) -> RemoteAddr {
+    /// Allocates `size` bytes for an object, preferably on node `preferred`,
+    /// evicting to make room: [`CacheError::OutOfMemory`] when none could be
+    /// found after [`MAX_EVICTION_ATTEMPTS`] attempts.
+    fn alloc_with_eviction(&mut self, preferred: u16, size: usize) -> CacheResult<RemoteAddr> {
         let min_blocks = (size as u64).div_ceil(64).min(u8::MAX as u64) as u8;
         self.pending_alloc_blocks = min_blocks as u64;
         let mut evictions_won = 0u64;
@@ -1521,7 +1506,7 @@ impl DittoClient {
             if self.mem_pressure && attempt % 8 != 7 {
                 if let Some(addr) = self.alloc.alloc_local_on(preferred, size) {
                     self.note_object_alloc(addr, size);
-                    return addr;
+                    return Ok(addr);
                 }
                 if self.evict_once_for(min_blocks) {
                     evictions_won += 1;
@@ -1532,11 +1517,11 @@ impl DittoClient {
                     // ask even though eviction still succeeds.
                     if attempt % 8 == 3 && attempt > 8 {
                         if let Some(addr) = self.backstop_alloc(preferred, size) {
-                            return addr;
+                            return Ok(addr);
                         }
                     }
                 } else if let Some(addr) = self.backstop_alloc(preferred, size) {
-                    return addr;
+                    return Ok(addr);
                 } else {
                     self.mem_pressure = false;
                 }
@@ -1545,27 +1530,27 @@ impl DittoClient {
             match self.alloc.alloc_on(&self.dm, preferred, size) {
                 Ok(addr) => {
                     self.note_object_alloc(addr, size);
-                    return addr;
+                    return Ok(addr);
                 }
                 Err(DmError::OutOfMemory { .. }) => {
                     self.mem_pressure = true;
                     if self.evict_once_for(min_blocks) {
                         evictions_won += 1;
                     } else if let Some(addr) = self.backstop_alloc(preferred, size) {
-                        return addr;
+                        return Ok(addr);
                     }
                 }
-                Err(e) => panic!("allocation failed: {e}"),
+                Err(e) => return Err(e.into()),
             }
         }
-        panic!(
-            "unable to free memory for a {size}-byte object after {MAX_EVICTION_ATTEMPTS} \
-             attempts ({evictions_won} evictions won; local free blocks {}, live blocks {}, \
-             segments fetched {})",
-            self.alloc.free_blocks(),
-            self.alloc.live_blocks(),
-            self.alloc.segments_fetched(),
-        );
+        Err(CacheError::OutOfMemory {
+            bytes: size,
+            attempts: MAX_EVICTION_ATTEMPTS,
+            evictions_won,
+            free_blocks: self.alloc.free_blocks(),
+            live_blocks: self.alloc.live_blocks(),
+            segments_fetched: self.alloc.segments_fetched(),
+        })
     }
 
     /// Last-resort allocation once eviction has made no progress (losing

@@ -5,6 +5,9 @@
 //! docs, *The `Set` path under memory pressure*).
 
 use super::lookup::bucket_holds;
+use super::round::{
+    alone, Context, Op, Owner, Retire, Riding, RidingSample, Round, Shape, Verb, DISPLACE,
+};
 use super::{Candidates, DittoClient, MAX_RETRIES};
 use crate::config::DittoConfig;
 use crate::hashtable::SampleFriendlyHashTable;
@@ -12,7 +15,7 @@ use crate::history::EvictionHistory;
 use crate::inline::InlineVec;
 use crate::slot::{AtomicField, Slot, SLOT_SIZE};
 use ditto_dm::wqe::MAX_WQES;
-use ditto_dm::{Completion, Phase, RemoteAddr, WorkQueue};
+use ditto_dm::{Phase, RemoteAddr};
 use rand::Rng;
 use std::ops::Range;
 
@@ -23,8 +26,8 @@ const NO_ID: u64 = u64::MAX;
 
 /// Where an [`Eviction`] stands between its round trips.
 #[derive(Clone, Copy, Default)]
-enum EvictWait {
-    /// A sample READ is out (or waits to ride the `Set`'s first doorbell),
+pub(super) enum EvictWait {
+    /// A sample READ is out (or waits to ride the `Set`'s first round),
     /// beside the first one the history-id FAA.
     #[default]
     Sample,
@@ -41,11 +44,11 @@ enum EvictWait {
 /// [`DittoClient::evict_advance`] — the one eviction routine — works on.
 /// Run without pausing it is the inline eviction, every round trip waited
 /// for in turn.  An eviction running *ahead* of a `Set` (see the crate docs)
-/// is paused after each verb it issues — a posted WQE — so the sample READ
-/// and the history-id FAA share the `Set`'s first doorbell and the victim CAS
-/// flies during the publish CAS.  A *parked* one stops once its victim is
-/// picked, and the next starved `Set` carries its victim CAS
-/// ([`Eviction::carry`], [`DittoClient::evict_carried`]).
+/// has its first sample READ and history-id FAA ride the `Set`'s first round,
+/// and is paused after each verb it posts beside the `Set`'s insert.  A
+/// *parked* one stops once its victim is picked, and the next starved `Set`
+/// carries its victim CAS ([`DittoClient::take_parked`]).  The round executor
+/// ([`super::round`]) posts its verbs and books their completions on it.
 #[derive(Default)]
 pub(super) struct Eviction {
     /// Start of the `Evict` span: when the first sample was issued — or, of a
@@ -55,99 +58,87 @@ pub(super) struct Eviction {
     /// The stripe directory's version when the eviction began: a parked
     /// eviction is dropped once it moved ([`DittoClient::take_parked`]).
     version: u64,
-    /// The evicting `Set`'s own buckets, of an eviction running ahead of
-    /// one.  Their slots are never candidates, so the publish CAS and the
-    /// victim CAS cannot target the same word.
+    /// The key of the `Set` this eviction runs ahead of, and that key's two
+    /// buckets, whose slots are never candidates
+    /// ([`Rule::Sample`](super::round::Rule::Sample)).
+    key: Option<u64>,
     own_buckets: Option<[RemoteAddr; 2]>,
     /// The victim slot of the parked eviction the same `Set` carries: never
     /// a candidate either, for that `Set` takes it out.
     carried_victim: Option<RemoteAddr>,
     /// Whether, once picked, the victim waits for the next starved `Set`.
-    park: bool,
+    pub(super) park: bool,
+    /// Whether a `Set` carries this eviction, parked by an earlier one.
+    carried: bool,
     candidates: Candidates,
     samples: usize,
     retries: usize,
-    wait: EvictWait,
+    pub(super) wait: EvictWait,
     /// Physical READ segments of the current sample, in canonical order.
     segments: InlineVec<(RemoteAddr, usize), MAX_WQES>,
     /// Whether the current sample's READs were issued yet.
-    issued: bool,
+    pub(super) issued: bool,
     /// Work-request ids of the posted verb(s) waited for, how many of their
     /// completions are still out, and whether an awaited sample READ faulted.
-    wrs: Range<u64>,
-    in_flight: usize,
-    failed: bool,
-    /// The history counter whose FAA the first sample's doorbell still has
-    /// to carry, and the shard it counts for: with the lightweight history,
+    pub(super) wrs: Range<u64>,
+    pub(super) in_flight: usize,
+    pub(super) failed: bool,
+    /// The history counter whose FAA the first sample's round still has to
+    /// carry, and the shard it counts for: with the lightweight history,
     /// every eviction acquires its id before it knows its victim.
-    id_counter: Option<RemoteAddr>,
+    pub(super) id_counter: Option<RemoteAddr>,
     id_shard: u64,
     /// Work-request id of that FAA once posted: its fault is not the
     /// sample's.
-    id_wr: Option<u64>,
+    pub(super) id_wr: Option<u64>,
     /// Old counter value the FAA fetched, [`NO_ID`] until (unless) it lands.
-    fetched: u64,
+    pub(super) fetched: u64,
     /// The picked victim: candidate index, expert bitmap, chosen expert.
     pick: (usize, u64, usize),
     /// The word the victim CAS swaps in — a history entry, or 0 — and the
     /// old value it returned: anything but the victim's word until (unless)
     /// the CAS executed and found it.
     word: u64,
-    observed: u64,
+    pub(super) observed: u64,
 }
 
 impl Eviction {
-    /// Called by the `Set` while it fills its first doorbell: a sample still
-    /// waiting to ride along is posted behind the `Set`'s own verbs.
-    pub(super) fn ride<'buf>(&'buf mut self, wq: &mut WorkQueue<'_, 'buf>, buf: &'buf mut [u8]) {
-        if !self.issued {
-            self.post_sample(wq, buf);
+    /// Whose verbs this eviction's are in a `Set`'s rounds.
+    pub(super) fn owner(&self) -> Owner {
+        if self.carried {
+            Owner::Carried
+        } else {
+            Owner::Own
         }
     }
 
-    /// Called by the lookup once it drained a round's stragglers off the
-    /// shared completion queue: whatever this eviction still had in flight
-    /// has completed, and — the drain cannot tell whose verb an error was —
-    /// `failed` taints its sample.  (The FAA and the victim CAS are judged
-    /// by what they fetched, which an errored verb never writes.)
-    pub(super) fn settle(&mut self, failed: bool) {
-        if self.in_flight > 0 {
-            self.in_flight = 0;
-            self.failed |= failed;
-        }
+    /// The sample waiting to ride the `Set`'s first round, as the planner
+    /// takes it ([`super::round::Plan::own`]): its READ segments, the history counter its FAA goes to,
+    /// and what it leaves out.
+    pub(super) fn riding(&self) -> Option<RidingSample<'_>> {
+        let riding = Riding {
+            key: self.key,
+            victim: self.carried_victim,
+            park: self.park,
+        };
+        (!self.issued).then_some((&self.segments[..], self.id_counter, riding))
     }
 
-    /// Posts the current sample's READs on `wq`, into the front of `buf` —
-    /// and behind the eviction's first sample the FAA that acquires its
-    /// history id.
-    fn post_sample<'buf>(&'buf mut self, wq: &mut WorkQueue<'_, 'buf>, buf: &'buf mut [u8]) {
-        let mut rest = buf;
-        let mut first = None;
-        for &(addr, slots) in self.segments.iter() {
-            let (chunk, tail) = rest.split_at_mut(slots * SLOT_SIZE);
-            first.get_or_insert(wq.post_read(addr, chunk, true));
-            rest = tail;
+    /// The CAS of the picked victim's slot.
+    pub(super) fn victim_cas(&self) -> Verb {
+        let (addr, victim) = self.candidates[self.pick.0];
+        let (expected, new) = (victim.atomic.encode(), self.word);
+        let op = Op::Cas {
+            addr,
+            expected,
+            new,
+            retire: DISPLACE,
+        };
+        Verb {
+            op,
+            signalled: true,
+            owner: self.owner(),
         }
-        self.in_flight = self.segments.len();
-        if let Some(counter) = self.id_counter.take() {
-            let wr = wq.post_faa_fetch(counter, 1, &mut self.fetched, true);
-            first.get_or_insert(wr);
-            self.id_wr = Some(wr);
-            self.in_flight += 1;
-        }
-        let first = first.unwrap_or(0);
-        self.wrs = first..first + self.in_flight as u64;
-        self.issued = true;
-    }
-
-    /// Books `completion` if it belongs to the verb(s) waited for.
-    pub(super) fn claims(&mut self, completion: &Completion) -> bool {
-        let ours = self.in_flight > 0 && self.wrs.contains(&completion.wr_id);
-        if ours {
-            self.in_flight -= 1;
-            self.failed |= !completion.status.is_ok() && self.id_wr != Some(completion.wr_id);
-        }
-        ours
     }
 
     /// Whether `slot_addr` may not be a candidate: a slot of the `Set`'s own
@@ -166,27 +157,9 @@ impl Eviction {
         self.candidates[self.pick.0].0
     }
 
-    /// Posts the CAS of the picked victim's slot on `wq`.
-    fn post_victim<'buf>(&'buf mut self, wq: &mut WorkQueue<'_, 'buf>) {
-        let (victim_addr, victim) = self.candidates[self.pick.0];
-        let expected = victim.atomic.encode();
-        self.observed = !expected;
-        let wr = wq.post_cas(victim_addr, expected, self.word, &mut self.observed, true);
-        (self.wrs, self.in_flight, self.wait) = (wr..wr + 1, 1, EvictWait::Victim);
-    }
-
-    /// Carries this parked eviction in the `Set` whose first doorbell is
-    /// `wq`: its victim CAS goes out there, and its victim half — the
-    /// `Evict` span the carrying `Set` records — starts at `now`.
-    pub(super) fn carry<'buf>(&'buf mut self, wq: &mut WorkQueue<'_, 'buf>, now: u64) {
-        debug_assert!(self.park && matches!(self.wait, EvictWait::Picked));
-        self.unpark(now);
-        self.post_victim(wq);
-    }
-
     /// Takes a parked eviction up again in the `Set` that carries it: from
     /// `now` on it runs like any other, its `Evict` span the victim half.
-    fn unpark(&mut self, now: u64) {
+    pub(super) fn unpark(&mut self, now: u64) {
         (self.park, self.t0) = (false, now);
     }
 }
@@ -249,6 +222,7 @@ impl DittoClient {
         ]
         .map(|bucket| self.table.bucket_addr(bucket));
         let mut ev = Eviction {
+            key: Some(hash),
             own_buckets: Some(own),
             carried_victim: carried.map(Eviction::victim_addr),
             park,
@@ -263,7 +237,7 @@ impl DittoClient {
     /// moved the directory since it began — its candidates' addresses may
     /// name retired copies — and its history id is burnt.
     pub(super) fn take_parked(&mut self, starved: bool) -> Option<Eviction> {
-        let ev = self.parked_eviction.take()?;
+        let mut ev = self.parked_eviction.take()?;
         if ev.version != self.table.directory().version() {
             if self.embeds_history() {
                 self.stats.record_history_id_burnt();
@@ -274,17 +248,8 @@ impl DittoClient {
             self.parked_eviction = Some(ev);
             return None;
         }
+        ev.carried = true;
         Some(ev)
-    }
-
-    /// Runs the victim CAS of `ev`, the eviction a previous fill parked, in
-    /// the `Set` that carries it: posted (`pause`), or to its end.  Its
-    /// victim half's `Evict` span starts here.
-    pub(super) fn evict_carried(&mut self, ev: &mut Eviction, pause: bool) {
-        if ev.park {
-            ev.unpark(self.dm.now_ns());
-        }
-        self.evict_advance(ev, pause);
     }
 
     /// Whether evictions leave an embedded history entry behind, and so
@@ -295,12 +260,13 @@ impl DittoClient {
 
     /// Advances `ev`: collect the sample (and the history id), re-sample
     /// while it holds too few candidates, pick a victim and CAS it out,
-    /// fall back to the next-best candidate on a lost race.  With `pause`
-    /// it returns `None` right after posting a verb, for the caller to
-    /// overlap with foreground work and resume later; without, it waits in
-    /// place and runs to `Some(won)`.  A parked eviction returns `None` once
-    /// its victim is picked, pause or not.
-    pub(super) fn evict_advance(&mut self, ev: &mut Eviction, pause: bool) -> Option<bool> {
+    /// fall back to the next-best candidate on a lost race.  Run
+    /// `beside_insert` — the `Set` publishes by an insert next — it returns
+    /// `None` right after posting a verb, for that publish to overlap and
+    /// the caller to resume it later; otherwise it waits in place and runs
+    /// to `Some(won)`.  A parked eviction returns `None` once its victim is
+    /// picked, either way — unless a `Set` carries it.
+    pub(super) fn evict_advance(&mut self, ev: &mut Eviction, beside_insert: bool) -> Option<bool> {
         loop {
             match ev.wait {
                 EvictWait::Done(won) => return Some(won),
@@ -308,8 +274,8 @@ impl DittoClient {
                     self.collect_sample(ev);
                     let found = ev.candidates.len();
                     if found < 2 && (found == 0 || ev.samples < 4) && ev.samples < 8 {
-                        self.issue_sample(ev, pause, false);
-                        if pause {
+                        self.issue_sample(ev, beside_insert, false);
+                        if beside_insert {
                             return None;
                         }
                     } else if found == 0 {
@@ -325,10 +291,10 @@ impl DittoClient {
                         self.pick_victim(ev);
                     }
                 }
-                EvictWait::Picked if ev.park => return None,
+                EvictWait::Picked if ev.park && !ev.carried => return None,
                 EvictWait::Picked => {
-                    self.send_victim(ev, pause);
-                    if pause {
+                    self.send_victim(ev, beside_insert);
+                    if beside_insert {
                         return None;
                     }
                 }
@@ -381,12 +347,12 @@ impl DittoClient {
     /// configured history length and the counter FAAs to spread over the
     /// nodes.  The first sampled slot index is uniform and already drawn.
     ///
-    /// `ride` leaves the verbs to the `Set`, which posts them behind its first
-    /// doorbell; `post` rings one for them and returns with them in
-    /// flight, as do several segments, or a sample with the FAA beside it,
-    /// whatever `post` says — they share a doorbell and
-    /// [`Self::collect_sample`] polls them.  Otherwise the one segment is
-    /// read in place, a completed round trip.
+    /// `ride` leaves the verbs to ride the `Set`'s first round
+    /// ([`Eviction::riding`]); `post` — beside the `Set`'s insert — has them
+    /// go out on a round of their own and returns with them in flight, as do
+    /// several segments, or a sample with the FAA beside it, whatever `post`
+    /// says: they share a doorbell and [`Self::collect_sample`] polls them.
+    /// Otherwise the one segment is read in place, a completed round trip.
     fn issue_sample(&mut self, ev: &mut Eviction, post: bool, ride: bool) {
         ev.segments.clear();
         let first_idx = if self.config.enable_sample_friendly_table {
@@ -415,31 +381,16 @@ impl DittoClient {
         if ride {
             return;
         }
-        let buf = &mut self.sample_buf[..];
         match ev.segments[..] {
             [(addr, slots)] if !post && ev.id_counter.is_none() => {
-                ev.failed = self
-                    .dm
-                    .try_read_into(addr, &mut buf[..slots * SLOT_SIZE])
-                    .is_err();
+                let buf = &mut self.sample_buf[..slots * SLOT_SIZE];
+                ev.failed = self.dm.try_read_into(addr, buf).is_err();
             }
             _ => {
-                let mut wq = self.dm.work_queue();
-                ev.post_sample(&mut wq, buf);
-                wq.ring();
+                let mut round = Round::new(Shape::Evict, Context::default());
+                round.push_sample(&ev.segments, ev.id_counter);
+                self.post_round(&round, &[], &mut alone(ev));
             }
-        }
-    }
-
-    /// Polls until the verb(s) `ev` posted have all completed.
-    fn await_posted(&self, ev: &mut Eviction) {
-        while ev.in_flight > 0 {
-            let Some(completion) = self.dm.poll_cq() else {
-                // Somebody else drained the queue: outcome unknown.
-                ev.settle(true);
-                break;
-            };
-            ev.claims(&completion);
         }
     }
 
@@ -452,7 +403,7 @@ impl DittoClient {
     /// candidates a single node does.
     fn collect_sample(&mut self, ev: &mut Eviction) {
         debug_assert!(ev.issued, "the first lookup round posts a riding sample");
-        self.await_posted(ev);
+        self.await_eviction(ev);
         if ev.failed {
             return;
         }
@@ -502,15 +453,25 @@ impl DittoClient {
         }
     }
 
-    /// Issues the picked victim's slot CAS, returning with it in flight when
-    /// `post`.  A posted CAS goes out once: faulted, it reads as a lost race
+    /// Issues the picked victim's slot CAS: on a round of its own beside the
+    /// `Set`'s insert, returning with it in flight, or else waited for in
+    /// place.  A posted CAS goes out once: faulted, it reads as a lost race
     /// ([`Self::commit_victim`]), where the one waited for in place is
-    /// retried like any slot CAS.
-    fn send_victim(&mut self, ev: &mut Eviction, post: bool) {
-        if post {
-            let mut wq = self.dm.work_queue();
-            ev.post_victim(&mut wq);
-            wq.ring();
+    /// retried like any slot CAS.  A parked eviction's victim half — the
+    /// `Evict` span the carrying `Set` records — starts here.
+    fn send_victim(&mut self, ev: &mut Eviction, beside_insert: bool) {
+        if ev.park {
+            ev.unpark(self.dm.now_ns());
+        }
+        if beside_insert {
+            let shape = [Shape::Evict, Shape::Carry][ev.carried as usize];
+            let ctx = Context {
+                beside_insert: true,
+                ..Context::default()
+            };
+            let mut round = Round::new(shape, ctx);
+            round.verbs.push(ev.victim_cas());
+            self.post_round(&round, &[], &mut alone(ev));
             return;
         }
         let (victim_addr, victim) = ev.candidates[ev.pick.0];
@@ -527,7 +488,7 @@ impl DittoClient {
     /// and recycles the victim's memory.  Returns `false` when the CAS lost a
     /// race — or faulted, which a CAS that went out posted cannot tell apart.
     fn commit_victim(&mut self, ev: &mut Eviction) -> bool {
-        self.await_posted(ev);
+        self.await_eviction(ev);
         let (victim_idx, bitmap, chosen) = ev.pick;
         let (victim_addr, victim) = ev.candidates[victim_idx];
         // Like any CAS from a word read off the live copy, one that took
@@ -553,19 +514,38 @@ impl DittoClient {
             self.stats.record_history_insert();
         }
         if won {
-            // The victim's slot word changed (history entry or empty):
-            // invalidate local-tier copies of the evicted key.
-            self.bump_board(victim.hash);
-            self.hints.forget(victim.hash);
-            self.notify_eviction(&victim, bitmap);
-            self.free_object(
-                victim.atomic.object_addr(),
-                victim.atomic.object_bytes() as usize,
-            );
-            self.stats.record_eviction(chosen);
+            for &step in DISPLACE {
+                self.retire_victim(step, &victim, bitmap, chosen);
+            }
             self.stats.record_eviction_path(ev.own_buckets.is_some());
         }
         won
+    }
+
+    /// One step of taking a victim out of the table, a sampled one or a
+    /// bucket eviction's, once its slot CAS won ([`Retire`], whose order
+    /// `Rule::BumpBeforeFree` fixes): its key's epoch moves — invalidating
+    /// local-tier copies of the evicted key — and its hint goes, or its
+    /// memory is recycled.
+    pub(super) fn retire_victim(
+        &mut self,
+        step: Retire,
+        victim: &Slot,
+        bitmap: u64,
+        chosen: usize,
+    ) {
+        match step {
+            Retire::Bump => {
+                self.bump_board(victim.hash);
+                self.hints.forget(victim.hash);
+            }
+            Retire::Free => {
+                self.notify_eviction(victim, bitmap);
+                let (addr, bytes) = (victim.atomic.object_addr(), victim.atomic.object_bytes());
+                self.free_object(addr, bytes as usize);
+                self.stats.record_eviction(chosen);
+            }
+        }
     }
 }
 

@@ -14,11 +14,13 @@
 //! word now — so the word must still mean the hinted key, which rests on one
 //! invariant and one argument:
 //!
-//! * **Bump before free.**  A CAS that takes a key's word out of its slot —
-//!   a sampling or bucket eviction, the failed-update invalidation sweep —
-//!   bumps that key's [`crate::local_tier::CoherenceBoard`] epoch *before*
-//!   the displaced object's blocks can be recycled (or, when the CAS is the
-//!   client's own, drops or rewrites its own hint there and then).  A hint
+//! * **Bump before free** (`round::Rule::BumpBeforeFree`, which every CAS a
+//!   round posts is checked against).  A CAS that takes a key's word out of
+//!   its slot — a sampling or bucket eviction, the failed-update
+//!   invalidation sweep — bumps that key's
+//!   [`crate::local_tier::CoherenceBoard`] epoch *before* the displaced
+//!   object's blocks can be recycled (or, when the CAS is the client's own,
+//!   drops or rewrites its own hint there and then).  A hint
 //!   whose epoch still holds therefore names an object nobody has been free
 //!   to reuse for another key.
 //! * **ABA.**  An object address is named by one slot at a time.  While the
@@ -41,7 +43,7 @@
 //! version are what they were before the miss's READs.  It chooses its slot
 //! from the memo before posting anything, and an insert slot on the new
 //! object's node takes the one-round fill: the insert CAS rides behind the
-//! object WRITE on one doorbell ([`DittoClient::publish_fill`]).  Its CASes
+//! object WRITE on one doorbell (`round::Rule::Flush`).  Its CASes
 //! are not blind: each expects a word the memo read (an empty or history
 //! slot for an insert, the victim's word for a bucket eviction), so a slot
 //! that changed fails it, and the next attempt reads the buckets.  The directory
@@ -78,12 +80,13 @@
 //! exactly a multiple of 524 288 bumps by other clients.
 
 use super::evict::Eviction;
+use super::round::{plan_round, Evictions, Plan};
 use super::{DittoClient, SearchSlots, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
 use crate::hash::fingerprint;
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::local_tier::CoherenceBoard;
 use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
-use ditto_dm::{Completion, DmClient, DmError, DmResult, Phase, RemoteAddr};
+use ditto_dm::{DmClient, DmResult, Phase, RemoteAddr};
 
 /// Entries of a client's hint table: a power of two, 16 bytes each — 2 MiB
 /// per client, a fifth of the FC cache's default budget.
@@ -283,38 +286,6 @@ pub(super) fn read_slot_word_is(
     dm.try_read_into(slot_addr, buf).is_ok() && slot_word_is(buf, word)
 }
 
-/// The eviction whose sample READ and history-id FAA may share a lookup
-/// round's doorbell and completion queue with the `Set`'s two bucket READs.
-struct Rider<'e>(Option<&'e mut Eviction>);
-
-impl Rider<'_> {
-    /// Next completion of the round's own verbs; the eviction's are booked
-    /// on it.
-    fn poll(&mut self, dm: &DmClient) -> Completion {
-        loop {
-            let completion = dm.poll_cq().expect("bucket completion");
-            if !self
-                .0
-                .as_deref_mut()
-                .is_some_and(|ev| ev.claims(&completion))
-            {
-                return completion;
-            }
-        }
-    }
-
-    /// Drains the round's stragglers and returns the first error among
-    /// them.  The drain cannot tell whose verb an error was, so it taints
-    /// the riding eviction too.
-    fn drain(&mut self, dm: &DmClient) -> DmResult<usize> {
-        let drained = dm.try_drain_cq();
-        if let Some(ev) = self.0.as_deref_mut() {
-            ev.settle(drained.is_err());
-        }
-        drained
-    }
-}
-
 /// What a lookup found.
 pub(super) struct Lookup {
     /// Every slot decoded, primary bucket first — of a hinted lookup that
@@ -331,7 +302,7 @@ pub(super) struct Lookup {
 }
 
 impl Lookup {
-    fn new(slots: SearchSlots, found: Option<(RemoteAddr, Slot)>) -> Self {
+    pub(super) fn new(slots: SearchSlots, found: Option<(RemoteAddr, Slot)>) -> Self {
         Lookup {
             slots,
             found,
@@ -452,9 +423,10 @@ impl DittoClient {
     /// skips the secondary decode entirely (its completion is still drained;
     /// the READ consumed its message either way).
     ///
-    /// Two optional riders share the round's doorbell: the `Set`'s object
-    /// `write`, posted unsignalled and never waited for, and the sample READ
-    /// and history-id FAA of an eviction running ahead of it (`evict`).
+    /// The round is planned ([`plan_round`]): a `Set`'s object WRITE, the
+    /// `object` bytes unsignalled and never waited for, rides it until they
+    /// land, and so do the sample READ and history-id FAA of the eviction
+    /// running ahead of it (`evs`).
     ///
     /// The lookup follows the migration redirect rules: bucket
     /// addresses translate through the live stripe directory, and the
@@ -464,8 +436,9 @@ impl DittoClient {
         &mut self,
         hash: u64,
         fp: u8,
-        write: Option<(RemoteAddr, &[u8])>,
-        evict: Option<&mut Eviction>,
+        mut plan: Plan,
+        object: &[u8],
+        evs: &mut Evictions,
         hint: Option<Hint>,
     ) -> DmResult<Lookup> {
         if let Some(hint) = hint {
@@ -476,7 +449,142 @@ impl DittoClient {
                 None => self.hints.forget(hash),
             }
         }
-        self.search_rounds(hash, fp, write, Rider(evict))
+        let primary = self.table.primary_bucket(hash);
+        let secondary = self.table.secondary_bucket(hash);
+        // The piggybacked object WRITE of `Set` rides along until a round's
+        // verbs all complete cleanly; after that, retries (migration
+        // redirects, taints) re-read the buckets alone.  An error anywhere
+        // in a write-carrying round re-arms the WRITE: an unsignalled
+        // rider's error completion carries no usable attribution here, and
+        // re-posting an idempotent, still-unpublished object WRITE is
+        // harmless (fault-free runs clear it on the first round, exactly
+        // like the pre-fault code).
+        // Token mismatches consume retry budget; reads that saw a stripe
+        // reconcile's poison do not — that window is bounded by the
+        // in-flight commit, and escaping with a poisoned ("all empty")
+        // view would let the caller conclude a key is absent while its
+        // entry is being carried to the stripe's new home.  Verb faults
+        // burn a budget of their own so a fault storm cannot starve the
+        // token-staleness retries (or vice versa).
+        let mut attempt = 0;
+        let mut fault_attempts = 0;
+        'attempt: loop {
+            let last = attempt + 1 >= MAX_RETRIES;
+            let ptok = self.table.bucket_entry_token(primary);
+            let stok = self.table.bucket_entry_token(secondary);
+            let primary_addr = self.table.bucket_addr(primary);
+            let secondary_addr = self.table.bucket_addr(secondary);
+            // Address translation through the stripe directory is free in
+            // simulated time, so the span is an instant (detail = attempt).
+            let translate_ns = self.dm.now_ns();
+            self.dm
+                .record_span(Phase::Translate, translate_ns, translate_ns, attempt as u32);
+            let mut slots = SearchSlots::new();
+            let round = plan_round(&Plan {
+                memo: None,
+                hint: None,
+                own: evs[0].as_deref().and_then(Eviction::riding),
+                buckets: [primary_addr, secondary_addr],
+                ..plan
+            });
+            let write_rides = plan.object.is_some() && !plan.written;
+            let wr_primary = self.post_round(&round, object, evs).0 + u64::from(write_rides);
+            // Wait for the *primary* bucket specifically: a slow
+            // unsignalled WRITE queued ahead of it can push its
+            // completion past the secondary's on a multi-node pool, so
+            // the wr_id is matched rather than assuming arrival order.
+            // Then decode while the secondary READ is (possibly) still
+            // in flight — the CPU work hides behind the wire.  Error
+            // completions (the rider WRITE's included — unsignalled
+            // WQEs fault loudly) abort the round, whose stragglers are
+            // drained so that the next round's polling starts from an
+            // empty queue.
+            let faulted = 'round: {
+                let mut secondary_done = false;
+                loop {
+                    let completion = self.next_completion(evs).expect("bucket completion");
+                    if let Err(e) = completion.status.check() {
+                        let _ = self.drain_round(evs);
+                        break 'round e;
+                    }
+                    if completion.wr_id == wr_primary {
+                        break;
+                    }
+                    debug_assert_eq!(completion.wr_id, wr_primary + 1);
+                    secondary_done = true;
+                }
+                if SampleFriendlyHashTable::bucket_tainted(&self.bucket_buf[..BUCKET_SIZE]) {
+                    if self.drain_round(evs).is_ok() {
+                        // The round's verbs all landed (an unsignalled
+                        // WRITE that fails leaves an error completion), so
+                        // poison retries re-read the buckets alone.
+                        plan.written = true;
+                    }
+                    self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
+                    continue 'attempt;
+                }
+                SampleFriendlyHashTable::decode_slots(
+                    primary_addr,
+                    &self.bucket_buf[..BUCKET_SIZE],
+                    &mut slots,
+                );
+                self.charge_decode(SLOTS_PER_BUCKET);
+                if let Some(found) = Self::find_live(&slots, hash, fp) {
+                    // A primary-bucket hit never needs the secondary's
+                    // bytes; its completion is drained (by now usually in
+                    // the past, hidden behind the primary decode).
+                    if let Err(e) = self.drain_round(evs) {
+                        break 'round e;
+                    }
+                    plan.written = true;
+                    if self.table.bucket_entry_token(primary) == ptok || last {
+                        return Ok(Lookup::new(slots, Some(found)));
+                    }
+                    attempt += 1;
+                    continue 'attempt;
+                }
+                if !secondary_done {
+                    let completion = self.next_completion(evs).expect("bucket completion");
+                    if let Err(e) = completion.status.check() {
+                        let _ = self.drain_round(evs);
+                        break 'round e;
+                    }
+                }
+                if write_rides {
+                    // A rider-WRITE error on a *different* node can land
+                    // after both bucket completions; surface it now.
+                    // Fault-free the queue is empty and this costs nothing.
+                    if let Err(e) = self.drain_round(evs) {
+                        break 'round e;
+                    }
+                    plan.written = true;
+                }
+                if SampleFriendlyHashTable::bucket_tainted(&self.bucket_buf[BUCKET_SIZE..]) {
+                    self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
+                    continue 'attempt;
+                }
+                SampleFriendlyHashTable::decode_slots(
+                    secondary_addr,
+                    &self.bucket_buf[BUCKET_SIZE..],
+                    &mut slots,
+                );
+                self.charge_decode(SLOTS_PER_BUCKET);
+                if (self.table.bucket_entry_token(primary) == ptok
+                    && self.table.bucket_entry_token(secondary) == stok)
+                    || last
+                {
+                    let found = Self::find_live(&slots, hash, fp);
+                    return Ok(Lookup::new(slots, found));
+                }
+                attempt += 1;
+                continue 'attempt;
+            };
+            // Whether the faulted round may be redone (books the back-off).
+            fault_attempts += 1;
+            if fault_attempts >= MAX_RETRIES || !self.dm.back_off_transient(&faulted) {
+                return Err(faulted);
+            }
+        }
     }
 
     /// The hinted lookup: one READ of the 40-byte slot the hint names, its
@@ -573,212 +681,6 @@ impl DittoClient {
             && self.board.epoch(hash) == memo.board_epoch
             && self.table.directory().version() == memo.dir_version)
             .then_some(memo.slots)
-    }
-
-    /// The lookup of a fill that publishes from its miss's memo but not in
-    /// one round — its insert slot is off its object's node, or there is
-    /// none and it evicts from the bucket: `slots` stand in for both bucket
-    /// READs, and the round carries the riders
-    /// alone — the object `write`, signalled since no bucket READ waits for
-    /// it, and the riding eviction's sample READ and history-id FAA — behind
-    /// one doorbell, and waits for all of them.  A faulted round fails the
-    /// lookup like a faulted bucket READ: the caller's next attempt re-carries
-    /// the WRITE and reads the buckets.
-    pub(super) fn search_memo(
-        &mut self,
-        slots: SearchSlots,
-        write: Option<(RemoteAddr, &[u8])>,
-        evict: Option<&mut Eviction>,
-    ) -> DmResult<Lookup> {
-        let mut rider = Rider(evict);
-        {
-            let mut wq = self.dm.work_queue();
-            if let Some((addr, data)) = write {
-                wq.post_write(addr, data, true);
-            }
-            if let Some(ev) = rider.0.as_deref_mut() {
-                ev.ride(&mut wq, &mut self.sample_buf);
-            }
-            wq.ring();
-        }
-        rider.drain(&self.dm)?;
-        Ok(Lookup::new(slots, None))
-    }
-
-    fn search_rounds(
-        &mut self,
-        hash: u64,
-        fp: u8,
-        write: Option<(RemoteAddr, &[u8])>,
-        mut rider: Rider<'_>,
-    ) -> DmResult<Lookup> {
-        let primary = self.table.primary_bucket(hash);
-        let secondary = self.table.secondary_bucket(hash);
-        // The piggybacked object WRITE of `Set` rides along until a round's
-        // verbs all complete cleanly; after that, retries (migration
-        // redirects, taints) re-read the buckets alone.  An error anywhere
-        // in a write-carrying round re-arms the WRITE: an unsignalled
-        // rider's error completion carries no usable attribution here, and
-        // re-posting an idempotent, still-unpublished object WRITE is
-        // harmless (fault-free runs clear it on the first round, exactly
-        // like the pre-fault code).
-        let mut write = write;
-        // Token mismatches consume retry budget; reads that saw a stripe
-        // reconcile's poison do not — that window is bounded by the
-        // in-flight commit, and escaping with a poisoned ("all empty")
-        // view would let the caller conclude a key is absent while its
-        // entry is being carried to the stripe's new home.  Verb faults
-        // burn a budget of their own so a fault storm cannot starve the
-        // token-staleness retries (or vice versa).
-        let mut attempt = 0;
-        let mut fault_attempts = 0;
-        // Whether the faulted round may be redone (books the back-off).
-        let mut retryable = |dm: &DmClient, e: &DmError| {
-            fault_attempts += 1;
-            fault_attempts < MAX_RETRIES && dm.back_off_transient(e)
-        };
-        loop {
-            let last = attempt + 1 >= MAX_RETRIES;
-            let ptok = self.table.bucket_entry_token(primary);
-            let stok = self.table.bucket_entry_token(secondary);
-            let primary_addr = self.table.bucket_addr(primary);
-            let secondary_addr = self.table.bucket_addr(secondary);
-            // Address translation through the stripe directory is free in
-            // simulated time, so the span is an instant (detail = attempt).
-            let translate_ns = self.dm.now_ns();
-            self.dm
-                .record_span(Phase::Translate, translate_ns, translate_ns, attempt as u32);
-            let mut slots = SearchSlots::new();
-            // Post the object WRITE (if any) *unsignalled* — `Set` never
-            // waits for it — and both bucket READs signalled, behind one
-            // doorbell per distinct node.
-            let (wr_primary, wr_secondary);
-            let write_rides = write.is_some();
-            {
-                let (primary_buf, secondary_buf) = self.bucket_buf.split_at_mut(BUCKET_SIZE);
-                let mut wq = self.dm.work_queue();
-                if let Some((addr, data)) = write {
-                    wq.post_write(addr, data, false);
-                }
-                wr_primary = wq.post_read(primary_addr, primary_buf, true);
-                wr_secondary = wq.post_read(secondary_addr, secondary_buf, true);
-                // An eviction running ahead of this `Set` has its first
-                // sample READ and its history-id FAA share the lookup's
-                // doorbell.
-                if let Some(ev) = rider.0.as_deref_mut() {
-                    ev.ride(&mut wq, &mut self.sample_buf);
-                }
-                wq.ring();
-            }
-            // Wait for the *primary* bucket specifically: a slow
-            // unsignalled WRITE queued ahead of it can push its
-            // completion past the secondary's on a multi-node pool, so
-            // the wr_id is matched rather than assuming arrival order.
-            // Then decode while the secondary READ is (possibly) still
-            // in flight — the CPU work hides behind the wire.  Error
-            // completions (the rider WRITE's included — unsignalled
-            // WQEs fault loudly) abort the round.
-            let mut secondary_done = false;
-            let mut round_err = None;
-            loop {
-                let completion = rider.poll(&self.dm);
-                if let Err(e) = completion.status.check() {
-                    round_err = Some(e);
-                    break;
-                }
-                if completion.wr_id == wr_primary {
-                    break;
-                }
-                debug_assert_eq!(completion.wr_id, wr_secondary);
-                secondary_done = true;
-            }
-            if let Some(e) = round_err {
-                // Consume this round's stragglers so the next round's
-                // polling starts from an empty queue.
-                let _ = rider.drain(&self.dm);
-                if retryable(&self.dm, &e) {
-                    continue;
-                }
-                return Err(e);
-            }
-            if SampleFriendlyHashTable::bucket_tainted(&self.bucket_buf[..BUCKET_SIZE]) {
-                if rider.drain(&self.dm).is_ok() {
-                    // The round's verbs all landed (an unsignalled
-                    // WRITE that fails leaves an error completion), so
-                    // poison retries re-read the buckets alone.
-                    write = None;
-                }
-                self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
-                continue;
-            }
-            SampleFriendlyHashTable::decode_slots(
-                primary_addr,
-                &self.bucket_buf[..BUCKET_SIZE],
-                &mut slots,
-            );
-            self.charge_decode(SLOTS_PER_BUCKET);
-            if let Some(found) = Self::find_live(&slots, hash, fp) {
-                // A primary-bucket hit never needs the secondary's
-                // bytes; its completion is drained (by now usually in
-                // the past, hidden behind the primary decode).
-                match rider.drain(&self.dm) {
-                    Ok(_) => write = None,
-                    Err(e) => {
-                        if retryable(&self.dm, &e) {
-                            continue;
-                        }
-                        return Err(e);
-                    }
-                }
-                if self.table.bucket_entry_token(primary) == ptok || last {
-                    return Ok(Lookup::new(slots, Some(found)));
-                }
-                attempt += 1;
-                continue;
-            }
-            if !secondary_done {
-                let completion = rider.poll(&self.dm);
-                if let Err(e) = completion.status.check() {
-                    let _ = rider.drain(&self.dm);
-                    if retryable(&self.dm, &e) {
-                        continue;
-                    }
-                    return Err(e);
-                }
-            }
-            if write_rides {
-                // A rider-WRITE error on a *different* node can land
-                // after both bucket completions; surface it now.
-                // Fault-free the queue is empty and this costs nothing.
-                match rider.drain(&self.dm) {
-                    Ok(_) => write = None,
-                    Err(e) => {
-                        if retryable(&self.dm, &e) {
-                            continue;
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-            if SampleFriendlyHashTable::bucket_tainted(&self.bucket_buf[BUCKET_SIZE..]) {
-                self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
-                continue;
-            }
-            SampleFriendlyHashTable::decode_slots(
-                secondary_addr,
-                &self.bucket_buf[BUCKET_SIZE..],
-                &mut slots,
-            );
-            self.charge_decode(SLOTS_PER_BUCKET);
-            if (self.table.bucket_entry_token(primary) == ptok
-                && self.table.bucket_entry_token(secondary) == stok)
-                || last
-            {
-                let found = Self::find_live(&slots, hash, fp);
-                return Ok(Lookup::new(slots, found));
-            }
-            attempt += 1;
-        }
     }
 
     fn find_live(slots: &[(RemoteAddr, Slot)], hash: u64, fp: u8) -> Option<(RemoteAddr, Slot)> {
@@ -1208,11 +1110,18 @@ mod tests {
     fn insert_up_to_its_cas(client: &mut DittoClient, key: &[u8], value: &[u8]) {
         let hash = fnv1a64(key);
         let encoded = object::encode(key, value, client.use_extension, &[0; EXT_WORDS]);
-        let obj_addr = client.alloc_with_eviction(0, encoded.len());
+        let obj_addr = client.alloc_with_eviction(0, encoded.len()).unwrap();
         client.dm.write(obj_addr, &encoded);
         let size_class = (encoded.len() / 64) as u8;
         let word = AtomicField::try_for_object(fingerprint(hash), size_class, obj_addr).unwrap();
-        let lookup = client.search(hash, fingerprint(hash), None, None, None);
+        let lookup = client.search(
+            hash,
+            fingerprint(hash),
+            Default::default(),
+            &[],
+            &mut [None, None],
+            None,
+        );
         let slots = lookup.unwrap().slots;
         let (slot_addr, observed) = client.choose_insert_slot(&slots).unwrap();
         assert!(client.install_new(slot_addr, &observed, word, hash));

@@ -2,11 +2,10 @@
 //! move only when it changes which key the slot holds — and the three
 //! shapes a publish takes — replacing the key's live slot, installing into an
 //! empty or history slot, evicting a victim of a full bucket — plus the two
-//! front doors past the lookup, one round trip each: a hinted replace
-//! ([`DittoClient::publish_hinted`]) and a fill right after its key's miss
-//! ([`DittoClient::publish_fill`]).
+//! front doors past the lookup, one round trip each: a hinted replace and a
+//! fill right after its key's miss ([`DittoClient::publish_front`]).
 
-use super::evict::Eviction;
+use super::round::{Evictions, Op, Retire, Round, Shape};
 use super::{Candidates, DittoClient, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::recovery::CrashPoint;
@@ -20,19 +19,6 @@ use std::sync::Arc;
 /// ([`DittoClient::settle_rekey`]), each a CAS back-off plus a yield to the
 /// reconcile's thread.
 const FLIP_WAIT_ROUNDS: usize = 256;
-
-/// How a front door — [`DittoClient::publish_hinted`] or
-/// [`DittoClient::publish_fill`] — went.
-pub(super) enum FrontDoor {
-    /// Its conditions do not hold: no verb was posted.
-    Declined,
-    /// The CAS returned the word it expected: the new object is published
-    /// (and a displaced one freed).
-    Won,
-    /// Anything else — a changed word, a faulted verb.  It cost one round
-    /// trip; the object's bytes landed unless the WRITE itself faulted.
-    Lost { object_written: bool },
-}
 
 impl DittoClient {
     /// CASes a slot's atomic word from `expected` to `new` and returns
@@ -191,161 +177,90 @@ impl DittoClient {
         self.free_object(old.object_addr(), old.object_bytes() as usize);
     }
 
-    /// The one-round-trip publish (see the crate docs, *The one-round-trip
-    /// `Set`*): when `hash` holds a hint a `Set` may act on, posts the WRITE
-    /// of the `encoded` object at `obj_addr` unsignalled and, behind it on
-    /// the same doorbell, the CAS of the hinted slot from the hinted word to
-    /// `new` — no lookup — and polls the CAS's completion.  The CAS
-    /// returning the hinted word *is* the publish, finished like any
-    /// replace ([`Self::slot_cas`] says why it needs no judgement,
-    /// [`Self::finish_replace`]).
+    /// The front doors: a `Set`'s first `round`, planned one round trip with
+    /// no lookup ([`Shape::Hinted`], [`Shape::Fill`]).  It carries the WRITE
+    /// of the `encoded` object, unsignalled, and behind it the CAS of a slot
+    /// to `new` from the word the client holds for it — the hinted word, or
+    /// the word the miss memo read in the insert slot — and a fill's
+    /// eviction verbs.  Returns whether the CAS returned that word, and
+    /// whether the object's bytes landed.
     ///
-    /// Declined, before any verb, unless the new object lives on the slot's
-    /// node — one queue pair, in order, and an errored WRITE flushes the CAS
-    /// behind it, so the word can never name bytes that did not land — and
-    /// no expert keeps extension words (their Update rule needs the decoded
-    /// slot).  The caller declines for a third reason: an eviction riding
-    /// this `Set`, whose sample shares the lookup's doorbell.
-    pub(super) fn publish_hinted(
-        &mut self,
-        hash: u64,
-        obj_addr: RemoteAddr,
-        new: AtomicField,
-        encoded: &[u8],
-    ) -> FrontDoor {
-        if self.use_extension {
-            return FrontDoor::Declined;
-        }
-        let Some(hint) = self.set_hint(hash) else {
-            return FrontDoor::Declined;
-        };
-        let slot_addr = self.hinted_slot_addr(hash, hint);
-        if obj_addr.mn_id != slot_addr.mn_id {
-            return FrontDoor::Declined;
-        }
-        let translate_ns = self.dm.now_ns();
-        self.dm
-            .record_span(Phase::Translate, translate_ns, translate_ns, 0);
-        // The hinted word names the allocation the CAS displaces; as in
-        // `replace_existing` it is journalled before the CAS can land.
-        let old = AtomicField::decode(hint.word);
-        self.journal_set_old(Some((old.object_addr(), old.object_bytes() as usize)));
-        let publish_start = self.dm.now_ns();
-        let mut observed = 0;
-        let (wr_write, wr_cas) = {
-            let mut wq = self.dm.work_queue();
-            let wr_write = wq.post_write(obj_addr, encoded, false);
-            let wr_cas = wq.post_cas(slot_addr, hint.word, new.encode(), &mut observed, true);
-            wq.ring();
-            (wr_write, wr_cas)
-        };
-        // Fault-free the CAS's completion is the only one.  An errored WRITE
-        // surfaces ahead of it although unsignalled, and has flushed it.
-        let mut object_written = true;
-        let cas_landed = loop {
-            let completion = self.dm.poll_cq().expect("publish CAS completion");
-            if completion.wr_id == wr_cas {
-                break completion.status.is_ok();
-            }
-            if completion.wr_id == wr_write {
-                object_written = false;
-            }
-        };
-        let won = cas_landed && observed == hint.word;
-        self.dm
-            .record_span(Phase::Publish, publish_start, self.dm.now_ns(), won as u32);
-        self.stats.record_spec_publish(!won);
-        if !won {
-            // The slot moved on (or a verb faulted): one round trip spent,
-            // and the `Set` goes on through the lookup it tried to skip.
-            self.hints.forget(hash);
-            return FrontDoor::Lost { object_written };
-        }
-        self.finish_replace(slot_addr, hash, old, new, None);
-        FrontDoor::Won
-    }
-
-    /// The one-round fill (see the crate docs, *The `Set` path under memory
-    /// pressure*): a `Set` right after its key's miss, whose memo names the
-    /// `insert` slot on the new object's node, posts behind one doorbell the
-    /// WRITE of the `write`'s object, unsignalled, and the CAS of that slot
-    /// from the word the memo read to `new` — sound by the flush rule, as for
-    /// the hinted replace — then the victim CAS of the eviction a previous
-    /// fill parked (`carried`) and the first sample READ and history-id FAA
-    /// of this `Set`'s own eviction (`own`), and waits for them all.  A CAS
-    /// that returned the memo's word is an insert like any other
-    /// ([`Self::install_new`]); anything else cost this round trip, and the
-    /// `Set` goes on through the lookup.
-    ///
-    /// Either way, what else the round carried has landed by then: the own
-    /// eviction picks its victim (and parks it), and the carried one is
+    /// A hinted CAS that returned its word *is* the publish, finished like
+    /// any replace ([`Self::slot_cas`] says why it needs no judgement,
+    /// [`Self::finish_replace`]); a fill's is an insert like any other
+    /// ([`Self::install_new`]).  Anything else cost this round trip, and
+    /// the `Set` goes on through the lookup.  A hinted replace waits for its
+    /// CAS alone; a fill for every verb of its round, so that the own
+    /// eviction picks its victim (and parks it) and the carried one is
     /// finished — its victim freed before any crash point of this `Set` can
-    /// find it taken out of the table.  The own eviction picks first, as it
-    /// does beside a looked-up insert.
-    pub(super) fn publish_fill(
+    /// find it taken out of the table.
+    pub(super) fn publish_front(
         &mut self,
         hash: u64,
-        insert: (RemoteAddr, Slot),
-        write: (RemoteAddr, &[u8]),
+        round: &Round,
+        encoded: &[u8],
         new: AtomicField,
-        mut carried: Option<&mut Eviction>,
-        mut own: Option<&mut Eviction>,
-    ) -> FrontDoor {
-        let (slot_addr, expected) = (insert.0, insert.1.atomic.encode());
-        // An insert displaces no allocation (see `install_new`).
-        self.journal_set_old(None);
-        let publish_start = self.dm.now_ns();
-        let mut observed = !expected;
-        let (wr_write, wr_cas) = {
-            let mut wq = self.dm.work_queue();
-            let wr_write = wq.post_write(write.0, write.1, false);
-            let wr_cas = wq.post_cas(slot_addr, expected, new.encode(), &mut observed, true);
-            if let Some(ev) = carried.as_deref_mut() {
-                ev.carry(&mut wq, publish_start);
-            }
-            if let Some(ev) = own.as_deref_mut() {
-                ev.ride(&mut wq, &mut self.sample_buf);
-            }
-            wq.ring();
-            (wr_write, wr_cas)
+        evs: &mut Evictions,
+    ) -> (bool, bool) {
+        let Op::Cas {
+            addr: slot_addr,
+            expected,
+            ..
+        } = round.verbs[1].op
+        else {
+            unreachable!("a front door's CAS rides behind its WRITE")
         };
-        // Every verb of the round completes, signalled or — an errored WRITE,
-        // and whatever it flushed — in error.
-        let (mut cas_landed, mut object_written) = (false, true);
-        while let Some(completion) = self.dm.poll_cq() {
-            if completion.wr_id == wr_cas {
-                cas_landed = completion.status.is_ok();
+        let (hinted, old) = (round.shape == Shape::Hinted, AtomicField::decode(expected));
+        if hinted {
+            let translate_ns = self.dm.now_ns();
+            self.dm
+                .record_span(Phase::Translate, translate_ns, translate_ns, 0);
+        }
+        // The hinted word names the allocation the CAS displaces; as in
+        // `replace_existing` it is journalled before the CAS can land.  An
+        // insert displaces none (see `install_new`).
+        self.journal_set_old(hinted.then(|| (old.object_addr(), old.object_bytes() as usize)));
+        let publish_start = self.dm.now_ns();
+        let (wr_write, observed) = self.post_round(round, encoded, evs);
+        // An errored WRITE surfaces although unsignalled, and has flushed
+        // the CAS behind it.
+        let (mut landed, mut object_written) = (false, true);
+        while let Some(completion) = self.next_completion(evs) {
+            if completion.wr_id == wr_write + 1 {
+                landed = completion.status.is_ok();
+                if hinted {
+                    break;
+                }
             } else if completion.wr_id == wr_write {
                 object_written = false;
-            } else if !carried
-                .as_deref_mut()
-                .is_some_and(|ev| ev.claims(&completion))
-            {
-                if let Some(ev) = own.as_deref_mut() {
-                    ev.claims(&completion);
-                }
             }
         }
-        let won = cas_landed && observed == expected;
+        let won = landed && observed == expected;
         self.dm
             .record_span(Phase::Publish, publish_start, self.dm.now_ns(), won as u32);
+        if hinted {
+            self.stats.record_spec_publish(!won);
+            if won {
+                self.finish_replace(slot_addr, hash, old, new, None);
+            } else {
+                self.hints.forget(hash);
+            }
+            return (won, object_written);
+        }
         if won {
             self.rekey_landed(slot_addr, new.encode(), hash);
             self.hint_cas_won(hash, slot_addr, new.encode());
-        } else if cas_landed {
+        } else if landed {
             self.record_failed_slot_cas();
         }
+        let [own, carried] = evs;
         if let Some(ev) = own {
             self.evict_advance(ev, true);
         }
         if let Some(ev) = carried {
             self.evict_advance(ev, false);
         }
-        if won {
-            FrontDoor::Won
-        } else {
-            FrontDoor::Lost { object_written }
-        }
+        (won, object_written)
     }
 
     pub(super) fn install_new(
@@ -452,19 +367,13 @@ impl DittoClient {
         // copies right away — before even the crash hook, since the CAS
         // already landed.  (The inserted key's own bumps came with the CAS
         // and come again at the end of `set_inner`.)
-        self.bump_board(victim.hash);
-        self.hints.forget(victim.hash);
+        self.retire_victim(Retire::Bump, &victim, bitmap, chosen);
         self.hint_cas_won(hash, victim_addr, new_atomic.encode());
         if self.crash_fired(CrashPoint::AfterPublish) {
             return true;
         }
-        self.notify_eviction(&victim, bitmap);
-        self.free_object(
-            victim.atomic.object_addr(),
-            victim.atomic.object_bytes() as usize,
-        );
+        self.retire_victim(Retire::Free, &victim, bitmap, chosen);
         self.stats.record_bucket_eviction();
-        self.stats.record_eviction(chosen);
         true
     }
 }

@@ -39,6 +39,24 @@ pub enum CacheError {
         /// not be read).
         key_absent: bool,
     },
+    /// A `Set` found no memory for its object even after evicting.  On a
+    /// pool sized for the cache's capacity this is a sizing bug rather than
+    /// a run-time condition: the object is larger than the room eviction can
+    /// free.  Nothing was written.
+    OutOfMemory {
+        /// The object's encoded size in bytes.
+        bytes: usize,
+        /// Allocation attempts made before giving up.
+        attempts: usize,
+        /// How many of the evictions those attempts ran took a victim out.
+        evictions_won: u64,
+        /// Blocks on the client's local free ranges when it gave up.
+        free_blocks: u64,
+        /// Blocks the client had allocated and not freed.
+        live_blocks: u64,
+        /// Segments the client had fetched from the memory nodes.
+        segments_fetched: u64,
+    },
 }
 
 impl fmt::Display for CacheError {
@@ -65,6 +83,19 @@ impl fmt::Display for CacheError {
                 } else {
                     "an older value may remain"
                 }
+            ),
+            CacheError::OutOfMemory {
+                bytes,
+                attempts,
+                evictions_won,
+                free_blocks,
+                live_blocks,
+                segments_fetched,
+            } => write!(
+                f,
+                "unable to free memory for a {bytes}-byte object after {attempts} attempts \
+                 ({evictions_won} evictions won; local free blocks {free_blocks}, live blocks \
+                 {live_blocks}, segments fetched {segments_fetched})"
             ),
         }
     }
@@ -96,6 +127,19 @@ mod tests {
         assert!(CacheError::SetDropped { key_absent: true }
             .to_string()
             .contains("key absent"));
+        let oom = CacheError::OutOfMemory {
+            bytes: 640,
+            attempts: 256,
+            evictions_won: 3,
+            free_blocks: 1,
+            live_blocks: 2,
+            segments_fetched: 4,
+        };
+        assert_eq!(
+            oom.to_string(),
+            "unable to free memory for a 640-byte object after 256 attempts (3 evictions \
+             won; local free blocks 1, live blocks 2, segments fetched 4)"
+        );
     }
 
     #[test]

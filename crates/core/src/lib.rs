@@ -69,35 +69,26 @@
 //! hint is dropped, and the `Set` goes on through the lookup it tried to
 //! skip, its object already written.
 //!
-//! It is a front door to the same path, not a second protocol
-//! (`client/publish.rs`): the slot's place is re-translated through the
-//! stripe directory, a CAS that took effect needs no judgement, like any
-//! slot CAS that keeps the slot's key (it landed on the live copy, or a
-//! stripe reconcile carried it), the journal's old half is written from the hinted
-//! word before the doorbell, and the won CAS is followed by the same hint
-//! update, metadata WRITE, free of the displaced object and end-of-`Set`
-//! board bump.  Three conditions, all things the client observes, no knob:
-//!
-//! * the new object lives **on the slot's node** — the ordering rule of the
-//!   hinted `Get`: one queue pair, in order, and an errored WQE flushes the
-//!   WQEs behind it ([`ditto_dm::wqe`]), so the CAS cannot run unless the
-//!   bytes it publishes landed;
-//! * **no eviction rides** this `Set` (its sample READ shares the lookup's
-//!   doorbell);
-//! * **no expert keeps extension words** (their Update rule needs the
-//!   decoded slot, which a blind CAS never reads).
+//! It is one of the round shapes the `Set` path's planner picks
+//! (`client/round.rs`, see below), not a second protocol: the slot's place is
+//! re-translated through the stripe directory, a CAS that took effect needs
+//! no judgement, like any slot CAS that keeps the slot's key (it landed on the
+//! live copy, or a stripe reconcile carried it), the journal's old half is
+//! written from the hinted word before the doorbell, and the won CAS is
+//! followed by the same hint update, metadata WRITE, free of the displaced
+//! object and end-of-`Set` board bump.  The planner takes it only when the
+//! new object lives on the slot's node (the flush rule, `Rule::Flush`), when
+//! no eviction rides the `Set`, and when no expert keeps extension words
+//! (their Update rule needs the decoded slot, which a blind CAS never reads).
 //!
 //! A `Get` checks its hint against the slot it reads; a CAS that returns the
 //! hinted word proves only that the slot holds it *now*.  So a `Set` takes
-//! only a hint that matches its key in all 64 hash bits, and leans on one
-//! invariant: a CAS that takes a key's word out of its slot bumps the key's
-//! [`local_tier::CoherenceBoard`] epoch **before** the displaced object's
-//! blocks can be recycled — while a hint's epoch holds, its word can only
-//! reappear in the slot as a live value of the same key.  Both, with the
-//! ABA argument and what remains (a single process, like the tier), are
-//! stated once in `client/lookup.rs`.  Nor does an update wait for its
-//! frequency counter any more: a due FC flush is posted unsignalled on a
-//! doorbell of its own, as after a hinted hit.
+//! only a hint that matches its key in all 64 hash bits, and leans on bump
+//! before free (`Rule::BumpBeforeFree`) and the ABA argument, which
+//! `client/lookup.rs` states with what remains (a single process, like the
+//! tier).  Nor does an update wait for its frequency counter any more: a due
+//! FC flush is posted unsignalled on a doorbell of its own, as after a hinted
+//! hit.
 //!
 //! # Which messages a hit and a cutover send
 //!
@@ -151,7 +142,16 @@
 //! the previous evicting `Set` left on the client's free list, and then
 //! frees one victim to leave the next spare.  None of that eviction's round
 //! trips is the `Set`'s own.  The order is **take the spare → sample + id →
-//! lookup → victim CAS ‖ publish**:
+//! lookup → victim CAS ‖ publish**.
+//!
+//! Every round of the `Set` path is a plain value (`client/round.rs`): one
+//! doorbell's verbs, each with its target, its signalled flag and its owner
+//! — the `Set`, the eviction it runs, or the one it carries.  One planner
+//! picks the `Set`'s next round from what the op knows, one executor posts
+//! any round and routes its completions to their owners, and the ordering
+//! rules that make the shapes sound are the variants of that module's
+//! `Rule`, checked on every posted round in debug builds and argued there
+//! once.  What follows names them.
 //!
 //! * The **history id is acquired before the victim is known**: the FAA goes
 //!   out behind the first sample READ, and both ride the lookup's doorbell.
@@ -175,12 +175,13 @@
 //!   that lost its race and one that faulted both leave the CAS's result
 //!   buffer without the victim's word, both count as a lost race, and the
 //!   eviction re-picks among its remaining candidates (bounded), waiting for
-//!   that CAS in place — where a fault is retried like any slot CAS's.
+//!   that CAS in place — where a fault is retried like any slot CAS's.  It
+//!   flies beside an insert only (`Rule::AfterPublish`, see *Crashes*).
 //!
 //! So a `Set` whose first sample held two candidates takes the round trips
-//! of a plain `Set`, and each further sample adds one; slots of the `Set`'s
-//! own two buckets are never candidates, so the two CASes cannot meet on one
-//! word.  A sample is one READ of [`DittoConfig::SAMPLE_SPAN_SLOTS`]
+//! of a plain `Set`, and each further sample adds one; the sample never
+//! takes a slot of the `Set`'s own two buckets (`Rule::Sample`), so the two
+//! CASes cannot meet on one word.  A sample is one READ of [`DittoConfig::SAMPLE_SPAN_SLOTS`]
 //! consecutive slots — three per candidate, the table's density when full —
 //! so it holds about K = 5 candidates and rarely fewer than the two a pick
 //! needs.  Without a usable spare (first pressure, a larger object, a lost
@@ -195,50 +196,31 @@
 //! lookup has just read and decoded both buckets.  The client keeps that view
 //! until its next `Get` or `Set`, and a `Set` of the same key publishes from
 //! it, choosing its insert slot from it before any verb, and reads no
-//! bucket.  The memo is trusted on the rule a hint is (`client/lookup.rs`,
-//! *What a blind CAS leans on*): the key's [`local_tier::CoherenceBoard`]
-//! epoch and the stripe directory's version must not have moved since before
-//! the miss's READs.  The insert CAS expects the word the memo read, and one
+//! bucket.  The memo is trusted on the rule a hint is — the key's
+//! [`local_tier::CoherenceBoard`] epoch and the stripe directory's version
+//! must not have moved since before the miss's READs — and an insert CAS
 //! that lost falls back to the full lookup.  What the memo touches is the
-//! **duplicate-insert** window.  Another client's fill of the same key whose
-//! CAS lands after the miss's READ is seen through the key's epoch, which
-//! that client bumps as soon as its CAS completes — not only at the end of
-//! its `Set`.  A fill whose epoch check falls between that CAS landing and
-//! its completion arriving goes on, and the key is installed in two slots.
-//! Lookups serve the first they find and a replace updates that one alone,
-//! so the other can later be served stale.  The unhinted insert has the same
-//! exposure from its bucket READ to its CAS; the memo's check-to-CAS span is
-//! no longer than that, and adds only the other CAS's return flight.
+//! duplicate-insert window `client/lookup.rs` argues.
 //!
 //! **The one-round fill.**  When the memo names an insert slot on the new
 //! object's node, the fill rings **one doorbell**: the object WRITE,
-//! unsignalled, and the insert CAS behind it — sound by the flush rule of
-//! [`ditto_dm::wqe`], as for the hinted replace — and, under memory
+//! unsignalled, the insert CAS behind it (`Rule::Flush`) and, under memory
 //! pressure, the victim CAS of the eviction the previous fill *parked* and
 //! the sample READ and history FAA of its own.  Once that round has landed
-//! the fill picks its own victim and **parks** it on the client instead of
-//! taking it out: the next starved `Set` carries that CAS.  An evicting fill
-//! is then one round trip — a doorbell, five issues, the slower atomic's
-//! flight, four polls and one sample's decode and scoring — where it was
-//! two, with the same verbs; so is a fill that evicts nothing.  (With its
-//! insert slot off the object's node a fill takes two: the WRITE, signalled,
-//! beside the sample READ and the FAA, then the CASes.)  Three rules keep the
-//! rest as it was:
-//!
-//! * **Only a fill parks** — a `Set` right after its key's miss.  A `Set`
-//!   with no miss before it, such as a load phase, evicts within itself as
-//!   above: parking there too would change what the cache holds after the
-//!   load.
-//! * **A `Set` that carries parks its own sample**, so each starved `Set`
-//!   frees exactly one victim.  Only a fill with nothing to carry frees
-//!   none — the first after `Set`s that evicted within themselves — and the
-//!   one after it evicts inline once for its object.
-//! * **The new sample never takes the carried victim's slot**, as it never
-//!   takes one of the `Set`'s own buckets.  A looked-up `Set` posts the
-//!   carried CAS after its sample READ, beside its insert CAS, where the
-//!   one-round fill posts it before; this rule makes both samples see the
-//!   same candidates, and keeps a striped cache, whose fills take either
-//!   shape, identical to a single-node one.
+//! the fill picks its own victim and **parks** it (`Rule::Park`): the next
+//! starved `Set` carries that CAS.  An evicting fill is then one round trip
+//! — a doorbell, five issues, the slower atomic's flight, four polls and one
+//! sample's decode and scoring — where it was two, with the same verbs; so
+//! is a fill that evicts nothing.  (With its insert slot off the object's
+//! node a fill takes two: the WRITE, signalled, beside the sample READ and
+//! the FAA, then the CASes.)  Only a fill with nothing to carry frees no
+//! victim — the first after `Set`s that evicted within themselves — and the
+//! one after it evicts inline once for its object.  The new sample never
+//! takes the carried victim's slot either (`Rule::Sample`): a looked-up `Set`
+//! posts the carried CAS after its sample READ, where the one-round fill
+//! posts it before, and the rule makes both samples see the same candidates —
+//! which keeps a striped cache, whose fills take either shape, identical to
+//! a single-node one.
 //!
 //! A parked victim stays in the table, resident and evictable by anyone; a
 //! carried CAS that finds its word gone re-picks among the parked
@@ -253,14 +235,14 @@
 //! leaks the victim's blocks — for good if they lie in a live client's
 //! segment, until [`DittoClient::recover_crashed_client`] sweeps its segments
 //! otherwise — and leaves the resident gauge that much too high.  What must
-//! not change is what the *modelled* crash points find.
-//! [`CrashPoint::AfterPublish`] sits in the two publishes that displace an
-//! allocation (a replace, a bucket eviction); an insert — every fill — holds
-//! none.  So an eviction posts its victim CAS before the publish only beside
-//! an insert — and is run to its end before the `Set` tries again, should
-//! that insert lose; riding a displacing publish, its own sample and id in
-//! hand or a parked victim to carry, it stays where it was until the `Set` is
-//! through.  On the one-round path only [`CrashPoint::AfterAlloc`] can fire,
+//! not change is what the *modelled* crash points find, and
+//! `Rule::AfterPublish` keeps it: [`CrashPoint::AfterPublish`] sits in the
+//! two publishes that displace an allocation (a replace, a bucket eviction),
+//! an insert — every fill — holds none, so a victim CAS flies only beside an
+//! insert.  Should that insert lose, the eviction is run to its end before
+//! the `Set` tries again; riding a displacing publish, its own sample and id
+//! in hand or a parked victim to carry, it stays where it was until the `Set`
+//! is through.  On the one-round path only [`CrashPoint::AfterAlloc`] can fire,
 //! before the doorbell.  A fill whose insert CAS lost goes on through the
 //! lookup with its object written: [`CrashPoint::AfterObjectWrite`] fires
 //! there first, and [`CrashPoint::AfterPublish`] only if that lookup's

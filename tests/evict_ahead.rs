@@ -11,7 +11,7 @@
 
 mod support;
 
-use ditto::cache::{DittoCache, DittoConfig};
+use ditto::cache::{CacheError, DittoCache, DittoConfig};
 use ditto::dm::{DmConfig, MemoryPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,4 +78,40 @@ fn tiny_table_evict_ahead_overlaps_and_loses_nothing() {
     for seed in [3, 17] {
         run(seed);
     }
+}
+
+/// A pool with room for one and a half objects besides its fixed
+/// reservations, and an object larger than that but within a two-object
+/// segment: the `Set` evicts what there is, still finds no room, and says so
+/// with a typed error instead of panicking.  The cache leaks nothing and goes
+/// on serving.
+#[test]
+fn an_object_larger_than_the_pool_is_a_typed_error() {
+    let mut config = DittoConfig::with_capacity(10);
+    config.alloc_segment_objects = 2;
+    let fixed = DittoCache::new(MemoryPool::new(DmConfig::default()), config.clone())
+        .unwrap()
+        .pool()
+        .used_bytes();
+    let object_bytes = config.avg_object_blocks() * 64;
+    let dm = DmConfig::default().with_capacity(fixed + object_bytes * 3 / 2);
+    let cache = DittoCache::new(MemoryPool::new(dm), config).unwrap();
+    let mut client = cache.client();
+    client.set(&1u64.to_le_bytes(), &[1u8; 200]);
+    let huge = vec![2u8; object_bytes as usize * 3 / 2];
+    match client.try_set(b"huge", &huge) {
+        Err(CacheError::OutOfMemory {
+            bytes,
+            evictions_won,
+            ..
+        }) => {
+            assert!(bytes as u64 > object_bytes * 3 / 2, "{bytes}");
+            assert_eq!(evictions_won, 1);
+        }
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(client.get(b"huge"), None);
+    assert_no_orphans(&cache, &mut client, "after the refused Set");
+    client.set(&7u64.to_le_bytes(), &[3u8; 200]);
+    assert_eq!(client.get(&7u64.to_le_bytes()), Some(vec![3u8; 200]));
 }
