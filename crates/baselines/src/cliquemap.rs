@@ -39,33 +39,24 @@ pub struct CliqueMapConfig {
     pub capacity_objects: u64,
     /// Server policy (LRU or LFU).
     pub policy: ServerPolicy,
-    /// Number of buffered access records before a client syncs them to the
-    /// server.
-    pub access_sync_batch: usize,
-    /// Server CPU nanoseconds consumed by one `Set`.
-    pub set_cpu_ns: u64,
-    /// Server CPU nanoseconds consumed per merged access record.
-    pub access_merge_cpu_ns: u64,
-}
-
-impl Default for CliqueMapConfig {
-    fn default() -> Self {
-        CliqueMapConfig {
-            capacity_objects: 100_000,
-            policy: ServerPolicy::Lru,
-            access_sync_batch: 64,
-            set_cpu_ns: 1_800,
-            access_merge_cpu_ns: 250,
-        }
-    }
 }
 
 impl CliqueMapConfig {
+    /// Number of buffered access records before a client syncs them to the
+    /// server.
+    pub const ACCESS_SYNC_BATCH: usize = 64;
+
+    /// Server CPU nanoseconds consumed by one `Set`.
+    pub const SET_CPU_NS: u64 = 1_800;
+
+    /// Server CPU nanoseconds consumed per merged access record.
+    pub const ACCESS_MERGE_CPU_NS: u64 = 250;
+
     /// CM-LRU with the given capacity.
     pub fn lru(capacity_objects: u64) -> Self {
         CliqueMapConfig {
             capacity_objects,
-            ..CliqueMapConfig::default()
+            policy: ServerPolicy::Lru,
         }
     }
 
@@ -74,7 +65,6 @@ impl CliqueMapConfig {
         CliqueMapConfig {
             capacity_objects,
             policy: ServerPolicy::Lfu,
-            ..CliqueMapConfig::default()
         }
     }
 }
@@ -235,8 +225,8 @@ impl CliqueMapClient {
 
     fn maybe_sync_access_records(&mut self) {
         self.buffered_accesses += 1;
-        if self.buffered_accesses >= self.config.access_sync_batch {
-            let cpu = self.config.access_merge_cpu_ns * self.buffered_accesses as u64;
+        if self.buffered_accesses >= CliqueMapConfig::ACCESS_SYNC_BATCH {
+            let cpu = CliqueMapConfig::ACCESS_MERGE_CPU_NS * self.buffered_accesses as u64;
             self.charge_server_cpu(cpu);
             self.buffered_accesses = 0;
         }
@@ -272,7 +262,7 @@ impl ditto_workloads::CacheBackend for CliqueMapClient {
     fn set(&mut self, key: &[u8], value: &[u8]) {
         self.dm.begin_op();
         // Sets are an RPC handled entirely by the server CPU.
-        self.charge_server_cpu(self.config.set_cpu_ns);
+        self.charge_server_cpu(CliqueMapConfig::SET_CPU_NS);
         self.state
             .lock()
             .insert(self.config.policy, self.config.capacity_objects, key, value);
@@ -302,7 +292,6 @@ mod tests {
         let config = CliqueMapConfig {
             capacity_objects: capacity,
             policy,
-            ..CliqueMapConfig::default()
         };
         CliqueMapCache::new(pool, config)
     }

@@ -19,5 +19,5 @@ pub mod monolithic;
 pub mod shardlru;
 
 pub use cliquemap::{CliqueMapCache, CliqueMapClient, CliqueMapConfig, ServerPolicy};
-pub use monolithic::{MonolithicConfig, RedisLikeCluster, ScaleEvent, TimelinePoint};
+pub use monolithic::{RedisLikeCluster, ScaleEvent, TimelinePoint};
 pub use shardlru::{ListVariant, LockedListCache, LockedListClient, LockedListConfig};

@@ -20,43 +20,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the monolithic (Redis-like) cluster model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MonolithicConfig {
-    /// Number of cached key-value pairs (the paper loads 10 M × 256 B).
-    pub num_keys: u64,
-    /// Value size in bytes.
-    pub value_size: u32,
-    /// Zipfian skew of the request distribution.
-    pub zipf_theta: f64,
-    /// Requests per second one shard core can serve.
-    pub per_core_ops: f64,
-    /// Sustained migration bandwidth in bytes per second (shared by the
-    /// cluster; dominated by the source nodes' CPU).
-    pub migration_bandwidth: f64,
-    /// Relative throughput penalty while a migration is in flight.
-    pub migration_throughput_penalty: f64,
-    /// Relative p99-latency increase while a migration is in flight.
-    pub migration_latency_penalty: f64,
-    /// Baseline p99 latency in microseconds when not migrating.
-    pub base_p99_us: f64,
-}
-
-impl Default for MonolithicConfig {
-    fn default() -> Self {
-        MonolithicConfig {
-            num_keys: 10_000_000,
-            value_size: 256,
-            zipf_theta: 0.99,
-            per_core_ops: 110_000.0,
-            migration_bandwidth: 4.0 * 1024.0 * 1024.0,
-            migration_throughput_penalty: 0.07,
-            migration_latency_penalty: 0.21,
-            base_p99_us: 180.0,
-        }
-    }
-}
-
 /// A scheduled resource-adjustment event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScaleEvent {
@@ -83,28 +46,39 @@ pub struct TimelinePoint {
 }
 
 /// The analytical Redis-like cluster model.
-#[derive(Debug, Clone)]
-pub struct RedisLikeCluster {
-    config: MonolithicConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RedisLikeCluster;
 
 impl RedisLikeCluster {
-    /// Creates the model.
-    pub fn new(config: MonolithicConfig) -> Self {
-        RedisLikeCluster { config }
-    }
+    /// Number of cached key-value pairs (the paper loads 10 M × 256 B).
+    pub const NUM_KEYS: u64 = 10_000_000;
+    /// Value size in bytes.
+    pub const VALUE_SIZE: u32 = 256;
+    /// Zipfian skew of the request distribution.
+    pub const ZIPF_THETA: f64 = 0.99;
+    /// Requests per second one shard core can serve.
+    pub const PER_CORE_OPS: f64 = 110_000.0;
+    /// Sustained migration bandwidth in bytes per second (shared by the
+    /// cluster; dominated by the source nodes' CPU).
+    pub const MIGRATION_BANDWIDTH: f64 = 4.0 * 1024.0 * 1024.0;
+    /// Relative throughput penalty while a migration is in flight.
+    pub const MIGRATION_THROUGHPUT_PENALTY: f64 = 0.07;
+    /// Relative p99-latency increase while a migration is in flight.
+    pub const MIGRATION_LATENCY_PENALTY: f64 = 0.21;
+    /// Baseline p99 latency in microseconds when not migrating.
+    pub const BASE_P99_US: f64 = 180.0;
 
-    /// The model configuration.
-    pub fn config(&self) -> &MonolithicConfig {
-        &self.config
+    /// Creates the model.
+    pub fn new() -> Self {
+        RedisLikeCluster
     }
 
     /// Fraction of requests landing on the hottest of `nodes` shards under
     /// the configured Zipfian skew.
     pub fn hottest_shard_share(&self, nodes: u32) -> f64 {
         let nodes = nodes.max(1) as u64;
-        let n = self.config.num_keys.max(1);
-        let theta = self.config.zipf_theta;
+        let n = Self::NUM_KEYS;
+        let theta = Self::ZIPF_THETA;
         // Approximate the Zipfian mass per shard by integrating the rank
         // probabilities of the keys assigned round-robin by rank: shard i
         // receives ranks i, i+nodes, i+2·nodes, ...; the hottest shard is the
@@ -133,7 +107,7 @@ impl RedisLikeCluster {
     /// Steady-state cluster throughput with `nodes` serving nodes, in Mops.
     pub fn steady_throughput_mops(&self, nodes: u32) -> f64 {
         let share = self.hottest_shard_share(nodes);
-        (self.config.per_core_ops / share) / 1e6
+        (Self::PER_CORE_OPS / share) / 1e6
     }
 
     /// Seconds needed to migrate data when resharding from `from` to `to`
@@ -144,8 +118,8 @@ impl RedisLikeCluster {
         }
         let (small, large) = if from < to { (from, to) } else { (to, from) };
         let moved_fraction = 1.0 - small as f64 / large as f64;
-        let bytes = self.config.num_keys as f64 * self.config.value_size as f64 * moved_fraction;
-        bytes / self.config.migration_bandwidth
+        let bytes = Self::NUM_KEYS as f64 * Self::VALUE_SIZE as f64 * moved_fraction;
+        bytes / Self::MIGRATION_BANDWIDTH
     }
 
     /// Simulates the throughput/latency timeline of a scaling scenario.
@@ -189,14 +163,14 @@ impl RedisLikeCluster {
             // scale-in the cluster still runs at the old size.
             let base = self.steady_throughput_mops(serving);
             let throughput = if migrating {
-                base * (1.0 - self.config.migration_throughput_penalty)
+                base * (1.0 - Self::MIGRATION_THROUGHPUT_PENALTY)
             } else {
                 base
             };
             let p99 = if migrating {
-                self.config.base_p99_us * (1.0 + self.config.migration_latency_penalty)
+                Self::BASE_P99_US * (1.0 + Self::MIGRATION_LATENCY_PENALTY)
             } else {
-                self.config.base_p99_us
+                Self::BASE_P99_US
             };
             points.push(TimelinePoint {
                 seconds: t,
@@ -216,7 +190,7 @@ mod tests {
     use super::*;
 
     fn cluster() -> RedisLikeCluster {
-        RedisLikeCluster::new(MonolithicConfig::default())
+        RedisLikeCluster::new()
     }
 
     #[test]
@@ -277,7 +251,7 @@ mod tests {
             during.throughput_mops < before,
             "throughput dips during migration"
         );
-        assert!(during.p99_us > c.config().base_p99_us);
+        assert!(during.p99_us > RedisLikeCluster::BASE_P99_US);
         assert!(!after.migrating);
         assert_eq!(after.serving_nodes, 64);
         assert!(after.throughput_mops > before);

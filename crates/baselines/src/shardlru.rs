@@ -46,6 +46,17 @@ impl ListVariant {
         }
     }
 
+    /// Simulated back-off after a failed lock acquisition, in nanoseconds,
+    /// or `None` for KVS, which takes no lock.  The paper backs Shard-LRU
+    /// (KVC-S) off for 5 µs.
+    pub fn backoff_ns(&self) -> Option<u64> {
+        match self {
+            ListVariant::Kvs => None,
+            ListVariant::Kvc => Some(1_000),
+            ListVariant::Sharded(_) => Some(5_000),
+        }
+    }
+
     /// Display name used in figures.
     pub fn name(&self) -> &'static str {
         match self {
@@ -63,27 +74,14 @@ pub struct LockedListConfig {
     pub capacity_objects: u64,
     /// Variant to run.
     pub variant: ListVariant,
-    /// Simulated back-off after a failed lock acquisition, in nanoseconds
-    /// (the paper uses 5 µs for Shard-LRU/KVC-S).
-    pub lock_backoff_ns: u64,
-}
-
-impl Default for LockedListConfig {
-    fn default() -> Self {
-        LockedListConfig {
-            capacity_objects: 100_000,
-            variant: ListVariant::Sharded(32),
-            lock_backoff_ns: 5_000,
-        }
-    }
 }
 
 impl LockedListConfig {
-    /// The Shard-LRU baseline of Figure 14.
+    /// The Shard-LRU baseline of Figure 14: the list sharded 32 ways.
     pub fn shard_lru(capacity_objects: u64) -> Self {
         LockedListConfig {
             capacity_objects,
-            ..LockedListConfig::default()
+            variant: ListVariant::Sharded(32),
         }
     }
 
@@ -92,7 +90,6 @@ impl LockedListConfig {
         LockedListConfig {
             capacity_objects,
             variant: ListVariant::Kvc,
-            lock_backoff_ns: 1_000,
         }
     }
 
@@ -101,7 +98,6 @@ impl LockedListConfig {
         LockedListConfig {
             capacity_objects: u64::MAX,
             variant: ListVariant::Kvs,
-            lock_backoff_ns: 0,
         }
     }
 }
@@ -175,11 +171,10 @@ impl LockedListCache {
             // Scratch region standing in for the object slab and list nodes of
             // this shard; large enough for the biggest value write below.
             let list_region = pool.reserve(2048).expect("list scratch");
-            let lock = if config.variant.shards() == 0 {
-                None
-            } else {
-                Some(RemoteLock::new(lock_addr, config.lock_backoff_ns.max(1)))
-            };
+            let lock = config
+                .variant
+                .backoff_ns()
+                .map(|backoff_ns| RemoteLock::new(lock_addr, backoff_ns));
             shards.push(ShardShared {
                 lock,
                 list_region,

@@ -13,7 +13,7 @@
 //! ordering and crossover points are (see *Running it* in the README).
 
 use ditto_algorithms::registry;
-use ditto_baselines::{MonolithicConfig, RedisLikeCluster, ScaleEvent};
+use ditto_baselines::{RedisLikeCluster, ScaleEvent};
 use ditto_bench::{load_phase, measured_phase, print_row, run_trace, SystemKind, SystemUnderTest};
 use ditto_core::sim::{simulate_hit_rate, SimConfig};
 use ditto_core::{DittoCache, DittoConfig};
@@ -107,7 +107,7 @@ fn corpus_scale(scale: f64) -> CorpusScale {
 /// Figure 1: the Redis-like cluster's throughput/latency while scaling
 /// 32 → 64 → 32 nodes (migration delays every adjustment).
 fn fig1() {
-    let cluster = RedisLikeCluster::new(MonolithicConfig::default());
+    let cluster = RedisLikeCluster::new();
     let events = [
         ScaleEvent {
             at_seconds: 180.0,
@@ -359,7 +359,7 @@ fn fig15(scale: f64) {
     let spec = ycsb_spec(scale);
     let capacity = spec.record_count * 2;
     let clients = 16usize;
-    let redis = RedisLikeCluster::new(MonolithicConfig::default());
+    let redis = RedisLikeCluster::new();
     for workload in [YcsbWorkload::A, YcsbWorkload::C] {
         println!("--- {} ({} clients) ---", workload.name(), clients);
         println!(
@@ -382,7 +382,7 @@ fn fig15(scale: f64) {
             // The Redis model serves each shard with one core.
             let redis_mops = redis
                 .steady_throughput_mops(cores)
-                .min(cores as f64 * redis.config().per_core_ops / 1e6);
+                .min(cores as f64 * RedisLikeCluster::PER_CORE_OPS / 1e6);
             println!(
                 "{:>10} {:>12.3} {:>12.3} {:>12.3}",
                 cores, row[0], row[1], redis_mops
@@ -810,7 +810,7 @@ fn fig24(scale: f64) {
                 c.enable_sample_friendly_table = false;
                 c.enable_lightweight_history = false;
                 c.weight_sync_batch = 1;
-                c.enable_fc_cache = false;
+                c.fc_cache_mb = 0.0;
             }),
         ),
     ];
@@ -834,19 +834,18 @@ fn fig24(scale: f64) {
     }
 }
 
-/// Figure 25: throughput and p99 latency vs frequency-counter cache size.
+/// Figure 25: throughput and p99 latency vs frequency-counter cache size;
+/// 0 MB is no FC cache, one FAA per access.
 fn fig25(scale: f64) {
     let spec = ycsb_spec(scale);
     let clients = 16usize;
     println!("YCSB-C, {} clients", clients);
     println!("{:>12} {:>10} {:>10}", "FC size(MB)", "Mops", "p99(us)");
     for mb in [0.0, 0.5, 1.0, 2.0, 5.0, 10.0] {
-        let mut config = DittoConfig::with_capacity(spec.record_count * 2);
-        if mb == 0.0 {
-            config.enable_fc_cache = false;
-        } else {
-            config.fc_cache_mb = mb;
-        }
+        let config = DittoConfig {
+            fc_cache_mb: mb,
+            ..DittoConfig::with_capacity(spec.record_count * 2)
+        };
         let sut = SystemUnderTest::ditto_with_config(config, DmConfig::default());
         load_phase(&sut, 8, &spec.load_requests());
         let run = measured_phase(&sut, "Ditto", clients, ReplayOptions::default(), &|i| {

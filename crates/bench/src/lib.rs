@@ -7,8 +7,8 @@
 //! percentiles).
 
 use ditto_baselines::{
-    CliqueMapCache, CliqueMapClient, CliqueMapConfig, ListVariant, LockedListCache,
-    LockedListClient, LockedListConfig,
+    CliqueMapCache, CliqueMapClient, CliqueMapConfig, LockedListCache, LockedListClient,
+    LockedListConfig,
 };
 use ditto_core::{DittoCache, DittoClient, DittoConfig};
 use ditto_dm::{run_clients, DmConfig, MemoryPool, RunReport};
@@ -107,10 +107,7 @@ impl SystemUnderTest {
             )),
             SystemKind::Kvs => SystemUnderTest::Locked(LockedListCache::new(
                 MemoryPool::new(dm),
-                LockedListConfig {
-                    variant: ListVariant::Kvs,
-                    ..LockedListConfig::kvs()
-                },
+                LockedListConfig::kvs(),
             )),
         }
     }

@@ -139,7 +139,9 @@ pub struct DittoClient {
     policy: AdaptivePolicy,
     stats: Arc<CacheStats>,
     alloc: StripedAllocator,
-    fc: FcCache,
+    /// The frequency-counter cache; `None` at `fc_cache_mb = 0`, where every
+    /// access sends its own FAA.
+    fc: Option<FcCache>,
     /// Last slot word seen per key hash, and where: lets a `Get` READ that
     /// one slot — and the object right behind it — instead of both buckets,
     /// and a replacing `Set` CAS it without reading anything (see
@@ -232,7 +234,9 @@ impl DittoClient {
         let segment = config.alloc_segment_objects.max(1) * config.avg_object_blocks() * 64;
         let alloc = StripedAllocator::new(topology.active(), segment);
         let num_shards = cache.history().num_shards() as usize;
-        let fc = FcCache::new(config.fc_threshold, config.fc_capacity_entries());
+        let fc = config
+            .fc_capacity_entries()
+            .map(|capacity| FcCache::new(config.fc_threshold, capacity));
         let seed = 0x5eed_0000 + dm.client_id() as u64;
         let board = cache.board_arc();
         let tier = (config.local_tier_capacity > 0)
@@ -429,7 +433,7 @@ impl DittoClient {
     /// Flushes buffered state: pending frequency-counter increments and
     /// pending expert-weight penalties.  Call at the end of an experiment.
     pub fn flush(&mut self) {
-        let flushes = self.fc.flush_all();
+        let flushes = self.fc.as_mut().map(FcCache::flush_all).unwrap_or_default();
         for (addr, delta) in flushes {
             // A persistently faulted flush drops buffered increments (the
             // counters are advisory); the message charge already happened.
@@ -766,22 +770,20 @@ impl DittoClient {
             // Hoist the frequency-counter flush decision *before* the object
             // READ so any due `RDMA_FAA` rides the same doorbell batch as
             // the READ instead of paying its own round trip afterwards
-            // (~0.2 µs per hit at `fc_threshold = 10`).  The no-FC-cache
-            // ablation keeps its per-hit FAA after key validation (in
+            // (~0.2 µs per hit at `fc_threshold = 10`).  Without an FC
+            // cache a hit keeps its own FAA after key validation (in
             // `record_access`), exactly like the seed it models.
             let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
-            let flushes = if self.config.enable_fc_cache {
-                self.fc.record(freq_addr)
-            } else {
-                FcFlushes::default()
-            };
+            let flushes = self
+                .fc
+                .as_mut()
+                .map(|fc| fc.record(freq_addr))
+                .unwrap_or_default();
             // A faulted object READ degrades to a miss (linearizable — see
             // the lookup fault handling above), taking back the optimistic
             // frequency increment first.
             let degrade_to_miss = |client: &mut Self| {
-                if client.config.enable_fc_cache {
-                    client.fc.forgive(freq_addr);
-                }
+                client.forgive_access(freq_addr);
                 client.stats.record_get_degraded();
                 client.stats.record_miss();
             };
@@ -839,16 +841,12 @@ impl DittoClient {
             let Some(view) = object::view(&self.obj_buf[..obj_len]) else {
                 // Raced with an eviction that already reused the blocks;
                 // take back the optimistic frequency increment.
-                if self.config.enable_fc_cache {
-                    self.fc.forgive(freq_addr);
-                }
+                self.forgive_access(freq_addr);
                 continue;
             };
             if view.key != key {
                 // Fingerprint + hash collision or a concurrent replacement.
-                if self.config.enable_fc_cache {
-                    self.fc.forgive(freq_addr);
-                }
+                self.forgive_access(freq_addr);
                 continue;
             }
             let ext = view.ext;
@@ -869,8 +867,11 @@ impl DittoClient {
             // *Admission*).  A due FC flush means the key just crossed the
             // flush threshold on this client — unambiguously hot even though
             // the buffered delta reads as zero again.
-            let hot =
-                !flushes.is_empty() || self.fc.pending_delta(freq_addr) >= FREQ_ADMIT_THRESHOLD;
+            let hot = !flushes.is_empty()
+                || self
+                    .fc
+                    .as_ref()
+                    .is_some_and(|fc| fc.pending_delta(freq_addr) >= FREQ_ADMIT_THRESHOLD);
             if let Some(tier) = self.tier.as_mut().filter(|_| hot) {
                 let (word, now) = (slot.atomic.encode(), self.dm.now_ns());
                 tier.admit(hash, key, out, slot_addr, word, last_ts, now, board_epoch);
@@ -1003,12 +1004,18 @@ impl DittoClient {
                 tier.note_last_ts(hash, now);
             }
         }
-        if !self.config.enable_fc_cache {
-            return;
+        if let Some(fc) = self.fc.as_mut() {
+            let flushes = fc.record(SampleFriendlyHashTable::freq_addr(slot_addr));
+            self.post_fc_flushes(flushes);
         }
-        let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
-        let flushes = self.fc.record(freq_addr);
-        self.post_fc_flushes(flushes);
+    }
+
+    /// Takes back an access the FC cache recorded optimistically for a hit
+    /// that did not happen.
+    fn forgive_access(&mut self, freq_addr: RemoteAddr) {
+        if let Some(fc) = self.fc.as_mut() {
+            fc.forgive(freq_addr);
+        }
     }
 
     /// Posts due frequency-counter flushes unsignalled on a doorbell of
@@ -1064,16 +1071,17 @@ impl DittoClient {
             }
         }
         // Stateful information: the frequency counter, combined client-side.
-        // On the Get path with the FC cache enabled the flush decision is
-        // hoisted before the object READ (the FAA shares its doorbell
-        // batch), so such hits arrive here with the counter already
-        // handled.
-        if kind != AccessKind::Hit || !self.config.enable_fc_cache {
-            let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
-            if self.config.enable_fc_cache {
-                let flushes = self.fc.record(freq_addr);
+        // On the Get path with an FC cache the flush decision is hoisted
+        // before the object READ (the FAA shares its doorbell batch), so
+        // such hits arrive here with the counter already handled.
+        let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
+        match self.fc.as_mut() {
+            Some(_) if kind == AccessKind::Hit => {}
+            Some(fc) => {
+                let flushes = fc.record(freq_addr);
                 self.post_fc_flushes(flushes);
-            } else {
+            }
+            None => {
                 let _ = self
                     .dm
                     .with_retry(MAX_RETRIES, |dm| dm.try_faa(freq_addr, 1));

@@ -20,7 +20,9 @@ pub struct DittoConfig {
     pub avg_object_size: u32,
     /// Frequency-counter cache flush threshold *t*.
     pub fc_threshold: u64,
-    /// Frequency-counter cache size in megabytes.
+    /// Frequency-counter cache size in megabytes (§4.2.2).  0 MB means no
+    /// FC cache: every access sends its own `RDMA_FAA` to the slot's
+    /// counter, which is Figure 25's first point.
     pub fc_cache_mb: f64,
     /// Number of locally buffered weight updates before syncing with the
     /// memory-node controller (§4.3.2).  1 synchronises on every regret —
@@ -38,8 +40,6 @@ pub struct DittoConfig {
     /// Ablation toggle: embed history entries in the hash table (§4.3.1).
     /// Disabling it models a separate remote FIFO queue plus index.
     pub enable_lightweight_history: bool,
-    /// Ablation toggle: client-side frequency-counter cache (§4.2.2).
-    pub enable_fc_cache: bool,
     /// Segment size (in objects) requested from the memory node at a time by
     /// each client's allocator.
     pub alloc_segment_objects: u64,
@@ -84,7 +84,6 @@ impl Default for DittoConfig {
             experts: vec!["lru".to_string(), "lfu".to_string()],
             enable_sample_friendly_table: true,
             enable_lightweight_history: true,
-            enable_fc_cache: true,
             alloc_segment_objects: 16,
             enable_crash_recovery_journal: false,
             local_tier_capacity: 0,
@@ -183,9 +182,11 @@ impl DittoConfig {
     }
 
     /// Maximum number of entries the frequency-counter cache may hold
-    /// (each entry is accounted at 32 bytes, per §5.6).
-    pub fn fc_capacity_entries(&self) -> usize {
-        ((self.fc_cache_mb * 1_000_000.0) / 32.0).max(1.0) as usize
+    /// (each entry is accounted at 32 bytes, per §5.6), or `None` at 0 MB:
+    /// no FC cache.
+    pub fn fc_capacity_entries(&self) -> Option<usize> {
+        (self.fc_cache_mb > 0.0)
+            .then(|| ((self.fc_cache_mb * 1_000_000.0) / 32.0).max(1.0) as usize)
     }
 
     /// Number of hash-table buckets, rounded up to a power of two.
@@ -221,6 +222,12 @@ mod tests {
         assert_eq!(DittoConfig::SAMPLE_SPAN_SLOTS, 15);
         assert_eq!(c.fc_threshold, 10);
         assert_eq!(c.fc_cache_mb, 10.0);
+        assert_eq!(c.fc_capacity_entries(), Some(312_500));
+        let no_fc = DittoConfig {
+            fc_cache_mb: 0.0,
+            ..DittoConfig::default()
+        };
+        assert_eq!(no_fc.fc_capacity_entries(), None, "0 MB is no FC cache");
         assert_eq!(LEARNING_RATE, 0.1);
         assert_eq!(c.weight_sync_batch, 100);
         assert_eq!(c.experts, vec!["lru", "lfu"]);

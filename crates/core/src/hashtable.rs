@@ -81,8 +81,8 @@ impl SampleFriendlyHashTable {
             bases.push(pool.reserve_on(mn, stripe_bytes)?);
         }
         // The stripe directory is told the table's record layout: of each
-        // 40-byte slot clients CAS the atomic word alone — its first
-        // ([`Self::atomic_addr`]) — so that is the only word a stripe cutover
+        // 40-byte slot clients CAS the atomic word alone — its first, at the
+        // slot's own address — so that is the only word a stripe cutover
         // has to poison (see [`ditto_dm::RECONCILE_POISON`]); hash,
         // timestamps and frequency are plain data the cutover copies.
         let directory =
@@ -332,11 +332,6 @@ impl SampleFriendlyHashTable {
             rng.gen_range(0..=max_start)
         };
         (start, count)
-    }
-
-    /// Address of the atomic field of the slot at `slot_addr`.
-    pub fn atomic_addr(slot_addr: RemoteAddr) -> RemoteAddr {
-        slot_addr
     }
 
     /// Address of the hash field of the slot at `slot_addr`.

@@ -227,7 +227,7 @@ impl DmClient {
     pub fn flight_spans(&self) -> Vec<Span> {
         self.recorder
             .as_ref()
-            .map(|r| r.borrow().spans_in_order())
+            .map(|r| r.borrow().in_order())
             .unwrap_or_default()
     }
 
@@ -335,9 +335,12 @@ impl DmClient {
     }
 
     /// Consults the fault injector for the next verb to `mn_id`: returns
-    /// the latency factor (percent) and the injected fault, if any.
-    /// Consumes one draw of this client's deterministic fault stream.
-    pub(crate) fn inject(&self, mn_id: u16) -> (u64, Option<DmError>) {
+    /// the latency factor (percent) and the injected fault, if any, with
+    /// the retransmission window a timed-out verb waits (0 for an error
+    /// completion).  Consumes one draw of this client's deterministic fault
+    /// stream, and books the fault: the per-node timeout or failure counter
+    /// and one event-log entry.
+    pub(crate) fn inject(&self, mn_id: u16) -> (u64, Option<(DmError, u64)>) {
         let inj = self.pool.fault_injector();
         if !inj.is_active() {
             return (100, None);
@@ -346,25 +349,30 @@ impl DmClient {
         self.fault_seq.set(seq + 1);
         let now = self.clock_ns.get();
         let factor = inj.latency_factor_pct(mn_id, now);
-        let err = match inj.fate(self.client_id, seq, mn_id, now) {
-            VerbFate::Ok => None,
-            VerbFate::Fail => Some(DmError::VerbFailed { mn_id }),
-            VerbFate::Timeout | VerbFate::NodeDead => Some(DmError::VerbTimeout { mn_id }),
+        let stats = self.pool.stats();
+        let fault = match inj.fate(self.client_id, seq, mn_id, now) {
+            VerbFate::Ok => return (factor, None),
+            VerbFate::Fail => {
+                stats.record_verb_failure(mn_id);
+                (DmError::VerbFailed { mn_id }, 0)
+            }
+            VerbFate::Timeout | VerbFate::NodeDead => {
+                stats.record_verb_timeout(mn_id);
+                (DmError::VerbTimeout { mn_id }, inj.timeout_ns())
+            }
         };
-        if let Some(e) = &err {
-            // Injected faults are rare by construction; log each one.  This
-            // is the single choke point both the synchronous verbs and the
-            // WQE ring pass through, so every injected fault is logged once.
-            self.pool.record_event(
-                now,
-                self.client_id,
-                EventKind::VerbFault {
-                    mn_id,
-                    timeout: matches!(e, DmError::VerbTimeout { .. }),
-                },
-            );
-        }
-        (factor, err)
+        // Injected faults are rare by construction; log each one.  This is
+        // the single choke point both the synchronous verbs and the WQE ring
+        // pass through, so every injected fault is booked once.
+        self.pool.record_event(
+            now,
+            self.client_id,
+            EventKind::VerbFault {
+                mn_id,
+                timeout: matches!(fault.0, DmError::VerbTimeout { .. }),
+            },
+        );
+        (factor, Some(fault))
     }
 
     /// Charges one verb, consulting the fault injector: a faulted verb
@@ -378,23 +386,15 @@ impl DmClient {
         bytes: usize,
         base_latency_ns: u64,
     ) -> DmResult<()> {
-        let (factor_pct, err) = self.inject(mn_id);
+        let (factor_pct, fault) = self.inject(mn_id);
         let latency = base_latency_ns * factor_pct / 100;
-        match err {
+        match fault {
             None => {
                 self.charge(mn_id, kind, bytes, latency);
                 Ok(())
             }
-            Some(e) => {
-                let stats = self.pool.stats();
-                let extra = if matches!(e, DmError::VerbTimeout { .. }) {
-                    stats.record_verb_timeout(mn_id);
-                    self.pool.fault_injector().timeout_ns()
-                } else {
-                    stats.record_verb_failure(mn_id);
-                    0
-                };
-                self.charge(mn_id, kind, bytes, latency + extra);
+            Some((e, wait_ns)) => {
+                self.charge(mn_id, kind, bytes, latency + wait_ns);
                 Err(e)
             }
         }
@@ -522,14 +522,7 @@ impl DmClient {
         self.pool
             .stats()
             .record_verb(addr.mn_id, VerbKind::Write, data.len());
-        let (_, err) = self.inject(addr.mn_id);
-        if let Some(e) = err {
-            let stats = self.pool.stats();
-            if matches!(e, DmError::VerbTimeout { .. }) {
-                stats.record_verb_timeout(addr.mn_id);
-            } else {
-                stats.record_verb_failure(addr.mn_id);
-            }
+        if let (_, Some((e, _))) = self.inject(addr.mn_id) {
             return Err(e);
         }
         node.write(addr.offset, data)

@@ -15,7 +15,7 @@
 //! * [`EventLog`] — a bounded ring of rare [`Event`]s (fault injections,
 //!   lock exhaustions, migration state transitions, epoch bumps,
 //!   crash-recovery phases) shared pool-wide, always on, with drop counters
-//!   when the ring overflows.
+//!   when the ring overflows.  Both are one bounded [`Ring`].
 //! * [`chrome_trace_json`] — a Chrome-tracing / Perfetto JSON writer, so WQE
 //!   overlap and the fig18 migration timeline are visually inspectable.
 //! * [`text_exposition`] — a Prometheus-style text dump unifying
@@ -143,86 +143,104 @@ impl Span {
     }
 }
 
-/// A fixed-capacity ring of [`Span`]s: the per-client flight recorder.
-///
-/// The backing `Vec` is allocated once at construction and never grows, so
-/// recording in steady state is allocation-free (pinned by
+/// A bounded ring: the backing `Vec` is allocated once at construction and
+/// never grows, so pushing in steady state is allocation-free (pinned by
 /// `crates/core/tests/zero_alloc.rs`).  When the ring is full the oldest
-/// span is overwritten; [`FlightRecorder::push`] reports drops and wraps so
-/// the caller can feed the pool-wide obs counters.
-pub struct FlightRecorder {
-    spans: Vec<Span>,
+/// item is overwritten and counted as a drop.
+pub struct Ring<T> {
+    items: Vec<T>,
     cap: usize,
     total: u64,
 }
 
-impl FlightRecorder {
-    /// Creates a recorder holding at most `capacity` spans (minimum 1).
+/// The per-client flight recorder: a ring of [`Span`]s.
+/// [`Ring::push`] reports drops and wraps so the caller can feed the
+/// pool-wide obs counters.
+pub type FlightRecorder = Ring<Span>;
+
+/// The pool-wide ring of [`Event`]s (behind a mutex in the pool; see
+/// [`crate::MemoryPool::record_event`]).  Always on — rare events are cheap —
+/// holding the last [`EventLog::POOL_CAPACITY`] events.
+pub type EventLog = Ring<Event>;
+
+impl EventLog {
+    /// Capacity of the pool's log.
+    pub const POOL_CAPACITY: usize = 1024;
+}
+
+impl<T: Copy> Ring<T> {
+    /// Creates a ring holding at most `capacity` items (minimum 1).
     pub fn new(capacity: usize) -> Self {
         let cap = capacity.max(1);
-        FlightRecorder {
-            spans: Vec::with_capacity(cap),
+        Ring {
+            items: Vec::with_capacity(cap),
             cap,
             total: 0,
         }
     }
 
-    /// Maximum spans retained.
+    /// Maximum items retained.
     pub fn capacity(&self) -> usize {
         self.cap
     }
 
-    /// Spans currently retained.
+    /// Items currently retained.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.items.len()
     }
 
-    /// Whether no span has been recorded since the last clear.
+    /// Whether nothing has been pushed since the last clear.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.items.is_empty()
     }
 
-    /// Spans recorded since the last clear (including overwritten ones).
+    /// Items pushed since the last clear (including overwritten ones).
     pub fn total(&self) -> u64 {
         self.total
     }
 
-    /// Spans lost to overwrites since the last clear.
+    /// Items lost to overwrites since the last clear.
     pub fn dropped(&self) -> u64 {
-        self.total - self.spans.len() as u64
+        self.total - self.items.len() as u64
     }
 
-    /// Records a span.  Returns `(dropped, wrapped)`: `dropped` when an
-    /// older span was overwritten, `wrapped` when this push started a new
+    /// Pushes an item.  Returns `(dropped, wrapped)`: `dropped` when an
+    /// older item was overwritten, `wrapped` when this push started a new
     /// lap of the ring (slot 0 overwritten).
-    pub fn push(&mut self, span: Span) -> (bool, bool) {
+    pub fn push(&mut self, item: T) -> (bool, bool) {
         let idx = (self.total % self.cap as u64) as usize;
-        let full = self.spans.len() == self.cap;
+        let full = self.items.len() == self.cap;
         self.total += 1;
         if full {
-            self.spans[idx] = span;
+            self.items[idx] = item;
             (true, idx == 0)
         } else {
-            self.spans.push(span);
+            self.items.push(item);
             (false, false)
         }
     }
 
-    /// The retained spans, oldest first.
-    pub fn spans_in_order(&self) -> Vec<Span> {
-        if self.spans.len() < self.cap {
-            return self.spans.clone();
-        }
+    /// The retained items, oldest first.
+    pub fn in_order(&self) -> Vec<T> {
+        // The oldest slot; until the ring first fills it is one past the
+        // newest, so the first slice is empty.
         let head = (self.total % self.cap as u64) as usize;
-        let mut out = Vec::with_capacity(self.cap);
-        out.extend_from_slice(&self.spans[head..]);
-        out.extend_from_slice(&self.spans[..head]);
+        let mut out = Vec::with_capacity(self.items.len());
+        out.extend_from_slice(&self.items[head..]);
+        out.extend_from_slice(&self.items[..head]);
         out
+    }
+
+    /// The last `n` retained items, oldest first.
+    pub fn tail(&self, n: usize) -> Vec<T> {
+        let mut ordered = self.in_order();
+        ordered.drain(..ordered.len().saturating_sub(n));
+        ordered
     }
 
     /// Forgets everything (e.g. between warm-up and a measured window).
     pub fn clear(&mut self) {
-        self.spans.clear();
+        self.items.clear();
         self.total = 0;
     }
 }
@@ -310,91 +328,6 @@ impl fmt::Display for Event {
                 write!(f, "recovery of client {dead_client}: {}", phase.name())
             }
         }
-    }
-}
-
-/// A bounded ring of [`Event`]s shared pool-wide (behind a mutex in the
-/// pool; see [`crate::MemoryPool::record_event`]).
-///
-/// Always on — rare events are cheap — holding the last
-/// [`EventLog::POOL_CAPACITY`] events; the backing `Vec` is allocated once
-/// and overflow overwrites the oldest entry, counted as a drop.
-pub struct EventLog {
-    events: Vec<Event>,
-    cap: usize,
-    total: u64,
-}
-
-impl EventLog {
-    /// Capacity of the pool's log.
-    pub const POOL_CAPACITY: usize = 1024;
-
-    /// Creates a log holding at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        EventLog {
-            events: Vec::with_capacity(cap),
-            cap,
-            total: 0,
-        }
-    }
-
-    /// Maximum events retained.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events recorded since construction (including overwritten ones).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Events lost to overwrites.
-    pub fn dropped(&self) -> u64 {
-        self.total - self.events.len() as u64
-    }
-
-    /// Records an event; returns `true` when an older one was overwritten.
-    pub fn record(&mut self, event: Event) -> bool {
-        let idx = (self.total % self.cap as u64) as usize;
-        let full = self.events.len() == self.cap;
-        self.total += 1;
-        if full {
-            self.events[idx] = event;
-            true
-        } else {
-            self.events.push(event);
-            false
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events_in_order(&self) -> Vec<Event> {
-        if self.events.len() < self.cap {
-            return self.events.clone();
-        }
-        let head = (self.total % self.cap as u64) as usize;
-        let mut out = Vec::with_capacity(self.cap);
-        out.extend_from_slice(&self.events[head..]);
-        out.extend_from_slice(&self.events[..head]);
-        out
-    }
-
-    /// The last `n` retained events, oldest first.
-    pub fn tail(&self, n: usize) -> Vec<Event> {
-        let ordered = self.events_in_order();
-        let skip = ordered.len().saturating_sub(n);
-        ordered[skip..].to_vec()
     }
 }
 
@@ -867,7 +800,7 @@ mod tests {
         // Capacity + 1: the oldest span is evicted, one drop, one wrap.
         assert_eq!(rec.push(span(4, 4, 5)), (true, true));
         assert_eq!(rec.dropped(), 1);
-        let spans = rec.spans_in_order();
+        let spans = rec.in_order();
         assert_eq!(spans.len(), 4);
         assert_eq!(spans.first().unwrap().op_id, 1, "oldest span evicted");
         assert_eq!(spans.last().unwrap().op_id, 4);
@@ -897,13 +830,13 @@ mod tests {
     #[test]
     fn event_log_bounds_and_orders() {
         let mut log = EventLog::new(3);
-        assert!(!log.record(event(1, 0)));
-        assert!(!log.record(event(2, 1)));
-        assert!(!log.record(event(3, 2)));
-        assert!(log.record(event(4, 3)), "overflow overwrites the oldest");
+        assert_eq!(log.push(event(1, 0)), (false, false));
+        assert_eq!(log.push(event(2, 1)), (false, false));
+        assert_eq!(log.push(event(3, 2)), (false, false));
+        assert!(log.push(event(4, 3)).0, "overflow overwrites the oldest");
         assert_eq!(log.dropped(), 1);
         assert_eq!(log.total(), 4);
-        let events = log.events_in_order();
+        let events = log.in_order();
         assert_eq!(
             events.iter().map(|e| e.at_ns).collect::<Vec<_>>(),
             [2, 3, 4]

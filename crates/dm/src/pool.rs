@@ -130,7 +130,7 @@ impl MemoryPool {
     /// overwrites the oldest entry and counts into
     /// [`crate::stats::ObsSnapshot::events_dropped`].
     pub fn record_event(&self, at_ns: u64, client_id: u32, kind: EventKind) {
-        let dropped = self.inner.events.lock().record(Event {
+        let (dropped, _) = self.inner.events.lock().push(Event {
             at_ns,
             client_id,
             kind,
@@ -140,7 +140,7 @@ impl MemoryPool {
 
     /// The retained events, oldest first.
     pub fn events_snapshot(&self) -> Vec<Event> {
-        self.inner.events.lock().events_in_order()
+        self.inner.events.lock().in_order()
     }
 
     /// The last `n` retained events, oldest first (the post-mortem tail;

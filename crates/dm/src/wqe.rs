@@ -323,7 +323,6 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
         // node's queue pair in this ring (the RC rule, see the module docs):
         // those never reach the wire — no message, no fault draw, nothing
         // executed — and complete in error behind it.
-        let injector = client.pool().fault_injector();
         let mut node_floor = [0u64; MAX_WQES];
         let mut node_errored = [false; MAX_WQES];
         for wqe in self.wqes[..self.len].iter_mut().map(Option::take) {
@@ -339,20 +338,16 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
                 });
                 continue;
             }
-            let (factor_pct, err) = client.inject(mn);
+            let (factor_pct, fault) = client.inject(mn);
             let (kind, len) = (wqe.op.kind(), wqe.op.payload_len());
             let mut transfer = DmConfig::verb_latency_ns(kind, len) * factor_pct / 100;
-            let status = match &err {
+            let status = match fault {
                 None => CompletionStatus::Success,
-                Some(DmError::VerbTimeout { .. }) => {
-                    transfer += injector.timeout_ns();
-                    stats.record_verb_timeout(mn);
+                Some((DmError::VerbTimeout { .. }, wait_ns)) => {
+                    transfer += wait_ns;
                     CompletionStatus::TimedOut { mn_id: mn }
                 }
-                Some(_) => {
-                    stats.record_verb_failure(mn);
-                    CompletionStatus::Failed { mn_id: mn }
-                }
+                Some(_) => CompletionStatus::Failed { mn_id: mn },
             };
             node_floor[slot] = node_floor[slot].max(transfer);
             stats.record_verb(mn, kind, len);

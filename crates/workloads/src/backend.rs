@@ -32,29 +32,18 @@ pub trait CacheBackend {
     }
 }
 
-/// Options controlling [`replay`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Options controlling [`replay`].  A `Get` miss is always followed by a
+/// cache-aside fill of the missed object.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReplayOptions {
-    /// Insert the missed object after a `Get` miss (cache-aside fill).
-    pub insert_on_miss: bool,
     /// Miss penalty in microseconds of simulated time (0 disables it).
     pub miss_penalty_us: u64,
-}
-
-impl Default for ReplayOptions {
-    fn default() -> Self {
-        ReplayOptions {
-            insert_on_miss: true,
-            miss_penalty_us: 0,
-        }
-    }
 }
 
 impl ReplayOptions {
     /// The penalised configuration used by Figures 16 and 19 (500 µs misses).
     pub fn penalized() -> Self {
         ReplayOptions {
-            insert_on_miss: true,
             miss_penalty_us: 500,
         }
     }
@@ -113,10 +102,8 @@ where
                     if opts.miss_penalty_us > 0 {
                         backend.miss_penalty(opts.miss_penalty_us);
                     }
-                    if opts.insert_on_miss {
-                        fill_value(&mut value_buf, req.value_size, req.key);
-                        backend.set(&key, &value_buf);
-                    }
+                    fill_value(&mut value_buf, req.value_size, req.key);
+                    backend.set(&key, &value_buf);
                 }
             }
             Op::Update | Op::Insert => {
@@ -190,18 +177,6 @@ mod tests {
         );
         assert_eq!(stats.misses, 2);
         assert_eq!(backend.penalties, 2);
-    }
-
-    #[test]
-    fn insert_on_miss_can_be_disabled() {
-        let mut backend = MapBackend::default();
-        let opts = ReplayOptions {
-            insert_on_miss: false,
-            miss_penalty_us: 0,
-        };
-        let stats = replay(&mut backend, vec![Request::get(1), Request::get(1)], opts);
-        assert_eq!(stats.misses, 2);
-        assert!(backend.map.is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! Run with: `cargo run --release --example elastic_scaling`
 
-use ditto::baselines::{MonolithicConfig, RedisLikeCluster, ScaleEvent};
+use ditto::baselines::{RedisLikeCluster, ScaleEvent};
 use ditto::cache::{DittoCache, DittoConfig};
 use ditto::dm::{run_clients, DmConfig};
 use ditto::workloads::{replay, ReplayOptions, YcsbSpec, YcsbWorkload};
@@ -123,7 +123,7 @@ fn main() {
 
     println!();
     println!("== Redis-like cluster: scaling 32 -> 64 -> 32 nodes ==");
-    let cluster = RedisLikeCluster::new(MonolithicConfig::default());
+    let cluster = RedisLikeCluster::new();
     let events = [
         ScaleEvent {
             at_seconds: 180.0,

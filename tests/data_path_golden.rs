@@ -129,8 +129,8 @@ struct Replayed {
     set_reads: u64,
 }
 
-fn replay(mix: YcsbWorkload, dm: DmConfig, capacity: u64) -> Golden {
-    replay_keeping(mix, dm, capacity).golden
+fn replay(mix: YcsbWorkload, dm: DmConfig, config: DittoConfig) -> Golden {
+    replay_keeping(mix, dm, config).golden
 }
 
 /// READs served, summed over the memory nodes.
@@ -140,20 +140,20 @@ fn reads(cache: &DittoCache) -> u64 {
 }
 
 /// Replays a YCSB mix (seed 11, 2 000 records, 12 000 requests, cache-aside
-/// fills on a miss) on a default-configured cache of `capacity` objects
-/// over the pool `dm` describes.  The YCSB-C replays' capacity is well below
+/// fills on a miss) on a cache configured by `config` over the pool `dm`
+/// describes, checking every hit's value.  The YCSB-C replays' capacity is well below
 /// the touched key count, so they exercise eviction and the history
 /// machinery beside hits, and every `Set` of theirs is a fill that holds no
 /// hint; the YCSB-A replay has room for every record, so half its requests
 /// are replaces, nearly all of them through the client's own hint.
-fn replay_keeping(mix: YcsbWorkload, dm: DmConfig, capacity: u64) -> Replayed {
+fn replay_keeping(mix: YcsbWorkload, dm: DmConfig, config: DittoConfig) -> Replayed {
     let spec = YcsbSpec {
         record_count: 2_000,
         request_count: 12_000,
         ..YcsbSpec::default()
     }
     .with_seed(11);
-    let cache = DittoCache::with_dedicated_pool(DittoConfig::with_capacity(capacity), dm).unwrap();
+    let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
     let mut client = cache.client();
     let mut set_reads = 0;
     let mut value_buf = Vec::new();
@@ -249,7 +249,11 @@ fn update_heavy_golden() -> Golden {
 #[test]
 fn single_node_replay_matches_the_pipelined_path_to_the_nanosecond() {
     assert_eq!(
-        replay(YcsbWorkload::C, DmConfig::default(), 700),
+        replay(
+            YcsbWorkload::C,
+            DmConfig::default(),
+            DittoConfig::with_capacity(700)
+        ),
         single_node_golden()
     );
 }
@@ -285,7 +289,7 @@ fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
         replay(
             YcsbWorkload::C,
             DmConfig::default().with_memory_nodes(4),
-            350
+            DittoConfig::with_capacity(350)
         ),
         golden
     );
@@ -294,7 +298,11 @@ fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
 #[test]
 fn update_heavy_replay_pins_the_replace_path_to_the_nanosecond() {
     assert_eq!(
-        replay(YcsbWorkload::A, DmConfig::default(), 3_000),
+        replay(
+            YcsbWorkload::A,
+            DmConfig::default(),
+            DittoConfig::with_capacity(3_000)
+        ),
         update_heavy_golden()
     );
 }
@@ -314,9 +322,12 @@ fn an_active_fault_plan_that_never_fires_moves_nothing() {
         ))
     };
     assert!(idle().fault.as_ref().is_some_and(FaultPlan::is_active));
-    assert_eq!(replay(YcsbWorkload::C, idle(), 700), single_node_golden());
     assert_eq!(
-        replay(YcsbWorkload::A, idle(), 3_000),
+        replay(YcsbWorkload::C, idle(), DittoConfig::with_capacity(700)),
+        single_node_golden()
+    );
+    assert_eq!(
+        replay(YcsbWorkload::A, idle(), DittoConfig::with_capacity(3_000)),
         update_heavy_golden()
     );
 }
@@ -334,12 +345,12 @@ fn an_armed_or_sampled_flight_recorder_moves_nothing() {
     let armed = replay_keeping(
         YcsbWorkload::C,
         DmConfig::default().with_flight_recorder(spans),
-        700,
+        DittoConfig::with_capacity(700),
     );
     let sampled = replay_keeping(
         YcsbWorkload::C,
         DmConfig::default().with_flight_recorder_sampled(spans, 16),
-        700,
+        DittoConfig::with_capacity(700),
     );
     assert_eq!(armed.golden, single_node_golden());
     assert_eq!(sampled.golden, single_node_golden());
@@ -378,6 +389,123 @@ fn an_armed_or_sampled_flight_recorder_moves_nothing() {
     assert!(
         reads_per_get < 2.2,
         "a Get must issue fewer than 2.2 READs on average, measured {reads_per_get:.4}"
+    );
+}
+
+/// A single-node YCSB-C golden: no hinted publish, no bucket eviction, no
+/// local tier, one fill per miss and one history insert per eviction.
+fn single_node_ablated(
+    clock_ns: u64,
+    messages: u64,
+    timestamps: (u64, u64),
+    [hits, misses, evictions, regrets, weight_syncs, fc_flushes]: [u64; 6],
+    expert_victories: [u64; 2],
+) -> Golden {
+    Golden {
+        clock_ns,
+        messages,
+        published: (0, 0),
+        timestamps,
+        stats: CacheStatsSnapshot {
+            hits,
+            misses,
+            sets: misses,
+            evictions,
+            bucket_evictions: 0,
+            history_inserts: evictions,
+            regrets,
+            weight_syncs,
+            fc_flushes,
+            local_hits: 0,
+            local_revalidations: 0,
+            local_invalidations: 0,
+            local_stale_rejects: 0,
+            expert_victories: expert_victories.to_vec(),
+        },
+    }
+}
+
+/// Figure 24's rungs on the single-node YCSB-C replay, each taking one more
+/// technique out than the one before: 1 scatters the metadata, 2 adds the
+/// separate history, 3 the eager weight sync, 4 drops the FC cache.
+fn fig24_rung(rung: usize) -> DittoConfig {
+    let mut config = DittoConfig::with_capacity(700);
+    config.enable_sample_friendly_table = rung < 1;
+    config.enable_lightweight_history = rung < 2;
+    if rung >= 3 {
+        config.weight_sync_batch = 1;
+    }
+    if rung >= 4 {
+        config.fc_cache_mb = 0.0;
+    }
+    config
+}
+
+/// The ablated data paths hold the numbers they had when the FC cache's off
+/// switch was a flag of its own beside `fc_cache_mb`, every hit's value
+/// checked.  The separate history is traffic against scratch space: it
+/// records no regret, so the weights never sync and rung 3's eager sync
+/// repeats rung 2 to the nanosecond.
+#[test]
+fn fig24_ablation_rungs_hold_their_numbers() {
+    let rungs = [
+        single_node_ablated(
+            37_438_822,
+            54_092,
+            (6_839, 3_544),
+            [10_383, 1_617, 722, 368, 4, 1_727],
+            [372, 350],
+        ),
+        single_node_ablated(
+            42_240_249,
+            55_894,
+            (6_848, 3_559),
+            [10_407, 1_593, 698, 0, 0, 1_607],
+            [356, 342],
+        ),
+        single_node_ablated(
+            42_240_249,
+            55_894,
+            (6_848, 3_559),
+            [10_407, 1_593, 698, 0, 0, 1_607],
+            [356, 342],
+        ),
+        single_node_ablated(
+            62_990_960,
+            64_505,
+            (6_873, 3_556),
+            [10_429, 1_571, 676, 0, 0, 10_429],
+            [338, 338],
+        ),
+    ];
+    for (i, golden) in rungs.into_iter().enumerate() {
+        let rung = i + 1;
+        let config = fig24_rung(rung);
+        assert_eq!(
+            replay(YcsbWorkload::C, DmConfig::default(), config),
+            golden,
+            "fig24 rung {rung}"
+        );
+    }
+}
+
+/// Figure 25's first point alone: no FC cache, so every hit sends its own
+/// FAA (one flush per hit) after its key check.
+#[test]
+fn no_fc_cache_replay_holds_its_numbers() {
+    let config = DittoConfig {
+        fc_cache_mb: 0.0,
+        ..DittoConfig::with_capacity(700)
+    };
+    assert_eq!(
+        replay(YcsbWorkload::C, DmConfig::default(), config),
+        single_node_ablated(
+            56_164_962,
+            48_756,
+            (6_747, 3_688),
+            [10_435, 1_565, 670, 317, 4, 10_435],
+            [296, 374],
+        )
     );
 }
 
