@@ -73,7 +73,7 @@ use crate::cache::MigrationProgress;
 use crate::cache::{DittoCache, JOURNAL_SLOTS, JOURNAL_SLOT_BYTES};
 use crate::config::DittoConfig;
 use crate::error::{CacheError, CacheResult};
-use crate::fc_cache::{FcCache, FcFlushes};
+use crate::fc_cache::{FcCache, FcFlush, FcFlushes};
 use crate::hash::{fingerprint, fnv1a64};
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::history::EvictionHistory;
@@ -87,12 +87,15 @@ use crate::stats::CacheStats;
 use ditto_algorithms::{AccessContext, AccessKind, Metadata, EXT_WORDS};
 use ditto_dm::alloc::{AllocService, ClientAllocator};
 use ditto_dm::rpc::{ALLOC_SERVICE, WEIGHT_SERVICE};
+use ditto_dm::wqe::MAX_WQES;
 use ditto_dm::{
-    DmClient, DmError, EventKind, MigrationEngine, Phase, PoolTopology, RecoveryPhase, RemoteAddr,
-    StripedAllocator,
+    CompletionStatus, DmClient, DmError, EventKind, MigrationEngine, Phase, PoolTopology,
+    RecoveryPhase, RemoteAddr, StripedAllocator, WorkQueue,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 mod evict;
@@ -430,17 +433,72 @@ impl DittoClient {
             .release_excess_adaptive(&self.dm, self.pending_alloc_blocks);
     }
 
-    /// Flushes buffered state: pending frequency-counter increments and
-    /// pending expert-weight penalties.  Call at the end of an experiment.
+    /// Flushes buffered state — every frequency-counter increment the FC
+    /// cache holds and the pending expert-weight penalties — as a client
+    /// must before it leaves the compute pool (or an experiment ends).
+    ///
+    /// The drain posts one `RDMA_FAA` per buffered counter, in address
+    /// order and so grouped by node, [`MAX_WQES`] to a ring: one doorbell
+    /// per node the ring touches, and one wait per ring, for each node's
+    /// last FAA (the only ones signalled) and any error completion.  N
+    /// counters on one node cost ⌈N / `MAX_WQES`⌉ round trips, not N.
+    ///
+    /// A counter whose FAA failed, or was flushed behind one that did (the
+    /// RC rule, [`ditto_dm::wqe`]), goes out again in the next ring: at most
+    /// `MAX_RETRIES` attempts under [`DmClient::back_off_transient`]'s rule,
+    /// as [`DmClient::with_retry`] gives a single verb, and a flushed FAA
+    /// never ran, so it spends no attempt.  A counter on a failed or removed
+    /// node is dropped: the counters are advisory.
     pub fn flush(&mut self) {
-        let flushes = self.fc.as_mut().map(FcCache::flush_all).unwrap_or_default();
-        for (addr, delta) in flushes {
-            // A persistently faulted flush drops buffered increments (the
-            // counters are advisory); the message charge already happened.
-            let _ = self
-                .dm
-                .with_retry(MAX_RETRIES, |dm| dm.try_faa(addr, delta));
+        let drained = self.fc.as_mut().map(FcCache::flush_all).unwrap_or_default();
+        // Each counter with the failed attempts it has spent.
+        let mut pending = VecDeque::with_capacity(drained.len());
+        for (addr, delta) in drained {
             self.stats.record_fc_flush();
+            if self.dm.check_reachable(addr.mn_id).is_ok() {
+                pending.push_back(((addr, delta), 0));
+            }
+        }
+        while !pending.is_empty() {
+            let mut ring: InlineVec<(FcFlush, usize), MAX_WQES> = InlineVec::new();
+            ring.extend(pending.drain(..pending.len().min(MAX_WQES)));
+            let ids = {
+                let mut wq = self.dm.work_queue();
+                let ids = Self::post_fc_faas(&mut wq, ring.iter().map(|&(c, _)| c), true);
+                wq.ring();
+                ids
+            };
+            // The one wait: every completion the ring produced — each
+            // node's last FAA, and any error before it.  Between ops the
+            // queue holds nothing else.
+            let mut status = [CompletionStatus::Success; MAX_WQES];
+            while let Some(completion) = self.dm.poll_cq() {
+                if ids.contains(&completion.wr_id) {
+                    status[(completion.wr_id - ids.start) as usize] = completion.status;
+                }
+            }
+            let mut again: InlineVec<(FcFlush, usize), MAX_WQES> = InlineVec::new();
+            for (&(counter, failed), status) in ring.iter().zip(status) {
+                let retry = match status {
+                    CompletionStatus::Success => None,
+                    // Never ran, so it spends no attempt.
+                    CompletionStatus::Flushed { mn_id } => {
+                        (!self.dm.node_failed(mn_id)).then_some(failed)
+                    }
+                    faulted => {
+                        let e = faulted.check().expect_err("a status other than success");
+                        let failed = failed + 1;
+                        (failed < MAX_RETRIES && self.dm.back_off_transient(&e)).then_some(failed)
+                    }
+                };
+                if let Some(failed) = retry {
+                    again.push((counter, failed));
+                }
+            }
+            // Retries lead the next ring, in their order.
+            for &entry in again.iter().rev() {
+                pending.push_front(entry);
+            }
         }
         self.sync_weights();
     }
@@ -814,9 +872,7 @@ impl DittoClient {
                         &mut self.obj_buf[..obj_len],
                         true,
                     );
-                    for (addr, delta) in flushes {
-                        wq.post_faa(addr, delta, false);
-                    }
+                    Self::post_fc_faas(&mut wq, flushes, false);
                     wq.ring();
                 }
                 // Only the READ's own status decides the hit: a faulted
@@ -1027,11 +1083,40 @@ impl DittoClient {
             return;
         }
         let mut wq = self.dm.work_queue();
-        for (addr, delta) in flushes {
-            wq.post_faa(addr, delta, false);
+        Self::post_fc_faas(&mut wq, flushes, false);
+        wq.ring();
+        for _ in 0..flushes.len() {
             self.stats.record_fc_flush();
         }
-        wq.ring();
+    }
+
+    /// Posts one `RDMA_FAA` of each counter's buffered delta on `wq` — the
+    /// one way an FC-cache increment reaches its `freq` word, whether a
+    /// due flush rides an op or [`DittoClient::flush`] drains the cache —
+    /// and returns the work-request ids they took, in posting order.
+    ///
+    /// Every FAA goes unsignalled but, when the caller will `wait`, the
+    /// last of each run of counters on one node: a queue pair completes in
+    /// order, so that completion comes no earlier than any other of the
+    /// node's in the ring, and a faulted or flushed FAA surfaces an error
+    /// completion signalled or not.
+    fn post_fc_faas(
+        wq: &mut WorkQueue<'_, '_>,
+        counters: impl IntoIterator<Item = FcFlush>,
+        wait: bool,
+    ) -> Range<u64> {
+        let mut ids: Option<Range<u64>> = None;
+        let mut counters = counters.into_iter().peekable();
+        while let Some((addr, delta)) = counters.next() {
+            let run_ends = counters
+                .peek()
+                .is_none_or(|(next, _)| next.mn_id != addr.mn_id);
+            let id = wq.post_faa(addr, delta, wait && run_ends);
+            let ids = ids.get_or_insert(id..id);
+            debug_assert_eq!(ids.end, id, "a ring's work-request ids are consecutive");
+            ids.end = id + 1;
+        }
+        ids.unwrap_or_default()
     }
 
     /// Records an access in the slot's metadata: the stateless last-access
@@ -1654,6 +1739,29 @@ impl DittoClient {
             }
         }
         total
+    }
+
+    /// Forensic scan: every slot's frequency-counter address and the value
+    /// its `freq` word holds now, bucket by bucket.  With
+    /// [`DittoClient::fc_cache`]'s `pending_delta` it shows what a drain
+    /// owes each counter and what landed.  Debug/test aid, like
+    /// [`DittoClient::referenced_object_bytes_on`].
+    pub fn freq_words(&mut self) -> Vec<(RemoteAddr, u64)> {
+        let mut words = Vec::new();
+        for stripe in 0..self.table.num_stripes() as u64 {
+            let first = self.table.first_bucket_of_stripe(stripe);
+            for bucket in first..first + self.table.buckets_per_stripe() {
+                for (slot_addr, slot) in self.table.read_bucket(&self.dm, bucket) {
+                    words.push((SampleFriendlyHashTable::freq_addr(slot_addr), slot.freq));
+                }
+            }
+        }
+        words
+    }
+
+    /// The client's FC cache (§4.2.2), `None` when `fc_cache_mb` is 0.
+    pub fn fc_cache(&self) -> Option<&FcCache> {
+        self.fc.as_ref()
     }
 
     /// Whether any inactive node still holds resident object bytes.
@@ -2844,6 +2952,87 @@ mod tests {
         );
         cache.stats().reset();
         assert_eq!(cache.stats().sets_dropped(), 1, "a lifetime counter");
+    }
+
+    /// A leaving client's drain, on a pool of `nodes`: `keys` counters
+    /// buffered with none due (the threshold is out of reach) go out as one
+    /// FAA each, [`MAX_WQES`] to a ring, and every `freq` word gains
+    /// exactly what the FC cache held for it.  Sorted by address, the
+    /// counters come grouped by node, so at most `nodes − 1` rings straddle
+    /// two nodes and ring a second doorbell.
+    fn assert_the_drain_rings_doorbells_not_round_trips(nodes: u16, keys: u64) {
+        use ditto_dm::wqe::MAX_WQES;
+        let config = DittoConfig {
+            fc_threshold: u64::MAX,
+            ..DittoConfig::with_capacity(2 * keys)
+        };
+        let dm = DmConfig::default().with_memory_nodes(nodes);
+        let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
+        let mut client = cache.client();
+        for i in 0..keys {
+            let key = i.to_le_bytes();
+            client.set(&key, b"value");
+            for _ in 0..1 + u64::from(i % 3 == 0) {
+                assert!(client.get(&key).is_some(), "key {i} missed");
+            }
+        }
+        let fc = client.fc_cache().expect("an FC cache");
+        assert_eq!(fc.len() as u64, keys, "one counter per key, none flushed");
+        assert_eq!(fc.buffered_increments(), keys + keys.div_ceil(3));
+        let owed: Vec<_> = client
+            .freq_words()
+            .into_iter()
+            .map(|(addr, freq)| (addr, freq + client.fc_cache().unwrap().pending_delta(addr)))
+            .collect();
+
+        let stats = cache.pool().stats();
+        let sum = |f: fn(&ditto_dm::stats::NodeSnapshot) -> u64| -> u64 {
+            stats.node_snapshots().iter().map(f).sum()
+        };
+        let (faas, messages, doorbells) =
+            (sum(|n| n.faa), sum(|n| n.messages), sum(|n| n.doorbells));
+        let start = client.dm().now_ns();
+        client.flush();
+        let elapsed = client.dm().now_ns() - start;
+        let doorbells = sum(|n| n.doorbells) - doorbells;
+
+        assert_eq!(sum(|n| n.faa) - faas, keys, "one FAA per counter");
+        assert_eq!(sum(|n| n.messages) - messages, keys, "and nothing else");
+        let rings = keys.div_ceil(MAX_WQES as u64);
+        assert!(
+            (rings..rings + u64::from(nodes)).contains(&doorbells),
+            "{doorbells} doorbells for {rings} rings on {nodes} nodes"
+        );
+        assert!(
+            nodes == 1 || doorbells > rings,
+            "no ring straddled two nodes: the case went uncovered"
+        );
+        // Per ring at most: its doorbells, an issue and a poll per FAA, and
+        // one FAA flight waited for.
+        let bound = rings
+            * (MAX_WQES as u64 * (DmConfig::VERB_ISSUE_NS + DmConfig::CQ_POLL_NS)
+                + DmConfig::FAA_LATENCY_NS)
+            + doorbells * DmConfig::DOORBELL_LATENCY_NS;
+        assert!(
+            elapsed <= bound,
+            "the drain took {elapsed} ns, over {bound}"
+        );
+        assert_eq!(
+            client.freq_words(),
+            owed,
+            "a freq word gained other than it was owed"
+        );
+        assert!(client.fc_cache().unwrap().is_empty());
+    }
+
+    #[test]
+    fn the_drain_rings_doorbells_not_round_trips() {
+        assert_the_drain_rings_doorbells_not_round_trips(1, 100);
+    }
+
+    #[test]
+    fn the_drain_rings_doorbells_not_round_trips_across_two_nodes() {
+        assert_the_drain_rings_doorbells_not_round_trips(2, 100);
     }
 
     #[test]

@@ -96,7 +96,10 @@
 //! resource (it is why the FC cache combines `FAA`s client-side), and an
 //! unsignalled verb nobody waits for is a message all the same.  Two rules
 //! keep messages nobody needs off the wire — both observed, neither a
-//! setting.
+//! setting.  (What the FC cache still holds when a client leaves,
+//! [`DittoClient::flush`] sends as one `FAA` per counter all the same, but
+//! at doorbell rate: `MAX_WQES` to a ring, one doorbell per node and one
+//! wait per ring, a faulted or flushed `FAA` re-posted in the next.)
 //!
 //! **A hit rewrites `last_ts` only when it is stale enough to matter**
 //! ([`recency`]).  Both `Get` paths have just read the slot's stored

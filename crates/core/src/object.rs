@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! [ key_len: u16 | val_len: u32 | flags: u16 ]  -- 8-byte length header
-//! [ checksum: u64                            ]  -- FNV-1a over header + key + value
+//! [ checksum: u64                            ]  -- lane mix over header + key + value
 //! [ extension metadata: EXT_WORDS × 8 bytes  ]  -- only when an expert needs it (§4.4)
 //! [ key bytes ][ value bytes ][ padding to 64 ]
 //! ```
@@ -168,17 +168,35 @@ pub fn view(bytes: &[u8]) -> Option<ObjectView<'_>> {
     })
 }
 
-/// FNV-1a over the 8-byte length header and the key/value bytes.
+/// A multiply-xorshift mix over the 8-byte length header and the key/value
+/// bytes, eight bytes to a step: each part's length, then its 8-byte lanes,
+/// then its zero-padded byte tail.
+///
+/// Every step is a bijection of the state for a fixed word and of the word
+/// for a fixed state, so two inputs that differ in one word — any single
+/// corrupted byte — always checksum differently, at an eighth of a
+/// byte-at-a-time hash's dependent multiplies.
 ///
 /// The checksum word itself and the extension-metadata words are excluded:
 /// experts rewrite the ext words in place on every hit, which must not
 /// invalidate the object (the words are advisory metadata, racy by design).
 fn integrity_checksum(header: &[u8], key: &[u8], value: &[u8]) -> u64 {
+    fn mix(h: u64, word: u64) -> u64 {
+        let x = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^ (x >> 29)
+    }
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for part in [header, key, value] {
-        for &b in part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = mix(h, part.len() as u64);
+        let lanes = part.chunks_exact(8);
+        let tail = lanes.remainder();
+        for lane in lanes {
+            h = mix(h, u64::from_le_bytes(lane.try_into().expect("8-byte lane")));
+        }
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            h = mix(h, u64::from_le_bytes(word));
         }
     }
     h
@@ -290,6 +308,29 @@ mod tests {
         assert!(view(&bytes).is_none(), "torn value must fail validation");
         bytes[val_start + 50] ^= 0xFF;
         assert!(view(&bytes).is_some(), "restored bytes validate again");
+    }
+
+    #[test]
+    fn a_one_byte_flip_anywhere_in_header_key_or_value_is_caught() {
+        // Lengths that leave a byte tail in the key and in the value, with
+        // and without extension words (which sit outside the checksum).
+        for with_ext in [false, true] {
+            let key = b"user:0001234";
+            let value: Vec<u8> = (0..203u32).map(|i| (i * 37 % 251) as u8).collect();
+            let bytes = encode(key, &value, with_ext, &[5, 6, 7, 8]);
+            let body = OBJECT_HEADER + if with_ext { EXT_HEADER } else { 0 };
+            let covered = (0..8).chain(body..body + key.len() + value.len());
+            for at in covered {
+                for mask in [0x01u8, 0x80, 0xFF] {
+                    let mut torn = bytes.clone();
+                    torn[at] ^= mask;
+                    assert!(
+                        view(&torn).is_none(),
+                        "flip {mask:#04x} at byte {at} (ext {with_ext}) went unnoticed"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

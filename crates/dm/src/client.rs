@@ -281,6 +281,14 @@ impl DmClient {
         Ok(node)
     }
 
+    /// Whether this client has a queue pair to `mn_id`: the check every
+    /// synchronous verb makes before it charges anything, for a caller about
+    /// to post WQEs (which the ring does not check).  Fails typed — and
+    /// counted — exactly as such a verb would.
+    pub fn check_reachable(&self, mn_id: u16) -> DmResult<()> {
+        self.node_checked(mn_id).map(drop)
+    }
+
     pub(crate) fn node_ref(&self, mn_id: u16) -> Arc<MemoryNode> {
         self.node(mn_id)
     }

@@ -34,7 +34,7 @@
 mod support;
 
 use ditto::cache::recovery::CrashPoint;
-use ditto::cache::{DittoCache, DittoConfig};
+use ditto::cache::{DittoCache, DittoClient, DittoConfig};
 use ditto::dm::obs::with_event_postmortem;
 use ditto::dm::{DmConfig, FaultPlan};
 use rand::rngs::StdRng;
@@ -735,5 +735,72 @@ fn chaos_set_give_ups_under_a_drain_are_never_stale() {
         while writer.pump_migration(usize::MAX).stripes_moved > 0 {}
         assert_eq!(cache.pool().resident_object_bytes(1), 0, "seed {seed}");
         assert_no_orphans(&cache, &mut cache.client(), &format!("seed {seed}"));
+    }
+}
+
+/// The sum of every slot's `freq` word.
+fn freq_total(client: &mut DittoClient) -> u64 {
+    client.freq_words().iter().map(|&(_, freq)| freq).sum()
+}
+
+/// A leaving client's FC-cache drain under a seeded verb-fail plan on a
+/// 2-node pool.  The threshold is out of reach, so every access is still
+/// buffered when the drain runs, and the increments that land in the
+/// `freq` words must be exactly what the FC cache held: an FAA flushed
+/// behind a faulted one in its ring is re-posted, not lost, and nothing
+/// lands twice.  The rate is 5 % of verbs failing: a counter spends all
+/// eight of its attempts with odds of 0.05⁸ ≈ 4·10⁻¹¹, ≈ 5·10⁻⁷ over 1 000
+/// counters and CI's 12 seeds, so `MAX_RETRIES` does not run out.
+#[test]
+fn chaos_drain_reposts_faas_flushed_behind_a_fault() {
+    const COUNTERS: u64 = 1_000;
+    let seeds = env_u64("DITTO_CHAOS_SEEDS", 2);
+    for round in 0..seeds {
+        let seed = 0xD4A1_0000 + round;
+        let config = DittoConfig {
+            fc_threshold: u64::MAX,
+            ..DittoConfig::with_capacity(2 * COUNTERS)
+        };
+        let plan = FaultPlan::seeded(seed).with_verb_fail_ppm(50_000);
+        let dm = DmConfig::default()
+            .with_memory_nodes(2)
+            .with_fault_plan(plan);
+        let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
+        let injector = cache.pool().fault_injector();
+        injector.set_armed(false);
+        let mut client = cache.client();
+        for i in 0..COUNTERS {
+            let key = i.to_le_bytes();
+            client.set(&key, b"value");
+            for _ in 0..=i % 3 {
+                assert!(client.get(&key).is_some(), "seed {seed}: key {i} missed");
+            }
+        }
+        let owed = client.fc_cache().unwrap().buffered_increments();
+        let hits = cache.stats().snapshot().hits;
+        assert_eq!(owed, hits, "seed {seed}: an increment flushed early");
+        let before = freq_total(&mut client);
+        let stats = cache.pool().stats();
+        let faas = || -> u64 { stats.node_snapshots().iter().map(|n| n.faa).sum() };
+        let (faas_before, failures_before) = (faas(), stats.faults().verb_failures);
+
+        injector.set_armed(true);
+        client.flush();
+        injector.set_armed(false);
+
+        let failures = stats.faults().verb_failures - failures_before;
+        assert!(failures > 0, "seed {seed}: no FAA of the drain failed");
+        assert_eq!(
+            freq_total(&mut client) - before,
+            owed,
+            "seed {seed}: the drain lost or doubled increments"
+        );
+        // A flushed FAA never reached the wire: the drain sent one FAA per
+        // counter that landed, and one per fault.
+        assert_eq!(
+            faas() - faas_before,
+            COUNTERS + failures,
+            "seed {seed}: a flushed FAA was sent"
+        );
     }
 }

@@ -99,6 +99,16 @@
 //! regrets 9 → 12, FC flushes 1 679 → 1 680, victories 32/28 → 34/29,
 //! 36 877 929 → 34 617 675 ns, 37 267 → 37 336 messages, timestamps
 //! (7 423, 3 318) → (7 465, 3 273).
+//!
+//! Re-derived a sixth time when the final `flush` came to drain the FC cache
+//! through the work queue: `MAX_WQES` FAAs to a ring, each node's last one
+//! signalled, one wait per ring, where it used to wait out one FAA per
+//! buffered counter.  Only the drain's
+//! own time may move.  `pre_flush_ns`, the clock when the last op ended, was
+//! added then, with the values it had before the change; the messages and
+//! every `CacheStatsSnapshot` field are unchanged.  Each moved `clock_ns`
+//! names its old value at its golden.  Fig24's fourth rung and the no-FC
+//! replay hold no FC cache, so they have nothing to drain and did not move.
 
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{DittoCache, DittoClient, DittoConfig};
@@ -109,6 +119,10 @@ use ditto::workloads::{Op, YcsbSpec, YcsbWorkload};
 /// What one replay must come out as.
 #[derive(Debug, PartialEq)]
 struct Golden {
+    /// The client's simulated clock just before the final flush: when the
+    /// replay's last op ended, which a change to the drain alone leaves
+    /// where it was.
+    pre_flush_ns: u64,
     /// The client's simulated clock after the final flush.
     clock_ns: u64,
     /// RNIC messages served, summed over the memory nodes.
@@ -168,9 +182,11 @@ fn replay_keeping(mix: YcsbWorkload, dm: DmConfig, config: DittoConfig) -> Repla
             set_reads += reads(&cache) - before;
         }
     }
+    let pre_flush_ns = client.dm().now_ns();
     client.flush();
     let nodes = cache.pool().stats().node_snapshots();
     let golden = Golden {
+        pre_flush_ns,
         clock_ns: client.dm().now_ns(),
         messages: nodes.iter().map(|node| node.messages).sum(),
         published: (
@@ -191,9 +207,12 @@ fn replay_keeping(mix: YcsbWorkload, dm: DmConfig, config: DittoConfig) -> Repla
     }
 }
 
+/// The single-node YCSB-C replay.  Its `clock_ns` fell 35 622 402 →
+/// 33 609 052 when the drain began to share doorbells (module docs).
 fn single_node_golden() -> Golden {
     Golden {
-        clock_ns: 35_622_402,
+        pre_flush_ns: 33_496_601,
+        clock_ns: 33_609_052,
         messages: 40_238,
         published: (0, 0),
         timestamps: (6_714, 3_691),
@@ -220,10 +239,12 @@ fn single_node_golden() -> Golden {
 /// `Set`s the 5 449 that replace a value this client still holds a hint for
 /// take one round trip — the WRITE and the CAS behind one doorbell — none of
 /// them mispredicted, and so do the 626 fills after a miss, which CAS the
-/// slot their memo chose.
+/// slot their memo chose.  Its `clock_ns` fell 34 466 069 → 32 611 379 when
+/// the drain began to share doorbells.
 fn update_heavy_golden() -> Golden {
     Golden {
-        clock_ns: 34_466_069,
+        pre_flush_ns: 32_512_469,
+        clock_ns: 32_611_379,
         messages: 40_255,
         published: (5_449, 0),
         timestamps: (10_752, 0),
@@ -262,9 +283,12 @@ fn single_node_replay_matches_the_pipelined_path_to_the_nanosecond() {
 fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
     // On a 4-node pool an eviction sample splits into per-node segments whose
     // completions drain out of order, and a `Set`'s unsignalled object WRITE
-    // can push its primary bucket's completion past the secondary's.
+    // can push its primary bucket's completion past the secondary's.  Its
+    // `clock_ns` fell 34 617 675 → 32 763 495 when the drain began to share
+    // doorbells.
     let golden = Golden {
-        clock_ns: 34_617_675,
+        pre_flush_ns: 32_659_074,
+        clock_ns: 32_763_495,
         messages: 37_336,
         published: (0, 0),
         timestamps: (7_465, 3_273),
@@ -395,13 +419,14 @@ fn an_armed_or_sampled_flight_recorder_moves_nothing() {
 /// A single-node YCSB-C golden: no hinted publish, no bucket eviction, no
 /// local tier, one fill per miss and one history insert per eviction.
 fn single_node_ablated(
-    clock_ns: u64,
+    [pre_flush_ns, clock_ns]: [u64; 2],
     messages: u64,
     timestamps: (u64, u64),
     [hits, misses, evictions, regrets, weight_syncs, fc_flushes]: [u64; 6],
     expert_victories: [u64; 2],
 ) -> Golden {
     Golden {
+        pre_flush_ns,
         clock_ns,
         messages,
         published: (0, 0),
@@ -445,33 +470,35 @@ fn fig24_rung(rung: usize) -> DittoConfig {
 /// switch was a flag of its own beside `fc_cache_mb`, every hit's value
 /// checked.  The separate history is traffic against scratch space: it
 /// records no regret, so the weights never sync and rung 3's eager sync
-/// repeats rung 2 to the nanosecond.
+/// repeats rung 2 to the nanosecond.  When the drain began to share
+/// doorbells, rung 1's `clock_ns` fell 37 438 822 → 35 403 972 and rungs 2
+/// and 3's 42 240 249 → 40 494 769; rung 4 has no FC cache to drain.
 #[test]
 fn fig24_ablation_rungs_hold_their_numbers() {
     let rungs = [
         single_node_ablated(
-            37_438_822,
+            [35_291_021, 35_403_972],
             54_092,
             (6_839, 3_544),
             [10_383, 1_617, 722, 368, 4, 1_727],
             [372, 350],
         ),
         single_node_ablated(
-            42_240_249,
+            [40_403_249, 40_494_769],
             55_894,
             (6_848, 3_559),
             [10_407, 1_593, 698, 0, 0, 1_607],
             [356, 342],
         ),
         single_node_ablated(
-            42_240_249,
+            [40_403_249, 40_494_769],
             55_894,
             (6_848, 3_559),
             [10_407, 1_593, 698, 0, 0, 1_607],
             [356, 342],
         ),
         single_node_ablated(
-            62_990_960,
+            [62_990_960, 62_990_960],
             64_505,
             (6_873, 3_556),
             [10_429, 1_571, 676, 0, 0, 10_429],
@@ -500,7 +527,7 @@ fn no_fc_cache_replay_holds_its_numbers() {
     assert_eq!(
         replay(YcsbWorkload::C, DmConfig::default(), config),
         single_node_ablated(
-            56_164_962,
+            [56_159_961, 56_164_962],
             48_756,
             (6_747, 3_688),
             [10_435, 1_565, 670, 317, 4, 10_435],
