@@ -51,11 +51,11 @@ pub struct DittoCache {
 /// Number of per-client slots in the crash-recovery redo journal region;
 /// clients with ids at or above this write no journal (and are recovered
 /// by the segment sweep alone).
-pub(crate) const JOURNAL_SLOTS: u64 = 512;
+const JOURNAL_SLOTS: u64 = 512;
 
 /// Stride of one client's journal slot: 48 bytes of payload (six little-
 /// endian words — new/old allocation triples), padded to a cache block.
-pub(crate) const JOURNAL_SLOT_BYTES: u64 = 64;
+const JOURNAL_SLOT_BYTES: u64 = 64;
 
 /// Progress made by one [`DittoCache::pump_migration`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -267,10 +267,11 @@ impl DittoCache {
         self.scratch
     }
 
-    /// The journal slot of client `client_id`, when the crash-recovery
-    /// journal is enabled and the id falls inside the journal region.
-    pub(crate) fn journal_slot(&self, client_id: u32) -> Option<RemoteAddr> {
-        let base = self.journal_base?;
+    /// The journal slot of client `client_id` in the journal region at
+    /// `base` ([`DittoCache::journal_base`]), when the crash-recovery
+    /// journal is enabled and the id falls inside the region.
+    pub(crate) fn journal_slot(base: Option<RemoteAddr>, client_id: u32) -> Option<RemoteAddr> {
+        let base = base?;
         (u64::from(client_id) < JOURNAL_SLOTS)
             .then(|| base.add(u64::from(client_id) * JOURNAL_SLOT_BYTES))
     }

@@ -69,8 +69,7 @@
 //! pool's resize epoch, picking up online `add_node`/`drain_node` calls.
 
 use crate::adaptive::{weight_wire, AdaptivePolicy, MAX_EXPERTS};
-use crate::cache::MigrationProgress;
-use crate::cache::{DittoCache, JOURNAL_SLOTS, JOURNAL_SLOT_BYTES};
+use crate::cache::{DittoCache, MigrationProgress};
 use crate::config::DittoConfig;
 use crate::error::{CacheError, CacheResult};
 use crate::fc_cache::{FcCache, FcFlush, FcFlushes};
@@ -89,7 +88,7 @@ use ditto_dm::alloc::{AllocService, ClientAllocator};
 use ditto_dm::rpc::{ALLOC_SERVICE, WEIGHT_SERVICE};
 use ditto_dm::wqe::MAX_WQES;
 use ditto_dm::{
-    CompletionStatus, DmClient, DmError, EventKind, MigrationEngine, Phase, PoolTopology,
+    CompletionStatus, DmClient, DmError, DmResult, EventKind, MigrationEngine, Phase, PoolTopology,
     RecoveryPhase, RemoteAddr, StripedAllocator, WorkQueue,
 };
 use rand::rngs::StdRng;
@@ -272,7 +271,7 @@ impl DittoClient {
             mig_token: 0,
             mem_pressure: false,
             pending_alloc_blocks: 0,
-            journal: cache.journal_slot(dm.client_id()),
+            journal: DittoCache::journal_slot(cache.journal_base(), dm.client_id()),
             journal_base: cache.journal_base(),
             crash_armed: None,
             crashed: false,
@@ -447,17 +446,17 @@ impl DittoClient {
     /// RC rule, [`ditto_dm::wqe`]), goes out again in the next ring: at most
     /// `MAX_RETRIES` attempts under [`DmClient::back_off_transient`]'s rule,
     /// as [`DmClient::with_retry`] gives a single verb, and a flushed FAA
-    /// never ran, so it spends no attempt.  A counter on a failed or removed
-    /// node is dropped: the counters are advisory.
+    /// never ran, so it spends no attempt.  A counter on a failed node, or
+    /// on one this client has no queue pair to (its FAA completes
+    /// `NodeRemoved`), is dropped, and so is every other counter on that
+    /// node: the counters are advisory.
     pub fn flush(&mut self) {
         let drained = self.fc.as_mut().map(FcCache::flush_all).unwrap_or_default();
         // Each counter with the failed attempts it has spent.
         let mut pending = VecDeque::with_capacity(drained.len());
-        for (addr, delta) in drained {
+        for counter in drained {
             self.stats.record_fc_flush();
-            if self.dm.check_reachable(addr.mn_id).is_ok() {
-                pending.push_back(((addr, delta), 0));
-            }
+            pending.push_back((counter, 0));
         }
         while !pending.is_empty() {
             let mut ring: InlineVec<(FcFlush, usize), MAX_WQES> = InlineVec::new();
@@ -478,12 +477,20 @@ impl DittoClient {
                 }
             }
             let mut again: InlineVec<(FcFlush, usize), MAX_WQES> = InlineVec::new();
+            // Nodes this client has no queue pair to.  Such a node's first
+            // FAA in the ring completes `NodeRemoved`, ahead of those
+            // flushed behind it.
+            let mut removed: InlineVec<u16, MAX_WQES> = InlineVec::new();
             for (&(counter, failed), status) in ring.iter().zip(status) {
                 let retry = match status {
                     CompletionStatus::Success => None,
                     // Never ran, so it spends no attempt.
                     CompletionStatus::Flushed { mn_id } => {
-                        (!self.dm.node_failed(mn_id)).then_some(failed)
+                        (!self.dm.node_failed(mn_id) && !removed.contains(&mn_id)).then_some(failed)
+                    }
+                    CompletionStatus::NodeRemoved { mn_id } => {
+                        removed.push(mn_id);
+                        None
                     }
                     faulted => {
                         let e = faulted.check().expect_err("a status other than success");
@@ -498,6 +505,9 @@ impl DittoClient {
             // Retries lead the next ring, in their order.
             for &entry in again.iter().rev() {
                 pending.push_front(entry);
+            }
+            if !removed.is_empty() {
+                pending.retain(|((addr, _), _)| !removed.contains(&addr.mn_id));
             }
         }
         self.sync_weights();
@@ -621,16 +631,15 @@ impl DittoClient {
         //    this single snapshot.
         let num_nodes = self.dm.pool().num_nodes();
         let mut refs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); num_nodes as usize];
-        for bucket in 0..self.table.num_buckets() {
-            for (_, slot) in self.table.read_bucket(&self.dm, bucket) {
-                if !slot.atomic.is_object() {
-                    continue;
-                }
-                let addr = slot.atomic.object_addr();
-                let resident = Self::resident_bytes_for(slot.atomic.object_bytes() as usize);
-                if let Some(node_refs) = refs.get_mut(addr.mn_id as usize) {
-                    node_refs.push((addr.offset, resident));
-                }
+        let mut walk = self.table.walk(0..self.table.num_stripes() as u64);
+        while let Some((_, slot)) = walk.next_slot(&self.table, &self.dm) {
+            if !slot.atomic.is_object() {
+                continue;
+            }
+            let addr = slot.atomic.object_addr();
+            let resident = Self::resident_bytes_for(slot.atomic.object_bytes() as usize);
+            if let Some(node_refs) = refs.get_mut(addr.mn_id as usize) {
+                node_refs.push((addr.offset, resident));
             }
         }
         for node_refs in refs.iter_mut() {
@@ -642,7 +651,7 @@ impl DittoClient {
         //    the entry's two allocations the table does not reference is
         //    the orphan still counted as resident.
         recovery_event(RecoveryPhase::JournalReplay, &self.dm);
-        if let Some(slot_addr) = self.journal_addr_of(dead_id) {
+        if let Some(slot_addr) = DittoCache::journal_slot(self.journal_base, dead_id) {
             let mut buf = [0u8; 48];
             if self
                 .dm
@@ -747,14 +756,6 @@ impl DittoClient {
         report
     }
 
-    /// Journal slot address of client `dead_id`, when the journal exists
-    /// and the id falls inside the region.
-    fn journal_addr_of(&self, dead_id: u32) -> Option<RemoteAddr> {
-        let base = self.journal_base?;
-        (u64::from(dead_id) < JOURNAL_SLOTS)
-            .then(|| base.add(u64::from(dead_id) * JOURNAL_SLOT_BYTES))
-    }
-
     /// Frees one unreferenced gap of a dead client's segment through the
     /// allocation service (an RPC, so it is charged like any recovery
     /// traffic and works even against fail-stopped verb paths).  Returns
@@ -837,62 +838,39 @@ impl DittoClient {
                 .as_mut()
                 .map(|fc| fc.record(freq_addr))
                 .unwrap_or_default();
-            // A faulted object READ degrades to a miss (linearizable — see
-            // the lookup fault handling above), taking back the optimistic
-            // frequency increment first.
-            let degrade_to_miss = |client: &mut Self| {
-                client.forgive_access(freq_addr);
-                client.stats.record_get_degraded();
-                client.stats.record_miss();
-            };
-            if lookup.object_landed {
+            let fetched = if lookup.object_landed {
                 // The object READ posted behind the hinted slot READ already
                 // fetched this very object: no second round trip.
                 self.post_fc_flushes(flushes);
-            } else if flushes.is_empty() {
-                let obj_addr = slot.atomic.object_addr();
-                let buf = &mut self.obj_buf[..obj_len];
-                if self
-                    .dm
-                    .with_retry(MAX_RETRIES, |dm| dm.try_read_into(obj_addr, buf))
-                    .is_err()
-                {
-                    degrade_to_miss(self);
-                    return false;
-                }
+                Ok(())
             } else {
-                // The due FAA flushes ride the posting round *unsignalled*:
-                // the client waits for the object bytes only, never for the
-                // (slower) atomics.
-                let wr_read;
-                {
-                    let mut wq = self.dm.work_queue();
-                    wr_read = wq.post_read(
-                        slot.atomic.object_addr(),
-                        &mut self.obj_buf[..obj_len],
-                        true,
-                    );
-                    Self::post_fc_faas(&mut wq, flushes, false);
-                    wq.ring();
-                }
-                // Only the READ's own status decides the hit: a faulted
-                // unsignalled FAA merely loses one counter increment, so
-                // its error completion is tolerated and polling continues
-                // until the READ's wr_id drains.
-                let read_err = loop {
-                    let completion = self.dm.poll_cq().expect("object READ completion");
-                    if completion.wr_id == wr_read {
-                        break completion.status.check().err();
-                    }
+                // One fault budget, whether the READ goes alone or the due
+                // FAAs ride its round: a transient fault is retried up to
+                // `MAX_RETRIES` attempts in all, and the FAAs stay as posted.
+                let obj_addr = slot.atomic.object_addr();
+                let first = if flushes.is_empty() {
+                    self.dm
+                        .try_read_into(obj_addr, &mut self.obj_buf[..obj_len])
+                } else {
+                    self.read_riding_flushes(obj_addr, obj_len, flushes)
                 };
-                for _ in 0..flushes.len() {
-                    self.stats.record_fc_flush();
+                match first {
+                    Err(e) if self.dm.back_off_transient(&e) => {
+                        let buf = &mut self.obj_buf[..obj_len];
+                        self.dm
+                            .with_retry(MAX_RETRIES - 1, |dm| dm.try_read_into(obj_addr, buf))
+                    }
+                    read => read,
                 }
-                if let Some(_e) = read_err {
-                    let _ = self.dm.try_drain_cq();
-                    degrade_to_miss(self);
-                    return false;
-                }
+            };
+            if fetched.is_err() {
+                // A faulted object READ degrades to a miss (linearizable —
+                // see the lookup fault handling above), taking back the
+                // optimistic frequency increment first.
+                self.forgive_access(freq_addr);
+                self.stats.record_get_degraded();
+                self.stats.record_miss();
+                return false;
             }
             let Some(view) = object::view(&self.obj_buf[..obj_len]) else {
                 // Raced with an eviction that already reused the blocks;
@@ -1088,6 +1066,40 @@ impl DittoClient {
         for _ in 0..flushes.len() {
             self.stats.record_fc_flush();
         }
+    }
+
+    /// Reads the `obj_len`-byte object at `obj_addr` into `obj_buf` with the
+    /// due FC flushes riding its round *unsignalled*: the client waits for
+    /// the object bytes only, never for the (slower) atomics.  Only the
+    /// READ's own status is returned: a faulted unsignalled FAA merely loses
+    /// one counter increment, so its error completion is tolerated (and
+    /// drained here when the READ failed, by `end_op` otherwise).
+    fn read_riding_flushes(
+        &mut self,
+        obj_addr: RemoteAddr,
+        obj_len: usize,
+        flushes: FcFlushes,
+    ) -> DmResult<()> {
+        let wr_read = {
+            let mut wq = self.dm.work_queue();
+            let wr_read = wq.post_read(obj_addr, &mut self.obj_buf[..obj_len], true);
+            Self::post_fc_faas(&mut wq, flushes, false);
+            wq.ring();
+            wr_read
+        };
+        let read = loop {
+            let completion = self.dm.poll_cq().expect("object READ completion");
+            if completion.wr_id == wr_read {
+                break completion.status.check();
+            }
+        };
+        for _ in 0..flushes.len() {
+            self.stats.record_fc_flush();
+        }
+        if read.is_err() {
+            let _ = self.dm.try_drain_cq();
+        }
+        read
     }
 
     /// Posts one `RDMA_FAA` of each counter's buffered delta on `wq` — the
@@ -1728,14 +1740,10 @@ impl DittoClient {
     /// [`MemoryPool::resident_object_bytes`]: ditto_dm::MemoryPool::resident_object_bytes
     pub fn referenced_object_bytes_on(&mut self, mn_id: u16) -> u64 {
         let mut total = 0u64;
-        for stripe in 0..self.table.num_stripes() as u64 {
-            let first = self.table.first_bucket_of_stripe(stripe);
-            for bucket in first..first + self.table.buckets_per_stripe() {
-                for (_, slot) in self.table.read_bucket(&self.dm, bucket) {
-                    if slot.atomic.is_object() && slot.atomic.object_addr().mn_id == mn_id {
-                        total += Self::resident_bytes_for(slot.atomic.object_bytes() as usize);
-                    }
-                }
+        let mut walk = self.table.walk(0..self.table.num_stripes() as u64);
+        while let Some((_, slot)) = walk.next_slot(&self.table, &self.dm) {
+            if slot.atomic.is_object() && slot.atomic.object_addr().mn_id == mn_id {
+                total += Self::resident_bytes_for(slot.atomic.object_bytes() as usize);
             }
         }
         total
@@ -1748,13 +1756,9 @@ impl DittoClient {
     /// [`DittoClient::referenced_object_bytes_on`].
     pub fn freq_words(&mut self) -> Vec<(RemoteAddr, u64)> {
         let mut words = Vec::new();
-        for stripe in 0..self.table.num_stripes() as u64 {
-            let first = self.table.first_bucket_of_stripe(stripe);
-            for bucket in first..first + self.table.buckets_per_stripe() {
-                for (slot_addr, slot) in self.table.read_bucket(&self.dm, bucket) {
-                    words.push((SampleFriendlyHashTable::freq_addr(slot_addr), slot.freq));
-                }
-            }
+        let mut walk = self.table.walk(0..self.table.num_stripes() as u64);
+        while let Some((slot_addr, slot)) = walk.next_slot(&self.table, &self.dm) {
+            words.push((SampleFriendlyHashTable::freq_addr(slot_addr), slot.freq));
         }
         words
     }
@@ -1781,33 +1785,31 @@ impl DittoClient {
         preferred: u16,
         progress: &mut MigrationProgress,
     ) {
-        let first = self.table.first_bucket_of_stripe(stripe);
         let mut bytes = Vec::new();
-        for bucket in first..first + self.table.buckets_per_stripe() {
-            for (slot_addr, slot) in self.table.read_bucket(&self.dm, bucket) {
-                if !slot.atomic.is_object() {
-                    continue;
-                }
-                let node = slot.atomic.object_addr().mn_id;
-                if moving_src != Some(node) && self.topology.is_active(node) {
-                    continue;
-                }
-                let len = slot.atomic.object_bytes() as usize;
-                if bytes.len() < len {
-                    bytes.resize(len, 0);
-                }
-                // A faulted relocation READ skips this object for now; it
-                // stays where it is and a later pump retries it.
-                if self
-                    .dm
-                    .try_read_into(slot.atomic.object_addr(), &mut bytes[..len])
-                    .is_err()
-                {
-                    continue;
-                }
-                if self.relocate_object_bytes(slot_addr, &slot, &bytes[..len], preferred) {
-                    progress.objects_relocated += 1;
-                }
+        let mut walk = self.table.walk(stripe..stripe + 1);
+        while let Some((slot_addr, slot)) = walk.next_slot(&self.table, &self.dm) {
+            if !slot.atomic.is_object() {
+                continue;
+            }
+            let node = slot.atomic.object_addr().mn_id;
+            if moving_src != Some(node) && self.topology.is_active(node) {
+                continue;
+            }
+            let len = slot.atomic.object_bytes() as usize;
+            if bytes.len() < len {
+                bytes.resize(len, 0);
+            }
+            // A faulted relocation READ skips this object for now; it
+            // stays where it is and a later pump retries it.
+            if self
+                .dm
+                .try_read_into(slot.atomic.object_addr(), &mut bytes[..len])
+                .is_err()
+            {
+                continue;
+            }
+            if self.relocate_object_bytes(slot_addr, &slot, &bytes[..len], preferred) {
+                progress.objects_relocated += 1;
             }
         }
     }
@@ -2637,23 +2639,21 @@ mod tests {
         client: &DittoClient,
         stripe: u64,
     ) {
-        let first = table.first_bucket_of_stripe(stripe);
-        for bucket in first..first + table.buckets_per_stripe() {
-            for (_, slot) in table.read_bucket(&client.dm, bucket) {
-                if !slot.atomic.is_object() {
-                    continue;
-                }
-                let bytes = client.dm.read(
-                    slot.atomic.object_addr(),
-                    slot.atomic.object_bytes() as usize,
-                );
-                let object = crate::object::view(&bytes).expect("a live object decodes");
-                assert_eq!(
-                    crate::hash::fnv1a64(object.key),
-                    slot.hash,
-                    "bucket {bucket}"
-                );
+        let mut walk = table.walk(stripe..stripe + 1);
+        while let Some((slot_addr, slot)) = walk.next_slot(table, &client.dm) {
+            if !slot.atomic.is_object() {
+                continue;
             }
+            let bytes = client.dm.read(
+                slot.atomic.object_addr(),
+                slot.atomic.object_bytes() as usize,
+            );
+            let object = crate::object::view(&bytes).expect("a live object decodes");
+            assert_eq!(
+                crate::hash::fnv1a64(object.key),
+                slot.hash,
+                "slot {slot_addr:?}"
+            );
         }
     }
 
@@ -2789,14 +2789,12 @@ mod tests {
         // Every record of the moved stripe carries its own key's hash, and
         // every history entry left its evicted key's.
         assert_records_match_their_keys(table, &client, job.stripe);
-        let first = table.first_bucket_of_stripe(job.stripe);
         let mut history_left = 0;
-        for bucket in first..first + table.buckets_per_stripe() {
-            for (_, slot) in table.read_bucket(&client.dm, bucket) {
-                if slot.atomic.is_history() {
-                    assert!(ghosts.contains(&slot.hash), "bucket {bucket}");
-                    history_left += 1;
-                }
+        let mut walk = table.walk(job.stripe..job.stripe + 1);
+        while let Some((slot_addr, slot)) = walk.next_slot(table, &client.dm) {
+            if slot.atomic.is_history() {
+                assert!(ghosts.contains(&slot.hash), "slot {slot_addr:?}");
+                history_left += 1;
             }
         }
         assert_eq!(
@@ -3033,6 +3031,59 @@ mod tests {
     #[test]
     fn the_drain_rings_doorbells_not_round_trips_across_two_nodes() {
         assert_the_drain_rings_doorbells_not_round_trips(2, 100);
+    }
+
+    /// A client that connected after node 1 was removed has no queue pair
+    /// to it, and 50 FC counters on each node, node 0's first.  The drain
+    /// posts them all and lets the ring decide: the first node-1 FAA
+    /// completes `NodeRemoved` and is dropped as final, the 29 flushed
+    /// behind it go with it, and the 20 still pending are never posted —
+    /// while node 0's counters land.
+    #[test]
+    fn the_drain_drops_the_counters_of_a_node_it_has_no_queue_pair_to() {
+        let config = DittoConfig {
+            fc_threshold: u64::MAX,
+            ..DittoConfig::with_capacity(1_000)
+        };
+        let dm = DmConfig::default().with_memory_nodes(2);
+        let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
+        let pool = cache.pool();
+        pool.drain_node(1).unwrap();
+        pool.remove_node(1).unwrap();
+        let mut client = cache.client();
+        let table = client.table.clone();
+        let counters = |mn: u16| {
+            (0..table.num_buckets())
+                .filter(|&b| table.node_of_bucket(b) == mn)
+                .map(|b| SampleFriendlyHashTable::freq_addr(table.slot_addr(b, 0)))
+                .take(50)
+                .collect::<Vec<_>>()
+        };
+        let (on_live, on_removed) = (counters(0), counters(1));
+        assert_eq!((on_live.len(), on_removed.len()), (50, 50));
+        let fc = client.fc.as_mut().expect("an FC cache");
+        for &addr in on_live.iter().chain(&on_removed) {
+            assert!(fc.record(addr).is_empty());
+        }
+        let stats = pool.stats();
+        let (failures, doorbells) = (stats.faults().verb_failures, stats.doorbells());
+        client.flush();
+        assert!(client.fc_cache().unwrap().is_empty());
+        // One failure: the rejected FAA.  The flushed ones are none of
+        // their own, and no later ring re-posted a node-1 counter.
+        assert_eq!(stats.verb_faults_on(1), 1);
+        assert_eq!(stats.faults().verb_failures, failures + 1);
+        let nodes = stats.node_snapshots();
+        assert_eq!((nodes[0].faa, nodes[1].faa), (50, 0));
+        assert_eq!(
+            stats.doorbells() - doorbells,
+            2 + 1,
+            "two rings of 40; the second straddles both nodes"
+        );
+        let node = pool.node(0).unwrap();
+        for addr in on_live {
+            assert_eq!(node.load_u64(addr.offset), Ok(1), "{addr:?}");
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@ use crate::slot::{Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
 use ditto_dm::migration::StripeDirectory;
 use ditto_dm::{DmClient, DmResult, MemoryPool, RemoteAddr};
 use rand::Rng;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Client-side descriptor of the remote hash table.
@@ -163,16 +164,6 @@ impl SampleFriendlyHashTable {
             .add(within * BUCKET_SIZE as u64)
     }
 
-    /// Number of contiguous buckets per stripe.
-    pub fn buckets_per_stripe(&self) -> u64 {
-        self.buckets_per_stripe
-    }
-
-    /// First bucket index of stripe `stripe`.
-    pub fn first_bucket_of_stripe(&self, stripe: u64) -> u64 {
-        (stripe % self.stripes.num_stripes() as u64) * self.buckets_per_stripe
-    }
-
     /// The memory node that owns bucket `bucket_idx` — the stripe-local
     /// placement hint for the bucket's objects.
     pub fn node_of_bucket(&self, bucket_idx: u64) -> u16 {
@@ -278,6 +269,18 @@ impl SampleFriendlyHashTable {
             .collect()
     }
 
+    /// Walks every slot of the stripes in `stripes`, bucket by bucket in
+    /// index order, reading each bucket ([`Self::read_bucket`]) when the
+    /// walk enters it.  Stripes are contiguous bucket ranges, so walking
+    /// `0..num_stripes()` reads every bucket of the table, in index order.
+    pub fn walk(&self, stripes: Range<u64>) -> SlotWalk {
+        let per = self.buckets_per_stripe;
+        SlotWalk {
+            buckets: stripes.start * per..stripes.end * per,
+            bucket: Vec::new().into_iter(),
+        }
+    }
+
     /// Decodes consecutive slots out of `bytes` previously read from `addr`,
     /// appending `(slot address, decoded slot)` pairs to `out` without
     /// allocating.
@@ -352,6 +355,33 @@ impl SampleFriendlyHashTable {
     /// Address of the frequency field of the slot at `slot_addr`.
     pub fn freq_addr(slot_addr: RemoteAddr) -> RemoteAddr {
         slot_addr.add(crate::slot::OFF_FREQ)
+    }
+}
+
+/// A walk over the slots of a range of stripes (see
+/// [`SampleFriendlyHashTable::walk`]).
+pub struct SlotWalk {
+    buckets: Range<u64>,
+    bucket: std::vec::IntoIter<(RemoteAddr, Slot)>,
+}
+
+impl SlotWalk {
+    /// The walk's next `(slot address, slot)`, reading the next bucket with
+    /// `client` when the current one is used up; `None` at the end.  The
+    /// table and client are lent per step, so the walker may issue verbs of
+    /// its own — and mutate itself — between two slots.
+    pub fn next_slot(
+        &mut self,
+        table: &SampleFriendlyHashTable,
+        client: &DmClient,
+    ) -> Option<(RemoteAddr, Slot)> {
+        loop {
+            if let Some(slot) = self.bucket.next() {
+                return Some(slot);
+            }
+            let bucket = self.buckets.next()?;
+            self.bucket = table.read_bucket(client, bucket).into_iter();
+        }
     }
 }
 

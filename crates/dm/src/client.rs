@@ -1,8 +1,17 @@
 //! Client-side connection handle exposing the one-sided verb API.
+//!
+//! A verb is issued one way.  `DmClient::issue` decides, for every
+//! `READ`, `WRITE`, `CAS` and `FAA` — a synchronous `try_*` call or a WQE
+//! a [`WorkQueue`] ring posted — whether this client has a queue pair to
+//! the node ([`CompletionStatus::NodeRemoved`] if not), the verb's injected
+//! fault, its transfer time, the message it costs, and its effect on the
+//! arena.  A synchronous call then waits the transfer time out and records
+//! it as one [`Phase::Flight`] span; a ring turns it into a completion
+//! time on the queue pair.  RPCs wait through the same helper.
 
 use crate::addr::RemoteAddr;
 use crate::config::DmConfig;
-use crate::cq::{Completion, CompletionQueue};
+use crate::cq::{Completion, CompletionQueue, CompletionStatus};
 use crate::error::{DmError, DmResult};
 use crate::fault::VerbFate;
 use crate::histogram::LatencyHistogram;
@@ -10,7 +19,7 @@ use crate::memnode::MemoryNode;
 use crate::obs::{EventKind, FlightRecorder, Phase, Span};
 use crate::pool::MemoryPool;
 use crate::stats::VerbKind;
-use crate::wqe::WorkQueue;
+use crate::wqe::{WorkQueue, WqeOp};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
@@ -72,7 +81,8 @@ struct NodeCache {
     /// models an established queue pair: it keeps serving even after the
     /// node is removed from the pool (the arena stays alive).  A client
     /// whose first snapshot already saw the node removed cannot establish
-    /// a queue pair, so its verbs fail with [`DmError::NodeRemoved`].
+    /// a queue pair, so its verbs — synchronous or posted — complete
+    /// [`CompletionStatus::NodeRemoved`].
     removed: Vec<bool>,
 }
 
@@ -239,58 +249,29 @@ impl DmClient {
         }
     }
 
-    fn charge(&self, addr_mn: u16, kind: VerbKind, bytes: usize, latency_ns: u64) {
-        self.advance_ns(latency_ns);
-        self.pool.stats().record_verb(addr_mn, kind, bytes);
-    }
-
-    fn node(&self, mn_id: u16) -> Arc<MemoryNode> {
+    /// This client's queue pair to `mn_id`: the node's handle, or `None`
+    /// when the node was already decommissioned the first time this client
+    /// saw it (see [`NodeCache`]).  Handles are cached and revalidated
+    /// against the pool's resize epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a node id the pool never had.
+    fn queue_pair(&self, mn_id: u16) -> Option<Arc<MemoryNode>> {
         let epoch = self.pool.resize_epoch();
         let mut cache = self.nodes.borrow_mut();
         if cache.epoch != epoch || cache.nodes.len() <= mn_id as usize {
             cache.refresh(&self.pool, epoch);
         }
-        // Decommissioned nodes stay reachable through cached handles:
-        // auxiliary structures (e.g. history-counter shards) may still
-        // reference them until they migrate too (see ROADMAP).  Only clients
-        // that *first* saw the node decommissioned — and new handle lookups,
-        // `MemoryPool::node` — fail typed (see [`NodeCache`]).
-        cache
+        let idx = mn_id as usize;
+        let node = cache
             .nodes
-            .get(mn_id as usize)
-            .cloned()
-            .unwrap_or_else(|| panic!("verb issued to unknown memory node {mn_id}"))
-    }
-
-    /// Like [`DmClient::node`], but yields a typed [`DmError::NodeRemoved`]
-    /// — attributed to `mn_id` in the per-node fault counters — when this
-    /// client never had a live queue pair to the node.
-    fn node_checked(&self, mn_id: u16) -> DmResult<Arc<MemoryNode>> {
-        let node = self.node(mn_id);
-        if self
-            .nodes
-            .borrow()
-            .removed
-            .get(mn_id as usize)
-            .copied()
-            .unwrap_or(false)
-        {
-            self.pool.stats().record_verb_failure(mn_id);
-            return Err(DmError::NodeRemoved { mn_id });
-        }
-        Ok(node)
-    }
-
-    /// Whether this client has a queue pair to `mn_id`: the check every
-    /// synchronous verb makes before it charges anything, for a caller about
-    /// to post WQEs (which the ring does not check).  Fails typed — and
-    /// counted — exactly as such a verb would.
-    pub fn check_reachable(&self, mn_id: u16) -> DmResult<()> {
-        self.node_checked(mn_id).map(drop)
-    }
-
-    pub(crate) fn node_ref(&self, mn_id: u16) -> Arc<MemoryNode> {
-        self.node(mn_id)
+            .get(idx)
+            .unwrap_or_else(|| panic!("verb issued to unknown memory node {mn_id}"));
+        // A decommissioned node stays reachable through an established queue
+        // pair: auxiliary structures (e.g. history-counter shards) may still
+        // reference it until they migrate too (see ROADMAP).
+        (!cache.removed[idx]).then(|| Arc::clone(node))
     }
 
     /// Whether `mn_id` has fail-stopped (per the configured
@@ -348,7 +329,7 @@ impl DmClient {
     /// completion).  Consumes one draw of this client's deterministic fault
     /// stream, and books the fault: the per-node timeout or failure counter
     /// and one event-log entry.
-    pub(crate) fn inject(&self, mn_id: u16) -> (u64, Option<(DmError, u64)>) {
+    fn inject(&self, mn_id: u16) -> (u64, Option<(DmError, u64)>) {
         let inj = self.pool.fault_injector();
         if !inj.is_active() {
             return (100, None);
@@ -369,9 +350,8 @@ impl DmClient {
                 (DmError::VerbTimeout { mn_id }, inj.timeout_ns())
             }
         };
-        // Injected faults are rare by construction; log each one.  This is
-        // the single choke point both the synchronous verbs and the WQE ring
-        // pass through, so every injected fault is booked once.
+        // Injected faults are rare by construction; log each one.  Every
+        // verb passes through here once, from [`DmClient::issue`].
         self.pool.record_event(
             now,
             self.client_id,
@@ -383,29 +363,66 @@ impl DmClient {
         (factor, Some(fault))
     }
 
-    /// Charges one verb, consulting the fault injector: a faulted verb
-    /// still pays its (possibly slow-NIC-scaled) latency and consumes a
-    /// message — the request went out on the wire — and a timed-out verb
-    /// additionally waits the configured retransmission window.
-    fn try_charge(
-        &self,
-        mn_id: u16,
-        kind: VerbKind,
-        bytes: usize,
-        base_latency_ns: u64,
-    ) -> DmResult<()> {
+    /// Issues one one-sided verb — the one way every `READ`, `WRITE`, `CAS`
+    /// and `FAA` reaches the pool, whether a synchronous call waits for it
+    /// or a [`WorkQueue`] ring posted it.  In order, it:
+    ///
+    /// 1. checks the queue pair: with none ([`DmClient::queue_pair`]) the
+    ///    verb never leaves — no fault draw, no message, no time — and
+    ///    completes [`CompletionStatus::NodeRemoved`], counted as a verb
+    ///    failure on the node;
+    /// 2. draws the verb's fault ([`DmClient::inject`]);
+    /// 3. prices the transfer: [`DmConfig::verb_latency_ns`], scaled by a
+    ///    slow NIC, plus the retransmission window of a timed-out verb;
+    /// 4. counts the message — a faulted verb went out on the wire too;
+    /// 5. executes the operation against the arena, unless it faulted (a
+    ///    NAK'd atomic leaves its word untouched);
+    /// 6. returns the transfer time and the verb's [`CompletionStatus`].
+    ///
+    /// It charges nothing to the clock: a synchronous caller waits the
+    /// transfer time out ([`DmClient::wait`]), a ring records it as the
+    /// WQE's completion time.  The `Err` is an address the node cannot
+    /// serve — a caller bug.
+    pub(crate) fn issue(&self, op: WqeOp<'_>) -> DmResult<(u64, CompletionStatus)> {
+        let mn_id = op.mn_id();
+        let Some(node) = self.queue_pair(mn_id) else {
+            self.pool.stats().record_verb_failure(mn_id);
+            return Ok((0, CompletionStatus::NodeRemoved { mn_id }));
+        };
         let (factor_pct, fault) = self.inject(mn_id);
-        let latency = base_latency_ns * factor_pct / 100;
-        match fault {
+        let (kind, len) = (op.kind(), op.payload_len());
+        let mut transfer_ns = DmConfig::verb_latency_ns(kind, len) * factor_pct / 100;
+        self.pool.stats().record_verb(mn_id, kind, len);
+        let status = match fault {
             None => {
-                self.charge(mn_id, kind, bytes, latency);
-                Ok(())
+                op.execute(&node)?;
+                CompletionStatus::Success
             }
-            Some((e, wait_ns)) => {
-                self.charge(mn_id, kind, bytes, latency + wait_ns);
-                Err(e)
+            Some((DmError::VerbTimeout { .. }, wait_ns)) => {
+                transfer_ns += wait_ns;
+                CompletionStatus::TimedOut { mn_id }
             }
-        }
+            Some(_) => CompletionStatus::Failed { mn_id },
+        };
+        Ok((transfer_ns, status))
+    }
+
+    /// Waits `ns` of round trip out: advances the clock and records the
+    /// wait as one [`Phase::Flight`] span, so no time a client spends
+    /// waiting on the pool is missing from the trace.  `detail` is the
+    /// request's payload bytes.
+    fn wait(&self, ns: u64, detail: usize) {
+        let start = self.clock_ns.get();
+        self.advance_ns(ns);
+        self.record_span(Phase::Flight, start, start + ns, detail as u32);
+    }
+
+    /// Issues `op` and waits for it: one completed round trip.
+    fn issue_and_wait(&self, op: WqeOp<'_>) -> DmResult<()> {
+        let len = op.payload_len();
+        let (transfer_ns, status) = self.issue(op)?;
+        self.wait(transfer_ns, len);
+        status.check()
     }
 
     /// The pool's current resize epoch (see [`MemoryPool::resize_epoch`]);
@@ -497,27 +514,20 @@ impl DmClient {
     /// [`DmError::VerbTimeout`]) and [`DmError::NodeRemoved`] for nodes this
     /// client never had a live queue pair to, instead of panicking.
     pub fn try_read(&self, addr: RemoteAddr, len: usize) -> DmResult<Vec<u8>> {
-        let latency = DmConfig::verb_latency_ns(VerbKind::Read, len);
-        let node = self.node_checked(addr.mn_id)?;
-        self.try_charge(addr.mn_id, VerbKind::Read, len, latency)?;
-        node.read(addr.offset, len)
+        let mut buf = vec![0u8; len];
+        self.try_read_into(addr, &mut buf)?;
+        Ok(buf)
     }
 
     /// Fallible one-sided `RDMA_READ` into a caller-provided buffer (see
     /// [`DmClient::try_read`]).
     pub fn try_read_into(&self, addr: RemoteAddr, buf: &mut [u8]) -> DmResult<()> {
-        let latency = DmConfig::verb_latency_ns(VerbKind::Read, buf.len());
-        let node = self.node_checked(addr.mn_id)?;
-        self.try_charge(addr.mn_id, VerbKind::Read, buf.len(), latency)?;
-        node.read_into(addr.offset, buf)
+        self.issue_and_wait(WqeOp::Read { addr, buf })
     }
 
     /// Fallible one-sided `RDMA_WRITE` (see [`DmClient::try_read`]).
     pub fn try_write(&self, addr: RemoteAddr, data: &[u8]) -> DmResult<()> {
-        let latency = DmConfig::verb_latency_ns(VerbKind::Write, data.len());
-        let node = self.node_checked(addr.mn_id)?;
-        self.try_charge(addr.mn_id, VerbKind::Write, data.len(), latency)?;
-        node.write(addr.offset, data)
+        self.issue_and_wait(WqeOp::Write { addr, data })
     }
 
     /// Fallible asynchronous (unsignalled) `RDMA_WRITE`: leaves the critical
@@ -526,30 +536,19 @@ impl DmClient {
     /// WQE — but is surfaced so callers *can* care (most ignore it: the
     /// write is best-effort metadata).
     pub fn try_write_async(&self, addr: RemoteAddr, data: &[u8]) -> DmResult<()> {
-        let node = self.node_checked(addr.mn_id)?;
-        self.pool
-            .stats()
-            .record_verb(addr.mn_id, VerbKind::Write, data.len());
-        if let (_, Some((e, _))) = self.inject(addr.mn_id) {
-            return Err(e);
-        }
-        node.write(addr.offset, data)
+        self.issue(WqeOp::Write { addr, data })?.1.check()
     }
 
     /// Fallible 8-byte little-endian READ (see [`DmClient::try_read`]).
     pub fn try_read_u64(&self, addr: RemoteAddr) -> DmResult<u64> {
-        let latency = DmConfig::verb_latency_ns(VerbKind::Read, 8);
-        let node = self.node_checked(addr.mn_id)?;
-        self.try_charge(addr.mn_id, VerbKind::Read, 8, latency)?;
-        node.load_u64(addr.offset)
+        let mut word = [0u8; 8];
+        self.try_read_into(addr, &mut word)?;
+        Ok(u64::from_le_bytes(word))
     }
 
     /// Fallible 8-byte little-endian WRITE (see [`DmClient::try_read`]).
     pub fn try_write_u64(&self, addr: RemoteAddr, value: u64) -> DmResult<()> {
-        let latency = DmConfig::verb_latency_ns(VerbKind::Write, 8);
-        let node = self.node_checked(addr.mn_id)?;
-        self.try_charge(addr.mn_id, VerbKind::Write, 8, latency)?;
-        node.store_u64(addr.offset, value)
+        self.try_write(addr, &value.to_le_bytes())
     }
 
     /// Fallible `RDMA_CAS` (see [`DmClient::try_read`]).  On success returns
@@ -558,17 +557,24 @@ impl DmClient {
     /// the word is untouched and the caller cannot tell whether it would
     /// have won — retry and re-read.
     pub fn try_cas(&self, addr: RemoteAddr, expected: u64, new: u64) -> DmResult<u64> {
-        let node = self.node_checked(addr.mn_id)?;
-        self.try_charge(addr.mn_id, VerbKind::Cas, 8, DmConfig::CAS_LATENCY_NS)?;
-        node.cas(addr.offset, expected, new)
+        let mut old = 0;
+        let out = &mut old;
+        self.issue_and_wait(WqeOp::Cas {
+            addr,
+            expected,
+            new,
+            out,
+        })?;
+        Ok(old)
     }
 
     /// Fallible `RDMA_FAA` (see [`DmClient::try_cas`] for atomic-fault
     /// semantics); returns the old value.
     pub fn try_faa(&self, addr: RemoteAddr, delta: u64) -> DmResult<u64> {
-        let node = self.node_checked(addr.mn_id)?;
-        self.try_charge(addr.mn_id, VerbKind::Faa, 8, DmConfig::FAA_LATENCY_NS)?;
-        node.faa(addr.offset, delta)
+        let mut old = 0;
+        let out = Some(&mut old);
+        self.issue_and_wait(WqeOp::Faa { addr, delta, out })?;
+        Ok(old)
     }
 
     /// One-sided `RDMA_READ` of `len` bytes at `addr`.
@@ -685,15 +691,20 @@ impl DmClient {
         })
     }
 
-    /// Charges one RPC round trip to `mn_id` and the controller CPU time
-    /// `dispatch` reports.
+    /// Charges one RPC round trip to `mn_id`, waited out like a verb's
+    /// ([`DmClient::wait`]), and the controller CPU time `dispatch` reports.
+    /// RPCs find their node through the pool, not a queue pair, and are
+    /// never faulted (see the crate docs' failure model).
     fn rpc_with<T>(
         &self,
         mn_id: u16,
         request_len: usize,
         dispatch: impl FnOnce(&MemoryNode) -> DmResult<(T, u64)>,
     ) -> DmResult<T> {
-        self.advance_ns(DmConfig::verb_latency_ns(VerbKind::Rpc, request_len));
+        self.wait(
+            DmConfig::verb_latency_ns(VerbKind::Rpc, request_len),
+            request_len,
+        );
         self.pool
             .stats()
             .record_verb(mn_id, VerbKind::Rpc, request_len);
@@ -860,6 +871,21 @@ mod tests {
         assert!(latency >= 2 * DmConfig::READ_LATENCY_NS);
         assert_eq!(pool.stats().ops(), 1);
         assert!(pool.stats().latency().max_ns() >= latency);
+    }
+
+    #[test]
+    fn a_waited_verb_records_one_flight_span_of_its_latency() {
+        let pool = MemoryPool::new(DmConfig::small().with_flight_recorder(64));
+        let client = pool.connect();
+        let addr = pool.reserve(64).unwrap();
+        let t0 = client.now_ns();
+        client.try_read_into(addr, &mut [0u8; 64]).unwrap();
+        let latency = DmConfig::verb_latency_ns(VerbKind::Read, 64);
+        assert_eq!(client.now_ns(), t0 + latency);
+        let spans = client.flight_spans();
+        assert_eq!(spans.len(), 1, "{spans:?}");
+        assert_eq!(spans[0].phase, Phase::Flight);
+        assert_eq!((spans[0].start_ns, spans[0].end_ns), (t0, t0 + latency));
     }
 
     #[test]

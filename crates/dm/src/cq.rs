@@ -51,6 +51,14 @@ pub enum CompletionStatus {
         /// Memory node the verb targeted.
         mn_id: u16,
     },
+    /// The verb never left: this client has no queue pair to its node,
+    /// which was already decommissioned when the client first saw it
+    /// ([`DmError::NodeRemoved`]).  Final — retrying cannot help — and,
+    /// like a fault, it flushes the WQEs queued behind it.
+    NodeRemoved {
+        /// Memory node the verb targeted.
+        mn_id: u16,
+    },
 }
 
 impl CompletionStatus {
@@ -67,6 +75,7 @@ impl CompletionStatus {
                 Err(DmError::VerbFailed { mn_id })
             }
             CompletionStatus::TimedOut { mn_id } => Err(DmError::VerbTimeout { mn_id }),
+            CompletionStatus::NodeRemoved { mn_id } => Err(DmError::NodeRemoved { mn_id }),
         }
     }
 }
@@ -173,6 +182,10 @@ mod tests {
         assert_eq!(
             CompletionStatus::Flushed { mn_id: 2 }.check(),
             Err(DmError::VerbFailed { mn_id: 2 })
+        );
+        assert_eq!(
+            CompletionStatus::NodeRemoved { mn_id: 1 }.check(),
+            Err(DmError::NodeRemoved { mn_id: 1 })
         );
         assert!(!CompletionStatus::Failed { mn_id: 0 }.is_ok());
     }

@@ -35,6 +35,14 @@
 //!   decommission it.
 //! * [`DmClient`] is a per-thread connection handle exposing the verb API,
 //!   a per-client simulated clock and a per-client [`cq::CompletionQueue`].
+//!   A verb is issued one way, synchronous or posted: one `DmClient`
+//!   routine checks the queue pair (a node this client never reached
+//!   completes [`CompletionStatus::NodeRemoved`]), draws the injected
+//!   fault, prices the transfer, counts the message, executes the verb
+//!   against the arena and returns the transfer time with a
+//!   [`CompletionStatus`].  A synchronous call waits that time out and
+//!   records it as one [`Phase::Flight`] span; a ring makes it a
+//!   completion time (see [`client`]).
 //! * [`wqe::WorkQueue`] is the posted-work data path: clients post
 //!   work-queue entries (signalled or *unsignalled*), ring one doorbell per
 //!   distinct memory node, overlap CPU work with the in-flight transfers
@@ -76,8 +84,8 @@
 //!
 //! A single-verb call ([`DmClient::try_read_into`], [`DmClient::try_cas`],
 //! [`DmClient::try_faa`], …) is one completed round trip, charged in full
-//! where it is issued; it rings no doorbell in the accounting
-//! ([`PoolStats::doorbells`] counts posted rounds only).
+//! where it is issued and recorded as one flight span; it rings no doorbell
+//! in the accounting ([`PoolStats::doorbells`] counts posted rounds only).
 //!
 //! What the overlap hides is reported by
 //! [`AttributionTable::overlap_saved_ns`] over an armed run's spans;
@@ -132,8 +140,9 @@
 //!   [`DmError::VerbFailed`] or charge a timeout and fail it with
 //!   [`DmError::VerbTimeout`].  Completions carry a [`CompletionStatus`];
 //!   `poll_cq` and `try_drain_cq` surface errors instead of assuming
-//!   success.  On the posted path an errored WQE *flushes* the WQEs queued
-//!   behind it on its node's queue pair in the same ring
+//!   success.  On the posted path an errored WQE — a fault, or
+//!   [`CompletionStatus::NodeRemoved`] — *flushes* the WQEs queued behind
+//!   it on its node's queue pair in the same ring
 //!   ([`CompletionStatus::Flushed`], see [`wqe`]): they never execute and
 //!   are not faults of their own.
 //! * **Node fail-stop** — after a configured simulated instant every verb
@@ -182,8 +191,8 @@
 //!   fixed-capacity ring of phase-stamped [`Span`]s
 //!   ([`FlightRecorder`], armed via
 //!   [`DmConfig::with_flight_recorder`]).  The verb layer records
-//!   doorbell posts, per-WQE flight windows, CQ polls and lock
-//!   acquisitions; `ditto_core` adds translate/decode/publish/evict/
+//!   doorbell posts, per-WQE flight windows, the wait of every synchronous
+//!   verb and RPC, CQ polls and lock acquisitions; `ditto_core` adds translate/decode/publish/evict/
 //!   relocate phases on top.  Recording reads the simulated clock but
 //!   never advances it, so an armed run produces the **same simulated
 //!   timeline** as a disarmed one; disarmed (the default) the entire cost

@@ -38,7 +38,8 @@ pub enum Phase {
     Translate,
     /// Posting WQEs and ringing the doorbell (synchronous CPU/MMIO work).
     Post,
-    /// A WQE in flight: doorbell-ring end to its completion time.
+    /// A verb in flight: a posted WQE's doorbell-ring end to its
+    /// completion time, or a synchronous verb's or RPC's whole round trip.
     Flight,
     /// A successful completion-queue poll (any wait plus the CQE read).
     Poll,
@@ -126,7 +127,8 @@ pub struct Span {
     /// Simulated end, in nanoseconds (`>= start_ns`; equal for instants).
     pub end_ns: u64,
     /// Phase-specific payload: WQE count for `Post`, work-request id for
-    /// `Flight`/`Poll`, retries for `Lock`, bytes for `Relocate`, …
+    /// `Poll` and a posted WQE's `Flight`, payload bytes for the `Flight` of
+    /// a synchronous verb or RPC, retries for `Lock`, bytes for `Relocate`, …
     pub detail: u32,
 }
 
@@ -510,14 +512,22 @@ impl AttributionTable {
         self.raw_ns.saturating_sub(self.critical_ns)
     }
 
+    /// The share of elapsed op time the phases cover, in percent: Σ
+    /// critical ÷ elapsed.  At most 100; what it falls short by is op time
+    /// no span covers, which the table cannot explain.
+    pub fn attributed_pct(&self) -> f64 {
+        100.0 * self.critical_ns as f64 / self.elapsed_ns.max(1) as f64
+    }
+
     /// Renders the table in the fixed-width layout `obs_report` prints.
     pub fn format(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "ops {}   op p50 {:.2} us   op p99 {:.2} us   overlap saved {:.1} us total\n",
+            "ops {}   op p50 {:.2} us   op p99 {:.2} us   attributed {:.2}%   overlap saved {:.1} us total\n",
             self.ops,
             self.op_p50_ns as f64 / 1e3,
             self.op_p99_ns as f64 / 1e3,
+            self.attributed_pct(),
             self.overlap_saved_ns() as f64 / 1e3,
         ));
         out.push_str(
@@ -1035,6 +1045,14 @@ mod tests {
         assert_eq!(table.elapsed_ns, 70);
         assert_eq!(table.critical_ns, 30);
         assert!(table.critical_ns <= table.elapsed_ns);
+        // The header names the share the phases cover: 30 of 70 ns.
+        assert_eq!(table.attributed_pct(), 100.0 * 30.0 / 70.0);
+        assert!(table
+            .format()
+            .lines()
+            .next()
+            .unwrap()
+            .contains("attributed 42.86%"));
     }
 
     #[test]

@@ -22,19 +22,26 @@
 //!   the per-node *prefix maximum* of transfer latencies — WQEs on one node
 //!   travel over one queue pair and complete **in order**, so a small verb
 //!   posted after a large one completes no earlier than the large one;
-//! * the verbs execute against the arena right away (simulation state), and
-//!   a completion entry is pushed for every *signalled* WQE; the latency is
+//! * every WQE is issued exactly as a synchronous verb is, by
+//!   `DmClient::issue` — queue-pair check, fault draw, price, message,
+//!   arena — so the verb executes right away (simulation state), and a
+//!   completion entry is pushed for every *signalled* WQE; the latency is
 //!   only charged when the client later **polls** it, as *time since post* —
 //!   CPU work done between `ring` and `poll_cq` genuinely overlaps the
 //!   in-flight transfers.
 //!
+//! The ring adds only what posting adds: the doorbell cost, the queue-pair
+//! ordering of completion times, and the flush rule.
+//!
 //! **The flush rule.**  A WQE that completes in error (an injected
-//! [`crate::FaultPlan`] failure or timeout) puts its reliable connection in
-//! the error state, and the NIC *flushes* every WQE queued behind it on that
-//! queue pair: within one ring, the WQEs posted after an errored one **to
-//! the same node** never execute, consume no message and no fault draw, and
-//! complete — signalled or not — as [`CompletionStatus::Flushed`] at the
-//! errored WQE's completion time or later.  Other nodes' queue pairs in the
+//! [`crate::FaultPlan`] failure or timeout, or
+//! [`CompletionStatus::NodeRemoved`] for a node this client has no queue
+//! pair to) puts its reliable connection in the error state, and the NIC
+//! *flushes* every WQE queued behind it on that queue pair: within one
+//! ring, the WQEs posted after an errored one **to the same node** never
+//! execute, consume no message and no fault draw, and complete — signalled
+//! or not — as [`CompletionStatus::Flushed`] at the errored WQE's
+//! completion time or later.  Other nodes' queue pairs in the
 //! same ring are unaffected, and the next ring starts clean (the simulator
 //! reconnects for free).  This is what makes it sound to post a verb
 //! *behind* the verb it depends on: a CAS posted behind the WRITE whose bytes
@@ -52,7 +59,9 @@ use crate::addr::RemoteAddr;
 use crate::client::DmClient;
 use crate::config::DmConfig;
 use crate::cq::{Completion, CompletionStatus};
-use crate::error::DmError;
+use crate::error::DmResult;
+use crate::memnode::MemoryNode;
+use crate::obs::Phase;
 use crate::stats::VerbKind;
 
 /// Maximum WQEs per posting round (and per doorbell batch).
@@ -63,8 +72,9 @@ use crate::stats::VerbKind;
 /// the bound auto-rings the doorbell instead of failing.
 pub const MAX_WQES: usize = 40;
 
-/// The one-sided operation a WQE carries.
-enum WqeOp<'buf> {
+/// One one-sided verb: what a WQE carries, and what a synchronous call
+/// issues (`DmClient::issue` decides its fate either way).
+pub(crate) enum WqeOp<'buf> {
     /// One-sided `RDMA_READ` into a caller-provided buffer.
     Read {
         addr: RemoteAddr,
@@ -80,8 +90,8 @@ enum WqeOp<'buf> {
         out: Option<&'buf mut u64>,
     },
     /// `RDMA_CAS`; the observed old value lands in `out` when the verb
-    /// executes at ring time (awaiting the completion before reading `out`
-    /// is the caller's contract, as for a READ buffer).
+    /// executes (awaiting the completion before reading `out` is the
+    /// caller's contract, as for a READ buffer).
     Cas {
         addr: RemoteAddr,
         expected: u64,
@@ -91,7 +101,7 @@ enum WqeOp<'buf> {
 }
 
 impl WqeOp<'_> {
-    fn kind(&self) -> VerbKind {
+    pub(crate) fn kind(&self) -> VerbKind {
         match self {
             WqeOp::Read { .. } => VerbKind::Read,
             WqeOp::Write { .. } => VerbKind::Write,
@@ -100,7 +110,7 @@ impl WqeOp<'_> {
         }
     }
 
-    fn payload_len(&self) -> usize {
+    pub(crate) fn payload_len(&self) -> usize {
         match self {
             WqeOp::Read { buf, .. } => buf.len(),
             WqeOp::Write { data, .. } => data.len(),
@@ -108,7 +118,7 @@ impl WqeOp<'_> {
         }
     }
 
-    fn mn_id(&self) -> u16 {
+    pub(crate) fn mn_id(&self) -> u16 {
         match self {
             WqeOp::Read { addr, .. }
             | WqeOp::Write { addr, .. }
@@ -117,29 +127,19 @@ impl WqeOp<'_> {
         }
     }
 
-    /// Executes the operation against the target node's arena.
-    fn perform(self, client: &DmClient) {
+    /// Executes the operation against the target node's arena.  Fails only
+    /// on an address the node cannot serve (out of range, or an unaligned
+    /// atomic) — a caller bug.
+    pub(crate) fn execute(self, node: &MemoryNode) -> DmResult<()> {
         match self {
-            WqeOp::Read { addr, buf } => {
-                client
-                    .node_ref(addr.mn_id)
-                    .read_into(addr.offset, buf)
-                    .unwrap_or_else(|e| panic!("posted RDMA_READ failed: {e}"));
-            }
-            WqeOp::Write { addr, data } => {
-                client
-                    .node_ref(addr.mn_id)
-                    .write(addr.offset, data)
-                    .unwrap_or_else(|e| panic!("posted RDMA_WRITE failed: {e}"));
-            }
+            WqeOp::Read { addr, buf } => node.read_into(addr.offset, buf),
+            WqeOp::Write { addr, data } => node.write(addr.offset, data),
             WqeOp::Faa { addr, delta, out } => {
-                let old = client
-                    .node_ref(addr.mn_id)
-                    .faa(addr.offset, delta)
-                    .unwrap_or_else(|e| panic!("posted RDMA_FAA failed: {e}"));
+                let old = node.faa(addr.offset, delta)?;
                 if let Some(out) = out {
                     *out = old;
                 }
+                Ok(())
             }
             WqeOp::Cas {
                 addr,
@@ -147,10 +147,8 @@ impl WqeOp<'_> {
                 new,
                 out,
             } => {
-                *out = client
-                    .node_ref(addr.mn_id)
-                    .cas(addr.offset, expected, new)
-                    .unwrap_or_else(|e| panic!("posted RDMA_CAS failed: {e}"));
+                *out = node.cas(addr.offset, expected, new)?;
+                Ok(())
             }
         }
     }
@@ -299,25 +297,19 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
             + self.len as u64 * DmConfig::VERB_ISSUE_NS;
         client.advance_ns(post_cost);
         let ring_end = client.now_ns();
-        client.record_span(
-            crate::obs::Phase::Post,
-            ring_start,
-            ring_end,
-            self.len as u32,
-        );
+        client.record_span(Phase::Post, ring_start, ring_end, self.len as u32);
         let stats = client.pool().stats();
         stats.record_batch(self.len, fanout);
         for &mn in &nodes[..fanout] {
             stats.record_node_doorbell(mn);
         }
         // Per-node prefix maximum of transfer latencies: one queue pair per
-        // node, completions in posting order.  The fault injector is
-        // consulted per WQE: a faulted verb still consumes its message and
-        // holds its place in the queue-pair ordering (a timed-out verb's
+        // node, completions in posting order.  Each WQE is issued the one
+        // way every verb is (`DmClient::issue`); an errored one holds its
+        // place in the queue-pair ordering (a timed-out verb's
         // retransmission window delays everything behind it on the same
-        // node), but its operation never executes, and its error completion
-        // is pushed even when the WQE was posted *unsignalled* — real NICs
-        // always surface error CQEs.
+        // node), and its error completion is pushed even when the WQE was
+        // posted *unsignalled* — real NICs always surface error CQEs.
         //
         // An errored WQE also *flushes* every WQE queued behind it on its
         // node's queue pair in this ring (the RC rule, see the module docs):
@@ -329,49 +321,32 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
             let Some(wqe) = wqe else { continue };
             let mn = wqe.op.mn_id();
             let slot = nodes[..fanout].iter().position(|&n| n == mn).unwrap_or(0);
-            if node_errored[slot] {
-                stats.record_wqe(wqe.signalled);
-                client.push_completion(Completion {
-                    wr_id: wqe.wr_id,
-                    completed_at_ns: ring_end + node_floor[slot],
-                    status: CompletionStatus::Flushed { mn_id: mn },
-                });
-                continue;
-            }
-            let (factor_pct, fault) = client.inject(mn);
-            let (kind, len) = (wqe.op.kind(), wqe.op.payload_len());
-            let mut transfer = DmConfig::verb_latency_ns(kind, len) * factor_pct / 100;
-            let status = match fault {
-                None => CompletionStatus::Success,
-                Some((DmError::VerbTimeout { .. }, wait_ns)) => {
-                    transfer += wait_ns;
-                    CompletionStatus::TimedOut { mn_id: mn }
-                }
-                Some(_) => CompletionStatus::Failed { mn_id: mn },
-            };
-            node_floor[slot] = node_floor[slot].max(transfer);
-            stats.record_verb(mn, kind, len);
             stats.record_wqe(wqe.signalled);
-            // Every WQE in one ring leaves at ring-end, so a multi-WQE ring
-            // shows its flight spans overlapping — the pipelining the trace
-            // viewer is meant to make visible.
-            client.record_span(
-                crate::obs::Phase::Flight,
-                ring_end,
-                ring_end + node_floor[slot],
-                wqe.wr_id as u32,
-            );
+            let status = if node_errored[slot] {
+                CompletionStatus::Flushed { mn_id: mn }
+            } else {
+                let (transfer, status) = client
+                    .issue(wqe.op)
+                    .unwrap_or_else(|e| panic!("posted verb failed: {e}"));
+                node_floor[slot] = node_floor[slot].max(transfer);
+                node_errored[slot] = !status.is_ok();
+                // Every WQE in one ring leaves at ring-end, so a multi-WQE
+                // ring shows its flight spans overlapping — the pipelining
+                // the trace viewer is meant to make visible.
+                client.record_span(
+                    Phase::Flight,
+                    ring_end,
+                    ring_end + node_floor[slot],
+                    wqe.wr_id as u32,
+                );
+                status
+            };
             if wqe.signalled || !status.is_ok() {
                 client.push_completion(Completion {
                     wr_id: wqe.wr_id,
                     completed_at_ns: ring_end + node_floor[slot],
                     status,
                 });
-            }
-            if status.is_ok() {
-                wqe.op.perform(client);
-            } else {
-                node_errored[slot] = true;
             }
         }
         self.len = 0;

@@ -22,7 +22,7 @@ use ditto::cache::local_tier::CoherenceBoard;
 use ditto::cache::slot::AtomicField;
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{object, DittoCache, DittoClient, DittoConfig};
-use ditto::dm::{DmConfig, FaultPlan, MemoryPool};
+use ditto::dm::{attribution, DmConfig, FaultPlan, MemoryPool};
 use ditto::workloads::{Op, YcsbSpec, YcsbWorkload};
 use std::collections::HashMap;
 use support::{assert_no_orphans, env_u64, splitmix};
@@ -548,6 +548,104 @@ fn a_faulted_hinted_read_still_yields_the_hit() {
     assert!(
         wasted > issued / 4 && wasted < issued / 2,
         "{wasted} of {issued}"
+    );
+}
+
+/// A `Get`'s object READ has one fault budget, whether it goes alone or the
+/// frequency-counter FAAs due at the access ride its round.  At
+/// `fc_threshold = 1` every hit's READ carries a flush, and a reader with no
+/// hints reads the buckets first, so every hit here takes the riding READ;
+/// one verb in fifty fails, and a faulted riding READ is retried like a lone
+/// one — no hit degrades to a miss.
+#[test]
+fn a_get_whose_read_rides_a_flush_keeps_its_fault_budget() {
+    const KEYS: u64 = 1_500;
+    let plan = FaultPlan::seeded(0x71de).with_verb_fail_ppm(20_000);
+    let config = DittoConfig {
+        fc_threshold: 1,
+        ..DittoConfig::with_capacity(2 * KEYS)
+    };
+    let cache =
+        DittoCache::with_dedicated_pool(config, DmConfig::default().with_fault_plan(plan)).unwrap();
+    let injector = cache.pool().fault_injector();
+    injector.set_armed(false);
+    let mut writer = cache.client();
+    for i in 0..KEYS {
+        writer.set(&i.to_le_bytes(), &i.to_be_bytes());
+    }
+    let stats = cache.stats();
+    let (hits, flushes) = (stats.snapshot().hits, stats.snapshot().fc_flushes);
+    let mut reader = cache.client();
+    injector.set_armed(true);
+    for i in 0..KEYS {
+        assert_eq!(
+            reader.get(&i.to_le_bytes()).as_deref(),
+            Some(&i.to_be_bytes()[..]),
+            "key {i}"
+        );
+    }
+    injector.set_armed(false);
+    assert_eq!(stats.gets_degraded(), 0);
+    assert_eq!(stats.snapshot().hits - hits, KEYS);
+    assert_eq!(stats.spec_reads_issued(), 0, "the reader had no hints");
+    assert_eq!(
+        stats.snapshot().fc_flushes - flushes,
+        KEYS,
+        "every hit's READ carried its flush"
+    );
+    assert!(
+        cache.pool().stats().faults().verb_failures > KEYS / 100,
+        "the plan must fault"
+    );
+}
+
+/// Every verb a `Get` waits for is on the record: replayed with the flight
+/// recorder armed, the ops' spans cover their whole elapsed time, and each
+/// op's last span ends at the clock `end_op` read.  The pool is the one of
+/// [`an_object_allocated_off_its_slots_node_is_never_cased_behind_its_write`]
+/// — node 1 drained, every object on node 0, half the hinted slots on node
+/// 1 — so the hinted `Get`s wait for a lone slot READ and then a lone object
+/// READ; a second, hintless client's `Get`s read both buckets and then the
+/// object.
+#[test]
+fn every_verb_a_get_waits_for_is_on_the_record() {
+    let cache = DittoCache::with_dedicated_pool(
+        DittoConfig::with_capacity(2_000),
+        DmConfig::default()
+            .with_memory_nodes(2)
+            .with_flight_recorder(1 << 16),
+    )
+    .unwrap();
+    let mut client = cache.client();
+    cache.pool().drain_node(1).unwrap();
+    for i in 0..400u64 {
+        client.set(&i.to_le_bytes(), &i.to_be_bytes());
+    }
+    let hinted = cache.stats().spec_reads_issued();
+    let mut stranger = cache.client();
+    for reader in [&mut client, &mut stranger] {
+        reader.dm().clear_flight_recorder();
+        let mut ends = Vec::new();
+        for i in 0..400u64 {
+            assert_eq!(
+                reader.get(&i.to_le_bytes()).as_deref(),
+                Some(&i.to_be_bytes()[..])
+            );
+            ends.push((reader.dm().op_id(), reader.dm().now_ns()));
+        }
+        let spans = reader.dm().flight_spans();
+        let table = attribution(&[(reader.dm().client_id(), spans.clone())]);
+        assert_eq!(table.ops, 400);
+        assert_eq!(table.critical_ns, table.elapsed_ns, "time no span covers");
+        for (op, end) in ends {
+            let last = spans.iter().filter(|s| s.op_id == op).map(|s| s.end_ns);
+            assert_eq!(last.max(), Some(end), "op {op}");
+        }
+    }
+    assert_eq!(
+        cache.stats().spec_reads_issued() - hinted,
+        400,
+        "the writer's Gets were all hinted, the stranger's none"
     );
 }
 
