@@ -157,14 +157,11 @@ impl CliqueMapCache {
         let state = Arc::new(Mutex::new(ServerState::default()));
         // The RPC service only exists to charge controller CPU for Sets and
         // access-record merges; the state lives in this process.
-        let cpu_charger = Arc::new(move |_node: &ditto_dm::MemoryNode, request: &[u8]| {
-            let cpu = request
-                .get(..8)
-                .and_then(|b| <[u8; 8]>::try_from(b).ok())
-                .map(u64::from_le_bytes)
-                .unwrap_or(0);
-            Ok(ditto_dm::rpc::RpcOutcome::new(Vec::new(), cpu))
-        });
+        let cpu_charger = Arc::new(
+            |_node: &ditto_dm::MemoryNode, request: &[u8], _reply: &mut [u8]| {
+                Ok((0, ditto_dm::rpc::wire::get_u64(request, 0).unwrap_or(0)))
+            },
+        );
         pool.register_handler(CLIQUEMAP_SERVICE, cpu_charger);
         CliqueMapCache {
             pool,
@@ -219,8 +216,9 @@ impl CliqueMapClient {
     }
 
     fn charge_server_cpu(&self, cpu_ns: u64) {
-        let request = cpu_ns.to_le_bytes().to_vec();
-        let _ = self.dm.rpc(0, CLIQUEMAP_SERVICE, &request);
+        let _ = self
+            .dm
+            .rpc(0, CLIQUEMAP_SERVICE, &cpu_ns.to_le_bytes(), &mut []);
     }
 
     fn maybe_sync_access_records(&mut self) {
@@ -348,6 +346,17 @@ mod tests {
         let snap = &cache.pool().stats().node_snapshots()[0];
         assert_eq!(snap.rpcs, 100);
         assert!(snap.rpc_cpu_ns >= 100 * 1_800);
+    }
+
+    /// A CPU charge is one RPC with an 8-byte request and an empty reply.
+    #[test]
+    fn a_cpu_charge_is_one_eight_byte_rpc() {
+        let cache = cache(ServerPolicy::Lru, 10);
+        let client = cache.client();
+        client.charge_server_cpu(1_000);
+        let snap = &cache.pool().stats().node_snapshots()[0];
+        assert_eq!((snap.rpcs, snap.messages, snap.bytes), (1, 1, 8));
+        assert_eq!(snap.rpc_cpu_ns, 1_000 + DmConfig::RPC_BASE_CPU_NS);
     }
 
     #[test]

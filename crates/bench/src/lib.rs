@@ -1,16 +1,13 @@
 //! Shared experiment harness for the figure and table reproductions.
 //!
-//! Every system under test is wrapped behind [`SystemUnderTest`] /
-//! [`ClientUnderTest`] so each experiment can run Ditto and the baselines
+//! Every system under test is wrapped behind [`SystemUnderTest`], whose
+//! clients are [`CacheBackend`]s, so each experiment can run Ditto and the baselines
 //! through exactly the same multi-client replay loop and report the same
 //! metrics (throughput from the DM resource model, hit rate, latency
 //! percentiles).
 
-use ditto_baselines::{
-    CliqueMapCache, CliqueMapClient, CliqueMapConfig, LockedListCache, LockedListClient,
-    LockedListConfig,
-};
-use ditto_core::{DittoCache, DittoClient, DittoConfig};
+use ditto_baselines::{CliqueMapCache, CliqueMapConfig, LockedListCache, LockedListConfig};
+use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::{run_clients, DmConfig, MemoryPool, RunReport};
 use ditto_workloads::{replay, CacheBackend, ReplayOptions, ReplayStats, Request};
 use serde::{Deserialize, Serialize};
@@ -62,16 +59,6 @@ pub enum SystemUnderTest {
     CliqueMap(CliqueMapCache),
     /// Lock-based list caches (Shard-LRU / KVC / KVS).
     Locked(LockedListCache),
-}
-
-/// A per-thread client of a [`SystemUnderTest`].
-pub enum ClientUnderTest {
-    /// Ditto client (boxed: far larger than the other clients).
-    Ditto(Box<DittoClient>),
-    /// CliqueMap client.
-    CliqueMap(CliqueMapClient),
-    /// Lock-based list client.
-    Locked(LockedListClient),
 }
 
 impl SystemUnderTest {
@@ -128,11 +115,11 @@ impl SystemUnderTest {
     }
 
     /// Opens a new per-thread client.
-    pub fn client(&self) -> ClientUnderTest {
+    pub fn client(&self) -> Box<dyn CacheBackend> {
         match self {
-            SystemUnderTest::Ditto(c) => ClientUnderTest::Ditto(Box::new(c.client())),
-            SystemUnderTest::CliqueMap(c) => ClientUnderTest::CliqueMap(c.client()),
-            SystemUnderTest::Locked(c) => ClientUnderTest::Locked(c.client()),
+            SystemUnderTest::Ditto(c) => Box::new(c.client()),
+            SystemUnderTest::CliqueMap(c) => Box::new(c.client()),
+            SystemUnderTest::Locked(c) => Box::new(c.client()),
         }
     }
 
@@ -141,49 +128,6 @@ impl SystemUnderTest {
         match self {
             SystemUnderTest::Ditto(c) => Some(c.global_weights()),
             _ => None,
-        }
-    }
-}
-
-impl ClientUnderTest {
-    /// Flushes client-buffered state (frequency counters, weight penalties).
-    pub fn finish(&mut self) {
-        if let ClientUnderTest::Ditto(c) = self {
-            c.flush();
-        }
-    }
-}
-
-impl CacheBackend for ClientUnderTest {
-    fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        match self {
-            ClientUnderTest::Ditto(c) => c.get(key),
-            ClientUnderTest::CliqueMap(c) => c.get(key),
-            ClientUnderTest::Locked(c) => c.get(key),
-        }
-    }
-
-    fn set(&mut self, key: &[u8], value: &[u8]) {
-        match self {
-            ClientUnderTest::Ditto(c) => DittoClient::set(c, key, value),
-            ClientUnderTest::CliqueMap(c) => c.set(key, value),
-            ClientUnderTest::Locked(c) => c.set(key, value),
-        }
-    }
-
-    fn miss_penalty(&mut self, us: u64) {
-        match self {
-            ClientUnderTest::Ditto(c) => CacheBackend::miss_penalty(&mut **c, us),
-            ClientUnderTest::CliqueMap(c) => c.miss_penalty(us),
-            ClientUnderTest::Locked(c) => c.miss_penalty(us),
-        }
-    }
-
-    fn backend_name(&self) -> &str {
-        match self {
-            ClientUnderTest::Ditto(c) => c.backend_name(),
-            ClientUnderTest::CliqueMap(c) => c.backend_name(),
-            ClientUnderTest::Locked(c) => c.backend_name(),
         }
     }
 }
@@ -219,7 +163,7 @@ pub fn load_phase(sut: &SystemUnderTest, clients: usize, requests: &[Request]) {
             .step_by(ctx.total)
             .copied()
             .collect();
-        replay(&mut client, shard, ReplayOptions::default());
+        replay(&mut *client, shard, ReplayOptions::default());
         client.finish();
     });
     sut.pool().reset_stats();
@@ -237,7 +181,7 @@ pub fn measured_phase(
     let (report, stats) = run_clients(sut.pool(), clients, |ctx| {
         let mut client = sut.client();
         let requests = per_client(ctx.index);
-        let stats = replay(&mut client, requests, opts);
+        let stats = replay(&mut *client, requests, opts);
         client.finish();
         stats
     });

@@ -18,7 +18,7 @@ use crate::error::{CacheError, CacheResult};
 use crate::history::expert_bitmap;
 use crate::recency::EvictionAge;
 use ditto_algorithms::{registry, AccessContext, CacheAlgorithm, Metadata};
-use ditto_dm::rpc::{wire, RpcHandler, RpcOutcome};
+use ditto_dm::rpc::{wire, RpcHandler};
 use ditto_dm::{DmError, DmResult, MemoryNode};
 use parking_lot::Mutex;
 use rand::Rng;
@@ -335,18 +335,11 @@ impl WeightService {
 }
 
 impl RpcHandler for WeightService {
-    fn handle(&self, node: &MemoryNode, request: &[u8]) -> DmResult<RpcOutcome> {
-        let mut resp = vec![0u8; request.len()];
-        let (len, cpu_ns) = self.handle_into(node, request, &mut resp)?;
-        resp.truncate(len);
-        Ok(RpcOutcome::new(resp, cpu_ns))
-    }
-
-    fn handle_into(
+    fn handle(
         &self,
         _node: &MemoryNode,
         request: &[u8],
-        response: &mut [u8],
+        reply: &mut [u8],
     ) -> DmResult<(usize, u64)> {
         let mut penalties = [0.0; MAX_EXPERTS];
         let n = weight_wire::decode(request, &mut penalties)?;
@@ -356,13 +349,9 @@ impl RpcHandler for WeightService {
                 reason: format!("expected {} penalties, got {n}", weights.len()),
             });
         }
-        if response.len() < weight_wire::wire_len(n) {
-            return Err(DmError::RpcFailed {
-                reason: format!("reply buffer too short for {n} weights"),
-            });
-        }
+        let reply = wire::reply(reply, weight_wire::wire_len(n))?;
         decay(&mut weights, &penalties);
-        Ok((weight_wire::encode(&weights, response), WEIGHT_RPC_CPU_NS))
+        Ok((weight_wire::encode(&weights, reply), WEIGHT_RPC_CPU_NS))
     }
 }
 
@@ -575,7 +564,7 @@ mod tests {
         weight_wire::encode(&[5.0, 0.0], &mut req);
         let mut resp = [0u8; weight_wire::wire_len(2)];
         let len = client
-            .rpc_into(0, ditto_dm::rpc::WEIGHT_SERVICE, &req, &mut resp)
+            .rpc(0, ditto_dm::rpc::WEIGHT_SERVICE, &req, &mut resp)
             .unwrap();
         let mut weights = [0.0; 2];
         assert_eq!(weight_wire::decode(&resp[..len], &mut weights), Ok(2));
@@ -593,11 +582,33 @@ mod tests {
             std::sync::Arc::new(WeightService::new(2)),
         );
         let client = pool.connect();
-        assert!(client.rpc(0, ditto_dm::rpc::WEIGHT_SERVICE, &[]).is_err());
+        let mut resp = [0u8; weight_wire::wire_len(3)];
+        assert!(client
+            .rpc(0, ditto_dm::rpc::WEIGHT_SERVICE, &[], &mut resp)
+            .is_err());
         let mut wrong_len = [0u8; weight_wire::wire_len(3)];
         weight_wire::encode(&[1.0, 2.0, 3.0], &mut wrong_len);
         assert!(client
-            .rpc(0, ditto_dm::rpc::WEIGHT_SERVICE, &wrong_len)
+            .rpc(0, ditto_dm::rpc::WEIGHT_SERVICE, &wrong_len, &mut resp)
             .is_err());
+    }
+
+    /// A reply buffer too short for the weight vector fails the sync with
+    /// `RpcFailed` before the controller decays its weights.
+    #[test]
+    fn a_short_reply_buffer_leaves_the_weights_undecayed() {
+        use ditto_dm::{DmConfig, DmError, MemoryPool};
+        let pool = MemoryPool::new(DmConfig::small());
+        let service = std::sync::Arc::new(WeightService::new(2));
+        pool.register_handler(ditto_dm::rpc::WEIGHT_SERVICE, service.clone());
+        let client = pool.connect();
+        let mut req = [0u8; weight_wire::wire_len(2)];
+        weight_wire::encode(&[5.0, 0.0], &mut req);
+        let mut short = [0u8; weight_wire::wire_len(2) - 1];
+        assert!(matches!(
+            client.rpc(0, ditto_dm::rpc::WEIGHT_SERVICE, &req, &mut short),
+            Err(DmError::RpcFailed { .. })
+        ));
+        assert_eq!(service.weights(), [0.5, 0.5]);
     }
 }

@@ -85,7 +85,7 @@ use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
 use crate::stats::CacheStats;
 use ditto_algorithms::{AccessContext, AccessKind, Metadata, EXT_WORDS};
 use ditto_dm::alloc::{AllocService, ClientAllocator};
-use ditto_dm::rpc::{ALLOC_SERVICE, WEIGHT_SERVICE};
+use ditto_dm::rpc::WEIGHT_SERVICE;
 use ditto_dm::wqe::MAX_WQES;
 use ditto_dm::{
     CompletionStatus, DmClient, DmError, DmResult, EventKind, MigrationEngine, Phase, PoolTopology,
@@ -107,7 +107,7 @@ use round::{plan_round, Plan, Shape};
 
 /// Maximum CAS retries before an operation gives up, and the attempt bound of
 /// every data-path verb through transient faults ([`DmClient::with_retry`]).
-const MAX_RETRIES: usize = 8;
+pub(crate) const MAX_RETRIES: usize = 8;
 /// Simulated back-off charged to a client whose slot CAS lost a race before
 /// it retries (bounded retry/back-off instead of an immediate hot respin).
 const CAS_RETRY_BACKOFF_NS: u64 = 200;
@@ -761,12 +761,8 @@ impl DittoClient {
     /// traffic and works even against fail-stopped verb paths).  Returns
     /// the bytes freed, or 0 when the RPC could not reach the node.
     fn sweep_gap(&self, mn_id: u16, offset: u64, len: u64) -> u64 {
-        match self.dm.rpc(
-            mn_id,
-            ALLOC_SERVICE,
-            &AllocService::encode_free(offset, len),
-        ) {
-            Ok(_) => len,
+        match AllocService::free(&self.dm, mn_id, offset, len) {
+            Ok(()) => len,
             Err(_) => 0,
         }
     }
@@ -919,16 +915,14 @@ impl DittoClient {
     fn on_miss(&mut self, slots: &[(RemoteAddr, Slot)], hash: u64) {
         self.eviction_age.observe_miss();
         if self.policy.is_adaptive() {
-            if self.config.enable_lightweight_history {
-                self.check_regret(slots, hash);
-            } else {
+            if !self.config.enable_lightweight_history {
                 // Ablation: a separate history structure needs its own index
                 // lookup on every miss (tolerated when faulted — the regret
                 // check then runs on the bucket bytes already in hand).
                 let mut index_buf = [0u8; 64];
                 let _ = self.dm.try_read_into(self.scratch, &mut index_buf);
-                self.check_regret(slots, hash);
             }
+            self.check_regret(slots, hash);
         }
         self.stats.record_miss();
     }
@@ -1276,10 +1270,7 @@ impl DittoClient {
         let len = weight_wire::encode(&values[..n], &mut request);
         let mut reply = [0u8; weight_wire::wire_len(MAX_EXPERTS)];
         // The controller being unreachable only delays adaptation.
-        if let Ok(len) = self
-            .dm
-            .rpc_into(0, WEIGHT_SERVICE, &request[..len], &mut reply)
-        {
+        if let Ok(len) = self.dm.rpc(0, WEIGHT_SERVICE, &request[..len], &mut reply) {
             if let Ok(n) = weight_wire::decode(&reply[..len], &mut values) {
                 self.policy.set_weights(&values[..n]);
             }
@@ -1969,6 +1960,9 @@ impl ditto_workloads::CacheBackend for DittoClient {
             "ditto-single"
         }
     }
+    fn finish(&mut self) {
+        self.flush();
+    }
 }
 
 #[cfg(test)]
@@ -2365,7 +2359,7 @@ mod tests {
             let hash = crate::hash::fnv1a64(key.as_bytes());
             let table = cache.table();
             let bucket_node = table.node_of_bucket(table.primary_bucket(hash));
-            let slots = table.read_bucket(&client.dm, table.primary_bucket(hash));
+            let slots = table.bucket_slots(&client.dm, table.primary_bucket(hash));
             let fp = crate::hash::fingerprint(hash);
             if let Some((_, slot)) = slots
                 .iter()
@@ -2406,7 +2400,7 @@ mod tests {
             let hash = crate::hash::fnv1a64(key.as_bytes());
             let fp = crate::hash::fingerprint(hash);
             for bucket in [table.primary_bucket(hash), table.secondary_bucket(hash)] {
-                let slots = table.read_bucket(&client.dm, bucket);
+                let slots = table.bucket_slots(&client.dm, bucket);
                 if let Some((_, slot)) = slots
                     .iter()
                     .find(|(_, s)| s.atomic.is_object() && s.atomic.fp == fp && s.hash == hash)
@@ -2442,7 +2436,7 @@ mod tests {
             let hash = crate::hash::fnv1a64(key.as_bytes());
             let fp = crate::hash::fingerprint(hash);
             for bucket in [table.primary_bucket(hash), table.secondary_bucket(hash)] {
-                let slots = table.read_bucket(&client.dm, bucket);
+                let slots = table.bucket_slots(&client.dm, bucket);
                 if let Some((_, slot)) = slots
                     .iter()
                     .find(|(_, s)| s.atomic.is_object() && s.atomic.fp == fp && s.hash == hash)
@@ -2557,7 +2551,7 @@ mod tests {
             let hash = crate::hash::fnv1a64(key.as_bytes());
             [table.primary_bucket(hash), table.secondary_bucket(hash)]
                 .into_iter()
-                .flat_map(|b| table.read_bucket(&client.dm, b))
+                .flat_map(|b| table.bucket_slots(&client.dm, b))
                 .find(|(_, s)| s.atomic.is_object() && s.hash == hash)
                 .map(|(_, s)| s.atomic.object_addr().mn_id)
                 .expect("the key is resident")
@@ -2743,7 +2737,7 @@ mod tests {
                 .map(|i| format!("pack{i}"))
                 .filter(|k| table.primary_bucket(crate::hash::fnv1a64(k.as_bytes())) == bucket);
             while table
-                .read_bucket(&client.dm, bucket)
+                .bucket_slots(&client.dm, bucket)
                 .iter()
                 .any(|(_, s)| !s.atomic.is_object())
             {
@@ -2755,7 +2749,7 @@ mod tests {
         // history key's.
         let mut ghosts = Vec::new();
         for bucket in buckets(&into_history) {
-            for (slot_addr, slot) in table.read_bucket(&client.dm, bucket) {
+            for (slot_addr, slot) in table.bucket_slots(&client.dm, bucket) {
                 if slot.atomic.is_empty() {
                     let ghost = crate::hash::fnv1a64(format!("ghost{}", ghosts.len()).as_bytes());
                     let id = EvictionHistory::pack_id(0, ghosts.len() as u64 + 1);
@@ -2827,7 +2821,7 @@ mod tests {
         let token = table.directory().version();
         client.set(key.as_bytes(), b"carried");
         let (slot_addr, slot) = table
-            .read_bucket(&client.dm, table.primary_bucket(hash))
+            .bucket_slots(&client.dm, table.primary_bucket(hash))
             .into_iter()
             .find(|(_, s)| s.hash == hash)
             .expect("an empty primary bucket takes the fill");

@@ -239,7 +239,7 @@ impl DittoClient {
     pub(super) fn take_parked(&mut self, starved: bool) -> Option<Eviction> {
         let mut ev = self.parked_eviction.take()?;
         if ev.version != self.table.directory().version() {
-            if self.embeds_history() {
+            if self.policy.is_adaptive() {
                 self.stats.record_history_id_burnt();
             }
             return None;
@@ -250,12 +250,6 @@ impl DittoClient {
         }
         ev.carried = true;
         Some(ev)
-    }
-
-    /// Whether evictions leave an embedded history entry behind, and so
-    /// acquire a history id.
-    fn embeds_history(&self) -> bool {
-        self.policy.is_adaptive() && self.config.enable_lightweight_history
     }
 
     /// Advances `ev`: collect the sample (and the history id), re-sample
@@ -323,7 +317,7 @@ impl DittoClient {
     /// Ends `ev`: whether it evicted, its span, and an id it could not use.
     fn evict_finish(&mut self, ev: &mut Eviction, won: bool) {
         ev.wait = EvictWait::Done(won);
-        if self.embeds_history() && !(won && ev.fetched != NO_ID) {
+        if self.policy.is_adaptive() && !(won && ev.fetched != NO_ID) {
             // The id went into no slot (or never arrived): one position of
             // its shard's FIFO aged with no entry.
             self.stats.record_history_id_burnt();
@@ -371,7 +365,7 @@ impl DittoClient {
             }
             first_idx.unwrap_or(0)
         };
-        if ev.samples == 0 && self.embeds_history() {
+        if ev.samples == 0 && self.policy.is_adaptive() {
             ev.id_shard = first_idx % self.history.num_shards();
             ev.id_counter = Some(self.history.counter_addr(ev.id_shard));
         }
@@ -437,8 +431,8 @@ impl DittoClient {
         let victim = ev.candidates[ev.pick.0].1;
         // A faulted counter FAA evicts without a history entry (one lost
         // ghost hit beats a wedged eviction path), like the non-adaptive
-        // cache and the separate-history ablation: the slot is just cleared.
-        ev.word = if self.embeds_history() && ev.fetched != NO_ID {
+        // cache: the slot is just cleared.
+        ev.word = if self.policy.is_adaptive() && ev.fetched != NO_ID {
             let shard = ev.id_shard;
             let (hist_id, new_counter) = EvictionHistory::id_from_counter(shard, ev.fetched);
             self.counter_estimates[shard as usize] = new_counter;
@@ -503,14 +497,15 @@ impl DittoClient {
                 SampleFriendlyHashTable::insert_ts_addr(victim_addr),
                 &bitmap.to_le_bytes(),
             );
-            self.stats.record_history_insert();
-        } else if won && self.policy.is_adaptive() && !self.config.enable_lightweight_history {
-            // Ablation: a separate remote history FIFO and index (FAA on the
-            // tail, WRITE of the entry, CAS into the index), modelled as
-            // traffic against scratch space: faults cost only the messages.
-            let _ = self.dm.try_faa(self.scratch.add(16), 1);
-            let _ = self.dm.try_write_async(self.scratch.add(24), &[0u8; 16]);
-            let _ = self.dm.try_cas(self.scratch.add(40), 0, 0);
+            if !self.config.enable_lightweight_history {
+                // Ablation: a separate remote history FIFO and index keep the
+                // embedded entry's behaviour and add their traffic, against
+                // scratch space (faults cost only the messages): the entry's
+                // WRITE into the queue and its CAS into the index.  The
+                // history-id FAA stands for the queue's tail FAA.
+                let _ = self.dm.try_write_async(self.scratch.add(24), &[0u8; 16]);
+                let _ = self.dm.try_cas(self.scratch.add(40), 0, 0);
+            }
             self.stats.record_history_insert();
         }
         if won {

@@ -1092,7 +1092,7 @@ mod tests {
         let (table, hash) = (cache.table(), fnv1a64(key));
         [table.primary_bucket(hash), table.secondary_bucket(hash)]
             .into_iter()
-            .flat_map(|bucket| table.read_bucket(&client.dm, bucket))
+            .flat_map(|bucket| table.bucket_slots(&client.dm, bucket))
             .filter(|(_, slot)| slot.atomic.is_object() && slot.hash == hash)
             .map(|(slot_addr, _)| slot_addr)
             .collect()

@@ -38,7 +38,9 @@ pub struct DittoConfig {
     /// metadata scattered with the objects.
     pub enable_sample_friendly_table: bool,
     /// Ablation toggle: embed history entries in the hash table (§4.3.1).
-    /// Disabling it models a separate remote FIFO queue plus index.
+    /// Disabling it keeps the entries' behaviour and adds the traffic of a
+    /// separate remote FIFO queue plus index: a queue WRITE and an index CAS
+    /// per won eviction, an index READ per miss.
     pub enable_lightweight_history: bool,
     /// Segment size (in objects) requested from the memory node at a time by
     /// each client's allocator.

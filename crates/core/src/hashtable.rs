@@ -37,6 +37,7 @@
 //! draining a node therefore rebalances the *existing* lookup message
 //! load, not just future placements.
 
+use crate::client::MAX_RETRIES;
 use crate::hash::{fnv1a64, secondary_hash};
 use crate::slot::{Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
 use ditto_dm::migration::StripeDirectory;
@@ -238,46 +239,17 @@ impl SampleFriendlyHashTable {
         }
     }
 
-    /// Reads and decodes one bucket with a single `RDMA_READ`.
-    ///
-    /// Allocates the result; the allocation-free data path reads bucket
-    /// bytes into a client scratch buffer (batched with other verbs) and
-    /// decodes them with [`SampleFriendlyHashTable::decode_slots`].
-    pub fn read_bucket(&self, client: &DmClient, bucket_idx: u64) -> Vec<(RemoteAddr, Slot)> {
-        let addr = self.bucket_addr(bucket_idx);
-        // Bounded internal retry: the bucket-walk callers (forensic scans,
-        // relocation sweeps) prefer a degraded empty view over a panic when
-        // the verb keeps faulting.
-        let mut bytes = None;
-        for _ in 0..8 {
-            if let Ok(b) = client.try_read(addr, BUCKET_SIZE) {
-                bytes = Some(b);
-                break;
-            }
-            client.advance_ns(500);
-        }
-        let Some(bytes) = bytes else {
-            return Vec::new();
-        };
-        (0..SLOTS_PER_BUCKET)
-            .map(|i| {
-                (
-                    addr.add((i * SLOT_SIZE) as u64),
-                    Slot::from_bytes(&bytes[i * SLOT_SIZE..(i + 1) * SLOT_SIZE]),
-                )
-            })
-            .collect()
-    }
-
     /// Walks every slot of the stripes in `stripes`, bucket by bucket in
-    /// index order, reading each bucket ([`Self::read_bucket`]) when the
-    /// walk enters it.  Stripes are contiguous bucket ranges, so walking
+    /// index order, reading each bucket with one `RDMA_READ` when the walk
+    /// enters it.  Stripes are contiguous bucket ranges, so walking
     /// `0..num_stripes()` reads every bucket of the table, in index order.
     pub fn walk(&self, stripes: Range<u64>) -> SlotWalk {
         let per = self.buckets_per_stripe;
         SlotWalk {
             buckets: stripes.start * per..stripes.end * per,
-            bucket: Vec::new().into_iter(),
+            addr: RemoteAddr::default(),
+            bytes: [0; BUCKET_SIZE],
+            slots: 0..0,
         }
     }
 
@@ -359,10 +331,13 @@ impl SampleFriendlyHashTable {
 }
 
 /// A walk over the slots of a range of stripes (see
-/// [`SampleFriendlyHashTable::walk`]).
+/// [`SampleFriendlyHashTable::walk`]): the current bucket's address and
+/// bytes, and the slots of it not yet walked.
 pub struct SlotWalk {
     buckets: Range<u64>,
-    bucket: std::vec::IntoIter<(RemoteAddr, Slot)>,
+    addr: RemoteAddr,
+    bytes: [u8; BUCKET_SIZE],
+    slots: Range<usize>,
 }
 
 impl SlotWalk {
@@ -370,18 +345,42 @@ impl SlotWalk {
     /// `client` when the current one is used up; `None` at the end.  The
     /// table and client are lent per step, so the walker may issue verbs of
     /// its own — and mutate itself — between two slots.
+    ///
+    /// A bucket READ retries by the one transient-fault rule
+    /// ([`DmClient::with_retry`]); a bucket it cannot read — a fail-stopped
+    /// node's at once — walks as empty: the callers (forensic scans,
+    /// relocation sweeps) prefer a degraded view over a panic.
     pub fn next_slot(
         &mut self,
         table: &SampleFriendlyHashTable,
         client: &DmClient,
     ) -> Option<(RemoteAddr, Slot)> {
         loop {
-            if let Some(slot) = self.bucket.next() {
-                return Some(slot);
+            if let Some(i) = self.slots.next() {
+                let slot = Slot::from_bytes(&self.bytes[i * SLOT_SIZE..(i + 1) * SLOT_SIZE]);
+                return Some((self.addr.add((i * SLOT_SIZE) as u64), slot));
             }
-            let bucket = self.buckets.next()?;
-            self.bucket = table.read_bucket(client, bucket).into_iter();
+            self.addr = table.bucket_addr(self.buckets.next()?);
+            let read = client.with_retry(MAX_RETRIES, |dm| {
+                dm.try_read_into(self.addr, &mut self.bytes)
+            });
+            self.slots = 0..read.map_or(0, |()| SLOTS_PER_BUCKET);
         }
+    }
+}
+
+#[cfg(test)]
+impl SampleFriendlyHashTable {
+    /// One bucket's slots, read in one fault-free `RDMA_READ`.
+    pub(crate) fn bucket_slots(
+        &self,
+        client: &DmClient,
+        bucket_idx: u64,
+    ) -> Vec<(RemoteAddr, Slot)> {
+        let addr = self.bucket_addr(bucket_idx);
+        let mut slots = Vec::with_capacity(SLOTS_PER_BUCKET);
+        Self::decode_slots(addr, &client.read(addr, BUCKET_SIZE), &mut slots);
+        slots
     }
 }
 
@@ -497,7 +496,7 @@ mod tests {
         let addr = table.slot_addr(42, 3);
         assert_eq!(addr.mn_id, 2);
         client.write(addr, &slot.to_bytes());
-        let bucket = table.read_bucket(&client, 42);
+        let bucket = table.bucket_slots(&client, 42);
         assert_eq!(bucket[3].1, slot);
         assert_eq!(bucket[3].0, addr);
     }
@@ -536,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn read_bucket_roundtrips_written_slot() {
+    fn a_walk_roundtrips_a_written_slot() {
         let (pool, table) = setup();
         let client = pool.connect();
         let slot = Slot {
@@ -548,11 +547,52 @@ mod tests {
         };
         let addr = table.slot_addr(5, 3);
         client.write(addr, &slot.to_bytes());
-        let bucket = table.read_bucket(&client, 5);
+        // One bucket per stripe: stripe 5 is bucket 5.
+        let mut walk = table.walk(5..6);
+        let bucket: Vec<_> = std::iter::from_fn(|| walk.next_slot(&table, &client)).collect();
         assert_eq!(bucket.len(), SLOTS_PER_BUCKET);
-        assert_eq!(bucket[3].1, slot);
-        assert_eq!(bucket[3].0, addr);
+        assert_eq!(bucket[3], (addr, slot));
+        assert_eq!(bucket[0].0, table.slot_addr(5, 0));
         assert!(bucket[0].1.atomic.is_empty());
+    }
+
+    /// Walks every slot of `table`, returning how many it saw.
+    fn walk_all(table: &SampleFriendlyHashTable, client: &DmClient) -> usize {
+        let mut walk = table.walk(0..table.num_stripes() as u64);
+        std::iter::from_fn(|| walk.next_slot(table, client)).count()
+    }
+
+    /// A walk's bucket READs follow the one transient-fault retry rule:
+    /// every faulted READ is retried and booked in `faults().verb_retries`,
+    /// and a fail-stopped node's bucket costs one attempt and walks empty.
+    #[test]
+    fn a_walk_retries_transient_faults_and_gives_up_on_a_dead_node() {
+        use ditto_dm::FaultPlan;
+        let plan = FaultPlan::seeded(3).with_verb_fail_ppm(250_000);
+        let pool = MemoryPool::new(DmConfig::small().with_fault_plan(plan));
+        let table = SampleFriendlyHashTable::create(&pool, 64).unwrap();
+        let client = pool.connect();
+        assert_eq!(walk_all(&table, &client), 64 * SLOTS_PER_BUCKET);
+        let faults = pool.stats().faults();
+        assert!(
+            faults.verb_failures > 0,
+            "the plan faults some bucket READs"
+        );
+        assert_eq!(faults.verb_retries, faults.verb_failures);
+
+        let plan = FaultPlan::seeded(3).with_node_fail_stop(1, 0);
+        let pool = MemoryPool::new(DmConfig::small().with_memory_nodes(2).with_fault_plan(plan));
+        let table = SampleFriendlyHashTable::create(&pool, 64).unwrap();
+        let client = pool.connect();
+        let dead = (0..64).filter(|&b| table.node_of_bucket(b) == 1).count();
+        assert!(dead > 0);
+        assert_eq!(walk_all(&table, &client), (64 - dead) * SLOTS_PER_BUCKET);
+        let faults = pool.stats().faults();
+        assert_eq!(
+            faults.verb_timeouts, dead as u64,
+            "one attempt per dead bucket"
+        );
+        assert_eq!(faults.verb_retries, 0);
     }
 
     /// The READ segments of one `count`-slot sample drawn with `rng`.

@@ -11,7 +11,7 @@ use crate::addr::RemoteAddr;
 use crate::client::DmClient;
 use crate::error::{DmError, DmResult};
 use crate::memnode::MemoryNode;
-use crate::rpc::{wire, RpcHandler, RpcOutcome, ALLOC_SERVICE};
+use crate::rpc::{wire, RpcHandler, ALLOC_SERVICE};
 use std::collections::BTreeMap;
 
 /// Granularity of client-side block allocation, matching the 64-byte memory
@@ -39,6 +39,12 @@ const ALLOC_CPU_NS: u64 = 600;
 pub struct AllocService {}
 
 impl AllocService {
+    /// Length of the service's longest reply, an `ALLOC` that ran out of
+    /// memory (`[status, requested: u64, available: u64]`): the reply buffer
+    /// every caller of the service passes.  A grant's reply is 9 bytes and
+    /// a `FREE`'s 1.
+    pub const REPLY_LEN: usize = 17;
+
     /// Creates the service.
     pub fn new() -> Self {
         AllocService {}
@@ -55,23 +61,21 @@ impl AllocService {
     /// # Panics
     ///
     /// Panics if `size` exceeds `u32::MAX` bytes.
-    pub fn encode_alloc(size: u64, owner: u32) -> Vec<u8> {
-        assert!(
-            u32::try_from(size).is_ok(),
-            "segment grants are limited to 4 GiB, asked for {size}"
-        );
-        let mut buf = vec![OP_ALLOC];
-        wire::put_u32(&mut buf, size as u32);
-        wire::put_u32(&mut buf, owner);
-        buf
+    pub fn encode_alloc(size: u64, owner: u32) -> [u8; 9] {
+        let size = u32::try_from(size)
+            .unwrap_or_else(|_| panic!("segment grants are limited to 4 GiB, asked for {size}"));
+        let mut req = [OP_ALLOC; 9];
+        req[1..5].copy_from_slice(&size.to_le_bytes());
+        req[5..].copy_from_slice(&owner.to_le_bytes());
+        req
     }
 
-    /// Encodes a `FREE` request.
-    pub fn encode_free(offset: u64, size: u64) -> Vec<u8> {
-        let mut buf = vec![OP_FREE];
-        wire::put_u64(&mut buf, offset);
-        wire::put_u64(&mut buf, size);
-        buf
+    /// Encodes a `FREE` request (`[opcode, offset: u64, size: u64]`).
+    pub fn encode_free(offset: u64, size: u64) -> [u8; 17] {
+        let mut req = [OP_FREE; 17];
+        req[1..9].copy_from_slice(&offset.to_le_bytes());
+        req[9..].copy_from_slice(&size.to_le_bytes());
+        req
     }
 
     /// Decodes an `ALLOC` response into the segment offset.
@@ -89,51 +93,74 @@ impl AllocService {
             }),
         }
     }
+
+    /// One `ALLOC` round trip: asks node `mn_id`'s controller for `size`
+    /// bytes on behalf of `client`; returns the granted offset.
+    pub fn alloc(client: &DmClient, mn_id: u16, size: u64) -> DmResult<u64> {
+        let request = Self::encode_alloc(size, client.client_id());
+        let mut reply = [0; Self::REPLY_LEN];
+        let len = client.rpc(mn_id, ALLOC_SERVICE, &request, &mut reply)?;
+        Self::decode_alloc(&reply[..len])
+    }
+
+    /// One `FREE` round trip: returns `size` bytes at `offset` to node
+    /// `mn_id`'s controller.
+    pub fn free(client: &DmClient, mn_id: u16, offset: u64, size: u64) -> DmResult<()> {
+        let request = Self::encode_free(offset, size);
+        let mut reply = [0; Self::REPLY_LEN];
+        client
+            .rpc(mn_id, ALLOC_SERVICE, &request, &mut reply)
+            .map(drop)
+    }
 }
 
 impl RpcHandler for AllocService {
-    fn handle(&self, node: &MemoryNode, request: &[u8]) -> DmResult<RpcOutcome> {
-        let opcode = *request.first().ok_or_else(|| DmError::RpcFailed {
-            reason: "empty allocation request".to_string(),
-        })?;
-        match opcode {
-            OP_ALLOC => {
-                let size = wire::get_u32(request, 1).ok_or_else(|| DmError::RpcFailed {
-                    reason: "short ALLOC request".to_string(),
-                })? as u64;
-                let owner = wire::get_u32(request, 5).ok_or_else(|| DmError::RpcFailed {
-                    reason: "short ALLOC request".to_string(),
-                })?;
-                let mut resp = Vec::with_capacity(9);
-                match node.alloc_segment_for(size, owner) {
+    fn handle(
+        &self,
+        node: &MemoryNode,
+        request: &[u8],
+        reply: &mut [u8],
+    ) -> DmResult<(usize, u64)> {
+        let short = |op| DmError::RpcFailed {
+            reason: format!("short {op} request"),
+        };
+        match request.first() {
+            Some(&OP_ALLOC) => {
+                let size = wire::get_u32(request, 1).ok_or_else(|| short("ALLOC"))? as u64;
+                let owner = wire::get_u32(request, 5).ok_or_else(|| short("ALLOC"))?;
+                // Room for the longer, out-of-memory reply before granting.
+                let reply = wire::reply(reply, Self::REPLY_LEN)?;
+                let len = match node.alloc_segment_for(size, owner) {
                     Ok(offset) => {
-                        resp.push(STATUS_OK);
-                        wire::put_u64(&mut resp, offset);
+                        reply[0] = STATUS_OK;
+                        reply[1..9].copy_from_slice(&offset.to_le_bytes());
+                        9
                     }
                     Err(DmError::OutOfMemory {
                         requested,
                         available,
                     }) => {
-                        resp.push(STATUS_OOM);
-                        wire::put_u64(&mut resp, requested);
-                        wire::put_u64(&mut resp, available);
+                        reply[0] = STATUS_OOM;
+                        reply[1..9].copy_from_slice(&requested.to_le_bytes());
+                        reply[9..17].copy_from_slice(&available.to_le_bytes());
+                        17
                     }
                     Err(e) => return Err(e),
-                }
-                Ok(RpcOutcome::new(resp, ALLOC_CPU_NS))
+                };
+                Ok((len, ALLOC_CPU_NS))
             }
-            OP_FREE => {
-                let offset = wire::get_u64(request, 1).ok_or_else(|| DmError::RpcFailed {
-                    reason: "short FREE request".to_string(),
-                })?;
-                let size = wire::get_u64(request, 9).ok_or_else(|| DmError::RpcFailed {
-                    reason: "short FREE request".to_string(),
-                })?;
+            Some(&OP_FREE) => {
+                let offset = wire::get_u64(request, 1).ok_or_else(|| short("FREE"))?;
+                let size = wire::get_u64(request, 9).ok_or_else(|| short("FREE"))?;
+                wire::reply(reply, 1)?[0] = STATUS_OK;
                 node.free_segment(offset, size);
-                Ok(RpcOutcome::new(vec![STATUS_OK], ALLOC_CPU_NS))
+                Ok((1, ALLOC_CPU_NS))
             }
-            other => Err(DmError::RpcFailed {
+            Some(other) => Err(DmError::RpcFailed {
                 reason: format!("unknown allocation opcode {other}"),
+            }),
+            None => Err(DmError::RpcFailed {
+                reason: "empty allocation request".to_string(),
             }),
         }
     }
@@ -309,9 +336,7 @@ impl ClientAllocator {
     /// reaches for this after local recycling has failed.
     pub fn alloc_exact(&mut self, client: &DmClient, size: usize) -> DmResult<RemoteAddr> {
         let blocks = Self::blocks_for(size);
-        let req = AllocService::encode_alloc(blocks * BLOCK_SIZE, client.client_id());
-        let resp = client.rpc(self.mn_id, ALLOC_SERVICE, &req)?;
-        let offset = AllocService::decode_alloc(&resp)?;
+        let offset = AllocService::alloc(client, self.mn_id, blocks * BLOCK_SIZE)?;
         self.allocated_blocks += blocks;
         Ok(RemoteAddr::new(self.mn_id, offset))
     }
@@ -331,8 +356,7 @@ impl ClientAllocator {
                 break;
             };
             self.free_ranges.remove(&off);
-            let req = AllocService::encode_free(off, len * BLOCK_SIZE);
-            if client.rpc(self.mn_id, ALLOC_SERVICE, &req).is_err() {
+            if AllocService::free(client, self.mn_id, off, len * BLOCK_SIZE).is_err() {
                 // Node unreachable (e.g. decommissioned): park the range
                 // again and stop — nothing else will get through either.
                 self.free_ranges.insert(off, len);
@@ -344,10 +368,7 @@ impl ClientAllocator {
     }
 
     fn fetch_segment(&mut self, client: &DmClient) -> DmResult<()> {
-        let req = AllocService::encode_alloc(self.segment_size, client.client_id());
-        let resp = client.rpc(self.mn_id, ALLOC_SERVICE, &req)?;
-        let offset = AllocService::decode_alloc(&resp)?;
-        self.current_offset = offset;
+        self.current_offset = AllocService::alloc(client, self.mn_id, self.segment_size)?;
         self.current_remaining = self.segment_size;
         self.segments_fetched += 1;
         Ok(())
@@ -784,16 +805,58 @@ mod tests {
     #[test]
     fn segments_are_returned_via_rpc() {
         let (pool, client) = setup();
-        let req = AllocService::encode_alloc(4096, client.client_id());
-        let resp = client.rpc(0, ALLOC_SERVICE, &req).unwrap();
-        let offset = AllocService::decode_alloc(&resp).unwrap();
+        let offset = AllocService::alloc(&client, 0, 4096).unwrap();
         let free = AllocService::encode_free(offset, 4096);
-        let resp = client.rpc(0, ALLOC_SERVICE, &free).unwrap();
-        assert_eq!(resp, vec![STATUS_OK]);
+        let mut reply = [0; AllocService::REPLY_LEN];
+        assert_eq!(client.rpc(0, ALLOC_SERVICE, &free, &mut reply), Ok(1));
+        assert_eq!(reply[0], STATUS_OK);
         // The same segment comes back on the next allocation.
-        let resp = client.rpc(0, ALLOC_SERVICE, &req).unwrap();
-        assert_eq!(AllocService::decode_alloc(&resp).unwrap(), offset);
+        assert_eq!(AllocService::alloc(&client, 0, 4096), Ok(offset));
         let _ = pool;
+    }
+
+    /// The allocator's wire, which `wire_bytes_per_op` and the simulated
+    /// clock price: an `ALLOC` request is 9 bytes and a `FREE` 17 (the
+    /// CliqueMap baseline pins its 8-byte CPU charge beside its service),
+    /// and one `ALLOC` round trip costs exactly one 9-byte RPC's latency.
+    #[test]
+    fn rpc_requests_keep_their_wire_lengths() {
+        let (pool, client) = setup();
+        let offset = AllocService::alloc(&client, 0, 4096).unwrap();
+        assert_eq!(
+            client.now_ns(),
+            DmConfig::verb_latency_ns(crate::stats::VerbKind::Rpc, 9)
+        );
+        let node = &pool.stats().node_snapshots()[0];
+        assert_eq!((node.rpcs, node.bytes), (1, 9));
+        AllocService::free(&client, 0, offset, 4096).unwrap();
+        let node = &pool.stats().node_snapshots()[0];
+        assert_eq!((node.rpcs, node.bytes), (2, 9 + 17));
+    }
+
+    /// A reply buffer shorter than the allocator's longest reply fails the
+    /// call before the controller grants or frees anything.
+    #[test]
+    fn a_short_reply_buffer_fails_and_changes_nothing() {
+        let (pool, client) = setup();
+        let node = pool.node(0).unwrap();
+        let request = AllocService::encode_alloc(4096, client.client_id());
+        let mut short = [0; AllocService::REPLY_LEN - 1];
+        assert!(matches!(
+            client.rpc(0, ALLOC_SERVICE, &request, &mut short),
+            Err(DmError::RpcFailed { .. })
+        ));
+        assert!(node.owned_segments(client.client_id()).is_empty());
+        let offset = AllocService::alloc(&client, 0, 4096).unwrap();
+        let free = AllocService::encode_free(offset, 4096);
+        assert!(matches!(
+            client.rpc(0, ALLOC_SERVICE, &free, &mut []),
+            Err(DmError::RpcFailed { .. })
+        ));
+        assert_eq!(
+            node.owned_segments(client.client_id()),
+            vec![(offset, 4096)]
+        );
     }
 
     #[test]
@@ -816,12 +879,10 @@ mod tests {
 
         // Returning a sub-range trims the registry; returning the rest
         // clears it.
-        let free = AllocService::encode_free(seg_off, 1024);
-        client.rpc(0, ALLOC_SERVICE, &free).unwrap();
+        AllocService::free(&client, 0, seg_off, 1024).unwrap();
         let grants = node.owned_segments(me);
         assert_eq!(grants, vec![(seg_off + 1024, 3072)]);
-        let free = AllocService::encode_free(seg_off + 1024, 3072);
-        client.rpc(0, ALLOC_SERVICE, &free).unwrap();
+        AllocService::free(&client, 0, seg_off + 1024, 3072).unwrap();
         assert!(node.owned_segments(me).is_empty());
     }
 
@@ -902,8 +963,9 @@ mod tests {
     #[test]
     fn malformed_requests_are_rejected() {
         let (_pool, client) = setup();
-        assert!(client.rpc(0, ALLOC_SERVICE, &[]).is_err());
-        assert!(client.rpc(0, ALLOC_SERVICE, &[OP_ALLOC, 1, 2]).is_err());
-        assert!(client.rpc(0, ALLOC_SERVICE, &[42]).is_err());
+        let mut reply = [0; AllocService::REPLY_LEN];
+        for request in [&[][..], &[OP_ALLOC, 1, 2], &[42]] {
+            assert!(client.rpc(0, ALLOC_SERVICE, request, &mut reply).is_err());
+        }
     }
 }

@@ -508,24 +508,16 @@ impl DmClient {
         }
     }
 
-    /// Fallible one-sided `RDMA_READ` of `len` bytes at `addr`.
+    /// Fallible one-sided `RDMA_READ` into a caller-provided buffer.
     ///
     /// Surfaces injected faults ([`DmError::VerbFailed`] /
     /// [`DmError::VerbTimeout`]) and [`DmError::NodeRemoved`] for nodes this
     /// client never had a live queue pair to, instead of panicking.
-    pub fn try_read(&self, addr: RemoteAddr, len: usize) -> DmResult<Vec<u8>> {
-        let mut buf = vec![0u8; len];
-        self.try_read_into(addr, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// Fallible one-sided `RDMA_READ` into a caller-provided buffer (see
-    /// [`DmClient::try_read`]).
     pub fn try_read_into(&self, addr: RemoteAddr, buf: &mut [u8]) -> DmResult<()> {
         self.issue_and_wait(WqeOp::Read { addr, buf })
     }
 
-    /// Fallible one-sided `RDMA_WRITE` (see [`DmClient::try_read`]).
+    /// Fallible one-sided `RDMA_WRITE` (see [`DmClient::try_read_into`]).
     pub fn try_write(&self, addr: RemoteAddr, data: &[u8]) -> DmResult<()> {
         self.issue_and_wait(WqeOp::Write { addr, data })
     }
@@ -539,19 +531,19 @@ impl DmClient {
         self.issue(WqeOp::Write { addr, data })?.1.check()
     }
 
-    /// Fallible 8-byte little-endian READ (see [`DmClient::try_read`]).
+    /// Fallible 8-byte little-endian READ (see [`DmClient::try_read_into`]).
     pub fn try_read_u64(&self, addr: RemoteAddr) -> DmResult<u64> {
         let mut word = [0u8; 8];
         self.try_read_into(addr, &mut word)?;
         Ok(u64::from_le_bytes(word))
     }
 
-    /// Fallible 8-byte little-endian WRITE (see [`DmClient::try_read`]).
+    /// Fallible 8-byte little-endian WRITE (see [`DmClient::try_read_into`]).
     pub fn try_write_u64(&self, addr: RemoteAddr, value: u64) -> DmResult<()> {
         self.try_write(addr, &value.to_le_bytes())
     }
 
-    /// Fallible `RDMA_CAS` (see [`DmClient::try_read`]).  On success returns
+    /// Fallible `RDMA_CAS` (see [`DmClient::try_read_into`]).  On success returns
     /// the old value; the swap succeeded iff it equals `expected`.  A
     /// faulted CAS is *not* applied: like a NAK'd atomic on real hardware,
     /// the word is untouched and the caller cannot tell whether it would
@@ -584,10 +576,11 @@ impl DmClient {
     /// Panics if the address range is invalid (remote addresses are produced
     /// by the allocator, so an invalid range indicates a bug in the caller)
     /// or if a fault is injected — fault-aware callers use
-    /// [`DmClient::try_read`].
+    /// [`DmClient::try_read_into`].
     pub fn read(&self, addr: RemoteAddr, len: usize) -> Vec<u8> {
-        self.try_read(addr, len)
-            .unwrap_or_else(|e| panic!("RDMA_READ failed: {e}"))
+        let mut buf = vec![0u8; len];
+        self.read_into(addr, &mut buf);
+        buf
     }
 
     /// One-sided `RDMA_READ` into a caller-provided buffer.
@@ -666,54 +659,35 @@ impl DmClient {
             .unwrap_or_else(|e| panic!("RDMA_FAA failed: {e}"))
     }
 
-    /// Two-sided RPC to the controller of memory node `mn_id`.
+    /// Two-sided RPC to the controller of memory node `mn_id`: the reply
+    /// lands in the caller's `reply` buffer, sized for the service's largest
+    /// reply ([`crate::RpcHandler::handle`]), and its length is returned.
     ///
-    /// The reply is returned on success; the controller CPU time reported by
-    /// the handler is charged to the node's CPU budget.
-    pub fn rpc(&self, mn_id: u16, service: u8, request: &[u8]) -> DmResult<Vec<u8>> {
-        self.rpc_with(mn_id, request.len(), |node| {
-            let outcome = node.dispatch_rpc(service, request)?;
-            Ok((outcome.response, outcome.cpu_ns))
-        })
-    }
-
-    /// [`DmClient::rpc`] with the reply written into the caller's `response`
-    /// buffer (no reply `Vec`); returns the reply length.
-    pub fn rpc_into(
+    /// An RPC is priced by its request bytes alone: one round trip waited
+    /// out like a synchronous verb's (one [`Phase::Flight`] span), plus the
+    /// controller CPU time the handler reports, charged to the node.  RPCs find their node
+    /// through the pool, not a queue pair, and are never faulted (see the
+    /// crate docs' failure model).
+    pub fn rpc(
         &self,
         mn_id: u16,
         service: u8,
         request: &[u8],
-        response: &mut [u8],
+        reply: &mut [u8],
     ) -> DmResult<usize> {
-        self.rpc_with(mn_id, request.len(), |node| {
-            node.dispatch_rpc_into(service, request, response)
-        })
-    }
-
-    /// Charges one RPC round trip to `mn_id`, waited out like a verb's
-    /// ([`DmClient::wait`]), and the controller CPU time `dispatch` reports.
-    /// RPCs find their node through the pool, not a queue pair, and are
-    /// never faulted (see the crate docs' failure model).
-    fn rpc_with<T>(
-        &self,
-        mn_id: u16,
-        request_len: usize,
-        dispatch: impl FnOnce(&MemoryNode) -> DmResult<(T, u64)>,
-    ) -> DmResult<T> {
+        let request_len = request.len();
         self.wait(
             DmConfig::verb_latency_ns(VerbKind::Rpc, request_len),
             request_len,
         );
-        self.pool
-            .stats()
-            .record_verb(mn_id, VerbKind::Rpc, request_len);
-        let node = self.pool.node(mn_id)?;
-        let (reply, cpu_ns) = dispatch(&node)?;
-        self.pool
-            .stats()
-            .record_rpc_cpu(mn_id, DmConfig::RPC_BASE_CPU_NS + cpu_ns);
-        Ok(reply)
+        let stats = self.pool.stats();
+        stats.record_verb(mn_id, VerbKind::Rpc, request_len);
+        let (len, cpu_ns) = self
+            .pool
+            .node(mn_id)?
+            .dispatch_rpc(service, request, reply)?;
+        stats.record_rpc_cpu(mn_id, DmConfig::RPC_BASE_CPU_NS + cpu_ns);
+        Ok(len)
     }
 
     /// Marks the beginning of an application-level operation and advances
@@ -810,7 +784,6 @@ mod tests {
     use super::*;
     use crate::config::DmConfig;
     use crate::memnode::MemoryNode;
-    use crate::rpc::RpcOutcome;
     use std::sync::Arc;
 
     fn pool() -> MemoryPool {
@@ -893,13 +866,15 @@ mod tests {
         let pool = pool();
         pool.register_handler(
             20,
-            Arc::new(|_n: &MemoryNode, req: &[u8]| {
-                Ok(RpcOutcome::new(vec![req.len() as u8], 1_500))
+            Arc::new(|_n: &MemoryNode, req: &[u8], reply: &mut [u8]| {
+                crate::rpc::wire::reply(reply, 1)?[0] = req.len() as u8;
+                Ok((1, 1_500))
             }),
         );
         let client = pool.connect();
-        let resp = client.rpc(0, 20, b"abc").unwrap();
-        assert_eq!(resp, vec![3]);
+        let mut reply = [0u8; 4];
+        assert_eq!(client.rpc(0, 20, b"abc", &mut reply), Ok(1));
+        assert_eq!(reply[0], 3);
         let snap = &pool.stats().node_snapshots()[0];
         assert_eq!(snap.rpcs, 1);
         assert_eq!(snap.rpc_cpu_ns, 1_500 + DmConfig::RPC_BASE_CPU_NS);
@@ -911,7 +886,7 @@ mod tests {
         let pool = pool();
         let client = pool.connect();
         assert!(matches!(
-            client.rpc(0, 99, b""),
+            client.rpc(0, 99, b"", &mut []),
             Err(DmError::NoSuchService { service: 99 })
         ));
     }

@@ -12,7 +12,11 @@
 //!   fixed round-trip latency and charges the target memory node's
 //!   RNIC message budget;
 //! * RPCs to the memory-node controller additionally charge the controller's
-//!   (deliberately weak) CPU budget;
+//!   (deliberately weak) CPU budget; an RPC has one shape at every layer
+//!   ([`DmClient::rpc`], [`MemoryNode::dispatch_rpc`], [`RpcHandler`]):
+//!   the caller owns the request and the reply buffer, sized for the
+//!   service's largest reply (`ALLOC`'s 17 bytes), and a reply that does
+//!   not fit fails with [`DmError::RpcFailed`];
 //! * experiment harnesses derive throughput and tail latency from these
 //!   accounts, so the bottleneck ordering of the paper (RNIC message rate for
 //!   Ditto, MN CPU for CliqueMap, lock retries for Shard-LRU) is reproduced
@@ -159,7 +163,9 @@
 //! RPCs to the memory-node controller are **never faulted**: recovery and
 //! allocation control traffic stays available (the paper's control plane
 //! rides a reliable transport), which is what lets crash recovery sweep a
-//! fail-stopped client's segments.
+//! fail-stopped client's segments.  An RPC is priced by its request bytes
+//! and the controller CPU time its handler reports; its reply lands in the
+//! caller's buffer and costs nothing on the wire.
 //!
 //! **No remote lock on the cache's paths.**  Clients coordinate through
 //! CASes on slot words alone, and stripe migration keeps its pumpers apart
@@ -291,7 +297,7 @@ pub use obs::{
     PhaseAttribution, RecoveryPhase, Span, POOL_EVENT_CLIENT,
 };
 pub use pool::MemoryPool;
-pub use rpc::{RpcHandler, RpcOutcome};
+pub use rpc::RpcHandler;
 pub use stats::{ContentionSnapshot, FaultSnapshot, ObsSnapshot, PoolStats, RunReport};
 pub use topology::PoolTopology;
 pub use wqe::WorkQueue;

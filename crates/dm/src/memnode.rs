@@ -6,7 +6,7 @@
 //! *different* byte ranges sharing a word never clobber each other.
 
 use crate::error::{DmError, DmResult};
-use crate::rpc::{RpcHandler, RpcOutcome};
+use crate::rpc::RpcHandler;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -377,30 +377,19 @@ impl MemoryNode {
         self.handlers.write().insert(service, handler);
     }
 
-    /// The handler registered for controller service `service`.
-    fn handler(&self, service: u8) -> DmResult<Arc<dyn RpcHandler>> {
-        self.handlers
-            .read()
-            .get(&service)
-            .cloned()
-            .ok_or(DmError::NoSuchService { service })
-    }
-
-    /// Dispatches an RPC to the controller service `service`.
-    pub fn dispatch_rpc(&self, service: u8, request: &[u8]) -> DmResult<RpcOutcome> {
-        self.handler(service)?.handle(self, request)
-    }
-
-    /// Dispatches an RPC whose reply is written into `response` (see
-    /// [`RpcHandler::handle_into`]); returns the reply length and the
-    /// controller CPU nanoseconds.
-    pub fn dispatch_rpc_into(
+    /// Dispatches an RPC to the controller service `service`, its reply
+    /// written into the caller's `reply` buffer ([`RpcHandler::handle`]);
+    /// returns the reply length and the controller CPU nanoseconds.
+    pub fn dispatch_rpc(
         &self,
         service: u8,
         request: &[u8],
-        response: &mut [u8],
+        reply: &mut [u8],
     ) -> DmResult<(usize, u64)> {
-        self.handler(service)?.handle_into(self, request, response)
+        let handler = self.handlers.read().get(&service).cloned();
+        handler
+            .ok_or(DmError::NoSuchService { service })?
+            .handle(self, request, reply)
     }
 }
 
@@ -523,19 +512,23 @@ mod tests {
     #[test]
     fn rpc_dispatch_and_missing_service() {
         let node = MemoryNode::new(0, 4096);
+        let mut reply = [0u8; 8];
         assert!(matches!(
-            node.dispatch_rpc(9, b"x"),
+            node.dispatch_rpc(9, b"x", &mut reply),
             Err(DmError::NoSuchService { service: 9 })
         ));
         node.register_handler(
             9,
-            Arc::new(|_node: &MemoryNode, req: &[u8]| {
-                Ok(RpcOutcome::new(req.iter().rev().copied().collect(), 500))
+            Arc::new(|_node: &MemoryNode, req: &[u8], reply: &mut [u8]| {
+                let out = crate::rpc::wire::reply(reply, req.len())?;
+                out.iter_mut()
+                    .zip(req.iter().rev())
+                    .for_each(|(o, r)| *o = *r);
+                Ok((req.len(), 500))
             }),
         );
-        let out = node.dispatch_rpc(9, b"abc").unwrap();
-        assert_eq!(out.response, b"cba");
-        assert_eq!(out.cpu_ns, 500);
+        assert_eq!(node.dispatch_rpc(9, b"abc", &mut reply), Ok((3, 500)));
+        assert_eq!(&reply[..3], b"cba");
     }
 
     #[test]

@@ -340,7 +340,8 @@ impl MemoryPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpc::RpcOutcome;
+    use crate::alloc::AllocService;
+    use crate::rpc::wire;
 
     #[test]
     fn pool_creates_configured_nodes() {
@@ -377,11 +378,16 @@ mod tests {
         let pool = MemoryPool::new(DmConfig::small().with_memory_nodes(2));
         pool.register_handler(
             42,
-            Arc::new(|_n: &MemoryNode, _r: &[u8]| Ok(RpcOutcome::new(vec![1], 10))),
+            Arc::new(|_n: &MemoryNode, _r: &[u8], reply: &mut [u8]| {
+                wire::reply(reply, 1)?[0] = 1;
+                Ok((1, 10))
+            }),
         );
         for mn in 0..2 {
-            let out = pool.node(mn).unwrap().dispatch_rpc(42, &[]).unwrap();
-            assert_eq!(out.response, vec![1]);
+            let mut reply = [0u8; 1];
+            let node = pool.node(mn).unwrap();
+            assert_eq!(node.dispatch_rpc(42, &[], &mut reply), Ok((1, 10)));
+            assert_eq!(reply, [1]);
         }
     }
 
@@ -393,7 +399,7 @@ mod tests {
         assert!(pool
             .node(0)
             .unwrap()
-            .dispatch_rpc(ALLOC_SERVICE, &[])
+            .dispatch_rpc(ALLOC_SERVICE, &[], &mut [0; AllocService::REPLY_LEN])
             .is_err());
     }
 
@@ -434,15 +440,19 @@ mod tests {
         let pool = MemoryPool::new(DmConfig::small());
         pool.register_handler(
             42,
-            Arc::new(|_n: &MemoryNode, _r: &[u8]| Ok(RpcOutcome::new(vec![9], 10))),
+            Arc::new(|_n: &MemoryNode, _r: &[u8], reply: &mut [u8]| {
+                wire::reply(reply, 1)?[0] = 9;
+                Ok((1, 10))
+            }),
         );
         let id = pool.add_node().unwrap();
-        let out = pool.node(id).unwrap().dispatch_rpc(42, &[]).unwrap();
-        assert_eq!(out.response, vec![9]);
+        let mut reply = [0u8; 1];
+        let node = pool.node(id).unwrap();
+        assert_eq!(node.dispatch_rpc(42, &[], &mut reply), Ok((1, 10)));
+        assert_eq!(reply, [9]);
         // The built-in allocation service works on the new node too.
         let client = pool.connect();
-        let req = crate::alloc::AllocService::encode_alloc(4096, client.client_id());
-        assert!(client.rpc(id, ALLOC_SERVICE, &req).is_ok());
+        assert!(AllocService::alloc(&client, id, 4096).is_ok());
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn removed_node_fails_fresh_clients_typed_and_attributed() {
     let failures_before = pool.stats().faults().verb_failures;
     let on_node_before = pool.stats().verb_faults_on(1);
     assert!(matches!(
-        fresh.try_read(addr, 16),
+        fresh.try_read_into(addr, &mut [0u8; 16]),
         Err(DmError::NodeRemoved { mn_id: 1 })
     ));
     assert!(matches!(

@@ -30,6 +30,10 @@ pub trait CacheBackend {
     fn backend_name(&self) -> &str {
         "cache"
     }
+
+    /// Flushes client-buffered state (e.g. batched access counters) at the
+    /// end of a client's run.
+    fn finish(&mut self) {}
 }
 
 /// Options controlling [`replay`].  A `Get` miss is always followed by a
