@@ -523,7 +523,10 @@ fn fig17(scale: f64) {
 /// windows.  The timeline shows the migration dip and recovery, the
 /// hottest-NIC share falling as bucket ranges spread onto joiners, and a
 /// drained node's resident bytes falling to zero — at which point the node
-/// is decommissioned outright with `remove_node`.
+/// is decommissioned outright with `remove_node`.  Both resizes move the
+/// fewest stripes a balanced placement allows, and the run asserts it: the
+/// two joiners take ⌊S/4⌋ stripes each, and the drain moves exactly node
+/// 3's.
 fn fig18(scale: f64) {
     let spec = ycsb_spec(scale);
     // Capacity below the footprint so the run carries eviction pressure:
@@ -567,6 +570,9 @@ fn fig18(scale: f64) {
     let grow = cache.pump_migration();
     phase("4 MNs (migrated)", 182);
     phase("4 MNs (steady)", 183);
+    let dir = cache.migration().directory();
+    let stripes = dir.num_stripes() as u64;
+    let held_by_3 = (0..stripes).filter(|&s| dir.current_node(s) == 3).count() as u64;
     cache.pool().drain_node(3).expect("drain node 3");
     phase("3 MNs (node 3 draining)", 184);
     let shrink = cache.pump_migration();
@@ -579,6 +585,16 @@ fn fig18(scale: f64) {
         residual
     );
     assert_eq!(residual, 0, "fig18 drain must empty node 3");
+    assert_eq!(
+        grow.stripes_moved,
+        2 * (stripes / 4),
+        "fig18 grow must move only the joiners' ⌊S/4⌋ stripes each"
+    );
+    assert_eq!(
+        (held_by_3, shrink.stripes_moved),
+        (stripes / 4, held_by_3),
+        "fig18 drain must move exactly node 3's stripes"
+    );
     cache
         .pool()
         .remove_node(3)

@@ -89,7 +89,7 @@ use ditto_dm::rpc::WEIGHT_SERVICE;
 use ditto_dm::wqe::MAX_WQES;
 use ditto_dm::{
     CompletionStatus, DmClient, DmError, DmResult, EventKind, MigrationEngine, Phase, PoolTopology,
-    RecoveryPhase, RemoteAddr, StripedAllocator, WorkQueue,
+    RecoveryPhase, RemoteAddr, StripeDirectory, StripedAllocator, WorkQueue,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -357,6 +357,9 @@ impl DittoClient {
         if epoch != self.topo_epoch {
             self.topology = self.dm.pool().topology();
             self.alloc.set_active(self.topology.active());
+            // New objects allocate on their stripe's assigned node, so the
+            // assignment follows a membership change before the first pump.
+            self.table.directory().reassign(&self.topology);
             self.topo_epoch = epoch;
             // The active set changed, so the memory-pressure verdict is
             // stale: an added node has fresh capacity to probe, and after a
@@ -451,7 +454,23 @@ impl DittoClient {
     /// `NodeRemoved`), is dropped, and so is every other counter on that
     /// node: the counters are advisory.
     pub fn flush(&mut self) {
-        let drained = self.fc.as_mut().map(FcCache::flush_all).unwrap_or_default();
+        let mut drained = self.fc.as_mut().map(FcCache::flush_all).unwrap_or_default();
+        // A counter recorded before a cutover is owed to its word's live
+        // home; regrouped by node once re-translated, and merged with the
+        // counter recorded there since.  (`post_fc_faas` re-translates each
+        // FAA again, which a ring retried across a cutover needs.)
+        let dir = self.table.directory();
+        for (addr, _) in &mut drained {
+            *addr = Self::counter_home(dir, *addr);
+        }
+        drained.sort_by_key(|(addr, _)| addr.pack());
+        drained.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
         // Each counter with the failed attempts it has spent.
         let mut pending = VecDeque::with_capacity(drained.len());
         for counter in drained {
@@ -463,7 +482,12 @@ impl DittoClient {
             ring.extend(pending.drain(..pending.len().min(MAX_WQES)));
             let ids = {
                 let mut wq = self.dm.work_queue();
-                let ids = Self::post_fc_faas(&mut wq, ring.iter().map(|&(c, _)| c), true);
+                let ids = Self::post_fc_faas(
+                    &mut wq,
+                    self.table.directory(),
+                    ring.iter().map(|&(c, _)| c),
+                    true,
+                );
                 wq.ring();
                 ids
             };
@@ -1055,7 +1079,7 @@ impl DittoClient {
             return;
         }
         let mut wq = self.dm.work_queue();
-        Self::post_fc_faas(&mut wq, flushes, false);
+        Self::post_fc_faas(&mut wq, self.table.directory(), flushes, false);
         wq.ring();
         for _ in 0..flushes.len() {
             self.stats.record_fc_flush();
@@ -1077,7 +1101,7 @@ impl DittoClient {
         let wr_read = {
             let mut wq = self.dm.work_queue();
             let wr_read = wq.post_read(obj_addr, &mut self.obj_buf[..obj_len], true);
-            Self::post_fc_faas(&mut wq, flushes, false);
+            Self::post_fc_faas(&mut wq, self.table.directory(), flushes, false);
             wq.ring();
             wr_read
         };
@@ -1099,7 +1123,9 @@ impl DittoClient {
     /// Posts one `RDMA_FAA` of each counter's buffered delta on `wq` — the
     /// one way an FC-cache increment reaches its `freq` word, whether a
     /// due flush rides an op or [`DittoClient::flush`] drains the cache —
-    /// and returns the work-request ids they took, in posting order.
+    /// and returns the work-request ids they took, in posting order.  Each
+    /// goes to the counter's live home ([`Self::counter_home`]), not to a
+    /// copy a cutover retired since the access was recorded.
     ///
     /// Every FAA goes unsignalled but, when the caller will `wait`, the
     /// last of each run of counters on one node: a queue pair completes in
@@ -1108,11 +1134,15 @@ impl DittoClient {
     /// completion signalled or not.
     fn post_fc_faas(
         wq: &mut WorkQueue<'_, '_>,
+        dir: &StripeDirectory,
         counters: impl IntoIterator<Item = FcFlush>,
         wait: bool,
     ) -> Range<u64> {
         let mut ids: Option<Range<u64>> = None;
-        let mut counters = counters.into_iter().peekable();
+        let mut counters = counters
+            .into_iter()
+            .map(|(addr, delta)| (Self::counter_home(dir, addr), delta))
+            .peekable();
         while let Some((addr, delta)) = counters.next() {
             let run_ends = counters
                 .peek()
@@ -1123,6 +1153,13 @@ impl DittoClient {
             ids.end = id + 1;
         }
         ids.unwrap_or_default()
+    }
+
+    /// Where the `freq` word recorded at `addr` lives now
+    /// ([`StripeDirectory::home_of`]); `addr` itself while its stripe is
+    /// mid-cutover or no stripe ever held it.
+    fn counter_home(dir: &StripeDirectory, addr: RemoteAddr) -> RemoteAddr {
+        dir.home_of(addr).unwrap_or(addr)
     }
 
     /// Records an access in the slot's metadata: the stateless last-access
@@ -1305,14 +1342,14 @@ impl DittoClient {
                 max: 254 * 64,
             });
         }
-        // Stripe-local placement: route the value through the topology with
-        // the primary bucket's stripe as the hint.  Before any resize this
-        // is exactly the node that owns the bucket (slot and object share a
-        // memory node and its NIC); after an online add/drain the topology
-        // remaps the hint, so new objects rebalance onto the changed active
-        // set while resident data stays put.
+        // Stripe-local placement: the value allocates on the node the
+        // primary bucket's stripe is assigned to.  Outside a resize that is
+        // the node holding the bucket (slot and object share a memory node
+        // and its NIC); after an online add/drain it is where the stripe's
+        // pending move takes it, so the object is already home when the
+        // stripe arrives.
         let stripe = self.table.stripe_of_bucket(self.table.primary_bucket(hash));
-        let mut preferred = self.topology.alloc_node_for(stripe);
+        let mut preferred = self.table.directory().assigned_node(stripe);
         if self.dm.node_failed(preferred) {
             // Fail-stop degradation: the stripe's home node is dead, so a
             // striped pool places new objects on any surviving active node
@@ -1675,12 +1712,12 @@ impl DittoClient {
     // ------------------------------------------------------------------
 
     /// Drives the bucket-range migration: takes up to `max_stripes` planned
-    /// stripe moves, relocating each stripe's resident objects to the
-    /// destination node before its commit carries the bucket range over in
-    /// one reconcile pass, then — once the plan is drained — sweeps objects
-    /// that allocator fallback left on inactive nodes.  Safe to call from
-    /// any client at any time; `DittoCache::pump_migration` is the
-    /// run-to-completion wrapper.
+    /// stripe moves, relocating every resident object of the stripe that is
+    /// not on the destination node there before its commit carries the
+    /// bucket range over in one reconcile pass, then — once the plan is
+    /// drained — sweeps objects that allocator fallback left on inactive
+    /// nodes.  Safe to call from any client at any time;
+    /// `DittoCache::pump_migration` is the run-to-completion wrapper.
     pub fn pump_migration(&mut self, max_stripes: usize) -> MigrationProgress {
         self.maybe_refresh_topology();
         let engine = Arc::clone(&self.engine);
@@ -1693,7 +1730,7 @@ impl DittoClient {
             if !engine.begin(&job) {
                 continue; // stale job (superseded plan)
             }
-            self.relocate_stripe_objects(job.stripe, Some(job.src), job.dst, &mut progress);
+            self.relocate_stripe_objects(job.stripe, job.dst, true, &mut progress);
             match engine.commit(&self.dm, &job) {
                 Ok(moved) => progress.stripes_moved += u64::from(moved),
                 Err(_) => {
@@ -1712,8 +1749,8 @@ impl DittoClient {
             // now inactive even though their buckets never moved; sweep the
             // whole table so a drained node really reaches zero bytes.
             for stripe in 0..self.table.num_stripes() as u64 {
-                let preferred = self.topology.alloc_node_for(stripe);
-                self.relocate_stripe_objects(stripe, None, preferred, &mut progress);
+                let home = self.table.directory().assigned_node(stripe);
+                self.relocate_stripe_objects(stripe, home, false, &mut progress);
             }
         }
         progress.jobs_remaining = engine.pending_jobs() as u64;
@@ -1766,14 +1803,16 @@ impl DittoClient {
             .any(|mn| !self.topology.is_active(mn) && stats.resident_bytes_on(mn) > 0)
     }
 
-    /// Scans one stripe's buckets and re-places resident objects: those on
-    /// `moving_src` (the node the stripe is leaving) and those on inactive
-    /// nodes, preferring `preferred` as the new home.
+    /// Scans one stripe's buckets and re-places resident objects on
+    /// `home`: when the stripe is `moving` there, every object not already
+    /// on it — on the node the stripe leaves, and on any other an allocation
+    /// under memory pressure fell back to — so the stripe arrives with its
+    /// objects beside their slots; otherwise only those on inactive nodes.
     fn relocate_stripe_objects(
         &mut self,
         stripe: u64,
-        moving_src: Option<u16>,
-        preferred: u16,
+        home: u16,
+        moving: bool,
         progress: &mut MigrationProgress,
     ) {
         let mut bytes = Vec::new();
@@ -1783,7 +1822,7 @@ impl DittoClient {
                 continue;
             }
             let node = slot.atomic.object_addr().mn_id;
-            if moving_src != Some(node) && self.topology.is_active(node) {
+            if node == home || (!moving && self.topology.is_active(node)) {
                 continue;
             }
             let len = slot.atomic.object_bytes() as usize;
@@ -1799,7 +1838,7 @@ impl DittoClient {
             {
                 continue;
             }
-            if self.relocate_object_bytes(slot_addr, &slot, &bytes[..len], preferred) {
+            if self.relocate_object_bytes(slot_addr, &slot, &bytes[..len], home) {
                 progress.objects_relocated += 1;
             }
         }
@@ -1814,10 +1853,10 @@ impl DittoClient {
         slot_addr: RemoteAddr,
         slot: &Slot,
         bytes: &[u8],
-        preferred: u16,
+        home: u16,
     ) -> bool {
         let t0 = self.dm.now_ns();
-        let moved = self.relocate_object_bytes_inner(slot_addr, slot, bytes, preferred);
+        let moved = self.relocate_object_bytes_inner(slot_addr, slot, bytes, home);
         self.dm
             .record_span(Phase::Relocate, t0, self.dm.now_ns(), moved as u32);
         moved
@@ -1828,18 +1867,13 @@ impl DittoClient {
         slot_addr: RemoteAddr,
         slot: &Slot,
         bytes: &[u8],
-        preferred: u16,
+        home: u16,
     ) -> bool {
         let old_addr = slot.atomic.object_addr();
         let len = bytes.len();
-        let Some(new_addr) = self.alloc_for_relocation(preferred, len) else {
+        let Some(new_addr) = self.alloc_for_relocation(home, old_addr.mn_id, len) else {
             return false;
         };
-        if new_addr.mn_id == old_addr.mn_id {
-            // Nothing gained (only the old node had room); try again later.
-            self.free_object(new_addr, len);
-            return false;
-        }
         let new_atomic =
             match AtomicField::try_for_object(slot.atomic.fp, slot.atomic.size_class, new_addr) {
                 Ok(atomic) => atomic,
@@ -1876,15 +1910,24 @@ impl DittoClient {
         true
     }
 
-    /// Allocation for a relocated object: active nodes only, evicting to
-    /// make room (capacity may genuinely have shrunk after a drain).
-    /// Returns `None` when space cannot be found — the object then stays
-    /// put until a later pump.
-    fn alloc_for_relocation(&mut self, preferred: u16, len: usize) -> Option<RemoteAddr> {
+    /// Allocation for an object relocated from node `from` to `home`.  An
+    /// object on an active node is served where it is, so it moves to
+    /// `home` alone and only into room `home` has: no eviction is worth
+    /// it.  One leaving an inactive node must go somewhere: `home` first,
+    /// then any active node, evicting to make room when none has it
+    /// (capacity genuinely shrinks after a drain).  Returns `None` when
+    /// space cannot be found — the object then stays put until a later
+    /// pump.
+    fn alloc_for_relocation(&mut self, home: u16, from: u16, len: usize) -> Option<RemoteAddr> {
         let min_blocks = (len as u64).div_ceil(64).min(u8::MAX as u64) as u8;
         self.pending_alloc_blocks = min_blocks as u64;
+        if self.topology.is_active(from) {
+            let addr = self.alloc.alloc_at(&self.dm, home, len).ok()?;
+            self.note_object_alloc(addr, len);
+            return Some(addr);
+        }
         for _ in 0..64 {
-            match self.alloc.alloc_on(&self.dm, preferred, len) {
+            match self.alloc.alloc_on(&self.dm, home, len) {
                 Ok(addr) => {
                     self.note_object_alloc(addr, len);
                     return Some(addr);
@@ -1896,7 +1939,7 @@ impl DittoClient {
                     // Eviction cannot help (or keeps losing races); fall
                     // back to exact-size asks so relocation still drains
                     // nodes when other clients released the needed room.
-                    return self.backstop_alloc(preferred, len);
+                    return self.backstop_alloc(home, len);
                 }
                 Err(_) => return None,
             }
@@ -3025,6 +3068,50 @@ mod tests {
     #[test]
     fn the_drain_rings_doorbells_not_round_trips_across_two_nodes() {
         assert_the_drain_rings_doorbells_not_round_trips(2, 100);
+    }
+
+    /// An FC counter buffered against a slot whose stripe then cuts over is
+    /// owed to the stripe's live copy: the drain's FAA lands in the `freq`
+    /// word there, not in the retired copy on the drained node.
+    #[test]
+    fn a_counter_recorded_before_a_cutover_lands_in_the_live_copy() {
+        let config = DittoConfig {
+            fc_threshold: u64::MAX,
+            ..DittoConfig::with_capacity(1_000)
+        };
+        let dm = DmConfig::default().with_memory_nodes(2);
+        let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
+        let mut client = cache.client();
+        let table = cache.table();
+        let key = key_with_buckets(&table, "counted", |b| table.node_of_bucket(b) == 1);
+        client.set(key.as_bytes(), b"value");
+        for _ in 0..2 {
+            assert!(client.get(key.as_bytes()).is_some());
+        }
+        let words = client.freq_words();
+        let fc = client.fc_cache().expect("an FC cache");
+        let (recorded, freq) = words
+            .into_iter()
+            .find(|&(addr, _)| fc.pending_delta(addr) > 0)
+            .expect("the key's counter is buffered");
+        let owed = fc.pending_delta(recorded);
+        assert_eq!(recorded.mn_id, 1);
+
+        cache.pool().drain_node(1).unwrap();
+        cache.pump_migration();
+        let live = table
+            .directory()
+            .home_of(recorded)
+            .expect("the stripe moved");
+        assert_eq!(live.mn_id, 0);
+        client.flush();
+        assert!(client.fc_cache().unwrap().is_empty());
+        assert!(
+            client.freq_words().contains(&(live, freq + owed)),
+            "the live freq word did not gain the {owed} owed to it"
+        );
+        let retired = cache.pool().node(1).unwrap().load_u64(recorded.offset);
+        assert_eq!(retired, Ok(freq), "the retired copy took the FAA");
     }
 
     /// A client that connected after node 1 was removed has no queue pair

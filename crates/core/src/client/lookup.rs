@@ -615,6 +615,9 @@ impl DittoClient {
             .record_span(Phase::Translate, translate_ns, translate_ns, 0);
         let object = AtomicField::decode(hint.word);
         let rides = object.object_addr().mn_id == slot_addr.mn_id;
+        if !rides {
+            self.stats.record_spec_read_split();
+        }
         let found = if rides {
             let len = object.object_bytes() as usize;
             if self.obj_buf.len() < len {

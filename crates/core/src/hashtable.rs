@@ -60,8 +60,8 @@ pub struct SampleFriendlyHashTable {
 impl SampleFriendlyHashTable {
     /// Target number of stripes: well above any realistic node count, so
     /// the stripe space keeps addressing every node after online
-    /// `add_node` calls (the topology maps stripe hints onto whatever the
-    /// active set currently is).
+    /// `add_node` calls (the directory rebalances the stripes over whatever
+    /// the active set currently is).
     const TARGET_STRIPES: u64 = 64;
 
     /// Reserves and initialises a table with `num_buckets` buckets (rounded
@@ -79,7 +79,7 @@ impl SampleFriendlyHashTable {
         let stripe_bytes = buckets_per_stripe * BUCKET_SIZE as u64;
         let mut bases = Vec::with_capacity(num_stripes as usize);
         for s in 0..num_stripes {
-            let mn = topology.node_for_stripe(s);
+            let mn = topology.layout_node(s);
             bases.push(pool.reserve_on(mn, stripe_bytes)?);
         }
         // The stripe directory is told the table's record layout: of each
@@ -171,12 +171,11 @@ impl SampleFriendlyHashTable {
         self.bucket_addr(bucket_idx).mn_id
     }
 
-    /// The stripe index of bucket `bucket_idx` — the topology placement
-    /// hint.  At creation `topology.node_for_stripe(stripe_of_bucket(b))`
-    /// equals [`SampleFriendlyHashTable::node_of_bucket`] (objects co-locate
-    /// with their bucket); after an online add/drain the topology remaps
-    /// the hint so *new* objects rebalance onto the changed active set
-    /// while the bucket layout stays put.
+    /// The stripe index of bucket `bucket_idx` — the placement hint.  The
+    /// directory's `assigned_node` of the stripe equals
+    /// [`SampleFriendlyHashTable::node_of_bucket`] outside a resize (objects
+    /// co-locate with their bucket); after an online add/drain it names
+    /// the node the stripe's pending move takes it to.
     pub fn stripe_of_bucket(&self, bucket_idx: u64) -> u64 {
         (bucket_idx % self.num_buckets) / self.buckets_per_stripe
     }

@@ -50,7 +50,7 @@ impl EvictionHistory {
         let num_shards = topology.num_active().min(MAX_HISTORY_SHARDS) as u64;
         let mut shards = Vec::with_capacity(num_shards as usize);
         for s in 0..num_shards {
-            let mn = topology.node_for_stripe(s);
+            let mn = topology.layout_node(s);
             shards.push(pool.reserve_on(mn, 8)?);
         }
         Ok(EvictionHistory {

@@ -46,7 +46,8 @@
 //! in-order — so a hint that holds is the usual two dependent READs in the
 //! usual order, minus the wait between them.  An object off its slot's
 //! node is read after the slot has vouched for it, as without a hint — one
-//! message saved all the same.  Hints are kept truthful for free where the client already knows the answer: every slot
+//! message saved all the same, but two round trips
+//! ([`CacheStats::spec_reads_split`]).  Hints are kept truthful for free where the client already knows the answer: every slot
 //! CAS it wins (publish, replace, sampling or bucket eviction, relocation)
 //! updates or drops the entry, an unhinted remote hit installs it, and the
 //! [`local_tier::CoherenceBoard`] epoch the `Get` already reads — less the

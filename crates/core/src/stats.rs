@@ -68,6 +68,10 @@ counter_table! {
     /// Hinted lookups that mispredicted: each cost a round trip and the
     /// READ(s) it carried before the unhinted lookup ran.
     spec_reads_wasted: lifetime accessor, counter "ditto_cache_spec_reads_wasted_total" "Hinted lookups that mispredicted because the slot word had changed (lifetime).";
+    /// Hinted lookups whose object sits on another node than its slot: the
+    /// object READ cannot ride the slot READ, so the `Get` takes two round
+    /// trips even when the hint holds.
+    spec_reads_split: lifetime accessor, counter "ditto_cache_spec_reads_split_total" "Hinted lookups whose object is off the slot's node, so the object READ could not ride the slot READ (lifetime).", bump record_spec_read_split;
     /// Hint-table notes that took the way of another key's live hint: the
     /// key's set was full, and its least recently used hint went.
     hints_displaced: lifetime accessor, counter "ditto_cache_hints_displaced_total" "Hint-table notes that evicted another key's live hint from a full set (lifetime).", bump record_hint_displaced;
@@ -223,6 +227,7 @@ mod tests {
         stats.record_local_stale_reject();
         stats.record_spec_read(false);
         stats.record_spec_read(true);
+        stats.record_spec_read_split();
         stats.record_hint_displaced();
         stats.record_spec_publish(true);
         stats.record_spec_publish(false);
@@ -267,8 +272,12 @@ mod tests {
             (1, 200)
         );
         assert_eq!(
-            (stats.spec_reads_issued(), stats.spec_reads_wasted()),
-            (2, 1)
+            (
+                stats.spec_reads_issued(),
+                stats.spec_reads_wasted(),
+                stats.spec_reads_split()
+            ),
+            (2, 1, 1)
         );
         assert_eq!(stats.hints_displaced(), 1);
         assert_eq!(

@@ -470,6 +470,12 @@ impl StripedAllocator {
         }))
     }
 
+    /// Allocates `size` bytes on `node` alone — local resources, then a
+    /// segment RPC — for a placement worth nothing on any other node.
+    pub fn alloc_at(&mut self, client: &DmClient, node: u16, size: usize) -> DmResult<RemoteAddr> {
+        self.node_mut(node).alloc(client, size)
+    }
+
     /// Allocates from local resources only (no RPC), preferring `preferred`
     /// — the memory-pressure path that recycles evicted blocks wherever
     /// they live.

@@ -32,8 +32,10 @@
 //!   a resize epoch that clients validate their cached placement against.
 //! * [`migration`] carries a resize out on the *existing* data: a
 //!   per-stripe state machine (`Idle → Moving → Committed`, one
-//!   reconcile pass per stripe) moves bucket ranges onto the nodes the new
-//!   topology assigns while clients keep serving, cutovers piggyback on the
+//!   reconcile pass per stripe) moves bucket ranges onto the nodes their
+//!   directory assigns after the resize — the fewest moves that keep every
+//!   node within one stripe of the others — while clients keep serving,
+//!   cutovers piggyback on the
 //!   resize epoch, and a
 //!   drained node empties until [`MemoryPool::remove_node`] can
 //!   decommission it.

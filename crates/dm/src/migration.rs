@@ -1,12 +1,12 @@
 //! Online bucket-range migration: the live-resize protocol (§4.1's
 //! elasticity story, completed).
 //!
-//! `add_node`/`drain_node` only change where *new* placements land; the
+//! `add_node`/`drain_node` only change the pool's active set; the
 //! hash-table stripes — and therefore the lookup message load — keep their
 //! old layout.  This module adds the missing piece: a per-stripe migration
 //! state machine that moves bucket ranges (and, driven by the cache layer,
-//! their resident objects) onto the nodes the new topology assigns, while
-//! clients keep reading and writing the table.
+//! their resident objects) onto the nodes their directory assigns them
+//! after the resize, while clients keep reading and writing the table.
 //!
 //! # The per-stripe state machine
 //!
@@ -77,12 +77,20 @@
 //!    re-translate through the directory and re-read until the commit
 //!    finishes flipping the stripe.
 //!
-//! The [`MigrationPlanner`] diffs the directory's current placement
-//! against the topology's assignment (the *pending-assignment view* of
-//! [`PoolTopology::pending_reassignments`]) into per-stripe
-//! [`MoveJob`]s; draining a node plans every one of its stripes away, so
-//! pumping the plan to completion drains the node **to empty** and
-//! [`crate::MemoryPool::remove_node`] can decommission it.
+//! # Where a stripe goes
+//!
+//! The directory owns each stripe's *assigned* node.  It starts as the
+//! creation-time layout (stripe `s` on `active[s mod n]`,
+//! [`PoolTopology::layout_node`]) and is rebalanced once per membership
+//! change ([`StripeDirectory::reassign`], [`PoolTopology::rebalance`]): an
+//! added node takes ⌊S/(n+1)⌋ stripes, each from the fullest node, and a
+//! drained node's stripes each go to the emptiest, so every node holds
+//! within one stripe of every other and no stripe moves that need not.
+//! The [`MigrationPlanner`] diffs the directory's current placement against
+//! those assignments into per-stripe [`MoveJob`]s; draining a node plans
+//! every one of its stripes away, so pumping the plan to completion drains
+//! the node **to empty** and [`crate::MemoryPool::remove_node`] can
+//! decommission it.
 
 use crate::addr::RemoteAddr;
 use crate::client::DmClient;
@@ -92,7 +100,7 @@ use crate::pool::MemoryPool;
 use crate::topology::PoolTopology;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU16, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Bytes copied per READ/WRITE pair while migrating a stripe.
@@ -204,6 +212,11 @@ pub struct StripeDirectory {
     /// bytes of a stripe ([`StripeDirectory::with_cas_words`]).
     cas_stride: u64,
     cas_offset: u64,
+    /// The node each stripe is assigned to ([`StripeDirectory::assigned_node`]).
+    assigned: Vec<AtomicU16>,
+    /// The active set `assigned` is balanced over (empty until the first
+    /// [`StripeDirectory::reassign`]); its lock serialises reassignments.
+    assigned_over: Mutex<Vec<u16>>,
 }
 
 impl StripeDirectory {
@@ -221,6 +234,8 @@ impl StripeDirectory {
             stripe_bytes,
             cas_stride: 8,
             cas_offset: 0,
+            assigned: bases.iter().map(|a| AtomicU16::new(a.mn_id)).collect(),
+            assigned_over: Mutex::new(Vec::new()),
         }
     }
 
@@ -271,6 +286,34 @@ impl StripeDirectory {
     /// The node currently hosting stripe `stripe`.
     pub fn current_node(&self, stripe: u64) -> u16 {
         self.current(stripe).mn_id
+    }
+
+    /// The node stripe `stripe` is assigned to: where it is, or where a
+    /// pending move will take it.  Objects of the stripe allocate there.
+    pub fn assigned_node(&self, stripe: u64) -> u16 {
+        self.assigned[stripe as usize].load(Ordering::Acquire)
+    }
+
+    /// Rebalances the stripes' assigned nodes over `topology`'s active set
+    /// ([`PoolTopology::rebalance`]) unless they already are: the work runs
+    /// once per membership change, however many clients ask.  Starts from
+    /// the previous assignments, not the current placement, so a resize
+    /// that lands before the last one's moves are done re-plans from where
+    /// those moves were headed.
+    pub fn reassign(&self, topology: &PoolTopology) {
+        let mut over = self.assigned_over.lock();
+        if over.as_slice() == topology.active() {
+            return;
+        }
+        let mut homes: Vec<u16> = (0..self.assigned.len() as u64)
+            .map(|s| self.assigned_node(s))
+            .collect();
+        topology.rebalance(&mut homes);
+        for (slot, home) in self.assigned.iter().zip(homes) {
+            slot.store(home, Ordering::Release);
+        }
+        over.clear();
+        over.extend_from_slice(topology.active());
     }
 
     /// The raw packed entry of stripe `stripe` — the token readers compare
@@ -418,24 +461,24 @@ pub struct MoveJob {
     pub stripe: u64,
     /// Node the stripe lives on when the job was planned.
     pub src: u16,
-    /// Node the topology assigns the stripe to.
+    /// Node the directory assigns the stripe to.
     pub dst: u16,
 }
 
-/// Diffs current stripe placement against a topology into [`MoveJob`]s.
+/// Diffs current stripe placement against the directory's assignments into
+/// [`MoveJob`]s.
 pub struct MigrationPlanner;
 
 impl MigrationPlanner {
-    /// Plans the moves that reconcile `dir`'s current placement with
-    /// `topology`'s assignment.
+    /// Rebalances `dir`'s assignments over `topology` if its membership
+    /// changed ([`StripeDirectory::reassign`]) and plans a move for every
+    /// stripe that does not sit on its assigned node.
     pub fn plan(dir: &StripeDirectory, topology: &PoolTopology) -> Vec<MoveJob> {
-        topology
-            .pending_reassignments(dir.num_stripes() as u64, |s| dir.current_node(s))
-            .into_iter()
-            .map(|r| MoveJob {
-                stripe: r.stripe,
-                src: r.from,
-                dst: r.to,
+        dir.reassign(topology);
+        (0..dir.num_stripes() as u64)
+            .filter_map(|stripe| {
+                let (src, dst) = (dir.current_node(stripe), dir.assigned_node(stripe));
+                (src != dst).then_some(MoveJob { stripe, src, dst })
             })
             .collect()
     }
@@ -796,7 +839,7 @@ mod tests {
     fn make_directory(pool: &MemoryPool, n: u64, bytes: u64) -> Arc<StripeDirectory> {
         let topology = pool.topology();
         let bases: Vec<RemoteAddr> = (0..n)
-            .map(|s| pool.reserve_on(topology.node_for_stripe(s), bytes).unwrap())
+            .map(|s| pool.reserve_on(topology.layout_node(s), bytes).unwrap())
             .collect();
         Arc::new(StripeDirectory::new(&bases, bytes))
     }
@@ -900,7 +943,7 @@ mod tests {
         assert!(!plan.is_empty());
         for job in &plan {
             assert_eq!(job.src, dir.current_node(job.stripe));
-            assert_eq!(job.dst, pool.topology().node_for_stripe(job.stripe));
+            assert_eq!(job.dst, dir.assigned_node(job.stripe));
             assert_ne!(job.src, job.dst);
         }
 

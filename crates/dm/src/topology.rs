@@ -9,9 +9,21 @@
 //! [`PoolTopology`] is the placement layer that fixes this.  It maps
 //! abstract **stripes** — contiguous bucket ranges of the hash table,
 //! history-counter shards, segment-allocation homes — onto the pool's
-//! *active* memory nodes by static striping: stripe `s` lives on
-//! `active[s mod n]`.  A resize changes that assignment, and the online
-//! migration (`crate::migration`) moves the stripes whose home changed.
+//! *active* memory nodes.  A structure is laid out by static striping when
+//! it is created: stripe `s` starts on `active[s mod n]`
+//! ([`PoolTopology::layout_node`]).  From then on a resize does not re-stripe
+//! it; [`PoolTopology::rebalance`] moves the fewest stripes that keep every
+//! active node within one stripe of every other, and the online migration
+//! (`crate::migration`) carries out those moves:
+//!
+//! * **`add_node`** — the new node takes ⌊S/(n+1)⌋ of the S stripes, each
+//!   from the currently fullest node;
+//! * **`drain_node`** — each of the drained node's stripes goes to the
+//!   currently emptiest node;
+//!
+//! ties going to the lowest node id.  Growing 2 → 3 nodes therefore moves a
+//! third of the stripes, not the two thirds a modulo re-striping would,
+//! half of them pointless swaps between the two old nodes.
 //!
 //! The topology also carries the **resize epoch**: every successful
 //! [`PoolTopology::add_node`] / [`PoolTopology::drain_node`] bumps it, and
@@ -40,19 +52,6 @@ pub struct PoolTopology {
     /// without forgetting the node itself.
     active: Vec<u16>,
     epoch: u64,
-}
-
-/// One stripe whose assignment differs between where it currently lives and
-/// where the topology wants it — the *pending* part of a resize that an
-/// online migration (see `ditto_dm::migration`) still has to carry out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StripeReassignment {
-    /// Global stripe index.
-    pub stripe: u64,
-    /// Node the stripe currently lives on.
-    pub from: u16,
-    /// Node the topology assigns the stripe to.
-    pub to: u16,
 }
 
 impl PoolTopology {
@@ -85,40 +84,56 @@ impl PoolTopology {
         self.epoch
     }
 
-    /// The active node that owns stripe `stripe`.
-    pub fn node_for_stripe(&self, stripe: u64) -> u16 {
+    /// The creation-time layout: the active node stripe `stripe` of a
+    /// structure laid out now starts on, `active[stripe mod n]`.  Once the
+    /// structure exists its stripes follow [`Self::rebalance`], not this.
+    pub fn layout_node(&self, stripe: u64) -> u16 {
         self.active[(stripe % self.active.len() as u64) as usize]
     }
 
-    /// The active node where an allocation with placement hint `hint`
-    /// (typically a key hash or bucket index) should land.
-    pub fn alloc_node_for(&self, hint: u64) -> u16 {
-        self.node_for_stripe(hint)
-    }
-
-    /// The owner of every stripe in `0..num_stripes` (layout helper for
-    /// structures that reserve their stripes up front).
-    pub fn assignments(&self, num_stripes: u64) -> Vec<u16> {
-        (0..num_stripes).map(|s| self.node_for_stripe(s)).collect()
-    }
-
-    /// The **pending-assignment view**: every stripe in `0..num_stripes`
-    /// whose current placement (as reported by `current`, typically a stripe
-    /// directory lookup) differs from this topology's assignment.  These are
-    /// the stripes an online bucket-range migration still has to move before
-    /// the resize described by this topology is complete.
-    pub fn pending_reassignments(
-        &self,
-        num_stripes: u64,
-        mut current: impl FnMut(u64) -> u16,
-    ) -> Vec<StripeReassignment> {
-        (0..num_stripes)
-            .filter_map(|stripe| {
-                let from = current(stripe);
-                let to = self.node_for_stripe(stripe);
-                (from != to).then_some(StripeReassignment { stripe, from, to })
-            })
-            .collect()
+    /// Reassigns `homes` (the node of every stripe of one structure) to this
+    /// topology's active set with the fewest moves that leave every active
+    /// node within one stripe of every other: first each stripe on a node
+    /// that left the active set goes to the emptiest active node, then,
+    /// while the fullest node holds two stripes more than the emptiest, the
+    /// fullest hands its highest-indexed stripe to the emptiest.  Ties go to
+    /// the lowest node id, so the result is a function of `homes` and the
+    /// active set alone.  Returns the number of stripes reassigned.
+    ///
+    /// From a balanced start an added node takes ⌊S/(n+1)⌋ stripes and a
+    /// drain moves exactly the drained node's stripes — the least any
+    /// balanced assignment can move.
+    pub fn rebalance(&self, homes: &mut [u16]) -> usize {
+        let mut counts: Vec<usize> = self
+            .active
+            .iter()
+            .map(|&node| homes.iter().filter(|&&home| home == node).count())
+            .collect();
+        // The lowest id wins a tie: `min_by_key` keeps the first of equal
+        // keys, `max_by_key` the last (hence the reversed scan).
+        let emptiest = |counts: &[usize]| (0..counts.len()).min_by_key(|&i| counts[i]);
+        let fullest = |counts: &[usize]| (0..counts.len()).rev().max_by_key(|&i| counts[i]);
+        let mut moves = 0;
+        for home in homes.iter_mut().filter(|home| !self.is_active(**home)) {
+            let to = emptiest(&counts).expect("a topology has an active node");
+            counts[to] += 1;
+            *home = self.active[to];
+            moves += 1;
+        }
+        while let (Some(from), Some(to)) = (fullest(&counts), emptiest(&counts)) {
+            if counts[from] <= counts[to] + 1 {
+                break;
+            }
+            let stripe = homes
+                .iter()
+                .rposition(|&home| home == self.active[from])
+                .expect("the fullest node holds a stripe");
+            homes[stripe] = self.active[to];
+            counts[from] -= 1;
+            counts[to] += 1;
+            moves += 1;
+        }
+        moves
     }
 
     /// Bumps the resize epoch without a membership change — used to
@@ -180,7 +195,7 @@ mod tests {
         let topo = PoolTopology::new(4);
         assert_eq!(topo.active(), &[0, 1, 2, 3]);
         for s in 0..32u64 {
-            assert_eq!(topo.node_for_stripe(s), (s % 4) as u16);
+            assert_eq!(topo.layout_node(s), (s % 4) as u16);
         }
     }
 
@@ -199,10 +214,13 @@ mod tests {
 
     #[test]
     fn drained_nodes_receive_no_new_stripes() {
+        let mut homes = layout(&PoolTopology::new(4), 64);
         let mut topo = PoolTopology::new(4);
         topo.drain_node(1).unwrap();
+        topo.rebalance(&mut homes);
         for s in 0..64u64 {
-            assert_ne!(topo.node_for_stripe(s), 1);
+            assert_ne!(topo.layout_node(s), 1);
+            assert_ne!(homes[s as usize], 1);
         }
     }
 
@@ -224,12 +242,103 @@ mod tests {
         ));
     }
 
+    /// The creation-time layout of `stripes` stripes over `topo`.
+    fn layout(topo: &PoolTopology, stripes: u64) -> Vec<u16> {
+        (0..stripes).map(|s| topo.layout_node(s)).collect()
+    }
+
     #[test]
     fn assignments_match_pointwise_mapping() {
+        // A fresh layout is already balanced: rebalancing it moves nothing.
         let topo = PoolTopology::new(3);
-        let assigned = topo.assignments(100);
+        let mut assigned = layout(&topo, 100);
+        assert_eq!(topo.rebalance(&mut assigned), 0);
         for (s, &node) in assigned.iter().enumerate() {
-            assert_eq!(node, topo.node_for_stripe(s as u64));
+            assert_eq!(node, topo.layout_node(s as u64));
         }
+    }
+
+    /// One membership change of a rebalance sequence.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Add(u16),
+        Drain(u16),
+    }
+
+    /// Applies `steps` to a `nodes`-node pool holding `stripes` stripes,
+    /// rebalancing after each, and checks every step: the active nodes are
+    /// within one stripe of each other, an add moves ⌊S/(n+1)⌋ stripes onto
+    /// the new node alone, and a drain moves exactly the drained node's
+    /// stripes.  Returns the final assignment.
+    fn rebalance_through(nodes: u16, stripes: u64, steps: &[Step]) -> Vec<u16> {
+        let mut topo = PoolTopology::new(nodes);
+        let mut homes = layout(&topo, stripes);
+        for &step in steps {
+            let before = homes.clone();
+            let n = topo.num_active() as u64;
+            let (expected, node) = match step {
+                Step::Add(node) => {
+                    topo.add_node(node).unwrap();
+                    (stripes / (n + 1), node)
+                }
+                Step::Drain(node) => {
+                    topo.drain_node(node).unwrap();
+                    (before.iter().filter(|&&h| h == node).count() as u64, node)
+                }
+            };
+            let moves = topo.rebalance(&mut homes);
+            let changed: Vec<usize> = (0..homes.len())
+                .filter(|&s| homes[s] != before[s])
+                .collect();
+            let context = format!("{stripes} stripes, {step:?}");
+            assert_eq!(moves as u64, expected, "{context}");
+            assert_eq!(changed.len(), moves, "{context}");
+            for &s in &changed {
+                match step {
+                    Step::Add(_) => assert_eq!(homes[s], node, "{context}"),
+                    Step::Drain(_) => assert_eq!(before[s], node, "{context}"),
+                }
+            }
+            let counts: Vec<usize> = topo
+                .active()
+                .iter()
+                .map(|&node| homes.iter().filter(|&&h| h == node).count())
+                .collect();
+            assert_eq!(counts.iter().sum::<usize>(), stripes as usize, "{context}");
+            let (lo, hi) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+            assert!(hi - lo <= 1, "{context}: counts {counts:?}");
+            // Balanced already: a second rebalance moves nothing.
+            assert_eq!(topo.rebalance(&mut homes), 0, "{context}");
+        }
+        homes
+    }
+
+    #[test]
+    fn rebalance_moves_the_fewest_stripes_and_keeps_nodes_within_one() {
+        use Step::{Add, Drain};
+        let sequences: [(u16, Vec<Step>); 3] = [
+            (2, vec![Add(2), Drain(1)]),
+            (1, (1..8).map(Add).collect()),
+            (4, vec![Drain(0)]),
+        ];
+        for stripes in [1, 2, 8, 64] {
+            for (nodes, steps) in &sequences {
+                let homes = rebalance_through(*nodes, stripes, steps);
+                // Deterministic: the same sequence lands on the same homes.
+                assert_eq!(homes, rebalance_through(*nodes, stripes, steps));
+            }
+        }
+        // Ties go to the lowest node id: the joiner takes stripe 6 from
+        // node 0 (both old nodes hold 4), then stripe 7 from node 1; the
+        // drained node's stripes 1, 3, 5 go to node 2, node 0 (a tie at 3),
+        // then node 2.
+        assert_eq!(
+            rebalance_through(2, 8, &[Step::Add(2)]),
+            [0, 1, 0, 1, 0, 1, 2, 2]
+        );
+        assert_eq!(
+            rebalance_through(2, 8, &[Step::Add(2), Step::Drain(1)]),
+            [0, 2, 0, 0, 0, 2, 2, 2]
+        );
     }
 }

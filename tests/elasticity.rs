@@ -7,6 +7,7 @@
 //! lift the ceiling, and a drained node must end empty: no resident bytes,
 //! and no bucket or object READ left to serve.
 
+use ditto::cache::slot::{Slot, SLOT_SIZE};
 use ditto::cache::{DittoCache, DittoClient, DittoConfig};
 use ditto::dm::DmConfig;
 use ditto::workloads::{YcsbSpec, YcsbWorkload};
@@ -47,17 +48,63 @@ fn loaded(nodes: u16, spec: &YcsbSpec) -> (DittoCache, DittoClient) {
     (cache, client)
 }
 
+/// The node every stripe of the cache's table sits on.
+fn stripe_nodes(cache: &DittoCache) -> Vec<u16> {
+    let dir = cache.migration().directory();
+    (0..dir.num_stripes() as u64)
+        .map(|s| dir.current_node(s))
+        .collect()
+}
+
+/// The stripes that sit elsewhere than in `before`, each checked to have
+/// arrived with its objects: every live slot of the stripe points at an
+/// object on the stripe's own node — unless that node has no room left (its
+/// arena cannot grant one more allocation segment), when an object may stay
+/// on the active node it sat on.  Reads node memory directly, so the check
+/// sends no verb into the window it runs in.
+fn moved_home(cache: &DittoCache, before: &[u16]) -> Vec<u64> {
+    let dir = cache.migration().directory();
+    let config = DittoConfig::with_capacity(CAPACITY);
+    let segment = config.alloc_segment_objects * config.avg_object_blocks() * 64;
+    let moved: Vec<u64> = (0..before.len() as u64)
+        .filter(|&s| dir.current_node(s) != before[s as usize])
+        .collect();
+    for &stripe in &moved {
+        let base = dir.current(stripe);
+        let home = cache.pool().node(base.mn_id).unwrap();
+        let full =
+            home.capacity() - home.used_bytes() < segment && home.free_range_bytes() < segment;
+        let bytes = home.read(base.offset, dir.stripe_bytes() as usize).unwrap();
+        for (i, slot) in bytes
+            .chunks_exact(SLOT_SIZE)
+            .map(Slot::from_bytes)
+            .enumerate()
+        {
+            let node = slot.atomic.object_addr().mn_id;
+            assert!(
+                !slot.atomic.is_object()
+                    || node == base.mn_id
+                    || (full && cache.pool().topology().is_active(node)),
+                "stripe {stripe} moved to node {} with room, without the object of its slot {i} (on node {node})",
+                base.mn_id
+            );
+        }
+    }
+    moved
+}
+
 /// Replays one YCSB-C window drawn from `seed` (cache-aside fills on a
 /// miss), pumping the migration every [`PUMP_EVERY`] requests when `pump`
 /// is set, and returns its requests per stretched simulated second with the
-/// stripes the in-window pumps moved.
+/// stripes the in-window pumps moved, each checked by [`moved_home`] as its
+/// pump returns.
 fn window(
     cache: &DittoCache,
     client: &mut DittoClient,
     spec: &YcsbSpec,
     seed: u64,
     pump: bool,
-) -> (f64, u64) {
+) -> (f64, Vec<u64>) {
     // Publish before resetting, so the clock stays monotonic with respect to
     // the timestamps already stored in the table.
     client.dm().publish_clock();
@@ -65,7 +112,7 @@ fn window(
     client.dm().reset_clock();
     let start_ns = client.dm().now_ns();
 
-    let mut stripes_moved = 0;
+    let mut stripes_moved = Vec::new();
     let mut value = Vec::new();
     let requests = spec.run_requests_seeded(YcsbWorkload::C, seed);
     for (served, request) in requests.iter().enumerate() {
@@ -74,7 +121,11 @@ fn window(
             client.set(&key, &vec![request.key as u8; request.value_size as usize]);
         }
         if pump && (served + 1) % PUMP_EVERY == 0 {
-            stripes_moved += client.pump_migration(2).stripes_moved;
+            let before = stripe_nodes(cache);
+            let progress = client.pump_migration(2);
+            let moved = moved_home(cache, &before);
+            assert_eq!(moved.len() as u64, progress.stripes_moved);
+            stripes_moved.extend(moved);
         }
     }
     client.flush();
@@ -114,28 +165,55 @@ fn a_message_bound_ceiling_rises_with_every_memory_node() {
     }
 }
 
+/// Every stripe a resize moves, in-window and by the pump to completion
+/// that follows it, each checked to have arrived with its objects.
+fn resize_moves(
+    cache: &DittoCache,
+    client: &mut DittoClient,
+    spec: &YcsbSpec,
+    seed: u64,
+) -> Vec<u64> {
+    let (_, mut moved) = window(cache, client, spec, seed, true);
+    let before = stripe_nodes(cache);
+    let progress = cache.pump_migration();
+    let finished = moved_home(cache, &before);
+    assert_eq!(finished.len() as u64, progress.stripes_moved);
+    moved.extend(finished);
+    moved.sort_unstable();
+    moved
+}
+
 /// Fig 18: steady on two nodes → `add_node` with the migration pumped
-/// in-window → grown → `drain_node(1)` pumped in-window → drained.  Stripes
-/// move both ways, the grown pool's ceiling clears the steady one, and the
-/// drained node ends with no resident bytes, answering only the fixed
-/// history-shard counters it still holds.
+/// in-window → grown → `drain_node(1)` pumped in-window → drained.  Each
+/// resize moves the fewest stripes a balanced placement allows — the joiner
+/// takes ⌊S/3⌋, the drain moves exactly node 1's — and every moved stripe
+/// arrives with its objects beside it.  The grown pool's ceiling clears the
+/// steady one, and the drained node ends with no resident bytes, answering
+/// only the fixed history-shard counters it still holds.
 #[test]
 fn a_pool_grows_past_its_ceiling_and_drains_a_node_empty() {
     let spec = spec(5_000);
     let (cache, mut client) = loaded(2, &spec);
+    let stripes = cache.migration().directory().num_stripes() as u64;
     let (steady, _) = window(&cache, &mut client, &spec, 300, false);
     cache.pool().add_node().unwrap();
-    let (_, grow_in_window) = window(&cache, &mut client, &spec, 301, true);
-    let grow_stripes = grow_in_window + cache.pump_migration().stripes_moved;
+    let grow = resize_moves(&cache, &mut client, &spec, 301);
     let (grown, _) = window(&cache, &mut client, &spec, 302, false);
+    let held_by_1: Vec<u64> = (0..stripes)
+        .filter(|&s| cache.migration().directory().current_node(s) == 1)
+        .collect();
     cache.pool().drain_node(1).unwrap();
-    let (_, shrink_in_window) = window(&cache, &mut client, &spec, 303, true);
-    let shrink_stripes = shrink_in_window + cache.pump_migration().stripes_moved;
+    let shrink = resize_moves(&cache, &mut client, &spec, 303);
     window(&cache, &mut client, &spec, 304, false);
 
-    assert!(
-        grow_stripes > 0 && shrink_stripes > 0,
-        "both resizes must move stripes (grow {grow_stripes}, shrink {shrink_stripes})"
+    assert_eq!(
+        grow.len() as u64,
+        stripes / 3,
+        "the joiner must take ⌊S/3⌋ of {stripes} stripes and no stripe else may move"
+    );
+    assert_eq!(
+        shrink, held_by_1,
+        "the drain must move exactly node 1's stripes"
     );
     assert!(
         grown > steady * 1.1,
