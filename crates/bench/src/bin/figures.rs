@@ -16,12 +16,12 @@ use ditto_algorithms::registry;
 use ditto_baselines::{RedisLikeCluster, ScaleEvent};
 use ditto_bench::{load_phase, measured_phase, print_row, run_trace, SystemKind, SystemUnderTest};
 use ditto_core::sim::{simulate_hit_rate, SimConfig};
-use ditto_core::{DittoCache, DittoConfig};
+use ditto_core::{DittoCache, DittoClient, DittoConfig};
 use ditto_dm::{run_clients, DmConfig};
 use ditto_workloads::corpus::{self, CorpusScale};
 use ditto_workloads::mixer::{interleave_clients, mix_applications};
 use ditto_workloads::traces::{lfu_friendly, lru_friendly, TraceSpec};
-use ditto_workloads::{changing_workload, replay, ReplayOptions, YcsbSpec, YcsbWorkload};
+use ditto_workloads::{changing_workload, Replay, ReplayOptions, YcsbSpec, YcsbWorkload};
 
 struct Opts {
     scale: f64,
@@ -442,21 +442,20 @@ fn fig16(scale: f64, penalized: bool) {
 /// node is message-bound at the figure's client count.
 const ELASTIC_MESSAGE_RATE: u64 = 100_000;
 
-/// Loads every record into `cache` over `clients` threads (warm-up for the
+/// Loads every record into `cache` over `clients` clients (warm-up for the
 /// elasticity windows).
 fn elastic_load(cache: &DittoCache, spec: &YcsbSpec, clients: usize) {
-    run_clients(cache.pool(), clients, |ctx| {
-        let mut client = cache.client();
-        replay(
-            &mut client,
-            spec.load_shard(ctx.index, ctx.total),
-            ReplayOptions::default(),
-        );
-    });
+    let open = |index| (replay_of(cache), spec.load_shard(index, clients));
+    run_clients(cache.pool(), clients, open, Replay::issue, drop);
+}
+
+/// A fresh client of `cache`, replaying without a miss penalty.
+fn replay_of(cache: &DittoCache) -> Replay<Box<DittoClient>> {
+    Replay::new(Box::new(cache.client()), ReplayOptions::default())
 }
 
 /// One measured window of a YCSB-C replay (with cache-aside fills) over
-/// `clients` client threads; returns `(Mops, hottest-node message share)`.
+/// `clients` clients; returns `(Mops, hottest-node message share)`.
 fn elastic_window(
     cache: &DittoCache,
     spec: &YcsbSpec,
@@ -464,17 +463,13 @@ fn elastic_window(
     clients: usize,
     seed: u64,
 ) -> (f64, f64, ditto_dm::stats::Bottleneck) {
-    let (report, _) = run_clients(cache.pool(), clients, |ctx| {
-        let mut client = cache.client();
-        let requests = spec.run_requests_seeded(workload, seed + ctx.index as u64);
-        let per_client = (requests.len() / ctx.total).min(4_000);
-        replay(
-            &mut client,
-            requests[..per_client].iter().copied(),
-            ReplayOptions::default(),
-        );
-        client.flush();
-    });
+    let open = |index| {
+        let requests = spec.run_requests_seeded(workload, seed + index as u64);
+        let per_client = (requests.len() / clients).min(4_000);
+        (replay_of(cache), requests.into_iter().take(per_client))
+    };
+    let flush = |mut client: Replay<Box<DittoClient>>| client.backend.flush();
+    let (report, _) = run_clients(cache.pool(), clients, open, Replay::issue, flush);
     let total: u64 = report.node_messages.iter().sum::<u64>().max(1);
     let max = report.node_messages.iter().copied().max().unwrap_or(0);
     (

@@ -2,14 +2,15 @@
 //!
 //! Every system under test is wrapped behind [`SystemUnderTest`], whose
 //! clients are [`CacheBackend`]s, so each experiment can run Ditto and the baselines
-//! through exactly the same multi-client replay loop and report the same
+//! through exactly the same multi-client replay loop (`ditto_dm::run_clients`
+//! stepping one [`Replay`] per client) and report the same
 //! metrics (throughput from the DM resource model, hit rate, latency
 //! percentiles).
 
 use ditto_baselines::{CliqueMapCache, CliqueMapConfig, LockedListCache, LockedListConfig};
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::{run_clients, DmConfig, MemoryPool, RunReport};
-use ditto_workloads::{replay, CacheBackend, ReplayOptions, ReplayStats, Request};
+use ditto_workloads::{CacheBackend, Replay, ReplayOptions, ReplayStats, Request};
 use serde::{Deserialize, Serialize};
 
 pub mod jsonv;
@@ -114,7 +115,7 @@ impl SystemUnderTest {
         }
     }
 
-    /// Opens a new per-thread client.
+    /// Opens a new client.
     pub fn client(&self) -> Box<dyn CacheBackend> {
         match self {
             SystemUnderTest::Ditto(c) => Box::new(c.client()),
@@ -137,7 +138,7 @@ impl SystemUnderTest {
 pub struct MeasuredRun {
     /// System name.
     pub system: String,
-    /// Number of client threads.
+    /// Number of clients.
     pub clients: usize,
     /// Resource-model report (throughput, latency, bottleneck).
     pub report: RunReport,
@@ -152,39 +153,40 @@ impl MeasuredRun {
     }
 }
 
-/// Pre-loads a system with requests distributed round-robin over `clients`
-/// loader threads (not measured).
+/// Pre-loads a system with requests dealt round-robin to `clients` loader
+/// clients (not measured).
 pub fn load_phase(sut: &SystemUnderTest, clients: usize, requests: &[Request]) {
-    run_clients(sut.pool(), clients, |ctx| {
-        let mut client = sut.client();
-        let shard: Vec<Request> = requests
+    measured_phase(sut, "load", clients, ReplayOptions::default(), &|index| {
+        requests
             .iter()
-            .skip(ctx.index)
-            .step_by(ctx.total)
+            .skip(index)
+            .step_by(clients)
             .copied()
-            .collect();
-        replay(&mut *client, shard, ReplayOptions::default());
-        client.finish();
+            .collect()
     });
     sut.pool().reset_stats();
 }
 
-/// Runs a measured phase: `clients` threads each replay the request slice
-/// returned by `per_client` and the aggregate report is returned.
+/// Runs a measured phase: `clients` clients, stepped round-robin, each
+/// replay the request slice returned by `per_client` and the aggregate
+/// report is returned.
 pub fn measured_phase(
     sut: &SystemUnderTest,
     system_name: &str,
     clients: usize,
     opts: ReplayOptions,
-    per_client: &(dyn Fn(usize) -> Vec<Request> + Sync),
+    per_client: &dyn Fn(usize) -> Vec<Request>,
 ) -> MeasuredRun {
-    let (report, stats) = run_clients(sut.pool(), clients, |ctx| {
-        let mut client = sut.client();
-        let requests = per_client(ctx.index);
-        let stats = replay(&mut *client, requests, opts);
-        client.finish();
-        stats
-    });
+    let (report, stats) = run_clients(
+        sut.pool(),
+        clients,
+        |index| (Replay::new(sut.client(), opts), per_client(index)),
+        Replay::issue,
+        |mut client| {
+            client.backend.finish();
+            client.stats
+        },
+    );
     let mut replay_total = ReplayStats::default();
     for s in &stats {
         replay_total.merge(s);
@@ -224,6 +226,8 @@ pub fn print_row(label: &str, values: &[(&str, f64)]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ditto_workloads::{YcsbSpec, YcsbWorkload};
+    use std::cell::RefCell;
 
     #[test]
     fn all_systems_build_and_serve() {
@@ -269,5 +273,96 @@ mod tests {
             ReplayOptions::default(),
         );
         assert!(run.hit_rate() > 0.8, "hit rate {}", run.hit_rate());
+    }
+
+    /// A YCSB spec at `figures --scale 0.02` (fig2's CI scale).
+    fn ci_scale_ycsb() -> YcsbSpec {
+        YcsbSpec {
+            record_count: 5_000,
+            request_count: 10_000,
+            ..YcsbSpec::default()
+        }
+    }
+
+    /// Loads `kind` with every record and returns a run of `clients`
+    /// clients, each replaying `per_client` YCSB requests of its own seed.
+    fn ycsb_run(
+        kind: SystemKind,
+        workload: YcsbWorkload,
+        clients: usize,
+        per_client: usize,
+    ) -> MeasuredRun {
+        let spec = ci_scale_ycsb();
+        let sut = SystemUnderTest::build(kind, spec.record_count * 2, DmConfig::default());
+        load_phase(&sut, 8, &spec.load_requests());
+        measured_phase(&sut, kind.name(), clients, ReplayOptions::default(), &|i| {
+            let requests = spec.run_requests_seeded(workload, 100 + i as u64);
+            requests[..per_client].to_vec()
+        })
+    }
+
+    #[test]
+    fn lock_protected_lists_do_not_scale_and_a_plain_store_does() {
+        // Figure 2(b)'s claim: on YCSB-C, 8 clients multiply a lock-free
+        // store's throughput almost 8-fold, Shard-LRU's 32 locks give up a
+        // part of that, and KVC's one lock serialises nearly all of it.
+        let speedup = |kind| {
+            let one = ycsb_run(kind, YcsbWorkload::C, 1, 2_000)
+                .report
+                .throughput_mops;
+            let eight = ycsb_run(kind, YcsbWorkload::C, 8, 500)
+                .report
+                .throughput_mops;
+            eight / one
+        };
+        let (kvs, shard, kvc) = (
+            speedup(SystemKind::Kvs),
+            speedup(SystemKind::ShardLru),
+            speedup(SystemKind::Kvc),
+        );
+        assert!(kvs >= 7.0, "KVS 8-client speedup {kvs:.2}x");
+        assert!(shard >= 3.0, "Shard-LRU 8-client speedup {shard:.2}x");
+        assert!(kvc < 2.0, "KVC 8-client speedup {kvc:.2}x");
+    }
+
+    #[test]
+    fn a_measured_phase_repeats_exactly() {
+        for kind in [SystemKind::Ditto, SystemKind::ShardLru] {
+            let first = ycsb_run(kind, YcsbWorkload::A, 4, 1_000);
+            let second = ycsb_run(kind, YcsbWorkload::A, 4, 1_000);
+            assert_eq!(first.report, second.report, "{}", kind.name());
+            assert_eq!(first.replay, second.replay, "{}", kind.name());
+        }
+    }
+
+    /// Records every key it is asked for into a log shared by all clients.
+    struct Recorder<'a>(&'a RefCell<Vec<Vec<u8>>>);
+
+    impl CacheBackend for Recorder<'_> {
+        fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+            self.0.borrow_mut().push(key.to_vec());
+            Some(Vec::new())
+        }
+        fn set(&mut self, _key: &[u8], _value: &[u8]) {}
+    }
+
+    #[test]
+    fn a_dealt_out_trace_is_issued_in_its_original_order() {
+        let pool = MemoryPool::new(DmConfig::small());
+        let trace: Vec<Request> = (0..103u64).map(|k| Request::get(k * 7 % 101)).collect();
+        let log = RefCell::new(Vec::new());
+        let (clients, opts) = (4, ReplayOptions::default());
+        run_clients(
+            &pool,
+            clients,
+            |i| {
+                let shard = trace.iter().skip(i).step_by(clients).copied();
+                (Replay::new(Box::new(Recorder(&log)), opts), shard)
+            },
+            Replay::issue,
+            drop,
+        );
+        let keys: Vec<Vec<u8>> = trace.iter().map(Request::key_bytes).collect();
+        assert_eq!(log.into_inner(), keys);
     }
 }

@@ -9,7 +9,7 @@ use super::round::{Evictions, Op, Retire, Round, Shape};
 use super::{Candidates, DittoClient, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::recovery::CrashPoint;
-use crate::slot::{AtomicField, Slot};
+use crate::slot::{AtomicField, Slot, OFF_HASH};
 use ditto_algorithms::AccessKind;
 use ditto_dm::{Phase, RemoteAddr};
 use std::sync::Arc;
@@ -287,15 +287,19 @@ impl DittoClient {
     /// effort, like every metadata write.
     fn write_fresh_metadata(&mut self, slot_addr: RemoteAddr, hash: u64) {
         let now = self.dm.now_ns();
-        let mut buf = [0u8; 32];
-        buf[0..8].copy_from_slice(&hash.to_le_bytes());
-        buf[8..16].copy_from_slice(&now.to_le_bytes());
-        buf[16..24].copy_from_slice(&now.to_le_bytes());
-        buf[24..32].copy_from_slice(&1u64.to_le_bytes());
+        let bytes = Slot {
+            hash,
+            insert_ts: now,
+            last_ts: now,
+            freq: 1,
+            ..Slot::empty()
+        }
+        .to_bytes();
+        let metadata = &bytes[OFF_HASH as usize..];
         let addr = SampleFriendlyHashTable::hash_addr(slot_addr);
         let _ = self
             .dm
-            .with_retry(MAX_RETRIES, |dm| dm.try_write_async(addr, &buf));
+            .with_retry(MAX_RETRIES, |dm| dm.try_write_async(addr, metadata));
     }
 
     /// Picks the slot an insert should claim, preferring empty slots, then

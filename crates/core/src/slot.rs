@@ -366,6 +366,10 @@ mod tests {
         let bytes = slot.to_bytes();
         assert_eq!(Slot::from_bytes(&bytes), slot);
         assert_eq!(bytes.len(), SLOT_SIZE);
+        // Every metadata word lands at its field offset.
+        let word = |off: u64| u64::from_le_bytes(bytes[off as usize..][..8].try_into().unwrap());
+        let words = [OFF_HASH, OFF_INSERT_TS, OFF_LAST_TS, OFF_FREQ].map(word);
+        assert_eq!(words, [0xdead_beef, 111, 222, 7]);
     }
 
     #[test]

@@ -725,8 +725,8 @@ impl DmClient {
         latency
     }
 
-    /// Publishes this client's final clock to the pool statistics.  Called by
-    /// the harness at the end of a run; may also be called manually.
+    /// Publishes this client's final clock to the pool statistics.  Called
+    /// when the client drops; may also be called manually.
     pub fn publish_clock(&self) {
         self.pool.stats().publish_client_clock(self.clock_ns.get());
     }
@@ -744,8 +744,8 @@ impl DmClient {
     }
 
     /// Publishes the clock automatically when the client goes away so that
-    /// harness reports include every client created during a run, not only
-    /// the ones the harness allocated itself.
+    /// a run's report (`run_clients`) includes every client created during
+    /// the run.
     fn publish_on_drop(&self) {
         self.publish_clock();
     }

@@ -1,65 +1,64 @@
-//! Multi-client experiment harness.
+//! Multi-client experiment driver.
 //!
-//! Runs a closure on `N` client threads (each with its own [`DmClient`] and
-//! simulated clock) and condenses the pool's resource accounting into a
-//! [`RunReport`].  All throughput/latency figures of the evaluation are
-//! produced through this entry point so that Ditto and the baselines share
-//! the exact same measurement methodology.
+//! Steps `N` clients (each with its own simulated clock) round-robin on the
+//! calling thread and condenses the pool's resource accounting into a
+//! [`RunReport`].  Round `r` issues request `r` of every client that still
+//! has one, so a run repeats exactly and a trace dealt out to the clients
+//! with `skip(i).step_by(n)` is issued in its original order.  All
+//! throughput/latency figures of the evaluation are produced through this
+//! entry point so that Ditto and the baselines share the exact same
+//! measurement methodology.  Clients still contend: simulated time, not the
+//! OS scheduler, decides who waits (a lock released in a client's simulated
+//! future makes it back off, see [`crate::lock`]).
 
-use crate::client::DmClient;
 use crate::pool::MemoryPool;
 use crate::stats::RunReport;
 
-/// Per-thread context handed to the client closure.
-pub struct ClientCtx {
-    /// The client connection owned by this thread.
-    pub client: DmClient,
-    /// Index of this client in `0..total`.
-    pub index: usize,
-    /// Total number of clients taking part in the run.
-    pub total: usize,
-}
-
-/// Runs `f` on `num_clients` threads and reports aggregate performance.
+/// Runs `num_clients` clients round-robin and reports aggregate performance.
 ///
 /// The pool statistics are reset when the run starts, so a warm-up phase
 /// should be executed with a separate `run_clients` call (the cached data
 /// itself persists in the memory pool between calls).
 ///
-/// The closure receives a mutable [`ClientCtx`]; its return values are
-/// collected in client order and returned alongside the [`RunReport`].
-pub fn run_clients<F, R>(pool: &MemoryPool, num_clients: usize, f: F) -> (RunReport, Vec<R>)
+/// `connect(i)` opens client `i` after the reset and returns it with its
+/// request stream; `issue` serves one request on its client.  Once every
+/// stream is exhausted, `finish` consumes the clients in order and its
+/// return values come back alongside the [`RunReport`].  A client dropped
+/// there publishes its clock (every `DmClient` does on drop) before the
+/// report is built; one that `finish` hands back must have published it.
+pub fn run_clients<C, I, R>(
+    pool: &MemoryPool,
+    num_clients: usize,
+    connect: impl FnMut(usize) -> (C, I),
+    mut issue: impl FnMut(&mut C, I::Item),
+    finish: impl FnMut(C) -> R,
+) -> (RunReport, Vec<R>)
 where
-    F: Fn(&mut ClientCtx) -> R + Sync,
-    R: Send,
+    I: IntoIterator,
 {
     assert!(num_clients > 0, "at least one client is required");
     pool.reset_stats();
     let before = pool.stats().node_snapshots();
 
-    let mut results: Vec<Option<R>> = Vec::with_capacity(num_clients);
-    results.resize_with(num_clients, || None);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_clients);
-        for (index, slot) in results.iter_mut().enumerate() {
-            let pool = pool.clone();
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut ctx = ClientCtx {
-                    client: pool.connect(),
-                    index,
-                    total: num_clients,
-                };
-                let out = f(&mut ctx);
-                ctx.client.publish_clock();
-                *slot = Some(out);
-            }));
+    let mut clients: Vec<_> = (0..num_clients)
+        .map(connect)
+        .map(|(client, requests)| (client, requests.into_iter().fuse()))
+        .collect();
+    let mut issued = true;
+    while issued {
+        issued = false;
+        for (client, requests) in &mut clients {
+            if let Some(request) = requests.next() {
+                issue(client, request);
+                issued = true;
+            }
         }
-        for handle in handles {
-            handle.join().expect("client thread panicked");
-        }
-    });
+    }
+    let results = clients
+        .into_iter()
+        .map(|(client, _)| client)
+        .map(finish)
+        .collect();
 
     let after = pool.stats().node_snapshots();
     let report = RunReport::from_measurement(
@@ -71,24 +70,46 @@ where
         pool.stats().latency(),
         num_clients,
     );
-    let results = results
-        .into_iter()
-        .map(|r| r.expect("client result missing"))
-        .collect();
     (report, results)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::RemoteAddr;
+    use crate::client::DmClient;
     use crate::config::DmConfig;
     use crate::stats::Bottleneck;
+
+    /// `clients` raw clients, each issuing `ops` one-READ ops of `len`
+    /// bytes at `addr`.
+    fn read_run(
+        pool: &MemoryPool,
+        clients: usize,
+        ops: usize,
+        addr: RemoteAddr,
+        len: usize,
+    ) -> RunReport {
+        let read = |client: &mut DmClient, _| {
+            client.begin_op();
+            client.read(addr, len);
+            client.end_op();
+        };
+        run_clients(pool, clients, |_| (pool.connect(), 0..ops), read, drop).0
+    }
 
     #[test]
     fn all_clients_run_and_results_are_ordered() {
         let pool = MemoryPool::new(DmConfig::small());
-        let (report, results) = run_clients(&pool, 4, |ctx| ctx.index * 10);
-        assert_eq!(results, vec![0, 10, 20, 30]);
+        let (report, results) = run_clients(
+            &pool,
+            4,
+            |index| (index * 10, 0..index),
+            |sum, step| *sum += step,
+            |sum| sum,
+        );
+        // Client i starts at 10·i and adds 0 + 1 + … + (i − 1).
+        assert_eq!(results, vec![0, 10, 21, 33]);
         assert_eq!(report.clients, 4);
     }
 
@@ -96,13 +117,7 @@ mod tests {
     fn report_reflects_operations() {
         let pool = MemoryPool::new(DmConfig::small());
         let addr = pool.reserve(64).unwrap();
-        let (report, _) = run_clients(&pool, 2, |ctx| {
-            for _ in 0..100 {
-                ctx.client.begin_op();
-                ctx.client.read(addr, 64);
-                ctx.client.end_op();
-            }
-        });
+        let report = read_run(&pool, 2, 100, addr, 64);
         assert_eq!(report.total_ops, 200);
         assert!(report.throughput_mops > 0.0);
         assert!(report.p50_latency_us >= 1.0);
@@ -115,13 +130,7 @@ mod tests {
         // Throttle the RNIC hard so even a small run saturates it.
         let pool = MemoryPool::new(DmConfig::small().with_message_rate(10_000));
         let addr = pool.reserve(64).unwrap();
-        let (report, _) = run_clients(&pool, 8, |ctx| {
-            for _ in 0..500 {
-                ctx.client.begin_op();
-                ctx.client.read(addr, 64);
-                ctx.client.end_op();
-            }
-        });
+        let report = read_run(&pool, 8, 500, addr, 64);
         assert_eq!(report.bottleneck, Bottleneck::NicMessageRate);
         // 4000 messages at 10k msg/s = 0.4 s ≫ per-client 1 ms of verbs.
         assert!(report.simulated_seconds > 0.1);
@@ -135,13 +144,7 @@ mod tests {
         let addr = pool.reserve(64).unwrap();
         let mut last = 0.0;
         for clients in [1, 2, 4] {
-            let (report, _) = run_clients(&pool, clients, |ctx| {
-                for _ in 0..200 {
-                    ctx.client.begin_op();
-                    ctx.client.read(addr, 64);
-                    ctx.client.end_op();
-                }
-            });
+            let report = read_run(&pool, clients, 200, addr, 64);
             assert_eq!(report.total_ops, 200 * clients as u64);
             assert!(
                 report.throughput_mops >= last,
@@ -156,26 +159,14 @@ mod tests {
     fn stats_are_reset_between_runs() {
         let pool = MemoryPool::new(DmConfig::small());
         let addr = pool.reserve(64).unwrap();
-        let (first, _) = run_clients(&pool, 1, |ctx| {
-            ctx.client.begin_op();
-            ctx.client.read(addr, 8);
-            ctx.client.end_op();
-        });
-        assert_eq!(first.total_ops, 1);
-        let (second, _) = run_clients(&pool, 1, |ctx| {
-            for _ in 0..5 {
-                ctx.client.begin_op();
-                ctx.client.read(addr, 8);
-                ctx.client.end_op();
-            }
-        });
-        assert_eq!(second.total_ops, 5);
+        assert_eq!(read_run(&pool, 1, 1, addr, 8).total_ops, 1);
+        assert_eq!(read_run(&pool, 1, 5, addr, 8).total_ops, 5);
     }
 
     #[test]
     #[should_panic]
     fn zero_clients_is_a_programming_error() {
         let pool = MemoryPool::new(DmConfig::small());
-        let _ = run_clients(&pool, 0, |_| ());
+        let _ = run_clients(&pool, 0, |_| ((), 0..1), |_, _| (), drop);
     }
 }

@@ -59,8 +59,9 @@
 //!   used by FUSEE and adopted by Ditto; [`alloc::StripedAllocator`] runs
 //!   one per memory node with a stripe-local preference, so an object's
 //!   hash-table slot and its value land on the same node when possible.
-//! * [`harness`] runs a closure on `N` simulated client threads and collects
-//!   a [`stats::RunReport`].
+//! * [`harness`] steps `N` clients round-robin on the calling thread, one
+//!   request each per round, and collects a [`stats::RunReport`]; a run
+//!   repeats exactly.
 //!
 //! # The posted-WQE latency model
 //!
@@ -107,8 +108,11 @@
 //!
 //! # Threading model
 //!
-//! The substrate is built for **N real OS threads hammering one shared
-//! pool**, mirroring the paper's many-CN deployment:
+//! The substrate is safe for **N real OS threads hammering one shared
+//! pool**, mirroring the paper's many-CN deployment (the concurrency and
+//! chaos tests drive it that way; measured runs step every client on one
+//! thread through [`run_clients`], so simulated time, not the OS
+//! scheduler, decides who waits):
 //!
 //! * [`MemoryPool`], [`MemoryNode`], [`PoolStats`], [`MigrationEngine`] and
 //!   [`migration::StripeDirectory`] are `Send + Sync` — share them freely
@@ -118,8 +122,8 @@
 //! * [`DmClient`] is **`Send` but not `Sync`**: it models one queue pair —
 //!   a per-thread connection with its own simulated clock, node cache and
 //!   [`cq::CompletionQueue`].  Create one per thread via
-//!   [`MemoryPool::connect`] (what [`harness::run_clients`] does); never
-//!   share one behind a reference from two threads.
+//!   [`MemoryPool::connect`]; never share one behind a reference from two
+//!   threads.
 //! * **Exact vs. racy counters.**  All [`PoolStats`] counters are atomics
 //!   and individually exact (nothing is lost), including the contention
 //!   group ([`PoolStats::contention`]: CAS retries, lock attempts vs.
@@ -287,7 +291,7 @@ pub use config::DmConfig;
 pub use cq::{Completion, CompletionQueue, CompletionStatus};
 pub use error::{DmError, DmResult};
 pub use fault::{FaultInjector, FaultPlan, NodeFailStop, SlowNic, VerbFate};
-pub use harness::{run_clients, ClientCtx};
+pub use harness::run_clients;
 pub use histogram::LatencyHistogram;
 pub use lock::{AcquireOutcome, LockAcquisition, RemoteLock};
 pub use memnode::MemoryNode;

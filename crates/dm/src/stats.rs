@@ -884,7 +884,7 @@ pub enum Bottleneck {
 }
 
 /// Result of a measured run over the DM substrate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Application-level operations completed.
     pub total_ops: u64,
@@ -909,7 +909,7 @@ pub struct RunReport {
     pub node_cpu_seconds: Vec<f64>,
     /// Which resource bounded the run.
     pub bottleneck: Bottleneck,
-    /// Number of client threads that took part in the run.
+    /// Number of clients that took part in the run.
     pub clients: usize,
 }
 

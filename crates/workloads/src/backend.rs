@@ -9,6 +9,7 @@
 
 use crate::request::{Op, Request};
 use serde::{Deserialize, Serialize};
+use std::ops::DerefMut;
 
 /// A key-value cache under test.
 pub trait CacheBackend {
@@ -86,38 +87,62 @@ impl ReplayStats {
     }
 }
 
+/// One client's replay: the cache it drives (a `&mut` or a `Box` of a
+/// [`CacheBackend`]) and the statistics of the requests issued so far.
+/// [`replay`] and the multi-client driver (`ditto_dm::run_clients`) issue
+/// every request through [`Replay::issue`].
+pub struct Replay<B> {
+    /// The client under test.
+    pub backend: B,
+    /// Hit/miss statistics of the requests issued so far.
+    pub stats: ReplayStats,
+    opts: ReplayOptions,
+    value_buf: Vec<u8>,
+}
+
+impl<B: DerefMut<Target = T>, T: CacheBackend + ?Sized> Replay<B> {
+    /// A replay of `backend` that has issued nothing yet.
+    pub fn new(backend: B, opts: ReplayOptions) -> Self {
+        Replay {
+            backend,
+            stats: ReplayStats::default(),
+            opts,
+            value_buf: Vec::new(),
+        }
+    }
+
+    /// Issues `req`: a `Get` (on a miss, the penalty and the cache-aside
+    /// fill) or a `Set`.
+    pub fn issue(&mut self, req: Request) {
+        self.stats.requests += 1;
+        let key = req.key_bytes();
+        match req.op {
+            Op::Get => {
+                if self.backend.get(&key).is_some() {
+                    self.stats.hits += 1;
+                    return;
+                }
+                self.stats.misses += 1;
+                if self.opts.miss_penalty_us > 0 {
+                    self.backend.miss_penalty(self.opts.miss_penalty_us);
+                }
+            }
+            Op::Update | Op::Insert => self.stats.sets += 1,
+        }
+        fill_value(&mut self.value_buf, req.value_size, req.key);
+        self.backend.set(&key, &self.value_buf);
+    }
+}
+
 /// Replays `requests` against `backend` and returns hit/miss statistics.
 pub fn replay<B, I>(backend: &mut B, requests: I, opts: ReplayOptions) -> ReplayStats
 where
     B: CacheBackend + ?Sized,
     I: IntoIterator<Item = Request>,
 {
-    let mut stats = ReplayStats::default();
-    let mut value_buf: Vec<u8> = Vec::new();
-    for req in requests {
-        stats.requests += 1;
-        let key = req.key_bytes();
-        match req.op {
-            Op::Get => {
-                if backend.get(&key).is_some() {
-                    stats.hits += 1;
-                } else {
-                    stats.misses += 1;
-                    if opts.miss_penalty_us > 0 {
-                        backend.miss_penalty(opts.miss_penalty_us);
-                    }
-                    fill_value(&mut value_buf, req.value_size, req.key);
-                    backend.set(&key, &value_buf);
-                }
-            }
-            Op::Update | Op::Insert => {
-                stats.sets += 1;
-                fill_value(&mut value_buf, req.value_size, req.key);
-                backend.set(&key, &value_buf);
-            }
-        }
-    }
-    stats
+    let mut replay = Replay::new(backend, opts);
+    requests.into_iter().for_each(|req| replay.issue(req));
+    replay.stats
 }
 
 /// Fills `buf` with `size` deterministic bytes derived from `key`, so tests

@@ -15,8 +15,9 @@
 //! * [`changing`] — the 4-phase LRU↔LFU switching workload of Figure 19;
 //! * [`mixer`] — client-interleaving utilities that reproduce how concurrent
 //!   clients and application mixes reshape the global access pattern (§3.2);
-//! * [`backend`] — the [`CacheBackend`] trait and [`replay`] driver shared by
-//!   Ditto and all baselines so every system is measured identically.
+//! * [`backend`] — the [`CacheBackend`] trait and the one per-request
+//!   [`Replay`] step behind [`replay`], shared by Ditto and all baselines so
+//!   every system is measured identically.
 
 pub mod backend;
 pub mod changing;
@@ -27,7 +28,7 @@ pub mod traces;
 pub mod ycsb;
 pub mod zipf;
 
-pub use backend::{replay, CacheBackend, ReplayOptions, ReplayStats};
+pub use backend::{replay, CacheBackend, Replay, ReplayOptions, ReplayStats};
 pub use changing::changing_workload;
 pub use request::{Op, Request};
 pub use ycsb::{YcsbSpec, YcsbWorkload};

@@ -127,7 +127,7 @@ impl YcsbSpec {
         self.run_requests_seeded(workload, self.seed)
     }
 
-    /// Generates the run phase with an explicit seed (one per client thread).
+    /// Generates the run phase with an explicit seed (one per client).
     pub fn run_requests_seeded(&self, workload: YcsbWorkload, seed: u64) -> Vec<Request> {
         let mut rng = StdRng::seed_from_u64(seed);
         let zipf = Zipfian::new(self.record_count, self.theta);

@@ -1,7 +1,7 @@
 //! Elasticity: adjust compute and memory resources while the cache serves
 //! traffic, and compare with a Redis-like cluster of monolithic VMs.
 //!
-//! On disaggregated memory the number of client threads (compute) and the
+//! On disaggregated memory the number of clients (compute) and the
 //! cache capacity (memory) are independent knobs: adding CPU cores raises
 //! throughput immediately, and memory nodes join or leave the pool *online*
 //! through [`ditto::dm::MemoryPool::add_node`] / `drain_node` — the resize
@@ -17,21 +17,32 @@
 //! Run with: `cargo run --release --example elastic_scaling`
 
 use ditto::baselines::{RedisLikeCluster, ScaleEvent};
-use ditto::cache::{DittoCache, DittoConfig};
-use ditto::dm::{run_clients, DmConfig};
-use ditto::workloads::{replay, ReplayOptions, YcsbSpec, YcsbWorkload};
+use ditto::cache::{DittoCache, DittoClient, DittoConfig};
+use ditto::dm::{run_clients, DmConfig, RunReport};
+use ditto::workloads::{Replay, ReplayOptions, Request, YcsbSpec, YcsbWorkload};
+
+/// Steps `clients` clients round-robin on this thread, each replaying
+/// `requests(index)` and flushing its frequency counters at the end.
+fn drive<I: IntoIterator<Item = Request>>(
+    cache: &DittoCache,
+    clients: usize,
+    requests: impl Fn(usize) -> I,
+) -> RunReport {
+    let open = |index| {
+        (
+            Replay::new(Box::new(cache.client()), ReplayOptions::default()),
+            requests(index),
+        )
+    };
+    let flush = |mut client: Replay<Box<DittoClient>>| client.backend.flush();
+    run_clients(cache.pool(), clients, open, Replay::issue, flush).0
+}
 
 fn ditto_throughput(cache: &DittoCache, spec: &YcsbSpec, clients: usize) -> f64 {
-    let (report, _) = run_clients(cache.pool(), clients, |ctx| {
-        let mut client = cache.client();
-        let requests = spec.run_requests_seeded(YcsbWorkload::C, 77 + ctx.index as u64);
-        let per_client = requests.len() / ctx.total;
-        replay(
-            &mut client,
-            requests[..per_client].iter().copied(),
-            ReplayOptions::default(),
-        );
-        client.flush();
+    let report = drive(cache, clients, |index| {
+        let requests = spec.run_requests_seeded(YcsbWorkload::C, 77 + index as u64);
+        let per_client = requests.len() / clients;
+        requests.into_iter().take(per_client)
     });
     report.throughput_mops
 }
@@ -47,20 +58,12 @@ fn main() {
             .expect("cache construction");
 
     // Load the records once.
-    let load = spec;
-    run_clients(cache.pool(), 8, |ctx| {
-        let mut client = cache.client();
-        replay(
-            &mut client,
-            load.load_shard(ctx.index, ctx.total),
-            ReplayOptions::default(),
-        );
-    });
+    drive(&cache, 8, |index| spec.load_shard(index, 8));
 
     println!("== Ditto: compute scaling without migration ==");
     for clients in [4, 8, 16, 32] {
         let mops = ditto_throughput(&cache, &spec, clients);
-        println!("  {clients:>3} client threads -> {mops:.2} Mops (takes effect immediately)");
+        println!("  {clients:>3} clients -> {mops:.2} Mops (takes effect immediately)");
     }
 
     println!();
@@ -74,14 +77,7 @@ fn main() {
             .with_message_rate(150_000),
     )
     .expect("elastic cache construction");
-    run_clients(elastic.pool(), 8, |ctx| {
-        let mut client = elastic.client();
-        replay(
-            &mut client,
-            load.load_shard(ctx.index, ctx.total),
-            ReplayOptions::default(),
-        );
-    });
+    drive(&elastic, 8, |index| spec.load_shard(index, 8));
     let window = |label: &str| {
         let mops = ditto_throughput(&elastic, &spec, 8);
         println!(

@@ -1,14 +1,14 @@
 //! Quickstart: deploy Ditto on a simulated disaggregated-memory pool, run a
-//! small skewed workload from several client threads and print the resulting
+//! small skewed workload from several clients and print the resulting
 //! throughput, latency, adaptive-caching statistics and phase-level latency
 //! attribution.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use ditto::cache::{DittoCache, DittoConfig};
+use ditto::cache::{DittoCache, DittoClient, DittoConfig};
 use ditto::dm::obs::attribution;
 use ditto::dm::{run_clients, DmConfig};
-use ditto::workloads::{replay, ReplayOptions, YcsbSpec, YcsbWorkload};
+use ditto::workloads::{replay, Replay, ReplayOptions, Request, YcsbSpec, YcsbWorkload};
 
 fn main() {
     // A cache holding 20 000 objects of ~256 B on a single memory node with a
@@ -29,30 +29,30 @@ fn main() {
     };
     let num_clients = 8;
 
+    // The driver steps every client round-robin on this thread, one request
+    // each per round, so a run repeats exactly.  A client issues each request
+    // through a `Replay` (a Get, and on a miss the fill) and flushes its
+    // buffered frequency counters when its stream ends.
+    let run = |requests: &dyn Fn(usize) -> Vec<Request>| {
+        let open = |index| {
+            (
+                Replay::new(Box::new(cache.client()), ReplayOptions::default()),
+                requests(index),
+            )
+        };
+        let flush = |mut client: Replay<Box<DittoClient>>| client.backend.flush();
+        run_clients(cache.pool(), num_clients, open, Replay::issue, flush).0
+    };
+
     // Load phase: shard the records across clients (not measured).
-    let load_spec = spec;
-    let (_, _) = run_clients(cache.pool(), num_clients, |ctx| {
-        let mut client = cache.client();
-        let shard = load_spec.load_shard(ctx.index, ctx.total);
-        replay(&mut client, shard, ReplayOptions::default());
-        client.flush();
-    });
+    run(&|index| spec.load_shard(index, num_clients));
     cache.stats().reset();
 
     // Run phase: every client replays its own Zipfian request stream.
-    let run_spec = spec;
-    let (report, _) = run_clients(cache.pool(), num_clients, |ctx| {
-        let mut client = cache.client();
-        let requests = run_spec.run_requests_seeded(YcsbWorkload::B, 1_000 + ctx.index as u64);
-        let per_client = requests.len() / ctx.total;
-        let start = ctx.index * per_client;
-        let stats = replay(
-            &mut client,
-            requests[start..start + per_client].iter().copied(),
-            ReplayOptions::default(),
-        );
-        client.flush();
-        stats
+    let report = run(&|index| {
+        let requests = spec.run_requests_seeded(YcsbWorkload::B, 1_000 + index as u64);
+        let per_client = requests.len() / num_clients;
+        requests[index * per_client..][..per_client].to_vec()
     });
 
     let cache_stats = cache.stats().snapshot();

@@ -2,11 +2,33 @@
 //! workload generators over the DM substrate.
 
 use ditto::baselines::{CliqueMapCache, CliqueMapConfig, LockedListCache, LockedListConfig};
-use ditto::cache::{DittoCache, DittoConfig};
+use ditto::cache::{DittoCache, DittoClient, DittoConfig};
 use ditto::dm::stats::Bottleneck;
-use ditto::dm::{run_clients, DmConfig};
+use ditto::dm::{run_clients, DmConfig, RunReport};
 use ditto::workloads::traces::{lru_friendly, TraceSpec};
-use ditto::workloads::{replay, ReplayOptions, Request, YcsbSpec, YcsbWorkload};
+use ditto::workloads::{
+    replay, Replay, ReplayOptions, ReplayStats, Request, YcsbSpec, YcsbWorkload,
+};
+
+/// Steps `clients` Ditto clients round-robin, each replaying
+/// `requests(index)` and flushing at the end; returns each client's stats.
+fn drive<I: IntoIterator<Item = Request>>(
+    cache: &DittoCache,
+    clients: usize,
+    requests: impl Fn(usize) -> I,
+) -> (RunReport, Vec<ReplayStats>) {
+    let open = |index| {
+        (
+            Replay::new(Box::new(cache.client()), ReplayOptions::default()),
+            requests(index),
+        )
+    };
+    let finish = |mut client: Replay<Box<DittoClient>>| {
+        client.backend.flush();
+        client.stats
+    };
+    run_clients(cache.pool(), clients, open, Replay::issue, finish)
+}
 
 fn small_ycsb() -> YcsbSpec {
     YcsbSpec {
@@ -26,29 +48,14 @@ fn ditto_serves_ycsb_from_multiple_clients() {
     .unwrap();
 
     // Load phase.
-    run_clients(cache.pool(), 4, |ctx| {
-        let mut client = cache.client();
-        replay(
-            &mut client,
-            spec.load_shard(ctx.index, ctx.total),
-            ReplayOptions::default(),
-        );
-        client.flush();
-    });
+    drive(&cache, 4, |index| spec.load_shard(index, 4));
     cache.stats().reset();
 
     // Measured run phase.
-    let (report, results) = run_clients(cache.pool(), 4, |ctx| {
-        let mut client = cache.client();
-        let requests = spec.run_requests_seeded(YcsbWorkload::C, ctx.index as u64);
-        let per_client = requests.len() / ctx.total;
-        let stats = replay(
-            &mut client,
-            requests[..per_client].iter().copied(),
-            ReplayOptions::default(),
-        );
-        client.flush();
-        stats
+    let (report, results) = drive(&cache, 4, |index| {
+        let requests = spec.run_requests_seeded(YcsbWorkload::C, index as u64);
+        let per_client = requests.len() / 4;
+        requests.into_iter().take(per_client)
     });
 
     let total_requests: u64 = results.iter().map(|s| s.requests).sum();
@@ -70,15 +77,7 @@ fn ditto_needs_fewer_mn_cpu_resources_than_cliquemap() {
     let ditto =
         DittoCache::with_dedicated_pool(DittoConfig::with_capacity(5_000), DmConfig::default())
             .unwrap();
-    run_clients(ditto.pool(), 2, |_| {
-        let mut client = ditto.client();
-        replay(
-            &mut client,
-            requests.iter().copied(),
-            ReplayOptions::default(),
-        );
-        client.flush();
-    });
+    drive(&ditto, 2, |_| requests.iter().copied());
     let ditto_cpu: f64 = ditto
         .pool()
         .stats()
@@ -89,14 +88,13 @@ fn ditto_needs_fewer_mn_cpu_resources_than_cliquemap() {
 
     let cm_pool = ditto::dm::MemoryPool::new(DmConfig::default());
     let cm = CliqueMapCache::new(cm_pool, CliqueMapConfig::lru(5_000));
-    run_clients(cm.pool(), 2, |_| {
-        let mut client = cm.client();
-        replay(
-            &mut client,
+    let open = |_| {
+        (
+            Replay::new(Box::new(cm.client()), ReplayOptions::default()),
             requests.iter().copied(),
-            ReplayOptions::default(),
-        );
-    });
+        )
+    };
+    run_clients(cm.pool(), 2, open, Replay::issue, drop);
     let cm_cpu: f64 = cm
         .pool()
         .stats()
@@ -118,28 +116,17 @@ fn ditto_uses_fewer_messages_than_shard_lru() {
     let ditto =
         DittoCache::with_dedicated_pool(DittoConfig::with_capacity(2_000), DmConfig::default())
             .unwrap();
-    let (ditto_report, _) = run_clients(ditto.pool(), 2, |_| {
-        let mut client = ditto.client();
-        replay(
-            &mut client,
-            requests.iter().copied(),
-            ReplayOptions::default(),
-        );
-        client.flush();
-    });
+    let (ditto_report, _) = drive(&ditto, 2, |_| requests.iter().copied());
 
     let shard = LockedListCache::new(
         ditto::dm::MemoryPool::new(DmConfig::default()),
         LockedListConfig::shard_lru(2_000),
     );
-    let (shard_report, _) = run_clients(shard.pool(), 2, |_| {
-        let mut client = shard.client();
-        replay(
-            &mut client,
-            requests.iter().copied(),
-            ReplayOptions::default(),
-        );
-    });
+    let open = |_| {
+        let client = Replay::new(Box::new(shard.client()), ReplayOptions::default());
+        (client, requests.iter().copied())
+    };
+    let (shard_report, _) = run_clients(shard.pool(), 2, open, Replay::issue, drop);
 
     assert!(
         shard_report.messages_per_op > ditto_report.messages_per_op,
@@ -159,15 +146,7 @@ fn message_rate_is_the_bottleneck_with_many_ditto_clients() {
     )
     .unwrap();
     let requests: Vec<Request> = (0..1_000u64).map(|i| Request::get(i % 1_000)).collect();
-    let (report, _) = run_clients(cache.pool(), 8, |_| {
-        let mut client = cache.client();
-        replay(
-            &mut client,
-            requests.iter().copied(),
-            ReplayOptions::default(),
-        );
-        client.flush();
-    });
+    let (report, _) = drive(&cache, 8, |_| requests.iter().copied());
     assert_eq!(report.bottleneck, Bottleneck::NicMessageRate);
 }
 
