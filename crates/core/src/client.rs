@@ -130,6 +130,18 @@ const HISTORY_COUNTER_REFRESH: u64 = 256;
 type SearchSlots = InlineVec<(RemoteAddr, Slot), SEARCH_SLOTS>;
 type Candidates = InlineVec<(RemoteAddr, Slot), CANDIDATES_CAP>;
 
+/// A victim pick ([`DittoClient::select_victim`]): the candidate's index,
+/// the bitmap of the experts that would have evicted it, the expert whose
+/// choice it was, and the metadata they scored it on — which the experts'
+/// `on_evict` then sees too, once the victim is out.
+#[derive(Clone, Copy, Default)]
+struct Pick {
+    idx: usize,
+    bitmap: u64,
+    chosen: usize,
+    scored: Metadata,
+}
+
 /// A per-thread Ditto cache client.
 pub struct DittoClient {
     dm: DmClient,
@@ -1070,6 +1082,15 @@ impl DittoClient {
         }
     }
 
+    /// Drops the FC increments buffered for the slot at `slot_addr`, whose
+    /// key one of this client's CASes just took out: they were the key's,
+    /// and flushed they would count to the slot's next key.
+    fn discard_accesses(&mut self, slot_addr: RemoteAddr) {
+        if let Some(fc) = self.fc.as_mut() {
+            fc.discard(SampleFriendlyHashTable::freq_addr(slot_addr));
+        }
+    }
+
     /// Posts due frequency-counter flushes unsignalled on a doorbell of
     /// their own: the counters are advisory, so no operation waits a round
     /// trip for them (a faulted one loses an increment; `end_op` drains its
@@ -1592,6 +1613,7 @@ impl DittoClient {
                     // hint may outlive the blocks it names.
                     self.hints.forget(hash);
                     self.bump_board(hash);
+                    self.discard_accesses(slot_addr);
                     self.free_object(
                         slot.atomic.object_addr(),
                         slot.atomic.object_bytes() as usize,
@@ -1948,24 +1970,30 @@ impl DittoClient {
     }
 
     /// Gathers the candidates' metadata for [`AdaptivePolicy::pick_victim`].
-    fn select_victim(&mut self, candidates: &[(RemoteAddr, Slot)]) -> (usize, u64, usize) {
+    fn select_victim(&mut self, candidates: &[(RemoteAddr, Slot)]) -> Pick {
         let now = self.dm.now_ns();
         let mut metadata: InlineVec<Metadata, CANDIDATES_CAP> = InlineVec::new();
-        for (_, slot) in candidates {
-            metadata.push(self.candidate_metadata(slot));
+        for (slot_addr, slot) in candidates {
+            metadata.push(self.candidate_metadata(*slot_addr, slot));
         }
-        self.policy
-            .pick_victim(&metadata, now, &mut self.eviction_age, &mut self.rng)
+        let (idx, bitmap, chosen) =
+            self.policy
+                .pick_victim(&metadata, now, &mut self.eviction_age, &mut self.rng);
+        Pick {
+            idx,
+            bitmap,
+            chosen,
+            scored: metadata[idx],
+        }
     }
 
-    fn notify_eviction(&self, victim: &Slot, bitmap: u64) {
-        let now = self.dm.now_ns();
-        let metadata = self.candidate_metadata(victim);
-        self.policy.notify_evict(&metadata, bitmap, now);
-    }
-
-    fn candidate_metadata(&self, slot: &Slot) -> Metadata {
+    /// A candidate's metadata as this client knows it: the slot's words,
+    /// its `freq` plus the increments this client's FC cache still holds
+    /// for it (see [`crate::fc_cache`]).
+    fn candidate_metadata(&self, slot_addr: RemoteAddr, slot: &Slot) -> Metadata {
         let mut metadata = slot.metadata();
+        let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
+        metadata.freq += self.fc.as_ref().map_or(0, |fc| fc.pending_delta(freq_addr));
         if self.use_extension {
             // Advanced algorithms keep their extension metadata with the
             // object; fetch the header (§4.4: extra READs on eviction).

@@ -8,7 +8,7 @@ use super::lookup::bucket_holds;
 use super::round::{
     alone, Context, Op, Owner, Retire, Riding, RidingSample, Round, Shape, Verb, DISPLACE,
 };
-use super::{Candidates, DittoClient, MAX_RETRIES};
+use super::{Candidates, DittoClient, Pick, MAX_RETRIES};
 use crate::config::DittoConfig;
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::history::EvictionHistory;
@@ -93,8 +93,8 @@ pub(super) struct Eviction {
     pub(super) id_wr: Option<u64>,
     /// Old counter value the FAA fetched, [`NO_ID`] until (unless) it lands.
     pub(super) fetched: u64,
-    /// The picked victim: candidate index, expert bitmap, chosen expert.
-    pick: (usize, u64, usize),
+    /// The picked victim.
+    pick: Pick,
     /// The word the victim CAS swaps in — a history entry, or 0 — and the
     /// old value it returned: anything but the victim's word until (unless)
     /// the CAS executed and found it.
@@ -126,7 +126,7 @@ impl Eviction {
 
     /// The CAS of the picked victim's slot.
     pub(super) fn victim_cas(&self) -> Verb {
-        let (addr, victim) = self.candidates[self.pick.0];
+        let (addr, victim) = self.candidates[self.pick.idx];
         let (expected, new) = (victim.atomic.encode(), self.word);
         let op = Op::Cas {
             addr,
@@ -154,7 +154,7 @@ impl Eviction {
 
     /// The slot of the picked victim.
     fn victim_addr(&self) -> RemoteAddr {
-        self.candidates[self.pick.0].0
+        self.candidates[self.pick.idx].0
     }
 
     /// Takes a parked eviction up again in the `Set` that carries it: from
@@ -301,7 +301,7 @@ impl DittoClient {
                         // history id are paid for, so a loser re-selects
                         // among the rest (bounded): a retry on a *different*
                         // victim is progress.
-                        ev.candidates.swap_remove(ev.pick.0);
+                        ev.candidates.swap_remove(ev.pick.idx);
                         ev.retries -= 1;
                         if ev.retries == 0 || ev.candidates.is_empty() {
                             self.evict_finish(ev, false);
@@ -428,7 +428,7 @@ impl DittoClient {
     fn pick_victim(&mut self, ev: &mut Eviction) {
         ev.pick = self.select_victim(&ev.candidates);
         ev.wait = EvictWait::Picked;
-        let victim = ev.candidates[ev.pick.0].1;
+        let victim = ev.candidates[ev.pick.idx].1;
         // A faulted counter FAA evicts without a history entry (one lost
         // ghost hit beats a wedged eviction path), like the non-adaptive
         // cache: the slot is just cleared.
@@ -468,7 +468,7 @@ impl DittoClient {
             self.post_round(&round, &[], &mut alone(ev));
             return;
         }
-        let (victim_addr, victim) = ev.candidates[ev.pick.0];
+        let (victim_addr, victim) = ev.candidates[ev.pick.idx];
         let (expected, word) = (victim.atomic.encode(), ev.word);
         ev.wait = EvictWait::Victim;
         ev.observed = self
@@ -483,8 +483,8 @@ impl DittoClient {
     /// race — or faulted, which a CAS that went out posted cannot tell apart.
     fn commit_victim(&mut self, ev: &mut Eviction) -> bool {
         self.await_eviction(ev);
-        let (victim_idx, bitmap, chosen) = ev.pick;
-        let (victim_addr, victim) = ev.candidates[victim_idx];
+        let pick = ev.pick;
+        let (victim_addr, victim) = ev.candidates[pick.idx];
         // Like any CAS from a word read off the live copy, one that took
         // effect needs no judgement (see `DittoClient::slot_cas`).
         let won = ev.observed == victim.atomic.encode();
@@ -495,7 +495,7 @@ impl DittoClient {
         if won && embed {
             self.write_slot_meta(
                 SampleFriendlyHashTable::insert_ts_addr(victim_addr),
-                &bitmap.to_le_bytes(),
+                &pick.bitmap.to_le_bytes(),
             );
             if !self.config.enable_lightweight_history {
                 // Ablation: a separate remote history FIFO and index keep the
@@ -510,8 +510,11 @@ impl DittoClient {
         }
         if won {
             for &step in DISPLACE {
-                self.retire_victim(step, &victim, bitmap, chosen);
+                self.retire_victim(step, &victim, &pick);
             }
+            // Scored and notified: the increments this client buffered for
+            // the victim key go with it.
+            self.discard_accesses(victim_addr);
             self.stats.record_eviction_path(ev.own_buckets.is_some());
         }
         won
@@ -520,25 +523,20 @@ impl DittoClient {
     /// One step of taking a victim out of the table, a sampled one or a
     /// bucket eviction's, once its slot CAS won ([`Retire`], whose order
     /// `Rule::BumpBeforeFree` fixes): its key's epoch moves — invalidating
-    /// local-tier copies of the evicted key — and its hint goes, or its
-    /// memory is recycled.
-    pub(super) fn retire_victim(
-        &mut self,
-        step: Retire,
-        victim: &Slot,
-        bitmap: u64,
-        chosen: usize,
-    ) {
+    /// local-tier copies of the evicted key — and its hint goes, or the
+    /// experts that voted for it hear of it and its memory is recycled.
+    pub(super) fn retire_victim(&mut self, step: Retire, victim: &Slot, pick: &Pick) {
         match step {
             Retire::Bump => {
                 self.bump_board(victim.hash);
                 self.hints.forget(victim.hash);
             }
             Retire::Free => {
-                self.notify_eviction(victim, bitmap);
+                let now = self.dm.now_ns();
+                self.policy.notify_evict(&pick.scored, pick.bitmap, now);
                 let (addr, bytes) = (victim.atomic.object_addr(), victim.atomic.object_bytes());
                 self.free_object(addr, bytes as usize);
-                self.stats.record_eviction(chosen);
+                self.stats.record_eviction(pick.chosen);
             }
         }
     }
@@ -546,11 +544,12 @@ impl DittoClient {
 
 #[cfg(test)]
 mod tests {
-    use super::{DittoClient, Eviction};
+    use super::{bucket_holds, Candidates, DittoClient, Eviction};
     use crate::cache::DittoCache;
     use crate::config::DittoConfig;
     use crate::hash::fnv1a64;
-    use crate::slot::{AtomicField, Slot, BUCKET_SIZE};
+    use crate::hashtable::SampleFriendlyHashTable;
+    use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET};
     use ditto_dm::stats::NodeSnapshot;
     use ditto_dm::{DmConfig, Phase, RemoteAddr};
     use std::collections::BTreeMap;
@@ -564,7 +563,12 @@ mod tests {
     /// memory pressure after `Set`s alone: none of them followed a miss, so
     /// none parked an eviction.
     fn pressured_on(dm: DmConfig) -> (DittoCache, DittoClient) {
-        let cache = DittoCache::with_dedicated_pool(DittoConfig::with_capacity(300), dm).unwrap();
+        pressured_as(DittoConfig::with_capacity(300), dm)
+    }
+
+    /// [`pressured_on`] for a cache of 300 objects configured otherwise.
+    fn pressured_as(config: DittoConfig, dm: DmConfig) -> (DittoCache, DittoClient) {
+        let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
         let mut client = cache.client();
         for i in 0..2_000u64 {
             client.set(&i.to_le_bytes(), &[1u8; 200]);
@@ -598,7 +602,7 @@ mod tests {
     /// The parked eviction's victim: its slot and its slot as sampled.
     fn parked_victim(client: &DittoClient) -> (RemoteAddr, Slot) {
         let parked = client.parked_eviction.as_ref().expect("a parked eviction");
-        parked.candidates[parked.pick.0]
+        parked.candidates[parked.pick.idx]
     }
 
     fn timed_set_of(client: &mut DittoClient, key: u64, len: usize) -> u64 {
@@ -790,7 +794,7 @@ mod tests {
         let others: Vec<_> = {
             let parked = client.parked_eviction.as_ref().unwrap();
             let mut others = parked.candidates;
-            others.swap_remove(parked.pick.0);
+            others.swap_remove(parked.pick.idx);
             others.iter().copied().collect()
         };
         assert!(!others.is_empty());
@@ -934,7 +938,7 @@ mod tests {
         // which candidates: the simulation repeats exactly.
         let (_cache, mut client, mut ev) = begun();
         assert_eq!(client.evict_advance(&mut ev, false), Some(true));
-        let (first_pick, candidates) = (ev.candidates[ev.pick.0], ev.candidates);
+        let (first_pick, candidates) = (ev.candidates[ev.pick.idx], ev.candidates);
         assert!(candidates.len() >= 2);
         let steal = |cache: &DittoCache, victims: &[(_, crate::slot::Slot)]| {
             let thief = cache.pool().connect();
@@ -965,5 +969,107 @@ mod tests {
         let tried = candidates.len().min(3) as u64;
         assert_eq!((after.faa - before.faa, after.cas - before.cas), (0, tried));
         assert_eq!(cache.stats().history_ids_burnt(), 1);
+    }
+
+    /// A cache [`pressured_as`] under `algorithm` alone and its client.
+    fn pressured_single(algorithm: &str) -> (DittoCache, DittoClient) {
+        let config = DittoConfig::single_algorithm(300, algorithm);
+        pressured_as(config, DmConfig::default())
+    }
+
+    /// A dry run of the next eviction of `(cache, client)`: its candidates
+    /// and the one it picked.  The simulation repeats exactly, and only an
+    /// eviction draws from the client's RNG, so a copy that reads some keys
+    /// first samples the same slots.
+    fn next_pick((_cache, mut client): (DittoCache, DittoClient)) -> (Candidates, usize) {
+        let mut ev = client.evict_begin(0);
+        assert_eq!(client.evict_advance(&mut ev, false), Some(true));
+        (ev.candidates, ev.pick.idx)
+    }
+
+    /// The key a pressured cache set whose hash `slot` carries.
+    fn key_of(slot: &Slot) -> [u8; 8] {
+        let key = (0..2_000u64).find(|i| fnv1a64(&i.to_le_bytes()) == slot.hash);
+        key.expect("a key the cache set").to_le_bytes()
+    }
+
+    /// Under LFU alone, candidates whose remote `freq` words tie rank by the
+    /// increments this client's FC cache still holds for them.  Every key of
+    /// the pressured cache was set once and never read, so each word reads
+    /// one, and LFU takes the sample's first candidate.  After three reads of
+    /// that key — buffered, under the threshold of ten, so the word still
+    /// reads one — the same sample keeps it and evicts the second.
+    #[test]
+    fn lfu_keeps_the_candidate_this_client_has_been_reading() {
+        let (candidates, pick) = next_pick(pressured_single("lfu"));
+        assert_eq!(pick, 0, "LFU breaks a tie by sample position");
+        let [(read_addr, read), (other_addr, other)] = [candidates[0], candidates[1]];
+        assert_eq!((read.freq, other.freq), (1, 1));
+
+        let (_cache, mut client) = pressured_single("lfu");
+        let key = key_of(&read);
+        for _ in 0..3 {
+            assert!(client.get(&key).is_some());
+        }
+        let freq_addr = SampleFriendlyHashTable::freq_addr(read_addr);
+        assert_eq!(client.fc_cache().unwrap().pending_delta(freq_addr), 3);
+        let mut ev = client.evict_begin(0);
+        assert_eq!(client.evict_advance(&mut ev, false), Some(true));
+        let addrs = |c: &Candidates| c.iter().map(|&(addr, _)| addr).collect::<Vec<_>>();
+        assert_eq!(addrs(&ev.candidates), addrs(&candidates), "the same sample");
+        assert_eq!(
+            ev.candidates[ev.pick.idx],
+            (other_addr, other),
+            "the unread one goes"
+        );
+        assert!(client.get(&key).is_some(), "the read key stays");
+    }
+
+    /// A key's buffered FC increments leave its slot with it.  FIFO alone
+    /// picks its victim A whatever A's counts, and this client has read A
+    /// four times, buffered, when it evicts A.  Key B then fills A's slot
+    /// and is read twice, and once `flush` drains the FC cache the slot's
+    /// `freq` word counts B alone: one for the insert and two reads — not
+    /// A's four on top.
+    #[test]
+    fn a_keys_buffered_increments_leave_its_slot_with_it() {
+        let (candidates, pick) = next_pick(pressured_single("fifo"));
+        let (slot_addr, victim) = candidates[pick];
+        let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
+
+        let (cache, mut client) = pressured_single("fifo");
+        let a = key_of(&victim);
+        for _ in 0..4 {
+            assert!(client.get(&a).is_some());
+        }
+        assert_eq!(client.fc_cache().unwrap().pending_delta(freq_addr), 4);
+        assert!(client.evict_once());
+        assert!(client.get(&a).is_none(), "FIFO took A");
+        assert_eq!(client.fc_cache().unwrap().pending_delta(freq_addr), 0);
+
+        // Fresh keys whose primary bucket is A's take its empty slots in
+        // order, up to A's: the last of them is B.
+        let table = cache.table();
+        let hash = victim.hash;
+        let bucket = [table.primary_bucket(hash), table.secondary_bucket(hash)]
+            .into_iter()
+            .find(|&b| bucket_holds(table.bucket_addr(b), slot_addr))
+            .expect("A sat in one of its buckets");
+        let node = cache.pool().node(0).unwrap();
+        let hash_addr = SampleFriendlyHashTable::hash_addr(slot_addr);
+        let b = (2_000u64..)
+            .map(u64::to_le_bytes)
+            .filter(|key| table.primary_bucket(fnv1a64(key)) == bucket)
+            .take(SLOTS_PER_BUCKET)
+            .find(|key| {
+                client.set(key, &[2u8; 200]);
+                node.load_u64(hash_addr.offset) == Ok(fnv1a64(key))
+            })
+            .expect("a key of A's bucket filled A's slot");
+        for _ in 0..2 {
+            assert!(client.get(&b).is_some());
+        }
+        client.flush();
+        assert_eq!(node.load_u64(freq_addr.offset), Ok(1 + 2));
     }
 }

@@ -66,10 +66,14 @@ impl DittoClient {
     }
 
     /// What follows a key-changing publish CAS of `hash`'s word `new` that
-    /// landed at `slot_addr` ([`Self::rekey_cas`]).
+    /// landed at `slot_addr` ([`Self::rekey_cas`]).  Whatever this client's
+    /// FC cache still held for the slot was the previous key's — a bucket
+    /// eviction's victim, scored already — and goes with it: the new key
+    /// starts at the `freq` of one its metadata writes.
     fn rekey_landed(&mut self, slot_addr: RemoteAddr, new: u64, hash: u64) {
         self.bump_board(hash);
         self.write_fresh_metadata(slot_addr, hash);
+        self.discard_accesses(slot_addr);
         self.settle_rekey(slot_addr, new, hash);
     }
 
@@ -354,8 +358,8 @@ impl DittoClient {
         // The bucket slots were decoded (and charged) by the lookup; only
         // the candidate scoring is added here.
         self.charge_score(candidates.len());
-        let (victim_idx, bitmap, chosen) = self.select_victim(&candidates);
-        let (victim_addr, victim) = candidates[victim_idx];
+        let pick = self.select_victim(&candidates);
+        let (victim_addr, victim) = candidates[pick.idx];
         let expected = victim.atomic.encode();
         // As in `replace_existing`: record the victim's allocation before
         // it becomes unreachable, so a crash between the CAS and the free
@@ -371,12 +375,12 @@ impl DittoClient {
         // copies right away — before even the crash hook, since the CAS
         // already landed.  (The inserted key's own bumps came with the CAS
         // and come again at the end of `set_inner`.)
-        self.retire_victim(Retire::Bump, &victim, bitmap, chosen);
+        self.retire_victim(Retire::Bump, &victim, &pick);
         self.hint_cas_won(hash, victim_addr, new_atomic.encode());
         if self.crash_fired(CrashPoint::AfterPublish) {
             return true;
         }
-        self.retire_victim(Retire::Free, &victim, bitmap, chosen);
+        self.retire_victim(Retire::Free, &victim, &pick);
         self.stats.record_bucket_eviction();
         true
     }

@@ -9,6 +9,17 @@
 //! * an entry's buffered delta reaches the threshold *t*, or
 //! * the cache is full and the entry with the oldest insertion time is
 //!   evicted to make room.
+//!
+//! What an entry holds is also this client's freshest view of the counter:
+//! eviction scores a sampled candidate on the slot's `freq` word *plus* the
+//! increments still buffered for it ([`FcCache::pending_delta`]), so LFU does
+//! not see the keys this client reads most up to `t − 1` accesses stale.  The
+//! increments belong to the key that earned them, not to the slot: when one
+//! of this client's CASes takes the key out of its slot — a won victim CAS,
+//! a publish that puts another key there, an invalidation — the entry is
+//! dropped ([`FcCache::discard`]) rather than flushed onto whichever key the
+//! slot holds next.  A replace or a relocation keeps the key in its slot, and
+//! its entry.
 
 use crate::hash::FxHashMap;
 use ditto_dm::RemoteAddr;
@@ -139,12 +150,22 @@ impl FcCache {
     }
 
     /// The increments currently buffered for `freq_addr` (0 when the entry
-    /// flushed or was never recorded).  The local tier's admission rule
-    /// reads this as its client-local hotness signal: a key whose counter
-    /// has accumulated un-flushed increments is being re-read *by this
-    /// client*, which is exactly the population worth caching locally.
+    /// flushed, was discarded or was never recorded): what the remote `freq`
+    /// word does not show yet of this client's accesses to the slot's key.
+    /// Eviction adds it to a candidate's `freq` when it scores the candidate
+    /// (the module docs), and the local tier's admission rule reads it as its
+    /// client-local hotness signal: a key whose counter has accumulated
+    /// un-flushed increments is being re-read *by this client*, which is
+    /// exactly the population worth caching locally.
     pub fn pending_delta(&self, freq_addr: RemoteAddr) -> u64 {
         self.entries.get(&freq_addr.pack()).map_or(0, |e| e.delta)
+    }
+
+    /// Drops the increments buffered for `freq_addr` unflushed: its slot's
+    /// key just left the slot by one of this client's CASes, and a flush
+    /// would count them to the slot's next key.  A no-op for an absent entry.
+    pub fn discard(&mut self, freq_addr: RemoteAddr) {
+        self.entries.remove(&freq_addr.pack());
     }
 
     /// Takes back one buffered increment for `freq_addr`, if any is
@@ -246,6 +267,41 @@ mod tests {
             flushed += delta;
         }
         assert_eq!(flushed, accesses);
+    }
+
+    #[test]
+    fn discard_drops_one_entry_and_leaves_the_rest_whole() {
+        let mut fc = FcCache::new(5, 3);
+        let (mut flushed, mut discarded) = (0u64, 0u64);
+        let accesses = 10_000u64;
+        for i in 0..accesses {
+            for (_, delta) in fc.record(addr(i % 7)) {
+                flushed += delta;
+            }
+            if i % 11 == 0 {
+                let victim = i % 5;
+                let before: Vec<u64> = (0..7).map(|j| fc.pending_delta(addr(j))).collect();
+                fc.discard(addr(victim));
+                for (j, &pending) in (0..7).zip(&before) {
+                    let expected = if j == victim { 0 } else { pending };
+                    assert_eq!(fc.pending_delta(addr(j)), expected, "entry {j}");
+                }
+                discarded += before[victim as usize];
+            }
+        }
+        assert!(discarded > 0, "no discard dropped anything");
+        for (_, delta) in fc.flush_all() {
+            flushed += delta;
+        }
+        assert_eq!(
+            flushed + discarded,
+            accesses,
+            "an undiscarded increment was lost"
+        );
+        // Discarding an absent entry is a no-op.
+        fc.record(addr(1));
+        fc.discard(addr(2));
+        assert_eq!(fc.flush_all(), vec![(addr(1), 1)]);
     }
 
     #[test]

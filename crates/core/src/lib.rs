@@ -196,6 +196,20 @@
 //! [`CacheStats::evictions_overlapped`] shows how often.  The spare costs
 //! one object of capacity per client and no message.
 //!
+//! **What a candidate is scored on.**  The experts score a candidate on its
+//! slot's words as the sample read them, with one correction: its `freq`
+//! gains the increments this client's FC cache still holds for the slot
+//! ([`FcCache::pending_delta`]), which the word shows only once they reach
+//! the flush threshold.  The experts' `on_evict` sees the metadata the pick
+//! scored.  The increments belong to the key, not the slot: when one of this
+//! client's CASes takes the key out — a won victim CAS, a publish that puts
+//! another key in the slot, the failed-update invalidation sweep — they are
+//! dropped ([`FcCache::discard`]), not flushed onto the slot's next key.  So
+//! one client's eviction sees exact counts, and its FC cache moves no
+//! victim.  Other clients' buffered increments stay out of sight, and a key
+//! another client evicts still leaves this client's behind: the counters
+//! are advisory.
+//!
 //! **The miss memo.**  A fill nearly always follows its key's miss, whose
 //! lookup has just read and decoded both buckets.  The client keeps that view
 //! until its next `Get` or `Set`, and a `Set` of the same key publishes from

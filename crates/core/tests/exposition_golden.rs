@@ -11,6 +11,15 @@
 //!
 //! The golden lives in `exposition_golden.txt`; the failure message prints
 //! the lines that differ, and the whole new page, to regenerate it from.
+//!
+//! Re-derived when eviction came to score a candidate with the FC increments
+//! the client still holds for it, and to drop them when the key leaves its
+//! slot: other victims, so every count that follows from them moved — among
+//! them hits 827 → 842, misses 1 258 → 1 243, evictions 604 → 574 (bucket
+//! evictions 23 → 27), history inserts 581 → 547, regrets 103 → 97, weight
+//! syncs 1 → 0, FC flushes 7 → 8, local hits 17 → 21, migrated objects
+//! 202 → 196, and messages 6 291 / 6 612 / 1 716 → 6 188 / 6 556 / 1 700 on
+//! nodes 0 / 1 / 2.
 
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::DmConfig;

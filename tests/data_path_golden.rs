@@ -109,6 +109,28 @@
 //! every `CacheStatsSnapshot` field are unchanged.  Each moved `clock_ns`
 //! names its old value at its golden.  Fig24's fourth rung and the no-FC
 //! replay hold no FC cache, so they have nothing to drain and did not move.
+//!
+//! Re-derived a seventh time when eviction came to score each candidate on
+//! its `freq` word plus the increments this client's FC cache still holds
+//! for it, and to drop those when one of its CASes takes the key out of the
+//! slot — where they used to be flushed onto the slot's next key.  Other
+//! victims are picked, so every field of the replays that evict and hold an
+//! FC cache moved; the YCSB-A replay never evicts, and fig24's fourth rung
+//! and the no-FC replay hold no FC cache, so they did not.  Single-node:
+//! hits 10 405 → 10 435, misses and sets 1 595 → 1 565, evictions and
+//! history inserts 700 → 670, regrets 347 → 317, FC flushes 1 725 → 1 390,
+//! victories 418/282 → 296/374, 33 496 601 → 33 358 961 ns before the
+//! flush, 40 238 → 39 700 messages, timestamps (6 714, 3 691) →
+//! (6 736, 3 699).  Striped: hits 10 738 → 10 745, misses and sets
+//! 1 262 → 1 255, evictions 63 → 56, bucket evictions 4 → 3, history inserts
+//! 59 → 53, regrets 12 → 5, FC flushes 1 680 → 1 664, victories
+//! 34/29 → 23/33, 32 659 074 → 32 628 435 ns before the flush,
+//! 37 336 → 37 293 messages, timestamps (7 465, 3 273) → (7 483, 3 262).
+//! Fig24's rungs 1–3 moved as their goldens' comment says.  A single client
+//! now sees exact counts, so its FC cache no longer moves a victim: the
+//! single-node replay's hits, evictions, regrets and victories are the
+//! no-FC replay's, and rung 3's are rung 4's
+//! (`one_clients_fc_cache_moves_no_victim`).
 
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{DittoCache, DittoClient, DittoConfig};
@@ -208,29 +230,31 @@ fn replay_keeping(mix: YcsbWorkload, dm: DmConfig, config: DittoConfig) -> Repla
 }
 
 /// The single-node YCSB-C replay.  Its `clock_ns` fell 35 622 402 →
-/// 33 609 052 when the drain began to share doorbells (module docs).
+/// 33 609 052 when the drain began to share doorbells, and 33 609 052 →
+/// 33 432 382 when eviction came to score the FC cache's increments (module
+/// docs).
 fn single_node_golden() -> Golden {
     Golden {
-        pre_flush_ns: 33_496_601,
-        clock_ns: 33_609_052,
-        messages: 40_238,
+        pre_flush_ns: 33_358_961,
+        clock_ns: 33_432_382,
+        messages: 39_700,
         published: (0, 0),
-        timestamps: (6_714, 3_691),
+        timestamps: (6_736, 3_699),
         stats: CacheStatsSnapshot {
-            hits: 10_405,
-            misses: 1_595,
-            sets: 1_595,
-            evictions: 700,
+            hits: 10_435,
+            misses: 1_565,
+            sets: 1_565,
+            evictions: 670,
             bucket_evictions: 0,
-            history_inserts: 700,
-            regrets: 347,
+            history_inserts: 670,
+            regrets: 317,
             weight_syncs: 4,
-            fc_flushes: 1_725,
+            fc_flushes: 1_390,
             local_hits: 0,
             local_revalidations: 0,
             local_invalidations: 0,
             local_stale_rejects: 0,
-            expert_victories: vec![418, 282],
+            expert_victories: vec![296, 374],
         },
     }
 }
@@ -285,28 +309,29 @@ fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
     // completions drain out of order, and a `Set`'s unsignalled object WRITE
     // can push its primary bucket's completion past the secondary's.  Its
     // `clock_ns` fell 34 617 675 → 32 763 495 when the drain began to share
-    // doorbells.
+    // doorbells, and 32 763 495 → 32 729 686 when eviction came to score the
+    // FC cache's increments.
     let golden = Golden {
-        pre_flush_ns: 32_659_074,
-        clock_ns: 32_763_495,
-        messages: 37_336,
+        pre_flush_ns: 32_628_435,
+        clock_ns: 32_729_686,
+        messages: 37_293,
         published: (0, 0),
-        timestamps: (7_465, 3_273),
+        timestamps: (7_483, 3_262),
         stats: CacheStatsSnapshot {
-            hits: 10_738,
-            misses: 1_262,
-            sets: 1_262,
-            evictions: 63,
-            bucket_evictions: 4,
-            history_inserts: 59,
-            regrets: 12,
+            hits: 10_745,
+            misses: 1_255,
+            sets: 1_255,
+            evictions: 56,
+            bucket_evictions: 3,
+            history_inserts: 53,
+            regrets: 5,
             weight_syncs: 1,
-            fc_flushes: 1_680,
+            fc_flushes: 1_664,
             local_hits: 0,
             local_revalidations: 0,
             local_invalidations: 0,
             local_stale_rejects: 0,
-            expert_victories: vec![34, 29],
+            expert_victories: vec![23, 33],
         },
     };
     assert_eq!(
@@ -472,31 +497,44 @@ fn fig24_rung(rung: usize) -> DittoConfig {
 /// `clock_ns` fell 37 438 822 → 35 403 972.  The separate history keeps the
 /// embedded entries' behaviour and adds only its own traffic — a queue
 /// WRITE and an index CAS per won eviction, an index READ per miss — so
-/// rung 2 evicts, regrets and syncs as rung 1 does, with 1 617 + 2 × 722
-/// more messages; rung 3's eager sync then ships its regrets one by one.
+/// rung 2 evicts, regrets and syncs as rung 1 does, with 1 570 + 2 × 675
+/// more messages less two WRITEs (one a `last_ts` WRITE its clock skips);
+/// rung 3's eager sync then ships its regrets one by one.
+///
+/// When eviction came to score the FC cache's increments (module docs),
+/// rungs 1–3 moved.  Rung 1: hits 10 383 → 10 430, misses 1 617 → 1 570,
+/// evictions 722 → 675, regrets 368 → 322, FC flushes 1 727 → 1 369,
+/// victories 372/350 → 292/383, 35 403 972 → 35 105 674 ns,
+/// 54 092 → 53 101 messages, timestamps (6 839, 3 544) → (6 876, 3 554).
+/// Rung 2: the same counts, 39 277 023 → 38 823 153 ns,
+/// 57 153 → 56 019 messages, timestamps (6 839, 3 544) → (6 875, 3 555).
+/// Rung 3: hits 10 387 → 10 439, misses 1 613 → 1 561, evictions
+/// 718 → 666, regrets and syncs 365 → 313, FC flushes 1 724 → 1 371,
+/// victories 427/291 → 280/386, 41 097 577 → 40 318 283 ns,
+/// 57 592 → 56 260 messages, timestamps (6 860, 3 527) → (6 893, 3 546).
 #[test]
 fn fig24_ablation_rungs_hold_their_numbers() {
     let rungs = [
         single_node_ablated(
-            [35_291_021, 35_403_972],
-            54_092,
-            (6_839, 3_544),
-            [10_383, 1_617, 722, 368, 4, 1_727],
-            [372, 350],
+            [35_032_653, 35_105_674],
+            53_101,
+            (6_876, 3_554),
+            [10_430, 1_570, 675, 322, 4, 1_369],
+            [292, 383],
         ),
         single_node_ablated(
-            [39_164_072, 39_277_023],
-            57_153,
-            (6_839, 3_544),
-            [10_383, 1_617, 722, 368, 4, 1_727],
-            [372, 350],
+            [38_750_132, 38_823_153],
+            56_019,
+            (6_875, 3_555),
+            [10_430, 1_570, 675, 322, 4, 1_369],
+            [292, 383],
         ),
         single_node_ablated(
-            [40_989_977, 41_097_577],
-            57_592,
-            (6_860, 3_527),
-            [10_387, 1_613, 718, 365, 365, 1_724],
-            [427, 291],
+            [40_250_113, 40_318_283],
+            56_260,
+            (6_893, 3_546),
+            [10_439, 1_561, 666, 313, 313, 1_371],
+            [280, 386],
         ),
         single_node_ablated(
             [63_062_713, 63_062_713],
@@ -524,6 +562,16 @@ fn fig24_ablation_rungs_hold_their_numbers() {
 
 /// Figure 25's first point alone: no FC cache, so every hit sends its own
 /// FAA (one flush per hit) after its key check.
+fn no_fc_cache_golden() -> Golden {
+    single_node_ablated(
+        [56_159_961, 56_164_962],
+        48_756,
+        (6_747, 3_688),
+        [10_435, 1_565, 670, 317, 4, 10_435],
+        [296, 374],
+    )
+}
+
 #[test]
 fn no_fc_cache_replay_holds_its_numbers() {
     let config = DittoConfig {
@@ -532,13 +580,31 @@ fn no_fc_cache_replay_holds_its_numbers() {
     };
     assert_eq!(
         replay(YcsbWorkload::C, DmConfig::default(), config),
-        single_node_ablated(
-            [56_159_961, 56_164_962],
-            48_756,
-            (6_747, 3_688),
-            [10_435, 1_565, 670, 317, 4, 10_435],
-            [296, 374],
-        )
+        no_fc_cache_golden()
+    );
+}
+
+/// A single client's FC cache no longer moves a victim: eviction scores
+/// each candidate on exactly the accesses the `freq` word would show had
+/// every one sent its own FAA.  Only the flushes and the clock differ — and
+/// with the clock which `last_ts` WRITEs a hit skips, which on these seeds
+/// moved no LRU pick.  Before, the single-node replay held 10 405 hits to
+/// the no-FC replay's 10 435, and rung 3 10 387 to rung 4's 10 439.
+#[test]
+fn one_clients_fc_cache_moves_no_victim() {
+    let decisions = |golden: Golden| CacheStatsSnapshot {
+        fc_flushes: 0,
+        ..golden.stats
+    };
+    assert_eq!(
+        decisions(single_node_golden()),
+        decisions(no_fc_cache_golden())
+    );
+    let [rung3, rung4] =
+        [3, 4].map(|rung| replay(YcsbWorkload::C, DmConfig::default(), fig24_rung(rung)));
+    assert_eq!(
+        (rung3.timestamps, decisions(rung3)),
+        (rung4.timestamps, decisions(rung4))
     );
 }
 
