@@ -1,7 +1,8 @@
 //! Sampling eviction: the one routine behind [`DittoClient::evict_once`], the
 //! inline evictions of a starved allocation, the eviction a `Set` under
 //! memory pressure runs *ahead*, beside its own lookup and publish, and the
-//! one a fill *parks* for the next starved `Set` to carry (see the crate
+//! one a fill *parks*, its sample undecoded, for the client's next op to pick
+//! from under its flight and the next starved `Set` to carry (see the crate
 //! docs, *The `Set` path under memory pressure*).
 
 use super::lookup::bucket_holds;
@@ -31,6 +32,15 @@ pub(super) enum EvictWait {
     /// beside the first one the history-id FAA.
     #[default]
     Sample,
+    /// The sample has landed, and the history id with the first, undecoded.
+    /// A fill's own eviction parks here: the client's next op decodes the
+    /// sample and picks between its doorbell and its first poll
+    /// ([`DittoClient::host_pick`]), or a starved `Set` in place.
+    Landed,
+    /// The sample is decoded into the candidates and not yet settled.  A
+    /// parked eviction whose hosted sample holds fewer than two candidates
+    /// stays here, for the `Set` that carries it to re-sample.
+    Decoded,
     /// The victim is picked and its slot CAS not posted: it goes out at
     /// once, unless the eviction is parked for the next starved `Set`.
     Picked,
@@ -46,14 +56,19 @@ pub(super) enum EvictWait {
 /// for in turn.  An eviction running *ahead* of a `Set` (see the crate docs)
 /// has its first sample READ and history-id FAA ride the `Set`'s first round,
 /// and is paused after each verb it posts beside the `Set`'s insert.  A
-/// *parked* one stops once its victim is picked, and the next starved `Set`
+/// *parked* one stops once its first sample has landed; the client's next op
+/// picks its victim under that op's flight, and the next starved `Set`
 /// carries its victim CAS ([`DittoClient::take_parked`]).  The round executor
 /// ([`super::round`]) posts its verbs and books their completions on it.
 #[derive(Default)]
 pub(super) struct Eviction {
     /// Start of the `Evict` span: when the first sample was issued — or, of a
-    /// parked eviction, when the `Set` that carries it posted its victim CAS.
+    /// parked eviction, when the op that picks decoded its sample, then when
+    /// the `Set` that carries it posted its victim CAS.
     t0: u64,
+    /// When the current sample landed: a parked eviction's pick scores its
+    /// candidates at that time, whichever op hosts it.
+    landed: u64,
     min_blocks: u8,
     /// The stripe directory's version when the eviction began: a parked
     /// eviction is dropped once it moved ([`DittoClient::take_parked`]).
@@ -66,7 +81,8 @@ pub(super) struct Eviction {
     /// The victim slot of the parked eviction the same `Set` carries: never
     /// a candidate either, for that `Set` takes it out.
     carried_victim: Option<RemoteAddr>,
-    /// Whether, once picked, the victim waits for the next starved `Set`.
+    /// Whether the eviction waits for the next starved `Set`: its sample
+    /// landed and undecoded until an op picks, then its victim picked.
     pub(super) park: bool,
     /// Whether a `Set` carries this eviction, parked by an earlier one.
     carried: bool,
@@ -207,8 +223,8 @@ impl DittoClient {
     /// [`Eviction`]): its first sample and the history-id FAA wait to ride
     /// the `Set`'s first doorbell, and no slot of the key's two buckets — nor
     /// the victim slot of the eviction `carried`, which this `Set` takes out
-    /// — is a candidate.  With `park` its victim, once picked, waits for the
-    /// next starved `Set`.
+    /// — is a candidate.  With `park` it waits, once its sample has landed,
+    /// for the client's next op to pick and the next starved `Set` to carry.
     pub(super) fn evict_ahead(
         &mut self,
         min_blocks: u8,
@@ -232,24 +248,74 @@ impl DittoClient {
         ev
     }
 
-    /// The eviction a previous fill parked, if this `Set` is `starved` and
-    /// so carries it.  Any `Set` drops it instead once a stripe cutover has
-    /// moved the directory since it began — its candidates' addresses may
-    /// name retired copies — and its history id is burnt.
-    pub(super) fn take_parked(&mut self, starved: bool) -> Option<Eviction> {
-        let mut ev = self.parked_eviction.take()?;
+    /// The eviction a previous fill parked, unless a stripe cutover has moved
+    /// the directory since it began: its candidates' addresses may name
+    /// retired copies, so it is dropped and its history id burnt.
+    fn take_live_parked(&mut self) -> Option<Eviction> {
+        let ev = self.parked_eviction.take()?;
         if ev.version != self.table.directory().version() {
             if self.policy.is_adaptive() {
                 self.stats.record_history_id_burnt();
             }
             return None;
         }
+        Some(ev)
+    }
+
+    /// The eviction a previous fill parked, if this `Set` is `starved` and
+    /// so carries it; any `Set` drops a stale one ([`Self::take_live_parked`]).
+    /// A sample no op has picked from yet is picked here, in place, before
+    /// the `Set` plans its round.
+    pub(super) fn take_parked(&mut self, starved: bool) -> Option<Eviction> {
+        let mut ev = self.take_live_parked()?;
         if !starved {
             self.parked_eviction = Some(ev);
             return None;
         }
+        self.pick_parked(&mut ev, true);
+        if let EvictWait::Done(_) = ev.wait {
+            return None;
+        }
         ev.carried = true;
         Some(ev)
+    }
+
+    /// Hosts the pick of the eviction the last fill parked with its sample
+    /// undecoded.  An op calls it between its doorbell and its first poll,
+    /// so the decode and the scoring run under that op's flight — or, with
+    /// no flight, a local-tier hit before it feeds the counters.  Either way
+    /// the op records its own access only after this, so the pick sees the
+    /// FC counts and expert weights the fill would have seen.
+    pub(super) fn host_pick(&mut self) {
+        // Looked at in place: most ops find nothing to host, and an
+        // `Eviction` is too big to move for nothing.
+        let parked = self.parked_eviction.as_ref().map(|ev| ev.wait);
+        if !matches!(parked, Some(EvictWait::Landed)) {
+            return;
+        }
+        if let Some(mut ev) = self.take_live_parked() {
+            self.pick_parked(&mut ev, false);
+            self.parked_eviction = Some(ev);
+        }
+    }
+
+    /// Decodes a parked eviction's landed sample and picks its victim,
+    /// scoring at the time the sample landed.  `in_place`, for the starved
+    /// `Set` about to carry it, a sample with fewer than two candidates is
+    /// re-sampled and waited for here; hosted in another op's flight, it is
+    /// left decoded for that `Set`, since an op posts no verb for it.
+    fn pick_parked(&mut self, ev: &mut Eviction, in_place: bool) {
+        if let EvictWait::Picked = ev.wait {
+            return;
+        }
+        // The op that picks records the sample half, from here.
+        ev.t0 = self.dm.now_ns();
+        if let EvictWait::Landed = ev.wait {
+            self.decode_sample(ev);
+        }
+        if in_place || ev.candidates.len() >= 2 {
+            self.evict_advance(ev, false);
+        }
     }
 
     /// Advances `ev`: collect the sample (and the history id), re-sample
@@ -258,14 +324,26 @@ impl DittoClient {
     /// `beside_insert` — the `Set` publishes by an insert next — it returns
     /// `None` right after posting a verb, for that publish to overlap and
     /// the caller to resume it later; otherwise it waits in place and runs
-    /// to `Some(won)`.  A parked eviction returns `None` once its victim is
-    /// picked, either way — unless a `Set` carries it.
+    /// to `Some(won)`.  A parked eviction returns `None` once its first
+    /// sample has landed (unless an extension expert's scoring READs keep
+    /// the pick in its own `Set`) and once its victim is picked — unless a
+    /// `Set` carries it.
     pub(super) fn evict_advance(&mut self, ev: &mut Eviction, beside_insert: bool) -> Option<bool> {
         loop {
             match ev.wait {
                 EvictWait::Done(won) => return Some(won),
                 EvictWait::Sample => {
-                    self.collect_sample(ev);
+                    self.await_eviction(ev);
+                    (ev.wait, ev.landed) = (EvictWait::Landed, self.dm.now_ns());
+                    if self.parks_undecoded(ev) {
+                        // Its bytes wait in a buffer of their own: any later
+                        // sample lands in the scratch.
+                        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
+                    }
+                }
+                EvictWait::Landed if self.parks_undecoded(ev) => return None,
+                EvictWait::Landed => self.decode_sample(ev),
+                EvictWait::Decoded => {
                     let found = ev.candidates.len();
                     if found < 2 && (found == 0 || ev.samples < 4) && ev.samples < 8 {
                         self.issue_sample(ev, beside_insert, false);
@@ -314,6 +392,14 @@ impl DittoClient {
         }
     }
 
+    /// Whether `ev` parks with its sample landed and undecoded: a fill's own
+    /// eviction on its first sample.  An extension expert scores with READs
+    /// of its own (`candidate_metadata`), which no other op may carry, so
+    /// under one the fill picks in place.
+    fn parks_undecoded(&self, ev: &Eviction) -> bool {
+        ev.park && !ev.carried && ev.samples == 1 && !self.use_extension
+    }
+
     /// Ends `ev`: whether it evicted, its span, and an id it could not use.
     fn evict_finish(&mut self, ev: &mut Eviction, won: bool) {
         ev.wait = EvictWait::Done(won);
@@ -345,7 +431,7 @@ impl DittoClient {
     /// ([`Eviction::riding`]); `post` — beside the `Set`'s insert — has them
     /// go out on a round of their own and returns with them in flight, as do
     /// several segments, or a sample with the FAA beside it, whatever `post`
-    /// says: they share a doorbell and [`Self::collect_sample`] polls them.
+    /// says: they share a doorbell and [`Self::evict_advance`] polls them.
     /// Otherwise the one segment is read in place, a completed round trip.
     fn issue_sample(&mut self, ev: &mut Eviction, post: bool, ride: bool) {
         ev.segments.clear();
@@ -388,29 +474,35 @@ impl DittoClient {
         }
     }
 
-    /// Waits for the eviction's current sample — and with the first one for
-    /// the history id — and appends its live objects to the candidates,
-    /// charging the decode and candidate-scoring CPU work.  A faulted sample
-    /// yields no candidates (the routine re-samples).  Slots decode in
-    /// canonical segment order whatever order the READs completed in — ties
-    /// in eviction priorities break by position — so a striped pool sees the
-    /// candidates a single node does.
-    fn collect_sample(&mut self, ev: &mut Eviction) {
+    /// Appends the live objects of the eviction's landed sample to the
+    /// candidates, charging the decode and candidate-scoring CPU work.  A
+    /// faulted sample yields no candidates (the routine re-samples).  Slots
+    /// decode in canonical segment order whatever order the READs completed
+    /// in — ties in eviction priorities break by position — so a striped pool
+    /// sees the candidates a single node does.
+    fn decode_sample(&self, ev: &mut Eviction) {
         debug_assert!(ev.issued, "the first lookup round posts a riding sample");
-        self.await_eviction(ev);
+        let buf = if self.parks_undecoded(ev) {
+            &self.parked_sample_buf
+        } else {
+            &self.sample_buf
+        };
+        ev.wait = EvictWait::Decoded;
         if ev.failed {
             return;
         }
         self.charge_decode(ev.segments.iter().map(|&(_, slots)| slots).sum());
         let (mut offset, mut gathered) = (0, 0);
         for &(addr, slots) in ev.segments.iter() {
-            let bytes = &self.sample_buf[offset..offset + slots * SLOT_SIZE];
+            let bytes = &buf[offset..offset + slots * SLOT_SIZE];
             for (i, chunk) in bytes.chunks_exact(SLOT_SIZE).enumerate() {
                 let slot_addr = addr.add((i * SLOT_SIZE) as u64);
                 let slot = Slot::from_bytes(chunk);
                 if slot.atomic.is_object()
                     && !ev.excludes(slot_addr)
-                    && ev.candidates.push_saturating((slot_addr, slot))
+                    && ev
+                        .candidates
+                        .push_saturating((slot_addr, self.as_known(slot_addr, slot)))
                 {
                     gathered += 1;
                 }
@@ -422,11 +514,13 @@ impl DittoClient {
 
     /// Picks the victim among `ev`'s candidates and the word the CAS that
     /// takes it out of the table swaps in: an embedded history entry built
-    /// from the id the eviction already holds.  The pick of a parked
-    /// eviction closes its sample half — the `Evict` span of the `Set` that
-    /// sampled — for the `Set` that carries it records the victim half.
+    /// from the id the eviction already holds.  A parked eviction scores at
+    /// the time its sample landed, and its pick closes the sample half — the
+    /// `Evict` span of the op that picked — for the `Set` that carries it
+    /// records the victim half.
     fn pick_victim(&mut self, ev: &mut Eviction) {
-        ev.pick = self.select_victim(&ev.candidates);
+        let at = if ev.park { ev.landed } else { self.dm.now_ns() };
+        ev.pick = self.select_victim(&ev.candidates, at);
         ev.wait = EvictWait::Picked;
         let victim = ev.candidates[ev.pick.idx].1;
         // A faulted counter FAA evicts without a history entry (one lost
@@ -544,13 +638,13 @@ impl DittoClient {
 
 #[cfg(test)]
 mod tests {
-    use super::{bucket_holds, Candidates, DittoClient, Eviction};
+    use super::{bucket_holds, Candidates, DittoClient, EvictWait, Eviction};
     use crate::cache::DittoCache;
     use crate::config::DittoConfig;
     use crate::hash::fnv1a64;
     use crate::hashtable::SampleFriendlyHashTable;
-    use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET};
-    use ditto_dm::stats::NodeSnapshot;
+    use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
+    use ditto_dm::stats::{NodeSnapshot, VerbKind};
     use ditto_dm::{DmConfig, Phase, RemoteAddr};
     use std::collections::BTreeMap;
 
@@ -591,7 +685,12 @@ mod tests {
     /// object, carries that victim and parks its own.  From here on every
     /// starved fill carries one victim, takes the spare and parks one.
     fn parking_on(dm: DmConfig) -> (DittoCache, DittoClient) {
-        let (cache, mut client) = pressured_on(dm);
+        parking_as(DittoConfig::with_capacity(300), dm)
+    }
+
+    /// [`parking_on`] for a cache of 300 objects configured otherwise.
+    fn parking_as(config: DittoConfig, dm: DmConfig) -> (DittoCache, DittoClient) {
+        let (cache, mut client) = pressured_as(config, dm);
         for key in 4_000..4_002 {
             fill_after_miss(&mut client, key);
         }
@@ -599,7 +698,8 @@ mod tests {
         (cache, client)
     }
 
-    /// The parked eviction's victim: its slot and its slot as sampled.
+    /// The parked eviction's victim, once an op picked it: its slot and its
+    /// slot as sampled.
     fn parked_victim(client: &DittoClient) -> (RemoteAddr, Slot) {
         let parked = client.parked_eviction.as_ref().expect("a parked eviction");
         parked.candidates[parked.pick.idx]
@@ -739,16 +839,20 @@ mod tests {
         // One doorbell carrying five verbs — the WRITE, the insert CAS, the
         // carried victim CAS, the sample READ, the history FAA — all landing
         // by the slower atomic's flight; four completions polled (the WRITE
-        // is unsignalled); then the CPU work on the one sample.
+        // is unsignalled); and no CPU work on the sample, which the next op
+        // decodes.  (Until the pick moved there, one span's decode and about
+        // five candidates' scoring came on top: 2 680 → 2 980 ns or so.)
         let posting = DmConfig::DOORBELL_LATENCY_NS + 5 * DmConfig::VERB_ISSUE_NS;
         let round = posting
             + DmConfig::CAS_LATENCY_NS.max(DmConfig::FAA_LATENCY_NS)
             + 4 * DmConfig::CQ_POLL_NS;
-        let decode = DittoConfig::SAMPLE_SPAN_SLOTS as u64 * DittoConfig::CPU_DECODE_SLOT_NS;
         let mut exact = 0;
         for key in 5_000..5_100u64 {
+            // The miss hosts the pick of the eviction the last fill parked —
+            // unless its sample was short, which this Set re-samples.
             assert!(client.get(&key.to_le_bytes()).is_none());
-            let (victim_addr, victim) = parked_victim(&client);
+            let picked = client.parked_eviction.as_ref().map(|ev| ev.wait);
+            let picked = matches!(picked, Some(EvictWait::Picked)).then(|| parked_victim(&client));
             let (before, evictions) = (node(&cache), cache.stats().snapshot().evictions);
             let resident = cache.pool().resident_object_bytes(0);
             let t0 = client.dm().now_ns();
@@ -763,20 +867,23 @@ mod tests {
             // The carried victim is out of the table and its memory back on
             // the free list in this very Set: one object in, one out.
             assert_eq!(cache.stats().snapshot().evictions, evictions + 1);
-            let word = AtomicField::decode(client.dm().read_u64(victim_addr));
-            assert!(
-                word.is_history() && word.fp == victim.atomic.fp,
-                "key {key}"
-            );
+            if let Some((victim_addr, victim)) = picked {
+                let word = AtomicField::decode(client.dm().read_u64(victim_addr));
+                assert!(
+                    word.is_history() && word.fp == victim.atomic.fp,
+                    "key {key}"
+                );
+            }
             assert_eq!(cache.pool().resident_object_bytes(0), resident);
+            // Its own eviction parked with the sample undecoded.
+            let parked = client.parked_eviction.as_ref().unwrap();
+            assert!(matches!(parked.wait, EvictWait::Landed), "key {key}");
+            assert!(parked.candidates.is_empty(), "key {key}");
             // The sample was the one READ (no counter refresh, no re-sample):
-            // the fill rang one doorbell and took exactly one round trip and
-            // one span's CPU work.
+            // the fill rang one doorbell and took exactly one round trip.
             if after.reads - before.reads == 1 {
                 assert_eq!(after.doorbells - before.doorbells, 1, "key {key}");
-                let scored = client.parked_eviction.as_ref().unwrap().candidates.len() as u64;
-                let cpu = decode + scored * DittoConfig::CPU_SCORE_CANDIDATE_NS;
-                assert_eq!(elapsed, round + cpu, "key {key}");
+                assert_eq!(elapsed, round, "key {key}");
                 exact += 1;
             }
         }
@@ -787,9 +894,158 @@ mod tests {
         assert_eq!(cache.stats().history_ids_burnt(), 0);
     }
 
+    /// A hinted `Get` of `key`, which the client just filled: its latency,
+    /// and the READs and doorbells it sent.
+    fn timed_hinted_get(cache: &DittoCache, client: &mut DittoClient, key: u64) -> (u64, u64, u64) {
+        let before = node(cache);
+        let t0 = client.dm().now_ns();
+        assert_eq!(client.get(&key.to_le_bytes()), Some(vec![1u8; 200]));
+        let after = node(cache);
+        let elapsed = client.dm().now_ns() - t0;
+        (
+            elapsed,
+            after.reads - before.reads,
+            after.doorbells - before.doorbells,
+        )
+    }
+
+    /// `hinted_get_is_one_round_trip`'s formula for `key`'s object, whose
+    /// publish left the client its hint.
+    fn hinted_get_ns(client: &DittoClient, key: u64) -> u64 {
+        let hint = client.set_hint(fnv1a64(&key.to_le_bytes()));
+        let bytes = AtomicField::decode(hint.expect("a hint").word).object_bytes() as usize;
+        let posting = DmConfig::DOORBELL_LATENCY_NS + 2 * DmConfig::VERB_ISSUE_NS;
+        let slot = DmConfig::verb_latency_ns(VerbKind::Read, SLOT_SIZE);
+        let object = DmConfig::verb_latency_ns(VerbKind::Read, bytes);
+        let decode = DittoConfig::CPU_DECODE_SLOT_NS;
+        posting + object.max(slot + DmConfig::CQ_POLL_NS + decode) + DmConfig::CQ_POLL_NS
+    }
+
+    #[test]
+    fn the_op_after_a_fill_picks_its_victim_under_its_own_flight() {
+        let (cache, mut client) = parking_on(DmConfig::default());
+        // A whole span decoded and scored fits inside one READ's flight.
+        let cpu = DittoConfig::SAMPLE_SPAN_SLOTS as u64
+            * (DittoConfig::CPU_DECODE_SLOT_NS + DittoConfig::CPU_SCORE_CANDIDATE_NS);
+        assert!(cpu < DmConfig::READ_LATENCY_NS);
+        let mut hosted = 0;
+        for key in 5_000..5_050u64 {
+            fill_after_miss(&mut client, key);
+            let parked = client.parked_eviction.as_ref().unwrap();
+            assert!(matches!(parked.wait, EvictWait::Landed));
+            // The key's own publish left its hint: the Get is one round trip,
+            // its two READs on one doorbell, and the pick decodes and scores
+            // while they fly — the Get takes no longer than a plain one.
+            let plain = hinted_get_ns(&client, key);
+            let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, key);
+            assert_eq!((reads, doorbells), (2, 1), "key {key}");
+            assert_eq!(elapsed, plain, "key {key}");
+            let parked = client.parked_eviction.as_ref().unwrap();
+            if let EvictWait::Picked = parked.wait {
+                hosted += 1;
+            }
+        }
+        // A sample with fewer than two candidates stays decoded for the next
+        // starved Set to re-sample; 15 slots nearly always hold two.
+        assert!(hosted >= 45, "{hosted} of 50 picks hosted");
+    }
+
+    #[test]
+    fn a_sample_too_short_to_pick_from_is_re_sampled_by_the_carrying_set() {
+        let (cache, mut client) = parking_on(DmConfig::default());
+        fill_after_miss(&mut client, 5_000);
+        // The parked sample landed with no live object in it.
+        client.parked_sample_buf.fill(0);
+        // The Get decodes it under its flight and finds nothing to pick: it
+        // sends a plain hinted Get's READs, no re-sample, in its time.
+        let plain = hinted_get_ns(&client, 5_000);
+        let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, 5_000);
+        assert_eq!((reads, doorbells), (2, 1));
+        assert_eq!(elapsed, plain);
+        let parked = client.parked_eviction.as_ref().unwrap();
+        assert!(matches!(parked.wait, EvictWait::Decoded));
+        assert!(parked.candidates.is_empty());
+        // Nor does the next miss, which has no pick left to host: its two
+        // bucket READs.
+        let before = node(&cache);
+        assert!(client.get(&5_001u64.to_le_bytes()).is_none());
+        assert_eq!(node(&cache).reads - before.reads, 2);
+        // The fill after it re-samples in place — one READ beside its own
+        // sample's — carries the victim it picks, and frees it.
+        let (before, evictions) = (node(&cache), cache.stats().snapshot().evictions);
+        client.set(&5_001u64.to_le_bytes(), &[1u8; 200]);
+        assert_eq!(node(&cache).reads - before.reads, 2);
+        assert_eq!(cache.stats().snapshot().evictions, evictions + 1);
+        assert_eq!(cache.stats().history_ids_burnt(), 0);
+        assert_eq!(
+            cache.pool().resident_object_bytes(0),
+            client.referenced_object_bytes_on(0)
+        );
+    }
+
+    #[test]
+    fn under_an_extension_expert_the_fill_picks_and_the_next_get_sends_only_its_own_verbs() {
+        let config = DittoConfig::single_algorithm(300, "gds");
+        let (cache, mut client) = parking_as(config, DmConfig::default());
+        // GDS scores with its objects' headers, READs of the fill's own.
+        let before = node(&cache);
+        fill_after_miss(&mut client, 5_000);
+        assert!(node(&cache).reads - before.reads > 3);
+        let parked = client.parked_eviction.as_ref().unwrap();
+        assert!(matches!(parked.wait, EvictWait::Picked));
+        let plain = hinted_get_ns(&client, 5_000);
+        let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, 5_000);
+        assert_eq!((reads, doorbells), (2, 1));
+        assert_eq!(elapsed, plain);
+    }
+
+    /// Two runs that repeat exactly up to a fill's parked pick, picked by
+    /// the Get after it in one and, 50 µs later with no op in between, in
+    /// place by a starved `Set` in the other: the same candidates, victim,
+    /// voters and chosen expert — and the same eviction age, which moves by
+    /// the oldest candidate's idle time as of the time the pick scores at.
+    #[test]
+    fn a_hosted_pick_chooses_what_an_in_place_pick_chooses() {
+        let pick = |hosted: bool| {
+            let (_cache, mut client) = parking_on(DmConfig::default());
+            fill_after_miss(&mut client, 5_000);
+            let ev = if hosted {
+                assert!(client.get(&5_000u64.to_le_bytes()).is_some());
+                client.parked_eviction.take().unwrap()
+            } else {
+                client.dm().advance_ns(50_000);
+                client.take_parked(true).unwrap()
+            };
+            assert!(matches!(ev.wait, EvictWait::Picked));
+            let candidates: Vec<_> = ev
+                .candidates
+                .iter()
+                .map(|(addr, slot)| (*addr, slot.atomic.encode(), slot.freq))
+                .collect();
+            let age = client.eviction_age.estimate(0);
+            (candidates, ev.pick.idx, ev.pick.bitmap, ev.pick.chosen, age)
+        };
+        let hosted = pick(true);
+        assert!(hosted.0.len() >= 2);
+        assert_eq!(hosted, pick(false));
+    }
+
+    #[test]
+    fn a_client_dropped_with_a_parked_eviction_burns_its_history_id() {
+        let (cache, client) = parking_on(DmConfig::default());
+        assert!(client.parked_eviction.is_some());
+        let (burnt, messages) = (cache.stats().history_ids_burnt(), node(&cache).messages);
+        drop(client);
+        // Booked, and nothing sent.
+        assert_eq!(cache.stats().history_ids_burnt(), burnt + 1);
+        assert_eq!(node(&cache).messages, messages);
+    }
+
     #[test]
     fn a_parked_victim_another_client_took_is_re_picked_by_the_carrying_set() {
         let (cache, mut client) = parking_on(DmConfig::default());
+        // The miss before the next fill hosts the parked pick.
+        assert!(client.get(&5_000u64.to_le_bytes()).is_none());
         let (victim_addr, victim) = parked_victim(&client);
         let others: Vec<_> = {
             let parked = client.parked_eviction.as_ref().unwrap();
@@ -811,7 +1067,7 @@ mod tests {
             cache.stats().snapshot().evictions,
             cache.pool().stats().contention().cas_retries,
         );
-        fill_after_miss(&mut client, 5_000);
+        client.set(&5_000u64.to_le_bytes(), &[1u8; 200]);
         // The carried CAS lost, and the Set re-picked among the parked
         // candidates — one of them, no other, is gone from the table.
         assert_eq!(cache.pool().stats().contention().cas_retries, lost + 1);
@@ -863,27 +1119,34 @@ mod tests {
             let key = key.to_le_bytes();
             let t0 = client.dm().now_ns();
             assert!(client.get(&key).is_none());
-            windows.insert(client.dm().op_id(), (t0, client.dm().now_ns()));
+            windows.insert(client.dm().op_id(), (t0, client.dm().now_ns(), true));
             let t0 = client.dm().now_ns();
             client.set(&key, &[1u8; 200]);
-            windows.insert(client.dm().op_id(), (t0, client.dm().now_ns()));
+            windows.insert(client.dm().op_id(), (t0, client.dm().now_ns(), false));
         }
         let spans = client.dm().flight_spans();
-        let mut halves = [0u64; 2];
+        // Evict spans by half (sample, victim) and by the op that recorded
+        // them (a Get, a Set).
+        let mut halves = [[0u64; 2]; 2];
         for span in spans.iter() {
-            let (t0, t1) = windows[&span.op_id];
+            let (t0, t1, get) = windows[&span.op_id];
             assert!(
                 span.end_ns - span.start_ns <= t1 - t0,
                 "{span:?} outlasts its op"
             );
             if span.phase == Phase::Evict {
                 assert!(t0 <= span.start_ns && span.end_ns <= t1, "{span:?}");
-                halves[span.detail as usize] += 1;
+                halves[span.detail as usize][!get as usize] += 1;
             }
         }
-        // Each fill closed the sample half of the eviction it parked and
-        // recorded the victim half of the one it carried.
-        assert_eq!(halves, [200, 200]);
+        // Each fill recorded the victim half of the eviction it carried, and
+        // the Get after it the sample half of the one it parked — the pick it
+        // hosted — bar the few samples too short to pick from, which the next
+        // fill re-sampled and picked in place.
+        let [[hosted, in_place], victim_halves] = halves;
+        assert_eq!(victim_halves, [0, 200]);
+        assert_eq!(hosted + in_place, 200);
+        assert!(hosted >= 190, "{halves:?}");
         assert_eq!(cache.stats().snapshot().evictions, evictions + 200);
     }
 

@@ -169,9 +169,10 @@
 //!   drawn.  A lost victim race re-picks under the same id.  What it costs:
 //!   an eviction that ends with nothing evicted has **burnt** its id — one
 //!   position of that shard's FIFO aged with no entry
-//!   ([`CacheStats::history_ids_burnt`]; never, on a single client).  A
-//!   faulted FAA still evicts, leaving the slot cleared instead of a history
-//!   entry, as it always has.
+//!   ([`CacheStats::history_ids_burnt`]; on a single client, in practice
+//!   only a parked eviction's: dropped by a stripe cutover, or with its
+//!   client).  A faulted FAA still evicts, leaving the slot cleared instead
+//!   of a history entry, as it always has.
 //! * The **victim CAS is posted, not waited for**: it flies during the
 //!   publish CAS and is polled after it and, like a hinted publish's CAS,
 //!   needs no judgement once it took effect (it landed on the live copy, or
@@ -198,10 +199,13 @@
 //!
 //! **What a candidate is scored on.**  The experts score a candidate on its
 //! slot's words as the sample read them, with one correction: its `freq`
-//! gains the increments this client's FC cache still holds for the slot
-//! ([`FcCache::pending_delta`]), which the word shows only once they reach
-//! the flush threshold.  The experts' `on_evict` sees the metadata the pick
-//! scored.  The increments belong to the key, not the slot: when one of this
+//! gains the increments this client's FC cache held for the slot when the
+//! sample was decoded ([`FcCache::pending_delta`]), which the word shows only
+//! once they reach the flush threshold.  A parked sample is decoded by the
+//! client's next op before that op records its own access, so it sees the
+//! counts the fill would have seen, and its candidates are scored as of the
+//! time the sample landed, whichever op picks.  The experts' `on_evict` sees
+//! the metadata the pick scored.  The increments belong to the key, not the slot: when one of this
 //! client's CASes takes the key out — a won victim CAS, a publish that puts
 //! another key in the slot, the failed-update invalidation sweep — they are
 //! dropped ([`FcCache::discard`]), not flushed onto the slot's next key.  So
@@ -225,11 +229,20 @@
 //! unsignalled, the insert CAS behind it (`Rule::Flush`) and, under memory
 //! pressure, the victim CAS of the eviction the previous fill *parked* and
 //! the sample READ and history FAA of its own.  Once that round has landed
-//! the fill picks its own victim and **parks** it (`Rule::Park`): the next
-//! starved `Set` carries that CAS.  An evicting fill is then one round trip
-//! — a doorbell, five issues, the slower atomic's flight, four polls and one
-//! sample's decode and scoring — where it was two, with the same verbs; so
-//! is a fill that evicts nothing.  (With its insert slot off the object's
+//! the fill **parks** its own eviction with the sample undecoded
+//! (`Rule::Park`).  The client's next op decodes the sample and picks the
+//! victim between its doorbell and its first poll, so the CPU work flies
+//! under that op's round trip instead of adding to the fill's; the next
+//! starved `Set` carries the victim CAS.  An evicting fill is then one round
+//! trip — a doorbell, five issues, the slower atomic's flight and four polls
+//! — where it was two, with the same verbs; so is a fill that evicts
+//! nothing.  A starved `Set` that finds the sample still undecoded (no op
+//! came between) picks in place before planning its round, and re-samples
+//! there, waited for, a sample with fewer than two candidates: a `Get`
+//! never sends a verb for another op's eviction.  Under an extension expert,
+//! whose scoring READs object headers, the fill picks in place as before.
+//! An op with no flight to hide the pick under — a local-tier hit — picks
+//! first, before it records its access.  (With its insert slot off the object's
 //! node a fill takes two: the WRITE, signalled, beside the sample READ and
 //! the FAA, then the CASes.)  Only a fill with nothing to carry frees no
 //! victim — the first after `Set`s that evicted within themselves — and the
@@ -244,9 +257,9 @@
 //! carried CAS that finds its word gone re-picks among the parked
 //! candidates.  A parked eviction is dropped, its id burnt, once the stripe
 //! directory's version has moved: its candidates' addresses may name retired
-//! copies.  Its `Evict` span is split where the ops split: the parking `Set`
-//! records the sample half up to the pick, the carrying `Set` the victim
-//! half.
+//! copies.  Its `Evict` span is split where the ops split: the op that picks
+//! records the sample half, from its decode to the pick, the carrying `Set`
+//! the victim half.
 //!
 //! **Crashes.**  The sampling eviction has never been journalled: a client
 //! that dies between its victim CAS landing and the `free_object` after it

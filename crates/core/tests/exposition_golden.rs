@@ -20,6 +20,15 @@
 //! syncs 1 → 0, FC flushes 7 → 8, local hits 17 → 21, migrated objects
 //! 202 → 196, and messages 6 291 / 6 612 / 1 716 → 6 188 / 6 556 / 1 700 on
 //! nodes 0 / 1 / 2.
+//!
+//! Re-derived when the op after a fill came to host that fill's pick under
+//! its own flight, scoring at the time the sample landed, a sample too short
+//! to pick from came to be re-sampled by the next starved fill, and a client
+//! dropped holding a parked eviction came to book its history id burnt:
+//! hits 842 → 846, misses 1 243 → 1 239, evictions 574 → 571 (bucket
+//! evictions 27 → 32), history inserts 547 → 539, regrets 97 → 90, local hits
+//! 21 → 18, migrated objects 196 → 189, and messages 6 188 / 6 556 / 1 700 →
+//! 6 133 / 6 526 / 1 693 on nodes 0 / 1 / 2; burnt ids stay at 2.
 
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::DmConfig;
