@@ -28,9 +28,9 @@
 //!   ablation, K slot READs), and the `RDMA_FAA` on a history counter, a
 //!   per-expert priority evaluation, a weighted victim choice and an
 //!   `RDMA_CAS` converting the victim slot into an embedded history entry —
-//!   riding the evicting `Set`'s rounds, or parked, its sample decoded and
-//!   scored under the flight of the client's next op, for the next starved
-//!   `Set` to carry (see the crate docs).
+//!   riding the evicting `Set`'s rounds, or parked for the next starved `Set`
+//!   to carry, the parked pick's CPU work charged under the flight of the
+//!   client's next round (see the crate docs).
 //!
 //! This is the **one data path**: posted WQEs, polled completions
 //! (`work_queue()` → `ring()` → `poll_cq()`), with a synchronous single-verb
@@ -44,8 +44,8 @@
 //! unsignalled — next to a hit's object READ, or on a doorbell of its own —
 //! and is never waited for; and an eviction's sample READ and history FAA
 //! fly while its `Set` looks up, its victim CAS while it publishes — or
-//! while the next fill does, a parked sample's decode and scoring while the
-//! next op's verbs fly.  Waits and the client CPU work
+//! while the next fill does, a parked pick's decode and scoring while the
+//! next round's verbs do.  Waits and the client CPU work
 //! (`CPU_DECODE_SLOT_NS` per slot, `CPU_SCORE_CANDIDATE_NS` per candidate)
 //! overlap the flights, and `end_op` simply drains whatever is still
 //! outstanding.  `tests/data_path_golden.rs` pins three seeded replays of it
@@ -167,11 +167,16 @@ pub struct DittoClient {
     /// saw of the key's buckets: the `Set` that fills the key next publishes
     /// from it without reading them again (see [`lookup::MissMemo`]).
     miss_memo: Option<MissMemo>,
-    /// The eviction the last fill under memory pressure sampled without
-    /// taking a victim: the client's next op picks one from its landed
-    /// sample, and the next starved `Set` carries its victim CAS (see the
-    /// crate docs, *The `Set` path under memory pressure*).
+    /// The eviction the last fill under memory pressure sampled and picked a
+    /// victim for without taking it: the next starved `Set` carries its
+    /// victim CAS (see the crate docs, *The `Set` path under memory
+    /// pressure*).
     parked_eviction: Option<Eviction>,
+    /// The CPU work of the parked eviction's pick — slots decoded,
+    /// candidates scored — which the fill did not wait for: the client's
+    /// next round charges it between its doorbell and its first poll
+    /// ([`DittoClient::host_parked_pick`]).
+    hosted_cpu: (usize, usize),
     /// Rounds this client posted on the `Set` path, by `round::Shape`.
     rounds_posted: [u64; 6],
     /// This client's own bumps of each [`CoherenceBoard`] slot.  Its own slot
@@ -232,9 +237,6 @@ pub struct DittoClient {
     bucket_buf: Box<[u8]>,
     /// Scratch for eviction-sample slot READs.
     sample_buf: Box<[u8]>,
-    /// The landed sample of the eviction a fill parked undecoded, swapped
-    /// out of `sample_buf` until an op decodes it.
-    parked_sample_buf: Box<[u8]>,
     /// Scratch for object READs; grows to the largest object seen.
     obj_buf: Vec<u8>,
     /// Scratch for `Set` object encoding; grows to the largest object set.
@@ -272,6 +274,7 @@ impl DittoClient {
             hints: HintTable::new(),
             miss_memo: None,
             parked_eviction: None,
+            hosted_cpu: (0, 0),
             rounds_posted: [0; 6],
             own_bumps: vec![0; board.slots()].into_boxed_slice(),
             tier,
@@ -294,8 +297,6 @@ impl DittoClient {
             crashed: false,
             bucket_buf: vec![0u8; 2 * BUCKET_SIZE].into_boxed_slice(),
             sample_buf: vec![0u8; DittoConfig::SAMPLE_SPAN_SLOTS * SLOT_SIZE].into_boxed_slice(),
-            parked_sample_buf: vec![0u8; DittoConfig::SAMPLE_SPAN_SLOTS * SLOT_SIZE]
-                .into_boxed_slice(),
             obj_buf: Vec::new(),
             encode_buf: Vec::new(),
             config,
@@ -1063,9 +1064,6 @@ impl DittoClient {
     /// `slot_addr` names the retired copy until its lease runs out; what is
     /// written there meanwhile is lost, like the counter increments.)
     fn tier_feed_frequency(&mut self, hash: u64, slot_addr: RemoteAddr, last_ts: u64) {
-        // A local hit has no flight to hide a parked pick under, and that
-        // pick must see the counts the fill saw: it goes first.
-        self.host_pick();
         let now = self.dm.now_ns();
         let age = self.eviction_age.estimate(now);
         if !recency::last_ts_is_fresh(now, last_ts, age, LAST_TS_DIVISOR) {
@@ -1577,10 +1575,10 @@ impl DittoClient {
             return Ok(());
         }
         // The rest of the evictions is serial: normally just the poll of a
-        // victim CAS — all of it after a displacing publish.  An own
-        // eviction that parks stays with the client, its sample landed and
-        // undecoded: the client's next op picks its victim under that op's
-        // flight, and the next starved `Set` carries it.
+        // victim CAS — all of it after a displacing publish.  The own
+        // eviction picks before a carried CAS goes out, as beside an insert,
+        // and one that parks stays with the client for the next starved `Set`,
+        // the CPU work of its pick for the client's next round to charge.
         if let Some(mut ev) = ahead {
             if self.evict_advance(&mut ev, false).is_none() {
                 self.parked_eviction = Some(ev);
@@ -1980,12 +1978,12 @@ impl DittoClient {
         None
     }
 
-    /// Gathers the candidates' metadata for [`AdaptivePolicy::pick_victim`],
-    /// which scores them as of `now`.
-    fn select_victim(&mut self, candidates: &[(RemoteAddr, Slot)], now: u64) -> Pick {
+    /// Gathers the candidates' metadata for [`AdaptivePolicy::pick_victim`].
+    fn select_victim(&mut self, candidates: &[(RemoteAddr, Slot)]) -> Pick {
+        let now = self.dm.now_ns();
         let mut metadata: InlineVec<Metadata, CANDIDATES_CAP> = InlineVec::new();
-        for (_, slot) in candidates {
-            metadata.push(self.candidate_metadata(slot));
+        for (slot_addr, slot) in candidates {
+            metadata.push(self.candidate_metadata(*slot_addr, slot));
         }
         let (idx, bitmap, chosen) =
             self.policy
@@ -1998,22 +1996,13 @@ impl DittoClient {
         }
     }
 
-    /// The slot at `slot_addr`, decoded as `slot`, as this client knows it
-    /// now: its `freq` plus the increments this client's FC cache still
-    /// holds for it (see [`crate::fc_cache`]).  A candidate is taken this way
-    /// when its slot is decoded, so its count is of one moment even when an
-    /// op later than the sample's picks.
-    fn as_known(&self, slot_addr: RemoteAddr, mut slot: Slot) -> Slot {
-        let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
-        slot.freq += self.fc.as_ref().map_or(0, |fc| fc.pending_delta(freq_addr));
-        slot
-    }
-
-    /// A candidate's metadata: its slot's words as this client knew them
-    /// ([`Self::as_known`]) and, under an extension expert, the words its
-    /// object's header holds.
-    fn candidate_metadata(&self, slot: &Slot) -> Metadata {
+    /// A candidate's metadata as this client knows it: the slot's words,
+    /// its `freq` plus the increments this client's FC cache still holds
+    /// for it (see [`crate::fc_cache`]).
+    fn candidate_metadata(&self, slot_addr: RemoteAddr, slot: &Slot) -> Metadata {
         let mut metadata = slot.metadata();
+        let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
+        metadata.freq += self.fc.as_ref().map_or(0, |fc| fc.pending_delta(freq_addr));
         if self.use_extension {
             // Advanced algorithms keep their extension metadata with the
             // object; fetch the header (§4.4: extra READs on eviction).

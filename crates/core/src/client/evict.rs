@@ -1,9 +1,9 @@
 //! Sampling eviction: the one routine behind [`DittoClient::evict_once`], the
 //! inline evictions of a starved allocation, the eviction a `Set` under
 //! memory pressure runs *ahead*, beside its own lookup and publish, and the
-//! one a fill *parks*, its sample undecoded, for the client's next op to pick
-//! from under its flight and the next starved `Set` to carry (see the crate
-//! docs, *The `Set` path under memory pressure*).
+//! one a fill *parks* for the next starved `Set` to carry, its pick's CPU
+//! work charged under the client's next round (see the crate docs, *The
+//! `Set` path under memory pressure*).
 
 use super::lookup::bucket_holds;
 use super::round::{
@@ -32,15 +32,6 @@ pub(super) enum EvictWait {
     /// beside the first one the history-id FAA.
     #[default]
     Sample,
-    /// The sample has landed, and the history id with the first, undecoded.
-    /// A fill's own eviction parks here: the client's next op decodes the
-    /// sample and picks between its doorbell and its first poll
-    /// ([`DittoClient::host_pick`]), or a starved `Set` in place.
-    Landed,
-    /// The sample is decoded into the candidates and not yet settled.  A
-    /// parked eviction whose hosted sample holds fewer than two candidates
-    /// stays here, for the `Set` that carries it to re-sample.
-    Decoded,
     /// The victim is picked and its slot CAS not posted: it goes out at
     /// once, unless the eviction is parked for the next starved `Set`.
     Picked,
@@ -56,19 +47,17 @@ pub(super) enum EvictWait {
 /// for in turn.  An eviction running *ahead* of a `Set` (see the crate docs)
 /// has its first sample READ and history-id FAA ride the `Set`'s first round,
 /// and is paused after each verb it posts beside the `Set`'s insert.  A
-/// *parked* one stops once its first sample has landed; the client's next op
-/// picks its victim under that op's flight, and the next starved `Set`
-/// carries its victim CAS ([`DittoClient::take_parked`]).  The round executor
+/// *parked* one stops once its victim is picked — its sample's decode and
+/// scoring left for the client's next round to charge
+/// ([`DittoClient::host_parked_pick`]) — and the next starved `Set` carries
+/// its victim CAS ([`DittoClient::take_parked`]).  The round executor
 /// ([`super::round`]) posts its verbs and books their completions on it.
 #[derive(Default)]
 pub(super) struct Eviction {
     /// Start of the `Evict` span: when the first sample was issued — or, of a
-    /// parked eviction, when the op that picks decoded its sample, then when
-    /// the `Set` that carries it posted its victim CAS.
+    /// parked eviction, when the `Set` that carries it posted its victim CAS
+    /// (the round that charges its pick's CPU work records the sample half).
     t0: u64,
-    /// When the current sample landed: a parked eviction's pick scores its
-    /// candidates at that time, whichever op hosts it.
-    landed: u64,
     min_blocks: u8,
     /// The stripe directory's version when the eviction began: a parked
     /// eviction is dropped once it moved ([`DittoClient::take_parked`]).
@@ -81,8 +70,7 @@ pub(super) struct Eviction {
     /// The victim slot of the parked eviction the same `Set` carries: never
     /// a candidate either, for that `Set` takes it out.
     carried_victim: Option<RemoteAddr>,
-    /// Whether the eviction waits for the next starved `Set`: its sample
-    /// landed and undecoded until an op picks, then its victim picked.
+    /// Whether, once picked, the victim waits for the next starved `Set`.
     pub(super) park: bool,
     /// Whether a `Set` carries this eviction, parked by an earlier one.
     carried: bool,
@@ -223,8 +211,8 @@ impl DittoClient {
     /// [`Eviction`]): its first sample and the history-id FAA wait to ride
     /// the `Set`'s first doorbell, and no slot of the key's two buckets — nor
     /// the victim slot of the eviction `carried`, which this `Set` takes out
-    /// — is a candidate.  With `park` it waits, once its sample has landed,
-    /// for the client's next op to pick and the next starved `Set` to carry.
+    /// — is a candidate.  With `park` its victim, once picked, waits for the
+    /// next starved `Set`.
     pub(super) fn evict_ahead(
         &mut self,
         min_blocks: u8,
@@ -248,74 +236,24 @@ impl DittoClient {
         ev
     }
 
-    /// The eviction a previous fill parked, unless a stripe cutover has moved
-    /// the directory since it began: its candidates' addresses may name
-    /// retired copies, so it is dropped and its history id burnt.
-    fn take_live_parked(&mut self) -> Option<Eviction> {
-        let ev = self.parked_eviction.take()?;
+    /// The eviction a previous fill parked, if this `Set` is `starved` and
+    /// so carries it.  Any `Set` drops it instead once a stripe cutover has
+    /// moved the directory since it began — its candidates' addresses may
+    /// name retired copies — and its history id is burnt.
+    pub(super) fn take_parked(&mut self, starved: bool) -> Option<Eviction> {
+        let mut ev = self.parked_eviction.take()?;
         if ev.version != self.table.directory().version() {
             if self.policy.is_adaptive() {
                 self.stats.record_history_id_burnt();
             }
             return None;
         }
-        Some(ev)
-    }
-
-    /// The eviction a previous fill parked, if this `Set` is `starved` and
-    /// so carries it; any `Set` drops a stale one ([`Self::take_live_parked`]).
-    /// A sample no op has picked from yet is picked here, in place, before
-    /// the `Set` plans its round.
-    pub(super) fn take_parked(&mut self, starved: bool) -> Option<Eviction> {
-        let mut ev = self.take_live_parked()?;
         if !starved {
             self.parked_eviction = Some(ev);
             return None;
         }
-        self.pick_parked(&mut ev, true);
-        if let EvictWait::Done(_) = ev.wait {
-            return None;
-        }
         ev.carried = true;
         Some(ev)
-    }
-
-    /// Hosts the pick of the eviction the last fill parked with its sample
-    /// undecoded.  An op calls it between its doorbell and its first poll,
-    /// so the decode and the scoring run under that op's flight — or, with
-    /// no flight, a local-tier hit before it feeds the counters.  Either way
-    /// the op records its own access only after this, so the pick sees the
-    /// FC counts and expert weights the fill would have seen.
-    pub(super) fn host_pick(&mut self) {
-        // Looked at in place: most ops find nothing to host, and an
-        // `Eviction` is too big to move for nothing.
-        let parked = self.parked_eviction.as_ref().map(|ev| ev.wait);
-        if !matches!(parked, Some(EvictWait::Landed)) {
-            return;
-        }
-        if let Some(mut ev) = self.take_live_parked() {
-            self.pick_parked(&mut ev, false);
-            self.parked_eviction = Some(ev);
-        }
-    }
-
-    /// Decodes a parked eviction's landed sample and picks its victim,
-    /// scoring at the time the sample landed.  `in_place`, for the starved
-    /// `Set` about to carry it, a sample with fewer than two candidates is
-    /// re-sampled and waited for here; hosted in another op's flight, it is
-    /// left decoded for that `Set`, since an op posts no verb for it.
-    fn pick_parked(&mut self, ev: &mut Eviction, in_place: bool) {
-        if let EvictWait::Picked = ev.wait {
-            return;
-        }
-        // The op that picks records the sample half, from here.
-        ev.t0 = self.dm.now_ns();
-        if let EvictWait::Landed = ev.wait {
-            self.decode_sample(ev);
-        }
-        if in_place || ev.candidates.len() >= 2 {
-            self.evict_advance(ev, false);
-        }
     }
 
     /// Advances `ev`: collect the sample (and the history id), re-sample
@@ -324,28 +262,26 @@ impl DittoClient {
     /// `beside_insert` — the `Set` publishes by an insert next — it returns
     /// `None` right after posting a verb, for that publish to overlap and
     /// the caller to resume it later; otherwise it waits in place and runs
-    /// to `Some(won)`.  A parked eviction returns `None` once its first
-    /// sample has landed (unless an extension expert's scoring READs keep
-    /// the pick in its own `Set`) and once its victim is picked — unless a
-    /// `Set` carries it.
+    /// to `Some(won)`.  A parked eviction returns `None` once its victim is
+    /// picked, either way — unless a `Set` carries it.
     pub(super) fn evict_advance(&mut self, ev: &mut Eviction, beside_insert: bool) -> Option<bool> {
         loop {
             match ev.wait {
                 EvictWait::Done(won) => return Some(won),
                 EvictWait::Sample => {
-                    self.await_eviction(ev);
-                    (ev.wait, ev.landed) = (EvictWait::Landed, self.dm.now_ns());
-                    if self.parks_undecoded(ev) {
-                        // Its bytes wait in a buffer of their own: any later
-                        // sample lands in the scratch.
-                        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
-                    }
-                }
-                EvictWait::Landed if self.parks_undecoded(ev) => return None,
-                EvictWait::Landed => self.decode_sample(ev),
-                EvictWait::Decoded => {
+                    let cpu = self.collect_sample(ev);
                     let found = ev.candidates.len();
-                    if found < 2 && (found == 0 || ev.samples < 4) && ev.samples < 8 {
+                    let short = found < 2 && (found == 0 || ev.samples < 4) && ev.samples < 8;
+                    // Only a pick defers its CPU work: a re-sample or a
+                    // give-up waits for the decode that decided it.
+                    if found > 0 && !short && self.hosts_pick(ev) {
+                        self.hosted_cpu.0 += cpu.0;
+                        self.hosted_cpu.1 += cpu.1;
+                    } else {
+                        self.charge_decode(cpu.0);
+                        self.charge_score(cpu.1);
+                    }
+                    if short {
                         self.issue_sample(ev, beside_insert, false);
                         if beside_insert {
                             return None;
@@ -392,12 +328,29 @@ impl DittoClient {
         }
     }
 
-    /// Whether `ev` parks with its sample landed and undecoded: a fill's own
-    /// eviction on its first sample.  An extension expert scores with READs
-    /// of its own (`candidate_metadata`), which no other op may carry, so
-    /// under one the fill picks in place.
-    fn parks_undecoded(&self, ev: &Eviction) -> bool {
-        ev.park && !ev.carried && ev.samples == 1 && !self.use_extension
+    /// Whether the pick of `ev`, a fill's own parked eviction, leaves its CPU
+    /// work to the client's next round: it posts no verb, so nothing waits
+    /// on it.  An extension expert's scoring READs object headers, so under
+    /// one the fill picks in place.
+    fn hosts_pick(&self, ev: &Eviction) -> bool {
+        ev.park && !ev.carried && !self.use_extension
+    }
+
+    /// Charges the CPU work of the pick the last fill parked — its sample's
+    /// decode and scoring, that eviction's sample half and `Evict` span —
+    /// between a round's doorbell and its first poll, under the round trip
+    /// ([`super::round`]'s `post_round`, and `search_hinted` when both READs
+    /// ride one doorbell).  The pick itself was made where the sample
+    /// landed, on the counts and at the time of its landing.
+    pub(super) fn host_parked_pick(&mut self) {
+        let (slots, scored) = std::mem::take(&mut self.hosted_cpu);
+        if slots == 0 {
+            return;
+        }
+        let t0 = self.dm.now_ns();
+        self.charge_decode(slots);
+        self.charge_score(scored);
+        self.dm.record_span(Phase::Evict, t0, self.dm.now_ns(), 0);
     }
 
     /// Ends `ev`: whether it evicted, its span, and an id it could not use.
@@ -431,7 +384,7 @@ impl DittoClient {
     /// ([`Eviction::riding`]); `post` — beside the `Set`'s insert — has them
     /// go out on a round of their own and returns with them in flight, as do
     /// several segments, or a sample with the FAA beside it, whatever `post`
-    /// says: they share a doorbell and [`Self::evict_advance`] polls them.
+    /// says: they share a doorbell and [`Self::collect_sample`] polls them.
     /// Otherwise the one segment is read in place, a completed round trip.
     fn issue_sample(&mut self, ev: &mut Eviction, post: bool, ride: bool) {
         ev.segments.clear();
@@ -474,53 +427,47 @@ impl DittoClient {
         }
     }
 
-    /// Appends the live objects of the eviction's landed sample to the
-    /// candidates, charging the decode and candidate-scoring CPU work.  A
-    /// faulted sample yields no candidates (the routine re-samples).  Slots
-    /// decode in canonical segment order whatever order the READs completed
-    /// in — ties in eviction priorities break by position — so a striped pool
-    /// sees the candidates a single node does.
-    fn decode_sample(&self, ev: &mut Eviction) {
+    /// Waits for the eviction's current sample — and with the first one for
+    /// the history id — and appends its live objects to the candidates.
+    /// Returns the CPU work that took — slots decoded, candidates scored —
+    /// for the caller to charge.  A faulted sample yields no candidates (the
+    /// routine re-samples).  Slots decode in
+    /// canonical segment order whatever order the READs completed in — ties
+    /// in eviction priorities break by position — so a striped pool sees the
+    /// candidates a single node does.
+    fn collect_sample(&mut self, ev: &mut Eviction) -> (usize, usize) {
         debug_assert!(ev.issued, "the first lookup round posts a riding sample");
-        let buf = if self.parks_undecoded(ev) {
-            &self.parked_sample_buf
-        } else {
-            &self.sample_buf
-        };
-        ev.wait = EvictWait::Decoded;
+        self.await_eviction(ev);
         if ev.failed {
-            return;
+            return (0, 0);
         }
-        self.charge_decode(ev.segments.iter().map(|&(_, slots)| slots).sum());
         let (mut offset, mut gathered) = (0, 0);
         for &(addr, slots) in ev.segments.iter() {
-            let bytes = &buf[offset..offset + slots * SLOT_SIZE];
+            let bytes = &self.sample_buf[offset..offset + slots * SLOT_SIZE];
             for (i, chunk) in bytes.chunks_exact(SLOT_SIZE).enumerate() {
                 let slot_addr = addr.add((i * SLOT_SIZE) as u64);
                 let slot = Slot::from_bytes(chunk);
                 if slot.atomic.is_object()
                     && !ev.excludes(slot_addr)
-                    && ev
-                        .candidates
-                        .push_saturating((slot_addr, self.as_known(slot_addr, slot)))
+                    && ev.candidates.push_saturating((slot_addr, slot))
                 {
                     gathered += 1;
                 }
             }
             offset += slots * SLOT_SIZE;
         }
-        self.charge_score(gathered);
+        (offset / SLOT_SIZE, gathered)
     }
 
     /// Picks the victim among `ev`'s candidates and the word the CAS that
     /// takes it out of the table swaps in: an embedded history entry built
-    /// from the id the eviction already holds.  A parked eviction scores at
-    /// the time its sample landed, and its pick closes the sample half — the
-    /// `Evict` span of the op that picked — for the `Set` that carries it
-    /// records the victim half.
+    /// from the id the eviction already holds.  A parked eviction's sample
+    /// half is its pick's CPU work, which the client's next round records
+    /// ([`Self::host_parked_pick`]) — or the fill, under an extension
+    /// expert: its span closes here.  The `Set` that carries it records the
+    /// victim half.
     fn pick_victim(&mut self, ev: &mut Eviction) {
-        let at = if ev.park { ev.landed } else { self.dm.now_ns() };
-        ev.pick = self.select_victim(&ev.candidates, at);
+        ev.pick = self.select_victim(&ev.candidates);
         ev.wait = EvictWait::Picked;
         let victim = ev.candidates[ev.pick.idx].1;
         // A faulted counter FAA evicts without a history entry (one lost
@@ -535,7 +482,7 @@ impl DittoClient {
         } else {
             0
         };
-        if ev.park {
+        if ev.park && !self.hosts_pick(ev) {
             self.dm
                 .record_span(Phase::Evict, ev.t0, self.dm.now_ns(), 0);
         }
@@ -638,7 +585,7 @@ impl DittoClient {
 
 #[cfg(test)]
 mod tests {
-    use super::{bucket_holds, Candidates, DittoClient, EvictWait, Eviction};
+    use super::{bucket_holds, Candidates, DittoClient, Eviction};
     use crate::cache::DittoCache;
     use crate::config::DittoConfig;
     use crate::hash::fnv1a64;
@@ -698,8 +645,7 @@ mod tests {
         (cache, client)
     }
 
-    /// The parked eviction's victim, once an op picked it: its slot and its
-    /// slot as sampled.
+    /// The parked eviction's victim: its slot and its slot as sampled.
     fn parked_victim(client: &DittoClient) -> (RemoteAddr, Slot) {
         let parked = client.parked_eviction.as_ref().expect("a parked eviction");
         parked.candidates[parked.pick.idx]
@@ -839,20 +785,16 @@ mod tests {
         // One doorbell carrying five verbs — the WRITE, the insert CAS, the
         // carried victim CAS, the sample READ, the history FAA — all landing
         // by the slower atomic's flight; four completions polled (the WRITE
-        // is unsignalled); and no CPU work on the sample, which the next op
-        // decodes.  (Until the pick moved there, one span's decode and about
-        // five candidates' scoring came on top: 2 680 → 2 980 ns or so.)
+        // is unsignalled); and no CPU work on the sample, which the client's
+        // next round charges.
         let posting = DmConfig::DOORBELL_LATENCY_NS + 5 * DmConfig::VERB_ISSUE_NS;
         let round = posting
             + DmConfig::CAS_LATENCY_NS.max(DmConfig::FAA_LATENCY_NS)
             + 4 * DmConfig::CQ_POLL_NS;
         let mut exact = 0;
         for key in 5_000..5_100u64 {
-            // The miss hosts the pick of the eviction the last fill parked —
-            // unless its sample was short, which this Set re-samples.
             assert!(client.get(&key.to_le_bytes()).is_none());
-            let picked = client.parked_eviction.as_ref().map(|ev| ev.wait);
-            let picked = matches!(picked, Some(EvictWait::Picked)).then(|| parked_victim(&client));
+            let (victim_addr, victim) = parked_victim(&client);
             let (before, evictions) = (node(&cache), cache.stats().snapshot().evictions);
             let resident = cache.pool().resident_object_bytes(0);
             let t0 = client.dm().now_ns();
@@ -867,23 +809,22 @@ mod tests {
             // The carried victim is out of the table and its memory back on
             // the free list in this very Set: one object in, one out.
             assert_eq!(cache.stats().snapshot().evictions, evictions + 1);
-            if let Some((victim_addr, victim)) = picked {
-                let word = AtomicField::decode(client.dm().read_u64(victim_addr));
-                assert!(
-                    word.is_history() && word.fp == victim.atomic.fp,
-                    "key {key}"
-                );
-            }
+            let word = AtomicField::decode(client.dm().read_u64(victim_addr));
+            assert!(
+                word.is_history() && word.fp == victim.atomic.fp,
+                "key {key}"
+            );
             assert_eq!(cache.pool().resident_object_bytes(0), resident);
-            // Its own eviction parked with the sample undecoded.
-            let parked = client.parked_eviction.as_ref().unwrap();
-            assert!(matches!(parked.wait, EvictWait::Landed), "key {key}");
-            assert!(parked.candidates.is_empty(), "key {key}");
             // The sample was the one READ (no counter refresh, no re-sample):
-            // the fill rang one doorbell and took exactly one round trip.
+            // the fill rang one doorbell and took exactly one round trip.  It
+            // picked its own victim, and left the CPU work on that one span
+            // for the next round.
             if after.reads - before.reads == 1 {
                 assert_eq!(after.doorbells - before.doorbells, 1, "key {key}");
                 assert_eq!(elapsed, round, "key {key}");
+                let scored = client.parked_eviction.as_ref().unwrap().candidates.len();
+                let hosted = (DittoConfig::SAMPLE_SPAN_SLOTS, scored);
+                assert_eq!(client.hosted_cpu, hosted, "key {key}");
                 exact += 1;
             }
         }
@@ -894,12 +835,17 @@ mod tests {
         assert_eq!(cache.stats().history_ids_burnt(), 0);
     }
 
-    /// A hinted `Get` of `key`, which the client just filled: its latency,
-    /// and the READs and doorbells it sent.
-    fn timed_hinted_get(cache: &DittoCache, client: &mut DittoClient, key: u64) -> (u64, u64, u64) {
+    /// A hinted `Get` of `key`, which the client just filled with `len`
+    /// bytes: its latency, and the READs and doorbells it sent.
+    fn timed_hinted_get(
+        cache: &DittoCache,
+        client: &mut DittoClient,
+        key: u64,
+        len: usize,
+    ) -> (u64, u64, u64) {
         let before = node(cache);
         let t0 = client.dm().now_ns();
-        assert_eq!(client.get(&key.to_le_bytes()), Some(vec![1u8; 200]));
+        assert_eq!(client.get(&key.to_le_bytes()), Some(vec![1u8; len]));
         let after = node(cache);
         let elapsed = client.dm().now_ns() - t0;
         (
@@ -922,61 +868,66 @@ mod tests {
     }
 
     #[test]
-    fn the_op_after_a_fill_picks_its_victim_under_its_own_flight() {
-        let (cache, mut client) = parking_on(DmConfig::default());
+    fn the_op_after_a_fill_hosts_its_picks_cpu_work_under_its_own_flight() {
+        let (cache, mut client) = parking_on(DmConfig::default().with_flight_recorder(1 << 16));
         // A whole span decoded and scored fits inside one READ's flight.
         let cpu = DittoConfig::SAMPLE_SPAN_SLOTS as u64
             * (DittoConfig::CPU_DECODE_SLOT_NS + DittoConfig::CPU_SCORE_CANDIDATE_NS);
-        assert!(cpu < DmConfig::READ_LATENCY_NS);
-        let mut hosted = 0;
+        assert!(cpu < DmConfig::verb_latency_ns(VerbKind::Read, SLOT_SIZE));
         for key in 5_000..5_050u64 {
             fill_after_miss(&mut client, key);
-            let parked = client.parked_eviction.as_ref().unwrap();
-            assert!(matches!(parked.wait, EvictWait::Landed));
+            assert_ne!(client.hosted_cpu, (0, 0), "key {key}");
             // The key's own publish left its hint: the Get is one round trip,
-            // its two READs on one doorbell, and the pick decodes and scores
-            // while they fly — the Get takes no longer than a plain one.
+            // its two READs on one doorbell, and the pick's decode and
+            // scoring run while they fly — it takes no longer than a plain
+            // hinted Get, and records that eviction's sample half.
             let plain = hinted_get_ns(&client, key);
-            let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, key);
+            client.dm().clear_flight_recorder();
+            let t0 = client.dm().now_ns();
+            let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, key, 200);
             assert_eq!((reads, doorbells), (2, 1), "key {key}");
             assert_eq!(elapsed, plain, "key {key}");
-            let parked = client.parked_eviction.as_ref().unwrap();
-            if let EvictWait::Picked = parked.wait {
-                hosted += 1;
-            }
+            assert_eq!(client.hosted_cpu, (0, 0), "key {key}");
+            let spans = client.dm().flight_spans();
+            let evict: Vec<_> = spans.iter().filter(|s| s.phase == Phase::Evict).collect();
+            assert_eq!(evict.len(), 1, "key {key}");
+            assert!(t0 <= evict[0].start_ns && evict[0].end_ns <= t0 + elapsed);
+            assert_eq!(evict[0].detail, 0, "the sample half");
         }
-        // A sample with fewer than two candidates stays decoded for the next
-        // starved Set to re-sample; 15 slots nearly always hold two.
-        assert!(hosted >= 45, "{hosted} of 50 picks hosted");
     }
 
     #[test]
-    fn a_sample_too_short_to_pick_from_is_re_sampled_by_the_carrying_set() {
-        let (cache, mut client) = parking_on(DmConfig::default());
-        fill_after_miss(&mut client, 5_000);
-        // The parked sample landed with no live object in it.
-        client.parked_sample_buf.fill(0);
-        // The Get decodes it under its flight and finds nothing to pick: it
-        // sends a plain hinted Get's READs, no re-sample, in its time.
-        let plain = hinted_get_ns(&client, 5_000);
-        let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, 5_000);
-        assert_eq!((reads, doorbells), (2, 1));
-        assert_eq!(elapsed, plain);
-        let parked = client.parked_eviction.as_ref().unwrap();
-        assert!(matches!(parked.wait, EvictWait::Decoded));
-        assert!(parked.candidates.is_empty());
-        // Nor does the next miss, which has no pick left to host: its two
-        // bucket READs.
-        let before = node(&cache);
-        assert!(client.get(&5_001u64.to_le_bytes()).is_none());
-        assert_eq!(node(&cache).reads - before.reads, 2);
-        // The fill after it re-samples in place — one READ beside its own
-        // sample's — carries the victim it picks, and frees it.
-        let (before, evictions) = (node(&cache), cache.stats().snapshot().evictions);
-        client.set(&5_001u64.to_le_bytes(), &[1u8; 200]);
-        assert_eq!(node(&cache).reads - before.reads, 2);
-        assert_eq!(cache.stats().snapshot().evictions, evictions + 1);
-        assert_eq!(cache.stats().history_ids_burnt(), 0);
+    fn a_sample_too_short_to_pick_from_is_re_sampled_by_its_fill() {
+        // 2 KiB values in a cache sized for 300 small objects: the memory
+        // holds a few dozen, and a 15-slot span often fewer than two.
+        let cache = small_cache(300);
+        let mut client = cache.client();
+        let big = 2_048;
+        for key in 0..2_000u64 {
+            client.set(&key.to_le_bytes(), &vec![1u8; big]);
+        }
+        for key in 4_000..4_002u64 {
+            assert!(client.get(&key.to_le_bytes()).is_none());
+            client.set(&key.to_le_bytes(), &vec![1u8; big]);
+        }
+        let mut re_sampled = 0;
+        for key in 5_000..5_100u64 {
+            assert!(client.get(&key.to_le_bytes()).is_none());
+            let before = node(&cache);
+            client.set(&key.to_le_bytes(), &vec![1u8; big]);
+            // The fill sends every sample READ it needs, waited for beside
+            // its own verbs, and parks a pick from the last.
+            let samples = node(&cache).reads - before.reads;
+            re_sampled += (samples > 1) as u64;
+            let parked = client.parked_eviction.as_ref().expect("a parked pick");
+            assert!(parked.candidates.len() >= 2 || parked.samples >= 4);
+            // The Get after it sends a plain hinted Get's READs, no sample,
+            // in a plain hinted Get's time.
+            let plain = hinted_get_ns(&client, key);
+            let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, key, big);
+            assert_eq!((reads, doorbells, elapsed), (2, 1, plain), "key {key}");
+        }
+        assert!(re_sampled >= 50, "{re_sampled} of 100 fills re-sampled");
         assert_eq!(
             cache.pool().resident_object_bytes(0),
             client.referenced_object_bytes_on(0)
@@ -984,50 +935,19 @@ mod tests {
     }
 
     #[test]
-    fn under_an_extension_expert_the_fill_picks_and_the_next_get_sends_only_its_own_verbs() {
+    fn under_an_extension_expert_the_fill_charges_its_pick_and_the_next_get_only_its_own_verbs() {
         let config = DittoConfig::single_algorithm(300, "gds");
         let (cache, mut client) = parking_as(config, DmConfig::default());
         // GDS scores with its objects' headers, READs of the fill's own.
         let before = node(&cache);
         fill_after_miss(&mut client, 5_000);
         assert!(node(&cache).reads - before.reads > 3);
-        let parked = client.parked_eviction.as_ref().unwrap();
-        assert!(matches!(parked.wait, EvictWait::Picked));
+        assert!(client.parked_eviction.is_some());
+        assert_eq!(client.hosted_cpu, (0, 0));
         let plain = hinted_get_ns(&client, 5_000);
-        let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, 5_000);
+        let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, 5_000, 200);
         assert_eq!((reads, doorbells), (2, 1));
         assert_eq!(elapsed, plain);
-    }
-
-    /// Two runs that repeat exactly up to a fill's parked pick, picked by
-    /// the Get after it in one and, 50 µs later with no op in between, in
-    /// place by a starved `Set` in the other: the same candidates, victim,
-    /// voters and chosen expert — and the same eviction age, which moves by
-    /// the oldest candidate's idle time as of the time the pick scores at.
-    #[test]
-    fn a_hosted_pick_chooses_what_an_in_place_pick_chooses() {
-        let pick = |hosted: bool| {
-            let (_cache, mut client) = parking_on(DmConfig::default());
-            fill_after_miss(&mut client, 5_000);
-            let ev = if hosted {
-                assert!(client.get(&5_000u64.to_le_bytes()).is_some());
-                client.parked_eviction.take().unwrap()
-            } else {
-                client.dm().advance_ns(50_000);
-                client.take_parked(true).unwrap()
-            };
-            assert!(matches!(ev.wait, EvictWait::Picked));
-            let candidates: Vec<_> = ev
-                .candidates
-                .iter()
-                .map(|(addr, slot)| (*addr, slot.atomic.encode(), slot.freq))
-                .collect();
-            let age = client.eviction_age.estimate(0);
-            (candidates, ev.pick.idx, ev.pick.bitmap, ev.pick.chosen, age)
-        };
-        let hosted = pick(true);
-        assert!(hosted.0.len() >= 2);
-        assert_eq!(hosted, pick(false));
     }
 
     #[test]
@@ -1044,8 +964,6 @@ mod tests {
     #[test]
     fn a_parked_victim_another_client_took_is_re_picked_by_the_carrying_set() {
         let (cache, mut client) = parking_on(DmConfig::default());
-        // The miss before the next fill hosts the parked pick.
-        assert!(client.get(&5_000u64.to_le_bytes()).is_none());
         let (victim_addr, victim) = parked_victim(&client);
         let others: Vec<_> = {
             let parked = client.parked_eviction.as_ref().unwrap();
@@ -1067,7 +985,7 @@ mod tests {
             cache.stats().snapshot().evictions,
             cache.pool().stats().contention().cas_retries,
         );
-        client.set(&5_000u64.to_le_bytes(), &[1u8; 200]);
+        fill_after_miss(&mut client, 5_000);
         // The carried CAS lost, and the Set re-picked among the parked
         // candidates — one of them, no other, is gone from the table.
         assert_eq!(cache.pool().stats().contention().cas_retries, lost + 1);
@@ -1139,14 +1057,10 @@ mod tests {
                 halves[span.detail as usize][!get as usize] += 1;
             }
         }
-        // Each fill recorded the victim half of the eviction it carried, and
-        // the Get after it the sample half of the one it parked — the pick it
-        // hosted — bar the few samples too short to pick from, which the next
-        // fill re-sampled and picked in place.
-        let [[hosted, in_place], victim_halves] = halves;
-        assert_eq!(victim_halves, [0, 200]);
-        assert_eq!(hosted + in_place, 200);
-        assert!(hosted >= 190, "{halves:?}");
+        // Each Get recorded the sample half of the eviction the fill before
+        // it parked — the pick's CPU work, under the Get's flight — and each
+        // fill the victim half of the one it carried.
+        assert_eq!(halves, [[200, 0], [0, 200]]);
         assert_eq!(cache.stats().snapshot().evictions, evictions + 200);
     }
 

@@ -426,8 +426,7 @@ impl DittoClient {
     /// The round is planned ([`plan_round`]): a `Set`'s object WRITE, the
     /// `object` bytes unsignalled and never waited for, rides it until they
     /// land, and so do the sample READ and history-id FAA of the eviction
-    /// running ahead of it (`evs`).  Posting it hosts the pick of a sample
-    /// the last fill parked ([`DittoClient::post_round`]).
+    /// running ahead of it (`evs`).
     ///
     /// The lookup follows the migration redirect rules: bucket
     /// addresses translate through the live stripe directory, and the
@@ -607,8 +606,9 @@ impl DittoClient {
     /// between them ([`Lookup::object_landed`]).  Otherwise the slot READ
     /// goes alone, as a completed round trip, and the `Get` fetches the
     /// object afterwards as without a hint.  Between the doorbell and the
-    /// first poll the two READs' flight hosts the pick of a sample the last
-    /// fill parked ([`DittoClient::host_pick`]).
+    /// first poll the two READs' flight hosts the CPU work of the last
+    /// parked pick ([`DittoClient::host_parked_pick`]); a slot READ that goes
+    /// alone hosts none, and leaves it to the client's next round.
     fn search_hinted(&mut self, hash: u64, fp: u8, hint: Hint) -> Option<Lookup> {
         let bucket = self.hinted_bucket(hash, hint.secondary);
         let token = self.table.bucket_entry_token(bucket);
@@ -632,8 +632,7 @@ impl DittoClient {
                 wq.post_read(object.object_addr(), &mut self.obj_buf[..len], true);
                 wq.ring();
             }
-            // The pick the last fill parked decodes under this flight.
-            self.host_pick();
+            self.host_parked_pick();
             // In order on one queue pair: the slot completes first and is
             // decoded while the object is still in flight.  Both completions
             // are consumed whatever they say; a fault on either READ costs

@@ -195,7 +195,7 @@ impl DittoClient {
     /// ([`Self::install_new`]).  Anything else cost this round trip, and
     /// the `Set` goes on through the lookup.  A hinted replace waits for its
     /// CAS alone; a fill for every verb of its round, so that the own
-    /// eviction's sample is in hand to park and the carried one is
+    /// eviction picks its victim (and parks it) and the carried one is
     /// finished — its victim freed before any crash point of this `Set` can
     /// find it taken out of the table.
     pub(super) fn publish_front(
@@ -351,15 +351,14 @@ impl DittoClient {
         hash: u64,
     ) -> bool {
         let mut candidates = Candidates::new();
-        let objects = slots.iter().filter(|(_, s)| s.atomic.is_object());
-        candidates.extend(objects.map(|&(addr, slot)| (addr, self.as_known(addr, slot))));
+        candidates.extend(slots.iter().filter(|(_, s)| s.atomic.is_object()).copied());
         if candidates.is_empty() {
             return false;
         }
         // The bucket slots were decoded (and charged) by the lookup; only
         // the candidate scoring is added here.
         self.charge_score(candidates.len());
-        let pick = self.select_victim(&candidates, self.dm.now_ns());
+        let pick = self.select_victim(&candidates);
         let (victim_addr, victim) = candidates[pick.idx];
         let expected = victim.atomic.encode();
         // As in `replace_existing`: record the victim's allocation before

@@ -194,11 +194,11 @@ pub(super) enum Rule {
     /// reappear as a live value of the same key (the ABA argument in
     /// [`super::lookup`]).
     BumpBeforeFree,
-    /// Only a fill parks its eviction, and a `Set` that carries one parks its
-    /// own sample, so each starved `Set` frees exactly one victim.  A parked
-    /// sample waits undecoded: the client's next op picks its victim under
-    /// its own flight, and the next starved `Set` carries the victim CAS.  A
-    /// `Set` with no miss before it, such as a load phase, evicts within
+    /// Only a fill parks its eviction's victim, and a `Set` that carries one
+    /// parks its own sample, so each starved `Set` frees exactly one victim.
+    /// The fill picks where the sample lands and waits for none of the pick's
+    /// CPU work: the client's next round charges it under its own flight.
+    /// A `Set` with no miss before it, such as a load phase, evicts within
     /// itself: parking there would change what the cache holds after it.
     Park,
 }
@@ -358,8 +358,8 @@ impl DittoClient {
     /// sample scratch, an eviction's CAS and FAA results into the eviction —
     /// and books on every eviction in `evs` the verbs it now has in flight.
     /// A parked eviction whose victim CAS goes out is taken up again here,
-    /// and one whose sample waits to be decoded is picked under the round's
-    /// flight ([`DittoClient::host_pick`]).
+    /// and the CPU work of the last parked pick is charged under the round's
+    /// flight ([`DittoClient::host_parked_pick`]).
     /// Returns the first verb's work-request id — the others follow it one by
     /// one — and the word the `Set`'s own CAS found.
     pub(super) fn post_round(
@@ -423,7 +423,7 @@ impl DittoClient {
             }
             wq.ring();
         }
-        self.host_pick();
+        self.host_parked_pick();
         let first = first.unwrap_or(0);
         for (ev, owner) in evs.iter_mut().zip([Owner::Own, Owner::Carried]) {
             let Some(ev) = ev.as_deref_mut() else {

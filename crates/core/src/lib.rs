@@ -199,13 +199,12 @@
 //!
 //! **What a candidate is scored on.**  The experts score a candidate on its
 //! slot's words as the sample read them, with one correction: its `freq`
-//! gains the increments this client's FC cache held for the slot when the
-//! sample was decoded ([`FcCache::pending_delta`]), which the word shows only
-//! once they reach the flush threshold.  A parked sample is decoded by the
-//! client's next op before that op records its own access, so it sees the
-//! counts the fill would have seen, and its candidates are scored as of the
-//! time the sample landed, whichever op picks.  The experts' `on_evict` sees
-//! the metadata the pick scored.  The increments belong to the key, not the slot: when one of this
+//! gains the increments this client's FC cache still holds for the slot
+//! ([`FcCache::pending_delta`]), which the word shows only once they reach
+//! the flush threshold.  A pick scores as of the time its sample landed:
+//! a parked one too, whose decode and scoring the fill does not wait for
+//! (see *The one-round fill*).  The experts' `on_evict` sees the metadata
+//! the pick scored.  The increments belong to the key, not the slot: when one of this
 //! client's CASes takes the key out — a won victim CAS, a publish that puts
 //! another key in the slot, the failed-update invalidation sweep — they are
 //! dropped ([`FcCache::discard`]), not flushed onto the slot's next key.  So
@@ -229,20 +228,22 @@
 //! unsignalled, the insert CAS behind it (`Rule::Flush`) and, under memory
 //! pressure, the victim CAS of the eviction the previous fill *parked* and
 //! the sample READ and history FAA of its own.  Once that round has landed
-//! the fill **parks** its own eviction with the sample undecoded
-//! (`Rule::Park`).  The client's next op decodes the sample and picks the
-//! victim between its doorbell and its first poll, so the CPU work flies
-//! under that op's round trip instead of adding to the fill's; the next
-//! starved `Set` carries the victim CAS.  An evicting fill is then one round
-//! trip — a doorbell, five issues, the slower atomic's flight and four polls
-//! — where it was two, with the same verbs; so is a fill that evicts
-//! nothing.  A starved `Set` that finds the sample still undecoded (no op
-//! came between) picks in place before planning its round, and re-samples
-//! there, waited for, a sample with fewer than two candidates: a `Get`
-//! never sends a verb for another op's eviction.  Under an extension expert,
-//! whose scoring READs object headers, the fill picks in place as before.
-//! An op with no flight to hide the pick under — a local-tier hit — picks
-//! first, before it records its access.  (With its insert slot off the object's
+//! the fill picks its own victim and **parks** it (`Rule::Park`): the next
+//! starved `Set` carries that CAS.  No verb waits on the pick, so the fill
+//! does not wait for its CPU work either — the sample's decode and the
+//! candidates' scoring: the client's next round charges it between its
+//! doorbell and its first poll, under that round trip
+//! (`host_parked_pick`).  That round is the next op's first:
+//! a `Get`'s lookup, or a hinted `Get`'s two READs on one doorbell.  A
+//! hinted `Get` whose object lives off the slot's node sends its slot READ
+//! alone, as a completed round trip, and hosts nothing, leaving the work to
+//! the round after it.  An evicting fill is then one round trip — a
+//! doorbell, five issues, the slower atomic's flight and four polls — where
+//! it was two, with the same verbs; so is a fill that evicts nothing.  A
+//! sample with fewer than two candidates is re-sampled in the fill, beside
+//! its own verbs, and only the pick from the last sample is charged later.
+//! Under an extension expert, whose scoring READs object headers, the fill
+//! charges its pick in place.  (With its insert slot off the object's
 //! node a fill takes two: the WRITE, signalled, beside the sample READ and
 //! the FAA, then the CASes.)  Only a fill with nothing to carry frees no
 //! victim — the first after `Set`s that evicted within themselves — and the
@@ -257,8 +258,8 @@
 //! carried CAS that finds its word gone re-picks among the parked
 //! candidates.  A parked eviction is dropped, its id burnt, once the stripe
 //! directory's version has moved: its candidates' addresses may name retired
-//! copies.  Its `Evict` span is split where the ops split: the op that picks
-//! records the sample half, from its decode to the pick, the carrying `Set`
+//! copies.  Its `Evict` span is split where the ops split: the round that
+//! charges the pick's CPU work records the sample half, the carrying `Set`
 //! the victim half.
 //!
 //! **Crashes.**  The sampling eviction has never been journalled: a client

@@ -21,14 +21,13 @@
 //! 202 → 196, and messages 6 291 / 6 612 / 1 716 → 6 188 / 6 556 / 1 700 on
 //! nodes 0 / 1 / 2.
 //!
-//! Re-derived when the op after a fill came to host that fill's pick under
-//! its own flight, scoring at the time the sample landed, a sample too short
-//! to pick from came to be re-sampled by the next starved fill, and a client
-//! dropped holding a parked eviction came to book its history id burnt:
-//! hits 842 → 846, misses 1 243 → 1 239, evictions 574 → 571 (bucket
-//! evictions 27 → 32), history inserts 547 → 539, regrets 97 → 90, local hits
-//! 21 → 18, migrated objects 196 → 189, and messages 6 188 / 6 556 / 1 700 →
-//! 6 133 / 6 526 / 1 693 on nodes 0 / 1 / 2; burnt ids stay at 2.
+//! Re-derived when a fill's parked pick came to be charged under the next
+//! round's flight, and a client dropped holding a parked eviction came to
+//! book its history id burnt: the same decisions and messages; burnt ids
+//! 2 → 3; the `evict` phase's sum 3.469 → 2.170 ms and median
+//! 3.328 → 2.176 µs, its sample half now the pick's CPU work alone; the op
+//! latency sum 14.403 → 14.286 ms, the `poll` phase's 7.543 → 7.427 ms;
+//! and lease time granted 33 764 148 → 33 469 053 ns.
 
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::DmConfig;

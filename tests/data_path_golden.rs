@@ -232,17 +232,17 @@ fn replay_keeping(mix: YcsbWorkload, dm: DmConfig, config: DittoConfig) -> Repla
 /// The single-node YCSB-C replay.  Its `clock_ns` fell 35 622 402 →
 /// 33 609 052 when the drain began to share doorbells, 33 609 052 →
 /// 33 432 382 when eviction came to score the FC cache's increments (module
-/// docs), and 33 432 382 → 33 137 712 when the op after a fill came to host
-/// that fill's pick under its own flight: the same decisions, one `last_ts`
-/// WRITE fewer (timestamps (6 736, 3 699) → (6 735, 3 700), messages
-/// 39 700 → 39 699).
+/// docs), and 33 432 382 → 33 154 342 when a fill's parked pick came to be
+/// charged under the next round's flight: the same decisions, four `last_ts`
+/// WRITEs fewer (timestamps (6 736, 3 699) → (6 732, 3 703), messages
+/// 39 700 → 39 696).
 fn single_node_golden() -> Golden {
     Golden {
-        pre_flush_ns: 33_064_291,
-        clock_ns: 33_137_712,
-        messages: 39_699,
+        pre_flush_ns: 33_080_921,
+        clock_ns: 33_154_342,
+        messages: 39_696,
         published: (0, 0),
-        timestamps: (6_735, 3_700),
+        timestamps: (6_732, 3_703),
         stats: CacheStatsSnapshot {
             hits: 10_435,
             misses: 1_565,
@@ -313,15 +313,14 @@ fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
     // can push its primary bucket's completion past the secondary's.  Its
     // `clock_ns` fell 34 617 675 → 32 763 495 when the drain began to share
     // doorbells, 32 763 495 → 32 729 686 when eviction came to score the FC
-    // cache's increments, and 32 729 686 → 32 701 216 when the op after a
-    // fill came to host its pick (messages 37 293 → 37 291, timestamps
-    // (7 483, 3 262) → (7 481, 3 264)).
+    // cache's increments, and 32 729 686 → 32 723 656 when a fill's parked
+    // pick came to be charged under the next round's flight.
     let golden = Golden {
-        pre_flush_ns: 32_599_965,
-        clock_ns: 32_701_216,
-        messages: 37_291,
+        pre_flush_ns: 32_622_405,
+        clock_ns: 32_723_656,
+        messages: 37_293,
         published: (0, 0),
-        timestamps: (7_481, 3_264),
+        timestamps: (7_483, 3_262),
         stats: CacheStatsSnapshot {
             hits: 10_745,
             misses: 1_255,
@@ -518,52 +517,43 @@ fn fig24_rung(rung: usize) -> DittoConfig {
 /// victories 427/291 → 280/386, 41 097 577 → 40 318 283 ns,
 /// 57 592 → 56 260 messages, timestamps (6 860, 3 527) → (6 893, 3 546).
 ///
-/// When the op after a fill came to host its pick, every rung moved.  The
-/// scattered sample of K = 5 slots holds fewer than two candidates about
-/// half the time, and such a sample is now re-sampled by the next starved
-/// `Set`, in place before its round, instead of beside the fill's own
-/// verbs.  Rung 1: hits 10 430 → 10 422, misses 1 570 → 1 578, evictions
-/// 675 → 683, regrets 322 → 330, FC flushes 1 369 → 1 366, victories
-/// 292/383 → 317/366, 35 105 674 → 35 052 495 ns, 53 101 → 53 127
-/// messages, timestamps (6 876, 3 554) → (6 834, 3 588).  Rung 2: the same
-/// counts, 38 823 153 → 39 718 985 ns — the re-sample no longer overlaps the
-/// separate history's index CAS — 56 019 → 56 081 messages, timestamps
-/// (6 875, 3 555) → (6 839, 3 583).  Rung 3: hits 10 439 → 10 425, misses
-/// 1 561 → 1 575, evictions 666 → 680, regrets and syncs 313 → 327, FC
-/// flushes 1 371 → 1 366, victories 280/386 → 301/379, 40 318 283 →
-/// 41 283 034 ns, 56 260 → 56 385 messages, timestamps (6 893, 3 546) →
-/// (6 878, 3 547).  Rung 4: rung 3's decisions, 63 062 713 → 63 998 834 ns,
-/// 65 328 → 65 426 messages, timestamps (6 893, 3 546) → (6 869, 3 556).
+/// When a fill's parked pick came to be charged under the next round's
+/// flight, only the clocks moved, each rung's decisions as they were.
+/// Rung 1: 35 105 674 → 35 001 434 ns.  Rung 2: 38 823 153 → 38 718 913 ns.
+/// Rung 3: 40 318 283 → 40 215 123 ns.  Rung 4: 63 062 713 → 62 959 553 ns,
+/// and one `last_ts` WRITE (two messages without the co-designed table)
+/// fewer: 65 328 → 65 326 messages, timestamps (6 893, 3 546) →
+/// (6 892, 3 547).
 #[test]
 fn fig24_ablation_rungs_hold_their_numbers() {
     let rungs = [
         single_node_ablated(
-            [34_981_994, 35_052_495],
-            53_127,
-            (6_834, 3_588),
-            [10_422, 1_578, 683, 330, 4, 1_366],
-            [317, 366],
+            [34_928_413, 35_001_434],
+            53_101,
+            (6_876, 3_554),
+            [10_430, 1_570, 675, 322, 4, 1_369],
+            [292, 383],
         ),
         single_node_ablated(
-            [39_648_484, 39_718_985],
-            56_081,
-            (6_839, 3_583),
-            [10_422, 1_578, 683, 330, 4, 1_366],
-            [317, 366],
+            [38_645_892, 38_718_913],
+            56_019,
+            (6_875, 3_555),
+            [10_430, 1_570, 675, 322, 4, 1_369],
+            [292, 383],
         ),
         single_node_ablated(
-            [41_217_634, 41_283_034],
-            56_385,
-            (6_878, 3_547),
-            [10_425, 1_575, 680, 327, 327, 1_366],
-            [301, 379],
+            [40_146_953, 40_215_123],
+            56_260,
+            (6_893, 3_546),
+            [10_439, 1_561, 666, 313, 313, 1_371],
+            [280, 386],
         ),
         single_node_ablated(
-            [63_998_834, 63_998_834],
-            65_426,
-            (6_869, 3_556),
-            [10_425, 1_575, 680, 327, 327, 10_425],
-            [301, 379],
+            [62_959_553, 62_959_553],
+            65_326,
+            (6_892, 3_547),
+            [10_439, 1_561, 666, 313, 313, 10_439],
+            [280, 386],
         ),
     ];
     let replayed: Vec<Golden> = (1..=4)
@@ -583,14 +573,15 @@ fn fig24_ablation_rungs_hold_their_numbers() {
 }
 
 /// Figure 25's first point alone: no FC cache, so every hit sends its own
-/// FAA (one flush per hit) after its key check.  When the op after a fill
-/// came to host its pick: 56 164 962 → 55 870 292 ns, messages
-/// 48 756 → 48 749, timestamps (6 747, 3 688) → (6 740, 3 695).
+/// FAA (one flush per hit) after its key check.  When a fill's parked pick
+/// came to be charged under the next round's flight: 56 164 962 →
+/// 55 886 922 ns, messages 48 756 → 48 752, timestamps (6 747, 3 688) →
+/// (6 743, 3 692).
 fn no_fc_cache_golden() -> Golden {
     single_node_ablated(
-        [55_865_291, 55_870_292],
-        48_749,
-        (6_740, 3_695),
+        [55_881_921, 55_886_922],
+        48_752,
+        (6_743, 3_692),
         [10_435, 1_565, 670, 317, 4, 10_435],
         [296, 374],
     )
@@ -615,10 +606,16 @@ fn no_fc_cache_replay_holds_its_numbers() {
 /// moved no LRU pick.  Before, the single-node replay held 10 405 hits to
 /// the no-FC replay's 10 435, and rung 3 10 387 to rung 4's 10 439.
 ///
-/// Rungs 3 and 4 skipped the same `last_ts` WRITEs until the op after a
-/// fill came to host its pick; they now differ there by nine (each rung's
-/// timestamps stay pinned in `fig24_ablation_rungs_hold_their_numbers`), so
-/// they are compared, like the two replays above, on their decisions.
+/// The two pairs are compared on their decisions; each replay's `last_ts`
+/// counts are pinned in its own golden.  Rungs 3 and 4 used to be compared
+/// on those counts too, and they matched only as sums: traced hit by hit,
+/// the two rungs already made different skip decisions on 302 of their
+/// 10 439 hits, near the freshness threshold, where their clocks differ.
+/// When the fill's parked pick came to be charged under the next round's
+/// flight, each clock moved by a few hundred nanoseconds per fill.  That
+/// flipped four such hits on rung 3, netting zero, and five on rung 4,
+/// netting one, so the sums now differ by one: (6 893, 3 546) against
+/// (6 892, 3 547).
 #[test]
 fn one_clients_fc_cache_moves_no_victim() {
     let decisions = |golden: Golden| CacheStatsSnapshot {

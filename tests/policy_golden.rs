@@ -125,11 +125,7 @@ fn the_simulator_on_an_lfu_friendly_trace() {
 /// both weights.  Re-derived again when eviction came to score a candidate
 /// with the FC increments this client still holds for it, and to drop them
 /// when the key leaves its slot: hits 17 610 → 18 192, regrets
-/// 7 196 → 6 764, weight syncs 72 → 68, and both weights.  Re-derived again
-/// when the op after a fill came to host its pick, scoring at the time the
-/// sample landed, and a sample too short to pick from came to be re-sampled
-/// by the next starved fill: hits 18 192 → 18 228, regrets 6 764 → 6 686,
-/// weight syncs 68 → 67, and both weights.
+/// 7 196 → 6 764, weight syncs 72 → 68, and both weights.
 #[test]
 fn a_client_replay_of_the_changing_workload() {
     let cache =
@@ -143,10 +139,10 @@ fn a_client_replay_of_the_changing_workload() {
     assert_eq!(
         (snap.hits, snap.regrets, snap.weight_syncs, weights),
         (
-            18_228,
-            6_686,
-            67,
-            vec![0x3fbe_15c8_07b5_a65d, 0x3fec_3d46_ff09_4b35]
+            18_192,
+            6_764,
+            68,
+            vec![0x3fc0_206c_7efb_841b, 0x3feb_f7e4_e041_1ef9]
         )
     );
 }
