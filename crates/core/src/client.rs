@@ -831,6 +831,9 @@ impl DittoClient {
             // bytes survive until recycled — and bumps, all between our
             // bucket READ and the capture: the stale object READ would then
             // be admitted under an epoch that already includes the bump.)
+            // A hinted lookup whose object is off its slot's node reads it
+            // again once both READs are out, and serves the object only if
+            // it has not moved (`lookup`'s module docs).
             let board_epoch = self.board.epoch(hash);
             // A miss memo is trusted on the same two readings.
             let dir_version = self.table.directory().version();
@@ -840,7 +843,8 @@ impl DittoClient {
             let hint_epoch = self.hint_epoch(hash, board_epoch);
             let hint = (attempt == 0)
                 .then(|| self.hints.get(hash, hint_epoch))
-                .flatten();
+                .flatten()
+                .map(|hint| (hint, board_epoch));
             let Ok(lookup) = self.search(hash, fp, Plan::default(), &[], &mut [None, None], hint)
             else {
                 // The lookup could not complete within its fault budget
@@ -878,8 +882,8 @@ impl DittoClient {
                 .as_mut()
                 .map(|fc| fc.record(freq_addr))
                 .unwrap_or_default();
-            let fetched = if lookup.object_landed {
-                // The object READ posted behind the hinted slot READ already
+            let fetched = if lookup.hint_held {
+                // The object READ posted beside the hinted slot READ already
                 // fetched this very object: no second round trip.
                 self.post_fc_flushes(flushes);
                 Ok(())
@@ -1643,7 +1647,8 @@ impl DittoClient {
         // is sequenced after the last CAS but before the operation returns,
         // so a reader starting after this Set completes always sees it.  (An
         // insert bumped once already, the moment its CAS landed, for the
-        // miss memos it stales.)  A Set that mutated nothing bumps anyway;
+        // miss memos it stales; a replace, before it freed what it
+        // displaced.)  A Set that mutated nothing bumps anyway;
         // the only cost is a spurious refetch by tier holders of this key.
         self.bump_board(hash);
         self.journal_clear();

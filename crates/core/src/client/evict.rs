@@ -339,8 +339,8 @@ impl DittoClient {
     /// Charges the CPU work of the pick the last fill parked — its sample's
     /// decode and scoring, that eviction's sample half and `Evict` span —
     /// between a round's doorbell and its first poll, under the round trip
-    /// ([`super::round`]'s `post_round`, and `search_hinted` when both READs
-    /// ride one doorbell).  The pick itself was made where the sample
+    /// ([`super::round`]'s `post_round`, and `search_hinted`'s ring of both
+    /// READs).  The pick itself was made where the sample
     /// landed, on the counts and at the time of its landing.
     pub(super) fn host_parked_pick(&mut self) {
         let (slots, scored) = std::mem::take(&mut self.hosted_cpu);

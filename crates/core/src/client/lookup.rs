@@ -2,7 +2,7 @@
 //! doorbell, scanned for the key's live slot — and the client-side **hint
 //! table** that lets a `Get` skip them: a hint names the key's *slot*, so a
 //! hinted `Get` READs that one 40-byte slot instead of two 320-byte buckets,
-//! and posts its object READ right behind it, making a remote hit two READs
+//! and posts its object READ on the same ring, making a remote hit two READs
 //! and one round trip (see the crate docs, *The one-round-trip `Get`*).  A
 //! replacing `Set` goes further and skips the READ altogether: it CASes the
 //! hinted slot from the hinted word, blind ([`super::publish`]).
@@ -60,6 +60,35 @@
 //! memo adds to it only that return flight of the other client's CAS.  The
 //! one-round fill adds nothing: its CAS leaves on the doorbell that follows
 //! the epoch check, sooner than a looked-up one would.
+//!
+//! # What an object READ beside the slot leans on
+//!
+//! A hinted `Get` posts its object READ before the slot READ has vouched
+//! for the hinted word.  When the object lives on the slot's node, both
+//! travel one queue pair and execute in order: a hint that holds is the two
+//! dependent READs in their usual order, minus the wait between them.  An
+//! object off its slot's node — memory pressure after an `add_node` or a
+//! `drain_node` leaves it there — travels another queue pair, and its READ
+//! may execute before the slot READ.  It is then served only if the key's
+//! board epoch, read again once both completions are out, still equals the
+//! one the `Get` read before posting ([`object_read_trusted`]); a moved
+//! epoch is a misprediction.
+//!
+//! The rule rests on one fact: a block comes back under the hinted word
+//! only after its key's bump.  An object READ that landed early read the
+//! block while the hinted word was in the slot — and nobody frees a block
+//! a slot names — or while it was out and about to come back, the block
+//! freed and published for the key again in between.  Every free of a
+//! block a slot named bumps the key first: an eviction and the failed-update
+//! sweep (bump before free), and a replace, which bumps once its CAS has won
+//! and before it frees, since the free may hand the blocks back to the node
+//! for any client to take ([`DittoClient::free_object`]).  So a block that
+//! came back moved the epoch before the slot READ, and the re-check refuses
+//! what the early READ saw.  A relocation frees without a bump, but it
+//! moves no value: its block held the key's current value, and comes back
+//! under the hinted word only through a later publish of the key.  What
+//! remains is the instant the blind CAS leans on too: another client's,
+//! between its winning CAS and its bump.
 //!
 //! # What the epoch filter costs
 //!
@@ -271,6 +300,21 @@ fn slot_word_is(bytes: &[u8], word: u64) -> bool {
     bytes[..8] == word.to_le_bytes()
 }
 
+/// Whether a hinted `Get` may serve the object READ it posted beside the
+/// slot READ on node `slot_node`, the object living on `object_node` (see
+/// the module docs, *What an object READ beside the slot leans on*): on the
+/// slot's node the queue pair ordered it behind the slot READ; off it, only
+/// if the key's board epoch read after both completions, `epoch_after`, is
+/// still the `epoch_before` read before posting.
+fn object_read_trusted(
+    slot_node: u16,
+    object_node: u16,
+    epoch_before: u64,
+    epoch_after: u64,
+) -> bool {
+    slot_node == object_node || epoch_before == epoch_after
+}
+
 /// One completed READ of the head of the slot at `slot_addr` into `buf` —
 /// all 40 bytes for a hinted lookup, the 8-byte atomic word alone for a
 /// local-tier lease revalidation — and whether the slot still carries `word`.
@@ -294,11 +338,9 @@ pub(super) struct Lookup {
     pub(super) slots: SearchSlots,
     /// The key's live slot, if any.
     pub(super) found: Option<(RemoteAddr, Slot)>,
-    /// The caller's hint held: it names `found` exactly as it is.
+    /// The caller's hint held: it names `found` exactly as it is, and the
+    /// found slot's object is already in `obj_buf`.
     pub(super) hint_held: bool,
-    /// The object READ rode behind a hinted slot READ that held: the found
-    /// slot's object is already in `obj_buf`.
-    pub(super) object_landed: bool,
 }
 
 impl Lookup {
@@ -307,7 +349,6 @@ impl Lookup {
             slots,
             found,
             hint_held: false,
-            object_landed: false,
         }
     }
 }
@@ -408,10 +449,11 @@ impl DittoClient {
 
     /// Looks `hash` up: posts READs of the primary and secondary buckets
     /// behind one doorbell per node, and scans the decoded slots (primary
-    /// bucket first) for a live entry.  A `Get` holding a `hint` first tries
+    /// bucket first) for a live entry.  A `Get` holding a `hint` — with the
+    /// key's board epoch it read before looking the hint up — first tries
     /// the one slot the hint names instead ([`Self::search_hinted`]) and only
     /// falls back to the buckets when that slot no longer holds the hinted
-    /// word.
+    /// word or the object READ beside it cannot be trusted.
     ///
     /// Without a hint both buckets are fetched (the RACE-style lookup the
     /// paper describes): behind a shared doorbell the second READ rides
@@ -439,10 +481,19 @@ impl DittoClient {
         mut plan: Plan,
         object: &[u8],
         evs: &mut Evictions,
-        hint: Option<Hint>,
+        hint: Option<(Hint, u64)>,
     ) -> DmResult<Lookup> {
-        if let Some(hint) = hint {
-            let held = self.search_hinted(hash, fp, hint);
+        // A hint whose object sits off its slot's node, on a node leaving
+        // the pool, is not taken: the migration relocates that object
+        // without a bump, so the hint is all but stale, and a leaving node
+        // gets no speculative READ.
+        let hint = hint.filter(|&(hint, _)| {
+            let object_node = AtomicField::decode(hint.word).object_addr().mn_id;
+            self.topology.is_active(object_node)
+                || self.hinted_slot_addr(hash, hint).mn_id == object_node
+        });
+        if let Some((hint, board_epoch)) = hint {
+            let held = self.search_hinted(hash, fp, hint, board_epoch);
             self.stats.record_spec_read(held.is_none());
             match held {
                 Some(lookup) => return Ok(lookup),
@@ -589,27 +640,28 @@ impl DittoClient {
 
     /// The hinted lookup: one READ of the 40-byte slot the hint names, its
     /// address re-translated through the stripe directory and the entry
-    /// token re-checked exactly like a bucket READ's.  The hint holds iff
-    /// the slot's atomic word still equals the hinted word (and the slot
-    /// passes [`Self::find_live`]'s test): `found` is then that fully
-    /// decoded slot, as if the buckets had been scanned.  Anything else — a
-    /// changed word, `RECONCILE_POISON`, a faulted READ, a moved token — is
-    /// a misprediction (`None`): it cost one round trip, and the caller
-    /// runs the unhinted lookup.  (Like `Set`'s replace, the hint takes the
-    /// key to live in one slot: it names that slot, not the first of
-    /// several a bucket scan would prefer.)
+    /// token re-checked exactly like a bucket READ's, and the READ of the
+    /// object the hinted word names, on the same ring.  The hint holds
+    /// iff the slot's atomic word still equals the hinted word (and the slot
+    /// passes [`Self::find_live`]'s test) and the object READ may be
+    /// trusted ([`object_read_trusted`]): `found` is then that fully decoded
+    /// slot, as if the buckets had been scanned, and its object is already
+    /// in `obj_buf`.  Anything else — a changed word, `RECONCILE_POISON`, a
+    /// faulted READ, a moved token, a moved epoch of an object off the
+    /// slot's node — is a misprediction (`None`): it cost one round trip,
+    /// and the caller runs the unhinted lookup.  (Like `Set`'s replace, the
+    /// hint takes the key to live in one slot: it names that slot, not the
+    /// first of several a bucket scan would prefer.)
     ///
-    /// The object READ is posted behind the slot READ on the same doorbell
-    /// — the ordering rule: only when the object lives on the slot's node,
-    /// so both travel one queue pair, in order, and a hint that holds is
-    /// exactly the two dependent READs in their usual order minus the wait
-    /// between them ([`Lookup::object_landed`]).  Otherwise the slot READ
-    /// goes alone, as a completed round trip, and the `Get` fetches the
-    /// object afterwards as without a hint.  Between the doorbell and the
-    /// first poll the two READs' flight hosts the CPU work of the last
-    /// parked pick ([`DittoClient::host_parked_pick`]); a slot READ that goes
-    /// alone hosts none, and leaves it to the client's next round.
-    fn search_hinted(&mut self, hash: u64, fp: u8, hint: Hint) -> Option<Lookup> {
+    /// An object on the slot's node travels the slot's queue pair behind
+    /// it; one off it rings a second doorbell and may complete first.  The
+    /// completions are consumed in the order they land, the slot decoded as
+    /// soon as its own is out — while the object is still in flight, when
+    /// it comes first.  Between the doorbell and the first poll the two
+    /// READs' flight hosts the CPU work of the last parked pick
+    /// ([`DittoClient::host_parked_pick`]).  `board_epoch` is the key's
+    /// board epoch as the `Get` read it before posting.
+    fn search_hinted(&mut self, hash: u64, fp: u8, hint: Hint, board_epoch: u64) -> Option<Lookup> {
         let bucket = self.hinted_bucket(hash, hint.secondary);
         let token = self.table.bucket_entry_token(bucket);
         let slot_addr = self.table.slot_addr(bucket, hint.slot as usize);
@@ -617,52 +669,52 @@ impl DittoClient {
         self.dm
             .record_span(Phase::Translate, translate_ns, translate_ns, 0);
         let object = AtomicField::decode(hint.word);
-        let rides = object.object_addr().mn_id == slot_addr.mn_id;
-        if !rides {
+        let obj_addr = object.object_addr();
+        if obj_addr.mn_id != slot_addr.mn_id {
             self.stats.record_spec_read_split();
         }
-        let found = if rides {
-            let len = object.object_bytes() as usize;
-            if self.obj_buf.len() < len {
-                self.obj_buf.resize(len, 0);
-            }
-            {
-                let mut wq = self.dm.work_queue();
-                wq.post_read(slot_addr, &mut self.bucket_buf[..SLOT_SIZE], true);
-                wq.post_read(object.object_addr(), &mut self.obj_buf[..len], true);
-                wq.ring();
-            }
-            self.host_parked_pick();
-            // In order on one queue pair: the slot completes first and is
-            // decoded while the object is still in flight.  Both completions
-            // are consumed whatever they say; a fault on either READ costs
-            // the hint, never the `Get`.
-            let landed = || {
-                let completion = self.dm.poll_cq().expect("hinted READ completion");
-                completion.status.is_ok()
-            };
-            let slot_ok = landed() && slot_word_is(&self.bucket_buf, hint.word);
-            let found = slot_ok.then(|| self.decode_hinted(slot_addr, hash, fp));
-            let object_ok = landed();
-            found.flatten().filter(|_| object_ok)
-        } else {
-            read_slot_word_is(
-                &self.dm,
-                slot_addr,
-                hint.word,
-                &mut self.bucket_buf[..SLOT_SIZE],
-            )
-            .then(|| self.decode_hinted(slot_addr, hash, fp))
-            .flatten()
+        let len = object.object_bytes() as usize;
+        if self.obj_buf.len() < len {
+            self.obj_buf.resize(len, 0);
+        }
+        let wr_slot = {
+            let mut wq = self.dm.work_queue();
+            let wr_slot = wq.post_read(slot_addr, &mut self.bucket_buf[..SLOT_SIZE], true);
+            wq.post_read(obj_addr, &mut self.obj_buf[..len], true);
+            wq.ring();
+            wr_slot
         };
-        let found = found.filter(|_| self.table.bucket_entry_token(bucket) == token)?;
+        self.host_parked_pick();
+        // Both completions are consumed whatever they say — an errored slot
+        // READ flushes nothing on another node's queue pair — and a fault on
+        // either READ costs the hint, never the `Get`.
+        let (mut found, mut object_ok) = (None, false);
+        for _ in 0..2 {
+            let completion = self.dm.poll_cq().expect("hinted READ completion");
+            let ok = completion.status.is_ok();
+            if completion.wr_id == wr_slot {
+                found = (ok && slot_word_is(&self.bucket_buf, hint.word))
+                    .then(|| self.decode_hinted(slot_addr, hash, fp))
+                    .flatten();
+            } else {
+                debug_assert_eq!(completion.wr_id, wr_slot + 1);
+                object_ok = ok;
+            }
+        }
+        let trusted = object_read_trusted(
+            slot_addr.mn_id,
+            obj_addr.mn_id,
+            board_epoch,
+            self.board.epoch(hash),
+        );
+        let found = found
+            .filter(|_| object_ok && trusted && self.table.bucket_entry_token(bucket) == token)?;
         let mut slots = SearchSlots::new();
         slots.push(found);
         Some(Lookup {
             slots,
             found: Some(found),
             hint_held: true,
-            object_landed: rides,
         })
     }
 
@@ -701,8 +753,8 @@ impl DittoClient {
 #[cfg(test)]
 mod tests {
     use super::{
-        Hint, HintTable, HINT_ENTRIES, HINT_EPOCH_BITS, HINT_HIGH_BITS, HINT_INDEX_BITS,
-        HINT_TAG_END, HINT_WAYS,
+        object_read_trusted, Hint, HintTable, HINT_ENTRIES, HINT_EPOCH_BITS, HINT_HIGH_BITS,
+        HINT_INDEX_BITS, HINT_TAG_END, HINT_WAYS,
     };
     use crate::cache::DittoCache;
     use crate::client::DittoClient;
@@ -1042,6 +1094,80 @@ mod tests {
             (stats.spec_reads_issued(), stats.spec_reads_wasted()),
             (2, 1)
         );
+    }
+
+    #[test]
+    fn an_object_read_off_its_slots_node_is_trusted_only_under_an_unmoved_epoch() {
+        // (slot node, object node, epoch before posting, epoch after both
+        // completions) → whether the object READ may be served.
+        let cases = [
+            // One queue pair orders the object READ behind the slot READ,
+            // so the epoch is not asked.
+            ((0, 0, 7, 7), true),
+            ((1, 1, 7, 8), true),
+            // Off the slot's node the READ may have landed first: a moved
+            // epoch may mean a recycled block, and serves nothing.
+            ((1, 0, 7, 7), true),
+            ((1, 0, 7, 8), false),
+            ((0, 2, 7, 9), false),
+        ];
+        for ((slot, object, before, after), trusted) in cases {
+            assert_eq!(
+                object_read_trusted(slot, object, before, after),
+                trusted,
+                "slot on {slot}, object on {object}, epoch {before} → {after}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_moved_epoch_refuses_an_object_read_off_its_slots_node() {
+        // Node 1 drains before anything migrates: its slots stay, every
+        // object goes to node 0.
+        let dm = DmConfig::default().with_memory_nodes(2);
+        let cache = DittoCache::with_dedicated_pool(DittoConfig::with_capacity(2_000), dm).unwrap();
+        let mut client = cache.client();
+        cache.pool().drain_node(1).unwrap();
+        let keys: Vec<[u8; 8]> = (0..64u64).map(u64::to_le_bytes).collect();
+        for key in &keys {
+            client.set(key, b"v");
+        }
+        let stats = cache.stats();
+        let (mut off_node, mut on_node) = (0, 0);
+        for key in &keys {
+            let hash = fnv1a64(key);
+            let hint = hint_of(&client, key).expect("the publish CAS leaves the hint");
+            let off = client.hinted_slot_addr(hash, hint).mn_id == 1;
+            // As if another client bumped the key between the epoch the Get
+            // read before posting and the re-check after both completions.
+            let moved = client.board.epoch(hash).wrapping_sub(1);
+            let wasted = stats.spec_reads_wasted();
+            let lookup = client
+                .search(
+                    hash,
+                    fingerprint(hash),
+                    Default::default(),
+                    &[],
+                    &mut [None, None],
+                    Some((hint, moved)),
+                )
+                .unwrap();
+            // Off the slot's node the hinted READs serve nothing: the lookup
+            // read the buckets instead.  On it, the queue pair vouches.
+            assert_eq!(lookup.hint_held, !off);
+            assert_eq!(stats.spec_reads_wasted() - wasted, off as u64);
+            assert_eq!(
+                lookup.found.map(|(_, slot)| slot.atomic.encode()),
+                Some(hint.word)
+            );
+            assert!(client.dm().poll_cq().is_none());
+            if off {
+                off_node += 1;
+            } else {
+                on_node += 1;
+            }
+        }
+        assert!(off_node > 10 && on_node > 10, "{off_node} / {on_node}");
     }
 
     #[test]

@@ -178,6 +178,12 @@ impl DittoClient {
             // the new one, not the one freed below.
             self.record_extension(slot, new.object_addr(), None, AccessKind::Update);
         }
+        // Bump before free, ahead of the bump that ends the `Set`: the free
+        // may release the displaced blocks to the node, where any client
+        // can take them, and a hinted `Get` whose object READ landed before
+        // its slot READ must see them come back only under a moved epoch
+        // (see [`super::lookup`]).
+        self.bump_board(hash);
         self.free_object(old.object_addr(), old.object_bytes() as usize);
     }
 

@@ -32,7 +32,7 @@
 //! directory and the entry token re-checked exactly like a bucket READ's.  When the slot's atomic
 //! word still **equals** the hint (and its hash and fingerprint are the
 //! key's), the lookup is done with that fully decoded slot; the object READ
-//! was posted behind the slot READ on the same doorbell, so its bytes have
+//! was posted beside the slot READ on the same ring, so its bytes have
 //! already landed and the hit took two READs and one round trip.  Any other
 //! outcome (the key was replaced,
 //! evicted, relocated; the stripe moved; a READ faulted) is a misprediction
@@ -40,14 +40,19 @@
 //! it cost a round trip, the hint is dropped, and the `Get` continues
 //! exactly as an unhinted one does.
 //!
-//! Correctness rests on that word comparison alone, plus one ordering
-//! rule: the object READ is posted after the slot READ that validates it,
-//! and only when the object lives on the slot's node — same queue pair,
-//! in-order — so a hint that holds is the usual two dependent READs in the
-//! usual order, minus the wait between them.  An object off its slot's
-//! node is read after the slot has vouched for it, as without a hint — one
-//! message saved all the same, but two round trips
-//! ([`CacheStats::spec_reads_split`]).  Hints are kept truthful for free where the client already knows the answer: every slot
+//! Correctness rests on that word comparison, plus one trust rule for the
+//! object READ, which was posted before the slot vouched for it.  An object
+//! on the slot's node travels the slot's queue pair behind it, in order, so
+//! a hint that holds is the usual two dependent READs in the usual order,
+//! minus the wait between them.  An object off its slot's node (after an
+//! `add_node` or a `drain_node`, [`CacheStats::spec_reads_split`]) rings a
+//! second doorbell on the same ring, and its READ may execute before the
+//! slot READ: it is served only if the key's board epoch, read again after
+//! both completions, is still the one the `Get` read before posting.  A
+//! block comes back under the hinted word only after its key's bump — an
+//! eviction and a replace both bump before they free — so a READ that
+//! landed early on a recycled block sees the epoch moved
+//! (`client/lookup.rs` states the argument).  Hints are kept truthful for free where the client already knows the answer: every slot
 //! CAS it wins (publish, replace, sampling or bucket eviction, relocation)
 //! updates or drops the entry, an unhinted remote hit installs it, and the
 //! [`local_tier::CoherenceBoard`] epoch the `Get` already reads — less the
@@ -234,10 +239,8 @@
 //! candidates' scoring: the client's next round charges it between its
 //! doorbell and its first poll, under that round trip
 //! (`host_parked_pick`).  That round is the next op's first:
-//! a `Get`'s lookup, or a hinted `Get`'s two READs on one doorbell.  A
-//! hinted `Get` whose object lives off the slot's node sends its slot READ
-//! alone, as a completed round trip, and hosts nothing, leaving the work to
-//! the round after it.  An evicting fill is then one round trip — a
+//! a `Get`'s lookup, or a hinted `Get`'s two READs on one ring, its object
+//! on the slot's node or off it.  An evicting fill is then one round trip — a
 //! doorbell, five issues, the slower atomic's flight and four polls — where
 //! it was two, with the same verbs; so is a fill that evicts nothing.  A
 //! sample with fewer than two candidates is re-sampled in the fill, beside

@@ -68,10 +68,9 @@ counter_table! {
     /// Hinted lookups that mispredicted: each cost a round trip and the
     /// READ(s) it carried before the unhinted lookup ran.
     spec_reads_wasted: lifetime accessor, counter "ditto_cache_spec_reads_wasted_total" "Hinted lookups that mispredicted because the slot word had changed (lifetime).";
-    /// Hinted lookups whose object sits on another node than its slot: the
-    /// object READ cannot ride the slot READ, so the `Get` takes two round
-    /// trips even when the hint holds.
-    spec_reads_split: lifetime accessor, counter "ditto_cache_spec_reads_split_total" "Hinted lookups whose object is off the slot's node, so the object READ could not ride the slot READ (lifetime).", bump record_spec_read_split;
+    /// Hinted lookups whose object is off the slot's node, so the ring rang
+    /// two doorbells.
+    spec_reads_split: lifetime accessor, counter "ditto_cache_spec_reads_split_total" "Hinted lookups whose object is off the slot's node, so the ring rang two doorbells (lifetime).", bump record_spec_read_split;
     /// Hint-table notes that took the way of another key's live hint: the
     /// key's set was full, and its least recently used hint went.
     hints_displaced: lifetime accessor, counter "ditto_cache_hints_displaced_total" "Hint-table notes that evicted another key's live hint from a full set (lifetime).", bump record_hint_displaced;

@@ -28,6 +28,17 @@
 //! 3.328 → 2.176 µs, its sample half now the pick's CPU work alone; the op
 //! latency sum 14.403 → 14.286 ms, the `poll` phase's 7.543 → 7.427 ms;
 //! and lease time granted 33 764 148 → 33 469 053 ns.
+//!
+//! Re-derived when a hinted `Get` whose object is off its slot's node came
+//! to READ it beside the slot, in one round trip: the same decisions.  A
+//! hint the `add_node`'s relocations staled now sends its object READ too,
+//! so READs 2 640 / 2 709 → 2 663 / 2 740 and messages 6 188 / 6 556 /
+//! 1 700 → 6 211 / 6 587 / 1 699 on nodes 0 / 1 / 2, doorbells
+//! 5 222 → 5 616 and CQ polls 7 745 → 8 139; the op latency sum
+//! 14.286 → 14.083 ms, its 0.9 quantile 6.656 → 6.912 µs (such a
+//! misprediction waits for the larger READ and two polls); `last_ts` WRITEs
+//! 903 → 902; lease time granted 33 469 053 → 33 128 438 ns; and the
+//! `spec_reads_split` help line.
 
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::DmConfig;

@@ -313,14 +313,17 @@ fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
     // can push its primary bucket's completion past the secondary's.  Its
     // `clock_ns` fell 34 617 675 → 32 763 495 when the drain began to share
     // doorbells, 32 763 495 → 32 729 686 when eviction came to score the FC
-    // cache's increments, and 32 729 686 → 32 723 656 when a fill's parked
-    // pick came to be charged under the next round's flight.
+    // cache's increments, 32 729 686 → 32 723 656 when a fill's parked
+    // pick came to be charged under the next round's flight, and
+    // 32 723 656 → 32 655 281 when a hinted `Get` came to READ an object off
+    // its slot's node beside the slot, in one round trip (the earlier clocks
+    // skip one more `last_ts` WRITE: one message fewer).
     let golden = Golden {
-        pre_flush_ns: 32_622_405,
-        clock_ns: 32_723_656,
-        messages: 37_293,
+        pre_flush_ns: 32_554_030,
+        clock_ns: 32_655_281,
+        messages: 37_292,
         published: (0, 0),
-        timestamps: (7_483, 3_262),
+        timestamps: (7_482, 3_263),
         stats: CacheStatsSnapshot {
             hits: 10_745,
             misses: 1_255,
