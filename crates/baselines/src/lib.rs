@@ -15,6 +15,7 @@
 //! every system is driven by the exact same replay harness as Ditto.
 
 pub mod cliquemap;
+mod lock;
 pub mod monolithic;
 pub mod shardlru;
 

@@ -16,9 +16,12 @@
 //! against the DM substrate (so contention, retries and message counts are
 //! genuine); the LRU order itself is tracked in a process-shared map, which
 //! keeps the implementation small without changing any quantity the figures
-//! measure (throughput, latency, messages, lock retries).
+//! measure (throughput, latency, messages, lock retries).  The lock is this
+//! crate's own (`lock.rs`), built on `ditto_dm`'s public verbs: Ditto takes
+//! no lock, so the substrate carries none.
 
-use ditto_dm::{DmClient, MemoryPool, RemoteAddr, RemoteLock};
+use crate::lock::RemoteLock;
+use ditto_dm::{DmClient, MemoryPool, RemoteAddr};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -159,6 +162,7 @@ pub struct LockedListCache {
     config: Arc<LockedListConfig>,
     shards: Arc<Vec<ShardShared>>,
     lock_retries: Arc<AtomicU64>,
+    lock_exhaustions: Arc<AtomicU64>,
 }
 
 impl LockedListCache {
@@ -186,6 +190,7 @@ impl LockedListCache {
             config: Arc::new(config),
             shards: Arc::new(shards),
             lock_retries: Arc::new(AtomicU64::new(0)),
+            lock_exhaustions: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -205,6 +210,12 @@ impl LockedListCache {
     /// Total failed lock acquisitions observed so far.
     pub fn lock_retries(&self) -> u64 {
         self.lock_retries.load(Ordering::Relaxed)
+    }
+
+    /// Lock acquisitions that spent their whole retry budget and gave up,
+    /// skipping the list update they guarded.
+    pub fn lock_exhaustions(&self) -> u64 {
+        self.lock_exhaustions.load(Ordering::Relaxed)
     }
 
     /// Total number of cached objects across shards.
@@ -259,6 +270,31 @@ impl LockedListClient {
         let _ = self.dm.read(region.add(16), 16);
         self.dm.write(region.add(16), &[0u8; 16]);
     }
+
+    /// Takes `shard`'s lock and updates its list under it: the
+    /// list-maintenance verbs, then `update` on the LRU state, then the
+    /// release.  An acquisition that exhausts its retry budget holds
+    /// nothing, so it sends no list verb, runs no `update` and returns
+    /// `false`.
+    fn update_list(
+        &self,
+        shard: &ShardShared,
+        lock: &RemoteLock,
+        update: impl FnOnce(&mut ShardState),
+    ) -> bool {
+        let acq = lock.acquire(&self.dm);
+        self.shared
+            .lock_retries
+            .fetch_add(acq.retries, Ordering::Relaxed);
+        let Some(token) = acq.token else {
+            self.shared.lock_exhaustions.fetch_add(1, Ordering::Relaxed);
+            return false;
+        };
+        self.list_maintenance_verbs(shard.list_region);
+        update(&mut shard.state.lock());
+        let _ = lock.release(&self.dm, token);
+        true
+    }
 }
 
 impl ditto_workloads::CacheBackend for LockedListClient {
@@ -272,13 +308,7 @@ impl ditto_workloads::CacheBackend for LockedListClient {
         if value.is_some() {
             let _ = self.dm.read(shard.list_region, 64);
             if let Some(lock) = &shard.lock {
-                let acq = lock.acquire(&self.dm);
-                self.shared
-                    .lock_retries
-                    .fetch_add(acq.retries, Ordering::Relaxed);
-                self.list_maintenance_verbs(shard.list_region);
-                shard.state.lock().touch(key);
-                let _ = lock.release(&self.dm, &acq);
+                self.update_list(shard, lock, |state| state.touch(key));
             }
         }
         self.dm.end_op();
@@ -293,22 +323,16 @@ impl ditto_workloads::CacheBackend for LockedListClient {
         self.dm
             .write(shard.list_region, &vec![0u8; value.len().clamp(64, 1024)]);
         let _ = self.dm.cas(shard.list_region.add(64), 0, 0);
-        if let Some(lock) = &shard.lock {
-            let acq = lock.acquire(&self.dm);
-            self.shared
-                .lock_retries
-                .fetch_add(acq.retries, Ordering::Relaxed);
-            self.list_maintenance_verbs(shard.list_region);
-            shard
-                .state
-                .lock()
-                .insert(self.shared.per_shard_capacity(), key, value);
-            let _ = lock.release(&self.dm, &acq);
-        } else {
-            shard
-                .state
-                .lock()
-                .insert(self.shared.per_shard_capacity(), key, value);
+        let capacity = self.shared.per_shard_capacity();
+        let insert = |state: &mut ShardState| state.insert(capacity, key, value);
+        // The WRITE and CAS above stored the value, so a Set whose lock
+        // gave up still keeps it; it only sends no list verb.
+        let listed = match &shard.lock {
+            Some(lock) => self.update_list(shard, lock, insert),
+            None => false,
+        };
+        if !listed {
+            insert(&mut shard.state.lock());
         }
         self.dm.end_op();
     }
@@ -441,6 +465,56 @@ mod tests {
         assert!(
             sharded < single,
             "sharding should reduce retries: {sharded} vs {single}"
+        );
+    }
+
+    #[test]
+    fn an_exhausted_lock_skips_the_list_update() {
+        let cache = build(LockedListConfig::kvc(100));
+        // Another client takes the shard's lock and holds it through the Set.
+        let holder = cache.pool().connect();
+        let lock = cache.shards[0].lock.unwrap();
+        let held = lock.acquire(&holder).token.unwrap();
+
+        let mut client = cache.client();
+        cache.pool().reset_stats();
+        client.set(b"k", b"v");
+        let node = cache.pool().stats().node_snapshots()[0];
+        // The object WRITE and the index CAS; no list WRITE, no release CAS.
+        assert_eq!((node.writes, node.cas), (1, 1));
+        // Every READ was a lock probe: no list READ.
+        assert_eq!(node.reads, cache.lock_retries());
+        assert_eq!(cache.lock_exhaustions(), 1);
+
+        // The Set still stored its value.
+        lock.release(&holder, held).unwrap();
+        assert_eq!(client.get(b"k").as_deref(), Some(&b"v"[..]));
+        assert_eq!(cache.lock_exhaustions(), 1);
+    }
+
+    #[test]
+    fn lock_waits_record_lock_spans() {
+        // `sharding_reduces_contention`'s four-client KVC interleave with
+        // every client's flight recorder armed.
+        let pool = MemoryPool::new(DmConfig::small().with_flight_recorder(1 << 16));
+        let cache = LockedListCache::new(pool, LockedListConfig::kvc(100_000));
+        let mut clients: Vec<_> = (0..4).map(|_| cache.client()).collect();
+        for i in 0..300u64 {
+            for (t, client) in clients.iter_mut().enumerate() {
+                client.set(format!("t{t}-{i}").as_bytes(), b"v");
+            }
+        }
+        assert_eq!(cache.pool().stats().obs().spans_dropped, 0);
+        let lock_spans: Vec<_> = clients
+            .iter()
+            .flat_map(|c| c.dm().flight_spans())
+            .filter(|s| s.phase == ditto_dm::Phase::Lock)
+            .collect();
+        assert!(cache.lock_retries() > 0, "the interleave contends");
+        assert_eq!(lock_spans.len(), 4 * 300, "one span per acquisition");
+        assert_eq!(
+            lock_spans.iter().map(|s| s.detail as u64).sum::<u64>(),
+            cache.lock_retries()
         );
     }
 

@@ -39,6 +39,12 @@
 //! misprediction waits for the larger READ and two polls); `last_ts` WRITEs
 //! 903 → 902; lease time granted 33 469 053 → 33 128 438 ns; and the
 //! `spec_reads_split` help line.
+//!
+//! Re-derived when the remote lock moved out of `ditto-dm` into the
+//! lock-based baselines: the twelve `ditto_lock_*` lines (HELP, TYPE and
+//! value of `acquire_attempts`, `acquisitions`, `wait_retries` and
+//! `exhaustions`, each 0) left the page, and the back-off help line now
+//! reads "slot-CAS back-off".
 
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::DmConfig;

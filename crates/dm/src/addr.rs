@@ -47,17 +47,6 @@ impl RemoteAddr {
         }
     }
 
-    /// The null address (node 0, offset 0), used as the "empty slot" marker.
-    pub const NULL: RemoteAddr = RemoteAddr {
-        mn_id: 0,
-        offset: 0,
-    };
-
-    /// Returns `true` if this is the null address.
-    pub fn is_null(&self) -> bool {
-        self.mn_id == 0 && self.offset == 0
-    }
-
     /// Packs the address into a `u64` (node id in the top 16 bits).
     pub fn pack(&self) -> u64 {
         ((self.mn_id as u64) << OFFSET_BITS) | (self.offset & (MAX_OFFSET - 1))
@@ -99,13 +88,6 @@ mod tests {
         assert_eq!(RemoteAddr::unpack(a.pack()), a);
         let b = RemoteAddr::new(0, 0);
         assert_eq!(RemoteAddr::unpack(b.pack()), b);
-    }
-
-    #[test]
-    fn null_detection() {
-        assert!(RemoteAddr::NULL.is_null());
-        assert!(!RemoteAddr::new(0, 64).is_null());
-        assert!(!RemoteAddr::new(1, 0).is_null());
     }
 
     #[test]

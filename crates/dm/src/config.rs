@@ -184,11 +184,6 @@ impl DmConfig {
             + verbs as u64 * Self::VERB_ISSUE_NS
             + max_transfer_ns
     }
-
-    /// Total memory capacity of the pool in bytes.
-    pub fn total_capacity(&self) -> u64 {
-        self.memory_node_capacity * self.num_memory_nodes as u64
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +209,6 @@ mod tests {
         assert_eq!(c.num_memory_nodes, 4);
         assert_eq!(c.mn_cpu_cores, 8);
         assert_eq!(c.mn_message_rate, 1_000);
-        assert_eq!(c.total_capacity(), 4096);
     }
 
     #[test]

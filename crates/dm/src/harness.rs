@@ -8,8 +8,9 @@
 //! throughput/latency figures of the evaluation are produced through this
 //! entry point so that Ditto and the baselines share the exact same
 //! measurement methodology.  Clients still contend: simulated time, not the
-//! OS scheduler, decides who waits (a lock released in a client's simulated
-//! future makes it back off, see [`crate::lock`]).
+//! OS scheduler, decides who waits (a baseline's lock released in a
+//! client's simulated future makes it back off, see `ditto_baselines`'
+//! `shardlru`).
 
 use crate::pool::MemoryPool;
 use crate::stats::RunReport;

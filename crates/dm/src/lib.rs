@@ -126,17 +126,14 @@
 //!   threads.
 //! * **Exact vs. racy counters.**  All [`PoolStats`] counters are atomics
 //!   and individually exact (nothing is lost), including the contention
-//!   group ([`PoolStats::contention`]: CAS retries, lock attempts vs.
-//!   acquisitions, back-off time), which survives
-//!   [`PoolStats::reset`].  *Cross-counter* consistency is racy: a
-//!   snapshot taken while clients run may see verb A but not its sibling
-//!   B.  [`PoolStats::reset`] under live clients is safe but attributes
+//!   group ([`PoolStats::contention`]: CAS retries and back-off time),
+//!   which survives [`PoolStats::reset`].  *Cross-counter* consistency is
+//!   racy: a snapshot taken while clients run may see verb A but not its
+//!   sibling B.  [`PoolStats::reset`] under live clients is safe but attributes
 //!   in-flight verbs to either interval; the clock high-water mark is
 //!   monotone and never zeroed, so a reset racing
 //!   [`PoolStats::publish_client_clock`] can never strand the interval
 //!   baseline ahead of later publishes.
-//! * [`RemoteLock`] acquisition is a bounded retry/back-off loop and
-//!   records every acquisition into the shared contention counters.
 //!
 //! # Failure model
 //!
@@ -173,13 +170,11 @@
 //! and the controller CPU time its handler reports; its reply lands in the
 //! caller's buffer and costs nothing on the wire.
 //!
-//! **No remote lock on the cache's paths.**  Clients coordinate through
-//! CASes on slot words alone, and stripe migration keeps its pumpers apart
-//! by claiming a stripe's forwarding marker in the in-process
-//! [`migration::StripeDirectory`].  [`RemoteLock`] — one `(locked, time)`
-//! word, no lease, no owner — serves the lock-based baselines; an
-//! acquisition that burns its whole retry budget returns the typed
-//! [`AcquireOutcome::Exhausted`] — never an unbounded spin.
+//! **No remote lock.**  Clients coordinate through CASes on slot words
+//! alone, and stripe migration keeps its pumpers apart by claiming a
+//! stripe's forwarding marker in the in-process
+//! [`migration::StripeDirectory`].  The lock-based baselines build their
+//! spin lock on the public verbs (`ditto_baselines`' `shardlru`).
 //!
 //! **Recovery invariants.**  Given a dead client's id, a surviving
 //! client's recovery pass (see `ditto_core`'s `recover_crashed_client`)
@@ -189,10 +184,10 @@
 //! to its node ([`MemoryNode::owned_segments`] /
 //! [`MemoryNode::range_granted`] expose the node-side registry recovery
 //! reconciles against).  A client that dies inside a stripe commit is not
-//! recovered (see [`migration`]).  All fault, retry, lock-exhaustion and
-//! recovery counters live in [`PoolStats::faults`] and survive
-//! [`PoolStats::reset`] — like the contention group, they describe the
-//! deployment's whole life, not a measurement interval.
+//! recovered (see [`migration`]).  All fault, retry and recovery counters
+//! live in [`PoolStats::faults`] and survive [`PoolStats::reset`] — like
+//! the contention group, they describe the deployment's whole life, not a
+//! measurement interval.
 //!
 //! # Observability
 //!
@@ -204,7 +199,7 @@
 //!   ([`FlightRecorder`], armed via
 //!   [`DmConfig::with_flight_recorder`]).  The verb layer records
 //!   doorbell posts, per-WQE flight windows, the wait of every synchronous
-//!   verb and RPC, CQ polls and lock acquisitions; `ditto_core` adds translate/decode/publish/evict/
+//!   verb and RPC, and CQ polls; `ditto_core` adds translate/decode/publish/evict/
 //!   relocate phases on top.  Recording reads the simulated clock but
 //!   never advances it, so an armed run produces the **same simulated
 //!   timeline** as a disarmed one; disarmed (the default) the entire cost
@@ -236,9 +231,9 @@
 //!   `obs_report` bin (in `ditto-bench`) runs it offline over an exported
 //!   Chrome trace.
 //! * **Structured event log** — rare, high-signal transitions (verb
-//!   faults, lock retry-budget exhaustions, migration stripe states,
-//!   resize-epoch bumps, crash-recovery phases) land in one bounded
-//!   pool-wide [`EventLog`] as typed [`EventKind`]s.  Always on; overflow
+//!   faults, migration stripe states, resize-epoch bumps, crash-recovery
+//!   phases) land in one bounded pool-wide [`EventLog`] as typed
+//!   [`EventKind`]s.  Always on; overflow
 //!   overwrites the oldest event and counts a drop in [`PoolStats`].  Test
 //!   harnesses wrap
 //!   assertions in [`obs::with_event_postmortem`] so a failure dumps the
@@ -274,7 +269,6 @@ pub mod error;
 pub mod fault;
 pub mod harness;
 pub mod histogram;
-pub mod lock;
 pub mod memnode;
 pub mod migration;
 pub mod obs;
@@ -293,7 +287,6 @@ pub use error::{DmError, DmResult};
 pub use fault::{FaultInjector, FaultPlan, NodeFailStop, SlowNic, VerbFate};
 pub use harness::run_clients;
 pub use histogram::LatencyHistogram;
-pub use lock::{AcquireOutcome, LockAcquisition, RemoteLock};
 pub use memnode::MemoryNode;
 pub use migration::{
     MigrationEngine, MigrationPlanner, MigrationState, MoveJob, StripeDirectory, RECONCILE_POISON,
@@ -320,5 +313,4 @@ const _: () = {
     assert_send_sync::<PoolStats>();
     assert_send_sync::<MigrationEngine>();
     assert_send_sync::<migration::StripeDirectory>();
-    assert_send_sync::<RemoteLock>();
 };

@@ -39,10 +39,6 @@ pub struct MemoryNode {
     decommissioned: AtomicBool,
 }
 
-/// Owner id recorded for segments allocated without a client identity
-/// (direct [`MemoryNode::alloc_segment`] calls).
-pub const NO_OWNER: u32 = u32::MAX;
-
 impl MemoryNode {
     /// Creates a node with `capacity` bytes of memory.
     pub fn new(id: u16, capacity: u64) -> Self {
@@ -215,15 +211,7 @@ impl MemoryNode {
 
     /// Allocates a segment of `size` bytes, serving from the returned
     /// ranges (best fit, splitting the remainder back) before bumping the
-    /// cursor for fresh memory.  The grant is registered as owned by
-    /// [`NO_OWNER`]; the `ALLOC` RPC path uses
-    /// [`MemoryNode::alloc_segment_for`] to record the requesting client.
-    pub fn alloc_segment(&self, size: u64) -> DmResult<u64> {
-        self.alloc_segment_for(size, NO_OWNER)
-    }
-
-    /// Allocates a segment of `size` bytes like
-    /// [`MemoryNode::alloc_segment`] and records `owner` (the requesting
+    /// cursor for fresh memory, and records `owner` (the requesting
     /// client's id) in the segment owner registry, so a crash-recovery
     /// pass can later find every grant a dead client held.
     pub fn alloc_segment_for(&self, size: u64, owner: u32) -> DmResult<u64> {
@@ -292,7 +280,7 @@ impl MemoryNode {
         false
     }
 
-    /// Returns a range previously handed out by [`MemoryNode::alloc_segment`]
+    /// Returns a range previously handed out by [`MemoryNode::alloc_segment_for`]
     /// (whole segments or any aligned sub-range of one), merging it with
     /// adjacent free neighbours.  Ranges released by different clients thus
     /// coalesce here even when neither client could merge them locally.
@@ -483,9 +471,9 @@ mod tests {
     #[test]
     fn segments_are_recycled() {
         let node = MemoryNode::new(0, 1 << 20);
-        let a = node.alloc_segment(4096).unwrap();
+        let a = node.alloc_segment_for(4096, 0).unwrap();
         node.free_segment(a, 4096);
-        let b = node.alloc_segment(4096).unwrap();
+        let b = node.alloc_segment_for(4096, 0).unwrap();
         assert_eq!(a, b, "freed segment should be reused");
     }
 
@@ -495,17 +483,17 @@ mod tests {
         // store merges them, and a full-segment request is served from the
         // merged range even though neither returned piece was big enough.
         let node = MemoryNode::new(0, 16 * 1024);
-        let seg = node.alloc_segment(4096).unwrap();
+        let seg = node.alloc_segment_for(4096, 0).unwrap();
         // Burn the rest of the node so only the returned ranges can serve.
-        while node.alloc_segment(4096).is_ok() {}
+        while node.alloc_segment_for(4096, 0).is_ok() {}
         node.free_segment(seg, 2048);
         node.free_segment(seg + 2048, 2048);
         assert_eq!(node.free_range_bytes(), 4096);
-        assert_eq!(node.alloc_segment(4096).unwrap(), seg);
+        assert_eq!(node.alloc_segment_for(4096, 0).unwrap(), seg);
         // And a big range splits down for a smaller request.
         node.free_segment(seg, 4096);
-        assert_eq!(node.alloc_segment(64).unwrap(), seg);
-        assert_eq!(node.alloc_segment(64).unwrap(), seg + 64);
+        assert_eq!(node.alloc_segment_for(64, 0).unwrap(), seg);
+        assert_eq!(node.alloc_segment_for(64, 0).unwrap(), seg + 64);
         assert_eq!(node.free_range_bytes(), 4096 - 128);
     }
 

@@ -13,7 +13,7 @@
 //!   disarmed one; disarmed, the hot-path cost is a single `Option`
 //!   discriminant check in [`crate::DmClient::record_span`].
 //! * [`EventLog`] — a bounded ring of rare [`Event`]s (fault injections,
-//!   lock exhaustions, migration state transitions, epoch bumps,
+//!   migration state transitions, epoch bumps,
 //!   crash-recovery phases) shared pool-wide, always on, with drop counters
 //!   when the ring overflows.  Both are one bounded [`Ring`].
 //! * [`chrome_trace_json`] — a Chrome-tracing / Perfetto JSON writer, so WQE
@@ -25,7 +25,6 @@
 //!   re-panics with the event-log tail appended, so a failing chaos seed
 //!   comes with its last-N-events post-mortem.
 
-use crate::addr::RemoteAddr;
 use crate::migration::MigrationState;
 use crate::pool::MemoryPool;
 use crate::stats::{CounterRow, PoolStats};
@@ -47,7 +46,9 @@ pub enum Phase {
     Decode,
     /// Publishing a slot (the CAS that makes a Set visible).
     Publish,
-    /// A remote-lock acquisition (first attempt to outcome).
+    /// A remote-lock acquisition (first attempt to outcome), recorded by a
+    /// lock-based baseline (`ditto_baselines`' `shardlru`).  Ditto itself
+    /// takes no lock and never records it.
     Lock,
     /// An eviction pass, from its first sample READ being issued to the
     /// victim's memory being freed.  An umbrella span: an eviction running
@@ -276,9 +277,6 @@ pub enum EventKind {
     /// The fault injector faulted a verb to `mn_id` (`timeout` distinguishes
     /// a retransmission timeout from an error completion).
     VerbFault { mn_id: u16, timeout: bool },
-    /// An acquisition at `addr` burned its whole retry budget and gave up
-    /// ([`crate::AcquireOutcome::Exhausted`]).
-    LockExhausted { addr: RemoteAddr },
     /// Stripe `stripe` entered migration state `state`.
     Migration { stripe: u64, state: MigrationState },
     /// The pool's resize epoch advanced to `epoch`.
@@ -318,9 +316,6 @@ impl fmt::Display for Event {
             EventKind::VerbFault { mn_id, timeout } => {
                 let what = if timeout { "timeout" } else { "failure" };
                 write!(f, "verb {what} on mn{mn_id}")
-            }
-            EventKind::LockExhausted { addr } => {
-                write!(f, "lock exhausted at mn{}+{:#x}", addr.mn_id, addr.offset)
             }
             EventKind::Migration { stripe, state } => {
                 write!(f, "stripe {stripe} -> {}", state.name())
@@ -861,13 +856,14 @@ mod tests {
         let e = Event {
             at_ns: 1_234,
             client_id: 7,
-            kind: EventKind::LockExhausted {
-                addr: RemoteAddr::new(2, 0x40),
+            kind: EventKind::VerbFault {
+                mn_id: 2,
+                timeout: true,
             },
         };
         let line = e.to_string();
         assert!(line.contains("client 7"), "{line}");
-        assert!(line.contains("lock exhausted at mn2+0x40"), "{line}");
+        assert!(line.contains("verb timeout on mn2"), "{line}");
         let pool_event = Event {
             at_ns: 5,
             client_id: POOL_EVENT_CLIENT,
@@ -1103,7 +1099,7 @@ mod tests {
         stats.record_op(5_000);
         stats.record_verb(0, crate::stats::VerbKind::Read, 64);
         stats.record_cas_retry(100);
-        stats.record_lock_exhaustion(2, 300);
+        stats.record_verb_failure(1);
         stats.record_span(false, false);
         let text = text_exposition(&stats);
         for needle in [
@@ -1116,7 +1112,7 @@ mod tests {
             "ditto_node_messages_total{node=\"0\"} 1",
             "ditto_node_messages_total{node=\"1\"} 0",
             "ditto_cas_retries_total 1",
-            "ditto_lock_exhaustions_total 1",
+            "ditto_verb_failures_total 1",
             "ditto_obs_spans_recorded_total 1",
             "ditto_obs_events_dropped_total 0",
         ] {

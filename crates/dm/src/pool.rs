@@ -31,8 +31,8 @@ struct PoolInner {
     stats: PoolStats,
     /// Runtime face of `config.fault`; inert when no plan is configured.
     fault: FaultInjector,
-    /// Pool-wide structured log of rare events (fault injections, lock
-    /// exhaustions, migration transitions, recovery phases); bounded ring, see
+    /// Pool-wide structured log of rare events (fault injections,
+    /// migration transitions, recovery phases); bounded ring, see
     /// [`crate::obs::EventLog`].
     events: Mutex<EventLog>,
 }

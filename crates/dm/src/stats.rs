@@ -21,7 +21,7 @@
 //! * An **`interval`** row is zeroed by [`PoolStats::reset`]: traffic of the
 //!   measurement interval (per-node verbs, posted rounds, migration copies).
 //! * A **`lifetime`** row is not: contention, faults and the observability
-//!   layer's own accounting are evidence — a lock stolen, a recorder that
+//!   layer's own accounting are evidence — a CAS lost, a recorder that
 //!   wrapped during warm-up — and must stay visible to the measured phase.
 //!   Per-interval figures of a lifetime group come from diffing two
 //!   snapshots with the snapshot's `delta`.
@@ -348,17 +348,9 @@ counter_table! {
     /// Slot-CAS attempts that observed an unexpected value and forced the
     /// issuing operation to retry.
     cas_retries: lifetime, counter "ditto_cas_retries_total" "Failed slot-CAS attempts that forced a retry (lifetime).";
-    /// [`crate::RemoteLock`] acquisition attempts (CAS issues against a lock
-    /// word, successful or not).
-    lock_acquire_attempts: lifetime, counter "ditto_lock_acquire_attempts_total" "Remote-lock acquisition attempts (lifetime).";
-    /// [`crate::RemoteLock`] acquisitions that eventually succeeded.
-    lock_acquisitions: lifetime, counter "ditto_lock_acquisitions_total" "Remote-lock acquisitions that succeeded (lifetime).";
-    /// Failed lock-acquisition attempts that waited and retried
-    /// (`lock_acquire_attempts - lock_acquisitions`).
-    lock_wait_retries: lifetime, counter "ditto_lock_wait_retries_total" "Failed lock attempts that backed off and retried (lifetime).";
-    /// Simulated nanoseconds clients spent backing off after failed CAS /
-    /// lock attempts.
-    backoff_ns: lifetime, counter "ditto_backoff_simulated_nanoseconds_total" "Simulated nanoseconds spent in CAS/lock back-off (lifetime).";
+    /// Simulated nanoseconds clients spent backing off after failed slot
+    /// CASes.
+    backoff_ns: lifetime, counter "ditto_backoff_simulated_nanoseconds_total" "Simulated nanoseconds spent in slot-CAS back-off (lifetime).";
 }
 
 counter_table! {
@@ -379,20 +371,10 @@ counter_table! {
     verb_retries: lifetime, counter "ditto_verb_retries_total" "Higher-layer retries of faulted verbs (lifetime).";
     /// Simulated nanoseconds spent backing off between verb retries.
     retry_backoff_ns: lifetime, counter "ditto_retry_backoff_simulated_nanoseconds_total" "Simulated nanoseconds spent backing off between verb retries (lifetime).";
-    /// Lock acquisitions that gave up after burning their whole retry
-    /// budget against a holder.
-    lock_exhaustions: lifetime, counter "ditto_lock_exhaustions_total" "Lock acquisitions that exhausted their retry budget (lifetime).";
     /// Orphaned objects swept by a crash-recovery pass.
     recovered_objects: lifetime, counter "ditto_recovered_objects_total" "Orphaned objects swept by crash recovery (lifetime).";
     /// Orphaned object bytes swept by a crash-recovery pass.
     recovered_bytes: lifetime, counter "ditto_recovered_bytes_total" "Orphaned object bytes swept by crash recovery (lifetime).";
-}
-
-impl FaultSnapshot {
-    /// Total faulted verbs (failures plus timeouts).
-    pub fn faulted_verbs(&self) -> u64 {
-        self.verb_failures + self.verb_timeouts
-    }
 }
 
 counter_table! {
@@ -579,44 +561,11 @@ impl PoolStats {
         m.migrated_object_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Snapshot of the live-resize traffic counters.
-    pub fn migration_traffic(&self) -> MigrationSnapshot {
-        self.migration.snapshot()
-    }
-
     /// Records one failed slot-CAS attempt that forces the issuing
     /// operation to retry, together with the simulated back-off it paid.
     pub fn record_cas_retry(&self, backoff_ns: u64) {
         let c = &self.contention;
         c.cas_retries.fetch_add(1, Ordering::Relaxed);
-        c.backoff_ns.fetch_add(backoff_ns, Ordering::Relaxed);
-    }
-
-    /// Records one completed [`crate::RemoteLock`] acquisition that needed
-    /// `wait_retries` failed attempts and `backoff_ns` of simulated back-off
-    /// before succeeding.
-    pub fn record_lock_acquisition(&self, wait_retries: u64, backoff_ns: u64) {
-        let c = &self.contention;
-        c.lock_acquire_attempts
-            .fetch_add(wait_retries + 1, Ordering::Relaxed);
-        c.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        c.lock_wait_retries
-            .fetch_add(wait_retries, Ordering::Relaxed);
-        c.backoff_ns.fetch_add(backoff_ns, Ordering::Relaxed);
-    }
-
-    /// Records one lock acquisition giving up with its retry budget spent:
-    /// the failed attempts and back-off still count toward the contention
-    /// group (each retry is an attempt that waited), preserving the
-    /// `attempts == acquisitions + wait_retries` identity without an
-    /// acquisition.
-    pub fn record_lock_exhaustion(&self, wait_retries: u64, backoff_ns: u64) {
-        let c = &self.contention;
-        self.faults.lock_exhaustions.fetch_add(1, Ordering::Relaxed);
-        c.lock_acquire_attempts
-            .fetch_add(wait_retries, Ordering::Relaxed);
-        c.lock_wait_retries
-            .fetch_add(wait_retries, Ordering::Relaxed);
         c.backoff_ns.fetch_add(backoff_ns, Ordering::Relaxed);
     }
 
@@ -1034,15 +983,10 @@ mod tests {
     fn contention_counters_survive_reset() {
         let stats = PoolStats::new(1);
         stats.record_cas_retry(200);
-        stats.record_cas_retry(200);
-        stats.record_lock_acquisition(3, 5_000);
-        stats.record_lock_acquisition(0, 0);
+        stats.record_cas_retry(5_000);
         let before = stats.contention();
         assert_eq!(before.cas_retries, 2);
-        assert_eq!(before.lock_acquire_attempts, 5);
-        assert_eq!(before.lock_acquisitions, 2);
-        assert_eq!(before.lock_wait_retries, 3);
-        assert_eq!(before.backoff_ns, 5_400);
+        assert_eq!(before.backoff_ns, 5_200);
         stats.reset();
         assert_eq!(
             stats.contention(),
@@ -1053,7 +997,6 @@ mod tests {
         let delta = stats.contention().delta(&before);
         assert_eq!(delta.cas_retries, 1);
         assert_eq!(delta.backoff_ns, 100);
-        assert_eq!(delta.lock_acquisitions, 0);
     }
 
     #[test]
@@ -1063,15 +1006,12 @@ mod tests {
         stats.record_verb_failure(1);
         stats.record_verb_timeout(1);
         stats.record_verb_retry(400);
-        stats.record_lock_exhaustion(4, 900);
         stats.record_recovered_object(128);
         let before = stats.faults();
         assert_eq!(before.verb_failures, 2);
         assert_eq!(before.verb_timeouts, 1);
-        assert_eq!(before.faulted_verbs(), 3);
         assert_eq!(before.verb_retries, 1);
         assert_eq!(before.retry_backoff_ns, 400);
-        assert_eq!(before.lock_exhaustions, 1);
         assert_eq!(before.recovered_objects, 1);
         assert_eq!(before.recovered_bytes, 128);
         assert_eq!(stats.verb_faults_on(0), 1);
@@ -1127,11 +1067,9 @@ mod tests {
         stats.record_migrated_object(128);
         stats.record_stripe_cutover();
         stats.record_cas_retry(200);
-        stats.record_lock_acquisition(3, 5_000);
         stats.record_verb_failure(0);
         stats.record_verb_timeout(1);
         stats.record_verb_retry(400);
-        stats.record_lock_exhaustion(4, 900);
         stats.record_recovered_object(128);
         stats.record_span(false, false);
         stats.record_span(true, false);
@@ -1160,7 +1098,7 @@ mod tests {
             migrated_object_bytes: 128,
             stripe_cutovers: 1,
         };
-        assert_eq!(stats.migration_traffic(), migration);
+        assert_eq!(stats.migration.snapshot(), migration);
         let obs = ObsSnapshot {
             spans_recorded: 3,
             spans_dropped: 2,

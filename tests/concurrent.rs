@@ -46,13 +46,6 @@ fn concurrent_sets_and_gets_linearize() {
             snap.misses > 0,
             "seed {round}: undersized cache never missed"
         );
-        // A Ditto cache takes no lock: slot words are CASed, and a stripe
-        // move is claimed by its forwarding marker.
-        let contention = cache.pool().stats().contention();
-        assert_eq!(
-            contention.lock_acquire_attempts, 0,
-            "seed {round}: a lock was taken"
-        );
     }
 }
 
