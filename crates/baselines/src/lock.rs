@@ -297,13 +297,22 @@ mod tests {
         let lock = RemoteLock::new(addr, 1_000);
         let hold = lock.acquire(&holder).token.unwrap();
 
+        // One probe of the held word, as a fresh client pays it.
+        let probe = pool.connect();
+        probe.try_read_u64(addr).unwrap();
+        let read_ns = probe.now_ns();
+
         let starved = pool.connect();
         let acq = lock.acquire(&starved);
         assert_eq!(acq.token, None);
         assert_eq!(acq.retries, MAX_RETRIES);
-        // A held lock costs eight back-offs per failed attempt; the last
-        // one gives up without waiting.
-        assert!(starved.now_ns() >= (MAX_RETRIES - 1) * 8 * 1_000);
+        // Every attempt is one probe and no CAS; a held lock costs eight
+        // back-offs per failed attempt, and the last one gives up without
+        // waiting.
+        assert_eq!(
+            starved.now_ns(),
+            MAX_RETRIES * read_ns + (MAX_RETRIES - 1) * 8 * 1_000
+        );
         assert_eq!(starved.read_u64(addr), hold, "holder keeps the lock");
 
         // The real holder's release still lands.
