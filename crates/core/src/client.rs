@@ -86,7 +86,7 @@ use crate::recovery::{CrashPoint, RecoveryReport};
 use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
 use crate::stats::CacheStats;
 use ditto_algorithms::{AccessContext, AccessKind, Metadata, EXT_WORDS};
-use ditto_dm::alloc::{AllocService, ClientAllocator};
+use ditto_dm::alloc::{self, AllocService};
 use ditto_dm::rpc::WEIGHT_SERVICE;
 use ditto_dm::wqe::MAX_WQES;
 use ditto_dm::{
@@ -216,10 +216,6 @@ pub struct DittoClient {
     /// client evicts and recycles locally instead of paying a doomed
     /// segment-`ALLOC` RPC per `Set`.
     mem_pressure: bool,
-    /// Blocks the allocation currently in flight needs; the adaptive hoard
-    /// cap keeps at least this much parked per node so an evicting client
-    /// does not hand the blocks it just freed straight back to the node.
-    pending_alloc_blocks: u64,
     /// This client's crash-recovery journal slot
     /// ([`DittoConfig::enable_crash_recovery_journal`]); `None` when the
     /// journal is disabled or the client id falls outside the region.
@@ -290,7 +286,6 @@ impl DittoClient {
             engine: cache.migration_arc(),
             mig_token: 0,
             mem_pressure: false,
-            pending_alloc_blocks: 0,
             journal: DittoCache::journal_slot(cache.journal_base(), dm.client_id()),
             journal_base: cache.journal_base(),
             crash_armed: None,
@@ -427,32 +422,7 @@ impl DittoClient {
     /// Canonical resident size of an object allocation (whole 64-byte
     /// blocks, matching both the allocator's and the slot's accounting).
     fn resident_bytes_for(size: usize) -> u64 {
-        ClientAllocator::blocks_for(size) * 64
-    }
-
-    /// Records an object allocation in the pool's per-node resident gauge.
-    fn note_object_alloc(&self, addr: RemoteAddr, size: usize) {
-        self.dm
-            .pool()
-            .stats()
-            .record_resident_alloc(addr.mn_id, Self::resident_bytes_for(size));
-    }
-
-    /// Frees an object's blocks and debits the resident gauge of the node
-    /// they lived on — the counter whose drained-node entry reaching zero
-    /// allows `MemoryPool::remove_node`.
-    fn free_object(&mut self, addr: RemoteAddr, size: usize) {
-        self.dm
-            .pool()
-            .stats()
-            .record_resident_free(addr.mn_id, Self::resident_bytes_for(size));
-        self.alloc.free(addr, size);
-        // Cap the local hoard: blocks parked on this client's free ranges
-        // are invisible to every other client, and with many clients on a
-        // full pool a net evictor can strand a large share of the memory.
-        // Excess goes back to the node, which re-serves it to anyone.
-        self.alloc
-            .release_excess_adaptive(&self.dm, self.pending_alloc_blocks);
+        alloc::blocks_for(size) * alloc::BLOCK_SIZE
     }
 
     /// Flushes buffered state — every frequency-counter increment the FC
@@ -1403,7 +1373,7 @@ impl DittoClient {
             Err(e) => {
                 // The 48-bit slot pointer cannot name this address; release
                 // the memory and surface the typed error.
-                self.free_object(obj_addr, encoded.len());
+                self.alloc.free(&self.dm, obj_addr, encoded.len());
                 return Err(e);
             }
         };
@@ -1627,7 +1597,8 @@ impl DittoClient {
                     self.hints.forget(hash);
                     self.bump_board(hash);
                     self.discard_accesses(slot_addr);
-                    self.free_object(
+                    self.alloc.free(
+                        &self.dm,
                         slot.atomic.object_addr(),
                         slot.atomic.object_bytes() as usize,
                     );
@@ -1639,7 +1610,7 @@ impl DittoClient {
         if !stored {
             self.stats.record_set_dropped();
             // Release the dropped request's object so nothing leaks.
-            self.free_object(obj_addr, encoded.len());
+            self.alloc.free(&self.dm, obj_addr, encoded.len());
         }
         // One bump covers every mutation shape this Set may have performed
         // on its own key's slot — replace, fresh install, bucket
@@ -1664,7 +1635,6 @@ impl DittoClient {
     /// found after [`MAX_EVICTION_ATTEMPTS`] attempts.
     fn alloc_with_eviction(&mut self, preferred: u16, size: usize) -> CacheResult<RemoteAddr> {
         let min_blocks = (size as u64).div_ceil(64).min(u8::MAX as u64) as u8;
-        self.pending_alloc_blocks = min_blocks as u64;
         let mut evictions_won = 0u64;
         for attempt in 0..MAX_EVICTION_ATTEMPTS {
             // Under memory pressure a segment RPC is doomed: serve from the
@@ -1673,8 +1643,7 @@ impl DittoClient {
             // probes the memory nodes in case capacity reappeared
             // (e.g. after another client released segments).
             if self.mem_pressure && attempt % 8 != 7 {
-                if let Some(addr) = self.alloc.alloc_local_on(preferred, size) {
-                    self.note_object_alloc(addr, size);
+                if let Some(addr) = self.alloc.alloc_local_on(&self.dm, preferred, size) {
                     return Ok(addr);
                 }
                 if self.evict_once_for(min_blocks) {
@@ -1697,10 +1666,7 @@ impl DittoClient {
                 continue;
             }
             match self.alloc.alloc_on(&self.dm, preferred, size) {
-                Ok(addr) => {
-                    self.note_object_alloc(addr, size);
-                    return Ok(addr);
-                }
+                Ok(addr) => return Ok(addr),
                 Err(DmError::OutOfMemory { .. }) => {
                     self.mem_pressure = true;
                     if self.evict_once_for(min_blocks) {
@@ -1730,17 +1696,14 @@ impl DittoClient {
     /// from many clients coalesce there into spans no single client could
     /// assemble — and ask once more.
     fn backstop_alloc(&mut self, preferred: u16, size: usize) -> Option<RemoteAddr> {
-        let addr = self
-            .alloc
+        self.alloc
             .alloc_exact_on(&self.dm, preferred, size)
             .or_else(|| {
                 if self.alloc.release_excess(&self.dm, 0) == 0 {
                     return None;
                 }
                 self.alloc.alloc_exact_on(&self.dm, preferred, size)
-            })?;
-        self.note_object_alloc(addr, size);
-        Some(addr)
+            })
     }
 
     // ------------------------------------------------------------------
@@ -1914,7 +1877,7 @@ impl DittoClient {
             match AtomicField::try_for_object(slot.atomic.fp, slot.atomic.size_class, new_addr) {
                 Ok(atomic) => atomic,
                 Err(_) => {
-                    self.free_object(new_addr, len);
+                    self.alloc.free(&self.dm, new_addr, len);
                     return false;
                 }
             };
@@ -1925,12 +1888,12 @@ impl DittoClient {
         {
             // Could not land the object copy; back out and leave the
             // original in place for a later pump.
-            self.free_object(new_addr, len);
+            self.alloc.free(&self.dm, new_addr, len);
             return false;
         }
         if !self.slot_cas(slot_addr, slot.atomic.encode(), new_atomic.encode()) {
             // The slot changed under us (eviction/update raced); back out.
-            self.free_object(new_addr, len);
+            self.alloc.free(&self.dm, new_addr, len);
             return false;
         }
         // No coherence-board bump: the key→value mapping is unchanged, so a
@@ -1938,7 +1901,7 @@ impl DittoClient {
         // later lease revalidation conservatively treats as stale — a
         // refetch, never a wrong value.  The hint follows the word.
         self.hint_cas_won(slot.hash, slot_addr, new_atomic.encode());
-        self.free_object(old_addr, len);
+        self.alloc.free(&self.dm, old_addr, len);
         self.dm
             .pool()
             .stats()
@@ -1956,18 +1919,12 @@ impl DittoClient {
     /// pump.
     fn alloc_for_relocation(&mut self, home: u16, from: u16, len: usize) -> Option<RemoteAddr> {
         let min_blocks = (len as u64).div_ceil(64).min(u8::MAX as u64) as u8;
-        self.pending_alloc_blocks = min_blocks as u64;
         if self.topology.is_active(from) {
-            let addr = self.alloc.alloc_at(&self.dm, home, len).ok()?;
-            self.note_object_alloc(addr, len);
-            return Some(addr);
+            return self.alloc.alloc_at(&self.dm, home, len).ok();
         }
         for _ in 0..64 {
             match self.alloc.alloc_on(&self.dm, home, len) {
-                Ok(addr) => {
-                    self.note_object_alloc(addr, len);
-                    return Some(addr);
-                }
+                Ok(addr) => return Some(addr),
                 Err(DmError::OutOfMemory { .. }) => {
                     if self.evict_once_for(min_blocks) {
                         continue;

@@ -576,7 +576,7 @@ impl DittoClient {
                 let now = self.dm.now_ns();
                 self.policy.notify_evict(&pick.scored, pick.bitmap, now);
                 let (addr, bytes) = (victim.atomic.object_addr(), victim.atomic.object_bytes());
-                self.free_object(addr, bytes as usize);
+                self.alloc.free(&self.dm, addr, bytes as usize);
                 self.stats.record_eviction(pick.chosen);
             }
         }

@@ -82,7 +82,7 @@
 //! block a slot named bumps the key first: an eviction and the failed-update
 //! sweep (bump before free), and a replace, which bumps once its CAS has won
 //! and before it frees, since the free may hand the blocks back to the node
-//! for any client to take ([`DittoClient::free_object`]).  So a block that
+//! for any client to take ([`ditto_dm::StripedAllocator::free`]).  So a block that
 //! came back moved the epoch before the slot READ, and the re-check refuses
 //! what the early READ saw.  A relocation frees without a bump, but it
 //! moves no value: its block held the key's current value, and comes back

@@ -184,7 +184,8 @@ impl DittoClient {
         // its slot READ must see them come back only under a moved epoch
         // (see [`super::lookup`]).
         self.bump_board(hash);
-        self.free_object(old.object_addr(), old.object_bytes() as usize);
+        self.alloc
+            .free(&self.dm, old.object_addr(), old.object_bytes() as usize);
     }
 
     /// The front doors: a `Set`'s first `round`, planned one round trip with

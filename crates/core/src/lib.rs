@@ -266,7 +266,7 @@
 //! the victim half.
 //!
 //! **Crashes.**  The sampling eviction has never been journalled: a client
-//! that dies between its victim CAS landing and the `free_object` after it
+//! that dies between its victim CAS landing and the free after it
 //! leaks the victim's blocks — for good if they lie in a live client's
 //! segment, until [`DittoClient::recover_crashed_client`] sweeps its segments
 //! otherwise — and leaves the resident gauge that much too high.  What must

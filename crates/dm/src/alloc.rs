@@ -1,11 +1,18 @@
-//! Two-level memory management (FUSEE-style) used by Ditto.
+//! Two-level memory management (FUSEE-style) used by Ditto, written once.
 //!
 //! The memory-node controller hands out coarse *segments* through the
-//! `ALLOC`/`FREE` RPC interface; clients carve fixed 64-byte blocks out of
-//! their current segment and recycle freed blocks locally.  After the cache
-//! warms up, evictions keep refilling the local free lists, so steady-state
-//! `Set` operations allocate without any extra round trip — matching the
-//! paper's assumption that memory management stays off the data path.
+//! `ALLOC`/`FREE` RPC interface ([`AllocService`]); each cache client's
+//! [`StripedAllocator`] carves fixed 64-byte blocks out of its current
+//! segment per node and recycles freed blocks locally.  After the cache
+//! warms up, evictions keep refilling the local free ranges, so
+//! steady-state `Set` operations allocate without any extra round trip —
+//! matching the paper's assumption that memory management stays off the
+//! data path.
+//!
+//! Both levels keep free space in one coalescing best-fit store,
+//! `FreeRanges`: the node's ranges returned by `FREE`, and each client's
+//! parked blocks per node.  The client allocator also books every grant
+//! and free in the pool's resident gauge and caps its own hoard.
 
 use crate::addr::RemoteAddr;
 use crate::client::DmClient;
@@ -13,13 +20,12 @@ use crate::error::{DmError, DmResult};
 use crate::memnode::MemoryNode;
 use crate::rpc::{wire, RpcHandler, ALLOC_SERVICE};
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Granularity of client-side block allocation, matching the 64-byte memory
 /// blocks of the sample-friendly hash table's `size` field.
 pub const BLOCK_SIZE: u64 = 64;
-
-/// Default size of a segment requested from the memory node.
-pub const DEFAULT_SEGMENT_SIZE: u64 = 1 << 20;
 
 /// Opcode for segment allocation.
 const OP_ALLOC: u8 = 0;
@@ -152,8 +158,9 @@ impl RpcHandler for AllocService {
             Some(&OP_FREE) => {
                 let offset = wire::get_u64(request, 1).ok_or_else(|| short("FREE"))?;
                 let size = wire::get_u64(request, 9).ok_or_else(|| short("FREE"))?;
-                wire::reply(reply, 1)?[0] = STATUS_OK;
-                node.free_segment(offset, size);
+                let reply = wire::reply(reply, 1)?;
+                node.free_segment(offset, size)?;
+                reply[0] = STATUS_OK;
                 Ok((1, ALLOC_CPU_NS))
             }
             Some(other) => Err(DmError::RpcFailed {
@@ -166,217 +173,147 @@ impl RpcHandler for AllocService {
     }
 }
 
-/// Client-side block allocator (the second level of the scheme).
+/// Rounds `size` up to a whole number of blocks (at least one).
+pub fn blocks_for(size: usize) -> u64 {
+    ((size as u64).max(1)).div_ceil(BLOCK_SIZE)
+}
+
+/// A coalescing set of free ranges (start offset → length in bytes) with a
+/// running total: a memory node's store of `FREE`d ranges, and a client's
+/// parked blocks on one node.
 ///
-/// One instance is owned by each cache client.  Freed blocks are recycled
-/// locally; new segments are fetched with an `ALLOC` RPC only when the local
-/// free ranges and the current segment are exhausted.
-///
-/// Freed space is kept as *coalescing ranges* (offset → block count,
-/// adjacent ranges merged) rather than exact-size lists.  With many clients
-/// sharing a full pool this matters: eviction victims are picked by cache
-/// priority, not size, so a client recycling small victims must be able to
-/// merge and split them — exact-size lists starve large allocations while
-/// plenty of free blocks sit fragmented.
-pub struct ClientAllocator {
-    mn_id: u16,
-    segment_size: u64,
-    current_offset: u64,
-    current_remaining: u64,
-    /// Free ranges: start offset → length in blocks (adjacent ranges merged).
-    free_ranges: BTreeMap<u64, u64>,
-    allocated_blocks: u64,
+/// Freed space is kept as ranges, adjacent ones merged, rather than as
+/// exact-size lists.  With many clients sharing a full pool this matters:
+/// eviction victims are picked by cache priority, not size, so recycled
+/// fragments must merge and split — exact-size lists starve large asks
+/// while plenty of free space sits fragmented.
+#[derive(Default)]
+pub(crate) struct FreeRanges {
+    ranges: BTreeMap<u64, u64>,
+    total: u64,
+}
+
+impl FreeRanges {
+    /// Total free bytes.
+    pub(crate) fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Whether some range holds `len` bytes.
+    pub(crate) fn fits(&self, len: u64) -> bool {
+        self.ranges.values().any(|&free| free >= len)
+    }
+
+    /// Takes `len` bytes best fit: from the front of the smallest range
+    /// that holds them (the lowest offset among equals), the rest of the
+    /// range staying free.
+    pub(crate) fn take(&mut self, len: u64) -> Option<u64> {
+        let (offset, free) = self
+            .ranges
+            .iter()
+            .filter(|&(_, &free)| free >= len)
+            .min_by_key(|&(_, &free)| free)
+            .map(|(&offset, &free)| (offset, free))?;
+        self.ranges.remove(&offset);
+        if free > len {
+            self.ranges.insert(offset + len, free - len);
+        }
+        self.total -= len;
+        Some(offset)
+    }
+
+    /// Takes the largest range whole (the highest offset among equals).
+    pub(crate) fn pop_largest(&mut self) -> Option<(u64, u64)> {
+        let (offset, len) = self
+            .ranges
+            .iter()
+            .max_by_key(|&(_, &len)| len)
+            .map(|(&offset, &len)| (offset, len))?;
+        self.ranges.remove(&offset);
+        self.total -= len;
+        Some((offset, len))
+    }
+
+    /// Frees `[offset, offset + len)`, merging it with adjacent free
+    /// ranges.  Refuses a range that overlaps a free one — a double free —
+    /// and returns `false`, changing nothing.
+    #[must_use]
+    pub(crate) fn insert(&mut self, offset: u64, len: u64) -> bool {
+        let end = offset + len;
+        // The last range starting before `end` overlaps the freed range
+        // exactly when some range does (ranges are sorted and disjoint).
+        let before = self.ranges.range(..end).next_back();
+        let before = before.map(|(&start, &len)| (start, len));
+        if before.is_some_and(|(start, len)| start + len > offset) {
+            return false;
+        }
+        let merged = len + self.ranges.remove(&end).unwrap_or(0);
+        let (start, merged) = match before {
+            Some((start, prev)) if start + prev == offset => (start, prev + merged),
+            _ => (offset, merged),
+        };
+        self.ranges.insert(start, merged);
+        self.total += len;
+        true
+    }
+}
+
+/// The fallback order over `active`: `preferred` first (when active), then
+/// the other active nodes in order.
+fn fallback(active: &[u16], preferred: u16) -> impl Iterator<Item = u16> + '_ {
+    let first = active.contains(&preferred).then_some(preferred);
+    first
+        .into_iter()
+        .chain(active.iter().copied().filter(move |&mn| mn != preferred))
+}
+
+/// One memory node's share of a client's blocks.
+#[derive(Default)]
+struct NodeBlocks {
+    /// The open segment's uncarved rest.
+    segment: Range<u64>,
+    /// Freed blocks parked for reuse.
+    parked: FreeRanges,
+    /// Blocks handed out and not yet freed.
+    live_blocks: u64,
     segments_fetched: u64,
 }
 
-impl ClientAllocator {
-    /// Creates an allocator that requests segments from memory node `mn_id`.
-    pub fn new(mn_id: u16) -> Self {
-        Self::with_segment_size(mn_id, DEFAULT_SEGMENT_SIZE)
+impl NodeBlocks {
+    fn carve_segment(&mut self, bytes: u64) -> Option<u64> {
+        let offset = self.segment.start;
+        (self.segment.end - offset >= bytes).then(|| {
+            self.segment.start += bytes;
+            offset
+        })
     }
 
-    /// Creates an allocator with a custom segment size.
-    pub fn with_segment_size(mn_id: u16, segment_size: u64) -> Self {
-        ClientAllocator {
-            mn_id,
-            segment_size: segment_size.max(BLOCK_SIZE),
-            current_offset: 0,
-            current_remaining: 0,
-            free_ranges: BTreeMap::new(),
-            allocated_blocks: 0,
-            segments_fetched: 0,
-        }
-    }
-
-    /// Rounds `size` up to a whole number of blocks.
-    pub fn blocks_for(size: usize) -> u64 {
-        ((size as u64).max(1)).div_ceil(BLOCK_SIZE)
-    }
-
-    /// Number of segments fetched from the memory node so far.
-    pub fn segments_fetched(&self) -> u64 {
-        self.segments_fetched
-    }
-
-    /// Number of blocks currently handed out (allocated minus freed).
-    pub fn live_blocks(&self) -> u64 {
-        self.allocated_blocks
-    }
-
-    /// Number of blocks parked on the local free ranges.
-    pub fn free_blocks(&self) -> u64 {
-        self.free_ranges.values().sum()
-    }
-
-    /// Allocates space for `size` bytes.
-    ///
-    /// Returns [`DmError::OutOfMemory`] when the memory node cannot provide a
-    /// new segment; the caller is expected to evict and retry.
-    pub fn alloc(&mut self, client: &DmClient, size: usize) -> DmResult<RemoteAddr> {
-        let blocks = Self::blocks_for(size);
-        let bytes = blocks * BLOCK_SIZE;
-        if bytes > self.segment_size {
-            return Err(DmError::AllocationTooLarge {
-                requested: bytes,
-                max: self.segment_size,
-            });
-        }
-        if let Some(addr) = self.alloc_local(size) {
-            return Ok(addr);
-        }
-        self.fetch_segment(client)?;
-        let offset = self.current_offset;
-        self.current_offset += bytes;
-        self.current_remaining -= bytes;
-        self.allocated_blocks += blocks;
-        Ok(RemoteAddr::new(self.mn_id, offset))
-    }
-
-    /// Allocates from the local free ranges or the current segment only,
-    /// without ever talking to the memory node.
-    ///
-    /// Returns `None` when local resources cannot serve the request.  The
-    /// cache client uses this under memory pressure: once the pool is full a
-    /// segment `ALLOC` RPC is doomed to fail, so recycling via eviction
-    /// first keeps the doomed RPC (and its round trip) off the data path.
-    pub fn alloc_local(&mut self, size: usize) -> Option<RemoteAddr> {
-        let blocks = Self::blocks_for(size);
-        let bytes = blocks * BLOCK_SIZE;
-        if bytes > self.segment_size {
-            return None;
-        }
-        // Best-fit over the free ranges: the smallest range that holds the
-        // request.  An exact fit avoids a split; otherwise the remainder
-        // stays free (and re-merges with later frees).
-        let best = self
-            .free_ranges
-            .iter()
-            .filter(|&(_, &len)| len >= blocks)
-            .min_by_key(|&(_, &len)| len)
-            .map(|(&off, &len)| (off, len));
-        if let Some((off, len)) = best {
-            self.free_ranges.remove(&off);
-            if len > blocks {
-                self.free_ranges.insert(off + bytes, len - blocks);
-            }
-            self.allocated_blocks += blocks;
-            return Some(RemoteAddr::new(self.mn_id, off));
-        }
-        if self.current_remaining >= bytes {
-            let offset = self.current_offset;
-            self.current_offset += bytes;
-            self.current_remaining -= bytes;
-            self.allocated_blocks += blocks;
-            return Some(RemoteAddr::new(self.mn_id, offset));
-        }
-        None
-    }
-
-    /// Whether [`ClientAllocator::alloc_local`] would serve `size` bytes
-    /// right now (a probe: nothing is handed out).
-    pub fn can_alloc_local(&self, size: usize) -> bool {
-        let blocks = Self::blocks_for(size);
-        let bytes = blocks * BLOCK_SIZE;
-        bytes <= self.segment_size
-            && (self.current_remaining >= bytes
-                || self.free_ranges.values().any(|&len| len >= blocks))
-    }
-
-    /// Returns a previously allocated range to the local free ranges,
-    /// merging with adjacent free neighbours so recycled fragments grow
-    /// back into spans that can serve any size class.
-    pub fn free(&mut self, addr: RemoteAddr, size: usize) {
-        let freed = Self::blocks_for(size);
-        let mut offset = addr.offset;
-        let mut blocks = freed;
-        // Merge with the successor range, if adjacent.
-        if let Some(&next_len) = self.free_ranges.get(&(offset + blocks * BLOCK_SIZE)) {
-            self.free_ranges.remove(&(offset + blocks * BLOCK_SIZE));
-            blocks += next_len;
-        }
-        // Merge with the predecessor range, if adjacent.
-        if let Some((&prev_off, &prev_len)) = self.free_ranges.range(..offset).next_back() {
-            if prev_off + prev_len * BLOCK_SIZE == offset {
-                self.free_ranges.remove(&prev_off);
-                offset = prev_off;
-                blocks += prev_len;
-            }
-        }
-        self.free_ranges.insert(offset, blocks);
-        self.allocated_blocks = self.allocated_blocks.saturating_sub(freed);
-    }
-
-    /// Allocates exactly `size` bytes (rounded up to blocks) straight from
-    /// the memory node, bypassing the local segment.
-    ///
-    /// This is the memory-pressure backstop: once the pool is full, a whole
-    /// segment ask is doomed even though ranges released by *other* clients
-    /// sit on the node's free store — the node serves those back out
-    /// best-fit at any size.  One RPC per call, so the cache client only
-    /// reaches for this after local recycling has failed.
-    pub fn alloc_exact(&mut self, client: &DmClient, size: usize) -> DmResult<RemoteAddr> {
-        let blocks = Self::blocks_for(size);
-        let offset = AllocService::alloc(client, self.mn_id, blocks * BLOCK_SIZE)?;
-        self.allocated_blocks += blocks;
-        Ok(RemoteAddr::new(self.mn_id, offset))
-    }
-
-    /// Releases local free ranges back to the memory node (largest first)
-    /// until at most `keep_blocks` blocks stay parked.  Returns the number
-    /// of blocks released.
-    ///
-    /// With many clients sharing one full pool this is what keeps eviction
-    /// churn globally usable: ranges hoarded on one client's free list are
-    /// invisible to every other client, but once returned, the node merges
-    /// them across clients and serves them back out to whoever asks.
-    pub fn release_excess(&mut self, client: &DmClient, keep_blocks: u64) -> u64 {
-        let mut released = 0;
-        while self.free_blocks() > keep_blocks {
-            let Some((&off, &len)) = self.free_ranges.iter().max_by_key(|&(_, &len)| len) else {
-                break;
-            };
-            self.free_ranges.remove(&off);
-            if AllocService::free(client, self.mn_id, off, len * BLOCK_SIZE).is_err() {
-                // Node unreachable (e.g. decommissioned): park the range
-                // again and stop — nothing else will get through either.
-                self.free_ranges.insert(off, len);
-                break;
-            }
-            released += len;
-        }
-        released
-    }
-
-    fn fetch_segment(&mut self, client: &DmClient) -> DmResult<()> {
-        self.current_offset = AllocService::alloc(client, self.mn_id, self.segment_size)?;
-        self.current_remaining = self.segment_size;
+    /// Installs a freshly granted segment as the open one.
+    fn open_segment(&mut self, segment: Range<u64>) {
+        self.segment = segment;
         self.segments_fetched += 1;
-        Ok(())
+    }
+
+    /// Parks a freed range; one overlapping a parked range is a double free
+    /// inside this client, a bug.
+    fn park(&mut self, offset: u64, len: u64) {
+        assert!(
+            self.parked.insert(offset, len),
+            "[{offset:#x}, +{len}) freed while already parked"
+        );
     }
 }
 
-/// A topology-aware client allocator: one [`ClientAllocator`] per memory
-/// node, with a *preferred* (stripe-local) node per allocation.
+/// The client side of the two-level scheme: a cache client's block
+/// allocator over every memory node, with a *preferred* (stripe-local)
+/// node per allocation.
+///
+/// Per node it carves 64-byte blocks out of one open segment, fetched with
+/// an `ALLOC` RPC only when the parked ranges and the open segment cannot
+/// serve an ask, and parks freed blocks for reuse.  Every grant and every
+/// free is booked in the pool's per-node resident gauge
+/// ([`crate::PoolStats::resident_bytes_on`]), whose drained-node entry
+/// reaching zero allows [`crate::MemoryPool::remove_node`].
 ///
 /// The cache passes the node that owns an object's hash-table bucket as the
 /// preference, so an object's slot and value land on the same memory node
@@ -389,221 +326,264 @@ impl ClientAllocator {
 /// capacity.
 ///
 /// `free` routes by the address's node id, so blocks recycled from
-/// evictions return to the allocator of the node they live on.  Blocks on
-/// *drained* nodes are accepted back but never handed out again: draining
-/// stops all new placements, so eviction churn progressively empties the
-/// node until it can be removed.
+/// evictions return to the node they live on.  Blocks on *drained* nodes
+/// are accepted back but never handed out again: draining stops all new
+/// placements, so eviction churn progressively empties the node until it
+/// can be removed.
 pub struct StripedAllocator {
-    /// Per-node allocators, indexed by `mn_id` (created lazily).
-    per_node: Vec<Option<ClientAllocator>>,
+    /// Per-node state, indexed by `mn_id` (grown on first use).
+    per_node: Vec<NodeBlocks>,
     /// Active node ids in fallback order (refreshed on resize epochs).
-    active: Vec<u16>,
+    active: Arc<[u16]>,
     segment_size: u64,
+    /// Blocks of the latest ask, the hoard cap's floor (see
+    /// [`StripedAllocator::free`]).
+    latest_ask: u64,
 }
 
 impl StripedAllocator {
-    /// Creates an allocator over the given active nodes.
+    /// Creates an allocator over the given active nodes that fetches
+    /// segments of `segment_size` bytes.
     pub fn new(active: &[u16], segment_size: u64) -> Self {
-        let mut this = StripedAllocator {
+        StripedAllocator {
             per_node: Vec::new(),
-            active: Vec::new(),
-            segment_size,
-        };
-        this.set_active(active);
-        this
+            active: active.into(),
+            segment_size: segment_size.max(BLOCK_SIZE),
+            latest_ask: 0,
+        }
     }
 
     /// Replaces the active-node set (called when the client observes a new
-    /// resize epoch).  Allocators for nodes that left stay alive so their
-    /// free lists keep recycling resident blocks.
+    /// resize epoch).  Blocks on nodes that left stay parked, so frees keep
+    /// recycling resident blocks there.
     pub fn set_active(&mut self, active: &[u16]) {
-        self.active.clear();
-        self.active.extend_from_slice(active);
-        for &mn in active {
-            self.ensure_node(mn);
-        }
+        self.active = active.into();
     }
 
-    fn ensure_node(&mut self, mn_id: u16) {
+    fn node_mut(&mut self, mn_id: u16) -> &mut NodeBlocks {
         let idx = mn_id as usize;
         if self.per_node.len() <= idx {
-            self.per_node.resize_with(idx + 1, || None);
+            self.per_node.resize_with(idx + 1, NodeBlocks::default);
         }
-        if self.per_node[idx].is_none() {
-            self.per_node[idx] = Some(ClientAllocator::with_segment_size(mn_id, self.segment_size));
-        }
+        &mut self.per_node[idx]
     }
 
-    fn node_mut(&mut self, mn_id: u16) -> &mut ClientAllocator {
-        self.ensure_node(mn_id);
-        self.per_node[mn_id as usize].as_mut().expect("ensured")
+    /// Notes an ask of `size` bytes as the latest; returns its blocks.
+    fn ask(&mut self, size: usize) -> u64 {
+        self.latest_ask = blocks_for(size);
+        self.latest_ask
+    }
+
+    /// Hands out `blocks` at `offset` on `mn_id`: live here, resident in
+    /// the pool's gauge.
+    fn grant(&mut self, client: &DmClient, mn_id: u16, offset: u64, blocks: u64) -> RemoteAddr {
+        self.node_mut(mn_id).live_blocks += blocks;
+        client
+            .pool()
+            .stats()
+            .record_resident_alloc(mn_id, blocks * BLOCK_SIZE);
+        RemoteAddr::new(mn_id, offset)
+    }
+
+    /// `blocks` from `mn_id`'s parked ranges (best fit) or else its open
+    /// segment, without an RPC.
+    fn local_at(&mut self, client: &DmClient, mn_id: u16, blocks: u64) -> Option<RemoteAddr> {
+        let bytes = blocks * BLOCK_SIZE;
+        if bytes > self.segment_size {
+            return None;
+        }
+        let node = self.node_mut(mn_id);
+        let offset = node
+            .parked
+            .take(bytes)
+            .or_else(|| node.carve_segment(bytes))?;
+        Some(self.grant(client, mn_id, offset, blocks))
+    }
+
+    /// `blocks` on `mn_id`: local resources first, then a segment `ALLOC`.
+    fn blocks_at(&mut self, client: &DmClient, mn_id: u16, blocks: u64) -> DmResult<RemoteAddr> {
+        let bytes = blocks * BLOCK_SIZE;
+        if bytes > self.segment_size {
+            return Err(DmError::AllocationTooLarge {
+                requested: bytes,
+                max: self.segment_size,
+            });
+        }
+        if let Some(addr) = self.local_at(client, mn_id, blocks) {
+            return Ok(addr);
+        }
+        let segment_size = self.segment_size;
+        let segment = AllocService::alloc(client, mn_id, segment_size)?;
+        let node = self.node_mut(mn_id);
+        node.open_segment(segment..segment + segment_size);
+        let offset = node
+            .carve_segment(bytes)
+            .expect("a fresh segment holds any ask within the segment size");
+        Ok(self.grant(client, mn_id, offset, blocks))
     }
 
     /// Allocates `size` bytes, preferring `preferred` and falling back to
-    /// the other active nodes; local resources (free lists, open segments)
-    /// are tried everywhere before any segment RPC is paid.
+    /// the other active nodes; per node, local resources (parked ranges,
+    /// the open segment) come before a segment RPC — so the stripe-local
+    /// preference wins whenever the preferred node has any room at all.
     ///
-    /// Returns [`DmError::OutOfMemory`] only when every active node fails.
+    /// Returns [`DmError::OutOfMemory`] only when every active node fails;
+    /// the caller is expected to evict and retry.
     pub fn alloc_on(
         &mut self,
         client: &DmClient,
         preferred: u16,
         size: usize,
     ) -> DmResult<RemoteAddr> {
-        let mut last_err = None;
-        for i in 0..=self.active.len() {
-            let Some(mn) = self.fallback_node(preferred, i) else {
-                continue;
-            };
-            // Per node: local resources first, then a segment RPC — so the
-            // stripe-local preference wins whenever the preferred node has
-            // any room at all.
-            match self.node_mut(mn).alloc(client, size) {
-                Ok(addr) => return Ok(addr),
-                Err(e @ DmError::OutOfMemory { .. }) => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.unwrap_or(DmError::OutOfMemory {
+        let blocks = self.ask(size);
+        let mut last_err = DmError::OutOfMemory {
             requested: size as u64,
             available: 0,
-        }))
+        };
+        for mn in fallback(&Arc::clone(&self.active), preferred) {
+            match self.blocks_at(client, mn, blocks) {
+                Err(e @ DmError::OutOfMemory { .. }) => last_err = e,
+                done => return done,
+            }
+        }
+        Err(last_err)
     }
 
     /// Allocates `size` bytes on `node` alone — local resources, then a
     /// segment RPC — for a placement worth nothing on any other node.
     pub fn alloc_at(&mut self, client: &DmClient, node: u16, size: usize) -> DmResult<RemoteAddr> {
-        self.node_mut(node).alloc(client, size)
+        let blocks = self.ask(size);
+        self.blocks_at(client, node, blocks)
     }
 
     /// Allocates from local resources only (no RPC), preferring `preferred`
     /// — the memory-pressure path that recycles evicted blocks wherever
-    /// they live.
-    pub fn alloc_local_on(&mut self, preferred: u16, size: usize) -> Option<RemoteAddr> {
-        for i in 0..=self.active.len() {
-            let Some(mn) = self.fallback_node(preferred, i) else {
-                continue;
-            };
-            if let Some(addr) = self.node_mut(mn).alloc_local(size) {
-                return Some(addr);
-            }
-        }
-        None
+    /// they live.  Once the pool is full a segment `ALLOC` is doomed to
+    /// fail, so recycling via eviction first keeps the doomed RPC (and its
+    /// round trip) off the data path.
+    pub fn alloc_local_on(
+        &mut self,
+        client: &DmClient,
+        preferred: u16,
+        size: usize,
+    ) -> Option<RemoteAddr> {
+        let blocks = self.ask(size);
+        fallback(&Arc::clone(&self.active), preferred)
+            .find_map(|mn| self.local_at(client, mn, blocks))
     }
 
     /// Whether [`StripedAllocator::alloc_local_on`] would serve `size`
     /// bytes right now — i.e. whether an evicting client still holds a
-    /// spare for its next allocation.
+    /// spare for its next allocation (a probe: nothing is handed out).
     pub fn can_alloc_local(&self, size: usize) -> bool {
-        self.active.iter().any(|&mn| {
-            self.per_node
-                .get(mn as usize)
-                .and_then(Option::as_ref)
-                .is_some_and(|alloc| alloc.can_alloc_local(size))
-        })
+        let bytes = blocks_for(size) * BLOCK_SIZE;
+        bytes <= self.segment_size
+            && self.active.iter().any(|&mn| {
+                self.per_node.get(mn as usize).is_some_and(|node| {
+                    node.segment.end - node.segment.start >= bytes || node.parked.fits(bytes)
+                })
+            })
     }
 
     /// Pressure-path backstop: asks the active nodes for an exact-size
-    /// range (preferred node first, one RPC each).  Succeeds when ranges
-    /// released by other clients can serve this request even though no node
-    /// can spare a whole segment.
+    /// range (preferred node first, one RPC each), bypassing the open
+    /// segment.  Succeeds when ranges released by other clients can serve
+    /// this request even though no node can spare a whole segment — the
+    /// node serves them back out best fit at any size.
     pub fn alloc_exact_on(
         &mut self,
         client: &DmClient,
         preferred: u16,
         size: usize,
     ) -> Option<RemoteAddr> {
-        for i in 0..=self.active.len() {
-            let Some(mn) = self.fallback_node(preferred, i) else {
-                continue;
-            };
-            if let Ok(addr) = self.node_mut(mn).alloc_exact(client, size) {
-                return Some(addr);
-            }
-        }
-        None
+        let blocks = self.ask(size);
+        fallback(&Arc::clone(&self.active), preferred).find_map(|mn| {
+            let offset = AllocService::alloc(client, mn, blocks * BLOCK_SIZE).ok()?;
+            Some(self.grant(client, mn, offset, blocks))
+        })
     }
 
-    /// Releases each node's excess parked blocks back to its memory node
-    /// (see [`ClientAllocator::release_excess`]); `keep_blocks` applies per
-    /// node.  Returns the total number of blocks released.
+    /// Releases parked ranges back to their memory nodes (largest first)
+    /// until at most `keep_blocks` blocks stay parked per node.  Returns the
+    /// total number of blocks released.
+    ///
+    /// With many clients sharing one full pool this is what keeps eviction
+    /// churn globally usable: ranges hoarded on one client are invisible to
+    /// every other client, but once returned, the node merges them across
+    /// clients and serves them back out to whoever asks.
     pub fn release_excess(&mut self, client: &DmClient, keep_blocks: u64) -> u64 {
-        self.per_node
-            .iter_mut()
-            .flatten()
-            .map(|alloc| alloc.release_excess(client, keep_blocks))
+        (0..self.per_node.len())
+            .map(|mn| self.release_at(client, mn as u16, keep_blocks))
             .sum()
     }
 
-    /// Adaptive hoard cap, called by the cache client after frees: each
-    /// node keeps at most as many blocks parked as it has live (but at
-    /// least 4, and at least `min_keep` — the caller's in-flight
-    /// allocation, so an evicting client does not hand the blocks it just
-    /// freed straight back to the node while it still needs them), and
-    /// releases the rest.
+    fn release_at(&mut self, client: &DmClient, mn_id: u16, keep_blocks: u64) -> u64 {
+        let node = &mut self.per_node[mn_id as usize];
+        let mut released = 0;
+        while node.parked.total() > keep_blocks * BLOCK_SIZE {
+            let (offset, len) = node
+                .parked
+                .pop_largest()
+                .expect("free bytes lie in a range");
+            if AllocService::free(client, mn_id, offset, len).is_err() {
+                // Node unreachable (e.g. decommissioned): park the range
+                // again and stop — nothing else will get through either.
+                node.park(offset, len);
+                break;
+            }
+            released += len / BLOCK_SIZE;
+        }
+        released
+    }
+
+    /// Returns a previously allocated range to the node it lives on: the
+    /// blocks leave the resident gauge and park here, merging with adjacent
+    /// parked neighbours so recycled fragments grow back into spans that
+    /// can serve any size.
     ///
+    /// Then caps the hoard: each node keeps at most as many blocks parked
+    /// as it has live (but at least 4, and at least the latest ask, so an
+    /// evicting client does not hand the blocks it just freed straight back
+    /// to the node while it still needs them) and releases the rest.
     /// Scaling the cap with the live set makes the policy self-balancing: a
-    /// client recycling into its own allocations (free stays a fraction of
-    /// live) never pays a release RPC, while a *net evictor* — frees
+    /// client recycling into its own allocations (parked stays a fraction
+    /// of live) never pays a release RPC, while a *net evictor* — frees
     /// greatly outpacing its own allocations, live shrinking towards zero —
     /// steadily returns memory for the other clients to claim.
-    pub fn release_excess_adaptive(&mut self, client: &DmClient, min_keep: u64) -> u64 {
-        self.per_node
-            .iter_mut()
-            .flatten()
-            .map(|alloc| {
-                let keep = alloc.live_blocks().max(4).max(min_keep);
-                alloc.release_excess(client, keep)
-            })
-            .sum()
-    }
-
-    /// The `i`-th node of the fallback order: the preferred node first (when
-    /// active), then the remaining active nodes in id order.  Returns `None`
-    /// for holes in the order (skipped entries); allocation-free.
-    fn fallback_node(&self, preferred: u16, i: usize) -> Option<u16> {
-        let preferred_active = self.active.contains(&preferred);
-        if i == 0 {
-            return preferred_active.then_some(preferred);
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range overlaps one already parked (a double free).
+    pub fn free(&mut self, client: &DmClient, addr: RemoteAddr, size: usize) {
+        let blocks = blocks_for(size);
+        client
+            .pool()
+            .stats()
+            .record_resident_free(addr.mn_id, blocks * BLOCK_SIZE);
+        let node = self.node_mut(addr.mn_id);
+        node.park(addr.offset, blocks * BLOCK_SIZE);
+        node.live_blocks = node.live_blocks.saturating_sub(blocks);
+        for mn in 0..self.per_node.len() {
+            let keep = self.per_node[mn].live_blocks.max(4).max(self.latest_ask);
+            self.release_at(client, mn as u16, keep);
         }
-        let mn = *self.active.get(i - 1)?;
-        if preferred_active && mn == preferred {
-            None
-        } else {
-            Some(mn)
-        }
-    }
-
-    /// Returns a previously allocated range to the free lists of the node
-    /// it lives on.
-    pub fn free(&mut self, addr: RemoteAddr, size: usize) {
-        self.node_mut(addr.mn_id).free(addr, size);
     }
 
     /// Total segments fetched across all nodes.
     pub fn segments_fetched(&self) -> u64 {
-        self.per_node
-            .iter()
-            .flatten()
-            .map(ClientAllocator::segments_fetched)
-            .sum()
+        self.per_node.iter().map(|node| node.segments_fetched).sum()
     }
 
     /// Total blocks currently handed out across all nodes.
     pub fn live_blocks(&self) -> u64 {
-        self.per_node
-            .iter()
-            .flatten()
-            .map(ClientAllocator::live_blocks)
-            .sum()
+        self.per_node.iter().map(|node| node.live_blocks).sum()
     }
 
-    /// Total blocks parked on the free lists across all nodes.
+    /// Total blocks parked across all nodes.
     pub fn free_blocks(&self) -> u64 {
         self.per_node
             .iter()
-            .flatten()
-            .map(ClientAllocator::free_blocks)
+            .map(|node| node.parked.total() / BLOCK_SIZE)
             .sum()
     }
 }
@@ -620,21 +600,27 @@ mod tests {
         (pool, client)
     }
 
+    /// An allocator over node 0 alone, fetching `segment_size`-byte
+    /// segments.
+    fn one_node(segment_size: u64) -> StripedAllocator {
+        StripedAllocator::new(&[0], segment_size)
+    }
+
     #[test]
     fn blocks_for_rounds_up() {
-        assert_eq!(ClientAllocator::blocks_for(1), 1);
-        assert_eq!(ClientAllocator::blocks_for(64), 1);
-        assert_eq!(ClientAllocator::blocks_for(65), 2);
-        assert_eq!(ClientAllocator::blocks_for(256), 4);
-        assert_eq!(ClientAllocator::blocks_for(0), 1);
+        assert_eq!(blocks_for(1), 1);
+        assert_eq!(blocks_for(64), 1);
+        assert_eq!(blocks_for(65), 2);
+        assert_eq!(blocks_for(256), 4);
+        assert_eq!(blocks_for(0), 1);
     }
 
     #[test]
     fn alloc_returns_disjoint_block_aligned_addresses() {
         let (_pool, client) = setup();
-        let mut alloc = ClientAllocator::new(0);
-        let a = alloc.alloc(&client, 256).unwrap();
-        let b = alloc.alloc(&client, 256).unwrap();
+        let mut alloc = one_node(1 << 20);
+        let a = alloc.alloc_at(&client, 0, 256).unwrap();
+        let b = alloc.alloc_at(&client, 0, 256).unwrap();
         assert_eq!(a.offset % BLOCK_SIZE, 0);
         assert_eq!(b.offset % BLOCK_SIZE, 0);
         assert!(b.offset >= a.offset + 256 || a.offset >= b.offset + 256);
@@ -644,11 +630,11 @@ mod tests {
     #[test]
     fn freed_blocks_are_recycled_without_rpc() {
         let (_pool, client) = setup();
-        let mut alloc = ClientAllocator::new(0);
-        let a = alloc.alloc(&client, 256).unwrap();
-        alloc.free(a, 256);
+        let mut alloc = one_node(1 << 20);
+        let a = alloc.alloc_at(&client, 0, 256).unwrap();
+        alloc.free(&client, a, 256);
         let fetched = alloc.segments_fetched();
-        let b = alloc.alloc(&client, 256).unwrap();
+        let b = alloc.alloc_at(&client, 0, 256).unwrap();
         assert_eq!(a, b);
         assert_eq!(alloc.segments_fetched(), fetched);
     }
@@ -660,30 +646,30 @@ mod tests {
         assert!(!alloc.can_alloc_local(256), "nothing fetched yet");
         let a = alloc.alloc_on(&client, 0, 4096).unwrap();
         assert!(!alloc.can_alloc_local(64), "the segment is used up");
-        alloc.free(a, 256);
+        alloc.free(&client, a, 256);
         assert!(alloc.can_alloc_local(256));
         assert!(!alloc.can_alloc_local(320), "the parked range is too small");
-        assert!(alloc.alloc_local_on(0, 256).is_some());
+        assert!(alloc.alloc_local_on(&client, 0, 256).is_some());
         assert!(!alloc.can_alloc_local(64), "a probe hands nothing out");
     }
 
     #[test]
     fn adjacent_frees_coalesce_into_larger_ranges() {
         let (_pool, client) = setup();
-        let mut alloc = ClientAllocator::with_segment_size(0, 4096);
+        let mut alloc = one_node(4096);
         // Three adjacent 1-block carves, freed in scrambled order.
-        let a = alloc.alloc(&client, 64).unwrap();
-        let b = alloc.alloc(&client, 64).unwrap();
-        let c = alloc.alloc(&client, 64).unwrap();
+        let a = alloc.alloc_at(&client, 0, 64).unwrap();
+        let b = alloc.alloc_at(&client, 0, 64).unwrap();
+        let c = alloc.alloc_at(&client, 0, 64).unwrap();
         // Burn the rest of the segment so the merged range is the only way
         // to serve a 3-block request.
-        while alloc.alloc_local(64).is_some() {}
-        alloc.free(b, 64);
-        alloc.free(a, 64);
-        alloc.free(c, 64);
+        while alloc.alloc_local_on(&client, 0, 64).is_some() {}
+        alloc.free(&client, b, 64);
+        alloc.free(&client, a, 64);
+        alloc.free(&client, c, 64);
         assert_eq!(alloc.free_blocks(), 3);
         let merged = alloc
-            .alloc_local(192)
+            .alloc_local_on(&client, 0, 192)
             .expect("coalesced range serves 3 blocks");
         assert_eq!(merged, a, "merged range starts at the lowest freed offset");
         assert_eq!(alloc.free_blocks(), 0);
@@ -697,21 +683,24 @@ mod tests {
         // recycling must not depend on exact size-class matches.
         let pool = MemoryPool::new(DmConfig::small().with_capacity(8192));
         let client = pool.connect();
-        let mut alloc = ClientAllocator::with_segment_size(0, 4096);
-        let a = alloc.alloc(&client, 4096).unwrap();
-        alloc.free(a, 4096);
+        let mut alloc = one_node(4096);
+        let a = alloc.alloc_at(&client, 0, 4096).unwrap();
+        alloc.free(&client, a, 4096);
         let first = alloc
-            .alloc_local(64)
+            .alloc_local_on(&client, 0, 64)
             .expect("split serves the small request");
         assert_eq!(first, a, "the split hands out the front of the free block");
         // The remainder keeps serving further requests, splitting down.
         for _ in 0..63 {
             assert!(
-                alloc.alloc_local(64).is_some(),
+                alloc.alloc_local_on(&client, 0, 64).is_some(),
                 "remainder must keep serving"
             );
         }
-        assert!(alloc.alloc_local(64).is_none(), "all 64 blocks handed out");
+        assert!(
+            alloc.alloc_local_on(&client, 0, 64).is_none(),
+            "all 64 blocks handed out"
+        );
         assert_eq!(alloc.live_blocks(), 64);
     }
 
@@ -722,15 +711,15 @@ mod tests {
         // the node's bump cursor is exhausted.
         let pool = MemoryPool::new(DmConfig::small().with_capacity(8192));
         let client = pool.connect();
-        let mut a = ClientAllocator::with_segment_size(0, 4096);
-        let addr = a.alloc(&client, 4096).unwrap();
+        let mut a = one_node(4096);
+        let addr = a.alloc_at(&client, 0, 4096).unwrap();
         // Burn the remaining fresh memory so only released ranges can serve.
-        while a.alloc(&client, 4096).is_ok() {}
-        a.free(addr, 4096);
+        while a.alloc_at(&client, 0, 4096).is_ok() {}
+        a.free(&client, addr, 4096);
         assert_eq!(a.release_excess(&client, 0), 64);
         assert_eq!(a.free_blocks(), 0);
-        let mut b = ClientAllocator::with_segment_size(0, 4096);
-        let got = b.alloc(&client, 4096).unwrap();
+        let mut b = one_node(4096);
+        let got = b.alloc_at(&client, 0, 4096).unwrap();
         assert_eq!(got, addr, "B's segment is carved from A's released range");
     }
 
@@ -740,17 +729,17 @@ mod tests {
         // fails, the exact-size pressure backstop succeeds.
         let pool = MemoryPool::new(DmConfig::small().with_capacity(8192));
         let client = pool.connect();
-        let mut a = ClientAllocator::with_segment_size(0, 4096);
-        let addr = a.alloc(&client, 4096).unwrap();
-        while a.alloc(&client, 4096).is_ok() {}
-        a.free(addr, 256);
+        let mut a = one_node(4096);
+        let addr = a.alloc_at(&client, 0, 4096).unwrap();
+        while a.alloc_at(&client, 0, 4096).is_ok() {}
+        a.free(&client, addr, 256);
         assert_eq!(a.release_excess(&client, 0), 4);
-        let mut b = ClientAllocator::with_segment_size(0, 4096);
+        let mut b = one_node(4096);
         assert!(matches!(
-            b.alloc(&client, 64),
+            b.alloc_at(&client, 0, 64),
             Err(DmError::OutOfMemory { .. })
         ));
-        let got = b.alloc_exact(&client, 256).unwrap();
+        let got = b.alloc_exact_on(&client, 0, 256).unwrap();
         assert_eq!(got, addr);
         assert_eq!(b.live_blocks(), 4);
     }
@@ -758,13 +747,16 @@ mod tests {
     #[test]
     fn release_excess_keeps_the_requested_working_set() {
         let (_pool, client) = setup();
-        let mut alloc = ClientAllocator::with_segment_size(0, 4096);
-        let a = alloc.alloc(&client, 1024).unwrap();
-        let b = alloc.alloc(&client, 1024).unwrap();
-        alloc.free(a, 1024);
+        let mut alloc = one_node(4096);
+        let a = alloc.alloc_at(&client, 0, 1024).unwrap();
+        let b = alloc.alloc_at(&client, 0, 1024).unwrap();
+        // A live 32-block object keeps the hoard cap of `free` (at least as
+        // many blocks parked as live) from releasing anything below.
+        let _held = alloc.alloc_at(&client, 0, 2048).unwrap();
+        alloc.free(&client, a, 1024);
         // One 16-block range parked; keep_blocks=16 means nothing to do.
         assert_eq!(alloc.release_excess(&client, 16), 0);
-        alloc.free(b, 1024);
+        alloc.free(&client, b, 1024);
         // 32 parked (coalesced), keep 8: the merged range is released whole.
         assert_eq!(alloc.release_excess(&client, 8), 32);
         assert_eq!(alloc.free_blocks(), 0);
@@ -773,9 +765,9 @@ mod tests {
     #[test]
     fn allocation_larger_than_segment_is_rejected() {
         let (_pool, client) = setup();
-        let mut alloc = ClientAllocator::with_segment_size(0, 1024);
+        let mut alloc = one_node(1024);
         assert!(matches!(
-            alloc.alloc(&client, 4096),
+            alloc.alloc_at(&client, 0, 4096),
             Err(DmError::AllocationTooLarge { .. })
         ));
     }
@@ -784,11 +776,11 @@ mod tests {
     fn exhausting_the_node_reports_oom() {
         let pool = MemoryPool::new(DmConfig::small().with_capacity(256 * 1024));
         let client = pool.connect();
-        let mut alloc = ClientAllocator::with_segment_size(0, 64 * 1024);
+        let mut alloc = one_node(64 * 1024);
         let mut failures = 0;
         for _ in 0..1024 {
             if matches!(
-                alloc.alloc(&client, 60 * 1024),
+                alloc.alloc_at(&client, 0, 60 * 1024),
                 Err(DmError::OutOfMemory { .. })
             ) {
                 failures += 1;
@@ -801,10 +793,10 @@ mod tests {
     #[test]
     fn live_block_accounting() {
         let (_pool, client) = setup();
-        let mut alloc = ClientAllocator::new(0);
-        let a = alloc.alloc(&client, 128).unwrap();
+        let mut alloc = one_node(1 << 20);
+        let a = alloc.alloc_at(&client, 0, 128).unwrap();
         assert_eq!(alloc.live_blocks(), 2);
-        alloc.free(a, 128);
+        alloc.free(&client, a, 128);
         assert_eq!(alloc.live_blocks(), 0);
     }
 
@@ -872,8 +864,8 @@ mod tests {
         let me = client.client_id();
         assert!(node.owned_segments(me).is_empty());
 
-        let mut alloc = ClientAllocator::with_segment_size(0, 4096);
-        let a = alloc.alloc(&client, 128).unwrap();
+        let mut alloc = one_node(4096);
+        let a = alloc.alloc_at(&client, 0, 128).unwrap();
         let grants = node.owned_segments(me);
         assert_eq!(grants.len(), 1, "one segment fetched");
         let (seg_off, seg_len) = grants[0];
@@ -936,7 +928,7 @@ mod tests {
         let mut alloc = StripedAllocator::new(pool.topology().active(), 4096);
         let a = alloc.alloc_on(&client, 1, 256).unwrap();
         assert_eq!(a.mn_id, 1);
-        alloc.free(a, 256);
+        alloc.free(&client, a, 256);
         // Preferring node 1 again recycles the freed block without an RPC.
         let fetched = alloc.segments_fetched();
         let b = alloc.alloc_on(&client, 1, 256).unwrap();
@@ -956,7 +948,7 @@ mod tests {
         alloc.set_active(pool.topology().active());
         // Even freed blocks on the drained node are not handed out again —
         // draining progressively empties the node.
-        alloc.free(resident, 256);
+        alloc.free(&client, resident, 256);
         for _ in 0..4 {
             let fresh = alloc.alloc_on(&client, 1, 256).unwrap();
             assert_eq!(
@@ -972,6 +964,133 @@ mod tests {
         let mut reply = [0; AllocService::REPLY_LEN];
         for request in [&[][..], &[OP_ALLOC, 1, 2], &[42]] {
             assert!(client.rpc(0, ALLOC_SERVICE, request, &mut reply).is_err());
+        }
+    }
+
+    /// A double `FREE` and a `FREE` past the node's high-water mark fail,
+    /// and the node's store of returned ranges is left as it was.
+    #[test]
+    fn a_bad_free_fails_and_leaves_the_store_unchanged() {
+        let (pool, client) = setup();
+        let node = pool.node(0).unwrap();
+        let offset = AllocService::alloc(&client, 0, 4096).unwrap();
+        AllocService::free(&client, 0, offset, 1024).unwrap();
+        assert_eq!(node.free_range_bytes(), 1024);
+        for (off, len) in [
+            (offset, 1024),
+            (offset + 512, 1024),
+            (node.used_bytes() - 64, 128),
+            (u64::MAX - 63, 64),
+        ] {
+            assert!(matches!(
+                AllocService::free(&client, 0, off, len),
+                Err(DmError::RpcFailed { .. })
+            ));
+            assert_eq!(node.free_range_bytes(), 1024);
+        }
+        assert_eq!(
+            node.owned_segments(client.client_id()),
+            vec![(offset + 1024, 3072)]
+        );
+    }
+
+    /// Every grant raises the granting node's resident gauge by its blocks
+    /// and every free lowers it; releasing parked blocks moves nothing.
+    #[test]
+    fn the_allocator_books_the_resident_gauge() {
+        let pool = MemoryPool::new(DmConfig::small().with_memory_nodes(2));
+        let client = pool.connect();
+        let resident = || [0, 1].map(|mn| pool.stats().resident_bytes_on(mn));
+        let mut alloc = StripedAllocator::new(pool.topology().active(), 4096);
+        let a = alloc.alloc_on(&client, 1, 200).unwrap();
+        assert_eq!((a.mn_id, resident()), (1, [0, 256]));
+        let b = alloc.alloc_at(&client, 0, 100).unwrap();
+        assert_eq!((b.mn_id, resident()), (0, [128, 256]));
+        alloc.free(&client, a, 200);
+        assert_eq!(resident(), [128, 0]);
+        let c = alloc.alloc_local_on(&client, 1, 64).unwrap();
+        assert_eq!((c.mn_id, resident()), (1, [128, 64]));
+        let d = alloc.alloc_exact_on(&client, 0, 300).unwrap();
+        assert_eq!((d.mn_id, resident()), (0, [128 + 320, 64]));
+        alloc.free(&client, b, 100);
+        assert!(alloc.release_excess(&client, 0) > 0);
+        assert_eq!(resident(), [320, 64]);
+        alloc.free(&client, c, 64);
+        alloc.free(&client, d, 300);
+        assert_eq!(resident(), [0, 0]);
+    }
+
+    /// The free-range rules written out naively: a sorted `Vec` of
+    /// coalesced ranges, scanned whole on every operation.
+    #[derive(Default)]
+    struct NaiveRanges(Vec<(u64, u64)>);
+
+    impl NaiveRanges {
+        fn insert(&mut self, offset: u64, len: u64) -> bool {
+            if self
+                .0
+                .iter()
+                .any(|&(o, l)| offset < o + l && o < offset + len)
+            {
+                return false;
+            }
+            self.0.push((offset, len));
+            self.0.sort_unstable();
+            let mut merged: Vec<(u64, u64)> = Vec::new();
+            for (o, l) in self.0.drain(..) {
+                match merged.last_mut() {
+                    Some((po, pl)) if *po + *pl == o => *pl += l,
+                    _ => merged.push((o, l)),
+                }
+            }
+            self.0 = merged;
+            true
+        }
+
+        fn take(&mut self, len: u64) -> Option<u64> {
+            let i = (0..self.0.len())
+                .filter(|&i| self.0[i].1 >= len)
+                .min_by_key(|&i| (self.0[i].1, self.0[i].0))?;
+            let (o, l) = self.0[i];
+            if l == len {
+                self.0.remove(i);
+            } else {
+                self.0[i] = (o + len, l - len);
+            }
+            Some(o)
+        }
+
+        fn pop_largest(&mut self) -> Option<(u64, u64)> {
+            let i = (0..self.0.len()).max_by_key(|&i| (self.0[i].1, self.0[i].0))?;
+            Some(self.0.remove(i))
+        }
+    }
+
+    #[test]
+    fn free_ranges_match_a_naive_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(47);
+        let mut ranges = FreeRanges::default();
+        let mut naive = NaiveRanges::default();
+        for step in 0..5000 {
+            let len = rng.gen_range(1..=6u64) * BLOCK_SIZE;
+            match rng.gen_range(0..10u32) {
+                0..=5 => {
+                    let offset = rng.gen_range(0..128u64) * BLOCK_SIZE;
+                    assert_eq!(
+                        ranges.insert(offset, len),
+                        naive.insert(offset, len),
+                        "step {step}: insert {offset}+{len}"
+                    );
+                }
+                6..=8 => assert_eq!(ranges.take(len), naive.take(len), "step {step}"),
+                _ => assert_eq!(ranges.pop_largest(), naive.pop_largest(), "step {step}"),
+            }
+            let listed: Vec<(u64, u64)> = ranges.ranges.iter().map(|(&o, &l)| (o, l)).collect();
+            assert_eq!(listed, naive.0, "step {step}");
+            assert_eq!(ranges.total(), naive.0.iter().map(|&(_, l)| l).sum::<u64>());
+            assert_eq!(ranges.fits(len), naive.0.iter().any(|&(_, l)| l >= len));
         }
     }
 }

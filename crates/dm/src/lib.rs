@@ -54,11 +54,14 @@
 //!   distinct memory node, overlap CPU work with the in-flight transfers
 //!   and then [`DmClient::poll_cq`] the completions — latency is charged as
 //!   *time since post* (see the latency model below).
-//! * [`alloc::ClientAllocator`] implements the two-level memory management
-//!   scheme (segment `ALLOC`/`FREE` RPCs plus client-local block recycling)
-//!   used by FUSEE and adopted by Ditto; [`alloc::StripedAllocator`] runs
-//!   one per memory node with a stripe-local preference, so an object's
-//!   hash-table slot and its value land on the same node when possible.
+//! * [`alloc`] is the one allocator: the two-level memory management
+//!   scheme used by FUSEE and adopted by Ditto (segment `ALLOC`/`FREE` RPCs
+//!   to the node controller, 64-byte blocks carved and recycled on the
+//!   client), with one coalescing free-range store serving both levels.
+//!   A client's [`alloc::StripedAllocator`] keeps a segment and parked
+//!   blocks per memory node, prefers the stripe-local node, so an object's
+//!   hash-table slot and its value land on the same node when possible,
+//!   and books every grant and free in the resident gauge.
 //! * [`harness`] steps `N` clients round-robin on the calling thread, one
 //!   request each per round, and collects a [`stats::RunReport`]; a run
 //!   repeats exactly.
@@ -279,7 +282,7 @@ pub mod topology;
 pub mod wqe;
 
 pub use addr::RemoteAddr;
-pub use alloc::{ClientAllocator, StripedAllocator};
+pub use alloc::StripedAllocator;
 pub use client::DmClient;
 pub use config::DmConfig;
 pub use cq::{Completion, CompletionQueue, CompletionStatus};

@@ -5,6 +5,7 @@
 //! writes operate word-wise; partial-word writes use a CAS loop so writes to
 //! *different* byte ranges sharing a word never clobber each other.
 
+use crate::alloc::FreeRanges;
 use crate::error::{DmError, DmResult};
 use crate::rpc::RpcHandler;
 use parking_lot::{Mutex, RwLock};
@@ -22,11 +23,11 @@ pub struct MemoryNode {
     capacity: u64,
     /// Bump cursor for reservations and fresh segments (in bytes).
     cursor: AtomicU64,
-    /// Returned ranges (offset → length in bytes), coalesced with their
-    /// neighbours and served best-fit before the cursor is bumped.  Clients
-    /// release odd-sized excess from their local free lists, so the store
-    /// must merge and split — exact-size reuse would strand those ranges.
-    free_ranges: Mutex<BTreeMap<u64, u64>>,
+    /// Ranges returned by `FREE`, served best fit before the cursor is
+    /// bumped.  Clients release odd-sized excess from their parked blocks,
+    /// so the store must merge and split: it is the same coalescing store
+    /// ([`crate::alloc`]'s `FreeRanges`) that parks those blocks client-side.
+    free_ranges: Mutex<FreeRanges>,
     /// Registered controller services.
     handlers: RwLock<HashMap<u8, Arc<dyn RpcHandler>>>,
     /// Segment owner registry (offset → length, owner client id): which
@@ -53,7 +54,7 @@ impl MemoryNode {
             // Offset 0 is never handed out so that a packed address of 0 can
             // serve as the NULL pointer in hash-table slots.
             cursor: AtomicU64::new(ALLOC_ALIGN),
-            free_ranges: Mutex::new(BTreeMap::new()),
+            free_ranges: Mutex::new(FreeRanges::default()),
             handlers: RwLock::new(HashMap::new()),
             seg_owners: Mutex::new(BTreeMap::new()),
             decommissioned: AtomicBool::new(false),
@@ -216,23 +217,8 @@ impl MemoryNode {
     /// pass can later find every grant a dead client held.
     pub fn alloc_segment_for(&self, size: u64, owner: u32) -> DmResult<u64> {
         let size = size.next_multiple_of(ALLOC_ALIGN);
-        let offset = 'grant: {
-            let mut ranges = self.free_ranges.lock();
-            let best = ranges
-                .iter()
-                .filter(|&(_, &len)| len >= size)
-                .min_by_key(|&(_, &len)| len)
-                .map(|(&off, &len)| (off, len));
-            if let Some((off, len)) = best {
-                ranges.remove(&off);
-                if len > size {
-                    ranges.insert(off + size, len - size);
-                }
-                break 'grant off;
-            }
-            drop(ranges);
-            self.allocate_raw(size)?
-        };
+        let returned = self.free_ranges.lock().take(size);
+        let offset = returned.map_or_else(|| self.allocate_raw(size), Ok)?;
         self.seg_owners.lock().insert(offset, (size, owner));
         Ok(offset)
     }
@@ -284,29 +270,35 @@ impl MemoryNode {
     /// (whole segments or any aligned sub-range of one), merging it with
     /// adjacent free neighbours.  Ranges released by different clients thus
     /// coalesce here even when neither client could merge them locally.
-    pub fn free_segment(&self, offset: u64, size: u64) {
+    ///
+    /// Fails with [`DmError::RpcFailed`], changing nothing, for a range
+    /// past the high-water mark ([`MemoryNode::used_bytes`]) or one
+    /// overlapping a returned range (a double free): either would later
+    /// grant the same bytes twice.
+    pub fn free_segment(&self, offset: u64, size: u64) -> DmResult<()> {
         let size = size.next_multiple_of(ALLOC_ALIGN);
-        self.trim_owner_registry(offset, size);
+        let refuse = |why| {
+            Err(DmError::RpcFailed {
+                reason: format!("FREE of {size} bytes at {offset:#x} {why}"),
+            })
+        };
+        let end = offset.checked_add(size);
+        if end.is_none_or(|end| end > self.used_bytes()) {
+            return refuse("runs past the high-water mark");
+        }
+        // The store stays locked until the registry is trimmed, so no grant
+        // of this range can be registered before the trim.
         let mut ranges = self.free_ranges.lock();
-        let mut offset = offset;
-        let mut len = size;
-        if let Some(&next_len) = ranges.get(&(offset + len)) {
-            ranges.remove(&(offset + len));
-            len += next_len;
+        if !ranges.insert(offset, size) {
+            return refuse("overlaps a free range");
         }
-        if let Some((&prev_off, &prev_len)) = ranges.range(..offset).next_back() {
-            if prev_off + prev_len == offset {
-                ranges.remove(&prev_off);
-                offset = prev_off;
-                len += prev_len;
-            }
-        }
-        ranges.insert(offset, len);
+        self.trim_owner_registry(offset, size);
+        Ok(())
     }
 
     /// Total bytes sitting on the returned-range store (free to re-allocate).
     pub fn free_range_bytes(&self) -> u64 {
-        self.free_ranges.lock().values().sum()
+        self.free_ranges.lock().total()
     }
 
     /// Removes `[offset, offset + size)` from the segment owner registry,
@@ -472,7 +464,7 @@ mod tests {
     fn segments_are_recycled() {
         let node = MemoryNode::new(0, 1 << 20);
         let a = node.alloc_segment_for(4096, 0).unwrap();
-        node.free_segment(a, 4096);
+        node.free_segment(a, 4096).unwrap();
         let b = node.alloc_segment_for(4096, 0).unwrap();
         assert_eq!(a, b, "freed segment should be reused");
     }
@@ -486,12 +478,12 @@ mod tests {
         let seg = node.alloc_segment_for(4096, 0).unwrap();
         // Burn the rest of the node so only the returned ranges can serve.
         while node.alloc_segment_for(4096, 0).is_ok() {}
-        node.free_segment(seg, 2048);
-        node.free_segment(seg + 2048, 2048);
+        node.free_segment(seg, 2048).unwrap();
+        node.free_segment(seg + 2048, 2048).unwrap();
         assert_eq!(node.free_range_bytes(), 4096);
         assert_eq!(node.alloc_segment_for(4096, 0).unwrap(), seg);
         // And a big range splits down for a smaller request.
-        node.free_segment(seg, 4096);
+        node.free_segment(seg, 4096).unwrap();
         assert_eq!(node.alloc_segment_for(64, 0).unwrap(), seg);
         assert_eq!(node.alloc_segment_for(64, 0).unwrap(), seg + 64);
         assert_eq!(node.free_range_bytes(), 4096 - 128);
