@@ -288,9 +288,14 @@ impl NodeBlocks {
         })
     }
 
-    /// Installs a freshly granted segment as the open one.
+    /// Installs a freshly granted segment as the open one, parking the old
+    /// one's uncarved tail: it stays granted to this client, so left
+    /// unparked it would serve no one until a crash sweep.
     fn open_segment(&mut self, segment: Range<u64>) {
-        self.segment = segment;
+        let tail = std::mem::replace(&mut self.segment, segment);
+        if !tail.is_empty() {
+            self.park(tail.start, tail.end - tail.start);
+        }
         self.segments_fetched += 1;
     }
 
@@ -759,6 +764,23 @@ mod tests {
         alloc.free(&client, b, 1024);
         // 32 parked (coalesced), keep 8: the merged range is released whole.
         assert_eq!(alloc.release_excess(&client, 8), 32);
+        assert_eq!(alloc.free_blocks(), 0);
+    }
+
+    /// An ask that does not fit the open segment's tail opens a new
+    /// segment, and the tail parks for the next ask that fits it.
+    #[test]
+    fn a_fresh_segment_parks_the_old_segments_tail() {
+        let (_pool, client) = setup();
+        let mut alloc = one_node(512);
+        let first = alloc.alloc_at(&client, 0, 192).unwrap();
+        alloc.alloc_at(&client, 0, 192).unwrap();
+        let third = alloc.alloc_at(&client, 0, 192).unwrap();
+        assert_eq!(alloc.segments_fetched(), 2);
+        assert_eq!(alloc.free_blocks(), 2);
+        let tail = alloc.alloc_at(&client, 0, 128).unwrap();
+        assert_eq!(tail.offset, first.offset + 384, "served from the tail");
+        assert_ne!(tail.offset, third.offset + 192);
         assert_eq!(alloc.free_blocks(), 0);
     }
 
