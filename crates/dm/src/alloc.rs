@@ -1003,6 +1003,7 @@ mod tests {
             (offset + 512, 1024),
             (node.used_bytes() - 64, 128),
             (u64::MAX - 63, 64),
+            (offset, u64::MAX),
         ] {
             assert!(matches!(
                 AllocService::free(&client, 0, off, len),

@@ -276,7 +276,9 @@ impl MemoryNode {
     /// overlapping a returned range (a double free): either would later
     /// grant the same bytes twice.
     pub fn free_segment(&self, offset: u64, size: u64) -> DmResult<()> {
-        let size = size.next_multiple_of(ALLOC_ALIGN);
+        let size = size
+            .checked_next_multiple_of(ALLOC_ALIGN)
+            .unwrap_or(u64::MAX);
         let refuse = |why| {
             Err(DmError::RpcFailed {
                 reason: format!("FREE of {size} bytes at {offset:#x} {why}"),
