@@ -900,7 +900,7 @@ impl DittoClient {
             let ext = view.ext;
             out.clear();
             out.extend_from_slice(view.value);
-            let last_ts = self.record_access(slot_addr, AccessKind::Hit, Some(slot.last_ts));
+            let last_ts = self.record_access(slot_addr, Some(slot.last_ts), true);
             self.record_extension(
                 &slot,
                 slot.atomic.object_addr(),
@@ -1026,33 +1026,18 @@ impl DittoClient {
 
     /// Keeps the *remote* eviction metadata of a locally-served key fed, so
     /// remote eviction keeps seeing this client's interest and does not
-    /// evict its hottest keys — neither by frequency nor by recency.
-    /// Buffered by the FC cache, a local hit costs an `RDMA_FAA` only every
-    /// `fc_threshold` accesses, posted unsignalled and never waited for.
-    /// The slot's `last_ts` follows the rule of a remote hit
-    /// ([`crate::recency`]), judged against `last_ts`, the timestamp the
-    /// tier entry last saw or wrote instead of one just read: one
-    /// unsignalled 8-byte WRITE once that is older than τ, none otherwise —
-    /// so a key served locally for several eviction ages no longer looks
-    /// idle to every LRU sample.  (After a stripe cutover the entry's raw
-    /// `slot_addr` names the retired copy until its lease runs out; what is
-    /// written there meanwhile is lost, like the counter increments.)
+    /// evict its hottest keys — neither by frequency nor by recency.  A
+    /// local hit is one more access under the rule every access follows
+    /// ([`Self::record_access`]), its `last_ts` judged against the timestamp
+    /// the tier entry last saw or wrote instead of one just read; the entry
+    /// then mirrors what the slot is left with.  (After a stripe cutover the
+    /// entry's raw `slot_addr` names the retired copy until its lease runs
+    /// out; what is written there meanwhile is lost, like the counter
+    /// increments.)
     fn tier_feed_frequency(&mut self, hash: u64, slot_addr: RemoteAddr, last_ts: u64) {
-        let now = self.dm.now_ns();
-        let age = self.eviction_age.estimate(now);
-        if !recency::last_ts_is_fresh(now, last_ts, age, LAST_TS_DIVISOR) {
-            self.stats.record_ts_write(true);
-            self.write_slot_meta(
-                SampleFriendlyHashTable::last_ts_addr(slot_addr),
-                &now.to_le_bytes(),
-            );
-            if let Some(tier) = self.tier.as_mut() {
-                tier.note_last_ts(hash, now);
-            }
-        }
-        if let Some(fc) = self.fc.as_mut() {
-            let flushes = fc.record(SampleFriendlyHashTable::freq_addr(slot_addr));
-            self.post_fc_flushes(flushes);
+        let last_ts = self.record_access(slot_addr, Some(last_ts), false);
+        if let Some(tier) = self.tier.as_mut() {
+            tier.note_last_ts(hash, last_ts);
         }
     }
 
@@ -1165,16 +1150,19 @@ impl DittoClient {
         dir.home_of(addr).unwrap_or(addr)
     }
 
-    /// Records an access in the slot's metadata: the stateless last-access
-    /// timestamp and the (client-side combined) frequency counter.
-    /// `stored_ts` is the slot's `last_ts` when the caller has just read it
-    /// — both `Get` paths have; a hinted replace never reads the slot.
-    /// Returns the timestamp the slot is left with.
+    /// Records an access in the slot's metadata — the one rule every access
+    /// follows, remote hit, local-tier hit or replace: the stateless
+    /// last-access timestamp and the (client-side combined) frequency
+    /// counter.  `stored_ts` is the slot's `last_ts` when the caller knows
+    /// it — both `Get` paths and the tier do; a hinted replace never reads
+    /// the slot.  `counted` says the FC cache already recorded this access
+    /// (a `Get` hoists it before its object READ).  Returns the timestamp
+    /// the slot is left with.
     fn record_access(
         &mut self,
         slot_addr: RemoteAddr,
-        kind: AccessKind,
         stored_ts: Option<u64>,
+        counted: bool,
     ) -> u64 {
         let now = self.dm.now_ns();
         // Stateless information: a single asynchronous WRITE — unsignalled,
@@ -1202,12 +1190,9 @@ impl DittoClient {
             }
         }
         // Stateful information: the frequency counter, combined client-side.
-        // On the Get path with an FC cache the flush decision is hoisted
-        // before the object READ (the FAA shares its doorbell batch), so
-        // such hits arrive here with the counter already handled.
         let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
         match self.fc.as_mut() {
-            Some(_) if kind == AccessKind::Hit => {}
+            Some(_) if counted => {}
             Some(fc) => {
                 let flushes = fc.record(freq_addr);
                 self.post_fc_flushes(flushes);
@@ -2270,6 +2255,38 @@ mod tests {
         assert!(client.get(b"absent").is_none());
         assert_eq!(hit(&mut client), 1);
         assert_eq!(hit(&mut client), 1);
+    }
+
+    #[test]
+    fn every_hit_and_replace_books_one_last_ts_decision_local_hits_too() {
+        let cache = DittoCache::with_dedicated_pool(
+            DittoConfig::with_capacity(1_000).with_local_tier(64, 1_000_000),
+            DmConfig::default(),
+        )
+        .unwrap();
+        let mut client = cache.client();
+        let keys: [&[u8]; 3] = [b"a", b"b", b"c"];
+        for key in keys {
+            client.set(key, b"v0");
+        }
+        let stats = cache.stats();
+        let decisions = || stats.ts_writes_sent() + stats.ts_writes_skipped();
+        let (before, booked) = (stats.snapshot(), decisions());
+        // Every `Get` hits, remotely or in the tier; every `Set` replaces.
+        for round in 0..300u64 {
+            for key in keys {
+                assert_eq!(client.get(key).as_deref(), Some(&b"v0"[..]));
+            }
+            if round % 50 == 49 {
+                client.set(keys[0], b"v0");
+            }
+            client.dm().advance_ns(2_000);
+        }
+        let run = stats.snapshot();
+        let (hits, sets) = (run.hits - before.hits, run.sets - before.sets);
+        assert!(run.local_hits > before.local_hits, "the tier served no hit");
+        assert!(stats.ts_writes_sent() > 0 && stats.ts_writes_skipped() > 0);
+        assert_eq!(decisions() - booked, hits + sets);
     }
 
     #[test]
