@@ -25,6 +25,9 @@
 //!   wrapped during warm-up — and must stay visible to the measured phase.
 //!   Per-interval figures of a lifetime group come from diffing two
 //!   snapshots with the snapshot's `delta`.
+//! * Per-node state — verb traffic, the resident-byte gauge, fault
+//!   attribution — is the rows of [`NodeStats`], one instance per node; its
+//!   series carry a `node` label.
 //! * A row marked **`accessor`** is read through its accessor only and is
 //!   not a field of the snapshot struct (`ditto-core`'s `CacheStatsSnapshot`
 //!   is built field by field by its users, so it cannot grow).
@@ -263,6 +266,14 @@ counter_table! {
     /// ([`crate::WorkQueue::ring`]) that includes at least one WQE for this
     /// node.  A synchronous single-verb call is not included.
     doorbells: interval, counter "ditto_node_doorbells_total" "Doorbells rung at each memory node's RNIC by posted rounds.";
+    /// Resident *object* bytes: allocations minus frees as reported by the
+    /// cache layer.  Pool **state**, not interval traffic, so no reset
+    /// touches it; a drained node reaching zero is the signal that it can
+    /// be decommissioned.
+    resident_bytes: lifetime accessor, gauge "ditto_node_resident_bytes" "Resident object bytes per memory node (gauge; survives resets).";
+    /// Faulted verbs (failures plus timeouts).  Lifetime, like the fault
+    /// group it attributes.
+    verb_faults: lifetime accessor, counter "ditto_node_verb_faults_total" "Faulted verbs attributed per memory node (lifetime).";
 }
 
 impl NodeStats {
@@ -319,8 +330,8 @@ counter_table! {
 }
 
 counter_table! {
-    /// Live-resize copy traffic.  (The per-node resident-byte gauges are pool
-    /// *state* and live outside the table: no reset touches them.)
+    /// Live-resize copy traffic.  (The per-node resident-byte gauges are
+    /// lifetime rows of [`NodeStats`].)
     pub struct MigrationStats;
     /// Point-in-time copy of the live-resize traffic counters.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -420,14 +431,6 @@ pub struct PoolStats {
     contention: ContentionStats,
     faults: FaultStats,
     obs: ObsStats,
-    /// Resident *object* bytes per node: allocations minus frees as reported
-    /// by the cache layer.  This is pool **state**, not interval traffic, so
-    /// [`PoolStats::reset`] leaves it alone; a drained node's entry reaching
-    /// zero is the signal that it can be decommissioned.
-    resident_bytes: Vec<AtomicU64>,
-    /// Faulted verbs (failures plus timeouts) per node.  Lifetime, like the
-    /// fault group it attributes.
-    verb_faults_per_node: Vec<AtomicU64>,
     /// Per-phase span-latency histograms (indexed by
     /// [`Phase::index`]), merged in from each client's local set when the
     /// client drops.  Lifetime state: the exposition's phase summaries
@@ -435,17 +438,11 @@ pub struct PoolStats {
     phase_latency: Vec<LatencyHistogram>,
 }
 
-fn per_node<T>(make: impl FnMut() -> T) -> Vec<T> {
-    let mut v = Vec::with_capacity(MAX_POOL_NODES);
-    v.resize_with(MAX_POOL_NODES, make);
-    v
-}
-
 impl PoolStats {
     /// Creates accounting for `num_nodes` memory nodes.
     pub fn new(num_nodes: u16) -> Self {
         PoolStats {
-            nodes: per_node(NodeStats::default),
+            nodes: (0..MAX_POOL_NODES).map(|_| NodeStats::default()).collect(),
             active_nodes: AtomicUsize::new((num_nodes as usize).clamp(1, MAX_POOL_NODES)),
             op_latency: LatencyHistogram::new(),
             max_client_clock_ns: AtomicU64::new(0),
@@ -456,8 +453,6 @@ impl PoolStats {
             contention: ContentionStats::default(),
             faults: FaultStats::default(),
             obs: ObsStats::default(),
-            resident_bytes: per_node(AtomicU64::default),
-            verb_faults_per_node: per_node(AtomicU64::default),
             phase_latency: (0..Phase::COUNT).map(|_| LatencyHistogram::new()).collect(),
         }
     }
@@ -523,34 +518,35 @@ impl PoolStats {
 
     /// Records `bytes` of object data becoming resident on node `mn_id`.
     pub fn record_resident_alloc(&self, mn_id: u16, bytes: u64) {
-        if let Some(node) = self.resident_bytes.get(mn_id as usize) {
-            node.fetch_add(bytes, Ordering::Relaxed);
+        if let Some(node) = self.nodes.get(mn_id as usize) {
+            node.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
         }
     }
 
     /// Records `bytes` of object data leaving node `mn_id` (eviction,
     /// replacement or relocation).
     pub fn record_resident_free(&self, mn_id: u16, bytes: u64) {
-        if let Some(node) = self.resident_bytes.get(mn_id as usize) {
-            let _ = node.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(bytes))
-            });
+        if let Some(node) = self.nodes.get(mn_id as usize) {
+            let _ = node
+                .resident_bytes
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                    Some(v.saturating_sub(bytes))
+                });
         }
     }
 
     /// Resident object bytes currently accounted to node `mn_id`.
     pub fn resident_bytes_on(&self, mn_id: u16) -> u64 {
-        self.resident_bytes
+        self.nodes
             .get(mn_id as usize)
-            .map(|n| n.load(Ordering::Relaxed))
-            .unwrap_or(0)
+            .map_or(0, NodeStats::resident_bytes)
     }
 
     /// Resident object bytes per node (one entry per tracked node).
     pub fn resident_bytes(&self) -> Vec<u64> {
-        self.resident_bytes[..self.num_nodes()]
+        self.nodes[..self.num_nodes()]
             .iter()
-            .map(|n| n.load(Ordering::Relaxed))
+            .map(NodeStats::resident_bytes)
             .collect()
     }
 
@@ -575,8 +571,8 @@ impl PoolStats {
     }
 
     fn record_node_fault(&self, mn_id: u16) {
-        if let Some(node) = self.verb_faults_per_node.get(mn_id as usize) {
-            node.fetch_add(1, Ordering::Relaxed);
+        if let Some(node) = self.nodes.get(mn_id as usize) {
+            node.verb_faults.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -609,10 +605,9 @@ impl PoolStats {
 
     /// Faulted verbs attributed to node `mn_id` so far (lifetime).
     pub fn verb_faults_on(&self, mn_id: u16) -> u64 {
-        self.verb_faults_per_node
+        self.nodes
             .get(mn_id as usize)
-            .map(|n| n.load(Ordering::Relaxed))
-            .unwrap_or(0)
+            .map_or(0, NodeStats::verb_faults)
     }
 
     /// Snapshot of the fault / retry / recovery counters.
@@ -753,8 +748,8 @@ impl PoolStats {
 
     /// Starts a new measurement interval: zeroes every `interval` row (see
     /// the [module docs](crate::stats)) and the operation-latency histogram.
-    /// `lifetime` rows, the per-node resident-byte gauges and fault
-    /// attribution, and the per-phase span histograms are left alone.
+    /// `lifetime` rows (among them the per-node resident-byte gauges and
+    /// fault attribution) and the per-phase span histograms are left alone.
     ///
     /// The clock baseline advances to the largest clock published so far, so
     /// clients connected after the reset continue from that point in
@@ -798,22 +793,6 @@ impl PoolStats {
             let series = values.iter().map(|node| node[i]);
             obs::write_labelled_series(out, row.name, row.help, row.kind, "node", series);
         }
-        obs::write_labelled_series(
-            out,
-            "ditto_node_resident_bytes",
-            "Resident object bytes per memory node (gauge; survives resets).",
-            "gauge",
-            "node",
-            self.resident_bytes().into_iter(),
-        );
-        obs::write_labelled_series(
-            out,
-            "ditto_node_verb_faults_total",
-            "Faulted verbs attributed per memory node (lifetime).",
-            "counter",
-            "node",
-            (0..nodes.len()).map(|mn| self.verb_faults_on(mn as u16)),
-        );
         self.contention.write_exposition(out);
         self.faults.write_exposition(out);
         self.migration.write_exposition(out);
@@ -1079,6 +1058,7 @@ mod tests {
         stats.record_op_sampled(true);
         stats.record_op_sampled(false);
         stats.record_op_sampled(false);
+        stats.record_resident_alloc(1, 128);
 
         // What the hand-written recorders made of it.
         let traffic = TrafficSnapshot {
@@ -1109,8 +1089,24 @@ mod tests {
             ops_skipped: 2,
         };
         assert_eq!(stats.obs(), obs);
-        let node = stats.node_snapshots()[1];
-        assert_eq!((node.messages, node.bytes, node.rpc_cpu_ns), (5, 40, 700));
+        // Spelled out field by field: the per-node lifetime rows are no
+        // fields of the snapshot, which `benchmark/` reads.
+        let node = NodeSnapshot {
+            messages: 5,
+            reads: 1,
+            writes: 1,
+            cas: 1,
+            faa: 1,
+            rpcs: 1,
+            rpc_cpu_ns: 700,
+            bytes: 40,
+            doorbells: 1,
+        };
+        assert_eq!(stats.node_snapshots()[1], node);
+        assert_eq!(
+            (stats.resident_bytes_on(1), stats.verb_faults_on(1)),
+            (128, 1)
+        );
 
         let groups = |s: &PoolStats| {
             [
