@@ -27,25 +27,26 @@ use std::sync::Arc;
 /// counters ([`ditto_dm::PoolStats::contention`]) expose how often they do.
 #[derive(Clone)]
 pub struct DittoCache {
-    pool: MemoryPool,
-    config: Arc<DittoConfig>,
-    table: SampleFriendlyHashTable,
-    history: EvictionHistory,
-    scratch: RemoteAddr,
+    pub(crate) pool: MemoryPool,
+    pub(crate) config: Arc<DittoConfig>,
+    pub(crate) table: SampleFriendlyHashTable,
+    pub(crate) history: EvictionHistory,
+    pub(crate) scratch: RemoteAddr,
     /// The experts, and the uniform weights every new client starts from.
-    policy: AdaptivePolicy,
-    stats: Arc<CacheStats>,
+    pub(crate) policy: AdaptivePolicy,
+    pub(crate) stats: Arc<CacheStats>,
     weight_service: Arc<WeightService>,
-    migration: Arc<MigrationEngine>,
+    pub(crate) migration: Arc<MigrationEngine>,
     /// Per-key-hash mutation epochs keeping every client's local tier
     /// coherent with concurrent writers (see [`crate::local_tier`]).
     /// Shared by all clients of the process; bumps are cheap enough that
     /// the board exists even when no client enables a tier.
-    board: Arc<CoherenceBoard>,
+    pub(crate) board: Arc<CoherenceBoard>,
     /// Base of the per-client crash-recovery redo journal
     /// ([`DittoConfig::enable_crash_recovery_journal`]); `None` when the
-    /// journal is disabled.
-    journal_base: Option<RemoteAddr>,
+    /// journal is disabled.  Recovery reads *other* clients' slots through
+    /// it.
+    pub(crate) journal_base: Option<RemoteAddr>,
 }
 
 /// Number of per-client slots in the crash-recovery redo journal region;
@@ -255,18 +256,6 @@ impl DittoCache {
         out
     }
 
-    pub(crate) fn table(&self) -> SampleFriendlyHashTable {
-        self.table.clone()
-    }
-
-    pub(crate) fn history(&self) -> EvictionHistory {
-        self.history.clone()
-    }
-
-    pub(crate) fn scratch(&self) -> RemoteAddr {
-        self.scratch
-    }
-
     /// The journal slot of client `client_id` in the journal region at
     /// `base` ([`DittoCache::journal_base`]), when the crash-recovery
     /// journal is enabled and the id falls inside the region.
@@ -274,33 +263,6 @@ impl DittoCache {
         let base = base?;
         (u64::from(client_id) < JOURNAL_SLOTS)
             .then(|| base.add(u64::from(client_id) * JOURNAL_SLOT_BYTES))
-    }
-
-    /// Base of the whole journal region (recovery walks other clients'
-    /// slots through it); `None` when the journal is disabled.
-    pub(crate) fn journal_base(&self) -> Option<RemoteAddr> {
-        self.journal_base
-    }
-
-    pub(crate) fn migration_arc(&self) -> Arc<MigrationEngine> {
-        Arc::clone(&self.migration)
-    }
-
-    pub(crate) fn config_arc(&self) -> Arc<DittoConfig> {
-        Arc::clone(&self.config)
-    }
-
-    /// The policy a new client starts from.
-    pub(crate) fn policy(&self) -> &AdaptivePolicy {
-        &self.policy
-    }
-
-    pub(crate) fn stats_arc(&self) -> Arc<CacheStats> {
-        Arc::clone(&self.stats)
-    }
-
-    pub(crate) fn board_arc(&self) -> Arc<CoherenceBoard> {
-        Arc::clone(&self.board)
     }
 }
 
@@ -314,7 +276,7 @@ mod tests {
         assert_eq!(cache.experts().len(), 2);
         assert_eq!(cache.global_weights().len(), 2);
         assert!(!cache.uses_extension());
-        assert!(cache.policy().is_adaptive());
+        assert!(cache.policy.is_adaptive());
     }
 
     #[test]

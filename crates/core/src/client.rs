@@ -241,30 +241,42 @@ pub struct DittoClient {
 
 impl DittoClient {
     pub(crate) fn new(cache: DittoCache) -> Self {
-        let config = cache.config_arc();
-        let dm = cache.pool().connect();
+        let use_extension = cache.uses_extension();
+        let DittoCache {
+            pool,
+            config,
+            table,
+            history,
+            scratch,
+            policy,
+            stats,
+            migration,
+            board,
+            journal_base,
+            ..
+        } = cache;
+        let dm = pool.connect();
         // The snapshot carries its own epoch; reading the pool's epoch
         // separately could race a concurrent resize and pin a stale
         // snapshot forever.
-        let topology = cache.pool().topology();
+        let topology = pool.topology();
         let topo_epoch = topology.epoch();
         let segment = config.alloc_segment_objects.max(1) * config.avg_object_blocks() * 64;
         let alloc = StripedAllocator::new(topology.active(), segment);
-        let num_shards = cache.history().num_shards() as usize;
+        let num_shards = history.num_shards() as usize;
         let fc = config
             .fc_capacity_entries()
             .map(|capacity| FcCache::new(config.fc_threshold, capacity));
         let seed = 0x5eed_0000 + dm.client_id() as u64;
-        let board = cache.board_arc();
         let tier = (config.local_tier_capacity > 0)
             .then(|| LocalTier::new(config.local_tier_capacity, config.local_tier_lease_ns));
         DittoClient {
-            use_extension: cache.uses_extension(),
-            table: cache.table(),
-            history: cache.history(),
-            scratch: cache.scratch(),
-            policy: cache.policy().clone(),
-            stats: cache.stats_arc(),
+            use_extension,
+            table,
+            history,
+            scratch,
+            policy,
+            stats,
             alloc,
             fc,
             hints: HintTable::new(),
@@ -283,11 +295,11 @@ impl DittoClient {
             last_refresh_miss_count: vec![0; num_shards],
             topology,
             topo_epoch,
-            engine: cache.migration_arc(),
+            engine: migration,
             mig_token: 0,
             mem_pressure: false,
-            journal: DittoCache::journal_slot(cache.journal_base(), dm.client_id()),
-            journal_base: cache.journal_base(),
+            journal: DittoCache::journal_slot(journal_base, dm.client_id()),
+            journal_base,
             crash_armed: None,
             crashed: false,
             bucket_buf: vec![0u8; 2 * BUCKET_SIZE].into_boxed_slice(),
@@ -2426,7 +2438,7 @@ mod tests {
             let key = format!("key{i}");
             client.set(key.as_bytes(), b"v");
             let hash = crate::hash::fnv1a64(key.as_bytes());
-            let table = cache.table();
+            let table = cache.table.clone();
             let bucket_node = table.node_of_bucket(table.primary_bucket(hash));
             let slots = table.bucket_slots(&client.dm, table.primary_bucket(hash));
             let fp = crate::hash::fingerprint(hash);
@@ -2462,7 +2474,7 @@ mod tests {
         }
         // The topology remaps stripe hints over the grown active set, so a
         // share of the new objects lands on the added node.
-        let table = cache.table();
+        let table = cache.table.clone();
         let mut on_new_node = 0;
         for i in 0..100u64 {
             let key = format!("post-add{i}");
@@ -2499,7 +2511,7 @@ mod tests {
             );
         }
         // All 100 post-drain objects were allocated off the drained node.
-        let table = cache.table();
+        let table = cache.table.clone();
         for i in 0..100u64 {
             let key = format!("post-drain{i}");
             let hash = crate::hash::fnv1a64(key.as_bytes());
@@ -2547,7 +2559,7 @@ mod tests {
         assert!(cache.migration().is_idle());
 
         // The drained node holds no buckets and no resident object bytes.
-        let table = cache.table();
+        let table = cache.table.clone();
         for bucket in 0..table.num_buckets() {
             assert_ne!(
                 table.node_of_bucket(bucket),
@@ -2589,7 +2601,7 @@ mod tests {
         assert!(progress.stripes_moved > 0);
         // The joiner now owns a fair share of the bucket ranges, so lookup
         // READ load spreads onto it without waiting for churn.
-        let table = cache.table();
+        let table = cache.table.clone();
         let on_new = (0..table.num_buckets())
             .filter(|&b| table.node_of_bucket(b) == new_node)
             .count() as u64;
@@ -2614,7 +2626,7 @@ mod tests {
             DittoCache::with_dedicated_pool(config, DmConfig::default().with_memory_nodes(2))
                 .unwrap();
         let mut client = cache.client();
-        let table = cache.table();
+        let table = cache.table.clone();
         // The node `key`'s object lives on.
         let home = |client: &DittoClient, key: &str| {
             let hash = crate::hash::fnv1a64(key.as_bytes());
@@ -2736,7 +2748,7 @@ mod tests {
 
         // Update the keys while the stripe is moving: plain CASes on the
         // source, which the commit's reconcile carries — no stripe lock.
-        let table = cache.table();
+        let table = cache.table.clone();
         let mut in_window = Vec::new();
         for i in 0..300u64 {
             let key = format!("window{i}");
@@ -2778,7 +2790,7 @@ mod tests {
             client.set(format!("resident{i}").as_bytes(), b"resident");
         }
         let job = drain_job(&cache);
-        let table = &cache.table();
+        let table = &cache.table;
         let in_stripe = |b: u64| table.stripe_of_bucket(b) == job.stripe;
         // Three fills whose every candidate slot is in the moving stripe, on
         // disjoint bucket pairs: one finds an empty slot, one only history
@@ -2876,7 +2888,7 @@ mod tests {
                 .unwrap();
         let mut client = cache.client();
         let job = drain_job(&cache);
-        let table = &cache.table();
+        let table = &cache.table;
         let key = key_with_buckets(table, "carried", |b| {
             table.stripe_of_bucket(b) == job.stripe
         });
@@ -2923,7 +2935,7 @@ mod tests {
         let job = std::iter::from_fn(|| engine.next_job())
             .find(|job| job.dst == 1)
             .expect("some stripe must be bound for node 1");
-        let table = &cache.table();
+        let table = &cache.table;
         let keys: Vec<String> = (0..4)
             .map(|i| {
                 key_with_buckets(table, &format!("stranded{i}-"), |b| {
@@ -3102,7 +3114,7 @@ mod tests {
         let dm = DmConfig::default().with_memory_nodes(2);
         let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
         let mut client = cache.client();
-        let table = cache.table();
+        let table = cache.table.clone();
         let key = key_with_buckets(&table, "counted", |b| table.node_of_bucket(b) == 1);
         client.set(key.as_bytes(), b"value");
         for _ in 0..2 {

@@ -1226,7 +1226,7 @@ mod tests {
 
         // Fresh keys whose primary bucket is A's take its empty slots in
         // order, up to A's: the last of them is B.
-        let table = cache.table();
+        let table = cache.table.clone();
         let hash = victim.hash;
         let bucket = [table.primary_bucket(hash), table.secondary_bucket(hash)]
             .into_iter()

@@ -1222,7 +1222,7 @@ mod tests {
     /// Every slot of `key`'s two buckets that holds a live object of `key`,
     /// read forensically.
     fn live_slots_of(cache: &DittoCache, client: &DittoClient, key: &[u8]) -> Vec<RemoteAddr> {
-        let (table, hash) = (cache.table(), fnv1a64(key));
+        let (table, hash) = (cache.table.clone(), fnv1a64(key));
         [table.primary_bucket(hash), table.secondary_bucket(hash)]
             .into_iter()
             .flat_map(|bucket| table.bucket_slots(&client.dm, bucket))
@@ -1269,7 +1269,7 @@ mod tests {
     fn fill_after_another_clients_fill(fill: impl FnOnce(&mut DittoClient, &[u8])) {
         let cache = small_cache();
         let (mut a, mut b) = (cache.client(), cache.client());
-        let (table, key) = (cache.table(), b"probe");
+        let (table, key) = (cache.table.clone(), b"probe");
         let primary = table.primary_bucket(fnv1a64(key));
         let [first, second] = [0, 1].map(|slot| table.slot_addr(primary, slot));
         assert!(a.get(key).is_none());
@@ -1316,7 +1316,7 @@ mod tests {
             let config = DittoConfig::with_capacity(1_000).with_crash_recovery_journal(true);
             let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
             let mut a = cache.client();
-            let (table, key) = (cache.table(), b"probe");
+            let (table, key) = (cache.table.clone(), b"probe");
             let primary = table.primary_bucket(fnv1a64(key));
             let [first, second] = [0, 1].map(|slot| table.slot_addr(primary, slot));
             assert!(a.get(key).is_none());
@@ -1365,7 +1365,7 @@ mod tests {
         // twin cache.
         let moved = {
             let twin = cache();
-            let table = twin.table();
+            let table = twin.table.clone();
             let before: Vec<u16> = (0..table.num_buckets())
                 .map(|bucket| table.node_of_bucket(bucket))
                 .collect();
