@@ -203,7 +203,6 @@ pub struct DittoClient {
     /// Topology snapshot backing allocation placement; revalidated against
     /// the pool's resize epoch at every operation.
     topology: PoolTopology,
-    topo_epoch: u64,
     /// The bucket-range migration engine (shared with the cache): the job
     /// queue [`DittoClient::pump_migration`] drains.
     engine: Arc<MigrationEngine>,
@@ -256,11 +255,7 @@ impl DittoClient {
             ..
         } = cache;
         let dm = pool.connect();
-        // The snapshot carries its own epoch; reading the pool's epoch
-        // separately could race a concurrent resize and pin a stale
-        // snapshot forever.
         let topology = pool.topology();
-        let topo_epoch = topology.epoch();
         let segment = config.alloc_segment_objects.max(1) * config.avg_object_blocks() * 64;
         let alloc = StripedAllocator::new(topology.active(), segment);
         let num_shards = history.num_shards() as usize;
@@ -294,7 +289,6 @@ impl DittoClient {
             miss_count: 0,
             last_refresh_miss_count: vec![0; num_shards],
             topology,
-            topo_epoch,
             engine: migration,
             mig_token: 0,
             mem_pressure: false,
@@ -380,14 +374,14 @@ impl DittoClient {
     /// epoch, refreshing the allocator's active-node set after an online
     /// `add_node`/`drain_node` (cheap epoch compare in steady state).
     fn maybe_refresh_topology(&mut self) {
-        let epoch = self.dm.resize_epoch();
-        if epoch != self.topo_epoch {
+        // The snapshot carries its own epoch: one taken while a resize races
+        // is simply refreshed again at the next operation.
+        if self.dm.resize_epoch() != self.topology.epoch() {
             self.topology = self.dm.pool().topology();
             self.alloc.set_active(self.topology.active());
             // New objects allocate on their stripe's assigned node, so the
             // assignment follows a membership change before the first pump.
             self.table.directory().reassign(&self.topology);
-            self.topo_epoch = epoch;
             // The active set changed, so the memory-pressure verdict is
             // stale: an added node has fresh capacity to probe, and after a
             // drain the pressure state re-establishes itself on the first
@@ -651,26 +645,9 @@ impl DittoClient {
         };
         let mut report = RecoveryReport::default();
 
-        // 1. One forensic scan of the whole table: per-node sorted
-        //    (offset, resident bytes) of every referenced allocation.
-        //    Both the journal replay and the gap sweep reconcile against
-        //    this single snapshot.
-        let num_nodes = self.dm.pool().num_nodes();
-        let mut refs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); num_nodes as usize];
-        let mut walk = self.table.walk(0..self.table.num_stripes() as u64);
-        while let Some((_, slot)) = walk.next_slot(&self.table, &self.dm) {
-            if !slot.atomic.is_object() {
-                continue;
-            }
-            let addr = slot.atomic.object_addr();
-            let resident = Self::resident_bytes_for(slot.atomic.object_bytes() as usize);
-            if let Some(node_refs) = refs.get_mut(addr.mn_id as usize) {
-                node_refs.push((addr.offset, resident));
-            }
-        }
-        for node_refs in refs.iter_mut() {
-            node_refs.sort_unstable();
-        }
+        // 1. One forensic scan of the whole table: both the journal replay
+        //    and the gap sweep reconcile against this single snapshot.
+        let refs = self.referenced_objects();
 
         // 2. Journal replay — fixes the *resident gauge* only; the memory
         //    itself is returned by the segment sweep below.  Whichever of
@@ -755,7 +732,7 @@ impl DittoClient {
         //    local hoard goes back first.
         recovery_event(RecoveryPhase::GapSweep, &self.dm);
         self.alloc.release_excess(&self.dm, 0);
-        for mn in 0..num_nodes {
+        for mn in 0..refs.len() as u16 {
             let Ok(node) = self.dm.pool().node(mn) else {
                 continue;
             };
@@ -1763,14 +1740,31 @@ impl DittoClient {
     ///
     /// [`MemoryPool::resident_object_bytes`]: ditto_dm::MemoryPool::resident_object_bytes
     pub fn referenced_object_bytes_on(&mut self, mn_id: u16) -> u64 {
-        let mut total = 0u64;
+        let refs = self.referenced_objects();
+        refs.get(mn_id as usize).map_or(0, |node_refs| {
+            node_refs.iter().map(|&(_, bytes)| bytes).sum()
+        })
+    }
+
+    /// Forensic scan of the whole table: per node, the sorted (offset,
+    /// resident bytes) of every allocation a slot references.
+    fn referenced_objects(&mut self) -> Vec<Vec<(u64, u64)>> {
+        let mut refs = vec![Vec::new(); self.dm.pool().num_nodes() as usize];
         let mut walk = self.table.walk(0..self.table.num_stripes() as u64);
         while let Some((_, slot)) = walk.next_slot(&self.table, &self.dm) {
-            if slot.atomic.is_object() && slot.atomic.object_addr().mn_id == mn_id {
-                total += Self::resident_bytes_for(slot.atomic.object_bytes() as usize);
+            if !slot.atomic.is_object() {
+                continue;
+            }
+            let addr = slot.atomic.object_addr();
+            let resident = Self::resident_bytes_for(slot.atomic.object_bytes() as usize);
+            if let Some(node_refs) = refs.get_mut(addr.mn_id as usize) {
+                node_refs.push((addr.offset, resident));
             }
         }
-        total
+        for node_refs in &mut refs {
+            node_refs.sort_unstable();
+        }
+        refs
     }
 
     /// Forensic scan: every slot's frequency-counter address and the value
@@ -1834,9 +1828,11 @@ impl DittoClient {
             {
                 continue;
             }
-            if self.relocate_object_bytes(slot_addr, &slot, &bytes[..len], home) {
-                progress.objects_relocated += 1;
-            }
+            let t0 = self.dm.now_ns();
+            let moved = self.relocate_object_bytes(slot_addr, &slot, &bytes[..len], home);
+            self.dm
+                .record_span(Phase::Relocate, t0, self.dm.now_ns(), moved as u32);
+            progress.objects_relocated += moved as u64;
         }
     }
 
@@ -1845,20 +1841,6 @@ impl DittoClient {
     /// the bytes, swings the slot pointer with the migration-aware CAS and
     /// releases the old blocks.
     fn relocate_object_bytes(
-        &mut self,
-        slot_addr: RemoteAddr,
-        slot: &Slot,
-        bytes: &[u8],
-        home: u16,
-    ) -> bool {
-        let t0 = self.dm.now_ns();
-        let moved = self.relocate_object_bytes_inner(slot_addr, slot, bytes, home);
-        self.dm
-            .record_span(Phase::Relocate, t0, self.dm.now_ns(), moved as u32);
-        moved
-    }
-
-    fn relocate_object_bytes_inner(
         &mut self,
         slot_addr: RemoteAddr,
         slot: &Slot,
