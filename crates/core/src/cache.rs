@@ -114,6 +114,7 @@ impl DittoCache {
     /// With `dm.num_memory_nodes > 1` the required bytes are divided over
     /// the nodes, matching the striped placement of table and segments.
     pub fn with_dedicated_pool(config: DittoConfig, mut dm: DmConfig) -> CacheResult<Self> {
+        config.validate().map_err(CacheError::InvalidConfig)?;
         let table_bytes = config.num_buckets() * BUCKET_SIZE as u64;
         let object_bytes = config.capacity_objects * config.avg_object_blocks() * 64;
         let nodes = dm.num_memory_nodes.max(1) as u64;
@@ -269,6 +270,33 @@ impl DittoCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sizes_that_would_overflow_are_invalid_before_the_pool_is_sized() {
+        assert!(DittoConfig::default().validate().is_ok());
+        let d = DittoConfig::default;
+        for config in [
+            DittoConfig {
+                avg_object_size: u32::MAX,
+                ..d()
+            },
+            DittoConfig {
+                capacity_objects: u64::MAX / 2,
+                ..d()
+            },
+            DittoConfig {
+                fc_cache_mb: f64::INFINITY,
+                ..d()
+            },
+            DittoConfig {
+                alloc_segment_objects: u64::MAX / 4,
+                ..d()
+            },
+        ] {
+            let built = DittoCache::with_dedicated_pool(config, DmConfig::default());
+            assert!(matches!(built, Err(CacheError::InvalidConfig(_))));
+        }
+    }
 
     #[test]
     fn builds_with_default_config() {

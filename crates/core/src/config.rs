@@ -180,7 +180,7 @@ impl DittoConfig {
 
     /// Number of 64-byte blocks an average object occupies.
     pub fn avg_object_blocks(&self) -> u64 {
-        ((self.avg_object_size + Self::OBJECT_OVERHEAD_BYTES) as u64).div_ceil(64)
+        (u64::from(self.avg_object_size) + u64::from(Self::OBJECT_OVERHEAD_BYTES)).div_ceil(64)
     }
 
     /// Maximum number of entries the frequency-counter cache may hold
@@ -200,9 +200,21 @@ impl DittoConfig {
 
     /// Validates internal consistency.  The expert list is checked where the
     /// experts are built ([`crate::adaptive::AdaptivePolicy::from_names`]).
+    ///
+    /// Sizes are outside input (the config deserializes), so the objects the
+    /// pool and one allocation segment are sized for must fit the 2^48 bytes
+    /// the slot pointer addresses: no size computed from them overflows.
     pub fn validate(&self) -> Result<(), String> {
         if self.local_tier_capacity > 0 && self.local_tier_lease_ns == 0 {
             return Err("local_tier_lease_ns must be at least 1 when the tier is on".to_string());
+        }
+        let object_bytes = self.avg_object_blocks() * 64;
+        let fits = |n: u64| n.checked_mul(object_bytes).is_some_and(|b| b <= 1 << 48);
+        if !fits(self.capacity_objects) || !fits(self.alloc_segment_objects) {
+            return Err("the pool or one segment would exceed 2^48 bytes".to_string());
+        }
+        if !self.fc_cache_mb.is_finite() {
+            return Err("fc_cache_mb must be finite".to_string());
         }
         Ok(())
     }
