@@ -124,9 +124,10 @@
 //! being evicted at (`tests/lazy_last_ts.rs` drives it).  `Set`s always
 //! write: the hinted replace never reads the slot.  The local tier's hits
 //! follow the same rule, judged against the timestamp the tier entry last
-//! saw or wrote (`tier_feed_frequency`).
+//! saw or wrote: remote hits, local hits and replaces all go through one
+//! routine (`record_access`), so
 //! [`CacheStats::ts_writes_sent`] / [`CacheStats::ts_writes_skipped`] count
-//! both outcomes; [`SimCache`] runs the same function on its logical clock,
+//! every hit's and every replace's outcome; [`SimCache`] runs the same function on its logical clock,
 //! and the sweep that picked 16 ([`recency::LAST_TS_DIVISOR`]) lives in its
 //! tests.
 //!

@@ -83,8 +83,8 @@ counter_table! {
     /// `last_ts` WRITEs issued: one per replacing `Set` and per hit whose
     /// stored timestamp had gone stale.
     ts_writes_sent: lifetime accessor, counter "ditto_cache_ts_writes_sent_total" "last_ts WRITEs issued: replacing Sets, and hits whose stored timestamp had gone stale (lifetime).";
-    /// `last_ts` WRITEs hits left out because the stored timestamp was still
-    /// fresh: each one RNIC message saved.
+    /// `last_ts` WRITEs hits, remote or local-tier, left out because the
+    /// stored timestamp was still fresh: each one RNIC message saved.
     ts_writes_skipped: lifetime accessor, counter "ditto_cache_ts_writes_skipped_total" "last_ts WRITEs hits left out because the stored timestamp was fresh (lifetime).";
     /// `Get`s that a verb fault (an unreadable bucket or object) degraded to
     /// a miss — counted as a miss too.
