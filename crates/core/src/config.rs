@@ -201,9 +201,11 @@ impl DittoConfig {
     /// Validates internal consistency.  The expert list is checked where the
     /// experts are built ([`crate::adaptive::AdaptivePolicy::from_names`]).
     ///
-    /// Sizes are outside input (the config deserializes), so the objects the
-    /// pool and one allocation segment are sized for must fit the 2^48 bytes
-    /// the slot pointer addresses: no size computed from them overflows.
+    /// Sizes are outside input (the config deserializes), so the bytes the
+    /// pool and one allocation segment are sized for are capped at 2^48, which
+    /// keeps every size computed from them inside `u64`.  This is an overflow
+    /// guard, not an addressability check: a slot pointer reaches 2^40 bytes
+    /// per node, and the node count is not known here.
     pub fn validate(&self) -> Result<(), String> {
         if self.local_tier_capacity > 0 && self.local_tier_lease_ns == 0 {
             return Err("local_tier_lease_ns must be at least 1 when the tier is on".to_string());

@@ -125,10 +125,10 @@
 //! write: the hinted replace never reads the slot.  The local tier's hits
 //! follow the same rule, judged against the timestamp the tier entry last
 //! saw or wrote: remote hits, local hits and replaces all go through one
-//! routine (`record_access`), so
-//! [`CacheStats::ts_writes_sent`] / [`CacheStats::ts_writes_skipped`] count
-//! every hit's and every replace's outcome; [`SimCache`] runs the same function on its logical clock,
-//! and the sweep that picked 16 ([`recency::LAST_TS_DIVISOR`]) lives in its
+//! routine (`record_access`), so [`CacheStats::ts_writes_sent`] /
+//! [`CacheStats::ts_writes_skipped`] count every hit's and every replace's
+//! outcome; [`SimCache`] runs the same function on its logical clock, and
+//! the sweep that picked 16 ([`recency::LAST_TS_DIVISOR`]) lives in its
 //! tests.
 //!
 //! **A stripe cutover poisons only the words clients CAS.**  The table hands
