@@ -30,7 +30,8 @@
 //!   `RDMA_CAS` converting the victim slot into an embedded history entry —
 //!   riding the evicting `Set`'s rounds, or parked for the next starved `Set`
 //!   to carry, the parked pick's CPU work charged under the flight of the
-//!   client's next round (see the crate docs).
+//!   client's next round — or, when the fill's sample was short, its
+//!   re-sample READ flying under the client's next ops (see the crate docs).
 //!
 //! This is the **one data path**: posted WQEs, polled completions
 //! (`work_queue()` → `ring()` → `poll_cq()`), with a synchronous single-verb
@@ -232,6 +233,10 @@ pub struct DittoClient {
     bucket_buf: Box<[u8]>,
     /// Scratch for eviction-sample slot READs.
     sample_buf: Box<[u8]>,
+    /// Scratch for the parked eviction's deferred re-sample READ, which
+    /// stays unread until a later `Set` takes the eviction up, whatever
+    /// samples other evictions read into [`Self::sample_buf`] meanwhile.
+    parked_sample_buf: Box<[u8]>,
     /// Scratch for object READs; grows to the largest object seen.
     obj_buf: Vec<u8>,
     /// Scratch for `Set` object encoding; grows to the largest object set.
@@ -298,6 +303,8 @@ impl DittoClient {
             crashed: false,
             bucket_buf: vec![0u8; 2 * BUCKET_SIZE].into_boxed_slice(),
             sample_buf: vec![0u8; DittoConfig::SAMPLE_SPAN_SLOTS * SLOT_SIZE].into_boxed_slice(),
+            parked_sample_buf: vec![0u8; DittoConfig::SAMPLE_SPAN_SLOTS * SLOT_SIZE]
+                .into_boxed_slice(),
             obj_buf: Vec::new(),
             encode_buf: Vec::new(),
             config,
@@ -332,7 +339,7 @@ impl DittoClient {
         self.eviction_age.begin_op(self.dm.now_ns());
         self.miss_memo = None;
         let hit = self.get_inner(key, out);
-        self.dm.end_op();
+        self.end_op();
         hit
     }
 
@@ -366,8 +373,16 @@ impl DittoClient {
         let mut encoded = std::mem::take(&mut self.encode_buf);
         let result = self.set_inner(key, value, memo, &mut encoded);
         self.encode_buf = encoded;
-        self.dm.end_op();
+        self.end_op();
+        self.send_deferred_sample();
         result
+    }
+
+    /// Ends an op: polls what it left outstanding — booking a parked
+    /// eviction's completion on it — and records its latency.
+    fn end_op(&mut self) {
+        let _ = self.drain_round(&mut [None, None]);
+        self.dm.end_op();
     }
 
     /// Revalidates the cached topology snapshot against the pool's resize
@@ -489,9 +504,10 @@ impl DittoClient {
             };
             // The one wait: every completion the ring produced — each
             // node's last FAA, and any error before it.  Between ops the
-            // queue holds nothing else.
+            // queue holds nothing else but a parked eviction's deferred
+            // re-sample READ, which the poll books on the eviction.
             let mut status = [CompletionStatus::Success; MAX_WQES];
-            while let Some(completion) = self.dm.poll_cq() {
+            while let Some(completion) = self.next_completion(&mut [None, None]) {
                 if ids.contains(&completion.wr_id) {
                     status[(completion.wr_id - ids.start) as usize] = completion.status;
                 }
@@ -1038,6 +1054,12 @@ impl DittoClient {
         }
     }
 
+    /// The FC increments this client buffers for the slot at `slot_addr`.
+    fn buffered_accesses(&self, slot_addr: RemoteAddr) -> u64 {
+        let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
+        self.fc.as_ref().map_or(0, |fc| fc.pending_delta(freq_addr))
+    }
+
     /// Drops the FC increments buffered for the slot at `slot_addr`, whose
     /// key one of this client's CASes just took out: they were the key's,
     /// and flushed they would count to the slot's next key.
@@ -1083,7 +1105,9 @@ impl DittoClient {
             wr_read
         };
         let read = loop {
-            let completion = self.dm.poll_cq().expect("object READ completion");
+            let completion = self
+                .next_completion(&mut [None, None])
+                .expect("object READ completion");
             if completion.wr_id == wr_read {
                 break completion.status.check();
             }
@@ -1092,7 +1116,7 @@ impl DittoClient {
             self.stats.record_fc_flush();
         }
         if read.is_err() {
-            let _ = self.dm.try_drain_cq();
+            let _ = self.drain_round(&mut [None, None]);
         }
         read
     }
@@ -1693,6 +1717,9 @@ impl DittoClient {
     /// `DittoCache::pump_migration` is the run-to-completion wrapper.
     pub fn pump_migration(&mut self, max_stripes: usize) -> MigrationProgress {
         self.maybe_refresh_topology();
+        // The engine drains this client's completion queue as its own: a
+        // parked eviction's deferred READ is polled and booked first.
+        let _ = self.drain_round(&mut [None, None]);
         let engine = Arc::clone(&self.engine);
         engine.maybe_replan();
         let mut progress = MigrationProgress::default();
@@ -1919,12 +1946,15 @@ impl DittoClient {
         None
     }
 
-    /// Gathers the candidates' metadata for [`AdaptivePolicy::pick_victim`].
-    fn select_victim(&mut self, candidates: &[(RemoteAddr, Slot)]) -> Pick {
+    /// Gathers the candidates' metadata for [`AdaptivePolicy::pick_victim`]:
+    /// with `buffered`, each `freq` word plus what the FC cache holds for it
+    /// now; without, as the candidates carry it (an eviction that folded the
+    /// counts its READs saw, see `client/evict.rs`).
+    fn select_victim(&mut self, candidates: &[(RemoteAddr, Slot)], buffered: bool) -> Pick {
         let now = self.dm.now_ns();
         let mut metadata: InlineVec<Metadata, CANDIDATES_CAP> = InlineVec::new();
         for (slot_addr, slot) in candidates {
-            metadata.push(self.candidate_metadata(*slot_addr, slot));
+            metadata.push(self.candidate_metadata(*slot_addr, slot, buffered));
         }
         let (idx, bitmap, chosen) =
             self.policy
@@ -1938,12 +1968,13 @@ impl DittoClient {
     }
 
     /// A candidate's metadata as this client knows it: the slot's words,
-    /// its `freq` plus the increments this client's FC cache still holds
-    /// for it (see [`crate::fc_cache`]).
-    fn candidate_metadata(&self, slot_addr: RemoteAddr, slot: &Slot) -> Metadata {
+    /// its `freq` plus — with `buffered` — the increments this client's FC
+    /// cache still holds for it (see [`crate::fc_cache`]).
+    fn candidate_metadata(&self, slot_addr: RemoteAddr, slot: &Slot, buffered: bool) -> Metadata {
         let mut metadata = slot.metadata();
-        let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
-        metadata.freq += self.fc.as_ref().map_or(0, |fc| fc.pending_delta(freq_addr));
+        if buffered {
+            metadata.freq += self.buffered_accesses(slot_addr);
+        }
         if self.use_extension {
             // Advanced algorithms keep their extension metadata with the
             // object; fetch the header (§4.4: extra READs on eviction).

@@ -2,8 +2,10 @@
 //! inline evictions of a starved allocation, the eviction a `Set` under
 //! memory pressure runs *ahead*, beside its own lookup and publish, and the
 //! one a fill *parks* for the next starved `Set` to carry, its pick's CPU
-//! work charged under the client's next round (see the crate docs, *The
-//! `Set` path under memory pressure*).
+//! work charged under the client's next round — or, when its sample held too
+//! few candidates, its re-sample READ left in flight for the client's next
+//! ops to poll (see the crate docs, *The `Set` path under memory
+//! pressure*).
 
 use super::lookup::bucket_holds;
 use super::round::{
@@ -28,8 +30,9 @@ const NO_ID: u64 = u64::MAX;
 /// Where an [`Eviction`] stands between its round trips.
 #[derive(Clone, Copy, Default)]
 pub(super) enum EvictWait {
-    /// A sample READ is out (or waits to ride the `Set`'s first round),
-    /// beside the first one the history-id FAA.
+    /// A sample READ is out (or waits to ride the `Set`'s first round, or,
+    /// a fill's deferred re-sample, for its op to end), beside the first one
+    /// the history-id FAA.
     #[default]
     Sample,
     /// The victim is picked and its slot CAS not posted: it goes out at
@@ -50,8 +53,12 @@ pub(super) enum EvictWait {
 /// *parked* one stops once its victim is picked — its sample's decode and
 /// scoring left for the client's next round to charge
 /// ([`DittoClient::host_parked_pick`]) — and the next starved `Set` carries
-/// its victim CAS ([`DittoClient::take_parked`]).  The round executor
-/// ([`super::round`]) posts its verbs and books their completions on it.
+/// its victim CAS ([`DittoClient::take_parked`]).  A parked one whose sample
+/// was short instead stops with its re-sample drawn: the fill sends that
+/// READ once its op has ended ([`DittoClient::send_deferred_sample`]), and
+/// the `Set` that takes the eviction up decodes it and picks.  The round
+/// executor ([`super::round`]) posts its verbs and books their completions
+/// on it.
 #[derive(Default)]
 pub(super) struct Eviction {
     /// Start of the `Evict` span: when the first sample was issued — or, of a
@@ -78,6 +85,18 @@ pub(super) struct Eviction {
     samples: usize,
     retries: usize,
     pub(super) wait: EvictWait,
+    /// Whether the current sample is a deferred re-sample: its bytes land in
+    /// [`DittoClient::parked_sample_buf`], out of the way of other
+    /// evictions' samples, and [`Self::fc_seen`] holds what the FC cache
+    /// buffered for its slots when it went out.
+    deferred: bool,
+    /// The FC deltas this client buffered for each slot of a deferred
+    /// re-sample's span, in canonical order, when its READ went out.
+    fc_seen: InlineVec<u64, { DittoConfig::SAMPLE_SPAN_SLOTS }>,
+    /// Whether the candidates' `freq` words already count this client's
+    /// buffered FC increments as their READ saw them — so from a deferred
+    /// re-sample on — rather than as the FC cache holds them at the pick.
+    fc_folded: bool,
     /// Physical READ segments of the current sample, in canonical order.
     segments: InlineVec<(RemoteAddr, usize), MAX_WQES>,
     /// Whether the current sample's READs were issued yet.
@@ -125,7 +144,7 @@ impl Eviction {
             victim: self.carried_victim,
             park: self.park,
         };
-        (!self.issued).then_some((&self.segments[..], self.id_counter, riding))
+        (!self.issued && !self.deferred).then_some((&self.segments[..], self.id_counter, riding))
     }
 
     /// The CAS of the picked victim's slot.
@@ -239,10 +258,16 @@ impl DittoClient {
     /// The eviction a previous fill parked, if this `Set` is `starved` and
     /// so carries it.  Any `Set` drops it instead once a stripe cutover has
     /// moved the directory since it began — its candidates' addresses may
-    /// name retired copies — and its history id is burnt.
+    /// name retired copies — and its history id is burnt; a re-sample READ
+    /// it still has out is polled first, so that no stray completion meets
+    /// the op's own polls.  A parked eviction that deferred its re-sample
+    /// picks here, from that READ: its CPU work hosted under this `Set`'s
+    /// first round, like a fill's pick, and a sample still too short
+    /// re-sampled in place.
     pub(super) fn take_parked(&mut self, starved: bool) -> Option<Eviction> {
         let mut ev = self.parked_eviction.take()?;
         if ev.version != self.table.directory().version() {
+            self.await_eviction(&mut ev);
             if self.policy.is_adaptive() {
                 self.stats.record_history_id_burnt();
             }
@@ -251,6 +276,14 @@ impl DittoClient {
         if !starved {
             self.parked_eviction = Some(ev);
             return None;
+        }
+        if ev.deferred {
+            debug_assert!(ev.issued, "the fill sent its deferred re-sample");
+            ev.t0 = self.dm.now_ns();
+            if self.evict_advance(&mut ev, false).is_some() {
+                // Nothing to pick from after every re-sample: given up.
+                return None;
+            }
         }
         ev.carried = true;
         Some(ev)
@@ -263,11 +296,14 @@ impl DittoClient {
     /// `None` right after posting a verb, for that publish to overlap and
     /// the caller to resume it later; otherwise it waits in place and runs
     /// to `Some(won)`.  A parked eviction returns `None` once its victim is
-    /// picked, either way — unless a `Set` carries it.
+    /// picked, either way — unless a `Set` carries it — and a fill's own
+    /// with its first re-sample drawn and left for its op's end
+    /// ([`Self::defers_resample`]).
     pub(super) fn evict_advance(&mut self, ev: &mut Eviction, beside_insert: bool) -> Option<bool> {
         loop {
             match ev.wait {
                 EvictWait::Done(won) => return Some(won),
+                EvictWait::Sample if ev.deferred && !ev.issued => return None,
                 EvictWait::Sample => {
                     let cpu = self.collect_sample(ev);
                     let found = ev.candidates.len();
@@ -280,6 +316,11 @@ impl DittoClient {
                     } else {
                         self.charge_decode(cpu.0);
                         self.charge_score(cpu.1);
+                    }
+                    if short && self.defers_resample(ev) {
+                        self.issue_sample(ev, false, true);
+                        ev.deferred = true;
+                        return None;
                     }
                     if short {
                         self.issue_sample(ev, beside_insert, false);
@@ -336,21 +377,68 @@ impl DittoClient {
         ev.park && !ev.carried && !self.use_extension
     }
 
+    /// Whether `ev`, a fill's own parked eviction whose first sample came
+    /// up short, leaves its re-sample to the client's next ops: the fill
+    /// draws the span, sends the READ once its op has ended and polls
+    /// nothing; the `Set` that takes the eviction up picks from it
+    /// ([`Self::take_parked`]).  Only the first re-sample, and only where
+    /// the pick would be hosted: a second short sample, or one under an
+    /// extension expert, is re-sampled in place.
+    fn defers_resample(&self, ev: &Eviction) -> bool {
+        ev.samples == 1 && self.hosts_pick(ev)
+    }
+
+    /// Sends the re-sample READ the parked eviction drew, if the fill that
+    /// parked it deferred one ([`Self::defers_resample`]): signalled, on a
+    /// ring of its own, into [`DittoClient::parked_sample_buf`].  Called
+    /// once the fill's op has ended, so the op does not wait for it; the
+    /// fill pays the doorbell and the issue.  Nothing polls it here: its
+    /// completion is booked on the eviction by whichever poll of a later op
+    /// meets it ([`super::round`]'s `poll_routed`).  Beside it the eviction
+    /// records the FC deltas this client buffers now for the span's slots
+    /// and folds them into the candidates it holds, so that its pick, made
+    /// later, scores the counts the READs saw.
+    pub(super) fn send_deferred_sample(&mut self) {
+        let Some(mut ev) = self.parked_eviction.take_if(|ev| ev.deferred && !ev.issued) else {
+            return;
+        };
+        for (slot_addr, slot) in ev.candidates.iter_mut() {
+            slot.freq += self.buffered_accesses(*slot_addr);
+        }
+        ev.fc_seen.clear();
+        for &(addr, slots) in ev.segments.iter() {
+            for i in 0..slots {
+                let seen = self.buffered_accesses(addr.add((i * SLOT_SIZE) as u64));
+                ev.fc_seen.push(seen);
+            }
+        }
+        ev.fc_folded = true;
+        let mut round = Round::new(Shape::Evict, Context::default());
+        round.push_sample(&ev.segments, ev.id_counter);
+        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
+        self.post_round(&round, &[], &mut alone(&mut ev));
+        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
+        self.stats.record_resample_deferred();
+        self.parked_eviction = Some(ev);
+    }
+
     /// Charges the CPU work of the pick the last fill parked — its sample's
     /// decode and scoring, that eviction's sample half and `Evict` span —
     /// between a round's doorbell and its first poll, under the round trip
     /// ([`super::round`]'s `post_round`, and `search_hinted`'s ring of both
     /// READs).  The pick itself was made where the sample
-    /// landed, on the counts and at the time of its landing.
-    pub(super) fn host_parked_pick(&mut self) {
+    /// landed, on the counts and at the time of its landing.  Returns
+    /// whether there was any.
+    pub(super) fn host_parked_pick(&mut self) -> bool {
         let (slots, scored) = std::mem::take(&mut self.hosted_cpu);
         if slots == 0 {
-            return;
+            return false;
         }
         let t0 = self.dm.now_ns();
         self.charge_decode(slots);
         self.charge_score(scored);
         self.dm.record_span(Phase::Evict, t0, self.dm.now_ns(), 0);
+        true
     }
 
     /// Ends `ev`: whether it evicted, its span, and an id it could not use.
@@ -434,25 +522,37 @@ impl DittoClient {
     /// routine re-samples).  Slots decode in
     /// canonical segment order whatever order the READs completed in — ties
     /// in eviction priorities break by position — so a striped pool sees the
-    /// candidates a single node does.
+    /// candidates a single node does.  Once the eviction folds FC counts
+    /// ([`Eviction::fc_folded`]), each candidate's `freq` takes what the FC
+    /// cache buffered for it when its READ went out: recorded beside a
+    /// deferred re-sample, and otherwise now, when it lands.
     fn collect_sample(&mut self, ev: &mut Eviction) -> (usize, usize) {
         debug_assert!(ev.issued, "the first lookup round posts a riding sample");
         self.await_eviction(ev);
+        let deferred = std::mem::take(&mut ev.deferred);
         if ev.failed {
             return (0, 0);
         }
+        let bytes = if deferred {
+            &self.parked_sample_buf
+        } else {
+            &self.sample_buf
+        };
         let (mut offset, mut gathered) = (0, 0);
         for &(addr, slots) in ev.segments.iter() {
-            let bytes = &self.sample_buf[offset..offset + slots * SLOT_SIZE];
-            for (i, chunk) in bytes.chunks_exact(SLOT_SIZE).enumerate() {
+            let span = &bytes[offset..offset + slots * SLOT_SIZE];
+            for (i, chunk) in span.chunks_exact(SLOT_SIZE).enumerate() {
                 let slot_addr = addr.add((i * SLOT_SIZE) as u64);
-                let slot = Slot::from_bytes(chunk);
-                if slot.atomic.is_object()
-                    && !ev.excludes(slot_addr)
-                    && ev.candidates.push_saturating((slot_addr, slot))
-                {
-                    gathered += 1;
+                let mut slot = Slot::from_bytes(chunk);
+                if !slot.atomic.is_object() || ev.excludes(slot_addr) {
+                    continue;
                 }
+                if ev.fc_folded && deferred {
+                    slot.freq += ev.fc_seen[offset / SLOT_SIZE + i];
+                } else if ev.fc_folded {
+                    slot.freq += self.buffered_accesses(slot_addr);
+                }
+                gathered += usize::from(ev.candidates.push_saturating((slot_addr, slot)));
             }
             offset += slots * SLOT_SIZE;
         }
@@ -467,7 +567,7 @@ impl DittoClient {
     /// expert: its span closes here.  The `Set` that carries it records the
     /// victim half.
     fn pick_victim(&mut self, ev: &mut Eviction) {
-        ev.pick = self.select_victim(&ev.candidates);
+        ev.pick = self.select_victim(&ev.candidates, !ev.fc_folded);
         ev.wait = EvictWait::Picked;
         let victim = ev.candidates[ev.pick.idx].1;
         // A faulted counter FAA evicts without a history entry (one lost
@@ -585,8 +685,9 @@ impl DittoClient {
 
 #[cfg(test)]
 mod tests {
-    use super::{bucket_holds, Candidates, DittoClient, Eviction};
+    use super::{bucket_holds, Candidates, DittoClient, EvictWait, Eviction};
     use crate::cache::DittoCache;
+    use crate::client::round::Shape;
     use crate::config::DittoConfig;
     use crate::hash::fnv1a64;
     use crate::hashtable::SampleFriendlyHashTable;
@@ -645,10 +746,12 @@ mod tests {
         (cache, client)
     }
 
-    /// The parked eviction's victim: its slot and its slot as sampled.
-    fn parked_victim(client: &DittoClient) -> (RemoteAddr, Slot) {
+    /// The parked eviction's victim once it has picked — its slot and its
+    /// slot as sampled — and `None` while its pick waits for the re-sample
+    /// it deferred, which the `Set` that carries it makes.
+    fn parked_victim(client: &DittoClient) -> Option<(RemoteAddr, Slot)> {
         let parked = client.parked_eviction.as_ref().expect("a parked eviction");
-        parked.candidates[parked.pick.idx]
+        matches!(parked.wait, EvictWait::Picked).then(|| parked.candidates[parked.pick.idx])
     }
 
     fn timed_set_of(client: &mut DittoClient, key: u64, len: usize) -> u64 {
@@ -791,10 +894,10 @@ mod tests {
         let round = posting
             + DmConfig::CAS_LATENCY_NS.max(DmConfig::FAA_LATENCY_NS)
             + 4 * DmConfig::CQ_POLL_NS;
-        let mut exact = 0;
+        let (mut exact, mut victims) = (0, 0);
         for key in 5_000..5_100u64 {
             assert!(client.get(&key.to_le_bytes()).is_none());
-            let (victim_addr, victim) = parked_victim(&client);
+            let picked = parked_victim(&client);
             let (before, evictions) = (node(&cache), cache.stats().snapshot().evictions);
             let resident = cache.pool().resident_object_bytes(0);
             let t0 = client.dm().now_ns();
@@ -807,13 +910,18 @@ mod tests {
                 "key {key}"
             );
             // The carried victim is out of the table and its memory back on
-            // the free list in this very Set: one object in, one out.
+            // the free list in this very Set: one object in, one out.  (A
+            // pick the fill before deferred with its re-sample is made in
+            // this Set; the Get before it only polled that READ.)
             assert_eq!(cache.stats().snapshot().evictions, evictions + 1);
-            let word = AtomicField::decode(client.dm().read_u64(victim_addr));
-            assert!(
-                word.is_history() && word.fp == victim.atomic.fp,
-                "key {key}"
-            );
+            if let Some((victim_addr, victim)) = picked {
+                let word = AtomicField::decode(client.dm().read_u64(victim_addr));
+                assert!(
+                    word.is_history() && word.fp == victim.atomic.fp,
+                    "key {key}"
+                );
+                victims += 1;
+            }
             assert_eq!(cache.pool().resident_object_bytes(0), resident);
             // The sample was the one READ (no counter refresh, no re-sample):
             // the fill rang one doorbell and took exactly one round trip.  It
@@ -829,6 +937,10 @@ mod tests {
             }
         }
         assert!(exact >= 90, "{exact} of 100 fills read only their sample");
+        assert!(
+            victims >= 90,
+            "{victims} of 100 parked victims picked by their fill"
+        );
         // Each fill freed exactly the one victim it carried: none evicted
         // inline to make room.
         assert_eq!(cache.stats().evictions_inline(), inline);
@@ -896,42 +1008,312 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_sample_too_short_to_pick_from_is_re_sampled_by_its_fill() {
-        // 2 KiB values in a cache sized for 300 small objects: the memory
-        // holds a few dozen, and a 15-slot span often fewer than two.
-        let cache = small_cache(300);
+    /// Values of 2 KiB in a cache sized for 300 small objects: the memory
+    /// holds a few dozen, and a 15-slot span often fewer than two.
+    const BIG: usize = 2_048;
+
+    /// A cache of [`BIG`] values on the pool `dm` describes and its client,
+    /// past the two fills after which every fill parks (see
+    /// [`parking_on`]).
+    fn short_sampling_as(config: DittoConfig, dm: DmConfig) -> (DittoCache, DittoClient) {
+        let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
         let mut client = cache.client();
-        let big = 2_048;
         for key in 0..2_000u64 {
-            client.set(&key.to_le_bytes(), &vec![1u8; big]);
+            client.set(&key.to_le_bytes(), &[1u8; BIG]);
         }
         for key in 4_000..4_002u64 {
-            assert!(client.get(&key.to_le_bytes()).is_none());
-            client.set(&key.to_le_bytes(), &vec![1u8; big]);
+            fill_big(&mut client, key);
         }
-        let mut re_sampled = 0;
-        for key in 5_000..5_100u64 {
+        (cache, client)
+    }
+
+    fn short_sampling_on(dm: DmConfig) -> (DittoCache, DittoClient) {
+        short_sampling_as(DittoConfig::with_capacity(300), dm)
+    }
+
+    /// `key`'s cache-aside fill with a [`BIG`] value.
+    fn fill_big(client: &mut DittoClient, key: u64) {
+        assert!(client.get(&key.to_le_bytes()).is_none(), "key {key}");
+        client.set(&key.to_le_bytes(), &[1u8; BIG]);
+    }
+
+    /// Whether the parked eviction waits for a re-sample its fill deferred.
+    fn deferred(client: &DittoClient) -> bool {
+        client
+            .parked_eviction
+            .as_ref()
+            .is_some_and(|ev| ev.deferred)
+    }
+
+    /// Fills [`BIG`] values from `keys` until a fill defers its re-sample;
+    /// returns that fill's key.
+    fn fill_until_deferred(client: &mut DittoClient, keys: &mut std::ops::Range<u64>) -> u64 {
+        for key in keys.by_ref() {
+            fill_big(client, key);
+            if deferred(client) {
+                return key;
+            }
+        }
+        panic!("no fill deferred its re-sample");
+    }
+
+    /// The slots a deferred pick chooses among, once each: the candidates
+    /// its eviction holds and every slot of its re-sample's span (which may
+    /// overlap the first).
+    fn deferred_slots(client: &DittoClient) -> Vec<RemoteAddr> {
+        let ev = client.parked_eviction.as_ref().expect("a parked eviction");
+        let span = ev
+            .segments
+            .iter()
+            .flat_map(|&(addr, slots)| (0..slots).map(move |i| addr.add((i * SLOT_SIZE) as u64)));
+        let mut slots: Vec<_> = ev
+            .candidates
+            .iter()
+            .map(|&(addr, _)| addr)
+            .chain(span)
+            .collect();
+        slots.sort_by_key(|addr| addr.pack());
+        slots.dedup();
+        slots
+    }
+
+    /// Sample spans decoded in the flight recorder: a sample's decode is
+    /// one `decode` span of its slots, a bucket's is one of eight or of one.
+    fn spans_decoded(client: &DittoClient) -> u64 {
+        let span = DittoConfig::SAMPLE_SPAN_SLOTS as u32;
+        let spans = client.dm().flight_spans();
+        let decodes = spans.iter().filter(|s| s.phase == Phase::Decode);
+        decodes
+            .filter(|s| s.detail % span == 0)
+            .map(|s| (s.detail / span) as u64)
+            .sum()
+    }
+
+    #[test]
+    fn a_short_samples_re_sample_flies_under_the_next_op() {
+        let (cache, mut client) =
+            short_sampling_on(DmConfig::default().with_flight_recorder(1 << 16));
+        // The one-round fill that carries a victim and rides its own
+        // sample (`a_fill_after_its_miss_is_one_round_trip_…`); a deferred
+        // re-sample adds the decode of the short sample that decided it and
+        // the doorbell and issue of its READ, and no round trip.
+        let round = DmConfig::DOORBELL_LATENCY_NS
+            + 5 * DmConfig::VERB_ISSUE_NS
+            + DmConfig::CAS_LATENCY_NS.max(DmConfig::FAA_LATENCY_NS)
+            + 4 * DmConfig::CQ_POLL_NS;
+        let post = DmConfig::DOORBELL_LATENCY_NS + DmConfig::VERB_ISSUE_NS;
+        let decode = DittoConfig::SAMPLE_SPAN_SLOTS as u64 * DittoConfig::CPU_DECODE_SLOT_NS;
+        let (resamples, fills) = (cache.stats().resamples_deferred(), client.rounds_posted);
+        // Samples read before the loop and decoded in it: a pick left for
+        // the next round to host, or a deferred re-sample.
+        let span = DittoConfig::SAMPLE_SPAN_SLOTS;
+        let read_before = (client.hosted_cpu.0 / span) as u64 + deferred(&client) as u64;
+        client.dm().clear_flight_recorder();
+        let (mut sample_reads, mut deferrals, mut exact, mut from_resample) = (0, 0, 0, 0);
+        for key in 5_000..5_200u64 {
             assert!(client.get(&key.to_le_bytes()).is_none());
+            // The slots a deferred pick the fill makes chooses among, as
+            // they stand before it.
+            let node0 = cache.pool().node(0).unwrap();
+            let word = |addr: RemoteAddr| node0.load_u64(addr.offset).unwrap();
+            let pick_from: Vec<_> = if deferred(&client) {
+                deferred_slots(&client)
+                    .into_iter()
+                    .map(|a| (a, word(a)))
+                    .collect()
+            } else {
+                Vec::new()
+            };
             let before = node(&cache);
-            client.set(&key.to_le_bytes(), &vec![1u8; big]);
-            // The fill sends every sample READ it needs, waited for beside
-            // its own verbs, and parks a pick from the last.
-            let samples = node(&cache).reads - before.reads;
-            re_sampled += (samples > 1) as u64;
-            let parked = client.parked_eviction.as_ref().expect("a parked pick");
-            assert!(parked.candidates.len() >= 2 || parked.samples >= 4);
-            // The Get after it sends a plain hinted Get's READs, no sample,
-            // in a plain hinted Get's time.
+            let t0 = client.dm().now_ns();
+            client.set(&key.to_le_bytes(), &[1u8; BIG]);
+            let elapsed = client.dm().now_ns() - t0;
+            let after = node(&cache);
+            let reads = after.reads - before.reads;
+            sample_reads += reads;
+            let defers = deferred(&client);
+            // A pick made in this Set, from a deferred re-sample that was
+            // not short again (nothing read in place): the victim is one of
+            // the slots it chose among.  (The Set's insert may fill an empty
+            // one.)
+            if !pick_from.is_empty() && reads == 1 + defers as u64 {
+                let taken = pick_from
+                    .iter()
+                    .filter(|&&(addr, was)| word(addr) != was)
+                    .filter(|&&(addr, _)| AtomicField::decode(word(addr)).is_history())
+                    .count();
+                assert_eq!(taken, 1, "key {key}");
+                from_resample += 1;
+            }
+            if !defers {
+                continue;
+            }
+            deferrals += 1;
+            let parked = client.parked_eviction.as_ref().unwrap();
+            assert_eq!((parked.in_flight, parked.samples), (1, 2), "key {key}");
+            // The fill's own round, the short sample's decode, and one
+            // doorbell and one issue: the re-sample READ flies on.
+            let (cas, doorbells) = (after.cas - before.cas, after.doorbells - before.doorbells);
+            if (reads, cas, doorbells) == (2, 2, 2) {
+                let score = parked.candidates.len() as u64 * DittoConfig::CPU_SCORE_CANDIDATE_NS;
+                assert_eq!(elapsed, round + decode + score + post, "key {key}");
+                exact += 1;
+            }
+            // The Get after it sends its own two READs on one doorbell, and
+            // polls the re-sample's completion on the way: at most one poll
+            // longer than a plain hinted Get.
             let plain = hinted_get_ns(&client, key);
-            let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, key, big);
-            assert_eq!((reads, doorbells, elapsed), (2, 1, plain), "key {key}");
+            let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, key, BIG);
+            assert_eq!((reads, doorbells), (2, 1), "key {key}");
+            assert!(
+                plain <= elapsed && elapsed <= plain + DmConfig::CQ_POLL_NS,
+                "key {key}: {elapsed} ns against {plain}"
+            );
+            let parked = client.parked_eviction.as_ref().unwrap();
+            assert_eq!(parked.in_flight, 0, "key {key}: the Get booked it");
         }
-        assert!(re_sampled >= 50, "{re_sampled} of 100 fills re-sampled");
+        assert_eq!(cache.stats().resamples_deferred() - resamples, deferrals);
+        assert!(
+            deferrals >= 50,
+            "{deferrals} of 200 fills deferred a re-sample"
+        );
+        assert!(exact >= 20, "{exact} deferring fills timed");
+        assert!(
+            from_resample >= 20,
+            "{from_resample} picks from a deferred re-sample"
+        );
+        // Every fill's round was the one-round fill, and each deferral
+        // one round of its own.
+        let posted = |shape: Shape| client.rounds_posted[shape as usize] - fills[shape as usize];
+        assert_eq!(posted(Shape::Fill), 200);
+        assert!(posted(Shape::Evict) >= deferrals);
+        // The same READs per fill: each sample READ sent — the first
+        // riding its fill, a deferred one flying after it, any further one
+        // in place — is decoded once, but what the last fill left: a pick
+        // for the next round to host, or a deferred re-sample still out.
+        let read_after = (client.hosted_cpu.0 / span) as u64 + deferred(&client) as u64;
+        assert_eq!(
+            spans_decoded(&client) + read_after,
+            sample_reads + read_before
+        );
         assert_eq!(
             cache.pool().resident_object_bytes(0),
             client.referenced_object_bytes_on(0)
         );
+    }
+
+    /// The first fill from key 5 000 on that defers its re-sample, on a
+    /// cache of [`BIG`] values under LFU alone.
+    fn lfu_deferring_fill() -> u64 {
+        let config = DittoConfig::single_algorithm(300, "lfu");
+        let (_cache, mut client) = short_sampling_as(config, DmConfig::default());
+        fill_until_deferred(&mut client, &mut (5_000..6_000))
+    }
+
+    /// The pick of the eviction that fill defers, made after `flush` or
+    /// not, by a client that read `hot` three times before the fill: the
+    /// candidates — their slots and key hashes — and the one picked, and
+    /// `hot`'s `freq` word, at the slot given with it, before and after the
+    /// flush.  The runs repeat exactly up to the reads
+    /// and the flush (see [`next_pick`]).
+    fn deferred_lfu_pick(
+        fill: u64,
+        hot: Option<([u8; 8], RemoteAddr)>,
+        flush: bool,
+    ) -> (Vec<(RemoteAddr, u64)>, usize, [u64; 2]) {
+        let config = DittoConfig::single_algorithm(300, "lfu");
+        let (cache, mut client) = short_sampling_as(config, DmConfig::default());
+        for key in 5_000..fill {
+            fill_big(&mut client, key);
+        }
+        for (key, _) in hot.iter().flat_map(|hot| [hot; 3]) {
+            assert!(client.get(key).is_some());
+        }
+        fill_big(&mut client, fill);
+        assert!(deferred(&client), "the same fill defers");
+        let node0 = cache.pool().node(0).unwrap();
+        let freq_word = || {
+            hot.map_or(0, |(_, slot)| {
+                let freq_addr = SampleFriendlyHashTable::freq_addr(slot);
+                node0.load_u64(freq_addr.offset).unwrap()
+            })
+        };
+        let before = freq_word();
+        if flush {
+            client.flush();
+        }
+        let after = freq_word();
+        let ev = client.take_parked(true).expect("a pick");
+        let candidates = ev.candidates.iter().map(|&(addr, slot)| (addr, slot.hash));
+        (candidates.collect(), ev.pick.idx, [before, after])
+    }
+
+    /// A deferred pick scores each candidate with what its `freq` word and
+    /// this client's FC cache held when the re-sample READ went out.  Every
+    /// key was set once and never read, so each word reads one, and LFU
+    /// takes the first candidate; read three times before the fill, that
+    /// key is kept and the second goes.  `flush` then drains the FC cache
+    /// between the READ and the pick: the word reads four, the READ saw
+    /// one, and the pick still counts four — the same victim.
+    #[test]
+    fn a_deferred_pick_scores_the_counts_its_read_saw() {
+        let fill = lfu_deferring_fill();
+        let (candidates, pick, _) = deferred_lfu_pick(fill, None, false);
+        assert!(candidates.len() >= 2, "{candidates:?}");
+        assert_eq!(pick, 0, "LFU breaks a tie by sample position");
+        let key = (0..fill)
+            .map(u64::to_le_bytes)
+            .find(|key| fnv1a64(key) == candidates[0].1)
+            .expect("a key the cache set");
+        let hot = (key, candidates[0].0);
+
+        let (same, kept, [before, after]) = deferred_lfu_pick(fill, Some(hot), false);
+        assert_eq!((same.as_slice(), kept), (candidates.as_slice(), 1));
+        assert_eq!((before, after), (1, 1), "buffered, under the threshold");
+        let (same, kept, [before, after]) = deferred_lfu_pick(fill, Some(hot), true);
+        assert_eq!((same.as_slice(), kept), (candidates.as_slice(), 1));
+        assert_eq!(
+            (before, after),
+            (1, 4),
+            "flushed between the READ and the pick"
+        );
+    }
+
+    #[test]
+    fn a_stripe_cutover_drops_a_parked_eviction_whose_re_sample_is_in_flight() {
+        let (cache, mut client) = short_sampling_on(DmConfig::default().with_memory_nodes(2));
+        fill_until_deferred(&mut client, &mut (5_000..6_000));
+        assert!(client.parked_eviction.as_ref().unwrap().in_flight > 0);
+        let burnt = cache.stats().history_ids_burnt();
+        cache.pool().add_node().unwrap();
+        assert!(cache.pump_migration().stripes_moved > 0);
+        // The next op is a Set, whose polls meet the READ's completion
+        // first unless the drop consumes it: it does, and burns the id.
+        client.set(&6_000u64.to_le_bytes(), &[1u8; BIG]);
+        assert_eq!(cache.stats().history_ids_burnt(), burnt + 1);
+        assert!(client.dm().poll_cq().is_none());
+        assert!(client
+            .parked_eviction
+            .as_ref()
+            .is_none_or(|ev| ev.version == client.table.directory().version()));
+        for mn in 0..3 {
+            assert_eq!(
+                cache.pool().resident_object_bytes(mn),
+                client.referenced_object_bytes_on(mn),
+                "node {mn}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_client_dropped_with_a_re_sample_in_flight_sends_nothing_more() {
+        let (cache, mut client) = short_sampling_on(DmConfig::default());
+        fill_until_deferred(&mut client, &mut (5_000..6_000));
+        assert_eq!(client.parked_eviction.as_ref().unwrap().in_flight, 1);
+        let (burnt, messages) = (cache.stats().history_ids_burnt(), node(&cache).messages);
+        drop(client);
+        assert_eq!(cache.stats().history_ids_burnt(), burnt + 1);
+        assert_eq!(node(&cache).messages, messages);
     }
 
     #[test]
@@ -964,7 +1346,7 @@ mod tests {
     #[test]
     fn a_parked_victim_another_client_took_is_re_picked_by_the_carrying_set() {
         let (cache, mut client) = parking_on(DmConfig::default());
-        let (victim_addr, victim) = parked_victim(&client);
+        let (victim_addr, victim) = parked_victim(&client).expect("a picked victim");
         let others: Vec<_> = {
             let parked = client.parked_eviction.as_ref().unwrap();
             let mut others = parked.candidates;
@@ -1033,11 +1415,13 @@ mod tests {
         let (cache, mut client) = parking_on(DmConfig::default().with_flight_recorder(1 << 16));
         client.dm().clear_flight_recorder();
         let (evictions, mut windows) = (cache.stats().snapshot().evictions, BTreeMap::new());
+        let mut deferred_picks = 0;
         for key in 5_000..5_200u64 {
             let key = key.to_le_bytes();
             let t0 = client.dm().now_ns();
             assert!(client.get(&key).is_none());
             windows.insert(client.dm().op_id(), (t0, client.dm().now_ns(), true));
+            deferred_picks += deferred(&client) as u64;
             let t0 = client.dm().now_ns();
             client.set(&key, &[1u8; 200]);
             windows.insert(client.dm().op_id(), (t0, client.dm().now_ns(), false));
@@ -1046,6 +1430,11 @@ mod tests {
         // Evict spans by half (sample, victim) and by the op that recorded
         // them (a Get, a Set).
         let mut halves = [[0u64; 2]; 2];
+        // Recorded in the order they start, a carrying Set's two halves
+        // too: its victim half starts once the pick it hosts is made.
+        let evict_starts = spans.iter().filter(|s| s.phase == Phase::Evict);
+        let starts: Vec<u64> = evict_starts.map(|s| s.start_ns).collect();
+        assert!(starts.is_sorted(), "an Evict span started before the last");
         for span in spans.iter() {
             let (t0, t1, get) = windows[&span.op_id];
             assert!(
@@ -1058,9 +1447,12 @@ mod tests {
             }
         }
         // Each Get recorded the sample half of the eviction the fill before
-        // it parked — the pick's CPU work, under the Get's flight — and each
-        // fill the victim half of the one it carried.
-        assert_eq!(halves, [[200, 0], [0, 200]]);
+        // it parked — the pick's CPU work, under the Get's flight — unless
+        // that fill deferred its re-sample: the fill that carries it then
+        // picks, under its own first round.  Each fill recorded the victim
+        // half of the one it carried.
+        assert!(deferred_picks > 0);
+        assert_eq!(halves, [[200 - deferred_picks, deferred_picks], [0, 200]]);
         assert_eq!(cache.stats().snapshot().evictions, evictions + 200);
     }
 

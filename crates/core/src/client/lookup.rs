@@ -690,7 +690,9 @@ impl DittoClient {
         // either READ costs the hint, never the `Get`.
         let (mut found, mut object_ok) = (None, false);
         for _ in 0..2 {
-            let completion = self.dm.poll_cq().expect("hinted READ completion");
+            let completion = self
+                .next_completion(&mut [None, None])
+                .expect("hinted READ completion");
             let ok = completion.status.is_ok();
             if completion.wr_id == wr_slot {
                 found = (ok && slot_word_is(&self.bucket_buf, hint.word))

@@ -365,7 +365,7 @@ impl DittoClient {
         // The bucket slots were decoded (and charged) by the lookup; only
         // the candidate scoring is added here.
         self.charge_score(candidates.len());
-        let pick = self.select_victim(&candidates);
+        let pick = self.select_victim(&candidates, true);
         let (victim_addr, victim) = candidates[pick.idx];
         let expected = victim.atomic.encode();
         // As in `replace_existing`: record the victim's allocation before

@@ -198,6 +198,9 @@ pub(super) enum Rule {
     /// parks its own sample, so each starved `Set` frees exactly one victim.
     /// The fill picks where the sample lands and waits for none of the pick's
     /// CPU work: the client's next round charges it under its own flight.
+    /// A fill whose first sample is short sends its re-sample on a round of
+    /// its own once its op has ended, and the `Set` that carries the
+    /// eviction picks from it.
     /// A `Set` with no miss before it, such as a load phase, evicts within
     /// itself: parking there would change what the cache holds after it.
     Park,
@@ -370,7 +373,7 @@ impl DittoClient {
     ) -> (u64, u64) {
         debug_assert_eq!(check_round(round), Ok(()), "{round:?}");
         self.rounds_posted[round.shape as usize] += 1;
-        let now = self.dm.now_ns();
+        let mut now = self.dm.now_ns();
         let mut set_word = 0;
         let mut first = None;
         {
@@ -423,7 +426,11 @@ impl DittoClient {
             }
             wq.ring();
         }
-        self.host_parked_pick();
+        if self.host_parked_pick() {
+            // The pick a carried victim CAS goes out for may be the one
+            // hosted here: its victim half starts once that work is done.
+            now = self.dm.now_ns();
+        }
         let first = first.unwrap_or(0);
         for (ev, owner) in evs.iter_mut().zip([Owner::Own, Owner::Carried]) {
             let Some(ev) = ev.as_deref_mut() else {
@@ -458,12 +465,20 @@ impl DittoClient {
     /// the op's comes back, an eviction's is booked on the eviction (one
     /// fewer in flight; a faulted sample READ taints its sample, where the FAA
     /// and the victim CAS are judged by what they fetched, which an errored
-    /// verb never writes).
-    fn poll_routed(&self, evs: &mut Evictions) -> Option<Option<Completion>> {
+    /// verb never writes).  The parked eviction is an owner too: the
+    /// re-sample READ a fill left in flight completes under a later op,
+    /// whichever of its polls meets it.  Every consumer of the completion
+    /// queue polls through here, so no completion of an eviction's is lost
+    /// to another's loop.
+    fn poll_routed(&mut self, evs: &mut Evictions) -> Option<Option<Completion>> {
         let completion = self.dm.poll_cq()?;
         let wr = completion.wr_id;
-        let mut evs = evs.iter_mut().flatten();
-        let Some(ev) = evs.find(|ev| ev.in_flight > 0 && ev.wrs.contains(&wr)) else {
+        let mut owners = evs
+            .iter_mut()
+            .flatten()
+            .map(|ev| &mut **ev)
+            .chain(self.parked_eviction.as_mut());
+        let Some(ev) = owners.find(|ev| ev.in_flight > 0 && ev.wrs.contains(&wr)) else {
             return Some(Some(completion));
         };
         ev.in_flight -= 1;
@@ -473,7 +488,7 @@ impl DittoClient {
 
     /// The op's next completion, `None` once the queue is empty; the
     /// evictions' polled on the way are booked on them.
-    pub(super) fn next_completion(&self, evs: &mut Evictions) -> Option<Completion> {
+    pub(super) fn next_completion(&mut self, evs: &mut Evictions) -> Option<Completion> {
         loop {
             if let Some(completion) = self.poll_routed(evs)? {
                 return Some(completion);
@@ -483,7 +498,7 @@ impl DittoClient {
 
     /// Polls until the queue is empty, routing every completion to its
     /// owner; the first error among the op's own.
-    pub(super) fn drain_round(&self, evs: &mut Evictions) -> DmResult<()> {
+    pub(super) fn drain_round(&mut self, evs: &mut Evictions) -> DmResult<()> {
         let mut result = Ok(());
         while let Some(completion) = self.next_completion(evs) {
             result = result.and(completion.status.check());
@@ -494,7 +509,7 @@ impl DittoClient {
     /// Polls until every verb `ev` has in flight has completed.  Should the
     /// queue run dry first — somebody else drained it — their outcome is
     /// unknown, and taints the sample.
-    pub(super) fn await_eviction(&self, ev: &mut Eviction) {
+    pub(super) fn await_eviction(&mut self, ev: &mut Eviction) {
         while ev.in_flight > 0 {
             if self.poll_routed(&mut alone(ev)).is_none() {
                 (ev.in_flight, ev.failed) = (0, true);

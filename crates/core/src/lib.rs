@@ -209,7 +209,10 @@
 //! ([`FcCache::pending_delta`]), which the word shows only once they reach
 //! the flush threshold.  A pick scores as of the time its sample landed:
 //! a parked one too, whose decode and scoring the fill does not wait for
-//! (see *The one-round fill*).  The experts' `on_evict` sees the metadata
+//! (see *The one-round fill*).  A pick from a re-sample the fill deferred is
+//! made ops later: it scores with the increments the FC cache held when
+//! that READ went out, recorded beside it for the span's slots and the
+//! candidates the eviction already held.  The experts' `on_evict` sees the metadata
 //! the pick scored.  The increments belong to the key, not the slot: when one of this
 //! client's CASes takes the key out — a won victim CAS, a publish that puts
 //! another key in the slot, the failed-update invalidation sweep — they are
@@ -244,10 +247,20 @@
 //! on the slot's node or off it.  An evicting fill is then one round trip — a
 //! doorbell, five issues, the slower atomic's flight and four polls — where
 //! it was two, with the same verbs; so is a fill that evicts nothing.  A
-//! sample with fewer than two candidates is re-sampled in the fill, beside
-//! its own verbs, and only the pick from the last sample is charged later.
+//! first sample with fewer than two candidates is decoded in the fill, and
+//! its re-sample READ is **not waited for**: the fill draws the span and,
+//! once its op has ended, posts the READ signalled on a ring of its own —
+//! a doorbell and an issue — and returns (`send_deferred_sample`).  The
+//! READ lands in a scratch of the parked eviction's own, and its completion
+//! is booked on the eviction by whichever poll of the client's next ops
+//! meets it: every consumer of the completion queue polls through the
+//! round executor's one routing routine, so none drops it.  The next
+//! starved `Set` decodes the span and picks (`take_parked`), its CPU work
+//! hosted under that `Set`'s first round like a fill's pick, and carries
+//! the victim CAS on that round.  A second short sample is re-sampled there
+//! in place.  On a `read_evict`-shaped replay about 7 % of fills defer.
 //! Under an extension expert, whose scoring READs object headers, the fill
-//! charges its pick in place.  (With its insert slot off the object's
+//! charges its pick in place and re-samples in place.  (With its insert slot off the object's
 //! node a fill takes two: the WRITE, signalled, beside the sample READ and
 //! the FAA, then the CASes.)  Only a fill with nothing to carry frees no
 //! victim — the first after `Set`s that evicted within themselves — and the
@@ -262,9 +275,10 @@
 //! carried CAS that finds its word gone re-picks among the parked
 //! candidates.  A parked eviction is dropped, its id burnt, once the stripe
 //! directory's version has moved: its candidates' addresses may name retired
-//! copies.  Its `Evict` span is split where the ops split: the round that
-//! charges the pick's CPU work records the sample half, the carrying `Set`
-//! the victim half.
+//! copies; a re-sample READ it still has out is polled first, so no stray
+//! completion reaches the op's own polls.  Its `Evict` span is split where
+//! the ops split: the round that charges the pick's CPU work records the
+//! sample half, the carrying `Set` the victim half.
 //!
 //! **Crashes.**  The sampling eviction has never been journalled: a client
 //! that dies between its victim CAS landing and the free after it

@@ -35,6 +35,9 @@ counter_table! {
     /// Sampling evictions whose round trips hid behind the evicting `Set`'s
     /// own lookup and publish (evict-ahead).
     evictions_overlapped: interval accessor, counter "ditto_cache_evictions_overlapped_total" "Sampling evictions overlapped with the evicting Set's own lookup and publish.";
+    /// Re-sample READs a fill posted and left for the client's next ops to
+    /// poll: its parked eviction's first sample held too few candidates.
+    resamples_deferred: interval accessor, counter "ditto_cache_resamples_deferred_total" "Re-sample READs a fill posted and left for the next op's polls.", bump record_resample_deferred;
     /// Evictions forced by a full bucket.
     bucket_evictions: interval, counter "ditto_cache_bucket_evictions_total" "Evictions forced by a full bucket rather than memory pressure.", bump record_bucket_eviction;
     /// History entries inserted.
@@ -238,6 +241,7 @@ mod tests {
         stats.record_set_dropped();
         stats.record_history_id_burnt();
         stats.record_history_id_burnt();
+        stats.record_resample_deferred();
 
         // What the recorders made of it, snapshot fields and accessors.
         let snap = stats.snapshot();
@@ -286,6 +290,7 @@ mod tests {
         assert_eq!((stats.ts_writes_sent(), stats.ts_writes_skipped()), (1, 2));
         assert_eq!(stats.gets_degraded(), 1);
         assert_eq!((stats.sets_dropped(), stats.history_ids_burnt()), (1, 2));
+        assert_eq!(stats.resamples_deferred(), 1);
 
         // `reset` zeroes the `interval` rows (and the per-expert votes) and
         // no `lifetime` row.

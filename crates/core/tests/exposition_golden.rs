@@ -59,6 +59,13 @@
 //! Re-derived when a local-tier hit came to follow the one access rule of a
 //! remote hit, booking a fresh `last_ts` as a skipped WRITE: `last_ts`
 //! WRITEs skipped 40 → 72, and nothing else moved.
+//!
+//! Re-derived when a fill whose parked eviction's first sample was short
+//! came to send its re-sample READ once its op has ended, for the next ops
+//! to poll: the three `ditto_cache_resamples_deferred_total` lines (HELP,
+//! TYPE and the value 0 — this run's 280- and 320-byte values leave every
+//! fill's first sample enough candidates) joined the page, and nothing else
+//! moved.
 
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::DmConfig;

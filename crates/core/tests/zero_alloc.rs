@@ -4,7 +4,9 @@
 //! phase that sizes every per-client scratch buffer (bucket/sample scratch,
 //! object read buffer, encode buffer, FC-cache map, allocator free lists),
 //! replaying further hits, updates and eviction-triggering inserts — and the
-//! expert-weight syncs their regrets trigger — must not allocate at all.
+//! expert-weight syncs their regrets trigger, and cache-aside fills that
+//! park their evictions and defer their re-samples — must not allocate at
+//! all.
 //!
 //! This file deliberately contains a single test: the allocation counter is
 //! process-global, so concurrently running tests would pollute the count.
@@ -232,5 +234,39 @@ fn steady_state_get_and_set_do_not_allocate() {
         tiered_allocations, 0,
         "the local tier must not allocate in steady state \
          (counted {tiered_allocations} allocations over 4500 operations)"
+    );
+
+    // Cache-aside phase: every Get of a fresh key misses and its fill parks
+    // an eviction for the next fill to carry.  2 KiB values in a cache
+    // sized for 300 small objects leave a sample span often short of two
+    // candidates, so many fills send a re-sample READ after their op and
+    // the next ops poll it: that path must stay allocation-free too.
+    let filling_cache =
+        DittoCache::with_dedicated_pool(DittoConfig::with_capacity(300), DmConfig::default())
+            .unwrap();
+    let mut filling_client = filling_cache.client();
+    let big = [7u8; 2_048];
+    let mut fill = |i: u64| {
+        if !filling_client.get_into(&key(i), &mut value_buf) {
+            filling_client.set(&key(i), &big);
+        }
+    };
+    for i in 0..3_000u64 {
+        fill(i);
+    }
+    let deferred = filling_cache.stats().resamples_deferred();
+    let filling_allocations = count_allocations(|| {
+        for i in 3_000..4_000u64 {
+            fill(i);
+        }
+    });
+    assert!(
+        filling_cache.stats().resamples_deferred() > deferred,
+        "the cache-aside phase should defer re-samples"
+    );
+    assert_eq!(
+        filling_allocations, 0,
+        "cache-aside fills that defer their re-samples must not allocate \
+         (counted {filling_allocations} allocations over 2000 operations)"
     );
 }

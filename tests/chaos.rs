@@ -35,7 +35,7 @@ mod support;
 
 use ditto::cache::recovery::CrashPoint;
 use ditto::cache::{DittoCache, DittoClient, DittoConfig};
-use ditto::dm::obs::with_event_postmortem;
+use ditto::dm::obs::{with_event_postmortem, EventKind};
 use ditto::dm::{DmConfig, FaultPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -796,5 +796,114 @@ fn chaos_drain_reposts_faas_flushed_behind_a_fault() {
             COUNTERS + failures,
             "seed {seed}: a flushed FAA was sent"
         );
+    }
+}
+
+/// A fill whose parked eviction's first sample held too few candidates
+/// sends the re-sample READ once its op has ended, and the client's next
+/// ops poll it.  Here that READ faults: the `Set` that takes the eviction
+/// up finds the sample tainted and re-samples in place.  Values of 2 KiB in
+/// a cache sized for 300 small objects make short samples common.  Each
+/// fill runs under a 5 % verb-fail plan; the ops around it run disarmed,
+/// so the `Set` after a faulted READ is measured alone.  A READ that
+/// faulted is the client's last logged fault, stamped at the clock the
+/// fill returned with: nothing is issued after it.  Updates of earlier
+/// keys ride along, and every hit reads a version between the key's last
+/// acknowledged one and its last issued one; nothing leaks.
+#[test]
+fn chaos_a_faulted_deferred_re_sample_is_re_sampled_in_place() {
+    const BIG: usize = 2_048;
+    const FILLS: u64 = 600;
+    let value = |key: u64, version: u64| {
+        let mut bytes = vec![0u8; BIG];
+        bytes[..8].copy_from_slice(&key.to_le_bytes());
+        bytes[8..16].copy_from_slice(&version.to_le_bytes());
+        bytes
+    };
+    let version = |bytes: &[u8]| u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    let seeds = env_u64("DITTO_CHAOS_SEEDS", 2);
+    for round in 0..seeds {
+        let seed = 0xDEF0_0000 + round;
+        let plan = FaultPlan::seeded(seed).with_verb_fail_ppm(50_000);
+        let dm = DmConfig::default().with_fault_plan(plan);
+        let cache = DittoCache::with_dedicated_pool(DittoConfig::with_capacity(300), dm).unwrap();
+        let injector = cache.pool().fault_injector();
+        injector.set_armed(false);
+        let mut client = cache.client();
+        // Per key: the last version acknowledged and the last one issued.
+        let mut versions = vec![(0u64, 0u64); (2_000 + 2 * FILLS) as usize];
+        for key in 0..2_000u64 {
+            client.set(&key.to_le_bytes(), &value(key, 1));
+            versions[key as usize] = (1, 1);
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut set = |client: &mut DittoClient, key: u64, armed: bool| {
+            let v = versions[key as usize].1 + 1;
+            versions[key as usize].1 = v;
+            injector.set_armed(armed);
+            let result = client.try_set(&key.to_le_bytes(), &value(key, v));
+            injector.set_armed(false);
+            if result.is_ok() {
+                versions[key as usize].0 = v;
+            }
+        };
+        let (mut faulted, mut deferrals) = (0, 0);
+        let mut key = 2_000;
+        while key < 2_000 + FILLS {
+            // A fresh key's cache-aside fill, armed.
+            assert!(client.get(&key.to_le_bytes()).is_none());
+            let deferred = cache.stats().resamples_deferred();
+            set(&mut client, key, true);
+            key += 1;
+            let last_fault = cache.pool().event_tail(1);
+            let read_faulted = last_fault.first().is_some_and(|event| {
+                matches!(event.kind, EventKind::VerbFault { .. })
+                    && event.client_id == client.dm().client_id()
+                    && event.at_ns == client.dm().now_ns()
+            });
+            let sent = cache.stats().resamples_deferred() > deferred;
+            deferrals += sent as u64;
+            if sent && read_faulted {
+                // The next starved fill carries that eviction: beside its own
+                // sample READ — and its own deferred re-sample, if it sent
+                // one — it reads at least one sample in place.  (A fill with
+                // room to spare reads no sample and carries nothing.)
+                faulted += 1;
+                let stats = cache.pool().stats();
+                let reads = || stats.node_snapshots()[0].reads;
+                loop {
+                    assert!(client.get(&key.to_le_bytes()).is_none());
+                    let (before, deferred) = (reads(), cache.stats().resamples_deferred());
+                    set(&mut client, key, false);
+                    key += 1;
+                    let (sent, own) = (
+                        reads() - before,
+                        cache.stats().resamples_deferred() - deferred,
+                    );
+                    if sent > 0 {
+                        assert!(
+                            sent > 1 + own,
+                            "seed {seed}: key {key} did not re-sample in place"
+                        );
+                        break;
+                    }
+                }
+            }
+            // An update of an earlier key, which may carry the last fill's
+            // eviction.
+            set(&mut client, rng.gen_range(0..key), false);
+        }
+        assert!(deferrals > 0, "seed {seed}: no fill deferred its re-sample");
+        assert!(faulted > 0, "seed {seed}: no deferred re-sample faulted");
+        for (key, &(acked, issued)) in versions.iter().enumerate() {
+            if let Some(bytes) = client.get(&(key as u64).to_le_bytes()) {
+                let v = version(&bytes);
+                assert!(
+                    acked <= v && v <= issued,
+                    "seed {seed}: key {key} read version {v}, acknowledged {acked}"
+                );
+            }
+        }
+        assert_no_orphans(&cache, &mut client, &format!("seed {seed}"));
     }
 }

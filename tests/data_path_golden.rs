@@ -131,6 +131,18 @@
 //! single-node replay's hits, evictions, regrets and victories are the
 //! no-FC replay's, and rung 3's are rung 4's
 //! (`one_clients_fc_cache_moves_no_victim`).
+//!
+//! Re-derived an eighth time when a fill whose parked eviction's first
+//! sample held too few candidates came to send its re-sample READ once its
+//! op has ended, for the client's next ops to poll, and the `Set` that
+//! carries the eviction to pick from it.  The same samples are read and the
+//! same victims picked in the single-node and no-FC replays: only their
+//! clocks and the `last_ts` WRITEs the faster clock skips moved (each
+//! golden names its old values).  The striped replay, whose samples span
+//! four nodes, and the YCSB-A replay did not move.  Fig24's scattered
+//! metadata reads K single slots, short of two candidates far more often,
+//! and a pick made a few ops later by the carrying `Set` chooses other
+//! victims there: rungs 1–4 moved as their goldens' comment says.
 
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{DittoCache, DittoClient, DittoConfig};
@@ -235,14 +247,17 @@ fn replay_keeping(mix: YcsbWorkload, dm: DmConfig, config: DittoConfig) -> Repla
 /// docs), and 33 432 382 → 33 154 342 when a fill's parked pick came to be
 /// charged under the next round's flight: the same decisions, four `last_ts`
 /// WRITEs fewer (timestamps (6 736, 3 699) → (6 732, 3 703), messages
-/// 39 700 → 39 696).
+/// 39 700 → 39 696).  When a short sample's re-sample came to fly under the
+/// next op: 33 080 921 → 32 818 539 ns before the flush, 33 154 342 →
+/// 32 891 960 after, one `last_ts` WRITE fewer (timestamps (6 732, 3 703) →
+/// (6 731, 3 704), messages 39 696 → 39 695).
 fn single_node_golden() -> Golden {
     Golden {
-        pre_flush_ns: 33_080_921,
-        clock_ns: 33_154_342,
-        messages: 39_696,
+        pre_flush_ns: 32_818_539,
+        clock_ns: 32_891_960,
+        messages: 39_695,
         published: (0, 0),
-        timestamps: (6_732, 3_703),
+        timestamps: (6_731, 3_704),
         stats: CacheStatsSnapshot {
             hits: 10_435,
             misses: 1_565,
@@ -527,36 +542,54 @@ fn fig24_rung(rung: usize) -> DittoConfig {
 /// and one `last_ts` WRITE (two messages without the co-designed table)
 /// fewer: 65 328 → 65 326 messages, timestamps (6 893, 3 546) →
 /// (6 892, 3 547).
+///
+/// When a short sample's re-sample came to fly under the next op, and its
+/// pick to be made by the `Set` that carries it, every rung moved: the
+/// scattered metadata's K slot READs come up short often, and the later
+/// pick chooses other victims.  Rungs 1 and 2 still decide alike, and so do
+/// rungs 3 and 4.  Rung 1: hits 10 430 → 10 429, misses 1 570 → 1 571,
+/// evictions 675 → 676, regrets 322 → 323, FC flushes 1 369 → 1 358,
+/// victories 292/383 → 293/383, 34 928 413 → 33 980 806 ns before the flush
+/// and 35 001 434 → 34 050 957 after, 53 101 → 53 061 messages, timestamps
+/// (6 876, 3 554) → (6 846, 3 583).  Rung 2: the same counts,
+/// 38 645 892 → 38 617 861 and 38 718 913 → 38 688 012 ns,
+/// 56 019 → 56 004 messages, timestamps (6 875, 3 555) → (6 856, 3 573).
+/// Rung 3: hits 10 439 → 10 422, misses 1 561 → 1 578, evictions 666 → 683,
+/// regrets and syncs 313 → 330, FC flushes 1 371 → 1 369, victories
+/// 280/386 → 279/404, 40 146 953 → 40 322 398 and 40 215 123 → 40 390 418 ns,
+/// 56 260 → 56 459 messages, timestamps (6 893, 3 546) → (6 856, 3 566).
+/// Rung 4: rung 3's counts, 62 959 553 → 63 097 398 ns,
+/// 65 326 → 65 480 messages, timestamps (6 892, 3 547) → (6 840, 3 582).
 #[test]
 fn fig24_ablation_rungs_hold_their_numbers() {
     let rungs = [
         single_node_ablated(
-            [34_928_413, 35_001_434],
-            53_101,
-            (6_876, 3_554),
-            [10_430, 1_570, 675, 322, 4, 1_369],
-            [292, 383],
+            [33_980_806, 34_050_957],
+            53_061,
+            (6_846, 3_583),
+            [10_429, 1_571, 676, 323, 4, 1_358],
+            [293, 383],
         ),
         single_node_ablated(
-            [38_645_892, 38_718_913],
-            56_019,
-            (6_875, 3_555),
-            [10_430, 1_570, 675, 322, 4, 1_369],
-            [292, 383],
+            [38_617_861, 38_688_012],
+            56_004,
+            (6_856, 3_573),
+            [10_429, 1_571, 676, 323, 4, 1_358],
+            [293, 383],
         ),
         single_node_ablated(
-            [40_146_953, 40_215_123],
-            56_260,
-            (6_893, 3_546),
-            [10_439, 1_561, 666, 313, 313, 1_371],
-            [280, 386],
+            [40_322_398, 40_390_418],
+            56_459,
+            (6_856, 3_566),
+            [10_422, 1_578, 683, 330, 330, 1_369],
+            [279, 404],
         ),
         single_node_ablated(
-            [62_959_553, 62_959_553],
-            65_326,
-            (6_892, 3_547),
-            [10_439, 1_561, 666, 313, 313, 10_439],
-            [280, 386],
+            [63_097_398, 63_097_398],
+            65_480,
+            (6_840, 3_582),
+            [10_422, 1_578, 683, 330, 330, 10_422],
+            [279, 404],
         ),
     ];
     let replayed: Vec<Golden> = (1..=4)
@@ -579,12 +612,15 @@ fn fig24_ablation_rungs_hold_their_numbers() {
 /// FAA (one flush per hit) after its key check.  When a fill's parked pick
 /// came to be charged under the next round's flight: 56 164 962 →
 /// 55 886 922 ns, messages 48 756 → 48 752, timestamps (6 747, 3 688) →
-/// (6 743, 3 692).
+/// (6 743, 3 692).  When a short sample's re-sample came to fly under the
+/// next op: 55 881 921 → 55 619 539 ns before the flush, 55 886 922 →
+/// 55 624 540 after, messages 48 752 → 48 748, timestamps (6 743, 3 692) →
+/// (6 739, 3 696).
 fn no_fc_cache_golden() -> Golden {
     single_node_ablated(
-        [55_881_921, 55_886_922],
-        48_752,
-        (6_743, 3_692),
+        [55_619_539, 55_624_540],
+        48_748,
+        (6_739, 3_696),
         [10_435, 1_565, 670, 317, 4, 10_435],
         [296, 374],
     )
@@ -617,8 +653,10 @@ fn no_fc_cache_replay_holds_its_numbers() {
 /// When the fill's parked pick came to be charged under the next round's
 /// flight, each clock moved by a few hundred nanoseconds per fill.  That
 /// flipped four such hits on rung 3, netting zero, and five on rung 4,
-/// netting one, so the sums now differ by one: (6 893, 3 546) against
-/// (6 892, 3 547).
+/// netting one, so the sums then differed by one: (6 893, 3 546) against
+/// (6 892, 3 547).  Since a short sample's re-sample flies under the next
+/// op, with other victims on these rungs, they differ by sixteen:
+/// (6 856, 3 566) against (6 840, 3 582).
 #[test]
 fn one_clients_fc_cache_moves_no_victim() {
     let decisions = |golden: Golden| CacheStatsSnapshot {

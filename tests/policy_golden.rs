@@ -125,7 +125,12 @@ fn the_simulator_on_an_lfu_friendly_trace() {
 /// both weights.  Re-derived again when eviction came to score a candidate
 /// with the FC increments this client still holds for it, and to drop them
 /// when the key leaves its slot: hits 17 610 → 18 192, regrets
-/// 7 196 → 6 764, weight syncs 72 → 68, and both weights.
+/// 7 196 → 6 764, weight syncs 72 → 68, and both weights.  Re-derived again
+/// when a short sample's re-sample came to fly under the client's next op,
+/// and its pick to be made by the `Set` that carries it — later in
+/// simulated time, where the τ rule for `last_ts` reads the clock: hits
+/// 18 192 → 18 228, regrets 6 764 → 6 686, weight syncs 68 → 67, and both
+/// weights.
 #[test]
 fn a_client_replay_of_the_changing_workload() {
     let cache =
@@ -139,10 +144,10 @@ fn a_client_replay_of_the_changing_workload() {
     assert_eq!(
         (snap.hits, snap.regrets, snap.weight_syncs, weights),
         (
-            18_192,
-            6_764,
-            68,
-            vec![0x3fc0_206c_7efb_841b, 0x3feb_f7e4_e041_1ef9]
+            18_228,
+            6_686,
+            67,
+            vec![0x3fbe_15c8_07b5_a65d, 0x3fec_3d46_ff09_4b35]
         )
     );
 }
