@@ -5,9 +5,10 @@
 //! armed, then gates the whole observability path:
 //!
 //! 1. **In-memory invariants** — zero span drops at this ring size, every
-//!    pool op left at least one span (distinct op ids == the pool's op
-//!    counter), per-phase record order is clock-ordered, and the pipelined
-//!    lookup produced **≥ 2 overlapping `flight` spans on one client**
+//!    pool op left at least one span (distinct non-zero op ids == the
+//!    pool's op counter; op id 0 marks spans recorded between ops),
+//!    per-phase record order is clock-ordered, and the pipelined lookup
+//!    produced **≥ 2 overlapping `flight` spans on one client**
 //!    (both bucket READs of a lookup share a doorbell, so their flight
 //!    windows must overlap — the signature of the posted-WQE data path).
 //! 2. **Emitted document** — the Chrome-tracing JSON written by
@@ -166,8 +167,14 @@ fn main() {
     );
 
     // Gate 2: every pool op left at least one span, and no spans invented
-    // ops — distinct op ids must match the pool's op counter exactly.
-    let mut op_ids: Vec<u64> = spans.iter().map(|s| s.op_id).collect();
+    // ops — distinct non-zero op ids must match the pool's op counter
+    // exactly (op id 0 marks spans recorded between ops: a deferred
+    // re-sample's READ, the final flush).
+    let mut op_ids: Vec<u64> = spans
+        .iter()
+        .map(|s| s.op_id)
+        .filter(|&id| id != 0)
+        .collect();
     op_ids.sort_unstable();
     op_ids.dedup();
     assert_eq!(

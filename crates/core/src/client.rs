@@ -10,10 +10,11 @@
 //!   secondary buckets — or, when the client holds a hint of where the key's
 //!   slot is and what word it held, one `RDMA_READ` of that 40-byte slot
 //!   alone (see the crate docs) — and one `RDMA_READ` of the object, posted
-//!   behind a hinted slot READ on the same doorbell; then — unless the
-//!   stored timestamp is still fresh, see the crate docs — an asynchronous
-//!   `RDMA_WRITE` of the stateless access information and a
-//!   (frequency-counter-cached) `RDMA_FAA` of the access count.
+//!   behind a hinted slot READ on the same doorbell, or read alone once the
+//!   buckets are decoded; then, once the object's key checks out, the
+//!   (frequency-counter-cached) `RDMA_FAA` of the access count and — unless
+//!   the stored timestamp is still fresh, see the crate docs — an
+//!   asynchronous `RDMA_WRITE` of the stateless access information.
 //! * **Set** — one round the `Set` planner picks (`client/round.rs`): the
 //!   object `RDMA_WRITE` beside both bucket `RDMA_READ`s, then an `RDMA_CAS`
 //!   of the slot's atomic field and the asynchronous metadata write; or, with
@@ -41,12 +42,12 @@
 //! object WRITE unsignalled (never waited for) next to the bucket READs; a
 //! hinted `Get`'s object READ flies with the slot READ that validates it;
 //! a hinted `Set`'s publish CAS, and a fill's insert CAS, is posted behind
-//! the object WRITE it publishes; a due frequency-counter FAA rides
-//! unsignalled — next to a hit's object READ, or on a doorbell of its own —
-//! and is never waited for; and an eviction's sample READ and history FAA
-//! fly while its `Set` looks up, its victim CAS while it publishes — or
-//! while the next fill does, a parked pick's decode and scoring while the
-//! next round's verbs do.  Waits and the client CPU work
+//! the object WRITE it publishes; a due frequency-counter FAA goes
+//! unsignalled on a doorbell of its own once the access it counts is known
+//! to be real, and is never waited for; and an eviction's sample READ and
+//! history FAA fly while its `Set` looks up, its victim CAS while it
+//! publishes — or while the next fill does, a parked pick's decode and
+//! scoring while the next round's verbs do.  Waits and the client CPU work
 //! (`CPU_DECODE_SLOT_NS` per slot, `CPU_SCORE_CANDIDATE_NS` per candidate)
 //! overlap the flights, and `end_op` simply drains whatever is still
 //! outstanding.  `tests/data_path_golden.rs` pins three seeded replays of it
@@ -75,7 +76,7 @@ use crate::adaptive::{weight_wire, AdaptivePolicy, MAX_EXPERTS};
 use crate::cache::{DittoCache, MigrationProgress};
 use crate::config::DittoConfig;
 use crate::error::{CacheError, CacheResult};
-use crate::fc_cache::{FcCache, FcFlush, FcFlushes};
+use crate::fc_cache::{FcCache, FcFlush};
 use crate::hash::{fingerprint, fnv1a64};
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::history::EvictionHistory;
@@ -91,7 +92,7 @@ use ditto_dm::alloc::{self, AllocService};
 use ditto_dm::rpc::WEIGHT_SERVICE;
 use ditto_dm::wqe::MAX_WQES;
 use ditto_dm::{
-    CompletionStatus, DmClient, DmError, DmResult, EventKind, MigrationEngine, Phase, PoolTopology,
+    CompletionStatus, DmClient, DmError, EventKind, MigrationEngine, Phase, PoolTopology,
     RecoveryPhase, RemoteAddr, StripeDirectory, StripedAllocator, WorkQueue,
 };
 use rand::rngs::StdRng;
@@ -845,67 +846,34 @@ impl DittoClient {
             if self.obj_buf.len() < obj_len {
                 self.obj_buf.resize(obj_len, 0);
             }
-            // Hoist the frequency-counter flush decision *before* the object
-            // READ so any due `RDMA_FAA` rides the same doorbell batch as
-            // the READ instead of paying its own round trip afterwards
-            // (~0.2 µs per hit at `fc_threshold = 10`).  Without an FC
-            // cache a hit keeps its own FAA after key validation (in
-            // `record_access`), exactly like the seed it models.
-            let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
-            let flushes = self
-                .fc
-                .as_mut()
-                .map(|fc| fc.record(freq_addr))
-                .unwrap_or_default();
             let fetched = if lookup.hint_held {
                 // The object READ posted beside the hinted slot READ already
                 // fetched this very object: no second round trip.
-                self.post_fc_flushes(flushes);
                 Ok(())
             } else {
-                // One fault budget, whether the READ goes alone or the due
-                // FAAs ride its round: a transient fault is retried up to
-                // `MAX_RETRIES` attempts in all, and the FAAs stay as posted.
-                let obj_addr = slot.atomic.object_addr();
-                let first = if flushes.is_empty() {
-                    self.dm
-                        .try_read_into(obj_addr, &mut self.obj_buf[..obj_len])
-                } else {
-                    self.read_riding_flushes(obj_addr, obj_len, flushes)
-                };
-                match first {
-                    Err(e) if self.dm.back_off_transient(&e) => {
-                        let buf = &mut self.obj_buf[..obj_len];
-                        self.dm
-                            .with_retry(MAX_RETRIES - 1, |dm| dm.try_read_into(obj_addr, buf))
-                    }
-                    read => read,
-                }
+                let (obj_addr, buf) = (slot.atomic.object_addr(), &mut self.obj_buf[..obj_len]);
+                self.dm
+                    .with_retry(MAX_RETRIES, |dm| dm.try_read_into(obj_addr, buf))
             };
             if fetched.is_err() {
                 // A faulted object READ degrades to a miss (linearizable —
-                // see the lookup fault handling above), taking back the
-                // optimistic frequency increment first.
-                self.forgive_access(freq_addr);
+                // see the lookup fault handling above).
                 self.stats.record_get_degraded();
                 self.stats.record_miss();
                 return false;
             }
             let Some(view) = object::view(&self.obj_buf[..obj_len]) else {
-                // Raced with an eviction that already reused the blocks;
-                // take back the optimistic frequency increment.
-                self.forgive_access(freq_addr);
+                // Raced with an eviction that already reused the blocks.
                 continue;
             };
             if view.key != key {
                 // Fingerprint + hash collision or a concurrent replacement.
-                self.forgive_access(freq_addr);
                 continue;
             }
             let ext = view.ext;
             out.clear();
             out.extend_from_slice(view.value);
-            let last_ts = self.record_access(slot_addr, Some(slot.last_ts), true);
+            let (last_ts, flushed) = self.record_access(slot_addr, Some(slot.last_ts));
             self.record_extension(
                 &slot,
                 slot.atomic.object_addr(),
@@ -920,11 +888,7 @@ impl DittoClient {
             // *Admission*).  A due FC flush means the key just crossed the
             // flush threshold on this client — unambiguously hot even though
             // the buffered delta reads as zero again.
-            let hot = !flushes.is_empty()
-                || self
-                    .fc
-                    .as_ref()
-                    .is_some_and(|fc| fc.pending_delta(freq_addr) >= FREQ_ADMIT_THRESHOLD);
+            let hot = flushed || self.buffered_accesses(slot_addr) >= FREQ_ADMIT_THRESHOLD;
             if let Some(tier) = self.tier.as_mut().filter(|_| hot) {
                 let (word, now) = (slot.atomic.encode(), self.dm.now_ns());
                 tier.admit(hash, key, out, slot_addr, word, last_ts, now, board_epoch);
@@ -1040,17 +1004,9 @@ impl DittoClient {
     /// out; what is written there meanwhile is lost, like the counter
     /// increments.)
     fn tier_feed_frequency(&mut self, hash: u64, slot_addr: RemoteAddr, last_ts: u64) {
-        let last_ts = self.record_access(slot_addr, Some(last_ts), false);
+        let (last_ts, _) = self.record_access(slot_addr, Some(last_ts));
         if let Some(tier) = self.tier.as_mut() {
             tier.note_last_ts(hash, last_ts);
-        }
-    }
-
-    /// Takes back an access the FC cache recorded optimistically for a hit
-    /// that did not happen.
-    fn forgive_access(&mut self, freq_addr: RemoteAddr) {
-        if let Some(fc) = self.fc.as_mut() {
-            fc.forgive(freq_addr);
         }
     }
 
@@ -1069,62 +1025,10 @@ impl DittoClient {
         }
     }
 
-    /// Posts due frequency-counter flushes unsignalled on a doorbell of
-    /// their own: the counters are advisory, so no operation waits a round
-    /// trip for them (a faulted one loses an increment; `end_op` drains its
-    /// error completion).
-    fn post_fc_flushes(&mut self, flushes: FcFlushes) {
-        if flushes.is_empty() {
-            return;
-        }
-        let mut wq = self.dm.work_queue();
-        Self::post_fc_faas(&mut wq, self.table.directory(), flushes, false);
-        wq.ring();
-        for _ in 0..flushes.len() {
-            self.stats.record_fc_flush();
-        }
-    }
-
-    /// Reads the `obj_len`-byte object at `obj_addr` into `obj_buf` with the
-    /// due FC flushes riding its round *unsignalled*: the client waits for
-    /// the object bytes only, never for the (slower) atomics.  Only the
-    /// READ's own status is returned: a faulted unsignalled FAA merely loses
-    /// one counter increment, so its error completion is tolerated (and
-    /// drained here when the READ failed, by `end_op` otherwise).
-    fn read_riding_flushes(
-        &mut self,
-        obj_addr: RemoteAddr,
-        obj_len: usize,
-        flushes: FcFlushes,
-    ) -> DmResult<()> {
-        let wr_read = {
-            let mut wq = self.dm.work_queue();
-            let wr_read = wq.post_read(obj_addr, &mut self.obj_buf[..obj_len], true);
-            Self::post_fc_faas(&mut wq, self.table.directory(), flushes, false);
-            wq.ring();
-            wr_read
-        };
-        let read = loop {
-            let completion = self
-                .next_completion(&mut [None, None])
-                .expect("object READ completion");
-            if completion.wr_id == wr_read {
-                break completion.status.check();
-            }
-        };
-        for _ in 0..flushes.len() {
-            self.stats.record_fc_flush();
-        }
-        if read.is_err() {
-            let _ = self.drain_round(&mut [None, None]);
-        }
-        read
-    }
-
     /// Posts one `RDMA_FAA` of each counter's buffered delta on `wq` — the
-    /// one way an FC-cache increment reaches its `freq` word, whether a
-    /// due flush rides an op or [`DittoClient::flush`] drains the cache —
-    /// and returns the work-request ids they took, in posting order.  Each
+    /// one way an FC-cache increment reaches its `freq` word, whether an
+    /// access's count is due ([`Self::record_access`], on a doorbell of its
+    /// own) or [`DittoClient::flush`] drains the cache — and returns the work-request ids they took, in posting order.  Each
     /// goes to the counter's live home ([`Self::counter_home`]), not to a
     /// copy a cutover retired since the access was recorded.
     ///
@@ -1164,19 +1068,40 @@ impl DittoClient {
     }
 
     /// Records an access in the slot's metadata — the one rule every access
-    /// follows, remote hit, local-tier hit or replace: the stateless
-    /// last-access timestamp and the (client-side combined) frequency
-    /// counter.  `stored_ts` is the slot's `last_ts` when the caller knows
-    /// it — both `Get` paths and the tier do; a hinted replace never reads
-    /// the slot.  `counted` says the FC cache already recorded this access
-    /// (a `Get` hoists it before its object READ).  Returns the timestamp
-    /// the slot is left with.
-    fn record_access(
-        &mut self,
-        slot_addr: RemoteAddr,
-        stored_ts: Option<u64>,
-        counted: bool,
-    ) -> u64 {
+    /// follows, remote hit, local-tier hit or replace, once the access is
+    /// known to be real: first the (client-side combined) frequency counter,
+    /// then the stateless last-access timestamp.  `stored_ts` is the slot's
+    /// `last_ts` when the caller knows it — both `Get` paths and the tier do;
+    /// a hinted replace never reads the slot.  Returns the timestamp the slot
+    /// is left with, and whether the count sent a due FC flush.
+    fn record_access(&mut self, slot_addr: RemoteAddr, stored_ts: Option<u64>) -> (u64, bool) {
+        // Stateful information: the frequency counter, combined client-side.
+        let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
+        let flushed = match self.fc.as_mut() {
+            // A due flush goes unsignalled on a doorbell of its own: the
+            // counters are advisory, so no operation waits a round trip for
+            // them (a faulted one loses an increment; `end_op` drains its
+            // error completion).
+            Some(fc) => {
+                let flushes = fc.record(freq_addr);
+                if !flushes.is_empty() {
+                    let mut wq = self.dm.work_queue();
+                    Self::post_fc_faas(&mut wq, self.table.directory(), flushes, false);
+                    wq.ring();
+                }
+                for _ in 0..flushes.len() {
+                    self.stats.record_fc_flush();
+                }
+                !flushes.is_empty()
+            }
+            None => {
+                let _ = self
+                    .dm
+                    .with_retry(MAX_RETRIES, |dm| dm.try_faa(freq_addr, 1));
+                self.stats.record_fc_flush();
+                false
+            }
+        };
         let now = self.dm.now_ns();
         // Stateless information: a single asynchronous WRITE — unsignalled,
         // but a message on the node's NIC all the same, so it is left out
@@ -1202,22 +1127,7 @@ impl DittoClient {
                     .try_write_async(self.scratch.add(8), &now.to_le_bytes());
             }
         }
-        // Stateful information: the frequency counter, combined client-side.
-        let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
-        match self.fc.as_mut() {
-            Some(_) if counted => {}
-            Some(fc) => {
-                let flushes = fc.record(freq_addr);
-                self.post_fc_flushes(flushes);
-            }
-            None => {
-                let _ = self
-                    .dm
-                    .with_retry(MAX_RETRIES, |dm| dm.try_faa(freq_addr, 1));
-                self.stats.record_fc_flush();
-            }
-        }
-        fresh.unwrap_or(now)
+        (fresh.unwrap_or(now), flushed)
     }
 
     /// Runs the experts' update rules over the extension metadata of the
@@ -2314,23 +2224,68 @@ mod tests {
         assert_eq!(decisions() - booked, hits + sets);
     }
 
+    /// At `fc_threshold = 1` every hit's count is a due flush: one FAA,
+    /// posted unsignalled on a doorbell of its own once the key check
+    /// passed.  The writer's `Get` is hinted — the slot READ and the object
+    /// READ share one ring; a hintless reader's rings the two bucket READs
+    /// and then reads the object synchronously, which rings no doorbell.
     #[test]
-    fn pipelined_hit_with_due_flush_rides_the_faa_unsignalled() {
+    fn a_hit_with_a_due_flush_posts_its_faa_unsignalled_on_its_own_doorbell() {
         let mut config = DittoConfig::with_capacity(1_000);
-        config.fc_threshold = 1; // every hit flushes its counter increment
+        config.fc_threshold = 1;
+        let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
+        let mut writer = cache.client();
+        writer.set(b"hot", b"x");
+        let mut reader = cache.client();
+        for (client, reads) in [(&mut writer, 2), (&mut reader, 3)] {
+            cache.pool().reset_stats();
+            assert!(client.get(b"hot").is_some());
+            let stats = cache.pool().stats();
+            let node = stats.node_snapshots()[0];
+            assert_eq!((node.reads, node.faa), (reads, 1));
+            assert_eq!((stats.doorbells(), stats.batched_verbs()), (2, 3));
+            assert_eq!(stats.unsignalled_wqes(), 1, "the FAA goes unsignalled");
+        }
+    }
+
+    /// An access is counted once its key check passed.  Key `a`'s slot is
+    /// left pointing at a copy of key `b`'s object, so every attempt of
+    /// `get(a)` reads another key's object: the `Get` misses and, at
+    /// `fc_threshold = 1`, where every counted access sends its FAA at
+    /// once, sends none.  `get(b)` still sends its one.
+    #[test]
+    fn a_hit_that_fails_its_key_check_counts_no_access() {
+        let config = DittoConfig {
+            fc_threshold: 1,
+            ..DittoConfig::with_capacity(1_000)
+        };
         let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
         let mut client = cache.client();
-        client.set(b"hot", b"x");
-        cache.pool().reset_stats();
-        assert!(client.get(b"hot").is_some());
-        let stats = cache.pool().stats();
-        // Search ring (2 READs) + object ring (READ + unsignalled FAA).
-        assert_eq!(stats.doorbells(), 2);
-        assert!(
-            stats.unsignalled_wqes() >= 1,
-            "the FAA must ride unsignalled"
-        );
-        assert_eq!(stats.node_snapshots()[0].faa, 1);
+        client.set(b"a", b"x");
+        client.set(b"b", b"y");
+        let table = &cache.table;
+        let object_of = |key: &[u8]| {
+            let hash = crate::hash::fnv1a64(key);
+            [table.primary_bucket(hash), table.secondary_bucket(hash)]
+                .into_iter()
+                .flat_map(|bucket| table.bucket_slots(&client.dm, bucket))
+                .find(|(_, slot)| slot.atomic.is_object() && slot.hash == hash)
+                .map(|(_, slot)| slot.atomic)
+                .expect("the key is cached")
+        };
+        let (a, b) = (object_of(b"a"), object_of(b"b"));
+        assert_eq!(a.object_bytes(), b.object_bytes());
+        let node = cache.pool().node(0).unwrap();
+        let b_bytes = node
+            .read(b.object_addr().offset, b.object_bytes() as usize)
+            .unwrap();
+        node.write(a.object_addr().offset, &b_bytes).unwrap();
+        let faas = || cache.pool().stats().node_snapshots()[0].faa;
+        let before = faas();
+        assert_eq!(client.get(b"a"), None);
+        assert_eq!(faas() - before, 0, "a failed key check sent an FAA");
+        assert_eq!(client.get(b"b").as_deref(), Some(&b"y"[..]));
+        assert_eq!(faas() - before, 1);
     }
 
     #[test]

@@ -1089,6 +1089,38 @@ mod tests {
             .sum()
     }
 
+    /// A fill that defers its re-sample posts that READ after its op has
+    /// ended, so the READ's spans carry op id 0: the critical-path
+    /// attribution gives the fill no more time than its `begin_op`/`end_op`
+    /// latency, and the READ's flight to no op at all.
+    #[test]
+    fn a_fill_that_defers_its_re_sample_is_attributed_its_own_latency() {
+        let (cache, mut client) =
+            short_sampling_on(DmConfig::default().with_flight_recorder(1 << 16));
+        let latency = cache.pool().stats().latency();
+        let mut deferrals = 0;
+        for key in 5_000..5_200u64 {
+            assert!(client.get(&key.to_le_bytes()).is_none());
+            client.dm().clear_flight_recorder();
+            let before = latency.sum_ns();
+            client.set(&key.to_le_bytes(), &[1u8; BIG]);
+            if !deferred(&client) {
+                continue;
+            }
+            deferrals += 1;
+            let spans = client.dm().flight_spans();
+            let resample = spans.iter().filter(|s| s.op_id == 0);
+            assert_eq!(
+                resample.map(|s| s.phase).collect::<Vec<_>>(),
+                [Phase::Post, Phase::Flight]
+            );
+            let table = ditto_dm::obs::attribution(&[(0, spans)]);
+            assert_eq!(table.ops, 1, "key {key}");
+            assert!(table.elapsed_ns <= latency.sum_ns() - before, "key {key}");
+        }
+        assert!(deferrals > 5, "only {deferrals} fills deferred");
+    }
+
     #[test]
     fn a_short_samples_re_sample_flies_under_the_next_op() {
         let (cache, mut client) =
@@ -1436,7 +1468,16 @@ mod tests {
         let starts: Vec<u64> = evict_starts.map(|s| s.start_ns).collect();
         assert!(starts.is_sorted(), "an Evict span started before the last");
         for span in spans.iter() {
-            let (t0, t1, get) = windows[&span.op_id];
+            // A deferred re-sample's READ is posted once its fill's op has
+            // ended: its post and flight spans are in no op.
+            let Some(&(t0, t1, get)) = windows.get(&span.op_id) else {
+                assert_eq!(span.op_id, 0, "{span:?}");
+                assert!(
+                    matches!(span.phase, Phase::Post | Phase::Flight),
+                    "{span:?}"
+                );
+                continue;
+            };
             assert!(
                 span.end_ns - span.start_ns <= t1 - t0,
                 "{span:?} outlasts its op"

@@ -172,7 +172,7 @@ impl DittoClient {
             // the displaced old allocation never freed.
             return;
         }
-        self.record_access(slot_addr, None, false);
+        self.record_access(slot_addr, None);
         if let Some(slot) = decoded {
             // The extension words live with the object: the update's go to
             // the new one, not the one freed below.

@@ -168,26 +168,6 @@ impl FcCache {
         self.entries.remove(&freq_addr.pack());
     }
 
-    /// Takes back one buffered increment for `freq_addr`, if any is
-    /// pending.
-    ///
-    /// The Get path records the access *before* the object READ validates
-    /// the key (so a due flush can ride the READ's doorbell batch); when
-    /// validation then fails — a fingerprint/hash collision or a raced
-    /// eviction — the optimistic increment is forgiven here.  If the
-    /// recording already triggered a flush the remote counter stays ahead
-    /// by that flush (bounded by one threshold per raced lookup, and such
-    /// lookups are rare); frequency counters are approximate by design.
-    pub fn forgive(&mut self, freq_addr: RemoteAddr) {
-        let key = freq_addr.pack();
-        if let Some(entry) = self.entries.get_mut(&key) {
-            entry.delta -= 1;
-            if entry.delta == 0 {
-                self.entries.remove(&key);
-            }
-        }
-    }
-
     /// Drains every buffered entry (e.g. at the end of an experiment) so no
     /// increments are lost.
     pub fn flush_all(&mut self) -> Vec<FcFlush> {
@@ -309,20 +289,5 @@ mod tests {
         let mut fc = FcCache::new(1, 100);
         let flushes = fc.record(addr(4));
         assert_eq!(flushes.to_vec(), vec![(addr(4), 1)]);
-    }
-
-    #[test]
-    fn forgive_undoes_an_unflushed_record() {
-        let mut fc = FcCache::new(10, 100);
-        fc.record(addr(1));
-        fc.record(addr(1));
-        fc.record(addr(2));
-        fc.forgive(addr(1));
-        fc.forgive(addr(2));
-        // addr(2) is fully forgiven and gone; addr(1) keeps one increment.
-        assert_eq!(fc.flush_all(), vec![(addr(1), 1)]);
-        // Forgiving an absent entry is a no-op.
-        fc.forgive(addr(3));
-        assert!(fc.is_empty());
     }
 }

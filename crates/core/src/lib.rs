@@ -93,7 +93,7 @@
 //! before free (`Rule::BumpBeforeFree`) and the ABA argument, which
 //! `client/lookup.rs` states with what remains (a single process, like the
 //! tier).  Nor does an update wait for its frequency counter any more: a due
-//! FC flush is posted unsignalled on a doorbell of its own, as after a hinted
+//! FC flush is posted unsignalled on a doorbell of its own, as after every
 //! hit.
 //!
 //! # Which messages a hit and a cutover send
@@ -129,7 +129,12 @@
 //! [`CacheStats::ts_writes_skipped`] count every hit's and every replace's
 //! outcome; [`SimCache`] runs the same function on its logical clock, and
 //! the sweep that picked 16 ([`recency::LAST_TS_DIVISOR`]) lives in its
-//! tests.
+//! tests.  Before it stamps, that routine counts the access: the FC
+//! cache's record and a due `FAA`, posted unsignalled on a doorbell of its
+//! own, or without an FC cache one synchronous `FAA`.  A `Get` calls it
+//! only once the object's key checks out, so a `Get` whose every attempt
+//! reads another key's object sends no `FAA`, and no `FAA` rides a hit's
+//! object `READ`.
 //!
 //! **A stripe cutover poisons only the words clients CAS.**  The table hands
 //! the stripe directory its record layout — of each 40-byte slot, the atomic

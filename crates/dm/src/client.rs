@@ -52,9 +52,12 @@ pub struct DmClient {
     /// Monotone per-client verb counter feeding the fault injector's
     /// deterministic draws (see [`crate::FaultInjector::fate`]).
     fault_seq: Cell<u64>,
-    /// Monotone op sequence number: spans recorded while an op runs carry
-    /// it as their [`Span::op_id`] (bumped by [`DmClient::begin_op`]).
+    /// Monotone op sequence number (bumped by [`DmClient::begin_op`]).
     op_seq: Cell<u64>,
+    /// The [`Span::op_id`] spans are recorded with: the open op's sequence
+    /// number from [`DmClient::begin_op`] to [`DmClient::end_op`], 0 outside
+    /// any such window.
+    span_op: Cell<u64>,
     /// The flight recorder, armed iff
     /// [`DmConfig::flight_recorder_spans`] > 0.  Disarmed, every
     /// [`DmClient::record_span`] call is a single discriminant check, and
@@ -143,6 +146,7 @@ impl DmClient {
             next_wr_id: Cell::new(0),
             fault_seq: Cell::new(0),
             op_seq: Cell::new(0),
+            span_op: Cell::new(0),
             recorder,
             op_sampled: Cell::new(true),
             phase_hist,
@@ -180,8 +184,10 @@ impl DmClient {
         self.advance_ns(us * 1_000);
     }
 
-    /// The op sequence number spans are currently attributed to (bumped by
-    /// [`DmClient::begin_op`]; 0 before the first op).
+    /// The last op's sequence number (bumped by [`DmClient::begin_op`]; 0
+    /// before the first op).  Spans recorded until that op's
+    /// [`DmClient::end_op`] carry it; spans recorded after it, until the
+    /// next `begin_op`, carry 0.
     pub fn op_id(&self) -> u64 {
         self.op_seq.get()
     }
@@ -202,7 +208,7 @@ impl DmClient {
             return;
         }
         let (dropped, wrapped) = recorder.borrow_mut().push(Span {
-            op_id: self.op_seq.get(),
+            op_id: self.span_op.get(),
             phase,
             start_ns,
             end_ns,
@@ -671,6 +677,7 @@ impl DmClient {
     /// run armed at different ring sizes — sample the exact same op ids.
     pub fn begin_op(&self) {
         self.op_seq.set(self.op_seq.get() + 1);
+        self.span_op.set(self.op_seq.get());
         self.op_start_ns.set(self.clock_ns.get());
         if self.recorder.is_some() {
             let one_in = self.pool.config().flight_recorder_sample_one_in.max(1);
@@ -683,7 +690,10 @@ impl DmClient {
     }
 
     /// Marks the end of an application-level operation, recording its latency
-    /// in the pool-wide histogram.  Returns the operation latency in ns.
+    /// in the pool-wide histogram, and closes its span window: spans
+    /// recorded from here to the next [`DmClient::begin_op`] — a verb posted
+    /// between ops, a final drain — carry op id 0, so they do not stretch
+    /// the op before them.  Returns the operation latency in ns.
     ///
     /// Any signalled completions still outstanding are drained (and charged)
     /// first, so a pipeline that ends mid-poll cannot under-report its
@@ -692,6 +702,7 @@ impl DmClient {
         self.drain_cq();
         let latency = self.clock_ns.get().saturating_sub(self.op_start_ns.get());
         self.pool.stats().record_op(latency);
+        self.span_op.set(0);
         latency
     }
 
@@ -953,6 +964,40 @@ mod tests {
             sampled.len() as u64
         );
         assert_eq!(pool.stats().phase_latency(Phase::Translate).count(), 0);
+    }
+
+    /// Spans carry the open op's id from `begin_op` to `end_op` and 0
+    /// outside that window: before the first op, and after an op ended —
+    /// a READ posted then (its post and flight spans) is not the op's,
+    /// though the next op polls it.
+    #[test]
+    fn spans_recorded_between_ops_carry_op_zero() {
+        let pool = MemoryPool::new(DmConfig::small().with_flight_recorder(1 << 8));
+        let client = pool.connect();
+        let addr = pool.reserve(64).unwrap();
+        client.read(addr, 16);
+        client.begin_op();
+        client.read(addr, 16);
+        client.end_op();
+        let mut buf = [0u8; 16];
+        let mut wq = client.work_queue();
+        wq.post_read(addr, &mut buf, true);
+        wq.ring();
+        drop(wq);
+        client.begin_op();
+        assert!(client.poll_cq().is_some());
+        client.end_op();
+        let spans: Vec<_> = client
+            .flight_spans()
+            .iter()
+            .map(|s| (s.phase, s.op_id))
+            .collect();
+        use Phase::{Flight, Poll, Post};
+        assert_eq!(
+            spans,
+            [(Flight, 0), (Flight, 1), (Post, 0), (Flight, 0), (Poll, 2)]
+        );
+        assert_eq!(client.op_id(), 2, "the last op's sequence number");
     }
 
     #[test]

@@ -119,7 +119,8 @@ impl Phase {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// The issuing client's op sequence number (see
-    /// [`crate::DmClient::op_id`]); 0 before the first `begin_op`.
+    /// [`crate::DmClient::op_id`]) while that op is open; 0 outside any
+    /// `begin_op`/`end_op` window.
     pub op_id: u64,
     /// What the interval covers.
     pub phase: Phase,
@@ -580,8 +581,9 @@ fn percentile_sorted(sorted: &[u64], p: f64) -> u64 {
 /// collections (the shape [`chrome_trace_json`] takes).
 ///
 /// Spans are grouped into ops by `(client, op_id)`; spans with `op_id == 0`
-/// (recorded outside any [`crate::DmClient::begin_op`] window — setup,
-/// maintenance) are excluded.  Within an op, every elementary time slice is
+/// (recorded outside any [`crate::DmClient::begin_op`] /
+/// [`crate::DmClient::end_op`] window — setup, maintenance, a verb posted
+/// between ops) are excluded.  Within an op, every elementary time slice is
 /// charged to the highest-ranked phase active during it (see
 /// [`AttributionTable`]: CPU/lock work ≻ CQ waits ≻ eviction umbrella ≻
 /// wire flight);

@@ -1,18 +1,25 @@
 #!/usr/bin/env bash
 # Parity report of the working tree against a base commit: the north-star
-# line counts (scripts/lines.sh) of both side by side, then whether
-# `figures --scale 0.02 all` prints the same bytes on both.
+# line counts (scripts/lines.sh) of both side by side, whether
+# `figures --scale 0.02 all` prints the same bytes on both, and which of
+# the repo benchmark's end-to-end metrics differ between them.
 #
 #   scripts/parity.sh BASE
 #
 # BASE is any commit-ish (`main`, `origin/main`, a hash).  Its tree is
 # exported with `git archive` into a temporary directory, which is deleted
-# on exit, and built there into its own target directory; the working tree
-# builds into its usual one.  Both sides are counted by this checkout's
-# lines.sh, so a change to the counting rule cannot pass for a change in
-# the code.  Exits 1, after printing the first differing rows, when the
-# figures differ; a line count is reported, never gated.  The line table
-# lists every source tree found on either side, 0 where a side has none.
+# on exit, and built there into its own target directories; the working
+# tree builds into its usual ones.  Both sides are counted by this
+# checkout's lines.sh, so a change to the counting rule cannot pass for a
+# change in the code.  The line table lists every source tree found on
+# either side, 0 where a side has none; a line count is reported, never
+# gated.  The figures section prints the first differing rows.  The
+# benchmark section runs `benchmark/` on both sides at seeds 42 and 7 with
+# `--seconds 1 --trace 0` and prints, per seed and workload, every
+# end-to-end metric but `setup_s` (a host time) that differs, as
+# base -> work with its % change, and a `failed` count that differs.
+# Every section runs; the script then exits 1 if the figures or the
+# benchmark differ.  Needs `jq`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,10 +49,43 @@ cargo build --release --offline --quiet -p ditto-bench --bin figures \
 cargo build --release --offline --quiet -p ditto-bench --bin figures
 "$base/target/release/figures" --scale 0.02 all > "$base/figures_base.txt"
 "${CARGO_TARGET_DIR:-target}/release/figures" --scale 0.02 all > "$base/figures_work.txt"
+status=0
 if cmp -s "$base/figures_base.txt" "$base/figures_work.txt"; then
     echo "identical ($(wc -l < "$base/figures_work.txt") lines)"
 else
     echo "figures differ; first differing rows (< base, > working tree):"
     diff "$base/figures_base.txt" "$base/figures_work.txt" | head -n 40 || true
-    exit 1
+    status=1
 fi
+
+echo "== benchmark --seconds 1 --trace 0, end-to-end metrics but setup_s"
+cargo build --release --offline --quiet --manifest-path "$base/benchmark/Cargo.toml" \
+    --target-dir "$base/benchmark/target"
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+# One `workload metric value` line per metric, and `workload failed N`.
+bench_lines() {
+    "$1" --seconds 1 --trace 0 --seed "$2" 2>/dev/null | tail -n 1 | jq -r '
+        .runs[] | .workload as $w | .result
+        | "\($w) failed \(.failed)",
+          (.metrics | to_entries[] | select(.key != "setup_s")
+           | "\($w) \(.key) \(.value.value)")'
+}
+for seed in 42 7; do
+    bench_lines "$base/benchmark/target/release/ditto-benchmark" "$seed" > "$base/bench_base.txt"
+    bench_lines "${CARGO_TARGET_DIR:-benchmark/target}/release/ditto-benchmark" "$seed" \
+        > "$base/bench_work.txt"
+    awk -v seed="$seed" '
+        NR == FNR { was[$1 " " $2] = $3; next }
+        { key = $1 " " $2; seen[key] = 1
+          if (!(key in was)) { printf "seed %-3s %-40s (none) -> %s\n", seed, key, $3; differ = 1 }
+          else if (was[key] != $3) {
+              change = ($2 == "failed" || was[key] == 0) ? "" \
+                  : sprintf(" (%+.4f %%)", ($3 - was[key]) / was[key] * 100)
+              printf "seed %-3s %-40s %s -> %s%s\n", seed, key, was[key], $3, change
+              differ = 1 } }
+        END { for (key in was) if (!(key in seen)) {
+                  printf "seed %-3s %-40s %s -> (none)\n", seed, key, was[key]; differ = 1 }
+              if (!differ) print "seed " seed ": identical"
+              exit differ }' "$base/bench_base.txt" "$base/bench_work.txt" || status=1
+done
+exit "$status"

@@ -560,6 +560,12 @@ fn fig24_rung(rung: usize) -> DittoConfig {
 /// 56 260 → 56 459 messages, timestamps (6 893, 3 546) → (6 856, 3 566).
 /// Rung 4: rung 3's counts, 62 959 553 → 63 097 398 ns,
 /// 65 326 → 65 480 messages, timestamps (6 892, 3 547) → (6 840, 3 582).
+///
+/// When every access came to be counted before it is stamped, rung 4 alone
+/// moved: without an FC cache a hit's synchronous FAA now comes before its
+/// `last_ts` decision, which flipped one hit near the freshness threshold
+/// to a WRITE.  65 480 → 65 482 messages, timestamps (6 840, 3 582) →
+/// (6 841, 3 581); the clock stays at 63 097 398 ns.
 #[test]
 fn fig24_ablation_rungs_hold_their_numbers() {
     let rungs = [
@@ -586,8 +592,8 @@ fn fig24_ablation_rungs_hold_their_numbers() {
         ),
         single_node_ablated(
             [63_097_398, 63_097_398],
-            65_480,
-            (6_840, 3_582),
+            65_482,
+            (6_841, 3_581),
             [10_422, 1_578, 683, 330, 330, 10_422],
             [279, 404],
         ),
@@ -656,7 +662,8 @@ fn no_fc_cache_replay_holds_its_numbers() {
 /// netting one, so the sums then differed by one: (6 893, 3 546) against
 /// (6 892, 3 547).  Since a short sample's re-sample flies under the next
 /// op, with other victims on these rungs, they differ by sixteen:
-/// (6 856, 3 566) against (6 840, 3 582).
+/// (6 856, 3 566) against (6 840, 3 582); since rung 4 counts each hit's
+/// FAA before its stamp, by fifteen: against (6 841, 3 581).
 #[test]
 fn one_clients_fc_cache_moves_no_victim() {
     let decisions = |golden: Golden| CacheStatsSnapshot {

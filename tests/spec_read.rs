@@ -622,14 +622,15 @@ fn a_faulted_hinted_read_off_its_objects_node_still_yields_the_latest_value() {
     }
 }
 
-/// A `Get`'s object READ has one fault budget, whether it goes alone or the
-/// frequency-counter FAAs due at the access ride its round.  At
-/// `fc_threshold = 1` every hit's READ carries a flush, and a reader with no
-/// hints reads the buckets first, so every hit here takes the riding READ;
-/// one verb in fifty fails, and a faulted riding READ is retried like a lone
-/// one — no hit degrades to a miss.
+/// A hintless `Get`'s object READ is one synchronous READ with the fault
+/// budget of every data-path verb, and the frequency-counter FAA due at the
+/// access goes out after it, on a doorbell of its own, once the key check
+/// passed.  At `fc_threshold = 1` every hit sends a flush, and a reader
+/// with no hints reads the buckets first; one verb in fifty fails, and a
+/// faulted object READ is retried — no hit degrades to a miss, and each
+/// hit sends exactly one flush.
 #[test]
-fn a_get_whose_read_rides_a_flush_keeps_its_fault_budget() {
+fn a_hintless_get_that_flushes_keeps_its_fault_budget() {
     const KEYS: u64 = 1_500;
     let plan = FaultPlan::seeded(0x71de).with_verb_fail_ppm(20_000);
     let config = DittoConfig {
@@ -662,7 +663,7 @@ fn a_get_whose_read_rides_a_flush_keeps_its_fault_budget() {
     assert_eq!(
         stats.snapshot().fc_flushes - flushes,
         KEYS,
-        "every hit's READ carried its flush"
+        "every hit sent its flush"
     );
     assert!(
         cache.pool().stats().faults().verb_failures > KEYS / 100,
