@@ -71,9 +71,11 @@ bench_lines() {
            | "\($w) \(.key) \(.value.value)")'
 }
 for seed in 42 7; do
-    bench_lines "$base/benchmark/target/release/ditto-benchmark" "$seed" > "$base/bench_base.txt"
+    # A run that exits non-zero still has its lines compared.
+    bench_lines "$base/benchmark/target/release/ditto-benchmark" "$seed" \
+        > "$base/bench_base.txt" || status=1
     bench_lines "${CARGO_TARGET_DIR:-benchmark/target}/release/ditto-benchmark" "$seed" \
-        > "$base/bench_work.txt"
+        > "$base/bench_work.txt" || status=1
     awk -v seed="$seed" '
         NR == FNR { was[$1 " " $2] = $3; next }
         { key = $1 " " $2; seen[key] = 1
