@@ -378,6 +378,20 @@ mod tests {
         assert_eq!(helps, types);
     }
 
+    /// `fc_cache_mb` comes from outside input: an FC cache no memory holds
+    /// is bounded by its entries, not reserved whole when a client opens.
+    #[test]
+    fn a_client_opens_under_an_fc_cache_no_memory_holds() {
+        let config = DittoConfig {
+            fc_cache_mb: 1e6,
+            ..DittoConfig::with_capacity(100)
+        };
+        let cache = DittoCache::with_dedicated_pool(config, DmConfig::small()).unwrap();
+        let mut client = cache.client();
+        client.set(b"k", b"v");
+        assert_eq!(client.get(b"k").as_deref(), Some(&b"v"[..]));
+    }
+
     #[test]
     fn clients_share_statistics() {
         let cache = DittoCache::with_capacity(1_000).unwrap();

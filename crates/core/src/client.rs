@@ -1303,8 +1303,8 @@ impl DittoClient {
         let fill = memo.as_ref().is_some_and(|memo| memo.hash == hash);
         let mut carried = self.take_parked(starved);
         let parks = fill || carried.is_some();
-        let mut ahead =
-            starved.then(|| self.evict_ahead(size_class as u8, hash, carried.as_ref(), parks));
+        let mut ahead = starved
+            .then(|| self.evict_begin(size_class as u8, Some((hash, carried.as_ref(), parks))));
         // A fill right after its key's miss goes by the buckets that miss
         // decoded, while they are still trusted.  Trusted, they were
         // translated under the version read here, which a one-round insert's
@@ -1856,15 +1856,14 @@ impl DittoClient {
         None
     }
 
-    /// Gathers the candidates' metadata for [`AdaptivePolicy::pick_victim`]:
-    /// with `buffered`, each `freq` word plus what the FC cache holds for it
-    /// now; without, as the candidates carry it (an eviction that folded the
-    /// counts its READs saw, see `client/evict.rs`).
-    fn select_victim(&mut self, candidates: &[(RemoteAddr, Slot)], buffered: bool) -> Pick {
+    /// Gathers the candidates' metadata for [`AdaptivePolicy::pick_victim`]
+    /// as the candidates carry it: each `freq` word with this client's
+    /// buffered FC increments folded in where the candidate was gathered.
+    fn select_victim(&mut self, candidates: &[(RemoteAddr, Slot)]) -> Pick {
         let now = self.dm.now_ns();
         let mut metadata: InlineVec<Metadata, CANDIDATES_CAP> = InlineVec::new();
-        for (slot_addr, slot) in candidates {
-            metadata.push(self.candidate_metadata(*slot_addr, slot, buffered));
+        for (_, slot) in candidates {
+            metadata.push(self.candidate_metadata(slot));
         }
         let (idx, bitmap, chosen) =
             self.policy
@@ -1877,14 +1876,12 @@ impl DittoClient {
         }
     }
 
-    /// A candidate's metadata as this client knows it: the slot's words,
-    /// its `freq` plus — with `buffered` — the increments this client's FC
-    /// cache still holds for it (see [`crate::fc_cache`]).
-    fn candidate_metadata(&self, slot_addr: RemoteAddr, slot: &Slot, buffered: bool) -> Metadata {
+    /// A candidate's metadata: the slot's words, its `freq` counting the
+    /// increments this client's FC cache held for it when it was gathered
+    /// (see [`crate::fc_cache`]), and under an extension expert the
+    /// object's extension words.
+    fn candidate_metadata(&self, slot: &Slot) -> Metadata {
         let mut metadata = slot.metadata();
-        if buffered {
-            metadata.freq += self.buffered_accesses(slot_addr);
-        }
         if self.use_extension {
             // Advanced algorithms keep their extension metadata with the
             // object; fetch the header (§4.4: extra READs on eviction).

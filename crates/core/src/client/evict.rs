@@ -5,7 +5,10 @@
 //! work charged under the client's next round — or, when its sample held too
 //! few candidates, its re-sample READ left in flight for the client's next
 //! ops to poll (see the crate docs, *The `Set` path under memory
-//! pressure*).
+//! pressure*).  A candidate is scored on its slot's words plus the FC
+//! increments this client buffered for it when its sample landed — or, of a
+//! deferred re-sample, when its READ went out: folded in where the sample is
+//! decoded, once.
 
 use super::lookup::bucket_holds;
 use super::round::{
@@ -45,11 +48,12 @@ pub(super) enum EvictWait {
 }
 
 /// One sampling eviction, resumable at its round trips: the state
-/// [`DittoClient::evict_advance`] — the one eviction routine — works on.
-/// Run without pausing it is the inline eviction, every round trip waited
-/// for in turn.  An eviction running *ahead* of a `Set` (see the crate docs)
-/// has its first sample READ and history-id FAA ride the `Set`'s first round,
-/// and is paused after each verb it posts beside the `Set`'s insert.  A
+/// [`DittoClient::evict_advance`] — the one eviction routine — works on,
+/// started by [`DittoClient::evict_begin`] alone.  Run without pausing it is
+/// the inline eviction, every round trip waited for in turn.  An eviction
+/// running *ahead* of a `Set` (see the crate docs) has its first sample READ
+/// and history-id FAA ride the `Set`'s first round, and is paused after each
+/// verb it posts beside the `Set`'s insert.  A
 /// *parked* one stops once its victim is picked — its sample's decode and
 /// scoring left for the client's next round to charge
 /// ([`DittoClient::host_parked_pick`]) — and the next starved `Set` carries
@@ -58,7 +62,10 @@ pub(super) enum EvictWait {
 /// READ once its op has ended ([`DittoClient::send_deferred_sample`]), and
 /// the `Set` that takes the eviction up decodes it and picks.  The round
 /// executor ([`super::round`]) posts its verbs and books their completions
-/// on it.
+/// on it.  Its candidates carry their `freq` words with this client's
+/// buffered FC increments folded in as of their sample's landing, so every
+/// pick — the first, a deferred one, a re-pick after a lost victim CAS —
+/// scores the same counts.
 #[derive(Default)]
 pub(super) struct Eviction {
     /// Start of the `Evict` span: when the first sample was issued — or, of a
@@ -79,8 +86,9 @@ pub(super) struct Eviction {
     carried_victim: Option<RemoteAddr>,
     /// Whether, once picked, the victim waits for the next starved `Set`.
     pub(super) park: bool,
-    /// Whether a `Set` carries this eviction, parked by an earlier one.
-    carried: bool,
+    /// Whose verbs this eviction's are in a `Set`'s rounds: its own, or —
+    /// parked by an earlier `Set` — those of the eviction it carries.
+    pub(super) owner: Owner,
     candidates: Candidates,
     samples: usize,
     retries: usize,
@@ -93,10 +101,6 @@ pub(super) struct Eviction {
     /// The FC deltas this client buffered for each slot of a deferred
     /// re-sample's span, in canonical order, when its READ went out.
     fc_seen: InlineVec<u64, { DittoConfig::SAMPLE_SPAN_SLOTS }>,
-    /// Whether the candidates' `freq` words already count this client's
-    /// buffered FC increments as their READ saw them — so from a deferred
-    /// re-sample on — rather than as the FC cache holds them at the pick.
-    fc_folded: bool,
     /// Physical READ segments of the current sample, in canonical order.
     segments: InlineVec<(RemoteAddr, usize), MAX_WQES>,
     /// Whether the current sample's READs were issued yet.
@@ -126,15 +130,6 @@ pub(super) struct Eviction {
 }
 
 impl Eviction {
-    /// Whose verbs this eviction's are in a `Set`'s rounds.
-    pub(super) fn owner(&self) -> Owner {
-        if self.carried {
-            Owner::Carried
-        } else {
-            Owner::Own
-        }
-    }
-
     /// The sample waiting to ride the `Set`'s first round, as the planner
     /// takes it ([`super::round::Plan::own`]): its READ segments, the history counter its FAA goes to,
     /// and what it leaves out.
@@ -160,7 +155,7 @@ impl Eviction {
         Verb {
             op,
             signalled: true,
-            owner: self.owner(),
+            owner: self.owner,
         }
     }
 
@@ -202,56 +197,42 @@ impl DittoClient {
     /// Falls back to the plain priority choice when the sample holds no
     /// big-enough victim, so memory still gets freed for other clients.
     pub(super) fn evict_once_for(&mut self, min_blocks: u8) -> bool {
-        let mut ev = self.evict_begin(min_blocks);
+        let mut ev = self.evict_begin(min_blocks, None);
         self.evict_advance(&mut ev, false)
             .expect("an eviction that never pauses runs to completion")
     }
 
-    fn new_eviction(&self, min_blocks: u8) -> Eviction {
-        Eviction {
+    /// Starts a sampling eviction by issuing its first sample and, beside
+    /// it, the FAA for its history id.  With `ahead = (hash, carried, park)`
+    /// it is the eviction a starved `Set` of `hash` runs *ahead* (see
+    /// [`Eviction`]): the two verbs wait to ride the `Set`'s first doorbell,
+    /// and no slot of the key's two buckets — nor the victim slot of the
+    /// eviction `carried`, which this `Set` takes out — is a candidate.  With
+    /// `park` its victim, once picked, waits for the next starved `Set`.
+    pub(super) fn evict_begin(
+        &mut self,
+        min_blocks: u8,
+        ahead: Option<(u64, Option<&Eviction>, bool)>,
+    ) -> Eviction {
+        let mut ev = Eviction {
             t0: self.dm.now_ns(),
             min_blocks,
             version: self.table.directory().version(),
+            owner: Owner::Own,
             retries: 3,
             fetched: NO_ID,
             ..Eviction::default()
-        }
-    }
-
-    /// Starts a sampling eviction by issuing its first sample and, beside
-    /// it, the FAA for its history id.
-    pub(super) fn evict_begin(&mut self, min_blocks: u8) -> Eviction {
-        let mut ev = self.new_eviction(min_blocks);
-        self.issue_sample(&mut ev, false, false);
-        ev
-    }
-
-    /// Starts the eviction a starved `Set` of `hash` runs *ahead* (see
-    /// [`Eviction`]): its first sample and the history-id FAA wait to ride
-    /// the `Set`'s first doorbell, and no slot of the key's two buckets — nor
-    /// the victim slot of the eviction `carried`, which this `Set` takes out
-    /// — is a candidate.  With `park` its victim, once picked, waits for the
-    /// next starved `Set`.
-    pub(super) fn evict_ahead(
-        &mut self,
-        min_blocks: u8,
-        hash: u64,
-        carried: Option<&Eviction>,
-        park: bool,
-    ) -> Eviction {
-        let own = [
-            self.table.primary_bucket(hash),
-            self.table.secondary_bucket(hash),
-        ]
-        .map(|bucket| self.table.bucket_addr(bucket));
-        let mut ev = Eviction {
-            key: Some(hash),
-            own_buckets: Some(own),
-            carried_victim: carried.map(Eviction::victim_addr),
-            park,
-            ..self.new_eviction(min_blocks)
         };
-        self.issue_sample(&mut ev, false, true);
+        if let Some((hash, carried, park)) = ahead {
+            let own = [
+                self.table.primary_bucket(hash),
+                self.table.secondary_bucket(hash),
+            ];
+            (ev.key, ev.park) = (Some(hash), park);
+            ev.own_buckets = Some(own.map(|bucket| self.table.bucket_addr(bucket)));
+            ev.carried_victim = carried.map(Eviction::victim_addr);
+        }
+        self.issue_sample(&mut ev, false);
         ev
     }
 
@@ -285,7 +266,7 @@ impl DittoClient {
                 return None;
             }
         }
-        ev.carried = true;
+        ev.owner = Owner::Carried;
         Some(ev)
     }
 
@@ -318,12 +299,12 @@ impl DittoClient {
                         self.charge_score(cpu.1);
                     }
                     if short && self.defers_resample(ev) {
-                        self.issue_sample(ev, false, true);
                         ev.deferred = true;
+                        self.issue_sample(ev, false);
                         return None;
                     }
                     if short {
-                        self.issue_sample(ev, beside_insert, false);
+                        self.issue_sample(ev, beside_insert);
                         if beside_insert {
                             return None;
                         }
@@ -340,7 +321,7 @@ impl DittoClient {
                         self.pick_victim(ev);
                     }
                 }
-                EvictWait::Picked if ev.park && !ev.carried => return None,
+                EvictWait::Picked if ev.park && ev.owner == Owner::Own => return None,
                 EvictWait::Picked => {
                     self.send_victim(ev, beside_insert);
                     if beside_insert {
@@ -374,7 +355,7 @@ impl DittoClient {
     /// on it.  An extension expert's scoring READs object headers, so under
     /// one the fill picks in place.
     fn hosts_pick(&self, ev: &Eviction) -> bool {
-        ev.park && !ev.carried && !self.use_extension
+        ev.park && ev.owner == Owner::Own && !self.use_extension
     }
 
     /// Whether `ev`, a fill's own parked eviction whose first sample came
@@ -395,16 +376,13 @@ impl DittoClient {
     /// fill pays the doorbell and the issue.  Nothing polls it here: its
     /// completion is booked on the eviction by whichever poll of a later op
     /// meets it ([`super::round`]'s `poll_routed`).  Beside it the eviction
-    /// records the FC deltas this client buffers now for the span's slots
-    /// and folds them into the candidates it holds, so that its pick, made
-    /// later, scores the counts the READs saw.
+    /// records the FC deltas this client buffers now for the span's slots,
+    /// for [`Self::collect_sample`] to fold in: its pick, made later, scores
+    /// the counts the READ saw.
     pub(super) fn send_deferred_sample(&mut self) {
         let Some(mut ev) = self.parked_eviction.take_if(|ev| ev.deferred && !ev.issued) else {
             return;
         };
-        for (slot_addr, slot) in ev.candidates.iter_mut() {
-            slot.freq += self.buffered_accesses(*slot_addr);
-        }
         ev.fc_seen.clear();
         for &(addr, slots) in ev.segments.iter() {
             for i in 0..slots {
@@ -412,7 +390,6 @@ impl DittoClient {
                 ev.fc_seen.push(seen);
             }
         }
-        ev.fc_folded = true;
         let mut round = Round::new(Shape::Evict, Context::default());
         round.push_sample(&ev.segments, ev.id_counter);
         std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
@@ -468,13 +445,17 @@ impl DittoClient {
     /// configured history length and the counter FAAs to spread over the
     /// nodes.  The first sampled slot index is uniform and already drawn.
     ///
-    /// `ride` leaves the verbs to ride the `Set`'s first round
-    /// ([`Eviction::riding`]); `post` — beside the `Set`'s insert — has them
-    /// go out on a round of their own and returns with them in flight, as do
-    /// several segments, or a sample with the FAA beside it, whatever `post`
-    /// says: they share a doorbell and [`Self::collect_sample`] polls them.
-    /// Otherwise the one segment is read in place, a completed round trip.
-    fn issue_sample(&mut self, ev: &mut Eviction, post: bool, ride: bool) {
+    /// An ahead eviction's first sample rides the `Set`'s first round
+    /// ([`Eviction::riding`]), and a deferred re-sample waits for its fill's
+    /// op to end ([`Self::send_deferred_sample`]): neither is issued here.
+    /// Any other goes out now.  `post` — beside the `Set`'s insert — has its
+    /// verbs go out on a round of their own and returns with them in flight,
+    /// as do several segments, or a sample with the FAA beside it, whatever
+    /// `post` says: they share a doorbell and [`Self::collect_sample`] polls
+    /// them.  Otherwise the one segment is read in place, a completed round
+    /// trip.
+    fn issue_sample(&mut self, ev: &mut Eviction, post: bool) {
+        let ride = (ev.samples == 0 && ev.key.is_some()) || ev.deferred;
         ev.segments.clear();
         let first_idx = if self.config.enable_sample_friendly_table {
             let (start, count) = self
@@ -522,10 +503,9 @@ impl DittoClient {
     /// routine re-samples).  Slots decode in
     /// canonical segment order whatever order the READs completed in — ties
     /// in eviction priorities break by position — so a striped pool sees the
-    /// candidates a single node does.  Once the eviction folds FC counts
-    /// ([`Eviction::fc_folded`]), each candidate's `freq` takes what the FC
-    /// cache buffered for it when its READ went out: recorded beside a
-    /// deferred re-sample, and otherwise now, when it lands.
+    /// candidates a single node does.  Each candidate's `freq` takes what
+    /// this client's FC cache buffered for it: now, as the sample lands, or,
+    /// of a deferred re-sample, when its READ went out ([`Eviction::fc_seen`]).
     fn collect_sample(&mut self, ev: &mut Eviction) -> (usize, usize) {
         debug_assert!(ev.issued, "the first lookup round posts a riding sample");
         self.await_eviction(ev);
@@ -547,11 +527,11 @@ impl DittoClient {
                 if !slot.atomic.is_object() || ev.excludes(slot_addr) {
                     continue;
                 }
-                if ev.fc_folded && deferred {
-                    slot.freq += ev.fc_seen[offset / SLOT_SIZE + i];
-                } else if ev.fc_folded {
-                    slot.freq += self.buffered_accesses(slot_addr);
-                }
+                slot.freq += if deferred {
+                    ev.fc_seen[offset / SLOT_SIZE + i]
+                } else {
+                    self.buffered_accesses(slot_addr)
+                };
                 gathered += usize::from(ev.candidates.push_saturating((slot_addr, slot)));
             }
             offset += slots * SLOT_SIZE;
@@ -567,7 +547,7 @@ impl DittoClient {
     /// expert: its span closes here.  The `Set` that carries it records the
     /// victim half.
     fn pick_victim(&mut self, ev: &mut Eviction) {
-        ev.pick = self.select_victim(&ev.candidates, !ev.fc_folded);
+        ev.pick = self.select_victim(&ev.candidates);
         ev.wait = EvictWait::Picked;
         let victim = ev.candidates[ev.pick.idx].1;
         // A faulted counter FAA evicts without a history entry (one lost
@@ -599,7 +579,10 @@ impl DittoClient {
             ev.unpark(self.dm.now_ns());
         }
         if beside_insert {
-            let shape = [Shape::Evict, Shape::Carry][ev.carried as usize];
+            let shape = match ev.owner {
+                Owner::Carried => Shape::Carry,
+                _ => Shape::Evict,
+            };
             let ctx = Context {
                 beside_insert: true,
                 ..Context::default()
@@ -693,7 +676,7 @@ mod tests {
     use crate::hashtable::SampleFriendlyHashTable;
     use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
     use ditto_dm::stats::{NodeSnapshot, VerbKind};
-    use ditto_dm::{DmConfig, Phase, RemoteAddr};
+    use ditto_dm::{DmConfig, MemoryPool, Phase, RemoteAddr};
     use std::collections::BTreeMap;
 
     fn small_cache(capacity: u64) -> DittoCache {
@@ -1537,7 +1520,7 @@ mod tests {
     fn begun() -> (DittoCache, DittoClient, Eviction) {
         let (cache, mut client) = pressured();
         let faa = node(&cache).faa;
-        let ev = client.evict_begin(0);
+        let ev = client.evict_begin(0, None);
         assert_eq!(node(&cache).faa - faa, 1, "the id rides the first sample");
         (cache, client, ev)
     }
@@ -1592,7 +1575,7 @@ mod tests {
     /// eviction draws from the client's RNG, so a copy that reads some keys
     /// first samples the same slots.
     fn next_pick((_cache, mut client): (DittoCache, DittoClient)) -> (Candidates, usize) {
-        let mut ev = client.evict_begin(0);
+        let mut ev = client.evict_begin(0, None);
         assert_eq!(client.evict_advance(&mut ev, false), Some(true));
         (ev.candidates, ev.pick.idx)
     }
@@ -1623,7 +1606,7 @@ mod tests {
         }
         let freq_addr = SampleFriendlyHashTable::freq_addr(read_addr);
         assert_eq!(client.fc_cache().unwrap().pending_delta(freq_addr), 3);
-        let mut ev = client.evict_begin(0);
+        let mut ev = client.evict_begin(0, None);
         assert_eq!(client.evict_advance(&mut ev, false), Some(true));
         let addrs = |c: &Candidates| c.iter().map(|&(addr, _)| addr).collect::<Vec<_>>();
         assert_eq!(addrs(&ev.candidates), addrs(&candidates), "the same sample");
@@ -1633,6 +1616,81 @@ mod tests {
             "the unread one goes"
         );
         assert!(client.get(&key).is_some(), "the read key stays");
+    }
+
+    /// A cache of four buckets under LFU alone, over a pool that never runs
+    /// short, and its client, which filled the two buckets of a key with
+    /// other keys, each set once: the key and those residents.  The runs
+    /// repeat exactly.
+    fn buckets_filled() -> (DittoCache, DittoClient, [u8; 8], Vec<[u8; 8]>) {
+        let config = DittoConfig::single_algorithm(10, "lfu");
+        let cache = DittoCache::new(MemoryPool::new(DmConfig::default()), config).unwrap();
+        assert_eq!(cache.table.num_buckets(), 4);
+        let mut client = cache.client();
+        let table = cache.table.clone();
+        let buckets = |key: &[u8; 8]| {
+            let hash = fnv1a64(key);
+            let mut both = [table.primary_bucket(hash), table.secondary_bucket(hash)];
+            both.sort();
+            both
+        };
+        let keys = (0u64..).map(u64::to_le_bytes);
+        let key = keys
+            .clone()
+            .find(|k| buckets(k)[0] != buckets(k)[1])
+            .unwrap();
+        let full = |client: &DittoClient| {
+            let slots = buckets(&key).map(|b| table.bucket_slots(&client.dm, b));
+            slots.iter().flatten().all(|(_, s)| s.atomic.is_object())
+        };
+        let mut residents = Vec::new();
+        for resident in keys.skip(1_000).filter(|k| buckets(k) == buckets(&key)) {
+            if full(&client) {
+                break;
+            }
+            client.set(&resident, &[1u8; 64]);
+            residents.push(resident);
+        }
+        assert_eq!(residents.len(), 2 * SLOTS_PER_BUCKET);
+        (cache, client, key, residents)
+    }
+
+    /// Sets the key of [`buckets_filled`], which displaces a resident by a
+    /// bucket eviction, and returns that resident.
+    fn displaced(
+        (cache, mut client, key, residents): (DittoCache, DittoClient, [u8; 8], Vec<[u8; 8]>),
+    ) -> [u8; 8] {
+        let bucket_evictions = cache.stats().snapshot().bucket_evictions;
+        client.set(&key, &[2u8; 64]);
+        assert_eq!(
+            cache.stats().snapshot().bucket_evictions,
+            bucket_evictions + 1
+        );
+        assert_eq!(client.get(&key), Some(vec![2u8; 64]));
+        let gone: Vec<_> = residents
+            .into_iter()
+            .filter(|k| client.get(k).is_none())
+            .collect();
+        assert_eq!(gone.len(), 1, "one resident displaced");
+        gone[0]
+    }
+
+    /// A bucket eviction scores its candidates, like a sample's, with the
+    /// increments this client's FC cache still buffers for them.  Every
+    /// resident of [`buckets_filled`] was set once and never read, so each
+    /// `freq` word reads one and LFU displaces one of them.  Read three
+    /// times first — buffered, under the threshold of ten, so its word still
+    /// reads one — that resident stays and another goes.
+    #[test]
+    fn a_bucket_eviction_keeps_the_resident_this_client_has_been_reading() {
+        let first = displaced(buckets_filled());
+        let (cache, mut client, key, residents) = buckets_filled();
+        for _ in 0..3 {
+            assert!(client.get(&first).is_some());
+        }
+        assert_eq!(client.fc_cache().unwrap().buffered_increments(), 3);
+        let gone = displaced((cache, client, key, residents));
+        assert_ne!(gone, first, "the read resident stays");
     }
 
     /// A key's buffered FC increments leave its slot with it.  FIFO alone

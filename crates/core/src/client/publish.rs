@@ -357,15 +357,20 @@ impl DittoClient {
         new_atomic: AtomicField,
         hash: u64,
     ) -> bool {
+        // Scored, like a sample's, with this client's buffered FC
+        // increments folded in.
         let mut candidates = Candidates::new();
-        candidates.extend(slots.iter().filter(|(_, s)| s.atomic.is_object()).copied());
+        for &(slot_addr, mut slot) in slots.iter().filter(|(_, s)| s.atomic.is_object()) {
+            slot.freq += self.buffered_accesses(slot_addr);
+            candidates.push((slot_addr, slot));
+        }
         if candidates.is_empty() {
             return false;
         }
         // The bucket slots were decoded (and charged) by the lookup; only
         // the candidate scoring is added here.
         self.charge_score(candidates.len());
-        let pick = self.select_victim(&candidates, true);
+        let pick = self.select_victim(&candidates);
         let (victim_addr, victim) = candidates[pick.idx];
         let expected = victim.atomic.encode();
         // As in `replace_existing`: record the victim's allocation before

@@ -348,7 +348,7 @@ pub(super) type Evictions<'e> = [Option<&'e mut Eviction>; 2];
 
 /// `ev` alone, in the place its owner takes.
 pub(super) fn alone(ev: &mut Eviction) -> Evictions<'_> {
-    match ev.owner() {
+    match ev.owner {
         Owner::Carried => [None, Some(ev)],
         _ => [Some(ev), None],
     }

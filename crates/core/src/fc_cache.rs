@@ -74,6 +74,10 @@ struct FcEntry {
     inserted_seq: u64,
 }
 
+/// Most map entries [`FcCache::new`] reserves up front: a larger `capacity`
+/// (it comes from the configured `fc_cache_mb`) grows the map as it fills.
+const MAX_RESERVED: usize = 1 << 20;
+
 /// Client-local write-combining buffer for frequency-counter updates.
 #[derive(Debug)]
 pub struct FcCache {
@@ -90,9 +94,13 @@ impl FcCache {
         let capacity = capacity.max(1);
         FcCache {
             // Sized once (one entry over `capacity` lives briefly, between an
-            // insert and the eviction it forces) so the map never rehashes.
-            // Keys are packed slot addresses, process-local and trusted.
-            entries: FxHashMap::with_capacity_and_hasher(capacity + 1, Default::default()),
+            // insert and the eviction it forces) so that, up to
+            // `MAX_RESERVED` entries, the map never rehashes.  Keys are
+            // packed slot addresses, process-local and trusted.
+            entries: FxHashMap::with_capacity_and_hasher(
+                capacity.min(MAX_RESERVED) + 1,
+                Default::default(),
+            ),
             threshold: threshold.max(1),
             capacity,
             seq: 0,
@@ -282,6 +290,19 @@ mod tests {
         fc.record(addr(1));
         fc.discard(addr(2));
         assert_eq!(fc.flush_all(), vec![(addr(1), 1)]);
+    }
+
+    /// A capacity no memory holds reserves a bounded map and still
+    /// buffers, flushes at the threshold and drains.
+    #[test]
+    fn an_unbounded_capacity_records_and_flushes() {
+        let mut fc = FcCache::new(10, usize::MAX);
+        for _ in 0..9 {
+            assert!(fc.record(addr(1)).is_empty());
+        }
+        assert!(fc.record(addr(2)).is_empty());
+        assert_eq!(fc.record(addr(1)).to_vec(), vec![(addr(1), 10)]);
+        assert_eq!(fc.flush_all(), vec![(addr(2), 1)]);
     }
 
     #[test]

@@ -212,18 +212,20 @@
 //! slot's words as the sample read them, with one correction: its `freq`
 //! gains the increments this client's FC cache still holds for the slot
 //! ([`FcCache::pending_delta`]), which the word shows only once they reach
-//! the flush threshold.  A pick scores as of the time its sample landed:
-//! a parked one too, whose decode and scoring the fill does not wait for
-//! (see *The one-round fill*).  A pick from a re-sample the fill deferred is
-//! made ops later: it scores with the increments the FC cache held when
-//! that READ went out, recorded beside it for the span's slots and the
-//! candidates the eviction already held.  The experts' `on_evict` sees the metadata
-//! the pick scored.  The increments belong to the key, not the slot: when one of this
-//! client's CASes takes the key out — a won victim CAS, a publish that puts
-//! another key in the slot, the failed-update invalidation sweep — they are
-//! dropped ([`FcCache::discard`]), not flushed onto the slot's next key.  So
-//! one client's eviction sees exact counts, and its FC cache moves no
-//! victim.  Other clients' buffered increments stay out of sight, and a key
+//! the flush threshold.  A pick scores as of the time its sample landed,
+//! for the correction is folded into each candidate once, where its sample
+//! is decoded (a bucket eviction's, where it gathers its candidates): a
+//! parked pick too, whose decode and scoring the fill does not wait for
+//! (see *The one-round fill*), and a re-pick after a lost victim CAS.  A
+//! pick from a re-sample the fill deferred is made ops later: it scores
+//! with the increments the FC cache held when that READ went out, recorded
+//! beside it for the span's slots.  The experts' `on_evict` sees the
+//! metadata the pick scored.  The increments belong to the key, not the
+//! slot: when one of this client's CASes takes the key out — a won victim
+//! CAS, a publish that puts another key in the slot, the failed-update
+//! invalidation sweep — they are dropped ([`FcCache::discard`]), not
+//! flushed onto the slot's next key.  So one client's eviction sees exact
+//! counts, and its FC cache moves no victim.  Other clients' buffered increments stay out of sight, and a key
 //! another client evicts still leaves this client's behind: the counters
 //! are advisory.
 //!

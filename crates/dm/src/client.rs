@@ -466,22 +466,11 @@ impl DmClient {
     /// completions consumed.  The clock ends at (or after) the last
     /// completion, so no signalled work escapes the op-latency accounting.
     ///
-    /// Completion *statuses* are discarded — use [`DmClient::try_drain_cq`]
-    /// where a missed error completion matters.
-    pub fn drain_cq(&self) -> usize {
-        let mut drained = 0;
-        while self.poll_cq().is_some() {
-            drained += 1;
-        }
-        drained
-    }
-
-    /// Like [`DmClient::drain_cq`], but surfaces error completions: the
-    /// whole queue is drained (and charged) either way, then the *first*
-    /// error encountered — in completion order — is returned, so a caller
-    /// cannot accidentally leave later completions stranded by bailing on
-    /// the first failure.
-    pub fn try_drain_cq(&self) -> DmResult<usize> {
+    /// The whole queue is drained (and charged) whatever the statuses, then
+    /// the *first* error encountered — in completion order — is returned, so
+    /// a caller cannot leave later completions stranded by bailing on the
+    /// first failure.
+    pub fn drain_cq(&self) -> DmResult<usize> {
         let mut drained = 0;
         let mut first_err = None;
         while let Some(completion) = self.poll_cq() {
@@ -524,11 +513,6 @@ impl DmClient {
         let mut word = [0u8; 8];
         self.try_read_into(addr, &mut word)?;
         Ok(u64::from_le_bytes(word))
-    }
-
-    /// Fallible 8-byte little-endian WRITE (see [`DmClient::try_read_into`]).
-    pub fn try_write_u64(&self, addr: RemoteAddr, value: u64) -> DmResult<()> {
-        self.try_write(addr, &value.to_le_bytes())
     }
 
     /// Fallible `RDMA_CAS` (see [`DmClient::try_read_into`]).  On success returns
@@ -609,7 +593,7 @@ impl DmClient {
     ///
     /// Panics if the address is invalid or unaligned, or a fault is injected.
     pub fn write_u64(&self, addr: RemoteAddr, value: u64) {
-        self.try_write_u64(addr, value)
+        self.try_write(addr, &value.to_le_bytes())
             .unwrap_or_else(|e| panic!("RDMA_WRITE failed: {e}"));
     }
 
@@ -699,7 +683,7 @@ impl DmClient {
     /// first, so a pipeline that ends mid-poll cannot under-report its
     /// latency; unsignalled WQEs, by definition, are never waited for.
     pub fn end_op(&self) -> u64 {
-        self.drain_cq();
+        let _ = self.drain_cq();
         let latency = self.clock_ns.get().saturating_sub(self.op_start_ns.get());
         self.pool.stats().record_op(latency);
         self.span_op.set(0);
@@ -718,39 +702,18 @@ impl DmClient {
     /// Outstanding completions are drained first — their completion times
     /// reference the pre-reset clock and must not leak across the boundary.
     pub fn reset_clock(&self) {
-        self.drain_cq();
+        let _ = self.drain_cq();
         let baseline = self.pool.stats().clock_baseline_ns();
         self.clock_ns.set(baseline);
         self.op_start_ns.set(baseline);
-    }
-
-    /// Publishes the clock automatically when the client goes away so that
-    /// a run's report (`run_clients`) includes every client created during
-    /// the run.
-    fn publish_on_drop(&self) {
-        self.publish_clock();
-    }
-
-    /// Returns an error if the given address is not valid in this pool
-    /// (utility for higher layers that want fallible validation).
-    pub fn validate(&self, addr: RemoteAddr, len: usize) -> DmResult<()> {
-        let node = self.pool.node(addr.mn_id)?;
-        if addr.offset + len as u64 <= node.capacity() {
-            Ok(())
-        } else {
-            Err(DmError::OutOfBounds {
-                mn_id: addr.mn_id,
-                offset: addr.offset,
-                len,
-                capacity: node.capacity(),
-            })
-        }
     }
 }
 
 impl Drop for DmClient {
     fn drop(&mut self) {
-        self.publish_on_drop();
+        // Publishes the clock when the client goes away, so that a run's
+        // report (`run_clients`) includes every client created during it.
+        self.publish_clock();
         // Fold the client-local per-phase histograms into the pool-wide set
         // exactly once, so the exposition's phase summaries cover every
         // client that ever connected.
@@ -890,16 +853,6 @@ mod tests {
         assert_eq!(pool.stats().max_client_clock_ns(), 10_000);
         client.reset_clock();
         assert_eq!(client.now_ns(), 0);
-    }
-
-    #[test]
-    fn validate_checks_bounds() {
-        let pool = pool();
-        let client = pool.connect();
-        let cap = pool.config().memory_node_capacity;
-        assert!(client.validate(RemoteAddr::new(0, 0), 64).is_ok());
-        assert!(client.validate(RemoteAddr::new(0, cap), 1).is_err());
-        assert!(client.validate(RemoteAddr::new(5, 0), 1).is_err());
     }
 
     #[test]

@@ -149,7 +149,7 @@
 //!   identically for a given client set) fail a verb with
 //!   [`DmError::VerbFailed`] or charge a timeout and fail it with
 //!   [`DmError::VerbTimeout`].  Completions carry a [`CompletionStatus`];
-//!   `poll_cq` and `try_drain_cq` surface errors instead of assuming
+//!   `poll_cq` and `drain_cq` surface errors instead of assuming
 //!   success.  On the posted path an errored WQE — a fault, or
 //!   [`CompletionStatus::NodeRemoved`] — *flushes* the WQEs queued behind
 //!   it on its node's queue pair in the same ring

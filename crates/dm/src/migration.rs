@@ -784,7 +784,7 @@ impl MigrationEngine {
             }
             wq.ring();
             drop(wq);
-            let faulted = client.try_drain_cq().is_err();
+            let faulted = client.drain_cq().is_err();
             for (&w, &got) in group.iter().zip(observed.iter()) {
                 let expected = word(buf, w);
                 // A word is redone, with synchronous retried swaps, in two

@@ -212,7 +212,7 @@ fn unsignalled_wqes_are_never_waited_for() {
     wq.post_read(a, &mut buf, true);
     wq.ring();
     drop(wq);
-    client.drain_cq();
+    client.drain_cq().unwrap();
     let elapsed = client.now_ns() - t0;
     let post = 2 * DmConfig::DOORBELL_LATENCY_NS + 2 * DmConfig::VERB_ISSUE_NS;
     let t_read = DmConfig::verb_latency_ns(VerbKind::Read, 64);

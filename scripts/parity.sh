@@ -12,10 +12,11 @@
 # tree builds into its usual ones.  Both sides are counted by this
 # checkout's lines.sh, so a change to the counting rule cannot pass for a
 # change in the code.  The line table lists every source tree found on
-# either side, 0 where a side has none; a line count is reported, never
-# gated.  The figures section prints the first differing rows.  The
-# benchmark section runs `benchmark/` on both sides at seeds 42 and 7 with
-# `--seconds 1 --trace 0` and prints, per seed and workload, every
+# either side, 0 where a side has none, then the total and lines.sh's
+# `core/client` subtotal; a line count is reported, never gated.  The
+# figures section prints the first differing rows.  The benchmark section
+# runs `benchmark/` on both sides at seeds 42 and 7 with `--seconds 1
+# --trace 0` and prints, per seed and workload, every
 # end-to-end metric but `setup_s` (a host time) that differs, as
 # base -> work with its % change, and a `failed` count that differs.
 # Every section runs; the script then exits 1 if the figures or the
@@ -36,9 +37,9 @@ cp scripts/lines.sh "$base/scripts/lines.sh"
 
 echo "== lines ($(git rev-parse --short "$base_rev") -> working tree)"
 printf '%-24s %8s %8s %7s\n' tree base work delta
-awk 'NR == FNR { was[$1] = $2; if ($1 != "total") tree[++n] = $1; next }
+awk 'NR == FNR { was[$1] = $2; if ($1 != "total" && $1 != "core/client") tree[++n] = $1; next }
      { now[$1] = $2; if (!($1 in was)) tree[++n] = $1 }
-     END { tree[++n] = "total"
+     END { tree[++n] = "total"; tree[++n] = "core/client"
            for (i = 1; i <= n; i++) { t = tree[i]
                printf "%-24s %8d %8d %+7d\n", t, was[t], now[t], now[t] - was[t] } }' \
     <("$base/scripts/lines.sh") <(scripts/lines.sh)
