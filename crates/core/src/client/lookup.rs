@@ -104,9 +104,9 @@
 //! repo benchmark's two-client `tiered_skew` were filtered, two in three of
 //! them for another key's write; with one epoch each, the 9 % whose key the
 //! other client did update.  A client's own bumps never cost it a hint
-//! ([`DittoClient::hint_epoch`]).  A stamp keeps the epoch modulo 2^19
+//! ([`DittoClient::hint_epoch`]).  A stamp keeps the epoch modulo 2^18
 //! ([`HINT_EPOCH_BITS`]): a hint is taken for current again only after
-//! exactly a multiple of 524 288 bumps by other clients.
+//! exactly a multiple of 262 144 bumps by other clients.
 
 use super::evict::Eviction;
 use super::round::{plan_round, Evictions, Plan};
@@ -123,9 +123,10 @@ const HINT_ENTRIES: usize = 1 << 17;
 // One board epoch per hint entry (see the module docs, *What the epoch filter
 // costs*): growing one without the other brings the shared epochs back.
 const _: () = assert!(CoherenceBoard::DEFAULT_SLOTS == HINT_ENTRIES);
-/// Ways of a hint-table set.  Keys whose hashes share the index bits share a
-/// set; four ways keep the hints of up to four of them, where one entry kept
-/// the last one's alone (ROADMAP item 10(b)).
+/// Ways of a hint-table set.  A key's hint may sit in either of two sets
+/// ([`HintTable::choices`]), so the hints of up to eight keys sharing a
+/// primary set all stay, and only keys sharing both sets displace each
+/// other (ROADMAP item 10(b)).
 const HINT_WAYS: usize = 4;
 const HINT_SETS: usize = HINT_ENTRIES / HINT_WAYS;
 const HINT_INDEX_BITS: u32 = HINT_SETS.trailing_zeros();
@@ -137,14 +138,18 @@ const HINT_TAG_END: u32 = HINT_INDEX_BITS + u32::BITS;
 /// matched on all 64 hash bits ([`HintTable::get_exact`]).
 const HINT_HIGH_BITS: u32 = 9;
 const _: () = assert!(HINT_TAG_END + HINT_HIGH_BITS + u8::BITS == u64::BITS);
-/// Where a stamp holds them: right above the epoch.
-const HINT_HIGH_MASK: u32 = ((1 << HINT_HIGH_BITS) - 1) << HINT_EPOCH_BITS;
+/// The stamp bit of an entry held in its key's alternate set, right above
+/// the epoch.  A set, a tag and this bit name one primary index, so a hint
+/// matches on the same 47 bits in either set.
+const HINT_ALT: u32 = 1 << HINT_EPOCH_BITS;
+/// Where a stamp holds the high hash bits: right above the choice bit.
+const HINT_HIGH_MASK: u32 = ((1 << HINT_HIGH_BITS) - 1) << (HINT_EPOCH_BITS + 1);
 /// Bits of a hint stamp left to the board epoch once the slot's place — one
-/// bit of bucket, three of slot index — and the high hash bits are taken out
-/// of its 32.  The two index bits the ways took came out of the epoch, which
-/// is compared modulo 2^19 (it was 2^21 with one entry per set).
-const HINT_EPOCH_BITS: u32 = 19;
-const _: () = assert!(SLOTS_PER_BUCKET == 1 << (31 - HINT_HIGH_BITS - HINT_EPOCH_BITS));
+/// bit of bucket, three of slot index — the high hash bits and the choice
+/// bit are taken out of its 32.  The epoch is compared modulo 2^18 (2^19
+/// with one choice of set, 2^21 with one entry per set).
+const HINT_EPOCH_BITS: u32 = 18;
+const _: () = assert!(SLOTS_PER_BUCKET == 1 << (31 - HINT_HIGH_BITS - 1 - HINT_EPOCH_BITS));
 
 /// What a client last knew of a key's slot: the slot's atomic word (which
 /// names the object's node, address and size) and where the slot sits —
@@ -157,27 +162,30 @@ pub(super) struct Hint {
 }
 
 /// One way of a hint-table set.  `word == 0` (an empty slot's word, never
-/// hinted) marks it vacant.  The low hash bits pick the set and the next 32
-/// tag the way, so 47 hash bits tell keys apart for a `Get`: its hint is only
-/// ever a guess checked against the freshly read slot, so an alias costs a
-/// wasted round trip, never a wrong value.  A `Set` that CASes on the hinted
-/// word without reading the slot has no such check and takes only a hint
-/// that is its key's in all 64 bits.
+/// hinted) marks it vacant.  The low hash bits pick the key's primary set,
+/// the next 32 tag the way, and the stamp's choice bit says whether the way
+/// sits in that set or the alternate, so 47 hash bits tell keys apart for a
+/// `Get`: its hint is only ever a guess checked against the freshly read
+/// slot, so an alias costs a wasted round trip, never a wrong value.  A
+/// `Set` that CASes on the hinted word without reading the slot has no such
+/// check and takes only a hint that is its key's in all 64 bits.
 #[derive(Clone, Copy, Default)]
 struct HintEntry {
     word: u64,
     tag: u32,
     /// Bit 31: the slot sits in the secondary bucket.  Bits 28..31: its index
-    /// in that bucket.  Bits 19..28: the key's hash bits 47..56.  Bits 0..19:
-    /// the low bits of the [`crate::local_tier::CoherenceBoard`] epoch of the
+    /// in that bucket.  Bits 19..28: the key's hash bits 47..56.  Bit 18: the
+    /// entry sits in the key's alternate set ([`HINT_ALT`]).  Bits 0..18: the
+    /// low bits of the [`crate::local_tier::CoherenceBoard`] epoch of the
     /// key's hash when the word was known current, less the client's own
     /// bumps ([`DittoClient::hint_epoch`]).
     stamp: u32,
 }
 
-/// 4-way set-associative `key hash → last slot word seen, and where`,
-/// fixed-size and allocation-free after construction.  Each set is kept in
-/// LRU order, most recently hit or noted first.
+/// Two-choice, 4-way set-associative `key hash → last slot word seen, and
+/// where`, fixed-size and allocation-free after construction.  A key's hint
+/// sits in its primary set or its alternate; a note takes the emptier.  Each
+/// set is kept in LRU order, most recently hit or noted first.
 pub(super) struct HintTable {
     sets: Box<[[HintEntry; HINT_WAYS]]>,
 }
@@ -197,51 +205,65 @@ impl HintTable {
         (hash >> HINT_INDEX_BITS) as u32
     }
 
+    /// `hash`'s two sets, each with the choice bit an entry there carries:
+    /// its primary set, and that index XORed with the tag's top bits (never
+    /// zero), so keys sharing a primary set spread over others.
+    fn choices(hash: u64) -> [(usize, u32); 2] {
+        let mix = (Self::tag(hash) >> (u32::BITS - HINT_INDEX_BITS)).max(1) as usize;
+        [(Self::index(hash), 0), (Self::index(hash) ^ mix, HINT_ALT)]
+    }
+
     /// `hash`'s bits above the tag and below the fingerprint, placed as the
     /// stamp holds them.
     fn high(hash: u64) -> u32 {
-        (((hash >> HINT_TAG_END) as u32) << HINT_EPOCH_BITS) & HINT_HIGH_MASK
+        (((hash >> HINT_TAG_END) as u32) << (HINT_EPOCH_BITS + 1)) & HINT_HIGH_MASK
     }
 
-    /// The stamp of a slot's place at `epoch`, high hash bits left zero.
+    /// The stamp of a slot's place at `epoch`, high hash bits and choice bit
+    /// left zero.
     fn stamp(secondary: bool, slot: u8, epoch: u64) -> u32 {
-        (epoch as u32 & ((1 << HINT_EPOCH_BITS) - 1))
-            | (slot as u32) << (HINT_EPOCH_BITS + HINT_HIGH_BITS)
+        (epoch as u32 & (HINT_ALT - 1))
+            | (slot as u32) << (HINT_EPOCH_BITS + 1 + HINT_HIGH_BITS)
             | (secondary as u32) << 31
     }
 
-    /// The way of `hash`'s set that holds a hint tagged as `hash`'s.
-    fn way(set: &[HintEntry; HINT_WAYS], hash: u64) -> Option<usize> {
-        set.iter()
-            .position(|entry| entry.word != 0 && entry.tag == Self::tag(hash))
+    /// The set and way that hold a hint tagged as `hash`'s, in either of its
+    /// sets.
+    fn way(&self, hash: u64) -> Option<(usize, usize)> {
+        Self::choices(hash).into_iter().find_map(|(set, alt)| {
+            let way = self.sets[set].iter().position(|entry| {
+                entry.word != 0 && entry.tag == Self::tag(hash) && entry.stamp & HINT_ALT == alt
+            })?;
+            Some((set, way))
+        })
     }
 
-    /// The way holding `hash`'s hint, and the hint, unless the board has
-    /// seen another client mutate the key's slot (`epoch` moved) since the
-    /// hint was taken — which filters hints staled in-process before any
+    /// The set and way holding `hash`'s hint, and the hint, unless the board
+    /// has seen another client mutate the key's slot (`epoch` moved) since
+    /// the hint was taken — which filters hints staled in-process before any
     /// verb is posted.
-    fn find(&self, hash: u64, epoch: u64) -> Option<(usize, Hint)> {
-        let set = &self.sets[Self::index(hash)];
-        let way = Self::way(set, hash)?;
-        let entry = set[way];
+    fn find(&self, hash: u64, epoch: u64) -> Option<((usize, usize), Hint)> {
+        let (set, way) = self.way(hash)?;
+        let entry = self.sets[set][way];
         let secondary = entry.stamp >> 31 == 1;
-        let slot = (entry.stamp >> (HINT_EPOCH_BITS + HINT_HIGH_BITS)) as u8
+        let slot = (entry.stamp >> (HINT_EPOCH_BITS + 1 + HINT_HIGH_BITS)) as u8
             & (SLOTS_PER_BUCKET as u8 - 1);
-        (entry.stamp & !HINT_HIGH_MASK == Self::stamp(secondary, slot, epoch)).then_some((
-            way,
-            Hint {
-                word: entry.word,
-                secondary,
-                slot,
-            },
-        ))
+        (entry.stamp & !(HINT_HIGH_MASK | HINT_ALT) == Self::stamp(secondary, slot, epoch))
+            .then_some((
+                (set, way),
+                Hint {
+                    word: entry.word,
+                    secondary,
+                    slot,
+                },
+            ))
     }
 
     /// The hint for `hash` at `epoch` ([`Self::find`]), moved to the front
     /// of its set: a hint that keeps paying is the last its set evicts.
     pub(super) fn get(&mut self, hash: u64, epoch: u64) -> Option<Hint> {
-        let (way, hint) = self.find(hash, epoch)?;
-        self.sets[Self::index(hash)][..=way].rotate_right(1);
+        let ((set, way), hint) = self.find(hash, epoch)?;
+        self.sets[set][..=way].rotate_right(1);
         Some(hint)
     }
 
@@ -250,39 +272,49 @@ impl HintTable {
     /// leave out, the hinted word's fingerprint byte the top eight.  It
     /// leaves the set's order alone, so that a `Set` may ask through `&self`.
     pub(super) fn get_exact(&self, hash: u64, epoch: u64) -> Option<Hint> {
-        let (way, hint) = self.find(hash, epoch)?;
-        let high = self.sets[Self::index(hash)][way].stamp & HINT_HIGH_MASK;
+        let ((set, way), hint) = self.find(hash, epoch)?;
+        let high = self.sets[set][way].stamp & HINT_HIGH_MASK;
         (high == Self::high(hash) && AtomicField::decode(hint.word).fp == fingerprint(hash))
             .then_some(hint)
     }
 
-    /// Records `hint` as current at `epoch`, at the front of `hash`'s set:
-    /// in the way that held the key's hint, else a vacant one, else the
-    /// least recently used.  Returns whether that displaced another key's
-    /// hint.
+    /// Records `hint` as current at `epoch`, at the front of a set of
+    /// `hash`'s: in the way that held the key's hint, else in whichever of
+    /// its two sets has more vacant ways (the primary on a tie), in a vacant
+    /// way or, both sets full, the primary's least recently used.  Returns
+    /// whether that displaced another key's hint.
     pub(super) fn put(&mut self, hash: u64, hint: Hint, epoch: u64) -> bool {
-        let set = &mut self.sets[Self::index(hash)];
-        let (way, displaced) = match Self::way(set, hash) {
-            Some(way) => (way, false),
-            None => match set.iter().position(|entry| entry.word == 0) {
-                Some(vacant) => (vacant, false),
-                None => (HINT_WAYS - 1, true),
-            },
+        let vacant = |set: &[HintEntry]| set.iter().filter(|entry| entry.word == 0).count();
+        let ((set, way), displaced) = match self.way(hash) {
+            Some(found) => (found, false),
+            None => {
+                let [(primary, _), (alternate, _)] = Self::choices(hash);
+                let set = if vacant(&self.sets[alternate]) > vacant(&self.sets[primary]) {
+                    alternate
+                } else {
+                    primary
+                };
+                match self.sets[set].iter().position(|entry| entry.word == 0) {
+                    Some(vacant) => ((set, vacant), false),
+                    None => ((set, HINT_WAYS - 1), true),
+                }
+            }
         };
+        let alt = HINT_ALT * u32::from(set != Self::index(hash));
+        let set = &mut self.sets[set];
         set[..=way].rotate_right(1);
         set[0] = HintEntry {
             word: hint.word,
             tag: Self::tag(hash),
-            stamp: Self::stamp(hint.secondary, hint.slot, epoch) | Self::high(hash),
+            stamp: Self::stamp(hint.secondary, hint.slot, epoch) | Self::high(hash) | alt,
         };
         displaced
     }
 
-    /// Drops `hash`'s hint; the other ways of its set stay as they are.
+    /// Drops `hash`'s hint; the other ways of its sets stay as they are.
     pub(super) fn forget(&mut self, hash: u64) {
-        let set = &mut self.sets[Self::index(hash)];
-        if let Some(way) = Self::way(set, hash) {
-            set[way].word = 0;
+        if let Some((set, way)) = self.way(hash) {
+            self.sets[set][way].word = 0;
         }
     }
 }
@@ -756,7 +788,7 @@ impl DittoClient {
 mod tests {
     use super::{
         object_read_trusted, Hint, HintTable, HINT_ENTRIES, HINT_EPOCH_BITS, HINT_HIGH_BITS,
-        HINT_INDEX_BITS, HINT_TAG_END, HINT_WAYS,
+        HINT_INDEX_BITS, HINT_SETS, HINT_TAG_END, HINT_WAYS,
     };
     use crate::cache::DittoCache;
     use crate::client::DittoClient;
@@ -797,7 +829,7 @@ mod tests {
     }
 
     #[test]
-    fn hint_table_is_epoch_filtered_modulo_2_pow_19() {
+    fn hint_table_is_epoch_filtered_modulo_2_pow_18() {
         let mut hints = HintTable::new();
         let (a, word) = (0xabcd_0000_1234_5678u64, 0x11u64);
         assert_eq!(hints.get(a, 7), None);
@@ -813,11 +845,11 @@ mod tests {
                 assert_eq!(hints.get(a, 7), Some(hint));
                 // The board saw the key's slot mutate: the hint is filtered.
                 assert_eq!(hints.get(a, 8), None);
-                // The place and the high hash bits took thirteen of the
-                // stamp's bits: the epoch is compared modulo 2^19, and in no
-                // fewer bits than that.
-                assert_eq!(hints.get(a, 7 + (1 << 19)), Some(hint));
-                assert_eq!(hints.get(a, 7 + (1 << 18)), None);
+                // The place, the high hash bits and the choice bit took
+                // fourteen of the stamp's bits: the epoch is compared modulo
+                // 2^18, and in no fewer bits than that.
+                assert_eq!(hints.get(a, 7 + (1 << 18)), Some(hint));
+                assert_eq!(hints.get(a, 7 + (1 << 17)), None);
             }
         }
         let last = (1 << HINT_EPOCH_BITS) - 1;
@@ -836,64 +868,126 @@ mod tests {
         );
     }
 
-    #[test]
-    fn hint_table_sets_keep_four_hints_in_lru_order() {
-        let mut hints = HintTable::new();
-        // Five keys of one set, told apart by their tags.
-        let keys: Vec<u64> = (0..5u64)
-            .map(|i| 0xabcd_0000_1234_5678 ^ (i << 40))
-            .collect();
-        assert!(keys
-            .iter()
-            .all(|&k| HintTable::index(k) == HintTable::index(keys[0])));
-        let hint = |i: usize| Hint {
-            word: 0x100 + i as u64,
+    /// A hint of `key`'s for slot `i`, its word carrying `key`'s fingerprint
+    /// as the client leaves it, so that `get_exact` can take it.
+    fn exact_hint(key: u64, i: usize) -> Hint {
+        Hint {
+            word: AtomicField::for_object(fingerprint(key), 1, RemoteAddr::new(0, 4096 << i))
+                .encode(),
             secondary: i % 2 == 1,
-            slot: i as u8,
-        };
-        // Four keys of one set all keep their hints, the way a direct-mapped
-        // table kept only the last one's.
-        for (i, &k) in keys[..HINT_WAYS].iter().enumerate() {
+            slot: (i % SLOTS_PER_BUCKET) as u8,
+        }
+    }
+
+    #[test]
+    fn hint_table_keys_sharing_a_set_spill_and_keys_sharing_both_keep_lru_order() {
+        let base = 0xabcd_0000_1234_5678u64;
+        let hint = |i: usize| exact_hint(base, i);
+        // Eight keys of one primary set whose tags' top bits differ, so each
+        // has an alternate set of its own: all eight keep their hints, where
+        // one set of four ways kept only four.
+        let mut hints = HintTable::new();
+        let spread: Vec<u64> = (0..2 * HINT_WAYS as u64)
+            .map(|i| base ^ (i << 40))
+            .collect();
+        for (i, &k) in spread.iter().enumerate() {
+            assert_eq!(HintTable::index(k), HintTable::index(base));
             assert!(!hints.put(k, hint(i), 3), "key {i} took a vacant way");
         }
-        for (i, &k) in keys[..HINT_WAYS].iter().enumerate() {
+        for (i, &k) in spread.iter().enumerate() {
             assert_eq!(hints.get(k, 3), Some(hint(i)), "key {i}");
         }
-        // Those Gets left key 3 the most recently hit and key 0 the least;
-        // a hit on key 0 promotes it, leaving key 1 the least.
+
+        // Nine keys told apart by their tags' low bits alone share both
+        // sets.  The first eight fill them, a note taking the set with more
+        // vacant ways, the primary on a tie: keys 0 2 4 6 in the primary,
+        // 1 3 5 7 in the alternate.
+        let mut hints = HintTable::new();
+        let keys: Vec<u64> = (0..=2 * HINT_WAYS as u64)
+            .map(|i| base ^ (i << 20))
+            .collect();
+        let [primary, alternate] = HintTable::choices(base);
+        for (i, &k) in keys[..2 * HINT_WAYS].iter().enumerate() {
+            assert_eq!(HintTable::choices(k), [primary, alternate]);
+            assert!(!hints.put(k, hint(i), 3), "key {i} took a vacant way");
+        }
+        let held = |hints: &HintTable, set: usize| -> Vec<u64> {
+            hints.sets[set].iter().map(|entry| entry.word).collect()
+        };
+        assert_eq!(held(&hints, primary.0), [6, 4, 2, 0].map(|i| hint(i).word));
+        assert_eq!(
+            held(&hints, alternate.0),
+            [7, 5, 3, 1].map(|i| hint(i).word)
+        );
+        for (i, &k) in keys[..2 * HINT_WAYS].iter().enumerate() {
+            assert_eq!(hints.get(k, 3), Some(hint(i)), "key {i}");
+        }
+        // Those Gets left key 0 the primary's least recently hit; a hit on
+        // key 0 promotes it, leaving key 2.  Both sets full, a ninth key
+        // takes the primary's least recently used way, and says so.
         assert_eq!(hints.get(keys[0], 3), Some(hint(0)));
-        // A fifth key displaces the least recently hit hint, and says so.
-        assert!(hints.put(keys[4], hint(4), 3));
-        assert_eq!(hints.get(keys[1], 3), None);
-        for i in [0, 2, 3, 4] {
+        assert!(hints.put(keys[8], hint(8), 3));
+        assert_eq!(hints.get(keys[2], 3), None);
+        for i in [0, 1, 3, 4, 5, 6, 7, 8] {
             assert_eq!(hints.get(keys[i], 3), Some(hint(i)), "key {i}");
         }
-        // The order is now 4 3 2 0 (the loop's hits), so a `get_exact`,
-        // which must not promote, leaves key 0 the next to go.
-        let _ = hints.get_exact(keys[0], 3);
-        assert!(hints.put(keys[1], hint(1), 3));
+        // The primary's order is now 8 6 4 0 (the loop's hits), so a
+        // `get_exact`, which must not promote, leaves key 0 the next to go.
+        assert_eq!(hints.get_exact(keys[0], 3), Some(hint(0)));
+        assert!(hints.put(keys[2], hint(2), 3));
         assert_eq!(hints.get(keys[0], 3), None);
         // Forgetting a key clears its way alone; the next note takes that
-        // vacant way instead of displacing anyone.
+        // vacant way, in the alternate, instead of displacing anyone.
         hints.forget(keys[3]);
         assert_eq!(hints.get(keys[3], 3), None);
-        for i in [1, 2, 4] {
-            assert_eq!(hints.get(keys[i], 3), Some(hint(i)), "key {i}");
-        }
         assert!(!hints.put(keys[0], hint(0), 3));
-        for i in [0, 1, 2, 4] {
-            assert_eq!(hints.get(keys[i], 3), Some(hint(i)), "key {i}");
-        }
-        // A key's own note refreshes its way in place.
+        assert!(held(&hints, alternate.0).contains(&hint(0).word));
+        // A key's own note refreshes its way in place, in either set.
         assert!(!hints.put(keys[2], hint(3), 4));
         assert_eq!(hints.get(keys[2], 4), Some(hint(3)));
-        // A key of another set touches none of this one's ways.
-        let other = keys[0] ^ 1;
-        assert_ne!(HintTable::index(other), HintTable::index(keys[0]));
+        assert!(!hints.put(keys[0], hint(9), 4));
+        assert_eq!(hints.get(keys[0], 4), Some(hint(9)));
+        // A key of neither set touches none of their ways.
+        let other = base ^ 2;
+        assert!(HintTable::choices(other)
+            .iter()
+            .all(|choice| ![primary, alternate].contains(choice)));
         assert!(!hints.put(other, hint(0), 3));
-        for i in [0, 1, 4] {
+        for i in [1, 4, 5, 6, 7, 8] {
             assert_eq!(hints.get(keys[i], 3), Some(hint(i)), "key {i}");
         }
+    }
+
+    #[test]
+    fn a_hint_in_its_alternate_set_is_never_the_hint_of_the_key_whose_primary_that_is() {
+        let mut hints = HintTable::new();
+        let a = 0xabcd_0000_1234_5678u64;
+        let [(primary, _), (alternate, _)] = HintTable::choices(a);
+        // `b` is `a` with its index bits set to `a`'s alternate: equal in
+        // tag, high bits and fingerprint, and its alternate is `a`'s primary.
+        let b = a & !(HINT_SETS as u64 - 1) | alternate as u64;
+        assert_eq!(HintTable::tag(b), HintTable::tag(a));
+        assert_eq!(
+            HintTable::choices(b).map(|(set, _)| set),
+            [alternate, primary]
+        );
+        // A key of both of `a`'s sets takes the primary; `a` then spills.
+        let filler = a ^ (1 << 20);
+        assert!(!hints.put(filler, exact_hint(filler, 0), 7));
+        assert!(!hints.put(a, exact_hint(a, 1), 7));
+        assert_eq!(hints.sets[alternate][0].word, exact_hint(a, 1).word);
+        assert_eq!(hints.get_exact(a, 7), Some(exact_hint(a, 1)));
+        // `b` finds its tag in its own primary set, but the entry sits there
+        // as `a`'s alternate: neither a `Get` nor a blind `Set` takes it.
+        assert_eq!(hints.get(b, 7), None);
+        assert_eq!(hints.get_exact(b, 7), None);
+        // `b`'s own note lands beside it, and each key keeps its own.
+        assert!(!hints.put(b, exact_hint(b, 2), 7));
+        assert_eq!(hints.get_exact(b, 7), Some(exact_hint(b, 2)));
+        assert_eq!(hints.get_exact(a, 7), Some(exact_hint(a, 1)));
+        hints.forget(b);
+        assert_eq!(hints.get(b, 7), None);
+        assert_eq!(hints.get(a, 7), Some(exact_hint(a, 1)));
     }
 
     #[test]

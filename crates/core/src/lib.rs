@@ -24,7 +24,7 @@
 //!
 //! A client-centric `Get` is two *dependent* round trips and three READs:
 //! READ both buckets, decode the slot's pointer, READ the object.  Every
-//! client keeps a fixed-size, 4-way set-associative, allocation-free
+//! client keeps a fixed-size, two-choice set-associative, allocation-free
 //! **hint table** `key hash → last slot word seen, and where` (2 MiB, a
 //! constant; *where* is one bit of bucket and three of slot index), and a
 //! `Get` whose key has a hint READs **that one 40-byte slot** instead of

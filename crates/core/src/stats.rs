@@ -74,8 +74,9 @@ counter_table! {
     /// Hinted lookups whose object is off the slot's node, so the ring rang
     /// two doorbells.
     spec_reads_split: lifetime accessor, counter "ditto_cache_spec_reads_split_total" "Hinted lookups whose object is off the slot's node, so the ring rang two doorbells (lifetime).", bump record_spec_read_split;
-    /// Hint-table notes that took the way of another key's live hint: the
-    /// key's set was full, and its least recently used hint went.
+    /// Hint-table notes that took the way of another key's live hint: both
+    /// of the key's sets were full, and its primary set's least recently
+    /// used hint went.
     hints_displaced: lifetime accessor, counter "ditto_cache_hints_displaced_total" "Hint-table notes that evicted another key's live hint from a full set (lifetime).", bump record_hint_displaced;
     /// Hinted publishes issued: each one that won is a replacing `Set` done
     /// in one round trip, with no bucket READ.

@@ -254,7 +254,7 @@ fn an_update_of_a_key_sharing_only_a_4096_slot_epoch_leaves_the_hint_alone() {
 /// Two keys whose hashes agree in their low 17 bits shared the one entry of
 /// a direct-mapped 131 072-entry hint table, so each one's note displaced
 /// the other's hint and every other `Get` read both buckets.  They share a
-/// set of the 4-way table, where both hints stay.
+/// primary set of the two-choice, 4-way table, where both hints stay.
 #[test]
 fn two_keys_of_one_direct_mapped_entry_both_get_in_one_round_trip() {
     let cache =
@@ -910,4 +910,31 @@ fn an_update_leaves_its_extension_words_in_the_live_object() {
     assert_ne!(ext_words_of(&cache, b"probe"), [0; EXT_WORDS]);
     // Extension experts need the decoded slot: such a Set is never blind.
     assert_eq!(cache.stats().spec_publishes_issued(), 0);
+}
+
+/// Loading a cache to its capacity through one client and then reading each
+/// key once must find nearly every key hinted.  With one choice of set, the
+/// load displaced the earlier keys' hints from every set that drew more than
+/// four keys, and the scan's own notes then thrashed those sets' LRU order:
+/// 36 323 of its 100 000 `Get`s read both buckets.  With two choices a key
+/// spills into its alternate set, only a key whose sets are both full loses
+/// its hint, and 1 133 do.
+#[test]
+fn a_scan_of_a_cache_loaded_to_capacity_finds_nearly_every_key_hinted() {
+    let records = 100_000;
+    let cache =
+        DittoCache::with_dedicated_pool(DittoConfig::with_capacity(records), DmConfig::default())
+            .unwrap();
+    let mut client = cache.client();
+    for i in 0..records {
+        client.set(&i.to_le_bytes(), b"v");
+    }
+    let stats = cache.stats();
+    let before = stats.spec_reads_issued();
+    for i in 0..records {
+        assert!(client.get(&i.to_le_bytes()).is_some(), "key {i}");
+    }
+    let hinted = stats.spec_reads_issued() - before;
+    assert!(hinted >= 98_000, "{hinted} of {records} Gets hinted");
+    assert_eq!(stats.spec_reads_wasted(), 0);
 }
