@@ -217,7 +217,8 @@ impl DittoCache {
     /// text page: the pool's latency summaries and counter groups
     /// ([`ditto_dm::obs::text_exposition`]) followed by the cache-level
     /// `ditto_cache_*` series — one per row of the [`CacheStats`] table, the
-    /// hit rate and the per-expert victories.  One scrape endpoint for the
+    /// hit rate and the per-expert victories — and the pool bytes the table
+    /// holds and the pool has handed out.  One scrape endpoint for the
     /// whole stack.
     ///
     /// With the flight recorder armed (see
@@ -236,6 +237,20 @@ impl DittoCache {
             "Hit fraction over the snapshot interval.",
             "gauge",
             snap.hit_rate(),
+        );
+        obs::write_metric(
+            &mut out,
+            "ditto_table_bytes",
+            "Pool bytes of the hash table.",
+            "gauge",
+            self.table.size_bytes(),
+        );
+        obs::write_metric(
+            &mut out,
+            "ditto_pool_used_bytes",
+            "Pool bytes handed out, summed over the nodes' high-water marks.",
+            "gauge",
+            self.pool.used_bytes(),
         );
         obs::write_metric_header(
             &mut out,
@@ -290,6 +305,11 @@ mod tests {
             },
             DittoConfig {
                 alloc_segment_objects: u64::MAX / 4,
+                ..d()
+            },
+            // One object more than a table of 2^32 buckets holds.
+            DittoConfig {
+                capacity_objects: (1u64 << 35).div_ceil(3),
                 ..d()
             },
         ] {
@@ -372,6 +392,12 @@ mod tests {
         assert!(page.contains("ditto_cache_sets_dropped_total 0"));
         assert!(page.contains("ditto_cache_history_ids_burnt_total 0"));
         assert!(page.contains("ditto_cache_expert_victories_total{expert=\"lru\""));
+        // 1 000 objects: 375 buckets, rounded up to 6 stripes of 64.
+        assert!(page.contains(&format!("ditto_table_bytes {}\n", 384 * BUCKET_SIZE)));
+        assert!(page.contains(&format!(
+            "ditto_pool_used_bytes {}\n",
+            cache.pool.used_bytes()
+        )));
         // Every HELP line has a TYPE line.
         let helps = page.matches("# HELP ").count();
         let types = page.matches("# TYPE ").count();

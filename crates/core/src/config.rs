@@ -1,5 +1,7 @@
 //! Configuration of the Ditto cache.
 
+use crate::hashtable::SampleFriendlyHashTable;
+use crate::slot::SLOTS_PER_BUCKET;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`crate::DittoCache`].
@@ -191,11 +193,12 @@ impl DittoConfig {
             .then(|| ((self.fc_cache_mb * 1_000_000.0) / 32.0).max(1.0) as usize)
     }
 
-    /// Number of hash-table buckets, rounded up to a power of two.
+    /// Number of hash-table buckets: exactly enough for three slots per
+    /// object, rounded only as [`SampleFriendlyHashTable::bucket_count`]
+    /// stripes the table.
     pub fn num_buckets(&self) -> u64 {
         let slots = self.capacity_objects * SLOTS_PER_OBJECT;
-        let buckets = slots.div_ceil(crate::slot::SLOTS_PER_BUCKET as u64);
-        buckets.next_power_of_two().max(4)
+        SampleFriendlyHashTable::bucket_count(slots.div_ceil(SLOTS_PER_BUCKET as u64))
     }
 
     /// Validates internal consistency.  The expert list is checked where the
@@ -205,7 +208,9 @@ impl DittoConfig {
     /// pool and one allocation segment are sized for are capped at 2^48, which
     /// keeps every size computed from them inside `u64`.  This is an overflow
     /// guard, not an addressability check: a slot pointer reaches 2^40 bytes
-    /// per node, and the node count is not known here.
+    /// per node, and the node count is not known here.  The table may have
+    /// at most [`SampleFriendlyHashTable::MAX_BUCKETS`] buckets, the range
+    /// its bucket mapping covers.
     pub fn validate(&self) -> Result<(), String> {
         if self.local_tier_capacity > 0 && self.local_tier_lease_ns == 0 {
             return Err("local_tier_lease_ns must be at least 1 when the tier is on".to_string());
@@ -214,6 +219,9 @@ impl DittoConfig {
         let fits = |n: u64| n.checked_mul(object_bytes).is_some_and(|b| b <= 1 << 48);
         if !fits(self.capacity_objects) || !fits(self.alloc_segment_objects) {
             return Err("the pool or one segment would exceed 2^48 bytes".to_string());
+        }
+        if self.num_buckets() > SampleFriendlyHashTable::MAX_BUCKETS {
+            return Err("the hash table would exceed 2^32 buckets".to_string());
         }
         if !self.fc_cache_mb.is_finite() {
             return Err("fc_cache_mb must be finite".to_string());
@@ -265,12 +273,37 @@ mod tests {
         assert!(c.validate().is_ok());
     }
 
+    /// ⌈3N/8⌉ buckets for N objects, at most 63 more to fill the last
+    /// stripe, and at least 4.
     #[test]
-    fn num_buckets_is_a_power_of_two_and_large_enough() {
-        let c = DittoConfig::with_capacity(10_000);
-        let buckets = c.num_buckets();
-        assert!(buckets.is_power_of_two());
-        assert!(buckets * crate::slot::SLOTS_PER_BUCKET as u64 >= 30_000);
+    fn num_buckets_is_exact() {
+        for n in [1u64, 2, 10, 100, 170, 171, 10_000, 100_000, 1_000_003] {
+            let exact = (3 * n).div_ceil(8).max(4);
+            let buckets = DittoConfig::with_capacity(n).num_buckets();
+            let label = format!("{n} objects: {buckets} buckets");
+            assert!((exact..=exact + 63).contains(&buckets), "{label}");
+            if exact <= 64 {
+                assert_eq!(buckets, exact, "{label}: a small table stays exact");
+            } else {
+                assert_eq!(buckets % 64, 0, "{label}: whole stripes");
+            }
+        }
+        assert_eq!(DittoConfig::with_capacity(100_000).num_buckets(), 37_504);
+        assert_eq!(DittoConfig::with_capacity(10).num_buckets(), 4);
+    }
+
+    /// The bucket mapping multiplies a 32-bit hash by the bucket count in a
+    /// `u64`: 2^32 buckets is the most a valid config gets.
+    #[test]
+    fn a_table_of_more_than_2_pow_32_buckets_is_invalid() {
+        // ⌈3N/8⌉ = 2^32 exactly, and one object more needs a bucket more.
+        let largest = (1u64 << 35).div_ceil(3) - 1;
+        let c = DittoConfig::with_capacity(largest);
+        assert_eq!(c.num_buckets(), 1 << 32);
+        assert!(c.validate().is_ok());
+        let c = DittoConfig::with_capacity(largest + 1);
+        assert_eq!(c.num_buckets(), (1 << 32) + 64);
+        assert!(c.validate().is_err());
     }
 
     #[test]

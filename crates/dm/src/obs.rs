@@ -493,7 +493,8 @@ pub struct AttributionTable {
     pub op_p99_ns: u64,
     /// Per-phase totals over **all** ops, indexed by [`Phase::index`].
     pub phases: [PhaseAttribution; Phase::COUNT],
-    /// Ops in the latency tail (elapsed `>= op_p99_ns`).
+    /// Ops in the latency tail: the slowest ⌈1 %⌉ of ops, ties broken in
+    /// trace order, so ops tied at `op_p99_ns` do not swell it.
     pub tail_ops: u64,
     /// Σ elapsed time of the tail ops, ns.
     pub tail_elapsed_ns: u64,
@@ -527,7 +528,7 @@ impl AttributionTable {
             self.overlap_saved_ns() as f64 / 1e3,
         ));
         out.push_str(
-            "phase       spans    p50_us    p99_us  critical%     tail%  (critical share of op time; tail = ops at/above p99)\n",
+            "phase       spans    p50_us    p99_us  critical%     tail%  (critical share of op time; tail = slowest 1% of ops)\n",
         );
         for phase in Phase::ALL {
             let p = &self.phases[phase.index()];
@@ -662,10 +663,10 @@ pub fn attribution(traces: &[(u32, Vec<Span>)]) -> AttributionTable {
         table.phases[i].p50_ns = percentile_sorted(d, 0.50);
         table.phases[i].p99_ns = percentile_sorted(d, 0.99);
     }
-    for (elapsed, critical) in &per_op {
-        if *elapsed < table.op_p99_ns {
-            continue;
-        }
+    // A stable sort: of ops tied in elapsed time the earliest traced join
+    // the tail first.
+    per_op.sort_by_key(|&(elapsed, _)| std::cmp::Reverse(elapsed));
+    for (elapsed, critical) in per_op.iter().take(per_op.len().div_ceil(100)) {
         table.tail_ops += 1;
         table.tail_elapsed_ns += elapsed;
         for (i, ns) in critical.iter().enumerate() {
@@ -987,6 +988,32 @@ mod tests {
             assert!(rendered.contains(needle), "missing {needle:?}:\n{rendered}");
         }
         assert!(!rendered.contains("translate"), "{rendered}");
+    }
+
+    /// Fifty of 250 ops tie at the p99: the tail is the slowest ⌈1 %⌉, three
+    /// ops, the first three tied ones in trace order.
+    #[test]
+    fn the_tail_is_the_slowest_one_percent_of_ops_even_when_they_tie() {
+        let spans = (1..=250u64)
+            .map(|op| {
+                let phase = if op % 2 == 1 {
+                    Phase::Flight
+                } else {
+                    Phase::Poll
+                };
+                let start = op * 1_000;
+                let elapsed = if op > 200 { 200 } else { 100 };
+                pspan(op, phase, start, start + elapsed)
+            })
+            .collect();
+        let table = attribution(&[(0, spans)]);
+        assert_eq!(table.ops, 250);
+        assert_eq!(table.op_p99_ns, 200);
+        assert_eq!(table.tail_ops, 3);
+        assert_eq!(table.tail_elapsed_ns, 600);
+        // Ops 201 and 203 are flight, 202 is poll.
+        assert_eq!(table.tail[Phase::Flight.index()].critical_ns, 400);
+        assert_eq!(table.tail[Phase::Poll.index()].critical_ns, 200);
     }
 
     #[test]

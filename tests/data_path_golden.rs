@@ -143,6 +143,19 @@
 //! metadata reads K single slots, short of two candidates far more often,
 //! and a pick made a few ops later by the carrying `Set` chooses other
 //! victims there: rungs 1–4 moved as their goldens' comment says.
+//!
+//! Re-derived a ninth time when the table came to hold exactly ⌈3N/8⌉
+//! buckets for N objects, rounded up to whole stripes (700 objects: 512 →
+//! 320 buckets; 350: 256 → 192), and a hash to map onto them by
+//! multiply-shift instead of a mask.  Keys land in other buckets, samples
+//! read other slots and other victims are picked, so every replay that
+//! evicts moved in every field; each golden names its old values.  The
+//! YCSB-A replay never evicts and did not move.  The single-node replay
+//! saw its first bucket eviction, so its history inserts are one short of
+//! its evictions.  The striped replay's pool has room for several times its
+//! 350 objects (each node's 64 KiB margin and migration headroom), so the
+//! denser table fills before the memory does: 35 of its 45 evictions are
+//! bucket evictions (3 of 56 before).
 
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{DittoCache, DittoClient, DittoConfig};
@@ -250,29 +263,35 @@ fn replay_keeping(mix: YcsbWorkload, dm: DmConfig, config: DittoConfig) -> Repla
 /// 39 700 → 39 696).  When a short sample's re-sample came to fly under the
 /// next op: 33 080 921 → 32 818 539 ns before the flush, 33 154 342 →
 /// 32 891 960 after, one `last_ts` WRITE fewer (timestamps (6 732, 3 703) →
-/// (6 731, 3 704), messages 39 696 → 39 695).
+/// (6 731, 3 704), messages 39 696 → 39 695).  When the table came to be
+/// sized exactly (module docs): hits 10 435 → 10 475, misses and sets
+/// 1 565 → 1 525, evictions 670 → 630 (bucket evictions 0 → 1, history
+/// inserts 670 → 629), regrets 317 → 276, weight syncs 4 → 3, FC flushes
+/// 1 390 → 1 411, victories 296/374 → 273/357, 32 818 539 → 32 633 522 ns
+/// before the flush and 32 891 960 → 32 707 943 after, 39 695 → 39 289
+/// messages, timestamps (6 731, 3 704) → (6 692, 3 783).
 fn single_node_golden() -> Golden {
     Golden {
-        pre_flush_ns: 32_818_539,
-        clock_ns: 32_891_960,
-        messages: 39_695,
+        pre_flush_ns: 32_633_522,
+        clock_ns: 32_707_943,
+        messages: 39_289,
         published: (0, 0),
-        timestamps: (6_731, 3_704),
+        timestamps: (6_692, 3_783),
         stats: CacheStatsSnapshot {
-            hits: 10_435,
-            misses: 1_565,
-            sets: 1_565,
-            evictions: 670,
-            bucket_evictions: 0,
-            history_inserts: 670,
-            regrets: 317,
-            weight_syncs: 4,
-            fc_flushes: 1_390,
+            hits: 10_475,
+            misses: 1_525,
+            sets: 1_525,
+            evictions: 630,
+            bucket_evictions: 1,
+            history_inserts: 629,
+            regrets: 276,
+            weight_syncs: 3,
+            fc_flushes: 1_411,
             local_hits: 0,
             local_revalidations: 0,
             local_invalidations: 0,
             local_stale_rejects: 0,
-            expert_victories: vec![296, 374],
+            expert_victories: vec![273, 357],
         },
     }
 }
@@ -332,28 +351,34 @@ fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
     // pick came to be charged under the next round's flight, and
     // 32 723 656 → 32 655 281 when a hinted `Get` came to READ an object off
     // its slot's node beside the slot, in one round trip (the earlier clocks
-    // skip one more `last_ts` WRITE: one message fewer).
+    // skip one more `last_ts` WRITE: one message fewer).  When the table
+    // came to be sized exactly (module docs): hits 10 745 → 10 741, misses
+    // and sets 1 255 → 1 259, evictions 56 → 45, bucket evictions 3 → 35,
+    // history inserts 53 → 10, regrets 5 → 0, weight syncs 1 → 0, FC
+    // flushes 1 664 → 1 670, victories 23/33 → 16/29, 32 554 030 →
+    // 32 434 778 ns before the flush and 32 655 281 → 32 531 328 after,
+    // 37 292 → 36 312 messages, timestamps (7 482, 3 263) → (6 696, 4 045).
     let golden = Golden {
-        pre_flush_ns: 32_554_030,
-        clock_ns: 32_655_281,
-        messages: 37_292,
+        pre_flush_ns: 32_434_778,
+        clock_ns: 32_531_328,
+        messages: 36_312,
         published: (0, 0),
-        timestamps: (7_482, 3_263),
+        timestamps: (6_696, 4_045),
         stats: CacheStatsSnapshot {
-            hits: 10_745,
-            misses: 1_255,
-            sets: 1_255,
-            evictions: 56,
-            bucket_evictions: 3,
-            history_inserts: 53,
-            regrets: 5,
-            weight_syncs: 1,
-            fc_flushes: 1_664,
+            hits: 10_741,
+            misses: 1_259,
+            sets: 1_259,
+            evictions: 45,
+            bucket_evictions: 35,
+            history_inserts: 10,
+            regrets: 0,
+            weight_syncs: 0,
+            fc_flushes: 1_670,
             local_hits: 0,
             local_revalidations: 0,
             local_invalidations: 0,
             local_stale_rejects: 0,
-            expert_victories: vec![23, 33],
+            expert_victories: vec![16, 29],
         },
     };
     assert_eq!(
@@ -463,13 +488,13 @@ fn an_armed_or_sampled_flight_recorder_moves_nothing() {
     );
 }
 
-/// A single-node YCSB-C golden: no hinted publish, no bucket eviction, no
-/// local tier, one fill per miss and one history insert per eviction.
+/// A single-node YCSB-C golden: no hinted publish, no local tier, one fill
+/// per miss and one history insert per eviction but a bucket eviction.
 fn single_node_ablated(
     [pre_flush_ns, clock_ns]: [u64; 2],
     messages: u64,
     timestamps: (u64, u64),
-    [hits, misses, evictions, regrets, weight_syncs, fc_flushes]: [u64; 6],
+    [hits, misses, evictions, bucket_evictions, regrets, weight_syncs, fc_flushes]: [u64; 7],
     expert_victories: [u64; 2],
 ) -> Golden {
     Golden {
@@ -483,8 +508,8 @@ fn single_node_ablated(
             misses,
             sets: misses,
             evictions,
-            bucket_evictions: 0,
-            history_inserts: evictions,
+            bucket_evictions,
+            history_inserts: evictions - bucket_evictions,
             regrets,
             weight_syncs,
             fc_flushes,
@@ -566,36 +591,52 @@ fn fig24_rung(rung: usize) -> DittoConfig {
 /// `last_ts` decision, which flipped one hit near the freshness threshold
 /// to a WRITE.  65 480 → 65 482 messages, timestamps (6 840, 3 582) →
 /// (6 841, 3 581); the clock stays at 63 097 398 ns.
+///
+/// When the table came to be sized exactly (module docs), every rung moved,
+/// rungs 1 and 2 still deciding alike and rungs 3 and 4 too, none with a
+/// bucket eviction.  Rung 1: hits 10 429 → 10 450, misses 1 571 → 1 550,
+/// evictions 676 → 655, regrets 323 → 300, weight syncs 4 → 3, FC flushes
+/// 1 358 → 1 375, victories 293/383 → 300/355, 33 980 806 → 33 246 079 ns
+/// before the flush and 34 050 957 → 33 311 529 after, 53 061 → 50 813
+/// messages, timestamps (6 846, 3 583) → (6 787, 3 663).  Rung 2: the same
+/// counts, 38 617 861 → 37 794 829 and 38 688 012 → 37 860 279 ns,
+/// 56 004 → 53 689 messages, timestamps (6 856, 3 573) → (6 795, 3 655).
+/// Rung 3: hits 10 422 → 10 453, misses 1 578 → 1 547, evictions 683 → 652,
+/// regrets and syncs 330 → 297, FC flushes 1 369 → 1 384, victories
+/// 279/404 → 276/376, 40 322 398 → 39 243 862 and 40 390 418 → 39 312 082
+/// ns, 56 459 → 54 008 messages, timestamps (6 856, 3 566) → (6 819, 3 634).
+/// Rung 4: rung 3's counts, 63 097 398 → 62 084 862 ns, 65 482 → 63 069
+/// messages, timestamps (6 841, 3 581) → (6 815, 3 638).
 #[test]
 fn fig24_ablation_rungs_hold_their_numbers() {
     let rungs = [
         single_node_ablated(
-            [33_980_806, 34_050_957],
-            53_061,
-            (6_846, 3_583),
-            [10_429, 1_571, 676, 323, 4, 1_358],
-            [293, 383],
+            [33_246_079, 33_311_529],
+            50_813,
+            (6_787, 3_663),
+            [10_450, 1_550, 655, 0, 300, 3, 1_375],
+            [300, 355],
         ),
         single_node_ablated(
-            [38_617_861, 38_688_012],
-            56_004,
-            (6_856, 3_573),
-            [10_429, 1_571, 676, 323, 4, 1_358],
-            [293, 383],
+            [37_794_829, 37_860_279],
+            53_689,
+            (6_795, 3_655),
+            [10_450, 1_550, 655, 0, 300, 3, 1_375],
+            [300, 355],
         ),
         single_node_ablated(
-            [40_322_398, 40_390_418],
-            56_459,
-            (6_856, 3_566),
-            [10_422, 1_578, 683, 330, 330, 1_369],
-            [279, 404],
+            [39_243_862, 39_312_082],
+            54_008,
+            (6_819, 3_634),
+            [10_453, 1_547, 652, 0, 297, 297, 1_384],
+            [276, 376],
         ),
         single_node_ablated(
-            [63_097_398, 63_097_398],
-            65_482,
-            (6_841, 3_581),
-            [10_422, 1_578, 683, 330, 330, 10_422],
-            [279, 404],
+            [62_084_862, 62_084_862],
+            63_069,
+            (6_815, 3_638),
+            [10_453, 1_547, 652, 0, 297, 297, 10_453],
+            [276, 376],
         ),
     ];
     let replayed: Vec<Golden> = (1..=4)
@@ -621,14 +662,18 @@ fn fig24_ablation_rungs_hold_their_numbers() {
 /// (6 743, 3 692).  When a short sample's re-sample came to fly under the
 /// next op: 55 881 921 → 55 619 539 ns before the flush, 55 886 922 →
 /// 55 624 540 after, messages 48 752 → 48 748, timestamps (6 743, 3 692) →
-/// (6 739, 3 696).
+/// (6 739, 3 696).  When the table came to be sized exactly (module docs),
+/// the single-node replay's decisions moved alike (its golden names them),
+/// FC flushes 10 435 → 10 475, 55 619 539 → 55 522 322 ns before the flush
+/// and 55 624 540 → 55 527 323 after, messages 48 748 → 48 365, timestamps
+/// (6 739, 3 696) → (6 704, 3 771).
 fn no_fc_cache_golden() -> Golden {
     single_node_ablated(
-        [55_619_539, 55_624_540],
-        48_748,
-        (6_739, 3_696),
-        [10_435, 1_565, 670, 317, 4, 10_435],
-        [296, 374],
+        [55_522_322, 55_527_323],
+        48_365,
+        (6_704, 3_771),
+        [10_475, 1_525, 630, 1, 276, 3, 10_475],
+        [273, 357],
     )
 }
 
@@ -663,7 +708,8 @@ fn no_fc_cache_replay_holds_its_numbers() {
 /// (6 892, 3 547).  Since a short sample's re-sample flies under the next
 /// op, with other victims on these rungs, they differ by sixteen:
 /// (6 856, 3 566) against (6 840, 3 582); since rung 4 counts each hit's
-/// FAA before its stamp, by fifteen: against (6 841, 3 581).
+/// FAA before its stamp, by fifteen: against (6 841, 3 581); since the
+/// table is sized exactly, by four: (6 819, 3 634) against (6 815, 3 638).
 #[test]
 fn one_clients_fc_cache_moves_no_victim() {
     let decisions = |golden: Golden| CacheStatsSnapshot {

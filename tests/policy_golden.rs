@@ -130,7 +130,10 @@ fn the_simulator_on_an_lfu_friendly_trace() {
 /// and its pick to be made by the `Set` that carries it — later in
 /// simulated time, where the τ rule for `last_ts` reads the clock: hits
 /// 18 192 → 18 228, regrets 6 764 → 6 686, weight syncs 68 → 67, and both
-/// weights.
+/// weights.  Re-derived again when a hash came to map onto its bucket by
+/// multiply-shift instead of a mask (the table keeps its 256 buckets): other
+/// buckets, other samples and victims — hits 18 228 → 18 315, regrets
+/// 6 686 → 6 606, and both weights (LRU's 0.1175 → 0.1341).
 #[test]
 fn a_client_replay_of_the_changing_workload() {
     let cache =
@@ -144,10 +147,10 @@ fn a_client_replay_of_the_changing_workload() {
     assert_eq!(
         (snap.hits, snap.regrets, snap.weight_syncs, weights),
         (
-            18_228,
-            6_686,
+            18_315,
+            6_606,
             67,
-            vec![0x3fbe_15c8_07b5_a65d, 0x3fec_3d46_ff09_4b35]
+            vec![0x3fc1_2ae2_6534_de23, 0x3feb_b547_66b2_c877]
         )
     );
 }
@@ -169,7 +172,9 @@ fn a_client_replay_of_the_changing_workload() {
 /// lagging scores held 1 735, and the phase's hits fall 351 820 → 334 810.
 /// The LFU-friendly phases gain (340 263 → 349 930 on the second).  On these
 /// 10 k-request phases exact counts pay on every phase: 18 757 hits with the
-/// FC cache before, 19 204 now and without one.
+/// FC cache before, 19 204 then and without one.  Since a hash maps onto its
+/// bucket by multiply-shift, other samples pick other victims: 19 278, with
+/// the FC cache and without one alike.
 #[test]
 fn lfu_evicts_alike_with_and_without_the_fc_cache() {
     let run = |fc_cache_mb: f64| {
@@ -189,5 +194,5 @@ fn lfu_evicts_alike_with_and_without_the_fc_cache() {
     let with = run(DittoConfig::single_algorithm(600, "lfu").fc_cache_mb);
     assert!(with.evictions > 0);
     assert_eq!(with, run(0.0));
-    assert_eq!(with.hits, 19_204);
+    assert_eq!(with.hits, 19_278);
 }
