@@ -42,16 +42,17 @@
 //! object WRITE unsignalled (never waited for) next to the bucket READs; a
 //! hinted `Get`'s object READ flies with the slot READ that validates it;
 //! a hinted `Set`'s publish CAS, and a fill's insert CAS, is posted behind
-//! the object WRITE it publishes; a due frequency-counter FAA goes
-//! unsignalled on a doorbell of its own once the access it counts is known
-//! to be real, and is never waited for; and an eviction's sample READ and
-//! history FAA fly while its `Set` looks up, its victim CAS while it
-//! publishes — or while the next fill does, a parked pick's decode and
-//! scoring while the next round's verbs do.  Waits and the client CPU work
-//! (`CPU_DECODE_SLOT_NS` per slot, `CPU_SCORE_CANDIDATE_NS` per candidate)
-//! overlap the flights, and `end_op` simply drains whatever is still
-//! outstanding.  `tests/data_path_golden.rs` pins three seeded replays of it
-//! to the nanosecond.
+//! the object WRITE it publishes; a frequency-counter FAA, due once the
+//! access it counts is known to be real, rides the next hinted `Get`'s ring
+//! unsignalled, behind its READs, and is never waited for; and an
+//! eviction's sample READ and history FAA fly while its `Set` looks up, its
+//! victim CAS while it publishes — or while the next fill does, a parked
+//! pick's decode and scoring while the next round's verbs do.  Waits and
+//! the client CPU work (`CPU_DECODE_SLOT_NS` per slot,
+//! `CPU_SCORE_CANDIDATE_NS` per candidate) overlap the flights, and
+//! `end_op` simply drains whatever is still outstanding.
+//! `tests/data_path_golden.rs` pins three seeded replays of it to the
+//! nanosecond.
 //!
 //! The data path is **allocation-free in steady state**: bucket and sample
 //! bytes land in per-client scratch buffers, slots decode from borrowed
@@ -174,6 +175,9 @@ pub struct DittoClient {
     /// victim CAS (see the crate docs, *The `Set` path under memory
     /// pressure*).
     parked_eviction: Option<Eviction>,
+    /// The work-request ids of the FC flushes the last hinted `Get` carried:
+    /// their completions, errors only, go to no loop (`poll_routed`).
+    fc_riders: Range<u64>,
     /// The CPU work of the parked eviction's pick — slots decoded,
     /// candidates scored — which the fill did not wait for: the client's
     /// next round charges it between its doorbell and its first poll
@@ -283,6 +287,7 @@ impl DittoClient {
             hints: HintTable::new(),
             miss_memo: None,
             parked_eviction: None,
+            fc_riders: 0..0,
             hosted_cpu: (0, 0),
             rounds_posted: [0; 6],
             own_bumps: vec![0; board.slots()].into_boxed_slice(),
@@ -1026,9 +1031,11 @@ impl DittoClient {
     }
 
     /// Posts one `RDMA_FAA` of each counter's buffered delta on `wq` — the
-    /// one way an FC-cache increment reaches its `freq` word, whether an
-    /// access's count is due ([`Self::record_access`], on a doorbell of its
-    /// own) or [`DittoClient::flush`] drains the cache — and returns the work-request ids they took, in posting order.  Each
+    /// one way an FC-cache increment reaches its `freq` word, whether a
+    /// hinted `Get`'s ring carries the deferred flushes (`search_hinted`),
+    /// two accesses' due flushes ring a doorbell of their own
+    /// ([`Self::record_access`]) or [`DittoClient::flush`] drains the cache
+    /// — and returns the work-request ids they took, in posting order.  Each
     /// goes to the counter's live home ([`Self::counter_home`]), not to a
     /// copy a cutover retired since the access was recorded.
     ///
@@ -1073,20 +1080,24 @@ impl DittoClient {
     /// then the stateless last-access timestamp.  `stored_ts` is the slot's
     /// `last_ts` when the caller knows it — both `Get` paths and the tier do;
     /// a hinted replace never reads the slot.  Returns the timestamp the slot
-    /// is left with, and whether the count sent a due FC flush.
+    /// is left with, and whether the count made an FC flush due.
     fn record_access(&mut self, slot_addr: RemoteAddr, stored_ts: Option<u64>) -> (u64, bool) {
         // Stateful information: the frequency counter, combined client-side.
         let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
         let flushed = match self.fc.as_mut() {
-            // A due flush goes unsignalled on a doorbell of its own: the
+            // A due flush waits to ride the next hinted `Get`'s ring
+            // (`search_hinted`); one due while another access's still wait
+            // goes, with those, unsignalled on a doorbell of its own.  The
             // counters are advisory, so no operation waits a round trip for
-            // them (a faulted one loses an increment; `end_op` drains its
-            // error completion).
+            // them (a faulted one loses an increment; its error completion
+            // is polled and dropped).
             Some(fc) => {
                 let flushes = fc.record(freq_addr);
-                if !flushes.is_empty() {
+                let waiting = fc.defer(flushes);
+                if !waiting.is_empty() {
                     let mut wq = self.dm.work_queue();
-                    Self::post_fc_faas(&mut wq, self.table.directory(), flushes, false);
+                    let counters = waiting.into_iter().chain(flushes);
+                    Self::post_fc_faas(&mut wq, self.table.directory(), counters, false);
                     wq.ring();
                 }
                 for _ in 0..flushes.len() {
@@ -2221,35 +2232,68 @@ mod tests {
         assert_eq!(decisions() - booked, hits + sets);
     }
 
-    /// At `fc_threshold = 1` every hit's count is a due flush: one FAA,
-    /// posted unsignalled on a doorbell of its own once the key check
-    /// passed.  The writer's `Get` is hinted — the slot READ and the object
-    /// READ share one ring; a hintless reader's rings the two bucket READs
-    /// and then reads the object synchronously, which rings no doorbell.
+    /// At `fc_threshold = 1` every hit's count is a due flush, which waits
+    /// for the client's next hinted `Get`: the first `Get` sends no FAA, the
+    /// second posts it unsignalled behind its slot READ and object READ, on
+    /// their one doorbell.  The writer's `Get`s are both hinted; a hintless
+    /// reader's first rings the two bucket READs and reads the object
+    /// synchronously, which rings no doorbell, and its second is hinted.
     #[test]
-    fn a_hit_with_a_due_flush_posts_its_faa_unsignalled_on_its_own_doorbell() {
+    fn a_due_flush_rides_the_next_hinted_gets_doorbell() {
         let mut config = DittoConfig::with_capacity(1_000);
         config.fc_threshold = 1;
         let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
         let mut writer = cache.client();
         writer.set(b"hot", b"x");
         let mut reader = cache.client();
-        for (client, reads) in [(&mut writer, 2), (&mut reader, 3)] {
+        for (client, first_reads) in [(&mut writer, 2), (&mut reader, 3)] {
             cache.pool().reset_stats();
             assert!(client.get(b"hot").is_some());
             let stats = cache.pool().stats();
             let node = stats.node_snapshots()[0];
-            assert_eq!((node.reads, node.faa), (reads, 1));
-            assert_eq!((stats.doorbells(), stats.batched_verbs()), (2, 3));
+            assert_eq!((node.reads, node.faa), (first_reads, 0));
+            assert_eq!((stats.doorbells(), stats.batched_verbs()), (1, 2));
+            cache.pool().reset_stats();
+            assert!(client.get(b"hot").is_some());
+            let node = stats.node_snapshots()[0];
+            assert_eq!((node.reads, node.faa), (2, 1));
+            assert_eq!((stats.doorbells(), stats.batched_verbs()), (1, 3));
             assert_eq!(stats.unsignalled_wqes(), 1, "the FAA goes unsignalled");
         }
+    }
+
+    /// At most one access's due flushes wait.  A hintless reader's two
+    /// `Get`s of two keys post no READ a flush could ride: the first defers
+    /// its key's FAA, and the second posts it and its own on a doorbell of
+    /// their own, unsignalled, beside its bucket READs' doorbell.
+    #[test]
+    fn a_second_due_flush_posts_the_waiting_one_and_its_own_on_their_own_doorbell() {
+        let mut config = DittoConfig::with_capacity(1_000);
+        config.fc_threshold = 1;
+        let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
+        let mut writer = cache.client();
+        writer.set(b"a", b"x");
+        writer.set(b"b", b"y");
+        let mut reader = cache.client();
+        cache.pool().reset_stats();
+        assert!(reader.get(b"a").is_some());
+        let stats = cache.pool().stats();
+        assert_eq!(stats.node_snapshots()[0].faa, 0);
+        assert_eq!(reader.fc_cache().unwrap().buffered_increments(), 1);
+        cache.pool().reset_stats();
+        assert!(reader.get(b"b").is_some());
+        assert_eq!(stats.node_snapshots()[0].faa, 2);
+        assert_eq!((stats.doorbells(), stats.batched_verbs()), (2, 4));
+        assert_eq!(stats.unsignalled_wqes(), 2);
+        assert!(reader.fc_cache().unwrap().is_empty(), "nothing waits");
     }
 
     /// An access is counted once its key check passed.  Key `a`'s slot is
     /// left pointing at a copy of key `b`'s object, so every attempt of
     /// `get(a)` reads another key's object: the `Get` misses and, at
-    /// `fc_threshold = 1`, where every counted access sends its FAA at
-    /// once, sends none.  `get(b)` still sends its one.
+    /// `fc_threshold = 1`, where every counted access makes its FAA due,
+    /// neither sends nor queues one.  `get(b)` queues its one, which the
+    /// `flush` sends.
     #[test]
     fn a_hit_that_fails_its_key_check_counts_no_access() {
         let config = DittoConfig {
@@ -2281,7 +2325,9 @@ mod tests {
         let before = faas();
         assert_eq!(client.get(b"a"), None);
         assert_eq!(faas() - before, 0, "a failed key check sent an FAA");
+        assert!(client.fc_cache().unwrap().is_empty(), "and queued one");
         assert_eq!(client.get(b"b").as_deref(), Some(&b"y"[..]));
+        client.flush();
         assert_eq!(faas() - before, 1);
     }
 

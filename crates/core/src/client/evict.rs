@@ -1752,4 +1752,41 @@ mod tests {
         client.flush();
         assert_eq!(node.load_u64(freq_addr.offset), Ok(1 + 2));
     }
+
+    /// A due FC flush waiting for the next hinted `Get` leaves its slot with
+    /// its key too.  At `fc_threshold = 1` this client's read of FIFO's
+    /// victim A makes A's count due, and it waits; the victim CAS that takes
+    /// A out drops it, so neither the next hinted `Get` nor the `flush`
+    /// sends an FAA.
+    #[test]
+    fn a_deferred_flush_leaves_its_slot_with_its_key() {
+        let fifo = || {
+            let mut config = DittoConfig::single_algorithm(300, "fifo");
+            config.fc_threshold = 1;
+            pressured_as(config, DmConfig::default())
+        };
+        let (candidates, pick) = next_pick(fifo());
+        let (slot_addr, victim) = candidates[pick];
+        let freq_addr = SampleFriendlyHashTable::freq_addr(slot_addr);
+
+        let (cache, mut client) = fifo();
+        let a = key_of(&victim);
+        assert!(client.get(&a).is_some());
+        assert_eq!(client.fc_cache().unwrap().pending_delta(freq_addr), 1);
+        assert!(client.evict_once());
+        assert!(client.get(&a).is_none(), "FIFO took A");
+        assert!(client.fc_cache().unwrap().is_empty());
+
+        let faas = || cache.pool().stats().node_snapshots()[0].faa;
+        let (before, hinted) = (faas(), cache.stats().spec_reads_issued());
+        let other = key_of(&candidates[(pick + 1) % candidates.len()].1);
+        assert!(client.get(&other).is_some());
+        assert_eq!(
+            cache.stats().spec_reads_issued(),
+            hinted + 1,
+            "a hinted Get"
+        );
+        client.flush();
+        assert_eq!(faas() - before, 1, "only the other key's own count");
+    }
 }

@@ -111,6 +111,7 @@
 use super::evict::Eviction;
 use super::round::{plan_round, Evictions, Plan};
 use super::{DittoClient, SearchSlots, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
+use crate::fc_cache::FcCache;
 use crate::hash::fingerprint;
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::local_tier::CoherenceBoard;
@@ -693,6 +694,13 @@ impl DittoClient {
     /// READs' flight hosts the CPU work of the last parked pick
     /// ([`DittoClient::host_parked_pick`]).  `board_epoch` is the key's
     /// board epoch as the `Get` read it before posting.
+    ///
+    /// Behind the two READs the ring carries the FC flushes an earlier
+    /// access deferred ([`crate::fc_cache`]), unsignalled.  Each costs the
+    /// ring one verb's issue time, not a doorbell of its own; queued behind
+    /// the READs, none holds up a READ's completion or, errored, flushes a
+    /// READ, and their completions — errors only — go to no loop
+    /// (`poll_routed`).
     fn search_hinted(&mut self, hash: u64, fp: u8, hint: Hint, board_epoch: u64) -> Option<Lookup> {
         let bucket = self.hinted_bucket(hash, hint.secondary);
         let token = self.table.bucket_entry_token(bucket);
@@ -713,6 +721,9 @@ impl DittoClient {
             let mut wq = self.dm.work_queue();
             let wr_slot = wq.post_read(slot_addr, &mut self.bucket_buf[..SLOT_SIZE], true);
             wq.post_read(obj_addr, &mut self.obj_buf[..len], true);
+            let riders = self.fc.as_mut().map(FcCache::take_deferred);
+            let dir = self.table.directory();
+            self.fc_riders = Self::post_fc_faas(&mut wq, dir, riders.unwrap_or_default(), false);
             wq.ring();
             wr_slot
         };

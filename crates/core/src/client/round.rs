@@ -469,10 +469,14 @@ impl DittoClient {
     /// re-sample READ a fill left in flight completes under a later op,
     /// whichever of its polls meets it.  Every consumer of the completion
     /// queue polls through here, so no completion of an eviction's is lost
-    /// to another's loop.
+    /// to another's loop.  A hinted `Get`'s FC flushes belong to no loop:
+    /// their completions, errors only, are dropped here.
     fn poll_routed(&mut self, evs: &mut Evictions) -> Option<Option<Completion>> {
         let completion = self.dm.poll_cq()?;
         let wr = completion.wr_id;
+        if self.fc_riders.contains(&wr) {
+            return Some(None);
+        }
         let mut owners = evs
             .iter_mut()
             .flatten()

@@ -20,9 +20,21 @@
 //! dropped ([`FcCache::discard`]) rather than flushed onto whichever key the
 //! slot holds next.  A replace or a relocation keeps the key in its slot, and
 //! its entry.
+//!
+//! A flush that falls due is not posted by the access that earned it: the
+//! cache holds it ([`FcCache::defer`]) until the client's next hinted `Get`
+//! takes it ([`FcCache::take_deferred`]) and posts its `RDMA_FAA`
+//! unsignalled on its own ring, behind its slot and object READs — one
+//! doorbell fewer than a ring of the FAA's own.  At most one access's
+//! flushes wait: a second access with a due flush posts both its own and
+//! the waiting ones at once.  Waiting flushes are still this client's
+//! buffered increments: [`FcCache::pending_delta`] counts them,
+//! [`FcCache::discard`] drops them and [`FcCache::flush_all`] drains them.
 
 use crate::hash::FxHashMap;
+use crate::inline::InlineVec;
 use ditto_dm::RemoteAddr;
+use std::collections::VecDeque;
 
 /// One pending flush: the frequency-field address and the buffered delta.
 pub type FcFlush = (RemoteAddr, u64);
@@ -30,43 +42,7 @@ pub type FcFlush = (RemoteAddr, u64);
 /// The flushes produced by one [`FcCache::record`] call — at most two (the
 /// entry that hit the threshold plus a capacity eviction), stored inline so
 /// the hot path never allocates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FcFlushes {
-    items: [Option<FcFlush>; 2],
-    len: usize,
-}
-
-impl FcFlushes {
-    fn push(&mut self, flush: FcFlush) {
-        debug_assert!(self.len < 2);
-        self.items[self.len] = Some(flush);
-        self.len += 1;
-    }
-
-    /// Number of flushes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no flush is due.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Copies the flushes into a `Vec` (test/diagnostic convenience).
-    pub fn to_vec(self) -> Vec<FcFlush> {
-        self.into_iter().collect()
-    }
-}
-
-impl IntoIterator for FcFlushes {
-    type Item = FcFlush;
-    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<FcFlush>, 2>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.into_iter().flatten()
-    }
-}
+pub type FcFlushes = InlineVec<FcFlush, 2>;
 
 #[derive(Debug, Clone, Copy)]
 struct FcEntry {
@@ -82,6 +58,14 @@ const MAX_RESERVED: usize = 1 << 20;
 #[derive(Debug)]
 pub struct FcCache {
     entries: FxHashMap<u64, FcEntry>,
+    /// Every insertion since the first capacity eviction, oldest first, as
+    /// (key, `inserted_seq`): the victim is the first pair whose entry is
+    /// still that insertion.  A pair whose entry flushed or was discarded
+    /// since is skipped there, or dropped when the queue is full.  Empty and
+    /// unallocated until the map first overfills.
+    order: VecDeque<(u64, u64)>,
+    /// Due flushes waiting for the client's next hinted `Get`.
+    deferred: FcFlushes,
     threshold: u64,
     capacity: usize,
     seq: u64,
@@ -101,35 +85,39 @@ impl FcCache {
                 capacity.min(MAX_RESERVED) + 1,
                 Default::default(),
             ),
+            order: VecDeque::new(),
+            deferred: FcFlushes::new(),
             threshold: threshold.max(1),
             capacity,
             seq: 0,
         }
     }
 
-    /// Number of buffered entries.
+    /// Number of buffered entries, deferred flushes included.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.len() + self.deferred.len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// Total buffered (unflushed) increments.
+    /// Total buffered (unflushed) increments, deferred flushes included.
     pub fn buffered_increments(&self) -> u64 {
-        self.entries.values().map(|e| e.delta).sum()
+        let deferred = self.deferred.iter().map(|&(_, delta)| delta);
+        self.entries.values().map(|e| e.delta).chain(deferred).sum()
     }
 
     /// Records one access to the frequency counter at `freq_addr`.
     ///
-    /// Returns the flushes (at most two, inline — no allocation) the caller
-    /// must apply with `RDMA_FAA`: one when this entry reached the
-    /// threshold, and possibly one for an entry evicted to make room.
+    /// Returns the flushes (at most two, inline — no allocation) this access
+    /// made due: one when this entry reached the threshold, and possibly one
+    /// for an entry evicted to make room.  The caller applies them with
+    /// `RDMA_FAA`, now or, [`Self::defer`]red, on a later ring.
     pub fn record(&mut self, freq_addr: RemoteAddr) -> FcFlushes {
         let key = freq_addr.pack();
-        let mut flushes = FcFlushes::default();
+        let mut flushes = FcFlushes::new();
         self.seq += 1;
         let seq = self.seq;
 
@@ -138,52 +126,103 @@ impl FcCache {
             inserted_seq: seq,
         });
         entry.delta += 1;
-        if entry.delta >= self.threshold {
-            flushes.push((freq_addr, entry.delta));
+        let (delta, inserted) = (entry.delta, entry.inserted_seq == seq);
+        if inserted && self.order.capacity() > 0 {
+            if self.order.len() == self.order.capacity() {
+                let entries = &self.entries;
+                self.order
+                    .retain(|(k, s)| entries.get(k).is_some_and(|e| e.inserted_seq == *s));
+            }
+            self.order.push_back((key, seq));
+        }
+        if delta >= self.threshold {
+            flushes.push((freq_addr, delta));
             self.entries.remove(&key);
         } else if self.entries.len() > self.capacity {
+            if self.order.capacity() == 0 {
+                // The first eviction orders the entries once.  Twice the map,
+                // the queue is at least half stale pairs whenever it fills,
+                // so it never grows and compacting is amortised O(1).
+                self.order.reserve_exact(2 * self.entries.len());
+                let entries = self.entries.iter().map(|(&k, e)| (k, e.inserted_seq));
+                self.order.extend(entries);
+                self.order
+                    .make_contiguous()
+                    .sort_unstable_by_key(|&(_, s)| s);
+            }
             // Evict the entry with the earliest insertion time (FIFO), as the
-            // paper prescribes.
-            if let Some((&oldest_key, _)) = self
-                .entries
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.inserted_seq)
-            {
-                let evicted = self.entries.remove(&oldest_key).expect("entry exists");
-                flushes.push((RemoteAddr::unpack(oldest_key), evicted.delta));
+            // paper prescribes.  Only an insert overfills the map, and the
+            // entry it inserted is the newest of at least two.
+            while let Some((oldest, seq)) = self.order.pop_front() {
+                if self
+                    .entries
+                    .get(&oldest)
+                    .is_some_and(|e| e.inserted_seq == seq)
+                {
+                    let evicted = self.entries.remove(&oldest).expect("entry exists");
+                    flushes.push((RemoteAddr::unpack(oldest), evicted.delta));
+                    break;
+                }
             }
         }
         flushes
     }
 
-    /// The increments currently buffered for `freq_addr` (0 when the entry
-    /// flushed, was discarded or was never recorded): what the remote `freq`
-    /// word does not show yet of this client's accesses to the slot's key.
-    /// Eviction adds it to a candidate's `freq` when it scores the candidate
-    /// (the module docs), and the local tier's admission rule reads it as its
-    /// client-local hotness signal: a key whose counter has accumulated
-    /// un-flushed increments is being re-read *by this client*, which is
-    /// exactly the population worth caching locally.
-    pub fn pending_delta(&self, freq_addr: RemoteAddr) -> u64 {
-        self.entries.get(&freq_addr.pack()).map_or(0, |e| e.delta)
+    /// Holds `flushes`, made due by one access, for the client's next hinted
+    /// `Get` to post ([`Self::take_deferred`]) — unless another access's
+    /// still wait: those come back, and the caller posts them and `flushes`
+    /// now, so that at most one access's flushes wait at a time.
+    pub fn defer(&mut self, flushes: FcFlushes) -> FcFlushes {
+        if self.deferred.is_empty() || flushes.is_empty() {
+            self.deferred.extend(flushes);
+            FcFlushes::new()
+        } else {
+            std::mem::take(&mut self.deferred)
+        }
     }
 
-    /// Drops the increments buffered for `freq_addr` unflushed: its slot's
-    /// key just left the slot by one of this client's CASes, and a flush
-    /// would count them to the slot's next key.  A no-op for an absent entry.
+    /// Takes the deferred flushes, for a hinted `Get` to post on its ring.
+    pub fn take_deferred(&mut self) -> FcFlushes {
+        std::mem::take(&mut self.deferred)
+    }
+
+    /// The increments currently buffered for `freq_addr`, a deferred flush's
+    /// included (0 when it flushed, was discarded or was never recorded):
+    /// what the remote `freq` word does not show yet of this client's
+    /// accesses to the slot's key.  Eviction adds it to a candidate's `freq`
+    /// when it scores the candidate (the module docs), and the local tier's
+    /// admission rule reads it as its client-local hotness signal: a key
+    /// whose counter has accumulated un-flushed increments is being re-read
+    /// *by this client*, which is exactly the population worth caching
+    /// locally.
+    pub fn pending_delta(&self, freq_addr: RemoteAddr) -> u64 {
+        let buffered = self.entries.get(&freq_addr.pack()).map_or(0, |e| e.delta);
+        let deferred = self.deferred.iter().filter(|&&(addr, _)| addr == freq_addr);
+        buffered + deferred.map(|&(_, delta)| delta).sum::<u64>()
+    }
+
+    /// Drops the increments buffered for `freq_addr` unflushed, a deferred
+    /// flush's too: its slot's key just left the slot by one of this
+    /// client's CASes, and a flush would count them to the slot's next key.
+    /// A no-op for an absent entry.
     pub fn discard(&mut self, freq_addr: RemoteAddr) {
         self.entries.remove(&freq_addr.pack());
+        if let Some(i) = self.deferred.iter().position(|&(a, _)| a == freq_addr) {
+            self.deferred.swap_remove(i);
+        }
     }
 
-    /// Drains every buffered entry (e.g. at the end of an experiment) so no
-    /// increments are lost.
+    /// Drains every buffered entry and deferred flush (e.g. at the end of an
+    /// experiment) so no increments are lost.  A counter may appear twice: a
+    /// deferred flush and the entry recorded since.
     pub fn flush_all(&mut self) -> Vec<FcFlush> {
         let mut out: Vec<FcFlush> = self
             .entries
             .drain()
             .map(|(k, e)| (RemoteAddr::unpack(k), e.delta))
+            .chain(std::mem::take(&mut self.deferred))
             .collect();
+        self.order.clear();
         out.sort_by_key(|(addr, _)| addr.pack());
         out
     }
@@ -303,6 +342,96 @@ mod tests {
         assert!(fc.record(addr(2)).is_empty());
         assert_eq!(fc.record(addr(1)).to_vec(), vec![(addr(1), 10)]);
         assert_eq!(fc.flush_all(), vec![(addr(2), 1)]);
+    }
+
+    /// A deferred flush is still buffered: `pending_delta` and
+    /// `buffered_increments` count it, `discard` drops it and `flush_all`
+    /// drains it, beside the entry recorded for its counter since.
+    #[test]
+    fn a_deferred_flush_stays_buffered_until_taken() {
+        let mut fc = FcCache::new(2, 10);
+        fc.record(addr(1));
+        let due = fc.record(addr(1));
+        assert!(fc.defer(due).is_empty(), "nothing else waits");
+        fc.record(addr(1));
+        assert_eq!(fc.pending_delta(addr(1)), 2 + 1);
+        assert_eq!((fc.len(), fc.buffered_increments()), (2, 3));
+        assert_eq!(fc.flush_all(), vec![(addr(1), 1), (addr(1), 2)]);
+        assert!(fc.is_empty());
+
+        fc.record(addr(2));
+        let due = fc.record(addr(2));
+        fc.defer(due);
+        fc.discard(addr(2));
+        assert_eq!(fc.pending_delta(addr(2)), 0);
+        assert!(fc.take_deferred().is_empty());
+    }
+
+    /// At most one access's flushes wait: deferring a second access's hands
+    /// the first's back, holding neither; deferring none holds on.
+    #[test]
+    fn a_second_deferral_hands_the_waiting_flushes_back() {
+        let mut fc = FcCache::new(1, 10);
+        let first = fc.record(addr(1));
+        assert!(fc.defer(first).is_empty());
+        assert!(fc.defer(FcFlushes::new()).is_empty());
+        let second = fc.record(addr(2));
+        assert_eq!(fc.defer(second)[..], first[..]);
+        assert!(fc.take_deferred().is_empty());
+        let third = fc.record(addr(3));
+        fc.defer(third);
+        assert_eq!(fc.take_deferred().to_vec(), vec![(addr(3), 1)]);
+        assert!(fc.is_empty());
+    }
+
+    /// The capacity victim is the entry inserted earliest, as a scan of
+    /// every entry for the smallest insertion number finds it, over a
+    /// seeded mix of records, threshold flushes, discards and drains.
+    #[test]
+    fn the_capacity_victim_is_the_scans() {
+        let (threshold, capacity) = (4, 16);
+        let mut fc = FcCache::new(threshold, capacity);
+        // The reference: counter → (delta, insertion number).
+        let mut scan: std::collections::HashMap<RemoteAddr, (u64, u64)> = Default::default();
+        let (mut seq, mut state, mut evictions) = (0u64, 0x2545_f491_4f6c_dd1du64, 0);
+        for _ in 0..50_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let counter = addr(state % 40);
+            match state >> 58 {
+                0 => {
+                    fc.discard(counter);
+                    scan.remove(&counter);
+                }
+                1 if state % 97 == 0 => {
+                    let mut drained: Vec<_> = scan.drain().map(|(a, (d, _))| (a, d)).collect();
+                    drained.sort_by_key(|(a, _)| a.pack());
+                    assert_eq!(fc.flush_all(), drained);
+                }
+                _ => {
+                    seq += 1;
+                    let entry = scan.entry(counter).or_insert((0, seq));
+                    entry.0 += 1;
+                    let mut expected = Vec::new();
+                    if entry.0 >= threshold {
+                        expected.push((counter, entry.0));
+                        scan.remove(&counter);
+                    } else if scan.len() > capacity {
+                        let (&oldest, &(delta, _)) = scan
+                            .iter()
+                            .filter(|(a, _)| **a != counter)
+                            .min_by_key(|(_, (_, inserted))| *inserted)
+                            .unwrap();
+                        scan.remove(&oldest);
+                        expected.push((oldest, delta));
+                        evictions += 1;
+                    }
+                    assert_eq!(fc.record(counter).to_vec(), expected);
+                }
+            }
+        }
+        assert!(evictions > 1_000, "only {evictions} capacity evictions");
     }
 
     #[test]

@@ -107,6 +107,15 @@ impl<T: Copy + Default, const N: usize> Extend<T> for InlineVec<T, N> {
     }
 }
 
+impl<T: Copy + Default, const N: usize> IntoIterator for InlineVec<T, N> {
+    type Item = T;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, N>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().take(self.len)
+    }
+}
+
 impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a InlineVec<T, N> {
     type Item = &'a T;
     type IntoIter = std::slice::Iter<'a, T>;

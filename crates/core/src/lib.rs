@@ -93,8 +93,8 @@
 //! before free (`Rule::BumpBeforeFree`) and the ABA argument, which
 //! `client/lookup.rs` states with what remains (a single process, like the
 //! tier).  Nor does an update wait for its frequency counter any more: a due
-//! FC flush is posted unsignalled on a doorbell of its own, as after every
-//! hit.
+//! FC flush waits, as after every hit, for the client's next hinted `Get`,
+//! whose ring carries it unsignalled behind the `Get`'s READs.
 //!
 //! # Which messages a hit and a cutover send
 //!
@@ -130,8 +130,10 @@
 //! outcome; [`SimCache`] runs the same function on its logical clock, and
 //! the sweep that picked 16 ([`recency::LAST_TS_DIVISOR`]) lives in its
 //! tests.  Before it stamps, that routine counts the access: the FC
-//! cache's record and a due `FAA`, posted unsignalled on a doorbell of its
-//! own, or without an FC cache one synchronous `FAA`.  A `Get` calls it
+//! cache's record, whose due `FAA` waits for the next hinted `Get`'s ring
+//! (a second access's due `FAA` posts the waiting one and its own,
+//! unsignalled, on a doorbell of their own), or without an FC cache one
+//! synchronous `FAA`.  A `Get` calls it
 //! only once the object's key checks out, so a `Get` whose every attempt
 //! reads another key's object sends no `FAA`, and no `FAA` rides a hit's
 //! object `READ`.

@@ -79,6 +79,14 @@
 //! 17 → 22, migrated objects 191 → 199, messages 6 238 / 6 496 / 1 622 →
 //! 6 342 / 6 448 / 1 715 on nodes 0 / 1 / 2, and the op latency sum
 //! 13.902 → 13.768 ms.
+//!
+//! Re-derived when a due FC flush came to ride the client's next hinted
+//! `Get`'s ring instead of ringing a doorbell of its own: the same
+//! decisions and messages; doorbells 5 543 → 5 539 (2 374 / 2 429 →
+//! 2 372 / 2 427 on nodes 0 / 1), `post` spans 3 964 → 3 959 (their sum
+//! 1.301550 → 1.300950 ms), spans recorded 33 256 → 33 251, the op latency
+//! sum 13.767657 → 13.767057 ms, the `publish` phase's sum 3.776360 →
+//! 3.776160 ms and lease time granted 32 051 110 → 32 049 835 ns.
 
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::DmConfig;

@@ -83,6 +83,12 @@ impl DmConfig {
     /// latency)` instead of the sum of the individual round trips: the verbs
     /// travel and execute concurrently, so the batch costs one round trip of
     /// the slowest member plus the issue overheads.
+    ///
+    /// Only a rung [`crate::wqe::WorkQueue`] pays it (and
+    /// [`Self::VERB_ISSUE_NS`]): a synchronous single-verb call charges its
+    /// round trip alone, and [`crate::DmClient::try_write_async`] charges
+    /// no time at all — a gap of the cost model (see the crate docs, *The
+    /// posted-WQE latency model*).
     pub const DOORBELL_LATENCY_NS: u64 = 150;
     /// Per-verb issue cost inside a doorbell batch, in nanoseconds (WQE
     /// posting and RNIC processing; each additional WQE delays the batch a

@@ -97,6 +97,16 @@
 //! where it is issued and recorded as one flight span; it rings no doorbell
 //! in the accounting ([`PoolStats::doorbells`] counts posted rounds only).
 //!
+//! Nor does it pay a doorbell's or a WQE's posting time: only a rung
+//! [`wqe::WorkQueue`] charges `fanout × DOORBELL_LATENCY_NS + n ×
+//! VERB_ISSUE_NS` (150 + 50 ns for one verb on one node).  A synchronous
+//! verb charges its round trip alone, and [`DmClient::try_write_async`] —
+//! an unsignalled WRITE nobody waits for — charges nothing on the client
+//! clock.  So a cache's asynchronous `last_ts` WRITE is free in time, while
+//! the same WRITE, or an FC `FAA`, posted on a ring of its own costs
+//! 200 ns.  This is a known gap of the model, not a property of RDMA: a real
+//! client pays the MMIO and the WQE build for every verb.
+//!
 //! What the overlap hides is reported by
 //! [`AttributionTable::overlap_saved_ns`] over an armed run's spans;
 //! `tests/data_path_golden.rs` checks it is positive on a YCSB-C replay.

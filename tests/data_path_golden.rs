@@ -269,14 +269,19 @@ fn replay_keeping(mix: YcsbWorkload, dm: DmConfig, config: DittoConfig) -> Repla
 /// inserts 670 → 629), regrets 317 → 276, weight syncs 4 → 3, FC flushes
 /// 1 390 → 1 411, victories 296/374 → 273/357, 32 818 539 → 32 633 522 ns
 /// before the flush and 32 891 960 → 32 707 943 after, 39 695 → 39 289
-/// messages, timestamps (6 731, 3 704) → (6 692, 3 783).
+/// messages, timestamps (6 731, 3 704) → (6 692, 3 783).  When a due FC
+/// flush came to ride the next hinted `Get`'s ring instead of ringing its
+/// own doorbell: 32 633 522 → 32 516 372 ns before the flush and
+/// 32 707 943 → 32 590 793 after, the same decisions, one `last_ts` WRITE
+/// fewer (timestamps (6 692, 3 783) → (6 691, 3 784), messages 39 289 →
+/// 39 288).
 fn single_node_golden() -> Golden {
     Golden {
-        pre_flush_ns: 32_633_522,
-        clock_ns: 32_707_943,
-        messages: 39_289,
+        pre_flush_ns: 32_516_372,
+        clock_ns: 32_590_793,
+        messages: 39_288,
         published: (0, 0),
-        timestamps: (6_692, 3_783),
+        timestamps: (6_691, 3_784),
         stats: CacheStatsSnapshot {
             hits: 10_475,
             misses: 1_525,
@@ -301,11 +306,13 @@ fn single_node_golden() -> Golden {
 /// take one round trip — the WRITE and the CAS behind one doorbell — none of
 /// them mispredicted, and so do the 626 fills after a miss, which CAS the
 /// slot their memo chose.  Its `clock_ns` fell 34 466 069 → 32 611 379 when
-/// the drain began to share doorbells.
+/// the drain began to share doorbells, and, when a due FC flush came to ride
+/// the next hinted `Get`'s ring, 32 512 469 → 32 401 319 ns before the flush
+/// and 32 611 379 → 32 500 229 after.
 fn update_heavy_golden() -> Golden {
     Golden {
-        pre_flush_ns: 32_512_469,
-        clock_ns: 32_611_379,
+        pre_flush_ns: 32_401_319,
+        clock_ns: 32_500_229,
         messages: 40_255,
         published: (5_449, 0),
         timestamps: (10_752, 0),
@@ -358,9 +365,12 @@ fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
     // flushes 1 664 → 1 670, victories 23/33 → 16/29, 32 554 030 →
     // 32 434 778 ns before the flush and 32 655 281 → 32 531 328 after,
     // 37 292 → 36 312 messages, timestamps (7 482, 3 263) → (6 696, 4 045).
+    // When a due FC flush came to ride the next hinted `Get`'s ring:
+    // 32 434 778 → 32 395 628 ns before the flush and 32 531 328 →
+    // 32 492 178 after.
     let golden = Golden {
-        pre_flush_ns: 32_434_778,
-        clock_ns: 32_531_328,
+        pre_flush_ns: 32_395_628,
+        clock_ns: 32_492_178,
         messages: 36_312,
         published: (0, 0),
         timestamps: (6_696, 4_045),
@@ -607,25 +617,33 @@ fn fig24_rung(rung: usize) -> DittoConfig {
 /// ns, 56 459 → 54 008 messages, timestamps (6 856, 3 566) → (6 819, 3 634).
 /// Rung 4: rung 3's counts, 63 097 398 → 62 084 862 ns, 65 482 → 63 069
 /// messages, timestamps (6 841, 3 581) → (6 815, 3 638).
+///
+/// When a due FC flush came to ride the next hinted `Get`'s ring, rungs 1–3
+/// moved, every decision as it was; rung 4 has no FC cache.  Rung 1:
+/// 33 246 079 → 33 129 529 ns before the flush and 33 311 529 →
+/// 33 194 979 after, 50 813 → 50 811 messages, timestamps (6 787, 3 663) →
+/// (6 786, 3 664).  Rung 2: 37 794 829 → 37 678 279 and 37 860 279 →
+/// 37 743 729 ns.  Rung 3: 39 243 862 → 39 127 162 and 39 312 082 →
+/// 39 195 382 ns.
 #[test]
 fn fig24_ablation_rungs_hold_their_numbers() {
     let rungs = [
         single_node_ablated(
-            [33_246_079, 33_311_529],
-            50_813,
-            (6_787, 3_663),
+            [33_129_529, 33_194_979],
+            50_811,
+            (6_786, 3_664),
             [10_450, 1_550, 655, 0, 300, 3, 1_375],
             [300, 355],
         ),
         single_node_ablated(
-            [37_794_829, 37_860_279],
+            [37_678_279, 37_743_729],
             53_689,
             (6_795, 3_655),
             [10_450, 1_550, 655, 0, 300, 3, 1_375],
             [300, 355],
         ),
         single_node_ablated(
-            [39_243_862, 39_312_082],
+            [39_127_162, 39_195_382],
             54_008,
             (6_819, 3_634),
             [10_453, 1_547, 652, 0, 297, 297, 1_384],

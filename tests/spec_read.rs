@@ -624,11 +624,13 @@ fn a_faulted_hinted_read_off_its_objects_node_still_yields_the_latest_value() {
 
 /// A hintless `Get`'s object READ is one synchronous READ with the fault
 /// budget of every data-path verb, and the frequency-counter FAA due at the
-/// access goes out after it, on a doorbell of its own, once the key check
-/// passed.  At `fc_threshold = 1` every hit sends a flush, and a reader
-/// with no hints reads the buckets first; one verb in fifty fails, and a
-/// faulted object READ is retried — no hit degrades to a miss, and each
-/// hit sends exactly one flush.
+/// access is counted after it, once the key check passed.  At
+/// `fc_threshold = 1` every hit makes a flush due, and a reader with no
+/// hints reads the buckets first: no hinted `Get` comes for a flush to
+/// ride, so every second hit posts the waiting one and its own on a
+/// doorbell of their own.  One verb in fifty fails, and a faulted object
+/// READ is retried — no hit degrades to a miss, and each hit makes exactly
+/// one flush due.
 #[test]
 fn a_hintless_get_that_flushes_keeps_its_fault_budget() {
     const KEYS: u64 = 1_500;
@@ -669,6 +671,106 @@ fn a_hintless_get_that_flushes_keeps_its_fault_budget() {
         cache.pool().stats().faults().verb_failures > KEYS / 100,
         "the plan must fault"
     );
+}
+
+/// A hinted `Get` carries the FC flushes the client's last counted access
+/// made due, unsignalled behind its slot READ and object READ.  At
+/// `fc_threshold = 1` every hit makes one due, so nearly every hinted `Get`
+/// carries one.  One verb in five fails, on one node and on two.  The
+/// values are 4 KiB, so an object READ flies longer than an FAA: on two
+/// nodes a rider to the node the READs do not go to completes before the
+/// object READ does, and when it errors its completion is the first the
+/// `Get` polls.  Every hit is the key's latest value (a `Get` whose lookup
+/// ran out of fault budget misses), every completion is polled by the op
+/// whose ring produced it, and a rider's never reaches the `Get`'s loop
+/// (its `debug_assert` holds in debug builds).
+#[test]
+fn faulted_hinted_gets_carrying_fc_flushes_yield_the_latest_value() {
+    const KEYS: u64 = 300;
+    let value = |key: u64, round: u64| {
+        let mut value = vec![round as u8; 4_096];
+        value[..8].copy_from_slice(&key.to_le_bytes());
+        value
+    };
+    let seeds = env_u64("DITTO_CHAOS_SEEDS", 2);
+    for seed in 0..seeds {
+        for nodes in [1, 2] {
+            let plan = FaultPlan::seeded(0xfc + seed).with_verb_fail_ppm(200_000);
+            let config = DittoConfig {
+                fc_threshold: 1,
+                ..DittoConfig::with_capacity(2 * KEYS).with_object_size(4_096)
+            };
+            let dm = DmConfig::default()
+                .with_memory_nodes(nodes)
+                .with_fault_plan(plan)
+                .with_flight_recorder(1 << 12);
+            let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
+            let injector = cache.pool().fault_injector();
+            let mut client = cache.client();
+            let (mut gets, mut carried, mut overtaking) = (0, 0, 0);
+            for round in 0..3u64 {
+                injector.set_armed(false);
+                for i in 0..KEYS {
+                    client.set(&i.to_le_bytes(), &value(i, round));
+                }
+                injector.set_armed(true);
+                for i in 0..KEYS {
+                    client.dm().clear_flight_recorder();
+                    // A lookup out of fault budget degrades to a miss; a
+                    // hit is never anything but the latest value.
+                    if let Some(got) = client.get(&i.to_le_bytes()) {
+                        let at = format!("seed {seed}, {nodes} nodes, round {round}, key {i}");
+                        assert!(got == value(i, round), "{at}");
+                    }
+                    assert!(client.dm().poll_cq().is_none(), "seed {seed}, key {i}");
+                    // The Get's first ring is its hinted one: the slot READ,
+                    // the object READ, and riders beyond them.
+                    let spans = client.dm().flight_spans();
+                    let first = spans.iter().position(|s| s.phase == Phase::Post).unwrap();
+                    let post = &spans[first];
+                    let flight_end = |wr: u32| {
+                        spans[first + 1..]
+                            .iter()
+                            .take_while(|s| s.phase != Phase::Post)
+                            .find(|s| s.phase == Phase::Flight && s.detail == wr)
+                            .map(|s| s.end_ns)
+                    };
+                    let slot_wr = spans[first + 1].detail;
+                    let object_end = flight_end(slot_wr + 1);
+                    let riders = slot_wr + 2..slot_wr + post.detail;
+                    gets += 1;
+                    carried += u64::from(post.detail > 2);
+                    overtaking += u64::from(
+                        riders
+                            .filter_map(flight_end)
+                            .any(|end| Some(end) < object_end),
+                    );
+                }
+            }
+            injector.set_armed(false);
+            let stats = cache.stats();
+            let at = format!("seed {seed}, {nodes} nodes");
+            assert_eq!(
+                stats.snapshot().misses,
+                stats.gets_degraded(),
+                "{at}: every miss is a degraded lookup"
+            );
+            assert!(
+                carried * 10 > gets * 9,
+                "{at}: {carried} of {gets} Gets carried a flush"
+            );
+            if nodes > 1 {
+                assert!(
+                    overtaking * 4 > gets,
+                    "{at}: {overtaking} of {gets} riders landed first"
+                );
+            }
+            assert!(
+                cache.pool().stats().faults().verb_failures > gets / 10,
+                "the plan must fault"
+            );
+        }
+    }
 }
 
 /// Every verb a `Get` waits for is on the record: replayed with the flight
