@@ -13,6 +13,16 @@
 //! client's policy does.  It owns the weights and pays regrets; the holder
 //! only ships the buffered penalties to the controller (the simulator,
 //! whose local weights are global, discards them).
+//!
+//! A regret is importance-weighted (EXP3's loss estimator, Auer et al.,
+//! "The Nonstochastic Multiarmed Bandit Problem", 2002).  An expert is
+//! blamed only when a victim it picked is re-requested, so an expert drawn
+//! more often is blamed more often, and unweighted regrets settle the
+//! weights where the blame balances, not on the better expert.  Each pick
+//! therefore records `p`, the probability that its victim was drawn, in the
+//! history word beside the expert bitmap ([`expert_bitmap`]), and the
+//! regret on it divides its penalty by `p`: every expert's expected blame
+//! is then its loss, however often it is drawn.
 
 use crate::error::{CacheError, CacheResult};
 use crate::history::expert_bitmap;
@@ -34,8 +44,9 @@ pub const LEARNING_RATE: f64 = 0.1;
 /// Controller CPU cost of one weight-update RPC, in nanoseconds.
 const WEIGHT_RPC_CPU_NS: u64 = 1_500;
 
-/// Upper bound on configured experts (the expert bitmap is 64 bits wide).
-pub(crate) const MAX_EXPERTS: usize = u64::BITS as usize;
+/// Upper bound on configured experts (the history word's expert bitmap is
+/// 48 bits wide).
+pub(crate) const MAX_EXPERTS: usize = expert_bitmap::EXPERT_BITS as usize;
 
 /// The LeCaR discount rate `d = 0.005^(1/N)` for a history of `N` entries.
 pub fn discount(history_len: u64) -> f64 {
@@ -116,7 +127,7 @@ impl AdaptivePolicy {
     ) -> CacheResult<Self> {
         if !(1..=MAX_EXPERTS).contains(&experts.len()) {
             return Err(CacheError::InvalidConfig(format!(
-                "{} experts; 1 to {MAX_EXPERTS} fit the expert bitmap",
+                "{} experts; 1 to {MAX_EXPERTS} fit the history word's expert bitmap",
                 experts.len()
             )));
         }
@@ -145,9 +156,12 @@ impl AdaptivePolicy {
     /// Picks the victim among `candidates` at `now`: reports the oldest
     /// candidate's idle time to `age` (what LRU would evict, whichever
     /// expert wins), draws an expert by weight from `rng` when there are
-    /// two or more, and runs [`expert_vote`].
+    /// two or more, and runs [`expert_vote`].  The victim was drawn with
+    /// probability `p`, the summed weight of the experts in the vote's
+    /// bitmap.
     ///
-    /// Returns `(victim index, expert bitmap, chosen expert)`.
+    /// Returns `(victim index, history word, chosen expert)`: the word packs
+    /// the bitmap with `p` ([`expert_bitmap::with_odds`]).
     pub fn pick_victim<R: Rng + ?Sized>(
         &self,
         candidates: &[Metadata],
@@ -164,13 +178,21 @@ impl AdaptivePolicy {
             0
         };
         let (victim, bitmap) = expert_vote(&self.experts, candidates, now, chosen);
-        (victim, bitmap, chosen)
+        let p = self
+            .weights
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| expert_bitmap::contains(bitmap, *i))
+            .map(|(_, w)| w)
+            .sum();
+        (victim, expert_bitmap::with_odds(bitmap, p), chosen)
     }
 
-    /// Tells every expert in `bitmap` that `victim` was evicted at `now`.
-    pub fn notify_evict(&self, victim: &Metadata, bitmap: u64, now: u64) {
+    /// Tells every expert in the history word `word` that `victim` was
+    /// evicted at `now`.
+    pub fn notify_evict(&self, victim: &Metadata, word: u64, now: u64) {
         for (i, expert) in self.experts.iter().enumerate() {
-            if expert_bitmap::contains(bitmap, i) {
+            if expert_bitmap::contains(word, i) {
                 expert.on_evict(expert.priority(victim, now));
             }
         }
@@ -200,15 +222,17 @@ impl AdaptivePolicy {
         self.weights.len() - 1
     }
 
-    /// Pays a regret for the experts in `bitmap`, the bad eviction sitting
-    /// `position` entries back in the history: their weights decay at
-    /// [`LEARNING_RATE`], discounted by the position.  Returns `true` once
+    /// Pays a regret for the experts in the history word `word`, the bad
+    /// eviction sitting `position` entries back in the history: their
+    /// weights decay at [`LEARNING_RATE`] by the penalty `d^position / p`,
+    /// discounted by the position and divided by the probability `p` the
+    /// word carries that the victim was drawn.  Returns `true` once
     /// `sync_batch` regrets are buffered and a global sync is due.
-    pub fn regret(&mut self, bitmap: u64, position: u64) -> bool {
-        let penalty = self.discount.powf(position as f64);
+    pub fn regret(&mut self, word: u64, position: u64) -> bool {
+        let penalty = self.discount.powf(position as f64) / expert_bitmap::odds(word);
         let mut penalties = [0.0; MAX_EXPERTS];
         for (i, pending) in self.pending_penalties.iter_mut().enumerate() {
-            if expert_bitmap::contains(bitmap, i) {
+            if expert_bitmap::contains(word, i) {
                 penalties[i] = penalty;
                 *pending += penalty;
             }
@@ -503,6 +527,64 @@ mod tests {
         fresh.regret(0b01, 0);
         stale.regret(0b01, 50);
         assert!(fresh.weights()[0] < stale.weights()[0]);
+    }
+
+    /// A regret decays its experts by exactly `exp(−λ · d^pos / p)` before
+    /// normalising, `p` read off the word: at `p = 0.1` it costs ten times
+    /// the penalty it costs at `p = 1` (up to the odds' quantum), and a
+    /// word without odds pays as `p = 1`.
+    #[test]
+    fn a_regret_divides_its_penalty_by_the_odds_its_word_carries() {
+        let (history_len, position) = (500, 7);
+        let paid = |word: u64| {
+            let mut w = policy(2, history_len, 100);
+            w.regret(word, position);
+            let mut pending = [0.0; 2];
+            assert_eq!(w.take_pending(&mut pending), Some(2));
+            assert_eq!(pending[1], 0.0, "expert 1 is not in the word");
+            (pending[0], w.weights()[0])
+        };
+        let d_pos = discount(history_len).powf(position as f64);
+        for p in [1.0, 0.5, 0.1] {
+            let word = expert_bitmap::with_odds(0b01, p);
+            let penalty = d_pos / expert_bitmap::odds(word);
+            let decayed = 0.5 * (-LEARNING_RATE * penalty).exp();
+            assert_eq!(paid(word), (penalty, decayed / (decayed + 0.5)), "p = {p}");
+        }
+        let (unit, _) = paid(expert_bitmap::with_odds(0b01, 1.0));
+        let (tenth, _) = paid(expert_bitmap::with_odds(0b01, 0.1));
+        assert!((tenth / unit - 10.0).abs() < 1e-3, "{tenth} / {unit}");
+        assert_eq!(paid(0b01), paid(expert_bitmap::with_odds(0b01, 1.0)));
+    }
+
+    /// Every adaptive pick's word carries the summed weight of its bitmap's
+    /// experts, never zero, even when an expert sits at [`MIN_WEIGHT`].
+    #[test]
+    fn a_pick_records_the_odds_its_victim_was_drawn() {
+        let mut w = AdaptivePolicy::from_names(&["lru".into(), "lfu".into()], 500, 1_000).unwrap();
+        for _ in 0..200 {
+            w.regret(0b10, 0);
+        }
+        assert!((w.weights()[1] - MIN_WEIGHT).abs() < 1e-9);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut age = EvictionAge::default();
+        let mut lonely_lfu = 0;
+        for round in 0..2_000u64 {
+            let candidates: Vec<Metadata> = (0..5)
+                .map(|_| Metadata {
+                    last_ts: rng.gen_range(0..1_000),
+                    freq: rng.gen_range(1..50),
+                    ..Metadata::default()
+                })
+                .collect();
+            let (_, word, chosen) = w.pick_victim(&candidates, 1_000 + round, &mut age, &mut rng);
+            assert!(expert_bitmap::contains(word, chosen));
+            assert_ne!(word >> expert_bitmap::EXPERT_BITS, 0);
+            let p: f64 = expert_bitmap::experts(word).map(|i| w.weights()[i]).sum();
+            assert!((expert_bitmap::odds(word) - p).abs() <= 0.5 / 65_535.0);
+            lonely_lfu += u64::from(word & 0b11 == 0b10);
+        }
+        assert!(lonely_lfu > 0, "LFU alone was never drawn");
     }
 
     #[test]

@@ -136,13 +136,14 @@ type SearchSlots = InlineVec<(RemoteAddr, Slot), SEARCH_SLOTS>;
 type Candidates = InlineVec<(RemoteAddr, Slot), CANDIDATES_CAP>;
 
 /// A victim pick ([`DittoClient::select_victim`]): the candidate's index,
-/// the bitmap of the experts that would have evicted it, the expert whose
-/// choice it was, and the metadata they scored it on — which the experts'
-/// `on_evict` then sees too, once the victim is out.
+/// its history word (the bitmap of the experts that would have evicted it
+/// and the probability that it was drawn, [`crate::history::expert_bitmap`]),
+/// the expert whose choice it was, and the metadata they scored it on —
+/// which the experts' `on_evict` then sees too, once the victim is out.
 #[derive(Clone, Copy, Default)]
 struct Pick {
     idx: usize,
-    bitmap: u64,
+    history_word: u64,
     chosen: usize,
     scored: Metadata,
 }
@@ -1212,7 +1213,7 @@ impl DittoClient {
         // the full history length, not a shard's slice of it.
         let position = self.history.global_position(estimate, id);
         self.stats.record_regret();
-        if self.policy.regret(entry.expert_bitmap(), position) {
+        if self.policy.regret(entry.history_word(), position) {
             self.sync_weights();
         }
     }
@@ -1876,12 +1877,12 @@ impl DittoClient {
         for (_, slot) in candidates {
             metadata.push(self.candidate_metadata(slot));
         }
-        let (idx, bitmap, chosen) =
+        let (idx, history_word, chosen) =
             self.policy
                 .pick_victim(&metadata, now, &mut self.eviction_age, &mut self.rng);
         Pick {
             idx,
-            bitmap,
+            history_word,
             chosen,
             scored: metadata[idx],
         }

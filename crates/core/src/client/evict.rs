@@ -602,9 +602,10 @@ impl DittoClient {
     }
 
     /// Waits for the victim CAS and, if it took the victim's word out of
-    /// its slot, finishes the eviction: writes the history entry's bitmap
-    /// and recycles the victim's memory.  Returns `false` when the CAS lost a
-    /// race — or faulted, which a CAS that went out posted cannot tell apart.
+    /// its slot, finishes the eviction: writes the history entry's word
+    /// (expert bitmap and draw odds) and recycles the victim's memory.
+    /// Returns `false` when the CAS lost a race — or faulted, which a CAS
+    /// that went out posted cannot tell apart.
     fn commit_victim(&mut self, ev: &mut Eviction) -> bool {
         self.await_eviction(ev);
         let pick = ev.pick;
@@ -619,7 +620,7 @@ impl DittoClient {
         if won && embed {
             self.write_slot_meta(
                 SampleFriendlyHashTable::insert_ts_addr(victim_addr),
-                &pick.bitmap.to_le_bytes(),
+                &pick.history_word.to_le_bytes(),
             );
             if !self.config.enable_lightweight_history {
                 // Ablation: a separate remote history FIFO and index keep the
@@ -657,7 +658,8 @@ impl DittoClient {
             }
             Retire::Free => {
                 let now = self.dm.now_ns();
-                self.policy.notify_evict(&pick.scored, pick.bitmap, now);
+                self.policy
+                    .notify_evict(&pick.scored, pick.history_word, now);
                 let (addr, bytes) = (victim.atomic.object_addr(), victim.atomic.object_bytes());
                 self.alloc.free(&self.dm, addr, bytes as usize);
                 self.stats.record_eviction(pick.chosen);

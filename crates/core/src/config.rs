@@ -322,8 +322,14 @@ mod tests {
         let mut c = DittoConfig::default();
         c.experts.clear();
         assert!(AdaptivePolicy::from_names(&c.experts, c.history_len(), 1).is_err());
-        c.experts = vec!["lru".to_string(); 65];
-        assert!(AdaptivePolicy::from_names(&c.experts, c.history_len(), 1).is_err());
+        // 48 experts fill the history word's bitmap; the 49th has no bit.
+        c.experts = vec!["lru".to_string(); 48];
+        assert!(AdaptivePolicy::from_names(&c.experts, c.history_len(), 1).is_ok());
+        c.experts = vec!["lru".to_string(); 49];
+        let Err(error) = AdaptivePolicy::from_names(&c.experts, c.history_len(), 1) else {
+            panic!("49 experts built a policy");
+        };
+        assert!(error.to_string().contains("1 to 48"), "{error}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! History entries are *embedded* in hash-table slots (see
 //! [`crate::slot::AtomicField::for_history`]); this module provides the
 //! logical-FIFO machinery around them: the global history counters,
-//! client-side expiration checks and the expert bitmap stored in the
-//! `insert_ts` field of a history slot.
+//! client-side expiration checks and the history word — expert bitmap and
+//! draw probability — stored in the `insert_ts` field of a history slot.
 //!
 //! # Sharding
 //!
@@ -139,21 +139,53 @@ impl EvictionHistory {
     }
 }
 
-/// Expert bitmaps stored in the `insert_ts` field of history entries.
+/// The history word of an eviction, stored verbatim in the `insert_ts`
+/// field of its history entry: the expert bitmap in bits 0..48 (one bit per
+/// expert whose own pick was the victim) and, in bits 48..64, the
+/// probability `p` that the victim was drawn — the summed weight of those
+/// experts when it was picked — quantised as `round(p × 65 535)`, clamped to
+/// `1..=65 535`.  A word with zero there reads as `p = 1`.
+///
+/// A regret divides its penalty by `p` (EXP3's importance-weighted loss):
+/// an expert is blamed only when a victim it picked is re-requested, so
+/// without the division its blame grows with how often it is drawn
+/// ([`crate::adaptive`]).  Divided by `p`, each expert's expected blame is
+/// its loss whatever its share of draws.
 pub mod expert_bitmap {
-    /// Sets bit `expert` in `bitmap`.
+    /// Bits of the word holding the expert bitmap; the draw probability
+    /// sits above them.
+    pub const EXPERT_BITS: u32 = 48;
+    /// The quantum of the stored draw probability.
+    const ODDS_SCALE: f64 = u16::MAX as f64;
+
+    /// Sets bit `expert` (below [`EXPERT_BITS`]) in `bitmap`.
     pub fn with_expert(bitmap: u64, expert: usize) -> u64 {
-        bitmap | (1u64 << (expert % 64))
+        debug_assert!(expert < EXPERT_BITS as usize);
+        bitmap | (1u64 << expert)
     }
 
     /// Whether bit `expert` is set.
-    pub fn contains(bitmap: u64, expert: usize) -> bool {
-        bitmap & (1u64 << (expert % 64)) != 0
+    pub fn contains(word: u64, expert: usize) -> bool {
+        expert < EXPERT_BITS as usize && word & (1u64 << expert) != 0
     }
 
-    /// Iterates over the experts present in the bitmap.
-    pub fn experts(bitmap: u64) -> impl Iterator<Item = usize> {
-        (0..64usize).filter(move |i| bitmap & (1u64 << i) != 0)
+    /// Iterates over the experts present in the word.
+    pub fn experts(word: u64) -> impl Iterator<Item = usize> {
+        (0..EXPERT_BITS as usize).filter(move |i| contains(word, *i))
+    }
+
+    /// The history word of `bitmap`'s experts, drawn with probability `p`.
+    pub fn with_odds(bitmap: u64, p: f64) -> u64 {
+        let quantum = (p * ODDS_SCALE).round().clamp(1.0, ODDS_SCALE) as u64;
+        (bitmap & ((1 << EXPERT_BITS) - 1)) | quantum << EXPERT_BITS
+    }
+
+    /// The draw probability the word carries; `1` if it carries none.
+    pub fn odds(word: u64) -> f64 {
+        match word >> EXPERT_BITS {
+            0 => 1.0,
+            quantum => quantum as f64 / ODDS_SCALE,
+        }
     }
 }
 
@@ -241,6 +273,28 @@ mod tests {
         assert!(contains(b, 5));
         assert!(!contains(b, 1));
         assert_eq!(experts(b).collect::<Vec<_>>(), vec![0, 5]);
+        assert_eq!(odds(b), 1.0, "a word without odds reads as p = 1");
+        let top = with_expert(0, EXPERT_BITS as usize - 1);
+        assert_eq!(experts(top).collect::<Vec<_>>(), vec![47]);
+    }
+
+    #[test]
+    fn the_history_word_carries_bitmap_and_odds() {
+        use expert_bitmap::*;
+        let bitmap = with_expert(with_expert(0, 1), 47);
+        for p in [1.0, 0.5, 0.25, 0.1, 0.01] {
+            let word = with_odds(bitmap, p);
+            assert_eq!(experts(word).collect::<Vec<_>>(), vec![1, 47]);
+            assert!((odds(word) - p).abs() <= 0.5 / 65_535.0, "p = {p}");
+        }
+        assert_eq!(with_odds(bitmap, 1.0) >> EXPERT_BITS, 65_535);
+        // Never zero, whatever the weight: a zero would read as p = 1.
+        assert_eq!(with_odds(bitmap, 0.0) >> EXPERT_BITS, 1);
+        assert_eq!(odds(with_odds(bitmap, 1e-9)), 1.0 / 65_535.0);
+        assert_eq!(odds(with_odds(bitmap, 2.0)), 1.0);
+        // Odds above the bitmap never read as experts.
+        assert!(!contains(with_odds(0, 1.0), 48));
+        assert_eq!(experts(with_odds(0, 1.0)).count(), 0);
     }
 
     #[test]

@@ -97,7 +97,9 @@ struct Entry {
 
 struct HistoryEntry {
     id: u64,
-    bitmap: u64,
+    /// The eviction's history word: expert bitmap and draw odds
+    /// ([`crate::history::expert_bitmap`]), stored as the client stores it.
+    word: u64,
 }
 
 /// The in-memory simulator.
@@ -224,8 +226,8 @@ impl SimCache {
             return;
         }
         self.stats.regrets += 1;
-        let bitmap = entry.bitmap;
-        self.policy.regret(bitmap, position);
+        let word = entry.word;
+        self.policy.regret(word, position);
         // Local weights are the global weights in the simulator: the
         // buffered penalties have no controller to go to.
         self.policy.take_pending(&mut []);
@@ -251,20 +253,20 @@ impl SimCache {
             self.candidates
                 .push(self.entries[&self.keys[*idx]].metadata);
         }
-        let (pick, bitmap, _) =
+        let (pick, word, _) =
             self.policy
                 .pick_victim(&self.candidates, now, &mut self.eviction_age, &mut self.rng);
         let victim_idx = self.candidate_idx[pick];
         // Swap-remove the victim key, taking ownership so nothing is cloned.
         let victim_key = self.keys.swap_remove(victim_idx);
         let victim = self.entries.remove(&victim_key).expect("victim exists");
-        self.policy.notify_evict(&victim.metadata, bitmap, now);
+        self.policy.notify_evict(&victim.metadata, word, now);
         self.stats.evictions += 1;
 
         if self.policy.is_adaptive() {
             self.history_counter += 1;
             let id = self.history_counter;
-            self.history.insert(victim_key, HistoryEntry { id, bitmap });
+            self.history.insert(victim_key, HistoryEntry { id, word });
         }
     }
 

@@ -13,8 +13,10 @@
 //! ```
 //!
 //! A `size` byte of `0xFF` tags the slot as a history entry: the pointer
-//! field then stores the 48-bit history id and `insert_ts` stores the expert
-//! bitmap of the eviction decision.
+//! field then stores the 48-bit history id and `insert_ts` stores the
+//! eviction's history word — the expert bitmap of the decision in bits 0..48
+//! and the probability that its victim was drawn in bits 48..64
+//! ([`crate::history::expert_bitmap`]), which a regret on it divides by.
 
 use crate::error::{CacheError, CacheResult};
 use ditto_algorithms::Metadata;
@@ -175,7 +177,8 @@ pub struct Slot {
     pub atomic: AtomicField,
     /// 64-bit hash of the cached key (kept by history entries as well).
     pub hash: u64,
-    /// Insert timestamp, or the expert bitmap for history entries.
+    /// Insert timestamp, or the history word (expert bitmap and draw odds)
+    /// for history entries.
     pub insert_ts: u64,
     /// Last-access timestamp.
     pub last_ts: u64,
@@ -250,8 +253,10 @@ impl Slot {
         out
     }
 
-    /// The expert bitmap of a history entry.
-    pub fn expert_bitmap(&self) -> u64 {
+    /// The history word of a history entry: its expert bitmap and the
+    /// probability that its victim was drawn
+    /// ([`crate::history::expert_bitmap`]).
+    pub fn history_word(&self) -> u64 {
         self.insert_ts
     }
 

@@ -87,6 +87,17 @@
 //! 1.301550 → 1.300950 ms), spans recorded 33 256 → 33 251, the op latency
 //! sum 13.767657 → 13.767057 ms, the `publish` phase's sum 3.776360 →
 //! 3.776160 ms and lease time granted 32 051 110 → 32 049 835 ns.
+//!
+//! Re-derived when a regret came to divide its penalty by the probability
+//! that its victim was drawn, carried in the history word: the weights move
+//! differently, later draws pick other victims, and every count that
+//! follows from them moved — among them hits 840 → 827, misses
+//! 1 245 → 1 258, evictions 583 → 596 (bucket evictions 33 → 38,
+//! overlapped 434 → 442), history inserts 550 → 558, regrets 84 → 94, FC
+//! flushes 5 → 6, local hits 22 → 21, slot-CAS retries 0 → 1 (back-off
+//! 0 → 200 ns), migrated objects 199 → 206, messages 6 342 / 6 448 /
+//! 1 715 → 6 371 / 6 431 / 1 761 on nodes 0 / 1 / 2, and the op latency
+//! sum 13.767057 → 13.787205 ms.
 
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::DmConfig;

@@ -493,13 +493,17 @@ pub struct AttributionTable {
     pub op_p99_ns: u64,
     /// Per-phase totals over **all** ops, indexed by [`Phase::index`].
     pub phases: [PhaseAttribution; Phase::COUNT],
-    /// Ops in the latency tail: the slowest ⌈1 %⌉ of ops, ties broken in
-    /// trace order, so ops tied at `op_p99_ns` do not swell it.
+    /// Ops in the latency tail: the slowest ⌈1 %⌉ of ops, so ops tied at
+    /// `op_p99_ns` do not swell it.  The ops tied at the tail's cutoff
+    /// latency share the places the slower ops leave, pro rata, so the
+    /// tail does not depend on the order the ops were traced in.
     pub tail_ops: u64,
-    /// Σ elapsed time of the tail ops, ns.
+    /// Σ elapsed time of the tail ops, ns: the slower ops' in full, and
+    /// the cutoff latency once per place the tied ops share.
     pub tail_elapsed_ns: u64,
     /// Per-phase **critical** time inside the tail ops only: which phase
-    /// dominates p99.  Indexed by [`Phase::index`].
+    /// dominates p99.  The tied ops add their sum × places left ÷ ops
+    /// tied.  Indexed by [`Phase::index`].
     pub tail: [PhaseAttribution; Phase::COUNT],
 }
 
@@ -663,15 +667,31 @@ pub fn attribution(traces: &[(u32, Vec<Span>)]) -> AttributionTable {
         table.phases[i].p50_ns = percentile_sorted(d, 0.50);
         table.phases[i].p99_ns = percentile_sorted(d, 0.99);
     }
-    // A stable sort: of ops tied in elapsed time the earliest traced join
-    // the tail first.
-    per_op.sort_by_key(|&(elapsed, _)| std::cmp::Reverse(elapsed));
-    for (elapsed, critical) in per_op.iter().take(per_op.len().div_ceil(100)) {
-        table.tail_ops += 1;
-        table.tail_elapsed_ns += elapsed;
-        for (i, ns) in critical.iter().enumerate() {
-            table.tail[i].critical_ns += ns;
+    per_op.sort_unstable_by_key(|&(elapsed, _)| std::cmp::Reverse(elapsed));
+    let places = per_op.len().div_ceil(100);
+    let Some(&(cutoff, _)) = per_op.get(places.saturating_sub(1)) else {
+        return table;
+    };
+    table.tail_ops = places as u64;
+    let (mut left, mut tied, mut tied_ops) = (places as u128, [0u128; Phase::COUNT], 0u128);
+    for (elapsed, critical) in per_op.iter().take_while(|(e, _)| *e >= cutoff) {
+        if *elapsed > cutoff {
+            left -= 1;
+            table.tail_elapsed_ns += elapsed;
+            for (tail, ns) in table.tail.iter_mut().zip(critical) {
+                tail.critical_ns += ns;
+            }
+        } else {
+            tied_ops += 1;
+            for (sum, ns) in tied.iter_mut().zip(critical) {
+                *sum += u128::from(*ns);
+            }
         }
+    }
+    // The ops tied at the cutoff share the places left pro rata.
+    table.tail_elapsed_ns += cutoff * left as u64;
+    for (tail, sum) in table.tail.iter_mut().zip(tied) {
+        tail.critical_ns += (sum * left / tied_ops) as u64;
     }
     table
 }
@@ -1011,9 +1031,42 @@ mod tests {
         assert_eq!(table.op_p99_ns, 200);
         assert_eq!(table.tail_ops, 3);
         assert_eq!(table.tail_elapsed_ns, 600);
-        // Ops 201 and 203 are flight, 202 is poll.
-        assert_eq!(table.tail[Phase::Flight.index()].critical_ns, 400);
-        assert_eq!(table.tail[Phase::Poll.index()].critical_ns, 200);
+        // All 50 slow ops tie at the cutoff, 25 flight and 25 poll: they
+        // share the 3 places pro rata, 25 × 200 × 3 / 50 ns each.
+        assert_eq!(table.tail[Phase::Flight.index()].critical_ns, 300);
+        assert_eq!(table.tail[Phase::Poll.index()].critical_ns, 300);
+    }
+
+    /// Ops strictly above the cutoff join the tail whole; the ops tied at
+    /// it share the places left, and the table reads the same whichever
+    /// order the ops were traced in.
+    #[test]
+    fn the_tail_does_not_depend_on_trace_order() {
+        // 300 ops, 3 tail places: op 1 (500 ns, evict) is above the cutoff,
+        // and ops 2..=8 (200 ns) tie at it: 2 flight, 5 poll.
+        let spans: Vec<Span> = (1..=300u64)
+            .map(|op| {
+                let (phase, elapsed) = match op {
+                    1 => (Phase::Evict, 500),
+                    2..=3 => (Phase::Flight, 200),
+                    4..=8 => (Phase::Poll, 200),
+                    _ => (Phase::Decode, 100),
+                };
+                let start = op * 1_000;
+                pspan(op, phase, start, start + elapsed)
+            })
+            .collect();
+        let forward = attribution(&[(0, spans.clone())]);
+        let reversed = attribution(&[(0, spans.into_iter().rev().collect())]);
+        assert_eq!(forward.tail_ops, 3);
+        assert_eq!(forward.tail_elapsed_ns, 500 + 2 * 200);
+        let tail = |table: &AttributionTable| table.tail.map(|p| p.critical_ns);
+        let mut expected = [0; Phase::COUNT];
+        expected[Phase::Evict.index()] = 500;
+        expected[Phase::Flight.index()] = 2 * 200 * 2 / 7;
+        expected[Phase::Poll.index()] = 5 * 200 * 2 / 7;
+        assert_eq!(tail(&forward), expected);
+        assert_eq!(format!("{forward:?}"), format!("{reversed:?}"));
     }
 
     #[test]

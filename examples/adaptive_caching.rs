@@ -3,6 +3,9 @@
 //! The workload alternates between LRU-friendly and LFU-friendly phases.
 //! A fixed algorithm wins in one phase and loses in the other; Ditto's
 //! regret-minimisation scheme tracks the better expert in every phase.
+//! Each regret is importance-weighted: its penalty is divided by the
+//! probability that its victim was drawn, recorded when it was evicted, so
+//! an expert's blame does not grow with how often it is drawn.
 //!
 //! Run with: `cargo run --release --example adaptive_caching`
 

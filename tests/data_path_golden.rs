@@ -156,6 +156,13 @@
 //! 350 objects (each node's 64 KiB margin and migration headroom), so the
 //! denser table fills before the memory does: 35 of its 45 evictions are
 //! bucket evictions (3 of 56 before).
+//!
+//! Re-derived a tenth time when a regret came to divide its penalty by the
+//! probability that its victim was drawn, carried in the history word
+//! beside the expert bitmap.  The weights move differently, so later draws
+//! pick other victims: the single-node, no-FC and fig24 replays moved in
+//! every field, and each golden names its old values.  The striped replay
+//! (35 of its 45 evictions by bucket) and the YCSB-A replay did not move.
 
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{DittoCache, DittoClient, DittoConfig};
@@ -274,29 +281,34 @@ fn replay_keeping(mix: YcsbWorkload, dm: DmConfig, config: DittoConfig) -> Repla
 /// own doorbell: 32 633 522 → 32 516 372 ns before the flush and
 /// 32 707 943 → 32 590 793 after, the same decisions, one `last_ts` WRITE
 /// fewer (timestamps (6 692, 3 783) → (6 691, 3 784), messages 39 289 →
-/// 39 288).
+/// 39 288).  When a regret came to be importance-weighted: hits
+/// 10 475 → 10 485, misses and sets 1 525 → 1 515, evictions 630 → 620,
+/// history inserts 629 → 619, regrets 276 → 266, FC flushes 1 411 → 1 420,
+/// victories 273/357 → 269/351, 32 516 372 → 32 487 472 ns before the
+/// flush and 32 590 793 → 32 562 193 after, 39 288 → 39 228 messages,
+/// timestamps (6 691, 3 784) → (6 690, 3 795).
 fn single_node_golden() -> Golden {
     Golden {
-        pre_flush_ns: 32_516_372,
-        clock_ns: 32_590_793,
-        messages: 39_288,
+        pre_flush_ns: 32_487_472,
+        clock_ns: 32_562_193,
+        messages: 39_228,
         published: (0, 0),
-        timestamps: (6_691, 3_784),
+        timestamps: (6_690, 3_795),
         stats: CacheStatsSnapshot {
-            hits: 10_475,
-            misses: 1_525,
-            sets: 1_525,
-            evictions: 630,
+            hits: 10_485,
+            misses: 1_515,
+            sets: 1_515,
+            evictions: 620,
             bucket_evictions: 1,
-            history_inserts: 629,
-            regrets: 276,
+            history_inserts: 619,
+            regrets: 266,
             weight_syncs: 3,
-            fc_flushes: 1_411,
+            fc_flushes: 1_420,
             local_hits: 0,
             local_revalidations: 0,
             local_invalidations: 0,
             local_stale_rejects: 0,
-            expert_victories: vec![273, 357],
+            expert_victories: vec![269, 351],
         },
     }
 }
@@ -625,36 +637,52 @@ fn fig24_rung(rung: usize) -> DittoConfig {
 /// (6 786, 3 664).  Rung 2: 37 794 829 → 37 678 279 and 37 860 279 →
 /// 37 743 729 ns.  Rung 3: 39 243 862 → 39 127 162 and 39 312 082 →
 /// 39 195 382 ns.
+///
+/// When a regret came to be importance-weighted, every rung moved, rungs 1
+/// and 2 still deciding alike and rungs 3 and 4 too.  Rung 1: hits
+/// 10 450 → 10 451, misses 1 550 → 1 549, evictions 655 → 654, regrets
+/// 300 → 299, FC flushes 1 375 → 1 387, victories 300/355 → 234/420,
+/// 33 129 529 → 33 126 019 ns before the flush and 33 194 979 → 33 199 540
+/// after, 50 811 → 50 809 messages, timestamps (6 786, 3 664) →
+/// (6 772, 3 679).  Rung 2: the same counts, 37 678 279 → 37 670 564 and
+/// 37 743 729 → 37 744 085 ns, 53 689 → 53 688 messages, timestamps
+/// (6 795, 3 655) → (6 783, 3 668).  Rung 3: hits 10 453 → 10 455, misses
+/// 1 547 → 1 545, evictions 652 → 650, regrets and syncs 297 → 296, FC
+/// flushes 1 384 → 1 397, victories 276/376 → 162/488, 39 127 162 →
+/// 39 131 164 and 39 195 382 → 39 199 934 ns, 54 008 → 53 993 messages,
+/// timestamps (6 819, 3 634) → (6 797, 3 658).  Rung 4: rung 3's counts,
+/// 62 084 862 → 62 093 164 ns, 63 069 → 63 051 messages, timestamps
+/// (6 815, 3 638) → (6 797, 3 658).
 #[test]
 fn fig24_ablation_rungs_hold_their_numbers() {
     let rungs = [
         single_node_ablated(
-            [33_129_529, 33_194_979],
-            50_811,
-            (6_786, 3_664),
-            [10_450, 1_550, 655, 0, 300, 3, 1_375],
-            [300, 355],
+            [33_126_019, 33_199_540],
+            50_809,
+            (6_772, 3_679),
+            [10_451, 1_549, 654, 0, 299, 3, 1_387],
+            [234, 420],
         ),
         single_node_ablated(
-            [37_678_279, 37_743_729],
-            53_689,
-            (6_795, 3_655),
-            [10_450, 1_550, 655, 0, 300, 3, 1_375],
-            [300, 355],
+            [37_670_564, 37_744_085],
+            53_688,
+            (6_783, 3_668),
+            [10_451, 1_549, 654, 0, 299, 3, 1_387],
+            [234, 420],
         ),
         single_node_ablated(
-            [39_127_162, 39_195_382],
-            54_008,
-            (6_819, 3_634),
-            [10_453, 1_547, 652, 0, 297, 297, 1_384],
-            [276, 376],
+            [39_131_164, 39_199_934],
+            53_993,
+            (6_797, 3_658),
+            [10_455, 1_545, 650, 0, 296, 296, 1_397],
+            [162, 488],
         ),
         single_node_ablated(
-            [62_084_862, 62_084_862],
-            63_069,
-            (6_815, 3_638),
-            [10_453, 1_547, 652, 0, 297, 297, 10_453],
-            [276, 376],
+            [62_093_164, 62_093_164],
+            63_051,
+            (6_797, 3_658),
+            [10_455, 1_545, 650, 0, 296, 296, 10_455],
+            [162, 488],
         ),
     ];
     let replayed: Vec<Golden> = (1..=4)
@@ -684,14 +712,18 @@ fn fig24_ablation_rungs_hold_their_numbers() {
 /// the single-node replay's decisions moved alike (its golden names them),
 /// FC flushes 10 435 → 10 475, 55 619 539 → 55 522 322 ns before the flush
 /// and 55 624 540 → 55 527 323 after, messages 48 748 → 48 365, timestamps
-/// (6 739, 3 696) → (6 704, 3 771).
+/// (6 739, 3 696) → (6 704, 3 771).  When a regret came to be
+/// importance-weighted, the decisions moved alike again, FC flushes
+/// 10 475 → 10 485, 55 522 322 → 55 515 272 ns before the flush and
+/// 55 527 323 → 55 520 273 after, messages 48 365 → 48 312, timestamps
+/// (6 704, 3 771) → (6 709, 3 776).
 fn no_fc_cache_golden() -> Golden {
     single_node_ablated(
-        [55_522_322, 55_527_323],
-        48_365,
-        (6_704, 3_771),
-        [10_475, 1_525, 630, 1, 276, 3, 10_475],
-        [273, 357],
+        [55_515_272, 55_520_273],
+        48_312,
+        (6_709, 3_776),
+        [10_485, 1_515, 620, 1, 266, 3, 10_485],
+        [269, 351],
     )
 }
 
@@ -727,7 +759,8 @@ fn no_fc_cache_replay_holds_its_numbers() {
 /// op, with other victims on these rungs, they differ by sixteen:
 /// (6 856, 3 566) against (6 840, 3 582); since rung 4 counts each hit's
 /// FAA before its stamp, by fifteen: against (6 841, 3 581); since the
-/// table is sized exactly, by four: (6 819, 3 634) against (6 815, 3 638).
+/// table is sized exactly, by four: (6 819, 3 634) against (6 815, 3 638);
+/// since a regret is importance-weighted, by none: both (6 797, 3 658).
 #[test]
 fn one_clients_fc_cache_moves_no_victim() {
     let decisions = |golden: Golden| CacheStatsSnapshot {
