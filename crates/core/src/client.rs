@@ -22,16 +22,18 @@
 //!   the hinted slot — no lookup; or, right after the key's `Get` missed, no
 //!   bucket READ at all: the buckets that miss decoded give the insert slot,
 //!   and when it is on the object's node one doorbell carries the
-//!   `RDMA_WRITE` and that slot's `RDMA_CAS` behind it, beside the verbs of
-//!   the evictions the `Set` carries and runs (see the crate docs).
+//!   `RDMA_WRITE`, the slot's metadata `RDMA_WRITE` and that slot's
+//!   `RDMA_CAS` behind them, beside the verbs of the evictions the `Set`
+//!   carries and runs, and the `Set` returns without polling them: the
+//!   client's next op books the fill (see the crate docs).
 //! * **Eviction** — an `RDMA_READ` of [`DittoConfig::SAMPLE_SPAN_SLOTS`]
 //!   consecutive slots, about K live candidates (or, in the scattered-metadata
 //!   ablation, K slot READs), and the `RDMA_FAA` on a history counter, a
 //!   per-expert priority evaluation, a weighted victim choice and an
 //!   `RDMA_CAS` converting the victim slot into an embedded history entry —
 //!   riding the evicting `Set`'s rounds, or parked for the next starved `Set`
-//!   to carry, the parked pick's CPU work charged under the flight of the
-//!   client's next round — or, when the fill's sample was short, its
+//!   to carry, its sample decoded and its pick's CPU work charged under the
+//!   flight of a later round — or, when that sample was short, its
 //!   re-sample READ flying under the client's next ops (see the crate docs).
 //!
 //! This is the **one data path**: posted WQEs, polled completions
@@ -42,15 +44,18 @@
 //! object WRITE unsignalled (never waited for) next to the bucket READs; a
 //! hinted `Get`'s object READ flies with the slot READ that validates it;
 //! a hinted `Set`'s publish CAS, and a fill's insert CAS, is posted behind
-//! the object WRITE it publishes; a frequency-counter FAA, due once the
-//! access it counts is known to be real, rides the next hinted `Get`'s ring
-//! unsignalled, behind its READs, and is never waited for; and an
-//! eviction's sample READ and history FAA fly while its `Set` looks up, its
-//! victim CAS while it publishes — or while the next fill does, a parked
-//! pick's decode and scoring while the next round's verbs do.  Waits and
-//! the client CPU work (`CPU_DECODE_SLOT_NS` per slot,
-//! `CPU_SCORE_CANDIDATE_NS` per candidate) overlap the flights, and
-//! `end_op` simply drains whatever is still outstanding.
+//! the object WRITE it publishes — a fill's behind its slot's metadata
+//! WRITE too — and a one-round fill waits for none of its round; a
+//! frequency-counter FAA, due once the access it counts is known to be
+//! real, rides the next hinted `Get`'s ring unsignalled, behind its READs,
+//! and is never waited for; and an eviction's sample READ and history FAA
+//! fly while its `Set` looks up, its victim CAS while it publishes — or
+//! while the next fill does, a parked pick's decode and scoring while the
+//! next round's verbs do.  Waits and the client CPU work
+//! (`CPU_DECODE_SLOT_NS` per slot, `CPU_SCORE_CANDIDATE_NS` per candidate)
+//! overlap the flights, and `end_op` polls whatever the op left
+//! outstanding, up to what the side channels — a pending fill, a parked
+//! eviction — still wait for.
 //! `tests/data_path_golden.rs` pins three seeded replays of it to the
 //! nanosecond.
 //!
@@ -108,6 +113,7 @@ mod publish;
 mod round;
 use evict::Eviction;
 use lookup::{HintTable, Lookup, MissMemo};
+use publish::PendingFill;
 use round::{plan_round, Plan, Shape};
 
 /// Maximum CAS retries before an operation gives up, and the attempt bound of
@@ -176,6 +182,9 @@ pub struct DittoClient {
     /// victim CAS (see the crate docs, *The `Set` path under memory
     /// pressure*).
     parked_eviction: Option<Eviction>,
+    /// The last one-round fill, rung and not booked yet: the client's next
+    /// op books it (see [`publish`]).
+    pending_fill: Option<PendingFill>,
     /// The work-request ids of the FC flushes the last hinted `Get` carried:
     /// their completions, errors only, go to no loop (`poll_routed`).
     fc_riders: Range<u64>,
@@ -288,6 +297,7 @@ impl DittoClient {
             hints: HintTable::new(),
             miss_memo: None,
             parked_eviction: None,
+            pending_fill: None,
             fc_riders: 0..0,
             hosted_cpu: (0, 0),
             rounds_posted: [0; 6],
@@ -374,6 +384,7 @@ impl DittoClient {
         self.maybe_refresh_topology();
         self.dm.begin_op();
         self.eviction_age.begin_op(self.dm.now_ns());
+        self.book_pending_fill();
         let memo = self.miss_memo.take();
         // The reusable per-client encode buffer, moved out meanwhile so the
         // borrow checker can see it is disjoint from `self`.
@@ -381,15 +392,54 @@ impl DittoClient {
         let result = self.set_inner(key, value, memo, &mut encoded);
         self.encode_buf = encoded;
         self.end_op();
-        self.send_deferred_sample();
         result
     }
 
-    /// Ends an op: polls what it left outstanding — booking a parked
-    /// eviction's completion on it — and records its latency.
+    /// Ends an op and records its latency: polls what the op left
+    /// outstanding, booking each completion on its owner, up to the
+    /// completions the side channels still wait for — the pending fill's,
+    /// the parked eviction's — which stay in flight for a later op's polls
+    /// to meet (a fill's own op polls none of its round).  A victim the
+    /// pending fill carried whose CAS the op's polls met is finished here
+    /// ([`DittoClient::book_carried`]).  A re-sample a
+    /// looked-up fill drew for the eviction it parks goes out once the op
+    /// has ended.
     fn end_op(&mut self) {
-        let _ = self.drain_round(&mut [None, None]);
-        self.dm.end_op();
+        while self.dm.outstanding_completions() > self.side_channels_in_flight() {
+            if self.poll_routed(&mut [None, None]).is_none() {
+                break;
+            }
+        }
+        self.book_carried();
+        self.dm.close_op();
+        self.send_deferred_sample();
+    }
+
+    /// The completions the side channels wait for: the pending fill's
+    /// insert CAS and carried victim CAS, the parked eviction's sample READs
+    /// and history FAA.
+    fn side_channels_in_flight(&self) -> usize {
+        let fill = self.pending_fill.as_ref().map_or(0, PendingFill::in_flight);
+        fill + self.parked_eviction.as_ref().map_or(0, |ev| ev.in_flight)
+    }
+
+    /// Books the pending fill, if any, before an op that must see it
+    /// settled — the client's next `Set`, a `Get` of the key, a drain, an
+    /// eviction, a migration pump, a recovery, a forensic scan, its `Drop`:
+    /// polls until its insert CAS and its carried victim CAS have completed
+    /// (the op that ended last has usually polled both already), then books
+    /// it ([`DittoClient::book_fill`]).
+    fn book_pending_fill(&mut self) {
+        while self
+            .pending_fill
+            .as_ref()
+            .is_some_and(|fill| fill.in_flight() > 0)
+        {
+            if self.poll_routed(&mut [None, None]).is_none() {
+                break;
+            }
+        }
+        self.book_fill();
     }
 
     /// Revalidates the cached topology snapshot against the pool's resize
@@ -472,6 +522,7 @@ impl DittoClient {
     /// `NodeRemoved`), is dropped, and so is every other counter on that
     /// node: the counters are advisory.
     pub fn flush(&mut self) {
+        self.book_pending_fill();
         let mut drained = self.fc.as_mut().map(FcCache::flush_all).unwrap_or_default();
         // A counter recorded before a cutover is owed to its word's live
         // home; regrouped by node once re-translated, and merged with the
@@ -667,6 +718,8 @@ impl DittoClient {
             );
         };
         let mut report = RecoveryReport::default();
+        // This client's own fill settles first: its journal and its object.
+        self.book_pending_fill();
 
         // 1. One forensic scan of the whole table: both the journal replay
         //    and the gap sweep reconcile against this single snapshot.
@@ -702,8 +755,10 @@ impl DittoClient {
                         // is also freed here; `free_segment` trims the
                         // owner registry, so the sweep cannot double-free
                         // a dead-owned old range.
-                        let old_bytes = Self::resident_bytes_for(word(5) as usize);
-                        if old_bytes != 0 {
+                        // An insert records no old half: its length is 0,
+                        // which is no allocation (not one block).
+                        if word(5) != 0 {
+                            let old_bytes = Self::resident_bytes_for(word(5) as usize);
                             let stats = self.dm.pool().stats();
                             stats.record_resident_free(word(3) as u16, old_bytes);
                             stats.record_recovered_object(old_bytes);
@@ -800,6 +855,14 @@ impl DittoClient {
     fn get_inner(&mut self, key: &[u8], out: &mut Vec<u8>) -> bool {
         let hash = fnv1a64(key);
         let fp = fingerprint(hash);
+        if self
+            .pending_fill
+            .as_ref()
+            .is_some_and(|fill| fill.hash == hash)
+        {
+            // The key's own fill is booked first, and leaves its hint.
+            self.book_pending_fill();
+        }
         if self.tier.is_some() && self.tier_get(hash, key, out) {
             return true;
         }
@@ -1201,7 +1264,7 @@ impl DittoClient {
         let entry = slots
             .iter()
             .find(|(_, s)| s.atomic.is_history() && s.hash == hash);
-        let Some((_, entry)) = entry else {
+        let Some(&(entry_addr, entry)) = entry else {
             return;
         };
         let id = entry.atomic.history_id();
@@ -1213,7 +1276,10 @@ impl DittoClient {
         // the full history length, not a shard's slice of it.
         let position = self.history.global_position(estimate, id);
         self.stats.record_regret();
-        if self.policy.regret(entry.history_word(), position) {
+        let word = self
+            .carried_history_word(entry_addr)
+            .unwrap_or(entry.history_word());
+        if self.policy.regret(word, position) {
             self.sync_weights();
         }
     }
@@ -1355,12 +1421,22 @@ impl DittoClient {
             })
         });
         let mut stored = false;
-        if let Some(front) = front.filter(|f| matches!(f.shape, Shape::Hinted | Shape::Fill)) {
-            if front.shape == Shape::Fill {
-                memo_view = None;
-            }
-            let mut evs = [ahead.as_mut(), carried.as_mut()];
-            let (won, written) = self.publish_front(hash, &front, encoded, new_atomic, &mut evs);
+        if let Some(front) = front.filter(|f| f.shape == Shape::Fill) {
+            // The one-round fill returns once its round is rung; its
+            // completions and its own eviction's are booked by the client's
+            // next op (see `publish`).
+            self.post_fill(
+                hash,
+                &front,
+                encoded,
+                (obj_addr, new_atomic),
+                ahead,
+                carried,
+            );
+            return Ok(());
+        }
+        if let Some(front) = front.filter(|f| f.shape == Shape::Hinted) {
+            let (won, written) = self.publish_front(hash, &front, encoded, new_atomic);
             (stored, plan.written) = (won, written && !won);
             if plan.written && self.crash_fired(CrashPoint::AfterObjectWrite) {
                 return Ok(());
@@ -1479,7 +1555,17 @@ impl DittoClient {
             }
         }
         if let Some(mut ev) = carried {
-            self.evict_advance(&mut ev, false);
+            if fill && ev.in_flight > 0 {
+                // Its victim CAS flew beside the insert: like a one-round
+                // fill's, it is booked by the client's next op.
+                self.pending_fill = Some(PendingFill {
+                    hash,
+                    insert: None,
+                    carried: Some(ev),
+                });
+            } else {
+                self.evict_advance(&mut ev, false);
+            }
         }
         // What a Set that could not publish did instead: invalidated the
         // key (`Ok`), or nothing it can vouch for (`Err`).
@@ -1640,8 +1726,10 @@ impl DittoClient {
     pub fn pump_migration(&mut self, max_stripes: usize) -> MigrationProgress {
         self.maybe_refresh_topology();
         // The engine drains this client's completion queue as its own: a
-        // parked eviction's deferred READ is polled and booked first.
+        // pending fill and a parked eviction's deferred READ are polled and
+        // booked first.
         let _ = self.drain_round(&mut [None, None]);
+        self.book_fill();
         let engine = Arc::clone(&self.engine);
         engine.maybe_replan();
         let mut progress = MigrationProgress::default();
@@ -1689,6 +1777,7 @@ impl DittoClient {
     ///
     /// [`MemoryPool::resident_object_bytes`]: ditto_dm::MemoryPool::resident_object_bytes
     pub fn referenced_object_bytes_on(&mut self, mn_id: u16) -> u64 {
+        self.book_pending_fill();
         let refs = self.referenced_objects();
         refs.get(mn_id as usize).map_or(0, |node_refs| {
             node_refs.iter().map(|&(_, bytes)| bytes).sum()
@@ -1912,9 +2001,14 @@ impl DittoClient {
 }
 
 impl Drop for DittoClient {
+    /// A pending fill is booked before its client leaves — unless the client
+    /// crashed, which leaves it to [`DittoClient::recover_crashed_client`].
     /// A parked eviction leaves with its client, and the history id it
     /// acquired goes into no slot: it is booked burnt, and nothing is sent.
     fn drop(&mut self) {
+        if !self.crashed {
+            self.book_pending_fill();
+        }
         if self.parked_eviction.is_some() && self.policy.is_adaptive() {
             self.stats.record_history_id_burnt();
         }
@@ -2923,8 +3017,7 @@ mod tests {
 
         // The publish, settling after the flip, lands its metadata again
         // where the word went.
-        client.mig_token = token;
-        client.settle_rekey(slot_addr, slot.atomic.encode(), hash);
+        client.settle_rekey(slot_addr, slot.atomic.encode(), hash, token);
         assert_eq!(client.get(key.as_bytes()).as_deref(), Some(&b"carried"[..]));
         assert_records_match_their_keys(table, &client, job.stripe);
     }

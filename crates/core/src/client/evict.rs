@@ -1,13 +1,14 @@
 //! Sampling eviction: the one routine behind [`DittoClient::evict_once`], the
 //! inline evictions of a starved allocation, the eviction a `Set` under
 //! memory pressure runs *ahead*, beside its own lookup and publish, and the
-//! one a fill *parks* for the next starved `Set` to carry, its pick's CPU
-//! work charged under the client's next round — or, when its sample held too
-//! few candidates, its re-sample READ left in flight for the client's next
-//! ops to poll (see the crate docs, *The `Set` path under memory
+//! one a fill *parks* for the next starved `Set` to carry — a one-round
+//! fill's with its sample in flight, decoded by a later round — its pick's
+//! CPU work charged under the client's next round, or, when its sample held
+//! too few candidates, its re-sample READ left in flight for the client's
+//! next ops to poll (see the crate docs, *The `Set` path under memory
 //! pressure*).  A candidate is scored on its slot's words plus the FC
 //! increments this client buffered for it when its sample landed — or, of a
-//! deferred re-sample, when its READ went out: folded in where the sample is
+//! deferred sample, when its READ went out: folded in where the sample is
 //! decoded, once.
 
 use super::lookup::bucket_holds;
@@ -57,10 +58,12 @@ pub(super) enum EvictWait {
 /// *parked* one stops once its victim is picked — its sample's decode and
 /// scoring left for the client's next round to charge
 /// ([`DittoClient::host_parked_pick`]) — and the next starved `Set` carries
-/// its victim CAS ([`DittoClient::take_parked`]).  A parked one whose sample
-/// was short instead stops with its re-sample drawn: the fill sends that
-/// READ once its op has ended ([`DittoClient::send_deferred_sample`]), and
-/// the `Set` that takes the eviction up decodes it and picks.  The round
+/// its victim CAS ([`DittoClient::take_parked`]).  A one-round fill parks
+/// its eviction before that, its first sample in flight, and the round
+/// after the sample landed decodes it ([`DittoClient::settle_parked_sample`]).
+/// A parked one whose sample was short instead stops with its re-sample
+/// drawn, sent on a ring of its own ([`DittoClient::send_deferred_sample`]),
+/// and the `Set` that takes the eviction up decodes it and picks.  The round
 /// executor ([`super::round`]) posts its verbs and books their completions
 /// on it.  Its candidates carry their `freq` words with this client's
 /// buffered FC increments folded in as of their sample's landing, so every
@@ -93,13 +96,14 @@ pub(super) struct Eviction {
     samples: usize,
     retries: usize,
     pub(super) wait: EvictWait,
-    /// Whether the current sample is a deferred re-sample: its bytes land in
+    /// Whether the current sample is deferred — a fill's own, left in
+    /// flight, or a re-sample: its bytes land in
     /// [`DittoClient::parked_sample_buf`], out of the way of other
     /// evictions' samples, and [`Self::fc_seen`] holds what the FC cache
     /// buffered for its slots when it went out.
     deferred: bool,
     /// The FC deltas this client buffered for each slot of a deferred
-    /// re-sample's span, in canonical order, when its READ went out.
+    /// sample's span, in canonical order, when its READ went out.
     fc_seen: InlineVec<u64, { DittoConfig::SAMPLE_SPAN_SLOTS }>,
     /// Physical READ segments of the current sample, in canonical order.
     segments: InlineVec<(RemoteAddr, usize), MAX_WQES>,
@@ -127,6 +131,10 @@ pub(super) struct Eviction {
     /// the CAS executed and found it.
     word: u64,
     pub(super) observed: u64,
+    /// Whether the picked victim's key was bumped already, with the victim
+    /// CAS still out ([`DittoClient::bump_victim_ahead`]): a won CAS then
+    /// only frees it.
+    bumped: bool,
 }
 
 impl Eviction {
@@ -175,6 +183,12 @@ impl Eviction {
         self.candidates[self.pick.idx].0
     }
 
+    /// The history word the pick made for the victim at `slot_addr`, if
+    /// that is its victim and its CAS swaps in a history entry.
+    pub(super) fn picked_history_word(&self, slot_addr: RemoteAddr) -> Option<u64> {
+        (self.word != 0 && self.victim_addr() == slot_addr).then_some(self.pick.history_word)
+    }
+
     /// Takes a parked eviction up again in the `Set` that carries it: from
     /// `now` on it runs like any other, its `Evict` span the victim half.
     pub(super) fn unpark(&mut self, now: u64) {
@@ -186,6 +200,7 @@ impl DittoClient {
     /// Performs one sampling eviction.  Returns `true` when an object was
     /// evicted and its memory recycled.
     pub fn evict_once(&mut self) -> bool {
+        self.book_pending_fill();
         self.evict_once_for(0)
     }
 
@@ -239,12 +254,14 @@ impl DittoClient {
     /// The eviction a previous fill parked, if this `Set` is `starved` and
     /// so carries it.  Any `Set` drops it instead once a stripe cutover has
     /// moved the directory since it began — its candidates' addresses may
-    /// name retired copies — and its history id is burnt; a re-sample READ
-    /// it still has out is polled first, so that no stray completion meets
-    /// the op's own polls.  A parked eviction that deferred its re-sample
-    /// picks here, from that READ: its CPU work hosted under this `Set`'s
-    /// first round, like a fill's pick, and a sample still too short
-    /// re-sampled in place.
+    /// name retired copies — and its history id is burnt; a sample READ it
+    /// still has out is polled first, so that no stray completion meets the
+    /// op's own polls.  A parked eviction that has not picked yet — its
+    /// fill's sample, or the re-sample it deferred, not decoded by the op
+    /// that booked it — picks here: its CPU work hosted under this `Set`'s
+    /// first round, like a fill's pick.  A first sample too short to pick
+    /// from sends its re-sample now and waits for it, and a re-sample still
+    /// too short re-samples in place.
     pub(super) fn take_parked(&mut self, starved: bool) -> Option<Eviction> {
         let mut ev = self.parked_eviction.take()?;
         if ev.version != self.table.directory().version() {
@@ -258,8 +275,10 @@ impl DittoClient {
             self.parked_eviction = Some(ev);
             return None;
         }
-        if ev.deferred {
-            debug_assert!(ev.issued, "the fill sent its deferred re-sample");
+        while ev.deferred {
+            if !ev.issued {
+                self.post_deferred_sample(&mut ev);
+            }
             ev.t0 = self.dm.now_ns();
             if self.evict_advance(&mut ev, false).is_some() {
                 // Nothing to pick from after every re-sample: given up.
@@ -359,8 +378,9 @@ impl DittoClient {
     }
 
     /// Whether `ev`, a fill's own parked eviction whose first sample came
-    /// up short, leaves its re-sample to the client's next ops: the fill
-    /// draws the span, sends the READ once its op has ended and polls
+    /// up short, leaves its re-sample to the client's next ops: the op that
+    /// decoded the sample draws the span and sends the READ on a ring of
+    /// its own — under its round's flight, or once it has ended — and polls
     /// nothing; the `Set` that takes the eviction up picks from it
     /// ([`Self::take_parked`]).  Only the first re-sample, and only where
     /// the pick would be hosted: a second short sample, or one under an
@@ -369,20 +389,13 @@ impl DittoClient {
         ev.samples == 1 && self.hosts_pick(ev)
     }
 
-    /// Sends the re-sample READ the parked eviction drew, if the fill that
-    /// parked it deferred one ([`Self::defers_resample`]): signalled, on a
-    /// ring of its own, into [`DittoClient::parked_sample_buf`].  Called
-    /// once the fill's op has ended, so the op does not wait for it; the
-    /// fill pays the doorbell and the issue.  Nothing polls it here: its
-    /// completion is booked on the eviction by whichever poll of a later op
-    /// meets it ([`super::round`]'s `poll_routed`).  Beside it the eviction
+    /// Makes `ev`'s next sample READ a deferred one: its bytes go to
+    /// [`DittoClient::parked_sample_buf`], and beside it the eviction
     /// records the FC deltas this client buffers now for the span's slots,
-    /// for [`Self::collect_sample`] to fold in: its pick, made later, scores
-    /// the counts the READ saw.
-    pub(super) fn send_deferred_sample(&mut self) {
-        let Some(mut ev) = self.parked_eviction.take_if(|ev| ev.deferred && !ev.issued) else {
-            return;
-        };
+    /// for [`Self::collect_sample`] to fold in — its pick, made later,
+    /// scores the counts the READ saw.
+    pub(super) fn defer_sample(&self, ev: &mut Eviction) {
+        ev.deferred = true;
         ev.fc_seen.clear();
         for &(addr, slots) in ev.segments.iter() {
             for i in 0..slots {
@@ -390,32 +403,83 @@ impl DittoClient {
                 ev.fc_seen.push(seen);
             }
         }
-        let mut round = Round::new(Shape::Evict, Context::default());
-        round.push_sample(&ev.segments, ev.id_counter);
-        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
-        self.post_round(&round, &[], &mut alone(&mut ev));
-        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
+    }
+
+    /// Sends the re-sample READ the parked eviction drew when a fill that
+    /// waited for its round — one that went by the lookup — decoded its
+    /// short first sample ([`Self::defers_resample`]): called once that
+    /// fill's op has ended, so it does not wait for the READ; it pays the
+    /// doorbell and the issue.  Nothing polls it here: its completion is
+    /// booked on the eviction by whichever poll of a later op meets it
+    /// ([`super::round`]'s `poll_routed`).
+    pub(super) fn send_deferred_sample(&mut self) {
+        let Some(mut ev) = self.parked_eviction.take_if(|ev| ev.deferred && !ev.issued) else {
+            return;
+        };
+        self.post_deferred_sample(&mut ev);
         self.stats.record_resample_deferred();
         self.parked_eviction = Some(ev);
     }
 
-    /// Charges the CPU work of the pick the last fill parked — its sample's
-    /// decode and scoring, that eviction's sample half and `Evict` span —
-    /// between a round's doorbell and its first poll, under the round trip
-    /// ([`super::round`]'s `post_round`, and `search_hinted`'s ring of both
-    /// READs).  The pick itself was made where the sample
-    /// landed, on the counts and at the time of its landing.  Returns
-    /// whether there was any.
-    pub(super) fn host_parked_pick(&mut self) -> bool {
-        let (slots, scored) = std::mem::take(&mut self.hosted_cpu);
-        if slots == 0 {
-            return false;
+    /// Posts `ev`'s drawn re-sample, signalled, on a ring of its own, into
+    /// [`DittoClient::parked_sample_buf`] ([`Self::defer_sample`]).
+    fn post_deferred_sample(&mut self, ev: &mut Eviction) {
+        self.defer_sample(ev);
+        let mut round = Round::new(Shape::Evict, Context::default());
+        round.push_sample(&ev.segments, ev.id_counter);
+        round.left_in_flight = true;
+        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
+        self.post_round(&round, &[], &mut alone(ev));
+        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
+    }
+
+    /// Decodes the first sample of the eviction a fill parked with that
+    /// sample in flight ([`Self::post_fill`]), once a poll has booked it,
+    /// and picks — or, the sample short, sends the re-sample it draws,
+    /// signalled, on a ring of its own, for the client's next ops to poll
+    /// ([`Self::defers_resample`]).  Called between the doorbell and the
+    /// first poll of the client's next round ([`Self::host_parked_pick`]):
+    /// the decode, the pick and that ring's posting run under its flight,
+    /// and the op does not wait for the re-sample ([`DittoClient::end_op`]).
+    fn settle_parked_sample(&mut self) {
+        let Some(mut ev) = self
+            .parked_eviction
+            .take_if(|ev| ev.samples == 1 && ev.deferred && ev.issued && ev.in_flight == 0)
+        else {
+            return;
+        };
+        ev.t0 = self.dm.now_ns();
+        if self.evict_advance(&mut ev, false).is_some() {
+            // Nothing to pick from after every re-sample: given up.
+            return;
         }
-        let t0 = self.dm.now_ns();
-        self.charge_decode(slots);
-        self.charge_score(scored);
-        self.dm.record_span(Phase::Evict, t0, self.dm.now_ns(), 0);
-        true
+        if ev.deferred {
+            self.post_deferred_sample(&mut ev);
+            self.stats.record_resample_deferred();
+        }
+        self.parked_eviction = Some(ev);
+    }
+
+    /// Runs the CPU work a fill leaves to the client's next round between
+    /// that round's doorbell and its first poll, under its round trip
+    /// ([`super::round`]'s `post_round`, and `search_hinted`'s ring of both
+    /// READs): the decode of the parked eviction's first sample, once a poll
+    /// has booked it ([`Self::settle_parked_sample`]), and the work of the
+    /// last parked pick — its sample's decode and its candidates' scoring,
+    /// that eviction's sample half and `Evict` span.  The pick itself was
+    /// made on the counts its sample's READ saw.  Returns whether any of it
+    /// took time.
+    pub(super) fn host_parked_pick(&mut self) -> bool {
+        let start = self.dm.now_ns();
+        self.settle_parked_sample();
+        let (slots, scored) = std::mem::take(&mut self.hosted_cpu);
+        if slots > 0 {
+            let t0 = self.dm.now_ns();
+            self.charge_decode(slots);
+            self.charge_score(scored);
+            self.dm.record_span(Phase::Evict, t0, self.dm.now_ns(), 0);
+        }
+        self.dm.now_ns() > start
     }
 
     /// Ends `ev`: whether it evicted, its span, and an id it could not use.
@@ -446,8 +510,8 @@ impl DittoClient {
     /// nodes.  The first sampled slot index is uniform and already drawn.
     ///
     /// An ahead eviction's first sample rides the `Set`'s first round
-    /// ([`Eviction::riding`]), and a deferred re-sample waits for its fill's
-    /// op to end ([`Self::send_deferred_sample`]): neither is issued here.
+    /// ([`Eviction::riding`]), and a deferred re-sample goes out on a ring
+    /// of its own ([`Self::send_deferred_sample`]): neither is issued here.
     /// Any other goes out now.  `post` — beside the `Set`'s insert — has its
     /// verbs go out on a round of their own and returns with them in flight,
     /// as do several segments, or a sample with the FAA beside it, whatever
@@ -548,7 +612,7 @@ impl DittoClient {
     /// victim half.
     fn pick_victim(&mut self, ev: &mut Eviction) {
         ev.pick = self.select_victim(&ev.candidates);
-        ev.wait = EvictWait::Picked;
+        (ev.wait, ev.bumped) = (EvictWait::Picked, false);
         let victim = ev.candidates[ev.pick.idx].1;
         // A faulted counter FAA evicts without a history entry (one lost
         // ghost hit beats a wedged eviction path), like the non-adaptive
@@ -634,7 +698,10 @@ impl DittoClient {
             self.stats.record_history_insert();
         }
         if won {
-            for &step in DISPLACE {
+            for &step in DISPLACE
+                .iter()
+                .filter(|&&step| !(ev.bumped && step == Retire::Bump))
+            {
                 self.retire_victim(step, &victim, &pick);
             }
             // Scored and notified: the increments this client buffered for
@@ -643,6 +710,23 @@ impl DittoClient {
             self.stats.record_eviction_path(ev.own_buckets.is_some());
         }
         won
+    }
+
+    /// Finishes `ev`, the eviction a fill carried, once the fill is booked:
+    /// commits its victim CAS — or re-picks, should it have lost — in the
+    /// op that books it, whose `Evict` span is the victim half from here.
+    pub(super) fn finish_carried(&mut self, ev: &mut Eviction) {
+        ev.t0 = self.dm.now_ns();
+        self.evict_advance(ev, false);
+    }
+
+    /// Bumps the key of `ev`'s picked victim, and drops this client's hint
+    /// of it, while the victim CAS is still out: a fill's carried victim, at
+    /// ring time.  A won CAS then only frees it.
+    pub(super) fn bump_victim_ahead(&mut self, ev: &mut Eviction) {
+        let (_, victim) = ev.candidates[ev.pick.idx];
+        self.retire_victim(Retire::Bump, &victim, &ev.pick);
+        ev.bumped = true;
     }
 
     /// One step of taking a victim out of the table, a sampled one or a
@@ -842,7 +926,8 @@ mod tests {
     fn a_fill_after_its_miss_reads_no_bucket() {
         // Two identical pressured clients, each carrying a parked victim,
         // fill a key right after it missed; one of them has forgotten what
-        // the miss saw.  (The runs repeat exactly, up to the memo.)
+        // the miss saw.  Each then reads the key back, hinted, which books
+        // a fill still pending.  (The runs repeat exactly, up to the memo.)
         let fill = |memo: bool| {
             let (cache, mut client) = parking_on(DmConfig::default());
             let key = 5_000u64.to_le_bytes();
@@ -852,9 +937,11 @@ mod tests {
             }
             let (before, overlapped) = (node(&cache), cache.stats().evictions_overlapped());
             client.set(&key, &[1u8; 200]);
-            let after = node(&cache);
-            assert_eq!(cache.stats().evictions_overlapped(), overlapped + 1);
             assert_eq!(client.get(&key).as_deref(), Some(&[1u8; 200][..]));
+            let after = node(&cache);
+            // The victim it carried, freed when the `Get` after it booked
+            // the victim CAS.
+            assert_eq!(cache.stats().evictions_overlapped(), overlapped + 1);
             (
                 after.reads - before.reads,
                 after.messages - before.messages,
@@ -866,33 +953,34 @@ mod tests {
         // The memo'd fill READs its one sample and no bucket, and rings one
         // doorbell where the looked-up fill rings two — its lookup's, then
         // the carried victim CAS's beside its insert CAS.  Everything else —
-        // the WRITE, the FAA, both CASes — is the same.
-        assert_eq!(memo.0, 1);
+        // the WRITEs, the FAA, both CASes, the `Get`'s slot and object READs
+        // on a doorbell of their own — is the same.
+        assert_eq!(memo.0, 1 + 2);
         assert_eq!(looked_up.0, memo.0 + 2);
         assert_eq!(looked_up.1, memo.1 + 2);
         assert_eq!(looked_up.2, memo.2 + 2 * BUCKET_SIZE as u64);
-        assert_eq!((memo.3, looked_up.3), (1, 2));
+        assert_eq!((memo.3, looked_up.3), (1 + 1, 2 + 1));
     }
 
     #[test]
-    fn a_fill_after_its_miss_is_one_round_trip_that_frees_the_victim_it_carries() {
+    fn a_fill_after_its_miss_rings_one_doorbell_and_the_next_op_frees_the_victim_it_carried() {
         let (cache, mut client) = parking_on(DmConfig::default());
         let inline = cache.stats().evictions_inline();
-        // One doorbell carrying five verbs — the WRITE, the insert CAS, the
-        // carried victim CAS, the sample READ, the history FAA — all landing
-        // by the slower atomic's flight; four completions polled (the WRITE
-        // is unsignalled); and no CPU work on the sample, which the client's
-        // next round charges.
-        let posting = DmConfig::DOORBELL_LATENCY_NS + 5 * DmConfig::VERB_ISSUE_NS;
-        let round = posting
-            + DmConfig::CAS_LATENCY_NS.max(DmConfig::FAA_LATENCY_NS)
-            + 4 * DmConfig::CQ_POLL_NS;
+        // One doorbell carrying six verbs — the WRITE, the metadata WRITE,
+        // the insert CAS, the carried victim CAS, the sample READ, the
+        // history FAA — and nothing polled.  The pick of the victim it
+        // carries was made from the sample the fill before it left in
+        // flight, its CPU work hosted after this doorbell.
+        let posting = DmConfig::DOORBELL_LATENCY_NS + 6 * DmConfig::VERB_ISSUE_NS;
         let (mut exact, mut victims) = (0, 0);
+        let mut carried_before: Option<(RemoteAddr, Slot)> = None;
         for key in 5_000..5_100u64 {
+            let (evictions, resident) = (
+                cache.stats().snapshot().evictions,
+                cache.pool().resident_object_bytes(0),
+            );
             assert!(client.get(&key.to_le_bytes()).is_none());
-            let picked = parked_victim(&client);
-            let (before, evictions) = (node(&cache), cache.stats().snapshot().evictions);
-            let resident = cache.pool().resident_object_bytes(0);
+            let before = node(&cache);
             let t0 = client.dm().now_ns();
             client.set(&key.to_le_bytes(), &[1u8; 200]);
             let elapsed = client.dm().now_ns() - t0;
@@ -902,12 +990,13 @@ mod tests {
                 (2, 1),
                 "key {key}"
             );
-            // The carried victim is out of the table and its memory back on
-            // the free list in this very Set: one object in, one out.  (A
-            // pick the fill before deferred with its re-sample is made in
-            // this Set; the Get before it only polled that READ.)
+            // The Get before it booked the fill before it: the victim that
+            // fill carried is out of the table and its memory back on the
+            // free list, which this Set allocated from — one object in, one
+            // out.
             assert_eq!(cache.stats().snapshot().evictions, evictions + 1);
-            if let Some((victim_addr, victim)) = picked {
+            assert_eq!(cache.pool().resident_object_bytes(0), resident);
+            if let Some((victim_addr, victim)) = carried_before.take() {
                 let word = AtomicField::decode(client.dm().read_u64(victim_addr));
                 assert!(
                     word.is_history() && word.fp == victim.atomic.fp,
@@ -915,25 +1004,22 @@ mod tests {
                 );
                 victims += 1;
             }
-            assert_eq!(cache.pool().resident_object_bytes(0), resident);
-            // The sample was the one READ (no counter refresh, no re-sample):
-            // the fill rang one doorbell and took exactly one round trip.  It
-            // picked its own victim, and left the CPU work on that one span
-            // for the next round.
+            let fill = client.pending_fill.as_ref().expect("the fill is pending");
+            let carried = fill.carried.as_ref().expect("it carries a victim");
+            carried_before = Some(carried.candidates[carried.pick.idx]);
+            // The sample was the one READ (no counter refresh, no re-sample
+            // in place): the fill rang one doorbell, and took its posting
+            // and the hosted pick's CPU work on one span.
             if after.reads - before.reads == 1 {
                 assert_eq!(after.doorbells - before.doorbells, 1, "key {key}");
-                assert_eq!(elapsed, round, "key {key}");
-                let scored = client.parked_eviction.as_ref().unwrap().candidates.len();
-                let hosted = (DittoConfig::SAMPLE_SPAN_SLOTS, scored);
-                assert_eq!(client.hosted_cpu, hosted, "key {key}");
+                let cpu = DittoConfig::SAMPLE_SPAN_SLOTS as u64 * DittoConfig::CPU_DECODE_SLOT_NS
+                    + carried.candidates.len() as u64 * DittoConfig::CPU_SCORE_CANDIDATE_NS;
+                assert_eq!(elapsed, posting + cpu, "key {key}");
                 exact += 1;
             }
         }
         assert!(exact >= 90, "{exact} of 100 fills read only their sample");
-        assert!(
-            victims >= 90,
-            "{victims} of 100 parked victims picked by their fill"
-        );
+        assert!(victims >= 90, "{victims} of 100 carried victims taken out");
         // Each fill freed exactly the one victim it carried: none evicted
         // inline to make room.
         assert_eq!(cache.stats().evictions_inline(), inline);
@@ -979,18 +1065,34 @@ mod tests {
         let cpu = DittoConfig::SAMPLE_SPAN_SLOTS as u64
             * (DittoConfig::CPU_DECODE_SLOT_NS + DittoConfig::CPU_SCORE_CANDIDATE_NS);
         assert!(cpu < DmConfig::verb_latency_ns(VerbKind::Read, SLOT_SIZE));
+        let (mut hosted, mut other) = (0, 4_001);
         for key in 5_000..5_050u64 {
             fill_after_miss(&mut client, key);
-            assert_ne!(client.hosted_cpu, (0, 0), "key {key}");
-            // The key's own publish left its hint: the Get is one round trip,
-            // its two READs on one doorbell, and the pick's decode and
-            // scoring run while they fly — it takes no longer than a plain
-            // hinted Get, and records that eviction's sample half.
-            let plain = hinted_get_ns(&client, key);
+            // The fill before this one was booked by this one's `Set`, which
+            // left its key's hint.  A hinted `Get` of that key polls this
+            // fill's four completions before its own, which land later: it
+            // takes at most a poll each longer than a plain hinted Get.
+            let plain = hinted_get_ns(&client, other);
+            let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, other, 200);
+            assert_eq!((reads, doorbells), (2, 1), "key {key}");
+            assert!(
+                elapsed <= plain + 4 * DmConfig::CQ_POLL_NS,
+                "key {key}: {elapsed} ns"
+            );
+            let parked = client.parked_eviction.as_ref().expect("the fill parked");
+            assert_eq!((parked.in_flight, parked.samples), (0, 1), "key {key}");
+            // The next round decodes that sample and picks while its own two
+            // READs fly: that `Get` takes no longer than a plain hinted one,
+            // and records the eviction's sample half.
+            let plain = hinted_get_ns(&client, other);
             client.dm().clear_flight_recorder();
             let t0 = client.dm().now_ns();
-            let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, key, 200);
-            assert_eq!((reads, doorbells), (2, 1), "key {key}");
+            let (elapsed, ..) = timed_hinted_get(&cache, &mut client, other, 200);
+            if deferred(&client) {
+                // Too short to pick from: its re-sample goes out instead.
+                other = key;
+                continue;
+            }
             assert_eq!(elapsed, plain, "key {key}");
             assert_eq!(client.hosted_cpu, (0, 0), "key {key}");
             let spans = client.dm().flight_spans();
@@ -998,7 +1100,9 @@ mod tests {
             assert_eq!(evict.len(), 1, "key {key}");
             assert!(t0 <= evict[0].start_ns && evict[0].end_ns <= t0 + elapsed);
             assert_eq!(evict[0].detail, 0, "the sample half");
+            (hosted, other) = (hosted + 1, key);
         }
+        assert!(hosted >= 45, "{hosted} of 50 picks hosted");
     }
 
     /// Values of 2 KiB in a cache sized for 300 small objects: the memory
@@ -1025,24 +1129,40 @@ mod tests {
     }
 
     /// `key`'s cache-aside fill with a [`BIG`] value.
+    /// Then two `Get`s of it: the first books the fill, the second's round
+    /// decodes the sample the fill's eviction parked with — and picks, or
+    /// posts a re-sample.
     fn fill_big(client: &mut DittoClient, key: u64) {
         assert!(client.get(&key.to_le_bytes()).is_none(), "key {key}");
         client.set(&key.to_le_bytes(), &[1u8; BIG]);
+        for _ in 0..2 {
+            assert!(client.get(&key.to_le_bytes()).is_some(), "key {key}");
+        }
     }
 
-    /// Whether the parked eviction waits for a re-sample its fill deferred.
+    /// Whether the parked eviction waits for a re-sample the decode of its
+    /// first sample deferred.
     fn deferred(client: &DittoClient) -> bool {
         client
             .parked_eviction
             .as_ref()
-            .is_some_and(|ev| ev.deferred)
+            .is_some_and(|ev| ev.deferred && ev.samples > 1)
     }
 
-    /// Fills [`BIG`] values from `keys` until a fill defers its re-sample;
-    /// returns that fill's key.
+    /// Fills [`BIG`] values from `keys` until a fill's eviction defers its
+    /// re-sample; returns that fill's key.
+    /// Stops right after the op that defers it, its READ still in flight.
     fn fill_until_deferred(client: &mut DittoClient, keys: &mut std::ops::Range<u64>) -> u64 {
         for key in keys.by_ref() {
-            fill_big(client, key);
+            let key_bytes = key.to_le_bytes();
+            assert!(client.get(&key_bytes).is_none(), "key {key}");
+            client.set(&key_bytes, &[1u8; BIG]);
+            for _ in 0..2 {
+                if deferred(client) {
+                    return key;
+                }
+                assert!(client.get(&key_bytes).is_some(), "key {key}");
+            }
             if deferred(client) {
                 return key;
             }
@@ -1070,78 +1190,66 @@ mod tests {
         slots
     }
 
-    /// Sample spans decoded in the flight recorder: a sample's decode is
-    /// one `decode` span of its slots, a bucket's is one of eight or of one.
-    fn spans_decoded(client: &DittoClient) -> u64 {
-        let span = DittoConfig::SAMPLE_SPAN_SLOTS as u32;
-        let spans = client.dm().flight_spans();
-        let decodes = spans.iter().filter(|s| s.phase == Phase::Decode);
-        decodes
-            .filter(|s| s.detail % span == 0)
-            .map(|s| (s.detail / span) as u64)
-            .sum()
-    }
-
-    /// A fill that defers its re-sample posts that READ after its op has
-    /// ended, so the READ's spans carry op id 0: the critical-path
-    /// attribution gives the fill no more time than its `begin_op`/`end_op`
-    /// latency, and the READ's flight to no op at all.
+    /// A fill leaves its round in flight, and so does the round that
+    /// decodes its eviction's short sample with the re-sample READ it posts:
+    /// their flight spans carry op id 0, so the critical-path attribution
+    /// gives each op no more time than its `begin_op`/`end_op` latency.
+    /// Each fill here is followed by two `Get`s of the key filled before it:
+    /// the first polls the fill's completions, the second's round decodes
+    /// its eviction's sample.
     #[test]
-    fn a_fill_that_defers_its_re_sample_is_attributed_its_own_latency() {
+    fn rounds_left_in_flight_are_attributed_no_more_than_their_ops_latency() {
         let (cache, mut client) =
             short_sampling_on(DmConfig::default().with_flight_recorder(1 << 16));
         let latency = cache.pool().stats().latency();
-        let mut deferrals = 0;
+        let (mut fills, mut resamples) = (0, 0);
         for key in 5_000..5_200u64 {
-            assert!(client.get(&key.to_le_bytes()).is_none());
-            client.dm().clear_flight_recorder();
-            let before = latency.sum_ns();
-            client.set(&key.to_le_bytes(), &[1u8; BIG]);
-            if !deferred(&client) {
-                continue;
+            for step in 0..4 {
+                client.dm().clear_flight_recorder();
+                let (before, deferred) = (latency.sum_ns(), cache.stats().resamples_deferred());
+                match step {
+                    0 => assert!(client.get(&key.to_le_bytes()).is_none()),
+                    1 => client.set(&key.to_le_bytes(), &[1u8; BIG]),
+                    _ => assert!(client.get(&(key - 1).to_le_bytes()).is_some() || key == 5_000),
+                }
+                let spans = client.dm().flight_spans();
+                let outside: Vec<_> = spans.iter().filter(|s| s.op_id == 0).collect();
+                assert!(
+                    outside.iter().all(|s| s.phase == Phase::Flight),
+                    "{outside:?}"
+                );
+                let left = match step {
+                    1 => client.pending_fill.is_some(),
+                    _ => cache.stats().resamples_deferred() > deferred,
+                };
+                assert_eq!(!outside.is_empty(), left, "key {key}, step {step}");
+                fills += u32::from(step == 1 && left);
+                resamples += u32::from(step > 1 && left);
+                let table = ditto_dm::obs::attribution(&[(0, spans)]);
+                assert_eq!(table.ops, 1);
+                assert!(
+                    table.elapsed_ns <= latency.sum_ns() - before,
+                    "key {key}, step {step}"
+                );
             }
-            deferrals += 1;
-            let spans = client.dm().flight_spans();
-            let resample = spans.iter().filter(|s| s.op_id == 0);
-            assert_eq!(
-                resample.map(|s| s.phase).collect::<Vec<_>>(),
-                [Phase::Post, Phase::Flight]
-            );
-            let table = ditto_dm::obs::attribution(&[(0, spans)]);
-            assert_eq!(table.ops, 1, "key {key}");
-            assert!(table.elapsed_ns <= latency.sum_ns() - before, "key {key}");
         }
-        assert!(deferrals > 5, "only {deferrals} fills deferred");
+        assert_eq!(fills, 200);
+        assert!(resamples > 5, "only {resamples} re-samples left in flight");
     }
 
     #[test]
     fn a_short_samples_re_sample_flies_under_the_next_op() {
-        let (cache, mut client) =
-            short_sampling_on(DmConfig::default().with_flight_recorder(1 << 16));
-        // The one-round fill that carries a victim and rides its own
-        // sample (`a_fill_after_its_miss_is_one_round_trip_…`); a deferred
-        // re-sample adds the decode of the short sample that decided it and
-        // the doorbell and issue of its READ, and no round trip.
-        let round = DmConfig::DOORBELL_LATENCY_NS
-            + 5 * DmConfig::VERB_ISSUE_NS
-            + DmConfig::CAS_LATENCY_NS.max(DmConfig::FAA_LATENCY_NS)
-            + 4 * DmConfig::CQ_POLL_NS;
-        let post = DmConfig::DOORBELL_LATENCY_NS + DmConfig::VERB_ISSUE_NS;
-        let decode = DittoConfig::SAMPLE_SPAN_SLOTS as u64 * DittoConfig::CPU_DECODE_SLOT_NS;
+        let (cache, mut client) = short_sampling_on(DmConfig::default());
         let (resamples, fills) = (cache.stats().resamples_deferred(), client.rounds_posted);
-        // Samples read before the loop and decoded in it: a pick left for
-        // the next round to host, or a deferred re-sample.
-        let span = DittoConfig::SAMPLE_SPAN_SLOTS;
-        let read_before = (client.hosted_cpu.0 / span) as u64 + deferred(&client) as u64;
-        client.dm().clear_flight_recorder();
-        let (mut sample_reads, mut deferrals, mut exact, mut from_resample) = (0, 0, 0, 0);
+        let (mut deferrals, mut from_resample, mut other) = (0, 0, 4_001u64);
         for key in 5_000..5_200u64 {
             assert!(client.get(&key.to_le_bytes()).is_none());
-            // The slots a deferred pick the fill makes chooses among, as
-            // they stand before it.
+            // The slots a pick from a deferred re-sample chooses among, as
+            // they stand before the `Set` that makes it.
             let node0 = cache.pool().node(0).unwrap();
             let word = |addr: RemoteAddr| node0.load_u64(addr.offset).unwrap();
             let pick_from: Vec<_> = if deferred(&client) {
+                assert_eq!(client.parked_eviction.as_ref().unwrap().in_flight, 0);
                 deferred_slots(&client)
                     .into_iter()
                     .map(|a| (a, word(a)))
@@ -1150,18 +1258,12 @@ mod tests {
                 Vec::new()
             };
             let before = node(&cache);
-            let t0 = client.dm().now_ns();
             client.set(&key.to_le_bytes(), &[1u8; BIG]);
-            let elapsed = client.dm().now_ns() - t0;
-            let after = node(&cache);
-            let reads = after.reads - before.reads;
-            sample_reads += reads;
-            let defers = deferred(&client);
             // A pick made in this Set, from a deferred re-sample that was
             // not short again (nothing read in place): the victim is one of
             // the slots it chose among.  (The Set's insert may fill an empty
             // one.)
-            if !pick_from.is_empty() && reads == 1 + defers as u64 {
+            if !pick_from.is_empty() && node(&cache).reads - before.reads == 1 {
                 let taken = pick_from
                     .iter()
                     .filter(|&&(addr, was)| word(addr) != was)
@@ -1170,61 +1272,40 @@ mod tests {
                 assert_eq!(taken, 1, "key {key}");
                 from_resample += 1;
             }
-            if !defers {
+            // The first hinted Get after the fill polls its completions; the
+            // second's round decodes the fill's sample.  Short, it posts the
+            // re-sample READ under its own READs' flight and does not wait
+            // for it: it takes no longer than a plain hinted Get.
+            let _ = timed_hinted_get(&cache, &mut client, other, BIG);
+            let plain = hinted_get_ns(&client, other);
+            let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, other, BIG);
+            other = key;
+            if !deferred(&client) {
                 continue;
             }
             deferrals += 1;
+            assert_eq!((reads, doorbells), (3, 2), "key {key}");
+            assert_eq!(elapsed, plain, "key {key}");
             let parked = client.parked_eviction.as_ref().unwrap();
             assert_eq!((parked.in_flight, parked.samples), (1, 2), "key {key}");
-            // The fill's own round, the short sample's decode, and one
-            // doorbell and one issue: the re-sample READ flies on.
-            let (cas, doorbells) = (after.cas - before.cas, after.doorbells - before.doorbells);
-            if (reads, cas, doorbells) == (2, 2, 2) {
-                let score = parked.candidates.len() as u64 * DittoConfig::CPU_SCORE_CANDIDATE_NS;
-                assert_eq!(elapsed, round + decode + score + post, "key {key}");
-                exact += 1;
-            }
-            // The Get after it sends its own two READs on one doorbell, and
-            // polls the re-sample's completion on the way: at most one poll
-            // longer than a plain hinted Get.
-            let plain = hinted_get_ns(&client, key);
-            let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, key, BIG);
-            assert_eq!((reads, doorbells), (2, 1), "key {key}");
-            assert!(
-                plain <= elapsed && elapsed <= plain + DmConfig::CQ_POLL_NS,
-                "key {key}: {elapsed} ns against {plain}"
-            );
-            let parked = client.parked_eviction.as_ref().unwrap();
-            assert_eq!(parked.in_flight, 0, "key {key}: the Get booked it");
         }
         assert_eq!(cache.stats().resamples_deferred() - resamples, deferrals);
         assert!(
             deferrals >= 50,
             "{deferrals} of 200 fills deferred a re-sample"
         );
-        assert!(exact >= 20, "{exact} deferring fills timed");
         assert!(
             from_resample >= 20,
             "{from_resample} picks from a deferred re-sample"
         );
-        // Every fill's round was the one-round fill, and each deferral
-        // one round of its own.
+        // Every fill's round was the one-round fill, and each deferral one
+        // round of its own.
         let posted = |shape: Shape| client.rounds_posted[shape as usize] - fills[shape as usize];
         assert_eq!(posted(Shape::Fill), 200);
         assert!(posted(Shape::Evict) >= deferrals);
-        // The same READs per fill: each sample READ sent — the first
-        // riding its fill, a deferred one flying after it, any further one
-        // in place — is decoded once, but what the last fill left: a pick
-        // for the next round to host, or a deferred re-sample still out.
-        let read_after = (client.hosted_cpu.0 / span) as u64 + deferred(&client) as u64;
-        assert_eq!(
-            spans_decoded(&client) + read_after,
-            sample_reads + read_before
-        );
-        assert_eq!(
-            cache.pool().resident_object_bytes(0),
-            client.referenced_object_bytes_on(0)
-        );
+        // The scan books the last fill first, which frees its carried victim.
+        let referenced = client.referenced_object_bytes_on(0);
+        assert_eq!(cache.pool().resident_object_bytes(0), referenced);
     }
 
     /// The first fill from key 5 000 on that defers its re-sample, on a
@@ -1342,15 +1423,22 @@ mod tests {
     }
 
     #[test]
-    fn under_an_extension_expert_the_fill_charges_its_pick_and_the_next_get_only_its_own_verbs() {
+    fn under_an_extension_expert_the_op_that_decodes_a_fills_sample_charges_its_pick() {
         let config = DittoConfig::single_algorithm(300, "gds");
         let (cache, mut client) = parking_as(config, DmConfig::default());
-        // GDS scores with its objects' headers, READs of the fill's own.
-        let before = node(&cache);
         fill_after_miss(&mut client, 5_000);
-        assert!(node(&cache).reads - before.reads > 3);
         assert!(client.parked_eviction.is_some());
+        // The first `Get` after the fill books it; the second's round decodes
+        // the sample the fill's eviction parked with and picks.  GDS scores
+        // with its candidates' object headers, READs of that op's own, so
+        // it charges the pick in place and leaves nothing to host.
+        assert!(client.get(&5_000u64.to_le_bytes()).is_some());
+        let before = node(&cache);
+        assert!(client.get(&5_000u64.to_le_bytes()).is_some());
+        assert!(node(&cache).reads - before.reads > 2);
+        assert!(parked_victim(&client).is_some());
         assert_eq!(client.hosted_cpu, (0, 0));
+        // The op after it sends only its own verbs.
         let plain = hinted_get_ns(&client, 5_000);
         let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, 5_000, 200);
         assert_eq!((reads, doorbells), (2, 1));
@@ -1359,7 +1447,9 @@ mod tests {
 
     #[test]
     fn a_client_dropped_with_a_parked_eviction_burns_its_history_id() {
-        let (cache, client) = parking_on(DmConfig::default());
+        let (cache, mut client) = parking_on(DmConfig::default());
+        // A `Get` of the key the last fill filled books that fill.
+        assert!(client.get(&4_001u64.to_le_bytes()).is_some());
         assert!(client.parked_eviction.is_some());
         let (burnt, messages) = (cache.stats().history_ids_burnt(), node(&cache).messages);
         drop(client);
@@ -1371,6 +1461,11 @@ mod tests {
     #[test]
     fn a_parked_victim_another_client_took_is_re_picked_by_the_carrying_set() {
         let (cache, mut client) = parking_on(DmConfig::default());
+        // The first `Get` of the key the last fill filled books the fill, the
+        // second's round picks the victim its eviction parked with.
+        for _ in 0..2 {
+            assert!(client.get(&4_001u64.to_le_bytes()).is_some());
+        }
         let (victim_addr, victim) = parked_victim(&client).expect("a picked victim");
         let others: Vec<_> = {
             let parked = client.parked_eviction.as_ref().unwrap();
@@ -1393,8 +1488,10 @@ mod tests {
             cache.pool().stats().contention().cas_retries,
         );
         fill_after_miss(&mut client, 5_000);
-        // The carried CAS lost, and the Set re-picked among the parked
-        // candidates — one of them, no other, is gone from the table.
+        assert!(client.get(&5_000u64.to_le_bytes()).is_some());
+        // The carried CAS lost, and the booking of the fill re-picked among
+        // the parked candidates — one of them, no other, is gone from the
+        // table.
         assert_eq!(cache.pool().stats().contention().cas_retries, lost + 1);
         assert_eq!(cache.stats().snapshot().evictions, evictions + 1);
         let taken = others
@@ -1405,10 +1502,8 @@ mod tests {
         assert_eq!(cache.stats().history_ids_burnt(), 0);
         // Nothing leaked, nothing was freed twice, and the replaced value
         // stayed.
-        assert_eq!(
-            cache.pool().resident_object_bytes(0),
-            client.referenced_object_bytes_on(0)
-        );
+        let referenced = client.referenced_object_bytes_on(0);
+        assert_eq!(cache.pool().resident_object_bytes(0), referenced);
         assert_eq!(client.get(&victim_key), Some(vec![2u8; 200]));
     }
 
@@ -1437,23 +1532,28 @@ mod tests {
 
     #[test]
     fn an_evictions_spans_stay_inside_the_ops_that_record_them() {
-        // [`BIG`] values, so that many fills defer their re-sample: with
-        // 200-byte ones a few fills in a thousand do, and which ones is a
-        // matter of placement.
+        // [`BIG`] values, so that many picks defer their re-sample: with
+        // 200-byte ones a few in a thousand do, and which ones is a matter
+        // of placement.
         let (cache, mut client) =
             short_sampling_on(DmConfig::default().with_flight_recorder(1 << 16));
         client.dm().clear_flight_recorder();
         let (evictions, mut windows) = (cache.stats().snapshot().evictions, BTreeMap::new());
-        let mut deferred_picks = 0;
+        let (mut deferred_picks, inline) = (0, cache.stats().evictions_inline());
+        // Each key missed, filled, then read twice: the first `Get` books the
+        // fill, the second's round decodes the sample its eviction parked.
         for key in 5_000..5_200u64 {
             let key = key.to_le_bytes();
-            let t0 = client.dm().now_ns();
-            assert!(client.get(&key).is_none());
-            windows.insert(client.dm().op_id(), (t0, client.dm().now_ns(), true));
+            for step in 0..4 {
+                let t0 = client.dm().now_ns();
+                match step {
+                    0 => assert!(client.get(&key).is_none()),
+                    1 => client.set(&key, &[1u8; BIG]),
+                    _ => assert!(client.get(&key).is_some()),
+                }
+                windows.insert(client.dm().op_id(), (t0, client.dm().now_ns(), step != 1));
+            }
             deferred_picks += deferred(&client) as u64;
-            let t0 = client.dm().now_ns();
-            client.set(&key, &[1u8; BIG]);
-            windows.insert(client.dm().op_id(), (t0, client.dm().now_ns(), false));
         }
         let spans = client.dm().flight_spans();
         // Evict spans by half (sample, victim) and by the op that recorded
@@ -1465,8 +1565,9 @@ mod tests {
         let starts: Vec<u64> = evict_starts.map(|s| s.start_ns).collect();
         assert!(starts.is_sorted(), "an Evict span started before the last");
         for span in spans.iter() {
-            // A deferred re-sample's READ is posted once its fill's op has
-            // ended: its post and flight spans are in no op.
+            // A verb its op left in flight — a fill's round, a re-sample —
+            // has its flight span in no op, and so does the post of a
+            // re-sample sent once a looked-up fill's op has ended.
             let Some(&(t0, t1, get)) = windows.get(&span.op_id) else {
                 assert_eq!(span.op_id, 0, "{span:?}");
                 assert!(
@@ -1484,13 +1585,24 @@ mod tests {
                 halves[span.detail as usize][!get as usize] += 1;
             }
         }
-        // Each Get recorded the sample half of the eviction the fill before
-        // it parked — the pick's CPU work, under the Get's flight — unless
-        // that fill deferred its re-sample: the fill that carries it then
-        // picks, under its own first round.  Each fill recorded the victim
-        // half of the one it carried.
+        // The second Get after each fill recorded the sample half of the
+        // eviction the fill parked — the pick's CPU work, under that Get's
+        // flight — unless the sample was short and its re-sample went out:
+        // the next fill, which carries it, then picks, under its own first
+        // round.  The first Get, booking the fill, recorded the victim half
+        // of the eviction the fill carried — but of a fill that freed none,
+        // its eviction given up after every re-sample: the next fill, short
+        // of the spare, evicted inline for its object, both halves in one.
+        let inline = cache.stats().evictions_inline() - inline;
         assert!(deferred_picks > 0);
-        assert_eq!(halves, [[200 - deferred_picks, deferred_picks], [0, 200]]);
+        assert_eq!(
+            halves,
+            [
+                [200 - deferred_picks, deferred_picks],
+                [200 - inline, inline]
+            ],
+            "{inline} inline"
+        );
         assert_eq!(cache.stats().snapshot().evictions, evictions + 200);
     }
 

@@ -42,25 +42,35 @@
 //! buckets again — while the key's board epoch and the stripe directory's
 //! version are what they were before the miss's READs.  It chooses its slot
 //! from the memo before posting anything, and an insert slot on the new
-//! object's node takes the one-round fill: the insert CAS rides behind the
-//! object WRITE on one doorbell (`round::Rule::Flush`).  Its CASes
-//! are not blind: each expects a word the memo read (an empty or history
-//! slot for an insert, the victim's word for a bucket eviction), so a slot
-//! that changed fails it, and the next attempt reads the buckets.  The directory
-//! version guards the memo's addresses, which after a stripe cutover name
-//! the retired copy.  The epoch guards what no CAS can see: that the key is
-//! still absent.  Every publish of the key bumps it — an insert as soon as
-//! its CAS completes, ahead of the bump that ends its `Set` — so a key
-//! another client filled since the miss refuses the memo, unless that
-//! client's CAS has landed and its completion is still in flight.  Then the
-//! insert lands in a second slot and the key lives twice.  A lookup serves
-//! the first copy it finds and a replace updates that one alone, so the
-//! other can be served again, stale, once the first is gone.  The unhinted
-//! insert has the same exposure between its bucket READ and its CAS; the
-//! memo adds to it only that return flight of the other client's CAS.  The
-//! one-round fill adds nothing: its CAS leaves on the doorbell that follows
-//! the epoch check, sooner than a looked-up one would.
+//! object's node takes the one-round fill: the slot's metadata WRITE and the
+//! insert CAS ride behind the object WRITE on one doorbell
+//! (`round::Rule::Flush`), and the fill returns without polling them.  Its
+//! CASes are not blind: each expects a word the memo read (an empty or
+//! history slot for an insert, the victim's word for a bucket eviction), so
+//! a slot that changed fails it — a one-round fill is then abandoned when
+//! the client books it, a looked-up one reads the buckets again.  The
+//! directory version guards the memo's addresses, which after a stripe
+//! cutover name the retired copy.  The epoch guards what no CAS can see:
+//! that the key is still absent.  Every publish of the key bumps it — a
+//! one-round fill as it rings, a looked-up insert as soon as its CAS
+//! completes, each ahead of the bump that ends its `Set` — so a key another
+//! client filled since the miss refuses the memo, unless that client's CAS
+//! has landed and its bump is still to come.  Then the insert lands in a
+//! second slot and the key lives twice.  A lookup serves the first copy it
+//! finds and a replace updates that one alone, so the other can be served
+//! again, stale, once the first is gone.  The unhinted insert has the same
+//! exposure between its bucket READ and its CAS; the memo adds to it only
+//! the instant between the other client's CAS and its bump.
 //!
+//! A one-round fill is found from the ring on, although its client books it
+//! later: its metadata WRITE lands ahead of its insert CAS, so a won insert
+//! carries its key's `hash` when any lookup after the ring reads it, and
+//! another client's `Set` of the key replaces that copy instead of adding a
+//! second.  A lost insert's metadata WRITE landed over whatever took the
+//! slot; if that is another key's live object, that key is unfindable until
+//! the client books the fill, which READs the object's key and CASes the
+//! slot's `hash` word back.
+
 //! # What an object READ beside the slot leans on
 //!
 //! A hinted `Get` posts its object READ before the slot READ has vouched
@@ -807,7 +817,6 @@ mod tests {
     use crate::hash::{fingerprint, fnv1a64};
     use crate::history::EvictionHistory;
     use crate::object;
-    use crate::recovery::CrashPoint;
     use crate::slot::{AtomicField, SLOTS_PER_BUCKET, SLOT_SIZE};
     use ditto_algorithms::EXT_WORDS;
     use ditto_dm::stats::VerbKind;
@@ -1411,54 +1420,68 @@ mod tests {
         fill_after_another_clients_fill(|b, key| insert_up_to_its_cas(b, key, b"b"));
     }
 
-    /// A misses `probe`; then a stranger, whom the board does not see, takes
-    /// the empty slot A's memo will choose.  The memo is trusted, so A's
-    /// fill posts its one round; its insert CAS loses with the object
-    /// written, and A goes on through the lookup into the next slot — or,
-    /// armed, dies right there at `AfterObjectWrite`, the first crash point
-    /// past the round.
+    /// A misses `probe`; then B sets another key of `probe`'s primary
+    /// bucket, which takes the empty slot A's memo will choose.  B's `Set`
+    /// bumped its own key's epoch alone, so the memo is trusted: A's fill
+    /// posts its one round and returns, its metadata WRITE lands over B's
+    /// record and its insert CAS loses.  Booked at A's next op — a `Get` of
+    /// the key — the fill is abandoned: A's object is freed, the key is a
+    /// miss, and B's key's `hash` is put back, so a third client's unhinted
+    /// lookup finds it.  Or A dies with the fill posted and not booked: its
+    /// journal, still armed, names an object no slot references, which
+    /// recovery frees.
     #[test]
-    fn a_one_round_fill_that_loses_its_insert_cas_goes_on_through_the_lookup() {
+    fn a_one_round_fill_that_loses_its_insert_cas_is_abandoned_when_booked() {
         for crash in [false, true] {
             let config = DittoConfig::with_capacity(1_000).with_crash_recovery_journal(true);
             let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
-            let mut a = cache.client();
+            let (mut a, mut b) = (cache.client(), cache.client());
             let (table, key) = (cache.table.clone(), b"probe");
             let primary = table.primary_bucket(fnv1a64(key));
-            let [first, second] = [0, 1].map(|slot| table.slot_addr(primary, slot));
+            let other = (0..)
+                .map(|i| format!("other{i}").into_bytes())
+                .find(|k| table.primary_bucket(fnv1a64(k)) == primary)
+                .unwrap();
             assert!(a.get(key).is_none());
-            let ghost = AtomicField::for_history(0x11, EvictionHistory::pack_id(0, 1)).encode();
-            assert_eq!(cache.pool().connect().cas(first, 0, ghost), 0);
-            if crash {
-                a.arm_set_crash(CrashPoint::AfterObjectWrite);
-            }
-            let (reads, lost) = reads_and_lost_cases(&cache);
-            let pool = cache.pool().stats();
-            let (doorbells, unsignalled) = (pool.doorbells(), pool.unsignalled_wqes());
+            b.set(&other, b"b");
+            assert_eq!(
+                live_slots_of(&cache, &b, &other),
+                [table.slot_addr(primary, 0)]
+            );
+            let (pool, abandoned) = (cache.pool().stats(), cache.stats().fills_abandoned());
+            let unsignalled = pool.unsignalled_wqes();
             a.set(key, b"a");
-            assert_eq!(a.crashed(), crash);
-            // The round's WRITE went out unsignalled, and never again.
-            assert_eq!(pool.unsignalled_wqes(), unsignalled + 1);
+            // The object WRITE and the metadata WRITE went out unsignalled,
+            // and the fill is pending.
+            assert_eq!(pool.unsignalled_wqes(), unsignalled + 2);
+            assert!(a.pending_fill.is_some());
             if crash {
-                // Nothing references the written object: recovery frees it.
+                // Dies: nothing of it runs again, its destructor included.
                 let id = a.dm().client_id();
-                drop(a);
-                let mut b = cache.client();
-                assert!(b.recover_crashed_client(id).recovered_bytes > 0);
-                assert!(b.get(key).is_none());
-                assert_eq!(cache.pool().resident_object_bytes(0), 0);
+                std::mem::forget(a);
+                let mut c = cache.client();
+                let report = c.recover_crashed_client(id);
+                assert_eq!(report.journal_entries_replayed, 1);
+                assert!(report.recovered_bytes > 0, "{report:?}");
+                assert!(c.get(key).is_none());
+                let referenced = c.referenced_object_bytes_on(0);
+                assert_eq!(cache.pool().resident_object_bytes(0), referenced);
                 continue;
             }
-            // One lost CAS, then both bucket READs behind a doorbell of their
-            // own.
-            assert_eq!(reads_and_lost_cases(&cache), (reads + 2, lost + 1));
-            assert_eq!(pool.doorbells(), doorbells + 2);
-            assert_eq!(live_slots_of(&cache, &a, key), [second]);
-            assert_eq!(a.get(key).as_deref(), Some(&b"a"[..]));
+            assert!(a.get(key).is_none());
+            assert!(a.pending_fill.is_none());
+            assert_eq!(cache.stats().fills_abandoned(), abandoned + 1);
+            assert_eq!(live_slots_of(&cache, &a, key), []);
+            let mut c = cache.client();
+            let hinted = cache.stats().spec_reads_issued();
+            assert_eq!(c.get(&other).as_deref(), Some(&b"b"[..]));
             assert_eq!(
-                cache.pool().resident_object_bytes(0),
-                a.referenced_object_bytes_on(0)
+                cache.stats().spec_reads_issued(),
+                hinted,
+                "an unhinted lookup"
             );
+            let referenced = a.referenced_object_bytes_on(0);
+            assert_eq!(cache.pool().resident_object_bytes(0), referenced);
         }
     }
 

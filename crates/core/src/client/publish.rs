@@ -2,16 +2,39 @@
 //! move only when it changes which key the slot holds — and the three
 //! shapes a publish takes — replacing the key's live slot, installing into an
 //! empty or history slot, evicting a victim of a full bucket — plus the two
-//! front doors past the lookup, one round trip each: a hinted replace and a
-//! fill right after its key's miss ([`DittoClient::publish_front`]).
+//! front doors past the lookup, one round each: a hinted replace, which waits
+//! for its CAS ([`DittoClient::publish_front`]), and a fill right after its
+//! key's miss, which returns once its round is rung
+//! ([`DittoClient::post_fill`]).
+//!
+//! A cache may always miss, so a fill need not learn before it returns
+//! whether its insert landed.  Its completions make it a [`PendingFill`], one
+//! more side channel beside the parked eviction: any poll books them
+//! (`round.rs`'s `poll_routed`), and the client settles the fill
+//! ([`DittoClient::book_fill`]) at the end of the op whose polls met them, or
+//! before anything that must see it settled — its next `Set`, a `Get` of the
+//! key, a drain, an eviction, a migration pump, a recovery, a forensic scan,
+//! its `Drop`.  Two rules keep that window sound.  The insert slot's
+//! metadata WRITE rides the ring ahead of the insert CAS
+//! (`round::Rule::Flush`), so a won insert carries its key's `hash` from the
+//! instant it lands and every lookup after the ring finds it: another
+//! client's `Set` of the key replaces it instead of inserting a second copy.
+//! And the key's board epoch, and the carried victim key's, move at ring
+//! time, before the `Set` returns.  A lost insert wrote its metadata over
+//! whatever took the slot: if that is another key's live object, booking
+//! READs the object's key and CASes the slot's `hash` word back.
 
-use super::round::{Evictions, Op, Retire, Round, Shape};
+use super::evict::Eviction;
+use super::round::{Op, Retire, Round};
 use super::{Candidates, DittoClient, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
+use crate::hash::fnv1a64;
 use crate::hashtable::SampleFriendlyHashTable;
+use crate::object;
 use crate::recovery::CrashPoint;
-use crate::slot::{AtomicField, Slot, OFF_HASH};
+use crate::slot::{AtomicField, Slot, OFF_HASH, SLOT_SIZE};
 use ditto_algorithms::AccessKind;
-use ditto_dm::{Phase, RemoteAddr};
+use ditto_dm::{CompletionStatus, Phase, RemoteAddr};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Rounds a key-changing publish waits for the flip of a stripe whose
@@ -19,6 +42,67 @@ use std::sync::Arc;
 /// ([`DittoClient::settle_rekey`]), each a CAS back-off plus a yield to the
 /// reconcile's thread.
 const FLIP_WAIT_ROUNDS: usize = 256;
+
+/// A fill the client books at its next op (see the module docs): a
+/// one-round fill, rung and not waited for, or one that went by the lookup
+/// and left the victim CAS it carried beside its insert in flight.
+pub(super) struct PendingFill {
+    pub(super) hash: u64,
+    /// The one-round fill's insert; `None` for a fill that waited for its
+    /// own.
+    pub(super) insert: Option<PendingInsert>,
+    /// The parked eviction the fill carried, its victim CAS in flight.
+    pub(super) carried: Option<Eviction>,
+}
+
+/// A one-round fill's insert, posted and not booked yet.
+pub(super) struct PendingInsert {
+    /// The insert slot, the word the memo read there, and the word naming
+    /// the new object.
+    slot: RemoteAddr,
+    expected: u64,
+    new: u64,
+    /// What the insert CAS found there: read once its completion is booked.
+    observed: u64,
+    /// The new object's allocation, freed should the insert have lost.
+    object: (RemoteAddr, usize),
+    /// The work-request ids of the object WRITE, the metadata WRITE and the
+    /// insert CAS, and the CAS's status once a poll booked it.
+    pub(super) wrs: Range<u64>,
+    pub(super) cas_status: Option<CompletionStatus>,
+    /// The stripe directory's version the ring was translated under, which
+    /// a won insert's roll-forward judges staleness against.
+    token: u64,
+    /// The key's hint epoch right after the ring-time bump: a won insert's
+    /// hint is current as of then, and another client's bump since filters
+    /// it.
+    hint_epoch: u64,
+}
+
+impl PendingFill {
+    /// Whether any of its completions is still to be polled.
+    pub(super) fn in_flight(&self) -> usize {
+        let insert = self
+            .insert
+            .as_ref()
+            .filter(|insert| insert.cas_status.is_none());
+        usize::from(insert.is_some()) + self.carried.as_ref().map_or(0, |ev| ev.in_flight)
+    }
+}
+
+/// A slot's bytes as a publish that put `hash`'s key into it at `now`
+/// leaves them: insert and access timestamps `now`, a frequency of one.  The
+/// metadata a publish WRITEs is its part from [`OFF_HASH`] on.
+pub(super) fn fresh_metadata(hash: u64, now: u64) -> [u8; SLOT_SIZE] {
+    Slot {
+        hash,
+        insert_ts: now,
+        last_ts: now,
+        freq: 1,
+        ..Slot::empty()
+    }
+    .to_bytes()
+}
 
 impl DittoClient {
     /// CASes a slot's atomic word from `expected` to `new` and returns
@@ -74,11 +158,12 @@ impl DittoClient {
         self.bump_board(hash);
         self.write_fresh_metadata(slot_addr, hash);
         self.discard_accesses(slot_addr);
-        self.settle_rekey(slot_addr, new, hash);
+        self.settle_rekey(slot_addr, new, hash, self.mig_token);
     }
 
     /// Rolls forward a key-changing publish of the word `new` whose
-    /// metadata just landed at `slot_addr` (redirect rule 3 of
+    /// metadata landed at `slot_addr`, its addresses translated under the
+    /// directory version `token` (redirect rule 3 of
     /// `ditto_dm::migration`): while [`StripeDirectory::rekey_stale`] says a
     /// reconcile may have carried the word without it, waits for the
     /// stripe's flip, then lands the metadata again at the word's live home
@@ -89,9 +174,9 @@ impl DittoClient {
     ///
     /// [`StripeDirectory::rekey_stale`]: ditto_dm::StripeDirectory::rekey_stale
     /// [`StripeDirectory::home_of`]: ditto_dm::StripeDirectory::home_of
-    pub(super) fn settle_rekey(&mut self, slot_addr: RemoteAddr, new: u64, hash: u64) {
+    pub(super) fn settle_rekey(&mut self, slot_addr: RemoteAddr, new: u64, hash: u64, token: u64) {
         let dir = Arc::clone(self.table.directory());
-        let (mut addr, mut token) = (slot_addr, self.mig_token);
+        let (mut addr, mut token) = (slot_addr, token);
         for _ in 0..FLIP_WAIT_ROUNDS {
             if !dir.rekey_stale(addr, token) {
                 return;
@@ -188,30 +273,22 @@ impl DittoClient {
             .free(&self.dm, old.object_addr(), old.object_bytes() as usize);
     }
 
-    /// The front doors: a `Set`'s first `round`, planned one round trip with
-    /// no lookup ([`Shape::Hinted`], [`Shape::Fill`]).  It carries the WRITE
-    /// of the `encoded` object, unsignalled, and behind it the CAS of a slot
-    /// to `new` from the word the client holds for it — the hinted word, or
-    /// the word the miss memo read in the insert slot — and a fill's
-    /// eviction verbs.  Returns whether the CAS returned that word, and
-    /// whether the object's bytes landed.
-    ///
-    /// A hinted CAS that returned its word *is* the publish, finished like
+    /// The hinted front door: a `Set`'s first `round`, planned one round
+    /// trip with no lookup ([`Shape::Hinted`](super::round::Shape::Hinted)).  It carries the WRITE of the
+    /// `encoded` object, unsignalled, and behind it the CAS of the hinted
+    /// slot from the hinted word to `new`, and waits for that CAS alone.
+    /// Returns whether the CAS returned the hinted word, and whether the
+    /// object's bytes landed.  One that did *is* the publish, finished like
     /// any replace ([`Self::slot_cas`] says why it needs no judgement,
-    /// [`Self::finish_replace`]); a fill's is an insert like any other
-    /// ([`Self::install_new`]).  Anything else cost this round trip, and
-    /// the `Set` goes on through the lookup.  A hinted replace waits for its
-    /// CAS alone; a fill for every verb of its round, so that the own
-    /// eviction picks its victim (and parks it) and the carried one is
-    /// finished — its victim freed before any crash point of this `Set` can
-    /// find it taken out of the table.
+    /// [`Self::finish_replace`]); anything else cost this round trip, and
+    /// the `Set` goes on through the lookup.  (The other front door, the
+    /// one-round fill, waits for nothing: [`Self::post_fill`].)
     pub(super) fn publish_front(
         &mut self,
         hash: u64,
         round: &Round,
         encoded: &[u8],
         new: AtomicField,
-        evs: &mut Evictions,
     ) -> (bool, bool) {
         let Op::Cas {
             addr: slot_addr,
@@ -219,29 +296,24 @@ impl DittoClient {
             ..
         } = round.verbs[1].op
         else {
-            unreachable!("a front door's CAS rides behind its WRITE")
+            unreachable!("a hinted CAS rides behind its WRITE")
         };
-        let (hinted, old) = (round.shape == Shape::Hinted, AtomicField::decode(expected));
-        if hinted {
-            let translate_ns = self.dm.now_ns();
-            self.dm
-                .record_span(Phase::Translate, translate_ns, translate_ns, 0);
-        }
+        let old = AtomicField::decode(expected);
+        let translate_ns = self.dm.now_ns();
+        self.dm
+            .record_span(Phase::Translate, translate_ns, translate_ns, 0);
         // The hinted word names the allocation the CAS displaces; as in
-        // `replace_existing` it is journalled before the CAS can land.  An
-        // insert displaces none (see `install_new`).
-        self.journal_set_old(hinted.then(|| (old.object_addr(), old.object_bytes() as usize)));
+        // `replace_existing` it is journalled before the CAS can land.
+        self.journal_set_old(Some((old.object_addr(), old.object_bytes() as usize)));
         let publish_start = self.dm.now_ns();
-        let (wr_write, observed) = self.post_round(round, encoded, evs);
+        let (wr_write, observed) = self.post_round(round, encoded, &mut [None, None]);
         // An errored WRITE surfaces although unsignalled, and has flushed
         // the CAS behind it.
         let (mut landed, mut object_written) = (false, true);
-        while let Some(completion) = self.next_completion(evs) {
+        while let Some(completion) = self.next_completion(&mut [None, None]) {
             if completion.wr_id == wr_write + 1 {
                 landed = completion.status.is_ok();
-                if hinted {
-                    break;
-                }
+                break;
             } else if completion.wr_id == wr_write {
                 object_written = false;
             }
@@ -249,29 +321,175 @@ impl DittoClient {
         let won = landed && observed == expected;
         self.dm
             .record_span(Phase::Publish, publish_start, self.dm.now_ns(), won as u32);
-        if hinted {
-            self.stats.record_spec_publish(!won);
-            if won {
-                self.finish_replace(slot_addr, hash, old, new, None);
-            } else {
-                self.hints.forget(hash);
-            }
-            return (won, object_written);
-        }
+        self.stats.record_spec_publish(!won);
         if won {
-            self.rekey_landed(slot_addr, new.encode(), hash);
-            self.hint_cas_won(hash, slot_addr, new.encode());
-        } else if landed {
-            self.record_failed_slot_cas();
-        }
-        let [own, carried] = evs;
-        if let Some(ev) = own {
-            self.evict_advance(ev, true);
-        }
-        if let Some(ev) = carried {
-            self.evict_advance(ev, false);
+            self.finish_replace(slot_addr, hash, old, new, None);
+        } else {
+            self.hints.forget(hash);
         }
         (won, object_written)
+    }
+
+    /// The one-round fill's door ([`Shape::Fill`](super::round::Shape::Fill)):
+    /// rings `round` — the
+    /// WRITE of the `encoded` object and the insert slot's metadata WRITE,
+    /// unsignalled, the insert CAS from the word the miss memo read there
+    /// to `new` behind them, the victim CAS of the eviction `carried`, the
+    /// sample READ and history-id FAA of the eviction `ahead` — and returns
+    /// without polling any of it: the fill becomes the client's
+    /// [`PendingFill`] (see the module docs).  The key's board epoch moves
+    /// now, and the carried victim key's: both before the `Set` returns.  The
+    /// own eviction parks with its sample in flight, its bytes landing out of
+    /// the way of other evictions' samples and its candidates scored with
+    /// the FC counts this client buffers now, as a deferred re-sample's are;
+    /// whichever op books that sample picks from it
+    /// ([`Self::settle_parked_sample`]).  The journal stays armed until the
+    /// fill is booked.
+    pub(super) fn post_fill(
+        &mut self,
+        hash: u64,
+        round: &Round,
+        encoded: &[u8],
+        (obj_addr, new): (RemoteAddr, AtomicField),
+        mut ahead: Option<Eviction>,
+        mut carried: Option<Eviction>,
+    ) {
+        let Op::Cas { addr, expected, .. } = round.verbs[2].op else {
+            unreachable!("a fill's CAS rides behind its two WRITEs")
+        };
+        // An insert displaces no allocation (see `install_new`).
+        self.journal_set_old(None);
+        if let Some(ev) = ahead.as_mut() {
+            self.defer_sample(ev);
+        }
+        let publish_start = self.dm.now_ns();
+        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
+        let (wr_write, observed) =
+            self.post_round(round, encoded, &mut [ahead.as_mut(), carried.as_mut()]);
+        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
+        // Whether it installed the pointer is booked later: detail 0.
+        self.dm
+            .record_span(Phase::Publish, publish_start, self.dm.now_ns(), 0);
+        self.bump_board(hash);
+        if let Some(ev) = carried.as_mut() {
+            self.bump_victim_ahead(ev);
+        }
+        if ahead.is_some() {
+            // A starved `Set` took up the eviction parked before it.
+            debug_assert!(self.parked_eviction.is_none());
+            self.parked_eviction = ahead;
+        }
+        self.pending_fill = Some(PendingFill {
+            hash,
+            insert: Some(PendingInsert {
+                slot: addr,
+                expected,
+                new: new.encode(),
+                observed,
+                object: (obj_addr, encoded.len()),
+                wrs: wr_write..wr_write + 3,
+                cas_status: None,
+                token: self.mig_token,
+                hint_epoch: self.hint_epoch(hash, self.board.epoch(hash)),
+            }),
+            carried,
+        });
+    }
+
+    /// Books the pending fill, if any — called once its completions are
+    /// polled, or once nobody can poll them any more.  A won one-round
+    /// insert notes its hint (current as of the ring), drops what this
+    /// client's FC cache still held for the slot — the previous key's — and
+    /// is rolled forward across a stripe move ([`Self::settle_rekey`]).  A
+    /// lost one is abandoned: a cache may always miss.  Its object is freed,
+    /// and if the CAS ran, its metadata WRITE ran ahead of it over whatever
+    /// took the slot, which [`Self::repair_hash`] puts back.  The CAS decides
+    /// by the word it found, which only a CAS that executed wrote.  Either
+    /// way the journal is disarmed, and the carried victim is retired and
+    /// freed — re-picked, should its CAS have lost.
+    pub(super) fn book_fill(&mut self) {
+        let Some(mut fill) = self.pending_fill.take() else {
+            return;
+        };
+        if let Some(insert) = fill.insert.take() {
+            if insert.observed == insert.expected {
+                self.hint_note(fill.hash, insert.slot, insert.new, insert.hint_epoch);
+                self.discard_accesses(insert.slot);
+                self.settle_rekey(insert.slot, insert.new, fill.hash, insert.token);
+            } else {
+                if insert.cas_status.is_some_and(|status| status.is_ok()) {
+                    self.repair_hash(fill.hash, &insert);
+                }
+                let (addr, len) = insert.object;
+                self.alloc.free(&self.dm, addr, len);
+                self.stats.record_fill_abandoned();
+            }
+            self.journal_clear();
+        }
+        if let Some(ev) = fill.carried.as_mut() {
+            self.finish_carried(ev);
+        }
+    }
+
+    /// Finishes the victim the pending fill carried as soon as a poll has
+    /// booked its CAS's completion, ahead of the fill's own insert: the
+    /// victim's history word is written — and its blocks freed — by the op
+    /// whose polls met the CAS, not left for a later one.
+    pub(super) fn book_carried(&mut self) {
+        let Some(fill) = self.pending_fill.as_mut() else {
+            return;
+        };
+        let Some(mut ev) = fill.carried.take_if(|ev| ev.in_flight == 0) else {
+            return;
+        };
+        if fill.insert.is_none() {
+            self.pending_fill = None;
+        }
+        self.finish_carried(&mut ev);
+    }
+
+    /// The history word of the victim at `slot_addr`, if the pending fill
+    /// carried that victim's CAS: the word's WRITE into the slot waits for
+    /// the CAS's completion ([`Self::book_carried`]), and a regret check
+    /// meanwhile reads it from the pick.
+    pub(super) fn carried_history_word(&self, slot_addr: RemoteAddr) -> Option<u64> {
+        let ev = self.pending_fill.as_ref()?.carried.as_ref()?;
+        ev.picked_history_word(slot_addr)
+    }
+
+    /// Puts back the key `hash` of the slot a lost insert of `fill`'s key
+    /// wrote its metadata into, when the word its CAS found names a live
+    /// object: READs that object's key and CASes the slot's `hash` word from
+    /// `fill`'s to it.  A CAS that finds another `hash` there lost to a
+    /// writer that put its own; an object that no longer decodes was freed,
+    /// and the slot's word moved on with it.  Timestamps and frequency stay
+    /// the fill's: advisory.
+    fn repair_hash(&mut self, fill: u64, insert: &PendingInsert) {
+        let word = AtomicField::decode(insert.observed);
+        if !word.is_object() {
+            return;
+        }
+        let (addr, len) = (word.object_addr(), word.object_bytes() as usize);
+        if self.obj_buf.len() < len {
+            self.obj_buf.resize(len, 0);
+        }
+        let buf = &mut self.obj_buf[..len];
+        if self
+            .dm
+            .with_retry(MAX_RETRIES, |dm| dm.try_read_into(addr, buf))
+            .is_err()
+        {
+            return;
+        }
+        let Some(key) = object::view(&self.obj_buf[..len]).map(|view| fnv1a64(view.key)) else {
+            return;
+        };
+        if key != fill {
+            let hash_addr = SampleFriendlyHashTable::hash_addr(insert.slot);
+            let _ = self
+                .dm
+                .with_retry(MAX_RETRIES, |dm| dm.try_cas(hash_addr, fill, key));
+        }
     }
 
     pub(super) fn install_new(
@@ -293,19 +511,10 @@ impl DittoClient {
         true
     }
 
-    /// Writes the metadata of the slot `hash`'s key was just CASed into —
-    /// key hash, insert and access timestamps, a frequency of one.  Best
-    /// effort, like every metadata write.
+    /// Writes the metadata of the slot `hash`'s key was just CASed into
+    /// ([`fresh_metadata`]).  Best effort, like every metadata write.
     fn write_fresh_metadata(&mut self, slot_addr: RemoteAddr, hash: u64) {
-        let now = self.dm.now_ns();
-        let bytes = Slot {
-            hash,
-            insert_ts: now,
-            last_ts: now,
-            freq: 1,
-            ..Slot::empty()
-        }
-        .to_bytes();
+        let bytes = fresh_metadata(hash, self.dm.now_ns());
         let metadata = &bytes[OFF_HASH as usize..];
         let addr = SampleFriendlyHashTable::hash_addr(slot_addr);
         let _ = self

@@ -14,10 +14,12 @@
 //! under `debug_assert!`.
 
 use super::evict::{EvictWait, Eviction};
+use super::publish::fresh_metadata;
 use super::DittoClient;
 use crate::config::DittoConfig;
+use crate::hashtable::SampleFriendlyHashTable;
 use crate::inline::InlineVec;
-use crate::slot::{BUCKET_SIZE, SLOT_SIZE};
+use crate::slot::{BUCKET_SIZE, OFF_HASH, SLOT_SIZE};
 use ditto_dm::{Completion, DmResult, RemoteAddr};
 
 /// Whose verb it is: the op's, its own eviction's — the one a `Set` runs
@@ -49,6 +51,9 @@ pub(super) const DISPLACE: &[Retire] = &[Retire::Bump, Retire::Free];
 pub(super) enum Op {
     /// The `Set`'s object WRITE.
     Write(RemoteAddr),
+    /// A fill's metadata WRITE into the insert slot at this address: the key
+    /// of this hash, stamped with the time of posting, a frequency of one.
+    Meta(RemoteAddr, u64),
     /// A bucket READ into the primary (0) or secondary (1) half of the bucket
     /// scratch.
     Bucket(RemoteAddr, usize),
@@ -85,8 +90,9 @@ pub(super) enum Shape {
     /// The hinted replace: the WRITE, unsignalled, and the CAS of the hinted
     /// slot behind it.
     Hinted,
-    /// The one-round fill: the WRITE, unsignalled, the insert CAS the memo
-    /// chose behind it, the carried victim CAS, the own sample and id.
+    /// The one-round fill: the WRITE and the insert slot's metadata WRITE,
+    /// unsignalled, the insert CAS the memo chose behind them, the carried
+    /// victim CAS, the own sample and id.
     Fill,
     /// A fill's first round when its insert slot is off its object's node,
     /// or it has none: the WRITE, signalled, beside the own sample and id.
@@ -141,12 +147,22 @@ pub(super) struct Round {
     pub(super) shape: Shape,
     pub(super) verbs: InlineVec<Verb, ROUND_VERBS>,
     pub(super) ctx: Context,
+    /// Whether its op leaves the round in flight, polling none of it — a
+    /// fill's, a parked eviction's re-sample: its flight spans belong to no
+    /// op ([`ditto_dm::WorkQueue::ring_left_in_flight`]).
+    pub(super) left_in_flight: bool,
 }
 
 impl Round {
     pub(super) fn new(shape: Shape, ctx: Context) -> Self {
         let verbs = InlineVec::new();
-        Round { shape, verbs, ctx }
+        let left_in_flight = shape == Shape::Fill;
+        Round {
+            shape,
+            verbs,
+            ctx,
+            left_in_flight,
+        }
     }
 
     fn push(&mut self, op: Op, signalled: bool, owner: Owner) {
@@ -172,10 +188,13 @@ impl Round {
 /// The ordering rules of the `Set` path.  A round that breaks one is a bug.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum Rule {
-    /// A CAS shares a round with the WRITE it publishes only behind it, on
-    /// the same node.  One queue pair runs its verbs in order, and an errored
-    /// WQE flushes the ones behind it ([`ditto_dm::wqe`]), so the CAS cannot
-    /// land unless the bytes it publishes did.
+    /// A CAS shares a round with the WRITEs it publishes only behind them,
+    /// on the same node: the object's, and a fill's metadata WRITE, which
+    /// rides ahead of its insert CAS.  One queue pair runs its verbs in
+    /// order, and an errored WQE flushes the ones behind it
+    /// ([`ditto_dm::wqe`]), so the CAS cannot land unless the bytes it
+    /// publishes did — and a won insert carries its key's `hash` from the
+    /// instant it lands, for every lookup after the ring to find.
     Flush,
     /// A riding sample never takes a slot of the `Set`'s own buckets, nor
     /// the carried victim's: neither the publish CAS nor the carried victim
@@ -196,11 +215,12 @@ pub(super) enum Rule {
     BumpBeforeFree,
     /// Only a fill parks its eviction's victim, and a `Set` that carries one
     /// parks its own sample, so each starved `Set` frees exactly one victim.
-    /// The fill picks where the sample lands and waits for none of the pick's
-    /// CPU work: the client's next round charges it under its own flight.
-    /// A fill whose first sample is short sends its re-sample on a round of
-    /// its own once its op has ended, and the `Set` that carries the
-    /// eviction picks from it.
+    /// A one-round fill parks the eviction with its sample in flight, and
+    /// the client's round after the sample landed decodes it and picks
+    /// under its own flight; a looked-up fill picks where the sample lands,
+    /// and leaves the pick's CPU work to its next round the same way.  A
+    /// first sample too short to pick from has its re-sample sent on a round
+    /// of its own, and the `Set` that carries the eviction picks from it.
     /// A `Set` with no miss before it, such as a load phase, evicts within
     /// itself: parking there would change what the cache holds after it.
     Park,
@@ -209,21 +229,28 @@ pub(super) enum Rule {
 /// Checks `round` against every [`Rule`].
 pub(super) fn check_round(round: &Round) -> Result<(), Rule> {
     let ctx = round.ctx;
-    let write = round
+    // The WRITEs a `Set`'s CAS publishes: where each is posted, and its node.
+    let writes = round
         .verbs
         .iter()
-        .position(|v| matches!(v.op, Op::Write(_)));
+        .enumerate()
+        .filter_map(|(w, v)| match v.op {
+            Op::Write(addr) | Op::Meta(addr, _) => Some((w, addr.mn_id)),
+            _ => None,
+        });
+    let has_meta = round.verbs.iter().any(|v| matches!(v.op, Op::Meta(..)));
     for (i, verb) in round.verbs.iter().enumerate() {
         let Op::Cas { addr, retire, .. } = verb.op else {
             continue;
         };
-        match (verb.owner, write.map(|w| (w, round.verbs[w].op))) {
-            (Owner::Set, Some((w, Op::Write(obj)))) if w > i || obj.mn_id != addr.mn_id => {
+        match verb.owner {
+            Owner::Set
+                if writes.clone().any(|(w, node)| w > i || node != addr.mn_id)
+                    || (round.shape == Shape::Fill) != has_meta =>
+            {
                 return Err(Rule::Flush)
             }
-            (Owner::Own | Owner::Carried, _) if !ctx.beside_insert => {
-                return Err(Rule::AfterPublish)
-            }
+            Owner::Own | Owner::Carried if !ctx.beside_insert => return Err(Rule::AfterPublish),
             _ => {}
         }
         let bump = retire.iter().position(|&step| step == Retire::Bump);
@@ -289,6 +316,10 @@ pub(super) fn plan_round(plan: &Plan) -> Round {
     let (obj, new) = plan.object.unwrap_or_default();
     let publish = |round: &mut Round, (slot, word): (RemoteAddr, u64), retire| {
         round.push(Op::Write(obj), false, Owner::Set);
+        if round.shape == Shape::Fill {
+            let hash = plan.key.unwrap_or_default();
+            round.push(Op::Meta(slot, hash), false, Owner::Set);
+        }
         round.push(
             Op::Cas {
                 addr: slot,
@@ -376,6 +407,11 @@ impl DittoClient {
         let mut now = self.dm.now_ns();
         let mut set_word = 0;
         let mut first = None;
+        // A fill's metadata, stamped with the time of posting.
+        let meta = round.verbs.iter().find_map(|v| match v.op {
+            Op::Meta(_, hash) => Some(fresh_metadata(hash, now)),
+            _ => None,
+        });
         {
             let [own, carried] = evs.each_mut().map(|ev| {
                 ev.as_deref_mut()
@@ -392,6 +428,11 @@ impl DittoClient {
                 let (signalled, ev) = (verb.signalled, (verb.owner as usize).saturating_sub(1));
                 let wr = match verb.op {
                     Op::Write(addr) => wq.post_write(addr, object, signalled),
+                    Op::Meta(slot, _) => {
+                        let meta = meta.as_ref().expect("encoded above");
+                        let addr = SampleFriendlyHashTable::hash_addr(slot);
+                        wq.post_write(addr, &meta[OFF_HASH as usize..], signalled)
+                    }
                     Op::Bucket(addr, half) => {
                         let buf = halves[half].take().expect("one READ per bucket");
                         wq.post_read(addr, buf, signalled)
@@ -424,7 +465,11 @@ impl DittoClient {
                 };
                 first.get_or_insert(wr);
             }
-            wq.ring();
+            if round.left_in_flight {
+                wq.ring_left_in_flight();
+            } else {
+                wq.ring();
+            }
         }
         if self.host_parked_pick() {
             // The pick a carried victim CAS goes out for may be the one
@@ -470,18 +515,30 @@ impl DittoClient {
     /// whichever of its polls meets it.  Every consumer of the completion
     /// queue polls through here, so no completion of an eviction's is lost
     /// to another's loop.  A hinted `Get`'s FC flushes belong to no loop:
-    /// their completions, errors only, are dropped here.
-    fn poll_routed(&mut self, evs: &mut Evictions) -> Option<Option<Completion>> {
+    /// their completions, errors only, are dropped here.  So is the pending
+    /// fill: its insert CAS's completion is booked on it — the WRITEs ahead
+    /// of the CAS complete only in error, and then before it — and its
+    /// carried eviction's on that eviction.
+    pub(super) fn poll_routed(&mut self, evs: &mut Evictions) -> Option<Option<Completion>> {
         let completion = self.dm.poll_cq()?;
         let wr = completion.wr_id;
         if self.fc_riders.contains(&wr) {
             return Some(None);
         }
+        if let Some(insert) = self.pending_fill.as_mut().and_then(|f| f.insert.as_mut()) {
+            if insert.wrs.contains(&wr) {
+                if wr + 1 == insert.wrs.end {
+                    insert.cas_status = Some(completion.status);
+                }
+                return Some(None);
+            }
+        }
         let mut owners = evs
             .iter_mut()
             .flatten()
             .map(|ev| &mut **ev)
-            .chain(self.parked_eviction.as_mut());
+            .chain(self.parked_eviction.as_mut())
+            .chain(self.pending_fill.as_mut().and_then(|f| f.carried.as_mut()));
         let Some(ev) = owners.find(|ev| ev.in_flight > 0 && ev.wrs.contains(&wr)) else {
             return Some(Some(completion));
         };
@@ -689,14 +746,18 @@ mod tests {
             edit(&mut round);
             check_round(&round)
         };
-        // The insert CAS ahead of the WRITE it publishes, then on another node.
-        assert_eq!(broken(&|r| r.verbs.swap(0, 1)), Err(Rule::Flush));
+        // The insert CAS ahead of the metadata WRITE, then of the object
+        // WRITE, then on another node, and a fill without its metadata.
+        assert_eq!(broken(&|r| r.verbs.swap(1, 2)), Err(Rule::Flush));
+        assert_eq!(broken(&|r| r.verbs[..3].rotate_right(1)), Err(Rule::Flush));
         let off_node = |r: &mut Round| {
-            if let Op::Cas { addr, .. } = &mut r.verbs[1].op {
+            if let Op::Cas { addr, .. } = &mut r.verbs[2].op {
                 addr.mn_id = 1;
             }
         };
         assert_eq!(broken(&off_node), Err(Rule::Flush));
+        let no_meta = |r: &mut Round| r.verbs[1].op = Op::Write(addr(0, 4096));
+        assert_eq!(broken(&no_meta), Err(Rule::Flush));
         // The riding sample left the carried victim's slot, or the key's buckets, in.
         let sample_keeps_victim = |r: &mut Round| r.ctx.riding.as_mut().unwrap().victim = None;
         assert_eq!(broken(&sample_keeps_victim), Err(Rule::Sample));
@@ -711,7 +772,7 @@ mod tests {
         );
         // A victim freed before its key's epoch moved.
         let free_first = |r: &mut Round| {
-            if let Op::Cas { retire, .. } = &mut r.verbs[2].op {
+            if let Op::Cas { retire, .. } = &mut r.verbs[3].op {
                 *retire = &[Retire::Free, Retire::Bump];
             }
         };
@@ -723,7 +784,7 @@ mod tests {
             Err(Rule::Park)
         );
         let parks_alone = |r: &mut Round| {
-            r.verbs.swap_remove(2);
+            r.verbs.swap_remove(3);
             (r.ctx.carried, r.ctx.fill) = (None, false);
             r.ctx.riding.as_mut().unwrap().victim = None;
         };

@@ -242,74 +242,99 @@
 //! duplicate-insert window `client/lookup.rs` argues.
 //!
 //! **The one-round fill.**  When the memo names an insert slot on the new
-//! object's node, the fill rings **one doorbell**: the object WRITE,
-//! unsignalled, the insert CAS behind it (`Rule::Flush`) and, under memory
-//! pressure, the victim CAS of the eviction the previous fill *parked* and
-//! the sample READ and history FAA of its own.  Once that round has landed
-//! the fill picks its own victim and **parks** it (`Rule::Park`): the next
-//! starved `Set` carries that CAS.  No verb waits on the pick, so the fill
-//! does not wait for its CPU work either — the sample's decode and the
-//! candidates' scoring: the client's next round charges it between its
-//! doorbell and its first poll, under that round trip
-//! (`host_parked_pick`).  That round is the next op's first:
-//! a `Get`'s lookup, or a hinted `Get`'s two READs on one ring, its object
-//! on the slot's node or off it.  An evicting fill is then one round trip — a
-//! doorbell, five issues, the slower atomic's flight and four polls — where
-//! it was two, with the same verbs; so is a fill that evicts nothing.  A
-//! first sample with fewer than two candidates is decoded in the fill, and
-//! its re-sample READ is **not waited for**: the fill draws the span and,
-//! once its op has ended, posts the READ signalled on a ring of its own —
-//! a doorbell and an issue — and returns (`send_deferred_sample`).  The
-//! READ lands in a scratch of the parked eviction's own, and its completion
-//! is booked on the eviction by whichever poll of the client's next ops
-//! meets it: every consumer of the completion queue polls through the
-//! round executor's one routing routine, so none drops it.  The next
-//! starved `Set` decodes the span and picks (`take_parked`), its CPU work
-//! hosted under that `Set`'s first round like a fill's pick, and carries
-//! the victim CAS on that round.  A second short sample is re-sampled there
-//! in place.  On a `read_evict`-shaped replay about 7 % of fills defer.
-//! Under an extension expert, whose scoring READs object headers, the fill
-//! charges its pick in place and re-samples in place.  (With its insert slot off the object's
-//! node a fill takes two: the WRITE, signalled, beside the sample READ and
-//! the FAA, then the CASes.)  Only a fill with nothing to carry frees no
-//! victim — the first after `Set`s that evicted within themselves — and the
-//! one after it evicts inline once for its object.  The new sample never
-//! takes the carried victim's slot either (`Rule::Sample`): a looked-up `Set`
-//! posts the carried CAS after its sample READ, where the one-round fill
-//! posts it before, and the rule makes both samples see the same candidates —
-//! which keeps a striped cache, whose fills take either shape, identical to
-//! a single-node one.
+//! object's node, the fill rings **one doorbell** and returns without
+//! polling any of it: the object WRITE and the insert slot's 32-byte
+//! metadata WRITE, unsignalled, the insert CAS behind them (`Rule::Flush`)
+//! and, under memory pressure, the victim CAS of the eviction the previous
+//! fill *parked* and the sample READ and history FAA of its own.  It costs a
+//! doorbell and six issues.  A cache may always miss, so a fill need not
+//! learn before it returns whether its insert landed: its completions make
+//! it a **pending fill**, one more side channel beside the parked eviction.
+//! Two rules keep that window sound.  The metadata rides ahead of the CAS
+//! on one queue pair, so a won insert carries its key's `hash` — which
+//! lookups match on — from the instant it lands: a `Get` of the key by
+//! anyone after the ring hits, and another client's `Set` of it replaces
+//! that copy instead of inserting a second.  And the key's board epoch, and
+//! the carried victim key's, move at ring time, before the `Set` returns.
+//! Any poll books the fill's completions, and the client books the fill
+//! itself before its next `Set`, a `Get` of the key, a `flush`, an
+//! eviction, a migration pump, a recovery, a forensic scan or its `Drop`:
+//! a won insert notes its hint, drops the slot's FC deltas and rolls
+//! forward across a stripe move; a lost one is abandoned — its object
+//! freed, [`CacheStats::fills_abandoned`] counted, and the `hash` its
+//! metadata WRITE put over another key's live record put back.  Either way
+//! the carried victim is retired and freed then.  A fill that went by the
+//! lookup waits for its insert as before, and leaves only the victim CAS it
+//! carried beside it for its next op to book, so that a striped cache, whose
+//! fills take either shape, stays identical to a single-node one.
+//!
+//! The fill's own eviction **parks** with its sample in flight
+//! (`Rule::Park`), its bytes landing in a scratch of the parked eviction's
+//! own and its candidates scored with the FC counts this client buffers at
+//! ring time: the next starved `Set` carries its victim CAS.  The op after
+//! the fill books the sample's completion on the way to its own — every
+//! consumer of the completion queue polls through the round executor's one
+//! routing routine, so none drops it — and the client's next round decodes
+//! it and picks between its doorbell and its first poll, under that round
+//! trip (`host_parked_pick`); a starved `Set` that comes first picks in
+//! `take_parked`, its CPU work hosted after its own doorbell.  A first
+//! sample with fewer than two candidates is not picked from: the round that
+//! decodes it posts the re-sample READ, signalled, on a ring of its own
+//! under its flight, and the op leaves it in flight for the client's next
+//! ops to poll.  The `Set` that carries the eviction picks from it; a
+//! second short sample is re-sampled there in place, and a `Set` that
+//! takes the eviction up with its first sample still short re-samples
+//! before it picks.  Under an extension expert, whose scoring READs object
+//! headers, the decoding op charges the pick in place and re-samples in
+//! place.  (With its insert slot off the object's node a fill takes two
+//! rounds: the WRITE, signalled, beside the sample READ and the FAA, then
+//! the CASes; it picks where its sample lands, and a short sample's
+//! re-sample goes out once its op has ended, `send_deferred_sample`.)  Only
+//! a fill with nothing to carry frees no victim — the first after `Set`s
+//! that evicted within themselves — and the one after it evicts inline once
+//! for its object.  The new sample never takes the carried victim's slot
+//! either (`Rule::Sample`): a looked-up `Set` posts the carried CAS after its
+//! sample READ, where the one-round fill posts it before, and the rule makes
+//! both samples see the same candidates.
 //!
 //! A parked victim stays in the table, resident and evictable by anyone; a
 //! carried CAS that finds its word gone re-picks among the parked
 //! candidates.  A parked eviction is dropped, its id burnt, once the stripe
 //! directory's version has moved: its candidates' addresses may name retired
-//! copies; a re-sample READ it still has out is polled first, so no stray
+//! copies; a sample READ it still has out is polled first, so no stray
 //! completion reaches the op's own polls.  Its `Evict` span is split where
 //! the ops split: the round that charges the pick's CPU work records the
-//! sample half, the carrying `Set` the victim half.
+//! sample half, the op that books the carrying fill the victim half.  A
+//! round an op leaves in flight — a fill's, a re-sample's — records its
+//! flight spans in no op, so the critical-path attribution charges each op
+//! only the time it waited.
 //!
 //! **Crashes.**  The sampling eviction has never been journalled: a client
 //! that dies between its victim CAS landing and the free after it
 //! leaks the victim's blocks — for good if they lie in a live client's
 //! segment, until [`DittoClient::recover_crashed_client`] sweeps its segments
-//! otherwise — and leaves the resident gauge that much too high.  What must
-//! not change is what the *modelled* crash points find, and
-//! `Rule::AfterPublish` keeps it: [`CrashPoint::AfterPublish`] sits in the
-//! two publishes that displace an allocation (a replace, a bucket eviction),
-//! an insert — every fill — holds none, so a victim CAS flies only beside an
-//! insert.  Should that insert lose, the eviction is run to its end before
-//! the `Set` tries again; riding a displacing publish, its own sample and id
-//! in hand or a parked victim to carry, it stays where it was until the `Set`
-//! is through.  On the one-round path only [`CrashPoint::AfterAlloc`] can fire,
-//! before the doorbell.  A fill whose insert CAS lost goes on through the
-//! lookup with its object written: [`CrashPoint::AfterObjectWrite`] fires
-//! there first, and [`CrashPoint::AfterPublish`] only if that lookup's
-//! publish displaces.  The victim the round carried is freed before either.
+//! otherwise — and leaves the resident gauge that much too high.  A client
+//! that dies with a fill pending is such a client for the victim that fill
+//! carried.  What must not change is what the *modelled* crash points find,
+//! and `Rule::AfterPublish` keeps it: [`CrashPoint::AfterPublish`] sits in
+//! the two publishes that displace an allocation (a replace, a bucket
+//! eviction), an insert — every fill — holds none, so a victim CAS flies
+//! only beside an insert.  Should that insert lose, the eviction is run to
+//! its end before the `Set` tries again; riding a displacing publish, its
+//! own sample and id in hand or a parked victim to carry, it stays where it
+//! was until the `Set` is through.  The pending fill before a `Set` is
+//! booked — its carried victim freed — before the `Set` allocates.  On the
+//! one-round path only [`CrashPoint::AfterAlloc`] can fire, before the
+//! doorbell; a lost one-round insert is abandoned when booked and reaches no
+//! crash point.  The fill's journal entry stays armed until it is booked: a
+//! client that dies with its fill pending leaves recovery the new object,
+//! kept if a slot references it and freed if not.  A fill that went by the
+//! lookup reaches [`CrashPoint::AfterObjectWrite`] once its WRITE has
+//! landed, and [`CrashPoint::AfterPublish`] only if its publish displaces.
 //! So no crash point sees a victim taken out of the table and not yet freed
 //! (`tests/chaos.rs` drives all three points on a starved client that
 //! replaces a key, and on fills that park and carry).
-//!
+
 //! # The compute-side local tier
 //!
 //! [`local_tier`] adds an optional per-client cache of decoded hot objects

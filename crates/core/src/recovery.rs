@@ -41,7 +41,12 @@ pub enum CrashPoint {
     /// hinted `Set` (see the crate docs, *The one-round-trip `Set`*) has no
     /// such instant — its WRITE and its CAS leave behind one doorbell — so
     /// there the point fires only after a misprediction whose WRITE landed,
-    /// which leaves exactly this state behind.
+    /// which leaves exactly this state behind.  Nor has a one-round fill
+    /// (the crate docs, *The one-round fill*): its insert CAS leaves behind
+    /// its WRITEs, and a lost one is abandoned when the fill is booked, its
+    /// object freed.  A client that dies with such a fill posted and not
+    /// booked leaves its journal armed: recovery keeps the object if a slot
+    /// references it and frees it if not.
     AfterObjectWrite,
     /// Right after the publish CAS succeeded, before the displaced old
     /// allocation was freed (and before any eviction notify / metadata

@@ -97,6 +97,10 @@ counter_table! {
     /// key's older value in its place and returned `Ok`, or could not and
     /// returned [`crate::CacheError::SetDropped`].
     sets_dropped: lifetime accessor, counter "ditto_cache_sets_dropped_total" "Sets that published nothing: each invalidated the key instead (Ok) or returned SetDropped (lifetime).", bump record_set_dropped;
+    /// One-round fills whose insert CAS lost or faulted, found when the fill
+    /// was booked after its `Set` returned: each freed its object and left
+    /// the key a miss ([`crate::DittoClient`]'s pending fill).
+    fills_abandoned: lifetime accessor, counter "ditto_cache_fills_abandoned_total" "One-round fills whose insert did not land, freed when booked after their Set returned (lifetime).", bump record_fill_abandoned;
     /// History ids that went into no slot: the eviction that acquired one
     /// evicted nothing, or the FAA for it faulted.  Each aged its shard's
     /// logical FIFO by one position with no entry.
@@ -240,6 +244,7 @@ mod tests {
         stats.record_ts_write(false);
         stats.record_get_degraded();
         stats.record_set_dropped();
+        stats.record_fill_abandoned();
         stats.record_history_id_burnt();
         stats.record_history_id_burnt();
         stats.record_resample_deferred();
@@ -291,6 +296,7 @@ mod tests {
         assert_eq!((stats.ts_writes_sent(), stats.ts_writes_skipped()), (1, 2));
         assert_eq!(stats.gets_degraded(), 1);
         assert_eq!((stats.sets_dropped(), stats.history_ids_burnt()), (1, 2));
+        assert_eq!(stats.fills_abandoned(), 1);
         assert_eq!(stats.resamples_deferred(), 1);
 
         // `reset` zeroes the `interval` rows (and the per-expert votes) and

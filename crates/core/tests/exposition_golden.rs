@@ -98,6 +98,20 @@
 //! 0 → 200 ns), migrated objects 199 → 206, messages 6 342 / 6 448 /
 //! 1 715 → 6 371 / 6 431 / 1 761 on nodes 0 / 1 / 2, and the op latency
 //! sum 13.767057 → 13.787205 ms.
+//!
+//! Re-derived when a one-round fill came to return once its round is rung
+//! and the client's next op to book it, and the page came to carry the
+//! abandoned fills: the three `ditto_cache_fills_abandoned_total` lines
+//! (HELP, TYPE and the value 0) joined the page.  The fill's eviction's
+//! sample is decoded an op later, in this run where the `add_node` leaves
+//! fills of both shapes, so other victims are picked and every count that
+//! follows from them moved — among them hits 827 → 837, misses
+//! 1 258 → 1 248, evictions 596 → 583 (bucket evictions 38 → 28, inline
+//! 116 → 117, overlapped 442 → 438), history inserts 558 → 555, regrets
+//! 94 → 82, burnt history ids 2 → 3, deferred re-samples 1 → 0, local hits
+//! 21 → 23, slot-CAS retries 1 → 2 (back-off 200 → 400 ns), migrated
+//! objects 206 → 210, messages 6 371 / 6 431 / 1 761 → 6 305 / 6 482 /
+//! 1 761 on nodes 0 / 1 / 2, and the op latency sum 13.787205 → 12.033074 ms.
 
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::DmConfig;

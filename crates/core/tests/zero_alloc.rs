@@ -237,10 +237,12 @@ fn steady_state_get_and_set_do_not_allocate() {
     );
 
     // Cache-aside phase: every Get of a fresh key misses and its fill parks
-    // an eviction for the next fill to carry.  2 KiB values in a cache
-    // sized for 300 small objects leave a sample span often short of two
-    // candidates, so many fills send a re-sample READ after their op and
-    // the next ops poll it: that path must stay allocation-free too.
+    // an eviction, its sample in flight, for the next fill to carry; two
+    // reads of the key follow, the first booking the fill, the second's
+    // round decoding the sample.  2 KiB values in a cache sized for 300
+    // small objects leave a sample span often short of two candidates, so
+    // that round often sends a re-sample READ and the next ops poll it:
+    // that path must stay allocation-free too.
     let filling_cache =
         DittoCache::with_dedicated_pool(DittoConfig::with_capacity(300), DmConfig::default())
             .unwrap();
@@ -249,6 +251,9 @@ fn steady_state_get_and_set_do_not_allocate() {
     let mut fill = |i: u64| {
         if !filling_client.get_into(&key(i), &mut value_buf) {
             filling_client.set(&key(i), &big);
+            for _ in 0..2 {
+                let _ = filling_client.get_into(&key(i), &mut value_buf);
+            }
         }
     };
     for i in 0..3_000u64 {
@@ -266,7 +271,7 @@ fn steady_state_get_and_set_do_not_allocate() {
     );
     assert_eq!(
         filling_allocations, 0,
-        "cache-aside fills that defer their re-samples must not allocate \
-         (counted {filling_allocations} allocations over 2000 operations)"
+        "cache-aside fills whose evictions defer their re-samples must not \
+         allocate (counted {filling_allocations} allocations over 4000 operations)"
     );
 }

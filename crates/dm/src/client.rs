@@ -201,6 +201,23 @@ impl DmClient {
     /// Recorded spans also feed this client's per-phase latency histogram
     /// (see [`crate::PoolStats::phase_latency`]).
     pub fn record_span(&self, phase: Phase, start_ns: u64, end_ns: u64, detail: u32) {
+        self.record_span_of(self.span_op.get(), phase, start_ns, end_ns, detail);
+    }
+
+    /// [`DmClient::record_span`] of a span that belongs to no op (op id 0),
+    /// as if recorded between ops: the flight of a verb its op leaves in
+    /// flight, which a later op's poll waits for if anyone does.
+    pub(crate) fn record_span_outside_op(
+        &self,
+        phase: Phase,
+        start_ns: u64,
+        end_ns: u64,
+        detail: u32,
+    ) {
+        self.record_span_of(0, phase, start_ns, end_ns, detail);
+    }
+
+    fn record_span_of(&self, op_id: u64, phase: Phase, start_ns: u64, end_ns: u64, detail: u32) {
         let Some(recorder) = &self.recorder else {
             return;
         };
@@ -208,7 +225,7 @@ impl DmClient {
             return;
         }
         let (dropped, wrapped) = recorder.borrow_mut().push(Span {
-            op_id: self.span_op.get(),
+            op_id,
             phase,
             start_ns,
             end_ns,
@@ -462,6 +479,11 @@ impl DmClient {
         Some(completion)
     }
 
+    /// Completions on the queue that no poll has consumed yet, due or not.
+    pub fn outstanding_completions(&self) -> usize {
+        self.cq.borrow().len()
+    }
+
     /// Polls until the completion queue is empty, returning the number of
     /// completions consumed.  The clock ends at (or after) the last
     /// completion, so no signalled work escapes the op-latency accounting.
@@ -684,6 +706,14 @@ impl DmClient {
     /// latency; unsignalled WQEs, by definition, are never waited for.
     pub fn end_op(&self) -> u64 {
         let _ = self.drain_cq();
+        self.close_op()
+    }
+
+    /// [`DmClient::end_op`] without the drain: the op's verbs still in
+    /// flight stay on the completion queue, for a later op's polls to meet.
+    /// For a client that hands work across ops on purpose — it must route
+    /// those completions itself.
+    pub fn close_op(&self) -> u64 {
         let latency = self.clock_ns.get().saturating_sub(self.op_start_ns.get());
         self.pool.stats().record_op(latency);
         self.span_op.set(0);

@@ -588,7 +588,7 @@ fn percentile_sorted(sorted: &[u64], p: f64) -> u64 {
 /// Spans are grouped into ops by `(client, op_id)`; spans with `op_id == 0`
 /// (recorded outside any [`crate::DmClient::begin_op`] /
 /// [`crate::DmClient::end_op`] window — setup, maintenance, a verb posted
-/// between ops) are excluded.  Within an op, every elementary time slice is
+/// between ops, the flight of a verb its op left in flight) are excluded.  Within an op, every elementary time slice is
 /// charged to the highest-ranked phase active during it (see
 /// [`AttributionTable`]: CPU/lock work ≻ CQ waits ≻ eviction umbrella ≻
 /// wire flight);
@@ -603,6 +603,10 @@ pub fn attribution(traces: &[(u32, Vec<Span>)]) -> AttributionTable {
     let mut durations: [Vec<u64>; Phase::COUNT] = Default::default();
 
     for (_client, spans) in traces {
+        // Spans outside any op go first, so that an op whose verbs were left
+        // in flight — their flight spans recorded amid its own — stays one
+        // run of spans.
+        let spans: Vec<Span> = spans.iter().filter(|s| s.op_id != 0).copied().collect();
         let mut idx = 0;
         while idx < spans.len() {
             let op_id = spans[idx].op_id;
@@ -612,9 +616,6 @@ pub fn attribution(traces: &[(u32, Vec<Span>)]) -> AttributionTable {
             }
             let op = &spans[idx..end];
             idx = end;
-            if op_id == 0 {
-                continue;
-            }
 
             let start_ns = op.iter().map(|s| s.start_ns).min().unwrap_or(0);
             let end_ns = op.iter().map(|s| s.end_ns).max().unwrap_or(0);

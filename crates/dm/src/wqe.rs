@@ -278,6 +278,18 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
     /// transfer latencies are **not** charged here — they are charged by
     /// [`DmClient::poll_cq`] as time since post.
     pub fn ring(&mut self) -> u64 {
+        self.ring_flights(true)
+    }
+
+    /// [`WorkQueue::ring`] for verbs the op leaves in flight: nobody in it
+    /// waits for them, so their flight spans belong to no op (op id 0) and
+    /// do not stretch it past its end.  Whichever later op polls one of
+    /// their completions records its own wait for it.
+    pub fn ring_left_in_flight(&mut self) -> u64 {
+        self.ring_flights(false)
+    }
+
+    fn ring_flights(&mut self, in_op: bool) -> u64 {
         if self.len == 0 {
             return 0;
         }
@@ -333,12 +345,12 @@ impl<'client, 'buf> WorkQueue<'client, 'buf> {
                 // Every WQE in one ring leaves at ring-end, so a multi-WQE
                 // ring shows its flight spans overlapping — the pipelining
                 // the trace viewer is meant to make visible.
-                client.record_span(
-                    Phase::Flight,
-                    ring_end,
-                    ring_end + node_floor[slot],
-                    wqe.wr_id as u32,
-                );
+                let (end, wr) = (ring_end + node_floor[slot], wqe.wr_id as u32);
+                if in_op {
+                    client.record_span(Phase::Flight, ring_end, end, wr);
+                } else {
+                    client.record_span_outside_op(Phase::Flight, ring_end, end, wr);
+                }
                 status
             };
             if wqe.signalled || !status.is_ok() {

@@ -422,12 +422,13 @@ enum Dying {
 /// journalled; what keeps a crash point from finding a victim taken out of
 /// the table and never freed is the order alone: the eviction riding a
 /// displacing publish takes its victim only once the `Set` is through, and
-/// the one-round fill frees the victim it carries before any later point
-/// (`ditto_core` crate docs, *The `Set` path under memory pressure*).  Of a
-/// fill's three points only `AfterAlloc` lies on the one-round path, so for
-/// the other two the neighbour fills the key between the miss and the dying
-/// `Set`: the memo is refused, and the `Set` replaces the neighbour's value
-/// through the lookup, a parked victim in hand.
+/// the fill before the dying `Set` is booked — the victim it carried freed —
+/// before that `Set` allocates (`ditto_core` crate docs, *The `Set` path
+/// under memory pressure*).  Of a fill's three points only `AfterAlloc` lies
+/// on the one-round path, so for the other two the neighbour fills the key
+/// between the miss and the dying `Set`: the memo is refused, and the `Set`
+/// replaces the neighbour's value through the lookup, a parked victim in
+/// hand.
 #[test]
 fn chaos_crash_points_recover_cleanly_under_memory_pressure() {
     let points = [
@@ -488,6 +489,8 @@ fn crash_under_memory_pressure(point: CrashPoint, dying: Dying) {
             for warm in 5_000..5_000 + 2 * carrying as u64 {
                 assert!(victim.get(&warm.to_le_bytes()).is_none());
                 victim.set(&warm.to_le_bytes(), &[warm as u8; 200]);
+                // A `Get` of the key books the fill it left pending.
+                assert!(victim.get(&warm.to_le_bytes()).is_some());
             }
             let key = 6_000u64.to_le_bytes();
             assert!(victim.get(&key).is_none());
@@ -539,11 +542,113 @@ fn crash_under_memory_pressure(point: CrashPoint, dying: Dying) {
         assert!(neighbour.get(&key.to_le_bytes()).is_none(), "{context}");
         neighbour.set(&key.to_le_bytes(), &[key as u8; 200]);
     }
+    // A `Get` of the key books the last fill, which frees the victim it
+    // carried.
+    let _ = neighbour.get(&3_199u64.to_le_bytes());
     assert_no_orphans(
         &cache,
         &mut cache.client(),
         &format!("{context}, after more fills"),
     );
+}
+
+/// A one-round fill under faults.  Its object WRITE, its metadata WRITE and
+/// its insert CAS ride one queue pair in that order, so a fault in any of
+/// them leaves the insert unlanded — an errored WRITE flushes the CAS behind
+/// it — and the fill, acknowledged when its round was rung, is abandoned
+/// when the client books it: its object freed, the key a miss.  Fills run
+/// under a 5 % verb-fail plan on one node and on two, the ops around them
+/// disarmed; every hit reads a version between the key's last acknowledged
+/// one and its last issued one, and nothing leaks.
+#[test]
+fn chaos_a_faulted_fill_is_abandoned_when_booked() {
+    let seeds = env_u64("DITTO_CHAOS_SEEDS", 2);
+    for nodes in [1u16, 2] {
+        for round in 0..seeds {
+            let seed = 0xF111_0000 + round;
+            let context = format!("{nodes} nodes, seed {seed}");
+            let plan = FaultPlan::seeded(seed).with_verb_fail_ppm(50_000);
+            let dm = DmConfig::default()
+                .with_memory_nodes(nodes)
+                .with_fault_plan(plan);
+            let config = DittoConfig::with_capacity(300).with_crash_recovery_journal(true);
+            let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
+            let injector = cache.pool().fault_injector();
+            injector.set_armed(false);
+            let mut client = cache.client();
+            // Per key: the last version acknowledged and the last one issued.
+            let mut versions = vec![(0u64, 0u64); 1_000];
+            let abandoned = cache.stats().fills_abandoned();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..4_000 {
+                let key = rng.gen_range(0..1_000u64);
+                let (acked, issued) = versions[key as usize];
+                if let Some(bytes) = client.get(&key.to_le_bytes()) {
+                    let v = decode_version(key, &bytes);
+                    assert!(acked <= v && v <= issued, "{context}: key {key} read {v}");
+                    continue;
+                }
+                let v = issued + 1;
+                versions[key as usize].1 = v;
+                injector.set_armed(true);
+                let result = client.try_set(&key.to_le_bytes(), &encode_value(key, v));
+                injector.set_armed(false);
+                if result.is_ok() {
+                    versions[key as usize].0 = v;
+                }
+            }
+            assert!(
+                cache.stats().fills_abandoned() > abandoned,
+                "{context}: no fill was abandoned"
+            );
+            for (key, &(acked, issued)) in versions.iter().enumerate() {
+                if let Some(bytes) = client.get(&(key as u64).to_le_bytes()) {
+                    let v = decode_version(key as u64, &bytes);
+                    assert!(acked <= v && v <= issued, "{context}: key {key} read {v}");
+                }
+            }
+            assert_no_orphans(&cache, &mut client, &context);
+        }
+    }
+}
+
+/// A client gone with its last fill posted and not booked, on a cache only
+/// it filled.  Dropped, it books the fill first, and leaves nothing to
+/// recover.  Crashed — gone without running another step, its destructor
+/// included — it leaves its journal armed, naming the fill's object: the
+/// insert landed, so recovery keeps the object and sweeps the rest of the
+/// dead client's unreferenced segment space.  Either way no byte leaks and
+/// every value stays readable.
+#[test]
+fn chaos_a_client_gone_with_a_fill_posted_is_recovered() {
+    for crash in [false, true] {
+        let config = DittoConfig::with_capacity(1_000).with_crash_recovery_journal(true);
+        let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
+        let mut client = cache.client();
+        let id = client.dm().client_id();
+        for key in 0..100u64 {
+            assert!(client.get(&key.to_le_bytes()).is_none());
+            client.set(&key.to_le_bytes(), &encode_value(key, 1));
+        }
+        if crash {
+            std::mem::forget(client);
+        } else {
+            drop(client);
+        }
+        let mut survivor = cache.client();
+        let report = survivor.recover_crashed_client(id);
+        assert_eq!(
+            report.journal_entries_replayed,
+            u64::from(crash),
+            "{report:?}"
+        );
+        assert_eq!(report.recovered_bytes, 0, "the insert landed: {report:?}");
+        assert_no_orphans(&cache, &mut survivor, &format!("crash {crash}"));
+        for key in 0..100u64 {
+            let bytes = survivor.get(&key.to_le_bytes()).expect("the fill landed");
+            assert_eq!(decode_version(key, &bytes), 1);
+        }
+    }
 }
 
 /// Tentpole: node fail-stop degrades a striped pool instead of killing it —
@@ -799,10 +904,12 @@ fn chaos_drain_reposts_faas_flushed_behind_a_fault() {
     }
 }
 
-/// A fill whose parked eviction's first sample held too few candidates
-/// sends the re-sample READ once its op has ended, and the client's next
-/// ops poll it.  Here that READ faults: the `Set` that takes the eviction
-/// up finds the sample tainted and re-samples in place.  Values of 2 KiB in
+/// A fill that goes by the lookup — a `Get` of another key in between
+/// dropped its miss memo — decodes its parked eviction's first sample
+/// itself, and one that held too few candidates sends the re-sample READ
+/// once its op has ended, for the client's next ops to poll.  Here that
+/// READ faults: the `Set` that takes the eviction up finds the sample
+/// tainted and re-samples in place.  Values of 2 KiB in
 /// a cache sized for 300 small objects make short samples common.  Each
 /// fill runs under a 5 % verb-fail plan; the ops around it run disarmed,
 /// so the `Set` after a faulted READ is measured alone.  A READ that
@@ -836,6 +943,12 @@ fn chaos_a_faulted_deferred_re_sample_is_re_sampled_in_place() {
             client.set(&key.to_le_bytes(), &value(key, 1));
             versions[key as usize] = (1, 1);
         }
+        // One fill after its miss parks an eviction; from then on every
+        // starved `Set` carries one and parks its own.
+        let first = versions.len() as u64 - 1;
+        assert!(client.get(&first.to_le_bytes()).is_none());
+        client.set(&first.to_le_bytes(), &value(first, 1));
+        versions[first as usize] = (1, 1);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut set = |client: &mut DittoClient, key: u64, armed: bool| {
             let v = versions[key as usize].1 + 1;
@@ -850,8 +963,9 @@ fn chaos_a_faulted_deferred_re_sample_is_re_sampled_in_place() {
         let (mut faulted, mut deferrals) = (0, 0);
         let mut key = 2_000;
         while key < 2_000 + FILLS {
-            // A fresh key's cache-aside fill, armed.
+            // A fresh key's cache-aside fill, by the lookup, armed.
             assert!(client.get(&key.to_le_bytes()).is_none());
+            let _ = client.get(&(key - 1).to_le_bytes());
             let deferred = cache.stats().resamples_deferred();
             set(&mut client, key, true);
             key += 1;

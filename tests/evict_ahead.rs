@@ -11,7 +11,7 @@
 
 mod support;
 
-use ditto::cache::{CacheError, DittoCache, DittoConfig};
+use ditto::cache::{CacheError, DittoCache, DittoClient, DittoConfig};
 use ditto::dm::{DmConfig, MemoryPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -114,4 +114,60 @@ fn an_object_larger_than_the_pool_is_a_typed_error() {
     assert_no_orphans(&cache, &mut client, "after the refused Set");
     client.set(&7u64.to_le_bytes(), &[3u8; 200]);
     assert_eq!(client.get(&7u64.to_le_bytes()), Some(vec![3u8; 200]));
+}
+
+/// The window a one-round fill opens: client A has posted its fill of a key
+/// — the object WRITE, the slot's metadata WRITE and the insert CAS on one
+/// doorbell — and returned, and has not booked the fill yet.  A cache of
+/// room to spare, so nothing here evicts.  Returns the cache, A after its
+/// fill of `probe` with `value`, and the bytes the table references then,
+/// scanned by a client that has no fill of its own to book.
+fn a_fill_posted_and_not_booked(value: &[u8]) -> (DittoCache, DittoClient, u64) {
+    let cache =
+        DittoCache::with_dedicated_pool(DittoConfig::with_capacity(1_000), DmConfig::default())
+            .unwrap();
+    let mut a = cache.client();
+    assert!(a.get(b"probe").is_none());
+    a.set(b"probe", value);
+    let referenced = cache.client().referenced_object_bytes_on(0);
+    (cache, a, referenced)
+}
+
+/// Order (a): B sets the key in the window with a plain `Set` — a lookup.
+/// A's metadata rode ahead of its insert CAS, so the lookup finds A's copy
+/// by its `hash` and replaces it: the table references one copy of the key,
+/// not two, before A books its fill and after.
+#[test]
+fn a_set_of_the_key_in_a_fills_window_replaces_the_posted_copy() {
+    let (cache, mut a, referenced) = a_fill_posted_and_not_booked(b"from-a");
+    let mut b = cache.client();
+    b.set(b"probe", b"from-b");
+    assert_eq!(cache.client().referenced_object_bytes_on(0), referenced);
+    assert_eq!(a.get(b"probe").as_deref(), Some(&b"from-b"[..]));
+    assert_eq!(cache.stats().fills_abandoned(), 0);
+    assert_eq!(cache.client().referenced_object_bytes_on(0), referenced);
+    assert_no_orphans(&cache, &mut a, "after B's replace");
+}
+
+/// Order (b): B gets the key in the window, and hits A's value.
+#[test]
+fn a_get_of_the_key_in_a_fills_window_hits() {
+    let (cache, mut a, _) = a_fill_posted_and_not_booked(b"from-a");
+    assert_eq!(
+        cache.client().get(b"probe").as_deref(),
+        Some(&b"from-a"[..])
+    );
+    assert_no_orphans(&cache, &mut a, "after B's Get");
+}
+
+/// Order (c): A's own next op is a `Get` of the key.  It books the fill
+/// first, which leaves the key's hint, and hits through it.
+#[test]
+fn the_fillers_own_get_of_the_key_books_the_fill_and_hits_hinted() {
+    let (cache, mut a, _) = a_fill_posted_and_not_booked(b"from-a");
+    let hinted = cache.stats().spec_reads_issued();
+    assert_eq!(a.get(b"probe").as_deref(), Some(&b"from-a"[..]));
+    assert_eq!(cache.stats().spec_reads_issued(), hinted + 1);
+    assert_eq!(cache.stats().fills_abandoned(), 0);
+    assert_no_orphans(&cache, &mut a, "after A's Get");
 }

@@ -215,8 +215,10 @@ pub fn checker_pass(
 /// scans them.
 pub fn assert_no_orphans(cache: &DittoCache, client: &mut DittoClient, context: &str) {
     for mn in 0..cache.pool().num_nodes() {
-        let gauge = cache.pool().resident_object_bytes(mn);
+        // The scan books the client's pending fill first: read the gauge
+        // after it.
         let referenced = client.referenced_object_bytes_on(mn);
+        let gauge = cache.pool().resident_object_bytes(mn);
         assert_eq!(
             gauge, referenced,
             "{context}: node {mn} resident gauge {gauge} != referenced bytes {referenced}"
