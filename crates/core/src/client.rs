@@ -401,9 +401,7 @@ impl DittoClient {
     /// the parked eviction's — which stay in flight for a later op's polls
     /// to meet (a fill's own op polls none of its round).  A victim the
     /// pending fill carried whose CAS the op's polls met is finished here
-    /// ([`DittoClient::book_carried`]).  A re-sample a
-    /// looked-up fill drew for the eviction it parks goes out once the op
-    /// has ended.
+    /// ([`DittoClient::book_carried`]).
     fn end_op(&mut self) {
         while self.dm.outstanding_completions() > self.side_channels_in_flight() {
             if self.poll_routed(&mut [None, None]).is_none() {
@@ -412,7 +410,6 @@ impl DittoClient {
         }
         self.book_carried();
         self.dm.close_op();
-        self.send_deferred_sample();
     }
 
     /// The completions the side channels wait for: the pending fill's
@@ -1549,11 +1546,8 @@ impl DittoClient {
         // eviction picks before a carried CAS goes out, as beside an insert,
         // and one that parks stays with the client for the next starved `Set`,
         // the CPU work of its pick for the client's next round to charge.
-        if let Some(mut ev) = ahead {
-            if self.evict_advance(&mut ev, false).is_none() {
-                self.parked_eviction = Some(ev);
-            }
-        }
+        let parks =
+            ahead.and_then(|mut ev| self.evict_advance(&mut ev, false).is_none().then_some(ev));
         if let Some(mut ev) = carried {
             if fill && ev.in_flight > 0 {
                 // Its victim CAS flew beside the insert: like a one-round
@@ -1629,6 +1623,10 @@ impl DittoClient {
         // the only cost is a spurious refetch by tier holders of this key.
         self.bump_board(hash);
         self.journal_clear();
+        if let Some(ev) = parks {
+            // Last, so that a re-sample it sends is the last verb of the op.
+            self.park(ev);
+        }
         outcome
     }
 

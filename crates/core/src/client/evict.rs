@@ -62,7 +62,7 @@ pub(super) enum EvictWait {
 /// its eviction before that, its first sample in flight, and the round
 /// after the sample landed decodes it ([`DittoClient::settle_parked_sample`]).
 /// A parked one whose sample was short instead stops with its re-sample
-/// drawn, sent on a ring of its own ([`DittoClient::send_deferred_sample`]),
+/// drawn, sent on a ring of its own ([`DittoClient::park`]),
 /// and the `Set` that takes the eviction up decodes it and picks.  The round
 /// executor ([`super::round`]) posts its verbs and books their completions
 /// on it.  Its candidates carry their `freq` words with this client's
@@ -405,19 +405,17 @@ impl DittoClient {
         }
     }
 
-    /// Sends the re-sample READ the parked eviction drew when a fill that
-    /// waited for its round — one that went by the lookup — decoded its
-    /// short first sample ([`Self::defers_resample`]): called once that
-    /// fill's op has ended, so it does not wait for the READ; it pays the
-    /// doorbell and the issue.  Nothing polls it here: its completion is
-    /// booked on the eviction by whichever poll of a later op meets it
+    /// Parks `ev` for the next starved `Set` to carry.  A re-sample it drew,
+    /// its sample too short to pick from ([`Self::defers_resample`]), goes
+    /// out now, signalled, on a ring of its own: nothing polls it here, and
+    /// the op does not wait for it ([`DittoClient::end_op`]); whichever poll
+    /// of a later op meets its completion books it on the eviction
     /// ([`super::round`]'s `poll_routed`).
-    pub(super) fn send_deferred_sample(&mut self) {
-        let Some(mut ev) = self.parked_eviction.take_if(|ev| ev.deferred && !ev.issued) else {
-            return;
-        };
-        self.post_deferred_sample(&mut ev);
-        self.stats.record_resample_deferred();
+    pub(super) fn park(&mut self, mut ev: Eviction) {
+        if ev.deferred && !ev.issued {
+            self.post_deferred_sample(&mut ev);
+            self.stats.record_resample_deferred();
+        }
         self.parked_eviction = Some(ev);
     }
 
@@ -435,12 +433,10 @@ impl DittoClient {
 
     /// Decodes the first sample of the eviction a fill parked with that
     /// sample in flight ([`Self::post_fill`]), once a poll has booked it,
-    /// and picks — or, the sample short, sends the re-sample it draws,
-    /// signalled, on a ring of its own, for the client's next ops to poll
-    /// ([`Self::defers_resample`]).  Called between the doorbell and the
-    /// first poll of the client's next round ([`Self::host_parked_pick`]):
-    /// the decode, the pick and that ring's posting run under its flight,
-    /// and the op does not wait for the re-sample ([`DittoClient::end_op`]).
+    /// and picks — or, the sample short, sends the re-sample it draws
+    /// ([`Self::park`]).  Called between the doorbell and the first poll of
+    /// the client's next round ([`Self::host_parked_pick`]): the decode, the
+    /// pick and that ring's posting run under its flight.
     fn settle_parked_sample(&mut self) {
         let Some(mut ev) = self
             .parked_eviction
@@ -449,15 +445,9 @@ impl DittoClient {
             return;
         };
         ev.t0 = self.dm.now_ns();
-        if self.evict_advance(&mut ev, false).is_some() {
-            // Nothing to pick from after every re-sample: given up.
-            return;
+        if self.evict_advance(&mut ev, false).is_none() {
+            self.park(ev);
         }
-        if ev.deferred {
-            self.post_deferred_sample(&mut ev);
-            self.stats.record_resample_deferred();
-        }
-        self.parked_eviction = Some(ev);
     }
 
     /// Runs the CPU work a fill leaves to the client's next round between
@@ -511,7 +501,7 @@ impl DittoClient {
     ///
     /// An ahead eviction's first sample rides the `Set`'s first round
     /// ([`Eviction::riding`]), and a deferred re-sample goes out on a ring
-    /// of its own ([`Self::send_deferred_sample`]): neither is issued here.
+    /// of its own ([`Self::park`]): neither is issued here.
     /// Any other goes out now.  `post` — beside the `Set`'s insert — has its
     /// verbs go out on a round of their own and returns with them in flight,
     /// as do several segments, or a sample with the FAA beside it, whatever

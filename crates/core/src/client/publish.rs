@@ -374,10 +374,10 @@ impl DittoClient {
         if let Some(ev) = carried.as_mut() {
             self.bump_victim_ahead(ev);
         }
-        if ahead.is_some() {
+        if let Some(ev) = ahead {
             // A starved `Set` took up the eviction parked before it.
             debug_assert!(self.parked_eviction.is_none());
-            self.parked_eviction = ahead;
+            self.park(ev);
         }
         self.pending_fill = Some(PendingFill {
             hash,

@@ -289,7 +289,7 @@
 //! place.  (With its insert slot off the object's node a fill takes two
 //! rounds: the WRITE, signalled, beside the sample READ and the FAA, then
 //! the CASes; it picks where its sample lands, and a short sample's
-//! re-sample goes out once its op has ended, `send_deferred_sample`.)  Only
+//! re-sample goes out as it parks the eviction, `park`.)  Only
 //! a fill with nothing to carry frees no victim — the first after `Set`s
 //! that evicted within themselves — and the one after it evicts inline once
 //! for its object.  The new sample never takes the carried victim's slot

@@ -907,7 +907,7 @@ fn chaos_drain_reposts_faas_flushed_behind_a_fault() {
 /// A fill that goes by the lookup — a `Get` of another key in between
 /// dropped its miss memo — decodes its parked eviction's first sample
 /// itself, and one that held too few candidates sends the re-sample READ
-/// once its op has ended, for the client's next ops to poll.  Here that
+/// as its op's last verb, for the client's next ops to poll.  Here that
 /// READ faults: the `Set` that takes the eviction up finds the sample
 /// tainted and re-samples in place.  Values of 2 KiB in
 /// a cache sized for 300 small objects make short samples common.  Each
