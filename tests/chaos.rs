@@ -35,7 +35,7 @@ mod support;
 
 use ditto::cache::recovery::CrashPoint;
 use ditto::cache::{DittoCache, DittoClient, DittoConfig};
-use ditto::dm::obs::{with_event_postmortem, EventKind};
+use ditto::dm::obs::with_event_postmortem;
 use ditto::dm::{DmConfig, FaultPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -904,19 +904,22 @@ fn chaos_drain_reposts_faas_flushed_behind_a_fault() {
     }
 }
 
-/// A fill that goes by the lookup — a `Get` of another key in between
-/// dropped its miss memo — decodes its parked eviction's first sample
-/// itself, and one that held too few candidates sends the re-sample READ
-/// as its op's last verb, for the client's next ops to poll.  Here that
-/// READ faults: the `Set` that takes the eviction up finds the sample
-/// tainted and re-samples in place.  Values of 2 KiB in
-/// a cache sized for 300 small objects make short samples common.  Each
-/// fill runs under a 5 % verb-fail plan; the ops around it run disarmed,
-/// so the `Set` after a faulted READ is measured alone.  A READ that
-/// faulted is the client's last logged fault, stamped at the clock the
-/// fill returned with: nothing is issued after it.  Updates of earlier
-/// keys ride along, and every hit reads a version between the key's last
-/// acknowledged one and its last issued one; nothing leaks.
+/// A fill parks its eviction with its first sample in flight, and the
+/// client's round after that sample landed decodes it; one that held too
+/// few candidates sends the re-sample READ from that round, for the
+/// client's next ops to poll.  Here that READ faults: the `Set` that takes
+/// the eviction up finds the sample tainted and re-samples in place.  Values
+/// of 2 KiB in a cache sized for 300 small objects make short samples
+/// common.  Each fill is read back twice: the first `Get` books it, the
+/// second's round decodes its eviction's sample, and runs under a 5 %
+/// verb-fail plan; the ops around it run disarmed, so the `Set` after a
+/// faulted READ is measured alone.  No FC flush is ever due, so the armed
+/// `Get` sends its slot and object READs, the re-sample and at most a
+/// `last_ts` WRITE: one fault in its window, with its READs landed (no
+/// misprediction) and no `last_ts` WRITE sent, is the re-sample's.
+/// Updates of earlier keys ride along, and every hit reads a version
+/// between the key's last acknowledged one and its last issued one; nothing
+/// leaks.
 #[test]
 fn chaos_a_faulted_deferred_re_sample_is_re_sampled_in_place() {
     const BIG: usize = 2_048;
@@ -933,7 +936,11 @@ fn chaos_a_faulted_deferred_re_sample_is_re_sampled_in_place() {
         let seed = 0xDEF0_0000 + round;
         let plan = FaultPlan::seeded(seed).with_verb_fail_ppm(50_000);
         let dm = DmConfig::default().with_fault_plan(plan);
-        let cache = DittoCache::with_dedicated_pool(DittoConfig::with_capacity(300), dm).unwrap();
+        let config = DittoConfig {
+            fc_threshold: u64::MAX,
+            ..DittoConfig::with_capacity(300)
+        };
+        let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
         let injector = cache.pool().fault_injector();
         injector.set_armed(false);
         let mut client = cache.client();
@@ -943,60 +950,58 @@ fn chaos_a_faulted_deferred_re_sample_is_re_sampled_in_place() {
             client.set(&key.to_le_bytes(), &value(key, 1));
             versions[key as usize] = (1, 1);
         }
-        // One fill after its miss parks an eviction; from then on every
-        // starved `Set` carries one and parks its own.
-        let first = versions.len() as u64 - 1;
-        assert!(client.get(&first.to_le_bytes()).is_none());
-        client.set(&first.to_le_bytes(), &value(first, 1));
-        versions[first as usize] = (1, 1);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut set = |client: &mut DittoClient, key: u64, armed: bool| {
+        let mut set = |client: &mut DittoClient, key: u64| {
             let v = versions[key as usize].1 + 1;
             versions[key as usize].1 = v;
-            injector.set_armed(armed);
-            let result = client.try_set(&key.to_le_bytes(), &value(key, v));
-            injector.set_armed(false);
-            if result.is_ok() {
+            if client.try_set(&key.to_le_bytes(), &value(key, v)).is_ok() {
                 versions[key as usize].0 = v;
             }
         };
         let (mut faulted, mut deferrals) = (0, 0);
         let mut key = 2_000;
+        let stats = cache.pool().stats();
         while key < 2_000 + FILLS {
-            // A fresh key's cache-aside fill, by the lookup, armed.
-            assert!(client.get(&key.to_le_bytes()).is_none());
-            let _ = client.get(&(key - 1).to_le_bytes());
-            let deferred = cache.stats().resamples_deferred();
-            set(&mut client, key, true);
+            // A fresh key's cache-aside fill, and a read that books it.
+            let fill = key.to_le_bytes();
+            assert!(client.get(&fill).is_none());
+            set(&mut client, key);
+            let _ = client.get(&fill);
             key += 1;
-            let last_fault = cache.pool().event_tail(1);
-            let read_faulted = last_fault.first().is_some_and(|event| {
-                matches!(event.kind, EventKind::VerbFault { .. })
-                    && event.client_id == client.dm().client_id()
-                    && event.at_ns == client.dm().now_ns()
-            });
-            let sent = cache.stats().resamples_deferred() > deferred;
+            let window = || {
+                let cache = cache.stats();
+                let spec = cache.spec_reads_wasted();
+                (
+                    cache.resamples_deferred(),
+                    stats.faults().verb_failures,
+                    spec,
+                    cache.ts_writes_sent(),
+                )
+            };
+            let before = window();
+            injector.set_armed(true);
+            let _ = client.get(&fill);
+            injector.set_armed(false);
+            let after = window();
+            let sent = after.0 > before.0;
+            let read_faulted =
+                sent && after.1 == before.1 + 1 && (after.2, after.3) == (before.2, before.3);
             deferrals += sent as u64;
-            if sent && read_faulted {
+            if read_faulted {
                 // The next starved fill carries that eviction: beside its own
-                // sample READ — and its own deferred re-sample, if it sent
-                // one — it reads at least one sample in place.  (A fill with
-                // room to spare reads no sample and carries nothing.)
+                // sample READ it reads at least one sample in place.  (A fill
+                // with room to spare reads no sample and carries nothing.)
                 faulted += 1;
-                let stats = cache.pool().stats();
                 let reads = || stats.node_snapshots()[0].reads;
                 loop {
                     assert!(client.get(&key.to_le_bytes()).is_none());
-                    let (before, deferred) = (reads(), cache.stats().resamples_deferred());
-                    set(&mut client, key, false);
+                    let before = reads();
+                    set(&mut client, key);
                     key += 1;
-                    let (sent, own) = (
-                        reads() - before,
-                        cache.stats().resamples_deferred() - deferred,
-                    );
+                    let sent = reads() - before;
                     if sent > 0 {
                         assert!(
-                            sent > 1 + own,
+                            sent > 1,
                             "seed {seed}: key {key} did not re-sample in place"
                         );
                         break;
@@ -1005,7 +1010,7 @@ fn chaos_a_faulted_deferred_re_sample_is_re_sampled_in_place() {
             }
             // An update of an earlier key, which may carry the last fill's
             // eviction.
-            set(&mut client, rng.gen_range(0..key), false);
+            set(&mut client, rng.gen_range(0..key));
         }
         assert!(deferrals > 0, "seed {seed}: no fill deferred its re-sample");
         assert!(faulted > 0, "seed {seed}: no deferred re-sample faulted");
