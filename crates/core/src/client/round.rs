@@ -392,8 +392,9 @@ impl DittoClient {
     /// sample scratch, an eviction's CAS and FAA results into the eviction —
     /// and books on every eviction in `evs` the verbs it now has in flight.
     /// A parked eviction whose victim CAS goes out is taken up again here,
-    /// and the CPU work of the last parked pick is charged under the round's
-    /// flight ([`DittoClient::host_parked_pick`]).
+    /// and, but in an eviction's own round, the CPU work a fill left to the
+    /// client's next round runs under this one's flight
+    /// ([`DittoClient::host_parked_pick`]).
     /// Returns the first verb's work-request id — the others follow it one by
     /// one — and the word the `Set`'s own CAS found.
     pub(super) fn post_round(
@@ -471,7 +472,10 @@ impl DittoClient {
                 wq.ring();
             }
         }
-        if self.host_parked_pick() {
+        // An eviction's own round hosts nothing: that eviction's `Evict`
+        // span, recorded once it ends, started before the round, and so
+        // before any span hosted here.
+        if round.shape != Shape::Evict && self.host_parked_pick() {
             // The pick a carried victim CAS goes out for may be the one
             // hosted here: its victim half starts once that work is done.
             now = self.dm.now_ns();

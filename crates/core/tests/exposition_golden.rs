@@ -105,13 +105,14 @@
 //! (HELP, TYPE and the value 0) joined the page.  The fill's eviction's
 //! sample is decoded an op later, in this run where the `add_node` leaves
 //! fills of both shapes, so other victims are picked and every count that
-//! follows from them moved — among them hits 827 → 837, misses
-//! 1 258 → 1 248, evictions 596 → 583 (bucket evictions 38 → 28, inline
-//! 116 → 117, overlapped 442 → 438), history inserts 558 → 555, regrets
-//! 94 → 82, burnt history ids 2 → 3, deferred re-samples 1 → 0, local hits
-//! 21 → 23, slot-CAS retries 1 → 2 (back-off 200 → 400 ns), migrated
-//! objects 206 → 210, messages 6 371 / 6 431 / 1 761 → 6 305 / 6 482 /
-//! 1 761 on nodes 0 / 1 / 2, and the op latency sum 13.787205 → 12.033074 ms.
+//! follows from them moved — among them hits 827 → 832, misses
+//! 1 258 → 1 253, evictions 596 → 588 (bucket evictions 38 → 40, inline
+//! 116 → 109, overlapped 442 → 439), history inserts 558 → 548, regrets
+//! 94 → 90, burnt history ids 2 → 5, deferred re-samples 1 → 0, local hits
+//! 21 → 22, slot-CAS retries 1 → 6 (back-off 200 → 1 200 ns), migrated
+//! objects 206 → 202, messages 6 371 / 6 431 / 1 761 → 6 374 / 6 422 /
+//! 1 721 on nodes 0 / 1 / 2, and the op latency sum 13.787205 → 12.070152
+//! ms.
 
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::DmConfig;
