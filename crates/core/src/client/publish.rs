@@ -10,11 +10,12 @@
 //! A cache may always miss, so a fill need not learn before it returns
 //! whether its insert landed.  Its completions make it a [`PendingFill`], one
 //! more side channel beside the parked eviction: any poll books them
-//! (`round.rs`'s `poll_routed`), and the client settles the fill
-//! ([`DittoClient::book_fill`]) at the end of the op whose polls met them, or
-//! before anything that must see it settled — its next `Set`, a `Get` of the
-//! key, a drain, an eviction, a migration pump, a recovery, a forensic scan,
-//! its `Drop`.  Two rules keep that window sound.  The insert slot's
+//! (`round.rs`'s `poll_routed`).  The op whose polls met the carried victim
+//! CAS frees that victim as it ends ([`DittoClient::book_carried`]), and the
+//! client books the insert ([`DittoClient::book_fill`]) before anything that
+//! must see it settled — its next `Set`, a `Get` of the key, a drain, an
+//! eviction, a migration pump, a recovery, a forensic scan, its `Drop`.  Two
+//! rules keep that window sound.  The insert slot's
 //! metadata WRITE rides the ring ahead of the insert CAS
 //! (`round::Rule::Flush`), so a won insert carries its key's `hash` from the
 //! instant it lands and every lookup after the ring finds it: another
@@ -80,7 +81,7 @@ pub(super) struct PendingInsert {
 }
 
 impl PendingFill {
-    /// Whether any of its completions is still to be polled.
+    /// How many of its completions are still to be polled.
     pub(super) fn in_flight(&self) -> usize {
         let insert = self
             .insert
@@ -331,20 +332,19 @@ impl DittoClient {
     }
 
     /// The one-round fill's door ([`Shape::Fill`](super::round::Shape::Fill)):
-    /// rings `round` — the
-    /// WRITE of the `encoded` object and the insert slot's metadata WRITE,
-    /// unsignalled, the insert CAS from the word the miss memo read there
-    /// to `new` behind them, the victim CAS of the eviction `carried`, the
-    /// sample READ and history-id FAA of the eviction `ahead` — and returns
-    /// without polling any of it: the fill becomes the client's
-    /// [`PendingFill`] (see the module docs).  The key's board epoch moves
-    /// now, and the carried victim key's: both before the `Set` returns.  The
-    /// own eviction parks with its sample in flight, its bytes landing out of
-    /// the way of other evictions' samples and its candidates scored with
-    /// the FC counts this client buffers now, as a deferred re-sample's are;
-    /// whichever op books that sample picks from it
-    /// ([`Self::settle_parked_sample`]).  The journal stays armed until the
-    /// fill is booked.
+    /// rings `round` — the WRITE of the `encoded` object and the insert
+    /// slot's metadata WRITE, unsignalled, the insert CAS from the word the
+    /// miss memo read there to `new` behind them, the victim CAS of the
+    /// eviction `carried`, the sample READ and history-id FAA of the
+    /// eviction `ahead` — and returns without polling any of it: the fill
+    /// becomes the client's [`PendingFill`] (see the module docs).  The
+    /// key's board epoch moves now, and the carried victim key's: both
+    /// before the `Set` returns.  The own eviction parks with its sample in
+    /// flight, its bytes landing out of the way of other evictions' samples
+    /// and its candidates scored with the FC counts this client buffers now,
+    /// as a deferred re-sample's are; the client's round after a poll booked
+    /// that sample picks from it ([`Self::settle_parked_sample`]).  The
+    /// journal stays armed until the fill is booked.
     pub(super) fn post_fill(
         &mut self,
         hash: u64,
