@@ -256,17 +256,20 @@
 //! anyone after the ring hits, and another client's `Set` of it replaces
 //! that copy instead of inserting a second.  And the key's board epoch, and
 //! the carried victim key's, move at ring time, before the `Set` returns.
-//! Any poll books the fill's completions, and the client books the fill
-//! itself before its next `Set`, a `Get` of the key, a `flush`, an
-//! eviction, a migration pump, a recovery, a forensic scan or its `Drop`:
-//! a won insert notes its hint, drops the slot's FC deltas and rolls
-//! forward across a stripe move; a lost one is abandoned — its object
-//! freed, [`CacheStats::fills_abandoned`] counted, and the `hash` its
-//! metadata WRITE put over another key's live record put back.  Either way
-//! the carried victim is retired and freed then.  A fill that went by the
-//! lookup waits for its insert as before, and leaves only the victim CAS it
-//! carried beside it for its next op to book, so that a striped cache, whose
-//! fills take either shape, stays identical to a single-node one.
+//! Any poll books the fill's completions.  The op whose polls met the
+//! carried victim CAS retires and frees that victim as it ends (a regret
+//! check meanwhile reads the victim's history word from the pick, its
+//! WRITE not yet sent), and the client books the insert before its next
+//! `Set`, a `Get` of the key, a `flush`, an eviction, a migration pump, a
+//! recovery, a forensic scan or its `Drop`: a won insert notes its hint,
+//! drops the slot's FC deltas and rolls forward across a stripe move; a
+//! lost one is abandoned — its object freed,
+//! [`CacheStats::fills_abandoned`] counted, and the `hash` its metadata
+//! WRITE put over another key's live record put back.  A fill that went by
+//! the lookup waits for its insert as before, and leaves only the victim
+//! CAS it carried beside it for its next op to book, so that a striped
+//! cache, whose fills take either shape, stays identical to a single-node
+//! one.
 //!
 //! The fill's own eviction **parks** with its sample in flight
 //! (`Rule::Park`), its bytes landing in a scratch of the parked eviction's
