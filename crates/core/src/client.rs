@@ -182,8 +182,8 @@ pub struct DittoClient {
     /// victim CAS (see the crate docs, *The `Set` path under memory
     /// pressure*).
     parked_eviction: Option<Eviction>,
-    /// The last one-round fill, rung and not booked yet: the client's next
-    /// op books it (see [`publish`]).
+    /// The last fill, its completions not all polled yet: the op that polls
+    /// the last of them books it (see [`publish`]).
     pending_fill: Option<PendingFill>,
     /// The work-request ids of the FC flushes the last hinted `Get` carried:
     /// their completions, errors only, go to no loop (`poll_routed`).
@@ -399,16 +399,22 @@ impl DittoClient {
     /// outstanding, booking each completion on its owner, up to the
     /// completions the side channels still wait for — the pending fill's,
     /// the parked eviction's — which stay in flight for a later op's polls
-    /// to meet (a fill's own op polls none of its round).  A victim the
-    /// pending fill carried whose CAS the op's polls met is finished here
-    /// ([`DittoClient::book_carried`]).
+    /// to meet (a fill's own op polls none of its round).  A pending fill
+    /// whose last completion the op's polls met is booked here
+    /// ([`DittoClient::book_fill`]), by the op that learnt how it went.
     fn end_op(&mut self) {
         while self.dm.outstanding_completions() > self.side_channels_in_flight() {
             if self.poll_routed(&mut [None, None]).is_none() {
                 break;
             }
         }
-        self.book_carried();
+        if self
+            .pending_fill
+            .as_ref()
+            .is_some_and(|fill| fill.in_flight() == 0)
+        {
+            self.book_fill();
+        }
         self.dm.close_op();
     }
 
@@ -424,8 +430,8 @@ impl DittoClient {
     /// settled — the client's next `Set`, a `Get` of the key, a drain, an
     /// eviction, a migration pump, a recovery, a forensic scan, its `Drop`:
     /// polls until its insert CAS and its carried victim CAS have completed
-    /// (the op that ended last has usually polled both already), then books
-    /// it ([`DittoClient::book_fill`]).
+    /// (the op that ended last has usually met both and booked it already),
+    /// then books it ([`DittoClient::book_fill`]).
     fn book_pending_fill(&mut self) {
         while self
             .pending_fill
@@ -608,18 +614,20 @@ impl DittoClient {
     // Crash-recovery journal (see `recovery` module docs)
     // ------------------------------------------------------------------
     //
-    // Slot layout: six little-endian u64 words —
-    //   [new_mn, new_off, new_len, old_mn, old_off, old_len]
+    // Slot layout: eight little-endian u64 words —
+    //   [new_mn, new_off, new_len, old_mn, old_off, old_len, victim, victim_len]
+    // where `victim` is the packed address of the object a one-round fill's
+    // carried victim CAS takes out ([`DittoClient::journal_set_fill`]).
     // A slot is *armed* iff `new_len` (byte offset 16) is non-zero.  All
     // journal writes are best-effort: the journal narrows the recovery
     // search, it does not gate the data path, so a persistently faulted
     // journal write degrades to "segment sweep finds the orphan anyway".
 
     /// Arms this client's journal slot with the in-flight allocation and a
-    /// zeroed old half.  No-op when the journal is disabled.
+    /// zeroed old half and victim.  No-op when the journal is disabled.
     fn journal_arm(&self, new_addr: RemoteAddr, new_len: usize) {
         let Some(slot) = self.journal else { return };
-        let mut buf = [0u8; 48];
+        let mut buf = [0u8; 64];
         buf[0..8].copy_from_slice(&u64::from(new_addr.mn_id).to_le_bytes());
         buf[8..16].copy_from_slice(&new_addr.offset.to_le_bytes());
         buf[16..24].copy_from_slice(&(new_len as u64).to_le_bytes());
@@ -640,6 +648,23 @@ impl DittoClient {
             buf[0..8].copy_from_slice(&u64::from(addr.mn_id).to_le_bytes());
             buf[8..16].copy_from_slice(&addr.offset.to_le_bytes());
             buf[16..24].copy_from_slice(&(len as u64).to_le_bytes());
+        }
+        let _ = self
+            .dm
+            .with_retry(MAX_RETRIES, |dm| dm.try_write(slot.add(24), &buf));
+    }
+
+    /// Records, before a one-round fill's ring, a zeroed old half — an
+    /// insert displaces nothing — and the object of the victim its carried
+    /// CAS takes out, if any.  The fill frees that victim only once it is
+    /// booked, a later op: a client that dies first leaves it to recovery,
+    /// which frees it if no slot references it.
+    fn journal_set_fill(&self, victim: Option<(RemoteAddr, usize)>) {
+        let Some(slot) = self.journal else { return };
+        let mut buf = [0u8; 40];
+        if let Some((addr, len)) = victim {
+            buf[24..32].copy_from_slice(&addr.pack().to_le_bytes());
+            buf[32..40].copy_from_slice(&(len as u64).to_le_bytes());
         }
         let _ = self
             .dm
@@ -716,7 +741,10 @@ impl DittoClient {
         };
         let mut report = RecoveryReport::default();
         // This client's own fill settles first: its journal and its object.
+        // And its hoard goes back to the nodes before anything is replayed:
+        // a journalled block it freed and parks would still look granted.
         self.book_pending_fill();
+        self.alloc.release_excess(&self.dm, 0);
 
         // 1. One forensic scan of the whole table: both the journal replay
         //    and the gap sweep reconcile against this single snapshot.
@@ -728,7 +756,7 @@ impl DittoClient {
         //    the orphan still counted as resident.
         recovery_event(RecoveryPhase::JournalReplay, &self.dm);
         if let Some(slot_addr) = DittoCache::journal_slot(self.journal_base, dead_id) {
-            let mut buf = [0u8; 48];
+            let mut buf = [0u8; 64];
             if self
                 .dm
                 .with_retry(MAX_RETRIES, |dm| dm.try_read_into(slot_addr, &mut buf))
@@ -765,30 +793,25 @@ impl DittoClient {
                         }
                     } else {
                         // Died before (or without) publishing: the journal
-                        // entry is the only record of the new allocation,
-                        // which may have been carved from a *foreign* live
-                        // client's grant (displaced ranges park locally and
-                        // get reused) that the dead-owned sweep below never
-                        // visits — so it is freed right here.  Guard: when
-                        // the node no longer counts the range as granted,
-                        // the publish actually landed and a survivor has
-                        // since evicted the object and returned the memory;
-                        // the gauge is already correct and replaying would
-                        // double-debit.
-                        let granted = self
-                            .dm
-                            .pool()
-                            .node(new_mn)
-                            .is_ok_and(|node| node.range_granted(new_off, new_resident));
-                        if granted {
-                            let stats = self.dm.pool().stats();
-                            stats.record_resident_free(new_mn, new_resident);
-                            stats.record_recovered_object(new_resident);
-                            report.recovered_bytes = new_resident;
-                            // Freeing trims the owner registry, so a range
-                            // inside a dead-owned segment is not swept (and
-                            // freed) a second time below.
-                            report.swept_bytes += self.sweep_gap(new_mn, new_off, new_resident);
+                        // entry is the only record of the new allocation.
+                        self.recover_orphan((new_mn, new_off), new_resident, &mut report);
+                    }
+                    // A one-round fill's carried victim, taken out by its
+                    // CAS and freed only once the fill is booked: the dead
+                    // client's to free, if the CAS won — and then no slot
+                    // references it.  One a lost CAS left in its slot is
+                    // referenced still; one whose displacer freed it is no
+                    // longer granted, the survivors' parked ranges released.
+                    if word(7) != 0 {
+                        let victim = RemoteAddr::unpack(word(6));
+                        let referenced = refs.get(victim.mn_id as usize).is_some_and(|v| {
+                            v.binary_search_by_key(&victim.offset, |&(off, _)| off)
+                                .is_ok()
+                        });
+                        if !referenced {
+                            let resident = Self::resident_bytes_for(word(7) as usize);
+                            let at = (victim.mn_id, victim.offset);
+                            self.recover_orphan(at, resident, &mut report);
                         }
                     }
                     // Disarm the entry so a second recovery pass (two
@@ -803,10 +826,9 @@ impl DittoClient {
 
         // 3. Segment gap sweep: return every dead-owned byte no table slot
         //    references.  Our own parked ranges could alias dead-owned
-        //    space (we may have evicted the dead client's objects), so the
-        //    local hoard goes back first.
+        //    space (we may have evicted the dead client's objects): the
+        //    local hoard went back at the start.
         recovery_event(RecoveryPhase::GapSweep, &self.dm);
-        self.alloc.release_excess(&self.dm, 0);
         for mn in 0..refs.len() as u16 {
             let Ok(node) = self.dm.pool().node(mn) else {
                 continue;
@@ -832,6 +854,33 @@ impl DittoClient {
         }
         recovery_event(RecoveryPhase::Done, &self.dm);
         report
+    }
+
+    /// Frees a journalled allocation of `resident` bytes at `(mn, offset)`
+    /// that no slot references.  It may have been carved from a *foreign*
+    /// live client's grant (displaced ranges park locally and get reused)
+    /// that the dead-owned sweep never visits — so it is freed right here.
+    /// Guard: when the node no longer counts the range as granted, a
+    /// survivor has freed it and returned the memory — a publish that
+    /// landed after all and was evicted since, a victim another client
+    /// displaced — so the gauge is already correct and replaying would
+    /// double-debit.
+    fn recover_orphan(&self, (mn, offset): (u16, u64), resident: u64, report: &mut RecoveryReport) {
+        let granted = self
+            .dm
+            .pool()
+            .node(mn)
+            .is_ok_and(|node| node.range_granted(offset, resident));
+        if granted {
+            let stats = self.dm.pool().stats();
+            stats.record_resident_free(mn, resident);
+            stats.record_recovered_object(resident);
+            report.recovered_bytes += resident;
+            // Freeing trims the owner registry, so a range inside a
+            // dead-owned segment is not swept (and freed) a second time
+            // below.
+            report.swept_bytes += self.sweep_gap(mn, offset, resident);
+        }
     }
 
     /// Frees one unreferenced gap of a dead client's segment through the
@@ -1548,15 +1597,14 @@ impl DittoClient {
         // the CPU work of its pick for the client's next round to charge.
         let parks =
             ahead.and_then(|mut ev| self.evict_advance(&mut ev, false).is_none().then_some(ev));
+        let mut carried_pending = None;
         if let Some(mut ev) = carried {
             if fill && ev.in_flight > 0 {
                 // Its victim CAS flew beside the insert: like a one-round
-                // fill's, it is booked by the client's next op.
-                self.pending_fill = Some(PendingFill {
-                    hash,
-                    insert: None,
-                    carried: Some(ev),
-                });
+                // fill's, it is booked once a later poll meets it, so that a
+                // fill frees its carried victim at the same op whichever door
+                // it took.
+                carried_pending = Some(ev);
             } else {
                 self.evict_advance(&mut ev, false);
             }
@@ -1622,7 +1670,23 @@ impl DittoClient {
         // displaced.)  A Set that mutated nothing bumps anyway;
         // the only cost is a spurious refetch by tier holders of this key.
         self.bump_board(hash);
-        self.journal_clear();
+        match carried_pending {
+            Some(mut ev) if !stored => {
+                self.evict_advance(&mut ev, false);
+                self.journal_clear();
+            }
+            Some(ev) => {
+                // The journal stays armed, naming the carried victim, until
+                // the fill is booked.
+                self.journal_set_fill(Some(ev.victim_object()));
+                self.pending_fill = Some(PendingFill {
+                    hash,
+                    insert: None,
+                    carried: Some(ev),
+                });
+            }
+            None => self.journal_clear(),
+        }
         if let Some(ev) = parks {
             // Last, so that a re-sample it sends is the last verb of the op.
             self.park(ev);

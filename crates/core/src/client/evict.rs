@@ -183,6 +183,12 @@ impl Eviction {
         self.candidates[self.pick.idx].0
     }
 
+    /// The picked victim's object: its address and size.
+    pub(super) fn victim_object(&self) -> (RemoteAddr, usize) {
+        let victim = self.candidates[self.pick.idx].1.atomic;
+        (victim.object_addr(), victim.object_bytes() as usize)
+    }
+
     /// The history word the pick made for the victim at `slot_addr`, if
     /// that is its victim and its CAS swaps in a history entry.
     pub(super) fn picked_history_word(&self, slot_addr: RemoteAddr) -> Option<u64> {
@@ -1227,13 +1233,42 @@ mod tests {
         assert!(resamples > 5, "only {resamples} re-samples left in flight");
     }
 
+    /// Sample spans decoded in the flight recorder: a sample's decode is
+    /// one `decode` span of its slots, a bucket's is one of eight or of one.
+    fn spans_decoded(client: &DittoClient) -> u64 {
+        let span = DittoConfig::SAMPLE_SPAN_SLOTS as u32;
+        let spans = client.dm().flight_spans();
+        let decodes = spans.iter().filter(|s| s.phase == Phase::Decode);
+        decodes
+            .filter(|s| s.detail % span == 0)
+            .map(|s| (s.detail / span) as u64)
+            .sum()
+    }
+
+    /// Samples read and not decoded yet: the parked eviction's, in flight or
+    /// landed, and the picks whose decode the client's next round hosts.
+    fn samples_undecoded(client: &DittoClient) -> u64 {
+        let parked = client.parked_eviction.as_ref();
+        let read = parked.is_some_and(|ev| ev.deferred && ev.issued);
+        (client.hosted_cpu.0 / DittoConfig::SAMPLE_SPAN_SLOTS) as u64 + u64::from(read)
+    }
+
     #[test]
     fn a_short_samples_re_sample_flies_under_the_next_op() {
-        let (cache, mut client) = short_sampling_on(DmConfig::default());
+        let (cache, mut client) =
+            short_sampling_on(DmConfig::default().with_flight_recorder(1 << 16));
         let (resamples, fills) = (cache.stats().resamples_deferred(), client.rounds_posted);
         let (mut deferrals, mut from_resample, mut other) = (0, 0, 4_001u64);
+        // Samples read before the loop and decoded in it, and the sample
+        // READs the loop sends: every READ but a lookup's two, a miss's
+        // buckets or a hinted `Get`'s slot and object.
+        let read_before = samples_undecoded(&client);
+        client.dm().clear_flight_recorder();
+        let mut sample_reads = 0;
         for key in 5_000..5_200u64 {
+            let before = node(&cache);
             assert!(client.get(&key.to_le_bytes()).is_none());
+            sample_reads += node(&cache).reads - before.reads - 2;
             // The slots a pick from a deferred re-sample chooses among, as
             // they stand before the `Set` that makes it.
             let node0 = cache.pool().node(0).unwrap();
@@ -1249,11 +1284,13 @@ mod tests {
             };
             let before = node(&cache);
             client.set(&key.to_le_bytes(), &[1u8; BIG]);
+            let reads = node(&cache).reads - before.reads;
+            sample_reads += reads;
             // A pick made in this Set, from a deferred re-sample that was
             // not short again (nothing read in place): the victim is one of
             // the slots it chose among.  (The Set's insert may fill an empty
             // one.)
-            if !pick_from.is_empty() && node(&cache).reads - before.reads == 1 {
+            if !pick_from.is_empty() && reads == 1 {
                 let taken = pick_from
                     .iter()
                     .filter(|&&(addr, was)| word(addr) != was)
@@ -1266,9 +1303,10 @@ mod tests {
             // second's round decodes the fill's sample.  Short, it posts the
             // re-sample READ under its own READs' flight and does not wait
             // for it: it takes no longer than a plain hinted Get.
-            let _ = timed_hinted_get(&cache, &mut client, other, BIG);
+            let (_, first_reads, _) = timed_hinted_get(&cache, &mut client, other, BIG);
             let plain = hinted_get_ns(&client, other);
             let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, other, BIG);
+            sample_reads += first_reads + reads - 4;
             other = key;
             if !deferred(&client) {
                 continue;
@@ -1293,6 +1331,13 @@ mod tests {
         let posted = |shape: Shape| client.rounds_posted[shape as usize] - fills[shape as usize];
         assert_eq!(posted(Shape::Fill), 200);
         assert!(posted(Shape::Evict) >= deferrals);
+        // Each sample READ sent — a fill's own, riding its round, a deferred
+        // re-sample flying under a later op, one in place — is decoded once,
+        // but what the last fill left undecoded.
+        assert_eq!(
+            spans_decoded(&client) + samples_undecoded(&client),
+            sample_reads + read_before
+        );
         // The scan books the last fill first, which frees its carried victim.
         let referenced = client.referenced_object_bytes_on(0);
         assert_eq!(cache.pool().resident_object_bytes(0), referenced);
@@ -1529,7 +1574,9 @@ mod tests {
             short_sampling_on(DmConfig::default().with_flight_recorder(1 << 16));
         client.dm().clear_flight_recorder();
         let (evictions, mut windows) = (cache.stats().snapshot().evictions, BTreeMap::new());
-        let (mut deferred_picks, inline) = (0, cache.stats().evictions_inline());
+        let stats = cache.stats();
+        let (mut deferred_picks, inline) = (0, stats.evictions_inline());
+        let burnt = stats.history_ids_burnt();
         // Each key missed, filled, then read twice: the first `Get` books the
         // fill, the second's round decodes the sample its eviction parked.
         for key in 5_000..5_200u64 {
@@ -1583,15 +1630,20 @@ mod tests {
         // of the eviction the fill carried — but of a fill that freed none,
         // its eviction given up after every re-sample: the next fill, short
         // of the spare, evicted inline for its object, both halves in one.
-        let inline = cache.stats().evictions_inline() - inline;
+        // An eviction given up burns its history id, and nothing else here
+        // does: one inline eviction per id burnt.
+        let (inline, given_up) = (
+            stats.evictions_inline() - inline,
+            stats.history_ids_burnt() - burnt,
+        );
         assert!(deferred_picks > 0);
+        assert_eq!(inline, given_up);
         assert_eq!(
             halves,
             [
                 [200 - deferred_picks, deferred_picks],
-                [200 - inline, inline]
+                [200 - given_up, given_up]
             ],
-            "{inline} inline"
         );
         assert_eq!(cache.stats().snapshot().evictions, evictions + 200);
     }

@@ -68,8 +68,14 @@
 //! another client's `Set` of the key replaces that copy instead of adding a
 //! second.  A lost insert's metadata WRITE landed over whatever took the
 //! slot; if that is another key's live object, that key is unfindable until
-//! the client books the fill, which READs the object's key and CASes the
-//! slot's `hash` word back.
+//! the client books the fill — the op whose polls meet its completions, as
+//! it ends.  Booking READs the slot's word again and the key of the object
+//! it names, CASes the slot's `hash` word back, moves that key's epoch —
+//! a miss memo of it taken meanwhile is refused — and reads its buckets: if
+//! another client filled the key meanwhile, its copy stays and the
+//! repaired slot is invalidated.  What remains is the instant between
+//! that READ and another client's insert CAS, the unhinted insert's
+//! exposure again.
 
 //! # What an object READ beside the slot leans on
 //!
@@ -1482,6 +1488,81 @@ mod tests {
             );
             let referenced = a.referenced_object_bytes_on(0);
             assert_eq!(cache.pool().resident_object_bytes(0), referenced);
+        }
+    }
+
+    /// The slots of `key`'s two buckets whose object is `key`'s, whatever
+    /// `hash` their metadata holds.
+    fn slots_holding(cache: &DittoCache, client: &DittoClient, key: &[u8]) -> Vec<RemoteAddr> {
+        let (table, hash) = (cache.table.clone(), fnv1a64(key));
+        [table.primary_bucket(hash), table.secondary_bucket(hash)]
+            .into_iter()
+            .flat_map(|bucket| table.bucket_slots(&client.dm, bucket))
+            .filter(|(_, slot)| {
+                let word = slot.atomic;
+                let bytes = || {
+                    client
+                        .dm
+                        .read(word.object_addr(), word.object_bytes() as usize)
+                };
+                word.is_object() && object::view(&bytes()).is_some_and(|view| view.key == key)
+            })
+            .map(|(slot_addr, _)| slot_addr)
+            .collect()
+    }
+
+    /// A's one-round fill of `probe` loses its insert CAS to B's `Set` of
+    /// another key, whose `hash` A's metadata WRITE overwrote: until A books
+    /// the fill, no lookup finds B's key.  C misses it meanwhile and fills it
+    /// — before A books (`filled_first`), or after, from the miss memo taken
+    /// before.  Either way B's key lives in exactly one slot afterwards, with
+    /// C's value: filled first, C's copy is found by A's repair, which
+    /// invalidates the slot it repaired; filled after, C's memo is refused
+    /// by the epoch A's repair moved, and C replaces the repaired copy.
+    #[test]
+    fn a_lost_inserts_overwritten_key_lives_once_whoever_fills_it_meanwhile() {
+        for filled_first in [true, false] {
+            let cache = small_cache();
+            let (mut a, mut b, mut c) = (cache.client(), cache.client(), cache.client());
+            let (table, key) = (cache.table.clone(), b"probe");
+            let primary = table.primary_bucket(fnv1a64(key));
+            let other = (0..)
+                .map(|i| format!("other{i}").into_bytes())
+                .find(|k| table.primary_bucket(fnv1a64(k)) == primary)
+                .unwrap();
+            assert!(a.get(key).is_none());
+            b.set(&other, b"b");
+            let abandoned = cache.stats().fills_abandoned();
+            a.set(key, b"a");
+            assert!(a.pending_fill.is_some());
+            assert_eq!(
+                slots_holding(&cache, &c, &other),
+                [table.slot_addr(primary, 0)]
+            );
+            assert!(c.get(&other).is_none(), "B's key is unfindable");
+            if filled_first {
+                c.set(&other, b"c");
+                // A `Get` of the key books C's own fill.
+                assert_eq!(c.get(&other).as_deref(), Some(&b"c"[..]));
+                assert_eq!(slots_holding(&cache, &c, &other).len(), 2);
+            }
+            // A's next op, a `Get` of another key, meets the fill's
+            // completions and books it as it ends.
+            assert!(a.get(b"unrelated").is_none());
+            assert!(a.pending_fill.is_none());
+            assert_eq!(cache.stats().fills_abandoned(), abandoned + 1);
+            if !filled_first {
+                c.set(&other, b"c");
+            }
+            let holding = slots_holding(&cache, &c, &other);
+            assert_eq!(holding.len(), 1, "filled first: {filled_first}");
+            assert_eq!(live_slots_of(&cache, &c, &other), holding);
+            let mut d = cache.client();
+            assert_eq!(d.get(&other).as_deref(), Some(&b"c"[..]));
+            for client in [&mut a, &mut c] {
+                let referenced = client.referenced_object_bytes_on(0);
+                assert_eq!(cache.pool().resident_object_bytes(0), referenced);
+            }
         }
     }
 

@@ -10,31 +10,32 @@
 //! A cache may always miss, so a fill need not learn before it returns
 //! whether its insert landed.  Its completions make it a [`PendingFill`], one
 //! more side channel beside the parked eviction: any poll books them
-//! (`round.rs`'s `poll_routed`).  The op whose polls met the carried victim
-//! CAS frees that victim as it ends ([`DittoClient::book_carried`]), and the
-//! client books the insert ([`DittoClient::book_fill`]) before anything that
-//! must see it settled — its next `Set`, a `Get` of the key, a drain, an
-//! eviction, a migration pump, a recovery, a forensic scan, its `Drop`.  Two
-//! rules keep that window sound.  The insert slot's
-//! metadata WRITE rides the ring ahead of the insert CAS
+//! (`round.rs`'s `poll_routed`), and the op whose polls met the last of them
+//! books the fill as it ends ([`DittoClient::book_fill`]) — or, at the
+//! latest, anything that must see it settled first: the client's next
+//! `Set`, a `Get` of the key, a drain, an eviction, a migration pump, a
+//! recovery, a forensic scan, its `Drop`.  Two rules keep that window sound.
+//! The insert slot's metadata WRITE rides the ring ahead of the insert CAS
 //! (`round::Rule::Flush`), so a won insert carries its key's `hash` from the
 //! instant it lands and every lookup after the ring finds it: another
 //! client's `Set` of the key replaces it instead of inserting a second copy.
 //! And the key's board epoch, and the carried victim key's, move at ring
 //! time, before the `Set` returns.  A lost insert wrote its metadata over
 //! whatever took the slot: if that is another key's live object, booking
-//! READs the object's key and CASes the slot's `hash` word back.
+//! puts that key's `hash` back and makes sure the key lives once
+//! ([`DittoClient::repair_hash`]).  The journal stays armed until the fill
+//! is booked, naming the new object and the carried victim's.
 
 use super::evict::Eviction;
-use super::round::{Op, Retire, Round};
+use super::round::{Op, Plan, Retire, Round};
 use super::{Candidates, DittoClient, CAS_RETRY_BACKOFF_NS, MAX_RETRIES};
-use crate::hash::fnv1a64;
+use crate::hash::{fingerprint, fnv1a64};
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::object;
 use crate::recovery::CrashPoint;
 use crate::slot::{AtomicField, Slot, OFF_HASH, SLOT_SIZE};
 use ditto_algorithms::AccessKind;
-use ditto_dm::{CompletionStatus, Phase, RemoteAddr};
+use ditto_dm::{Phase, RemoteAddr};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -44,13 +45,13 @@ use std::sync::Arc;
 /// reconcile's thread.
 const FLIP_WAIT_ROUNDS: usize = 256;
 
-/// A fill the client books at its next op (see the module docs): a
-/// one-round fill, rung and not waited for, or one that went by the lookup
-/// and left the victim CAS it carried beside its insert in flight.
+/// A fill the client books once its completions are polled (see the module
+/// docs): a one-round fill, rung and not waited for, or a looked-up one
+/// that waited for its insert and left the victim CAS it carried beside it
+/// in flight.
 pub(super) struct PendingFill {
     pub(super) hash: u64,
-    /// The one-round fill's insert; `None` for a fill that waited for its
-    /// own.
+    /// The one-round fill's insert; `None` for a looked-up fill.
     pub(super) insert: Option<PendingInsert>,
     /// The parked eviction the fill carried, its victim CAS in flight.
     pub(super) carried: Option<Eviction>,
@@ -63,14 +64,15 @@ pub(super) struct PendingInsert {
     slot: RemoteAddr,
     expected: u64,
     new: u64,
-    /// What the insert CAS found there: read once its completion is booked.
+    /// What the insert CAS found there: `expected` only if it executed and
+    /// won.
     observed: u64,
     /// The new object's allocation, freed should the insert have lost.
     object: (RemoteAddr, usize),
     /// The work-request ids of the object WRITE, the metadata WRITE and the
-    /// insert CAS, and the CAS's status once a poll booked it.
+    /// insert CAS, and whether a poll has booked the CAS's completion.
     pub(super) wrs: Range<u64>,
-    pub(super) cas_status: Option<CompletionStatus>,
+    pub(super) cas_polled: bool,
     /// The stripe directory's version the ring was translated under, which
     /// a won insert's roll-forward judges staleness against.
     token: u64,
@@ -83,10 +85,7 @@ pub(super) struct PendingInsert {
 impl PendingFill {
     /// How many of its completions are still to be polled.
     pub(super) fn in_flight(&self) -> usize {
-        let insert = self
-            .insert
-            .as_ref()
-            .filter(|insert| insert.cas_status.is_none());
+        let insert = self.insert.as_ref().filter(|insert| !insert.cas_polled);
         usize::from(insert.is_some()) + self.carried.as_ref().map_or(0, |ev| ev.in_flight)
     }
 }
@@ -357,8 +356,9 @@ impl DittoClient {
         let Op::Cas { addr, expected, .. } = round.verbs[2].op else {
             unreachable!("a fill's CAS rides behind its two WRITEs")
         };
-        // An insert displaces no allocation (see `install_new`).
-        self.journal_set_old(None);
+        // An insert displaces no allocation (see `install_new`); the carried
+        // victim's CAS, which may, is journalled beside it.
+        self.journal_set_fill(carried.as_ref().map(Eviction::victim_object));
         if let Some(ev) = ahead.as_mut() {
             self.defer_sample(ev);
         }
@@ -388,7 +388,7 @@ impl DittoClient {
                 observed,
                 object: (obj_addr, encoded.len()),
                 wrs: wr_write..wr_write + 3,
-                cas_status: None,
+                cas_polled: false,
                 token: self.mig_token,
                 hint_epoch: self.hint_epoch(hash, self.board.epoch(hash)),
             }),
@@ -397,75 +397,71 @@ impl DittoClient {
     }
 
     /// Books the pending fill, if any — called once its completions are
-    /// polled, or once nobody can poll them any more.  A won one-round
-    /// insert notes its hint (current as of the ring), drops what this
+    /// polled, by the op whose polls met the last of them
+    /// ([`DittoClient::end_op`]), or once nobody can poll them any more.  A
+    /// won insert notes its hint (current as of the ring), drops what this
     /// client's FC cache still held for the slot — the previous key's — and
     /// is rolled forward across a stripe move ([`Self::settle_rekey`]).  A
     /// lost one is abandoned: a cache may always miss.  Its object is freed,
-    /// and if the CAS ran, its metadata WRITE ran ahead of it over whatever
-    /// took the slot, which [`Self::repair_hash`] puts back.  The CAS decides
-    /// by the word it found, which only a CAS that executed wrote.  Either
-    /// way the journal is disarmed, and the carried victim is retired and
-    /// freed — re-picked, should its CAS have lost.
+    /// and its metadata WRITE, which may have landed ahead of a CAS that
+    /// lost or faulted, is undone ([`Self::repair_hash`]).  The CAS decides
+    /// by the word it found, which only a CAS that executed wrote.  Then the
+    /// carried victim is retired and freed — re-picked, should its CAS have
+    /// lost — and last the journal, which named both allocations, is
+    /// disarmed.
     pub(super) fn book_fill(&mut self) {
         let Some(mut fill) = self.pending_fill.take() else {
             return;
         };
-        if let Some(insert) = fill.insert.take() {
-            if insert.observed == insert.expected {
+        match fill.insert {
+            Some(insert) if insert.observed == insert.expected => {
                 self.hint_note(fill.hash, insert.slot, insert.new, insert.hint_epoch);
                 self.discard_accesses(insert.slot);
                 self.settle_rekey(insert.slot, insert.new, fill.hash, insert.token);
-            } else {
-                if insert.cas_status.is_some_and(|status| status.is_ok()) {
-                    self.repair_hash(fill.hash, &insert);
-                }
+            }
+            Some(insert) => {
+                self.repair_hash(fill.hash, insert.slot);
                 let (addr, len) = insert.object;
                 self.alloc.free(&self.dm, addr, len);
                 self.stats.record_fill_abandoned();
             }
-            self.journal_clear();
+            None => {}
         }
         if let Some(ev) = fill.carried.as_mut() {
             self.finish_carried(ev);
         }
-    }
-
-    /// Finishes the victim the pending fill carried as soon as a poll has
-    /// booked its CAS's completion, ahead of the fill's own insert: the
-    /// victim's history word is written — and its blocks freed — by the op
-    /// whose polls met the CAS, not left for a later one.
-    pub(super) fn book_carried(&mut self) {
-        let Some(fill) = self.pending_fill.as_mut() else {
-            return;
-        };
-        let Some(mut ev) = fill.carried.take_if(|ev| ev.in_flight == 0) else {
-            return;
-        };
-        if fill.insert.is_none() {
-            self.pending_fill = None;
-        }
-        self.finish_carried(&mut ev);
+        self.journal_clear();
     }
 
     /// The history word of the victim at `slot_addr`, if the pending fill
     /// carried that victim's CAS: the word's WRITE into the slot waits for
-    /// the CAS's completion ([`Self::book_carried`]), and a regret check
-    /// meanwhile reads it from the pick.
+    /// the fill's booking, and a regret check meanwhile reads it from the
+    /// pick.
     pub(super) fn carried_history_word(&self, slot_addr: RemoteAddr) -> Option<u64> {
         let ev = self.pending_fill.as_ref()?.carried.as_ref()?;
         ev.picked_history_word(slot_addr)
     }
 
-    /// Puts back the key `hash` of the slot a lost insert of `fill`'s key
-    /// wrote its metadata into, when the word its CAS found names a live
-    /// object: READs that object's key and CASes the slot's `hash` word from
-    /// `fill`'s to it.  A CAS that finds another `hash` there lost to a
-    /// writer that put its own; an object that no longer decodes was freed,
-    /// and the slot's word moved on with it.  Timestamps and frequency stay
+    /// Undoes what a lost insert of `fill`'s key may have left at
+    /// `slot_addr`: its metadata WRITE over the `hash` of another key's live
+    /// object there, which no lookup finds meanwhile.  READs the slot's word
+    /// as it stands now and the key of the object it names; if that is
+    /// another key's, CASes the slot's `hash` word from `fill`'s back to it —
+    /// a CAS that finds another `hash` lost to a writer that put its own,
+    /// and leaves nothing to undo.  Then that key's board epoch moves, which
+    /// refuses every miss memo of it taken meanwhile, and its buckets are
+    /// read: a copy another client filled meanwhile, found there, is the
+    /// key's current one, and the repaired slot is invalidated — bump
+    /// before free — so the key lives once.  Timestamps and frequency stay
     /// the fill's: advisory.
-    fn repair_hash(&mut self, fill: u64, insert: &PendingInsert) {
-        let word = AtomicField::decode(insert.observed);
+    fn repair_hash(&mut self, fill: u64, slot_addr: RemoteAddr) {
+        let Ok(found) = self
+            .dm
+            .with_retry(MAX_RETRIES, |dm| dm.try_read_u64(slot_addr))
+        else {
+            return;
+        };
+        let word = AtomicField::decode(found);
         if !word.is_object() {
             return;
         }
@@ -484,11 +480,32 @@ impl DittoClient {
         let Some(key) = object::view(&self.obj_buf[..len]).map(|view| fnv1a64(view.key)) else {
             return;
         };
-        if key != fill {
-            let hash_addr = SampleFriendlyHashTable::hash_addr(insert.slot);
-            let _ = self
-                .dm
-                .with_retry(MAX_RETRIES, |dm| dm.try_cas(hash_addr, fill, key));
+        if key == fill || fingerprint(key) != word.fp {
+            return;
+        }
+        let hash_addr = SampleFriendlyHashTable::hash_addr(slot_addr);
+        let put_back = self
+            .dm
+            .with_retry(MAX_RETRIES, |dm| dm.try_cas(hash_addr, fill, key));
+        if put_back != Ok(fill) {
+            return;
+        }
+        self.bump_board(key);
+        let Ok(lookup) = self.search(key, word.fp, Plan::default(), &[], &mut [None, None], None)
+        else {
+            return;
+        };
+        let twin = lookup.slots.iter().any(|&(other, slot)| {
+            other != slot_addr
+                && slot.atomic.is_object()
+                && slot.atomic.fp == word.fp
+                && slot.hash == key
+        });
+        if twin && self.slot_cas(slot_addr, found, 0) {
+            self.hints.forget(key);
+            self.bump_board(key);
+            self.discard_accesses(slot_addr);
+            self.alloc.free(&self.dm, addr, len);
         }
     }
 

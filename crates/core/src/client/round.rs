@@ -531,9 +531,7 @@ impl DittoClient {
         }
         if let Some(insert) = self.pending_fill.as_mut().and_then(|f| f.insert.as_mut()) {
             if insert.wrs.contains(&wr) {
-                if wr + 1 == insert.wrs.end {
-                    insert.cas_status = Some(completion.status);
-                }
+                insert.cas_polled |= wr + 1 == insert.wrs.end;
                 return Some(None);
             }
         }
@@ -542,7 +540,11 @@ impl DittoClient {
             .flatten()
             .map(|ev| &mut **ev)
             .chain(self.parked_eviction.as_mut())
-            .chain(self.pending_fill.as_mut().and_then(|f| f.carried.as_mut()));
+            .chain(
+                self.pending_fill
+                    .as_mut()
+                    .and_then(|fill| fill.carried.as_mut()),
+            );
         let Some(ev) = owners.find(|ev| ev.in_flight > 0 && ev.wrs.contains(&wr)) else {
             return Some(Some(completion));
         };

@@ -256,20 +256,26 @@
 //! anyone after the ring hits, and another client's `Set` of it replaces
 //! that copy instead of inserting a second.  And the key's board epoch, and
 //! the carried victim key's, move at ring time, before the `Set` returns.
-//! Any poll books the fill's completions.  The op whose polls met the
-//! carried victim CAS retires and frees that victim as it ends (a regret
-//! check meanwhile reads the victim's history word from the pick, its
-//! WRITE not yet sent), and the client books the insert before its next
-//! `Set`, a `Get` of the key, a `flush`, an eviction, a migration pump, a
-//! recovery, a forensic scan or its `Drop`: a won insert notes its hint,
-//! drops the slot's FC deltas and rolls forward across a stripe move; a
-//! lost one is abandoned — its object freed,
-//! [`CacheStats::fills_abandoned`] counted, and the `hash` its metadata
-//! WRITE put over another key's live record put back.  A fill that went by
-//! the lookup waits for its insert as before, and leaves only the victim
-//! CAS it carried beside it for its next op to book, so that a striped
-//! cache, whose fills take either shape, stays identical to a single-node
-//! one.
+//! Any poll books the fill's completions, and the op whose polls met the
+//! last of them books the fill as it ends — usually the client's next op,
+//! and at the latest its next `Set`, a `Get` of the key, a `flush`, an
+//! eviction, a migration pump, a recovery, a forensic scan or its `Drop`,
+//! which poll until they can.  A won insert notes its hint, drops the
+//! slot's FC deltas and rolls forward across a stripe move; a lost one is
+//! abandoned — its object freed, [`CacheStats::fills_abandoned`] counted.
+//! Its metadata WRITE may have landed over another key's live record,
+//! which no lookup finds until the booking READs the slot's word again and
+//! the key of the object it names, and CASes that key's `hash` back.  The
+//! repair then moves that key's epoch, refusing the miss memos taken
+//! meanwhile, and reads its buckets: a copy another client filled
+//! meanwhile is kept, and the repaired slot invalidated, so the key lives
+//! once.  Then the carried victim is retired and freed (a regret check
+//! meanwhile reads its history word from the pick, its WRITE not yet
+//! sent).  A fill that went by the lookup waits for its insert as before,
+//! and leaves only the victim CAS it carried beside it in flight, booked
+//! the same way, so that a striped cache, whose fills take either shape,
+//! counts each eviction at the op a single-node one does
+//! (`tests/striped_parity.rs` compares the counts request by request).
 //!
 //! The fill's own eviction **parks** with its sample in flight
 //! (`Rule::Park`), its bytes landing in a scratch of the parked eviction's
@@ -312,13 +318,15 @@
 //! flight spans in no op, so the critical-path attribution charges each op
 //! only the time it waited.
 //!
-//! **Crashes.**  The sampling eviction has never been journalled: a client
-//! that dies between its victim CAS landing and the free after it
+//! **Crashes.**  A sampling eviction run within one op is not journalled: a
+//! client that dies between its victim CAS landing and the free after it
 //! leaks the victim's blocks — for good if they lie in a live client's
 //! segment, until [`DittoClient::recover_crashed_client`] sweeps its segments
-//! otherwise — and leaves the resident gauge that much too high.  A client
-//! that dies with a fill pending is such a client for the victim that fill
-//! carried.  What must not change is what the *modelled* crash points find,
+//! otherwise — and leaves the resident gauge that much too high.  The
+//! victim a fill carries is: its CAS lands before the `Set` returns and
+//! its free waits for the booking, a later op, so the fill's journal entry
+//! names the victim's object beside the new one.  What must not change is
+//! what the *modelled* crash points find,
 //! and `Rule::AfterPublish` keeps it: [`CrashPoint::AfterPublish`] sits in
 //! the two publishes that displace an allocation (a replace, a bucket
 //! eviction), an insert — every fill — holds none, so a victim CAS flies
@@ -331,7 +339,10 @@
 //! doorbell; a lost one-round insert is abandoned when booked and reaches no
 //! crash point.  The fill's journal entry stays armed until it is booked: a
 //! client that dies with its fill pending leaves recovery the new object,
-//! kept if a slot references it and freed if not.  A fill that went by the
+//! kept if a slot references it and freed if not, and the carried victim's,
+//! freed if no slot references it — its CAS won — and its range is still
+//! granted (a victim whose CAS lost was freed by its displacer, if at
+//! all).  A fill that went by the
 //! lookup reaches [`CrashPoint::AfterObjectWrite`] once its WRITE has
 //! landed, and [`CrashPoint::AfterPublish`] only if its publish displaces.
 //! So no crash point sees a victim taken out of the table and not yet freed

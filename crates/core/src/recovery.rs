@@ -46,7 +46,8 @@ pub enum CrashPoint {
     /// its WRITEs, and a lost one is abandoned when the fill is booked, its
     /// object freed.  A client that dies with such a fill posted and not
     /// booked leaves its journal armed: recovery keeps the object if a slot
-    /// references it and frees it if not.
+    /// references it and frees it if not, and frees the victim the fill
+    /// carried if no slot references it.
     AfterObjectWrite,
     /// Right after the publish CAS succeeded, before the displaced old
     /// allocation was freed (and before any eviction notify / metadata

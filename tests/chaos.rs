@@ -613,40 +613,63 @@ fn chaos_a_faulted_fill_is_abandoned_when_booked() {
 }
 
 /// A client gone with its last fill posted and not booked, on a cache only
-/// it filled.  Dropped, it books the fill first, and leaves nothing to
-/// recover.  Crashed — gone without running another step, its destructor
-/// included — it leaves its journal armed, naming the fill's object: the
-/// insert landed, so recovery keeps the object and sweeps the rest of the
-/// dead client's unreferenced segment space.  Either way no byte leaks and
-/// every value stays readable.
+/// it filled — with room for every key, or under memory pressure, where
+/// each fill carries the victim the fill before it picked.  Dropped, it
+/// books the fill first, and leaves nothing to recover.  Crashed — gone
+/// without running another step, its destructor included — it leaves its
+/// journal armed, naming the fill's object and the carried victim's: the
+/// insert landed, so recovery keeps the object; the victim CAS landed too,
+/// so no slot references the victim, which recovery frees.  Either way no
+/// byte leaks and every value still cached stays readable.
 #[test]
 fn chaos_a_client_gone_with_a_fill_posted_is_recovered() {
-    for crash in [false, true] {
-        let config = DittoConfig::with_capacity(1_000).with_crash_recovery_journal(true);
-        let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
-        let mut client = cache.client();
-        let id = client.dm().client_id();
-        for key in 0..100u64 {
-            assert!(client.get(&key.to_le_bytes()).is_none());
-            client.set(&key.to_le_bytes(), &encode_value(key, 1));
-        }
-        if crash {
-            std::mem::forget(client);
-        } else {
-            drop(client);
-        }
-        let mut survivor = cache.client();
-        let report = survivor.recover_crashed_client(id);
-        assert_eq!(
-            report.journal_entries_replayed,
-            u64::from(crash),
-            "{report:?}"
-        );
-        assert_eq!(report.recovered_bytes, 0, "the insert landed: {report:?}");
-        assert_no_orphans(&cache, &mut survivor, &format!("crash {crash}"));
-        for key in 0..100u64 {
-            let bytes = survivor.get(&key.to_le_bytes()).expect("the fill landed");
-            assert_eq!(decode_version(key, &bytes), 1);
+    for pressure in [false, true] {
+        for crash in [false, true] {
+            let context = format!("pressure {pressure}, crash {crash}");
+            let (capacity, keys) = if pressure {
+                (300, 2_000)
+            } else {
+                (1_000, 100u64)
+            };
+            let config = DittoConfig::with_capacity(capacity).with_crash_recovery_journal(true);
+            let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
+            let mut client = cache.client();
+            let id = client.dm().client_id();
+            for key in 0..keys {
+                assert!(client.get(&key.to_le_bytes()).is_none());
+                client.set(&key.to_le_bytes(), &[key as u8; 200]);
+            }
+            let evictions = cache.stats().snapshot().evictions;
+            assert_eq!(evictions > 0, pressure, "{context}");
+            if crash {
+                std::mem::forget(client);
+            } else {
+                drop(client);
+            }
+            let mut survivor = cache.client();
+            let report = survivor.recover_crashed_client(id);
+            assert_eq!(
+                report.journal_entries_replayed,
+                u64::from(crash),
+                "{context}: {report:?}"
+            );
+            // The insert landed: what is recovered is the carried victim, a
+            // 200-byte value in four 64-byte blocks.
+            let victim = u64::from(crash && pressure) * 256;
+            assert_eq!(report.recovered_bytes, victim, "{context}: {report:?}");
+            assert_no_orphans(&cache, &mut survivor, &context);
+            let mut cached = 0;
+            for key in 0..keys {
+                if let Some(bytes) = survivor.get(&key.to_le_bytes()) {
+                    assert_eq!(bytes, [key as u8; 200], "{context}");
+                    cached += 1;
+                }
+            }
+            assert!(
+                survivor.get(&(keys - 1).to_le_bytes()).is_some(),
+                "{context}"
+            );
+            assert_eq!(cached == keys, !pressure, "{context}");
         }
     }
 }
