@@ -1513,15 +1513,22 @@ mod tests {
 
     /// A's one-round fill of `probe` loses its insert CAS to B's `Set` of
     /// another key, whose `hash` A's metadata WRITE overwrote: until A books
-    /// the fill, no lookup finds B's key.  C misses it meanwhile and fills it
-    /// — before A books (`filled_first`), or after, from the miss memo taken
-    /// before.  Either way B's key lives in exactly one slot afterwards, with
-    /// C's value: filled first, C's copy is found by A's repair, which
-    /// invalidates the slot it repaired; filled after, C's memo is refused
-    /// by the epoch A's repair moved, and C replaces the repaired copy.
+    /// the fill, no lookup finds B's key.  Someone misses it meanwhile and
+    /// fills it: C before A books, C after, from the miss memo taken before,
+    /// or A itself, whose `Get` of the key misses and books the fill as it
+    /// ends.  Each way B's key lives in exactly one slot afterwards, with the
+    /// filler's value: filled first, C's copy is found by A's repair, which
+    /// invalidates the slot it repaired; filled after, the memo is refused by
+    /// the epoch the repair moved, and the filler replaces the repaired copy.
     #[test]
     fn a_lost_inserts_overwritten_key_lives_once_whoever_fills_it_meanwhile() {
-        for filled_first in [true, false] {
+        #[derive(Debug, PartialEq)]
+        enum Filler {
+            CBeforeTheBooking,
+            CAfterIt,
+            A,
+        }
+        for filler in [Filler::CBeforeTheBooking, Filler::CAfterIt, Filler::A] {
             let cache = small_cache();
             let (mut a, mut b, mut c) = (cache.client(), cache.client(), cache.client());
             let (table, key) = (cache.table.clone(), b"probe");
@@ -1539,26 +1546,35 @@ mod tests {
                 slots_holding(&cache, &c, &other),
                 [table.slot_addr(primary, 0)]
             );
-            assert!(c.get(&other).is_none(), "B's key is unfindable");
-            if filled_first {
-                c.set(&other, b"c");
+            let value = match filler {
+                Filler::A => b"a",
+                _ => b"c",
+            };
+            let fills = if filler == Filler::A { &mut a } else { &mut c };
+            assert!(fills.get(&other).is_none(), "B's key is unfindable");
+            if filler == Filler::CBeforeTheBooking {
+                c.set(&other, value);
                 // A `Get` of the key books C's own fill.
-                assert_eq!(c.get(&other).as_deref(), Some(&b"c"[..]));
+                assert_eq!(c.get(&other).as_deref(), Some(&value[..]));
                 assert_eq!(slots_holding(&cache, &c, &other).len(), 2);
             }
-            // A's next op, a `Get` of another key, meets the fill's
-            // completions and books it as it ends.
-            assert!(a.get(b"unrelated").is_none());
+            // A's next op — its `Get` of B's key, or of another — meets the
+            // fill's completions and books it as it ends.
+            if filler != Filler::A {
+                assert!(a.get(b"unrelated").is_none());
+            }
             assert!(a.pending_fill.is_none());
             assert_eq!(cache.stats().fills_abandoned(), abandoned + 1);
-            if !filled_first {
-                c.set(&other, b"c");
+            match filler {
+                Filler::CBeforeTheBooking => {}
+                Filler::CAfterIt => c.set(&other, value),
+                Filler::A => a.set(&other, value),
             }
             let holding = slots_holding(&cache, &c, &other);
-            assert_eq!(holding.len(), 1, "filled first: {filled_first}");
+            assert_eq!(holding.len(), 1, "{filler:?}");
             assert_eq!(live_slots_of(&cache, &c, &other), holding);
             let mut d = cache.client();
-            assert_eq!(d.get(&other).as_deref(), Some(&b"c"[..]));
+            assert_eq!(d.get(&other).as_deref(), Some(&value[..]));
             for client in [&mut a, &mut c] {
                 let referenced = client.referenced_object_bytes_on(0);
                 assert_eq!(cache.pool().resident_object_bytes(0), referenced);
