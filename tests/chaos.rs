@@ -613,26 +613,27 @@ fn chaos_a_faulted_fill_is_abandoned_when_booked() {
 }
 
 /// A client gone with its last fill posted and not booked, on a cache only
-/// it filled — with room for every key, or under memory pressure, where
-/// each fill carries the victim the fill before it picked.  Dropped, it
-/// books the fill first, and leaves nothing to recover.  Crashed — gone
-/// without running another step, its destructor included — it leaves its
-/// journal armed, naming the fill's object and the carried victim's: the
-/// insert landed, so recovery keeps the object; the victim CAS landed too,
-/// so no slot references the victim, which recovery frees.  Either way no
-/// byte leaks and every value still cached stays readable.
+/// it filled, of one node or two — with room for every key, or under memory
+/// pressure, where each fill carries the victim the fill before it picked.
+/// Dropped, it books the fill first, and leaves nothing to recover.
+/// Crashed — gone without running another step, its destructor included —
+/// it leaves its journal armed, naming the fill's object and the carried
+/// victim's: the insert landed, so recovery keeps the object; the victim CAS
+/// landed too, so no slot references the victim, which recovery frees.
+/// Either way no byte leaks and every value still cached stays readable.
 #[test]
 fn chaos_a_client_gone_with_a_fill_posted_is_recovered() {
-    for pressure in [false, true] {
-        for crash in [false, true] {
-            let context = format!("pressure {pressure}, crash {crash}");
+    for nodes in [1u16, 2] {
+        for (pressure, crash) in [(false, false), (false, true), (true, false), (true, true)] {
+            let context = format!("{nodes} nodes, pressure {pressure}, crash {crash}");
             let (capacity, keys) = if pressure {
                 (300, 2_000)
             } else {
                 (1_000, 100u64)
             };
             let config = DittoConfig::with_capacity(capacity).with_crash_recovery_journal(true);
-            let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
+            let dm = DmConfig::default().with_memory_nodes(nodes);
+            let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
             let mut client = cache.client();
             let id = client.dm().client_id();
             for key in 0..keys {
