@@ -195,6 +195,9 @@ pub struct DittoClient {
     hosted_cpu: (usize, usize),
     /// Rounds this client posted on the `Set` path, by `round::Shape`.
     rounds_posted: [u64; 6],
+    /// The op id of the client's last `Set`: what its polls book lands for
+    /// the op after the next ([`DittoClient::sample_landed`]).
+    set_op: u64,
     /// This client's own bumps of each [`CoherenceBoard`] slot.  Its own slot
     /// CASes keep its hints exact, so a hint is stamped with — and filtered
     /// by — the mutations *other* clients made: board epoch minus these.
@@ -252,6 +255,10 @@ pub struct DittoClient {
     /// stays unread until a later `Set` takes the eviction up, whatever
     /// samples other evictions read into [`Self::sample_buf`] meanwhile.
     parked_sample_buf: Box<[u8]>,
+    /// Scratch for the samples of the eviction a `Set` carries: a re-sample
+    /// the carrying fill's ring sends, which stays unread until a later
+    /// op's round picks from it, whatever lands in the other two meanwhile.
+    carried_sample_buf: Box<[u8]>,
     /// Scratch for object READs; grows to the largest object seen.
     obj_buf: Vec<u8>,
     /// Scratch for `Set` object encoding; grows to the largest object set.
@@ -301,6 +308,7 @@ impl DittoClient {
             fc_riders: 0..0,
             hosted_cpu: (0, 0),
             rounds_posted: [0; 6],
+            set_op: 0,
             own_bumps: vec![0; board.slots()].into_boxed_slice(),
             tier,
             board,
@@ -321,6 +329,8 @@ impl DittoClient {
             bucket_buf: vec![0u8; 2 * BUCKET_SIZE].into_boxed_slice(),
             sample_buf: vec![0u8; DittoConfig::SAMPLE_SPAN_SLOTS * SLOT_SIZE].into_boxed_slice(),
             parked_sample_buf: vec![0u8; DittoConfig::SAMPLE_SPAN_SLOTS * SLOT_SIZE]
+                .into_boxed_slice(),
+            carried_sample_buf: vec![0u8; DittoConfig::SAMPLE_SPAN_SLOTS * SLOT_SIZE]
                 .into_boxed_slice(),
             obj_buf: Vec::new(),
             encode_buf: Vec::new(),
@@ -383,8 +393,9 @@ impl DittoClient {
     pub fn try_set(&mut self, key: &[u8], value: &[u8]) -> CacheResult<()> {
         self.maybe_refresh_topology();
         self.dm.begin_op();
+        self.set_op = self.dm.op_id();
         self.eviction_age.begin_op(self.dm.now_ns());
-        self.book_pending_fill();
+        self.book_pending_fill(true);
         let memo = self.miss_memo.take();
         // The reusable per-client encode buffer, moved out meanwhile so the
         // borrow checker can see it is disjoint from `self`.
@@ -401,7 +412,8 @@ impl DittoClient {
     /// the parked eviction's — which stay in flight for a later op's polls
     /// to meet (a fill's own op polls none of its round).  A pending fill
     /// whose last completion the op's polls met is booked here
-    /// ([`DittoClient::book_fill`]), by the op that learnt how it went.
+    /// ([`DittoClient::book_fill`]), by the op that learnt how it went —
+    /// but for a carried eviction still to pick, which a later round picks.
     fn end_op(&mut self) {
         while self.dm.outstanding_completions() > self.side_channels_in_flight() {
             if self.poll_routed(&mut [None, None]).is_none() {
@@ -411,18 +423,21 @@ impl DittoClient {
         if self
             .pending_fill
             .as_ref()
-            .is_some_and(|fill| fill.in_flight() == 0)
+            .is_some_and(|fill| fill.in_flight(false) == 0)
         {
-            self.book_fill();
+            self.book_fill(false);
         }
         self.dm.close_op();
     }
 
     /// The completions the side channels wait for: the pending fill's
-    /// insert CAS and carried victim CAS, the parked eviction's sample READs
-    /// and history FAA.
+    /// insert CAS and its carried eviction's victim CAS or re-sample READ,
+    /// the parked eviction's sample READs and history FAA.
     fn side_channels_in_flight(&self) -> usize {
-        let fill = self.pending_fill.as_ref().map_or(0, PendingFill::in_flight);
+        let fill = self
+            .pending_fill
+            .as_ref()
+            .map_or(0, |fill| fill.in_flight(true));
         fill + self.parked_eviction.as_ref().map_or(0, |ev| ev.in_flight)
     }
 
@@ -431,18 +446,21 @@ impl DittoClient {
     /// eviction, a migration pump, a recovery, a forensic scan, its `Drop`:
     /// polls until its insert CAS and its carried victim CAS have completed
     /// (the op that ended last has usually met both and booked it already),
-    /// then books it ([`DittoClient::book_fill`]).
-    fn book_pending_fill(&mut self) {
+    /// then books it ([`DittoClient::book_fill`]).  With `settle` a carried
+    /// eviction still to pick picks now, waiting for its re-sample and its
+    /// CAS; without — a `Get` of the key, which needs only the insert — it
+    /// stays pending.
+    fn book_pending_fill(&mut self, settle: bool) {
         while self
             .pending_fill
             .as_ref()
-            .is_some_and(|fill| fill.in_flight() > 0)
+            .is_some_and(|fill| fill.in_flight(false) > 0)
         {
             if self.poll_routed(&mut [None, None]).is_none() {
                 break;
             }
         }
-        self.book_fill();
+        self.book_fill(settle);
     }
 
     /// Revalidates the cached topology snapshot against the pool's resize
@@ -525,7 +543,7 @@ impl DittoClient {
     /// `NodeRemoved`), is dropped, and so is every other counter on that
     /// node: the counters are advisory.
     pub fn flush(&mut self) {
-        self.book_pending_fill();
+        self.book_pending_fill(true);
         let mut drained = self.fc.as_mut().map(FcCache::flush_all).unwrap_or_default();
         // A counter recorded before a cutover is owed to its word's live
         // home; regrouped by node once re-translated, and merged with the
@@ -743,7 +761,7 @@ impl DittoClient {
         // This client's own fill settles first: its journal and its object.
         // And its hoard goes back to the nodes before anything is replayed:
         // a journalled block it freed and parks would still look granted.
-        self.book_pending_fill();
+        self.book_pending_fill(true);
         self.alloc.release_excess(&self.dm, 0);
 
         // 1. One forensic scan of the whole table: both the journal replay
@@ -907,7 +925,7 @@ impl DittoClient {
             .is_some_and(|fill| fill.hash == hash)
         {
             // The key's own fill is booked first, and leaves its hint.
-            self.book_pending_fill();
+            self.book_pending_fill(false);
         }
         if self.tier.is_some() && self.tier_get(hash, key, out) {
             return true;
@@ -1425,7 +1443,7 @@ impl DittoClient {
         // frees exactly one victim.
         let starved = self.mem_pressure && !self.alloc.can_alloc_local(encoded.len());
         let fill = memo.as_ref().is_some_and(|memo| memo.hash == hash);
-        let mut carried = self.take_parked(starved);
+        let mut carried = self.take_parked(starved, hash);
         let parks = fill || carried.is_some();
         let mut ahead = starved
             .then(|| self.evict_begin(size_class as u8, Some((hash, carried.as_ref(), parks))));
@@ -1450,7 +1468,7 @@ impl DittoClient {
             object: Some((obj_addr, new_atomic.encode())),
             memo: memo_slot,
             hint: hint.map(|hint| (self.hinted_slot_addr(hash, hint), hint.word)),
-            carried: carried.as_ref().map(Eviction::victim_cas),
+            carried: carried.as_ref().map(Eviction::carry),
             fill,
             use_extension: self.use_extension,
             key: Some(hash),
@@ -1463,6 +1481,7 @@ impl DittoClient {
         let front = (plan.memo.is_some() || plan.hint.is_some()).then(|| {
             plan_round(&Plan {
                 own: ahead.as_ref().and_then(Eviction::riding),
+                resample: carried.as_ref().map_or(&[], Eviction::resample),
                 ..plan
             })
         });
@@ -1541,15 +1560,19 @@ impl DittoClient {
                 None => self.choose_insert_slot(&slots),
             };
             // The eviction running ahead takes what the lookup overlapped
-            // and issues its next verb — normally the victim CAS, unless it
-            // parks — and a carried one its victim CAS, to fly during the
-            // publish CAS.  Only beside an insert, though
+            // and issues its next verb — the victim CAS — unless it parks,
+            // and a carried one that has picked its victim CAS, to fly
+            // during the publish CAS.  Only beside an insert, though
             // (`round::Rule::AfterPublish`): the evictions of the two
             // publishes that displace an allocation resume once the `Set` is
             // through (see the crate docs).
             let beside_insert = insert_slot.is_some();
+            let mut advancing = [
+                ahead.as_mut().filter(|ev| !ev.park),
+                carried.as_mut().filter(|ev| ev.is_picked()),
+            ];
             if beside_insert {
-                for ev in [ahead.as_mut(), carried.as_mut()].into_iter().flatten() {
+                for ev in advancing.iter_mut().flatten() {
                     self.evict_advance(ev, true);
                 }
             }
@@ -1573,7 +1596,7 @@ impl DittoClient {
             if beside_insert {
                 // The victim CAS that flew beside the lost insert is settled
                 // before the next attempt, which may displace.
-                for ev in [ahead.as_mut(), carried.as_mut()].into_iter().flatten() {
+                for ev in advancing.iter_mut().flatten() {
                     self.evict_advance(ev, false);
                 }
             }
@@ -1593,20 +1616,30 @@ impl DittoClient {
         // The rest of the evictions is serial: normally just the poll of a
         // victim CAS — all of it after a displacing publish.  The own
         // eviction picks before a carried CAS goes out, as beside an insert,
-        // and one that parks stays with the client for the next starved `Set`,
-        // the CPU work of its pick for the client's next round to charge.
-        let parks =
-            ahead.and_then(|mut ev| self.evict_advance(&mut ev, false).is_none().then_some(ev));
+        // and one that parks stays with the client for the next starved
+        // `Set`, its sample landed and not decoded, as a one-round fill's
+        // own parks: a later op decodes it.
+        let parks = match ahead {
+            Some(ev) if ev.park => Some(ev),
+            Some(mut ev) => {
+                self.evict_advance(&mut ev, false);
+                None
+            }
+            None => None,
+        };
         let mut carried_pending = None;
         if let Some(mut ev) = carried {
-            if fill && ev.in_flight > 0 {
+            if stored && ((fill && ev.in_flight > 0) || ev.is_sampling()) {
                 // Its victim CAS flew beside the insert: like a one-round
                 // fill's, it is booked once a later poll meets it, so that a
                 // fill frees its carried victim at the same op whichever door
-                // it took.
+                // it took.  One still to pick is picked for by a later op,
+                // as after a one-round fill.
                 carried_pending = Some(ev);
             } else {
-                self.evict_advance(&mut ev, false);
+                // Finished before a sweep below polls: what it has out is
+                // met only by polls that know it.
+                self.finish_carried(&mut ev);
             }
         }
         // What a Set that could not publish did instead: invalidated the
@@ -1671,14 +1704,11 @@ impl DittoClient {
         // the only cost is a spurious refetch by tier holders of this key.
         self.bump_board(hash);
         match carried_pending {
-            Some(mut ev) if !stored => {
-                self.evict_advance(&mut ev, false);
-                self.journal_clear();
-            }
-            Some(ev) => {
+            Some(mut ev) => {
                 // The journal stays armed, naming the carried victim, until
                 // the fill is booked.
-                self.journal_set_fill(Some(ev.victim_object()));
+                self.journal_set_fill(ev.is_picked().then(|| ev.victim_object()));
+                self.send_carried_resample(&mut ev);
                 self.pending_fill = Some(PendingFill {
                     hash,
                     insert: None,
@@ -1688,8 +1718,8 @@ impl DittoClient {
             None => self.journal_clear(),
         }
         if let Some(ev) = parks {
-            // Last, so that a re-sample it sends is the last verb of the op.
-            self.park(ev);
+            // Last, so that a sample it sends is the last verb of the op.
+            self.park_undecoded(ev);
         }
         outcome
     }
@@ -1791,7 +1821,7 @@ impl DittoClient {
         // pending fill and a parked eviction's deferred READ are polled and
         // booked first.
         let _ = self.drain_round(&mut [None, None]);
-        self.book_fill();
+        self.book_fill(true);
         let engine = Arc::clone(&self.engine);
         engine.maybe_replan();
         let mut progress = MigrationProgress::default();
@@ -1839,7 +1869,7 @@ impl DittoClient {
     ///
     /// [`MemoryPool::resident_object_bytes`]: ditto_dm::MemoryPool::resident_object_bytes
     pub fn referenced_object_bytes_on(&mut self, mn_id: u16) -> u64 {
-        self.book_pending_fill();
+        self.book_pending_fill(true);
         let refs = self.referenced_objects();
         refs.get(mn_id as usize).map_or(0, |node_refs| {
             node_refs.iter().map(|&(_, bytes)| bytes).sum()
@@ -2069,7 +2099,7 @@ impl Drop for DittoClient {
     /// acquired goes into no slot: it is booked burnt, and nothing is sent.
     fn drop(&mut self) {
         if !self.crashed {
-            self.book_pending_fill();
+            self.book_pending_fill(true);
         }
         if self.parked_eviction.is_some() && self.policy.is_adaptive() {
             self.stats.record_history_id_burnt();

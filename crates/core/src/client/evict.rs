@@ -5,15 +5,17 @@
 //! fill's with its sample in flight, decoded by a later round — its pick's
 //! CPU work charged under the client's next round, or, when its sample held
 //! too few candidates, its re-sample READ left in flight for the client's
-//! next ops to poll (see the crate docs, *The `Set` path under memory
-//! pressure*).  A candidate is scored on its slot's words plus the FC
-//! increments this client buffered for it when its sample landed — or, of a
-//! deferred sample, when its READ went out: folded in where the sample is
-//! decoded, once.
+//! next ops to poll.  A one-round fill that carries it before it could pick
+//! sends its next re-sample on the fill's own ring, and a later op's round
+//! picks and sends the victim CAS (see the crate docs, *The `Set` path
+//! under memory pressure*).  A candidate is scored on its slot's words plus
+//! the FC increments this client buffered for it when its sample landed —
+//! or, of a deferred sample, when its READ went out: folded in where the
+//! sample is decoded, once.
 
 use super::lookup::bucket_holds;
 use super::round::{
-    alone, Context, Op, Owner, Retire, Riding, RidingSample, Round, Shape, Verb, DISPLACE,
+    alone, Carry, Context, Op, Owner, Retire, Riding, RidingSample, Round, Shape, Verb, DISPLACE,
 };
 use super::{Candidates, DittoClient, Pick, MAX_RETRIES};
 use crate::config::DittoConfig;
@@ -35,8 +37,8 @@ const NO_ID: u64 = u64::MAX;
 #[derive(Clone, Copy, Default)]
 pub(super) enum EvictWait {
     /// A sample READ is out (or waits to ride the `Set`'s first round, or,
-    /// a fill's deferred re-sample, for its op to end), beside the first one
-    /// the history-id FAA.
+    /// a fill's deferred re-sample, for its op to end or for the ring of the
+    /// fill that carries it), beside the first one the history-id FAA.
     #[default]
     Sample,
     /// The victim is picked and its slot CAS not posted: it goes out at
@@ -63,17 +65,19 @@ pub(super) enum EvictWait {
 /// after the sample landed decodes it ([`DittoClient::settle_parked_sample`]).
 /// A parked one whose sample was short instead stops with its re-sample
 /// drawn, sent on a ring of its own ([`DittoClient::park`]),
-/// and the `Set` that takes the eviction up decodes it and picks.  The round
-/// executor ([`super::round`]) posts its verbs and books their completions
-/// on it.  Its candidates carry their `freq` words with this client's
+/// and the `Set` that takes the eviction up decodes it and picks — or, still
+/// short, carries it unpicked, its next re-sample on the `Set`'s ring, for
+/// a later op's round to pick ([`DittoClient::settle_carried_sample`]).  The
+/// round executor ([`super::round`]) posts its verbs and books their
+/// completions on it.  Its candidates carry their `freq` words with this client's
 /// buffered FC increments folded in as of their sample's landing, so every
 /// pick — the first, a deferred one, a re-pick after a lost victim CAS —
 /// scores the same counts.
 #[derive(Default)]
 pub(super) struct Eviction {
     /// Start of the `Evict` span: when the first sample was issued — or, of a
-    /// parked eviction, when the `Set` that carries it posted its victim CAS
-    /// (the round that charges its pick's CPU work records the sample half).
+    /// parked eviction, when its victim CAS was posted (the op that picks, or
+    /// the round that charges its pick's CPU work, records the sample half).
     t0: u64,
     min_blocks: u8,
     /// The stripe directory's version when the eviction began: a parked
@@ -84,11 +88,17 @@ pub(super) struct Eviction {
     /// ([`Rule::Sample`](super::round::Rule::Sample)).
     key: Option<u64>,
     own_buckets: Option<[RemoteAddr; 2]>,
-    /// The victim slot of the parked eviction the same `Set` carries: never
-    /// a candidate either, for that `Set` takes it out.
-    carried_victim: Option<RemoteAddr>,
+    /// The victim slot of the client's other eviction between its pick and
+    /// its free — the one the same `Set` carries, or, between two fills, the
+    /// parked or the carried one: never a candidate either, for that
+    /// eviction takes it out.
+    other_victim: Option<RemoteAddr>,
     /// Whether, once picked, the victim waits for the next starved `Set`.
     pub(super) park: bool,
+    /// The first op in which the current sample counts as landed
+    /// ([`DittoClient::sample_landed`]): the one after the op whose poll
+    /// booked its last completion — or after the next, booked by a `Set`'s.
+    pub(super) landed_op: u64,
     /// Whose verbs this eviction's are in a `Set`'s rounds: its own, or —
     /// parked by an earlier `Set` — those of the eviction it carries.
     pub(super) owner: Owner,
@@ -144,10 +154,54 @@ impl Eviction {
     pub(super) fn riding(&self) -> Option<RidingSample<'_>> {
         let riding = Riding {
             key: self.key,
-            victim: self.carried_victim,
+            victim: self.other_victim,
             park: self.park,
         };
         (!self.issued && !self.deferred).then_some((&self.segments[..], self.id_counter, riding))
+    }
+
+    /// Whether a victim is picked and not freed yet: its CAS still to go
+    /// out, or in flight.
+    pub(super) fn is_picked(&self) -> bool {
+        matches!(self.wait, EvictWait::Picked | EvictWait::Victim)
+    }
+
+    /// Whether it waits for a sample to pick from.
+    pub(super) fn is_sampling(&self) -> bool {
+        matches!(self.wait, EvictWait::Sample)
+    }
+
+    /// Whether it drew a re-sample, deferred, that has not gone out.
+    pub(super) fn resample_drawn(&self) -> bool {
+        self.is_sampling() && self.deferred && !self.issued
+    }
+
+    /// The picked victim's slot, if [`Self::is_picked`].
+    fn picked_victim(&self) -> Option<RemoteAddr> {
+        self.is_picked().then(|| self.victim_addr())
+    }
+
+    /// What this eviction, carried by a `Set`, sends: its victim CAS once
+    /// picked, or else the re-sample it drew, if any ([`Self::resample`]),
+    /// which leaves the `Set`'s buckets out.
+    pub(super) fn carry(&self) -> Carry {
+        match self.is_picked() {
+            true => Carry::Victim(self.victim_cas()),
+            false => Carry::Unpicked(self.resample_drawn().then_some(Riding {
+                key: self.key,
+                victim: None,
+                park: true,
+            })),
+        }
+    }
+
+    /// The segments of the re-sample it drew and has not sent; none with
+    /// its sample in flight, or picked.
+    pub(super) fn resample(&self) -> &[(RemoteAddr, usize)] {
+        match self.resample_drawn() {
+            true => &self.segments,
+            false => &[],
+        }
     }
 
     /// The CAS of the picked victim's slot.
@@ -170,7 +224,7 @@ impl Eviction {
     /// Whether `slot_addr` may not be a candidate: a slot of the `Set`'s own
     /// buckets, or the victim slot of the eviction it carries.
     fn excludes(&self, slot_addr: RemoteAddr) -> bool {
-        self.carried_victim == Some(slot_addr)
+        self.other_victim == Some(slot_addr)
             || self
                 .own_buckets
                 .iter()
@@ -195,7 +249,7 @@ impl Eviction {
         (self.word != 0 && self.victim_addr() == slot_addr).then_some(self.pick.history_word)
     }
 
-    /// Takes a parked eviction up again in the `Set` that carries it: from
+    /// Takes a parked eviction up again once its victim CAS goes out: from
     /// `now` on it runs like any other, its `Evict` span the victim half.
     pub(super) fn unpark(&mut self, now: u64) {
         (self.park, self.t0) = (false, now);
@@ -206,7 +260,7 @@ impl DittoClient {
     /// Performs one sampling eviction.  Returns `true` when an object was
     /// evicted and its memory recycled.
     pub fn evict_once(&mut self) -> bool {
-        self.book_pending_fill();
+        self.book_pending_fill(true);
         self.evict_once_for(0)
     }
 
@@ -228,8 +282,9 @@ impl DittoClient {
     /// it is the eviction a starved `Set` of `hash` runs *ahead* (see
     /// [`Eviction`]): the two verbs wait to ride the `Set`'s first doorbell,
     /// and no slot of the key's two buckets — nor the victim slot of the
-    /// eviction `carried`, which this `Set` takes out — is a candidate.  With
-    /// `park` its victim, once picked, waits for the next starved `Set`.
+    /// eviction `carried`, which this `Set` takes out, if it has picked — is
+    /// a candidate.  With `park` its victim, once picked, waits for the next
+    /// starved `Set`.
     pub(super) fn evict_begin(
         &mut self,
         min_blocks: u8,
@@ -245,54 +300,103 @@ impl DittoClient {
             ..Eviction::default()
         };
         if let Some((hash, carried, park)) = ahead {
-            let own = [
-                self.table.primary_bucket(hash),
-                self.table.secondary_bucket(hash),
-            ];
             (ev.key, ev.park) = (Some(hash), park);
-            ev.own_buckets = Some(own.map(|bucket| self.table.bucket_addr(bucket)));
-            ev.carried_victim = carried.map(Eviction::victim_addr);
+            ev.own_buckets = Some(self.key_buckets(hash));
+            ev.other_victim = carried.and_then(Eviction::picked_victim);
         }
         self.issue_sample(&mut ev, false);
         ev
     }
 
-    /// The eviction a previous fill parked, if this `Set` is `starved` and
-    /// so carries it.  Any `Set` drops it instead once a stripe cutover has
-    /// moved the directory since it began — its candidates' addresses may
-    /// name retired copies — and its history id is burnt; a sample READ it
-    /// still has out is polled first, so that no stray completion meets the
-    /// op's own polls.  A parked eviction that has not picked yet — its
-    /// fill's sample, or the re-sample it deferred, not decoded by the op
-    /// that booked it — picks here: its CPU work hosted under this `Set`'s
-    /// first round, like a fill's pick.  A first sample too short to pick
-    /// from sends its re-sample now and waits for it, and a re-sample still
-    /// too short re-samples in place.
-    pub(super) fn take_parked(&mut self, starved: bool) -> Option<Eviction> {
+    /// The addresses of `hash`'s two buckets.
+    fn key_buckets(&self, hash: u64) -> [RemoteAddr; 2] {
+        let both = [
+            self.table.primary_bucket(hash),
+            self.table.secondary_bucket(hash),
+        ];
+        both.map(|bucket| self.table.bucket_addr(bucket))
+    }
+
+    /// The eviction a previous fill parked, if this `Set` of `hash` is
+    /// `starved` and so carries it.  Any `Set` drops it instead once a
+    /// stripe cutover has moved the directory since it began — its
+    /// candidates' addresses may name retired copies
+    /// ([`Self::drop_eviction`]).  A parked eviction that has not picked yet
+    /// — its fill's sample, or the re-sample it deferred, not decoded by the
+    /// op that booked it — decodes its landed sample here, its CPU work
+    /// charged before the `Set`'s first ring, and picks.  One that cannot
+    /// pick yet — that sample short, or its READ still in flight — is
+    /// carried unpicked, and the `Set` waits for nothing: a re-sample it drew
+    /// leaves this `Set`'s buckets out and goes out on the one-round fill's
+    /// ring in place of the victim CAS ([`Eviction::resample`]) — or, the
+    /// `Set` of another shape, as it ends ([`Self::send_carried_resample`])
+    /// — and a later op picks ([`Self::settle_carried_sample`]).  Under an
+    /// extension expert, whose scoring READs object headers, it picks here
+    /// in place.
+    pub(super) fn take_parked(&mut self, starved: bool, hash: u64) -> Option<Eviction> {
         let mut ev = self.parked_eviction.take()?;
         if ev.version != self.table.directory().version() {
-            self.await_eviction(&mut ev);
-            if self.policy.is_adaptive() {
-                self.stats.record_history_id_burnt();
-            }
+            self.drop_eviction(&mut ev);
             return None;
         }
         if !starved {
             self.parked_eviction = Some(ev);
             return None;
         }
-        while ev.deferred {
+        ev.owner = Owner::Carried;
+        if ev.deferred && ev.issued {
+            // Its undecoded sample moves with it to the carried scratch.
+            std::mem::swap(&mut self.parked_sample_buf, &mut self.carried_sample_buf);
+        }
+        if self.use_extension {
+            self.pick_in_place(&mut ev);
+        } else if self.sample_landed(&ev) {
+            ev.t0 = self.dm.now_ns();
+            self.take_sample(&mut ev);
+        }
+        if ev.is_sampling() && !ev.issued {
+            (ev.key, ev.own_buckets) = (Some(hash), Some(self.key_buckets(hash)));
+        }
+        // Nothing to pick from after every re-sample: given up.
+        (!matches!(ev.wait, EvictWait::Done(_))).then_some(ev)
+    }
+
+    /// Sends the re-sample `ev`, carried unpicked by a `Set` that was not a
+    /// one-round fill, drew: signalled, on a ring of its own, as the `Set`
+    /// ends — where the one-round fill's ring would have carried it — and
+    /// left in flight for a later op to poll and pick from.
+    pub(super) fn send_carried_resample(&mut self, ev: &mut Eviction) {
+        if ev.resample_drawn() {
+            self.post_deferred_sample(ev);
+            self.stats.record_resample_deferred();
+        }
+    }
+
+    /// Drops `ev`, its candidates' addresses stale after a stripe cutover:
+    /// a sample READ it still has out is polled first, so that no stray
+    /// completion meets the op's own polls, and its history id is burnt.
+    fn drop_eviction(&mut self, ev: &mut Eviction) {
+        self.await_eviction(ev);
+        if self.policy.is_adaptive() {
+            self.stats.record_history_id_burnt();
+        }
+        ev.wait = EvictWait::Done(false);
+    }
+
+    /// Runs `ev`, a fill's eviction, to its pick where it stands: a drawn
+    /// re-sample goes out now, and each sample is waited for and decoded in
+    /// turn — a re-sample so waited for is counted
+    /// ([`crate::CacheStats::resamples_waited`], in [`Self::collect_sample`]).
+    pub(super) fn pick_in_place(&mut self, ev: &mut Eviction) {
+        while ev.is_sampling() {
             if !ev.issued {
-                self.post_deferred_sample(&mut ev);
+                self.post_deferred_sample(ev);
             }
             ev.t0 = self.dm.now_ns();
-            if self.evict_advance(&mut ev, false).is_some() {
-                // Nothing to pick from after every re-sample: given up.
-                return None;
+            if self.take_sample(ev) {
+                self.issue_sample(ev, false);
             }
         }
-        ev.owner = Owner::Carried;
-        Some(ev)
     }
 
     /// Advances `ev`: collect the sample (and the history id), re-sample
@@ -301,49 +405,20 @@ impl DittoClient {
     /// `beside_insert` — the `Set` publishes by an insert next — it returns
     /// `None` right after posting a verb, for that publish to overlap and
     /// the caller to resume it later; otherwise it waits in place and runs
-    /// to `Some(won)`.  A parked eviction returns `None` once its victim is
-    /// picked, either way — unless a `Set` carries it — and a fill's own
-    /// with its first re-sample drawn and left for its op's end
-    /// ([`Self::defers_resample`]).
+    /// to `Some(won)`.  A fill's own parked eviction returns `None` once its
+    /// victim is picked, either way, and with its first re-sample drawn and
+    /// left for its op's end ([`Self::defers_resample`]).
     pub(super) fn evict_advance(&mut self, ev: &mut Eviction, beside_insert: bool) -> Option<bool> {
         loop {
             match ev.wait {
                 EvictWait::Done(won) => return Some(won),
                 EvictWait::Sample if ev.deferred && !ev.issued => return None,
                 EvictWait::Sample => {
-                    let cpu = self.collect_sample(ev);
-                    let found = ev.candidates.len();
-                    let short = found < 2 && (found == 0 || ev.samples < 4) && ev.samples < 8;
-                    // Only a pick defers its CPU work: a re-sample or a
-                    // give-up waits for the decode that decided it.
-                    if found > 0 && !short && self.hosts_pick(ev) {
-                        self.hosted_cpu.0 += cpu.0;
-                        self.hosted_cpu.1 += cpu.1;
-                    } else {
-                        self.charge_decode(cpu.0);
-                        self.charge_score(cpu.1);
-                    }
-                    if short && self.defers_resample(ev) {
-                        ev.deferred = true;
-                        self.issue_sample(ev, false);
-                        return None;
-                    }
-                    if short {
+                    if self.take_sample(ev) {
                         self.issue_sample(ev, beside_insert);
                         if beside_insert {
                             return None;
                         }
-                    } else if found == 0 {
-                        self.evict_finish(ev, false);
-                    } else {
-                        let min_blocks = ev.min_blocks;
-                        let fits = |c: &(_, Slot)| c.1.atomic.size_class >= min_blocks;
-                        let fitting = ev.candidates.iter().copied().filter(fits).count();
-                        if fitting > 0 && fitting < found {
-                            let all = std::mem::take(&mut ev.candidates);
-                            ev.candidates.extend(all.iter().copied().filter(fits));
-                        }
-                        self.pick_victim(ev);
                     }
                 }
                 EvictWait::Picked if ev.park && ev.owner == Owner::Own => return None,
@@ -375,24 +450,70 @@ impl DittoClient {
         }
     }
 
+    /// Waits for `ev`'s current sample, decodes it and decides: picks a
+    /// victim, gives up with nothing to pick from after every re-sample, or
+    /// draws the re-sample a short sample calls for — deferred, its READ left
+    /// to whoever posts it, where [`Self::defers_resample`] says so.  Returns
+    /// whether the re-sample is to be read in place instead, which the
+    /// caller issues.  Only a pick defers its CPU work
+    /// ([`Self::hosts_pick`]): a re-sample or a give-up waits for the decode
+    /// that decided it.
+    fn take_sample(&mut self, ev: &mut Eviction) -> bool {
+        let cpu = self.collect_sample(ev);
+        let found = ev.candidates.len();
+        let short = found < 2 && (found == 0 || ev.samples < 4) && ev.samples < 8;
+        if found > 0 && !short && self.hosts_pick(ev) {
+            self.hosted_cpu.0 += cpu.0;
+            self.hosted_cpu.1 += cpu.1;
+        } else {
+            self.charge_decode(cpu.0);
+            self.charge_score(cpu.1);
+        }
+        if short && self.defers_resample(ev) {
+            ev.deferred = true;
+            self.issue_sample(ev, false);
+        } else if short {
+            return true;
+        } else if found == 0 {
+            self.evict_finish(ev, false);
+        } else {
+            let min_blocks = ev.min_blocks;
+            let fits = |c: &(_, Slot)| c.1.atomic.size_class >= min_blocks;
+            let fitting = ev.candidates.iter().copied().filter(fits).count();
+            if fitting > 0 && fitting < found {
+                let all = std::mem::take(&mut ev.candidates);
+                ev.candidates.extend(all.iter().copied().filter(fits));
+            }
+            self.pick_victim(ev);
+        }
+        false
+    }
+
     /// Whether the pick of `ev`, a fill's own parked eviction, leaves its CPU
     /// work to the client's next round: it posts no verb, so nothing waits
     /// on it.  An extension expert's scoring READs object headers, so under
-    /// one the fill picks in place.
+    /// one the fill picks in place.  A carried eviction's pick is charged
+    /// where it is made, ahead of the ring that carries its victim CAS.
     fn hosts_pick(&self, ev: &Eviction) -> bool {
         ev.park && ev.owner == Owner::Own && !self.use_extension
     }
 
-    /// Whether `ev`, a fill's own parked eviction whose first sample came
-    /// up short, leaves its re-sample to the client's next ops: the op that
-    /// decoded the sample draws the span and sends the READ on a ring of
-    /// its own — under its round's flight, or once it has ended — and polls
-    /// nothing; the `Set` that takes the eviction up picks from it
-    /// ([`Self::take_parked`]).  Only the first re-sample, and only where
-    /// the pick would be hosted: a second short sample, or one under an
-    /// extension expert, is re-sampled in place.
+    /// Whether `ev`, a fill's eviction whose sample came up short, leaves
+    /// its re-sample to the client's next ops.  A fill's own parked one
+    /// does so for its first: the op that decoded the sample draws the span
+    /// and sends the READ on a ring of its own — under its round's flight,
+    /// or once it has ended — and polls nothing; the `Set` that takes the
+    /// eviction up picks from it ([`Self::take_parked`]).  A carried one
+    /// does so for every re-sample: the carrying fill's ring, or a later
+    /// op's round, sends it ([`Self::settle_carried_sample`]).  Under an
+    /// extension expert every re-sample is read in place.
     fn defers_resample(&self, ev: &Eviction) -> bool {
-        ev.samples == 1 && self.hosts_pick(ev)
+        !self.use_extension
+            && match ev.owner {
+                Owner::Own => ev.park && ev.samples == 1,
+                Owner::Carried => true,
+                Owner::Set => false,
+            }
     }
 
     /// Makes `ev`'s next sample READ a deferred one: its bytes go to
@@ -420,21 +541,49 @@ impl DittoClient {
     pub(super) fn park(&mut self, mut ev: Eviction) {
         if ev.deferred && !ev.issued {
             self.post_deferred_sample(&mut ev);
-            self.stats.record_resample_deferred();
+            if ev.samples > 1 {
+                self.stats.record_resample_deferred();
+            }
         }
         self.parked_eviction = Some(ev);
     }
 
+    /// Parks `ev`, the own eviction of a `Set` that looked its key up, as a
+    /// one-round fill's own parks: its first sample landed and not decoded,
+    /// its bytes moved out of the way of other evictions' samples, its
+    /// candidates to be scored with the FC counts this client buffers now.
+    /// A later op decodes it — the op it would after a one-round fill
+    /// ([`Self::sample_landed`]).  A sample no lookup round carried goes out
+    /// now.
+    pub(super) fn park_undecoded(&mut self, mut ev: Eviction) {
+        self.defer_sample(&mut ev);
+        if ev.issued {
+            let len = ev
+                .segments
+                .iter()
+                .map(|&(_, slots)| slots * SLOT_SIZE)
+                .sum();
+            self.parked_sample_buf[..len].copy_from_slice(&self.sample_buf[..len]);
+        }
+        self.park(ev);
+    }
+
     /// Posts `ev`'s drawn re-sample, signalled, on a ring of its own, into
-    /// [`DittoClient::parked_sample_buf`] ([`Self::defer_sample`]).
+    /// [`DittoClient::parked_sample_buf`] — or, carried,
+    /// [`DittoClient::carried_sample_buf`] ([`Self::defer_sample`]).
     fn post_deferred_sample(&mut self, ev: &mut Eviction) {
         self.defer_sample(ev);
         let mut round = Round::new(Shape::Evict, Context::default());
-        round.push_sample(&ev.segments, ev.id_counter);
+        round.push_sample(&ev.segments, ev.id_counter, ev.owner);
         round.left_in_flight = true;
-        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
+        let own = ev.owner == Owner::Own;
+        if own {
+            std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
+        }
         self.post_round(&round, &[], &mut alone(ev));
-        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
+        if own {
+            std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
+        }
     }
 
     /// Decodes the first sample of the eviction a fill parked with that
@@ -444,29 +593,110 @@ impl DittoClient {
     /// the client's next round ([`Self::host_parked_pick`]): the decode, the
     /// pick and that ring's posting run under its flight.
     fn settle_parked_sample(&mut self) {
-        let Some(mut ev) = self
-            .parked_eviction
-            .take_if(|ev| ev.samples == 1 && ev.deferred && ev.issued && ev.in_flight == 0)
-        else {
+        let parked = self.parked_eviction.as_ref();
+        if !parked.is_some_and(|ev| ev.samples == 1 && ev.deferred && self.sample_landed(ev)) {
+            return;
+        }
+        let Some(mut ev) = self.parked_eviction.take() else {
             return;
         };
+        ev.other_victim = ev.other_victim.or(self.carried_victim());
         ev.t0 = self.dm.now_ns();
         if self.evict_advance(&mut ev, false).is_none() {
             self.park(ev);
         }
     }
 
+    /// Whether `ev`, a parked or carried eviction that has still to pick,
+    /// may decode its sample now: every READ of it completed, and booked
+    /// before this op — or, booked by a `Set`'s polls, before the op after
+    /// it ([`Eviction::landed_op`]).  A one-round fill polls nothing, and
+    /// its completions are met by the op after it; a `Set` that looks its
+    /// key up drains its rounds, and meets them itself.  Counting the
+    /// second as the first would, a striped cache, whose fills take either
+    /// shape, decodes at the op a single-node one does.
+    pub(super) fn sample_landed(&self, ev: &Eviction) -> bool {
+        ev.is_sampling() && ev.issued && ev.in_flight == 0 && self.dm.op_id() >= ev.landed_op
+    }
+
+    /// The victim of the eviction the pending fill carries, picked and not
+    /// freed yet.
+    fn carried_victim(&self) -> Option<RemoteAddr> {
+        let fill = self.pending_fill.as_ref()?;
+        fill.carried.as_ref().and_then(Eviction::picked_victim)
+    }
+
+    /// Picks for the eviction the pending fill carries unpicked, once a
+    /// poll has booked the re-sample its ring carried
+    /// ([`Self::take_parked`]): decodes it and picks, then journals the
+    /// victim and posts its CAS, signalled, on a ring of its own that the op
+    /// leaves in flight, and moves the victim key's board epoch, as the fill
+    /// would have at its ring; the CAS is booked with the fill
+    /// ([`Self::finish_carried`]).  A re-sample still short sends the next
+    /// one the same way.  A stripe cutover since the eviction began drops
+    /// it ([`Self::drop_eviction`]).  Called between the doorbell and the
+    /// first poll of the client's round ([`Self::host_parked_pick`]): the
+    /// decode, the pick and the ring's posting run under its flight.
+    fn settle_carried_sample(&mut self) {
+        let carried = self
+            .pending_fill
+            .as_ref()
+            .and_then(|fill| fill.carried.as_ref());
+        if !carried.is_some_and(|ev| self.sample_landed(ev)) {
+            return;
+        }
+        let Some(mut ev) = self
+            .pending_fill
+            .as_mut()
+            .and_then(|fill| fill.carried.take())
+        else {
+            return;
+        };
+        if ev.version != self.table.directory().version() {
+            self.drop_eviction(&mut ev);
+            return;
+        }
+        ev.other_victim = self
+            .parked_eviction
+            .as_ref()
+            .and_then(Eviction::picked_victim);
+        ev.t0 = self.dm.now_ns();
+        self.take_sample(&mut ev);
+        if ev.is_picked() {
+            self.journal_set_fill(Some(ev.victim_object()));
+            let ctx = Context {
+                beside_insert: true,
+                ..Context::default()
+            };
+            let mut round = Round::new(Shape::Evict, ctx);
+            round.verbs.push(ev.victim_cas());
+            round.left_in_flight = true;
+            self.post_round(&round, &[], &mut alone(&mut ev));
+            self.bump_victim_ahead(&mut ev);
+        } else if ev.is_sampling() {
+            self.post_deferred_sample(&mut ev);
+            self.stats.record_resample_deferred();
+        }
+        if let Some(fill) = self.pending_fill.as_mut() {
+            fill.carried = Some(ev);
+        }
+    }
+
     /// Runs the CPU work a fill leaves to the client's next round between
     /// that round's doorbell and its first poll, under its round trip
     /// ([`super::round`]'s `post_round`, and `search_hinted`'s ring of both
-    /// READs): the decode of the parked eviction's first sample, once a poll
-    /// has booked it ([`Self::settle_parked_sample`]), and the work of the
-    /// last parked pick — its sample's decode and its candidates' scoring,
-    /// that eviction's sample half and `Evict` span.  The pick itself was
-    /// made on the counts its sample's READ saw.  Returns whether any of it
-    /// took time.
+    /// READs): the pick of the eviction the pending fill carries unpicked,
+    /// once a poll has booked its re-sample, and its victim CAS
+    /// ([`Self::settle_carried_sample`]); the decode of the parked
+    /// eviction's first sample, once a poll has booked it
+    /// ([`Self::settle_parked_sample`]); and the work of the last parked
+    /// pick — its sample's decode and its candidates' scoring, that
+    /// eviction's sample half and `Evict` span.  The pick itself was made on
+    /// the counts its sample's READ saw.  Returns whether any of it took
+    /// time.
     pub(super) fn host_parked_pick(&mut self) -> bool {
         let start = self.dm.now_ns();
+        self.settle_carried_sample();
         self.settle_parked_sample();
         let (slots, scored) = std::mem::take(&mut self.hosted_cpu);
         if slots > 0 {
@@ -507,7 +737,8 @@ impl DittoClient {
     ///
     /// An ahead eviction's first sample rides the `Set`'s first round
     /// ([`Eviction::riding`]), and a deferred re-sample goes out on a ring
-    /// of its own ([`Self::park`]): neither is issued here.
+    /// of its own ([`Self::park`]) or on the ring of the fill that carries
+    /// it ([`Eviction::carry`]): neither is issued here.
     /// Any other goes out now.  `post` — beside the `Set`'s insert — has its
     /// verbs go out on a round of their own and returns with them in flight,
     /// as do several segments, or a sample with the FAA beside it, whatever
@@ -545,12 +776,18 @@ impl DittoClient {
         }
         match ev.segments[..] {
             [(addr, slots)] if !post && ev.id_counter.is_none() => {
-                let buf = &mut self.sample_buf[..slots * SLOT_SIZE];
-                ev.failed = self.dm.try_read_into(addr, buf).is_err();
+                let buf = match ev.owner {
+                    Owner::Carried => &mut self.carried_sample_buf,
+                    _ => &mut self.sample_buf,
+                };
+                ev.failed = self
+                    .dm
+                    .try_read_into(addr, &mut buf[..slots * SLOT_SIZE])
+                    .is_err();
             }
             _ => {
                 let mut round = Round::new(Shape::Evict, Context::default());
-                round.push_sample(&ev.segments, ev.id_counter);
+                round.push_sample(&ev.segments, ev.id_counter, ev.owner);
                 self.post_round(&round, &[], &mut alone(ev));
             }
         }
@@ -566,17 +803,22 @@ impl DittoClient {
     /// candidates a single node does.  Each candidate's `freq` takes what
     /// this client's FC cache buffered for it: now, as the sample lands, or,
     /// of a deferred re-sample, when its READ went out ([`Eviction::fc_seen`]).
+    /// A fill's eviction whose re-sample it waits for — in flight, or read
+    /// in place — counts [`crate::CacheStats::resamples_waited`].
     fn collect_sample(&mut self, ev: &mut Eviction) -> (usize, usize) {
         debug_assert!(ev.issued, "the first lookup round posts a riding sample");
+        if ev.samples > 1 && ev.park && (ev.in_flight > 0 || !ev.deferred) {
+            self.stats.record_resample_waited();
+        }
         self.await_eviction(ev);
         let deferred = std::mem::take(&mut ev.deferred);
         if ev.failed {
             return (0, 0);
         }
-        let bytes = if deferred {
-            &self.parked_sample_buf
-        } else {
-            &self.sample_buf
+        let bytes = match (ev.owner, deferred) {
+            (Owner::Carried, _) => &self.carried_sample_buf,
+            (_, true) => &self.parked_sample_buf,
+            _ => &self.sample_buf,
         };
         let (mut offset, mut gathered) = (0, 0);
         for &(addr, slots) in ev.segments.iter() {
@@ -603,9 +845,9 @@ impl DittoClient {
     /// takes it out of the table swaps in: an embedded history entry built
     /// from the id the eviction already holds.  A parked eviction's sample
     /// half is its pick's CPU work, which the client's next round records
-    /// ([`Self::host_parked_pick`]) — or the fill, under an extension
-    /// expert: its span closes here.  The `Set` that carries it records the
-    /// victim half.
+    /// ([`Self::host_parked_pick`]) — or, charged where it is made (a
+    /// carried eviction's pick, one under an extension expert), closes
+    /// here.  The op that books its victim CAS records the victim half.
     fn pick_victim(&mut self, ev: &mut Eviction) {
         ev.pick = self.select_victim(&ev.candidates);
         (ev.wait, ev.bumped) = (EvictWait::Picked, false);
@@ -711,7 +953,24 @@ impl DittoClient {
     /// Finishes `ev`, the eviction a fill carried, once the fill is booked:
     /// commits its victim CAS — or re-picks, should it have lost — in the
     /// op that books it, whose `Evict` span is the victim half from here.
+    /// One still to pick, which no later round picked for, picks here in
+    /// place ([`Self::pick_in_place`]) and journals its victim before the
+    /// CAS goes out; a stripe cutover since it began drops it instead.
     pub(super) fn finish_carried(&mut self, ev: &mut Eviction) {
+        if ev.is_sampling() {
+            if ev.version != self.table.directory().version() {
+                self.drop_eviction(ev);
+                return;
+            }
+            ev.other_victim = self
+                .parked_eviction
+                .as_ref()
+                .and_then(Eviction::picked_victim);
+            self.pick_in_place(ev);
+            if ev.is_picked() {
+                self.journal_set_fill(Some(ev.victim_object()));
+            }
+        }
         ev.t0 = self.dm.now_ns();
         self.evict_advance(ev, false);
     }
@@ -1187,12 +1446,13 @@ mod tests {
     }
 
     /// A fill leaves its round in flight, and so does the round that
-    /// decodes its eviction's short sample with the re-sample READ it posts:
-    /// their flight spans carry op id 0, so the critical-path attribution
-    /// gives each op no more time than its `begin_op`/`end_op` latency.
-    /// Each fill here is followed by two `Get`s of the key filled before it:
-    /// the first polls the fill's completions, the second's round decodes
-    /// its eviction's sample.
+    /// decodes its eviction's short sample with the re-sample READ it posts,
+    /// and the one that picks for an eviction a fill carried unpicked, with
+    /// its victim CAS or its next re-sample: their flight spans carry op id
+    /// 0, so the critical-path attribution gives each op no more time than
+    /// its `begin_op`/`end_op` latency.  Each fill here is followed by two
+    /// `Get`s of the key filled before it: the first polls the fill's
+    /// completions, the second's round decodes its eviction's sample.
     #[test]
     fn rounds_left_in_flight_are_attributed_no_more_than_their_ops_latency() {
         let (cache, mut client) =
@@ -1202,7 +1462,9 @@ mod tests {
         for key in 5_000..5_200u64 {
             for step in 0..4 {
                 client.dm().clear_flight_recorder();
-                let (before, deferred) = (latency.sum_ns(), cache.stats().resamples_deferred());
+                let evict_rounds =
+                    |client: &DittoClient| client.rounds_posted[Shape::Evict as usize];
+                let (before, rounds) = (latency.sum_ns(), evict_rounds(&client));
                 match step {
                     0 => assert!(client.get(&key.to_le_bytes()).is_none()),
                     1 => client.set(&key.to_le_bytes(), &[1u8; BIG]),
@@ -1216,7 +1478,7 @@ mod tests {
                 );
                 let left = match step {
                     1 => client.pending_fill.is_some(),
-                    _ => cache.stats().resamples_deferred() > deferred,
+                    _ => evict_rounds(&client) > rounds,
                 };
                 assert_eq!(!outside.is_empty(), left, "key {key}, step {step}");
                 fills += u32::from(step == 1 && left);
@@ -1230,7 +1492,10 @@ mod tests {
             }
         }
         assert_eq!(fills, 200);
-        assert!(resamples > 5, "only {resamples} re-samples left in flight");
+        assert!(
+            resamples > 5,
+            "only {resamples} Gets left a round in flight"
+        );
     }
 
     /// Sample spans decoded in the flight recorder: a sample's decode is
@@ -1245,12 +1510,18 @@ mod tests {
             .sum()
     }
 
-    /// Samples read and not decoded yet: the parked eviction's, in flight or
-    /// landed, and the picks whose decode the client's next round hosts.
+    /// Samples read and not decoded yet: the parked eviction's and the
+    /// carried one's, in flight or landed, and the picks whose decode the
+    /// client's next round hosts.
     fn samples_undecoded(client: &DittoClient) -> u64 {
-        let parked = client.parked_eviction.as_ref();
-        let read = parked.is_some_and(|ev| ev.deferred && ev.issued);
-        (client.hosted_cpu.0 / DittoConfig::SAMPLE_SPAN_SLOTS) as u64 + u64::from(read)
+        let carried = client
+            .pending_fill
+            .as_ref()
+            .and_then(|f| f.carried.as_ref());
+        let read = |ev: Option<&Eviction>| u64::from(ev.is_some_and(|ev| ev.deferred && ev.issued));
+        (client.hosted_cpu.0 / DittoConfig::SAMPLE_SPAN_SLOTS) as u64
+            + read(client.parked_eviction.as_ref())
+            + read(carried)
     }
 
     #[test]
@@ -1266,9 +1537,13 @@ mod tests {
         client.dm().clear_flight_recorder();
         let mut sample_reads = 0;
         for key in 5_000..5_200u64 {
-            let before = node(&cache);
+            let (before, resamples_before) = (node(&cache), cache.stats().resamples_deferred());
             assert!(client.get(&key.to_le_bytes()).is_none());
-            sample_reads += node(&cache).reads - before.reads - 2;
+            let reads = node(&cache).reads - before.reads - 2;
+            // Its round may pick for the eviction the last fill carried
+            // unpicked, and re-sample: each re-sample is one READ.
+            assert_eq!(reads, cache.stats().resamples_deferred() - resamples_before);
+            sample_reads += reads;
             // The slots a pick from a deferred re-sample chooses among, as
             // they stand before the `Set` that makes it.
             let node0 = cache.pool().node(0).unwrap();
@@ -1282,14 +1557,21 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let before = node(&cache);
+            let (before, waited) = (node(&cache), cache.stats().resamples_waited());
+            let resamples_before = cache.stats().resamples_deferred();
             client.set(&key.to_le_bytes(), &[1u8; BIG]);
             let reads = node(&cache).reads - before.reads;
             sample_reads += reads;
+            // Its ring carries its own sample and, should the eviction it
+            // carries not pick, that one's re-sample: nothing read in place
+            // (but what the booking of the fill before it waited for).
+            if cache.stats().resamples_waited() == waited {
+                let resampled = cache.stats().resamples_deferred() - resamples_before;
+                assert_eq!(reads, 1 + resampled, "key {key}");
+            }
             // A pick made in this Set, from a deferred re-sample that was
-            // not short again (nothing read in place): the victim is one of
-            // the slots it chose among.  (The Set's insert may fill an empty
-            // one.)
+            // not short again: the victim is one of the slots it chose
+            // among.  (The Set's insert may fill an empty one.)
             if !pick_from.is_empty() && reads == 1 {
                 let taken = pick_from
                     .iter()
@@ -1302,22 +1584,28 @@ mod tests {
             // The first hinted Get after the fill polls its completions; the
             // second's round decodes the fill's sample.  Short, it posts the
             // re-sample READ under its own READs' flight and does not wait
-            // for it: it takes no longer than a plain hinted Get.
+            // for it: it takes no longer than a plain hinted Get.  So does
+            // what it sends for the eviction the fill carried unpicked: the
+            // victim CAS or a further re-sample, on a ring of its own.
             let (_, first_reads, _) = timed_hinted_get(&cache, &mut client, other, BIG);
             let plain = hinted_get_ns(&client, other);
+            let resamples_before = cache.stats().resamples_deferred();
+            let rounds_before = client.rounds_posted[Shape::Evict as usize];
             let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, other, BIG);
             sample_reads += first_reads + reads - 4;
             other = key;
+            let resampled = cache.stats().resamples_deferred() - resamples_before;
+            let rounds = client.rounds_posted[Shape::Evict as usize] - rounds_before;
+            assert_eq!((reads, doorbells), (2 + resampled, 1 + rounds), "key {key}");
             if !deferred(&client) {
                 continue;
             }
             deferrals += 1;
-            assert_eq!((reads, doorbells), (3, 2), "key {key}");
             assert_eq!(elapsed, plain, "key {key}");
             let parked = client.parked_eviction.as_ref().unwrap();
             assert_eq!((parked.in_flight, parked.samples), (1, 2), "key {key}");
         }
-        assert_eq!(cache.stats().resamples_deferred() - resamples, deferrals);
+        assert!(cache.stats().resamples_deferred() - resamples >= deferrals);
         assert!(
             deferrals >= 50,
             "{deferrals} of 200 fills deferred a re-sample"
@@ -1341,6 +1629,163 @@ mod tests {
         // The scan books the last fill first, which frees its carried victim.
         let referenced = client.referenced_object_bytes_on(0);
         assert_eq!(cache.pool().resident_object_bytes(0), referenced);
+    }
+
+    /// The eviction the pending fill carries, if any.
+    fn carried(client: &DittoClient) -> Option<&Eviction> {
+        client.pending_fill.as_ref()?.carried.as_ref()
+    }
+
+    /// Whether the pending fill carries an eviction still to pick.
+    fn carried_unpicked(client: &DittoClient) -> bool {
+        carried(client).is_some_and(Eviction::is_sampling)
+    }
+
+    /// Whether the parked eviction's first sample has landed undecoded: the
+    /// next starved `Set` decodes it.
+    fn parked_landed(client: &DittoClient) -> bool {
+        let parked = client.parked_eviction.as_ref();
+        parked.is_some_and(|ev| ev.is_sampling() && ev.issued && ev.in_flight == 0)
+    }
+
+    /// A fill right after a fill — a miss between them, whose polls booked
+    /// the first fill's sample and decoded nothing — takes up the first
+    /// fill's eviction and decodes that sample.  Short, the fill does not
+    /// wait for a re-sample: its one ring carries the re-sample READ in
+    /// place of the victim CAS, and it costs exactly what a one-round fill
+    /// carrying a victim costs — one doorbell, six verbs and the decode of
+    /// the sample it took up.
+    #[test]
+    fn a_fill_right_after_a_short_sampled_fill_costs_a_plain_one_round_fill() {
+        let (cache, mut client) = short_sampling_on(DmConfig::default());
+        let posting = DmConfig::DOORBELL_LATENCY_NS + 6 * DmConfig::VERB_ISSUE_NS;
+        let decode = DittoConfig::SAMPLE_SPAN_SLOTS as u64 * DittoConfig::CPU_DECODE_SLOT_NS;
+        let mut exact = 0;
+        for key in 5_000..5_400u64 {
+            assert!(client.get(&key.to_le_bytes()).is_none());
+            let ready = client.pending_fill.is_none() && parked_landed(&client);
+            let (before, inline) = (node(&cache), cache.stats().evictions_inline());
+            let elapsed = timed_set_of(&mut client, key, BIG);
+            let after = node(&cache);
+            if !ready || !carried_unpicked(&client) || cache.stats().evictions_inline() > inline {
+                continue;
+            }
+            // Its own sample and the carried re-sample, on one doorbell.
+            assert_eq!(after.reads - before.reads, 2, "key {key}");
+            assert_eq!(after.doorbells - before.doorbells, 1, "key {key}");
+            let ev = carried(&client).unwrap();
+            assert!(ev.resample_drawn() || ev.issued, "key {key}");
+            let score = ev.candidates.len() as u64 * DittoConfig::CPU_SCORE_CANDIDATE_NS;
+            assert_eq!(elapsed, posting + decode + score, "key {key}");
+            exact += 1;
+        }
+        assert!(exact >= 10, "only {exact} fills took up a short sample");
+    }
+
+    /// After a fill that carried an eviction unpicked, later `Get`s of other
+    /// keys pick for it and free its victim: the first polls the re-sample,
+    /// the next one's round decodes it and sends the victim CAS — or, short
+    /// again, the next re-sample — and a later one's polls book the CAS.
+    /// No `Get` waits for a re-sample, and the victim is freed before the
+    /// next `Set` — or, after every re-sample short, the eviction given up:
+    /// nothing leaked.  Returns how many such evictions re-sampled again
+    /// under a `Get`.
+    fn later_ops_free_the_carried_victim(keys: std::ops::Range<u64>) -> u64 {
+        let (cache, mut client) = short_sampling_on(DmConfig::default());
+        let (mut freed, mut again, mut other) = (0, 0, 4_001u64);
+        for key in keys {
+            assert!(client.get(&key.to_le_bytes()).is_none());
+            client.set(&key.to_le_bytes(), &[1u8; BIG]);
+            let unpicked = carried_unpicked(&client);
+            let stats = cache.stats();
+            let (evictions, burnt) = (stats.snapshot().evictions, stats.history_ids_burnt());
+            let waited = stats.resamples_waited();
+            let samples = |client: &DittoClient| carried(client).map_or(0, |ev| ev.samples);
+            let (first, mut last) = (samples(&client), 0);
+            // Two `Get`s per sample at most: eight samples in all.
+            for _ in 0..2 * 8 + 1 {
+                if client.pending_fill.is_none() {
+                    break;
+                }
+                last = last.max(samples(&client));
+                // The key may have been evicted since: a miss rings a round
+                // too.
+                let _ = client.get(&other.to_le_bytes());
+            }
+            other = key;
+            assert_eq!(stats.resamples_waited(), waited, "key {key}");
+            if !unpicked {
+                continue;
+            }
+            assert!(client.pending_fill.is_none(), "key {key}: still pending");
+            let done = (stats.snapshot().evictions, stats.history_ids_burnt());
+            assert!(
+                done == (evictions + 1, burnt) || done == (evictions, burnt + 1),
+                "key {key}"
+            );
+            again += u64::from(last > first);
+            freed += 1;
+        }
+        assert!(
+            freed >= 10,
+            "only {freed} fills carried an eviction unpicked"
+        );
+        let referenced = client.referenced_object_bytes_on(0);
+        assert_eq!(cache.pool().resident_object_bytes(0), referenced);
+        again
+    }
+
+    #[test]
+    fn a_later_op_frees_the_victim_a_fill_carried_unpicked() {
+        later_ops_free_the_carried_victim(5_000..5_200);
+    }
+
+    #[test]
+    fn a_later_op_frees_the_carried_victim_when_the_re_sample_is_short_again() {
+        let again = later_ops_free_the_carried_victim(5_000..5_400);
+        assert!(again >= 5, "only {again} re-samples were short again");
+    }
+
+    /// A fill that takes up a parked eviction whose sample landed undecoded
+    /// picks before its ring: the decode that chose the victim ends before
+    /// the ring carrying the victim CAS is posted, and so does the pick's
+    /// `Evict` span, the sample half.
+    #[test]
+    fn the_ring_carrying_a_victim_cas_is_posted_after_the_decode_that_picked_it() {
+        let (_cache, mut client) = parking_on(DmConfig::default().with_flight_recorder(1 << 16));
+        let span = DittoConfig::SAMPLE_SPAN_SLOTS as u32;
+        let mut checked = 0;
+        for key in 5_000..5_100u64 {
+            assert!(client.get(&key.to_le_bytes()).is_none());
+            let ready = parked_landed(&client);
+            client.dm().clear_flight_recorder();
+            client.set(&key.to_le_bytes(), &[1u8; 200]);
+            if !ready || !carried(&client).is_some_and(Eviction::is_picked) {
+                continue;
+            }
+            let op = client.dm().op_id();
+            let spans: Vec<_> = client
+                .dm()
+                .flight_spans()
+                .into_iter()
+                .filter(|s| s.op_id == op)
+                .collect();
+            let find = |phase: Phase, detail: u32| {
+                let found = spans
+                    .iter()
+                    .find(|s| s.phase == phase && s.detail == detail);
+                *found.unwrap_or_else(|| panic!("key {key}: no {phase:?} span: {spans:?}"))
+            };
+            let (decode, pick, ring) = (
+                find(Phase::Decode, span),
+                find(Phase::Evict, 0),
+                find(Phase::Post, 6),
+            );
+            assert!(decode.end_ns <= ring.start_ns, "key {key}: {spans:?}");
+            assert!(pick.end_ns <= ring.start_ns, "key {key}: {spans:?}");
+            checked += 1;
+        }
+        assert!(checked >= 50, "only {checked} fills picked in place");
     }
 
     /// The first fill from key 5 000 on that defers its re-sample, on a
@@ -1384,7 +1829,8 @@ mod tests {
             client.flush();
         }
         let after = freq_word();
-        let ev = client.take_parked(true).expect("a pick");
+        let mut ev = client.take_parked(true, 0).expect("a pick");
+        client.pick_in_place(&mut ev);
         let candidates = ev.candidates.iter().map(|&(addr, slot)| (addr, slot.hash));
         (candidates.collect(), ev.pick.idx, [before, after])
     }
@@ -1446,10 +1892,66 @@ mod tests {
         }
     }
 
+    /// A stripe cutover between a fill that carried its eviction unpicked
+    /// and the op that would pick for it: the candidates' addresses may name
+    /// retired copies, so that op drops the eviction — its re-sample
+    /// polled, its history id burnt, no victim CAS sent — and the fill is
+    /// booked without a victim.  Nothing leaks.
+    #[test]
+    fn a_stripe_cutover_drops_an_unpicked_carried_eviction() {
+        let (cache, mut client) = short_sampling_on(DmConfig::default().with_memory_nodes(2));
+        let mut key = 5_000u64;
+        loop {
+            assert!(client.get(&key.to_le_bytes()).is_none());
+            client.set(&key.to_le_bytes(), &[1u8; BIG]);
+            key += 1;
+            if carried_unpicked(&client) {
+                break;
+            }
+            assert!(key < 6_000, "no fill carried its eviction unpicked");
+        }
+        let burnt = cache.stats().history_ids_burnt();
+        cache.pool().add_node().unwrap();
+        assert!(cache.pump_migration().stripes_moved > 0);
+        // The first Get polls the re-sample, the second's round would pick.
+        let cas = |cache: &DittoCache| {
+            cache
+                .pool()
+                .stats()
+                .node_snapshots()
+                .iter()
+                .map(|n| n.cas)
+                .sum::<u64>()
+        };
+        let before = cas(&cache);
+        for _ in 0..2 {
+            let _ = client.get(&(key - 1).to_le_bytes());
+        }
+        assert_eq!(cas(&cache), before, "a victim CAS went out");
+        assert!(carried(&client).is_none());
+        assert_eq!(cache.stats().history_ids_burnt(), burnt + 1);
+        // What is still out is the side channels' — a parked re-sample —
+        // and nobody else's.
+        assert_eq!(
+            client.dm().outstanding_completions(),
+            client.side_channels_in_flight()
+        );
+        for mn in 0..3 {
+            assert_eq!(
+                cache.pool().resident_object_bytes(mn),
+                client.referenced_object_bytes_on(mn),
+                "node {mn}"
+            );
+        }
+    }
+
     #[test]
     fn a_client_dropped_with_a_re_sample_in_flight_sends_nothing_more() {
         let (cache, mut client) = short_sampling_on(DmConfig::default());
         fill_until_deferred(&mut client, &mut (5_000..6_000));
+        // The pending fill is booked first: its carried eviction may still
+        // have to pick, which the drop would do.
+        client.book_pending_fill(true);
         assert_eq!(client.parked_eviction.as_ref().unwrap().in_flight, 1);
         let (burnt, messages) = (cache.stats().history_ids_burnt(), node(&cache).messages);
         drop(client);
@@ -1575,8 +2077,17 @@ mod tests {
         client.dm().clear_flight_recorder();
         let (evictions, mut windows) = (cache.stats().snapshot().evictions, BTreeMap::new());
         let stats = cache.stats();
-        let (mut deferred_picks, inline) = (0, stats.evictions_inline());
+        let inline = stats.evictions_inline();
         let burnt = stats.history_ids_burnt();
+        // What the `Set`s found: a fill still pending, which they book, its
+        // carried eviction still to pick, which they pick for, and the
+        // parked one still to pick, which they decode and pick for.
+        let (mut booked, mut residual, mut taken_up) = (0, 0, 0);
+        let carried = |client: &DittoClient| {
+            let fill = client.pending_fill.as_ref();
+            fill.and_then(|fill| fill.carried.as_ref())
+                .map(|ev| ev.wait)
+        };
         // Each key missed, filled, then read twice: the first `Get` books the
         // fill, the second's round decodes the sample its eviction parked.
         for key in 5_000..5_200u64 {
@@ -1585,12 +2096,23 @@ mod tests {
                 let t0 = client.dm().now_ns();
                 match step {
                     0 => assert!(client.get(&key).is_none()),
-                    1 => client.set(&key, &[1u8; BIG]),
+                    1 => {
+                        let pending = carried(&client);
+                        booked += u64::from(pending.is_some());
+                        residual += u64::from(matches!(pending, Some(EvictWait::Sample)));
+                        let parked = client.parked_eviction.as_ref();
+                        let unpicked = parked.is_some_and(Eviction::is_sampling);
+                        client.set(&key, &[1u8; BIG]);
+                        let picked = matches!(
+                            carried(&client),
+                            Some(EvictWait::Picked | EvictWait::Victim)
+                        );
+                        taken_up += u64::from(unpicked && picked);
+                    }
                     _ => assert!(client.get(&key).is_some()),
                 }
                 windows.insert(client.dm().op_id(), (t0, client.dm().now_ns(), step != 1));
             }
-            deferred_picks += deferred(&client) as u64;
         }
         let spans = client.dm().flight_spans();
         // Evict spans by half (sample, victim) and by the op that recorded
@@ -1622,27 +2144,32 @@ mod tests {
                 halves[span.detail as usize][!get as usize] += 1;
             }
         }
-        // The second Get after each fill recorded the sample half of the
-        // eviction the fill parked — the pick's CPU work, under that Get's
-        // flight — unless the sample was short and its re-sample went out:
-        // the next fill, which carries it, then picks, under its own first
-        // round.  The first Get, booking the fill, recorded the victim half
-        // of the eviction the fill carried — but of a fill that freed none,
-        // its eviction given up after every re-sample: the next fill, short
-        // of the spare, evicted inline for its object, both halves in one.
-        // An eviction given up burns its history id, and nothing else here
-        // does: one inline eviction per id burnt.
+        // A Get after each fill recorded the sample half of the eviction the
+        // fill parked — the pick's CPU work, under that Get's flight —
+        // unless the sample was short and its re-sample went out: the next
+        // fill, which carries it, then picks, before its own first ring.
+        // Should that re-sample be short too, the fill's ring carries the
+        // next one and a later Get's round picks — or, if none could, the
+        // next fill, in place.  The Get whose polls met the last of a fill's
+        // completions recorded the victim half of the eviction the fill
+        // carried, but for the fills still pending at the next Set, which
+        // books them.  A fill that freed none, its eviction given up after
+        // every re-sample, leaves the next fill short of the spare: it
+        // evicts inline for its object, both halves in one.  An eviction
+        // given up burns its history id, and nothing else here does: one
+        // inline eviction per id burnt.
         let (inline, given_up) = (
             stats.evictions_inline() - inline,
             stats.history_ids_burnt() - burnt,
         );
-        assert!(deferred_picks > 0);
         assert_eq!(inline, given_up);
+        assert!(residual > 0 && taken_up > 0, "{residual} {taken_up}");
+        let (set_picks, set_victims) = (residual + taken_up, booked + inline);
         assert_eq!(
             halves,
             [
-                [200 - deferred_picks, deferred_picks],
-                [200 - given_up, given_up]
+                [200 - set_picks, set_picks],
+                [200 - set_victims, set_victims]
             ],
         );
         assert_eq!(cache.stats().snapshot().evictions, evictions + 200);

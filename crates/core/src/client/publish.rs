@@ -25,6 +25,14 @@
 //! puts that key's `hash` back and makes sure the key lives once
 //! ([`DittoClient::repair_hash`]).  The journal stays armed until the fill
 //! is booked, naming the new object and the carried victim's.
+//!
+//! A fill may carry an eviction that has not picked its victim yet: its
+//! ring carries that eviction's re-sample READ in place of the victim CAS.
+//! The eviction stays with the fill; the client's first round after a poll
+//! booked the READ picks and sends the CAS
+//! ([`DittoClient::settle_carried_sample`]), and the fill is booked once
+//! that CAS is polled — its insert may be booked before.  The next `Set`
+//! books the fill first, picking in place if nobody has.
 
 use super::evict::Eviction;
 use super::round::{Op, Plan, Retire, Round};
@@ -51,9 +59,11 @@ const FLIP_WAIT_ROUNDS: usize = 256;
 /// in flight.
 pub(super) struct PendingFill {
     pub(super) hash: u64,
-    /// The one-round fill's insert; `None` for a looked-up fill.
+    /// The one-round fill's insert, until booked; `None` for a looked-up
+    /// fill.
     pub(super) insert: Option<PendingInsert>,
-    /// The parked eviction the fill carried, its victim CAS in flight.
+    /// The parked eviction the fill carried: its victim CAS in flight, or,
+    /// not picked yet, its re-sample ([`DittoClient::take_parked`]).
     pub(super) carried: Option<Eviction>,
 }
 
@@ -83,10 +93,15 @@ pub(super) struct PendingInsert {
 }
 
 impl PendingFill {
-    /// How many of its completions are still to be polled.
-    pub(super) fn in_flight(&self) -> usize {
+    /// How many of its completions are still to be polled — those of a
+    /// carried eviction still to pick only with `sampling`.
+    pub(super) fn in_flight(&self, sampling: bool) -> usize {
         let insert = self.insert.as_ref().filter(|insert| !insert.cas_polled);
-        usize::from(insert.is_some()) + self.carried.as_ref().map_or(0, |ev| ev.in_flight)
+        let carried = self
+            .carried
+            .as_ref()
+            .filter(|ev| sampling || !ev.is_sampling());
+        usize::from(insert.is_some()) + carried.map_or(0, |ev| ev.in_flight)
     }
 }
 
@@ -338,7 +353,9 @@ impl DittoClient {
     /// eviction `ahead` — and returns without polling any of it: the fill
     /// becomes the client's [`PendingFill`] (see the module docs).  The
     /// key's board epoch moves now, and the carried victim key's: both
-    /// before the `Set` returns.  The own eviction parks with its sample in
+    /// before the `Set` returns.  A carried eviction that has not picked
+    /// sends its re-sample READ instead, into a scratch of its own, and
+    /// stays with the fill.  The own eviction parks with its sample in
     /// flight, its bytes landing out of the way of other evictions' samples
     /// and its candidates scored with the FC counts this client buffers now,
     /// as a deferred re-sample's are; the client's round after a poll booked
@@ -358,9 +375,14 @@ impl DittoClient {
         };
         // An insert displaces no allocation (see `install_new`); the carried
         // victim's CAS, which may, is journalled beside it.
-        self.journal_set_fill(carried.as_ref().map(Eviction::victim_object));
+        let victim = carried.as_ref().filter(|ev| ev.is_picked());
+        self.journal_set_fill(victim.map(Eviction::victim_object));
         if let Some(ev) = ahead.as_mut() {
             self.defer_sample(ev);
+        }
+        if let Some(ev) = carried.as_mut().filter(|ev| ev.resample_drawn()) {
+            self.defer_sample(ev);
+            self.stats.record_resample_deferred();
         }
         let publish_start = self.dm.now_ns();
         std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
@@ -371,7 +393,7 @@ impl DittoClient {
         self.dm
             .record_span(Phase::Publish, publish_start, self.dm.now_ns(), 0);
         self.bump_board(hash);
-        if let Some(ev) = carried.as_mut() {
+        if let Some(ev) = carried.as_mut().filter(|ev| ev.is_picked()) {
             self.bump_victim_ahead(ev);
         }
         if let Some(ev) = ahead {
@@ -397,36 +419,51 @@ impl DittoClient {
     }
 
     /// Books the pending fill, if any — called once its completions are
-    /// polled, by the op whose polls met the last of them
-    /// ([`DittoClient::end_op`]), or once nobody can poll them any more.  A
-    /// won insert notes its hint (current as of the ring), drops what this
-    /// client's FC cache still held for the slot — the previous key's — and
-    /// is rolled forward across a stripe move ([`Self::settle_rekey`]).  A
-    /// lost one is abandoned: a cache may always miss.  Its object is freed,
-    /// and its metadata WRITE, which may have landed ahead of a CAS that
-    /// lost or faulted, is undone ([`Self::repair_hash`]).  The CAS decides
-    /// by the word it found, which only a CAS that executed wrote.  Then the
-    /// carried victim is retired and freed — re-picked, should its CAS have
-    /// lost — and last the journal, which named both allocations, is
-    /// disarmed.
-    pub(super) fn book_fill(&mut self) {
-        let Some(mut fill) = self.pending_fill.take() else {
+    /// polled (`PendingFill::in_flight(false)`), by the op whose polls met
+    /// the last of them ([`DittoClient::end_op`]), or once nobody can poll
+    /// them any more.  A won insert notes its hint (current as of the ring),
+    /// drops what this client's FC cache still held for the slot — the
+    /// previous key's — and is rolled forward across a stripe move
+    /// ([`Self::settle_rekey`]).  A lost one is abandoned: a cache may
+    /// always miss.  Its object is freed, and its metadata WRITE, which may
+    /// have landed ahead of a CAS that lost or faulted, is undone
+    /// ([`Self::repair_hash`]).  The CAS decides by the word it found, which
+    /// only a CAS that executed wrote.  Then the carried victim is retired
+    /// and freed — re-picked, should its CAS have lost — and last the
+    /// journal, which named both allocations, is disarmed.  A carried
+    /// eviction still to pick stays pending, the insert booked, for a later
+    /// round to pick — unless `settle`: it then picks here
+    /// ([`Self::finish_carried`]).  Its sample READ may still be out, so the
+    /// fill stays where any poll finds it while its insert is booked.
+    pub(super) fn book_fill(&mut self, settle: bool) {
+        let Some(fill) = self.pending_fill.as_mut() else {
             return;
         };
-        match fill.insert {
+        let (hash, insert) = (fill.hash, fill.insert.take());
+        match insert {
             Some(insert) if insert.observed == insert.expected => {
-                self.hint_note(fill.hash, insert.slot, insert.new, insert.hint_epoch);
+                self.hint_note(hash, insert.slot, insert.new, insert.hint_epoch);
                 self.discard_accesses(insert.slot);
-                self.settle_rekey(insert.slot, insert.new, fill.hash, insert.token);
+                self.settle_rekey(insert.slot, insert.new, hash, insert.token);
             }
             Some(insert) => {
-                self.repair_hash(fill.hash, insert.slot);
+                self.repair_hash(hash, insert.slot);
                 let (addr, len) = insert.object;
                 self.alloc.free(&self.dm, addr, len);
                 self.stats.record_fill_abandoned();
             }
             None => {}
         }
+        let carried = self
+            .pending_fill
+            .as_ref()
+            .and_then(|fill| fill.carried.as_ref());
+        if !settle && carried.is_some_and(Eviction::is_sampling) {
+            return;
+        }
+        let Some(mut fill) = self.pending_fill.take() else {
+            return;
+        };
         if let Some(ev) = fill.carried.as_mut() {
             self.finish_carried(ev);
         }

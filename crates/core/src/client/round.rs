@@ -125,8 +125,9 @@ pub(super) type RidingSample<'a> = (&'a [(RemoteAddr, usize)], Option<RemoteAddr
 pub(super) struct Context {
     /// The `Set`'s key.
     pub(super) key: Option<u64>,
-    /// The slot of the parked victim the `Set` carries.
-    pub(super) carried: Option<RemoteAddr>,
+    /// Of a `Set` that carries a parked eviction, its victim's slot — `None`
+    /// while it has still to pick.
+    pub(super) carried: Option<Option<RemoteAddr>>,
     /// Whether the `Set` is a fill, right after its key's miss.
     pub(super) fill: bool,
     /// Whether the round flies beside an insert: its own CAS or the
@@ -134,12 +135,26 @@ pub(super) struct Context {
     pub(super) beside_insert: bool,
     /// Of a round that carries the eviction a `Set` runs ahead, its sample.
     pub(super) riding: Option<Riding>,
+    /// Of a round of a `Set` that sends the re-sample of the eviction it
+    /// carries, still to pick, what that sample leaves out: the one-round
+    /// fill's ring carries the READ, any other `Set` sends it as it ends.
+    pub(super) resample: Option<Riding>,
 }
 
-/// Verbs a round holds at most: a `Set`'s three, a carried victim CAS, and
-/// a sample's READs — one per stripe its span crosses, at most three, or the
-/// scattered-metadata ablation's K — with their history FAA.
-const ROUND_VERBS: usize = 3 + 1 + DittoConfig::SAMPLE_SIZE + 1;
+/// What the eviction a `Set` carries sends: its victim CAS, or — its pick
+/// still to make, by a later op — nothing, or a re-sample it drew, with what
+/// that leaves out.
+#[derive(Clone, Copy, Debug)]
+pub(super) enum Carry {
+    Victim(Verb),
+    Unpicked(Option<Riding>),
+}
+
+/// Verbs a round holds at most: a `Set`'s three, the carried eviction's
+/// victim CAS or re-sample, and the own sample's READs — one per stripe a
+/// span crosses, at most three, or the scattered-metadata ablation's K —
+/// with their history FAA.
+const ROUND_VERBS: usize = 3 + 2 * DittoConfig::SAMPLE_SIZE + 1;
 
 /// One doorbell's verbs, in posting order.
 #[derive(Clone, Copy, Debug)]
@@ -173,14 +188,19 @@ impl Round {
         });
     }
 
-    /// Appends an eviction's sample READs and, with its first, its history
-    /// FAA.
-    pub(super) fn push_sample(&mut self, segments: &[(RemoteAddr, usize)], id: Option<RemoteAddr>) {
+    /// Appends the sample READs of `owner`'s eviction and, with its first,
+    /// its history FAA.
+    pub(super) fn push_sample(
+        &mut self,
+        segments: &[(RemoteAddr, usize)],
+        id: Option<RemoteAddr>,
+        owner: Owner,
+    ) {
         for &(addr, slots) in segments {
-            self.push(Op::Sample(addr, slots), true, Owner::Own);
+            self.push(Op::Sample(addr, slots), true, owner);
         }
         if let Some(counter) = id {
-            self.push(Op::HistoryId(counter), true, Owner::Own);
+            self.push(Op::HistoryId(counter), true, owner);
         }
     }
 }
@@ -196,9 +216,10 @@ pub(super) enum Rule {
     /// publishes did — and a won insert carries its key's `hash` from the
     /// instant it lands, for every lookup after the ring to find.
     Flush,
-    /// A riding sample never takes a slot of the `Set`'s own buckets, nor
-    /// the carried victim's: neither the publish CAS nor the carried victim
-    /// CAS may meet a victim CAS on one word.  (Both samples then see the
+    /// A riding sample — the own eviction's, or the carried one's
+    /// re-sample — never takes a slot of the `Set`'s own buckets, nor the
+    /// carried victim's: neither the publish CAS nor the carried victim CAS
+    /// may meet a victim CAS on one word.  (Both samples then see the
     /// same candidates whichever shape the fill takes, which keeps a striped
     /// cache identical to a single-node one.)
     Sample,
@@ -214,13 +235,17 @@ pub(super) enum Rule {
     /// [`super::lookup`]).
     BumpBeforeFree,
     /// Only a fill parks its eviction's victim, and a `Set` that carries one
-    /// parks its own sample, so each starved `Set` frees exactly one victim.
+    /// — picked or not — parks its own sample, so each starved `Set` frees
+    /// exactly one victim.
     /// A one-round fill parks the eviction with its sample in flight, and
     /// the client's round after the sample landed decodes it and picks
-    /// under its own flight; a looked-up fill picks where the sample lands,
-    /// and leaves the pick's CPU work to its next round the same way.  A
+    /// under its own flight; a looked-up fill parks it the same way, its
+    /// sample landed and not decoded.  A
     /// first sample too short to pick from has its re-sample sent on a round
-    /// of its own, and the `Set` that carries the eviction picks from it.
+    /// of its own, and the `Set` that carries the eviction picks from it —
+    /// or, finding it still short, sends the next re-sample (a one-round
+    /// fill's ring carries it in place of the victim CAS), and a later op
+    /// picks and sends that CAS on a round of its own.
     /// A `Set` with no miss before it, such as a load phase, evicts within
     /// itself: parking there would change what the cache holds after it.
     Park,
@@ -258,8 +283,11 @@ pub(super) fn check_round(round: &Round) -> Result<(), Rule> {
             return Err(Rule::BumpBeforeFree);
         }
     }
+    if ctx.resample.is_some_and(|resample| resample.key != ctx.key) {
+        return Err(Rule::Sample);
+    }
     if let Some(riding) = ctx.riding {
-        if riding.key != ctx.key || riding.victim != ctx.carried {
+        if riding.key != ctx.key || riding.victim != ctx.carried.flatten() {
             return Err(Rule::Sample);
         }
         if riding.park != (ctx.fill || ctx.carried.is_some()) {
@@ -283,8 +311,11 @@ pub(super) struct Plan<'a> {
     pub(super) hint: Option<(RemoteAddr, u64)>,
     /// The eviction run ahead, while its sample waits to ride.
     pub(super) own: Option<RidingSample<'a>>,
-    /// The carried eviction's victim CAS.
-    pub(super) carried: Option<Verb>,
+    /// What the carried eviction sends.
+    pub(super) carried: Option<Carry>,
+    /// The carried eviction's drawn re-sample, which the one-round fill's
+    /// ring carries in place of a victim CAS.
+    pub(super) resample: &'a [(RemoteAddr, usize)],
     pub(super) fill: bool,
     pub(super) use_extension: bool,
     pub(super) key: Option<u64>,
@@ -295,7 +326,9 @@ pub(super) struct Plan<'a> {
 /// The next round of the op `plan` describes:
 ///
 /// * a fill whose memo's insert slot is on the object's node is one round
-///   ([`Shape::Fill`]), carrying every eviction verb the `Set` has;
+///   ([`Shape::Fill`]), carrying every eviction verb the `Set` has — the
+///   carried eviction's re-sample among them, should it not have picked
+///   (any other shape sends that as the `Set` ends);
 /// * else a key with a hint, and no eviction to ride, is replaced in one
 ///   ([`Shape::Hinted`]) — unless an expert keeps extension words, whose
 ///   Update rule needs the decoded slot;
@@ -303,15 +336,21 @@ pub(super) struct Plan<'a> {
 ///   the key up ([`Shape::LookedUp`]).
 pub(super) fn plan_round(plan: &Plan) -> Round {
     let on_node = |slot: RemoteAddr| plan.object.is_some_and(|(obj, _)| obj.mn_id == slot.mn_id);
+    let (carried, resample) = match plan.carried {
+        Some(Carry::Victim(Verb {
+            op: Op::Cas { addr, .. },
+            ..
+        })) => (Some(Some(addr)), None),
+        Some(Carry::Unpicked(resample)) => (Some(None), resample),
+        _ => (None, None),
+    };
     let ctx = Context {
         key: plan.key,
-        carried: plan.carried.and_then(|victim| match victim.op {
-            Op::Cas { addr, .. } => Some(addr),
-            _ => None,
-        }),
+        carried,
         fill: plan.fill,
         beside_insert: false,
         riding: plan.own.map(|own| own.2),
+        resample,
     };
     let (obj, new) = plan.object.unwrap_or_default();
     let publish = |round: &mut Round, (slot, word): (RemoteAddr, u64), retire| {
@@ -341,7 +380,11 @@ pub(super) fn plan_round(plan: &Plan) -> Round {
                 },
             );
             publish(&mut round, insert, INSERT);
-            round.verbs.extend(plan.carried);
+            match plan.carried {
+                Some(Carry::Victim(verb)) => round.verbs.push(verb),
+                Some(Carry::Unpicked(_)) => round.push_sample(plan.resample, None, Owner::Carried),
+                None => {}
+            }
             round
         }
         (_, Some(hint)) if plan.own.is_none() && !plan.use_extension && on_node(hint.0) => {
@@ -368,7 +411,7 @@ pub(super) fn plan_round(plan: &Plan) -> Round {
         }
     };
     if let Some((segments, id, _)) = plan.own {
-        round.push_sample(segments, id);
+        round.push_sample(segments, id, Owner::Own);
     }
     round
 }
@@ -389,7 +432,9 @@ impl DittoClient {
     /// Posts `round` behind one doorbell per node: its verbs in order, each
     /// into the buffer its op names — the WRITE from `object`, bucket READs
     /// into the bucket scratch, sample READs one behind another into the
-    /// sample scratch, an eviction's CAS and FAA results into the eviction —
+    /// sample scratch, the carried eviction's into its own
+    /// ([`DittoClient::carried_sample_buf`]), an eviction's CAS and FAA
+    /// results into the eviction —
     /// and books on every eviction in `evs` the verbs it now has in flight.
     /// A parked eviction whose victim CAS goes out is taken up again here,
     /// and, but in an eviction's own round, the CPU work a fill left to the
@@ -422,7 +467,7 @@ impl DittoClient {
             let (mut observed, mut fetched) = ([own.0, carried.0], [own.1, carried.1]);
             let (primary, secondary) = self.bucket_buf.split_at_mut(BUCKET_SIZE);
             let mut halves = [Some(primary), Some(secondary)];
-            let mut sample = &mut self.sample_buf[..];
+            let mut samples = [&mut self.sample_buf[..], &mut self.carried_sample_buf[..]];
             let mut set_word = Some(&mut set_word);
             let mut wq = self.dm.work_queue();
             for verb in round.verbs.iter() {
@@ -440,8 +485,8 @@ impl DittoClient {
                     }
                     Op::Sample(addr, slots) => {
                         let (chunk, rest) =
-                            std::mem::take(&mut sample).split_at_mut(slots * SLOT_SIZE);
-                        sample = rest;
+                            std::mem::take(&mut samples[ev]).split_at_mut(slots * SLOT_SIZE);
+                        samples[ev] = rest;
                         wq.post_read(addr, chunk, signalled)
                     }
                     Op::HistoryId(addr) => {
@@ -522,9 +567,12 @@ impl DittoClient {
     /// their completions, errors only, are dropped here.  So is the pending
     /// fill: its insert CAS's completion is booked on it — the WRITEs ahead
     /// of the CAS complete only in error, and then before it — and its
-    /// carried eviction's on that eviction.
+    /// carried eviction's on that eviction.  An eviction's booked completion
+    /// stamps the op from which its sample counts as landed
+    /// ([`DittoClient::sample_landed`]).
     pub(super) fn poll_routed(&mut self, evs: &mut Evictions) -> Option<Option<Completion>> {
         let completion = self.dm.poll_cq()?;
+        let landed_op = self.landed_op();
         let wr = completion.wr_id;
         if self.fc_riders.contains(&wr) {
             return Some(None);
@@ -550,7 +598,16 @@ impl DittoClient {
         };
         ev.in_flight -= 1;
         ev.failed |= !completion.status.is_ok() && ev.id_wr != Some(wr);
+        ev.landed_op = landed_op;
         Some(None)
+    }
+
+    /// The first op in which an eviction's completion polled now counts as
+    /// landed ([`DittoClient::sample_landed`]): the next op — or, polled by
+    /// a `Set`, the one after it.
+    fn landed_op(&self) -> u64 {
+        let op = self.dm.op_id();
+        op + 1 + u64::from(op == self.set_op)
     }
 
     /// The op's next completion, `None` once the queue is empty; the
@@ -579,7 +636,7 @@ impl DittoClient {
     pub(super) fn await_eviction(&mut self, ev: &mut Eviction) {
         while ev.in_flight > 0 {
             if self.poll_routed(&mut alone(ev)).is_none() {
-                (ev.in_flight, ev.failed) = (0, true);
+                (ev.in_flight, ev.failed, ev.landed_op) = (0, true, self.landed_op());
             }
         }
     }
@@ -609,7 +666,9 @@ mod tests {
         }
     }
 
-    /// Every input the planner can be handed, on pools of one and two nodes.
+    /// Every input the planner can be handed, on pools of one and two nodes:
+    /// a carried eviction sends its victim CAS or, not picked yet, its
+    /// re-sample of `segments`.
     fn plans(segments: &[(RemoteAddr, usize)]) -> Vec<Plan<'_>> {
         let mut plans = Vec::new();
         for nodes in [1u16, 2] {
@@ -624,14 +683,25 @@ mod tests {
             ];
             for memo in memos {
                 for hint in [None, Some((addr(NODE0, 80), 9)), Some((addr(off, 400), 9))] {
-                    for (starved, parked, use_extension) in
-                        (0..8).map(|b| (b & 1 != 0, b & 2 != 0, b & 4 != 0))
+                    for (starved, parked, use_extension, unpicked) in
+                        (0..16).map(|b| (b & 1 != 0, b & 2 != 0, b & 4 != 0, b & 8 != 0))
                     {
                         let fill = memo.is_some();
-                        let carried = (starved && parked).then(|| victim_cas(addr(off, 800)));
+                        if unpicked && !(starved && parked) {
+                            continue;
+                        }
+                        let resample = Riding {
+                            key: Some(1),
+                            victim: None,
+                            park: true,
+                        };
+                        let carried = (starved && parked).then(|| match unpicked {
+                            true => Carry::Unpicked(Some(resample)),
+                            false => Carry::Victim(victim_cas(addr(off, 800))),
+                        });
                         let riding = Riding {
                             key: Some(1),
-                            victim: (starved && parked).then(|| addr(off, 800)),
+                            victim: (starved && parked && !unpicked).then(|| addr(off, 800)),
                             park: fill || carried.is_some(),
                         };
                         let own = starved.then_some((segments, Some(addr(off, 1 << 20)), riding));
@@ -642,6 +712,7 @@ mod tests {
                             hint,
                             own,
                             carried,
+                            resample: segments,
                             fill,
                             use_extension,
                             key: Some(1),
@@ -658,7 +729,7 @@ mod tests {
     fn every_planned_round_passes_the_checker() {
         let segments = [(addr(0, 2048), 10), (addr(1, 0), 5)];
         let plans = plans(&segments);
-        assert_eq!(plans.len(), 2 * 4 * 3 * 8);
+        assert_eq!(plans.len(), 2 * 4 * 3 * (8 + 2));
         let mut shapes = std::collections::BTreeSet::new();
         for plan in &plans {
             let round = plan_round(plan);
@@ -692,7 +763,7 @@ mod tests {
             object: Some((addr(0, 4096), 5)),
             memo: Some(Some((addr(0, 40), 0))),
             own: Some((&segments, Some(addr(0, 1 << 20)), riding)),
-            carried: Some(carried),
+            carried: Some(Carry::Victim(carried)),
             fill: true,
             key: Some(1),
             ..Plan::default()
@@ -795,5 +866,39 @@ mod tests {
             r.ctx.riding.as_mut().unwrap().victim = None;
         };
         assert_eq!(broken(&parks_alone), Err(Rule::Park));
+        // A fill whose carried eviction has not picked: its ring carries the
+        // re-sample in place of the victim CAS, and that sample leaves the
+        // key's buckets out too.
+        let segments = [(addr(0, 4096), 15)];
+        let resample = Riding {
+            key: Some(1),
+            victim: None,
+            park: true,
+        };
+        let mut plan = Plan {
+            object: Some((addr(0, 8192), 5)),
+            memo: Some(Some((addr(0, 40), 0))),
+            carried: Some(Carry::Unpicked(Some(resample))),
+            resample: &segments,
+            fill: true,
+            key: Some(1),
+            ..Plan::default()
+        };
+        let round = plan_round(&plan);
+        assert_eq!(round.shape, Shape::Fill);
+        assert!(matches!(
+            round.verbs[3],
+            Verb {
+                op: Op::Sample(..),
+                owner: Owner::Carried,
+                ..
+            }
+        ));
+        assert_eq!(check_round(&round), Ok(()));
+        plan.carried = Some(Carry::Unpicked(Some(Riding {
+            key: None,
+            ..resample
+        })));
+        assert_eq!(check_round(&plan_round(&plan)), Err(Rule::Sample));
     }
 }

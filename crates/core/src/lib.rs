@@ -285,20 +285,35 @@
 //! consumer of the completion queue polls through the round executor's one
 //! routing routine, so none drops it — and the client's next round decodes
 //! it and picks between its doorbell and its first poll, under that round
-//! trip (`host_parked_pick`); a starved `Set` that comes first picks in
-//! `take_parked`, its CPU work hosted after its own doorbell.  A first
-//! sample with fewer than two candidates is not picked from: the round that
-//! decodes it posts the re-sample READ, signalled, on a ring of its own
-//! under its flight, and the op leaves it in flight for the client's next
-//! ops to poll.  The `Set` that carries the eviction picks from it; a
-//! second short sample is re-sampled there in place, and a `Set` that
-//! takes the eviction up with its first sample still short re-samples
-//! before it picks.  Under an extension expert, whose scoring READs object
-//! headers, the decoding op charges the pick in place and re-samples in
-//! place.  (With its insert slot off the object's node a fill takes two
-//! rounds: the WRITE, signalled, beside the sample READ and the FAA, then
-//! the CASes; it picks where its sample lands, and a short sample's
-//! re-sample goes out as it parks the eviction, `park`.)  Only
+//! trip (`host_parked_pick`); a starved `Set` that comes first decodes and
+//! picks in `take_parked`, its CPU work charged before the ring that
+//! carries the victim CAS it chose.  A sample counts as landed from the op
+//! after the one whose poll booked it — from the op after the next, booked
+//! by a `Set`'s own polls (`sample_landed`): a one-round fill polls nothing
+//! and the op after it meets its completions, so a striped cache, whose
+//! fills take either shape, decodes at the op a single-node one does.  A
+//! first sample with fewer than two candidates is not picked from: the
+//! round that decodes it posts the re-sample READ, signalled, on a ring of
+//! its own under its flight, and the op leaves it in flight for the
+//! client's next ops to poll.  The `Set` that carries the eviction picks
+//! from it, and never waits for it: finding it unable to pick yet — that
+//! sample short too, or its READ still out — the `Set` carries it
+//! **unpicked**.  The one-round fill's ring carries the next re-sample READ
+//! in place of the victim CAS, into a scratch of the carried eviction's own
+//! (a `Set` of another shape sends it as it ends), and the eviction stays
+//! with the pending fill.  The client's first round once that READ has
+//! landed decodes it and picks, under its flight, and sends the victim CAS
+//! — journalled first — on a ring of its own that its op leaves in flight,
+//! or, the sample short again, the next re-sample
+//! (`settle_carried_sample`); the CAS is booked with the fill.  Only the
+//! next `Set` may wait: it books the fill first, picking in place if no
+//! round has (`pick_in_place`; each re-sample it waits for counts in
+//! [`CacheStats::resamples_waited`]).  Under an extension expert, whose
+//! scoring READs object headers, the decoding op charges the pick in place
+//! and re-samples in place.  (With its insert slot off the object's node a
+//! fill takes two rounds: the WRITE, signalled, beside the sample READ and
+//! the FAA, then the CASes; it parks its eviction with that sample landed
+//! and undecoded, as the one-round fill's parks, `park_undecoded`.)  Only
 //! a fill with nothing to carry frees no victim — the first after `Set`s
 //! that evicted within themselves — and the one after it evicts inline once
 //! for its object.  The new sample never takes the carried victim's slot
@@ -311,7 +326,8 @@
 //! candidates.  A parked eviction is dropped, its id burnt, once the stripe
 //! directory's version has moved: its candidates' addresses may name retired
 //! copies; a sample READ it still has out is polled first, so no stray
-//! completion reaches the op's own polls.  Its `Evict` span is split where
+//! completion reaches the op's own polls.  So is a carried one not picked
+//! yet, by the op that would pick for it.  Its `Evict` span is split where
 //! the ops split: the round that charges the pick's CPU work records the
 //! sample half, the op that books the carrying fill the victim half.  A
 //! round an op leaves in flight — a fill's, a re-sample's — records its
@@ -325,7 +341,8 @@
 //! otherwise — and leaves the resident gauge that much too high.  The
 //! victim a fill carries is: its CAS lands before the `Set` returns and
 //! its free waits for the booking, a later op, so the fill's journal entry
-//! names the victim's object beside the new one.  What must not change is
+//! names the victim's object beside the new one — a victim a later op
+//! picks, once that op has journalled it, before its CAS goes out.  What must not change is
 //! what the *modelled* crash points find,
 //! and `Rule::AfterPublish` keeps it: [`CrashPoint::AfterPublish`] sits in
 //! the two publishes that displace an allocation (a replace, a bucket

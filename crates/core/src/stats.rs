@@ -38,6 +38,10 @@ counter_table! {
     /// Re-sample READs a fill posted and left for the client's next ops to
     /// poll: its parked eviction's first sample held too few candidates.
     resamples_deferred: interval accessor, counter "ditto_cache_resamples_deferred_total" "Re-sample READs a fill posted and left for the next op's polls.", bump record_resample_deferred;
+    /// Re-sample READs of a fill's eviction, parked or carried, that an op
+    /// waited for in place: posted and polled by the same op, or read in
+    /// place.
+    resamples_waited: interval accessor, counter "ditto_cache_resamples_waited_total" "Re-sample round trips of a fill's eviction an op waited for in place.", bump record_resample_waited;
     /// Evictions forced by a full bucket.
     bucket_evictions: interval, counter "ditto_cache_bucket_evictions_total" "Evictions forced by a full bucket rather than memory pressure.", bump record_bucket_eviction;
     /// History entries inserted.
@@ -248,6 +252,7 @@ mod tests {
         stats.record_history_id_burnt();
         stats.record_history_id_burnt();
         stats.record_resample_deferred();
+        stats.record_resample_waited();
 
         // What the recorders made of it, snapshot fields and accessors.
         let snap = stats.snapshot();
@@ -297,7 +302,10 @@ mod tests {
         assert_eq!(stats.gets_degraded(), 1);
         assert_eq!((stats.sets_dropped(), stats.history_ids_burnt()), (1, 2));
         assert_eq!(stats.fills_abandoned(), 1);
-        assert_eq!(stats.resamples_deferred(), 1);
+        assert_eq!(
+            (stats.resamples_deferred(), stats.resamples_waited()),
+            (1, 1)
+        );
 
         // `reset` zeroes the `interval` rows (and the per-expert votes) and
         // no `lifetime` row.

@@ -113,6 +113,32 @@
 //! objects 206 → 202, messages 6 371 / 6 431 / 1 761 → 6 374 / 6 422 /
 //! 1 721 on nodes 0 / 1 / 2, and the op latency sum 13.787205 → 12.070152
 //! ms.
+//!
+//! Re-derived when a starved fill came to charge the pick it makes before
+//! its ring, an eviction it takes up unpicked to be picked for by a later
+//! op, and a fill that looks its key up to park its eviction undecoded, and
+//! the page came to carry the re-samples waited for: the three
+//! `ditto_cache_resamples_waited_total` lines (HELP, TYPE and the value 0)
+//! joined the page.  The rings post later and other victims are picked, so
+//! every count that follows from them moved — among them hits 832 → 828,
+//! misses 1 253 → 1 257, sets 1 568 → 1 572, evictions 588 → 593 (bucket
+//! evictions 40 → 32, inline 109 → 124, overlapped 439 → 437), history
+//! inserts 548 → 561, burnt history ids 5 → 3, FC flushes 7 → 6, local hits
+//! 22 → 17, local invalidations 0 → 4, slot-CAS retries 6 → 1 (back-off
+//! 1 200 → 200 ns), migrated objects 202 → 200, doorbells 5 531 → 5 610,
+//! CQ polls 8 168 → 8 242, messages 6 374 / 6 422 / 1 721 → 6 369 / 6 462 /
+//! 1 753 on nodes 0 / 1 / 2, the op latency sum 12.070152 → 12.130573 ms,
+//! and the `evict` phase's sum 1.314175 → 1.111055 ms.  The other lines
+//! that moved: the hit rate, lease time granted and leases above the
+//! floor, spec reads issued, split and wasted, spec publishes issued,
+//! `last_ts` WRITEs sent and skipped, expert victories, migrated bytes,
+//! batched verbs, signalled and unsignalled WQEs; per node the bytes, CAS,
+//! doorbells, messages, writes and resident bytes of nodes 0 / 1 / 2, the
+//! READs of nodes 1 / 2, the FAAs of node 1, the RPCs and their CPU time of
+//! nodes 0 / 1; ops, sampled ops and spans recorded; the op latency count
+//! and its 0.99 and 0.999 quantiles; every phase's count and sum but
+//! `translate`'s sum, the `evict` phase's 0.5, 0.9 and 0.999 quantiles and
+//! `relocate`'s 0.999.
 
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::DmConfig;

@@ -675,6 +675,89 @@ fn chaos_a_client_gone_with_a_fill_posted_is_recovered() {
     }
 }
 
+/// A client gone while a fill's carried eviction still has to pick, on a
+/// cache only it filled, of one node or two, under memory pressure with
+/// 2 KiB values, where short samples are common.  A fill that takes up an
+/// eviction whose sample was too short to pick from carries it unpicked: its
+/// ring carries the re-sample READ in place of the victim CAS, and a later
+/// op picks and posts that CAS on a ring of its own, journalling the victim
+/// first.  The client dies (gone without running another step, its
+/// destructor included) either with that re-sample in flight — its journal
+/// names the fill's object and no victim: nothing was taken out of the
+/// table — or right after a later `Get` posted the victim CAS, which landed,
+/// so no slot references the victim, which recovery frees.  Either way no
+/// byte leaks and every value still cached is the one its `Set` acknowledged.
+#[test]
+fn chaos_a_client_gone_with_a_carried_eviction_unpicked_is_recovered() {
+    const BIG: usize = 2_048;
+    let sums = |cache: &DittoCache| {
+        let nodes = cache.pool().stats().node_snapshots();
+        let sum = |f: fn(&ditto::dm::stats::NodeSnapshot) -> u64| nodes.iter().map(f).sum::<u64>();
+        (sum(|n| n.reads), sum(|n| n.cas))
+    };
+    for nodes in [1u16, 2] {
+        for cas_posted in [false, true] {
+            let context = format!("{nodes} nodes, victim CAS posted {cas_posted}");
+            let config = DittoConfig::with_capacity(300).with_crash_recovery_journal(true);
+            let dm = DmConfig::default().with_memory_nodes(nodes);
+            let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
+            let mut client = cache.client();
+            let id = client.dm().client_id();
+            let value = |key: u64| vec![key as u8; BIG];
+            // Fills until one carries its eviction unpicked: a re-sample
+            // went out on its ring (one more READ than its own sample) and
+            // no victim CAS beside its insert.
+            let (mut key, mut found) = (0u64, false);
+            while key < 4_000 && !found {
+                assert!(client.get(&key.to_le_bytes()).is_none(), "{context}");
+                let (deferred, (reads, cas)) = (cache.stats().resamples_deferred(), sums(&cache));
+                client.set(&key.to_le_bytes(), &value(key));
+                let after = sums(&cache);
+                found = key > 2_000
+                    && cache.stats().resamples_deferred() == deferred + 1
+                    && (after.0 - reads, after.1 - cas) == (2, 1);
+                key += 1;
+            }
+            assert!(found, "{context}: no fill carried its eviction unpicked");
+            let last = key - 1;
+            if cas_posted {
+                // Reads of the key before it: the first polls the re-sample,
+                // a later one's round picks and posts the victim CAS — unless
+                // the re-sample is short again, and another goes out.
+                let cas = |cache: &DittoCache| sums(cache).1;
+                let mut posted = false;
+                for _ in 0..2 * 8 {
+                    let before = cas(&cache);
+                    let _ = client.get(&(last - 1).to_le_bytes());
+                    if cas(&cache) > before {
+                        posted = true;
+                        break;
+                    }
+                }
+                assert!(posted, "{context}: no later op posted the victim CAS");
+            }
+            std::mem::forget(client);
+            let mut survivor = cache.client();
+            let report = survivor.recover_crashed_client(id);
+            assert_eq!(report.journal_entries_replayed, 1, "{context}: {report:?}");
+            // The insert landed, and the victim, if its CAS went out: only a
+            // victim is unreferenced, a 2 KiB value in more than 32 blocks.
+            assert_eq!(
+                report.recovered_bytes > 32 * 64,
+                cas_posted,
+                "{context}: {report:?}"
+            );
+            assert_no_orphans(&cache, &mut survivor, &context);
+            for key in 0..=last {
+                if let Some(bytes) = survivor.get(&key.to_le_bytes()) {
+                    assert_eq!(bytes, value(key), "{context}: key {key}");
+                }
+            }
+            assert!(survivor.get(&last.to_le_bytes()).is_some(), "{context}");
+        }
+    }
+}
+
 /// Tentpole: node fail-stop degrades a striped pool instead of killing it —
 /// keys whose buckets live on survivors keep full service, new objects
 /// avoid the dead node, and the faults are attributed to it.
@@ -932,20 +1015,25 @@ fn chaos_drain_reposts_faas_flushed_behind_a_fault() {
 /// client's round after that sample landed decodes it; one that held too
 /// few candidates sends the re-sample READ from that round, for the
 /// client's next ops to poll.  Here that READ faults: the `Set` that takes
-/// the eviction up finds the sample tainted and re-samples in place.  Values
-/// of 2 KiB in a cache sized for 300 small objects make short samples
-/// common.  Each fill is read back twice: the first `Get` books it, the
-/// second's round decodes its eviction's sample, and runs under a 5 %
-/// verb-fail plan; the ops around it run disarmed, so the `Set` after a
-/// faulted READ is measured alone.  No FC flush is ever due, so the armed
-/// `Get` sends its slot and object READs, the re-sample and at most a
-/// `last_ts` WRITE: one fault in its window, with its READs landed (no
-/// misprediction) and no `last_ts` WRITE sent, is the re-sample's.
-/// Updates of earlier keys ride along, and every hit reads a version
-/// between the key's last acknowledged one and its last issued one; nothing
-/// leaks.
+/// the eviction up finds the sample tainted and re-samples — its ring
+/// carries the re-sample in place of the victim CAS, or, not a one-round
+/// fill, it sends it as it ends — or, the READ still out, carries the
+/// eviction unpicked, and a later op's round re-samples.  Values of 2 KiB
+/// in a cache sized for 300 small objects make short samples common.  Each
+/// fill is read back twice: the first `Get` books it, the second's round
+/// decodes its eviction's sample, and runs under a 5 % verb-fail plan; the
+/// ops around it run disarmed, so the `Set` after a faulted READ is
+/// measured alone.  No FC
+/// flush is ever due, so the armed `Get` sends its slot and object READs,
+/// the re-sample, at most a `last_ts` WRITE, and what it sends for an
+/// eviction the last fill carried unpicked: a further re-sample, or the
+/// victim CAS.  After a fill that carried a victim it had picked, one fault
+/// in its window, with its READs landed (no misprediction), no `last_ts`
+/// WRITE and no CAS sent, is the re-sample's.  Updates of
+/// earlier keys ride along, and every hit reads a version between the
+/// key's last acknowledged one and its last issued one; nothing leaks.
 #[test]
-fn chaos_a_faulted_deferred_re_sample_is_re_sampled_in_place() {
+fn chaos_a_faulted_deferred_re_sample_is_re_sampled_by_the_next_fill() {
     const BIG: usize = 2_048;
     const FILLS: u64 = 600;
     let value = |key: u64, version: u64| {
@@ -986,10 +1074,15 @@ fn chaos_a_faulted_deferred_re_sample_is_re_sampled_in_place() {
         let mut key = 2_000;
         let stats = cache.pool().stats();
         while key < 2_000 + FILLS {
-            // A fresh key's cache-aside fill, and a read that books it.
+            // A fresh key's cache-aside fill, and a read that books it.  A
+            // fill that sent two CASes carried a victim it had picked, and
+            // leaves no eviction to pick for but its own.
             let fill = key.to_le_bytes();
             assert!(client.get(&fill).is_none());
+            let cas = || stats.node_snapshots()[0].cas;
+            let cas_before = cas();
             set(&mut client, key);
+            let carried_picked = cas() - cas_before == 2;
             let _ = client.get(&fill);
             key += 1;
             let window = || {
@@ -1000,6 +1093,7 @@ fn chaos_a_faulted_deferred_re_sample_is_re_sampled_in_place() {
                     stats.faults().verb_failures,
                     spec,
                     cache.ts_writes_sent(),
+                    stats.node_snapshots()[0].cas,
                 )
             };
             let before = window();
@@ -1008,26 +1102,37 @@ fn chaos_a_faulted_deferred_re_sample_is_re_sampled_in_place() {
             injector.set_armed(false);
             let after = window();
             let sent = after.0 > before.0;
-            let read_faulted =
-                sent && after.1 == before.1 + 1 && (after.2, after.3) == (before.2, before.3);
+            let read_faulted = sent
+                && carried_picked
+                && after.1 == before.1 + 1
+                && (after.2, after.3, after.4) == (before.2, before.3, before.4);
             deferrals += sent as u64;
             if read_faulted {
                 // The next starved fill carries that eviction: beside its own
-                // sample READ it reads at least one sample in place.  (A fill
-                // with room to spare reads no sample and carries nothing.)
+                // sample READ it reads at least one re-sample.  (A fill with
+                // room to spare reads no sample and carries nothing.)  Should
+                // the faulted READ still be out when the fill comes, the fill
+                // carries the eviction unpicked, and of the two reads of its
+                // key after it, the first polls the READ and the second's
+                // round re-samples: one READ beyond their two each.
                 faulted += 1;
                 let reads = || stats.node_snapshots()[0].reads;
                 loop {
-                    assert!(client.get(&key.to_le_bytes()).is_none());
+                    let fill = key.to_le_bytes();
+                    assert!(client.get(&fill).is_none());
                     let before = reads();
                     set(&mut client, key);
                     key += 1;
-                    let sent = reads() - before;
+                    let mut sent = reads() - before;
+                    if sent == 1 {
+                        for _ in 0..2 {
+                            let before = reads();
+                            let _ = client.get(&fill);
+                            sent += reads() - before - 2;
+                        }
+                    }
                     if sent > 0 {
-                        assert!(
-                            sent > 1,
-                            "seed {seed}: key {key} did not re-sample in place"
-                        );
+                        assert!(sent > 1, "seed {seed}: key {key} did not re-sample");
                         break;
                     }
                 }

@@ -302,29 +302,37 @@ fn replay_keeping(mix: YcsbWorkload, dm: DmConfig, config: DittoConfig) -> Repla
 /// to return once its round is rung: the same decisions,
 /// 32 487 472 → 29 200 028 ns before the flush and 32 562 193 →
 /// 29 274 749 after, 39 228 → 39 244 messages, timestamps (6 690, 3 795) →
-/// (6 706, 3 779).
+/// (6 706, 3 779).  When a starved fill came to charge the pick it makes
+/// before its ring, and an eviction it takes up unpicked to be picked for
+/// by a later op: the rings post later, the fills' metadata stamps move and
+/// so do LRU's picks — hits 10 485 → 10 479, misses and sets
+/// 1 515 → 1 521, evictions 620 → 626, history inserts 619 → 625, regrets
+/// 266 → 272, FC flushes 1 420 → 1 432, victories 269/351 → 233/393,
+/// 29 200 028 → 29 208 991 ns before the flush and 29 274 749 →
+/// 29 286 732 after, 39 244 → 39 288 messages, timestamps (6 706, 3 779) →
+/// (6 696, 3 783).
 fn single_node_golden() -> Golden {
     Golden {
-        pre_flush_ns: 29_200_028,
-        clock_ns: 29_274_749,
-        messages: 39_244,
+        pre_flush_ns: 29_208_991,
+        clock_ns: 29_286_732,
+        messages: 39_288,
         published: (0, 0),
-        timestamps: (6_706, 3_779),
+        timestamps: (6_696, 3_783),
         stats: CacheStatsSnapshot {
-            hits: 10_485,
-            misses: 1_515,
-            sets: 1_515,
-            evictions: 620,
+            hits: 10_479,
+            misses: 1_521,
+            sets: 1_521,
+            evictions: 626,
             bucket_evictions: 1,
-            history_inserts: 619,
-            regrets: 266,
+            history_inserts: 625,
+            regrets: 272,
             weight_syncs: 3,
-            fc_flushes: 1_420,
+            fc_flushes: 1_432,
             local_hits: 0,
             local_revalidations: 0,
             local_invalidations: 0,
             local_stale_rejects: 0,
-            expert_victories: vec![269, 351],
+            expert_victories: vec![233, 393],
         },
     }
 }
@@ -400,10 +408,13 @@ fn striped_replay_matches_the_pipelined_path_to_the_nanosecond() {
     // 32 492 178 after.  When a one-round fill came to return once its
     // round is rung: 32 395 628 → 29 902 182 and 32 492 178 → 29 998 732
     // ns, 36 312 → 36 374 messages, timestamps (6 696, 4 045) →
-    // (6 758, 3 983).
+    // (6 758, 3 983).  When a fill that looks its key up came to park its
+    // eviction with its sample undecoded, as a one-round fill's, and a
+    // starved fill to charge the pick it makes before its ring: the same
+    // decisions, 29 902 182 → 29 898 882 and 29 998 732 → 29 995 432 ns.
     let golden = Golden {
-        pre_flush_ns: 29_902_182,
-        clock_ns: 29_998_732,
+        pre_flush_ns: 29_898_882,
+        clock_ns: 29_995_432,
         messages: 36_374,
         published: (0, 0),
         timestamps: (6_758, 3_983),
@@ -690,36 +701,54 @@ fn fig24_rung(rung: usize) -> DittoConfig {
 /// 53 993 → 54 017 messages, timestamps (6 797, 3 658) → (6 809, 3 646).
 /// Rung 4: 62 093 164 → 58 651 748 ns, 63 051 → 63 069 messages,
 /// timestamps (6 797, 3 658) → (6 806, 3 649).
+///
+/// When a starved fill came to charge the pick it makes before its ring,
+/// and an eviction it takes up unpicked — a short sample, common on rungs 1
+/// and 2 — to be picked for by a later op, every rung moved, rungs 1 and 2
+/// still deciding alike and rungs 3 and 4 too.  Rung 1: hits
+/// 10 453 → 10 429, misses 1 547 → 1 571, evictions 652 → 676, regrets
+/// 297 → 322, weight syncs 3 → 4, FC flushes 1 390 → 1 370, victories
+/// 242/410 → 308/368, 29 672 094 → 29 513 570 ns before the flush and
+/// 29 745 765 → 29 583 771 after, 50 808 → 51 114 messages, timestamps
+/// (6 781, 3 672) → (6 784, 3 645).  Rung 2: the same counts,
+/// 34 205 449 → 34 149 164 and 34 279 120 → 34 219 365 ns, 53 683 → 54 067
+/// messages, timestamps (6 793, 3 660) → (6 799, 3 630).  Rung 3: hits
+/// 10 455 → 10 436, misses 1 545 → 1 564, evictions 650 → 669, regrets and
+/// syncs 296 → 315, FC flushes 1 397 → 1 389, victories 162/488 → 173/496,
+/// 35 688 648 → 35 666 845 and 35 757 418 → 35 735 365 ns, 54 017 → 54 308
+/// messages, timestamps (6 809, 3 646) → (6 816, 3 620).  Rung 4: rung 3's
+/// counts, 58 651 748 → 58 589 245 ns, 63 069 → 63 341 messages,
+/// timestamps (6 806, 3 649) → (6 809, 3 627).
 #[test]
 fn fig24_ablation_rungs_hold_their_numbers() {
     let rungs = [
         single_node_ablated(
-            [29_672_094, 29_745_765],
-            50_808,
-            (6_781, 3_672),
-            [10_453, 1_547, 652, 0, 297, 3, 1_390],
-            [242, 410],
+            [29_513_570, 29_583_771],
+            51_114,
+            (6_784, 3_645),
+            [10_429, 1_571, 676, 0, 322, 4, 1_370],
+            [308, 368],
         ),
         single_node_ablated(
-            [34_205_449, 34_279_120],
-            53_683,
-            (6_793, 3_660),
-            [10_453, 1_547, 652, 0, 297, 3, 1_390],
-            [242, 410],
+            [34_149_164, 34_219_365],
+            54_067,
+            (6_799, 3_630),
+            [10_429, 1_571, 676, 0, 322, 4, 1_370],
+            [308, 368],
         ),
         single_node_ablated(
-            [35_688_648, 35_757_418],
-            54_017,
-            (6_809, 3_646),
-            [10_455, 1_545, 650, 0, 296, 296, 1_397],
-            [162, 488],
+            [35_666_845, 35_735_365],
+            54_308,
+            (6_816, 3_620),
+            [10_436, 1_564, 669, 0, 315, 315, 1_389],
+            [173, 496],
         ),
         single_node_ablated(
-            [58_651_748, 58_651_748],
-            63_069,
-            (6_806, 3_649),
-            [10_455, 1_545, 650, 0, 296, 296, 10_455],
-            [162, 488],
+            [58_589_245, 58_589_245],
+            63_341,
+            (6_809, 3_627),
+            [10_436, 1_564, 669, 0, 315, 315, 10_436],
+            [173, 496],
         ),
     ];
     let replayed: Vec<Golden> = (1..=4)
@@ -756,14 +785,19 @@ fn fig24_ablation_rungs_hold_their_numbers() {
 /// (6 704, 3 771) → (6 709, 3 776).  When a one-round fill came to return
 /// once its round is rung: the same decisions, 55 515 272 → 52 228 665 ns
 /// before the flush and 55 520 273 → 52 233 666 after, messages
-/// 48 312 → 48 316, timestamps (6 709, 3 776) → (6 713, 3 772).
+/// 48 312 → 48 316, timestamps (6 709, 3 776) → (6 713, 3 772).  When a
+/// starved fill came to charge the pick it makes before its ring, the
+/// decisions moved as the single-node replay's did, FC flushes
+/// 10 485 → 10 479, 52 228 665 → 52 224 721 ns before the flush and
+/// 52 233 666 → 52 229 722 after, messages 48 316 → 48 343, timestamps
+/// (6 713, 3 772) → (6 704, 3 775).
 fn no_fc_cache_golden() -> Golden {
     single_node_ablated(
-        [52_228_665, 52_233_666],
-        48_316,
-        (6_713, 3_772),
-        [10_485, 1_515, 620, 1, 266, 3, 10_485],
-        [269, 351],
+        [52_224_721, 52_229_722],
+        48_343,
+        (6_704, 3_775),
+        [10_479, 1_521, 626, 1, 272, 3, 10_479],
+        [233, 393],
     )
 }
 
@@ -802,7 +836,9 @@ fn no_fc_cache_replay_holds_its_numbers() {
 /// table is sized exactly, by four: (6 819, 3 634) against (6 815, 3 638);
 /// since a regret is importance-weighted, by none: both (6 797, 3 658);
 /// since a one-round fill returns once its round is rung, by three:
-/// (6 809, 3 646) against (6 806, 3 649).
+/// (6 809, 3 646) against (6 806, 3 649); since a starved fill charges the
+/// pick it makes before its ring, by seven: (6 816, 3 620) against
+/// (6 809, 3 627).
 #[test]
 fn one_clients_fc_cache_moves_no_victim() {
     let decisions = |golden: Golden| CacheStatsSnapshot {

@@ -149,7 +149,11 @@ fn the_simulator_on_an_lfu_friendly_trace() {
 /// 0.1341 → 0.0260).  Re-derived again when a one-round fill came to return
 /// once its round is rung, its eviction's sample decoded and its pick made
 /// by a later round: other victims — hits 18 998 → 19 083, regrets 5 589 → 5 633, weight syncs 56 → 57, and
-/// both weights (LRU's 0.0260 → 0.0529).
+/// both weights (LRU's 0.0260 → 0.0529).  Re-derived again when a starved
+/// fill came to charge the pick it makes before its ring, and an eviction it
+/// takes up unpicked to be picked for by a later op: later rings, other
+/// stamps and victims — hits 19 083 → 18 967, regrets 5 633 → 5 709, weight
+/// syncs 57 → 58, and both weights (LRU's 0.0529 → 0.0489).
 #[test]
 fn a_client_replay_of_the_changing_workload() {
     let cache =
@@ -163,10 +167,10 @@ fn a_client_replay_of_the_changing_workload() {
     assert_eq!(
         (snap.hits, snap.regrets, snap.weight_syncs, weights),
         (
-            19_083,
-            5_633,
-            57,
-            vec![0x3fab_1637_193e_482d, 0x3fee_4e9c_8e6c_1b7c]
+            18_967,
+            5_709,
+            58,
+            vec![0x3fa9_09fc_09b0_5653, 0x3fee_6f60_3f64_fa9b]
         )
     );
 }
@@ -190,7 +194,9 @@ fn a_client_replay_of_the_changing_workload() {
 /// 10 k-request phases exact counts pay on every phase: 18 757 hits with the
 /// FC cache before, 19 204 then and without one.  Since a hash maps onto its
 /// bucket by multiply-shift, other samples pick other victims: 19 278, with
-/// the FC cache and without one alike.
+/// the FC cache and without one alike.  Since a starved fill charges the
+/// pick it makes before its ring and an eviction it takes up unpicked is
+/// picked for by a later op, other victims go: 19 203, alike again.
 #[test]
 fn lfu_evicts_alike_with_and_without_the_fc_cache() {
     let run = |fc_cache_mb: f64| {
@@ -210,7 +216,7 @@ fn lfu_evicts_alike_with_and_without_the_fc_cache() {
     let with = run(DittoConfig::single_algorithm(600, "lfu").fc_cache_mb);
     assert!(with.evictions > 0);
     assert_eq!(with, run(0.0));
-    assert_eq!(with.hits, 19_278);
+    assert_eq!(with.hits, 19_203);
 }
 
 /// Adaptive's hit rate minus the better of LRU-only's and LFU-only's on the
