@@ -113,7 +113,7 @@ mod publish;
 mod round;
 use evict::Eviction;
 use lookup::{HintTable, Lookup, MissMemo};
-use publish::PendingFill;
+use publish::{Booking, PendingFill};
 use round::{plan_round, Plan, Shape};
 
 /// Maximum CAS retries before an operation gives up, and the attempt bound of
@@ -395,7 +395,7 @@ impl DittoClient {
         self.dm.begin_op();
         self.set_op = self.dm.op_id();
         self.eviction_age.begin_op(self.dm.now_ns());
-        self.book_pending_fill(true);
+        self.book_pending_fill(Booking::Whole);
         let memo = self.miss_memo.take();
         // The reusable per-client encode buffer, moved out meanwhile so the
         // borrow checker can see it is disjoint from `self`.
@@ -423,9 +423,9 @@ impl DittoClient {
         if self
             .pending_fill
             .as_ref()
-            .is_some_and(|fill| fill.in_flight(false) == 0)
+            .is_some_and(|fill| fill.awaited() == 0)
         {
-            self.book_fill(false);
+            self.book_fill(Booking::Polled);
         }
         self.dm.close_op();
     }
@@ -434,10 +434,7 @@ impl DittoClient {
     /// insert CAS and its carried eviction's victim CAS or re-sample READ,
     /// the parked eviction's sample READs and history FAA.
     fn side_channels_in_flight(&self) -> usize {
-        let fill = self
-            .pending_fill
-            .as_ref()
-            .map_or(0, |fill| fill.in_flight(true));
+        let fill = self.pending_fill.as_ref().map_or(0, PendingFill::in_flight);
         fill + self.parked_eviction.as_ref().map_or(0, |ev| ev.in_flight)
     }
 
@@ -446,21 +443,21 @@ impl DittoClient {
     /// eviction, a migration pump, a recovery, a forensic scan, its `Drop`:
     /// polls until its insert CAS and its carried victim CAS have completed
     /// (the op that ended last has usually met both and booked it already),
-    /// then books it ([`DittoClient::book_fill`]).  With `settle` a carried
-    /// eviction still to pick picks now, waiting for its re-sample and its
-    /// CAS; without — a `Get` of the key, which needs only the insert — it
-    /// stays pending.
-    fn book_pending_fill(&mut self, settle: bool) {
+    /// then books it ([`DittoClient::book_fill`]).  Booked
+    /// [`Booking::Whole`], a carried eviction still to pick picks now,
+    /// waiting for its re-sample and its CAS; [`Booking::Polled`] — a `Get`
+    /// of the key, which needs only the insert — leaves it pending.
+    fn book_pending_fill(&mut self, booking: Booking) {
         while self
             .pending_fill
             .as_ref()
-            .is_some_and(|fill| fill.in_flight(false) > 0)
+            .is_some_and(|fill| fill.awaited() > 0)
         {
             if self.poll_routed(&mut [None, None]).is_none() {
                 break;
             }
         }
-        self.book_fill(settle);
+        self.book_fill(booking);
     }
 
     /// Revalidates the cached topology snapshot against the pool's resize
@@ -543,7 +540,7 @@ impl DittoClient {
     /// `NodeRemoved`), is dropped, and so is every other counter on that
     /// node: the counters are advisory.
     pub fn flush(&mut self) {
-        self.book_pending_fill(true);
+        self.book_pending_fill(Booking::Whole);
         let mut drained = self.fc.as_mut().map(FcCache::flush_all).unwrap_or_default();
         // A counter recorded before a cutover is owed to its word's live
         // home; regrouped by node once re-translated, and merged with the
@@ -761,7 +758,7 @@ impl DittoClient {
         // This client's own fill settles first: its journal and its object.
         // And its hoard goes back to the nodes before anything is replayed:
         // a journalled block it freed and parks would still look granted.
-        self.book_pending_fill(true);
+        self.book_pending_fill(Booking::Whole);
         self.alloc.release_excess(&self.dm, 0);
 
         // 1. One forensic scan of the whole table: both the journal replay
@@ -925,7 +922,7 @@ impl DittoClient {
             .is_some_and(|fill| fill.hash == hash)
         {
             // The key's own fill is booked first, and leaves its hint.
-            self.book_pending_fill(false);
+            self.book_pending_fill(Booking::Polled);
         }
         if self.tier.is_some() && self.tier_get(hash, key, out) {
             return true;
@@ -1468,7 +1465,7 @@ impl DittoClient {
             object: Some((obj_addr, new_atomic.encode())),
             memo: memo_slot,
             hint: hint.map(|hint| (self.hinted_slot_addr(hash, hint), hint.word)),
-            carried: carried.as_ref().map(Eviction::carry),
+            carried: carried.as_ref().map(|ev| ev.carry().without_resample()),
             fill,
             use_extension: self.use_extension,
             key: Some(hash),
@@ -1481,7 +1478,7 @@ impl DittoClient {
         let front = (plan.memo.is_some() || plan.hint.is_some()).then(|| {
             plan_round(&Plan {
                 own: ahead.as_ref().and_then(Eviction::riding),
-                resample: carried.as_ref().map_or(&[], Eviction::resample),
+                carried: carried.as_ref().map(Eviction::carry),
                 ..plan
             })
         });
@@ -1821,7 +1818,7 @@ impl DittoClient {
         // pending fill and a parked eviction's deferred READ are polled and
         // booked first.
         let _ = self.drain_round(&mut [None, None]);
-        self.book_fill(true);
+        self.book_fill(Booking::Whole);
         let engine = Arc::clone(&self.engine);
         engine.maybe_replan();
         let mut progress = MigrationProgress::default();
@@ -1869,7 +1866,7 @@ impl DittoClient {
     ///
     /// [`MemoryPool::resident_object_bytes`]: ditto_dm::MemoryPool::resident_object_bytes
     pub fn referenced_object_bytes_on(&mut self, mn_id: u16) -> u64 {
-        self.book_pending_fill(true);
+        self.book_pending_fill(Booking::Whole);
         let refs = self.referenced_objects();
         refs.get(mn_id as usize).map_or(0, |node_refs| {
             node_refs.iter().map(|&(_, bytes)| bytes).sum()
@@ -2099,7 +2096,7 @@ impl Drop for DittoClient {
     /// acquired goes into no slot: it is booked burnt, and nothing is sent.
     fn drop(&mut self) {
         if !self.crashed {
-            self.book_pending_fill(true);
+            self.book_pending_fill(Booking::Whole);
         }
         if self.parked_eviction.is_some() && self.policy.is_adaptive() {
             self.stats.record_history_id_burnt();

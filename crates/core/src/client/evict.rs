@@ -14,6 +14,7 @@
 //! sample is decoded, once.
 
 use super::lookup::bucket_holds;
+use super::publish::Booking;
 use super::round::{
     alone, Carry, Context, Op, Owner, Retire, Riding, RidingSample, Round, Shape, Verb, DISPLACE,
 };
@@ -182,25 +183,13 @@ impl Eviction {
     }
 
     /// What this eviction, carried by a `Set`, sends: its victim CAS once
-    /// picked, or else the re-sample it drew, if any ([`Self::resample`]),
+    /// picked, or else the re-sample it drew and has not sent, if any,
     /// which leaves the `Set`'s buckets out.
-    pub(super) fn carry(&self) -> Carry {
-        match self.is_picked() {
-            true => Carry::Victim(self.victim_cas()),
-            false => Carry::Unpicked(self.resample_drawn().then_some(Riding {
-                key: self.key,
-                victim: None,
-                park: true,
-            })),
-        }
-    }
-
-    /// The segments of the re-sample it drew and has not sent; none with
-    /// its sample in flight, or picked.
-    pub(super) fn resample(&self) -> &[(RemoteAddr, usize)] {
-        match self.resample_drawn() {
-            true => &self.segments,
-            false => &[],
+    pub(super) fn carry(&self) -> Carry<'_> {
+        match (self.is_picked(), self.resample_drawn()) {
+            (true, _) => Carry::Victim(self.victim_cas()),
+            (false, true) => Carry::Unpicked(&self.segments, self.key),
+            (false, false) => Carry::Unpicked(&[], self.key),
         }
     }
 
@@ -260,7 +249,7 @@ impl DittoClient {
     /// Performs one sampling eviction.  Returns `true` when an object was
     /// evicted and its memory recycled.
     pub fn evict_once(&mut self) -> bool {
-        self.book_pending_fill(true);
+        self.book_pending_fill(Booking::Whole);
         self.evict_once_for(0)
     }
 
@@ -628,15 +617,14 @@ impl DittoClient {
 
     /// Picks for the eviction the pending fill carries unpicked, once a
     /// poll has booked the re-sample its ring carried
-    /// ([`Self::take_parked`]): decodes it and picks, then journals the
-    /// victim and posts its CAS, signalled, on a ring of its own that the op
-    /// leaves in flight, and moves the victim key's board epoch, as the fill
-    /// would have at its ring; the CAS is booked with the fill
-    /// ([`Self::finish_carried`]).  A re-sample still short sends the next
-    /// one the same way.  A stripe cutover since the eviction began drops
-    /// it ([`Self::drop_eviction`]).  Called between the doorbell and the
-    /// first poll of the client's round ([`Self::host_parked_pick`]): the
-    /// decode, the pick and the ring's posting run under its flight.
+    /// ([`Self::take_parked`]): decodes it and picks, then posts the victim
+    /// CAS, signalled, on a ring of its own that the op leaves in flight,
+    /// and moves the victim key's board epoch, as the fill would have at its
+    /// ring; the CAS is booked with the fill ([`Self::finish_carried`]).  A
+    /// re-sample still short sends the next one the same way.  Called
+    /// between the doorbell and the first poll of the client's round
+    /// ([`Self::host_parked_pick`]): the decode, the pick and the ring's
+    /// posting run under its flight.
     fn settle_carried_sample(&mut self) {
         let carried = self
             .pending_fill
@@ -652,18 +640,8 @@ impl DittoClient {
         else {
             return;
         };
-        if ev.version != self.table.directory().version() {
-            self.drop_eviction(&mut ev);
-            return;
-        }
-        ev.other_victim = self
-            .parked_eviction
-            .as_ref()
-            .and_then(Eviction::picked_victim);
-        ev.t0 = self.dm.now_ns();
-        self.take_sample(&mut ev);
+        self.pick_carried(&mut ev, false);
         if ev.is_picked() {
-            self.journal_set_fill(Some(ev.victim_object()));
             let ctx = Context {
                 beside_insert: true,
                 ..Context::default()
@@ -679,6 +657,32 @@ impl DittoClient {
         }
         if let Some(fill) = self.pending_fill.as_mut() {
             fill.carried = Some(ev);
+        }
+    }
+
+    /// Picks for `ev`, the eviction a fill carries unpicked: from the sample
+    /// that has landed — a short one draws the next re-sample, for the
+    /// caller to send — or, `in_place`, waiting for each re-sample in turn
+    /// ([`Self::pick_in_place`]).  The victim is journalled before its CAS
+    /// goes out.  A stripe cutover since the eviction began drops it
+    /// instead ([`Self::drop_eviction`]).
+    fn pick_carried(&mut self, ev: &mut Eviction, in_place: bool) {
+        if ev.version != self.table.directory().version() {
+            self.drop_eviction(ev);
+            return;
+        }
+        ev.other_victim = self
+            .parked_eviction
+            .as_ref()
+            .and_then(Eviction::picked_victim);
+        if in_place {
+            self.pick_in_place(ev);
+        } else {
+            ev.t0 = self.dm.now_ns();
+            self.take_sample(ev);
+        }
+        if ev.is_picked() {
+            self.journal_set_fill(Some(ev.victim_object()));
         }
     }
 
@@ -954,22 +958,10 @@ impl DittoClient {
     /// commits its victim CAS — or re-picks, should it have lost — in the
     /// op that books it, whose `Evict` span is the victim half from here.
     /// One still to pick, which no later round picked for, picks here in
-    /// place ([`Self::pick_in_place`]) and journals its victim before the
-    /// CAS goes out; a stripe cutover since it began drops it instead.
+    /// place ([`Self::pick_carried`]).
     pub(super) fn finish_carried(&mut self, ev: &mut Eviction) {
         if ev.is_sampling() {
-            if ev.version != self.table.directory().version() {
-                self.drop_eviction(ev);
-                return;
-            }
-            ev.other_victim = self
-                .parked_eviction
-                .as_ref()
-                .and_then(Eviction::picked_victim);
-            self.pick_in_place(ev);
-            if ev.is_picked() {
-                self.journal_set_fill(Some(ev.victim_object()));
-            }
+            self.pick_carried(ev, true);
         }
         ev.t0 = self.dm.now_ns();
         self.evict_advance(ev, false);
@@ -1009,7 +1001,7 @@ impl DittoClient {
 
 #[cfg(test)]
 mod tests {
-    use super::{bucket_holds, Candidates, DittoClient, EvictWait, Eviction};
+    use super::{bucket_holds, Booking, Candidates, DittoClient, EvictWait, Eviction};
     use crate::cache::DittoCache;
     use crate::client::round::Shape;
     use crate::config::DittoConfig;
@@ -1524,12 +1516,34 @@ mod tests {
             + read(carried)
     }
 
+    /// The samples the eviction the pending fill carries unpicked has
+    /// drawn, if it has one.
+    fn unpicked_samples(client: &DittoClient) -> Option<usize> {
+        carried(client)
+            .filter(|ev| ev.is_sampling())
+            .map(|ev| ev.samples)
+    }
+
+    /// What an op sent for the eviction the pending fill carried unpicked
+    /// as it began, `before` samples drawn: the re-samples it drew, and
+    /// whether it picked and sent the victim CAS — which a poll of the same
+    /// op may book with the fill.
+    fn sent_for_carried(client: &DittoClient, before: Option<usize>) -> (u64, u64) {
+        match (before, unpicked_samples(client)) {
+            (Some(before), Some(after)) => ((after - before) as u64, 0),
+            (Some(_), None) => (0, 1),
+            (None, _) => (0, 0),
+        }
+    }
+
     #[test]
     fn a_short_samples_re_sample_flies_under_the_next_op() {
         let (cache, mut client) =
             short_sampling_on(DmConfig::default().with_flight_recorder(1 << 16));
         let (resamples, fills) = (cache.stats().resamples_deferred(), client.rounds_posted);
         let (mut deferrals, mut from_resample, mut other) = (0, 0, 4_001u64);
+        // The re-samples sent for the evictions the fills carried unpicked.
+        let mut carried_resamples = 0;
         // Samples read before the loop and decoded in it, and the sample
         // READs the loop sends: every READ but a lookup's two, a miss's
         // buckets or a hinted `Get`'s slot and object.
@@ -1537,13 +1551,15 @@ mod tests {
         client.dm().clear_flight_recorder();
         let mut sample_reads = 0;
         for key in 5_000..5_200u64 {
-            let (before, resamples_before) = (node(&cache), cache.stats().resamples_deferred());
+            let (before, unpicked) = (node(&cache), unpicked_samples(&client));
             assert!(client.get(&key.to_le_bytes()).is_none());
             let reads = node(&cache).reads - before.reads - 2;
             // Its round may pick for the eviction the last fill carried
-            // unpicked, and re-sample: each re-sample is one READ.
-            assert_eq!(reads, cache.stats().resamples_deferred() - resamples_before);
-            sample_reads += reads;
+            // unpicked, or re-sample it: one READ.
+            let (resampled, _) = sent_for_carried(&client, unpicked);
+            assert_eq!(reads, resampled, "key {key}");
+            (sample_reads, carried_resamples) =
+                (sample_reads + reads, carried_resamples + resampled);
             // The slots a pick from a deferred re-sample chooses among, as
             // they stand before the `Set` that makes it.
             let node0 = cache.pool().node(0).unwrap();
@@ -1558,15 +1574,21 @@ mod tests {
                 Vec::new()
             };
             let (before, waited) = (node(&cache), cache.stats().resamples_waited());
-            let resamples_before = cache.stats().resamples_deferred();
+            let parked = client.parked_eviction.as_ref().map(|ev| ev.samples);
             client.set(&key.to_le_bytes(), &[1u8; BIG]);
             let reads = node(&cache).reads - before.reads;
             sample_reads += reads;
-            // Its ring carries its own sample and, should the eviction it
-            // carries not pick, that one's re-sample: nothing read in place
-            // (but what the booking of the fill before it waited for).
+            // It takes up the parked eviction; should that not pick, its
+            // ring carries the re-sample it draws.
+            let resampled = match (parked, unpicked_samples(&client)) {
+                (Some(parked), Some(after)) => (after - parked) as u64,
+                _ => 0,
+            };
+            carried_resamples += resampled;
+            // Its ring carries its own sample and that re-sample: nothing
+            // read in place (but what the booking of the fill before it
+            // waited for).
             if cache.stats().resamples_waited() == waited {
-                let resampled = cache.stats().resamples_deferred() - resamples_before;
                 assert_eq!(reads, 1 + resampled, "key {key}");
             }
             // A pick made in this Set, from a deferred re-sample that was
@@ -1587,25 +1609,36 @@ mod tests {
             // for it: it takes no longer than a plain hinted Get.  So does
             // what it sends for the eviction the fill carried unpicked: the
             // victim CAS or a further re-sample, on a ring of its own.
+            let unpicked = unpicked_samples(&client);
             let (_, first_reads, _) = timed_hinted_get(&cache, &mut client, other, BIG);
+            carried_resamples += sent_for_carried(&client, unpicked).0;
             let plain = hinted_get_ns(&client, other);
-            let resamples_before = cache.stats().resamples_deferred();
-            let rounds_before = client.rounds_posted[Shape::Evict as usize];
+            let unpicked = unpicked_samples(&client);
             let (elapsed, reads, doorbells) = timed_hinted_get(&cache, &mut client, other, BIG);
             sample_reads += first_reads + reads - 4;
             other = key;
-            let resampled = cache.stats().resamples_deferred() - resamples_before;
-            let rounds = client.rounds_posted[Shape::Evict as usize] - rounds_before;
-            assert_eq!((reads, doorbells), (2 + resampled, 1 + rounds), "key {key}");
-            if !deferred(&client) {
+            let (resampled, cas) = sent_for_carried(&client, unpicked);
+            carried_resamples += resampled;
+            let deferral = u64::from(deferred(&client));
+            let sent = (2 + deferral + resampled, 1 + deferral + resampled + cas);
+            assert_eq!((reads, doorbells), sent, "key {key}");
+            if deferral == 0 {
                 continue;
             }
             deferrals += 1;
+            if resampled + cas == 0 {
+                // Nothing sent for a carried eviction: beside its own two
+                // READs, the re-sample on a doorbell of its own.
+                assert_eq!((reads, doorbells), (3, 2), "key {key}");
+            }
             assert_eq!(elapsed, plain, "key {key}");
             let parked = client.parked_eviction.as_ref().unwrap();
             assert_eq!((parked.in_flight, parked.samples), (1, 2), "key {key}");
         }
-        assert!(cache.stats().resamples_deferred() - resamples >= deferrals);
+        assert_eq!(
+            cache.stats().resamples_deferred() - resamples,
+            deferrals + carried_resamples
+        );
         assert!(
             deferrals >= 50,
             "{deferrals} of 200 fills deferred a re-sample"
@@ -1951,7 +1984,7 @@ mod tests {
         fill_until_deferred(&mut client, &mut (5_000..6_000));
         // The pending fill is booked first: its carried eviction may still
         // have to pick, which the drop would do.
-        client.book_pending_fill(true);
+        client.book_pending_fill(Booking::Whole);
         assert_eq!(client.parked_eviction.as_ref().unwrap().in_flight, 1);
         let (burnt, messages) = (cache.stats().history_ids_burnt(), node(&cache).messages);
         drop(client);

@@ -32,7 +32,8 @@
 //! booked the READ picks and sends the CAS
 //! ([`DittoClient::settle_carried_sample`]), and the fill is booked once
 //! that CAS is polled — its insert may be booked before.  The next `Set`
-//! books the fill first, picking in place if nobody has.
+//! books the fill first, picking in place if nobody has; so does a booking
+//! that finds the insert lost, for the journal names the object it frees.
 
 use super::evict::Eviction;
 use super::round::{Op, Plan, Retire, Round};
@@ -92,16 +93,34 @@ pub(super) struct PendingInsert {
     hint_epoch: u64,
 }
 
+/// How much of the pending fill a booking settles.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum Booking {
+    /// What its polled completions decide — its insert, a carried victim
+    /// CAS — leaving a carried eviction still to pick for a later round:
+    /// the booking at an op's end, or by a `Get` of the key.
+    Polled,
+    /// All of it: a carried eviction still to pick picks in place.
+    Whole,
+}
+
 impl PendingFill {
-    /// How many of its completions are still to be polled — those of a
-    /// carried eviction still to pick only with `sampling`.
-    pub(super) fn in_flight(&self, sampling: bool) -> usize {
+    /// How many of its completions are still to be polled.
+    pub(super) fn in_flight(&self) -> usize {
+        self.awaited() + self.unpicked().map_or(0, |ev| ev.in_flight)
+    }
+
+    /// How many of them its booking waits for: all but those of a carried
+    /// eviction still to pick, which waits for its pick instead.
+    pub(super) fn awaited(&self) -> usize {
         let insert = self.insert.as_ref().filter(|insert| !insert.cas_polled);
-        let carried = self
-            .carried
-            .as_ref()
-            .filter(|ev| sampling || !ev.is_sampling());
-        usize::from(insert.is_some()) + carried.map_or(0, |ev| ev.in_flight)
+        let picked = self.carried.as_ref().filter(|ev| !ev.is_sampling());
+        usize::from(insert.is_some()) + picked.map_or(0, |ev| ev.in_flight)
+    }
+
+    /// The eviction it carries, if that has still to pick.
+    fn unpicked(&self) -> Option<&Eviction> {
+        self.carried.as_ref().filter(|ev| ev.is_sampling())
     }
 }
 
@@ -419,11 +438,11 @@ impl DittoClient {
     }
 
     /// Books the pending fill, if any — called once its completions are
-    /// polled (`PendingFill::in_flight(false)`), by the op whose polls met
-    /// the last of them ([`DittoClient::end_op`]), or once nobody can poll
-    /// them any more.  A won insert notes its hint (current as of the ring),
-    /// drops what this client's FC cache still held for the slot — the
-    /// previous key's — and is rolled forward across a stripe move
+    /// polled ([`PendingFill::awaited`]), by the op whose polls met the last
+    /// of them ([`DittoClient::end_op`]), or once nobody can poll them any
+    /// more.  A won insert notes its hint (current as of the ring), drops
+    /// what this client's FC cache still held for the slot — the previous
+    /// key's — and is rolled forward across a stripe move
     /// ([`Self::settle_rekey`]).  A lost one is abandoned: a cache may
     /// always miss.  Its object is freed, and its metadata WRITE, which may
     /// have landed ahead of a CAS that lost or faulted, is undone
@@ -432,14 +451,18 @@ impl DittoClient {
     /// and freed — re-picked, should its CAS have lost — and last the
     /// journal, which named both allocations, is disarmed.  A carried
     /// eviction still to pick stays pending, the insert booked, for a later
-    /// round to pick — unless `settle`: it then picks here
-    /// ([`Self::finish_carried`]).  Its sample READ may still be out, so the
-    /// fill stays where any poll finds it while its insert is booked.
-    pub(super) fn book_fill(&mut self, settle: bool) {
+    /// round to pick — unless the booking is [`Booking::Whole`], or the
+    /// insert was abandoned: it then picks here ([`Self::finish_carried`]).
+    /// (The journal names the abandoned object, freed now and kept in this
+    /// client's hoard: armed past its free, it would have recovery free it
+    /// again.)  Its sample READ may still be out, so the fill stays where
+    /// any poll finds it while its insert is booked.
+    pub(super) fn book_fill(&mut self, booking: Booking) {
         let Some(fill) = self.pending_fill.as_mut() else {
             return;
         };
         let (hash, insert) = (fill.hash, fill.insert.take());
+        let mut abandoned = false;
         match insert {
             Some(insert) if insert.observed == insert.expected => {
                 self.hint_note(hash, insert.slot, insert.new, insert.hint_epoch);
@@ -451,14 +474,12 @@ impl DittoClient {
                 let (addr, len) = insert.object;
                 self.alloc.free(&self.dm, addr, len);
                 self.stats.record_fill_abandoned();
+                abandoned = true;
             }
             None => {}
         }
-        let carried = self
-            .pending_fill
-            .as_ref()
-            .and_then(|fill| fill.carried.as_ref());
-        if !settle && carried.is_some_and(Eviction::is_sampling) {
+        let unpicked = self.pending_fill.as_ref().and_then(PendingFill::unpicked);
+        if booking == Booking::Polled && !abandoned && unpicked.is_some() {
             return;
         }
         let Some(mut fill) = self.pending_fill.take() else {

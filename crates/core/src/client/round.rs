@@ -125,9 +125,8 @@ pub(super) type RidingSample<'a> = (&'a [(RemoteAddr, usize)], Option<RemoteAddr
 pub(super) struct Context {
     /// The `Set`'s key.
     pub(super) key: Option<u64>,
-    /// Of a `Set` that carries a parked eviction, its victim's slot — `None`
-    /// while it has still to pick.
-    pub(super) carried: Option<Option<RemoteAddr>>,
+    /// Of a `Set` that carries a parked eviction, what its rounds know of it.
+    pub(super) carried: Option<Carried>,
     /// Whether the `Set` is a fill, right after its key's miss.
     pub(super) fill: bool,
     /// Whether the round flies beside an insert: its own CAS or the
@@ -135,19 +134,51 @@ pub(super) struct Context {
     pub(super) beside_insert: bool,
     /// Of a round that carries the eviction a `Set` runs ahead, its sample.
     pub(super) riding: Option<Riding>,
-    /// Of a round of a `Set` that sends the re-sample of the eviction it
-    /// carries, still to pick, what that sample leaves out: the one-round
-    /// fill's ring carries the READ, any other `Set` sends it as it ends.
-    pub(super) resample: Option<Riding>,
+}
+
+/// What a `Set`'s rounds know of the eviction it carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Carried {
+    /// Its victim's slot.
+    Victim(RemoteAddr),
+    /// Its pick is still to make, by a later op: the key whose buckets its
+    /// re-sample leaves out.
+    Unpicked(Option<u64>),
 }
 
 /// What the eviction a `Set` carries sends: its victim CAS, or — its pick
-/// still to make, by a later op — nothing, or a re-sample it drew, with what
-/// that leaves out.
+/// still to make, by a later op — the segments of the re-sample it drew,
+/// none if it drew none, and the key whose buckets that leaves out.  The
+/// one-round fill's ring carries that READ; any other `Set` sends it as it
+/// ends.
 #[derive(Clone, Copy, Debug)]
-pub(super) enum Carry {
+pub(super) enum Carry<'a> {
     Victim(Verb),
-    Unpicked(Option<Riding>),
+    Unpicked(&'a [(RemoteAddr, usize)], Option<u64>),
+}
+
+impl Carry<'_> {
+    /// The same, its re-sample, if any, left to be sent apart: what every
+    /// round but the one-round fill's carries.
+    pub(super) fn without_resample(self) -> Carry<'static> {
+        match self {
+            Carry::Victim(verb) => Carry::Victim(verb),
+            Carry::Unpicked(_, key) => Carry::Unpicked(&[], key),
+        }
+    }
+
+    /// What a round's rules know of it.
+    fn context(&self) -> Carried {
+        match *self {
+            Carry::Victim(verb) => {
+                let Op::Cas { addr, .. } = verb.op else {
+                    unreachable!("a victim goes out by its slot's CAS")
+                };
+                Carried::Victim(addr)
+            }
+            Carry::Unpicked(_, key) => Carried::Unpicked(key),
+        }
+    }
 }
 
 /// Verbs a round holds at most: a `Set`'s three, the carried eviction's
@@ -283,11 +314,19 @@ pub(super) fn check_round(round: &Round) -> Result<(), Rule> {
             return Err(Rule::BumpBeforeFree);
         }
     }
-    if ctx.resample.is_some_and(|resample| resample.key != ctx.key) {
+    let resamples = round
+        .verbs
+        .iter()
+        .any(|v| v.owner == Owner::Carried && matches!(v.op, Op::Sample(..)));
+    if ctx.key.is_some() && resamples && ctx.carried != Some(Carried::Unpicked(ctx.key)) {
         return Err(Rule::Sample);
     }
     if let Some(riding) = ctx.riding {
-        if riding.key != ctx.key || riding.victim != ctx.carried.flatten() {
+        let victim = match ctx.carried {
+            Some(Carried::Victim(slot)) => Some(slot),
+            _ => None,
+        };
+        if riding.key != ctx.key || riding.victim != victim {
             return Err(Rule::Sample);
         }
         if riding.park != (ctx.fill || ctx.carried.is_some()) {
@@ -312,10 +351,7 @@ pub(super) struct Plan<'a> {
     /// The eviction run ahead, while its sample waits to ride.
     pub(super) own: Option<RidingSample<'a>>,
     /// What the carried eviction sends.
-    pub(super) carried: Option<Carry>,
-    /// The carried eviction's drawn re-sample, which the one-round fill's
-    /// ring carries in place of a victim CAS.
-    pub(super) resample: &'a [(RemoteAddr, usize)],
+    pub(super) carried: Option<Carry<'a>>,
     pub(super) fill: bool,
     pub(super) use_extension: bool,
     pub(super) key: Option<u64>,
@@ -336,21 +372,12 @@ pub(super) struct Plan<'a> {
 ///   the key up ([`Shape::LookedUp`]).
 pub(super) fn plan_round(plan: &Plan) -> Round {
     let on_node = |slot: RemoteAddr| plan.object.is_some_and(|(obj, _)| obj.mn_id == slot.mn_id);
-    let (carried, resample) = match plan.carried {
-        Some(Carry::Victim(Verb {
-            op: Op::Cas { addr, .. },
-            ..
-        })) => (Some(Some(addr)), None),
-        Some(Carry::Unpicked(resample)) => (Some(None), resample),
-        _ => (None, None),
-    };
     let ctx = Context {
         key: plan.key,
-        carried,
+        carried: plan.carried.as_ref().map(Carry::context),
         fill: plan.fill,
         beside_insert: false,
         riding: plan.own.map(|own| own.2),
-        resample,
     };
     let (obj, new) = plan.object.unwrap_or_default();
     let publish = |round: &mut Round, (slot, word): (RemoteAddr, u64), retire| {
@@ -382,7 +409,9 @@ pub(super) fn plan_round(plan: &Plan) -> Round {
             publish(&mut round, insert, INSERT);
             match plan.carried {
                 Some(Carry::Victim(verb)) => round.verbs.push(verb),
-                Some(Carry::Unpicked(_)) => round.push_sample(plan.resample, None, Owner::Carried),
+                Some(Carry::Unpicked(resample, _)) => {
+                    round.push_sample(resample, None, Owner::Carried)
+                }
                 None => {}
             }
             round
@@ -690,13 +719,8 @@ mod tests {
                         if unpicked && !(starved && parked) {
                             continue;
                         }
-                        let resample = Riding {
-                            key: Some(1),
-                            victim: None,
-                            park: true,
-                        };
                         let carried = (starved && parked).then(|| match unpicked {
-                            true => Carry::Unpicked(Some(resample)),
+                            true => Carry::Unpicked(segments, Some(1)),
                             false => Carry::Victim(victim_cas(addr(off, 800))),
                         });
                         let riding = Riding {
@@ -712,7 +736,6 @@ mod tests {
                             hint,
                             own,
                             carried,
-                            resample: segments,
                             fill,
                             use_extension,
                             key: Some(1),
@@ -870,16 +893,10 @@ mod tests {
         // re-sample in place of the victim CAS, and that sample leaves the
         // key's buckets out too.
         let segments = [(addr(0, 4096), 15)];
-        let resample = Riding {
-            key: Some(1),
-            victim: None,
-            park: true,
-        };
         let mut plan = Plan {
             object: Some((addr(0, 8192), 5)),
             memo: Some(Some((addr(0, 40), 0))),
-            carried: Some(Carry::Unpicked(Some(resample))),
-            resample: &segments,
+            carried: Some(Carry::Unpicked(&segments, Some(1))),
             fill: true,
             key: Some(1),
             ..Plan::default()
@@ -895,10 +912,7 @@ mod tests {
             }
         ));
         assert_eq!(check_round(&round), Ok(()));
-        plan.carried = Some(Carry::Unpicked(Some(Riding {
-            key: None,
-            ..resample
-        })));
+        plan.carried = Some(Carry::Unpicked(&segments, None));
         assert_eq!(check_round(&plan_round(&plan)), Err(Rule::Sample));
     }
 }

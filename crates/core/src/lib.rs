@@ -308,7 +308,10 @@
 //! (`settle_carried_sample`); the CAS is booked with the fill.  Only the
 //! next `Set` may wait: it books the fill first, picking in place if no
 //! round has (`pick_in_place`; each re-sample it waits for counts in
-//! [`CacheStats::resamples_waited`]).  Under an extension expert, whose
+//! [`CacheStats::resamples_waited`]).  So does the op that books a lost
+//! insert meanwhile: abandoning it frees the object the journal names, so
+//! the fill is settled whole there, and the journal disarmed, lest a
+//! recovery free that object a second time.  Under an extension expert, whose
 //! scoring READs object headers, the decoding op charges the pick in place
 //! and re-samples in place.  (With its insert slot off the object's node a
 //! fill takes two rounds: the WRITE, signalled, beside the sample READ and

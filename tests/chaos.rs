@@ -682,13 +682,23 @@ fn chaos_a_client_gone_with_a_fill_posted_is_recovered() {
 /// ring carries the re-sample READ in place of the victim CAS, and a later
 /// op picks and posts that CAS on a ring of its own, journalling the victim
 /// first.  The client dies (gone without running another step, its
-/// destructor included) either with that re-sample in flight — its journal
-/// names the fill's object and no victim: nothing was taken out of the
-/// table — or right after a later `Get` posted the victim CAS, which landed,
-/// so no slot references the victim, which recovery frees.  Either way no
-/// byte leaks and every value still cached is the one its `Set` acknowledged.
+/// destructor included) with that re-sample in flight — its journal names
+/// the fill's object and no victim: nothing was taken out of the table — or
+/// right after a later `Get` posted the victim CAS, which landed, so no slot
+/// references the victim, which recovery frees — or right after the `Get`
+/// that booked the fill found its insert lost, to a fault on the fill's
+/// ring: that booking frees the fill's object, so it settles the carried
+/// eviction too and disarms the journal, which recovery would otherwise
+/// free the object by a second time.  Each way no byte leaks and every
+/// value still cached is the one its `Set` acknowledged.
 #[test]
 fn chaos_a_client_gone_with_a_carried_eviction_unpicked_is_recovered() {
+    #[derive(Debug, PartialEq)]
+    enum Gone {
+        ResampleInFlight,
+        VictimCasPosted,
+        InsertLost,
+    }
     const BIG: usize = 2_048;
     let sums = |cache: &DittoCache| {
         let nodes = cache.pool().stats().node_snapshots();
@@ -696,31 +706,52 @@ fn chaos_a_client_gone_with_a_carried_eviction_unpicked_is_recovered() {
         (sum(|n| n.reads), sum(|n| n.cas))
     };
     for nodes in [1u16, 2] {
-        for cas_posted in [false, true] {
-            let context = format!("{nodes} nodes, victim CAS posted {cas_posted}");
+        for gone in [
+            Gone::ResampleInFlight,
+            Gone::VictimCasPosted,
+            Gone::InsertLost,
+        ] {
+            let context = format!("{nodes} nodes, {gone:?}");
             let config = DittoConfig::with_capacity(300).with_crash_recovery_journal(true);
-            let dm = DmConfig::default().with_memory_nodes(nodes);
+            // Faults hit only the fills of the last case, armed around them.
+            let plan = FaultPlan::seeded(0xCA77_1ED0).with_verb_fail_ppm(100_000);
+            let dm = DmConfig::default()
+                .with_memory_nodes(nodes)
+                .with_fault_plan(plan);
             let cache = DittoCache::with_dedicated_pool(config, dm).unwrap();
+            let injector = cache.pool().fault_injector();
+            injector.set_armed(false);
             let mut client = cache.client();
             let id = client.dm().client_id();
             let value = |key: u64| vec![key as u8; BIG];
             // Fills until one carries its eviction unpicked: a re-sample
             // went out on its ring (one more READ than its own sample) and
-            // no victim CAS beside its insert.
+            // no victim CAS beside its insert — and, in the last case, its
+            // insert lost and the `Get` after it booked that.
             let (mut key, mut found) = (0u64, false);
             while key < 4_000 && !found {
                 assert!(client.get(&key.to_le_bytes()).is_none(), "{context}");
                 let (deferred, (reads, cas)) = (cache.stats().resamples_deferred(), sums(&cache));
-                client.set(&key.to_le_bytes(), &value(key));
+                let abandoned = cache.stats().fills_abandoned();
+                let faulted = gone == Gone::InsertLost && key > 2_000;
+                injector.set_armed(faulted);
+                let acked = client.try_set(&key.to_le_bytes(), &value(key)).is_ok();
+                injector.set_armed(false);
                 let after = sums(&cache);
+                let carries_resample = cache.stats().resamples_deferred() == deferred + 1;
                 found = key > 2_000
-                    && cache.stats().resamples_deferred() == deferred + 1
-                    && (after.0 - reads, after.1 - cas) == (2, 1);
+                    && carries_resample
+                    && (faulted || (after.0 - reads, after.1 - cas) == (2, 1));
+                if faulted && found {
+                    // The `Get` of the key before books the fill.
+                    let _ = client.get(&(key - 1).to_le_bytes());
+                    found = acked && cache.stats().fills_abandoned() == abandoned + 1;
+                }
                 key += 1;
             }
             assert!(found, "{context}: no fill carried its eviction unpicked");
             let last = key - 1;
-            if cas_posted {
+            if gone == Gone::VictimCasPosted {
                 // Reads of the key before it: the first polls the re-sample,
                 // a later one's round picks and posts the victim CAS — unless
                 // the re-sample is short again, and another goes out.
@@ -739,12 +770,17 @@ fn chaos_a_client_gone_with_a_carried_eviction_unpicked_is_recovered() {
             std::mem::forget(client);
             let mut survivor = cache.client();
             let report = survivor.recover_crashed_client(id);
-            assert_eq!(report.journal_entries_replayed, 1, "{context}: {report:?}");
+            let armed = gone != Gone::InsertLost;
+            assert_eq!(
+                report.journal_entries_replayed,
+                u64::from(armed),
+                "{context}: {report:?}"
+            );
             // The insert landed, and the victim, if its CAS went out: only a
             // victim is unreferenced, a 2 KiB value in more than 32 blocks.
             assert_eq!(
                 report.recovered_bytes > 32 * 64,
-                cas_posted,
+                gone == Gone::VictimCasPosted,
                 "{context}: {report:?}"
             );
             assert_no_orphans(&cache, &mut survivor, &context);
@@ -753,7 +789,11 @@ fn chaos_a_client_gone_with_a_carried_eviction_unpicked_is_recovered() {
                     assert_eq!(bytes, value(key), "{context}: key {key}");
                 }
             }
-            assert!(survivor.get(&last.to_le_bytes()).is_some(), "{context}");
+            assert_eq!(
+                survivor.get(&last.to_le_bytes()).is_some(),
+                gone != Gone::InsertLost,
+                "{context}"
+            );
         }
     }
 }
