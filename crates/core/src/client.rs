@@ -59,8 +59,9 @@
 //! `tests/data_path_golden.rs` pins three seeded replays of it to the
 //! nanosecond.
 //!
-//! The data path is **allocation-free in steady state**: bucket and sample
-//! bytes land in per-client scratch buffers, slots decode from borrowed
+//! The data path is **allocation-free in steady state**: bucket bytes land
+//! in a per-client scratch buffer and an eviction's sample bytes inline in
+//! the eviction that reads them, slots decode from borrowed
 //! bytes into fixed-capacity [`InlineVec`]s, objects decode through
 //! [`object::view`] without copying, and [`DittoClient::get_into`] writes
 //! the value into a caller-provided buffer.
@@ -91,7 +92,7 @@ use crate::local_tier::{CoherenceBoard, LocalTier, TierProbe, FREQ_ADMIT_THRESHO
 use crate::object;
 use crate::recency::{self, EvictionAge, LAST_TS_DIVISOR};
 use crate::recovery::{CrashPoint, RecoveryReport};
-use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
+use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET};
 use crate::stats::CacheStats;
 use ditto_algorithms::{AccessContext, AccessKind, Metadata, EXT_WORDS};
 use ditto_dm::alloc::{self, AllocService};
@@ -188,11 +189,6 @@ pub struct DittoClient {
     /// The work-request ids of the FC flushes the last hinted `Get` carried:
     /// their completions, errors only, go to no loop (`poll_routed`).
     fc_riders: Range<u64>,
-    /// The CPU work of the parked eviction's pick — slots decoded,
-    /// candidates scored — which the fill did not wait for: the client's
-    /// next round charges it between its doorbell and its first poll
-    /// ([`DittoClient::host_parked_pick`]).
-    hosted_cpu: (usize, usize),
     /// Rounds this client posted on the `Set` path, by `round::Shape`.
     rounds_posted: [u64; 6],
     /// The op id of the client's last `Set`: what its polls book lands for
@@ -249,16 +245,6 @@ pub struct DittoClient {
     crashed: bool,
     /// Scratch for the two bucket READs of a lookup (front: primary).
     bucket_buf: Box<[u8]>,
-    /// Scratch for eviction-sample slot READs.
-    sample_buf: Box<[u8]>,
-    /// Scratch for the parked eviction's deferred re-sample READ, which
-    /// stays unread until a later `Set` takes the eviction up, whatever
-    /// samples other evictions read into [`Self::sample_buf`] meanwhile.
-    parked_sample_buf: Box<[u8]>,
-    /// Scratch for the samples of the eviction a `Set` carries: a re-sample
-    /// the carrying fill's ring sends, which stays unread until a later
-    /// op's round picks from it, whatever lands in the other two meanwhile.
-    carried_sample_buf: Box<[u8]>,
     /// Scratch for object READs; grows to the largest object seen.
     obj_buf: Vec<u8>,
     /// Scratch for `Set` object encoding; grows to the largest object set.
@@ -306,7 +292,6 @@ impl DittoClient {
             parked_eviction: None,
             pending_fill: None,
             fc_riders: 0..0,
-            hosted_cpu: (0, 0),
             rounds_posted: [0; 6],
             set_op: 0,
             own_bumps: vec![0; board.slots()].into_boxed_slice(),
@@ -327,11 +312,6 @@ impl DittoClient {
             crash_armed: None,
             crashed: false,
             bucket_buf: vec![0u8; 2 * BUCKET_SIZE].into_boxed_slice(),
-            sample_buf: vec![0u8; DittoConfig::SAMPLE_SPAN_SLOTS * SLOT_SIZE].into_boxed_slice(),
-            parked_sample_buf: vec![0u8; DittoConfig::SAMPLE_SPAN_SLOTS * SLOT_SIZE]
-                .into_boxed_slice(),
-            carried_sample_buf: vec![0u8; DittoConfig::SAMPLE_SPAN_SLOTS * SLOT_SIZE]
-                .into_boxed_slice(),
             obj_buf: Vec::new(),
             encode_buf: Vec::new(),
             config,
@@ -1705,7 +1685,7 @@ impl DittoClient {
                 // The journal stays armed, naming the carried victim, until
                 // the fill is booked.
                 self.journal_set_fill(ev.is_picked().then(|| ev.victim_object()));
-                self.send_carried_resample(&mut ev);
+                self.send_resample(&mut ev);
                 self.pending_fill = Some(PendingFill {
                     hash,
                     insert: None,

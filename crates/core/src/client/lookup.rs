@@ -707,9 +707,9 @@ impl DittoClient {
     /// completions are consumed in the order they land, the slot decoded as
     /// soon as its own is out — while the object is still in flight, when
     /// it comes first.  Between the doorbell and the first poll the two
-    /// READs' flight hosts the CPU work of the last parked pick
-    /// ([`DittoClient::host_parked_pick`]).  `board_epoch` is the key's
-    /// board epoch as the `Get` read it before posting.
+    /// READs' flight hosts the decode and pick a fill left to the client's
+    /// next round ([`DittoClient::host_parked_pick`]).  `board_epoch` is the
+    /// key's board epoch as the `Get` read it before posting.
     ///
     /// Behind the two READs the ring carries the FC flushes an earlier
     /// access deferred ([`crate::fc_cache`]), unsignalled.  Each costs the

@@ -373,13 +373,13 @@ impl DittoClient {
     /// becomes the client's [`PendingFill`] (see the module docs).  The
     /// key's board epoch moves now, and the carried victim key's: both
     /// before the `Set` returns.  A carried eviction that has not picked
-    /// sends its re-sample READ instead, into a scratch of its own, and
-    /// stays with the fill.  The own eviction parks with its sample in
-    /// flight, its bytes landing out of the way of other evictions' samples
-    /// and its candidates scored with the FC counts this client buffers now,
-    /// as a deferred re-sample's are; the client's round after a poll booked
-    /// that sample picks from it ([`Self::settle_parked_sample`]).  The
-    /// journal stays armed until the fill is booked.
+    /// sends its re-sample READ instead, and stays with the fill.  The own
+    /// eviction parks with its sample in flight, its candidates scored with
+    /// the FC counts this client buffers now, as a deferred re-sample's are;
+    /// the client's round after a poll booked that sample picks from it
+    /// ([`Self::settle_parked_sample`]).  Each eviction's READ lands in its
+    /// own sample bytes, whatever the round's hosted work reads meanwhile.
+    /// The journal stays armed until the fill is booked.
     pub(super) fn post_fill(
         &mut self,
         hash: u64,
@@ -404,10 +404,8 @@ impl DittoClient {
             self.stats.record_resample_deferred();
         }
         let publish_start = self.dm.now_ns();
-        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
         let (wr_write, observed) =
             self.post_round(round, encoded, &mut [ahead.as_mut(), carried.as_mut()]);
-        std::mem::swap(&mut self.sample_buf, &mut self.parked_sample_buf);
         // Whether it installed the pointer is booked later: detail 0.
         self.dm
             .record_span(Phase::Publish, publish_start, self.dm.now_ns(), 0);

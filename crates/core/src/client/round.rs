@@ -57,8 +57,8 @@ pub(super) enum Op {
     /// A bucket READ into the primary (0) or secondary (1) half of the bucket
     /// scratch.
     Bucket(RemoteAddr, usize),
-    /// A sample READ of this many slots, into the sample scratch behind the
-    /// round's earlier sample READs.
+    /// A sample READ of this many slots, into its eviction's sample bytes
+    /// behind that eviction's earlier sample READs in the round.
     Sample(RemoteAddr, usize),
     /// The FAA that acquires an eviction's history id.
     HistoryId(RemoteAddr),
@@ -460,11 +460,10 @@ pub(super) fn alone(ev: &mut Eviction) -> Evictions<'_> {
 impl DittoClient {
     /// Posts `round` behind one doorbell per node: its verbs in order, each
     /// into the buffer its op names — the WRITE from `object`, bucket READs
-    /// into the bucket scratch, sample READs one behind another into the
-    /// sample scratch, the carried eviction's into its own
-    /// ([`DittoClient::carried_sample_buf`]), an eviction's CAS and FAA
-    /// results into the eviction —
-    /// and books on every eviction in `evs` the verbs it now has in flight.
+    /// into the bucket scratch, an eviction's sample READs one behind
+    /// another into its own sample bytes ([`Eviction::sample`]), its CAS
+    /// and FAA results into it too — and books on every eviction in `evs`
+    /// the verbs it now has in flight.
     /// A parked eviction whose victim CAS goes out is taken up again here,
     /// and, but in an eviction's own round, the CPU work a fill left to the
     /// client's next round runs under this one's flight
@@ -488,15 +487,18 @@ impl DittoClient {
             _ => None,
         });
         {
-            let [own, carried] = evs.each_mut().map(|ev| {
-                ev.as_deref_mut()
-                    .map(|ev| (&mut ev.observed, &mut ev.fetched))
-                    .unzip()
+            let [own, carried] = evs.each_mut().map(|ev| match ev.as_deref_mut() {
+                Some(ev) => (
+                    Some(&mut ev.observed),
+                    Some(&mut ev.fetched),
+                    &mut ev.sample.0[..],
+                ),
+                None => (None, None, &mut [][..]),
             });
             let (mut observed, mut fetched) = ([own.0, carried.0], [own.1, carried.1]);
+            let mut samples = [own.2, carried.2];
             let (primary, secondary) = self.bucket_buf.split_at_mut(BUCKET_SIZE);
             let mut halves = [Some(primary), Some(secondary)];
-            let mut samples = [&mut self.sample_buf[..], &mut self.carried_sample_buf[..]];
             let mut set_word = Some(&mut set_word);
             let mut wq = self.dm.work_queue();
             for verb in round.verbs.iter() {

@@ -278,16 +278,19 @@
 //! (`tests/striped_parity.rs` compares the counts request by request).
 //!
 //! The fill's own eviction **parks** with its sample in flight
-//! (`Rule::Park`), its bytes landing in a scratch of the parked eviction's
-//! own and its candidates scored with the FC counts this client buffers at
-//! ring time: the next starved `Set` carries its victim CAS.  The op after
-//! the fill books the sample's completion on the way to its own — every
-//! consumer of the completion queue polls through the round executor's one
-//! routing routine, so none drops it — and the client's next round decodes
-//! it and picks between its doorbell and its first poll, under that round
-//! trip (`host_parked_pick`); a starved `Set` that comes first decodes and
-//! picks in `take_parked`, its CPU work charged before the ring that
-//! carries the victim CAS it chose.  A sample counts as landed from the op
+//! (`Rule::Park`), its candidates scored with the FC counts this client
+//! buffers at ring time: the next starved `Set` carries its victim CAS.
+//! Every eviction holds its sample's bytes inline and its READs land there,
+//! so no other eviction's sample overwrites them before it decodes.  The op
+//! after the fill books the sample's completion on the way to its own —
+//! every consumer of the completion queue polls through the round
+//! executor's one routing routine, so none drops it — and the client's
+//! next round decodes it and picks between its doorbell and its first
+//! poll, under that round trip (`host_parked_pick`): the pick is made on
+//! the clock the decode starts at, the decode's CPU work charged right
+//! after.  A starved `Set` that comes first decodes and picks in
+//! `take_parked`, its CPU work charged before the ring that carries the
+//! victim CAS it chose.  A sample counts as landed from the op
 //! after the one whose poll booked it — from the op after the next, booked
 //! by a `Set`'s own polls (`sample_landed`): a one-round fill polls nothing
 //! and the op after it meets its completions, so a striped cache, whose
@@ -299,9 +302,9 @@
 //! from it, and never waits for it: finding it unable to pick yet — that
 //! sample short too, or its READ still out — the `Set` carries it
 //! **unpicked**.  The one-round fill's ring carries the next re-sample READ
-//! in place of the victim CAS, into a scratch of the carried eviction's own
-//! (a `Set` of another shape sends it as it ends), and the eviction stays
-//! with the pending fill.  The client's first round once that READ has
+//! in place of the victim CAS (a `Set` of another shape sends it as it
+//! ends, `send_resample`), and the eviction stays with the pending fill.
+//! The client's first round once that READ has
 //! landed decodes it and picks, under its flight, and sends the victim CAS
 //! — journalled first — on a ring of its own that its op leaves in flight,
 //! or, the sample short again, the next re-sample

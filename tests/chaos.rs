@@ -703,7 +703,7 @@ fn chaos_a_client_gone_with_a_carried_eviction_unpicked_is_recovered() {
     let sums = |cache: &DittoCache| {
         let nodes = cache.pool().stats().node_snapshots();
         let sum = |f: fn(&ditto::dm::stats::NodeSnapshot) -> u64| nodes.iter().map(f).sum::<u64>();
-        (sum(|n| n.reads), sum(|n| n.cas))
+        (sum(|n| n.reads), sum(|n| n.cas), sum(|n| n.faa))
     };
     for nodes in [1u16, 2] {
         for gone in [
@@ -726,12 +726,16 @@ fn chaos_a_client_gone_with_a_carried_eviction_unpicked_is_recovered() {
             let value = |key: u64| vec![key as u8; BIG];
             // Fills until one carries its eviction unpicked: a re-sample
             // went out on its ring (one more READ than its own sample) and
-            // no victim CAS beside its insert — and, in the last case, its
+            // no victim CAS beside its insert, and the history-id FAA shows
+            // the fill starved, its own sample on that ring (a fill that
+            // found room has none, though its ring's flight may host the
+            // parked eviction's re-sample) — and, in the last case, its
             // insert lost and the `Get` after it booked that.
             let (mut key, mut found) = (0u64, false);
             while key < 4_000 && !found {
                 assert!(client.get(&key.to_le_bytes()).is_none(), "{context}");
-                let (deferred, (reads, cas)) = (cache.stats().resamples_deferred(), sums(&cache));
+                let (deferred, (reads, cas, faa)) =
+                    (cache.stats().resamples_deferred(), sums(&cache));
                 let abandoned = cache.stats().fills_abandoned();
                 let faulted = gone == Gone::InsertLost && key > 2_000;
                 injector.set_armed(faulted);
@@ -741,7 +745,7 @@ fn chaos_a_client_gone_with_a_carried_eviction_unpicked_is_recovered() {
                 let carries_resample = cache.stats().resamples_deferred() == deferred + 1;
                 found = key > 2_000
                     && carries_resample
-                    && (faulted || (after.0 - reads, after.1 - cas) == (2, 1));
+                    && (faulted || (after.0 - reads, after.1 - cas, after.2 - faa) == (2, 1, 1));
                 if faulted && found {
                     // The `Get` of the key before books the fill.
                     let _ = client.get(&(key - 1).to_le_bytes());

@@ -196,7 +196,9 @@ fn a_client_replay_of_the_changing_workload() {
 /// bucket by multiply-shift, other samples pick other victims: 19 278, with
 /// the FC cache and without one alike.  Since a starved fill charges the
 /// pick it makes before its ring and an eviction it takes up unpicked is
-/// picked for by a later op, other victims go: 19 203, alike again.
+/// picked for by a later op, other victims go: 19 203, alike again.  Since
+/// each eviction owns its sample bytes, no pick scores the stale bytes
+/// another sample left in a shared scratch: 19 203 → 19 268, alike again.
 #[test]
 fn lfu_evicts_alike_with_and_without_the_fc_cache() {
     let run = |fc_cache_mb: f64| {
@@ -216,7 +218,7 @@ fn lfu_evicts_alike_with_and_without_the_fc_cache() {
     let with = run(DittoConfig::single_algorithm(600, "lfu").fc_cache_mb);
     assert!(with.evictions > 0);
     assert_eq!(with, run(0.0));
-    assert_eq!(with.hits, 19_203);
+    assert_eq!(with.hits, 19_268);
 }
 
 /// Adaptive's hit rate minus the better of LRU-only's and LFU-only's on the
