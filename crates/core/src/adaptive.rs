@@ -6,7 +6,9 @@
 //! batches to the [`WeightService`] running on the memory-node controller,
 //! which applies them to the *global* weights and returns the merged values.
 //! Local and global weights therefore drift slightly between syncs, which the
-//! paper shows does not hurt adaptivity.
+//! paper shows does not hurt adaptivity.  The client waits for no reply: it
+//! posts the batch, and a later op adopts the returned weights and decays
+//! them by the penalties buffered since (`AdaptivePolicy::adopt_weights`).
 //!
 //! [`AdaptivePolicy`] is the one policy core: [`crate::DittoClient`] and
 //! [`crate::SimCache`] both run it, so what the simulator shows is what the
@@ -259,12 +261,15 @@ impl AdaptivePolicy {
         Some(self.weights.len())
     }
 
-    /// Adopts the global weights the [`WeightService`] returned; a vector of
-    /// another length is ignored.
-    pub(crate) fn set_weights(&mut self, weights: &[f64]) {
-        if weights.len() == self.weights.len() {
-            self.weights.copy_from_slice(weights);
-            normalize(&mut self.weights);
+    /// Adopts the global weights a sync's reply returned, once it has
+    /// arrived, and decays them by the penalties buffered since the sync was
+    /// posted, so a regret paid while the reply was in flight still counts
+    /// locally; with none buffered, [`decay`] only renormalises.  A vector
+    /// of another length is ignored.
+    pub(crate) fn adopt_weights(&mut self, global: &[f64]) {
+        if global.len() == self.weights.len() {
+            self.weights.copy_from_slice(global);
+            decay(&mut self.weights, &self.pending_penalties);
         }
     }
 }
@@ -616,12 +621,30 @@ mod tests {
     }
 
     #[test]
-    fn set_weights_ignores_mismatched_lengths() {
+    fn adopt_weights_ignores_mismatched_lengths() {
         let mut w = policy(2, 500, 10);
-        w.set_weights(&[0.9, 0.1, 0.0]);
+        w.adopt_weights(&[0.9, 0.1, 0.0]);
         assert_eq!(w.weights(), &[0.5, 0.5]);
-        w.set_weights(&[0.8, 0.2]);
+        w.adopt_weights(&[0.8, 0.2]);
         assert!((w.weights()[0] - 0.8).abs() < 1e-9);
+    }
+
+    #[test]
+    fn adopted_weights_keep_the_penalties_buffered_since_the_sync() {
+        let mut w = policy(2, 5_000, 100);
+        w.regret(0b10, 3);
+        let mut pending = [0.0; MAX_EXPERTS];
+        let n = w.clone().take_pending(&mut pending).unwrap();
+        let global = [0.8, 0.2];
+        w.adopt_weights(&global);
+        let mut expected = global;
+        decay(&mut expected, &pending[..n]);
+        assert_eq!(w.weights(), &expected);
+        assert!(w.weights()[1] < 0.2);
+        // With none buffered, adopting only renormalises.
+        w.take_pending(&mut pending);
+        w.adopt_weights(&global);
+        assert_eq!(w.weights(), &global);
     }
 
     #[test]

@@ -100,7 +100,7 @@ use ditto_dm::rpc::WEIGHT_SERVICE;
 use ditto_dm::wqe::MAX_WQES;
 use ditto_dm::{
     CompletionStatus, DmClient, DmError, EventKind, MigrationEngine, Phase, PoolTopology,
-    RecoveryPhase, RemoteAddr, StripeDirectory, StripedAllocator, WorkQueue,
+    PostedRpc, RecoveryPhase, RemoteAddr, StripeDirectory, StripedAllocator, WorkQueue,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -164,6 +164,11 @@ pub struct DittoClient {
     scratch: RemoteAddr,
     /// The experts and this client's local weights.
     policy: AdaptivePolicy,
+    /// The last weight sync's reply while it is in flight: when it arrives
+    /// and its length in `weight_reply_buf` ([`DittoClient::sync_weights`]).
+    weight_reply: Option<PostedRpc>,
+    /// Where a weight sync's reply lands.
+    weight_reply_buf: [u8; weight_wire::wire_len(MAX_EXPERTS)],
     stats: Arc<CacheStats>,
     alloc: StripedAllocator,
     /// The frequency-counter cache; `None` at `fc_cache_mb = 0`, where every
@@ -284,6 +289,8 @@ impl DittoClient {
             history,
             scratch,
             policy,
+            weight_reply: None,
+            weight_reply_buf: [0; weight_wire::wire_len(MAX_EXPERTS)],
             stats,
             alloc,
             fc,
@@ -344,6 +351,7 @@ impl DittoClient {
         self.maybe_refresh_topology();
         self.dm.begin_op();
         self.eviction_age.begin_op(self.dm.now_ns());
+        self.settle_weight_reply(false);
         self.miss_memo = None;
         let hit = self.get_inner(key, out);
         self.end_op();
@@ -375,6 +383,7 @@ impl DittoClient {
         self.dm.begin_op();
         self.set_op = self.dm.op_id();
         self.eviction_age.begin_op(self.dm.now_ns());
+        self.settle_weight_reply(false);
         self.book_pending_fill(Booking::Whole);
         let memo = self.miss_memo.take();
         // The reusable per-client encode buffer, moved out meanwhile so the
@@ -503,7 +512,9 @@ impl DittoClient {
 
     /// Flushes buffered state — every frequency-counter increment the FC
     /// cache holds and the pending expert-weight penalties — as a client
-    /// must before it leaves the compute pool (or an experiment ends).
+    /// must before it leaves the compute pool (or an experiment ends).  A
+    /// weight sync's reply still in flight is waited for and adopted before
+    /// the penalties buffered since are shipped.
     ///
     /// The drain posts one `RDMA_FAA` per buffered counter, in address
     /// order and so grouped by node, [`MAX_WQES`] to a ring: one doorbell
@@ -1300,6 +1311,11 @@ impl DittoClient {
         self.counter_estimates[idx]
     }
 
+    /// Counts a miss on `hash` and pays its regret if the key's history
+    /// entry is among `slots` and still valid: the experts that evicted it
+    /// lose weight locally, and the penalty is buffered.  The regret that
+    /// completes a batch posts the weight sync ([`DittoClient::sync_weights`]);
+    /// the miss waits for no reply.
     fn check_regret(&mut self, slots: &[(RemoteAddr, Slot)], hash: u64) {
         self.miss_count += 1;
         let entry = slots
@@ -1325,24 +1341,57 @@ impl DittoClient {
         }
     }
 
-    /// Ships the buffered regret penalties, if any, to the controller and
-    /// adopts the global weights it returns.
+    /// Ships the buffered regret penalties, if any, to the controller: posts
+    /// the RPC and returns, the reply left in flight for a later op to adopt
+    /// ([`DittoClient::settle_weight_reply`]).  A reply still in flight is
+    /// adopted first — waited for, if it has not arrived — so at most one
+    /// sync is in flight and every due sync is still sent.
     fn sync_weights(&mut self) {
+        let waited = self.settle_weight_reply(true);
         // Fixed buffers: a weight sync must not allocate either.
         let mut values = [0.0; MAX_EXPERTS];
         let Some(n) = self.policy.take_pending(&mut values) else {
             return;
         };
+        if waited {
+            self.stats.record_weight_sync_waited();
+        }
         let mut request = [0u8; weight_wire::wire_len(MAX_EXPERTS)];
         let len = weight_wire::encode(&values[..n], &mut request);
-        let mut reply = [0u8; weight_wire::wire_len(MAX_EXPERTS)];
+        let reply = &mut self.weight_reply_buf;
         // The controller being unreachable only delays adaptation.
-        if let Ok(len) = self.dm.rpc(0, WEIGHT_SERVICE, &request[..len], &mut reply) {
-            if let Ok(n) = weight_wire::decode(&reply[..len], &mut values) {
-                self.policy.set_weights(&values[..n]);
-            }
+        if let Ok(posted) = self.dm.post_rpc(0, WEIGHT_SERVICE, &request[..len], reply) {
+            self.weight_reply = Some(posted);
             self.stats.record_weight_sync();
         }
+    }
+
+    /// Adopts the weight sync's reply in flight, if any, once it has
+    /// arrived ([`AdaptivePolicy::adopt_weights`]): the global weights,
+    /// decayed by the penalties buffered since the post.  The first op that
+    /// begins at or after the arrival adopts it; `wait` — the next due sync,
+    /// or `flush` — first waits out what is left of the round trip, one
+    /// [`Phase::Flight`] span.  Returns whether it waited.
+    fn settle_weight_reply(&mut self, wait: bool) -> bool {
+        let Some(reply) = self.weight_reply else {
+            return false;
+        };
+        let now = self.dm.now_ns();
+        let early = reply.arrival_ns > now;
+        if early {
+            if !wait {
+                return false;
+            }
+            self.dm.advance_ns(reply.arrival_ns - now);
+            self.dm
+                .record_span(Phase::Flight, now, reply.arrival_ns, reply.len as u32);
+        }
+        self.weight_reply = None;
+        let mut values = [0.0; MAX_EXPERTS];
+        if let Ok(n) = weight_wire::decode(&self.weight_reply_buf[..reply.len], &mut values) {
+            self.policy.adopt_weights(&values[..n]);
+        }
+        early
     }
 
     // ------------------------------------------------------------------
@@ -2115,6 +2164,7 @@ mod tests {
     use crate::cache::DittoCache;
     use crate::config::DittoConfig;
     use crate::hashtable::SampleFriendlyHashTable;
+    use crate::history::expert_bitmap;
     use ditto_dm::DmConfig;
 
     fn small_cache(capacity: u64) -> DittoCache {
@@ -2284,20 +2334,130 @@ mod tests {
 
     #[test]
     fn a_sync_batch_of_one_syncs_on_every_regret() {
-        // The paper's ablation without lazy weight updates (fig24).
-        let mut config = DittoConfig::with_capacity(200);
-        config.weight_sync_batch = 1;
-        let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
-        let mut client = cache.client();
+        // The paper's ablation without lazy weight updates (fig24), over
+        // every key: the recently evicted ones regret densely.
+        let (cache, mut client) = regretting_cache(1);
         for i in 0..1_500u64 {
-            client.set(format!("key{i}").as_bytes(), &[0u8; 200]);
-        }
-        for i in 0..400u64 {
             let _ = client.get(format!("key{i}").as_bytes());
         }
         let snap = cache.stats().snapshot();
         assert!(snap.regrets > 0, "{snap:?}");
         assert_eq!(snap.weight_syncs, snap.regrets);
+        // Regrets on back-to-back misses come due inside one round trip.
+        assert!(cache.stats().weight_syncs_waited() > 0, "{snap:?}");
+    }
+
+    /// A cache whose clients sync their weights every `batch` regrets,
+    /// filled far beyond its 200 objects so that misses regret.
+    fn regretting_cache(batch: usize) -> (DittoCache, DittoClient) {
+        let mut config = DittoConfig::with_capacity(200);
+        config.weight_sync_batch = batch;
+        let cache = DittoCache::with_dedicated_pool(config, DmConfig::default()).unwrap();
+        let mut client = cache.client();
+        for i in 0..1_500u64 {
+            client.set(format!("key{i}").as_bytes(), &[0u8; 200]);
+        }
+        (cache, client)
+    }
+
+    fn bits(weights: &[f64]) -> Vec<u64> {
+        weights.iter().map(|w| w.to_bits()).collect()
+    }
+
+    /// A regret that blames expert `expert`, drawn with probability ½.
+    fn regret_on(client: &mut DittoClient, expert: usize, position: u64) {
+        let word = expert_bitmap::with_odds(expert_bitmap::with_expert(0, expert), 0.5);
+        client.policy.regret(word, position);
+    }
+
+    #[test]
+    fn a_miss_whose_regret_syncs_waits_for_no_reply() {
+        // The same replay with a sync on every regret and with none due: up
+        // to the first regret both make the same draws, so that miss differs
+        // only by the sync it posts.
+        let first_regret = |batch| {
+            let (cache, mut client) = regretting_cache(batch);
+            for i in 0..400u64 {
+                let (t0, regrets) = (client.dm.now_ns(), cache.stats().snapshot().regrets);
+                let _ = client.get(format!("key{i}").as_bytes());
+                if cache.stats().snapshot().regrets > regrets {
+                    return (client.dm.now_ns() - t0, cache, client);
+                }
+            }
+            panic!("no regret in 400 misses");
+        };
+        let (unsynced, idle, _) = first_regret(usize::MAX);
+        let (synced, cache, client) = first_regret(1);
+        let extra = synced - unsynced;
+        assert!(
+            extra < DmConfig::RPC_LATENCY_NS,
+            "{synced} vs {unsynced} ns"
+        );
+        assert_eq!(
+            extra,
+            DmConfig::DOORBELL_LATENCY_NS + DmConfig::VERB_ISSUE_NS
+        );
+        assert_eq!(cache.stats().snapshot().weight_syncs, 1);
+        assert!(
+            client.weight_reply.is_some(),
+            "the reply is still in flight"
+        );
+        // The controller applied the shipped penalty as the sync was posted.
+        assert_eq!(idle.global_weights(), vec![0.5, 0.5]);
+        assert_ne!(cache.global_weights(), vec![0.5, 0.5]);
+        assert_eq!(bits(&cache.global_weights()), bits(client.policy.weights()));
+    }
+
+    #[test]
+    fn the_first_op_to_begin_once_the_reply_arrived_adopts_it() {
+        let cache = small_cache(1_000);
+        let mut client = cache.client();
+        regret_on(&mut client, 0, 0);
+        client.sync_weights();
+        let arrival = client.weight_reply.expect("posted").arrival_ns;
+        // Two ops that begin before the arrival leave the reply in flight.
+        let _ = client.get(b"absent");
+        assert!(client.dm.now_ns() < arrival);
+        client.dm.advance_ns(arrival - 1 - client.dm.now_ns());
+        client.set(b"k", b"v");
+        assert!(client.weight_reply.is_some(), "adopted before its arrival");
+        // The next op begins after it, and adopts it.
+        let _ = client.get(b"k");
+        assert!(client.weight_reply.is_none());
+        // One that begins exactly at the arrival adopts it too.
+        regret_on(&mut client, 1, 0);
+        client.sync_weights();
+        let arrival = client.weight_reply.expect("posted").arrival_ns;
+        client.dm.advance_ns(arrival - client.dm.now_ns());
+        client.set(b"k", b"w");
+        assert!(client.weight_reply.is_none());
+        assert_eq!(cache.stats().snapshot().weight_syncs, 2);
+        assert_eq!(cache.stats().weight_syncs_waited(), 0);
+        assert_eq!(bits(&cache.global_weights()), bits(client.policy.weights()));
+    }
+
+    #[test]
+    fn an_adopted_reply_keeps_the_penalties_buffered_since_its_post() {
+        let cache = small_cache(1_000);
+        let mut client = cache.client();
+        regret_on(&mut client, 0, 0);
+        client.sync_weights();
+        let global = cache.global_weights();
+        // A regret paid while the reply flies, on the other expert.
+        regret_on(&mut client, 1, 3);
+        let mut expected = client.policy.clone();
+        expected.adopt_weights(&global);
+        let expected = expected.weights().to_vec();
+        let arrival = client.weight_reply.expect("posted").arrival_ns;
+        client.dm.advance_ns(arrival - client.dm.now_ns());
+        let _ = client.get(b"absent");
+        assert!(client.weight_reply.is_none());
+        assert_eq!(bits(client.policy.weights()), bits(&expected));
+        assert_ne!(bits(client.policy.weights()), bits(&global));
+        // The next sync ships that penalty: no regret is lost globally.
+        client.flush();
+        assert_eq!(bits(&cache.global_weights()), bits(&expected));
+        assert_eq!(cache.stats().snapshot().weight_syncs, 2);
     }
 
     #[test]

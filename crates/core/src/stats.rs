@@ -50,6 +50,9 @@ counter_table! {
     regrets: interval, counter "ditto_cache_regrets_total" "Ghost hits on evicted entries (the adaptive regret signal).", bump record_regret;
     /// Weight synchronisations with the controller.
     weight_syncs: interval, counter "ditto_cache_weight_syncs_total" "Client-to-controller expert-weight synchronisations.", bump record_weight_sync;
+    /// Weight syncs that came due while the previous sync's reply was still
+    /// in flight, and waited out the rest of its round trip first.
+    weight_syncs_waited: interval accessor, counter "ditto_cache_weight_syncs_waited_total" "Weight syncs that waited for the previous sync's reply before they were posted.", bump record_weight_sync_waited;
     /// Frequency-counter cache flushes (`RDMA_FAA`s actually issued).
     fc_flushes: interval, counter "ditto_cache_fc_flushes_total" "Frequency-counter cache flushes.", bump record_fc_flush;
     /// `Get`s served entirely from the local tier (0 messages).
@@ -253,6 +256,7 @@ mod tests {
         stats.record_history_id_burnt();
         stats.record_resample_deferred();
         stats.record_resample_waited();
+        stats.record_weight_sync_waited();
 
         // What the recorders made of it, snapshot fields and accessors.
         let snap = stats.snapshot();
@@ -306,6 +310,7 @@ mod tests {
             (stats.resamples_deferred(), stats.resamples_waited()),
             (1, 1)
         );
+        assert_eq!(stats.weight_syncs_waited(), 1);
 
         // `reset` zeroes the `interval` rows (and the per-expert votes) and
         // no `lifetime` row.

@@ -139,6 +139,12 @@
 //! and its 0.99 and 0.999 quantiles; every phase's count and sum but
 //! `translate`'s sum, the `evict` phase's 0.5, 0.9 and 0.999 quantiles and
 //! `relocate`'s 0.999.
+//!
+//! Re-derived when a weight sync came to be posted and its reply adopted by
+//! a later op, and the page came to carry the syncs that waited for the
+//! previous reply: the three `ditto_cache_weight_syncs_waited_total` lines
+//! (HELP, TYPE and the value 0 — this run's 90 regrets fill no batch of
+//! 100, so it syncs nothing) joined the page, and nothing else moved.
 
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::DmConfig;

@@ -7,7 +7,9 @@
 //! fault, its transfer time, the message it costs, and its effect on the
 //! arena.  A synchronous call then waits the transfer time out and records
 //! it as one [`Phase::Flight`] span; a ring turns it into a completion
-//! time on the queue pair.  RPCs wait through the same helper.
+//! time on the queue pair.  A synchronous RPC waits through the same
+//! helper; a posted one ([`DmClient::post_rpc`]) leaves the wait to its
+//! caller.
 
 use crate::addr::RemoteAddr;
 use crate::config::DmConfig;
@@ -18,6 +20,7 @@ use crate::histogram::LatencyHistogram;
 use crate::memnode::MemoryNode;
 use crate::obs::{EventKind, FlightRecorder, Phase, Span};
 use crate::pool::MemoryPool;
+use crate::rpc::PostedRpc;
 use crate::stats::VerbKind;
 use crate::wqe::{WorkQueue, WqeOp};
 use std::cell::{Cell, RefCell};
@@ -649,7 +652,8 @@ impl DmClient {
     /// out like a synchronous verb's (one [`Phase::Flight`] span), plus the
     /// controller CPU time the handler reports, charged to the node.  RPCs find their node
     /// through the pool, not a queue pair, and are never faulted (see the
-    /// crate docs' failure model).
+    /// crate docs' failure model).  [`DmClient::post_rpc`] is the same call
+    /// left in flight.
     pub fn rpc(
         &self,
         mn_id: u16,
@@ -662,8 +666,46 @@ impl DmClient {
             DmConfig::verb_latency_ns(VerbKind::Rpc, request_len),
             request_len,
         );
+        self.dispatch_rpc(mn_id, service, request, reply)
+    }
+
+    /// [`DmClient::rpc`] posted and not waited for: charges what a ring of
+    /// one WQE charges (`DOORBELL_LATENCY_NS + VERB_ISSUE_NS`, one
+    /// [`Phase::Post`] span), runs the handler into `reply` now, and returns
+    /// the reply's length and the time it arrives, the RPC's round trip
+    /// after the post.  Its flight span belongs to no op (op id 0), as a
+    /// [`crate::WorkQueue::ring_left_in_flight`] verb's does.  The reply
+    /// never enters the completion queue: the caller reads `reply` once its
+    /// clock has reached the arrival, and waits out the rest if it needs it
+    /// sooner.
+    pub fn post_rpc(
+        &self,
+        mn_id: u16,
+        service: u8,
+        request: &[u8],
+        reply: &mut [u8],
+    ) -> DmResult<PostedRpc> {
+        let start = self.clock_ns.get();
+        self.advance_ns(DmConfig::DOORBELL_LATENCY_NS + DmConfig::VERB_ISSUE_NS);
+        let posted = self.clock_ns.get();
+        self.record_span(Phase::Post, start, posted, 1);
+        let arrival_ns = posted + DmConfig::verb_latency_ns(VerbKind::Rpc, request.len());
+        self.record_span_outside_op(Phase::Flight, posted, arrival_ns, request.len() as u32);
+        let len = self.dispatch_rpc(mn_id, service, request, reply)?;
+        Ok(PostedRpc { len, arrival_ns })
+    }
+
+    /// What every RPC does but wait: counts its message, runs the handler
+    /// and charges the controller CPU it reports to the node.
+    fn dispatch_rpc(
+        &self,
+        mn_id: u16,
+        service: u8,
+        request: &[u8],
+        reply: &mut [u8],
+    ) -> DmResult<usize> {
         let stats = self.pool.stats();
-        stats.record_verb(mn_id, VerbKind::Rpc, request_len);
+        stats.record_verb(mn_id, VerbKind::Rpc, request.len());
         let (len, cpu_ns) = self
             .pool
             .node(mn_id)?
@@ -853,6 +895,48 @@ mod tests {
         assert_eq!(snap.rpcs, 1);
         assert_eq!(snap.rpc_cpu_ns, 1_500 + DmConfig::RPC_BASE_CPU_NS);
         assert!(client.now_ns() >= DmConfig::RPC_LATENCY_NS);
+    }
+
+    #[test]
+    fn a_posted_rpc_charges_its_posting_cost_and_arrives_a_round_trip_later() {
+        let pool = MemoryPool::new(DmConfig::small().with_flight_recorder(64));
+        pool.register_handler(
+            20,
+            Arc::new(|_n: &MemoryNode, req: &[u8], reply: &mut [u8]| {
+                crate::rpc::wire::reply(reply, 1)?[0] = req.len() as u8;
+                Ok((1, 1_500))
+            }),
+        );
+        let client = pool.connect();
+        client.begin_op();
+        let t0 = client.now_ns();
+        let mut reply = [0u8; 4];
+        let posted = client.post_rpc(0, 20, b"abc", &mut reply).unwrap();
+        let post_end = t0 + DmConfig::DOORBELL_LATENCY_NS + DmConfig::VERB_ISSUE_NS;
+        assert_eq!(client.now_ns(), post_end, "the posting cost only");
+        assert_eq!(posted.len, 1);
+        assert_eq!(reply[0], 3, "the handler ran into the caller's buffer");
+        assert_eq!(
+            posted.arrival_ns,
+            post_end + DmConfig::verb_latency_ns(VerbKind::Rpc, 3)
+        );
+        assert_eq!(
+            DmConfig::verb_latency_ns(VerbKind::Rpc, 3),
+            DmConfig::RPC_LATENCY_NS
+        );
+        let snap = &pool.stats().node_snapshots()[0];
+        assert_eq!((snap.rpcs, snap.messages), (1, 1));
+        assert_eq!(snap.rpc_cpu_ns, 1_500 + DmConfig::RPC_BASE_CPU_NS);
+        let spans = client.flight_spans();
+        assert_eq!(spans.len(), 2, "{spans:?}");
+        let (post, flight) = (&spans[0], &spans[1]);
+        assert_eq!((post.phase, post.op_id), (Phase::Post, 1));
+        assert_eq!((post.start_ns, post.end_ns), (t0, post_end));
+        assert_eq!((flight.phase, flight.op_id), (Phase::Flight, 0));
+        assert_eq!(
+            (flight.start_ns, flight.end_ns),
+            (post_end, posted.arrival_ns)
+        );
     }
 
     #[test]

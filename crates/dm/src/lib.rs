@@ -181,7 +181,10 @@
 //! rides a reliable transport), which is what lets crash recovery sweep a
 //! fail-stopped client's segments.  An RPC is priced by its request bytes
 //! and the controller CPU time its handler reports; its reply lands in the
-//! caller's buffer and costs nothing on the wire.
+//! caller's buffer and costs nothing on the wire.  [`DmClient::rpc`] waits
+//! the round trip out; [`DmClient::post_rpc`] charges a one-WQE ring's
+//! posting cost instead and returns when the reply arrives, for the caller
+//! to wait for only if it needs the reply sooner.
 //!
 //! **No remote lock.**  Clients coordinate through CASes on slot words
 //! alone, and stripe migration keeps its pumpers apart by claiming a
@@ -309,7 +312,7 @@ pub use obs::{
     PhaseAttribution, RecoveryPhase, Span, POOL_EVENT_CLIENT,
 };
 pub use pool::MemoryPool;
-pub use rpc::RpcHandler;
+pub use rpc::{PostedRpc, RpcHandler};
 pub use stats::{ContentionSnapshot, FaultSnapshot, ObsSnapshot, PoolStats, RunReport};
 pub use topology::PoolTopology;
 pub use wqe::WorkQueue;

@@ -26,6 +26,16 @@ pub const WEIGHT_SERVICE: u8 = 1;
 /// Service id conventionally used by the CliqueMap baseline server.
 pub const CLIQUEMAP_SERVICE: u8 = 2;
 
+/// An RPC posted and not waited for ([`crate::DmClient::post_rpc`]): the
+/// reply's length in the caller's buffer and when it arrives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PostedRpc {
+    /// Bytes of the reply at the front of the caller's `reply` buffer.
+    pub len: usize,
+    /// Simulated time at which the reply reaches the client.
+    pub arrival_ns: u64,
+}
+
 /// A service running on the memory-node controller.
 ///
 /// Handlers execute synchronously in the calling client's thread (the

@@ -15,12 +15,12 @@
 # either side, 0 where a side has none, then the total and lines.sh's
 # `core/client` subtotal; a line count is reported, never gated.  The
 # figures section prints the first differing rows.  The benchmark section
-# runs `benchmark/` on both sides at seeds 42, 7 and 3 with `--seconds 1
-# --trace 0` and prints, per seed and workload, every
-# end-to-end metric but `setup_s` (a host time) that differs, as
-# base -> work with its % change, and a `failed` count that differs.  Seed
-# 3 is the one a gain was not tuned on: a claim that holds at 42 and 7
-# only is no claim.
+# runs `benchmark/` on both sides at seeds 42, 7 and 3 with `--trace 0`,
+# each run as long as the benchmark's own (`run_seconds` in this checkout's
+# BENCHMARK.json), and prints, per seed and workload, every end-to-end
+# metric but `setup_s` (a host time) that differs, as base -> work with its
+# % change, and a `failed` count that differs.  Seed 3 is the one a gain was
+# not tuned on: a claim that holds at 42 and 7 only is no claim.
 # Every section runs; the script then exits 1 if the figures or the
 # benchmark differ.  Needs `jq`.
 set -euo pipefail
@@ -61,13 +61,14 @@ else
     status=1
 fi
 
-echo "== benchmark --seconds 1 --trace 0, end-to-end metrics but setup_s"
+seconds=$(jq -r .run_seconds BENCHMARK.json)
+echo "== benchmark --seconds $seconds --trace 0, end-to-end metrics but setup_s"
 cargo build --release --offline --quiet --manifest-path "$base/benchmark/Cargo.toml" \
     --target-dir "$base/benchmark/target"
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 # One `workload metric value` line per metric, and `workload failed N`.
 bench_lines() {
-    "$1" --seconds 1 --trace 0 --seed "$2" 2>/dev/null | tail -n 1 | jq -r '
+    "$1" --seconds "$seconds" --trace 0 --seed "$2" 2>/dev/null | tail -n 1 | jq -r '
         .runs[] | .workload as $w | .result
         | "\($w) failed \(.failed)",
           (.metrics | to_entries[] | select(.key != "setup_s")

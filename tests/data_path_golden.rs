@@ -175,6 +175,15 @@
 //! of two candidates far more often, and decoding a fill's sample an op
 //! later picks other victims there: rungs 1–4 moved as their goldens'
 //! comment says.
+//!
+//! Re-derived a twelfth time when a weight sync came to be posted, its
+//! reply adopted by a later op, instead of waited for inside the miss that
+//! completed the batch: each sync costs its op a ring's posting time
+//! (200 ns) in place of the RPC's 5 µs round trip.  Every
+//! `CacheStatsSnapshot` field of every replay is what it was; only the
+//! clocks of the replays that sync moved, and the `last_ts` WRITEs their
+//! faster clocks skip (each golden names its old values).  The striped and
+//! YCSB-A replays sync nothing and did not move.
 
 use ditto::cache::stats::CacheStatsSnapshot;
 use ditto::cache::{DittoCache, DittoClient, DittoConfig};
@@ -310,11 +319,14 @@ fn replay_keeping(mix: YcsbWorkload, dm: DmConfig, config: DittoConfig) -> Repla
 /// 266 → 272, FC flushes 1 420 → 1 432, victories 269/351 → 233/393,
 /// 29 200 028 → 29 208 991 ns before the flush and 29 274 749 →
 /// 29 286 732 after, 39 244 → 39 288 messages, timestamps (6 706, 3 779) →
-/// (6 696, 3 783).
+/// (6 696, 3 783).  When a weight sync came to be posted: the same
+/// decisions and messages, 29 208 991 → 29 199 389 ns before the flush (two
+/// syncs, 4 800 ns each) and 29 286 732 → 29 272 329 after (and the
+/// flush's).
 fn single_node_golden() -> Golden {
     Golden {
-        pre_flush_ns: 29_208_991,
-        clock_ns: 29_286_732,
+        pre_flush_ns: 29_199_389,
+        clock_ns: 29_272_329,
         messages: 39_288,
         published: (0, 0),
         timestamps: (6_696, 3_783),
@@ -719,34 +731,45 @@ fn fig24_rung(rung: usize) -> DittoConfig {
 /// messages, timestamps (6 809, 3 646) → (6 816, 3 620).  Rung 4: rung 3's
 /// counts, 58 651 748 → 58 589 245 ns, 63 069 → 63 341 messages,
 /// timestamps (6 806, 3 649) → (6 809, 3 627).
+///
+/// When a weight sync came to be posted, its reply adopted by a later op,
+/// every rung's decisions held and its clock moved, most on rungs 3 and 4,
+/// whose 315 eager syncs each take 4 800 ns less.  Rung 1:
+/// 29 513 570 → 29 499 167 ns before the flush and 29 583 771 → 29 564 567
+/// after, 51 114 → 51 112 messages, timestamps (6 784, 3 645) →
+/// (6 783, 3 646).  Rung 2: 34 149 164 → 34 134 761 and 34 219 365 →
+/// 34 200 161 ns.  Rung 3: 35 666 845 → 34 154 530 and 35 735 365 →
+/// 34 223 050 ns, 54 308 → 54 250 messages, timestamps (6 816, 3 620) →
+/// (6 787, 3 649).  Rung 4: 58 589 245 → 57 076 930 ns, 63 341 → 63 307
+/// messages, timestamps (6 809, 3 627) → (6 792, 3 644).
 #[test]
 fn fig24_ablation_rungs_hold_their_numbers() {
     let rungs = [
         single_node_ablated(
-            [29_513_570, 29_583_771],
-            51_114,
-            (6_784, 3_645),
+            [29_499_167, 29_564_567],
+            51_112,
+            (6_783, 3_646),
             [10_429, 1_571, 676, 0, 322, 4, 1_370],
             [308, 368],
         ),
         single_node_ablated(
-            [34_149_164, 34_219_365],
+            [34_134_761, 34_200_161],
             54_067,
             (6_799, 3_630),
             [10_429, 1_571, 676, 0, 322, 4, 1_370],
             [308, 368],
         ),
         single_node_ablated(
-            [35_666_845, 35_735_365],
-            54_308,
-            (6_816, 3_620),
+            [34_154_530, 34_223_050],
+            54_250,
+            (6_787, 3_649),
             [10_436, 1_564, 669, 0, 315, 315, 1_389],
             [173, 496],
         ),
         single_node_ablated(
-            [58_589_245, 58_589_245],
-            63_341,
-            (6_809, 3_627),
+            [57_076_930, 57_076_930],
+            63_307,
+            (6_792, 3_644),
             [10_436, 1_564, 669, 0, 315, 315, 10_436],
             [173, 496],
         ),
@@ -790,10 +813,12 @@ fn fig24_ablation_rungs_hold_their_numbers() {
 /// decisions moved as the single-node replay's did, FC flushes
 /// 10 485 → 10 479, 52 228 665 → 52 224 721 ns before the flush and
 /// 52 233 666 → 52 229 722 after, messages 48 316 → 48 343, timestamps
-/// (6 713, 3 772) → (6 704, 3 775).
+/// (6 713, 3 772) → (6 704, 3 775).  When a weight sync came to be posted:
+/// the same decisions, 52 224 721 → 52 215 119 ns before the flush and
+/// 52 229 722 → 52 215 319 after.
 fn no_fc_cache_golden() -> Golden {
     single_node_ablated(
-        [52_224_721, 52_229_722],
+        [52_215_119, 52_215_319],
         48_343,
         (6_704, 3_775),
         [10_479, 1_521, 626, 1, 272, 3, 10_479],
@@ -838,7 +863,8 @@ fn no_fc_cache_replay_holds_its_numbers() {
 /// since a one-round fill returns once its round is rung, by three:
 /// (6 809, 3 646) against (6 806, 3 649); since a starved fill charges the
 /// pick it makes before its ring, by seven: (6 816, 3 620) against
-/// (6 809, 3 627).
+/// (6 809, 3 627); since a weight sync is posted, by five: (6 787, 3 649)
+/// against (6 792, 3 644).
 #[test]
 fn one_clients_fc_cache_moves_no_victim() {
     let decisions = |golden: Golden| CacheStatsSnapshot {
