@@ -172,7 +172,7 @@ impl AdaptivePolicy {
         rng: &mut R,
     ) -> (usize, u64, usize) {
         if let Some(oldest_idle) = candidates.iter().map(|m| m.idle(now)).max() {
-            age.observe_eviction(oldest_idle);
+            age.observe_eviction(oldest_idle, now);
         }
         let chosen = if self.is_adaptive() {
             self.choose_expert(rng)

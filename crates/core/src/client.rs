@@ -1294,21 +1294,41 @@ impl DittoClient {
     // ------------------------------------------------------------------
 
     /// Refreshes the client's estimate of shard `shard`'s history counter
-    /// when it is unknown or stale, and returns the estimate.
+    /// when it is unknown or stale, and returns the estimate.  A READ of the
+    /// counter refreshes it, and so does every history-id FAA this client's
+    /// evictions send ([`Self::note_counter`]): the FAA fetches the global
+    /// counter, other clients' increments included.  So a client that keeps
+    /// evicting never READs it, and one that stops READs it once every
+    /// [`HISTORY_COUNTER_REFRESH`] misses.  (Between refreshes a miss that
+    /// meets an id at or past the estimate raises it past that id,
+    /// [`Self::check_regret`].)
     fn refresh_counter_estimate(&mut self, shard: u64) -> u64 {
         let idx = shard as usize;
         if !self.counters_known[idx]
             || self.miss_count - self.last_refresh_miss_count[idx] >= HISTORY_COUNTER_REFRESH
         {
+            self.stats.record_history_counter_read();
             // A faulted refresh keeps the stale estimate: adaptation lags a
             // little, nothing breaks (the next refresh interval retries).
             if let Ok(counter) = self.history.try_read_counter(&self.dm, shard) {
-                self.counter_estimates[idx] = counter;
-                self.counters_known[idx] = true;
-                self.last_refresh_miss_count[idx] = self.miss_count;
+                self.note_counter(shard, counter);
             }
         }
         self.counter_estimates[idx]
+    }
+
+    /// Takes `counter`, just read or fetched, as shard `shard`'s counter as
+    /// of this miss: one past the estimate is evidence that something was
+    /// evicted since ([`EvictionAge::observe_evidence`]).
+    fn note_counter(&mut self, shard: u64, counter: u64) {
+        let idx = shard as usize;
+        let estimate = self.counter_estimates[idx];
+        if counter != estimate && EvictionHistory::at_or_after(estimate, counter) {
+            self.eviction_age.observe_evidence(self.dm.now_ns());
+        }
+        self.counter_estimates[idx] = counter;
+        self.counters_known[idx] = true;
+        self.last_refresh_miss_count[idx] = self.miss_count;
     }
 
     /// Counts a miss on `hash` and pays its regret if the key's history
@@ -1325,7 +1345,16 @@ impl DittoClient {
             return;
         };
         let id = entry.atomic.history_id();
-        let estimate = self.refresh_counter_estimate(self.history.shard_of_id(id));
+        let shard = self.history.shard_of_id(id);
+        let mut estimate = self.refresh_counter_estimate(shard);
+        if EvictionHistory::at_or_after(estimate, id) {
+            // Evicted since this client last knew the counter — by another
+            // client — so the counter is past the id: the estimate takes
+            // that much, and the regret counts, the newest there is.
+            self.eviction_age.observe_evidence(self.dm.now_ns());
+            estimate = EvictionHistory::id_from_counter(shard, id).1;
+            self.counter_estimates[shard as usize] = estimate;
+        }
         if !self.history.is_valid(estimate, id) {
             return;
         }
@@ -2165,7 +2194,8 @@ mod tests {
     use crate::config::DittoConfig;
     use crate::hashtable::SampleFriendlyHashTable;
     use crate::history::expert_bitmap;
-    use ditto_dm::DmConfig;
+    use crate::slot::{AtomicField, Slot};
+    use ditto_dm::{DmConfig, RemoteAddr};
 
     fn small_cache(capacity: u64) -> DittoCache {
         DittoCache::with_dedicated_pool(DittoConfig::with_capacity(capacity), DmConfig::default())
@@ -2311,6 +2341,81 @@ mod tests {
         let snap = cache.stats().snapshot();
         assert!(snap.history_inserts > 0);
         assert!(snap.regrets > 0, "expected regrets, got {snap:?}");
+    }
+
+    #[test]
+    fn only_a_client_that_stops_evicting_reads_the_history_counter() {
+        let (cache, mut filler) = regretting_cache(usize::MAX);
+        let mut reader = cache.client();
+        let stats = cache.stats();
+        // The filler misses on keys it evicted a little earlier and fills
+        // them again: every fill evicts, and its history-id FAA refreshes
+        // the counter estimate its next regret checks against.
+        let (reads, regrets) = (stats.history_counter_reads(), stats.snapshot().regrets);
+        let mut i = 0u64;
+        while stats.snapshot().regrets - regrets < 2 * super::HISTORY_COUNTER_REFRESH {
+            let key = format!("key{}", 1_500 + i % 500);
+            if filler.get(key.as_bytes()).is_none() {
+                filler.set(key.as_bytes(), &[0u8; 200]);
+            }
+            i += 1;
+            assert!(i < 100_000, "too few regrets");
+        }
+        assert_eq!(stats.history_counter_reads(), reads);
+        // A reader that never evicts refreshes by READ, at the cadence: on
+        // a miss that finds its key's history entry once the estimate has
+        // gone unrefreshed for that many misses.
+        let reads = stats.history_counter_reads();
+        for i in 0..2_000u64 {
+            let _ = reader.get(format!("key{i}").as_bytes());
+        }
+        let misses = reader.miss_count;
+        assert!(
+            misses > 4 * super::HISTORY_COUNTER_REFRESH,
+            "{misses} misses"
+        );
+        let reads = stats.history_counter_reads() - reads;
+        assert!(
+            (2..=misses / super::HISTORY_COUNTER_REFRESH + 1).contains(&reads),
+            "{reads} counter READs over {misses} misses"
+        );
+    }
+
+    #[test]
+    fn a_counter_past_the_estimate_or_a_key_evicted_since_restarts_the_eviction_age() {
+        let cache = small_cache(1_000);
+        let mut client = cache.client();
+        let age = |client: &DittoClient| client.eviction_age.estimate(client.dm.now_ns());
+        // A miss whose key's history entry holds `id`.
+        let regret = |client: &mut DittoClient, id: u64| {
+            let slot = Slot {
+                hash: id,
+                atomic: AtomicField::for_history(7, id),
+                ..Slot::empty()
+            };
+            client.check_regret(&[(RemoteAddr::default(), slot)], id);
+        };
+        client.eviction_age.observe_miss();
+        client.dm.advance_ns(10_000);
+        assert_eq!(age(&client), 0, "a miss, and no evidence yet");
+        // Another client evicted five: the first regret READs the counter
+        // and finds it past the estimate of 0.
+        let _ = client.dm.faa(client.history.counter_addr(0), 5);
+        regret(&mut client, 0);
+        assert_eq!(cache.stats().history_counter_reads(), 1);
+        client.dm.advance_ns(1_000);
+        assert_eq!(age(&client), 1_000);
+        // A miss on a key evicted before that READ is no new evidence…
+        regret(&mut client, 2);
+        client.dm.advance_ns(1_000);
+        assert_eq!(age(&client), 2_000);
+        // …one on a key evicted since — the id after the counter it read —
+        // is, and raises the estimate past that id: the regret counts.
+        regret(&mut client, 5);
+        assert_eq!(age(&client), 0);
+        assert_eq!(client.counter_estimates[0], 6);
+        assert_eq!(cache.stats().snapshot().regrets, 3);
+        assert_eq!(cache.stats().history_counter_reads(), 1);
     }
 
     #[test]

@@ -832,8 +832,7 @@ impl DittoClient {
         ev.word = if self.policy.is_adaptive() && ev.fetched != NO_ID {
             let shard = ev.id_shard;
             let (hist_id, new_counter) = EvictionHistory::id_from_counter(shard, ev.fetched);
-            self.counter_estimates[shard as usize] = new_counter;
-            self.counters_known[shard as usize] = true;
+            self.note_counter(shard, new_counter);
             AtomicField::for_history(victim.atomic.fp, hist_id).encode()
         } else {
             0
@@ -927,6 +926,7 @@ impl DittoClient {
     /// place ([`Self::pick_carried`]).
     pub(super) fn finish_carried(&mut self, ev: &mut Eviction) {
         if ev.is_sampling() {
+            self.stats.record_carried_pick_in_place();
             self.pick_carried(ev, true);
         }
         ev.t0 = self.dm.now_ns();

@@ -121,6 +121,13 @@ impl EvictionHistory {
         }
     }
 
+    /// Whether the counter value or entry id `later` is at or past the
+    /// counter value `earlier` of the same shard: less than half a
+    /// wrap-around period ahead of it.
+    pub(crate) fn at_or_after(earlier: u64, later: u64) -> bool {
+        later.wrapping_sub(earlier) % HISTORY_COUNTER_PERIOD < HISTORY_COUNTER_PERIOD / 2
+    }
+
     /// Whether the entry with `entry_id` is still inside its shard's
     /// logical FIFO queue, given the client's estimate of that shard's
     /// counter.
@@ -240,6 +247,20 @@ mod tests {
         assert_eq!(history.position(2, near_wrap), 5);
         assert!(history.is_valid(2, near_wrap));
         assert!(!history.is_valid(20, near_wrap));
+    }
+
+    #[test]
+    fn an_id_at_or_past_a_counter_was_issued_since_it_was_read() {
+        let near_wrap = HISTORY_COUNTER_PERIOD - 3;
+        assert!(EvictionHistory::at_or_after(5, 5));
+        assert!(EvictionHistory::at_or_after(5, 9));
+        assert!(!EvictionHistory::at_or_after(5, 4));
+        // Across the wrap, and with the shard in the id's top bits.
+        assert!(EvictionHistory::at_or_after(near_wrap, 1));
+        assert!(!EvictionHistory::at_or_after(1, near_wrap));
+        let id = |count| EvictionHistory::pack_id(3, count);
+        assert!(EvictionHistory::at_or_after(5, id(6)));
+        assert!(!EvictionHistory::at_or_after(5, id(4)));
     }
 
     #[test]

@@ -121,7 +121,11 @@
 //! every hit writes, from its first miss until it does see an eviction:
 //! that is the rule's hazard, a reader that never evicts beside a client
 //! that does, whose uptime says nothing about the age its hot keys are
-//! being evicted at (`tests/lazy_last_ts.rs` drives it).  `Set`s always
+//! being evicted at (`tests/lazy_last_ts.rs` drives it).  Whichever applies,
+//! the estimate is at least the time since the client last saw evidence of
+//! an eviction — its own, a history counter read or fetched past its
+//! estimate, a miss on a key evicted since — so a client whose evictions
+//! stopped is not held to the age of its last one.  `Set`s always
 //! write: the hinted replace never reads the slot.  The local tier's hits
 //! follow the same rule, judged against the timestamp the tier entry last
 //! saw or wrote: remote hits, local hits and replaces all go through one
@@ -310,8 +314,11 @@
 //! or, the sample short again, the next re-sample
 //! (`settle_carried_sample`); the CAS is booked with the fill.  Only the
 //! next `Set` may wait: it books the fill first, picking in place if no
-//! round has (`pick_in_place`; each re-sample it waits for counts in
-//! [`CacheStats::resamples_waited`]).  So does the op that books a lost
+//! round has (`pick_in_place`, counted in
+//! [`CacheStats::carried_picks_in_place`]; each re-sample it waits for
+//! counts in [`CacheStats::resamples_waited`]).  It must: under pressure its
+//! allocation is served by the victim its predecessor's booking frees, and
+//! this fill's carried victim is the one.  So does the op that books a lost
 //! insert meanwhile: abandoning it frees the object the journal names, so
 //! the fill is settled whole there, and the journal disarmed, lest a
 //! recovery free that object a second time.  Under an extension expert, whose

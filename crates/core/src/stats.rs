@@ -42,12 +42,20 @@ counter_table! {
     /// waited for in place: posted and polled by the same op, or read in
     /// place.
     resamples_waited: interval accessor, counter "ditto_cache_resamples_waited_total" "Re-sample round trips of a fill's eviction an op waited for in place.", bump record_resample_waited;
+    /// Evictions a fill carried unpicked that no later round picked for,
+    /// so the booking of the fill picked in place, waiting for the decode
+    /// and the victim CAS: mostly the next `Set`'s.
+    carried_picks_in_place: interval accessor, counter "ditto_cache_carried_picks_in_place_total" "Carried evictions picked in place by the fill's booking, which waited for their victim CAS.", bump record_carried_pick_in_place;
     /// Evictions forced by a full bucket.
     bucket_evictions: interval, counter "ditto_cache_bucket_evictions_total" "Evictions forced by a full bucket rather than memory pressure.", bump record_bucket_eviction;
     /// History entries inserted.
     history_inserts: interval, counter "ditto_cache_history_inserts_total" "Evicted entries remembered in the lightweight history.", bump record_history_insert;
     /// Regrets collected (misses found in the eviction history).
     regrets: interval, counter "ditto_cache_regrets_total" "Ghost hits on evicted entries (the adaptive regret signal).", bump record_regret;
+    /// History-counter READs sent to refresh a client's estimate of a
+    /// shard's counter: the estimate was unknown, or neither a READ nor a
+    /// history-id FAA of the client's had refreshed it for 256 misses.
+    history_counter_reads: interval accessor, counter "ditto_cache_history_counter_reads_total" "History-counter READs sent to refresh a stale estimate of a shard's counter.", bump record_history_counter_read;
     /// Weight synchronisations with the controller.
     weight_syncs: interval, counter "ditto_cache_weight_syncs_total" "Client-to-controller expert-weight synchronisations.", bump record_weight_sync;
     /// Weight syncs that came due while the previous sync's reply was still
@@ -233,6 +241,8 @@ mod tests {
         stats.record_history_insert();
         stats.record_regret();
         stats.record_weight_sync();
+        stats.record_history_counter_read();
+        stats.record_carried_pick_in_place();
         stats.record_fc_flush();
         stats.record_local_hit();
         stats.record_local_revalidation(150, 50);
@@ -311,6 +321,13 @@ mod tests {
             (1, 1)
         );
         assert_eq!(stats.weight_syncs_waited(), 1);
+        assert_eq!(
+            (
+                stats.history_counter_reads(),
+                stats.carried_picks_in_place()
+            ),
+            (1, 1)
+        );
 
         // `reset` zeroes the `interval` rows (and the per-expert votes) and
         // no `lifetime` row.

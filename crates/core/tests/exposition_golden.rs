@@ -145,6 +145,19 @@
 //! previous reply: the three `ditto_cache_weight_syncs_waited_total` lines
 //! (HELP, TYPE and the value 0 — this run's 90 regrets fill no batch of
 //! 100, so it syncs nothing) joined the page, and nothing else moved.
+//!
+//! Re-derived when a history-id FAA came to refresh the client's counter
+//! estimate as a READ does, the eviction age to grow while no eviction is
+//! seen, and the page to carry the counter READs and the carried evictions
+//! picked in place: the six `ditto_cache_history_counter_reads_total` (0)
+//! and `ditto_cache_carried_picks_in_place_total` (23) lines joined the
+//! page; three counter READs fewer, READs 2 701 / 2 693 → 2 698 / 2 690 and
+//! messages 6 369 / 6 462 → 6 366 / 6 458 on nodes 0 / 1; one `last_ts`
+//! WRITE fewer (898 → 897, skipped 67 → 68; node 1's WRITEs 1 968 → 1 967);
+//! bytes 1 009 931 / 1 027 838 → 1 009 907 / 1 027 806; spans 34 340 →
+//! 34 334, `flight` spans 12 583 → 12 577 (sum 27.725 → 27.713 ms), the op
+//! latency sum 12.131 → 12.119 ms, `poll`'s sum 6.0834 → 6.0840 ms, and
+//! lease time granted 27 564 021 → 27 541 685 ns.  No eviction moved.
 
 use ditto_core::{DittoCache, DittoConfig};
 use ditto_dm::DmConfig;

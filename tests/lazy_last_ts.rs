@@ -7,7 +7,10 @@
 //! so its threshold grows without bound while another client, filling the
 //! cache under memory pressure, evicts at an age the reader cannot see.  What
 //! keeps the reader's hot keys alive is the rule's second half: its first
-//! miss drops the threshold to zero.
+//! miss drops the threshold to zero, and from then on it is only the time
+//! since the reader last saw evidence of an eviction — a history counter
+//! that moved, a miss on a key evicted since.  The third test is a reader
+//! that evicted before it turned read-only.
 //!
 //! The same holds of a reader whose hits never leave its local tier — the
 //! second test — which has no stored timestamp to read and goes by the one
@@ -28,7 +31,7 @@
 //! since the coherence board has an epoch per hint and the filler's bumps
 //! cost the reader five hints fewer.
 
-use ditto::cache::{DittoCache, DittoConfig};
+use ditto::cache::{DittoCache, DittoClient, DittoConfig};
 use ditto::dm::DmConfig;
 
 const CAPACITY: u64 = 4_000;
@@ -47,7 +50,11 @@ const EAGER_HIT_RATE: f64 = 0.883_72;
 /// round, while another sets a new key each round, for `rounds` rounds on
 /// one wall clock.  Returns the reader's (hits, `Get`s).
 fn read_beside_a_filler(cache: &DittoCache, rounds: u64) -> (u64, u64) {
-    let (mut reader, mut filler) = (cache.client(), cache.client());
+    read_beside(cache.client(), cache.client(), rounds)
+}
+
+/// [`read_beside_a_filler`] with the two clients given.
+fn read_beside(mut reader: DittoClient, mut filler: DittoClient, rounds: u64) -> (u64, u64) {
     for key in 0..HOT_KEYS {
         filler.set(&key.to_le_bytes(), &[key as u8; 200]);
     }
@@ -137,5 +144,61 @@ fn a_key_read_only_through_the_tier_survives_another_clients_churn() {
     assert!(
         hit_rate >= TIER_EAGER_HIT_RATE - 0.005,
         "reader hit rate {hit_rate:.5} ({hits} of {gets}) against {TIER_EAGER_HIT_RATE} with eager timestamps"
+    );
+}
+
+/// The reader's hit rate below when every hit writes its timestamp (the
+/// header's procedure): 148 313 of 160 000.
+const EVICTED_EAGER_HIT_RATE: f64 = 0.926_96;
+
+/// A reader that evicted before it turned read-only: it goes by the age its
+/// own evictions observed, and from its last one on by the time since it
+/// last saw evidence of an eviction (`ditto_core::recency`).  That keeps
+/// growing while it only reads, and so does its τ; what holds it down is the
+/// evidence the reader's misses bring — a miss on a key evicted since it
+/// last knew the history counter restarts the clock, and so does a counter
+/// READ that finds the counter moved.
+///
+/// Measured on this schedule, hits of 160 000: eager 148 313; lazy 137 452;
+/// lazy with the estimate frozen at the reader's own evictions' age, as it
+/// was before the estimate grew, 138 121; lazy without the restarts a miss
+/// or a counter READ makes, 129 365.  What lazy timestamps lose here even
+/// frozen is lost to two-candidate samples: a sample that re-sampled up to
+/// only two live objects, the reader's hot key and a key the filler set less
+/// than τ ago, evicts the hot key by LRU.  The bound below admits that loss
+/// and fails the estimate that grows unchecked.
+#[test]
+fn a_client_that_evicted_then_only_reads_is_held_back_by_the_evictions_it_sees() {
+    let cache =
+        DittoCache::with_dedicated_pool(DittoConfig::with_capacity(CAPACITY), DmConfig::default())
+            .unwrap();
+    let (mut reader, filler) = (cache.client(), cache.client());
+    // The reader fills the cache past its capacity itself first, reading
+    // its hot keys as it goes: its own evictions set its estimate.
+    let mut value = Vec::new();
+    for key in 0..HOT_KEYS {
+        reader.set(&key.to_le_bytes(), &[key as u8; 200]);
+    }
+    for round in 0..2 * CAPACITY {
+        for i in 0..GETS_PER_SET {
+            let key = (round * GETS_PER_SET + i) % HOT_KEYS;
+            let _ = reader.get_into(&key.to_le_bytes(), &mut value);
+        }
+        reader.set(&(1 << 32 | round).to_le_bytes(), &[3u8; 200]);
+    }
+    let stats = cache.stats();
+    assert!(
+        stats.snapshot().evictions > CAPACITY / 2,
+        "the reader evicts"
+    );
+    let skipped = stats.ts_writes_skipped();
+    let (hits, gets) = read_beside(reader, filler, ROUNDS);
+    let skipped = stats.ts_writes_skipped() - skipped;
+    println!("reader: {hits} of {gets} hit, {skipped} timestamps skipped");
+    assert!(skipped > gets / 8, "{skipped} timestamps skipped");
+    let hit_rate = hits as f64 / gets as f64;
+    assert!(
+        hit_rate >= EVICTED_EAGER_HIT_RATE - 0.08,
+        "reader hit rate {hit_rate:.5} ({hits} of {gets}) against {EVICTED_EAGER_HIT_RATE} with eager timestamps"
     );
 }

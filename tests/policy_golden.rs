@@ -161,7 +161,11 @@ fn the_simulator_on_an_lfu_friendly_trace() {
 /// draws go the other way near their odds, and each sync's op ends 4.8 µs
 /// sooner, which moves the `last_ts` stamps — hits 18 967 → 19 009, regrets
 /// 5 709 → 5 617, weight syncs 58 → 57, and both weights (LRU's
-/// 0.0489 → 0.0426).
+/// 0.0489 → 0.0426).  Re-derived again when a history-id FAA came to
+/// refresh the counter estimate as a READ does: no READ every 256 misses,
+/// so a regret's position is judged against the estimate of the client's
+/// last pick, which lags a history-id FAA still in flight — the same hits,
+/// regrets and syncs, and both weights (LRU's 0.042649 → 0.042662).
 #[test]
 fn a_client_replay_of_the_changing_workload() {
     let cache =
@@ -178,7 +182,7 @@ fn a_client_replay_of_the_changing_workload() {
             19_009,
             5_617,
             57,
-            vec![0x3fa5_d60c_6e96_f104, 0x3fee_a29f_3916_90ef]
+            vec![0x3fa5_d7c1_3221_1277, 0x3fee_a283_ecdd_eed9]
         )
     );
 }
@@ -341,6 +345,15 @@ fn client_points_over_best_expert(trace: &NamedTrace, clients: usize, seed: u64)
 /// once it has arrived: −0.506 / −0.439, −0.136 / −0.075, −0.688 / −0.692,
 /// −0.580 / +0.189, +0.137 / +0.004 pt.  Over the 40 (cell, seed) pairs
 /// the change moved the gap by −0.005 pt, with a standard error of 0.015.
+///
+/// With every history-id FAA refreshing the counter estimate, so that an
+/// evicting client READs the counter no more: −0.478 / −0.394, −0.127 /
+/// −0.085, −0.680 / −0.762, −0.629 / +0.187, +0.189 / +0.002 pt, the
+/// twitter-storage cell at 8 clients past the bound.  Its clients' estimates
+/// lag the other clients' evictions since their own last pick, and a miss
+/// on a key one of those evicted read as expired, no regret.  With such a
+/// history id raising the estimate past it, and its regret counted: the
+/// same at one client, and at 8 −0.343, −0.088, −0.674, +0.218, +0.027 pt.
 ///
 /// Run with `cargo test --release --test policy_golden -- --ignored`.
 #[test]
