@@ -54,8 +54,9 @@
 //! next round's verbs do.  Waits and the client CPU work
 //! (`CPU_DECODE_SLOT_NS` per slot, `CPU_SCORE_CANDIDATE_NS` per candidate)
 //! overlap the flights, and `end_op` polls whatever the op left
-//! outstanding, up to what the side channels — a pending fill, a parked
-//! eviction — still wait for.
+//! outstanding, up to what the work it leaves behind — a pending fill, a
+//! parked eviction — still waits for (see the crate docs, *What an op
+//! leaves behind*).
 //! `tests/data_path_golden.rs` pins three seeded replays of it to the
 //! nanosecond.
 //!
@@ -99,8 +100,8 @@ use ditto_dm::alloc::{self, AllocService};
 use ditto_dm::rpc::WEIGHT_SERVICE;
 use ditto_dm::wqe::MAX_WQES;
 use ditto_dm::{
-    CompletionStatus, DmClient, DmError, EventKind, MigrationEngine, Phase, PoolTopology,
-    PostedRpc, RecoveryPhase, RemoteAddr, StripeDirectory, StripedAllocator, WorkQueue,
+    CompletionStatus, DmClient, DmError, DmResult, EventKind, MigrationEngine, Phase, PoolTopology,
+    RecoveryPhase, RemoteAddr, StripeDirectory, StripedAllocator, WorkQueue,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,13 +109,14 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
+mod deferred;
 mod evict;
 mod lookup;
 mod publish;
 mod round;
+use deferred::{Deferred, OpKind};
 use evict::Eviction;
 use lookup::{HintTable, Lookup, MissMemo};
-use publish::{Booking, PendingFill};
 use round::{plan_round, Plan, Shape};
 
 /// Maximum CAS retries before an operation gives up, and the attempt bound of
@@ -164,11 +166,6 @@ pub struct DittoClient {
     scratch: RemoteAddr,
     /// The experts and this client's local weights.
     policy: AdaptivePolicy,
-    /// The last weight sync's reply while it is in flight: when it arrives
-    /// and its length in `weight_reply_buf` ([`DittoClient::sync_weights`]).
-    weight_reply: Option<PostedRpc>,
-    /// Where a weight sync's reply lands.
-    weight_reply_buf: [u8; weight_wire::wire_len(MAX_EXPERTS)],
     stats: Arc<CacheStats>,
     alloc: StripedAllocator,
     /// The frequency-counter cache; `None` at `fc_cache_mb = 0`, where every
@@ -183,21 +180,14 @@ pub struct DittoClient {
     /// saw of the key's buckets: the `Set` that fills the key next publishes
     /// from it without reading them again (see [`lookup::MissMemo`]).
     miss_memo: Option<MissMemo>,
-    /// The eviction the last fill under memory pressure sampled and picked a
-    /// victim for without taking it: the next starved `Set` carries its
-    /// victim CAS (see the crate docs, *The `Set` path under memory
-    /// pressure*).
-    parked_eviction: Option<Eviction>,
-    /// The last fill, its completions not all polled yet: the op that polls
-    /// the last of them books it (see [`publish`]).
-    pending_fill: Option<PendingFill>,
-    /// The work-request ids of the FC flushes the last hinted `Get` carried:
-    /// their completions, errors only, go to no loop (`poll_routed`).
-    fc_riders: Range<u64>,
+    /// The work this client's ops left behind for its later ops: the
+    /// pending fill, the parked eviction, FC flushes, a weight reply (see
+    /// the crate docs, *What an op leaves behind*).
+    deferred: Deferred,
     /// Rounds this client posted on the `Set` path, by `round::Shape`.
     rounds_posted: [u64; 6],
     /// The op id of the client's last `Set`: what its polls book lands for
-    /// the op after the next ([`DittoClient::sample_landed`]).
+    /// the op after the next ([`evict::Eviction::landed`]).
     set_op: u64,
     /// This client's own bumps of each [`CoherenceBoard`] slot.  Its own slot
     /// CASes keep its hints exact, so a hint is stamped with — and filtered
@@ -289,16 +279,12 @@ impl DittoClient {
             history,
             scratch,
             policy,
-            weight_reply: None,
-            weight_reply_buf: [0; weight_wire::wire_len(MAX_EXPERTS)],
             stats,
             alloc,
             fc,
             hints: HintTable::new(),
             miss_memo: None,
-            parked_eviction: None,
-            pending_fill: None,
-            fc_riders: 0..0,
+            deferred: Deferred::default(),
             rounds_posted: [0; 6],
             set_op: 0,
             own_bumps: vec![0; board.slots()].into_boxed_slice(),
@@ -337,11 +323,7 @@ impl DittoClient {
     /// [`DittoClient::get_into`].
     pub fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
         let mut out = Vec::new();
-        if self.get_into(key, &mut out) {
-            Some(out)
-        } else {
-            None
-        }
+        self.get_into(key, &mut out).then_some(out)
     }
 
     /// Looks up `key`; on a hit, clears `out`, appends the value and returns
@@ -351,9 +333,10 @@ impl DittoClient {
         self.maybe_refresh_topology();
         self.dm.begin_op();
         self.eviction_age.begin_op(self.dm.now_ns());
-        self.settle_weight_reply(false);
+        let hash = fnv1a64(key);
+        self.settle_before(OpKind::Get(hash));
         self.miss_memo = None;
-        let hit = self.get_inner(key, out);
+        let hit = self.get_inner(key, hash, out);
         self.end_op();
         hit
     }
@@ -383,8 +366,7 @@ impl DittoClient {
         self.dm.begin_op();
         self.set_op = self.dm.op_id();
         self.eviction_age.begin_op(self.dm.now_ns());
-        self.settle_weight_reply(false);
-        self.book_pending_fill(Booking::Whole);
+        self.settle_before(OpKind::Set);
         let memo = self.miss_memo.take();
         // The reusable per-client encode buffer, moved out meanwhile so the
         // borrow checker can see it is disjoint from `self`.
@@ -393,60 +375,6 @@ impl DittoClient {
         self.encode_buf = encoded;
         self.end_op();
         result
-    }
-
-    /// Ends an op and records its latency: polls what the op left
-    /// outstanding, booking each completion on its owner, up to the
-    /// completions the side channels still wait for — the pending fill's,
-    /// the parked eviction's — which stay in flight for a later op's polls
-    /// to meet (a fill's own op polls none of its round).  A pending fill
-    /// whose last completion the op's polls met is booked here
-    /// ([`DittoClient::book_fill`]), by the op that learnt how it went —
-    /// but for a carried eviction still to pick, which a later round picks.
-    fn end_op(&mut self) {
-        while self.dm.outstanding_completions() > self.side_channels_in_flight() {
-            if self.poll_routed(&mut [None, None]).is_none() {
-                break;
-            }
-        }
-        if self
-            .pending_fill
-            .as_ref()
-            .is_some_and(|fill| fill.awaited() == 0)
-        {
-            self.book_fill(Booking::Polled);
-        }
-        self.dm.close_op();
-    }
-
-    /// The completions the side channels wait for: the pending fill's
-    /// insert CAS and its carried eviction's victim CAS or re-sample READ,
-    /// the parked eviction's sample READs and history FAA.
-    fn side_channels_in_flight(&self) -> usize {
-        let fill = self.pending_fill.as_ref().map_or(0, PendingFill::in_flight);
-        fill + self.parked_eviction.as_ref().map_or(0, |ev| ev.in_flight)
-    }
-
-    /// Books the pending fill, if any, before an op that must see it
-    /// settled — the client's next `Set`, a `Get` of the key, a drain, an
-    /// eviction, a migration pump, a recovery, a forensic scan, its `Drop`:
-    /// polls until its insert CAS and its carried victim CAS have completed
-    /// (the op that ended last has usually met both and booked it already),
-    /// then books it ([`DittoClient::book_fill`]).  Booked
-    /// [`Booking::Whole`], a carried eviction still to pick picks now,
-    /// waiting for its re-sample and its CAS; [`Booking::Polled`] — a `Get`
-    /// of the key, which needs only the insert — leaves it pending.
-    fn book_pending_fill(&mut self, booking: Booking) {
-        while self
-            .pending_fill
-            .as_ref()
-            .is_some_and(|fill| fill.awaited() > 0)
-        {
-            if self.poll_routed(&mut [None, None]).is_none() {
-                break;
-            }
-        }
-        self.book_fill(booking);
     }
 
     /// Revalidates the cached topology snapshot against the pool's resize
@@ -473,11 +401,23 @@ impl DittoClient {
     // Migration protocol (see `ditto_dm::migration`, client redirect rules)
     // ------------------------------------------------------------------
 
-    /// Asynchronous write of advisory slot metadata.  Best-effort by design
-    /// (the paper's "stateless information"): a faulted async WRITE — or
-    /// one a stripe reconcile READ before it landed — only loses one recency
-    /// update, so errors are ignored rather than retried.
-    fn write_slot_meta(&self, addr: RemoteAddr, bytes: &[u8]) {
+    /// `verb`, retried through transient faults up to [`MAX_RETRIES`]
+    /// attempts ([`DmClient::with_retry`]).
+    fn retry<T>(&self, verb: impl FnMut(&DmClient) -> DmResult<T>) -> DmResult<T> {
+        self.dm.with_retry(MAX_RETRIES, verb)
+    }
+
+    /// Records a `phase` span from `t0` to now.
+    fn span_since(&self, phase: Phase, t0: u64, detail: u32) {
+        self.dm.record_span(phase, t0, self.dm.now_ns(), detail);
+    }
+
+    /// Asynchronous write of advisory metadata — a slot's, or an object's
+    /// extension words.  Best-effort by design (the paper's "stateless
+    /// information"): a faulted async WRITE — or one a stripe reconcile READ
+    /// before it landed — only loses one update, so errors are ignored
+    /// rather than retried.
+    fn write_advisory(&self, addr: RemoteAddr, bytes: &[u8]) {
         let _ = self.dm.try_write_async(addr, bytes);
     }
 
@@ -493,8 +433,7 @@ impl DittoClient {
         let t0 = self.dm.now_ns();
         self.dm
             .advance_ns(slots as u64 * DittoConfig::CPU_DECODE_SLOT_NS);
-        self.dm
-            .record_span(Phase::Decode, t0, self.dm.now_ns(), slots as u32);
+        self.span_since(Phase::Decode, t0, slots as u32);
     }
 
     /// Charges the client CPU cost of gathering and scoring `candidates`
@@ -531,7 +470,7 @@ impl DittoClient {
     /// `NodeRemoved`), is dropped, and so is every other counter on that
     /// node: the counters are advisory.
     pub fn flush(&mut self) {
-        self.book_pending_fill(Booking::Whole);
+        self.settle_before(OpKind::Flush);
         let mut drained = self.fc.as_mut().map(FcCache::flush_all).unwrap_or_default();
         // A counter recorded before a cutover is owed to its word's live
         // home; regrouped by node once re-translated, and merged with the
@@ -560,19 +499,17 @@ impl DittoClient {
             ring.extend(pending.drain(..pending.len().min(MAX_WQES)));
             let ids = {
                 let mut wq = self.dm.work_queue();
-                let ids = Self::post_fc_faas(
-                    &mut wq,
-                    self.table.directory(),
-                    ring.iter().map(|&(c, _)| c),
-                    true,
-                );
+                let counters = ring.iter().map(|&(c, _)| c);
+                let ids = Self::post_fc_faas(&mut wq, self.table.directory(), counters, true);
                 wq.ring();
                 ids
             };
             // The one wait: every completion the ring produced — each
-            // node's last FAA, and any error before it.  Between ops the
-            // queue holds nothing else but a parked eviction's deferred
-            // re-sample READ, which the poll books on the eviction.
+            // node's last FAA, and any error before it.  Between ops, the
+            // pending fill booked above, the queue holds nothing else but
+            // what the parked eviction has in flight — a one-round fill's
+            // first sample READ and history-id FAA, or a deferred re-sample
+            // READ — which the poll books on it.
             let mut status = [CompletionStatus::Success; MAX_WQES];
             while let Some(completion) = self.next_completion(&mut [None, None]) {
                 if ids.contains(&completion.wr_id) {
@@ -637,9 +574,7 @@ impl DittoClient {
         buf[0..8].copy_from_slice(&u64::from(new_addr.mn_id).to_le_bytes());
         buf[8..16].copy_from_slice(&new_addr.offset.to_le_bytes());
         buf[16..24].copy_from_slice(&(new_len as u64).to_le_bytes());
-        let _ = self
-            .dm
-            .with_retry(MAX_RETRIES, |dm| dm.try_write(slot, &buf));
+        let _ = self.retry(|dm| dm.try_write(slot, &buf));
     }
 
     /// Records (or zeroes, for `None`) the allocation a publish CAS is
@@ -655,9 +590,7 @@ impl DittoClient {
             buf[8..16].copy_from_slice(&addr.offset.to_le_bytes());
             buf[16..24].copy_from_slice(&(len as u64).to_le_bytes());
         }
-        let _ = self
-            .dm
-            .with_retry(MAX_RETRIES, |dm| dm.try_write(slot.add(24), &buf));
+        let _ = self.retry(|dm| dm.try_write(slot.add(24), &buf));
     }
 
     /// Records, before a one-round fill's ring, a zeroed old half — an
@@ -672,18 +605,14 @@ impl DittoClient {
             buf[24..32].copy_from_slice(&addr.pack().to_le_bytes());
             buf[32..40].copy_from_slice(&(len as u64).to_le_bytes());
         }
-        let _ = self
-            .dm
-            .with_retry(MAX_RETRIES, |dm| dm.try_write(slot.add(24), &buf));
+        let _ = self.retry(|dm| dm.try_write(slot.add(24), &buf));
     }
 
     /// Disarms the journal slot (zeroes the `new_len` validity word) once
     /// the `Set` protocol reaches a self-consistent state.
     fn journal_clear(&self) {
         let Some(slot) = self.journal else { return };
-        let _ = self
-            .dm
-            .with_retry(MAX_RETRIES, |dm| dm.try_write(slot.add(16), &[0u8; 8]));
+        let _ = self.retry(|dm| dm.try_write(slot.add(16), &[0u8; 8]));
     }
 
     /// Whether the armed test crash point matches `point`; fires at most
@@ -749,7 +678,7 @@ impl DittoClient {
         // This client's own fill settles first: its journal and its object.
         // And its hoard goes back to the nodes before anything is replayed:
         // a journalled block it freed and parks would still look granted.
-        self.book_pending_fill(Booking::Whole);
+        self.settle_before(OpKind::Recover);
         self.alloc.release_excess(&self.dm, 0);
 
         // 1. One forensic scan of the whole table: both the journal replay
@@ -764,8 +693,7 @@ impl DittoClient {
         if let Some(slot_addr) = DittoCache::journal_slot(self.journal_base, dead_id) {
             let mut buf = [0u8; 64];
             if self
-                .dm
-                .with_retry(MAX_RETRIES, |dm| dm.try_read_into(slot_addr, &mut buf))
+                .retry(|dm| dm.try_read_into(slot_addr, &mut buf))
                 .is_ok()
             {
                 let word = |i: usize| {
@@ -823,9 +751,7 @@ impl DittoClient {
                     // Disarm the entry so a second recovery pass (two
                     // survivors racing, or a retried harness) is a no-op
                     // instead of a double gauge debit.
-                    let _ = self
-                        .dm
-                        .with_retry(MAX_RETRIES, |dm| dm.try_write(slot_addr.add(16), &[0u8; 8]));
+                    let _ = self.retry(|dm| dm.try_write(slot_addr.add(16), &[0u8; 8]));
                 }
             }
         }
@@ -904,17 +830,8 @@ impl DittoClient {
     // Get path
     // ------------------------------------------------------------------
 
-    fn get_inner(&mut self, key: &[u8], out: &mut Vec<u8>) -> bool {
-        let hash = fnv1a64(key);
+    fn get_inner(&mut self, key: &[u8], hash: u64, out: &mut Vec<u8>) -> bool {
         let fp = fingerprint(hash);
-        if self
-            .pending_fill
-            .as_ref()
-            .is_some_and(|fill| fill.hash == hash)
-        {
-            // The key's own fill is booked first, and leaves its hint.
-            self.book_pending_fill(Booking::Polled);
-        }
         if self.tier.is_some() && self.tier_get(hash, key, out) {
             return true;
         }
@@ -1057,8 +974,7 @@ impl DittoClient {
             }
             TierProbe::Served { slot_addr, last_ts } => {
                 self.dm.advance_ns(DittoConfig::CPU_LOCAL_HIT_NS);
-                self.dm
-                    .record_span(Phase::LocalHit, now, self.dm.now_ns(), 1);
+                self.span_since(Phase::LocalHit, now, 1);
                 self.stats.record_local_hit();
                 self.stats.record_hit();
                 self.tier_feed_frequency(hash, slot_addr, last_ts);
@@ -1105,8 +1021,7 @@ impl DittoClient {
         };
         let renewal = tier.renew_and_serve(hash, now, board_epoch, out);
         self.dm.advance_ns(DittoConfig::CPU_LOCAL_HIT_NS);
-        self.dm
-            .record_span(Phase::Revalidate, t0, self.dm.now_ns(), 1);
+        self.span_since(Phase::Revalidate, t0, 1);
         self.stats
             .record_local_revalidation(renewal.lease_ns, self.config.local_tier_lease_ns);
         self.stats.record_hit();
@@ -1222,9 +1137,7 @@ impl DittoClient {
                 !flushes.is_empty()
             }
             None => {
-                let _ = self
-                    .dm
-                    .with_retry(MAX_RETRIES, |dm| dm.try_faa(freq_addr, 1));
+                let _ = self.retry(|dm| dm.try_faa(freq_addr, 1));
                 self.stats.record_fc_flush();
                 false
             }
@@ -1241,7 +1154,7 @@ impl DittoClient {
         });
         self.stats.record_ts_write(fresh.is_none());
         if fresh.is_none() {
-            self.write_slot_meta(
+            self.write_advisory(
                 SampleFriendlyHashTable::last_ts_addr(slot_addr),
                 &now.to_le_bytes(),
             );
@@ -1249,9 +1162,7 @@ impl DittoClient {
                 // Ablation: without the co-designed table the stateless
                 // fields are scattered and need an additional write on the
                 // data path.
-                let _ = self
-                    .dm
-                    .try_write_async(self.scratch.add(8), &now.to_le_bytes());
+                self.write_advisory(self.scratch.add(8), &now.to_le_bytes());
             }
         }
         (fresh.unwrap_or(now), flushed)
@@ -1284,9 +1195,7 @@ impl DittoClient {
         for (i, w) in metadata.ext.iter().enumerate() {
             buf[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
         }
-        let _ = self
-            .dm
-            .try_write_async(object.add(object::ext_offset()), &buf);
+        self.write_advisory(object.add(object::ext_offset()), &buf);
     }
 
     // ------------------------------------------------------------------
@@ -1372,11 +1281,11 @@ impl DittoClient {
 
     /// Ships the buffered regret penalties, if any, to the controller: posts
     /// the RPC and returns, the reply left in flight for a later op to adopt
-    /// ([`DittoClient::settle_weight_reply`]).  A reply still in flight is
-    /// adopted first — waited for, if it has not arrived — so at most one
-    /// sync is in flight and every due sync is still sent.
+    /// ([`DittoClient::adopt_reply`]).  A reply still in flight is adopted
+    /// first — waited for, if it has not arrived — so at most one sync is in
+    /// flight and every due sync is still sent.
     fn sync_weights(&mut self) {
-        let waited = self.settle_weight_reply(true);
+        let waited = self.adopt_reply(true);
         // Fixed buffers: a weight sync must not allocate either.
         let mut values = [0.0; MAX_EXPERTS];
         let Some(n) = self.policy.take_pending(&mut values) else {
@@ -1387,40 +1296,15 @@ impl DittoClient {
         }
         let mut request = [0u8; weight_wire::wire_len(MAX_EXPERTS)];
         let len = weight_wire::encode(&values[..n], &mut request);
-        let reply = &mut self.weight_reply_buf;
+        let mut reply = [0u8; weight_wire::wire_len(MAX_EXPERTS)];
         // The controller being unreachable only delays adaptation.
-        if let Ok(posted) = self.dm.post_rpc(0, WEIGHT_SERVICE, &request[..len], reply) {
-            self.weight_reply = Some(posted);
+        if let Ok(posted) = self
+            .dm
+            .post_rpc(0, WEIGHT_SERVICE, &request[..len], &mut reply)
+        {
+            self.deferred.reply = Some((posted, reply));
             self.stats.record_weight_sync();
         }
-    }
-
-    /// Adopts the weight sync's reply in flight, if any, once it has
-    /// arrived ([`AdaptivePolicy::adopt_weights`]): the global weights,
-    /// decayed by the penalties buffered since the post.  The first op that
-    /// begins at or after the arrival adopts it; `wait` — the next due sync,
-    /// or `flush` — first waits out what is left of the round trip, one
-    /// [`Phase::Flight`] span.  Returns whether it waited.
-    fn settle_weight_reply(&mut self, wait: bool) -> bool {
-        let Some(reply) = self.weight_reply else {
-            return false;
-        };
-        let now = self.dm.now_ns();
-        let early = reply.arrival_ns > now;
-        if early {
-            if !wait {
-                return false;
-            }
-            self.dm.advance_ns(reply.arrival_ns - now);
-            self.dm
-                .record_span(Phase::Flight, now, reply.arrival_ns, reply.len as u32);
-        }
-        self.weight_reply = None;
-        let mut values = [0.0; MAX_EXPERTS];
-        if let Ok(n) = weight_wire::decode(&self.weight_reply_buf[..reply.len], &mut values) {
-            self.policy.adopt_weights(&values[..n]);
-        }
-        early
     }
 
     // ------------------------------------------------------------------
@@ -1545,14 +1429,7 @@ impl DittoClient {
             // The one-round fill returns once its round is rung; its
             // completions and its own eviction's are booked by the client's
             // next op (see `publish`).
-            self.post_fill(
-                hash,
-                &front,
-                encoded,
-                (obj_addr, new_atomic),
-                ahead,
-                carried,
-            );
+            self.post_fill(hash, &front, encoded, new_atomic, ahead, carried);
             return Ok(());
         }
         if let Some(front) = front.filter(|f| f.shape == Shape::Hinted) {
@@ -1590,12 +1467,7 @@ impl DittoClient {
                 }
                 None => self.search(hash, fp, plan, encoded, &mut evs, None),
             };
-            let Ok(Lookup {
-                slots,
-                found: existing,
-                ..
-            }) = looked_up
-            else {
+            let Ok(Lookup { slots, found, .. }) = looked_up else {
                 // This attempt's lookup could not complete; the piggybacked
                 // WRITE (if any) may not have landed, so the next attempt
                 // re-carries it (re-posting the unpublished bytes is
@@ -1610,7 +1482,7 @@ impl DittoClient {
                     return Ok(());
                 }
             }
-            let insert_slot = match existing {
+            let insert_slot = match found {
                 Some(_) => None,
                 None => self.choose_insert_slot(&slots),
             };
@@ -1635,15 +1507,14 @@ impl DittoClient {
             // takes — is one `Publish` span (detail = 1 on the attempt that
             // installed the pointer).
             let publish_start = self.dm.now_ns();
-            let won = match (existing, insert_slot) {
+            let won = match (found, insert_slot) {
                 (Some((slot_addr, slot)), _) => self.replace_existing(slot_addr, &slot, new_atomic),
                 (None, Some((slot_addr, observed))) => {
                     self.install_new(slot_addr, &observed, new_atomic, hash)
                 }
                 (None, None) => self.bucket_evict_and_insert(&slots, new_atomic, hash),
             };
-            self.dm
-                .record_span(Phase::Publish, publish_start, self.dm.now_ns(), won as u32);
+            self.span_since(Phase::Publish, publish_start, won as u32);
             if won {
                 stored = true;
                 break;
@@ -1674,28 +1545,20 @@ impl DittoClient {
         // and one that parks stays with the client for the next starved
         // `Set`, its sample landed and not decoded, as a one-round fill's
         // own parks: a later op decodes it.
-        let parks = match ahead {
-            Some(ev) if ev.park => Some(ev),
-            Some(mut ev) => {
-                self.evict_advance(&mut ev, false);
-                None
-            }
-            None => None,
-        };
-        let mut carried_pending = None;
-        if let Some(mut ev) = carried {
-            if stored && ((fill && ev.in_flight > 0) || ev.is_sampling()) {
-                // Its victim CAS flew beside the insert: like a one-round
-                // fill's, it is booked once a later poll meets it, so that a
-                // fill frees its carried victim at the same op whichever door
-                // it took.  One still to pick is picked for by a later op,
-                // as after a one-round fill.
-                carried_pending = Some(ev);
-            } else {
-                // Finished before a sweep below polls: what it has out is
-                // met only by polls that know it.
-                self.finish_carried(&mut ev);
-            }
+        if let Some(ev) = ahead.as_mut().filter(|ev| !ev.park) {
+            self.evict_advance(ev, false);
+        }
+        // A carried eviction whose victim CAS flew beside the insert is,
+        // like a one-round fill's, booked once a later poll meets it, so that
+        // a fill frees its carried victim at the same op whichever door it
+        // took; one still to pick is picked for by a later op, as after a
+        // one-round fill.  Any other is finished before a sweep below polls:
+        // what it has out is met only by polls that know it.
+        let pends = carried
+            .as_ref()
+            .is_some_and(|ev| stored && ((fill && ev.in_flight > 0) || ev.is_sampling()));
+        if let Some(ev) = carried.as_mut().filter(|_| !pends) {
+            self.finish_carried(ev);
         }
         // What a Set that could not publish did instead: invalidated the
         // key (`Ok`), or nothing it can vouch for (`Err`).
@@ -1709,14 +1572,12 @@ impl DittoClient {
             // A sweep that cannot do that reports the Set dropped.
             outcome = Err(CacheError::SetDropped { key_absent: false });
             for _ in 0..MAX_RETRIES {
-                let Ok(Lookup {
-                    found: existing, ..
-                }) = self.search(hash, fp, Plan::default(), &[], &mut [None, None], None)
-                else {
-                    // The invalidation sweep cannot see the table.
+                let found = self.search(hash, fp, Plan::default(), &[], &mut [None, None], None);
+                // The invalidation sweep cannot see the table.
+                let Ok(Lookup { found, .. }) = found else {
                     break;
                 };
-                let Some((slot_addr, slot)) = existing else {
+                let Some((slot_addr, slot)) = found else {
                     outcome = Err(CacheError::SetDropped { key_absent: true });
                     break;
                 };
@@ -1758,23 +1619,25 @@ impl DittoClient {
         // displaced.)  A Set that mutated nothing bumps anyway;
         // the only cost is a spurious refetch by tier holders of this key.
         self.bump_board(hash);
-        match carried_pending {
+        match carried.filter(|_| pends) {
             Some(mut ev) => {
                 // The journal stays armed, naming the carried victim, until
                 // the fill is booked.
                 self.journal_set_fill(ev.is_picked().then(|| ev.victim_object()));
                 self.send_resample(&mut ev);
-                self.pending_fill = Some(PendingFill {
-                    hash,
-                    insert: None,
-                    carried: Some(ev),
-                });
+                self.deferred.fill(hash, None, Some(ev));
             }
             None => self.journal_clear(),
         }
-        if let Some(ev) = parks {
-            // Last, so that a sample it sends is the last verb of the op.
-            self.park_undecoded(ev);
+        if let Some(mut ev) = ahead.filter(|ev| ev.park) {
+            // Parked as a one-round fill's own parks: its first sample landed
+            // and not decoded, its candidates to be scored with the FC counts
+            // this client buffers now.  A later op decodes it — the op it
+            // would after a one-round fill ([`Eviction::landed`]).  Last, so
+            // that a sample no lookup round carried, which goes out now, is
+            // the last verb of the op.
+            self.defer_sample(&mut ev);
+            self.park(ev);
         }
         outcome
     }
@@ -1872,11 +1735,7 @@ impl DittoClient {
     /// `DittoCache::pump_migration` is the run-to-completion wrapper.
     pub fn pump_migration(&mut self, max_stripes: usize) -> MigrationProgress {
         self.maybe_refresh_topology();
-        // The engine drains this client's completion queue as its own: a
-        // pending fill and a parked eviction's deferred READ are polled and
-        // booked first.
-        let _ = self.drain_round(&mut [None, None]);
-        self.book_fill(Booking::Whole);
+        self.settle_before(OpKind::Pump);
         let engine = Arc::clone(&self.engine);
         engine.maybe_replan();
         let mut progress = MigrationProgress::default();
@@ -1924,7 +1783,7 @@ impl DittoClient {
     ///
     /// [`MemoryPool::resident_object_bytes`]: ditto_dm::MemoryPool::resident_object_bytes
     pub fn referenced_object_bytes_on(&mut self, mn_id: u16) -> u64 {
-        self.book_pending_fill(Booking::Whole);
+        self.settle_before(OpKind::Scan);
         let refs = self.referenced_objects();
         refs.get(mn_id as usize).map_or(0, |node_refs| {
             node_refs.iter().map(|&(_, bytes)| bytes).sum()
@@ -2015,8 +1874,7 @@ impl DittoClient {
             }
             let t0 = self.dm.now_ns();
             let moved = self.relocate_object_bytes(slot_addr, &slot, &bytes[..len], home);
-            self.dm
-                .record_span(Phase::Relocate, t0, self.dm.now_ns(), moved as u32);
+            self.span_since(Phase::Relocate, t0, moved as u32);
             progress.objects_relocated += moved as u64;
         }
     }
@@ -2045,11 +1903,7 @@ impl DittoClient {
                     return false;
                 }
             };
-        if self
-            .dm
-            .with_retry(MAX_RETRIES, |dm| dm.try_write(new_addr, bytes))
-            .is_err()
-        {
+        if self.retry(|dm| dm.try_write(new_addr, bytes)).is_err() {
             // Could not land the object copy; back out and leave the
             // original in place for a later pump.
             self.alloc.free(&self.dm, new_addr, len);
@@ -2150,15 +2004,9 @@ impl DittoClient {
 impl Drop for DittoClient {
     /// A pending fill is booked before its client leaves — unless the client
     /// crashed, which leaves it to [`DittoClient::recover_crashed_client`].
-    /// A parked eviction leaves with its client, and the history id it
-    /// acquired goes into no slot: it is booked burnt, and nothing is sent.
+    /// A parked eviction leaves with its client, its history id burnt.
     fn drop(&mut self) {
-        if !self.crashed {
-            self.book_pending_fill(Booking::Whole);
-        }
-        if self.parked_eviction.is_some() && self.policy.is_adaptive() {
-            self.stats.record_history_id_burnt();
-        }
+        self.settle_before(OpKind::Drop);
     }
 }
 
@@ -2504,7 +2352,7 @@ mod tests {
         );
         assert_eq!(cache.stats().snapshot().weight_syncs, 1);
         assert!(
-            client.weight_reply.is_some(),
+            client.deferred.reply.is_some(),
             "the reply is still in flight"
         );
         // The controller applied the shipped penalty as the sync was posted.
@@ -2519,23 +2367,26 @@ mod tests {
         let mut client = cache.client();
         regret_on(&mut client, 0, 0);
         client.sync_weights();
-        let arrival = client.weight_reply.expect("posted").arrival_ns;
+        let arrival = client.deferred.reply.expect("posted").0.arrival_ns;
         // Two ops that begin before the arrival leave the reply in flight.
         let _ = client.get(b"absent");
         assert!(client.dm.now_ns() < arrival);
         client.dm.advance_ns(arrival - 1 - client.dm.now_ns());
         client.set(b"k", b"v");
-        assert!(client.weight_reply.is_some(), "adopted before its arrival");
+        assert!(
+            client.deferred.reply.is_some(),
+            "adopted before its arrival"
+        );
         // The next op begins after it, and adopts it.
         let _ = client.get(b"k");
-        assert!(client.weight_reply.is_none());
+        assert!(client.deferred.reply.is_none());
         // One that begins exactly at the arrival adopts it too.
         regret_on(&mut client, 1, 0);
         client.sync_weights();
-        let arrival = client.weight_reply.expect("posted").arrival_ns;
+        let arrival = client.deferred.reply.expect("posted").0.arrival_ns;
         client.dm.advance_ns(arrival - client.dm.now_ns());
         client.set(b"k", b"w");
-        assert!(client.weight_reply.is_none());
+        assert!(client.deferred.reply.is_none());
         assert_eq!(cache.stats().snapshot().weight_syncs, 2);
         assert_eq!(cache.stats().weight_syncs_waited(), 0);
         assert_eq!(bits(&cache.global_weights()), bits(client.policy.weights()));
@@ -2553,10 +2404,10 @@ mod tests {
         let mut expected = client.policy.clone();
         expected.adopt_weights(&global);
         let expected = expected.weights().to_vec();
-        let arrival = client.weight_reply.expect("posted").arrival_ns;
+        let arrival = client.deferred.reply.expect("posted").0.arrival_ns;
         client.dm.advance_ns(arrival - client.dm.now_ns());
         let _ = client.get(b"absent");
-        assert!(client.weight_reply.is_none());
+        assert!(client.deferred.reply.is_none());
         assert_eq!(bits(client.policy.weights()), bits(&expected));
         assert_ne!(bits(client.policy.weights()), bits(&global));
         // The next sync ships that penalty: no regret is lost globally.

@@ -1,24 +1,20 @@
 //! Sampling eviction: the one routine behind [`DittoClient::evict_once`], the
 //! inline evictions of a starved allocation, the eviction a `Set` under
 //! memory pressure runs *ahead*, beside its own lookup and publish, and the
-//! one a fill *parks* for the next starved `Set` to carry — a one-round
-//! fill's with its sample in flight, decoded by a later round — its pick's
-//! CPU work charged under the client's next round, or, when its sample held
-//! too few candidates, its re-sample READ left in flight for the client's
-//! next ops to poll.  A one-round fill that carries it before it could pick
-//! sends its next re-sample on the fill's own ring, and a later op's round
-//! picks and sends the victim CAS (see the crate docs, *The `Set` path
-//! under memory pressure*).  A candidate is scored on its slot's words plus
+//! one a fill *parks* for the next starved `Set` to carry, picked or, unable
+//! to pick yet, unpicked.  A parked or carried eviction is queued work: what
+//! its completions do, and which ops pick for it, the crate docs list (*What
+//! an op leaves behind*).  A candidate is scored on its slot's words plus
 //! the FC increments this client buffered for it when its sample landed —
 //! or, of a deferred sample, when its READ went out: folded in where the
 //! sample is decoded, once.
 
+use super::deferred::OpKind;
 use super::lookup::bucket_holds;
-use super::publish::Booking;
 use super::round::{
     alone, Carry, Context, Op, Owner, Retire, Riding, RidingSample, Round, Shape, Verb, DISPLACE,
 };
-use super::{Candidates, DittoClient, Pick, MAX_RETRIES};
+use super::{Candidates, DittoClient, Pick};
 use crate::config::DittoConfig;
 use crate::hashtable::SampleFriendlyHashTable;
 use crate::history::EvictionHistory;
@@ -28,6 +24,12 @@ use ditto_dm::wqe::MAX_WQES;
 use ditto_dm::{Phase, RemoteAddr};
 use rand::Rng;
 use std::ops::Range;
+
+/// The victim `ev` has picked and not freed yet, if any: never a candidate
+/// of the client's other eviction ([`Eviction::other_victim`]).
+pub(super) fn picked_victim(ev: &Option<Eviction>) -> Option<RemoteAddr> {
+    ev.as_ref().and_then(Eviction::picked_victim)
+}
 
 /// What [`Eviction::fetched`] holds until the history-id FAA lands — and
 /// for good when it faulted, since an errored verb leaves its result buffer
@@ -72,12 +74,12 @@ pub(super) enum EvictWait {
 /// carries its victim CAS ([`DittoClient::take_parked`]).  A fill parks its
 /// eviction before that, its first sample in flight or landed, and the
 /// client's round after the sample landed decodes it and picks under its
-/// own flight ([`DittoClient::settle_parked_sample`]).  A parked one whose
-/// sample was short instead stops with its re-sample drawn, sent on a ring
-/// of its own ([`DittoClient::park`]), and the `Set` that takes the
-/// eviction up decodes it and picks — or, still short, carries it unpicked,
-/// its next re-sample on the `Set`'s ring, for a later op's round to pick
-/// ([`DittoClient::settle_carried_sample`]).  The round executor
+/// own flight ([`DittoClient::host_picks`]).  A parked one whose sample was
+/// short instead stops with its re-sample drawn, sent on a ring of its own
+/// ([`DittoClient::park`]), and the `Set` that takes the eviction up
+/// decodes it and picks — or, still short, carries it unpicked, its next
+/// re-sample on the `Set`'s ring, for a later op's round to pick.  The
+/// round executor
 /// ([`super::round`]) posts its verbs and books their completions on it;
 /// its sample READs land in its own [`Self::sample`], whatever other
 /// evictions read meanwhile.  Its candidates carry their `freq` words with
@@ -89,7 +91,7 @@ pub(super) struct Eviction {
     /// Start of the `Evict` span: when the first sample was issued — or, of a
     /// parked eviction, when its victim CAS was posted (the op that picks
     /// records the sample half).
-    t0: u64,
+    pub(super) t0: u64,
     min_blocks: u8,
     /// The stripe directory's version when the eviction began: a parked
     /// eviction is dropped once it moved ([`DittoClient::take_parked`]).
@@ -103,24 +105,24 @@ pub(super) struct Eviction {
     /// its free — the one the same `Set` carries, or, between two fills, the
     /// parked or the carried one: never a candidate either, for that
     /// eviction takes it out.
-    other_victim: Option<RemoteAddr>,
+    pub(super) other_victim: Option<RemoteAddr>,
     /// Whether, once picked, the victim waits for the next starved `Set`.
     pub(super) park: bool,
     /// The first op in which the current sample counts as landed
-    /// ([`DittoClient::sample_landed`]): the one after the op whose poll
-    /// booked its last completion — or after the next, booked by a `Set`'s.
+    /// ([`Self::landed`]): the one after the op whose poll booked its last
+    /// completion — or after the next, booked by a `Set`'s.
     pub(super) landed_op: u64,
     /// Whose verbs this eviction's are in a `Set`'s rounds: its own, or —
     /// parked by an earlier `Set` — those of the eviction it carries.
     pub(super) owner: Owner,
     candidates: Candidates,
-    samples: usize,
+    pub(super) samples: usize,
     retries: usize,
     pub(super) wait: EvictWait,
     /// Whether the current sample is deferred — a fill's own, decoded by a
     /// later op, or a re-sample: [`Self::fc_seen`] holds what the FC cache
     /// buffered for its slots when it went out.
-    deferred: bool,
+    pub(super) deferred: bool,
     /// The FC deltas this client buffered for each slot of a deferred
     /// sample's span, in canonical order, when its READ went out.
     fc_seen: InlineVec<u64, { DittoConfig::SAMPLE_SPAN_SLOTS }>,
@@ -192,6 +194,18 @@ impl Eviction {
         self.is_picked().then(|| self.victim_addr())
     }
 
+    /// Whether, waiting to pick, it may decode its sample in op `op`: every
+    /// READ of it completed, and booked before this op — or, booked by a
+    /// `Set`'s polls, before the op after it ([`Self::landed_op`]).  A
+    /// one-round fill polls nothing, and its completions are met by the op
+    /// after it; a `Set` that looks its key up drains its rounds, and meets
+    /// them itself.  Counting the second as the first would, a striped
+    /// cache, whose fills take either shape, decodes at the op a single-node
+    /// one does.
+    pub(super) fn landed(&self, op: u64) -> bool {
+        self.is_sampling() && self.issued && self.in_flight == 0 && op >= self.landed_op
+    }
+
     /// What this eviction, carried by a `Set`, sends: its victim CAS once
     /// picked, or else the re-sample it drew and has not sent, if any,
     /// which leaves the `Set`'s buckets out.
@@ -259,7 +273,7 @@ impl DittoClient {
     /// Performs one sampling eviction.  Returns `true` when an object was
     /// evicted and its memory recycled.
     pub fn evict_once(&mut self) -> bool {
-        self.book_pending_fill(Booking::Whole);
+        self.settle_before(OpKind::Evict);
         self.evict_once_for(0)
     }
 
@@ -309,11 +323,7 @@ impl DittoClient {
 
     /// The addresses of `hash`'s two buckets.
     fn key_buckets(&self, hash: u64) -> [RemoteAddr; 2] {
-        let both = [
-            self.table.primary_bucket(hash),
-            self.table.secondary_bucket(hash),
-        ];
-        both.map(|bucket| self.table.bucket_addr(bucket))
+        [false, true].map(|secondary| self.table.bucket_addr(self.hinted_bucket(hash, secondary)))
     }
 
     /// The eviction a previous fill parked, if this `Set` of `hash` is
@@ -329,23 +339,21 @@ impl DittoClient {
     /// leaves this `Set`'s buckets out and goes out on the one-round fill's
     /// ring in place of the victim CAS ([`Eviction::carry`]) — or, the
     /// `Set` of another shape, as it ends ([`Self::send_resample`]) — and a
-    /// later op picks ([`Self::settle_carried_sample`]).  Under an
+    /// later op picks ([`Self::host_picks`]).  Under an
     /// extension expert, whose scoring READs object headers, it picks here
     /// in place.
     pub(super) fn take_parked(&mut self, starved: bool, hash: u64) -> Option<Eviction> {
-        let mut ev = self.parked_eviction.take()?;
-        if ev.version != self.table.directory().version() {
+        let version = self.table.directory().version();
+        let taken = |ev: &mut Eviction| starved || ev.version != version;
+        let mut ev = self.deferred.parked.take_if(taken)?;
+        if ev.version != version {
             self.drop_eviction(&mut ev);
-            return None;
-        }
-        if !starved {
-            self.parked_eviction = Some(ev);
             return None;
         }
         ev.owner = Owner::Carried;
         if self.use_extension {
             self.pick_in_place(&mut ev);
-        } else if self.sample_landed(&ev) {
+        } else if ev.landed(self.dm.op_id()) {
             ev.t0 = self.dm.now_ns();
             self.take_sample(&mut ev);
         }
@@ -461,7 +469,7 @@ impl DittoClient {
         let found = ev.candidates.len();
         let short = found < 2 && (found == 0 || ev.samples < 4) && ev.samples < 8;
         // A fill's own parked eviction picks under a later round's flight
-        // ([`Self::settle_parked_sample`]), on the clock its decode starts
+        // ([`Self::host_picks`]), on the clock its decode starts
         // at, and that decode and the scoring are charged right after.
         // Under an extension expert, whose scoring READs object headers,
         // and for any other pick, re-sample or give-up, the decode comes
@@ -493,8 +501,7 @@ impl DittoClient {
                 self.charge_score(scored);
             }
             if ev.park {
-                self.dm
-                    .record_span(Phase::Evict, ev.t0, self.dm.now_ns(), 0);
+                self.span_since(Phase::Evict, ev.t0, 0);
             }
         }
         false
@@ -507,7 +514,7 @@ impl DittoClient {
     /// or once it has ended — and polls nothing; the `Set` that takes the
     /// eviction up picks from it ([`Self::take_parked`]).  A carried one
     /// does so for every re-sample: the carrying fill's ring, or a later
-    /// op's round, sends it ([`Self::settle_carried_sample`]).  Under an
+    /// op's round, sends it ([`Self::host_picks`]).  Under an
     /// extension expert every re-sample is read in place.
     fn defers_resample(&self, ev: &Eviction) -> bool {
         !self.use_extension
@@ -541,18 +548,8 @@ impl DittoClient {
     /// ([`super::round`]'s `poll_routed`).
     pub(super) fn park(&mut self, mut ev: Eviction) {
         self.send_resample(&mut ev);
-        self.parked_eviction = Some(ev);
-    }
-
-    /// Parks `ev`, the own eviction of a `Set` that looked its key up, as a
-    /// one-round fill's own parks: its first sample landed and not decoded,
-    /// its candidates to be scored with the FC counts this client buffers
-    /// now.  A later op decodes it — the op it would after a one-round fill
-    /// ([`Self::sample_landed`]).  A sample no lookup round carried goes out
-    /// now.
-    pub(super) fn park_undecoded(&mut self, mut ev: Eviction) {
-        self.defer_sample(&mut ev);
-        self.park(ev);
+        debug_assert!(self.deferred.parked.is_none(), "one parked eviction");
+        self.deferred.parked = Some(ev);
     }
 
     /// Posts `ev`'s drawn sample, deferred ([`Self::defer_sample`]),
@@ -565,107 +562,19 @@ impl DittoClient {
         self.post_round(&round, &[], &mut alone(ev));
     }
 
-    /// Decodes the first sample of the eviction a fill parked with that
-    /// sample in flight ([`Self::post_fill`]), once a poll has booked it,
-    /// and picks — or, the sample short, sends the re-sample it draws
-    /// ([`Self::park`]).  Called between the doorbell and the first poll of
-    /// the client's next round ([`Self::host_parked_pick`]): the decode, the
-    /// pick and that ring's posting run under its flight.  The pick is made
-    /// on the clock the decode starts at, its CPU work charged right after
-    /// ([`Self::take_sample`]).
-    fn settle_parked_sample(&mut self) {
-        let parked = self.parked_eviction.as_ref();
-        if !parked.is_some_and(|ev| ev.samples == 1 && ev.deferred && self.sample_landed(ev)) {
-            return;
-        }
-        let Some(mut ev) = self.parked_eviction.take() else {
-            return;
-        };
-        ev.other_victim = ev.other_victim.or(self.carried_victim());
-        ev.t0 = self.dm.now_ns();
-        if self.evict_advance(&mut ev, false).is_none() {
-            self.park(ev);
-        }
-    }
-
-    /// Whether `ev`, a parked or carried eviction that has still to pick,
-    /// may decode its sample now: every READ of it completed, and booked
-    /// before this op — or, booked by a `Set`'s polls, before the op after
-    /// it ([`Eviction::landed_op`]).  A one-round fill polls nothing, and
-    /// its completions are met by the op after it; a `Set` that looks its
-    /// key up drains its rounds, and meets them itself.  Counting the
-    /// second as the first would, a striped cache, whose fills take either
-    /// shape, decodes at the op a single-node one does.
-    pub(super) fn sample_landed(&self, ev: &Eviction) -> bool {
-        ev.is_sampling() && ev.issued && ev.in_flight == 0 && self.dm.op_id() >= ev.landed_op
-    }
-
-    /// The victim of the eviction the pending fill carries, picked and not
-    /// freed yet.
-    fn carried_victim(&self) -> Option<RemoteAddr> {
-        let fill = self.pending_fill.as_ref()?;
-        fill.carried.as_ref().and_then(Eviction::picked_victim)
-    }
-
-    /// Picks for the eviction the pending fill carries unpicked, once a
-    /// poll has booked the re-sample its ring carried
-    /// ([`Self::take_parked`]): decodes it and picks, then posts the victim
-    /// CAS, signalled, on a ring of its own that the op leaves in flight,
-    /// and moves the victim key's board epoch, as the fill would have at its
-    /// ring; the CAS is booked with the fill ([`Self::finish_carried`]).  A
-    /// re-sample still short sends the next one the same way.  Called
-    /// between the doorbell and the first poll of the client's round
-    /// ([`Self::host_parked_pick`]): the decode, the pick and the ring's
-    /// posting run under its flight.
-    fn settle_carried_sample(&mut self) {
-        let carried = self
-            .pending_fill
-            .as_ref()
-            .and_then(|fill| fill.carried.as_ref());
-        if !carried.is_some_and(|ev| self.sample_landed(ev)) {
-            return;
-        }
-        let Some(mut ev) = self
-            .pending_fill
-            .as_mut()
-            .and_then(|fill| fill.carried.take())
-        else {
-            return;
-        };
-        self.pick_carried(&mut ev, false);
-        if ev.is_picked() {
-            let ctx = Context {
-                beside_insert: true,
-                ..Context::default()
-            };
-            let mut round = Round::new(Shape::Evict, ctx);
-            round.verbs.push(ev.victim_cas());
-            round.left_in_flight = true;
-            self.post_round(&round, &[], &mut alone(&mut ev));
-            self.bump_victim_ahead(&mut ev);
-        } else {
-            self.send_resample(&mut ev);
-        }
-        if let Some(fill) = self.pending_fill.as_mut() {
-            fill.carried = Some(ev);
-        }
-    }
-
     /// Picks for `ev`, the eviction a fill carries unpicked: from the sample
     /// that has landed — a short one draws the next re-sample, for the
     /// caller to send — or, `in_place`, waiting for each re-sample in turn
-    /// ([`Self::pick_in_place`]).  The victim is journalled before its CAS
-    /// goes out.  A stripe cutover since the eviction began drops it
-    /// instead ([`Self::drop_eviction`]).
-    fn pick_carried(&mut self, ev: &mut Eviction, in_place: bool) {
+    /// ([`Self::pick_in_place`]).  The parked eviction's picked victim is
+    /// never a candidate.  The victim is journalled before its CAS goes out.
+    /// A stripe cutover since the eviction began drops it instead
+    /// ([`Self::drop_eviction`]).
+    pub(super) fn pick_carried(&mut self, ev: &mut Eviction, in_place: bool) {
         if ev.version != self.table.directory().version() {
             self.drop_eviction(ev);
             return;
         }
-        ev.other_victim = self
-            .parked_eviction
-            .as_ref()
-            .and_then(Eviction::picked_victim);
+        ev.other_victim = picked_victim(&self.deferred.parked);
         if in_place {
             self.pick_in_place(ev);
         } else {
@@ -677,22 +586,6 @@ impl DittoClient {
         }
     }
 
-    /// Runs the CPU work a fill leaves to the client's next round between
-    /// that round's doorbell and its first poll, under its round trip
-    /// ([`super::round`]'s `post_round`, and `search_hinted`'s ring of both
-    /// READs): the pick of the eviction the pending fill carries unpicked,
-    /// once a poll has booked its re-sample, and its victim CAS
-    /// ([`Self::settle_carried_sample`]); then the decode of the parked
-    /// eviction's first sample, once a poll has booked it, and its pick
-    /// ([`Self::settle_parked_sample`]).  Each pick is made on the counts its
-    /// sample's READ saw.  Returns whether any of it took time.
-    pub(super) fn host_parked_pick(&mut self) -> bool {
-        let start = self.dm.now_ns();
-        self.settle_carried_sample();
-        self.settle_parked_sample();
-        self.dm.now_ns() > start
-    }
-
     /// Ends `ev`: whether it evicted, its span, and an id it could not use.
     fn evict_finish(&mut self, ev: &mut Eviction, won: bool) {
         ev.wait = EvictWait::Done(won);
@@ -701,8 +594,7 @@ impl DittoClient {
             // its shard's FIFO aged with no entry.
             self.stats.record_history_id_burnt();
         }
-        self.dm
-            .record_span(Phase::Evict, ev.t0, self.dm.now_ns(), won as u32);
+        self.span_since(Phase::Evict, ev.t0, won as u32);
     }
 
     /// Draws the eviction's next sample and issues its READ(s): a single
@@ -854,22 +746,28 @@ impl DittoClient {
                 Owner::Carried => Shape::Carry,
                 _ => Shape::Evict,
             };
-            let ctx = Context {
-                beside_insert: true,
-                ..Context::default()
-            };
-            let mut round = Round::new(shape, ctx);
-            round.verbs.push(ev.victim_cas());
-            self.post_round(&round, &[], &mut alone(ev));
+            self.post_victim(ev, shape, false);
             return;
         }
         let (victim_addr, victim) = ev.candidates[ev.pick.idx];
         let (expected, word) = (victim.atomic.encode(), ev.word);
         ev.wait = EvictWait::Victim;
         ev.observed = self
-            .dm
-            .with_retry(MAX_RETRIES, |dm| dm.try_cas(victim_addr, expected, word))
+            .retry(|dm| dm.try_cas(victim_addr, expected, word))
             .unwrap_or(!expected);
+    }
+
+    /// Posts `ev`'s victim CAS, signalled, on a `shape` round of its own
+    /// beside an insert, which its op leaves in flight if `left`.
+    pub(super) fn post_victim(&mut self, ev: &mut Eviction, shape: Shape, left: bool) {
+        let ctx = Context {
+            beside_insert: true,
+            ..Context::default()
+        };
+        let mut round = Round::new(shape, ctx);
+        round.verbs.push(ev.victim_cas());
+        round.left_in_flight = left;
+        self.post_round(&round, &[], &mut alone(ev));
     }
 
     /// Waits for the victim CAS and, if it took the victim's word out of
@@ -889,7 +787,7 @@ impl DittoClient {
         }
         let embed = ev.word != 0;
         if won && embed {
-            self.write_slot_meta(
+            self.write_advisory(
                 SampleFriendlyHashTable::insert_ts_addr(victim_addr),
                 &pick.history_word.to_le_bytes(),
             );
@@ -967,12 +865,13 @@ impl DittoClient {
 
 #[cfg(test)]
 mod tests {
-    use super::{bucket_holds, Booking, Candidates, DittoClient, EvictWait, Eviction};
+    use super::{bucket_holds, Candidates, DittoClient, EvictWait, Eviction, OpKind};
     use crate::cache::DittoCache;
     use crate::client::round::Shape;
     use crate::config::DittoConfig;
     use crate::hash::fnv1a64;
     use crate::hashtable::SampleFriendlyHashTable;
+    use crate::history::expert_bitmap;
     use crate::slot::{AtomicField, Slot, BUCKET_SIZE, SLOTS_PER_BUCKET, SLOT_SIZE};
     use ditto_dm::stats::{NodeSnapshot, VerbKind};
     use ditto_dm::{DmConfig, MemoryPool, Phase, RemoteAddr};
@@ -1024,7 +923,7 @@ mod tests {
         for key in 4_000..4_002 {
             fill_after_miss(&mut client, key);
         }
-        assert!(client.parked_eviction.is_some());
+        assert!(client.deferred.parked.is_some());
         (cache, client)
     }
 
@@ -1032,7 +931,7 @@ mod tests {
     /// slot as sampled — and `None` while its pick waits for the re-sample
     /// it deferred, which the `Set` that carries it makes.
     fn parked_victim(client: &DittoClient) -> Option<(RemoteAddr, Slot)> {
-        let parked = client.parked_eviction.as_ref().expect("a parked eviction");
+        let parked = client.deferred.parked.as_ref().expect("a parked eviction");
         matches!(parked.wait, EvictWait::Picked).then(|| parked.candidates[parked.pick.idx])
     }
 
@@ -1217,8 +1116,12 @@ mod tests {
                 );
                 victims += 1;
             }
-            let fill = client.pending_fill.as_ref().expect("the fill is pending");
-            let carried = fill.carried.as_ref().expect("it carries a victim");
+            assert!(client.deferred.fill_key().is_some(), "the fill is pending");
+            let carried = client
+                .deferred
+                .carried
+                .as_ref()
+                .expect("it carries a victim");
             carried_before = Some(carried.candidates[carried.pick.idx]);
             // The sample was the one READ (no counter refresh, no re-sample
             // in place): the fill rang one doorbell, and took its posting
@@ -1292,7 +1195,7 @@ mod tests {
                 elapsed <= plain + 4 * DmConfig::CQ_POLL_NS,
                 "key {key}: {elapsed} ns"
             );
-            let parked = client.parked_eviction.as_ref().expect("the fill parked");
+            let parked = client.deferred.parked.as_ref().expect("the fill parked");
             assert_eq!((parked.in_flight, parked.samples), (0, 1), "key {key}");
             // The next round decodes that sample and picks while its own two
             // READs fly: that `Get` takes no longer than a plain hinted one,
@@ -1332,7 +1235,7 @@ mod tests {
             // The fill before this loop step parked its eviction, its sample
             // in flight: the words that READ found, as the fill's ring left
             // them.
-            let parked = client.parked_eviction.as_ref().expect("a parked eviction");
+            let parked = client.deferred.parked.as_ref().expect("a parked eviction");
             if !(parked.is_sampling() && parked.deferred && parked.in_flight > 0) {
                 // Decoded already: the last fill found room and carried
                 // nothing, and the next one parks anew.
@@ -1364,7 +1267,7 @@ mod tests {
                 "key {key}"
             );
             assert!(carried(&client).is_none(), "key {key}");
-            let parked = client.parked_eviction.as_ref().expect("still parked");
+            let parked = client.deferred.parked.as_ref().expect("still parked");
             assert!(!parked.is_sampling(), "key {key}: decoded");
             assert!(!parked.candidates.is_empty(), "key {key}");
             for &(addr, slot) in parked.candidates.iter() {
@@ -1420,7 +1323,8 @@ mod tests {
     /// first sample deferred.
     fn deferred(client: &DittoClient) -> bool {
         client
-            .parked_eviction
+            .deferred
+            .parked
             .as_ref()
             .is_some_and(|ev| ev.deferred && ev.samples > 1)
     }
@@ -1450,7 +1354,7 @@ mod tests {
     /// its eviction holds and every slot of its re-sample's span (which may
     /// overlap the first).
     fn deferred_slots(client: &DittoClient) -> Vec<RemoteAddr> {
-        let ev = client.parked_eviction.as_ref().expect("a parked eviction");
+        let ev = client.deferred.parked.as_ref().expect("a parked eviction");
         let span = ev
             .segments
             .iter()
@@ -1498,7 +1402,7 @@ mod tests {
                     "{outside:?}"
                 );
                 let left = match step {
-                    1 => client.pending_fill.is_some(),
+                    1 => client.deferred.fill_key().is_some(),
                     _ => evict_rounds(&client) > rounds,
                 };
                 assert_eq!(!outside.is_empty(), left, "key {key}, step {step}");
@@ -1534,12 +1438,9 @@ mod tests {
     /// Samples read and not decoded yet: the parked eviction's and the
     /// carried one's, in flight or landed.
     fn samples_undecoded(client: &DittoClient) -> u64 {
-        let carried = client
-            .pending_fill
-            .as_ref()
-            .and_then(|f| f.carried.as_ref());
+        let carried = client.deferred.carried.as_ref();
         let read = |ev: Option<&Eviction>| u64::from(ev.is_some_and(|ev| ev.deferred && ev.issued));
-        read(client.parked_eviction.as_ref()) + read(carried)
+        read(client.deferred.parked.as_ref()) + read(carried)
     }
 
     /// The samples the eviction the pending fill carries unpicked has
@@ -1591,7 +1492,7 @@ mod tests {
             let node0 = cache.pool().node(0).unwrap();
             let word = |addr: RemoteAddr| node0.load_u64(addr.offset).unwrap();
             let pick_from: Vec<_> = if deferred(&client) {
-                assert_eq!(client.parked_eviction.as_ref().unwrap().in_flight, 0);
+                assert_eq!(client.deferred.parked.as_ref().unwrap().in_flight, 0);
                 deferred_slots(&client)
                     .into_iter()
                     .map(|a| (a, word(a)))
@@ -1600,7 +1501,7 @@ mod tests {
                 Vec::new()
             };
             let (before, waited) = (node(&cache), cache.stats().resamples_waited());
-            let parked = client.parked_eviction.as_ref().map(|ev| ev.samples);
+            let parked = client.deferred.parked.as_ref().map(|ev| ev.samples);
             client.set(&key.to_le_bytes(), &[1u8; BIG]);
             let reads = node(&cache).reads - before.reads;
             sample_reads += reads;
@@ -1658,7 +1559,7 @@ mod tests {
                 assert_eq!((reads, doorbells), (3, 2), "key {key}");
             }
             assert_eq!(elapsed, plain, "key {key}");
-            let parked = client.parked_eviction.as_ref().unwrap();
+            let parked = client.deferred.parked.as_ref().unwrap();
             assert_eq!((parked.in_flight, parked.samples), (1, 2), "key {key}");
         }
         assert_eq!(
@@ -1692,7 +1593,7 @@ mod tests {
 
     /// The eviction the pending fill carries, if any.
     fn carried(client: &DittoClient) -> Option<&Eviction> {
-        client.pending_fill.as_ref()?.carried.as_ref()
+        client.deferred.carried.as_ref()
     }
 
     /// Whether the pending fill carries an eviction still to pick.
@@ -1703,7 +1604,7 @@ mod tests {
     /// Whether the parked eviction's first sample has landed undecoded: the
     /// next starved `Set` decodes it.
     fn parked_landed(client: &DittoClient) -> bool {
-        let parked = client.parked_eviction.as_ref();
+        let parked = client.deferred.parked.as_ref();
         parked.is_some_and(|ev| ev.is_sampling() && ev.issued && ev.in_flight == 0)
     }
 
@@ -1722,7 +1623,7 @@ mod tests {
         let mut exact = 0;
         for key in 5_000..5_400u64 {
             assert!(client.get(&key.to_le_bytes()).is_none());
-            let ready = client.pending_fill.is_none() && parked_landed(&client);
+            let ready = client.deferred.fill_key().is_none() && parked_landed(&client);
             let (before, inline) = (node(&cache), cache.stats().evictions_inline());
             let elapsed = timed_set_of(&mut client, key, BIG);
             let after = node(&cache);
@@ -1763,7 +1664,7 @@ mod tests {
             let (first, mut last) = (samples(&client), 0);
             // Two `Get`s per sample at most: eight samples in all.
             for _ in 0..2 * 8 + 1 {
-                if client.pending_fill.is_none() {
+                if client.deferred.fill_key().is_none() {
                     break;
                 }
                 last = last.max(samples(&client));
@@ -1776,7 +1677,10 @@ mod tests {
             if !unpicked {
                 continue;
             }
-            assert!(client.pending_fill.is_none(), "key {key}: still pending");
+            assert!(
+                client.deferred.fill_key().is_none(),
+                "key {key}: still pending"
+            );
             let done = (stats.snapshot().evictions, stats.history_ids_burnt());
             assert!(
                 done == (evictions + 1, burnt) || done == (evictions, burnt + 1),
@@ -1929,7 +1833,7 @@ mod tests {
     fn a_stripe_cutover_drops_a_parked_eviction_whose_re_sample_is_in_flight() {
         let (cache, mut client) = short_sampling_on(DmConfig::default().with_memory_nodes(2));
         fill_until_deferred(&mut client, &mut (5_000..6_000));
-        assert!(client.parked_eviction.as_ref().unwrap().in_flight > 0);
+        assert!(client.deferred.parked.as_ref().unwrap().in_flight > 0);
         let burnt = cache.stats().history_ids_burnt();
         cache.pool().add_node().unwrap();
         assert!(cache.pump_migration().stripes_moved > 0);
@@ -1939,7 +1843,8 @@ mod tests {
         assert_eq!(cache.stats().history_ids_burnt(), burnt + 1);
         assert!(client.dm().poll_cq().is_none());
         assert!(client
-            .parked_eviction
+            .deferred
+            .parked
             .as_ref()
             .is_none_or(|ev| ev.version == client.table.directory().version()));
         for mn in 0..3 {
@@ -1989,11 +1894,11 @@ mod tests {
         assert_eq!(cas(&cache), before, "a victim CAS went out");
         assert!(carried(&client).is_none());
         assert_eq!(cache.stats().history_ids_burnt(), burnt + 1);
-        // What is still out is the side channels' — a parked re-sample —
+        // What is still out is the queue's — a parked re-sample —
         // and nobody else's.
         assert_eq!(
             client.dm().outstanding_completions(),
-            client.side_channels_in_flight()
+            client.deferred.in_flight()
         );
         for mn in 0..3 {
             assert_eq!(
@@ -2010,8 +1915,8 @@ mod tests {
         fill_until_deferred(&mut client, &mut (5_000..6_000));
         // The pending fill is booked first: its carried eviction may still
         // have to pick, which the drop would do.
-        client.book_pending_fill(Booking::Whole);
-        assert_eq!(client.parked_eviction.as_ref().unwrap().in_flight, 1);
+        client.settle_before(OpKind::Scan);
+        assert_eq!(client.deferred.parked.as_ref().unwrap().in_flight, 1);
         let (burnt, messages) = (cache.stats().history_ids_burnt(), node(&cache).messages);
         drop(client);
         assert_eq!(cache.stats().history_ids_burnt(), burnt + 1);
@@ -2023,7 +1928,7 @@ mod tests {
         let config = DittoConfig::single_algorithm(300, "gds");
         let (cache, mut client) = parking_as(config, DmConfig::default());
         fill_after_miss(&mut client, 5_000);
-        assert!(client.parked_eviction.is_some());
+        assert!(client.deferred.parked.is_some());
         // The first `Get` after the fill books it; the second's round decodes
         // the sample the fill's eviction parked with and picks.  GDS scores
         // with its candidates' object headers, READs of that op's own, so
@@ -2045,7 +1950,7 @@ mod tests {
         let (cache, mut client) = parking_on(DmConfig::default());
         // A `Get` of the key the last fill filled books that fill.
         assert!(client.get(&4_001u64.to_le_bytes()).is_some());
-        assert!(client.parked_eviction.is_some());
+        assert!(client.deferred.parked.is_some());
         let (burnt, messages) = (cache.stats().history_ids_burnt(), node(&cache).messages);
         drop(client);
         // Booked, and nothing sent.
@@ -2063,7 +1968,7 @@ mod tests {
         }
         let (victim_addr, victim) = parked_victim(&client).expect("a picked victim");
         let others: Vec<_> = {
-            let parked = client.parked_eviction.as_ref().unwrap();
+            let parked = client.deferred.parked.as_ref().unwrap();
             let mut others = parked.candidates;
             others.swap_remove(parked.pick.idx);
             others.iter().copied().collect()
@@ -2113,7 +2018,8 @@ mod tests {
         fill_after_miss(&mut client, 5_000);
         assert_eq!(cache.stats().history_ids_burnt(), burnt + 1);
         assert!(client
-            .parked_eviction
+            .deferred
+            .parked
             .as_ref()
             .is_none_or(|ev| ev.version == client.table.directory().version()));
         for mn in 0..3 {
@@ -2141,11 +2047,7 @@ mod tests {
         // carried eviction still to pick, which they pick for, and the
         // parked one still to pick, which they decode and pick for.
         let (mut booked, mut residual, mut taken_up) = (0, 0, 0);
-        let carried = |client: &DittoClient| {
-            let fill = client.pending_fill.as_ref();
-            fill.and_then(|fill| fill.carried.as_ref())
-                .map(|ev| ev.wait)
-        };
+        let carried = |client: &DittoClient| client.deferred.carried.as_ref().map(|ev| ev.wait);
         // Each key missed, filled, then read twice: the first `Get` books the
         // fill, the second's round decodes the sample its eviction parked.
         for key in 5_000..5_200u64 {
@@ -2158,7 +2060,7 @@ mod tests {
                         let pending = carried(&client);
                         booked += u64::from(pending.is_some());
                         residual += u64::from(matches!(pending, Some(EvictWait::Sample)));
-                        let parked = client.parked_eviction.as_ref();
+                        let parked = client.deferred.parked.as_ref();
                         let unpicked = parked.is_some_and(Eviction::is_sampling);
                         client.set(&key, &[1u8; BIG]);
                         let picked = matches!(
@@ -2529,5 +2431,187 @@ mod tests {
         );
         client.flush();
         assert_eq!(faas() - before, 1, "only the other key's own count");
+    }
+
+    /// An eviction across ops: the shard of its history id and the counter
+    /// value its FAA fetched, which no other eviction shares.
+    fn id_of(ev: &Eviction) -> (u64, u64) {
+        (ev.id_shard, ev.fetched)
+    }
+
+    /// The deferred work [`all_deferred`] leaves: the carried eviction's and
+    /// the parked one's ids, the weight reply's arrival, the FC riders'
+    /// work-request ids, and the in-place picks and burnt ids counted so far.
+    struct Held {
+        carried: (u64, u64),
+        parked: (u64, u64),
+        reply: u64,
+        riders: std::ops::Range<u64>,
+        in_place: u64,
+        burnt: u64,
+    }
+
+    /// What an op left of the work [`Held`] names: whether the fill's
+    /// insert is still pending, the same eviction still carried and the
+    /// same one still parked, the same reply still in flight, the same FC
+    /// riders still recorded, and how many carried evictions it picked in
+    /// place.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Left {
+        insert: bool,
+        carried: bool,
+        parked: bool,
+        reply: bool,
+        riders: bool,
+        picked_in_place: u64,
+    }
+
+    fn held(cache: &DittoCache, client: &DittoClient) -> Option<Held> {
+        let queue = &client.deferred;
+        let carried = queue
+            .carried
+            .as_ref()
+            .filter(|ev| ev.is_sampling() && ev.in_flight > 0)?;
+        let parked = queue
+            .parked
+            .as_ref()
+            .filter(|ev| ev.samples == 1 && ev.in_flight > 0)?;
+        (queue.insert.is_some() && !queue.riders.is_empty()).then_some(())?;
+        Some(Held {
+            carried: id_of(carried),
+            parked: id_of(parked),
+            reply: queue.reply?.0.arrival_ns,
+            riders: queue.riders.clone(),
+            in_place: cache.stats().carried_picks_in_place(),
+            burnt: cache.stats().history_ids_burnt(),
+        })
+    }
+
+    fn left(cache: &DittoCache, client: &DittoClient, held: &Held) -> Left {
+        let queue = &client.deferred;
+        Left {
+            insert: queue.insert.is_some(),
+            carried: queue
+                .carried
+                .as_ref()
+                .is_some_and(|ev| id_of(ev) == held.carried),
+            parked: queue
+                .parked
+                .as_ref()
+                .is_some_and(|ev| id_of(ev) == held.parked),
+            reply: queue.reply.is_some_and(|(r, _)| r.arrival_ns == held.reply),
+            riders: queue.riders == held.riders,
+            picked_in_place: cache.stats().carried_picks_in_place() - held.in_place,
+        }
+    }
+
+    /// A client holding every kind of deferred work at once: a one-round
+    /// fill, its insert pending, that carries an eviction still to pick
+    /// with its re-sample READ in flight; the fill's own eviction, parked
+    /// with its first sample READ in flight; a weight sync's reply in
+    /// flight; and the FC flushes the last hinted `Get` carried.  Returns
+    /// the fill's key too.
+    fn all_deferred() -> (DittoCache, DittoClient, u64, Held) {
+        let (cache, mut client) = short_sampling_on(DmConfig::default());
+        let mut hot = 4_001u64;
+        for key in 5_000..5_400u64 {
+            // Hits on the last fill's key until a hinted `Get` carries the
+            // flush one of them made due.
+            for _ in 0..30 {
+                if client.get(&hot.to_le_bytes()).is_none() {
+                    break;
+                }
+                if !client.deferred.riders.is_empty() {
+                    break;
+                }
+            }
+            assert!(client.get(&key.to_le_bytes()).is_none(), "key {key}");
+            client.set(&key.to_le_bytes(), &[1u8; BIG]);
+            hot = key;
+            let word = expert_bitmap::with_odds(expert_bitmap::with_expert(0, 0), 0.5);
+            client.policy.regret(word, 0);
+            client.sync_weights();
+            if let Some(held) = held(&cache, &client) {
+                return (cache, client, key, held);
+            }
+        }
+        panic!("no fill left every kind of deferred work");
+    }
+
+    /// Each op kind, run on a client holding every kind of deferred work
+    /// ([`all_deferred`]), settles what it must first and leaves the rest.
+    #[test]
+    fn each_op_kind_settles_the_deferred_work_it_must() {
+        type Op = fn(&mut DittoClient, u64);
+        let left_as = |insert, carried, parked, reply, riders, picked_in_place| Left {
+            insert,
+            carried,
+            parked,
+            reply,
+            riders,
+            picked_in_place,
+        };
+        let cases: [(&str, Op, Left); 8] = [
+            (
+                "a Get of another key",
+                |c, _| assert!(c.get(b"absent").is_none()),
+                left_as(false, true, true, true, true, 0),
+            ),
+            (
+                "a Get of the fill's key",
+                |c, key| assert!(c.get(&key.to_le_bytes()).is_some()),
+                left_as(false, true, true, true, false, 0),
+            ),
+            (
+                "a Set",
+                |c, _| c.set(b"another", &[1u8; BIG]),
+                left_as(false, false, false, true, true, 1),
+            ),
+            (
+                "flush",
+                |c, _| c.flush(),
+                left_as(false, false, true, false, true, 1),
+            ),
+            (
+                "evict_once",
+                |c, _| assert!(c.evict_once()),
+                left_as(false, false, true, true, true, 1),
+            ),
+            (
+                "pump_migration",
+                |c, _| {
+                    c.pump_migration(1);
+                },
+                left_as(false, false, true, true, true, 1),
+            ),
+            (
+                "a recovery",
+                |c, _| {
+                    let _ = c.recover_crashed_client(7);
+                },
+                left_as(false, false, true, true, true, 1),
+            ),
+            (
+                "a forensic scan",
+                |c, _| {
+                    c.referenced_object_bytes_on(0);
+                },
+                left_as(false, false, true, true, true, 1),
+            ),
+        ];
+        for (name, op, expected) in cases {
+            let (cache, mut client, key, held) = all_deferred();
+            op(&mut client, key);
+            assert_eq!(left(&cache, &client, &held), expected, "{name}");
+        }
+        // `Drop` books the fill whole and burns the parked eviction's id.
+        let (cache, client, _, held) = all_deferred();
+        drop(client);
+        let stats = cache.stats();
+        let settled = (
+            stats.carried_picks_in_place() - held.in_place,
+            stats.history_ids_burnt() - held.burnt,
+        );
+        assert_eq!(settled, (1, 1), "Drop");
     }
 }

@@ -481,7 +481,7 @@ impl DittoClient {
         self.table.slot_addr(bucket, hint.slot as usize)
     }
 
-    fn hinted_bucket(&self, hash: u64, secondary: bool) -> u64 {
+    pub(super) fn hinted_bucket(&self, hash: u64, secondary: bool) -> u64 {
         if secondary {
             self.table.secondary_bucket(hash)
         } else {
@@ -576,9 +576,7 @@ impl DittoClient {
             let secondary_addr = self.table.bucket_addr(secondary);
             // Address translation through the stripe directory is free in
             // simulated time, so the span is an instant (detail = attempt).
-            let translate_ns = self.dm.now_ns();
-            self.dm
-                .record_span(Phase::Translate, translate_ns, translate_ns, attempt as u32);
+            self.span_since(Phase::Translate, self.dm.now_ns(), attempt as u32);
             let mut slots = SearchSlots::new();
             let round = plan_round(&Plan {
                 memo: None,
@@ -707,8 +705,8 @@ impl DittoClient {
     /// completions are consumed in the order they land, the slot decoded as
     /// soon as its own is out — while the object is still in flight, when
     /// it comes first.  Between the doorbell and the first poll the two
-    /// READs' flight hosts the decode and pick a fill left to the client's
-    /// next round ([`DittoClient::host_parked_pick`]).  `board_epoch` is the
+    /// READs' flight hosts the picks the queued evictions are due
+    /// ([`DittoClient::host_picks`]).  `board_epoch` is the
     /// key's board epoch as the `Get` read it before posting.
     ///
     /// Behind the two READs the ring carries the FC flushes an earlier
@@ -721,9 +719,7 @@ impl DittoClient {
         let bucket = self.hinted_bucket(hash, hint.secondary);
         let token = self.table.bucket_entry_token(bucket);
         let slot_addr = self.table.slot_addr(bucket, hint.slot as usize);
-        let translate_ns = self.dm.now_ns();
-        self.dm
-            .record_span(Phase::Translate, translate_ns, translate_ns, 0);
+        self.span_since(Phase::Translate, self.dm.now_ns(), 0);
         let object = AtomicField::decode(hint.word);
         let obj_addr = object.object_addr();
         if obj_addr.mn_id != slot_addr.mn_id {
@@ -737,13 +733,13 @@ impl DittoClient {
             let mut wq = self.dm.work_queue();
             let wr_slot = wq.post_read(slot_addr, &mut self.bucket_buf[..SLOT_SIZE], true);
             wq.post_read(obj_addr, &mut self.obj_buf[..len], true);
-            let riders = self.fc.as_mut().map(FcCache::take_deferred);
+            let due = self.fc.as_mut().map(FcCache::take_deferred);
             let dir = self.table.directory();
-            self.fc_riders = Self::post_fc_faas(&mut wq, dir, riders.unwrap_or_default(), false);
+            self.deferred.riders = Self::post_fc_faas(&mut wq, dir, due.unwrap_or_default(), false);
             wq.ring();
             wr_slot
         };
-        self.host_parked_pick();
+        self.host_picks();
         // Both completions are consumed whatever they say — an errored slot
         // READ flushes nothing on another node's queue pair — and a fault on
         // either READ costs the hint, never the `Get`.
@@ -1460,7 +1456,7 @@ mod tests {
             // The object WRITE and the metadata WRITE went out unsignalled,
             // and the fill is pending.
             assert_eq!(pool.unsignalled_wqes(), unsignalled + 2);
-            assert!(a.pending_fill.is_some());
+            assert!(a.deferred.fill_key().is_some());
             if crash {
                 // Dies: nothing of it runs again, its destructor included.
                 let id = a.dm().client_id();
@@ -1475,7 +1471,7 @@ mod tests {
                 continue;
             }
             assert!(a.get(key).is_none());
-            assert!(a.pending_fill.is_none());
+            assert!(a.deferred.fill_key().is_none());
             assert_eq!(cache.stats().fills_abandoned(), abandoned + 1);
             assert_eq!(live_slots_of(&cache, &a, key), []);
             let mut c = cache.client();
@@ -1541,7 +1537,7 @@ mod tests {
             b.set(&other, b"b");
             let abandoned = cache.stats().fills_abandoned();
             a.set(key, b"a");
-            assert!(a.pending_fill.is_some());
+            assert!(a.deferred.fill_key().is_some());
             assert_eq!(
                 slots_holding(&cache, &c, &other),
                 [table.slot_addr(primary, 0)]
@@ -1563,7 +1559,7 @@ mod tests {
             if filler != Filler::A {
                 assert!(a.get(b"unrelated").is_none());
             }
-            assert!(a.pending_fill.is_none());
+            assert!(a.deferred.fill_key().is_none());
             assert_eq!(cache.stats().fills_abandoned(), abandoned + 1);
             match filler {
                 Filler::CBeforeTheBooking => {}

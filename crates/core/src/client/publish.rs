@@ -8,32 +8,11 @@
 //! ([`DittoClient::post_fill`]).
 //!
 //! A cache may always miss, so a fill need not learn before it returns
-//! whether its insert landed.  Its completions make it a [`PendingFill`], one
-//! more side channel beside the parked eviction: any poll books them
-//! (`round.rs`'s `poll_routed`), and the op whose polls met the last of them
-//! books the fill as it ends ([`DittoClient::book_fill`]) — or, at the
-//! latest, anything that must see it settled first: the client's next
-//! `Set`, a `Get` of the key, a drain, an eviction, a migration pump, a
-//! recovery, a forensic scan, its `Drop`.  Two rules keep that window sound.
-//! The insert slot's metadata WRITE rides the ring ahead of the insert CAS
-//! (`round::Rule::Flush`), so a won insert carries its key's `hash` from the
-//! instant it lands and every lookup after the ring finds it: another
-//! client's `Set` of the key replaces it instead of inserting a second copy.
-//! And the key's board epoch, and the carried victim key's, move at ring
-//! time, before the `Set` returns.  A lost insert wrote its metadata over
-//! whatever took the slot: if that is another key's live object, booking
-//! puts that key's `hash` back and makes sure the key lives once
-//! ([`DittoClient::repair_hash`]).  The journal stays armed until the fill
-//! is booked, naming the new object and the carried victim's.
-//!
-//! A fill may carry an eviction that has not picked its victim yet: its
-//! ring carries that eviction's re-sample READ in place of the victim CAS.
-//! The eviction stays with the fill; the client's first round after a poll
-//! booked the READ picks and sends the CAS
-//! ([`DittoClient::settle_carried_sample`]), and the fill is booked once
-//! that CAS is polled — its insert may be booked before.  The next `Set`
-//! books the fill first, picking in place if nobody has; so does a booking
-//! that finds the insert lost, for the journal names the object it frees.
+//! whether its insert landed: its insert and the eviction it carried are
+//! queued, and [`DittoClient::book_fill`] books them.  The crate docs list
+//! what their completions do and which op kinds book them first (*What an
+//! op leaves behind*), and the two rules that keep that window sound (*The
+//! one-round fill*).
 
 use super::evict::Eviction;
 use super::round::{Op, Plan, Retire, Round};
@@ -54,30 +33,14 @@ use std::sync::Arc;
 /// reconcile's thread.
 const FLIP_WAIT_ROUNDS: usize = 256;
 
-/// A fill the client books once its completions are polled (see the module
-/// docs): a one-round fill, rung and not waited for, or a looked-up one
-/// that waited for its insert and left the victim CAS it carried beside it
-/// in flight.
-pub(super) struct PendingFill {
-    pub(super) hash: u64,
-    /// The one-round fill's insert, until booked; `None` for a looked-up
-    /// fill.
-    pub(super) insert: Option<PendingInsert>,
-    /// The parked eviction the fill carried: its victim CAS in flight, or,
-    /// not picked yet, its re-sample ([`DittoClient::take_parked`]).
-    pub(super) carried: Option<Eviction>,
-}
-
 /// A one-round fill's insert, posted and not booked yet.
 pub(super) struct PendingInsert {
-    /// The insert slot, the word the memo read there, and the word naming
-    /// the new object.
+    /// The insert slot and the word naming the new object.
     slot: RemoteAddr,
-    expected: u64,
     new: u64,
-    /// What the insert CAS found there: `expected` only if it executed and
-    /// won.
-    observed: u64,
+    /// Whether the insert CAS found there the word the memo read: only if
+    /// it executed and won.
+    won: bool,
     /// The new object's allocation, freed should the insert have lost.
     object: (RemoteAddr, usize),
     /// The work-request ids of the object WRITE, the metadata WRITE and the
@@ -91,37 +54,6 @@ pub(super) struct PendingInsert {
     /// hint is current as of then, and another client's bump since filters
     /// it.
     hint_epoch: u64,
-}
-
-/// How much of the pending fill a booking settles.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(super) enum Booking {
-    /// What its polled completions decide — its insert, a carried victim
-    /// CAS — leaving a carried eviction still to pick for a later round:
-    /// the booking at an op's end, or by a `Get` of the key.
-    Polled,
-    /// All of it: a carried eviction still to pick picks in place.
-    Whole,
-}
-
-impl PendingFill {
-    /// How many of its completions are still to be polled.
-    pub(super) fn in_flight(&self) -> usize {
-        self.awaited() + self.unpicked().map_or(0, |ev| ev.in_flight)
-    }
-
-    /// How many of them its booking waits for: all but those of a carried
-    /// eviction still to pick, which waits for its pick instead.
-    pub(super) fn awaited(&self) -> usize {
-        let insert = self.insert.as_ref().filter(|insert| !insert.cas_polled);
-        let picked = self.carried.as_ref().filter(|ev| !ev.is_sampling());
-        usize::from(insert.is_some()) + picked.map_or(0, |ev| ev.in_flight)
-    }
-
-    /// The eviction it carries, if that has still to pick.
-    fn unpicked(&self) -> Option<&Eviction> {
-        self.carried.as_ref().filter(|ev| ev.is_sampling())
-    }
 }
 
 /// A slot's bytes as a publish that put `hash`'s key into it at `now`
@@ -146,10 +78,7 @@ impl DittoClient {
     /// CAS landed on the live copy, or before the poison swap of a reconcile,
     /// which carried it.
     pub(super) fn slot_cas(&mut self, slot_addr: RemoteAddr, expected: u64, new: u64) -> bool {
-        match self
-            .dm
-            .with_retry(MAX_RETRIES, |dm| dm.try_cas(slot_addr, expected, new))
-        {
+        match self.retry(|dm| dm.try_cas(slot_addr, expected, new)) {
             Ok(observed) if observed == expected => true,
             // Lost a race with another client's CAS on the same slot, or
             // the CAS kept faulting (NAK'd, never applied) or its node
@@ -222,12 +151,7 @@ impl DittoClient {
                 std::thread::yield_now();
                 continue;
             };
-            if self
-                .dm
-                .with_retry(MAX_RETRIES, |dm| dm.try_read_u64(home))
-                .ok()
-                != Some(new)
-            {
+            if self.retry(|dm| dm.try_read_u64(home)).ok() != Some(new) {
                 // Displaced since: the new owner wrote its own metadata.
                 return;
             }
@@ -240,10 +164,8 @@ impl DittoClient {
     /// backs off before the caller retries.
     pub(super) fn record_failed_slot_cas(&self) {
         self.dm.advance_ns(CAS_RETRY_BACKOFF_NS);
-        self.dm
-            .pool()
-            .stats()
-            .record_cas_retry(CAS_RETRY_BACKOFF_NS);
+        let stats = self.dm.pool().stats();
+        stats.record_cas_retry(CAS_RETRY_BACKOFF_NS);
     }
 
     pub(super) fn replace_existing(
@@ -333,9 +255,7 @@ impl DittoClient {
             unreachable!("a hinted CAS rides behind its WRITE")
         };
         let old = AtomicField::decode(expected);
-        let translate_ns = self.dm.now_ns();
-        self.dm
-            .record_span(Phase::Translate, translate_ns, translate_ns, 0);
+        self.span_since(Phase::Translate, self.dm.now_ns(), 0);
         // The hinted word names the allocation the CAS displaces; as in
         // `replace_existing` it is journalled before the CAS can land.
         self.journal_set_old(Some((old.object_addr(), old.object_bytes() as usize)));
@@ -353,8 +273,7 @@ impl DittoClient {
             }
         }
         let won = landed && observed == expected;
-        self.dm
-            .record_span(Phase::Publish, publish_start, self.dm.now_ns(), won as u32);
+        self.span_since(Phase::Publish, publish_start, won as u32);
         self.stats.record_spec_publish(!won);
         if won {
             self.finish_replace(slot_addr, hash, old, new, None);
@@ -369,15 +288,15 @@ impl DittoClient {
     /// slot's metadata WRITE, unsignalled, the insert CAS from the word the
     /// miss memo read there to `new` behind them, the victim CAS of the
     /// eviction `carried`, the sample READ and history-id FAA of the
-    /// eviction `ahead` — and returns without polling any of it: the fill
-    /// becomes the client's [`PendingFill`] (see the module docs).  The
+    /// eviction `ahead` — and returns without polling any of it: its insert
+    /// and the eviction it carried are queued (see the module docs).  The
     /// key's board epoch moves now, and the carried victim key's: both
     /// before the `Set` returns.  A carried eviction that has not picked
     /// sends its re-sample READ instead, and stays with the fill.  The own
     /// eviction parks with its sample in flight, its candidates scored with
     /// the FC counts this client buffers now, as a deferred re-sample's are;
     /// the client's round after a poll booked that sample picks from it
-    /// ([`Self::settle_parked_sample`]).  Each eviction's READ lands in its
+    /// ([`Self::host_picks`]).  Each eviction's READ lands in its
     /// own sample bytes, whatever the round's hosted work reads meanwhile.
     /// The journal stays armed until the fill is booked.
     pub(super) fn post_fill(
@@ -385,7 +304,7 @@ impl DittoClient {
         hash: u64,
         round: &Round,
         encoded: &[u8],
-        (obj_addr, new): (RemoteAddr, AtomicField),
+        new: AtomicField,
         mut ahead: Option<Eviction>,
         mut carried: Option<Eviction>,
     ) {
@@ -407,84 +326,76 @@ impl DittoClient {
         let (wr_write, observed) =
             self.post_round(round, encoded, &mut [ahead.as_mut(), carried.as_mut()]);
         // Whether it installed the pointer is booked later: detail 0.
-        self.dm
-            .record_span(Phase::Publish, publish_start, self.dm.now_ns(), 0);
+        self.span_since(Phase::Publish, publish_start, 0);
         self.bump_board(hash);
         if let Some(ev) = carried.as_mut().filter(|ev| ev.is_picked()) {
             self.bump_victim_ahead(ev);
         }
         if let Some(ev) = ahead {
             // A starved `Set` took up the eviction parked before it.
-            debug_assert!(self.parked_eviction.is_none());
             self.park(ev);
         }
-        self.pending_fill = Some(PendingFill {
-            hash,
-            insert: Some(PendingInsert {
-                slot: addr,
-                expected,
-                new: new.encode(),
-                observed,
-                object: (obj_addr, encoded.len()),
-                wrs: wr_write..wr_write + 3,
-                cas_polled: false,
-                token: self.mig_token,
-                hint_epoch: self.hint_epoch(hash, self.board.epoch(hash)),
-            }),
-            carried,
-        });
+        let insert = PendingInsert {
+            slot: addr,
+            new: new.encode(),
+            won: observed == expected,
+            object: (new.object_addr(), encoded.len()),
+            wrs: wr_write..wr_write + 3,
+            cas_polled: false,
+            token: self.mig_token,
+            hint_epoch: self.hint_epoch(hash, self.board.epoch(hash)),
+        };
+        self.deferred.fill(hash, Some(insert), carried);
     }
 
     /// Books the pending fill, if any — called once its completions are
-    /// polled ([`PendingFill::awaited`]), by the op whose polls met the last
-    /// of them ([`DittoClient::end_op`]), or once nobody can poll them any
-    /// more.  A won insert notes its hint (current as of the ring), drops
-    /// what this client's FC cache still held for the slot — the previous
-    /// key's — and is rolled forward across a stripe move
-    /// ([`Self::settle_rekey`]).  A lost one is abandoned: a cache may
-    /// always miss.  Its object is freed, and its metadata WRITE, which may
-    /// have landed ahead of a CAS that lost or faulted, is undone
-    /// ([`Self::repair_hash`]).  The CAS decides by the word it found, which
-    /// only a CAS that executed wrote.  Then the carried victim is retired
-    /// and freed — re-picked, should its CAS have lost — and last the
-    /// journal, which named both allocations, is disarmed.  A carried
-    /// eviction still to pick stays pending, the insert booked, for a later
-    /// round to pick — unless the booking is [`Booking::Whole`], or the
-    /// insert was abandoned: it then picks here ([`Self::finish_carried`]).
-    /// (The journal names the abandoned object, freed now and kept in this
-    /// client's hoard: armed past its free, it would have recovery free it
-    /// again.)  Its sample READ may still be out, so the fill stays where
-    /// any poll finds it while its insert is booked.
-    pub(super) fn book_fill(&mut self, booking: Booking) {
-        let Some(fill) = self.pending_fill.as_mut() else {
+    /// polled ([`super::deferred::Deferred::awaited`]), by the op whose
+    /// polls met the last of them ([`DittoClient::end_op`]), or before an op
+    /// that must find it settled ([`DittoClient::settle_before`]).  A won
+    /// insert notes its hint (current as of the ring), drops what this
+    /// client's FC cache still held for the slot — the previous key's — and
+    /// is rolled forward across a stripe move ([`Self::settle_rekey`]).  A
+    /// lost one is abandoned: a cache may always miss.  Its object is freed,
+    /// and its metadata WRITE, which may have landed ahead of a CAS that lost
+    /// or faulted, is undone ([`Self::repair_hash`]).  The CAS decides by the
+    /// word it found, which only a CAS that executed wrote.  Then the fill
+    /// is finished ([`Self::finish_fill`]) — but for a carried eviction still
+    /// to pick, which stays queued for a later round to pick, unless the
+    /// insert was abandoned.  (The journal names the abandoned object, freed
+    /// now and kept in this client's hoard: armed past its free, it would
+    /// have recovery free it again.)
+    pub(super) fn book_fill(&mut self) {
+        let Some(hash) = self.deferred.fill_key() else {
             return;
         };
-        let (hash, insert) = (fill.hash, fill.insert.take());
-        let mut abandoned = false;
-        match insert {
-            Some(insert) if insert.observed == insert.expected => {
+        let abandoned = match self.deferred.insert.take() {
+            Some(insert) if insert.won => {
                 self.hint_note(hash, insert.slot, insert.new, insert.hint_epoch);
                 self.discard_accesses(insert.slot);
                 self.settle_rekey(insert.slot, insert.new, hash, insert.token);
+                false
             }
             Some(insert) => {
                 self.repair_hash(hash, insert.slot);
                 let (addr, len) = insert.object;
                 self.alloc.free(&self.dm, addr, len);
                 self.stats.record_fill_abandoned();
-                abandoned = true;
+                true
             }
-            None => {}
-        }
-        let unpicked = self.pending_fill.as_ref().and_then(PendingFill::unpicked);
-        if booking == Booking::Polled && !abandoned && unpicked.is_some() {
-            return;
-        }
-        let Some(mut fill) = self.pending_fill.take() else {
-            return;
+            None => false,
         };
-        if let Some(ev) = fill.carried.as_mut() {
-            self.finish_carried(ev);
+        if abandoned || !matches!(&self.deferred.carried, Some(ev) if ev.is_sampling()) {
+            self.finish_fill();
+        }
+    }
+
+    /// Finishes the pending fill: retires and frees its carried victim —
+    /// re-picked, should its CAS have lost, and picked in place if no round
+    /// has ([`Self::finish_carried`]) — then disarms the journal, which
+    /// named both allocations.
+    pub(super) fn finish_fill(&mut self) {
+        if let Some(mut ev) = self.deferred.carried.take() {
+            self.finish_carried(&mut ev);
         }
         self.journal_clear();
     }
@@ -494,7 +405,7 @@ impl DittoClient {
     /// the fill's booking, and a regret check meanwhile reads it from the
     /// pick.
     pub(super) fn carried_history_word(&self, slot_addr: RemoteAddr) -> Option<u64> {
-        let ev = self.pending_fill.as_ref()?.carried.as_ref()?;
+        let ev = self.deferred.carried.as_ref()?;
         ev.picked_history_word(slot_addr)
     }
 
@@ -511,10 +422,7 @@ impl DittoClient {
     /// before free — so the key lives once.  Timestamps and frequency stay
     /// the fill's: advisory.
     fn repair_hash(&mut self, fill: u64, slot_addr: RemoteAddr) {
-        let Ok(found) = self
-            .dm
-            .with_retry(MAX_RETRIES, |dm| dm.try_read_u64(slot_addr))
-        else {
+        let Ok(found) = self.retry(|dm| dm.try_read_u64(slot_addr)) else {
             return;
         };
         let word = AtomicField::decode(found);
@@ -540,9 +448,7 @@ impl DittoClient {
             return;
         }
         let hash_addr = SampleFriendlyHashTable::hash_addr(slot_addr);
-        let put_back = self
-            .dm
-            .with_retry(MAX_RETRIES, |dm| dm.try_cas(hash_addr, fill, key));
+        let put_back = self.retry(|dm| dm.try_cas(hash_addr, fill, key));
         if put_back != Ok(fill) {
             return;
         }
@@ -590,9 +496,7 @@ impl DittoClient {
         let bytes = fresh_metadata(hash, self.dm.now_ns());
         let metadata = &bytes[OFF_HASH as usize..];
         let addr = SampleFriendlyHashTable::hash_addr(slot_addr);
-        let _ = self
-            .dm
-            .with_retry(MAX_RETRIES, |dm| dm.try_write_async(addr, metadata));
+        let _ = self.retry(|dm| dm.try_write_async(addr, metadata));
     }
 
     /// Picks the slot an insert should claim, preferring empty slots, then

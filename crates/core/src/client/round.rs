@@ -465,9 +465,8 @@ impl DittoClient {
     /// and FAA results into it too — and books on every eviction in `evs`
     /// the verbs it now has in flight.
     /// A parked eviction whose victim CAS goes out is taken up again here,
-    /// and, but in an eviction's own round, the CPU work a fill left to the
-    /// client's next round runs under this one's flight
-    /// ([`DittoClient::host_parked_pick`]).
+    /// and, but in an eviction's own round, the picks the queued evictions
+    /// are due run under this one's flight ([`DittoClient::host_picks`]).
     /// Returns the first verb's work-request id — the others follow it one by
     /// one — and the word the `Set`'s own CAS found.
     pub(super) fn post_round(
@@ -551,7 +550,7 @@ impl DittoClient {
         // An eviction's own round hosts nothing: that eviction's `Evict`
         // span, recorded once it ends, started before the round, and so
         // before any span hosted here.
-        if round.shape != Shape::Evict && self.host_parked_pick() {
+        if round.shape != Shape::Evict && self.host_picks() {
             // The pick a carried victim CAS goes out for may be the one
             // hosted here: its victim half starts once that work is done.
             now = self.dm.now_ns();
@@ -586,56 +585,43 @@ impl DittoClient {
         (first, set_word)
     }
 
-    /// Polls one completion — `None` once the queue is empty — and routes it:
-    /// the op's comes back, an eviction's is booked on the eviction (one
-    /// fewer in flight; a faulted sample READ taints its sample, where the FAA
-    /// and the victim CAS are judged by what they fetched, which an errored
-    /// verb never writes).  The parked eviction is an owner too: the
-    /// re-sample READ a fill left in flight completes under a later op,
-    /// whichever of its polls meets it.  Every consumer of the completion
-    /// queue polls through here, so no completion of an eviction's is lost
-    /// to another's loop.  A hinted `Get`'s FC flushes belong to no loop:
-    /// their completions, errors only, are dropped here.  So is the pending
-    /// fill: its insert CAS's completion is booked on it — the WRITEs ahead
-    /// of the CAS complete only in error, and then before it — and its
-    /// carried eviction's on that eviction.  An eviction's booked completion
-    /// stamps the op from which its sample counts as landed
-    /// ([`DittoClient::sample_landed`]).
+    /// Polls one completion — `None` once the queue is empty — and routes it
+    /// by its work-request id: an eviction's — the op's own, or a queued one
+    /// — is booked on the eviction (one fewer in flight; a faulted sample
+    /// READ taints its sample, where the FAA and the victim CAS are judged by
+    /// what they fetched, which an errored verb never writes), and stamps the
+    /// op from which its sample counts as landed ([`Eviction::landed`]); the
+    /// pending insert's is booked on it (the WRITEs ahead of its CAS complete
+    /// only in error, and then before it); an FC rider's, an error, is
+    /// dropped; and the op's own comes back.  Every consumer of the
+    /// completion queue polls through here, so none is lost to another's
+    /// loop: the queue's id ranges never overlap, and none holds a
+    /// completion that comes back.
     pub(super) fn poll_routed(&mut self, evs: &mut Evictions) -> Option<Option<Completion>> {
         let completion = self.dm.poll_cq()?;
-        let landed_op = self.landed_op();
-        let wr = completion.wr_id;
-        if self.fc_riders.contains(&wr) {
+        let (wr, landed_op) = (completion.wr_id, self.landed_op());
+        let queue = &mut self.deferred;
+        debug_assert!(queue.disjoint(), "overlapping queue entries");
+        if let Some(insert) = queue.insert.as_mut().filter(|i| i.wrs.contains(&wr)) {
+            insert.cas_polled |= wr + 1 == insert.wrs.end;
             return Some(None);
         }
-        if let Some(insert) = self.pending_fill.as_mut().and_then(|f| f.insert.as_mut()) {
-            if insert.wrs.contains(&wr) {
-                insert.cas_polled |= wr + 1 == insert.wrs.end;
-                return Some(None);
-            }
+        let queued = queue.parked.iter_mut().chain(queue.carried.iter_mut());
+        let mut owners = evs.iter_mut().flatten().map(|ev| &mut **ev).chain(queued);
+        if let Some(ev) = owners.find(|ev| ev.in_flight > 0 && ev.wrs.contains(&wr)) {
+            ev.in_flight -= 1;
+            ev.failed |= !completion.status.is_ok() && ev.id_wr != Some(wr);
+            ev.landed_op = landed_op;
+            return Some(None);
         }
-        let mut owners = evs
-            .iter_mut()
-            .flatten()
-            .map(|ev| &mut **ev)
-            .chain(self.parked_eviction.as_mut())
-            .chain(
-                self.pending_fill
-                    .as_mut()
-                    .and_then(|fill| fill.carried.as_mut()),
-            );
-        let Some(ev) = owners.find(|ev| ev.in_flight > 0 && ev.wrs.contains(&wr)) else {
-            return Some(Some(completion));
-        };
-        ev.in_flight -= 1;
-        ev.failed |= !completion.status.is_ok() && ev.id_wr != Some(wr);
-        ev.landed_op = landed_op;
-        Some(None)
+        let rider = queue.riders.contains(&wr);
+        debug_assert!(rider || queue.ranges().all(|r| !r.contains(&wr)));
+        Some((!rider).then_some(completion))
     }
 
     /// The first op in which an eviction's completion polled now counts as
-    /// landed ([`DittoClient::sample_landed`]): the next op — or, polled by
-    /// a `Set`, the one after it.
+    /// landed ([`Eviction::landed`]): the next op — or, polled by a `Set`,
+    /// the one after it.
     fn landed_op(&self) -> u64 {
         let op = self.dm.op_id();
         op + 1 + u64::from(op == self.set_op)

@@ -251,131 +251,113 @@
 //! metadata WRITE, unsignalled, the insert CAS behind them (`Rule::Flush`)
 //! and, under memory pressure, the victim CAS of the eviction the previous
 //! fill *parked* and the sample READ and history FAA of its own.  It costs a
-//! doorbell and six issues.  A cache may always miss, so a fill need not
-//! learn before it returns whether its insert landed: its completions make
-//! it a **pending fill**, one more side channel beside the parked eviction.
-//! Two rules keep that window sound.  The metadata rides ahead of the CAS
-//! on one queue pair, so a won insert carries its key's `hash` — which
-//! lookups match on — from the instant it lands: a `Get` of the key by
-//! anyone after the ring hits, and another client's `Set` of it replaces
-//! that copy instead of inserting a second.  And the key's board epoch, and
-//! the carried victim key's, move at ring time, before the `Set` returns.
-//! Any poll books the fill's completions, and the op whose polls met the
-//! last of them books the fill as it ends — usually the client's next op,
-//! and at the latest its next `Set`, a `Get` of the key, a `flush`, an
-//! eviction, a migration pump, a recovery, a forensic scan or its `Drop`,
-//! which poll until they can.  A won insert notes its hint, drops the
-//! slot's FC deltas and rolls forward across a stripe move; a lost one is
-//! abandoned — its object freed, [`CacheStats::fills_abandoned`] counted.
-//! Its metadata WRITE may have landed over another key's live record,
-//! which no lookup finds until the booking READs the slot's word again and
-//! the key of the object it names, and CASes that key's `hash` back.  The
-//! repair then moves that key's epoch, refusing the miss memos taken
-//! meanwhile, and reads its buckets: a copy another client filled
-//! meanwhile is kept, and the repaired slot invalidated, so the key lives
-//! once.  Then the carried victim is retired and freed (a regret check
-//! meanwhile reads its history word from the pick, its WRITE not yet
-//! sent).  A fill that went by the lookup waits for its insert as before,
-//! and leaves only the victim CAS it carried beside it in flight, booked
-//! the same way, so that a striped cache, whose fills take either shape,
-//! counts each eviction at the op a single-node one does
-//! (`tests/striped_parity.rs` compares the counts request by request).
+//! doorbell and six issues.  A cache may always miss, so the fill need not
+//! learn before it returns whether its insert landed: a later op books it
+//! (see *What an op leaves behind*).  Two rules keep that window sound.  The
+//! metadata rides ahead of the CAS on one queue pair, so a won insert
+//! carries its key's `hash` — which lookups match on — from the instant it
+//! lands: a `Get` of the key by anyone after the ring hits, and another
+//! client's `Set` of it replaces that copy instead of inserting a second.
+//! And the key's board epoch, and the carried victim key's, move at ring
+//! time, before the `Set` returns.  A fill that went by the lookup waits for
+//! its insert, and leaves only the victim CAS it carried in flight, so that
+//! a striped cache, whose fills take either shape, frees each victim at the
+//! op a single-node one does (`tests/striped_parity.rs`).
 //!
-//! The fill's own eviction **parks** with its sample in flight
-//! (`Rule::Park`), its candidates scored with the FC counts this client
-//! buffers at ring time: the next starved `Set` carries its victim CAS.
-//! Every eviction holds its sample's bytes inline and its READs land there,
-//! so no other eviction's sample overwrites them before it decodes.  The op
-//! after the fill books the sample's completion on the way to its own —
-//! every consumer of the completion queue polls through the round
-//! executor's one routing routine, so none drops it — and the client's
-//! next round decodes it and picks between its doorbell and its first
-//! poll, under that round trip (`host_parked_pick`): the pick is made on
-//! the clock the decode starts at, the decode's CPU work charged right
-//! after.  A starved `Set` that comes first decodes and picks in
-//! `take_parked`, its CPU work charged before the ring that carries the
-//! victim CAS it chose.  A sample counts as landed from the op
-//! after the one whose poll booked it — from the op after the next, booked
-//! by a `Set`'s own polls (`sample_landed`): a one-round fill polls nothing
-//! and the op after it meets its completions, so a striped cache, whose
-//! fills take either shape, decodes at the op a single-node one does.  A
-//! first sample with fewer than two candidates is not picked from: the
-//! round that decodes it posts the re-sample READ, signalled, on a ring of
-//! its own under its flight, and the op leaves it in flight for the
-//! client's next ops to poll.  The `Set` that carries the eviction picks
-//! from it, and never waits for it: finding it unable to pick yet — that
-//! sample short too, or its READ still out — the `Set` carries it
-//! **unpicked**.  The one-round fill's ring carries the next re-sample READ
+//! The fill's own eviction **parks** (`Rule::Park`) for the next starved
+//! `Set` to carry, its candidates scored with the FC counts this client
+//! buffers at ring time.  Every eviction holds its sample's bytes inline and
+//! its READs land there, so no other eviction's sample overwrites them.  The
+//! `Set` that carries it picks from what has landed (`take_parked`) and
+//! never waits for a re-sample: unable to pick yet, it carries the eviction
+//! **unpicked**, the one-round fill's ring carrying the next re-sample READ
 //! in place of the victim CAS (a `Set` of another shape sends it as it
-//! ends, `send_resample`), and the eviction stays with the pending fill.
-//! The client's first round once that READ has
-//! landed decodes it and picks, under its flight, and sends the victim CAS
-//! — journalled first — on a ring of its own that its op leaves in flight,
-//! or, the sample short again, the next re-sample
-//! (`settle_carried_sample`); the CAS is booked with the fill.  Only the
-//! next `Set` may wait: it books the fill first, picking in place if no
-//! round has (`pick_in_place`, counted in
-//! [`CacheStats::carried_picks_in_place`]; each re-sample it waits for
-//! counts in [`CacheStats::resamples_waited`]).  It must: under pressure its
-//! allocation is served by the victim its predecessor's booking frees, and
-//! this fill's carried victim is the one.  So does the op that books a lost
-//! insert meanwhile: abandoning it frees the object the journal names, so
-//! the fill is settled whole there, and the journal disarmed, lest a
-//! recovery free that object a second time.  Under an extension expert, whose
-//! scoring READs object headers, the decoding op charges the pick in place
-//! and re-samples in place.  (With its insert slot off the object's node a
-//! fill takes two rounds: the WRITE, signalled, beside the sample READ and
-//! the FAA, then the CASes; it parks its eviction with that sample landed
-//! and undecoded, as the one-round fill's parks, `park_undecoded`.)  Only
-//! a fill with nothing to carry frees no victim — the first after `Set`s
-//! that evicted within themselves — and the one after it evicts inline once
-//! for its object.  The new sample never takes the carried victim's slot
-//! either (`Rule::Sample`): a looked-up `Set` posts the carried CAS after its
-//! sample READ, where the one-round fill posts it before, and the rule makes
-//! both samples see the same candidates.
-//!
+//! ends).  Under an extension expert, whose scoring READs object headers,
+//! picks and re-samples are made in place.  Only a fill with nothing to
+//! carry frees no victim — the first after `Set`s that evicted within
+//! themselves — and the one after it evicts inline once for its object.  The
+//! new sample never takes the carried victim's slot either (`Rule::Sample`).
 //! A parked victim stays in the table, resident and evictable by anyone; a
 //! carried CAS that finds its word gone re-picks among the parked
-//! candidates.  A parked eviction is dropped, its id burnt, once the stripe
-//! directory's version has moved: its candidates' addresses may name retired
-//! copies; a sample READ it still has out is polled first, so no stray
-//! completion reaches the op's own polls.  So is a carried one not picked
-//! yet, by the op that would pick for it.  Its `Evict` span is split where
-//! the ops split: the round that charges the pick's CPU work records the
-//! sample half, the op that books the carrying fill the victim half.  A
-//! round an op leaves in flight — a fill's, a re-sample's — records its
-//! flight spans in no op, so the critical-path attribution charges each op
-//! only the time it waited.
+//! candidates.  A parked eviction's `Evict` span is split where the ops
+//! split: the round that charges its pick records the sample half, the op
+//! that books its victim CAS the victim half.
+//!
+//! # What an op leaves behind
+//!
+//! The work an op leaves for the client's later ops is one inline queue
+//! (`client/deferred.rs`), at most one entry of each kind below.  Each entry
+//! owns the work-request ids of the verbs it has in flight, and every
+//! consumer of the completion queue polls through one routine
+//! (`poll_routed`), which books a completion on the op's own evictions or on
+//! the entry whose ids hold it (no two entries' ids overlap, and none comes
+//! back to an op's own loop: both asserted in debug builds).  An op ends once
+//! it has polled up to what the queue still has in flight (`end_op`), every
+//! op kind first settles what it must (`settle_before`), and between a
+//! round's doorbell and its first poll the client picks, under that round's
+//! flight, for each queued eviction whose sample counts as landed
+//! (`host_picks`): from the op after the one whose poll booked it, or after
+//! the next, booked by a `Set`'s own polls.  A round an op leaves in flight
+//! records its flight spans in no op, so the critical-path attribution
+//! charges each op only the time it waited.
+//!
+//! * **Pending insert**, a one-round fill's.  Its completions — the insert
+//!   CAS's, and the WRITEs' should they fail — mark the CAS polled.  It is
+//!   booked by the op whose polls met it, as that op ends, and at the latest
+//!   before the client's next `Set`, a `Get` of the key, `flush`,
+//!   `evict_once`, a migration pump, a recovery, a forensic scan and `Drop`
+//!   (after a crash, by recovery).  A won insert notes its hint, drops the
+//!   slot's FC deltas and rolls forward across a stripe move.  A lost one is
+//!   abandoned ([`CacheStats::fills_abandoned`]): its object is freed, and
+//!   its metadata WRITE, which may have landed over another key's record, is
+//!   undone — the `hash` put back, that key's epoch moved, a copy of it
+//!   filled meanwhile kept — so the key lives once.
+//! * **Carried eviction**, a fill's: its victim CAS in flight, or, unpicked,
+//!   its re-sample READ.  Its completions are booked on it.  Once its
+//!   re-sample has landed the client's round picks, journals the victim and
+//!   sends its CAS on a ring of its own, moving the victim key's epoch as
+//!   the fill's ring would have — or, short again, the next re-sample.  It is
+//!   booked with the insert, once its CAS is polled: the victim is retired
+//!   and freed, re-picked should the CAS have lost, and the journal
+//!   disarmed.  A `Get` of the key waits for a picked one's CAS; every other
+//!   kind above, and a booking that abandons the insert, settles it whole,
+//!   picking in place if no round has ([`CacheStats::carried_picks_in_place`],
+//!   [`CacheStats::resamples_waited`]), for under pressure the next `Set`'s
+//!   allocation is served by the victim it frees.
+//! * **Parked eviction**, a fill's own: its first sample in flight or landed,
+//!   or its re-sample in flight.  Its completions are booked on it; the first
+//!   round after its first sample landed decodes and picks, or sends the
+//!   re-sample.  The next starved `Set` takes it up.  Any `Set` drops it once
+//!   the stripe directory's version has moved (its candidates may name
+//!   retired copies), polling what it has out and burning its history id, and
+//!   `Drop` burns the id too.
+//! * **FC riders**: the frequency-counter FAAs the last hinted `Get` carried.
+//!   Their completions, errors only, are dropped; the next hinted `Get`
+//!   replaces them.
+//! * **Weight reply** of the last weight sync, which has no completion: the
+//!   first `Get` or `Set` to begin at or after its arrival adopts it, and the
+//!   next due sync or `flush` waits for it.
 //!
 //! **Crashes.**  A sampling eviction run within one op is not journalled: a
 //! client that dies between its victim CAS landing and the free after it
 //! leaks the victim's blocks — for good if they lie in a live client's
 //! segment, until [`DittoClient::recover_crashed_client`] sweeps its segments
-//! otherwise — and leaves the resident gauge that much too high.  The
-//! victim a fill carries is: its CAS lands before the `Set` returns and
-//! its free waits for the booking, a later op, so the fill's journal entry
-//! names the victim's object beside the new one — a victim a later op
-//! picks, once that op has journalled it, before its CAS goes out.  What must not change is
-//! what the *modelled* crash points find,
-//! and `Rule::AfterPublish` keeps it: [`CrashPoint::AfterPublish`] sits in
-//! the two publishes that displace an allocation (a replace, a bucket
-//! eviction), an insert — every fill — holds none, so a victim CAS flies
-//! only beside an insert.  Should that insert lose, the eviction is run to
-//! its end before the `Set` tries again; riding a displacing publish, its
-//! own sample and id in hand or a parked victim to carry, it stays where it
-//! was until the `Set` is through.  The pending fill before a `Set` is
-//! booked — its carried victim freed — before the `Set` allocates.  On the
-//! one-round path only [`CrashPoint::AfterAlloc`] can fire, before the
-//! doorbell; a lost one-round insert is abandoned when booked and reaches no
-//! crash point.  The fill's journal entry stays armed until it is booked: a
-//! client that dies with its fill pending leaves recovery the new object,
-//! kept if a slot references it and freed if not, and the carried victim's,
-//! freed if no slot references it — its CAS won — and its range is still
-//! granted (a victim whose CAS lost was freed by its displacer, if at
-//! all).  A fill that went by the
-//! lookup reaches [`CrashPoint::AfterObjectWrite`] once its WRITE has
-//! landed, and [`CrashPoint::AfterPublish`] only if its publish displaces.
-//! So no crash point sees a victim taken out of the table and not yet freed
+//! otherwise — and leaves the resident gauge that much too high.  The victim
+//! a fill carries is: its free waits for the booking, so the fill's journal
+//! entry names it beside the new object before its CAS goes out, and stays
+//! armed until the booking.  A client that dies with its fill pending leaves
+//! recovery the new object, kept if a slot references it, and the carried
+//! victim's, freed if no slot references it and its range is still granted.
+//! What must not change is what the *modelled* crash points find, and
+//! `Rule::AfterPublish` keeps it: [`CrashPoint::AfterPublish`] sits in the
+//! two publishes that displace an allocation (a replace, a bucket eviction),
+//! an insert — every fill — holds none, so a victim CAS flies only beside an
+//! insert.  Should that insert lose, the eviction is run to its end before
+//! the `Set` tries again; riding a displacing publish, it waits until the
+//! `Set` is through.  On the one-round path only [`CrashPoint::AfterAlloc`]
+//! can fire, before the doorbell, and a fill that went by the lookup reaches
+//! [`CrashPoint::AfterObjectWrite`] once its WRITE has landed.  So no crash
+//! point sees a victim taken out of the table and not yet freed
 //! (`tests/chaos.rs` drives all three points on a starved client that
 //! replaces a key, and on fills that park and carry).
 
